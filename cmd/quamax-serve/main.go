@@ -23,7 +23,7 @@
 //
 // which measures the simulator across the serving grid, writes the fit, and
 // exits; without a table the built-in coefficients apply. -channel-cache
-// sizes each QPU's compiled-channel LRU: protocol-v4 APs register an
+// sizes each QPU's compiled-channel LRU: APs register an
 // estimated channel once per coherence window (fronthaul RegisterChannel)
 // and decode its symbols by handle, so the pool compiles H once and only
 // rewrites annealer biases per symbol. Protocol-v6 soft-decode requests
@@ -33,7 +33,7 @@
 // that carry none. -telemetry-addr starts the live telemetry plane: an HTTP
 // listener serving Prometheus text metrics at /metrics, the recent-trace ring
 // as JSON at /traces, and the standard net/http/pprof profiling endpoints at
-// /debug/pprof/; the same recorder also answers protocol-v7 stats polls
+// /debug/pprof/; the same recorder also answers fronthaul stats polls
 // (`quamax -top addr` / `-watch`). -trace-out writes a JSON telemetry dump
 // (per-stage latency summaries plus the trace ring, ingestible by
 // tools/benchjson -traces) on shutdown. On SIGINT/SIGTERM the server stops
@@ -45,7 +45,7 @@
 // Capabilities), and the scheduler diverts requests whose planned anneal
 // budget is classically easy (at most -cost-easy-reads) to the cheapest
 // backend whose latency estimate still meets the deadline. Per-backend spend
-// and energy counters ride the v7 stats frame, `quamax -top`, and the
+// and energy counters ride the stats frame, `quamax -top`, and the
 // Prometheus export. cmd/fleetsim sweeps QPU-count × traffic-mix grids over
 // the same scheduler to pick the cost-optimal fleet shape offline.
 //
@@ -56,7 +56,7 @@
 // sticky to one shard, un-keyed requests balance by power-of-two-choices, and
 // -shed-threshold arms tagged backpressure shedding when a shard's
 // deadline-miss EWMA climbs past it. -pipeline-depth bounds the per-connection
-// in-flight window of the protocol-v8 pipelined fronthaul (0 = default).
+// in-flight window of the pipelined fronthaul (0 = default).
 // Per-shard PoolStats ride the stats frame and the shutdown report.
 //
 // -health arms the solver-health plane (internal/health): every solve feeds
@@ -66,7 +66,7 @@
 // canary probes, and a per-shard SLO burn-rate tracker (deadline-miss and
 // BER budgets, set by -slo-miss-budget/-slo-ber-budget, fast+slow window
 // alerting) folds into the router's shed decision. The health view rides the
-// protocol-v9 stats frame (`quamax -top`) and the Prometheus export
+// fronthaul stats frame (`quamax -top`) and the Prometheus export
 // (quamax_backend_health, quamax_slo_burn_rate).
 package main
 
@@ -120,7 +120,7 @@ func main() {
 		precodeBits  = flag.Int("precode-bits", 0, "default perturbation alphabet depth for downlink precode requests that carry none (0 = 1 bit/dimension)")
 		precodeCache = flag.Int("precode-cache", 0, "compiled VP-program LRU entries for downlink coherence windows (0 = default)")
 
-		soft     = flag.Bool("soft", true, "serve protocol-v6 soft-decode requests (per-bit LLRs from the anneal ensemble)")
+		soft     = flag.Bool("soft", true, "serve soft-decode requests (per-bit LLRs from the anneal ensemble)")
 		llrClamp = flag.Float64("llr-clamp", 0, "default LLR magnitude bound / int8 quantization full scale for soft requests that carry none (0 = package default)")
 
 		telemetryAddr = flag.String("telemetry-addr", "", "HTTP listen address for the telemetry plane: /metrics (Prometheus), /traces (JSON ring) and /debug/pprof/ (empty = disabled)")
@@ -188,7 +188,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "quamax-serve: -pool must be at least 1")
 		os.Exit(1)
 	}
-	// One recorder feeds all exports: the HTTP plane, the v7 stats frames and
+	// One recorder feeds all exports: the HTTP plane, the stats frames and
 	// the shutdown dump. Left nil (zero overhead) when no export is asked for.
 	var rec *telemetry.Recorder
 	if *telemetryAddr != "" || *traceOut != "" {

@@ -1,7 +1,7 @@
-// Coherence: the protocol-v4 fronthaul flow end to end. An access point
-// estimates one uplink channel per coherence window (paper footnote 2) and
-// decodes MANY OFDM symbols through it, so instead of shipping H with every
-// received vector (the v3 flow), the AP registers the channel once
+// Coherence: the registered-channel fronthaul flow end to end. An access
+// point estimates one uplink channel per coherence window (paper footnote 2)
+// and decodes MANY OFDM symbols through it, so instead of shipping H inline
+// with every received vector, the AP registers the channel once
 // (Client.RegisterChannel) and then streams y-only decode-by-handle frames
 // (Client.DecodeWithChannel). The data center compiles the channel once —
 // Ising couplings, clique embedding, prepared physical program — batches

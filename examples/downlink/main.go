@@ -1,5 +1,4 @@
-// Downlink: vector-perturbation precoding end to end over the protocol-v5
-// fronthaul. The data center owns the channel estimate for a downlink
+// Downlink: vector-perturbation precoding end to end over the fronthaul. The data center owns the channel estimate for a downlink
 // coherence window, so the AP registers H once (Client.RegisterChannel) and
 // streams user-data symbol vectors as O(Nu) precode-by-handle frames
 // (Client.PrecodeWithChannel). The pool solves each NP-hard VP search

@@ -264,12 +264,6 @@ func (d *Decoder) DecodeCompiledWithParams(cc *CompiledChannel, y []complex128, 
 	return d.decodeCompiled(cc, y, nil, params, jf, nil, src)
 }
 
-// DecodeInstanceCompiled decodes a generated instance through its compiled
-// channel, filling the evaluation fields like DecodeInstance.
-func (d *Decoder) DecodeInstanceCompiled(cc *CompiledChannel, in *mimo.Instance, src *rng.Source) (*Outcome, error) {
-	return d.decodeCompiled(cc, in.Y, in, d.opts.Params, 0, nil, src)
-}
-
 func (d *Decoder) decodeCompiled(cc *CompiledChannel, y []complex128, truth *mimo.Instance, params anneal.Params, jf float64, soft *softout.Spec, src *rng.Source) (*Outcome, error) {
 	if src == nil {
 		return nil, errors.New("core: nil random source")

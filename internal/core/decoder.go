@@ -172,7 +172,7 @@ func (d *Decoder) embeddingFor(n int) (*embedding.Embedding, int, error) {
 }
 
 // packsFor returns (and caches) the disjoint parallel slot packing for N
-// logical spins — the embeddings DecodeBatch programs side by side.
+// logical spins — the embeddings a shared run programs side by side.
 func (d *Decoder) packsFor(n int) ([]*embedding.Embedding, error) {
 	if _, _, err := d.embeddingFor(n); err != nil {
 		return nil, err

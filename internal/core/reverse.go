@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"quamax/internal/anneal"
 	"quamax/internal/detector"
@@ -38,18 +37,13 @@ func (d *Decoder) DecodeInstanceReverse(in *mimo.Instance, src *rng.Source) (*Ou
 // forward anneal instead"; anything else is a real failure.
 var ErrNoSeed = errors.New("core: no linear seed for reverse annealing")
 
-// DecodeReverse runs reverse annealing on a raw channel use: the
-// zero-forcing decision seeds the anneal, exactly like DecodeInstanceReverse
-// but without ground truth (so Distribution ranks carry no bit-error
-// information beyond the seed). It returns an error wrapping ErrNoSeed when
-// the channel is too ill-conditioned for zero-forcing.
-func (d *Decoder) DecodeReverse(mod modulation.Modulation, h *linalg.Mat, y []complex128, src *rng.Source) (*Outcome, error) {
-	return d.DecodeReverseWithParams(mod, h, y, d.opts.Params, 0, src)
-}
-
-// DecodeReverseWithParams is DecodeReverse with per-call run knobs (jf ≤ 0 =
-// configured |J_F|) — the reverse-mode counterpart of DecodeWithParams, used
-// when the QoS planner prefers a reverse budget.
+// DecodeReverseWithParams runs reverse annealing on a raw channel use with
+// per-call run knobs (jf ≤ 0 = configured |J_F|) — the reverse-mode
+// counterpart of DecodeWithParams, used when the QoS planner prefers a
+// reverse budget. The zero-forcing decision seeds the anneal, exactly like
+// DecodeInstanceReverse but without ground truth (so Distribution ranks carry
+// no bit-error information beyond the seed). It returns an error wrapping
+// ErrNoSeed when the channel is too ill-conditioned for zero-forcing.
 func (d *Decoder) DecodeReverseWithParams(mod modulation.Modulation, h *linalg.Mat, y []complex128, params anneal.Params, jf float64, src *rng.Source) (*Outcome, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -134,35 +128,4 @@ func linearSeed(in *mimo.Instance) ([]int8, error) {
 	}
 	qbits := in.Mod.GrayToQuAMaxBits(res.Bits)
 	return qubo.SpinsFromBits(qbits), nil
-}
-
-// BatchResult pairs a subcarrier index with its decode result.
-type BatchResult struct {
-	Index   int
-	Outcome *Outcome
-	Err     error
-}
-
-// DecodeBatch decodes many channel uses (e.g. all subcarriers of an OFDM
-// symbol, §3.2: "this ML-to-QA reduction is required at each subcarrier")
-// concurrently, mirroring the §5.5 opportunity to parallelize different
-// subcarriers' problems. Each element of hs/ys is one subcarrier; results
-// arrive indexed. src seeds one independent stream per subcarrier.
-func (d *Decoder) DecodeBatch(mod modulation.Modulation, hs []*linalg.Mat, ys [][]complex128, src *rng.Source) []BatchResult {
-	if len(hs) != len(ys) {
-		panic("core: DecodeBatch length mismatch")
-	}
-	results := make([]BatchResult, len(hs))
-	sources := src.SplitN(len(hs))
-	var wg sync.WaitGroup
-	for i := range hs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := d.Decode(mod, hs[i], ys[i], sources[i])
-			results[i] = BatchResult{Index: i, Outcome: out, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	return results
 }

@@ -119,36 +119,6 @@ func TestReverseValidation(t *testing.T) {
 	}
 }
 
-func TestDecodeBatch(t *testing.T) {
-	d := smallDecoder(t, anneal.Params{
-		AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 40,
-	})
-	src := rng.New(305)
-	const sc = 6
-	hs := make([]*linalg.Mat, sc)
-	ys := make([][]complex128, sc)
-	truths := make([]*mimo.Instance, sc)
-	for i := 0; i < sc; i++ {
-		in := genInstance(t, src, modulation.BPSK, 8, math.Inf(1))
-		hs[i], ys[i], truths[i] = in.H, in.Y, in
-	}
-	results := d.DecodeBatch(modulation.BPSK, hs, ys, src)
-	if len(results) != sc {
-		t.Fatalf("%d results", len(results))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("subcarrier %d: %v", i, r.Err)
-		}
-		if r.Index != i {
-			t.Fatalf("result %d has index %d", i, r.Index)
-		}
-		if errs := truths[i].BitErrors(r.Outcome.Bits); errs != 0 {
-			t.Fatalf("subcarrier %d: %d bit errors", i, errs)
-		}
-	}
-}
-
 func TestReverseOnDW2QSize(t *testing.T) {
 	// Sanity at a paper-scale size on the real chip model.
 	d, err := New(Options{

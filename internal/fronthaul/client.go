@@ -21,10 +21,11 @@ import (
 var ErrClientClosed = errors.New("fronthaul: client closed")
 
 // ResponseIDError reports a response frame whose ID matched no in-flight
-// request — a duplicate delivery or a peer answering a request this client
-// never issued. Either way the ID space is corrupt and the demux can no
-// longer trust any match, so the connection is torn down with this error
-// (recover it from any pending call's failure via errors.As).
+// request, or matched one that a frame of its type cannot answer — a
+// duplicate delivery or a peer answering a request this client never issued.
+// Either way the ID space is corrupt and the demux can no longer trust any
+// match, so the connection is torn down with this error (recover it from any
+// pending call's failure via errors.As).
 type ResponseIDError struct {
 	// MsgType is the wire frame type that carried the unmatched ID.
 	MsgType uint8
@@ -47,24 +48,24 @@ type Client struct {
 
 	writeMu sync.Mutex
 
-	mu           sync.Mutex
-	nextID       uint64
-	pending      map[uint64]chan *DecodeResponse
-	regPending   map[uint64]chan *RegisterChannelResponse
-	softPending  map[uint64]chan *SoftDecodeResponse
-	statsPending map[uint64]chan *StatsResponse
-	closed       error
+	mu      sync.Mutex
+	nextID  uint64
+	pending map[uint64]*call
+	closed  error
+}
+
+// call is one in-flight pipelined request: the slot submit registered, the
+// frame type that may answer it, and the channel its decoded response (or
+// teardown, as a close) arrives on.
+type call struct {
+	c        *Client
+	respType uint8
+	ch       chan any
 }
 
 // NewClient wraps an established connection and starts the response reader.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		conn:         conn,
-		pending:      make(map[uint64]chan *DecodeResponse),
-		regPending:   make(map[uint64]chan *RegisterChannelResponse),
-		softPending:  make(map[uint64]chan *SoftDecodeResponse),
-		statsPending: make(map[uint64]chan *StatsResponse),
-	}
+	c := &Client{conn: conn, pending: make(map[uint64]*call)}
 	go c.readLoop()
 	return c
 }
@@ -87,25 +88,14 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// deliver hands one decoded response to the caller waiting on its ID. An
-// unmatched ID is a protocol-integrity failure: the connection is torn down
-// with a typed *ResponseIDError (satisfying every pending call) and deliver
-// reports false so the read loop exits.
-func deliver[R any](c *Client, msgType uint8, pending map[uint64]chan R, id uint64, resp R) bool {
-	c.mu.Lock()
-	ch, ok := pending[id]
-	delete(pending, id)
-	c.mu.Unlock()
-	if !ok {
-		c.fail(&ResponseIDError{MsgType: msgType, ID: id})
-		return false
-	}
-	ch <- resp
-	return true
-}
-
-// readLoop is the per-connection demux: it dispatches out-of-order responses
-// to the callers waiting on their IDs.
+// readLoop is the per-connection demux: it decodes each response frame and
+// hands it to the caller waiting on its ID, in whatever order they arrive.
+// Anything that breaks the demux's trust in the stream is terminal: a frame
+// that does not decode, an unknown frame type (the peer speaks another
+// protocol generation), and an ID that matches no in-flight request or
+// matches one of a different frame class — a duplicate delivery or a peer
+// answering what was never asked — which tears down with a typed
+// *ResponseIDError.
 func (c *Client) readLoop() {
 	// The demux only exits with the terminal error set, at which point the
 	// connection is unusable; closing it here unblocks a peer mid-write and
@@ -117,51 +107,45 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("fronthaul: connection lost: %w", err))
 			return
 		}
+		var id uint64
+		var resp any
 		switch msgType {
 		case msgDecodeResponse:
-			resp, err := decodeResponse(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if !deliver(c, msgType, c.pending, resp.ID, resp) {
-				return
+			var r *DecodeResponse
+			if r, err = decodeResponse(payload); err == nil {
+				id, resp = r.ID, r
 			}
 		case msgRegisterResponse:
-			resp, err := decodeRegisterResponse(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if !deliver(c, msgType, c.regPending, resp.ID, resp) {
-				return
-			}
-		case msgSoftDecodeResponse:
-			resp, err := decodeSoftResponse(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if !deliver(c, msgType, c.softPending, resp.ID, resp) {
-				return
+			var r *RegisterChannelResponse
+			if r, err = decodeRegisterResponse(payload); err == nil {
+				id, resp = r.ID, r
 			}
 		case msgStatsResponse:
-			resp, err := decodeStatsResponse(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if !deliver(c, msgType, c.statsPending, resp.ID, resp) {
-				return
+			var r *StatsResponse
+			if r, err = decodeStatsResponse(payload); err == nil {
+				id, resp = r.ID, r
 			}
 		default:
-			// An unknown frame type means the peer speaks a different
-			// protocol generation; silently discarding it would strand the
-			// request it answered. Surface a version error and tear down.
-			c.fail(fmt.Errorf("fronthaul: protocol error: unknown frame type %d (this client speaks version %d)",
-				msgType, ProtocolVersion))
+			err = fmt.Errorf("fronthaul: protocol error: unknown frame type %d (this client speaks version %d)",
+				msgType, ProtocolVersion)
+		}
+		if err != nil {
+			c.fail(err)
 			return
 		}
+		c.mu.Lock()
+		k := c.pending[id]
+		if k != nil && k.respType == msgType {
+			delete(c.pending, id)
+		} else {
+			k = nil
+		}
+		c.mu.Unlock()
+		if k == nil {
+			c.fail(&ResponseIDError{MsgType: msgType, ID: id})
+			return
+		}
+		k.ch <- resp
 	}
 }
 
@@ -173,28 +157,113 @@ func (c *Client) fail(err error) {
 	if c.closed == nil {
 		c.closed = err
 	}
-	for id, ch := range c.pending {
+	for id, k := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		close(k.ch)
 	}
-	for id, ch := range c.regPending {
-		delete(c.regPending, id)
-		close(ch)
+}
+
+// submit runs the send half of one request's lifecycle: allocate an ID,
+// register the slot, encode (the callback receives the ID), frame and send.
+// Every request class — solve, register-channel, stats — goes through this
+// one function, so the lifecycle (including the abandon-on-local-failure
+// ordering) cannot drift between them.
+func (c *Client) submit(reqType, respType uint8, encode func(id uint64) ([]byte, error)) (*call, error) {
+	k := &call{c: c, respType: respType, ch: make(chan any, 1)}
+	c.mu.Lock()
+	if c.closed != nil {
+		c.mu.Unlock()
+		return nil, c.closed
 	}
-	for id, ch := range c.softPending {
-		delete(c.softPending, id)
-		close(ch)
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = k
+	c.mu.Unlock()
+
+	payload, err := encode(id)
+	if err == nil {
+		c.writeMu.Lock()
+		err = writeFrame(c.conn, reqType, payload)
+		c.writeMu.Unlock()
 	}
-	for id, ch := range c.statsPending {
-		delete(c.statsPending, id)
-		close(ch)
+	if err != nil {
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, err
 	}
+	return k, nil
+}
+
+// await blocks for the matched response; a closed channel means the
+// connection died (or Close drained the call) and the terminal error is
+// surfaced. Callers check their response's Err field afterward.
+func (k *call) await() (any, error) {
+	resp, ok := <-k.ch
+	if !ok {
+		return nil, k.c.closedErr()
+	}
+	return resp, nil
+}
+
+// DecodeCall is one in-flight pipelined solve request, returned by the
+// Submit* methods. Await blocks until the matched response arrives —
+// responses return out of order, so many calls may be awaited in any order —
+// and converts a remote error string into a Go error exactly like the
+// blocking calls. Await must be called exactly once per call. (It is the
+// in-flight slot itself under its public name, not a wrapper around one.)
+type DecodeCall call
+
+// Await blocks for the solve response.
+func (dc *DecodeCall) Await() (*DecodeResponse, error) {
+	v, err := (*call)(dc).await()
+	if err != nil {
+		return nil, err
+	}
+	resp := v.(*DecodeResponse)
+	if resp.Err != "" {
+		return nil, fmt.Errorf("fronthaul: remote decode failed: %s", resp.Err)
+	}
+	return resp, nil
+}
+
+// solve ships one solve request with its QoS contract filled in and returns
+// the in-flight handle; every Decode*, DecodeSoft* and Precode* method is a
+// filler of req over this one path. deadline ≤ 0 and targetBER ≤ 0 each
+// select the server default (the deadline is bounded by MaxDeadlineMicros);
+// targetBER ≥ 1 or NaN is a local argument error, as is anything else the
+// server would refuse as a bad request (encodeRequest).
+func (c *Client) solve(req *Request, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
+	if targetBER >= 1 || math.IsNaN(targetBER) {
+		return nil, fmt.Errorf("fronthaul: target BER %g outside [0,1)", targetBER)
+	}
+	if deadline > 0 {
+		req.DeadlineMicros = math.Min(float64(deadline)/float64(time.Microsecond), MaxDeadlineMicros)
+	}
+	req.TargetBER = math.Max(targetBER, 0)
+	k, err := c.submit(msgDecodeRequest, msgDecodeResponse, func(id uint64) ([]byte, error) {
+		req.ID = id
+		return encodeRequest(req)
+	})
+	return (*DecodeCall)(k), err
+}
+
+// solveOn is solve against a registered channel.
+func (c *Client) solveOn(rc *RemoteChannel, req *Request, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
+	if rc == nil || rc.c != c {
+		return nil, errors.New("fronthaul: channel not registered on this client")
+	}
+	if len(req.Vec) != rc.rows {
+		return nil, fmt.Errorf("fronthaul: vector has %d entries, channel has %d rows", len(req.Vec), rc.rows)
+	}
+	req.Handle = rc.handle
+	return c.solve(req, deadline, targetBER)
 }
 
 // Decode ships one channel use to the data center and waits for the decoded
 // bits. It blocks until the response arrives or the connection fails.
 func (c *Client) Decode(mod modulation.Modulation, h *linalg.Mat, y []complex128) (*DecodeResponse, error) {
-	return c.DecodeWithDeadline(mod, h, y, 0)
+	return c.DecodeQoS(mod, h, y, 0, 0)
 }
 
 // DecodeWithDeadline is Decode with a per-request processing budget: the
@@ -212,143 +281,15 @@ func (c *Client) DecodeWithDeadline(mod modulation.Modulation, h *linalg.Mat, y 
 // and targetBER ≤ 0 each select the server default; targetBER ≥ 1 is a
 // local argument error (the wire protocol rejects it server-side too).
 func (c *Client) DecodeQoS(mod modulation.Modulation, h *linalg.Mat, y []complex128, deadline time.Duration, targetBER float64) (*DecodeResponse, error) {
-	dc, err := c.SubmitDecodeQoS(mod, h, y, deadline, targetBER)
+	return awaitCall(c.SubmitDecodeQoS(mod, h, y, deadline, targetBER))
+}
+
+// awaitCall turns a Submit* result into its blocking form.
+func awaitCall(dc *DecodeCall, err error) (*DecodeResponse, error) {
 	if err != nil {
 		return nil, err
 	}
 	return dc.Await()
-}
-
-// qosWire validates and clamps the per-request QoS contract shared by every
-// decode-class request: the deadline in wire microseconds (bounded by
-// MaxDeadlineMicros) and the target BER (negative reads as "no target";
-// ≥ 1 or NaN is an argument error).
-func qosWire(deadline time.Duration, targetBER float64) (deadlineMicros, target float64, err error) {
-	if targetBER >= 1 || math.IsNaN(targetBER) {
-		return 0, 0, fmt.Errorf("fronthaul: target BER %g outside [0,1)", targetBER)
-	}
-	if deadline > 0 {
-		deadlineMicros = float64(deadline) / float64(time.Microsecond)
-		if deadlineMicros > MaxDeadlineMicros {
-			deadlineMicros = MaxDeadlineMicros
-		}
-	}
-	if targetBER < 0 {
-		targetBER = 0
-	}
-	return deadlineMicros, targetBER, nil
-}
-
-// call is one in-flight pipelined request: the slot submit registered plus
-// the channel its response (or teardown) arrives on.
-type call[R any] struct {
-	c  *Client
-	ch chan R
-}
-
-// submit runs the send half of one request's lifecycle over a pending table:
-// allocate an ID, register the slot, encode (the callback receives the ID),
-// frame and send. Every request class — decode, register-channel,
-// soft-decode, stats — goes through this one function, so the lifecycle
-// (including the abandon-on-local-failure ordering) cannot drift between
-// them. The pending map must be one of the Client's own tables (guarded by
-// c.mu, drained by fail).
-func submit[R any](c *Client, pending map[uint64]chan R, msgType uint8, encode func(id uint64) ([]byte, error)) (*call[R], error) {
-	c.mu.Lock()
-	if c.closed != nil {
-		c.mu.Unlock()
-		return nil, c.closed
-	}
-	c.nextID++
-	id := c.nextID
-	ch := make(chan R, 1)
-	pending[id] = ch
-	c.mu.Unlock()
-
-	abandon := func() {
-		c.mu.Lock()
-		delete(pending, id)
-		c.mu.Unlock()
-	}
-	payload, err := encode(id)
-	if err != nil {
-		abandon()
-		return nil, err
-	}
-	c.writeMu.Lock()
-	err = writeFrame(c.conn, msgType, payload)
-	c.writeMu.Unlock()
-	if err != nil {
-		abandon()
-		return nil, err
-	}
-	return &call[R]{c: c, ch: ch}, nil
-}
-
-// await blocks for the matched response; a closed channel means the
-// connection died (or Close drained the call) and the terminal error is
-// surfaced. Callers check their response's Err field afterward.
-func (k *call[R]) await() (R, error) {
-	resp, ok := <-k.ch
-	if !ok {
-		var zero R
-		return zero, k.c.closedErr()
-	}
-	return resp, nil
-}
-
-// roundTrip is submit + await: the blocking request lifecycle every
-// non-pipelined call is a thin wrapper over.
-func roundTrip[R any](c *Client, pending map[uint64]chan R, msgType uint8, encode func(id uint64) ([]byte, error)) (R, error) {
-	k, err := submit(c, pending, msgType, encode)
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	return k.await()
-}
-
-// decodeRoundTrip is roundTrip over the decode-response table, converting a
-// remote error string into a Go error.
-func (c *Client) decodeRoundTrip(msgType uint8, encode func(id uint64) ([]byte, error)) (*DecodeResponse, error) {
-	resp, err := roundTrip(c, c.pending, msgType, encode)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("fronthaul: remote decode failed: %s", resp.Err)
-	}
-	return resp, nil
-}
-
-// DecodeCall is one in-flight pipelined decode request, returned by the
-// Submit* decode methods. Await blocks until the matched response arrives —
-// responses return out of order, so many calls may be awaited in any order —
-// and converts a remote error string into a Go error exactly like the
-// blocking calls. Await must be called exactly once per call.
-type DecodeCall struct {
-	k *call[*DecodeResponse]
-}
-
-// Await blocks for the decode response.
-func (dc *DecodeCall) Await() (*DecodeResponse, error) {
-	resp, err := dc.k.await()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("fronthaul: remote decode failed: %s", resp.Err)
-	}
-	return resp, nil
-}
-
-// submitDecode is the pipelined half of decodeRoundTrip.
-func (c *Client) submitDecode(msgType uint8, encode func(id uint64) ([]byte, error)) (*DecodeCall, error) {
-	k, err := submit(c, c.pending, msgType, encode)
-	if err != nil {
-		return nil, err
-	}
-	return &DecodeCall{k: k}, nil
 }
 
 // SubmitDecodeQoS is the pipelined form of DecodeQoS: it ships the request
@@ -356,16 +297,7 @@ func (c *Client) submitDecode(msgType uint8, encode func(id uint64) ([]byte, err
 // wire when SubmitDecodeQoS returns, so an AP can keep a window of many
 // decodes in flight on one connection and Await them as responses arrive.
 func (c *Client) SubmitDecodeQoS(mod modulation.Modulation, h *linalg.Mat, y []complex128, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
-	deadlineMicros, target, err := qosWire(deadline, targetBER)
-	if err != nil {
-		return nil, err
-	}
-	return c.submitDecode(msgDecodeRequest, func(id uint64) ([]byte, error) {
-		return encodeRequest(&DecodeRequest{
-			ID: id, Mod: mod, H: h, Y: y,
-			DeadlineMicros: deadlineMicros, TargetBER: target,
-		})
-	})
+	return c.solve(&Request{Mod: mod, H: h, Vec: y}, deadline, targetBER)
 }
 
 // RemoteChannel is a channel registered with the data center for a coherence
@@ -381,18 +313,23 @@ type RemoteChannel struct {
 // Mod returns the modulation the channel was registered with.
 func (rc *RemoteChannel) Mod() modulation.Modulation { return rc.mod }
 
-// RegisterChannel ships one estimated channel to the data center (protocol
-// v4) and returns the handle to decode a coherence window's symbols against.
-// The server compiles the channel once — couplings, embedding, prepared
-// physical program — and every DecodeWithChannel call only rewrites the
-// y-dependent biases.
+// RegisterChannel ships one estimated channel to the data center and returns
+// the handle to decode a coherence window's symbols against. The server
+// compiles the channel once — couplings, embedding, prepared physical
+// program — and every DecodeWithChannel call only rewrites the y-dependent
+// biases.
 func (c *Client) RegisterChannel(mod modulation.Modulation, h *linalg.Mat) (*RemoteChannel, error) {
-	resp, err := roundTrip(c, c.regPending, msgRegisterChannel, func(id uint64) ([]byte, error) {
+	k, err := c.submit(msgRegisterChannel, msgRegisterResponse, func(id uint64) ([]byte, error) {
 		return encodeRegisterChannel(&RegisterChannelRequest{ID: id, Mod: mod, H: h})
 	})
 	if err != nil {
 		return nil, err
 	}
+	v, err := k.await()
+	if err != nil {
+		return nil, err
+	}
+	resp := v.(*RegisterChannelResponse)
 	if resp.Err != "" {
 		return nil, fmt.Errorf("fronthaul: channel registration failed: %s", resp.Err)
 	}
@@ -405,11 +342,7 @@ func (c *Client) RegisterChannel(mod modulation.Modulation, h *linalg.Mat) (*Rem
 // decoded this way are tagged with the channel's fingerprint, so the data
 // center batches same-window symbols onto an already-programmed annealer.
 func (c *Client) DecodeWithChannel(rc *RemoteChannel, y []complex128, deadline time.Duration, targetBER float64) (*DecodeResponse, error) {
-	dc, err := c.SubmitDecodeWithChannel(rc, y, deadline, targetBER)
-	if err != nil {
-		return nil, err
-	}
-	return dc.Await()
+	return awaitCall(c.SubmitDecodeWithChannel(rc, y, deadline, targetBER))
 }
 
 // SubmitDecodeWithChannel is the pipelined form of DecodeWithChannel: the
@@ -418,22 +351,7 @@ func (c *Client) DecodeWithChannel(rc *RemoteChannel, y []complex128, deadline t
 // concurrently and the data center's coherence-aware batching sees them all
 // at once instead of one per round trip.
 func (c *Client) SubmitDecodeWithChannel(rc *RemoteChannel, y []complex128, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
-	if rc == nil || rc.c != c {
-		return nil, errors.New("fronthaul: channel not registered on this client")
-	}
-	if len(y) != rc.rows {
-		return nil, fmt.Errorf("fronthaul: received vector has %d entries, channel has %d rows", len(y), rc.rows)
-	}
-	deadlineMicros, target, err := qosWire(deadline, targetBER)
-	if err != nil {
-		return nil, err
-	}
-	return c.submitDecode(msgDecodeByChannel, func(id uint64) ([]byte, error) {
-		return encodeDecodeByChannel(&DecodeByChannelRequest{
-			ID: id, Handle: rc.handle, Y: y,
-			DeadlineMicros: deadlineMicros, TargetBER: target,
-		})
-	})
+	return c.solveOn(rc, &Request{Vec: y}, deadline, targetBER)
 }
 
 // PrecodeResponse is one solved downlink vector-perturbation search.
@@ -452,10 +370,14 @@ type PrecodeResponse struct {
 	Batched       int
 }
 
-// precodeResponse converts a wire decode-response into a PrecodeResponse,
-// inferring the perturbation alphabet the server used from the solution bit
-// count (users · 2 · bits).
-func precodeResponse(users int, resp *DecodeResponse) (*PrecodeResponse, error) {
+// precodeResponse awaits a precode's solve response and converts it into a
+// PrecodeResponse, inferring the perturbation alphabet the server used from
+// the solution bit count (users · 2 · bits).
+func precodeResponse(users int, dc *DecodeCall, err error) (*PrecodeResponse, error) {
+	resp, err := awaitCall(dc, err)
+	if err != nil {
+		return nil, err
+	}
 	if users < 1 || len(resp.Bits)%(2*users) != 0 {
 		return nil, fmt.Errorf("fronthaul: precode response has %d solution bits for %d users", len(resp.Bits), users)
 	}
@@ -473,27 +395,15 @@ func precodeResponse(users int, resp *DecodeResponse) (*PrecodeResponse, error) 
 	}, nil
 }
 
-// Precode ships one downlink vector-perturbation search to the data center
-// (protocol v5): find the perturbation v minimizing the transmit power of
-// user-data symbol vector s through downlink channel h (one row per user).
-// perturbBits selects the alphabet depth (0 = server default); deadline and
-// targetBER carry the usual QoS contract. The caller forms the transmit
-// vector from the returned perturbation (precoding.Program.Transmit).
+// Precode ships one downlink vector-perturbation search to the data center:
+// find the perturbation v minimizing the transmit power of user-data symbol
+// vector s through downlink channel h (one row per user). perturbBits selects
+// the alphabet depth (0 = server default); deadline and targetBER carry the
+// usual QoS contract. The caller forms the transmit vector from the returned
+// perturbation (precoding.Program.Transmit).
 func (c *Client) Precode(mod modulation.Modulation, h *linalg.Mat, s []complex128, perturbBits int, deadline time.Duration, targetBER float64) (*PrecodeResponse, error) {
-	deadlineMicros, target, err := qosWire(deadline, targetBER)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.decodeRoundTrip(msgPrecodeRequest, func(id uint64) ([]byte, error) {
-		return encodePrecode(&PrecodeRequest{
-			ID: id, Mod: mod, PerturbBits: perturbBits, H: h, S: s,
-			DeadlineMicros: deadlineMicros, TargetBER: target,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return precodeResponse(len(s), resp)
+	dc, err := c.solve(&Request{Mod: mod, H: h, Vec: s, Precode: true, PerturbBits: perturbBits}, deadline, targetBER)
+	return precodeResponse(len(s), dc, err)
 }
 
 // PrecodeWithChannel is Precode against a registered channel (the downlink
@@ -501,26 +411,8 @@ func (c *Client) Precode(mod modulation.Modulation, h *linalg.Mat, s []complex12
 // symbol vector is an O(Nu) frame the data center precodes through its
 // compiled VP program.
 func (c *Client) PrecodeWithChannel(rc *RemoteChannel, s []complex128, perturbBits int, deadline time.Duration, targetBER float64) (*PrecodeResponse, error) {
-	if rc == nil || rc.c != c {
-		return nil, errors.New("fronthaul: channel not registered on this client")
-	}
-	if len(s) != rc.rows {
-		return nil, fmt.Errorf("fronthaul: symbol vector has %d entries, channel serves %d users", len(s), rc.rows)
-	}
-	deadlineMicros, target, err := qosWire(deadline, targetBER)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.decodeRoundTrip(msgPrecodeByChannel, func(id uint64) ([]byte, error) {
-		return encodePrecodeByChannel(&PrecodeByChannelRequest{
-			ID: id, Handle: rc.handle, PerturbBits: perturbBits, S: s,
-			DeadlineMicros: deadlineMicros, TargetBER: target,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return precodeResponse(len(s), resp)
+	dc, err := c.solveOn(rc, &Request{Vec: s, Precode: true, PerturbBits: perturbBits}, deadline, targetBER)
+	return precodeResponse(len(s), dc, err)
 }
 
 // SoftQoS is the per-request contract of a soft decode: the LLR scaling and
@@ -540,111 +432,52 @@ type SoftQoS struct {
 
 // LLRs dequantizes the response's int8 LLR payload back to float64 at the
 // response clamp (softout.Dequantize).
-func (r *SoftDecodeResponse) LLRs() []float64 {
+func (r *DecodeResponse) LLRs() []float64 {
 	return softout.Dequantize(r.LLR8, r.Clamp)
 }
 
-// DecodeSoft ships one channel use to the data center requesting soft
-// output (protocol v6) and waits for the hard decision plus per-bit LLRs.
-// The LLRs ride the fronthaul as int8 at the response's clamp scale; use
-// SoftDecodeResponse.LLRs to recover float values for the FEC layer.
-func (c *Client) DecodeSoft(mod modulation.Modulation, h *linalg.Mat, y []complex128, q SoftQoS) (*SoftDecodeResponse, error) {
-	deadlineMicros, target, err := qosWire(q.Deadline, q.TargetBER)
-	if err != nil {
-		return nil, err
-	}
-	return c.softRoundTrip(msgSoftDecodeRequest, func(id uint64) ([]byte, error) {
-		return encodeSoftRequest(&SoftDecodeRequest{
-			ID: id, Mod: mod, H: h, Y: y,
-			NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp,
-			DeadlineMicros: deadlineMicros, TargetBER: target,
-		})
-	})
+// DecodeSoft ships one channel use to the data center requesting soft output
+// and waits for the hard decision plus per-bit LLRs. The LLRs ride the
+// fronthaul as int8 at the response's clamp scale; use DecodeResponse.LLRs
+// to recover float values for the FEC layer.
+func (c *Client) DecodeSoft(mod modulation.Modulation, h *linalg.Mat, y []complex128, q SoftQoS) (*DecodeResponse, error) {
+	return awaitCall(c.solve(&Request{Mod: mod, H: h, Vec: y,
+		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER))
 }
 
 // DecodeSoftWithChannel is DecodeSoft against a registered channel: the
 // coherence window's H shipped once (RegisterChannel), every soft-decoded
 // symbol an O(Nr) frame tagged with the channel's fingerprint for
 // coherence-aware batching — exactly like DecodeWithChannel, soft.
-func (c *Client) DecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*SoftDecodeResponse, error) {
-	sc, err := c.SubmitDecodeSoftWithChannel(rc, y, q)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Await()
-}
-
-// SoftDecodeCall is one in-flight pipelined soft decode, returned by
-// SubmitDecodeSoftWithChannel. Await blocks for the matched response and
-// converts a remote error string into a Go error; call it exactly once.
-type SoftDecodeCall struct {
-	k *call[*SoftDecodeResponse]
-}
-
-// Await blocks for the soft-decode response.
-func (sc *SoftDecodeCall) Await() (*SoftDecodeResponse, error) {
-	resp, err := sc.k.await()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("fronthaul: remote soft decode failed: %s", resp.Err)
-	}
-	return resp, nil
+func (c *Client) DecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*DecodeResponse, error) {
+	return awaitCall(c.SubmitDecodeSoftWithChannel(rc, y, q))
 }
 
 // SubmitDecodeSoftWithChannel is the pipelined form of
 // DecodeSoftWithChannel: the soft per-symbol decode ships immediately and
 // the caller holds the in-flight handle.
-func (c *Client) SubmitDecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*SoftDecodeCall, error) {
-	if rc == nil || rc.c != c {
-		return nil, errors.New("fronthaul: channel not registered on this client")
-	}
-	if len(y) != rc.rows {
-		return nil, fmt.Errorf("fronthaul: received vector has %d entries, channel has %d rows", len(y), rc.rows)
-	}
-	deadlineMicros, target, err := qosWire(q.Deadline, q.TargetBER)
-	if err != nil {
-		return nil, err
-	}
-	k, err := submit(c, c.softPending, msgSoftDecodeByChan, func(id uint64) ([]byte, error) {
-		return encodeSoftByChannel(&SoftDecodeByChannelRequest{
-			ID: id, Handle: rc.handle, Y: y,
-			NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp,
-			DeadlineMicros: deadlineMicros, TargetBER: target,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SoftDecodeCall{k: k}, nil
+func (c *Client) SubmitDecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*DecodeCall, error) {
+	return c.solveOn(rc, &Request{Vec: y,
+		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER)
 }
 
-// softRoundTrip is roundTrip over the soft-decode-response table, converting
-// a remote error string into a Go error.
-func (c *Client) softRoundTrip(msgType uint8, encode func(id uint64) ([]byte, error)) (*SoftDecodeResponse, error) {
-	resp, err := roundTrip(c, c.softPending, msgType, encode)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("fronthaul: remote soft decode failed: %s", resp.Err)
-	}
-	return resp, nil
-}
-
-// PoolStats polls the data center's live serving statistics (protocol v7):
-// the pool counter snapshot plus, when the server runs a telemetry recorder,
-// the full recorder snapshot with per-stage latency histograms, deadline
-// slack and anneal-quality aggregates. This is the frame behind
-// `quamax -top` and `-watch`.
+// PoolStats polls the data center's live serving statistics: the pool
+// counter snapshot plus, when the server runs a telemetry recorder, the full
+// recorder snapshot with per-stage latency histograms, deadline slack and
+// anneal-quality aggregates. This is the frame behind `quamax -top` and
+// `-watch`.
 func (c *Client) PoolStats() (*StatsResponse, error) {
-	resp, err := roundTrip(c, c.statsPending, msgStatsRequest, func(id uint64) ([]byte, error) {
+	k, err := c.submit(msgStatsRequest, msgStatsResponse, func(id uint64) ([]byte, error) {
 		return encodeStatsRequest(&StatsRequest{ID: id}), nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	v, err := k.await()
+	if err != nil {
+		return nil, err
+	}
+	resp := v.(*StatsResponse)
 	if resp.Err != "" {
 		return nil, fmt.Errorf("fronthaul: remote stats failed: %s", resp.Err)
 	}

@@ -3,8 +3,13 @@ package fronthaul
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -47,64 +52,166 @@ func testInstance(t *testing.T, seed int64, mod modulation.Modulation, nt int) *
 	return in
 }
 
-func TestRequestCodecRoundTrip(t *testing.T) {
+// codecRequests is one valid request per call shape {hard, soft, precode} ×
+// {inline H, registered handle} — the whole request grammar.
+func codecRequests() map[string]*Request {
 	src := rng.New(121)
 	h := channel.Rayleigh{}.Generate(src, 3, 2)
-	req := &DecodeRequest{ID: 42, Mod: modulation.QAM16, H: h, Y: []complex128{1 + 2i, 3, -1i}}
-	payload, err := encodeRequest(req)
-	if err != nil {
-		t.Fatal(err)
+	y := []complex128{1 + 2i, 3, -1i}
+	return map[string]*Request{
+		"hard_inline": {ID: 42, Mod: modulation.QAM16, H: h, Vec: y, DeadlineMicros: 1500, TargetBER: 1e-4},
+		"hard_handle": {ID: 6, Handle: 42, Vec: y, DeadlineMicros: 2500, TargetBER: 1e-3},
+		"soft_inline": {ID: 99, Mod: modulation.QAM16, H: h, Vec: y, Soft: true,
+			NoiseVar: 0.04, LLRClamp: 16, DeadlineMicros: 1500, TargetBER: 1e-4},
+		"soft_handle": {ID: 4, Handle: 17, Vec: y[:2], Soft: true,
+			NoiseVar: 0.1, LLRClamp: 8, DeadlineMicros: 10, TargetBER: 1e-3},
+		// More users (rows) than antennas is a request error (compile rejects
+		// it with a per-request response), NOT a framing error — it must pass
+		// the codec so it cannot tear down a shared connection.
+		"precode_inline": {ID: 77, Mod: modulation.QPSK, H: h, Vec: y, Precode: true,
+			PerturbBits: 2, DeadlineMicros: 1500, TargetBER: 1e-3},
+		"precode_handle": {ID: 9, Handle: 4, Vec: y[:2], Precode: true,
+			PerturbBits: 1, DeadlineMicros: 10, TargetBER: 1e-2},
 	}
-	back, err := decodeRequest(payload)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// Every call shape must round-trip exactly, re-encode to the same bytes, and
+// reject every truncation and any trailing byte.
+func TestRequestCodecRoundTrip(t *testing.T) {
+	for name, req := range codecRequests() {
+		t.Run(name, func(t *testing.T) {
+			payload, err := encodeRequest(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := decodeRequest(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, req) {
+				t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, req)
+			}
+			for cut := 0; cut < len(payload); cut++ {
+				if _, err := decodeRequest(payload[:cut]); err == nil {
+					t.Fatalf("request truncated to %d of %d bytes accepted", cut, len(payload))
+				}
+			}
+			if _, err := decodeRequest(append(payload, 0)); err == nil {
+				t.Fatal("trailing byte accepted")
+			}
+		})
 	}
-	if back.ID != 42 || back.Mod != modulation.QAM16 {
-		t.Fatalf("header mismatch: %+v", back)
+}
+
+// putF64 overwrites the float64 at off, counted from the end when negative.
+func putF64(payload []byte, off int, v float64) []byte {
+	out := append([]byte(nil), payload...)
+	if off < 0 {
+		off += len(out)
 	}
-	if linalg.MaxAbsDiff(h, back.H) != 0 {
-		t.Fatal("H mismatch")
+	binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+	return out
+}
+
+// Field-level corruption of otherwise well-formed frames must be refused by
+// the decoder, and the matching argument errors by the encoder, before
+// anything reaches a compile: bad flags and enums, out-of-range QoS and soft
+// scaling, shapes that disagree, and non-finite samples in H, y or s.
+func TestRequestCodecRejectsCorruption(t *testing.T) {
+	reqs := codecRequests()
+	enc := func(name string) []byte {
+		payload, err := encodeRequest(reqs[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
 	}
-	for i := range req.Y {
-		if back.Y[i] != req.Y[i] {
-			t.Fatal("Y mismatch")
+	setByte := func(payload []byte, off int, v byte) []byte {
+		out := append([]byte(nil), payload...)
+		out[off] = v
+		return out
+	}
+	const flagsOff, inlineH, handleVec = 8, 8 + 1 + 5, 8 + 1 + 8 + 4
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, payload := range map[string][]byte{
+		"unknown flag bit":        setByte(enc("hard_inline"), flagsOff, 0x08),
+		"soft and precode":        setByte(enc("soft_handle"), flagsOff, reqByHandle|reqSoft|reqPrecode),
+		"bad modulation":          setByte(enc("hard_inline"), flagsOff+1, 200),
+		"zero rows":               setByte(setByte(enc("hard_inline"), flagsOff+2, 0), flagsOff+3, 0),
+		"handle zero":             putF64(enc("hard_handle"), flagsOff+1, 0),
+		"perturb bits":            setByte(enc("precode_handle"), flagsOff+1+8, 99),
+		"vector/row mismatch":     setByte(enc("hard_inline"), inlineH+16*6, 2),
+		"NaN in H":                putF64(enc("hard_inline"), inlineH+16, nan),
+		"Inf in H":                putF64(enc("precode_inline"), inlineH+8, inf),
+		"NaN in y":                putF64(enc("hard_handle"), handleVec, nan),
+		"-Inf in y":               putF64(enc("soft_handle"), handleVec+8, -inf),
+		"Inf in s":                putF64(enc("precode_handle"), handleVec+1, inf),
+		"negative deadline":       putF64(enc("hard_handle"), -16, -1),
+		"deadline past the bound": putF64(enc("hard_handle"), -16, 2*MaxDeadlineMicros),
+		"NaN deadline":            putF64(enc("hard_handle"), -16, nan),
+		"negative target":         putF64(enc("hard_handle"), -8, -0.5),
+		"target one":              putF64(enc("hard_handle"), -8, 1),
+		"NaN target":              putF64(enc("hard_handle"), -8, nan),
+		"infinite noise variance": putF64(enc("soft_handle"), -16, inf),
+		"negative clamp":          putF64(enc("soft_handle"), -8, -2),
+	} {
+		if _, err := decodeRequest(payload); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	h := reqs["hard_inline"].H
+	y := reqs["hard_inline"].Vec
+	poisoned := func(i int, v complex128) *linalg.Mat {
+		m := &linalg.Mat{Rows: h.Rows, Cols: h.Cols, Data: append([]complex128(nil), h.Data...)}
+		m.Data[i] = v
+		return m
+	}
+	for name, req := range map[string]*Request{
+		"shape mismatch":          {Mod: modulation.BPSK, H: h, Vec: y[:1]},
+		"no channel, no handle":   {Vec: y},
+		"empty vector":            {Handle: 1},
+		"soft and precode":        {Handle: 1, Vec: y, Soft: true, Precode: true},
+		"perturb bits":            {Handle: 1, Vec: y, Precode: true, PerturbBits: precoding.MaxPerturbBits + 1},
+		"infinite noise variance": {Handle: 1, Vec: y, Soft: true, NoiseVar: inf},
+		"negative clamp":          {Handle: 1, Vec: y, Soft: true, LLRClamp: -2},
+		"NaN in H":                {Mod: modulation.BPSK, H: poisoned(0, complex(nan, 0)), Vec: y},
+		"Inf in H":                {Mod: modulation.BPSK, H: poisoned(5, complex(0, inf)), Vec: y},
+		"NaN in vector":           {Handle: 1, Vec: []complex128{1, complex(0, nan)}},
+	} {
+		if _, err := encodeRequest(req); err == nil {
+			t.Errorf("encode %s: accepted", name)
 		}
 	}
 }
 
-func TestRequestCodecRejectsCorruption(t *testing.T) {
-	src := rng.New(122)
-	h := channel.Rayleigh{}.Generate(src, 2, 2)
-	payload, _ := encodeRequest(&DecodeRequest{ID: 1, Mod: modulation.BPSK, H: h, Y: []complex128{0, 0}})
-	if _, err := decodeRequest(payload[:len(payload)-3]); err == nil {
-		t.Fatal("truncated request accepted")
-	}
-	if _, err := decodeRequest(append(payload, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	bad := append([]byte(nil), payload...)
-	bad[8] = 200 // invalid modulation byte
-	if _, err := decodeRequest(bad); err == nil {
-		t.Fatal("bad modulation accepted")
-	}
-	if _, err := encodeRequest(&DecodeRequest{Mod: modulation.BPSK, H: h, Y: []complex128{0}}); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
 func TestResponseCodecRoundTrip(t *testing.T) {
-	resp := &DecodeResponse{ID: 7, Bits: []byte{1, 0, 1}, Energy: 2.5, ComputeMicros: 12.25}
+	resp := &DecodeResponse{ID: 7, Bits: []byte{1, 0, 1}, Energy: 2.5, ComputeMicros: 12.25,
+		Backend: "qpu0", Batched: 2}
 	back, err := decodeResponse(encodeResponse(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != 7 || back.Energy != 2.5 || back.ComputeMicros != 12.25 || len(back.Bits) != 3 {
+	if !reflect.DeepEqual(back, resp) {
 		t.Fatalf("round trip: %+v", back)
 	}
 	errResp := &DecodeResponse{ID: 9, Err: "boom"}
 	back, err = decodeResponse(encodeResponse(errResp))
 	if err != nil || back.Err != "boom" {
 		t.Fatalf("error round trip: %+v, %v", back, err)
+	}
+	full := encodeResponse(resp)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := decodeResponse(full[:cut]); err == nil {
+			t.Fatalf("response truncated to %d of %d bytes accepted", cut, len(full))
+		}
+	}
+	if _, err := decodeResponse(append(full, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	full[len(full)-1] = 0x02
+	if _, err := decodeResponse(full); err == nil {
+		t.Fatal("unknown response flag accepted")
 	}
 }
 
@@ -236,42 +343,169 @@ func TestClientRejectsUnknownFrameType(t *testing.T) {
 	}
 }
 
-// A request the server cannot parse (e.g. a newer protocol generation with
-// extra trailing fields) must be answered with an error response carrying
-// the salvaged request ID, so the sender fails fast instead of hanging.
-func TestServerAnswersMalformedRequest(t *testing.T) {
-	server := NewServer(testDecoder(t), 4)
-	defer server.Close()
-	cliConn, srvConn := net.Pipe()
-	go server.handleConn(srvConn)
-	defer cliConn.Close()
+// fakeSolver answers every problem at once with all-zero bits.
+var fakeSolver = dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
+	return &backend.Result{Bits: make([]byte, p.LogicalSpins()), Backend: "fake", Batched: 1}, nil
+})
 
-	in := testInstance(t, 401, modulation.BPSK, 4)
-	payload, err := encodeRequest(&DecodeRequest{ID: 77, Mod: in.Mod, H: in.H, Y: in.Y})
-	if err != nil {
+// refusal sends one raw frame on a fresh connection and returns the error
+// response the server must answer it with before closing the connection —
+// all within a bounded wait, since a hang is the defect to catch.
+func refusal(t *testing.T, msgType uint8, payload []byte) *DecodeResponse {
+	t.Helper()
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	done := make(chan struct{})
+	go func() { NewPoolServer(fakeSolver).handleConn(srvConn); close(done) }()
+	go writeFrame(cliConn, msgType, payload)
+	if err := cliConn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	// Emulate a v3 peer: valid v2 request plus an unknown trailing field.
-	payload = append(payload, 1, 2, 3, 4)
-	if err := writeFrame(cliConn, msgDecodeRequest, payload); err != nil {
-		t.Fatal(err)
-	}
-	msgType, respPayload, err := readFrame(cliConn)
+	respType, respPayload, err := readFrame(cliConn)
 	if err != nil {
-		t.Fatalf("no response to malformed request: %v", err)
+		t.Fatalf("no answer to frame type %d: %v", msgType, err)
 	}
-	if msgType != msgDecodeResponse {
-		t.Fatalf("response type %d", msgType)
+	if respType != msgDecodeResponse {
+		t.Fatalf("answered with frame type %d", respType)
 	}
 	resp, err := decodeResponse(respPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ID != 77 {
-		t.Fatalf("salvaged ID %d, want 77", resp.ID)
+	if _, _, err := readFrame(cliConn); err != io.EOF {
+		t.Fatalf("connection not closed after the answer: %v", err)
 	}
-	if !strings.Contains(resp.Err, "bad request") {
-		t.Fatalf("error %q does not identify the bad request", resp.Err)
+	<-done
+	return resp
+}
+
+// A request the server cannot parse (here: extra trailing bytes) must be
+// answered with an error response carrying the salvaged request ID, so the
+// sender fails fast instead of hanging.
+func TestServerAnswersMalformedRequest(t *testing.T) {
+	in := testInstance(t, 401, modulation.BPSK, 4)
+	payload, err := encodeRequest(&Request{ID: 77, Mod: in.Mod, H: in.H, Vec: in.Y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := refusal(t, msgDecodeRequest, append(payload, 1, 2, 3, 4))
+	if resp.ID != 77 || !strings.Contains(resp.Err, "bad request") {
+		t.Fatalf("answer %+v does not carry the salvaged ID and the cause", resp)
+	}
+}
+
+// A frame type the server does not know — any retired protocol generation's
+// request, or garbage — must be answered with an error naming the server's
+// protocol version and then a closed connection; dropping it silently would
+// strand the sender in Await forever.
+func TestUnknownFrameTypeAnswered(t *testing.T) {
+	in := testInstance(t, 402, modulation.BPSK, 2)
+	// A well-formed protocol-v9 decode request (frame type 1): id | mod |
+	// rows | cols | H | y | deadline | target BER.
+	v9 := appendU64(nil, 55)
+	v9 = append(v9, byte(in.Mod))
+	v9 = appendU16(appendU16(v9, 2), 2)
+	v9 = appendC128s(appendC128s(v9, in.H.Data), in.Y)
+	v9 = appendF64(appendF64(v9, 0), 0)
+	want := fmt.Sprintf("protocol version %d", ProtocolVersion)
+	for msgType, payload := range map[uint8][]byte{1: v9, 99: appendU64(nil, 55)} {
+		if resp := refusal(t, msgType, payload); resp.ID != 55 || !strings.Contains(resp.Err, want) {
+			t.Fatalf("frame type %d: answer %+v does not carry the ID and %q", msgType, resp, want)
+		}
+	}
+}
+
+// brokenWriteConn is a connection whose write side has failed.
+type brokenWriteConn struct{ net.Conn }
+
+func (brokenWriteConn) Write([]byte) (int, error) { return 0, errors.New("write: broken pipe") }
+
+// Once a response cannot be written nothing more can be delivered: the
+// server must close the connection — which cancels the dispatches still in
+// service and stops admitting new ones — instead of looping on a dead socket.
+func TestWriteErrorClosesConnection(t *testing.T) {
+	entered := make(chan struct{})
+	cancelled := make(chan struct{})
+	server := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
+		close(entered)
+		<-ctx.Done()
+		close(cancelled)
+		return nil, ctx.Err()
+	}))
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	done := make(chan struct{})
+	go func() { server.handleConn(brokenWriteConn{srvConn}); close(done) }()
+
+	in := testInstance(t, 403, modulation.BPSK, 2)
+	solve, err := encodeRequest(&Request{ID: 1, Mod: in.Mod, H: in.H, Vec: in.Y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register, err := encodeRegisterChannel(&RegisterChannelRequest{ID: 2, Mod: in.Mod, H: in.H})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One solve parks in the dispatcher; the registration behind it is
+	// answered inline, and that answer is the write that fails.
+	if err := writeFrame(cliConn, msgDecodeRequest, solve); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if err := writeFrame(cliConn, msgRegisterChannel, register); err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []chan struct{}{cancelled, done} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("server kept serving a connection it cannot write to")
+		}
+	}
+}
+
+// NaN or ±Inf in H, y or s must never reach the dispatcher: the client
+// refuses them as argument errors, and a peer that sends them anyway gets a
+// bad-request answer.
+func TestNonFiniteSamplesRejected(t *testing.T) {
+	dispatched := make(chan struct{}, 8)
+	server := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
+		dispatched <- struct{}{}
+		return fakeSolver(ctx, p, deadline)
+	}))
+	cliConn, srvConn := net.Pipe()
+	go server.handleConn(srvConn)
+	client := NewClient(cliConn)
+	defer client.Close()
+
+	in := testInstance(t, 404, modulation.QPSK, 2)
+	rc, err := client.RegisterChannel(in.Mod, in.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badH := &linalg.Mat{Rows: 2, Cols: 2, Data: append([]complex128(nil), in.H.Data...)}
+	badH.Data[3] = complex(math.NaN(), 0)
+	badY := []complex128{in.Y[0], complex(0, math.Inf(-1))}
+	for name, call := range map[string]func() error{
+		"NaN in inline H":     func() error { _, err := client.Decode(in.Mod, badH, in.Y); return err },
+		"NaN in registered H": func() error { _, err := client.RegisterChannel(in.Mod, badH); return err },
+		"Inf in inline y":     func() error { _, err := client.Decode(in.Mod, in.H, badY); return err },
+		"Inf in keyed y":      func() error { _, err := client.DecodeWithChannel(rc, badY, 0, 0); return err },
+		"Inf in soft y":       func() error { _, err := client.DecodeSoftWithChannel(rc, badY, SoftQoS{}); return err },
+		"Inf in precode s":    func() error { _, err := client.PrecodeWithChannel(rc, badY, 0, 0, 0); return err },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	select {
+	case <-dispatched:
+		t.Fatal("a non-finite problem reached the dispatcher")
+	default:
+	}
+	// The refusals were local: the connection still serves.
+	if _, err := client.DecodeWithChannel(rc, in.Y, 0, 0); err != nil {
+		t.Fatalf("connection unusable after argument errors: %v", err)
 	}
 }
 
@@ -413,44 +647,52 @@ func TestClientFailsPendingOnClose(t *testing.T) {
 	}
 }
 
+// The client's QoS contract must survive the wire: a deadline is bounded and
+// converted to microseconds, a negative target reads as "no target", and an
+// out-of-range target is a local argument error.
 func TestRequestCodecCarriesTargetBER(t *testing.T) {
-	src := rng.New(127)
-	h := channel.Rayleigh{}.Generate(src, 2, 2)
-	req := &DecodeRequest{
-		ID: 9, Mod: modulation.QPSK, H: h, Y: []complex128{1, 2i},
-		DeadlineMicros: 1500, TargetBER: 1e-4,
-	}
-	payload, err := encodeRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TargetBER != 1e-4 || back.DeadlineMicros != 1500 {
-		t.Fatalf("QoS fields drifted: %+v", back)
-	}
-
-	// A protocol-version-2 peer ends the payload at the deadline; the field
-	// must read as "no target".
-	v2 := payload[:len(payload)-8]
-	back, err = decodeRequest(v2)
-	if err != nil {
-		t.Fatalf("v2 payload rejected: %v", err)
-	}
-	if back.TargetBER != 0 {
-		t.Fatalf("v2 payload produced target %g, want 0", back.TargetBER)
-	}
-
-	// Out-of-range targets are rejected.
-	for _, bad := range []float64{-0.5, 1, math.NaN()} {
-		req.TargetBER = bad
-		payload, err := encodeRequest(req)
-		if err != nil {
+	cliConn, srvConn := net.Pipe()
+	client := NewClient(cliConn)
+	defer client.Close()
+	sent := make(chan *Request)
+	go func() {
+		defer close(sent)
+		for {
+			_, payload, err := readFrame(srvConn)
+			if err != nil {
+				return
+			}
+			req, err := decodeRequest(payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sent <- req
+		}
+	}()
+	h := linalg.MatFromRows([][]complex128{{1, 0}, {0, 1}})
+	y := []complex128{1, 2i}
+	var got []*Request
+	for _, q := range []struct {
+		deadline time.Duration
+		target   float64
+	}{{1500 * time.Microsecond, 1e-4}, {-time.Second, -0.5}, {math.MaxInt64, 0}} {
+		if _, err := client.SubmitDecodeQoS(modulation.QPSK, h, y, q.deadline, q.target); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeRequest(payload); err == nil {
+		got = append(got, <-sent)
+	}
+	if got[0].DeadlineMicros != 1500 || got[0].TargetBER != 1e-4 {
+		t.Fatalf("QoS fields drifted: %+v", got[0])
+	}
+	if got[1].DeadlineMicros != 0 || got[1].TargetBER != 0 {
+		t.Fatalf("negative QoS fields did not read as server defaults: %+v", got[1])
+	}
+	if got[2].DeadlineMicros != MaxDeadlineMicros {
+		t.Fatalf("deadline %g not bounded by MaxDeadlineMicros", got[2].DeadlineMicros)
+	}
+	for _, bad := range []float64{1, 1.5, math.NaN()} {
+		if _, err := client.SubmitDecodeQoS(modulation.QPSK, h, y, 0, bad); err == nil {
 			t.Fatalf("target BER %g accepted", bad)
 		}
 	}
@@ -496,9 +738,9 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	}
 }
 
-// The v4 register-channel and decode-by-channel codecs must round-trip
-// exactly and reject malformed payloads.
-func TestV4CodecRoundTrip(t *testing.T) {
+// The register-channel request and response codecs must round-trip exactly
+// and reject malformed payloads, non-finite channels included.
+func TestRegisterCodecRoundTrip(t *testing.T) {
 	src := rng.New(131)
 	h := channel.Rayleigh{}.Generate(src, 3, 2)
 
@@ -511,16 +753,22 @@ func TestV4CodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != 5 || back.Mod != modulation.QAM16 || back.H.Rows != 3 || back.H.Cols != 2 {
+	if !reflect.DeepEqual(back, reg) {
 		t.Fatalf("register round trip drifted: %+v", back)
 	}
-	for i := range h.Data {
-		if back.H.Data[i] != h.Data[i] {
-			t.Fatalf("H[%d] drifted", i)
+	for cut := 0; cut < len(payload); cut++ {
+		if _, err := decodeRegisterChannel(payload[:cut]); err == nil {
+			t.Fatalf("register payload truncated to %d of %d bytes accepted", cut, len(payload))
 		}
 	}
-	if _, err := decodeRegisterChannel(payload[:len(payload)-3]); err == nil {
-		t.Fatal("truncated register payload accepted")
+	if _, err := decodeRegisterChannel(append(payload, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if _, err := decodeRegisterChannel(putF64(payload, -8, math.Inf(1))); err == nil {
+		t.Fatal("infinite channel entry accepted")
+	}
+	if _, err := encodeRegisterChannel(&RegisterChannelRequest{ID: 5, Mod: modulation.QAM16}); err == nil {
+		t.Fatal("nil channel accepted")
 	}
 
 	ack := &RegisterChannelResponse{ID: 5, Handle: 42}
@@ -528,45 +776,14 @@ func TestV4CodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rback.ID != 5 || rback.Handle != 42 || rback.Err != "" {
+	if !reflect.DeepEqual(rback, ack) {
 		t.Fatalf("register response drifted: %+v", rback)
-	}
-
-	dec := &DecodeByChannelRequest{
-		ID: 6, Handle: 42, Y: []complex128{1 + 2i, -3i, 0.5},
-		DeadlineMicros: 2500, TargetBER: 1e-3,
-	}
-	dpayload, err := encodeDecodeByChannel(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dback, err := decodeDecodeByChannel(dpayload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dback.ID != 6 || dback.Handle != 42 || len(dback.Y) != 3 ||
-		dback.DeadlineMicros != 2500 || dback.TargetBER != 1e-3 {
-		t.Fatalf("decode-by-channel round trip drifted: %+v", dback)
-	}
-	for i := range dec.Y {
-		if dback.Y[i] != dec.Y[i] {
-			t.Fatalf("Y[%d] drifted", i)
-		}
-	}
-	if _, err := decodeDecodeByChannel(dpayload[:len(dpayload)-1]); err == nil {
-		t.Fatal("truncated decode-by-channel payload accepted")
-	}
-	dec.TargetBER = 1.5
-	if bad, err := encodeDecodeByChannel(dec); err == nil {
-		if _, err := decodeDecodeByChannel(bad); err == nil {
-			t.Fatal("out-of-range target BER accepted")
-		}
 	}
 }
 
 // End to end over a pipe: register a channel once, decode a whole coherence
-// window of symbols by handle, and verify each decode — plus the v3-compat
-// path (self-contained Decode) on the same connection.
+// window of symbols by handle, and verify each decode — plus a self-contained
+// Decode on the same connection.
 func TestRegisterChannelDecodeWindow(t *testing.T) {
 	server := NewServer(testDecoder(t), 3)
 	defer server.Close()
@@ -598,13 +815,13 @@ func TestRegisterChannelDecodeWindow(t *testing.T) {
 			}
 		}
 	}
-	// v3-style self-contained request still works on the same connection.
+	// A self-contained request works on the same connection.
 	resp, err := client.Decode(in.Mod, in.H, in.Y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in.BitErrors(resp.Bits) != 0 {
-		t.Fatal("v3-compat decode failed")
+		t.Fatal("self-contained decode failed")
 	}
 	// Wrong-shape y and unknown handles fail cleanly without killing the
 	// connection.
@@ -620,51 +837,6 @@ func TestRegisterChannelDecodeWindow(t *testing.T) {
 	}
 }
 
-// Channel-handle decodes must reach the dispatcher tagged with the channel
-// fingerprint so the scheduler can group coherence windows.
-func TestDecodeByChannelCarriesChannelKey(t *testing.T) {
-	var mu sync.Mutex
-	var got []*backend.Problem
-	disp := dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
-		mu.Lock()
-		got = append(got, p)
-		mu.Unlock()
-		return &backend.Result{Bits: make([]byte, p.LogicalSpins()), Backend: "fake", Batched: 1}, nil
-	})
-	server := NewPoolServer(disp)
-	cliConn, srvConn := net.Pipe()
-	go server.handleConn(srvConn)
-	client := NewClient(cliConn)
-	defer client.Close()
-
-	in := testInstance(t, 322, modulation.QPSK, 2)
-	rc, err := client.RegisterChannel(in.Mod, in.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.DecodeWithChannel(rc, in.Y, time.Millisecond, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Decode(in.Mod, in.H, in.Y); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("dispatcher saw %d problems, want 2", len(got))
-	}
-	wantKey := core.FingerprintChannel(in.Mod, in.H)
-	if got[0].ChannelKey != wantKey {
-		t.Fatalf("handle decode carried key %d, want %d", got[0].ChannelKey, wantKey)
-	}
-	if got[0].TargetBER != 1e-3 {
-		t.Fatalf("handle decode dropped target BER: %+v", got[0])
-	}
-	if got[1].ChannelKey != 0 {
-		t.Fatalf("self-contained decode carried key %d, want 0", got[1].ChannelKey)
-	}
-}
-
 // dispatcherFunc adapts a function to the Dispatcher interface.
 type dispatcherFunc func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error)
 
@@ -675,25 +847,23 @@ func (f dispatcherFunc) Dispatch(ctx context.Context, p *backend.Problem, deadli
 // Header-declared shapes beyond what the payload holds must be rejected
 // BEFORE allocation — a 13-byte frame must not provoke a gigabyte matrix.
 func TestChannelShapeBoundedByPayload(t *testing.T) {
-	var b []byte
-	b = appendU64(b, 1)
-	b = append(b, byte(modulation.QPSK))
-	b = appendU16(b, 65535)
-	b = appendU16(b, 65535)
-	if _, err := decodeRegisterChannel(b); err == nil {
+	shape := append([]byte{byte(modulation.QPSK)}, 0xff, 0xff, 0xff, 0xff)
+	if _, err := decodeRegisterChannel(append(appendU64(nil, 1), shape...)); err == nil {
 		t.Fatal("oversized register-channel shape accepted")
 	}
-	if _, err := decodeRequest(b); err == nil {
-		t.Fatal("oversized decode-request shape accepted")
+	if _, err := decodeRequest(append(append(appendU64(nil, 1), 0), shape...)); err == nil {
+		t.Fatal("oversized inline-channel shape accepted")
+	}
+	vec := appendU32(appendU64(append(appendU64(nil, 1), reqByHandle), 7), math.MaxUint32)
+	if _, err := decodeRequest(vec); err == nil {
+		t.Fatal("oversized vector length accepted")
 	}
 }
 
 // A connection past MaxChannelsPerConn registrations must evict its oldest
 // handle (stale coherence window) while the newest keep decoding.
 func TestRegisterChannelEvictsOldest(t *testing.T) {
-	server := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
-		return &backend.Result{Bits: make([]byte, p.LogicalSpins()), Backend: "fake", Batched: 1}, nil
-	}))
+	server := NewPoolServer(fakeSolver)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -720,92 +890,10 @@ func TestRegisterChannelEvictsOldest(t *testing.T) {
 	}
 }
 
-// --- Protocol v5: downlink precode frames ---------------------------------
-
-func TestPrecodeCodecRoundTrip(t *testing.T) {
-	src := rng.New(540)
-	h := channel.Rayleigh{}.Generate(src, 2, 3)
-	req := &PrecodeRequest{
-		ID: 77, Mod: modulation.QPSK, PerturbBits: 2, H: h,
-		S: []complex128{1 + 1i, -1 - 1i}, DeadlineMicros: 1500, TargetBER: 1e-3,
-	}
-	payload, err := encodePrecode(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodePrecode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != 77 || back.Mod != modulation.QPSK || back.PerturbBits != 2 ||
-		back.DeadlineMicros != 1500 || back.TargetBER != 1e-3 {
-		t.Fatalf("header mismatch: %+v", back)
-	}
-	if linalg.MaxAbsDiff(h, back.H) != 0 {
-		t.Fatal("H mismatch")
-	}
-	for i := range req.S {
-		if back.S[i] != req.S[i] {
-			t.Fatal("S mismatch")
-		}
-	}
-
-	// Corruption rejection.
-	if _, err := decodePrecode(payload[:len(payload)-5]); err == nil {
-		t.Fatal("truncated precode request accepted")
-	}
-	if _, err := decodePrecode(append(append([]byte(nil), payload...), 9)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	bad := append([]byte(nil), payload...)
-	bad[9] = 99 // perturbation bits out of range
-	if _, err := decodePrecode(bad); err == nil {
-		t.Fatal("bad perturbation bits accepted")
-	}
-	if _, err := encodePrecode(&PrecodeRequest{Mod: modulation.QPSK, H: h, S: []complex128{1}}); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-	// More users than antennas is a request error (compile rejects it with a
-	// per-request response), NOT a framing error — it must pass the codec so
-	// it cannot tear down a shared connection.
-	wide := channel.Rayleigh{}.Generate(src, 3, 2)
-	widePayload, err := encodePrecode(&PrecodeRequest{
-		ID: 1, Mod: modulation.QPSK, H: wide, S: []complex128{0, 0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodePrecode(widePayload); err != nil {
-		t.Fatalf("users > antennas must decode (and fail at compile): %v", err)
-	}
-}
-
-func TestPrecodeByChannelCodecRoundTrip(t *testing.T) {
-	req := &PrecodeByChannelRequest{
-		ID: 9, Handle: 4, PerturbBits: 1,
-		S: []complex128{3 - 1i, -3 + 3i}, DeadlineMicros: 10, TargetBER: 1e-2,
-	}
-	payload, err := encodePrecodeByChannel(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodePrecodeByChannel(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != 9 || back.Handle != 4 || back.PerturbBits != 1 ||
-		back.DeadlineMicros != 10 || back.TargetBER != 1e-2 || len(back.S) != 2 {
-		t.Fatalf("round trip: %+v", back)
-	}
-	if _, err := decodePrecodeByChannel(payload[:len(payload)-1]); err == nil {
-		t.Fatal("truncated request accepted")
-	}
-	if _, err := encodePrecodeByChannel(&PrecodeByChannelRequest{ID: 1}); err == nil {
-		t.Fatal("empty symbol vector accepted")
-	}
-}
+// --- Downlink precoding ---------------------------------------------------
 
 // precodeTestBench builds a pool server around one annealer decoder plus the
-// downlink fixtures shared by the v5 end-to-end tests.
+// downlink fixtures shared by the precode end-to-end tests.
 func precodeTestBench(t *testing.T, users, antennas int) (*Server, *Client, *linalg.Mat) {
 	t.Helper()
 	dec := testDecoder(t)
@@ -819,7 +907,7 @@ func precodeTestBench(t *testing.T, users, antennas int) (*Server, *Client, *lin
 	return server, client, h
 }
 
-// TestPrecodeOverWire runs the self-contained v5 flow end to end: the
+// TestPrecodeOverWire runs the self-contained precode flow end to end: the
 // returned perturbation is in-alphabet and its transmit power matches the
 // reported energy, and repeating the window hits the server's VP-program
 // cache.
@@ -873,7 +961,7 @@ func TestPrecodeOverWire(t *testing.T) {
 	}
 }
 
-// TestPrecodeWithChannelOverWire runs the registered-channel v5 flow and
+// TestPrecodeWithChannelOverWire runs the registered-channel precode flow and
 // checks interleaving with uplink decodes on the same handle.
 func TestPrecodeWithChannelOverWire(t *testing.T) {
 	const users = 3
@@ -923,57 +1011,5 @@ func TestPrecodeWithChannelOverWire(t *testing.T) {
 	s := mod.MapGrayVector(src.Bits(users * mod.BitsPerSymbol()))
 	if _, err := client.PrecodeWithChannel(rc, s, 0, 0, 0); err != nil {
 		t.Fatalf("connection unusable after errors: %v", err)
-	}
-}
-
-// Precode problems must reach the dispatcher tagged with the VP channel key
-// (not the raw downlink channel's), so the pool batches same-window searches.
-func TestPrecodeCarriesVPChannelKey(t *testing.T) {
-	var mu sync.Mutex
-	var got []*backend.Problem
-	server := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
-		mu.Lock()
-		got = append(got, p)
-		mu.Unlock()
-		return &backend.Result{Bits: make([]byte, p.LogicalSpins()), Backend: "fake", Batched: 1}, nil
-	}))
-	cliConn, srvConn := net.Pipe()
-	go server.handleConn(srvConn)
-	client := NewClient(cliConn)
-	defer client.Close()
-
-	const users = 2
-	mod := modulation.QPSK
-	h := channel.Rayleigh{}.Generate(rng.New(99), users, users)
-	prog, err := precoding.Compile(mod, h, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := make([]complex128, users)
-	for i := range s {
-		s[i] = 1 + 1i
-	}
-	if _, err := client.Precode(mod, h, s, 1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := client.RegisterChannel(mod, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.PrecodeWithChannel(rc, s, 1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("dispatcher saw %d problems", len(got))
-	}
-	for i, p := range got {
-		if p.ChannelKey != prog.Key() {
-			t.Fatalf("problem %d carries key %d, want VP key %d", i, p.ChannelKey, prog.Key())
-		}
-		if p.Mod != prog.PerturbMod() {
-			t.Fatalf("problem %d carries mod %v, want %v", i, p.Mod, prog.PerturbMod())
-		}
 	}
 }

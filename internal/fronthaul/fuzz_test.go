@@ -3,7 +3,9 @@ package fronthaul
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,8 +18,8 @@ import (
 // fuzzStatsResponse builds a fully populated stats response: pool counters
 // with two backends (both carrying spend/energy economics), a telemetry
 // snapshot whose histograms span first, middle and last buckets and whose
-// quality map holds two classes, a v8 per-shard breakdown, and a v9 health
-// block covering every state and the burn/alert fields.
+// quality map holds two classes, a per-shard breakdown, and a health block
+// covering every state and the burn/alert fields.
 func fuzzStatsResponse() *StatsResponse {
 	hist := func(idx ...int) telemetry.Hist {
 		h := telemetry.Hist{Counts: make([]uint64, telemetry.NumBuckets), Min: 0.3, Max: 9000, Sum: 12345}
@@ -86,31 +88,17 @@ func fuzzStatsResponse() *StatsResponse {
 	}
 }
 
-// fuzzSeedFrames builds one valid payload per frame type of every protocol
-// generation still accepted on the wire (v2–v9), so the fuzzer starts from
-// the real grammar instead of random bytes: self-contained decode requests
-// with (v3+) and without (v2) the target-BER field, the v4 coherence frames,
-// the v5 precode frames, the v6 soft-decode frames (including truncated LLR
-// payloads and zero-length LLR lists), the v7 stats frames (including a
-// truncated histogram payload, an all-empty-histogram snapshot, a
-// telemetry-less response, the flag-gated trailing economics block with its
-// non-canonical all-zero form, and the v9 health block with its truncated
-// and non-canonical empty forms), and every response shape, plus an
-// unknown-version frame type a newer peer might emit.
+// fuzzSeedFrames seeds the fuzzer with the real v10 grammar instead of random
+// bytes: a solve request for every flag combination, the rejected
+// soft|precode pair, zero-length and non-finite vectors, the register frames,
+// every response shape (including a truncated and a non-canonical empty LLR
+// block), the stats frames (including a truncated histogram payload, an
+// all-empty-histogram snapshot, a telemetry-less response, and the
+// flag-gated shards, economics and health blocks with their truncated and
+// non-canonical empty forms), frame types of retired and unknown protocol
+// generations, and whole pipelined streams.
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
-	h := linalg.MatFromRows([][]complex128{
-		{1 + 2i, -0.5},
-		{0.25i, 3 - 1i},
-		{-1, 0.125 + 0.5i},
-	})
-	y := []complex128{1 - 1i, 0.5, -2i}
-	s := []complex128{1 + 1i, -1 - 1i}
-	down := linalg.MatFromRows([][]complex128{
-		{1 + 2i, -0.5, 0.25i},
-		{1i, 3 - 1i, -1},
-	})
-
 	frame := func(msgType uint8, payload []byte, err error) []byte {
 		tb.Helper()
 		if err != nil {
@@ -118,43 +106,66 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		}
 		return append([]byte{msgType}, payload...)
 	}
-	v3, err := encodeRequest(&DecodeRequest{ID: 1, Mod: modulation.QAM16, H: h, Y: y,
-		DeadlineMicros: 1500, TargetBER: 1e-4})
+	var seeds [][]byte
+
+	// Solve requests: every flag combination, in a fixed order.
+	reqs := codecRequests()
+	names := make([]string, 0, len(reqs))
+	for name := range reqs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		payload, err := encodeRequest(reqs[name])
+		seeds = append(seeds, frame(msgDecodeRequest, payload, err))
+	}
+	keyed, err := encodeRequest(reqs["hard_handle"])
 	if err != nil {
 		tb.Fatal(err)
 	}
-	precodePayload, err := encodePrecode(&PrecodeRequest{ID: 4, Mod: modulation.QPSK, PerturbBits: 2,
-		H: down, S: s, DeadlineMicros: 2000, TargetBER: 1e-2})
+	inline, err := encodeRequest(reqs["hard_inline"])
 	if err != nil {
 		tb.Fatal(err)
 	}
-	precodeByChan, err := encodePrecodeByChannel(&PrecodeByChannelRequest{ID: 5, Handle: 1,
-		PerturbBits: 1, S: s})
+	bothFlags := append([]byte(nil), keyed...)
+	bothFlags[8] = reqByHandle | reqSoft | reqPrecode
+	zeroVec := appendU32(append([]byte(nil), keyed[:8+1+8]...), 0)
+	zeroVec = appendF64(appendF64(zeroVec, 0), 0)
+	register, err := encodeRegisterChannel(&RegisterChannelRequest{ID: 2, Mod: modulation.QPSK, H: reqs["hard_inline"].H})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	byChan, err := encodeDecodeByChannel(&DecodeByChannelRequest{ID: 3, Handle: 9, Y: y,
-		DeadlineMicros: 10, TargetBER: 1e-3})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	register, err := encodeRegisterChannel(&RegisterChannelRequest{ID: 2, Mod: modulation.QPSK, H: h})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	softReq, err := encodeSoftRequest(&SoftDecodeRequest{ID: 10, Mod: modulation.QAM16, H: h, Y: y,
-		NoiseVar: 0.04, LLRClamp: 16, DeadlineMicros: 1500, TargetBER: 1e-4})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	softByChan, err := encodeSoftByChannel(&SoftDecodeByChannelRequest{ID: 11, Handle: 3, Y: y,
-		NoiseVar: 0.1, DeadlineMicros: 10, TargetBER: 1e-3})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	softResp := encodeSoftResponse(&SoftDecodeResponse{ID: 12, Bits: []byte{1, 0, 1, 1},
+	seeds = append(seeds,
+		frame(msgDecodeRequest, bothFlags, nil),
+		frame(msgDecodeRequest, zeroVec, nil),
+		frame(msgDecodeRequest, putF64(keyed, 8+1, 0), nil),                  // handle 0
+		frame(msgDecodeRequest, putF64(inline, 8+1+5, math.NaN()), nil),      // NaN in H
+		frame(msgDecodeRequest, putF64(keyed, 8+1+8+4+8, math.Inf(-1)), nil), // -Inf in y
+		frame(msgDecodeRequest, putF64(keyed, -8, math.NaN()), nil),          // NaN target BER
+		frame(msgRegisterChannel, register, nil),
+		frame(msgRegisterChannel, putF64(register, -16, math.Inf(1)), nil), // Inf in H
+		frame(msgRegisterResponse, encodeRegisterResponse(&RegisterChannelResponse{ID: 8, Handle: 4}), nil),
+	)
+
+	// Solve responses.
+	softResp := encodeResponse(&DecodeResponse{ID: 12, Bits: []byte{1, 0, 1, 1},
 		Clamp: 24, LLR8: []int8{127, -127, 5, -9}, Saturated: 2,
 		Energy: 0.5, ComputeMicros: 80, Backend: "qpu0", Batched: 2})
+	bareResp := encodeResponse(&DecodeResponse{ID: 7, Err: "boom"})
+	emptyLLR := append(bareResp[:len(bareResp)-1:len(bareResp)-1], respLLR)
+	emptyLLR = appendU32(appendU32(appendF64(emptyLLR, 24), 0), 0)
+	seeds = append(seeds,
+		frame(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: 6, Bits: []byte{1, 0, 1, 1},
+			Energy: 2.5, ComputeMicros: 12, Backend: "qpu0", Batched: 2}), nil),
+		frame(msgDecodeResponse, bareResp, nil),
+		frame(msgDecodeResponse, softResp, nil),
+		// Truncated inside its LLR block, and a flagged block with no LLRs.
+		frame(msgDecodeResponse, softResp[:len(softResp)-2], nil),
+		frame(msgDecodeResponse, emptyLLR, nil),
+	)
+
+	// The stats grammar: the poll, a full telemetry snapshot, a pool-only
+	// response, and a telemetry block whose histograms are all empty.
 	statsFull, err := encodeStatsResponse(fuzzStatsResponse())
 	if err != nil {
 		tb.Fatal(err)
@@ -171,47 +182,26 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds := [][]byte{
-		frame(msgDecodeRequest, v3, nil),
-		// A v2 peer's request ends at the deadline field.
-		append([]byte{msgDecodeRequest}, v3[:len(v3)-8]...),
-		frame(msgRegisterChannel, register, nil),
-		frame(msgDecodeByChannel, byChan, nil),
-		frame(msgPrecodeRequest, precodePayload, nil),
-		frame(msgPrecodeByChannel, precodeByChan, nil),
-		frame(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: 6, Bits: []byte{1, 0, 1, 1},
-			Energy: 2.5, ComputeMicros: 12, Backend: "qpu0", Batched: 2}), nil),
-		frame(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: 7, Err: "boom"}), nil),
-		frame(msgRegisterResponse, encodeRegisterResponse(&RegisterChannelResponse{ID: 8, Handle: 4}), nil),
-		// The v6 soft-decode grammar.
-		frame(msgSoftDecodeRequest, softReq, nil),
-		frame(msgSoftDecodeByChan, softByChan, nil),
-		frame(msgSoftDecodeResponse, softResp, nil),
-		// A soft response whose LLR list is empty (error/hard-probe answers).
-		frame(msgSoftDecodeResponse, encodeSoftResponse(&SoftDecodeResponse{ID: 13, Err: "denied"}), nil),
-		// A soft response truncated inside its LLR payload.
-		append([]byte{msgSoftDecodeResponse}, softResp[:len(softResp)-30]...),
-		// The v7 stats grammar: the poll, a full telemetry snapshot, a pool-
-		// only response, and a telemetry block whose histograms are all empty.
+	seeds = append(seeds,
 		frame(msgStatsRequest, encodeStatsRequest(&StatsRequest{ID: 14}), nil),
 		frame(msgStatsResponse, statsFull, nil),
 		frame(msgStatsResponse, statsBare, nil),
 		frame(msgStatsResponse, statsEmptyHists, nil),
 		// A stats response truncated inside a histogram's bucket list.
-		append([]byte{msgStatsResponse}, statsFull[:len(statsFull)-60]...),
+		frame(msgStatsResponse, statsFull[:len(statsFull)-60], nil),
 		// A stats response with a declared bucket entry but no bucket bytes.
-		{msgStatsResponse, 0, 0, 0},
+		[]byte{msgStatsResponse, 0, 0, 0},
 		// Malformed shapes the decoders must reject without panicking.
-		{msgDecodeRequest},
-		{msgPrecodeRequest, 0, 0, 0},
-		{msgSoftDecodeRequest, 0, 0},
-		frame(99, []byte{1, 2, 3}, nil), // unknown type
-		// An unknown-version frame: the type right past this generation's
-		// (a v8 peer's downgrade probe) must be ignored by the decoders and
-		// surfaced — not crashed on — by the framing layer.
-		frame(msgStatsResponse+1, statsFull, nil),
+		[]byte{msgDecodeRequest},
+		[]byte{msgDecodeRequest, 0, 0, 0},
+		[]byte{msgDecodeResponse, 0, 0},
 		append([]byte{msgDecodeRequest}, bytes.Repeat([]byte{0xff}, 40)...),
-	}
+		// Frame types no decoder owns: garbage, and a retired generation's
+		// decode request (type 1). The framing layer must surface them, not
+		// crash on them.
+		frame(99, []byte{1, 2, 3}, nil),
+		frame(1, inline, nil),
+	)
 	// A stats response whose shards flag is set but whose shard count is
 	// zero — non-canonical (it would re-encode without the flag), rejected.
 	// statsBare carries neither telemetry nor shards, so its final byte is
@@ -229,21 +219,21 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	zeroEcon = append(zeroEcon, make([]byte, 16)...)
 	seeds = append(seeds, frame(msgStatsResponse, zeroEcon, nil))
 	// A stats response truncated inside the trailing economics block.
-	seeds = append(seeds, append([]byte{msgStatsResponse}, statsFull[:len(statsFull)-9]...))
-	// The v9 health grammar's non-canonical form: the health flag set over an
+	seeds = append(seeds, frame(msgStatsResponse, statsFull[:len(statsFull)-9], nil))
+	// The health block's non-canonical form: the health flag set over an
 	// empty block (zero backends, zero shards) — a re-encode would drop the
 	// flag, so the decoder rejects it.
 	zeroHealth := append([]byte(nil), statsBare...)
 	zeroHealth[len(zeroHealth)-1] |= statsRespHealth
 	zeroHealth = append(zeroHealth, 0, 0, 0, 0)
 	seeds = append(seeds, frame(msgStatsResponse, zeroHealth, nil))
-	// A stats response truncated inside the v9 health block (statsFull ends
+	// A stats response truncated inside the health block (statsFull ends
 	// with it: cutting 20 bytes lands mid-shard-burn entry).
-	seeds = append(seeds, append([]byte{msgStatsResponse}, statsFull[:len(statsFull)-20]...))
-	// The v8 pipelined streams: a connection's read loop sees many frames
-	// back to back, responses returning out of order and interleaved across
-	// request classes, and teardown can truncate the stream mid-frame. These
-	// seeds exercise the whole-stream drain at the end of the fuzz body.
+	seeds = append(seeds, frame(msgStatsResponse, statsFull[:len(statsFull)-20], nil))
+	// Pipelined streams: a connection's read loop sees many frames back to
+	// back, responses returning out of order and interleaved across request
+	// classes, and teardown can truncate the stream mid-frame. These seeds
+	// exercise the whole-stream drain at the end of the fuzz body.
 	wire := func(msgType uint8, payload []byte) []byte {
 		var b []byte
 		b = appendU32(b, uint32(len(payload)))
@@ -256,22 +246,20 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	}
 	outOfOrder := append(append(respFrame(3), respFrame(1)...), respFrame(2)...)
 	interleaved := append(append(append(respFrame(2),
-		wire(msgSoftDecodeResponse, softResp)...),
+		wire(msgDecodeResponse, softResp)...),
 		wire(msgRegisterResponse, encodeRegisterResponse(&RegisterChannelResponse{ID: 4, Handle: 7}))...),
 		wire(msgStatsResponse, statsBare)...)
 	truncatedMid := append(append(respFrame(1), respFrame(2)...), respFrame(3)[:7]...)
 	forgedLen := append(respFrame(1), wire(msgDecodeResponse, nil)...)
 	forgedLen[len(forgedLen)-2] = 0xff // second frame claims a ~4GB payload
-	seeds = append(seeds, outOfOrder, interleaved, truncatedMid, forgedLen)
-	return seeds
+	return append(seeds, outOfOrder, interleaved, truncatedMid, forgedLen)
 }
 
 // FuzzDecodeFrame fuzzes the wire grammar: the first byte selects the frame
 // type, the rest is the payload handed to that type's decoder (the exact
 // situation of a server or client read loop after readFrame). No input may
-// panic, and any payload a decoder accepts must survive a re-encode +
-// re-decode round trip — the invariant that keeps v2–v6 compatibility
-// honest.
+// panic, and every grammar is canonical: any payload a decoder accepts must
+// re-encode to exactly the bytes it was decoded from.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
@@ -281,144 +269,47 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		msgType, payload := data[0], data[1:]
-		switch msgType {
-		case msgDecodeRequest:
-			req, err := decodeRequest(payload)
+		canonical := func(re []byte, err error) {
 			if err != nil {
-				return
-			}
-			re, err := encodeRequest(req)
-			if err != nil {
-				t.Fatalf("accepted request does not re-encode: %v", err)
-			}
-			if _, err := decodeRequest(re); err != nil {
-				t.Fatalf("re-encoded request does not decode: %v", err)
-			}
-		case msgRegisterChannel:
-			req, err := decodeRegisterChannel(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodeRegisterChannel(req)
-			if err != nil {
-				t.Fatalf("accepted register-channel does not re-encode: %v", err)
-			}
-			if _, err := decodeRegisterChannel(re); err != nil {
-				t.Fatalf("re-encoded register-channel does not decode: %v", err)
-			}
-		case msgDecodeByChannel:
-			req, err := decodeDecodeByChannel(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodeDecodeByChannel(req)
-			if err != nil {
-				t.Fatalf("accepted decode-by-channel does not re-encode: %v", err)
-			}
-			if _, err := decodeDecodeByChannel(re); err != nil {
-				t.Fatalf("re-encoded decode-by-channel does not decode: %v", err)
-			}
-		case msgPrecodeRequest:
-			req, err := decodePrecode(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodePrecode(req)
-			if err != nil {
-				t.Fatalf("accepted precode request does not re-encode: %v", err)
-			}
-			if _, err := decodePrecode(re); err != nil {
-				t.Fatalf("re-encoded precode request does not decode: %v", err)
-			}
-		case msgPrecodeByChannel:
-			req, err := decodePrecodeByChannel(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodePrecodeByChannel(req)
-			if err != nil {
-				t.Fatalf("accepted precode-by-channel does not re-encode: %v", err)
-			}
-			if _, err := decodePrecodeByChannel(re); err != nil {
-				t.Fatalf("re-encoded precode-by-channel does not decode: %v", err)
-			}
-		case msgSoftDecodeRequest:
-			req, err := decodeSoftRequest(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodeSoftRequest(req)
-			if err != nil {
-				t.Fatalf("accepted soft request does not re-encode: %v", err)
-			}
-			if _, err := decodeSoftRequest(re); err != nil {
-				t.Fatalf("re-encoded soft request does not decode: %v", err)
-			}
-		case msgSoftDecodeByChan:
-			req, err := decodeSoftByChannel(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodeSoftByChannel(req)
-			if err != nil {
-				t.Fatalf("accepted soft-by-channel does not re-encode: %v", err)
-			}
-			if _, err := decodeSoftByChannel(re); err != nil {
-				t.Fatalf("re-encoded soft-by-channel does not decode: %v", err)
-			}
-		case msgSoftDecodeResponse:
-			resp, err := decodeSoftResponse(payload)
-			if err != nil {
-				return
-			}
-			if _, err := decodeSoftResponse(encodeSoftResponse(resp)); err != nil {
-				t.Fatalf("re-encoded soft response does not decode: %v", err)
-			}
-		case msgDecodeResponse:
-			resp, err := decodeResponse(payload)
-			if err != nil {
-				return
-			}
-			if _, err := decodeResponse(encodeResponse(resp)); err != nil {
-				t.Fatalf("re-encoded response does not decode: %v", err)
-			}
-		case msgRegisterResponse:
-			resp, err := decodeRegisterResponse(payload)
-			if err != nil {
-				return
-			}
-			if _, err := decodeRegisterResponse(encodeRegisterResponse(resp)); err != nil {
-				t.Fatalf("re-encoded register response does not decode: %v", err)
-			}
-		case msgStatsRequest:
-			req, err := decodeStatsRequest(payload)
-			if err != nil {
-				return
-			}
-			if _, err := decodeStatsRequest(encodeStatsRequest(req)); err != nil {
-				t.Fatalf("re-encoded stats request does not decode: %v", err)
-			}
-		case msgStatsResponse:
-			resp, err := decodeStatsResponse(payload)
-			if err != nil {
-				return
-			}
-			re, err := encodeStatsResponse(resp)
-			if err != nil {
-				t.Fatalf("accepted stats response does not re-encode: %v", err)
+				t.Fatalf("accepted frame type %d does not re-encode: %v", msgType, err)
 			}
 			if !bytes.Equal(re, payload) {
-				// The sparse histogram grammar is canonical (strictly
-				// increasing indexes, no zero counts), so decode∘encode must
-				// be the identity on accepted payloads.
-				t.Fatalf("stats response re-encode is not byte-identical")
+				t.Fatalf("frame type %d re-encode is not byte-identical", msgType)
+			}
+		}
+		switch msgType {
+		case msgDecodeRequest:
+			if req, err := decodeRequest(payload); err == nil {
+				canonical(encodeRequest(req))
+			}
+		case msgDecodeResponse:
+			if resp, err := decodeResponse(payload); err == nil {
+				canonical(encodeResponse(resp), nil)
+			}
+		case msgRegisterChannel:
+			if req, err := decodeRegisterChannel(payload); err == nil {
+				canonical(encodeRegisterChannel(req))
+			}
+		case msgRegisterResponse:
+			if resp, err := decodeRegisterResponse(payload); err == nil {
+				canonical(encodeRegisterResponse(resp), nil)
+			}
+		case msgStatsRequest:
+			if req, err := decodeStatsRequest(payload); err == nil {
+				canonical(encodeStatsRequest(req), nil)
+			}
+		case msgStatsResponse:
+			// The sparse histogram grammar is canonical too (strictly
+			// increasing indexes, no zero counts).
+			if resp, err := decodeStatsResponse(payload); err == nil {
+				canonical(encodeStatsResponse(resp))
 			}
 		}
 		// Whatever the type, the framing layer itself must stay panic-free on
 		// the raw bytes read as a pipelined stream: many frames back to back
 		// (out-of-order responses, interleaved classes), truncated mid-frame,
 		// or with forged lengths. Drain until the first framing error, the
-		// exact loop a v8 connection's read side runs.
+		// exact loop a connection's read side runs.
 		r := bytes.NewReader(data)
 		for {
 			if _, _, err := readFrame(r); err != nil {

@@ -243,6 +243,41 @@ func TestResponseIDMismatchTypedError(t *testing.T) {
 	}
 }
 
+// TestResponseClassMismatchTypedError makes the peer answer an in-flight
+// solve's ID with a frame of another class (a register response): with one
+// pending table the ID matches, but the frame cannot be that request's
+// answer, so it is the same *ResponseIDError teardown as an unknown ID.
+func TestResponseClassMismatchTypedError(t *testing.T) {
+	cliConn, srvConn := net.Pipe()
+	client := NewClient(cliConn)
+	defer client.Close()
+	in := testInstance(t, 806, modulation.BPSK, 2)
+	ready := make(chan struct{})
+	go func() {
+		if _, _, err := readFrame(srvConn); err != nil {
+			return
+		}
+		close(ready)
+	}()
+	dc, err := client.SubmitDecodeQoS(in.Mod, in.H, in.Y, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ready
+	// The client allocates IDs from 1, so 1 is the in-flight solve.
+	if err := writeFrame(srvConn, msgRegisterResponse, encodeRegisterResponse(&RegisterChannelResponse{ID: 1, Handle: 9})); err != nil {
+		t.Fatal(err)
+	}
+	_, err = dc.Await()
+	var ide *ResponseIDError
+	if !errors.As(err, &ide) {
+		t.Fatalf("teardown error %v is not a *ResponseIDError", err)
+	}
+	if ide.ID != 1 || ide.MsgType != msgRegisterResponse {
+		t.Fatalf("ID error names (type %d, id %d), want (type %d, id 1)", ide.MsgType, ide.ID, msgRegisterResponse)
+	}
+}
+
 // TestBlockingCallsStillLockstep checks the v2–v7 blocking API is untouched
 // by pipelining: a client that only uses Decode observes strict
 // request/response lockstep against a protocol-v7 style peer that reads one

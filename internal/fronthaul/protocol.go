@@ -1,18 +1,50 @@
 // Package fronthaul implements the C-RAN link the paper's architecture
-// assumes (§1, §7): access points forward per-subcarrier decode work —
-// the estimated channel H and received vector y — over a low-latency
-// fronthaul to a centralized data center, where a QPU pool runs QuAMax and
-// returns the decoded bits.
+// assumes (§1, §7): access points forward per-subcarrier work — a channel or
+// a handle to one, a vector, a QoS contract — over a low-latency fronthaul to
+// a centralized data center, where a QPU pool runs QuAMax and returns bits.
 //
-// The wire protocol is a minimal length-prefixed binary framing over any
-// net.Conn (TCP in deployment; net.Pipe in tests): every frame is
+// # Wire format (v10)
 //
-//	uint32 payload length | uint8 message type | payload
+// The protocol is a length-prefixed binary framing over any net.Conn (TCP in
+// deployment; net.Pipe in tests). Every frame is
 //
-// with little-endian integers and float64 IQ samples. Clients may pipeline:
-// requests carry IDs and responses are matched by ID, so one connection
-// serves many concurrent subcarrier decodes — the paper's "parallelize
-// different problems (e.g., different subcarriers' ML decoding)" (§5.5).
+//	uint32 payload length | uint8 frame type | payload
+//
+// with little-endian integers, float64 reals, and complex samples as two
+// float64 (c128). There are three request/response pairs:
+//
+//	type 13 solve request     → type 14 solve response
+//	type  3 register-channel  → type  4 register response
+//	type 11 stats request     → type 12 stats response   (statscodec.go)
+//
+// Every payload starts with a client-chosen uint64 ID that the response
+// echoes, so a connection is pipelined: many requests in flight, answered out
+// of order, matched by ID — the paper's "parallelize different problems
+// (e.g., different subcarriers' ML decoding)" (§5.5).
+//
+// One solve frame carries every kind of work. Uplink hard detection, soft
+// detection and downlink vector-perturbation precoding differ only in flags
+// and the optional sections they switch on; the channel rides inline or is
+// named by the handle a register-channel frame returned:
+//
+//	request   id u64 | flags u8 {1: by-handle, 2: soft, 4: precode; 2+4 rejected}
+//	          | by-handle ? handle u64 : (mod u8, rows u16, cols u16, H rows·cols·c128)
+//	          | precode ? perturbBits u8
+//	          | n u32, vec n·c128            (y to detect, or s to precode)
+//	          | deadlineMicros f64 | targetBER f64
+//	          | soft ? (noiseVar f64, llrClamp f64)
+//	response  id u64 | err (u16 + bytes) | bits (u32 + bytes) | energy f64
+//	          | computeMicros f64 | backend (u16 + bytes) | batched u16
+//	          | flags u8 {1: llr}
+//	          | llr ? (clamp f64, saturated u32, n u32, llr8 n·i8)
+//	register  id u64 | mod u8, rows u16, cols u16, H rows·cols·c128
+//	          → id u64 | err (u16 + bytes) | handle u64
+//
+// Every declared length is checked against the bytes the payload still holds
+// before anything is allocated, every sample must be finite, and each grammar
+// is canonical: a payload that decodes re-encodes to the same bytes. A frame
+// of any other type is answered with an error naming ProtocolVersion and the
+// connection is closed.
 package fronthaul
 
 import (
@@ -21,79 +53,36 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/cmplx"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
 	"quamax/internal/precoding"
 )
 
-// ProtocolVersion is the fronthaul framing generation. Version 2 added the
-// per-request deadline and the responding-backend metadata for the pool
-// scheduler; version 3 appended the target BER so APs can express per-decode
-// QoS to the data center's anneal-budget planner (version-2 requests, which
-// lack the field, are still accepted and read as "no target"). Version 4
-// added the channel-coherence frames: an AP registers an estimated channel
-// once per coherence window (register-channel) and then ships only received
-// vectors against the returned handle (decode-by-channel), letting the data
-// center compile the channel once and decode many symbols through it.
-// Version-3 decode requests (self-contained H + y) are still accepted
-// unchanged. Version 5 opened the downlink: precode-request frames carry a
-// user-data symbol vector (self-contained with H, or against a registered
-// channel handle) and the data center answers with the vector-perturbation
-// solution of internal/precoding, reusing the decode-response framing
-// (solution bits + energy = transmit power γ). Version-4 and older payloads
-// all still decode. Version 6 adds soft-output decoding: soft-decode request
-// frames (self-contained, or against a registered channel handle) carry the
-// noise variance and LLR clamp alongside the usual QoS contract, and the
-// data center answers with a soft-decode response whose per-bit LLRs ride as
-// a quantized int8 payload (softout.Quantize: ±clamp ↔ ±127, one byte per
-// bit instead of a float64). Version-5 and older payloads all still decode.
-// Version 7 adds the telemetry plane: a stats-request frame polls the serving
-// pool and the data center answers with a stats-response carrying the pool
-// counter snapshot plus, when the server runs a telemetry recorder, the full
-// recorder snapshot — per-stage latency histograms (sparse-encoded: only
-// nonzero buckets ride the wire), deadline-slack histograms, compile-cache
-// counters and per-class anneal-quality aggregates — behind `quamax -top` and
-// `-watch`. Version-6 and older payloads all still decode.
-// Version 8 makes the connection pipelined: because every request frame
-// already carries a client-chosen ID that the response echoes, a client may
-// keep many frames in flight on one connection and the server answers
-// out of order as shards finish, holding a bounded in-flight window (reads
-// stall once the window fills, which is the backpressure signal). The wire
-// layout is unchanged — v2–v7 clients that wait for each response before
-// sending the next frame observe exactly the old lockstep behaviour. The
-// stats response grows an optional per-shard PoolStats breakdown behind a new
-// flags bit for servers fronting a sharded router; v7 payloads (flag absent)
-// still decode.
-// Version 9 adds the solver-health plane to the stats response: behind a new
-// flags bit, the frame carries per-backend health entries (drift-detector
-// state and score, baseline EWMAs, canary-probe counts; name-sorted — the
-// canonical order, enforced on decode) and per-shard SLO burn entries
-// (deadline-miss and BER-risk burn rates over fast/slow windows, the
-// multi-window alerting verdict, and the router's shed counters). Like the
-// shards and economics bits, the flag rides only when the block carries
-// data, so an empty health plane re-encodes byte-identically to a v8 frame
-// and v2–v8 payloads all still decode.
-// Peers speaking a newer version may emit frame types this
-// implementation does not know; the client surfaces those as protocol errors
-// rather than discarding them silently.
-const ProtocolVersion = 9
+// ProtocolVersion is the fronthaul framing generation this package speaks.
+// Peers of any other generation are refused, not negotiated with.
+const ProtocolVersion = 10
 
-// Message types.
+// Frame types.
 const (
-	msgDecodeRequest      uint8 = 1
-	msgDecodeResponse     uint8 = 2
-	msgRegisterChannel    uint8 = 3
-	msgRegisterResponse   uint8 = 4
-	msgDecodeByChannel    uint8 = 5
-	msgPrecodeRequest     uint8 = 6
-	msgPrecodeByChannel   uint8 = 7
-	msgSoftDecodeRequest  uint8 = 8
-	msgSoftDecodeByChan   uint8 = 9
-	msgSoftDecodeResponse uint8 = 10
-	msgStatsRequest       uint8 = 11
-	msgStatsResponse      uint8 = 12
+	msgRegisterChannel  uint8 = 3
+	msgRegisterResponse uint8 = 4
+	msgStatsRequest     uint8 = 11
+	msgStatsResponse    uint8 = 12
+	msgDecodeRequest    uint8 = 13
+	msgDecodeResponse   uint8 = 14
 )
+
+// Request flags.
+const (
+	reqByHandle uint8 = 1 << iota
+	reqSoft
+	reqPrecode
+)
+
+// respLLR flags a response that carries the soft-output block.
+const respLLR uint8 = 1
 
 // MaxFrameBytes bounds a frame payload; a 64×64 64-QAM request is ~130 KiB,
 // so 16 MiB leaves ample room while stopping corrupt length prefixes.
@@ -104,23 +93,47 @@ const MaxFrameBytes = 16 << 20
 // time.Duration conversion cannot overflow.
 const MaxDeadlineMicros = 1e12
 
-// DecodeRequest is one uplink channel use shipped AP → data center.
-type DecodeRequest struct {
-	ID  uint64
-	Mod modulation.Modulation
-	H   *linalg.Mat
-	Y   []complex128
-	// DeadlineMicros is the AP's processing budget for this decode; the pool
-	// scheduler routes the problem to a classical solver when the QPU queue
-	// cannot meet it. 0 means no deadline (use the server default).
+// Request is the one solve frame shipped AP → data center: a channel (inline,
+// or the handle of a registered one), a vector, and the QoS contract.
+type Request struct {
+	ID uint64
+	// Mod and H are the inline channel. A nil H means the request runs
+	// against the registered channel Handle names (handles start at 1), which
+	// shrinks the per-symbol payload from O(Nr·Nt) to O(Nr) — the C-RAN
+	// bandwidth argument for coherence-aware fronthauls.
+	Mod    modulation.Modulation
+	H      *linalg.Mat
+	Handle uint64
+	// Vec is the received vector y to detect, or with Precode the user-data
+	// symbol vector s whose transmit-power-minimizing perturbation to find;
+	// one entry per channel row either way.
+	Vec []complex128
+	// Precode selects the downlink vector-perturbation search; PerturbBits is
+	// its alphabet depth per dimension (0 = server default). The response's
+	// Bits are then the Gray solution bits of the perturbation constellation
+	// (precoding.PerturbationFromGrayBits decodes them) and Energy is the
+	// minimized transmit power γ = ‖P(s+τv)‖².
+	Precode     bool
+	PerturbBits int
+	// DeadlineMicros is the AP's processing budget; the pool scheduler routes
+	// the problem to a classical solver when the QPU queue cannot meet it.
+	// 0 means no deadline (use the server default).
 	DeadlineMicros float64
-	// TargetBER is the AP's QoS target for this decode: the data center's
-	// planner sizes the anneal budget (reads × anneal time) to just reach
-	// it within the deadline. 0 means no target (use the server default).
+	// TargetBER is the AP's QoS target: the data center's planner sizes the
+	// anneal budget (reads × anneal time) to just reach it within the
+	// deadline. 0 means no target (use the server default).
 	TargetBER float64
+	// Soft requests per-bit LLRs alongside the hard decision. NoiseVar is the
+	// AP-estimated per-antenna complex noise variance σ² scaling them (0 =
+	// unscaled energy differences); LLRClamp bounds |LLR| and sets the int8
+	// quantization full scale (0 = the server's configured default).
+	Soft     bool
+	NoiseVar float64
+	LLRClamp float64
 }
 
-// DecodeResponse carries the decoded bits back to the AP.
+// DecodeResponse is the one solve response: the decided bits and solver
+// metadata, plus the quantized LLRs when the request was soft.
 type DecodeResponse struct {
 	ID     uint64
 	Err    string // empty on success
@@ -135,12 +148,22 @@ type DecodeResponse struct {
 	// Batched is the number of requests that shared the solver run
 	// (1 = solo; >1 means the decode rode a shared embedding-slot batch).
 	Batched int
+	// LLR8 are the per-bit LLRs of a soft decode (softout convention:
+	// positive favors bit 1) quantized to int8 at full scale ±Clamp
+	// (softout.Quantize), so a soft bit costs one byte on the fronthaul
+	// instead of a float64. Nil on hard decodes and precodes.
+	LLR8 []int8
+	// Clamp is the LLR magnitude the quantization maps onto ±127 — the
+	// scale LLRs() dequantizes with.
+	Clamp float64
+	// Saturated counts the LLR entries that hit the clamp server-side.
+	Saturated int
 }
 
 // RegisterChannelRequest registers one estimated channel for a coherence
-// window (protocol v4): the data center compiles it once and returns a
-// connection-scoped handle that subsequent DecodeByChannelRequest frames
-// reference instead of resending H per symbol.
+// window: the data center compiles it once and returns a connection-scoped
+// handle that by-handle solve requests reference instead of resending H per
+// symbol.
 type RegisterChannelRequest struct {
 	ID  uint64
 	Mod modulation.Modulation
@@ -148,60 +171,11 @@ type RegisterChannelRequest struct {
 }
 
 // RegisterChannelResponse answers a channel registration with the handle to
-// decode against (or an error).
+// solve against (or an error).
 type RegisterChannelResponse struct {
 	ID     uint64
 	Err    string // empty on success
 	Handle uint64
-}
-
-// DecodeByChannelRequest is the execute-phase frame of protocol v4: one
-// received vector y against a previously registered channel handle. Shipping
-// y alone shrinks the per-symbol fronthaul payload from O(Nr·Nt) to O(Nr) —
-// the C-RAN bandwidth argument for coherence-aware fronthauls.
-type DecodeByChannelRequest struct {
-	ID     uint64
-	Handle uint64
-	Y      []complex128
-	// DeadlineMicros and TargetBER carry the same per-decode QoS contract as
-	// DecodeRequest.
-	DeadlineMicros float64
-	TargetBER      float64
-}
-
-// PrecodeRequest is one downlink vector-perturbation search shipped to the
-// data center (protocol v5): find the perturbation minimizing the transmit
-// power of user-data symbol vector S through the downlink channel H
-// (Nu users × Nt antennas). The response reuses DecodeResponse framing: Bits
-// are the Gray solution bits of the perturbation constellation
-// (precoding.PerturbationFromGrayBits decodes them) and Energy is the
-// minimized transmit power γ = ‖P(s+τv)‖².
-type PrecodeRequest struct {
-	ID  uint64
-	Mod modulation.Modulation
-	// PerturbBits is the perturbation alphabet depth per dimension
-	// (0 = server default).
-	PerturbBits int
-	H           *linalg.Mat
-	S           []complex128
-	// DeadlineMicros and TargetBER carry the same per-request QoS contract
-	// as DecodeRequest.
-	DeadlineMicros float64
-	TargetBER      float64
-}
-
-// PrecodeByChannelRequest is the coherence-window form of PrecodeRequest:
-// one user-data symbol vector against a previously registered channel
-// handle, shrinking the per-vector fronthaul payload from O(Nu·Nt) to
-// O(Nu) — the downlink mirror of DecodeByChannelRequest.
-type PrecodeByChannelRequest struct {
-	ID     uint64
-	Handle uint64
-	// PerturbBits is the perturbation alphabet depth (0 = server default).
-	PerturbBits    int
-	S              []complex128
-	DeadlineMicros float64
-	TargetBER      float64
 }
 
 // writeFrame emits one framed message.
@@ -250,38 +224,74 @@ func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
+// appendC128s appends complex samples as (real, imag) float64 pairs.
+func appendC128s(b []byte, v []complex128) []byte {
+	for _, c := range v {
+		b = appendF64(b, real(c))
+		b = appendF64(b, imag(c))
+	}
+	return b
+}
+
+// appendMat appends an inline channel (mod u8, rows u16, cols u16, H),
+// refusing shapes the header cannot express and non-finite entries.
+func appendMat(b []byte, mod modulation.Modulation, h *linalg.Mat) ([]byte, error) {
+	if h == nil || h.Rows < 1 || h.Cols < 1 || h.Rows > math.MaxUint16 || h.Cols > math.MaxUint16 ||
+		len(h.Data) != h.Rows*h.Cols {
+		return nil, errors.New("fronthaul: empty or oversized channel matrix")
+	}
+	if !finite(h.Data) {
+		return nil, errors.New("fronthaul: channel matrix has a non-finite entry")
+	}
+	b = append(b, byte(mod))
+	b = appendU16(b, uint16(h.Rows))
+	b = appendU16(b, uint16(h.Cols))
+	return appendC128s(b, h.Data), nil
+}
+
+// finite reports whether every sample is a finite number. NaN or ±Inf in H,
+// y or s would poison the channel fingerprint and every compile downstream,
+// so both codec directions refuse them.
+func finite(v []complex128) bool {
+	for _, c := range v {
+		if cmplx.IsNaN(c) || cmplx.IsInf(c) {
+			return false
+		}
+	}
+	return true
+}
+
 type reader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.err = errShort
-		return 0
+// The fixed-width reads return zero once the payload has run short; callers
+// check r.err after a batch of reads.
+func (r *reader) u8() uint8 {
+	if b := r.bytes(1); b != nil {
+		return b[0]
 	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
+	return 0
+}
+func (r *reader) u16() uint16 {
+	if b := r.bytes(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
 }
 func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.err = errShort
-		return 0
+	if b := r.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.err = errShort
-		return 0
+	if b := r.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) bytes(n int) []byte {
@@ -296,77 +306,195 @@ func (r *reader) bytes(n int) []byte {
 
 var errShort = errors.New("fronthaul: short payload")
 
-// encodeRequest serializes a DecodeRequest payload.
-func encodeRequest(req *DecodeRequest) ([]byte, error) {
-	if req.H == nil || req.H.Rows != len(req.Y) {
-		return nil, errors.New("fronthaul: request shape mismatch")
-	}
-	b := make([]byte, 0, 8+1+4+16*len(req.H.Data)+16*len(req.Y))
-	b = appendU64(b, req.ID)
-	b = append(b, byte(req.Mod))
-	b = appendU16(b, uint16(req.H.Rows))
-	b = appendU16(b, uint16(req.H.Cols))
-	for _, v := range req.H.Data {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	for _, v := range req.Y {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	b = appendF64(b, req.DeadlineMicros)
-	b = appendF64(b, req.TargetBER)
-	return b, nil
-}
-
-// decodeRequest parses a DecodeRequest payload.
-func decodeRequest(payload []byte) (*DecodeRequest, error) {
-	r := &reader{b: payload}
-	req := &DecodeRequest{ID: r.u64()}
-	modByte := r.bytes(1)
+// readC128s reads n complex samples. The count is bounded by what the payload
+// still holds (16 bytes per sample) before anything is allocated, so a forged
+// header cannot provoke a large allocation, and non-finite samples are
+// rejected here for every frame that carries a vector or a matrix.
+func readC128s(r *reader, n int) ([]complex128, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	req.Mod = modulation.Modulation(modByte[0])
-	if _, err := modulation.Parse(req.Mod.String()); err != nil {
-		return nil, fmt.Errorf("fronthaul: bad modulation byte %d", modByte[0])
+	if n < 1 || n > (len(r.b)-r.off)/16 {
+		return nil, fmt.Errorf("fronthaul: %d complex samples exceed the payload", n)
 	}
+	raw := r.bytes(16 * n)
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = complex(
+			math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:])))
+	}
+	if !finite(v) {
+		return nil, errors.New("fronthaul: non-finite sample")
+	}
+	return v, nil
+}
+
+// readMat reads an inline channel (mod u8, rows u16, cols u16, H).
+func readMat(r *reader) (modulation.Modulation, *linalg.Mat, error) {
+	mod := modulation.Modulation(r.u8())
 	rows := int(r.u16())
 	cols := int(r.u16())
 	if r.err != nil {
-		return nil, r.err
+		return 0, nil, r.err
+	}
+	if _, err := modulation.Parse(mod.String()); err != nil {
+		return 0, nil, fmt.Errorf("fronthaul: bad modulation byte %d", byte(mod))
 	}
 	if rows < 1 || cols < 1 {
-		return nil, errors.New("fronthaul: empty channel matrix")
+		return 0, nil, errors.New("fronthaul: empty channel matrix")
 	}
-	// Bound the allocation by what the payload can actually hold (16 bytes
-	// per complex entry) before trusting the header-declared shape.
-	if rows*cols > len(payload)/16 {
-		return nil, fmt.Errorf("fronthaul: %d×%d channel exceeds payload", rows, cols)
+	data, err := readC128s(r, rows*cols)
+	if err != nil {
+		return 0, nil, err
 	}
-	req.H = linalg.NewMat(rows, cols)
-	for i := range req.H.Data {
-		re, im := r.f64(), r.f64()
-		req.H.Data[i] = complex(re, im)
+	return mod, &linalg.Mat{Rows: rows, Cols: cols, Data: data}, nil
+}
+
+// validateSoftScaling rejects unrepresentable noise-variance / clamp pairs.
+func validateSoftScaling(noiseVar, clamp float64) error {
+	if !(noiseVar >= 0) || math.IsInf(noiseVar, 0) {
+		return fmt.Errorf("fronthaul: invalid noise variance %g", noiseVar)
 	}
-	req.Y = make([]complex128, rows)
-	for i := range req.Y {
-		re, im := r.f64(), r.f64()
-		req.Y[i] = complex(re, im)
+	if !(clamp >= 0) || math.IsInf(clamp, 0) {
+		return fmt.Errorf("fronthaul: invalid LLR clamp %g", clamp)
 	}
-	req.DeadlineMicros = r.f64()
+	return nil
+}
+
+// validateQoSWire rejects out-of-range deadline/target fields: NaN/negative
+// deadlines, deadlines past MaxDeadlineMicros (so the µs→time.Duration
+// conversion on the server cannot overflow int64 — float-to-int conversion of
+// an out-of-range value is implementation-defined), and targets outside
+// [0, 1).
+func validateQoSWire(deadlineMicros, targetBER float64) error {
+	if !(deadlineMicros >= 0) || deadlineMicros > MaxDeadlineMicros {
+		return fmt.Errorf("fronthaul: invalid deadline %g µs", deadlineMicros)
+	}
+	if !(targetBER >= 0) || targetBER >= 1 {
+		return fmt.Errorf("fronthaul: invalid target BER %g", targetBER)
+	}
+	return nil
+}
+
+// validatePerturbBits bounds a precode request's alphabet depth.
+func validatePerturbBits(bits int) error {
+	if bits < 0 || bits > precoding.MaxPerturbBits {
+		return fmt.Errorf("fronthaul: perturbation bits %d outside [0,%d]", bits, precoding.MaxPerturbBits)
+	}
+	return nil
+}
+
+// encodeRequest serializes a solve request, refusing arguments the server
+// would reject as a bad request (and tear the connection down over).
+func encodeRequest(req *Request) ([]byte, error) {
+	var flags uint8
+	size := 8 + 1 + 8 + 1 + 4 + 16*len(req.Vec) + 32
+	switch {
+	case req.H == nil && req.Handle == 0:
+		return nil, errors.New("fronthaul: request names neither a channel nor a handle")
+	case req.H == nil:
+		flags |= reqByHandle
+	case req.H.Rows != len(req.Vec):
+		return nil, errors.New("fronthaul: request shape mismatch")
+	default:
+		size += 16 * len(req.H.Data)
+	}
+	if len(req.Vec) < 1 || !finite(req.Vec) {
+		return nil, errors.New("fronthaul: empty or non-finite vector")
+	}
+	if req.Soft && req.Precode {
+		return nil, errors.New("fronthaul: a request is soft or precode, not both")
+	}
+	if req.Soft {
+		if err := validateSoftScaling(req.NoiseVar, req.LLRClamp); err != nil {
+			return nil, err
+		}
+		flags |= reqSoft
+	}
+	if req.Precode {
+		if err := validatePerturbBits(req.PerturbBits); err != nil {
+			return nil, err
+		}
+		flags |= reqPrecode
+	}
+	b := make([]byte, 0, size)
+	b = appendU64(b, req.ID)
+	b = append(b, flags)
+	if req.H == nil {
+		b = appendU64(b, req.Handle)
+	} else {
+		var err error
+		if b, err = appendMat(b, req.Mod, req.H); err != nil {
+			return nil, err
+		}
+	}
+	if req.Precode {
+		b = append(b, byte(req.PerturbBits))
+	}
+	b = appendU32(b, uint32(len(req.Vec)))
+	b = appendC128s(b, req.Vec)
+	b = appendF64(b, req.DeadlineMicros)
+	b = appendF64(b, req.TargetBER)
+	if req.Soft {
+		b = appendF64(b, req.NoiseVar)
+		b = appendF64(b, req.LLRClamp)
+	}
+	return b, nil
+}
+
+// decodeRequest parses a solve request.
+func decodeRequest(payload []byte) (*Request, error) {
+	r := &reader{b: payload}
+	req := &Request{ID: r.u64()}
+	flags := r.u8()
 	if r.err != nil {
 		return nil, r.err
 	}
-	// The target BER was appended in protocol version 3; a version-2 payload
-	// ends here and reads as "no target" (zero, which validates).
-	if r.off < len(payload) {
-		req.TargetBER = r.f64()
-		if r.err != nil {
-			return nil, r.err
+	if flags&^(reqByHandle|reqSoft|reqPrecode) != 0 || flags&(reqSoft|reqPrecode) == reqSoft|reqPrecode {
+		return nil, fmt.Errorf("fronthaul: bad request flags %#x", flags)
+	}
+	req.Soft, req.Precode = flags&reqSoft != 0, flags&reqPrecode != 0
+	if flags&reqByHandle != 0 {
+		if req.Handle = r.u64(); r.err == nil && req.Handle == 0 {
+			return nil, errors.New("fronthaul: channel handle 0 is never issued")
+		}
+	} else {
+		var err error
+		if req.Mod, req.H, err = readMat(r); err != nil {
+			return nil, err
 		}
 	}
+	if req.Precode {
+		// More users than antennas is a *request* error, not a framing error:
+		// precoding.Compile rejects it and the server answers per-request, so
+		// one bad argument does not tear down a shared pipelined connection.
+		req.PerturbBits = int(r.u8())
+		if err := validatePerturbBits(req.PerturbBits); err != nil {
+			return nil, err
+		}
+	}
+	n := int(r.u32())
+	if r.err == nil && req.H != nil && n != req.H.Rows {
+		return nil, fmt.Errorf("fronthaul: vector has %d entries, channel has %d rows", n, req.H.Rows)
+	}
+	var err error
+	if req.Vec, err = readC128s(r, n); err != nil {
+		return nil, err
+	}
+	req.DeadlineMicros = r.f64()
+	req.TargetBER = r.f64()
+	if req.Soft {
+		req.NoiseVar = r.f64()
+		req.LLRClamp = r.f64()
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	if err := validateQoSWire(req.DeadlineMicros, req.TargetBER); err != nil {
+		return nil, err
+	}
+	if err := validateSoftScaling(req.NoiseVar, req.LLRClamp); err != nil {
 		return nil, err
 	}
 	if r.off != len(payload) {
@@ -377,53 +505,20 @@ func decodeRequest(payload []byte) (*DecodeRequest, error) {
 
 // encodeRegisterChannel serializes a RegisterChannelRequest payload.
 func encodeRegisterChannel(req *RegisterChannelRequest) ([]byte, error) {
-	if req.H == nil || req.H.Rows < 1 || req.H.Cols < 1 {
-		return nil, errors.New("fronthaul: empty channel matrix")
+	var b []byte
+	if req.H != nil {
+		b = make([]byte, 0, 8+5+16*len(req.H.Data))
 	}
-	b := make([]byte, 0, 8+1+4+16*len(req.H.Data))
-	b = appendU64(b, req.ID)
-	b = append(b, byte(req.Mod))
-	b = appendU16(b, uint16(req.H.Rows))
-	b = appendU16(b, uint16(req.H.Cols))
-	for _, v := range req.H.Data {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	return b, nil
+	return appendMat(appendU64(b, req.ID), req.Mod, req.H)
 }
 
 // decodeRegisterChannel parses a RegisterChannelRequest payload.
 func decodeRegisterChannel(payload []byte) (*RegisterChannelRequest, error) {
 	r := &reader{b: payload}
 	req := &RegisterChannelRequest{ID: r.u64()}
-	modByte := r.bytes(1)
-	if r.err != nil {
-		return nil, r.err
-	}
-	req.Mod = modulation.Modulation(modByte[0])
-	if _, err := modulation.Parse(req.Mod.String()); err != nil {
-		return nil, fmt.Errorf("fronthaul: bad modulation byte %d", modByte[0])
-	}
-	rows := int(r.u16())
-	cols := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if rows < 1 || cols < 1 {
-		return nil, errors.New("fronthaul: empty channel matrix")
-	}
-	// Bound the allocation by what the payload can actually hold (16 bytes
-	// per complex entry) before trusting the header-declared shape.
-	if rows*cols > len(payload)/16 {
-		return nil, fmt.Errorf("fronthaul: %d×%d channel exceeds payload", rows, cols)
-	}
-	req.H = linalg.NewMat(rows, cols)
-	for i := range req.H.Data {
-		re, im := r.f64(), r.f64()
-		req.H.Data[i] = complex(re, im)
-	}
-	if r.err != nil {
-		return nil, r.err
+	var err error
+	if req.Mod, req.H, err = readMat(r); err != nil {
+		return nil, err
 	}
 	if r.off != len(payload) {
 		return nil, errors.New("fronthaul: trailing bytes in register-channel request")
@@ -457,200 +552,10 @@ func decodeRegisterResponse(payload []byte) (*RegisterChannelResponse, error) {
 	return resp, nil
 }
 
-// encodeDecodeByChannel serializes a DecodeByChannelRequest payload.
-func encodeDecodeByChannel(req *DecodeByChannelRequest) ([]byte, error) {
-	if len(req.Y) < 1 {
-		return nil, errors.New("fronthaul: empty received vector")
-	}
-	b := make([]byte, 0, 8+8+4+16*len(req.Y)+16)
-	b = appendU64(b, req.ID)
-	b = appendU64(b, req.Handle)
-	b = appendU32(b, uint32(len(req.Y)))
-	for _, v := range req.Y {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	b = appendF64(b, req.DeadlineMicros)
-	b = appendF64(b, req.TargetBER)
-	return b, nil
-}
-
-// decodeDecodeByChannel parses a DecodeByChannelRequest payload.
-func decodeDecodeByChannel(payload []byte) (*DecodeByChannelRequest, error) {
-	r := &reader{b: payload}
-	req := &DecodeByChannelRequest{ID: r.u64(), Handle: r.u64()}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 1 || n > len(payload)/16 {
-		return nil, fmt.Errorf("fronthaul: bad received-vector length %d", n)
-	}
-	req.Y = make([]complex128, n)
-	for i := range req.Y {
-		re, im := r.f64(), r.f64()
-		req.Y[i] = complex(re, im)
-	}
-	req.DeadlineMicros = r.f64()
-	req.TargetBER = r.f64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if err := validateQoSWire(req.DeadlineMicros, req.TargetBER); err != nil {
-		return nil, err
-	}
-	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in decode-by-channel request")
-	}
-	return req, nil
-}
-
-// encodePrecode serializes a PrecodeRequest payload.
-func encodePrecode(req *PrecodeRequest) ([]byte, error) {
-	if req.H == nil || req.H.Rows != len(req.S) {
-		return nil, errors.New("fronthaul: precode request shape mismatch")
-	}
-	if req.PerturbBits < 0 || req.PerturbBits > precoding.MaxPerturbBits {
-		return nil, fmt.Errorf("fronthaul: perturbation bits %d outside [0,%d]",
-			req.PerturbBits, precoding.MaxPerturbBits)
-	}
-	b := make([]byte, 0, 8+2+4+16*len(req.H.Data)+16*len(req.S)+16)
-	b = appendU64(b, req.ID)
-	b = append(b, byte(req.Mod), byte(req.PerturbBits))
-	b = appendU16(b, uint16(req.H.Rows))
-	b = appendU16(b, uint16(req.H.Cols))
-	for _, v := range req.H.Data {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	for _, v := range req.S {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	b = appendF64(b, req.DeadlineMicros)
-	b = appendF64(b, req.TargetBER)
-	return b, nil
-}
-
-// decodePrecode parses a PrecodeRequest payload.
-func decodePrecode(payload []byte) (*PrecodeRequest, error) {
-	r := &reader{b: payload}
-	req := &PrecodeRequest{ID: r.u64()}
-	hdr := r.bytes(2)
-	if r.err != nil {
-		return nil, r.err
-	}
-	req.Mod = modulation.Modulation(hdr[0])
-	if _, err := modulation.Parse(req.Mod.String()); err != nil {
-		return nil, fmt.Errorf("fronthaul: bad modulation byte %d", hdr[0])
-	}
-	req.PerturbBits = int(hdr[1])
-	if req.PerturbBits > precoding.MaxPerturbBits {
-		return nil, fmt.Errorf("fronthaul: perturbation bits %d outside [0,%d]",
-			req.PerturbBits, precoding.MaxPerturbBits)
-	}
-	rows := int(r.u16())
-	cols := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if rows < 1 || cols < 1 {
-		return nil, errors.New("fronthaul: empty channel matrix")
-	}
-	// A users > antennas shape is a *request* error, not a framing error:
-	// precoding.Compile rejects it and the server answers per-request, so
-	// one bad argument does not tear down a shared pipelined connection.
-	// Bound the allocation by what the payload can actually hold (16 bytes
-	// per complex entry) before trusting the header-declared shape.
-	if rows*cols > len(payload)/16 {
-		return nil, fmt.Errorf("fronthaul: %d×%d channel exceeds payload", rows, cols)
-	}
-	req.H = linalg.NewMat(rows, cols)
-	for i := range req.H.Data {
-		re, im := r.f64(), r.f64()
-		req.H.Data[i] = complex(re, im)
-	}
-	req.S = make([]complex128, rows)
-	for i := range req.S {
-		re, im := r.f64(), r.f64()
-		req.S[i] = complex(re, im)
-	}
-	req.DeadlineMicros = r.f64()
-	req.TargetBER = r.f64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if err := validateQoSWire(req.DeadlineMicros, req.TargetBER); err != nil {
-		return nil, err
-	}
-	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in precode request")
-	}
-	return req, nil
-}
-
-// encodePrecodeByChannel serializes a PrecodeByChannelRequest payload.
-func encodePrecodeByChannel(req *PrecodeByChannelRequest) ([]byte, error) {
-	if len(req.S) < 1 {
-		return nil, errors.New("fronthaul: empty symbol vector")
-	}
-	if req.PerturbBits < 0 || req.PerturbBits > precoding.MaxPerturbBits {
-		return nil, fmt.Errorf("fronthaul: perturbation bits %d outside [0,%d]",
-			req.PerturbBits, precoding.MaxPerturbBits)
-	}
-	b := make([]byte, 0, 8+8+1+4+16*len(req.S)+16)
-	b = appendU64(b, req.ID)
-	b = appendU64(b, req.Handle)
-	b = append(b, byte(req.PerturbBits))
-	b = appendU32(b, uint32(len(req.S)))
-	for _, v := range req.S {
-		b = appendF64(b, real(v))
-		b = appendF64(b, imag(v))
-	}
-	b = appendF64(b, req.DeadlineMicros)
-	b = appendF64(b, req.TargetBER)
-	return b, nil
-}
-
-// decodePrecodeByChannel parses a PrecodeByChannelRequest payload.
-func decodePrecodeByChannel(payload []byte) (*PrecodeByChannelRequest, error) {
-	r := &reader{b: payload}
-	req := &PrecodeByChannelRequest{ID: r.u64(), Handle: r.u64()}
-	bits := r.bytes(1)
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	req.PerturbBits = int(bits[0])
-	if req.PerturbBits > precoding.MaxPerturbBits {
-		return nil, fmt.Errorf("fronthaul: perturbation bits %d outside [0,%d]",
-			req.PerturbBits, precoding.MaxPerturbBits)
-	}
-	if n < 1 || n > len(payload)/16 {
-		return nil, fmt.Errorf("fronthaul: bad symbol-vector length %d", n)
-	}
-	req.S = make([]complex128, n)
-	for i := range req.S {
-		re, im := r.f64(), r.f64()
-		req.S[i] = complex(re, im)
-	}
-	req.DeadlineMicros = r.f64()
-	req.TargetBER = r.f64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if err := validateQoSWire(req.DeadlineMicros, req.TargetBER); err != nil {
-		return nil, err
-	}
-	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in precode-by-channel request")
-	}
-	return req, nil
-}
-
-// encodeResponse serializes a DecodeResponse payload.
+// encodeResponse serializes a solve response. The LLR block rides only when
+// the response carries LLRs.
 func encodeResponse(resp *DecodeResponse) []byte {
-	b := make([]byte, 0, 8+2+len(resp.Err)+4+len(resp.Bits)+16+2+len(resp.Backend)+2)
+	b := make([]byte, 0, 8+2+len(resp.Err)+4+len(resp.Bits)+16+2+len(resp.Backend)+2+1+16+len(resp.LLR8))
 	b = appendU64(b, resp.ID)
 	b = appendU16(b, uint16(len(resp.Err)))
 	b = append(b, resp.Err...)
@@ -661,10 +566,22 @@ func encodeResponse(resp *DecodeResponse) []byte {
 	b = appendU16(b, uint16(len(resp.Backend)))
 	b = append(b, resp.Backend...)
 	b = appendU16(b, uint16(resp.Batched))
+	if len(resp.LLR8) == 0 {
+		return append(b, 0)
+	}
+	b = append(b, respLLR)
+	b = appendF64(b, resp.Clamp)
+	b = appendU32(b, uint32(resp.Saturated))
+	b = appendU32(b, uint32(len(resp.LLR8)))
+	for _, q := range resp.LLR8 {
+		b = append(b, byte(q))
+	}
 	return b
 }
 
-// decodeResponse parses a DecodeResponse payload.
+// decodeResponse parses a solve response. The clamp of an LLR block must be
+// finite and non-negative so dequantization is well defined, and the block
+// must hold at least one LLR (an empty one would re-encode without its flag).
 func decodeResponse(payload []byte) (*DecodeResponse, error) {
 	r := &reader{b: payload}
 	resp := &DecodeResponse{ID: r.u64()}
@@ -677,8 +594,27 @@ func decodeResponse(payload []byte) (*DecodeResponse, error) {
 	backendLen := int(r.u16())
 	resp.Backend = string(r.bytes(backendLen))
 	resp.Batched = int(r.u16())
+	flags := r.u8()
+	if r.err == nil && flags&^respLLR != 0 {
+		return nil, fmt.Errorf("fronthaul: bad response flags %#x", flags)
+	}
+	if flags&respLLR != 0 {
+		resp.Clamp = r.f64()
+		resp.Saturated = int(r.u32())
+		raw := r.bytes(int(r.u32()))
+		if r.err == nil && len(raw) == 0 {
+			return nil, errors.New("fronthaul: empty LLR block in response")
+		}
+		resp.LLR8 = make([]int8, len(raw))
+		for i, v := range raw {
+			resp.LLR8[i] = int8(v)
+		}
+	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if !(resp.Clamp >= 0) || math.IsInf(resp.Clamp, 0) {
+		return nil, fmt.Errorf("fronthaul: invalid LLR clamp %g in response", resp.Clamp)
 	}
 	if r.off != len(payload) {
 		return nil, errors.New("fronthaul: trailing bytes in response")

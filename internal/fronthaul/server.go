@@ -46,7 +46,7 @@ type Server struct {
 	// connections (0 = precoding.DefaultCache). Set before Serve.
 	PrecodeCache int
 
-	// DisableSoft rejects protocol-v6 soft-decode requests with a clean
+	// DisableSoft rejects soft-decode requests with a clean
 	// error response (quamax-serve -soft=false) — for deployments whose
 	// planner tables were fitted for hard chains only. Set before Serve.
 	DisableSoft bool
@@ -56,7 +56,7 @@ type Server struct {
 	LLRClamp float64
 
 	// Telemetry, when non-nil, receives the server-side wall time of every
-	// request (the wire histogram) and is snapshotted into v7 stats
+	// request (the wire histogram) and is snapshotted into stats
 	// responses. Set before Serve; share the same recorder with the
 	// scheduler and planner so `quamax -top` sees one coherent plane.
 	Telemetry *telemetry.Recorder
@@ -69,7 +69,7 @@ type Server struct {
 	// sees its writes stall. 0 = DefaultPipelineDepth. Set before Serve.
 	PipelineDepth int
 
-	// Health, when non-nil, supplies the solver-health plane snapshot for v9
+	// Health, when non-nil, supplies the solver-health plane snapshot for
 	// stats responses (the serving binary assembles it from the health
 	// tracker, burn tracker and router shed counters). The health block rides
 	// the frame only when the snapshot carries data. Set before Serve.
@@ -190,8 +190,9 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // registeredChannel is one compiled coherence window on a connection: the
-// estimated channel an AP registered with a v4 register-channel frame, plus
-// the fingerprint the pool scheduler groups same-window symbols by.
+// estimated channel an AP registered with a register-channel frame, plus the
+// fingerprint the pool scheduler groups same-window symbols by. An inline
+// request's channel takes the same shape with a zero key.
 type registeredChannel struct {
 	mod modulation.Modulation
 	h   *linalg.Mat
@@ -218,25 +219,34 @@ type outFrame struct {
 // association.
 //
 // The connection is fully pipelined and multiplexed: the read loop pulls
-// frames and hands dispatch-class requests to per-request goroutines, a
-// bounded in-flight window (pipelineDepth) caps how many are in service at
-// once — a full window stalls the read loop, pushing backpressure onto the
-// socket — and one writer goroutine serializes the out-of-order responses
-// back onto the wire.
+// frames and hands solve requests to per-request goroutines, a bounded
+// in-flight window (pipelineDepth) caps how many are in service at once — a
+// full window stalls the read loop, pushing backpressure onto the socket —
+// and one writer goroutine serializes the out-of-order responses back onto
+// the wire.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	depth := s.pipelineDepth()
 
 	// Writer: the single goroutine that touches the connection's write side.
 	// Request goroutines finish by enqueueing; the channel closes only after
-	// every producer is reaped, then the writer drains and exits.
+	// every producer is reaped, then the writer drains and exits. A failed
+	// write means no answer can be delivered any more: the writer closes the
+	// connection, which ends the read loop (so no new work is admitted and
+	// cancel discards what is queued), and discards the rest of the queue.
 	out := make(chan outFrame, depth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
+		dead := false
 		for f := range out {
+			if dead {
+				continue
+			}
 			if err := writeFrame(conn, f.msgType, f.payload); err != nil {
 				s.logf("fronthaul: write response: %v", err)
+				conn.Close()
+				dead = true
 			}
 		}
 	}()
@@ -264,7 +274,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	var chanMu sync.Mutex
-	channels := make(map[uint64]*registeredChannel)
+	channels := make(map[uint64]registeredChannel)
 	var nextHandle uint64
 
 	write := func(msgType uint8, payload []byte) {
@@ -282,11 +292,15 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.badRequest(write, payload, err)
 				return
 			}
+			chanMu.Lock()
+			ch, refusal := channelFor(channels, req)
+			chanMu.Unlock()
+			if refusal != "" {
+				write(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: req.ID, Err: refusal}))
+				continue
+			}
 			spawn(func() {
-				resp := s.process(ctx, req.ID, &backend.Problem{
-					Mod: req.Mod, H: req.H, Y: req.Y, TargetBER: req.TargetBER,
-				}, req.DeadlineMicros)
-				write(msgDecodeResponse, encodeResponse(resp))
+				write(msgDecodeResponse, encodeResponse(s.process(ctx, req, ch)))
 			})
 
 		case msgRegisterChannel:
@@ -297,150 +311,17 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			// Registration is pure bookkeeping (the pool's compiled-channel
 			// cache fills lazily on the first decode), so answer inline.
-			// Handles are issued sequentially, so evicting the smallest live
-			// handle at capacity is FIFO over registration order.
+			// Handles are issued sequentially, so at capacity the oldest live
+			// one is exactly MaxChannelsPerConn behind the newest (below
+			// capacity that key does not exist and the delete is a no-op).
+			rc := registeredChannel{mod: req.Mod, h: req.H, key: core.FingerprintChannel(req.Mod, req.H)}
 			chanMu.Lock()
 			nextHandle++
-			handle := nextHandle
-			channels[handle] = &registeredChannel{
-				mod: req.Mod, h: req.H, key: core.FingerprintChannel(req.Mod, req.H),
-			}
-			if len(channels) > MaxChannelsPerConn {
-				oldest := handle
-				for h := range channels {
-					if h < oldest {
-						oldest = h
-					}
-				}
-				delete(channels, oldest)
-			}
+			channels[nextHandle] = rc
+			delete(channels, nextHandle-MaxChannelsPerConn)
 			chanMu.Unlock()
 			write(msgRegisterResponse, encodeRegisterResponse(
-				&RegisterChannelResponse{ID: req.ID, Handle: handle}))
-
-		case msgPrecodeRequest:
-			req, err := decodePrecode(payload)
-			if err != nil {
-				s.badRequest(write, payload, err)
-				return
-			}
-			// Program resolution (O(Nu³) channel inversion on an LRU miss)
-			// runs in the request goroutine like every other heavy stage, so
-			// it cannot head-of-line-block pipelined frames.
-			spawn(func() {
-				prog, err := s.precodeProgram(req.Mod, req.H, req.PerturbBits)
-				if err != nil {
-					write(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: req.ID, Err: err.Error()}))
-					return
-				}
-				p := prog.Problem(req.S)
-				p.TargetBER = req.TargetBER
-				resp := s.process(ctx, req.ID, p, req.DeadlineMicros)
-				write(msgDecodeResponse, encodeResponse(resp))
-			})
-
-		case msgPrecodeByChannel:
-			req, err := decodePrecodeByChannel(payload)
-			if err != nil {
-				s.badRequest(write, payload, err)
-				return
-			}
-			chanMu.Lock()
-			rc := channels[req.Handle]
-			chanMu.Unlock()
-			if rc == nil {
-				write(msgDecodeResponse, encodeResponse(&DecodeResponse{
-					ID: req.ID, Err: fmt.Sprintf("unknown channel handle %d", req.Handle)}))
-				continue
-			}
-			if len(req.S) != rc.h.Rows {
-				write(msgDecodeResponse, encodeResponse(&DecodeResponse{
-					ID: req.ID, Err: fmt.Sprintf("symbol vector has %d entries, channel serves %d users",
-						len(req.S), rc.h.Rows)}))
-				continue
-			}
-			spawn(func() {
-				prog, err := s.precodeProgram(rc.mod, rc.h, req.PerturbBits)
-				if err != nil {
-					write(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: req.ID, Err: err.Error()}))
-					return
-				}
-				p := prog.Problem(req.S)
-				p.TargetBER = req.TargetBER
-				resp := s.process(ctx, req.ID, p, req.DeadlineMicros)
-				write(msgDecodeResponse, encodeResponse(resp))
-			})
-
-		case msgSoftDecodeRequest:
-			req, err := decodeSoftRequest(payload)
-			if err != nil {
-				s.badRequest(write, payload, err, msgSoftDecodeResponse)
-				return
-			}
-			spawn(func() {
-				resp := s.processSoft(ctx, req.ID, &backend.Problem{
-					Mod: req.Mod, H: req.H, Y: req.Y, TargetBER: req.TargetBER,
-					Soft: true, NoiseVar: req.NoiseVar, LLRClamp: s.softClamp(req.LLRClamp),
-				}, req.DeadlineMicros)
-				write(msgSoftDecodeResponse, encodeSoftResponse(resp))
-			})
-
-		case msgSoftDecodeByChan:
-			req, err := decodeSoftByChannel(payload)
-			if err != nil {
-				s.badRequest(write, payload, err, msgSoftDecodeResponse)
-				return
-			}
-			chanMu.Lock()
-			rc := channels[req.Handle]
-			chanMu.Unlock()
-			if rc == nil {
-				write(msgSoftDecodeResponse, encodeSoftResponse(&SoftDecodeResponse{
-					ID: req.ID, Err: fmt.Sprintf("unknown channel handle %d", req.Handle)}))
-				continue
-			}
-			if len(req.Y) != rc.h.Rows {
-				write(msgSoftDecodeResponse, encodeSoftResponse(&SoftDecodeResponse{
-					ID: req.ID, Err: fmt.Sprintf("received vector has %d entries, channel has %d rows",
-						len(req.Y), rc.h.Rows)}))
-				continue
-			}
-			spawn(func() {
-				resp := s.processSoft(ctx, req.ID, &backend.Problem{
-					Mod: rc.mod, H: rc.h, Y: req.Y, TargetBER: req.TargetBER,
-					ChannelKey: rc.key,
-					Soft:       true, NoiseVar: req.NoiseVar, LLRClamp: s.softClamp(req.LLRClamp),
-				}, req.DeadlineMicros)
-				write(msgSoftDecodeResponse, encodeSoftResponse(resp))
-			})
-
-		case msgDecodeByChannel:
-			req, err := decodeDecodeByChannel(payload)
-			if err != nil {
-				s.badRequest(write, payload, err)
-				return
-			}
-			chanMu.Lock()
-			rc := channels[req.Handle]
-			chanMu.Unlock()
-			if rc == nil {
-				write(msgDecodeResponse, encodeResponse(&DecodeResponse{
-					ID: req.ID, Err: fmt.Sprintf("unknown channel handle %d", req.Handle)}))
-				continue
-			}
-			if len(req.Y) != rc.h.Rows {
-				write(msgDecodeResponse, encodeResponse(&DecodeResponse{
-					ID: req.ID, Err: fmt.Sprintf("received vector has %d entries, channel has %d rows",
-						len(req.Y), rc.h.Rows)}))
-				continue
-			}
-			spawn(func() {
-				resp := s.process(ctx, req.ID, &backend.Problem{
-					Mod: rc.mod, H: rc.h, Y: req.Y, TargetBER: req.TargetBER,
-					ChannelKey: rc.key,
-				}, req.DeadlineMicros)
-				write(msgDecodeResponse, encodeResponse(resp))
-			})
+				&RegisterChannelResponse{ID: req.ID, Handle: nextHandle}))
 
 		case msgStatsRequest:
 			req, err := decodeStatsRequest(payload)
@@ -450,55 +331,73 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			// Stats are a pure snapshot (no pool dispatch), so answer inline
 			// like channel registration.
-			resp := &StatsResponse{ID: req.ID}
-			if st, ok := s.Stats(); ok {
-				resp.Pool = st
-			}
-			if per, ok := s.ShardStats(); ok {
-				resp.Shards = per
-			}
-			if s.Telemetry != nil {
-				resp.Telemetry = s.Telemetry.Snapshot()
-				resp.UptimeMicros = resp.Telemetry.UptimeMicros
-			}
-			if s.Health != nil {
-				if h := s.Health(); !h.Empty() {
-					resp.Health = &h
-				}
-			}
-			b, err := encodeStatsResponse(resp)
-			if err != nil {
-				b, _ = encodeStatsResponse(&StatsResponse{ID: req.ID, Err: err.Error()})
-			}
-			write(msgStatsResponse, b)
+			write(msgStatsResponse, s.statsFrame(req.ID))
 
 		default:
-			s.logf("fronthaul: dropping unexpected message type %d (protocol version %d)",
-				msgType, ProtocolVersion)
+			// A peer of another protocol generation: tell it so and hang up,
+			// or it would wait forever for an answer to a frame we dropped.
+			s.badRequest(write, payload, fmt.Errorf("unknown frame type %d", msgType))
+			return
 		}
 	}
 }
 
-// badRequest logs a malformed payload and, when the request ID is
-// salvageable (first 8 bytes), answers with an error so a protocol-
+// channelFor resolves the channel a solve request runs against: its inline H,
+// or the registered one its handle names. A stale handle or a wrong-length
+// vector is the request's own error — the refusal is answered and the
+// connection kept.
+func channelFor(channels map[uint64]registeredChannel, req *Request) (ch registeredChannel, refusal string) {
+	if req.H != nil {
+		return registeredChannel{mod: req.Mod, h: req.H}, ""
+	}
+	ch, ok := channels[req.Handle]
+	switch {
+	case !ok:
+		refusal = fmt.Sprintf("unknown channel handle %d", req.Handle)
+	case len(req.Vec) != ch.h.Rows:
+		refusal = fmt.Sprintf("vector has %d entries, channel has %d rows", len(req.Vec), ch.h.Rows)
+	}
+	return ch, refusal
+}
+
+// statsFrame snapshots the serving planes into one stats-response payload.
+func (s *Server) statsFrame(id uint64) []byte {
+	resp := &StatsResponse{ID: id}
+	if st, ok := s.Stats(); ok {
+		resp.Pool = st
+	}
+	if per, ok := s.ShardStats(); ok {
+		resp.Shards = per
+	}
+	if s.Telemetry != nil {
+		resp.Telemetry = s.Telemetry.Snapshot()
+		resp.UptimeMicros = resp.Telemetry.UptimeMicros
+	}
+	if s.Health != nil {
+		if h := s.Health(); !h.Empty() {
+			resp.Health = &h
+		}
+	}
+	b, err := encodeStatsResponse(resp)
+	if err != nil {
+		b, _ = encodeStatsResponse(&StatsResponse{ID: id, Err: err.Error()})
+	}
+	return b
+}
+
+// badRequest logs a frame the server cannot parse and, when the request ID is
+// salvageable (first 8 bytes), answers with an error response so a protocol-
 // mismatched client fails fast instead of blocking forever on a swallowed
-// request. respType selects the response framing — soft requests must be
-// answered with soft-decode responses or the client cannot match them —
-// and defaults to the decode response.
-func (s *Server) badRequest(write func(uint8, []byte), payload []byte, err error, respType ...uint8) {
+// request. The caller closes the connection afterwards.
+func (s *Server) badRequest(write func(uint8, []byte), payload []byte, err error) {
 	s.logf("fronthaul: bad request: %v", err)
 	if len(payload) < 8 {
 		return
 	}
-	id := binary.LittleEndian.Uint64(payload)
-	msg := fmt.Sprintf("bad request (server speaks protocol version %d): %v", ProtocolVersion, err)
-	frameType := msgDecodeResponse
-	frame := encodeResponse(&DecodeResponse{ID: id, Err: msg})
-	if len(respType) > 0 && respType[0] == msgSoftDecodeResponse {
-		frameType = msgSoftDecodeResponse
-		frame = encodeSoftResponse(&SoftDecodeResponse{ID: id, Err: msg})
-	}
-	write(frameType, frame)
+	write(msgDecodeResponse, encodeResponse(&DecodeResponse{
+		ID:  binary.LittleEndian.Uint64(payload),
+		Err: fmt.Sprintf("bad request (server speaks protocol version %d): %v", ProtocolVersion, err),
+	}))
 }
 
 // softClamp resolves the effective LLR clamp of one soft request: the
@@ -515,65 +414,54 @@ func (s *Server) softClamp(reqClamp float64) float64 {
 	return softout.DefaultClamp
 }
 
-// processSoft routes one soft decode through the pool and quantizes the
-// resulting LLRs onto the wire at the problem's clamp.
-func (s *Server) processSoft(ctx context.Context, id uint64, p *backend.Problem, deadlineMicros float64) *SoftDecodeResponse {
-	if s.DisableSoft {
-		return &SoftDecodeResponse{ID: id, Err: "soft decode disabled by server configuration"}
+// process turns one solve request into the pool's problem, routes it through
+// the dispatcher and frames the answer. Precoding is the same problem with a
+// different (H, y): the compiled VP program substitutes its equivalent uplink
+// channel and target. Program resolution (O(Nu³) channel inversion on an LRU
+// miss) runs here, on the request goroutine, so it cannot head-of-line-block
+// pipelined frames.
+func (s *Server) process(ctx context.Context, req *Request, ch registeredChannel) *DecodeResponse {
+	var p *backend.Problem
+	switch {
+	case req.Precode:
+		prog, err := s.precodeProgram(ch.mod, ch.h, req.PerturbBits)
+		if err != nil {
+			return &DecodeResponse{ID: req.ID, Err: err.Error()}
+		}
+		p = prog.Problem(req.Vec)
+	case req.Soft && s.DisableSoft:
+		return &DecodeResponse{ID: req.ID, Err: "soft decode disabled by server configuration"}
+	default:
+		p = &backend.Problem{Mod: ch.mod, H: ch.h, Y: req.Vec, ChannelKey: ch.key}
+		if req.Soft {
+			p.Soft, p.NoiseVar, p.LLRClamp = true, req.NoiseVar, s.softClamp(req.LLRClamp)
+		}
 	}
-	deadline := time.Duration(deadlineMicros * float64(time.Microsecond))
-	defer s.observeWire(time.Now())
-	res, err := s.disp.Dispatch(ctx, p, deadline)
-	if err != nil {
-		return &SoftDecodeResponse{ID: id, Err: err.Error()}
-	}
-	return &SoftDecodeResponse{
-		ID:            id,
-		Bits:          res.Bits,
-		Clamp:         p.LLRClamp,
-		LLR8:          softout.Quantize(res.LLRs, p.LLRClamp),
-		Saturated:     res.LLRSaturated,
-		Energy:        res.Energy,
-		ComputeMicros: res.ComputeMicros,
-		Backend:       res.Backend,
-		Batched:       res.Batched,
-	}
-}
+	p.TargetBER = req.TargetBER
 
-// observeWire feeds the server-side wall time of one request into the
-// telemetry wire histogram (the only feeder of that histogram). Call
-// deferred with the dispatch start time.
-func (s *Server) observeWire(start time.Time) {
+	start := time.Now()
+	res, err := s.disp.Dispatch(ctx, p, time.Duration(req.DeadlineMicros*float64(time.Microsecond)))
 	if s.Telemetry != nil {
+		// The only feeder of the telemetry wire histogram: the server-side
+		// wall time of one request.
 		s.Telemetry.ObserveWire(float64(time.Since(start)) / float64(time.Microsecond))
 	}
-}
-
-// process routes one decode through the pool.
-func (s *Server) process(ctx context.Context, id uint64, p *backend.Problem, deadlineMicros float64) *DecodeResponse {
-	deadline := time.Duration(deadlineMicros * float64(time.Microsecond))
-	defer s.observeWire(time.Now())
-	res, err := s.disp.Dispatch(ctx, p, deadline)
 	if err != nil {
-		return &DecodeResponse{ID: id, Err: err.Error()}
+		return &DecodeResponse{ID: req.ID, Err: err.Error()}
 	}
-	return &DecodeResponse{
-		ID:            id,
+	resp := &DecodeResponse{
+		ID:            req.ID,
 		Bits:          res.Bits,
 		Energy:        res.Energy,
 		ComputeMicros: res.ComputeMicros,
 		Backend:       res.Backend,
 		Batched:       res.Batched,
 	}
-}
-
-// ListenAndServe listens on addr (e.g. "127.0.0.1:0") and serves. It logs
-// the bound address via Logf and blocks until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fronthaul: listen: %w", err)
+	if p.Soft {
+		// Quantize at the problem's clamp, the one the backend clamped at.
+		resp.Clamp = p.LLRClamp
+		resp.LLR8 = softout.Quantize(res.LLRs, p.LLRClamp)
+		resp.Saturated = res.LLRSaturated
 	}
-	s.logf("fronthaul: listening on %s", l.Addr())
-	return s.Serve(l)
+	return resp
 }

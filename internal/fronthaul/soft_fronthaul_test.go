@@ -6,76 +6,17 @@ import (
 	"strings"
 	"testing"
 
-	"quamax/internal/channel"
 	"quamax/internal/modulation"
-	"quamax/internal/rng"
 	"quamax/internal/softout"
 )
 
-func TestSoftRequestCodecRoundTrip(t *testing.T) {
-	src := rng.New(621)
-	h := channel.Rayleigh{}.Generate(src, 3, 2)
-	req := &SoftDecodeRequest{
-		ID: 99, Mod: modulation.QAM16, H: h, Y: []complex128{1 + 2i, -1, 0.5i},
-		NoiseVar: 0.04, LLRClamp: 16, DeadlineMicros: 1500, TargetBER: 1e-4,
-	}
-	payload, err := encodeSoftRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeSoftRequest(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != 99 || back.Mod != modulation.QAM16 || back.NoiseVar != 0.04 ||
-		back.LLRClamp != 16 || back.DeadlineMicros != 1500 || back.TargetBER != 1e-4 {
-		t.Fatalf("round trip: %+v", back)
-	}
-	// Corruption must be rejected: truncation, trailing bytes, bad fields.
-	if _, err := decodeSoftRequest(payload[:len(payload)-5]); err == nil {
-		t.Fatal("truncated soft request accepted")
-	}
-	if _, err := decodeSoftRequest(append(append([]byte(nil), payload...), 1)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	if _, err := encodeSoftRequest(&SoftDecodeRequest{Mod: modulation.BPSK, H: h,
-		Y: []complex128{0, 0, 0}, NoiseVar: math.Inf(1)}); err == nil {
-		t.Fatal("infinite noise variance accepted")
-	}
-	if _, err := encodeSoftRequest(&SoftDecodeRequest{Mod: modulation.BPSK, H: h,
-		Y: []complex128{0, 0, 0}, LLRClamp: -2}); err == nil {
-		t.Fatal("negative clamp accepted")
-	}
-}
-
-func TestSoftByChannelCodecRoundTrip(t *testing.T) {
-	req := &SoftDecodeByChannelRequest{
-		ID: 4, Handle: 17, Y: []complex128{1, -1i},
-		NoiseVar: 0.1, LLRClamp: 8, DeadlineMicros: 10, TargetBER: 1e-3,
-	}
-	payload, err := encodeSoftByChannel(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeSoftByChannel(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Handle != 17 || len(back.Y) != 2 || back.NoiseVar != 0.1 || back.LLRClamp != 8 {
-		t.Fatalf("round trip: %+v", back)
-	}
-	if _, err := decodeSoftByChannel(payload[:12]); err == nil {
-		t.Fatal("truncated soft-by-channel accepted")
-	}
-}
-
 func TestSoftResponseCodecRoundTrip(t *testing.T) {
-	resp := &SoftDecodeResponse{
+	resp := &DecodeResponse{
 		ID: 6, Bits: []byte{1, 0, 1, 1}, Clamp: 24,
 		LLR8: []int8{127, -127, 3, -90}, Saturated: 2,
 		Energy: 1.25, ComputeMicros: 80, Backend: "qpu0", Batched: 2,
 	}
-	back, err := decodeSoftResponse(encodeSoftResponse(resp))
+	back, err := decodeResponse(encodeResponse(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +29,33 @@ func TestSoftResponseCodecRoundTrip(t *testing.T) {
 		t.Fatalf("dequantized full-scale LLRs: %v", llrs)
 	}
 
-	// Zero-length LLR list (error responses) is valid.
-	errResp := &SoftDecodeResponse{ID: 8, Err: "boom"}
-	back, err = decodeSoftResponse(encodeSoftResponse(errResp))
-	if err != nil || back.Err != "boom" || len(back.LLR8) != 0 {
+	// An LLR-less response (errors, hard answers) carries no LLR block, and a
+	// flagged block that holds no LLRs is refused as non-canonical.
+	errResp := &DecodeResponse{ID: 8, Err: "boom"}
+	bare := encodeResponse(errResp)
+	back, err = decodeResponse(bare)
+	if err != nil || back.Err != "boom" || back.LLR8 != nil {
 		t.Fatalf("error round trip: %+v, %v", back, err)
 	}
+	empty := append(bare[:len(bare)-1:len(bare)-1], respLLR)
+	empty = appendU32(appendU32(appendF64(empty, 24), 0), 0)
+	if _, err := decodeResponse(empty); err == nil {
+		t.Fatal("empty LLR block accepted")
+	}
 
-	// Truncated LLR payload must be rejected, not mis-sliced.
-	full := encodeSoftResponse(resp)
-	if _, err := decodeSoftResponse(full[:len(full)-7]); err == nil {
+	// Truncated LLR payload must be rejected, not mis-sliced, and so must a
+	// clamp dequantization cannot use.
+	full := encodeResponse(resp)
+	if _, err := decodeResponse(full[:len(full)-3]); err == nil {
 		t.Fatal("truncated soft response accepted")
+	}
+	clampOff := len(full) - len(resp.LLR8) - 4 - 4 - 8
+	if _, err := decodeResponse(putF64(full, clampOff, math.Inf(1))); err == nil {
+		t.Fatal("infinite clamp accepted")
 	}
 }
 
-// TestDecodeSoftOverPipe runs the full v6 loop: the client's soft decode
+// TestDecodeSoftOverPipe runs the full soft loop: the client's soft decode
 // must return the same hard bits as a hard decode and LLRs within one
 // quantization step of the local soft decode.
 func TestDecodeSoftOverPipe(t *testing.T) {
@@ -139,7 +92,7 @@ func TestDecodeSoftOverPipe(t *testing.T) {
 	}
 }
 
-// TestDecodeSoftWithChannelOverPipe drives the v6 by-channel path, including
+// TestDecodeSoftWithChannelOverPipe drives the soft by-channel path, including
 // the request-clamp override.
 func TestDecodeSoftWithChannelOverPipe(t *testing.T) {
 	dec := testDecoder(t)
@@ -169,7 +122,7 @@ func TestDecodeSoftWithChannelOverPipe(t *testing.T) {
 	if _, err := client.DecodeSoftWithChannel(rc, in.Y[:2], SoftQoS{}); err == nil {
 		t.Fatal("short received vector accepted locally")
 	}
-	// Unknown handle answers with a soft error response.
+	// Unknown handle answers with an error response.
 	bogus := &RemoteChannel{c: client, handle: 9999, mod: in.Mod, rows: len(in.Y)}
 	if _, err := client.DecodeSoftWithChannel(bogus, in.Y, SoftQoS{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown channel handle") {
@@ -198,37 +151,12 @@ func TestServerDisableSoft(t *testing.T) {
 	}
 }
 
-// TestServerAnswersMalformedSoftRequest: a corrupt soft frame with a
-// salvageable ID must produce a soft-framed error so the soft caller
-// unblocks (not a decode-framed one the soft pending table cannot match).
+// TestServerAnswersMalformedSoftRequest: a frame cut off right after its
+// flags byte (soft, by-handle) still carries a salvageable ID and must
+// produce an error response so the caller unblocks.
 func TestServerAnswersMalformedSoftRequest(t *testing.T) {
-	server := NewServer(testDecoder(t), 1)
-	defer server.Close()
-	cliConn, srvConn := net.Pipe()
-	go server.handleConn(srvConn)
-	defer cliConn.Close()
-
-	payload := appendU64(nil, 31)         // valid ID...
-	payload = append(payload, 0xde, 0xad) // ...followed by garbage
-	done := make(chan error, 1)
-	go func() {
-		done <- writeFrame(cliConn, msgSoftDecodeRequest, payload)
-	}()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	msgType, resp, err := readFrame(cliConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType != msgSoftDecodeResponse {
-		t.Fatalf("malformed soft request answered with frame type %d", msgType)
-	}
-	back, err := decodeSoftResponse(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != 31 || !strings.Contains(back.Err, "bad request") {
-		t.Fatalf("soft error response: %+v", back)
+	resp := refusal(t, msgDecodeRequest, append(appendU64(nil, 31), reqByHandle|reqSoft))
+	if resp.ID != 31 || !strings.Contains(resp.Err, "bad request") {
+		t.Fatalf("soft error response: %+v", resp)
 	}
 }
