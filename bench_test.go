@@ -341,7 +341,7 @@ func BenchmarkDecodeEndToEnd(b *testing.B) {
 	src := rng.New(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dec.DecodeInstance(in, src); err != nil {
+		if _, err := dec.Decode(quamax.Request{Mod: in.Mod, H: in.H, Y: in.Y, Truth: in}, quamax.Budget{}, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -889,7 +889,7 @@ func BenchmarkCoherenceWindow(b *testing.B) {
 				src := rng.New(17)
 				// Warm the (size-keyed, both-mode) embedding caches so the
 				// one-time placement search stays out of the timing.
-				if _, err := dec.Decode(mod, chans[0], ys[0][0], src); err != nil {
+				if _, err := dec.Decode(quamax.Request{Mod: mod, H: chans[0], Y: ys[0][0]}, quamax.Budget{}, src); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
@@ -901,13 +901,13 @@ func BenchmarkCoherenceWindow(b *testing.B) {
 							b.Fatal(err)
 						}
 						for s := 0; s < w; s++ {
-							if _, err := dec.DecodeCompiled(cc, ys[c][s], src); err != nil {
+							if _, err := dec.Decode(quamax.Request{CC: cc, Y: ys[c][s]}, quamax.Budget{}, src); err != nil {
 								b.Fatal(err)
 							}
 						}
 					} else {
 						for s := 0; s < w; s++ {
-							if _, err := dec.Decode(mod, chans[c], ys[c][s], src); err != nil {
+							if _, err := dec.Decode(quamax.Request{Mod: mod, H: chans[c], Y: ys[c][s]}, quamax.Budget{}, src); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -1032,17 +1032,17 @@ func BenchmarkSoftDecode(b *testing.B) {
 			}
 			src := rng.New(3)
 			// Warm the embedding cache so placement search stays untimed.
-			if _, err := dec.Decode(in.Mod, in.H, in.Y, src); err != nil {
+			if _, err := dec.Decode(quamax.Request{Mod: in.Mod, H: in.H, Y: in.Y}, quamax.Budget{}, src); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if mode == "soft" {
-					if _, err := dec.DecodeSoft(in.Mod, in.H, in.Y, spec, src); err != nil {
+					if _, err := dec.Decode(quamax.Request{Mod: in.Mod, H: in.H, Y: in.Y, Soft: &spec}, quamax.Budget{}, src); err != nil {
 						b.Fatal(err)
 					}
 				} else {
-					if _, err := dec.Decode(in.Mod, in.H, in.Y, src); err != nil {
+					if _, err := dec.Decode(quamax.Request{Mod: in.Mod, H: in.H, Y: in.Y}, quamax.Budget{}, src); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -18,7 +18,7 @@
 //     and soft decisions strictly beat hard ones at every SNR point.
 //
 //   - DW2Q: the paper's own chip model, via the production compiled-soft
-//     path (Decoder.Compile + DecodeCompiledSoft). 16-user 16-QAM reduces
+//     path (Decoder.Compile + a soft Decode per use). 16-user 16-QAM reduces
 //     to N = 64 spins with 17-qubit chains — past the chip's measured
 //     16-QAM edge of 9 users (§5.3, Figs. 9–11) — so its raw BER is far
 //     above the code's threshold and BOTH chains fail every frame. The row
@@ -235,8 +235,8 @@ func runNextGen(mod modulation.Modulation, code *coding.Convolutional, il coding
 }
 
 // runDW2Q measures the context row on the paper's chip model through the
-// production pipeline: Decoder.Compile once per frame, DecodeCompiledSoft
-// per channel use, chain strength scaled to the compiled channel's
+// production pipeline: Decoder.Compile once per frame, one soft Decode
+// naming the compiled channel per channel use, chain strength scaled to the compiled channel's
 // coefficient range (the 16-QAM fit of JF = 12 was measured at Nt ≤ 9;
 // a 16-user channel's couplings are an order of magnitude larger, so an
 // unscaled chain shatters).
@@ -264,8 +264,8 @@ func runDW2Q(mod modulation.Modulation, code *coding.Convolutional, il coding.Bl
 			if err != nil {
 				log.Fatal(err)
 			}
-			out, err := dec.DecodeCompiledSoftWithParams(cc, in.Y,
-				softout.Spec{NoiseVar: in.NoiseVariance(), MaxCandidates: 256}, params, jf, src)
+			soft := &softout.Spec{NoiseVar: in.NoiseVariance(), MaxCandidates: 256}
+			out, err := dec.Decode(quamax.Request{CC: cc, Y: in.Y, Soft: soft}, quamax.Budget{Params: params, JF: jf}, src)
 			if err != nil {
 				log.Fatal(err)
 			}

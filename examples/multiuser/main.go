@@ -42,7 +42,7 @@ func main() {
 			}
 			totalBits += len(inst.TxBits)
 
-			out, err := dec.DecodeInstance(inst, src)
+			out, err := dec.Decode(quamax.Request{Mod: inst.Mod, H: inst.H, Y: inst.Y}, quamax.Budget{}, src)
 			if err != nil {
 				log.Fatal(err)
 			}

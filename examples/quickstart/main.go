@@ -27,7 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	out, err := dec.DecodeInstance(inst, src)
+	// Truth is for evaluation only: it fills out.Distribution below.
+	req := quamax.Request{Mod: inst.Mod, H: inst.H, Y: inst.Y, Truth: inst}
+	out, err := dec.Decode(req, quamax.Budget{}, src)
 	if err != nil {
 		log.Fatal(err)
 	}

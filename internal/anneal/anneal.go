@@ -156,6 +156,14 @@ func (m *Machine) Run(prog *qubo.Sparse, params Params, improvedRange bool, src 
 // adjacency build and coupler range scan of PrepareProgram are not redone per
 // symbol. Results are bit-identical to Run on the equivalent full program.
 func (m *Machine) RunPrepared(pp *PreparedProgram, h []float64, params Params, src *rng.Source) ([]Sample, error) {
+	return m.run(pp, h, params, nil, src)
+}
+
+// run is the one worker loop behind every entry point: Na anneals of the
+// prepared program under fields h, fanned out over independent deterministic
+// random streams. initial == nil runs forward anneals from random states;
+// otherwise every anneal is a reverse anneal started from initial.
+func (m *Machine) run(pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,7 +189,11 @@ func (m *Machine) RunPrepared(pp *PreparedProgram, h []float64, params Params, s
 			defer wg.Done()
 			st := newAnnealState(prepared, m)
 			for a := w; a < params.NumAnneals; a += workers {
-				samples[a] = Sample{Spins: st.anneal(params, sources[w])}
+				if initial == nil {
+					samples[a] = Sample{Spins: st.anneal(params, sources[w])}
+				} else {
+					samples[a] = Sample{Spins: st.reverseAnneal(params, initial, sources[w])}
+				}
 			}
 		}(w)
 	}
@@ -316,27 +328,33 @@ func newAnnealState(p *prepared, m *Machine) *annealState {
 	}
 }
 
+// perturb draws this anneal's ICE: a fresh perturbation of the programmed
+// values each anneal (§4: "noise fluctuating at a time scale of the order of
+// the anneal time").
+func (st *annealState) perturb(src *rng.Source) {
+	p, ice := st.p, st.machine.ICE
+	if ice.Enabled {
+		for i := range p.h {
+			st.hPert[i] = p.h[i] + src.Gauss(ice.HMean, ice.HStd)
+		}
+		for i := range p.edges {
+			st.jPert[i] = p.edges[i].W + src.Gauss(ice.JMean, ice.JStd)
+		}
+		return
+	}
+	copy(st.hPert, p.h)
+	for i := range p.edges {
+		st.jPert[i] = p.edges[i].W
+	}
+}
+
 // anneal performs one full annealing cycle and returns a copy of the final
 // spins.
 func (st *annealState) anneal(params Params, src *rng.Source) []int8 {
 	p := st.p
 	m := st.machine
 
-	// ICE: fresh perturbation of the programmed values each anneal (§4:
-	// "noise fluctuating at a time scale of the order of the anneal time").
-	if m.ICE.Enabled {
-		for i := range p.h {
-			st.hPert[i] = p.h[i] + src.Gauss(m.ICE.HMean, m.ICE.HStd)
-		}
-		for i := range p.edges {
-			st.jPert[i] = p.edges[i].W + src.Gauss(m.ICE.JMean, m.ICE.JStd)
-		}
-	} else {
-		copy(st.hPert, p.h)
-		for i := range p.edges {
-			st.jPert[i] = p.edges[i].W
-		}
-	}
+	st.perturb(src)
 
 	// Initial superposition analog: uniformly random state.
 	for i := range st.spins {

@@ -23,44 +23,22 @@ import (
 // params.PausePosition is the turning point (required, in (0,1));
 // params.PauseTimeMicros may be zero for a pure down-up ramp.
 func (m *Machine) RunReverse(prog *qubo.Sparse, params Params, improvedRange bool, initial []int8, src *rng.Source) ([]Sample, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if params.PausePosition <= 0 || params.PausePosition >= 1 {
-		return nil, errors.New("anneal: reverse annealing requires a turning point in (0,1)")
-	}
 	if prog.N == 0 {
 		return nil, errors.New("anneal: empty program")
 	}
-	if len(initial) != prog.N {
+	return m.RunPreparedReverse(m.PrepareProgram(prog, improvedRange), prog.H, params, initial, src)
+}
+
+// RunPreparedReverse is RunReverse on a program prepared once with
+// PrepareProgram, under fresh linear fields h — what RunPrepared is to Run.
+func (m *Machine) RunPreparedReverse(pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
+	if params.PausePosition <= 0 || params.PausePosition >= 1 {
+		return nil, errors.New("anneal: reverse annealing requires a turning point in (0,1)")
+	}
+	if len(initial) != pp.n {
 		return nil, errors.New("anneal: initial state length mismatch")
 	}
-	prepared := m.rescale(m.PrepareProgram(prog, improvedRange), prog.H)
-
-	workers := m.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > params.NumAnneals {
-		workers = params.NumAnneals
-	}
-	sources := src.SplitN(workers)
-	samples := make([]Sample, params.NumAnneals)
-
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			st := newAnnealState(prepared, m)
-			for a := w; a < params.NumAnneals; a += workers {
-				samples[a] = Sample{Spins: st.reverseAnneal(params, initial, sources[w])}
-			}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return samples, nil
+	return m.run(pp, h, params, initial, src)
 }
 
 // reverseAnneal performs one reverse annealing cycle.
@@ -68,20 +46,7 @@ func (st *annealState) reverseAnneal(params Params, initial []int8, src *rng.Sou
 	p := st.p
 	m := st.machine
 
-	if m.ICE.Enabled {
-		for i := range p.h {
-			st.hPert[i] = p.h[i] + src.Gauss(m.ICE.HMean, m.ICE.HStd)
-		}
-		for i := range p.edges {
-			st.jPert[i] = p.edges[i].W + src.Gauss(m.ICE.JMean, m.ICE.JStd)
-		}
-	} else {
-		copy(st.hPert, p.h)
-		for i := range p.edges {
-			st.jPert[i] = p.edges[i].W
-		}
-	}
-
+	st.perturb(src)
 	copy(st.spins, initial)
 
 	rampSweeps := int(math.Round(m.SweepsPerMicrosecond * params.AnnealTimeMicros))

@@ -18,8 +18,8 @@ import (
 //
 // It implements BatchBackend: batch-compatible problems are programmed into
 // disjoint clique-embedding slots of the chip and share a single annealer run
-// (core.DecodeSharedRun), which is the §4 parallelization applied across
-// requests instead of within one.
+// (core.DecodeRun), which is the §4 parallelization applied across requests
+// instead of within one.
 type Annealer struct {
 	name string
 	dec  *core.Decoder
@@ -55,9 +55,8 @@ func AnnealerFromDecoder(name string, dec *core.Decoder) *Annealer {
 	return a
 }
 
-// Describe implements Backend. The annealer advertises quantum hardware with
-// batch, reverse-anneal and soft-output support, priced at the leased-QPU
-// cost model.
+// Describe implements Backend: quantum hardware with batch, reverse-anneal and
+// soft-output support, priced at the leased-QPU cost model.
 func (a *Annealer) Describe() *Capabilities { return a.caps }
 
 // Decoder exposes the wrapped QuAMax decoder.
@@ -72,83 +71,64 @@ func (a *Annealer) params(p *Problem) anneal.Params {
 	return a.dec.Options().Params
 }
 
-// softSpec converts a problem's soft-output request into the decoder-level
-// spec (nil for hard problems).
-func softSpec(p *Problem) *softout.Spec {
-	if !p.Soft {
-		return nil
-	}
-	return &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
-}
-
 // occupancyMicros is the descriptor's latency hook: the modeled device
-// occupancy of one run, Na·(Ta+Tp) under the problem's effective anneal
-// parameters. The chip is busy for the full run regardless of slot
-// amortization, so this — not the amortized per-problem time — is what queue
-// waits accumulate.
+// occupancy of one run, Na·(Ta+Tp). The chip is busy for the full run
+// regardless of slot amortization, so this — not the amortized per-problem
+// time — is what queue waits accumulate.
 func (a *Annealer) occupancyMicros(p *Problem) float64 {
 	params := a.params(p)
 	return float64(params.NumAnneals) * params.AnnealWallMicros()
 }
 
-// Solve runs the full QuAMax pipeline on one problem, honoring its Anneal,
-// ChainJF and Reverse overrides. A reverse decode that cannot compute its
-// linear seed (ill-conditioned channel, core.ErrNoSeed) falls back to a
-// forward anneal; any other error is a real failure and surfaces.
-//
-// Problems tagged with a ChannelKey (coherence-window symbols) decode
-// through the decoder's compiled-channel cache: the channel's couplings,
-// embedding and prepared physical program are compiled on the first symbol
-// and only the biases are rewritten for the rest of the window. The result
-// is bit-identical to the recompiling path. Reverse decodes always take the
-// recompiling path (their seeded physical init is per-symbol anyway).
-//
-// Soft problems (p.Soft) run the corresponding soft decode path and carry
-// per-bit LLRs in the Result; the hard bits are unchanged. A soft problem
-// requesting reverse annealing runs a forward soft anneal instead — the
-// reverse ensemble clusters around the linear seed, so its LLRs would be
-// biased toward the seed's decision rather than the posterior (the planner
-// never plans reverse for soft requests for the same reason).
+// request turns a problem into the decoder's request shape and starts the
+// Result its outcome will complete. A problem tagged with a ChannelKey (a
+// coherence-window symbol) names its channel through the decoder's
+// compiled-channel cache — compiled on the window's first symbol, only the
+// biases rewritten after; the lookup is timed into CompileMicros/CacheHit. An
+// untagged one stays raw, so one-shot channels don't churn the cache.
+func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
+	// A soft problem asking for reverse annealing runs forward: the reverse
+	// ensemble clusters around the linear seed, which would bias the LLRs
+	// toward the seed's decision (the planner never plans soft reverse either).
+	req := core.Request{Y: p.Y, Reverse: p.Reverse && !p.Soft}
+	if p.Soft {
+		req.Soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
+	}
+	res := &Result{Backend: a.name}
+	if p.ChannelKey == 0 {
+		req.Mod, req.H = p.Mod, p.H
+		return req, res, nil
+	}
+	start := time.Now()
+	cc, hit, err := a.dec.CompileTracked(p.Mod, p.H)
+	req.CC = cc
+	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
+	res.CacheHit = hit
+	return req, res, err
+}
+
+// Solve runs the QuAMax pipeline on one problem, honoring its Anneal, ChainJF,
+// Reverse and Soft fields. A reverse decode that cannot compute its linear
+// seed (ill-conditioned channel, core.ErrNoSeed) falls back to a forward
+// anneal; any other error is a real failure and surfaces.
 func (a *Annealer) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params := a.params(p)
-	soft := softSpec(p)
-	var out *core.Outcome
-	var err error
-	var compileMicros float64
-	var cacheHit bool
-	switch {
-	case p.Reverse && soft == nil:
-		out, err = a.dec.DecodeReverseWithParams(p.Mod, p.H, p.Y, params, p.ChainJF, src)
-		if errors.Is(err, core.ErrNoSeed) {
-			out, err = a.dec.DecodeWithParams(p.Mod, p.H, p.Y, params, p.ChainJF, src)
-		}
-	case p.ChannelKey != 0:
-		var cc *core.CompiledChannel
-		compileStart := time.Now()
-		cc, cacheHit, err = a.dec.CompileTracked(p.Mod, p.H)
-		compileMicros = float64(time.Since(compileStart)) / float64(time.Microsecond)
-		if err == nil {
-			if soft != nil {
-				out, err = a.dec.DecodeCompiledSoftWithParams(cc, p.Y, *soft, params, p.ChainJF, src)
-			} else {
-				out, err = a.dec.DecodeCompiledWithParams(cc, p.Y, params, p.ChainJF, src)
-			}
-		}
-	case soft != nil:
-		out, err = a.dec.DecodeSoftWithParams(p.Mod, p.H, p.Y, *soft, params, p.ChainJF, src)
-	default:
-		out, err = a.dec.DecodeWithParams(p.Mod, p.H, p.Y, params, p.ChainJF, src)
+	req, res, err := a.request(p)
+	if err != nil {
+		return nil, err
+	}
+	budget := core.Budget{Params: a.params(p), JF: p.ChainJF}
+	out, err := a.dec.Decode(req, budget, src)
+	if errors.Is(err, core.ErrNoSeed) {
+		req.Reverse = false
+		out, err = a.dec.Decode(req, budget, src)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res := a.result(out, params, 1)
-	res.CompileMicros = compileMicros
-	res.CacheHit = cacheHit
-	return res, nil
+	return a.result(res, out, budget.Params, 1), nil
 }
 
 // BatchSlots implements BatchBackend via the chip's geometric slot packing.
@@ -160,91 +140,51 @@ func (a *Annealer) BatchSlots(p *Problem) int {
 	return slots
 }
 
-// SolveBatch decodes all ps in one shared annealer run. The run's schedule
-// comes from the batch's (Batchable-compatible) anneal overrides, with the
-// read budget the max over the batch — extra reads only improve the
-// co-scheduled problems. When any problem carries a ChannelKey, the batch
-// runs through the compiled-channel shared path: each slot's couplers come
-// from its channel's cached template and only the biases are programmed
-// fresh — the common case when the scheduler's coherence-aware gather packs
-// one window's symbols into one run. Unkeyed stragglers riding such a batch
-// are compiled too (Compile needs no key) rather than dragging the whole
-// run back to per-slot recompilation; an all-unkeyed batch stays on the
-// recompiling path so one-shot channels don't churn the cache.
+// SolveBatch decodes all ps in one shared annealer run (core.DecodeRun). The
+// run's schedule comes from the batch's (Batchable-compatible) anneal
+// overrides, with the read budget the max over the batch — extra reads only
+// improve the co-scheduled problems.
 func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Source) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	params := a.params(ps[0])
-	compiled := false
-	for _, p := range ps {
-		if q := a.params(p); q.NumAnneals > params.NumAnneals {
-			params.NumAnneals = q.NumAnneals
+	budget := core.Budget{Params: a.params(ps[0]), JF: ps[0].ChainJF}
+	reqs := make([]core.Request, len(ps))
+	results := make([]*Result, len(ps))
+	for i, p := range ps {
+		if na := a.params(p).NumAnneals; na > budget.Params.NumAnneals {
+			budget.Params.NumAnneals = na
 		}
-		if p.ChannelKey != 0 {
-			compiled = true
+		var err error
+		if reqs[i], results[i], err = a.request(p); err != nil {
+			return nil, err
 		}
 	}
-
-	var outs []*core.Outcome
-	var err error
-	compileMicros := make([]float64, len(ps))
-	cacheHits := make([]bool, len(ps))
-	if compiled {
-		items := make([]core.CompiledBatchItem, len(ps))
-		for i, p := range ps {
-			compileStart := time.Now()
-			cc, hit, cerr := a.dec.CompileTracked(p.Mod, p.H)
-			if cerr != nil {
-				return nil, cerr
-			}
-			compileMicros[i] = float64(time.Since(compileStart)) / float64(time.Microsecond)
-			cacheHits[i] = hit
-			items[i] = core.CompiledBatchItem{CC: cc, Y: p.Y, Soft: softSpec(p)}
-		}
-		outs, err = a.dec.DecodeCompiledSharedRunWithParams(items, params, ps[0].ChainJF, src)
-	} else {
-		items := make([]core.BatchItem, len(ps))
-		for i, p := range ps {
-			items[i] = core.BatchItem{Mod: p.Mod, H: p.H, Y: p.Y, Soft: softSpec(p)}
-		}
-		outs, err = a.dec.DecodeSharedRunWithParams(items, params, ps[0].ChainJF, src)
-	}
+	outs, err := a.dec.DecodeRun(reqs, budget, src)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(outs))
 	for i, out := range outs {
-		results[i] = a.result(out, params, len(ps))
-		results[i].CompileMicros = compileMicros[i]
-		results[i].CacheHit = cacheHits[i]
+		a.result(results[i], out, budget.Params, len(ps))
 	}
 	return results, nil
 }
 
-// ChannelCacheStats exposes the wrapped decoder's compiled-channel cache
-// counters for pool observability.
+// ChannelCacheStats exposes the decoder's compiled-channel cache counters.
 func (a *Annealer) ChannelCacheStats() metrics.ChannelCacheStats {
 	return a.dec.ChannelCacheStats()
 }
 
-// result converts a decoder outcome, applying the Na·(Ta+Tp)/Pf compute-time
-// model the fronthaul reports for TTB accounting.
-func (a *Annealer) result(out *core.Outcome, params anneal.Params, batched int) *Result {
-	na := float64(params.NumAnneals)
-	pf := out.Pf
-	if pf < 1 {
-		pf = 1
-	}
-	return &Result{
-		Bits:          out.Bits,
-		Energy:        out.Energy,
-		ComputeMicros: na * out.WallMicrosPerAnneal / pf,
-		Backend:       a.name,
-		Batched:       batched,
-		LLRs:          out.LLRs,
-		LLRSaturated:  out.LLRSaturated,
-		Reads:         params.NumAnneals,
-		BrokenChains:  out.BrokenChains,
-	}
+// result completes res from a decoder outcome, applying the Na·(Ta+Tp)/Pf
+// compute-time model the fronthaul reports for TTB accounting.
+func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, batched int) *Result {
+	res.Bits = out.Bits
+	res.Energy = out.Energy
+	res.ComputeMicros = float64(params.NumAnneals) * out.WallMicrosPerAnneal / max(out.Pf, 1)
+	res.Batched = batched
+	res.LLRs = out.LLRs
+	res.LLRSaturated = out.LLRSaturated
+	res.Reads = params.NumAnneals
+	res.BrokenChains = out.BrokenChains
+	return res
 }

@@ -3,6 +3,8 @@ package backend
 import (
 	"context"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"quamax/internal/anneal"
@@ -246,6 +248,85 @@ func TestAnnealerBatchCompiledChannel(t *testing.T) {
 		}
 		if errs := ins[i].BitErrors(got[i].Bits); errs != 0 {
 			t.Fatalf("batched compiled solve %d: %d bit errors", i, errs)
+		}
+	}
+}
+
+// One Annealer behind several sched workers: keyed, unkeyed, soft and reverse
+// Solves plus a SolveBatch run concurrently (CI runs this package under
+// -race) and each must equal its serial twin — a solve's answer depends on
+// its problem and its source, never on what shares the decoder's caches.
+// The keyed reverse row also pins that reverse decodes reuse the window's
+// cached channel instead of recompiling it.
+func TestAnnealerConcurrentSolvesMatchSerial(t *testing.T) {
+	in := testInstance(t, 91, modulation.QPSK, 2)
+	other := testInstance(t, 92, modulation.BPSK, 4) // same N=4: batches with in
+	key := core.FingerprintChannel(in.Mod, in.H)
+	mk := func(edit func(*Problem)) []*Problem {
+		p := problemOf(in)
+		edit(p)
+		return []*Problem{p}
+	}
+	jobs := [][]*Problem{
+		mk(func(p *Problem) {}),
+		mk(func(p *Problem) { p.ChannelKey = key }),
+		mk(func(p *Problem) { p.Soft = true; p.NoiseVar = 0.1 }),
+		mk(func(p *Problem) { p.Soft = true; p.NoiseVar = 0.1; p.ChannelKey = key }),
+		mk(func(p *Problem) { p.Reverse = true }),
+		mk(func(p *Problem) { p.Reverse = true; p.ChannelKey = key; p.ChainJF = 6 }),
+		{problemOf(in), {Mod: in.Mod, H: in.H, Y: in.Y, ChannelKey: key, Soft: true}, problemOf(other)},
+	}
+	solve := func(a *Annealer, ps []*Problem, seed int64) ([]*Result, error) {
+		if len(ps) > 1 {
+			return a.SolveBatch(context.Background(), ps, rng.New(seed))
+		}
+		res, err := a.Solve(context.Background(), ps[0], rng.New(seed))
+		return []*Result{res}, err
+	}
+
+	serial, err := NewAnnealer("qpu0", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slots := serial.BatchSlots(jobs[6][0]); slots < 3 {
+		t.Skipf("only %d slots", slots)
+	}
+	const rounds = 3
+	want := make([][]*Result, rounds*len(jobs))
+	for i := range want {
+		if want[i], err = solve(serial, jobs[i%len(jobs)], int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := want[len(want)-2][0]; !res.CacheHit || res.CompileMicros <= 0 {
+		t.Fatalf("keyed reverse solve did not go through the warm channel cache: %+v", res)
+	}
+
+	shared, err := NewAnnealer("qpu0", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]*Result, len(want))
+	errs := make([]error, len(want))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = solve(shared, jobs[i%len(jobs)], int64(i))
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
+		}
+		for k, g := range got[i] {
+			w := want[i][k]
+			if !reflect.DeepEqual(g.Bits, w.Bits) || g.Energy != w.Energy || g.BrokenChains != w.BrokenChains ||
+				!reflect.DeepEqual(g.LLRs, w.LLRs) || g.Batched != w.Batched || g.Reads != w.Reads {
+				t.Errorf("job %d item %d: concurrent %+v, serial %+v", i, k, g, w)
+			}
 		}
 	}
 }

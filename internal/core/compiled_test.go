@@ -11,6 +11,7 @@ import (
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
+	"quamax/internal/softout"
 )
 
 func compiledTestDecoder(t *testing.T, cache int) *Decoder {
@@ -37,9 +38,9 @@ func compiledInstance(t *testing.T, seed int64, mod modulation.Modulation, nt in
 	return in
 }
 
-// outcomesIdentical requires two decode outcomes to agree exactly — bits,
-// symbols, energies, chain diagnostics — the acceptance bar for the
-// compiled path ("bit-identical to Decode on the same (H, y, seed)").
+// outcomesIdentical requires the hard fields of two decode outcomes to agree
+// exactly — bits, symbols, energies, chain diagnostics — naming the first
+// field that does not.
 func outcomesIdentical(t *testing.T, label string, got, want *Outcome) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Bits, want.Bits) {
@@ -59,9 +60,67 @@ func outcomesIdentical(t *testing.T, label string, got, want *Outcome) {
 	}
 }
 
-// Acceptance: DecodeCompiled must be bit-identical to Decode on the same
-// (H, y, seed) — same random stream, same samples, same decision — for every
-// modulation, across several symbols of one coherence window.
+// formsRow is one row of the raw-vs-compiled identity table: the same
+// requests — one is a solo Decode, several share a DecodeRun — are sent once
+// naming (Mod, H) and once naming the Compile'd channel, on identically
+// seeded sources. The raw form IS the compiled form with a cache miss, so the
+// two Outcomes must be reflect.DeepEqual: bits, symbols, energies, chain
+// diagnostics, Pf and every LLR.
+type formsRow struct {
+	name   string
+	ins    []*mimo.Instance
+	soft   []bool // per request; nil = all hard
+	budget Budget
+	seed   int64
+}
+
+func checkFormsIdentical(t *testing.T, d *Decoder, rows []formsRow) {
+	t.Helper()
+	for _, r := range rows {
+		raw := make([]Request, len(r.ins))
+		compiled := make([]Request, len(r.ins))
+		for i, in := range r.ins {
+			cc, err := d.Compile(in.Mod, in.H)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[i] = Request{Mod: in.Mod, H: in.H, Y: in.Y}
+			compiled[i] = Request{CC: cc, Y: in.Y}
+			if r.soft != nil && r.soft[i] {
+				spec := softout.Spec{NoiseVar: in.NoiseVariance()}
+				raw[i].Soft, compiled[i].Soft = &spec, &spec
+			}
+		}
+		decode := func(reqs []Request) []*Outcome {
+			if len(reqs) == 1 {
+				out, err := d.Decode(reqs[0], r.budget, rng.New(r.seed))
+				if err != nil {
+					t.Fatalf("%s: %v", r.name, err)
+				}
+				return []*Outcome{out}
+			}
+			outs, err := d.DecodeRun(reqs, r.budget, rng.New(r.seed))
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			return outs
+		}
+		want, got := decode(raw), decode(compiled)
+		for i := range want {
+			outcomesIdentical(t, r.name, got[i], want[i])
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s item %d: compiled %+v, raw %+v", r.name, i, got[i], want[i])
+			}
+			if r.soft != nil && r.soft[i] != (got[i].LLRs != nil) {
+				t.Fatalf("%s item %d: soft=%v but LLRs=%v", r.name, i, r.soft[i], got[i].LLRs)
+			}
+		}
+	}
+}
+
+// Acceptance: a compiled request must be bit-identical to the raw request on
+// the same (H, y, seed) — same random stream, same samples, same decision —
+// for every modulation, across several symbols of one coherence window.
 func TestDecodeCompiledBitIdentical(t *testing.T) {
 	cases := []struct {
 		mod modulation.Modulation
@@ -71,55 +130,35 @@ func TestDecodeCompiledBitIdentical(t *testing.T) {
 		{modulation.QPSK, 3},
 		{modulation.QAM16, 2},
 	}
+	var rows []formsRow
 	for _, c := range cases {
-		d := compiledTestDecoder(t, 0)
 		in := compiledInstance(t, 910, c.mod, c.nt, 22)
-		cc, err := d.Compile(c.mod, in.H)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Fresh y per symbol through the SAME channel; identically-seeded
-		// sources guarantee both paths consume identical random streams.
+		// Fresh y per symbol through the SAME channel.
 		ysrc := rng.New(6)
 		for sym := 0; sym < 3; sym++ {
+			sym1 := *in
 			bits := ysrc.Bits(c.nt * c.mod.BitsPerSymbol())
-			y := channel.AddAWGN(ysrc, linalg.MulVec(in.H, c.mod.MapGrayVector(bits)), 0.1)
-			want, err := d.Decode(c.mod, in.H, y, rng.New(int64(100+sym)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := d.DecodeCompiled(cc, y, rng.New(int64(100+sym)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			outcomesIdentical(t, c.mod.String(), got, want)
+			sym1.Y = channel.AddAWGN(ysrc, linalg.MulVec(in.H, c.mod.MapGrayVector(bits)), 0.1)
+			rows = append(rows, formsRow{name: c.mod.String(), ins: []*mimo.Instance{&sym1}, seed: int64(100 + sym)})
 		}
 	}
+	checkFormsIdentical(t, compiledTestDecoder(t, 0), rows)
 }
 
-// DecodeCompiledWithParams must honor per-call budgets and chain strengths
-// exactly like DecodeWithParams.
+// A budget override (reads, schedule, chain strength) must be honored
+// identically by both forms.
 func TestDecodeCompiledWithParamsBitIdentical(t *testing.T) {
-	d := compiledTestDecoder(t, 0)
-	in := compiledInstance(t, 911, modulation.QPSK, 4, 25)
-	cc, err := d.Compile(in.Mod, in.H)
-	if err != nil {
-		t.Fatal(err)
-	}
 	params := anneal.Params{AnnealTimeMicros: 2, PauseTimeMicros: 1, PausePosition: 0.4, NumAnneals: 9}
-	want, err := d.DecodeWithParams(in.Mod, in.H, in.Y, params, 7, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.DecodeCompiledWithParams(cc, in.Y, params, 7, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomesIdentical(t, "with-params", got, want)
+	checkFormsIdentical(t, compiledTestDecoder(t, 0), []formsRow{{
+		name:   "with-budget",
+		ins:    []*mimo.Instance{compiledInstance(t, 911, modulation.QPSK, 4, 25)},
+		budget: Budget{Params: params, JF: 7},
+		seed:   12,
+	}})
 }
 
-// DecodeCompiledSharedRun must match DecodeSharedRun exactly on the same
-// batch and random stream, mixing symbols from different channels.
+// A shared run must not care either, mixing symbols from different channels
+// and modulations of one logical size — and must still decode them.
 func TestDecodeCompiledSharedRunBitIdentical(t *testing.T) {
 	d := compiledTestDecoder(t, 0)
 	ins := []*mimo.Instance{
@@ -134,27 +173,18 @@ func TestDecodeCompiledSharedRunBitIdentical(t *testing.T) {
 	if slots < len(ins) {
 		t.Skipf("only %d slots on this graph", slots)
 	}
-	legacy := make([]BatchItem, len(ins))
-	compiled := make([]CompiledBatchItem, len(ins))
+	checkFormsIdentical(t, d, []formsRow{{name: "run", ins: ins, seed: 31}})
+
+	reqs := make([]Request, len(ins))
 	for i, in := range ins {
-		legacy[i] = BatchItem{Mod: in.Mod, H: in.H, Y: in.Y}
-		cc, err := d.Compile(in.Mod, in.H)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compiled[i] = CompiledBatchItem{CC: cc, Y: in.Y}
+		reqs[i] = Request{Mod: in.Mod, H: in.H, Y: in.Y}
 	}
-	want, err := d.DecodeSharedRun(legacy, rng.New(31))
+	outs, err := d.DecodeRun(reqs, Budget{}, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DecodeCompiledSharedRun(compiled, rng.New(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		outcomesIdentical(t, ins[i].Mod.String(), got[i], want[i])
-		if errs := ins[i].BitErrors(got[i].Bits); errs != 0 {
+	for i, out := range outs {
+		if errs := ins[i].BitErrors(out.Bits); errs != 0 {
 			t.Errorf("item %d: %d bit errors at 20 dB", i, errs)
 		}
 	}
@@ -220,7 +250,7 @@ func TestCompiledChannelDecoderOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.DecodeCompiled(cc, in.Y, rng.New(1)); err == nil {
+	if _, err := d2.Decode(Request{CC: cc, Y: in.Y}, Budget{}, rng.New(1)); err == nil {
 		t.Fatal("foreign compiled channel accepted")
 	}
 }

@@ -1,12 +1,26 @@
 // Package core is QuAMax itself: the quantum-annealing ML MIMO decoder that
 // ties the reduction, embedding, annealer and post-translation together
-// (paper §3–§4). One Decode call performs the paper's full receive pipeline:
+// (paper §3–§4). Every decode — hard or soft, forward or reverse, alone or
+// sharing a run — is one Request through one four-stage pipeline
+// (pipeline.go), under one Budget per run:
 //
-//	H, y ──ReduceToIsing──▶ logical Ising ──EmbedIsing──▶ physical program
-//	      ──Machine.Run (Na anneals)──▶ samples ──Unembed + majority vote──▶
-//	      logical solutions ──min energy──▶ QUBO bits ──PostTranslate──▶ b̂
+//	resolve  the channel: a *CompiledChannel as given, or a raw (Mod, H)
+//	         compiled for this call (CompileChannel → clique embedding)
+//	program  the chip: the channel's coupler template (EmbedIsing, prepared
+//	         once per |J_F|) plus this y's biases spread along the chains;
+//	         a shared run concatenates one slot template per request
+//	run      Na anneals, forward or reverse from the linear seed
+//	collect  Unembed + majority vote ──▶ logical energies ──▶ min energy
+//	         ──▶ QUBO bits ──PostTranslate──▶ b̂ (+ distribution, + LLRs)
 //
-// The decoder caches clique embeddings and parallel-slot packings per
+// The raw-vs-compiled rule: a raw channel costs a compile on every call and
+// is never cached, which suits a channel seen once; a receiver decoding a
+// coherence window calls Compile once — the result lives in the decoder's
+// LRU, keyed by the channel's fingerprint — and sends each symbol as a
+// Request carrying the *CompiledChannel, paying only the bias rewrite. The
+// two are bit-identical on the same random stream.
+//
+// The decoder also caches clique embeddings and parallel-slot packings per
 // problem size, mirroring a deployment where the C-RAN data center programs
 // the same embedding template for every subcarrier of a given user count.
 package core
@@ -21,14 +35,8 @@ import (
 	"quamax/internal/anneal"
 	"quamax/internal/chimera"
 	"quamax/internal/embedding"
-	"quamax/internal/linalg"
 	"quamax/internal/metrics"
-	"quamax/internal/mimo"
 	"quamax/internal/modulation"
-	"quamax/internal/qubo"
-	"quamax/internal/reduction"
-	"quamax/internal/rng"
-	"quamax/internal/softout"
 	"quamax/internal/telemetry"
 )
 
@@ -68,8 +76,7 @@ type Decoder struct {
 
 	mu    sync.Mutex
 	embs  map[int]*embedding.Embedding   // by logical size N
-	packs map[int][]*embedding.Embedding // parallel slot packings by N
-	slots map[int]int                    // geometric Pf by N
+	packs map[int][]*embedding.Embedding // parallel slot packings by N (their count is the geometric Pf)
 
 	// Compiled-channel LRU (see compiled.go).
 	cacheMu      sync.Mutex
@@ -114,7 +121,6 @@ func New(opts Options) (*Decoder, error) {
 		opts:  opts,
 		embs:  make(map[int]*embedding.Embedding),
 		packs: make(map[int][]*embedding.Embedding),
-		slots: make(map[int]int),
 		cache: make(map[ChannelKey]*list.Element),
 		lru:   list.New(),
 	}, nil
@@ -151,7 +157,7 @@ func (d *Decoder) embeddingFor(n int) (*embedding.Embedding, int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if e, ok := d.embs[n]; ok {
-		return e, d.slots[n], nil
+		return e, len(d.packs[n]), nil
 	}
 	e, err := embedding.Embed(d.opts.Graph, n)
 	if err != nil {
@@ -161,14 +167,12 @@ func (d *Decoder) embeddingFor(n int) (*embedding.Embedding, int, error) {
 	if len(packs) == 0 {
 		// No disjoint pack fits (possible with defects at large N even
 		// though a single placement exists): the lone embedding is the one
-		// slot, keeping BatchSlots ≥ 1 honest for DecodeSharedRun.
+		// slot, keeping BatchSlots ≥ 1 honest for DecodeRun.
 		packs = []*embedding.Embedding{e}
 	}
-	slots := len(packs)
 	d.embs[n] = e
 	d.packs[n] = packs
-	d.slots[n] = slots
-	return e, slots, nil
+	return e, len(packs), nil
 }
 
 // packsFor returns (and caches) the disjoint parallel slot packing for N
@@ -180,6 +184,16 @@ func (d *Decoder) packsFor(n int) ([]*embedding.Embedding, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.packs[n], nil
+}
+
+// BatchSlots returns how many independent N-spin problems fit one annealer
+// run — the geometric parallel slot count of §4 and the capacity of DecodeRun.
+func (d *Decoder) BatchSlots(n int) (int, error) {
+	packs, err := d.packsFor(n)
+	if err != nil {
+		return 0, err
+	}
+	return len(packs), nil // packsFor guarantees ≥ 1
 }
 
 // Outcome is the result of one decode (one channel use).
@@ -200,19 +214,18 @@ type Outcome struct {
 	// WallMicrosPerAnneal is Ta+Tp.
 	WallMicrosPerAnneal float64
 	// Distribution is the rank-ordered solution distribution with bit
-	// errors against ground truth. Populated only by DecodeInstance (bit
-	// errors need the transmitted bits — footnote 7); Decode leaves it nil.
+	// errors against ground truth — non-nil iff the request carried Truth
+	// (bit errors need the transmitted bits, footnote 7).
 	Distribution *metrics.Distribution
 	// TxEnergy is the logical energy of the transmitted configuration
-	// (DecodeInstance only); on a noise-free channel this is the ground
-	// energy 0.
+	// (requests with Truth only); on a noise-free channel this is the
+	// ground energy 0.
 	TxEnergy float64
 	// LLRs are the per-data-bit max-log-MAP log-likelihood ratios computed
 	// over the read ensemble (positive favors bit 1, see internal/softout).
-	// Populated only by the soft decode paths (DecodeSoft and friends, or a
-	// batch item carrying a Soft spec); hard decodes leave it nil. Bits is
-	// always the hard decision of the best read, so soft outputs never
-	// change the hard result.
+	// Populated only for requests carrying a Soft spec. Bits is always the
+	// hard decision of the best read, so soft output never changes the hard
+	// result.
 	LLRs []float64
 	// LLRSaturated counts the LLR entries that hit the clamp (including
 	// ensemble-unanimous bits). Soft decodes only.
@@ -220,114 +233,4 @@ type Outcome struct {
 	// SoftCandidates is the number of distinct candidates the ensemble
 	// retained for LLR extraction. Soft decodes only.
 	SoftCandidates int
-}
-
-// Decode runs the QuAMax pipeline on a raw channel use. src drives the
-// annealer and tie-breaking; reuse one source across calls for independent
-// randomness.
-func (d *Decoder) Decode(mod modulation.Modulation, h *linalg.Mat, y []complex128, src *rng.Source) (*Outcome, error) {
-	return d.decode(mod, h, y, nil, d.opts.Params, nil, src)
-}
-
-// DecodeWithParams is Decode with per-call run knobs overriding the
-// decoder's configuration — the entry point the QoS planner uses to
-// right-size the read budget (and match the fitted chain strength) per
-// request while reusing this decoder's embedding caches. jf ≤ 0 selects the
-// decoder's configured |J_F|.
-func (d *Decoder) DecodeWithParams(mod modulation.Modulation, h *linalg.Mat, y []complex128, params anneal.Params, jf float64, src *rng.Source) (*Outcome, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	return d.decodeJF(mod, h, y, nil, params, jf, nil, src)
-}
-
-// DecodeInstance decodes a generated instance and additionally fills the
-// evaluation fields (Distribution, TxEnergy) using the instance's ground
-// truth.
-func (d *Decoder) DecodeInstance(in *mimo.Instance, src *rng.Source) (*Outcome, error) {
-	return d.decode(in.Mod, in.H, in.Y, in, d.opts.Params, nil, src)
-}
-
-func (d *Decoder) decode(mod modulation.Modulation, h *linalg.Mat, y []complex128, truth *mimo.Instance, params anneal.Params, soft *softout.Spec, src *rng.Source) (*Outcome, error) {
-	return d.decodeJF(mod, h, y, truth, params, 0, soft, src)
-}
-
-// chainJF resolves a per-call chain-strength override (≤ 0 = configured).
-func (d *Decoder) chainJF(jf float64) float64 {
-	if jf > 0 {
-		return jf
-	}
-	return d.opts.JF
-}
-
-func (d *Decoder) decodeJF(mod modulation.Modulation, h *linalg.Mat, y []complex128, truth *mimo.Instance, params anneal.Params, jf float64, soft *softout.Spec, src *rng.Source) (*Outcome, error) {
-	if src == nil {
-		return nil, errors.New("core: nil random source")
-	}
-	logical := reduction.ReduceToIsing(mod, h, y)
-	emb, slots, err := d.embeddingFor(logical.N)
-	if err != nil {
-		return nil, err
-	}
-	ep, err := emb.EmbedIsing(logical, d.chainJF(jf), d.opts.ImprovedRange)
-	if err != nil {
-		return nil, err
-	}
-	samples, err := d.opts.Machine.Run(ep.Phys, params, d.opts.ImprovedRange, src)
-	if err != nil {
-		return nil, err
-	}
-	return d.collect(mod, logical, emb, samples, truth, params, slots, soft, src), nil
-}
-
-// collect post-processes one run's samples into an Outcome: majority-vote
-// unembedding, logical-energy scoring against the (possibly per-symbol)
-// logical program, minimum-energy selection, and post-translation. It is
-// shared by the recompiling and compiled-channel decode paths, which is what
-// makes the two bit-identical given the same random stream. soft, when
-// non-nil, additionally retains the read ensemble and fills the Outcome's
-// LLR fields (the hard fields are computed exactly as before — soft output
-// is purely additive).
-func (d *Decoder) collect(mod modulation.Modulation, logical *qubo.Ising, emb *embedding.Embedding, samples []anneal.Sample, truth *mimo.Instance, params anneal.Params, slots int, soft *softout.Spec, src *rng.Source) *Outcome {
-	out := &Outcome{
-		Pf:                  1,
-		WallMicrosPerAnneal: params.AnnealWallMicros(),
-	}
-	if d.opts.AmortizeParallel {
-		out.Pf = float64(slots)
-	}
-
-	var acc *metrics.Accumulator
-	if truth != nil {
-		acc = metrics.NewAccumulator(logical.N)
-		out.TxEnergy = logical.Energy(qubo.SpinsFromBits(truth.TxQUBOBits()))
-	}
-	sc := newSoftCollector(soft, mod, logical.N)
-
-	bestE := 0.0
-	var bestBits []byte
-	for _, s := range samples {
-		spins, broken := emb.Unembed(s.Spins, src)
-		energy := logical.Energy(spins)
-		out.BrokenChains += broken
-		qbits := qubo.BitsFromSpins(spins)
-		if bestBits == nil || energy < bestE {
-			bestE = energy
-			bestBits = qbits
-		}
-		if acc != nil {
-			rx := mod.PostTranslate(qbits)
-			acc.Add(string(qbits), energy, truth.BitErrors(rx))
-		}
-		sc.add(qbits, energy)
-	}
-	out.Energy = bestE
-	out.Bits = mod.PostTranslate(bestBits)
-	out.Symbols = reduction.BitsToSymbols(mod, bestBits)
-	if acc != nil {
-		out.Distribution = acc.Distribution()
-	}
-	sc.finish(out)
-	d.recordQuality(mod, logical.N, len(samples), out)
-	return out
 }

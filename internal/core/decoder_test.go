@@ -35,6 +35,12 @@ func genInstance(t *testing.T, src *rng.Source, mod modulation.Modulation, nt in
 	return in
 }
 
+// truthReq is the evaluation form of a request: the instance's raw channel
+// use plus its ground truth.
+func truthReq(in *mimo.Instance) Request {
+	return Request{Mod: in.Mod, H: in.H, Y: in.Y, Truth: in}
+}
+
 func TestNewDefaults(t *testing.T) {
 	d, err := New(Options{})
 	if err != nil {
@@ -79,7 +85,7 @@ func TestDecodeNoiseFreeRecoversBits(t *testing.T) {
 	}
 	for _, c := range cases {
 		in := genInstance(t, src, c.mod, c.nt, math.Inf(1))
-		out, err := d.DecodeInstance(in, src)
+		out, err := d.Decode(truthReq(in), Budget{}, src)
 		if err != nil {
 			t.Fatalf("%v: %v", c.mod, err)
 		}
@@ -107,7 +113,7 @@ func TestOutcomeEnergyIsMLMetric(t *testing.T) {
 	src := rng.New(102)
 	d := smallDecoder(t, anneal.Params{AnnealTimeMicros: 1, NumAnneals: 30})
 	in := genInstance(t, src, modulation.QPSK, 4, 18)
-	out, err := d.DecodeInstance(in, src)
+	out, err := d.Decode(truthReq(in), Budget{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,25 +133,25 @@ func TestOutcomeEnergyIsMLMetric(t *testing.T) {
 	}
 }
 
-// Decode (without ground truth) must agree with DecodeInstance given the
-// same randomness, and must not populate evaluation-only fields.
+// A request without ground truth must agree with the same request carrying
+// it given the same randomness, and must not populate evaluation-only fields.
 func TestDecodeWithoutTruth(t *testing.T) {
 	d := smallDecoder(t, anneal.Params{AnnealTimeMicros: 1, NumAnneals: 20})
 	in := genInstance(t, rng.New(103), modulation.BPSK, 8, math.Inf(1))
-	a, err := d.Decode(in.Mod, in.H, in.Y, rng.New(5))
+	a, err := d.Decode(Request{Mod: in.Mod, H: in.H, Y: in.Y}, Budget{}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Distribution != nil {
-		t.Fatal("Decode should not build a distribution")
+		t.Fatal("a request without Truth should not build a distribution")
 	}
-	b, err := d.DecodeInstance(in, rng.New(5))
+	b, err := d.Decode(truthReq(in), Budget{}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Bits {
 		if a.Bits[i] != b.Bits[i] {
-			t.Fatal("Decode and DecodeInstance disagree under identical randomness")
+			t.Fatal("Truth changed the hard decision under identical randomness")
 		}
 	}
 }
@@ -153,7 +159,7 @@ func TestDecodeWithoutTruth(t *testing.T) {
 func TestDecoderRejectsNilSource(t *testing.T) {
 	d := smallDecoder(t, anneal.Params{AnnealTimeMicros: 1, NumAnneals: 1})
 	in := genInstance(t, rng.New(104), modulation.BPSK, 4, 20)
-	if _, err := d.DecodeInstance(in, nil); err == nil {
+	if _, err := d.Decode(truthReq(in), Budget{}, nil); err == nil {
 		t.Fatal("nil source accepted")
 	}
 }
@@ -162,7 +168,7 @@ func TestDecoderRejectsOversizedProblem(t *testing.T) {
 	d := smallDecoder(t, anneal.Params{AnnealTimeMicros: 1, NumAnneals: 1})
 	// C8 fits at most 32 logical spins; 40-user BPSK needs M=10.
 	in := genInstance(t, rng.New(105), modulation.BPSK, 40, 20)
-	if _, err := d.DecodeInstance(in, rng.New(1)); err == nil {
+	if _, err := d.Decode(truthReq(in), Budget{}, rng.New(1)); err == nil {
 		t.Fatal("oversized problem accepted")
 	}
 }
@@ -172,7 +178,7 @@ func TestEmbeddingCacheReuse(t *testing.T) {
 	src := rng.New(106)
 	for i := 0; i < 3; i++ {
 		in := genInstance(t, src, modulation.BPSK, 8, 20)
-		if _, err := d.DecodeInstance(in, src); err != nil {
+		if _, err := d.Decode(truthReq(in), Budget{}, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +200,7 @@ func TestAmortizeParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := genInstance(t, rng.New(107), modulation.BPSK, 16, 20)
-	out, err := d.DecodeInstance(in, rng.New(2))
+	out, err := d.Decode(truthReq(in), Budget{}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +223,7 @@ func TestDecodeAtModerateSNR(t *testing.T) {
 	const trials = 10
 	for i := 0; i < trials; i++ {
 		in := genInstance(t, src, modulation.QPSK, 6, 20)
-		out, err := d.DecodeInstance(in, src)
+		out, err := d.Decode(truthReq(in), Budget{}, src)
 		if err != nil {
 			t.Fatal(err)
 		}

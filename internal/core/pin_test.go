@@ -343,91 +343,49 @@ func TestPinReferencePipeline(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // pinSoloServed reports whether the pipeline serves the (variant, budget,
-// channel form) combination at all.
+// channel form) combination: all of them. (The golden table was recorded
+// through the sixteen pre-unification entry points, which served ground
+// truth only on raw channels at the default budget and reverse decodes only
+// on raw channels; those rows keep their records, the compiled forms now
+// have to reproduce them too.)
 func pinSoloServed(v pinVariant, b pinBudget, compiled bool) bool {
-	if v.truth && (compiled || b.jf > 0) {
-		return false // the Instance entry points are raw-channel, default-budget only
-	}
-	if v.reverse && compiled {
-		return false // reverse decodes have no compiled-channel entry point
-	}
-	return true
+	return !(v.truth && b.jf > 0) // never recorded
 }
 
-func pinSoftSpec(in *mimo.Instance) softout.Spec {
-	return softout.Spec{NoiseVar: in.NoiseVariance()}
-}
-
-func pinSolo(d *Decoder, in *mimo.Instance, v pinVariant, b pinBudget, compiled bool, src *rng.Source) (*Outcome, error) {
-	params := d.opts.Params
-	if b.jf > 0 {
-		params = b.params
-	}
-	switch {
-	case v.truth && v.soft:
-		return d.DecodeInstanceSoft(in, softout.Spec{}, src) // σ² from the instance
-	case v.truth && v.reverse:
-		return d.DecodeInstanceReverse(in, src)
-	case v.truth:
-		return d.DecodeInstance(in, src)
-	case v.reverse:
-		return d.DecodeReverseWithParams(in.Mod, in.H, in.Y, params, b.jf, src)
-	}
+func pinRequest(d *Decoder, in *mimo.Instance, soft, truth, compiled bool) (Request, error) {
+	req := Request{Mod: in.Mod, H: in.H, Y: in.Y}
 	if compiled {
 		cc, err := d.Compile(in.Mod, in.H)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
-		switch {
-		case v.soft && b.jf > 0:
-			return d.DecodeCompiledSoftWithParams(cc, in.Y, pinSoftSpec(in), params, b.jf, src)
-		case v.soft:
-			return d.DecodeCompiledSoft(cc, in.Y, pinSoftSpec(in), src)
-		case b.jf > 0:
-			return d.DecodeCompiledWithParams(cc, in.Y, params, b.jf, src)
-		}
-		return d.DecodeCompiled(cc, in.Y, src)
+		req = Request{CC: cc, Y: in.Y}
 	}
-	switch {
-	case v.soft && b.jf > 0:
-		return d.DecodeSoftWithParams(in.Mod, in.H, in.Y, pinSoftSpec(in), params, b.jf, src)
-	case v.soft:
-		return d.DecodeSoft(in.Mod, in.H, in.Y, pinSoftSpec(in), src)
-	case b.jf > 0:
-		return d.DecodeWithParams(in.Mod, in.H, in.Y, params, b.jf, src)
+	if soft {
+		req.Soft = &softout.Spec{NoiseVar: in.NoiseVariance()}
 	}
-	return d.Decode(in.Mod, in.H, in.Y, src)
+	if truth {
+		req.Truth = in
+	}
+	return req, nil
+}
+
+func pinSolo(d *Decoder, in *mimo.Instance, v pinVariant, b pinBudget, compiled bool, src *rng.Source) (*Outcome, error) {
+	req, err := pinRequest(d, in, v.soft, v.truth, compiled)
+	if err != nil {
+		return nil, err
+	}
+	req.Reverse = v.reverse
+	return d.Decode(req, Budget{Params: b.params, JF: b.jf}, src)
 }
 
 func pinRun(d *Decoder, ins []*mimo.Instance, items []pinItem, b pinBudget, compiled bool, src *rng.Source) ([]*Outcome, error) {
-	raw := make([]BatchItem, len(ins))
-	ccs := make([]CompiledBatchItem, len(ins))
+	reqs := make([]Request, len(ins))
 	for i, in := range ins {
-		var soft *softout.Spec
-		if items[i].soft {
-			s := pinSoftSpec(in)
-			soft = &s
-		}
-		var truth *mimo.Instance
-		if items[i].truth {
-			truth = in
-		}
-		raw[i] = BatchItem{Mod: in.Mod, H: in.H, Y: in.Y, Soft: soft, Truth: truth}
-		if compiled {
-			cc, err := d.Compile(in.Mod, in.H)
-			if err != nil {
-				return nil, err
-			}
-			ccs[i] = CompiledBatchItem{CC: cc, Y: in.Y, Soft: soft, Truth: truth}
+		var err error
+		if reqs[i], err = pinRequest(d, in, items[i].soft, items[i].truth, compiled); err != nil {
+			return nil, err
 		}
 	}
-	switch {
-	case compiled && b.jf > 0:
-		return d.DecodeCompiledSharedRunWithParams(ccs, b.params, b.jf, src)
-	case compiled:
-		return d.DecodeCompiledSharedRun(ccs, src)
-	case b.jf > 0:
-		return d.DecodeSharedRunWithParams(raw, b.params, b.jf, src)
-	}
-	return d.DecodeSharedRun(raw, src)
+	return d.DecodeRun(reqs, Budget{Params: b.params, JF: b.jf}, src)
 }

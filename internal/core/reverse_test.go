@@ -13,13 +13,30 @@ import (
 	"quamax/internal/rng"
 )
 
+// reverseReq is truthReq asking for a reverse anneal.
+func reverseReq(in *mimo.Instance) Request {
+	req := truthReq(in)
+	req.Reverse = true
+	return req
+}
+
+// zfSeed exposes the pipeline's reverse-anneal start state for in.
+func zfSeed(d *Decoder, in *mimo.Instance) ([]int8, error) {
+	req := reverseReq(in)
+	cc, err := d.resolve(&req)
+	if err != nil {
+		return nil, err
+	}
+	return linearSeed(cc, &req)
+}
+
 func TestReverseDecodeRecoversNoiseFree(t *testing.T) {
 	d := smallDecoder(t, anneal.Params{
 		AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 60,
 	})
 	src := rng.New(301)
 	in := genInstance(t, src, modulation.QPSK, 6, math.Inf(1))
-	out, err := d.DecodeInstanceReverse(in, src)
+	out, err := d.Decode(reverseReq(in), Budget{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +57,11 @@ func TestReverseNeverWorseThanZF(t *testing.T) {
 	src := rng.New(302)
 	for trial := 0; trial < 5; trial++ {
 		in := genInstance(t, src, modulation.BPSK, 10, 12)
-		out, err := d.DecodeInstanceReverse(in, src)
+		out, err := d.Decode(reverseReq(in), Budget{}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed, err := linearSeed(in)
+		seed, err := zfSeed(d, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +102,7 @@ func TestReverseImprovesOnZFAtLowSNR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed, err := linearSeed(in)
+		seed, err := zfSeed(d, in)
 		if err != nil {
 			continue
 		}
@@ -96,7 +113,7 @@ func TestReverseImprovesOnZFAtLowSNR(t *testing.T) {
 			}
 		}
 		zfErrs += in.BitErrors(in.Mod.PostTranslate(qb))
-		out, err := d.DecodeInstanceReverse(in, src)
+		out, err := d.Decode(reverseReq(in), Budget{}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +127,11 @@ func TestReverseImprovesOnZFAtLowSNR(t *testing.T) {
 func TestReverseValidation(t *testing.T) {
 	d := smallDecoder(t, anneal.Params{AnnealTimeMicros: 1, NumAnneals: 5})
 	in := genInstance(t, rng.New(304), modulation.BPSK, 4, 20)
-	if _, err := d.DecodeInstanceReverse(in, nil); err == nil {
+	if _, err := d.Decode(reverseReq(in), Budget{}, nil); err == nil {
 		t.Fatal("nil source accepted")
 	}
 	// No pause position → reverse annealing has no turning point.
-	if _, err := d.DecodeInstanceReverse(in, rng.New(1)); err == nil {
+	if _, err := d.Decode(reverseReq(in), Budget{}, rng.New(1)); err == nil {
 		t.Fatal("missing turning point accepted")
 	}
 }
@@ -133,7 +150,7 @@ func TestReverseOnDW2QSize(t *testing.T) {
 	}
 	src := rng.New(306)
 	in := genInstance(t, src, modulation.BPSK, 36, 20)
-	out, err := d.DecodeInstanceReverse(in, src)
+	out, err := d.Decode(reverseReq(in), Budget{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"reflect"
 	"testing"
 
 	"quamax/internal/anneal"
@@ -40,23 +40,23 @@ func softTestInstance(t *testing.T, seed int64, mod modulation.Modulation, nt in
 }
 
 // TestDecodeSoftHardFieldsIdentical proves soft output is purely additive:
-// on the same random stream, DecodeSoft's hard fields equal Decode's.
+// on the same random stream, a request's hard fields do not depend on its
+// Soft spec.
 func TestDecodeSoftHardFieldsIdentical(t *testing.T) {
 	for _, mod := range []modulation.Modulation{modulation.BPSK, modulation.QAM16} {
 		in := softTestInstance(t, 11, mod, 3, 12)
 		dec := softTestDecoder(t, 0)
-		hard, err := dec.Decode(mod, in.H, in.Y, rng.New(5))
+		req := Request{Mod: mod, H: in.H, Y: in.Y}
+		hard, err := dec.Decode(req, Budget{}, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		soft, err := dec.DecodeSoft(mod, in.H, in.Y, softout.Spec{NoiseVar: in.NoiseVariance()}, rng.New(5))
+		req.Soft = &softout.Spec{NoiseVar: in.NoiseVariance()}
+		soft, err := dec.Decode(req, Budget{}, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(hard.Bits) != string(soft.Bits) || hard.Energy != soft.Energy {
-			t.Fatalf("%v: soft decode changed the hard result: bits %v vs %v, energy %g vs %g",
-				mod, hard.Bits, soft.Bits, hard.Energy, soft.Energy)
-		}
+		outcomesIdentical(t, mod.String(), soft, hard)
 		if len(soft.LLRs) != len(soft.Bits) {
 			t.Fatalf("%v: %d LLRs for %d bits", mod, len(soft.LLRs), len(soft.Bits))
 		}
@@ -69,13 +69,13 @@ func TestDecodeSoftHardFieldsIdentical(t *testing.T) {
 	}
 }
 
-// TestDecodeSoftLLRSignsMatchHardDecision asserts the ISSUE's sign property:
+// TestDecodeSoftLLRSignsMatchHardDecision asserts the sign property:
 // wherever an LLR is strictly signed, it agrees with the best read's bit.
 func TestDecodeSoftLLRSignsMatchHardDecision(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		in := softTestInstance(t, 100+seed, modulation.QPSK, 4, 10)
 		dec := softTestDecoder(t, 0)
-		out, err := dec.DecodeSoft(in.Mod, in.H, in.Y, softout.Spec{NoiseVar: in.NoiseVariance()}, rng.New(seed))
+		out, err := dec.Decode(Request{Mod: in.Mod, H: in.H, Y: in.Y, Soft: &softout.Spec{NoiseVar: in.NoiseVariance()}}, Budget{}, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,62 +90,50 @@ func TestDecodeSoftLLRSignsMatchHardDecision(t *testing.T) {
 	}
 }
 
-// TestDecodeCompiledSoftMatchesDecodeSoft proves the compiled soft execute
-// phase is bit-identical — including the LLRs — to the recompiling soft path
-// on the same random stream.
+// TestDecodeCompiledSoftMatchesDecodeSoft: the raw-vs-compiled identity
+// (compiled_test.go) holds for soft requests, LLRs included.
 func TestDecodeCompiledSoftMatchesDecodeSoft(t *testing.T) {
-	in := softTestInstance(t, 21, modulation.QAM16, 3, 14)
-	spec := softout.Spec{NoiseVar: in.NoiseVariance()}
-
-	dec := softTestDecoder(t, 4)
-	want, err := dec.DecodeSoft(in.Mod, in.H, in.Y, spec, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dec2 := softTestDecoder(t, 4)
-	cc, err := dec2.Compile(in.Mod, in.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dec2.DecodeCompiledSoft(cc, in.Y, spec, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if string(want.Bits) != string(got.Bits) || want.Energy != got.Energy {
-		t.Fatalf("compiled soft hard fields diverge: %v/%g vs %v/%g",
-			want.Bits, want.Energy, got.Bits, got.Energy)
-	}
-	if len(want.LLRs) != len(got.LLRs) {
-		t.Fatalf("LLR lengths diverge: %d vs %d", len(want.LLRs), len(got.LLRs))
-	}
-	for k := range want.LLRs {
-		if math.Abs(want.LLRs[k]-got.LLRs[k]) > 1e-9 {
-			t.Fatalf("LLR[%d] diverges: %g vs %g", k, want.LLRs[k], got.LLRs[k])
-		}
-	}
-	if want.LLRSaturated != got.LLRSaturated || want.SoftCandidates != got.SoftCandidates {
-		t.Fatalf("soft stats diverge: sat %d/%d cands %d/%d",
-			want.LLRSaturated, got.LLRSaturated, want.SoftCandidates, got.SoftCandidates)
-	}
+	checkFormsIdentical(t, softTestDecoder(t, 4), []formsRow{{
+		name: "soft",
+		ins:  []*mimo.Instance{softTestInstance(t, 21, modulation.QAM16, 3, 14)},
+		soft: []bool{true},
+		seed: 7,
+	}})
 }
 
-// TestSharedRunSoftMatchesSolo proves a shared-run item carrying a Soft spec
-// produces the same LLRs as a solo soft decode would under the same
-// slot-sample stream, and that soft and hard items mix freely in one run.
+// TestCompiledSharedRunSoftMatchesRecompiling: ... and for soft items of a
+// shared run.
+func TestCompiledSharedRunSoftMatchesRecompiling(t *testing.T) {
+	checkFormsIdentical(t, softTestDecoder(t, 4), []formsRow{{
+		name: "soft run",
+		ins: []*mimo.Instance{
+			softTestInstance(t, 41, modulation.QPSK, 2, 12),
+			softTestInstance(t, 42, modulation.QPSK, 2, 12),
+		},
+		soft: []bool{true, true},
+		seed: 13,
+	}})
+}
+
+// TestSharedRunSoftMatchesSolo proves each slot of a shared run keeps its own
+// read ensemble: soft and hard items mix freely in one run, and an item's
+// Soft spec changes no item's hard fields.
 func TestSharedRunSoftMatchesSolo(t *testing.T) {
 	mod := modulation.BPSK
 	inA := softTestInstance(t, 31, mod, 4, 8)
 	inB := softTestInstance(t, 32, mod, 4, 8)
-	spec := softout.Spec{NoiseVar: inA.NoiseVariance()}
 
 	dec := softTestDecoder(t, 0)
-	items := []BatchItem{
-		{Mod: mod, H: inA.H, Y: inA.Y, Soft: &spec},
-		{Mod: mod, H: inB.H, Y: inB.Y}, // hard item sharing the run
+	reqs := []Request{
+		{Mod: mod, H: inA.H, Y: inA.Y},
+		{Mod: mod, H: inB.H, Y: inB.Y},
 	}
-	outs, err := dec.DecodeSharedRun(items, rng.New(3))
+	hardOuts, err := dec.DecodeRun(reqs, Budget{}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs[0].Soft = &softout.Spec{NoiseVar: inA.NoiseVariance()}
+	outs, err := dec.DecodeRun(reqs, Budget{}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,112 +141,53 @@ func TestSharedRunSoftMatchesSolo(t *testing.T) {
 		t.Fatalf("soft item has no LLRs: %v", outs[0].LLRs)
 	}
 	if outs[1].LLRs != nil {
-		t.Fatal("hard item grew LLRs from a mixed batch")
-	}
-
-	// The same batch without the Soft spec must be hard-bit-identical.
-	dec2 := softTestDecoder(t, 0)
-	hardItems := []BatchItem{
-		{Mod: mod, H: inA.H, Y: inA.Y},
-		{Mod: mod, H: inB.H, Y: inB.Y},
-	}
-	hardOuts, err := dec2.DecodeSharedRun(hardItems, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("hard item grew LLRs from a mixed run")
 	}
 	for i := range outs {
-		if string(outs[i].Bits) != string(hardOuts[i].Bits) || outs[i].Energy != hardOuts[i].Energy {
-			t.Fatalf("item %d: soft spec changed shared-run hard results", i)
-		}
+		outcomesIdentical(t, "mixed run", outs[i], hardOuts[i])
 	}
 }
 
-// TestCompiledSharedRunSoftMatchesRecompiling proves the compiled shared-run
-// soft path agrees with the recompiling shared-run soft path, LLRs included.
-func TestCompiledSharedRunSoftMatchesRecompiling(t *testing.T) {
-	mod := modulation.QPSK
-	inA := softTestInstance(t, 41, mod, 2, 12)
-	inB := softTestInstance(t, 42, mod, 2, 12)
-	spec := softout.Spec{NoiseVar: inA.NoiseVariance()}
-
-	dec := softTestDecoder(t, 4)
-	want, err := dec.DecodeSharedRun([]BatchItem{
-		{Mod: mod, H: inA.H, Y: inA.Y, Soft: &spec},
-		{Mod: mod, H: inB.H, Y: inB.Y, Soft: &spec},
-	}, rng.New(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dec2 := softTestDecoder(t, 4)
-	ccA, err := dec2.Compile(mod, inA.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccB, err := dec2.Compile(mod, inB.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dec2.DecodeCompiledSharedRun([]CompiledBatchItem{
-		{CC: ccA, Y: inA.Y, Soft: &spec},
-		{CC: ccB, Y: inB.Y, Soft: &spec},
-	}, rng.New(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range want {
-		if string(want[i].Bits) != string(got[i].Bits) || want[i].Energy != got[i].Energy {
-			t.Fatalf("item %d: hard fields diverge between shared-run paths", i)
-		}
-		for k := range want[i].LLRs {
-			if math.Abs(want[i].LLRs[k]-got[i].LLRs[k]) > 1e-9 {
-				t.Fatalf("item %d LLR[%d]: %g vs %g", i, k, want[i].LLRs[k], got[i].LLRs[k])
-			}
-		}
-	}
-}
-
-// TestDecodeSoftRejectsBadSpec checks spec validation at every soft entry.
+// TestDecodeSoftRejectsBadSpec checks spec validation on every request form.
 func TestDecodeSoftRejectsBadSpec(t *testing.T) {
 	in := softTestInstance(t, 51, modulation.BPSK, 2, 10)
 	dec := softTestDecoder(t, 0)
-	bad := softout.Spec{Clamp: -1}
-	if _, err := dec.DecodeSoft(in.Mod, in.H, in.Y, bad, rng.New(1)); err == nil {
-		t.Fatal("DecodeSoft accepted a bad spec")
-	}
 	cc, err := dec.Compile(in.Mod, in.H)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.DecodeCompiledSoft(cc, in.Y, bad, rng.New(1)); err == nil {
-		t.Fatal("DecodeCompiledSoft accepted a bad spec")
+	bad := &softout.Spec{Clamp: -1}
+	raw := Request{Mod: in.Mod, H: in.H, Y: in.Y, Soft: bad}
+	if _, err := dec.Decode(raw, Budget{}, rng.New(1)); err == nil {
+		t.Fatal("raw request accepted a bad spec")
 	}
-	if _, err := dec.DecodeSharedRun([]BatchItem{{Mod: in.Mod, H: in.H, Y: in.Y, Soft: &bad}}, rng.New(1)); err == nil {
-		t.Fatal("DecodeSharedRun accepted a bad item spec")
+	if _, err := dec.Decode(Request{CC: cc, Y: in.Y, Soft: bad}, Budget{}, rng.New(1)); err == nil {
+		t.Fatal("compiled request accepted a bad spec")
+	}
+	if _, err := dec.DecodeRun([]Request{raw}, Budget{}, rng.New(1)); err == nil {
+		t.Fatal("DecodeRun accepted a bad item spec")
 	}
 }
 
-// TestDecodeInstanceSoftDefaultsNoiseVar checks the instance path fills σ²
-// from the instance when the spec leaves it unset.
+// TestDecodeInstanceSoftDefaultsNoiseVar checks a soft request with ground
+// truth fills σ² from the instance when the spec leaves it unset.
 func TestDecodeInstanceSoftDefaultsNoiseVar(t *testing.T) {
 	in := softTestInstance(t, 61, modulation.QPSK, 2, 6)
-	dec := softTestDecoder(t, 0)
-	out, err := dec.DecodeInstanceSoft(in, softout.Spec{}, rng.New(9))
+	req := truthReq(in)
+	req.Soft = &softout.Spec{}
+	out, err := softTestDecoder(t, 0).Decode(req, Budget{}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Distribution == nil {
-		t.Fatal("instance decode lost its evaluation fields")
+		t.Fatal("truth request lost its evaluation fields")
 	}
-	want, err := softTestDecoder(t, 0).DecodeSoft(in.Mod, in.H, in.Y,
-		softout.Spec{NoiseVar: in.NoiseVariance()}, rng.New(9))
+	want, err := softTestDecoder(t, 0).Decode(Request{Mod: in.Mod, H: in.H, Y: in.Y,
+		Soft: &softout.Spec{NoiseVar: in.NoiseVariance()}}, Budget{}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.LLRs {
-		if math.Abs(want.LLRs[k]-out.LLRs[k]) > 1e-9 {
-			t.Fatalf("LLR[%d]: instance %g vs explicit σ² %g", k, out.LLRs[k], want.LLRs[k])
-		}
+	if !reflect.DeepEqual(out.LLRs, want.LLRs) {
+		t.Fatalf("LLRs: instance σ² %v vs explicit σ² %v", out.LLRs, want.LLRs)
 	}
 }

@@ -49,6 +49,7 @@ type Embedding struct {
 
 	physIndex map[int]int // graph qubit ID → dense physical index
 	physID    []int       // dense physical index → graph qubit ID
+	chainIdx  [][]int32   // Chains in dense physical indices (DenseChainIndices)
 }
 
 // NumPhysical returns the number of physical qubits used.
@@ -133,11 +134,14 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 		}
 	}
 	// Dense physical indexing in chain order.
-	for _, chain := range e.Chains {
-		for _, q := range chain {
+	e.chainIdx = make([][]int32, n)
+	for i, chain := range e.Chains {
+		e.chainIdx[i] = make([]int32, len(chain))
+		for k, q := range chain {
 			if _, ok := e.physIndex[q]; ok {
 				return nil, fmt.Errorf("embedding: qubit %d assigned to two chains", q)
 			}
+			e.chainIdx[i][k] = int32(len(e.physID))
 			e.physIndex[q] = len(e.physID)
 			e.physID = append(e.physID, q)
 		}
@@ -149,18 +153,10 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 // indices (0..NumPhysical−1) of its chain qubits in path order — the
 // positions a compiled channel rewrites when reprogramming only the fields
 // of an already-programmed coupler template (Eq. 11 spreads f_i along the
-// chain; the couplers of Eqs. 10 and 12 are field-independent).
-func (e *Embedding) DenseChainIndices() [][]int32 {
-	out := make([][]int32, e.N)
-	for i, chain := range e.Chains {
-		idx := make([]int32, len(chain))
-		for k, q := range chain {
-			idx[k] = int32(e.physIndex[q])
-		}
-		out[i] = idx
-	}
-	return out
-}
+// chain; the couplers of Eqs. 10 and 12 are field-independent). It depends
+// only on the placement, so it is computed once when the embedding is built
+// and shared: callers must not mutate it.
+func (e *Embedding) DenseChainIndices() [][]int32 { return e.chainIdx }
 
 // couplerEdges returns the working physical edges joining chains i and j
 // (δ_ij of Eq. 12).

@@ -6,6 +6,7 @@ import (
 
 	"quamax/internal/channel"
 	"quamax/internal/coding"
+	"quamax/internal/core"
 	"quamax/internal/detector"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
@@ -71,7 +72,7 @@ func Coded(e *Env, cfg CodedConfig) (*Table, error) {
 	}
 	qsrc := rng.New(cfg.Seed + 999)
 	quamaxDetector := func(h *linalg.Mat, y []complex128) ([]byte, error) {
-		out, err := dec.Decode(mod, h, y, qsrc)
+		out, err := dec.Decode(core.Request{Mod: mod, H: h, Y: y}, core.Budget{}, qsrc)
 		if err != nil {
 			return nil, err
 		}

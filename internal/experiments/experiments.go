@@ -205,7 +205,7 @@ func (e *Env) decodeDist(in *mimo.Instance, fp FixParams, amortize bool, src *rn
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	out, err := d.DecodeInstance(in, src)
+	out, err := d.Decode(core.Request{Mod: in.Mod, H: in.H, Y: in.Y, Truth: in}, core.Budget{}, src)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"quamax/internal/channel"
+	"quamax/internal/core"
 	"quamax/internal/detector"
 	"quamax/internal/embedding"
 	"quamax/internal/metrics"
@@ -128,14 +129,16 @@ func AblationReverse(e *Env, cfg ReverseConfig) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				fOut, err := fwdDec.DecodeInstance(in, src)
+				req := core.Request{Mod: in.Mod, H: in.H, Y: in.Y, Truth: in}
+				fOut, err := fwdDec.Decode(req, core.Budget{}, src)
 				if err != nil {
 					return nil, err
 				}
 				fwdTTB = append(fwdTTB, fOut.Distribution.TTB(cfg.TargetBER, fOut.WallMicrosPerAnneal, fOut.Pf))
 				fwdBER = append(fwdBER, fOut.Distribution.ExpectedBER(cfg.Anneals))
 
-				rOut, err := fwdDec.DecodeInstanceReverse(in, src)
+				req.Reverse = true
+				rOut, err := fwdDec.Decode(req, core.Budget{}, src)
 				if err != nil {
 					return nil, err
 				}

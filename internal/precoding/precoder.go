@@ -84,7 +84,7 @@ func (p *Precoder) Precode(prog *Program, s []complex128, src *rng.Source) (*Res
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.dec.DecodeCompiled(cc, prog.Target(s), src)
+	out, err := p.dec.Decode(core.Request{CC: cc, Y: prog.Target(s)}, core.Budget{}, src)
 	if err != nil {
 		return nil, err
 	}
@@ -92,8 +92,8 @@ func (p *Precoder) Precode(prog *Program, s []complex128, src *rng.Source) (*Res
 }
 
 // PrecodeRecompile is the one-shot path: it recompiles the VP program and
-// runs the recompiling decode pipeline, paying the channel inversion,
-// coupling compile and embedding for every symbol vector. It exists as the
+// decodes it as a raw-channel request, paying the channel inversion, coupling
+// compile and embedding for every symbol vector. It exists as the
 // baseline the compile/execute split is measured against
 // (BenchmarkPrecodeWindow) and as the independent oracle in property tests.
 func (p *Precoder) PrecodeRecompile(dataMod modulation.Modulation, h *linalg.Mat, s []complex128, src *rng.Source) (*Result, error) {
@@ -101,7 +101,7 @@ func (p *Precoder) PrecodeRecompile(dataMod modulation.Modulation, h *linalg.Mat
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.dec.Decode(prog.PerturbMod(), prog.VPChannel(), prog.Target(s), src)
+	out, err := p.dec.Decode(core.Request{Mod: prog.PerturbMod(), H: prog.VPChannel(), Y: prog.Target(s)}, core.Budget{}, src)
 	if err != nil {
 		return nil, err
 	}

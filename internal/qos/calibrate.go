@@ -157,7 +157,8 @@ func measurePoint(dec *core.Decoder, mod modulation.Modulation, nt int, snrDB fl
 		if err != nil {
 			return nil, err
 		}
-		out, err := dec.DecodeInstance(in, src)
+		req := core.Request{Mod: in.Mod, H: in.H, Y: in.Y, Truth: in}
+		out, err := dec.Decode(req, core.Budget{}, src)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +168,8 @@ func measurePoint(dec *core.Decoder, mod modulation.Modulation, nt int, snrDB fl
 		fwd.spreads = append(fwd.spreads, spread)
 
 		if cfg.Reverse {
-			rout, err := dec.DecodeInstanceReverse(in, src)
+			req.Reverse = true
+			rout, err := dec.Decode(req, core.Budget{}, src)
 			if err != nil {
 				// Reverse needs a linear seed; a singular channel draw simply
 				// contributes no reverse sample.

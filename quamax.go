@@ -18,8 +18,14 @@
 //	inst, err := quamax.NewInstance(src, quamax.InstanceConfig{
 //		Mod: quamax.QPSK, Users: 4, Antennas: 4, SNRdB: 20,
 //	})
-//	out, err := dec.DecodeInstance(inst, src)
+//	out, err := dec.Decode(quamax.Request{Mod: inst.Mod, H: inst.H, Y: inst.Y}, quamax.Budget{}, src)
 //	fmt.Println(out.Bits) // decoded Gray-coded data bits
+//
+// Every decode is one Request: add Truth: inst for the evaluation fields
+// (Outcome.Distribution), Soft: &quamax.SoftSpec{...} for per-bit LLRs,
+// Reverse: true for a reverse anneal; name a Decoder.Compile'd channel as CC
+// in place of (Mod, H) to decode a coherence window without recompiling;
+// Decoder.DecodeRun packs several requests into one annealer run.
 //
 // See examples/ for runnable programs, cmd/quamax for the experiment
 // harness, and internal/* for the subsystem implementations.
@@ -59,6 +65,16 @@ type Decoder = core.Decoder
 // Options configure a Decoder; the zero value selects the paper's operating
 // point on a simulated DW2Q.
 type Options = core.Options
+
+// Request is one decode: a received vector through a raw (Mod, H) or a
+// compiled (CC) channel, optionally with soft output, reverse annealing and
+// ground truth. Decoder.Decode runs one, Decoder.DecodeRun several in one
+// annealer run.
+type Request = core.Request
+
+// Budget is the operating point of one annealer run (reads, schedule, |J_F|);
+// the zero value is the decoder's configured one.
+type Budget = core.Budget
 
 // Outcome is one decoded channel use.
 type Outcome = core.Outcome
@@ -144,9 +160,8 @@ func NewPrecoder(dec *Decoder, perturbBits, cacheSize int) (*Precoder, error) {
 	return precoding.NewPrecoder(dec, perturbBits, cacheSize)
 }
 
-// SoftSpec configures a soft-output decode (Decoder.DecodeSoft and
-// friends): the noise variance scaling the per-bit LLRs, the LLR clamp, and
-// the candidate-list cap. See internal/softout for the max-log-MAP formula
+// SoftSpec configures soft output (Request.Soft): the noise variance scaling
+// the per-bit LLRs, the LLR clamp, and the candidate-list cap. See internal/softout for the max-log-MAP formula
 // and the positive-favors-1 sign convention.
 type SoftSpec = softout.Spec
 

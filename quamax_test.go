@@ -22,7 +22,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := dec.DecodeInstance(inst, src)
+	out, err := dec.Decode(quamax.Request{Mod: inst.Mod, H: inst.H, Y: inst.Y, Truth: inst}, quamax.Budget{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPublicAPISoftDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := dec.DecodeInstanceSoft(inst, quamax.SoftSpec{}, src)
+	out, err := dec.Decode(quamax.Request{Mod: inst.Mod, H: inst.H, Y: inst.Y, Truth: inst, Soft: &quamax.SoftSpec{}}, quamax.Budget{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestQuAMaxMatchesSphereDecoderML(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := dec.DecodeInstance(inst, src)
+			out, err := dec.Decode(quamax.Request{Mod: inst.Mod, H: inst.H, Y: inst.Y, Truth: inst}, quamax.Budget{}, src)
 			if err != nil {
 				t.Fatal(err)
 			}
