@@ -217,23 +217,26 @@ func BenchmarkEmbedIsing(b *testing.B) {
 }
 
 // BenchmarkAnneal48BPSK measures one 100-anneal run of the paper's headline
-// 48-user BPSK problem (624 physical qubits) through both sweep engines:
-// mode=scalar is the device simulator (Machine.Run, the QA-fidelity path with
-// ICE noise, per-anneal rescale, and the calibrated ramp+pause schedule),
-// mode=multispin is the bit-parallel engine (anneal.RunMultiSpin) on the
-// device-normalized program under a tuned pure-ramp schedule. The comparison
-// is iso-quality (TTS-style), not iso-schedule: the mid-anneal pause is a
-// quantum-annealing physics aid that buys classical sweeps nothing
-// (measured: +64 pause sweeps move gsrate by +0.03), so the classical
-// engine's row runs the schedule that reaches equal-or-better solution
-// quality in the fewest sweeps (β 0.5→12 over 40 sweeps; the scalar machine
-// runs its calibrated 64+64). Each mode reports gsrate — the fraction of
-// anneals landing within 2% of the best-known energy for this instance (the
-// exact 624-qubit ground state is re-found too rarely by either engine to
-// discriminate) — so the ns/op ratio is read at equal-or-better quality.
-// tools/benchjson -check enforces multispin ≥5× scalar ns/op with gsrate no
-// worse than scalar's (BENCH_PR7.json); the differential harness in
-// internal/anneal proves the packed sweep bit-exact against its scalar twin.
+// 48-user BPSK problem (624 physical qubits) on the two sweep bodies of the
+// one Metropolis engine: mode=scalar is the device simulator (Machine.Run —
+// the QA-fidelity path: every read sweeps the scalar twin over its own
+// ICE-perturbed, auto-scaled weights under the calibrated ramp+pause
+// schedule), mode=multispin is the packed body (anneal.RunMultiSpin, 64
+// replicas sharing one program per word) on the device-normalized program
+// under a tuned pure-ramp schedule. The comparison is iso-quality
+// (TTS-style), not iso-schedule: the mid-anneal pause is a quantum-annealing
+// physics aid that buys classical sweeps nothing (measured: +64 pause sweeps
+// move gsrate by +0.03), so the classical row runs the schedule that reaches
+// equal-or-better solution quality in the fewest sweeps (β 0.5→12 over 40
+// sweeps; the device simulator runs its calibrated 64+64). Each mode reports
+// gsrate — the fraction of anneals landing within 2% of the best-known energy
+// for this instance (the exact 624-qubit ground state is re-found too rarely
+// by either mode to discriminate). tools/benchjson -check enforces that the
+// packed run's gsrate is no worse than the device simulator's (less 0.02);
+// it holds no ns/op ratio between the rows, because they share an engine. The
+// differential harness in internal/anneal proves the packed sweep bit-exact
+// against its scalar twin, and a device read bit-exact against the twin on
+// its perturbed program.
 func BenchmarkAnneal48BPSK(b *testing.B) {
 	g := chimera.DW2Q()
 	emb, err := embedding.Embed(g, 48)
@@ -443,16 +446,29 @@ func BenchmarkSAComparison(b *testing.B) {
 	})
 }
 
-// BenchmarkClassicalSA measures the logical-space SA baseline per decode.
+// BenchmarkClassicalSA measures the logical-space SA baseline per decode at
+// quamax-serve's default effort (128 sweeps × 100 restarts) on N-user BPSK
+// (N logical spins), and holds the backend's admission estimate to it:
+// est/meas is backend.ClassicalSA's predicted latency over the measured one
+// (1 is a perfect model; the constants in internal/backend/classical.go were
+// fitted to these rows).
 func BenchmarkClassicalSA(b *testing.B) {
-	in := benchInstance(b, modulation.BPSK, 36, 20)
-	sa := detector.NewClassicalSA(128, 100)
-	src := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sa.Decode(in.Mod, in.H, in.Y, src); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{16, 36, 48} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			in := benchInstance(b, modulation.BPSK, n, 20)
+			be := backend.NewClassicalSA("sa", 128, 100)
+			src := rng.New(7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := be.SA.Decode(in.Mod, in.H, in.Y, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			meas := float64(b.Elapsed().Microseconds()) / float64(b.N)
+			est := be.Describe().PredictMicros(&backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y})
+			b.ReportMetric(est/meas, "est/meas")
+		})
 	}
 }
 

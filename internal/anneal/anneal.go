@@ -26,6 +26,13 @@
 // experimental shape — J_F washout vs. chain breakage, pause thermalization
 // benefit, size scaling, SNR trends — comes out of the same code path the
 // paper exercised.
+//
+// The package holds ONE Metropolis engine (multispin.go): a flat-CSR kernel
+// with cached local fields and two bit-identical sweep bodies over it. The
+// device simulator here runs each read through the scalar body on that read's
+// ICE-perturbed weights; the classical solvers (RunMultiSpin behind
+// detector.ClassicalSA, RunPT in pt.go) run the 64-replica packed body on a
+// shared program.
 package anneal
 
 import (
@@ -120,6 +127,8 @@ type Machine struct {
 	ICE ICEModel
 	// Workers bounds run concurrency (≤ 0 means 1).
 	Workers int
+
+	reads sync.Pool // *deviceRead: per-worker scratch, reused across runs
 }
 
 // NewMachine returns a machine with the repository's calibrated constants
@@ -156,263 +165,170 @@ func (m *Machine) Run(prog *qubo.Sparse, params Params, improvedRange bool, src 
 // adjacency build and coupler range scan of PrepareProgram are not redone per
 // symbol. Results are bit-identical to Run on the equivalent full program.
 func (m *Machine) RunPrepared(pp *PreparedProgram, h []float64, params Params, src *rng.Source) ([]Sample, error) {
-	return m.run(pp, h, params, nil, src)
-}
-
-// run is the one worker loop behind every entry point: Na anneals of the
-// prepared program under fields h, fanned out over independent deterministic
-// random streams. initial == nil runs forward anneals from random states;
-// otherwise every anneal is a reverse anneal started from initial.
-func (m *Machine) run(pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(h) != pp.n {
-		return nil, fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(h), pp.n)
-	}
-	prepared := m.rescale(pp, h)
+	return m.run(pp, h, ScheduleFromParams(m, params).betas(), params.NumAnneals, nil, src)
+}
 
-	workers := m.Workers
-	if workers <= 0 {
-		workers = 1
+// run is the one worker loop behind every entry point: reads of the prepared
+// program under fields h, each walking the per-sweep β list, fanned out over
+// independent deterministic random streams. initial == nil starts every read
+// from a random state; otherwise every read starts from initial (reverse
+// annealing). The returned samples share one backing array.
+func (m *Machine) run(pp *PreparedProgram, h, betas []float64, reads int, initial []int8, src *rng.Source) ([]Sample, error) {
+	n := pp.k.n
+	if len(h) != n {
+		return nil, fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(h), n)
 	}
-	if workers > params.NumAnneals {
-		workers = params.NumAnneals
-	}
+	scale := pp.scale(h)
+	workers := max(1, min(m.Workers, reads))
 	sources := src.SplitN(workers)
-	samples := make([]Sample, params.NumAnneals)
+	samples := make([]Sample, reads)
+	spins := make([]int8, reads*n)
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := newAnnealState(prepared, m)
-			for a := w; a < params.NumAnneals; a += workers {
-				if initial == nil {
-					samples[a] = Sample{Spins: st.anneal(params, sources[w])}
-				} else {
-					samples[a] = Sample{Spins: st.reverseAnneal(params, initial, sources[w])}
-				}
+	fanOut(workers, func(w int) {
+		rd, _ := m.reads.Get().(*deviceRead)
+		if rd == nil {
+			rd = new(deviceRead)
+		}
+		defer m.reads.Put(rd)
+		rd.bind(pp)
+		for a := w; a < reads; a += workers {
+			rd.begin(pp, h, scale, m.ICE, initial, sources[w])
+			for _, beta := range betas {
+				rd.s.SetBeta(beta)
+				rd.s.Sweep()
 			}
-		}(w)
-	}
-	wg.Wait()
+			samples[a].Spins = spins[a*n : (a+1)*n : (a+1)*n]
+			copy(samples[a].Spins, rd.s.spins)
+		}
+	})
 	return samples, nil
 }
 
-// prepared is the rescaled program plus CSR adjacency.
-type prepared struct {
-	n      int
-	h      []float64
-	edges  []qubo.SparseEdge // rescaled weights
-	adjIdx [][]int32         // per spin: indices into edges
-	adjNbr [][]int32         // per spin: the other endpoint
-	scale  float64           // the auto-scale divisor that was applied
-}
-
 // PreparedProgram is the field-independent half of a programmed machine: the
-// coupler list, its CSR adjacency, and the coupler contribution to the
-// analog-range auto-scale. Build it once per compiled channel with
-// PrepareProgram; run it with fresh per-symbol fields via RunPrepared. A
-// PreparedProgram is immutable and safe for concurrent RunPrepared calls.
+// couplers compiled into the engine's flat-CSR kernel, where each coupler's
+// two directed slots sit, and the coupler contribution to the analog-range
+// auto-scale. Build it once per compiled channel with PrepareProgram; run it
+// with fresh per-symbol fields via RunPrepared. A PreparedProgram is immutable
+// and safe for concurrent RunPrepared calls.
 type PreparedProgram struct {
-	n         int
 	improved  bool
-	edges     []qubo.SparseEdge // raw (unscaled) weights
-	adjIdx    [][]int32         // per spin: indices into edges
-	adjNbr    [][]int32         // per spin: the other endpoint
-	edgeScale float64           // max over edges of |W|/limit (≥ 0)
+	k         *MSKernel // programmed (unscaled) coupler weights; no fields
+	up, lo    []int32   // per coupler: its slot in the lower spin's row, and the mirror slot
+	edgeScale float64   // max over couplers of |W|/limit (≥ 0)
 }
 
 // N returns the physical qubit count the program was prepared for.
-func (pp *PreparedProgram) N() int { return pp.n }
+func (pp *PreparedProgram) N() int { return pp.k.n }
 
 // PrepareProgram performs the field-independent half of programming the
-// device: it scans the couplers against the analog range and builds the CSR
-// adjacency. Only prog.N and prog.Edges are read; fields arrive per run.
+// device: it compiles the couplers into the engine's CSR adjacency
+// (duplicate edges merge into one coupler) and scans them against the analog
+// range. Only prog.N and prog.Edges are read; fields arrive per run.
 func (m *Machine) PrepareProgram(prog *qubo.Sparse, improvedRange bool) *PreparedProgram {
 	r := Range(improvedRange)
+	k := new(MSKernel)
+	k.buildCSR(prog.N, prog.Edges)
 	pp := &PreparedProgram{
-		n:        prog.N,
 		improved: improvedRange,
-		edges:    prog.Edges,
+		k:        k,
+		up:       make([]int32, 0, len(k.w)/2),
+		lo:       make([]int32, 0, len(k.w)/2),
 	}
-	for _, e := range prog.Edges {
-		var s float64
-		if e.W >= 0 {
-			s = e.W / r.JPosMax
-		} else {
-			s = -e.W / r.JNegMax
+	// Rows are sorted, so row j's slots for neighbors below j come first and
+	// in the order the walk below reaches them: a cursor per row finds every
+	// mirror slot.
+	cur := append([]int32(nil), k.start[:prog.N]...)
+	for i := int32(0); int(i) < prog.N; i++ {
+		for p := k.start[i]; p < k.start[i+1]; p++ {
+			j := k.nbr[p]
+			if j < i {
+				continue
+			}
+			pp.up, pp.lo = append(pp.up, p), append(pp.lo, cur[j])
+			cur[j]++
+			s := k.w[p] / r.JPosMax
+			if k.w[p] < 0 {
+				s = -k.w[p] / r.JNegMax
+			}
+			pp.edgeScale = max(pp.edgeScale, s)
 		}
-		if s > pp.edgeScale {
-			pp.edgeScale = s
-		}
-	}
-	deg := make([]int, prog.N)
-	for _, e := range prog.Edges {
-		deg[e.I]++
-		deg[e.J]++
-	}
-	pp.adjIdx = make([][]int32, prog.N)
-	pp.adjNbr = make([][]int32, prog.N)
-	for i := range pp.adjIdx {
-		pp.adjIdx[i] = make([]int32, 0, deg[i])
-		pp.adjNbr[i] = make([]int32, 0, deg[i])
-	}
-	for idx, e := range prog.Edges {
-		pp.adjIdx[e.I] = append(pp.adjIdx[e.I], int32(idx))
-		pp.adjNbr[e.I] = append(pp.adjNbr[e.I], int32(e.J))
-		pp.adjIdx[e.J] = append(pp.adjIdx[e.J], int32(idx))
-		pp.adjNbr[e.J] = append(pp.adjNbr[e.J], int32(e.I))
 	}
 	return pp
 }
 
-// rescale applies the hardware auto-scaling for one run (programs must fit
+// scale is the hardware auto-scaling divisor for one run (programs must fit
 // the analog range; out-of-range programs are scaled down globally, which is
 // the mechanism that erases problem information at large |J_F|). The coupler
 // half of the scan was folded into pp.edgeScale at prepare time; only the
 // fields are scanned here. The resulting divisor — max(1, fields, couplers)
-// — is exactly what a one-shot prepare over the full program computes.
-func (m *Machine) rescale(pp *PreparedProgram, h []float64) *prepared {
-	r := Range(pp.improved)
-	scale := 1.0
+// — is exactly what a one-shot scan over the full program computes.
+func (pp *PreparedProgram) scale(h []float64) float64 {
+	hMax := Range(pp.improved).HMax
+	scale := max(1, pp.edgeScale)
 	for _, v := range h {
-		if s := math.Abs(v) / r.HMax; s > scale {
-			scale = s
-		}
+		scale = max(scale, math.Abs(v)/hMax)
 	}
-	if pp.edgeScale > scale {
-		scale = pp.edgeScale
-	}
-	p := &prepared{
-		n:      pp.n,
-		h:      make([]float64, pp.n),
-		edges:  make([]qubo.SparseEdge, len(pp.edges)),
-		adjIdx: pp.adjIdx,
-		adjNbr: pp.adjNbr,
-		scale:  scale,
-	}
-	for i, v := range h {
-		p.h[i] = v / scale
-	}
-	for i, e := range pp.edges {
-		p.edges[i] = qubo.SparseEdge{I: e.I, J: e.J, W: e.W / scale}
-	}
-	return p
+	return scale
 }
 
 // Scale exposes the auto-scale divisor a run would apply — used by tests
 // and the J_F microbenchmarks.
 func (m *Machine) Scale(prog *qubo.Sparse, improvedRange bool) float64 {
-	return m.rescale(m.PrepareProgram(prog, improvedRange), prog.H).scale
+	return m.PrepareProgram(prog, improvedRange).scale(prog.H)
 }
 
-// annealState holds per-worker scratch buffers.
-type annealState struct {
-	p       *prepared
-	machine *Machine
-	spins   []int8
-	hPert   []float64 // ICE-perturbed fields for the current anneal
-	jPert   []float64 // ICE-perturbed edge weights
+// deviceRead is one worker's scratch: a private kernel that shares the
+// prepared program's adjacency and whose fields and weights are reprogrammed
+// for every read, and the scalar engine that sweeps it.
+type deviceRead struct {
+	k MSKernel
+	s MSScalar
 }
 
-func newAnnealState(p *prepared, m *Machine) *annealState {
-	return &annealState{
-		p:       p,
-		machine: m,
-		spins:   make([]int8, p.n),
-		hPert:   make([]float64, p.n),
-		jPert:   make([]float64, len(p.edges)),
+// bind points the scratch at pp's adjacency and sizes its buffers.
+func (rd *deviceRead) bind(pp *PreparedProgram) {
+	k := &rd.k
+	k.n, k.start, k.nbr = pp.k.n, pp.k.start, pp.k.nbr
+	k.h = grow(k.h, k.n)
+	k.w = grow(k.w, len(k.nbr))
+	k.flipW = grow(k.flipW, len(k.nbr))
+	rd.s.k = k
+	rd.s.spins = grow(rd.s.spins, k.n)
+	rd.s.lam = grow(rd.s.lam, k.n)
+}
+
+// begin sets up one read. It writes the read's coefficients into the scratch
+// kernel — the programmed values divided by the run's auto-scale, each
+// perturbed by a fresh ICE draw (§4: "noise fluctuating at a time scale of
+// the order of the anneal time"), fields first, then couplers, one draw per
+// coefficient — then seeds the read's stream with one Uint64 from src and
+// starts it from initial, or from a random state (the initial superposition
+// analog) when initial is nil.
+func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, src *rng.Source) {
+	k := &rd.k
+	for i, v := range h {
+		k.h[i] = v / scale
+		if ice.Enabled {
+			k.h[i] += src.Gauss(ice.HMean, ice.HStd)
+		}
 	}
-}
-
-// perturb draws this anneal's ICE: a fresh perturbation of the programmed
-// values each anneal (§4: "noise fluctuating at a time scale of the order of
-// the anneal time").
-func (st *annealState) perturb(src *rng.Source) {
-	p, ice := st.p, st.machine.ICE
-	if ice.Enabled {
-		for i := range p.h {
-			st.hPert[i] = p.h[i] + src.Gauss(ice.HMean, ice.HStd)
+	for e, p := range pp.up {
+		w := pp.k.w[p] / scale
+		if ice.Enabled {
+			w += src.Gauss(ice.JMean, ice.JStd)
 		}
-		for i := range p.edges {
-			st.jPert[i] = p.edges[i].W + src.Gauss(ice.JMean, ice.JStd)
-		}
+		q := pp.lo[e]
+		k.w[p], k.w[q] = w, w
+		k.flipW[p], k.flipW[q] = 4*w, 4*w
+	}
+	rd.s.state = src.Uint64()
+	if initial == nil {
+		rd.s.Init()
 		return
 	}
-	copy(st.hPert, p.h)
-	for i := range p.edges {
-		st.jPert[i] = p.edges[i].W
-	}
-}
-
-// anneal performs one full annealing cycle and returns a copy of the final
-// spins.
-func (st *annealState) anneal(params Params, src *rng.Source) []int8 {
-	p := st.p
-	m := st.machine
-
-	st.perturb(src)
-
-	// Initial superposition analog: uniformly random state.
-	for i := range st.spins {
-		if src.Bool() {
-			st.spins[i] = 1
-		} else {
-			st.spins[i] = -1
-		}
-	}
-
-	rampSweeps := int(math.Round(m.SweepsPerMicrosecond * params.AnnealTimeMicros))
-	if rampSweeps < 1 {
-		rampSweeps = 1
-	}
-	pauseSweeps := 0
-	if params.PauseTimeMicros > 0 {
-		pauseSweeps = int(math.Round(m.SweepsPerMicrosecond * params.PauseTimeMicros))
-	}
-	pauseAt := int(params.PausePosition * float64(rampSweeps))
-
-	logRatio := math.Log(m.BetaFinal / m.BetaInitial)
-	beta := func(sweep int) float64 {
-		s := float64(sweep) / float64(rampSweeps-1)
-		if rampSweeps == 1 {
-			s = 1
-		}
-		return m.BetaInitial * math.Exp(logRatio*s)
-	}
-
-	for sweep := 0; sweep < rampSweeps; sweep++ {
-		st.sweep(beta(sweep), src)
-		if pauseSweeps > 0 && sweep == pauseAt {
-			// Anneal pause: hold the schedule (fixed temperature) to let the
-			// system thermalize [43].
-			bp := beta(sweep)
-			for k := 0; k < pauseSweeps; k++ {
-				st.sweep(bp, src)
-			}
-		}
-	}
-	out := make([]int8, p.n)
-	copy(out, st.spins)
-	return out
-}
-
-// sweep performs one Metropolis pass over all spins.
-func (st *annealState) sweep(beta float64, src *rng.Source) {
-	p := st.p
-	for i := 0; i < p.n; i++ {
-		local := st.hPert[i]
-		nbrs := p.adjNbr[i]
-		idxs := p.adjIdx[i]
-		for k, nb := range nbrs {
-			local += st.jPert[idxs[k]] * float64(st.spins[nb])
-		}
-		dE := -2 * float64(st.spins[i]) * local
-		if dE <= 0 || src.Float64() < math.Exp(-beta*dE) {
-			st.spins[i] = -st.spins[i]
-		}
-	}
+	copy(rd.s.spins, initial)
+	rd.s.recompute()
 }

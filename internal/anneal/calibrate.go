@@ -22,6 +22,13 @@ package anneal
 // success-probability regime while preserving the pause benefit and the
 // hardness ordering (glass ≫ MIMO). Larger sweep budgets only raise
 // absolute success rates; they do not change any reported shape.
+//
+// The constants calibrate the Markov chain, not the code that runs it. When
+// the device reads moved onto the engine's incremental-field kernel
+// (multispin.go) the chain stayed the same — spin order, Metropolis rule,
+// per-anneal ICE, β schedule — so the constants did too;
+// TestDeviceReadsMatchReferenceChain holds the engine to the old loop's
+// statistics on these three probes.
 const (
 	// CalibratedSweepsPerMicrosecond converts the device's anneal/pause
 	// durations into Metropolis sweep budgets (Ta = 1 µs ⇒ 64 sweeps).

@@ -6,9 +6,13 @@ package anneal
 // modulation-compiled programs (BPSK/QPSK/16-QAM reductions), a Chimera-
 // embedded device program, and random CSR instances. Any divergence in the
 // packed loop's bit tricks (sign-transfer accepts, grid-unit draws, XOR flip
-// scatter) shows up here as a first-divergence sweep index.
+// scatter) shows up here as a first-divergence sweep index. The device
+// simulator's reads are held to the same twin: a read over its ICE-perturbed
+// weights must be bit-identical to MSScalar on a kernel compiled from scratch
+// from that perturbed program.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,17 +99,16 @@ func runEquiv(t *testing.T, prog *qubo.Sparse, replicas int, seed int64, sched M
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two identically-seeded parents yield identical child streams: the block
-	// and the twins consume the same randomness in the same order.
-	blockSrcs := rng.New(seed).SplitN(replicas)
-	twinSrcs := rng.New(seed).SplitN(replicas)
-	block, err := k.NewBlock(replicas, blockSrcs)
+	// Two identically-seeded sources yield identical stream seeds: lane r of
+	// the block and twin r consume the same randomness in the same order.
+	block, err := k.NewBlock(replicas, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	twinSrc := rng.New(seed)
 	twins := make([]*MSScalar, replicas)
 	for r := range twins {
-		twins[r] = k.NewScalar(twinSrcs[r])
+		twins[r] = k.NewScalar(twinSrc)
 	}
 	block.Init()
 	for _, tw := range twins {
@@ -192,5 +195,81 @@ func TestRunMultiSpinDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("replica %d: spin %d differs across worker counts", r, i)
 			}
 		}
+	}
+}
+
+// checkDeviceRead sets up one device read exactly as a machine worker does
+// (auto-scale, ICE draw, stream seed, start state), rebuilds the program that
+// read is sweeping — its perturbed fields and couplers — as a qubo.Sparse,
+// compiles that from scratch, and walks a scalar twin beside the read from
+// the same state and stream: cached fields, spins, energy and stream position
+// must stay bit-identical after every sweep.
+func checkDeviceRead(t *testing.T, m *Machine, prog *qubo.Sparse, improved bool, initial []int8, betas []float64, seed int64) {
+	t.Helper()
+	pp := m.PrepareProgram(prog, improved)
+	rd := new(deviceRead)
+	rd.bind(pp)
+	rd.begin(pp, prog.H, pp.scale(prog.H), m.ICE, initial, rng.New(seed))
+
+	pert := qubo.NewSparse(prog.N)
+	copy(pert.H, rd.k.h)
+	for i := 0; i < prog.N; i++ {
+		for p := rd.k.start[i]; p < rd.k.start[i+1]; p++ {
+			if j := int(rd.k.nbr[p]); j > i {
+				pert.AddEdge(i, j, rd.k.w[p])
+			}
+		}
+	}
+	k, err := NewMSKernel(pert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := k.NewScalar(rng.New(seed))
+	if err := tw.InitFrom(rd.s.spins); err != nil {
+		t.Fatal(err)
+	}
+	tw.state = rd.s.state
+
+	same := func(when string) {
+		t.Helper()
+		if math.Float64bits(rd.s.energy) != math.Float64bits(tw.energy) || rd.s.state != tw.state {
+			t.Fatalf("%s: device read (E=%v, stream %#x) diverged from the twin (E=%v, stream %#x)",
+				when, rd.s.energy, rd.s.state, tw.energy, tw.state)
+		}
+		for i := range tw.spins {
+			if rd.s.spins[i] != tw.spins[i] || math.Float64bits(rd.s.lam[i]) != math.Float64bits(tw.lam[i]) {
+				t.Fatalf("%s: spin %d: device read (σ=%d, λ=%v) diverged from the twin (σ=%d, λ=%v)",
+					when, i, rd.s.spins[i], rd.s.lam[i], tw.spins[i], tw.lam[i])
+			}
+		}
+	}
+	same("at the start")
+	for s, beta := range betas {
+		rd.s.SetBeta(beta)
+		rd.s.Sweep()
+		tw.SetBeta(beta)
+		tw.Sweep()
+		same(fmt.Sprintf("after sweep %d (β=%g)", s, beta))
+	}
+}
+
+// TestDeviceReadMatchesTwinOnPerturbedProgram runs the device-read half of
+// the harness over the corpus: forward reads from random states and reverse
+// reads from a given one, with and without ICE, both coupler ranges, on the
+// machine's own ramp-with-pause schedule.
+func TestDeviceReadMatchesTwinOnPerturbedProgram(t *testing.T) {
+	params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 1}
+	for name, prog := range equivPrograms(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, ice := range []bool{true, false} {
+				m := NewMachine()
+				m.ICE.Enabled = ice
+				betas := ScheduleFromParams(m, params).betas()
+				for seed := int64(1); seed <= 3; seed++ {
+					checkDeviceRead(t, m, prog, seed%2 == 0, nil, betas, seed)
+				}
+				checkDeviceRead(t, m, prog, true, randomSpins(rng.New(8), prog.N), betas, 4)
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
 package anneal
 
 // FuzzSweepEquivalence fuzzes the differential property that holds the
-// packed engine honest: on a random small Ising instance, the bit-packed
-// multi-spin sweep and its scalar twin must produce bit-identical
-// per-replica energies after every sweep and identical final spins. The
+// engine honest: on a random small Ising instance, the bit-packed multi-spin
+// sweep and its scalar twin must produce bit-identical per-replica energies
+// after every sweep and identical final spins, and a device read of the
+// instance must match the twin on its perturbed program (checkDeviceRead). The
 // fuzzer owns the instance shape (size, density, coupling scale), the
 // replica count and the schedule, so it explores corners the golden-seed
 // harness does not (single-spin programs, field-free programs, extreme β,
@@ -38,15 +39,14 @@ func FuzzSweepEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blockSrcs := rng.New(seed + 1).SplitN(R)
-		twinSrcs := rng.New(seed + 1).SplitN(R)
-		block, err := k.NewBlock(R, blockSrcs)
+		block, err := k.NewBlock(R, rng.New(seed+1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		twinSrc := rng.New(seed + 1)
 		twins := make([]*MSScalar, R)
 		for r := range twins {
-			twins[r] = k.NewScalar(twinSrcs[r])
+			twins[r] = k.NewScalar(twinSrc)
 		}
 		block.Init()
 		for _, tw := range twins {
@@ -74,6 +74,9 @@ func FuzzSweepEquivalence(f *testing.F) {
 				}
 			}
 		}
+		// The same instance as a device program: one ICE-perturbed read
+		// against the twin on a kernel compiled from the perturbed program.
+		checkDeviceRead(t, NewMachine(), prog, R%2 == 0, nil, sched.betas(), seed+2)
 	})
 }
 

@@ -109,11 +109,11 @@ func TestGaugeInvarianceScalarAndPacked(t *testing.T) {
 				inits[r] = randomSpins(isrc, prog.N)
 				flipped[r] = flipAt(inits[r], gauged)
 			}
-			b1, err := k1.NewBlock(R, rng.New(17).SplitN(R))
+			b1, err := k1.NewBlock(R, rng.New(17))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b2, err := k2.NewBlock(R, rng.New(17).SplitN(R))
+			b2, err := k2.NewBlock(R, rng.New(17))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,8 +123,8 @@ func TestGaugeInvarianceScalarAndPacked(t *testing.T) {
 			if err := b2.InitFrom(flipped); err != nil {
 				t.Fatal(err)
 			}
-			t1 := k1.NewScalar(rng.New(19).Split())
-			t2 := k2.NewScalar(rng.New(19).Split())
+			t1 := k1.NewScalar(rng.New(19))
+			t2 := k2.NewScalar(rng.New(19))
 			if err := t1.InitFrom(inits[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -230,18 +230,18 @@ func TestScalingCovarianceScalarAndPacked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b1, err := k1.NewBlock(R, rng.New(23).SplitN(R))
+			b1, err := k1.NewBlock(R, rng.New(23))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b2, err := k2.NewBlock(R, rng.New(23).SplitN(R))
+			b2, err := k2.NewBlock(R, rng.New(23))
 			if err != nil {
 				t.Fatal(err)
 			}
 			b1.Init()
 			b2.Init()
-			t1 := k1.NewScalar(rng.New(29).Split())
-			t2 := k2.NewScalar(rng.New(29).Split())
+			t1 := k1.NewScalar(rng.New(29))
+			t2 := k2.NewScalar(rng.New(29))
 			t1.Init()
 			t2.Init()
 			for s := 0; s < base.Sweeps; s++ {

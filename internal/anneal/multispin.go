@@ -1,54 +1,55 @@
 package anneal
 
-// Bit-parallel multi-spin anneal engine (ROADMAP "raw-speed anneal engine").
+// The Metropolis engine (ROADMAP "One Metropolis engine"). Every sweep in the
+// repository — device reads (Machine.run), the classical-SA fallback
+// (RunMultiSpin) and parallel tempering (pt.go) — runs one of the two sweep
+// bodies in this file, MSBlock.Sweep and its scalar twin MSScalar.Sweep, over
+// one kernel layout:
 //
-// The scalar simulator above (annealState.sweep) recomputes every spin's
-// local field from its adjacency on every visit — O(degree) float work per
-// spin per sweep per replica, which is what makes BenchmarkAnneal48BPSK the
-// hot path under every benchmark. This engine rebuilds that inner loop for
-// machine speed:
-//
-//   - Multi-spin coding. Up to 64 independent replicas run in one block;
-//     spin i of replica r is bit r of words[i], so a Metropolis flip is one
-//     XOR against an accept mask and a replica's whole configuration costs
-//     n bits instead of n bytes. All replicas share one coupling program
-//     (one flat CSR walk serves 64 trajectories).
+//   - Flat CSR. MSKernel stores the symmetric adjacency as row offsets plus
+//     neighbor and weight arrays, rows sorted by neighbor, duplicates merged.
 //   - Incremental local fields. lam[i·R+r] caches 2·(h_i + Σ_k J_ik·σ_k),
 //     the doubled local field of spin i in replica r (doubled so the flip
 //     energy dE = −2·σ_i·λ_i is a single sign transfer with no multiply).
 //     A visit is then O(1); only an accepted flip pays the O(degree)
 //     neighbor walk, scattering the precomputed per-edge deltas ±4·J_ik
 //     (flipW) into the neighbors' cached doubled fields.
-//   - Branchless accept pass. Downhill moves (dE sign bit set) are gathered
-//     into a bitmask with pure ALU ops — no data-dependent branches — and
-//     only the uphill minority walks the Metropolis draw path.
-//   - Cheap draws. Each replica owns a splitmix64 stream (seeded from its
-//     rng.Source child at construction) and the acceptance probability uses
-//     expNegY, a deterministic interpolated 2^(−k/32) table, not math.Exp;
-//     the accept bit is accumulated without a data-dependent branch.
-//     Uphill proposals past the rejection cut (β·dE ≈ 36.74, acceptance
-//     below the draw's resolution) are rejected without consuming a draw.
+//   - Cheap draws. Each replica owns a splitmix64 stream, seeded with one
+//     Uint64 from the run's rng.Source, that supplies both its initial spins
+//     and its Metropolis draws; the acceptance probability uses expNegY, a
+//     deterministic interpolated 2^(−k/32) table, not math.Exp. Uphill
+//     proposals past the rejection cut (β·dE ≈ 36.74, acceptance below the
+//     draw's resolution) are rejected without consuming a draw.
 //   - Incremental energies. energy[r] accumulates the accepted dEs, so
 //     per-replica energies are always available (the parallel-tempering
 //     scheduler in pt.go reads them at every exchange attempt) without an
 //     O(n + |E|) evaluation.
 //
-// The packed sweep is held by a scalar twin (MSScalar) with the identical
-// arithmetic, operation order and stream discipline: one splitmix64 stream
-// per replica, one rng.Source Bool per spin at init, one draw per uphill
-// proposal below the rejection cut, all in spin order. The differential
-// harness (equiv_test.go), the metamorphic tests and FuzzSweepEquivalence
-// prove the two paths produce bit-identical per-replica trajectories, spins
-// and energies; the CI bench gate (tools/benchjson) holds the ≥5× speedup
-// over the scalar device simulator at equal-or-better success probability.
+// MSBlock adds multi-spin coding on top: up to 64 replicas that SHARE one
+// coupling program run in one block, spin i of replica r being bit r of
+// words[i], so a flip is one XOR against an accept mask, downhill moves are
+// gathered branchlessly from the sign bits, and one CSR walk serves 64
+// trajectories. That is what restarts of one logical program (ClassicalSA)
+// and the rungs of a tempering ladder are. Device reads do NOT share a
+// program — ICE redraws every coupler per read — so they run the scalar twin
+// over a per-read kernel (anneal.go); lane-packing reads with per-lane
+// weights was measured and is slower than the scalar body (ROADMAP item 2).
+//
+// The two bodies have identical arithmetic, operation order and stream
+// discipline: one stream per replica, one bit per spin at init, one draw per
+// uphill proposal below the rejection cut, all in spin order. The
+// differential harness (equiv_test.go), the metamorphic tests and
+// FuzzSweepEquivalence prove they produce bit-identical per-replica
+// trajectories, spins and energies, and that a device read is bit-identical
+// to the twin on a kernel compiled from that read's perturbed program.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"quamax/internal/qubo"
 	"quamax/internal/rng"
@@ -97,18 +98,22 @@ func nextFloat(s *uint64) float64 {
 	return float64(mix64(*s)>>11) * 0x1p-53
 }
 
-// expTab[k] = 2^(−k/32); one spare entry past expTabLast so interpolation
-// at the cut never reads out of bounds.
-var (
-	expTab    [expTabLast + 2]float64
-	expTabOne sync.Once
-)
-
-func initExpTab() {
-	for k := range expTab {
-		expTab[k] = math.Exp2(-float64(k) / 32)
-	}
+// nextSpinUp advances replica stream s and returns a fair coin — one initial
+// spin on both sweep paths.
+func nextSpinUp(s *uint64) bool {
+	*s += smixGamma
+	return mix64(*s)>>63 != 0
 }
+
+// expTab[k] = 2^(−k/32) for k ≤ expTabLast+1 (one spare entry so
+// interpolation at the cut has its right neighbor). The array is a power of
+// two long so expNegY can mask its indices and carry no bounds checks.
+var expTab = func() (t [2048]float64) {
+	for k := range t[:expTabLast+2] {
+		t[k] = math.Exp2(-float64(k) / 32)
+	}
+	return t
+}()
 
 // expNegY approximates exp(−β·dE) for a proposal already scored in grid
 // units y = β·dE·yPerBeta ∈ [0, rejectCutY): table lookup plus linear
@@ -116,26 +121,22 @@ func initExpTab() {
 // with bit-identical arguments and get bit-identical probabilities.
 func expNegY(y float64) float64 {
 	n := int(y)
-	a := expTab[n]
-	return a + (expTab[n+1]-a)*(y-float64(n))
+	a := expTab[n&2047]
+	return a + (expTab[(n+1)&2047]-a)*(y-float64(n))
 }
 
-// MSKernel is a sparse Ising program compiled for the multi-spin engine:
-// the flat-CSR adjacency both sweep paths walk, the per-edge doubled-field
-// deltas (4·J, applied with the sign of the flipped spin), and the original
-// edge list for from-scratch energy evaluation. A kernel is immutable and
+// MSKernel is a sparse Ising program compiled for the engine: the flat-CSR
+// adjacency both sweep paths walk, with the per-edge doubled-field deltas
+// (4·J, applied with the sign of the flipped spin). A kernel is immutable and
 // shared by any number of concurrent blocks.
 type MSKernel struct {
 	n      int
 	offset float64
 	h      []float64 // linear fields, len n
 	start  []int32   // CSR row offsets, len n+1
-	nbr    []int32   // neighbor spin per directed edge, len 2|E|
-	w      []float64 // coupling J per directed edge, len 2|E|
+	nbr    []int32   // neighbor spin per directed edge, ascending within a row
+	w      []float64 // coupling J per directed edge
 	flipW  []float64 // precomputed doubled-field flip delta 4·J per directed edge
-
-	ei, ej []int32   // undirected edge list (energy evaluation)
-	ew     []float64 // undirected edge weights
 }
 
 // NewMSKernel compiles a sparse Ising program (coefficients taken verbatim —
@@ -146,79 +147,84 @@ func NewMSKernel(prog *qubo.Sparse) (*MSKernel, error) {
 	if prog.N == 0 {
 		return nil, errors.New("anneal: empty program")
 	}
-	expTabOne.Do(initExpTab)
-	type key struct{ i, j int32 }
-	merged := make(map[key]float64, len(prog.Edges))
-	order := make([]key, 0, len(prog.Edges))
-	for _, e := range prog.Edges {
-		i, j := int32(e.I), int32(e.J)
-		if i > j {
-			i, j = j, i
-		}
-		k := key{i, j}
-		if _, seen := merged[k]; !seen {
-			order = append(order, k)
-		}
-		merged[k] += e.W
-	}
-	k := &MSKernel{
-		n:      prog.N,
-		offset: prog.Offset,
-		h:      append([]float64(nil), prog.H...),
-	}
-	deg := make([]int32, prog.N)
-	for _, e := range order {
-		deg[e.i]++
-		deg[e.j]++
-	}
-	k.start = make([]int32, prog.N+1)
-	for i := 0; i < prog.N; i++ {
-		k.start[i+1] = k.start[i] + deg[i]
-	}
-	// Rows are filled in ascending-undirected-edge order below and then
-	// sorted by neighbor index, so the flip scatter walks each spin's
-	// neighbor rows in ascending address order (prefetch-friendly). Both
-	// sweep paths share this kernel, so the row order — which fixes the
-	// float summation order of localField2 — is identical for both.
-	m := int(k.start[prog.N])
-	k.nbr = make([]int32, m)
-	k.w = make([]float64, m)
-	k.flipW = make([]float64, m)
-	fill := append([]int32(nil), k.start[:prog.N]...)
-	k.ei = make([]int32, len(order))
-	k.ej = make([]int32, len(order))
-	k.ew = make([]float64, len(order))
-	for idx, e := range order {
-		wgt := merged[e]
-		k.ei[idx], k.ej[idx], k.ew[idx] = e.i, e.j, wgt
-		for _, pair := range [2][2]int32{{e.i, e.j}, {e.j, e.i}} {
-			p := fill[pair[0]]
-			k.nbr[p] = pair[1]
-			k.w[p] = wgt
-			k.flipW[p] = 4 * wgt
-			fill[pair[0]]++
-		}
-	}
-	for i := 0; i < prog.N; i++ {
-		lo, hi := int(k.start[i]), int(k.start[i+1])
-		sort.Sort(&rowSorter{k.nbr[lo:hi], k.w[lo:hi], k.flipW[lo:hi]})
-	}
+	k := new(MSKernel)
+	k.compile(prog)
 	return k, nil
 }
 
-// rowSorter orders one CSR row by neighbor index, keeping weights aligned.
-type rowSorter struct {
-	nbr   []int32
-	w     []float64
-	flipW []float64
+// compile (re)builds the kernel for prog, reusing whatever buffers the
+// kernel already owns.
+func (k *MSKernel) compile(prog *qubo.Sparse) {
+	k.offset = prog.Offset
+	k.h = append(k.h[:0], prog.H...)
+	k.buildCSR(prog.N, prog.Edges)
+	k.flipW = grow(k.flipW, len(k.w))
+	for p, w := range k.w {
+		k.flipW[p] = 4 * w
+	}
 }
 
-func (s *rowSorter) Len() int           { return len(s.nbr) }
-func (s *rowSorter) Less(i, j int) bool { return s.nbr[i] < s.nbr[j] }
-func (s *rowSorter) Swap(i, j int) {
-	s.nbr[i], s.nbr[j] = s.nbr[j], s.nbr[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-	s.flipW[i], s.flipW[j] = s.flipW[j], s.flipW[i]
+// buildCSR compiles an undirected edge list into the kernel's symmetric
+// flat-CSR adjacency (n, start, nbr, w): row i lists spin i's neighbors in
+// ascending order — the flip scatter walks ascending addresses, and the row
+// order fixes the float summation order of localField2 for every sweep path —
+// with duplicate edges merged by summation in edge-list order.
+func (k *MSKernel) buildCSR(n int, edges []qubo.SparseEdge) {
+	// Row i's count goes to start[i+2], so that after the prefix sum
+	// start[i+1] is where row i begins: the fill uses it as row i's cursor
+	// and leaves it at row i's end, which is start[i+1]'s final meaning.
+	start := grow(k.start, n+2)
+	clear(start)
+	for _, e := range edges {
+		start[e.I+2]++
+		start[e.J+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		start[i] += start[i-1]
+	}
+	nbr, w := grow(k.nbr, 2*len(edges)), grow(k.w, 2*len(edges))
+	for _, e := range edges {
+		nbr[start[e.I+1]], w[start[e.I+1]] = int32(e.J), e.W
+		start[e.I+1]++
+		nbr[start[e.J+1]], w[start[e.J+1]] = int32(e.I), e.W
+		start[e.J+1]++
+	}
+	// Insertion-sort every row by neighbor, in place, merging duplicates and
+	// compacting as it goes (out never overtakes the read position). Rows are
+	// short or arrive nearly sorted — chains and couplers on Chimera, pairs in
+	// (i, j>i) order from a dense logical program — so this is linear in
+	// practice, and it needs no scratch.
+	out := int32(0)
+	for i := 0; i < n; i++ {
+		lo, hi := start[i], start[i+1]
+		start[i] = out
+		for p := lo; p < hi; p++ {
+			j, wj := nbr[p], w[p]
+			q := out
+			for q > start[i] && nbr[q-1] > j {
+				q--
+			}
+			if q > start[i] && nbr[q-1] == j {
+				w[q-1] += wj
+				continue
+			}
+			copy(nbr[q+1:out+1], nbr[q:out])
+			copy(w[q+1:out+1], w[q:out])
+			nbr[q], w[q] = j, wj
+			out++
+		}
+	}
+	start[n] = out
+	k.n, k.start, k.nbr, k.w = n, start[:n+1], nbr[:out], w[:out]
+}
+
+// grow returns s resized to n elements, reallocating only when it must; the
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // N returns the spin count the kernel was compiled for.
@@ -241,14 +247,19 @@ func (k *MSKernel) localField2(i int, sigma func(int32) float64) float64 {
 }
 
 // energyOf evaluates the program energy of one replica from scratch, in the
-// fixed field-then-edge order both paths share.
+// fixed field-then-edge order both paths share (each coupling counted once,
+// from its lower-index spin's row).
 func (k *MSKernel) energyOf(sigma func(int32) float64) float64 {
 	e := k.offset
 	for i := 0; i < k.n; i++ {
 		e += k.h[i] * sigma(int32(i))
 	}
-	for idx := range k.ew {
-		e += k.ew[idx] * sigma(k.ei[idx]) * sigma(k.ej[idx])
+	for i := int32(0); int(i) < k.n; i++ {
+		for p := k.start[i]; p < k.start[i+1]; p++ {
+			if j := k.nbr[p]; j > i {
+				e += k.w[p] * sigma(i) * sigma(j)
+			}
+		}
 	}
 	return e
 }
@@ -270,42 +281,41 @@ type MSBlock struct {
 	beta     []float64 // len replicas
 	bscaled  []float64 // beta·yPerBeta, the sweep's grid-unit multiplier
 	state    []uint64  // splitmix64 stream per replica
-	srcs     []*rng.Source
 
 	rScratch []int32  // flipped-replica indices, per-spin scratch
 	sScratch []uint64 // matching pre-flip sign bits (bit 63)
 }
 
-// NewBlock allocates a block of `replicas` trajectories. srcs supplies one
-// child source per replica (the stream discipline the differential harness
-// pins): construction consumes one Uint64 from each to seed the replica's
-// splitmix64 acceptance stream, and Init later consumes one Bool per spin
-// from each for the starting state.
-func (k *MSKernel) NewBlock(replicas int, srcs []*rng.Source) (*MSBlock, error) {
+// NewBlock allocates a block of `replicas` trajectories, consuming one Uint64
+// per replica from src, in replica order, to seed each replica's splitmix64
+// stream (the stream discipline the differential harness pins). Everything a
+// replica draws afterwards — its initial spins, its Metropolis draws — comes
+// from its own stream.
+func (k *MSKernel) NewBlock(replicas int, src *rng.Source) (*MSBlock, error) {
 	if replicas < 1 || replicas > MaxReplicasPerBlock {
 		return nil, fmt.Errorf("anneal: block of %d replicas outside [1,%d]", replicas, MaxReplicasPerBlock)
 	}
-	if len(srcs) != replicas {
-		return nil, fmt.Errorf("anneal: %d sources for %d replicas", len(srcs), replicas)
-	}
-	b := &MSBlock{
-		k:        k,
-		replicas: replicas,
-		mask:     ^uint64(0) >> uint(64-replicas),
-		words:    make([]uint64, k.n),
-		lam:      make([]float64, k.n*replicas),
-		energy:   make([]float64, replicas),
-		beta:     make([]float64, replicas),
-		bscaled:  make([]float64, replicas),
-		state:    make([]uint64, replicas),
-		srcs:     srcs,
-		rScratch: make([]int32, replicas),
-		sScratch: make([]uint64, replicas),
-	}
-	for r, src := range srcs {
+	b := new(MSBlock)
+	b.reset(k, replicas, src)
+	return b, nil
+}
+
+// reset makes b a block of `replicas` trajectories over k with freshly seeded
+// streams, reusing whatever buffers b already owns. The block's spins, fields
+// and energies are unspecified until Init or InitFrom.
+func (b *MSBlock) reset(k *MSKernel, replicas int, src *rng.Source) {
+	b.k, b.replicas, b.mask = k, replicas, ^uint64(0)>>uint(64-replicas)
+	b.words = grow(b.words, k.n)
+	b.lam = grow(b.lam, k.n*replicas)
+	b.energy = grow(b.energy, replicas)
+	b.beta = grow(b.beta, replicas)
+	b.bscaled = grow(b.bscaled, replicas)
+	b.state = grow(b.state, replicas)
+	b.rScratch = grow(b.rScratch, replicas)
+	b.sScratch = grow(b.sScratch, replicas)
+	for r := range b.state {
 		b.state[r] = src.Uint64()
 	}
-	return b, nil
 }
 
 // Replicas returns the number of packed trajectories.
@@ -328,14 +338,14 @@ func (b *MSBlock) SetAllBeta(beta float64) {
 // Beta returns replica r's current inverse temperature.
 func (b *MSBlock) Beta(r int) float64 { return b.beta[r] }
 
-// Init draws every replica's initial state uniformly at random — one Bool
-// per spin from the replica's own source, in spin order, exactly as the
+// Init draws every replica's initial state uniformly at random — one coin
+// per spin from the replica's own stream, in spin order, exactly as the
 // scalar twin draws — then rebuilds the cached fields and energies.
 func (b *MSBlock) Init() {
 	for i := range b.words {
 		var w uint64
 		for r := 0; r < b.replicas; r++ {
-			if b.srcs[r].Bool() {
+			if nextSpinUp(&b.state[r]) {
 				w |= 1 << uint(r)
 			}
 		}
@@ -471,6 +481,12 @@ func (b *MSBlock) Energies() []float64 { return append([]float64(nil), b.energy.
 // Spins extracts replica r's configuration as ±1 spins.
 func (b *MSBlock) Spins(r int) []int8 {
 	out := make([]int8, b.k.n)
+	b.spinsInto(r, out)
+	return out
+}
+
+// spinsInto writes replica r's configuration into out (len n).
+func (b *MSBlock) spinsInto(r int, out []int8) {
 	mask := uint64(1) << uint(r)
 	for i, w := range b.words {
 		if w&mask != 0 {
@@ -479,15 +495,15 @@ func (b *MSBlock) Spins(r int) []int8 {
 			out[i] = -1
 		}
 	}
-	return out
 }
 
 // MSScalar is the engine's scalar twin: one replica, plain int8 spins, the
 // same incremental doubled fields, the same arithmetic in the same order,
-// and the same stream discipline as one bit-lane of MSBlock. It exists to
-// hold the packed path honest — the differential and fuzz harnesses require
-// bit-identical trajectories — and as the readable reference for the packed
-// loop's semantics.
+// and the same stream discipline as one bit-lane of MSBlock. It is the device
+// simulator's sweep (one read = one twin over that read's ICE-perturbed
+// kernel, see Machine.run), the readable reference for the packed loop's
+// semantics, and what holds the packed path honest — the differential and
+// fuzz harnesses require bit-identical trajectories.
 type MSScalar struct {
 	k       *MSKernel
 	spins   []int8
@@ -496,19 +512,16 @@ type MSScalar struct {
 	beta    float64
 	bscaled float64 // beta·yPerBeta
 	state   uint64
-	src     *rng.Source
 }
 
 // NewScalar allocates a scalar twin over the kernel, consuming one Uint64
-// from src to seed the acceptance stream (as NewBlock does per replica).
+// from src to seed its stream (as NewBlock does per replica).
 func (k *MSKernel) NewScalar(src *rng.Source) *MSScalar {
-	expTabOne.Do(initExpTab)
 	return &MSScalar{
 		k:     k,
 		spins: make([]int8, k.n),
 		lam:   make([]float64, k.n),
 		state: src.Uint64(),
-		src:   src,
 	}
 }
 
@@ -518,11 +531,11 @@ func (s *MSScalar) SetBeta(beta float64) {
 	s.bscaled = beta * yPerBeta
 }
 
-// Init draws a uniform random state (one Bool per spin, in spin order) and
-// rebuilds fields and energy.
+// Init draws a uniform random state (one coin per spin from the twin's
+// stream, in spin order) and rebuilds fields and energy.
 func (s *MSScalar) Init() {
 	for i := range s.spins {
-		if s.src.Bool() {
+		if nextSpinUp(&s.state) {
 			s.spins[i] = 1
 		} else {
 			s.spins[i] = -1
@@ -552,29 +565,32 @@ func (s *MSScalar) recompute() {
 // Sweep performs one Metropolis pass — the scalar mirror of MSBlock.Sweep,
 // operation for operation.
 func (s *MSScalar) Sweep() {
-	k := s.k
-	for i := 0; i < k.n; i++ {
-		var spinBit uint64
-		if s.spins[i] == 1 {
-			spinBit = 1
-		}
-		deb := math.Float64bits(s.lam[i]) ^ (spinBit << 63)
+	spins := s.spins
+	lam := s.lam[:len(spins)]
+	starts, nbrs, flipWs := s.k.start[:len(spins)+1], s.k.nbr, s.k.flipW
+	bscaled, state, energy := s.bscaled, s.state, s.energy
+	for i := range spins {
+		// The spin bit, in the float sign position (−1 → 0, +1 → 1<<63).
+		sgn := uint64((uint8(spins[i])+1)>>1) << 63
+		deb := math.Float64bits(lam[i]) ^ sgn
 		if deb>>63 == 0 { // uphill (dE ≥ 0): Metropolis draw
-			y := s.bscaled * math.Abs(s.lam[i])
+			y := bscaled * math.Float64frombits(deb) // dE = |λ|: the sign transfer came out non-negative
 			if y >= rejectCutY {
 				continue
 			}
-			if !(nextFloat(&s.state) < expNegY(y)) {
+			if !(nextFloat(&state) < expNegY(y)) {
 				continue
 			}
 		}
-		for p := k.start[i]; p < k.start[i+1]; p++ {
-			delta := math.Float64frombits(math.Float64bits(k.flipW[p]) ^ (spinBit << 63))
-			s.lam[k.nbr[p]] += delta
+		row := nbrs[starts[i]:starts[i+1]]
+		deltas := flipWs[starts[i]:starts[i+1]]
+		for p, j := range row {
+			lam[j] += math.Float64frombits(math.Float64bits(deltas[p]) ^ sgn)
 		}
-		s.spins[i] = -s.spins[i]
-		s.energy += math.Float64frombits(deb)
+		spins[i] = -spins[i]
+		energy += math.Float64frombits(deb)
 	}
+	s.state, s.energy = state, energy
 }
 
 // Energy returns the incrementally-maintained program energy.
@@ -587,10 +603,10 @@ func (s *MSScalar) Spins() []int8 { return append([]int8(nil), s.spins...) }
 // compiler intrinsic on amd64, so this is a single TZCNT in the hot loop).
 func trailingZeros(v uint64) int { return bits.TrailingZeros64(v) }
 
-// MSSchedule is the simulated-annealing schedule of a multi-spin run: a
+// MSSchedule is the simulated-annealing schedule of an engine run: a
 // geometric β ramp over Sweeps passes with an optional fixed-temperature
-// pause, mirroring the device simulator's Ta/Tp semantics so a run is
-// comparable sweep-for-sweep with Machine.Run.
+// pause — the device's Ta/Tp semantics, so an engine run is comparable
+// sweep-for-sweep with Machine.Run, whose forward anneals walk this schedule.
 type MSSchedule struct {
 	// BetaInitial and BetaFinal bound the geometric ramp.
 	BetaInitial, BetaFinal float64
@@ -603,9 +619,9 @@ type MSSchedule struct {
 	PauseAt int
 }
 
-// ScheduleFromParams converts device-style run knobs into the engine's sweep
-// schedule under the machine's calibration constants — the bridge that makes
-// engine runs comparable to Machine runs at equal Ta/Tp.
+// ScheduleFromParams converts device-style run knobs into the sweep schedule
+// under the machine's calibration constants: Ta and Tp become sweep budgets,
+// the pause position a ramp index.
 func ScheduleFromParams(m *Machine, p Params) MSSchedule {
 	ramp := int(math.Round(m.SweepsPerMicrosecond * p.AnnealTimeMicros))
 	if ramp < 1 {
@@ -624,13 +640,17 @@ func ScheduleFromParams(m *Machine, p Params) MSSchedule {
 	}
 }
 
+// at evaluates the geometric ramp at schedule fraction f ∈ [0,1].
+func (sc MSSchedule) at(f float64) float64 {
+	return sc.BetaInitial * math.Exp(math.Log(sc.BetaFinal/sc.BetaInitial)*f)
+}
+
 // beta evaluates the geometric ramp at sweep index s.
 func (sc MSSchedule) beta(s int) float64 {
-	f := float64(s) / float64(sc.Sweeps-1)
 	if sc.Sweeps == 1 {
-		f = 1
+		return sc.at(1)
 	}
-	return sc.BetaInitial * math.Exp(math.Log(sc.BetaFinal/sc.BetaInitial)*f)
+	return sc.at(float64(s) / float64(sc.Sweeps-1))
 }
 
 // validate checks the schedule knobs.
@@ -647,28 +667,39 @@ func (sc MSSchedule) validate() error {
 	return nil
 }
 
-// run drives one block (or one scalar twin via the setBeta/sweep closures)
-// through the schedule: ramp sweeps with the pause inserted at PauseAt,
-// exactly as annealState.anneal orders them.
-func (sc MSSchedule) run(setBeta func(float64), sweep func()) {
+// betas expands the schedule into the β of every sweep, in order: the ramp,
+// with the pause's held sweeps (the anneal pause that lets the system
+// thermalize [43]) inserted after ramp index PauseAt. A run computes the list
+// once and every read or block walks it.
+func (sc MSSchedule) betas() []float64 {
+	out := make([]float64, 0, sc.Sweeps+sc.PauseSweeps)
 	for s := 0; s < sc.Sweeps; s++ {
-		setBeta(sc.beta(s))
-		sweep()
-		if sc.PauseSweeps > 0 && s == sc.PauseAt {
-			bp := sc.beta(s)
+		b := sc.beta(s)
+		out = append(out, b)
+		if s == sc.PauseAt {
 			for k := 0; k < sc.PauseSweeps; k++ {
-				setBeta(bp)
-				sweep()
+				out = append(out, b)
 			}
 		}
 	}
+	return out
 }
 
+// msEngine is RunMultiSpin's working set — the compiled kernel and its
+// blocks — pooled across runs so a run allocates only what it returns.
+type msEngine struct {
+	k      MSKernel
+	blocks []MSBlock
+}
+
+var msEngines = sync.Pool{New: func() any { return new(msEngine) }}
+
 // RunMultiSpin executes `replicas` independent simulated anneals of prog
-// through the multi-spin engine and returns every final state with its
-// energy. Replicas pack into 64-wide blocks; blocks run on up to `workers`
-// goroutines (≤ 0 means one). The run is deterministic given src: replica r
-// always owns the r-th child stream regardless of worker count.
+// through the packed engine and returns every final state with its energy.
+// Replicas pack into 64-wide blocks; blocks run on up to `workers` goroutines
+// (≤ 0 means one). The run is deterministic given src: replica r always owns
+// the stream seeded by the r-th Uint64 drawn from it, regardless of worker
+// count. The returned samples share one backing array.
 func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, src *rng.Source) ([]Sample, []float64, error) {
 	if err := sched.validate(); err != nil {
 		return nil, nil, err
@@ -676,56 +707,55 @@ func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, sr
 	if replicas < 1 {
 		return nil, nil, errors.New("anneal: need at least one replica")
 	}
-	k, err := NewMSKernel(prog)
-	if err != nil {
-		return nil, nil, err
+	if prog.N == 0 {
+		return nil, nil, errors.New("anneal: empty program")
 	}
-	srcs := src.SplitN(replicas)
-	nBlocks := (replicas + MaxReplicasPerBlock - 1) / MaxReplicasPerBlock
-	blocks := make([]*MSBlock, nBlocks)
+	eng := msEngines.Get().(*msEngine)
+	defer msEngines.Put(eng)
+	k := &eng.k
+	k.compile(prog)
+	eng.blocks = grow(eng.blocks, (replicas+MaxReplicasPerBlock-1)/MaxReplicasPerBlock)
+	blocks := eng.blocks
 	for b := range blocks {
-		lo := b * MaxReplicasPerBlock
-		hi := lo + MaxReplicasPerBlock
-		if hi > replicas {
-			hi = replicas
+		blocks[b].reset(k, min(MaxReplicasPerBlock, replicas-b*MaxReplicasPerBlock), src)
+	}
+	betas := sched.betas()
+	samples := make([]Sample, replicas)
+	energies := make([]float64, replicas)
+	spins := make([]int8, replicas*k.n)
+	var next atomic.Int32
+	work := func(int) {
+		for b := int(next.Add(1)) - 1; b < len(blocks); b = int(next.Add(1)) - 1 {
+			blk := &blocks[b]
+			blk.Init()
+			for _, beta := range betas {
+				blk.SetAllBeta(beta)
+				blk.Sweep()
+			}
+			for r := 0; r < blk.replicas; r++ {
+				a := b*MaxReplicasPerBlock + r
+				samples[a].Spins = spins[a*k.n : (a+1)*k.n : (a+1)*k.n]
+				blk.spinsInto(r, samples[a].Spins)
+				energies[a] = blk.energy[r]
+			}
 		}
-		blk, err := k.NewBlock(hi-lo, srcs[lo:hi])
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks[b] = blk
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > nBlocks {
-		workers = nBlocks
-	}
+	fanOut(min(workers, len(blocks)), work)
+	return samples, energies, nil
+}
+
+// fanOut calls work(0) … work(workers−1) concurrently — work(0) on the
+// caller's goroutine, so one worker (or workers ≤ 0) spawns nothing — and
+// returns when all have.
+func fanOut(workers int, work func(w int)) {
 	var wg sync.WaitGroup
-	next := make(chan *MSBlock, nBlocks)
-	for _, blk := range blocks {
-		next <- blk
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for blk := range next {
-				blk.Init()
-				sched.run(blk.SetAllBeta, blk.Sweep)
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
-	samples := make([]Sample, replicas)
-	energies := make([]float64, replicas)
-	for b, blk := range blocks {
-		lo := b * MaxReplicasPerBlock
-		for r := 0; r < blk.Replicas(); r++ {
-			samples[lo+r] = Sample{Spins: blk.Spins(r)}
-			energies[lo+r] = blk.Energy(r)
-		}
-	}
-	return samples, energies, nil
 }

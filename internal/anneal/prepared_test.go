@@ -1,7 +1,9 @@
 package anneal
 
 import (
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"quamax/internal/qubo"
@@ -62,17 +64,35 @@ func TestRunPreparedMatchesRun(t *testing.T) {
 	}
 }
 
-// The per-run rescale must reproduce the one-shot Scale exactly, whichever
-// of fields or couplers dominates.
+// The per-run divisor — coupler half folded in at prepare time, fields
+// scanned per run — must reproduce a one-shot scan of the full program
+// exactly, whichever of fields or couplers dominates (duplicate edges
+// program one coupler with their summed weight).
 func TestRescaleMatchesScale(t *testing.T) {
 	src := rng.New(22)
 	m := NewMachine()
 	for trial := 0; trial < 10; trial++ {
 		prog := randSparse(src, 12)
+		dense := prog.ToDense()
 		for _, improved := range []bool{false, true} {
+			r := Range(improved)
+			want := 1.0
+			for i := 0; i < prog.N; i++ {
+				want = math.Max(want, math.Abs(prog.H[i])/r.HMax)
+				for j := i + 1; j < prog.N; j++ {
+					if w := dense.GetJ(i, j); w >= 0 {
+						want = math.Max(want, w/r.JPosMax)
+					} else {
+						want = math.Max(want, -w/r.JNegMax)
+					}
+				}
+			}
 			pp := m.PrepareProgram(prog, improved)
-			if got, want := m.rescale(pp, prog.H).scale, m.Scale(prog, improved); got != want {
-				t.Fatalf("trial %d improved=%t: rescale %g, Scale %g", trial, improved, got, want)
+			if got := pp.scale(prog.H); got != want {
+				t.Fatalf("trial %d improved=%t: prepared scale %g, one-shot scan %g", trial, improved, got, want)
+			}
+			if got := m.Scale(prog, improved); got != want {
+				t.Fatalf("trial %d improved=%t: Scale %g, one-shot scan %g", trial, improved, got, want)
 			}
 		}
 	}
@@ -88,4 +108,83 @@ func TestRunPreparedLengthMismatch(t *testing.T) {
 	if _, err := m.RunPrepared(pp, make([]float64, 7), params, rng.New(1)); err == nil {
 		t.Fatal("short field vector accepted")
 	}
+}
+
+// A run allocates O(1): the worker streams, the β list, one backing array for
+// all samples — not per-read states and outputs. Na=5 on the bench ladder's
+// terms (anneal.allocs_per_run).
+func TestRunPreparedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	prog := embeddedProgram(t)
+	m := NewMachine()
+	pp := m.PrepareProgram(prog, true)
+	params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 5}
+	src := rng.New(31)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := m.RunPrepared(pp, prog.H, params, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 30 {
+		t.Fatalf("RunPrepared at Na=5 allocates %v times per run, want ≤ 30", allocs)
+	}
+}
+
+// Pooled worker scratch must never leak one run's spins, fields or weights
+// into another: runs of different programs (so every scratch is rebound
+// across sizes), forward and reverse, racing on one machine must each equal
+// their serial twin. CI runs this under -race -count=10.
+func TestConcurrentRunsMatchSerialTwins(t *testing.T) {
+	m := NewMachine()
+	gen := rng.New(32)
+	type job struct {
+		pp      *PreparedProgram
+		h       []float64
+		initial []int8
+		params  Params
+		want    []Sample
+	}
+	run := func(j *job, seed int64) []Sample {
+		var got []Sample
+		var err error
+		if j.initial == nil {
+			got, err = m.RunPrepared(j.pp, j.h, j.params, rng.New(seed))
+		} else {
+			got, err = m.RunPreparedReverse(j.pp, j.h, j.params, j.initial, rng.New(seed))
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return got
+	}
+	jobs := make([]*job, 6)
+	for i := range jobs {
+		prog := randSparse(gen, 10+7*i)
+		j := &job{
+			pp:     m.PrepareProgram(prog, i%2 == 0),
+			h:      prog.H,
+			params: Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 3 + 2*i},
+		}
+		if i%3 == 2 {
+			j.initial = randomSpins(gen, prog.N)
+		}
+		j.want = run(j, int64(i))
+		jobs[i] = j
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 8; rep++ {
+				if got := run(j, int64(i)); !reflect.DeepEqual(got, j.want) {
+					t.Errorf("job %d rep %d: concurrent run diverges from its serial twin", i, rep)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

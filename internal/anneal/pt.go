@@ -16,16 +16,17 @@ package anneal
 // between even pairs (0,1)(2,3)… and odd pairs (1,2)(3,4)…, the usual
 // non-interfering checkerboard.
 //
-// Ladders are independent: each gets its own source split, its own block,
-// and its own exchange stream, and they run goroutine-parallel exactly like
-// RunMultiSpin blocks. The run is deterministic given src regardless of
-// worker count. Exchange draws use math.Exp — the exchange path runs once
-// per SwapEvery·n spin visits, so it is nowhere near the sweep's hot loop.
+// Ladders are independent: each gets its own source split (which seeds its
+// block's rung streams and then supplies its exchange draws) and its own
+// block, and they run goroutine-parallel exactly like RunMultiSpin blocks.
+// The run is deterministic given src regardless of worker count. Exchange
+// draws use math.Exp — the exchange path runs once per SwapEvery·n spin
+// visits, so it is nowhere near the sweep's hot loop.
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"quamax/internal/qubo"
 	"quamax/internal/rng"
@@ -196,14 +197,13 @@ func RunPT(prog *qubo.Sparse, params PTParams, workers int, src *rng.Source) (*P
 	ladders := make([]*ptLadder, p.Ladders)
 	laneSrcs := src.SplitN(p.Ladders)
 	for i := range ladders {
-		chs := laneSrcs[i].SplitN(p.Rungs + 1)
-		block, err := k.NewBlock(p.Rungs, chs[:p.Rungs])
+		block, err := k.NewBlock(p.Rungs, laneSrcs[i])
 		if err != nil {
 			return nil, err
 		}
 		l := &ptLadder{
 			block:      block,
-			exch:       chs[p.Rungs],
+			exch:       laneSrcs[i],
 			betas:      betas,
 			lane:       make([]int, p.Rungs),
 			bestEnergy: math.Inf(1),
@@ -226,28 +226,12 @@ func RunPT(prog *qubo.Sparse, params PTParams, workers int, src *rng.Source) (*P
 		ladders[i] = l
 	}
 
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(ladders) {
-		workers = len(ladders)
-	}
-	var wg sync.WaitGroup
-	next := make(chan *ptLadder, len(ladders))
-	for _, l := range ladders {
-		next <- l
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for l := range next {
-				l.run(p)
-			}
-		}()
-	}
-	wg.Wait()
+	var next atomic.Int32
+	fanOut(min(workers, len(ladders)), func(int) {
+		for i := int(next.Add(1)) - 1; i < len(ladders); i = int(next.Add(1)) - 1 {
+			ladders[i].run(p)
+		}
+	})
 
 	res := &PTResult{
 		BestEnergy: math.Inf(1),

@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"errors"
-	"math"
 
 	"quamax/internal/qubo"
 	"quamax/internal/rng"
@@ -32,53 +31,32 @@ func (m *Machine) RunReverse(prog *qubo.Sparse, params Params, improvedRange boo
 // RunPreparedReverse is RunReverse on a program prepared once with
 // PrepareProgram, under fresh linear fields h — what RunPrepared is to Run.
 func (m *Machine) RunPreparedReverse(pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
 	if params.PausePosition <= 0 || params.PausePosition >= 1 {
 		return nil, errors.New("anneal: reverse annealing requires a turning point in (0,1)")
 	}
-	if len(initial) != pp.n {
+	if len(initial) != pp.N() {
 		return nil, errors.New("anneal: initial state length mismatch")
 	}
-	return m.run(pp, h, params, initial, src)
-}
-
-// reverseAnneal performs one reverse annealing cycle.
-func (st *annealState) reverseAnneal(params Params, initial []int8, src *rng.Source) []int8 {
-	p := st.p
-	m := st.machine
-
-	st.perturb(src)
-	copy(st.spins, initial)
-
-	rampSweeps := int(math.Round(m.SweepsPerMicrosecond * params.AnnealTimeMicros))
-	if rampSweeps < 2 {
-		rampSweeps = 2
-	}
-	half := rampSweeps / 2
-	pauseSweeps := 0
-	if params.PauseTimeMicros > 0 {
-		pauseSweeps = int(math.Round(m.SweepsPerMicrosecond * params.PauseTimeMicros))
-	}
-	// β at the turning point: the same geometric schedule position as the
-	// forward anneal's pause.
-	logRatio := math.Log(m.BetaFinal / m.BetaInitial)
-	betaAt := func(s float64) float64 { return m.BetaInitial * math.Exp(logRatio*s) }
-	betaTurn := betaAt(params.PausePosition)
-
-	// Heat: β_final → β_turn.
+	// The reverse cycle as a per-sweep β list: heat linearly from the cold
+	// end to the turning point (the geometric schedule's β at the forward
+	// anneal's pause position) over half the Ta budget, hold for the Tp
+	// budget, re-cool over the other half.
+	sc := ScheduleFromParams(m, params)
+	sc.Sweeps = max(sc.Sweeps, 2)
+	half := sc.Sweeps / 2
+	turn := sc.at(params.PausePosition)
+	betas := make([]float64, 0, sc.Sweeps+sc.PauseSweeps)
 	for k := 0; k < half; k++ {
-		f := float64(k) / float64(half)
-		st.sweep(m.BetaFinal+f*(betaTurn-m.BetaFinal), src)
+		betas = append(betas, m.BetaFinal+float64(k)/float64(half)*(turn-m.BetaFinal))
 	}
-	// Hold at the turning point.
-	for k := 0; k < pauseSweeps; k++ {
-		st.sweep(betaTurn, src)
+	for k := 0; k < sc.PauseSweeps; k++ {
+		betas = append(betas, turn)
 	}
-	// Re-cool: β_turn → β_final.
-	for k := 0; k < rampSweeps-half; k++ {
-		f := float64(k) / float64(rampSweeps-half)
-		st.sweep(betaTurn+f*(m.BetaFinal-betaTurn), src)
+	for k := 0; k < sc.Sweeps-half; k++ {
+		betas = append(betas, turn+float64(k)/float64(sc.Sweeps-half)*(m.BetaFinal-turn))
 	}
-	out := make([]int8, p.n)
-	copy(out, st.spins)
-	return out
+	return m.run(pp, h, betas, params.NumAnneals, initial, src)
 }

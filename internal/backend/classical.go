@@ -33,17 +33,29 @@ type ClassicalSA struct {
 	name string
 	// SA holds the annealing effort knobs; mutate before first use only.
 	SA *detector.ClassicalSA
-	// MicrosPerSpinSweep calibrates the latency model: one Metropolis update
-	// of one spin costs about this much wall time. The default is measured
-	// on the bench harness; it only steers admission, not correctness.
+	// MicrosPerSpinSweep calibrates the latency model: visiting one spin of
+	// one restart costs about this much wall time before any flip lands. The
+	// default is measured on the bench harness; it only steers admission,
+	// not correctness.
 	MicrosPerSpinSweep float64
 
 	caps *Capabilities
 }
 
-// DefaultMicrosPerSpinSweep is the measured per-spin-update cost of the SA
-// inner loop on a current x86 core (see BenchmarkClassicalSA).
-const DefaultMicrosPerSpinSweep = 0.004
+// DefaultMicrosPerSpinSweep and saNeighborsPerVisit are fitted to
+// BenchmarkClassicalSA (128 sweeps × 100 restarts, -cpu 1, 2.1 GHz Xeon):
+// 4.7 / 18.7 / 34.8 ms per decode at N = 16 / 36 / 48 logical spins, i.e.
+// 0.0231 / 0.0407 / 0.0566 µs per spin visit — a fixed part (the packed
+// engine's sign gather and Metropolis draw) plus a part linear in the spin's
+// N−1 neighbors (the logical problem is fully connected, and an accepted flip
+// scatters into every neighbor's cached field). The fit predicts the three
+// rows to within 6% (the benchmark's est/meas metric).
+const (
+	DefaultMicrosPerSpinSweep = 0.0069
+	// saNeighborsPerVisit is how many neighbor updates cost as much as the
+	// fixed part of a visit, averaged over the schedule's acceptance rate.
+	saNeighborsPerVisit = 6.7
+)
 
 // NewClassicalSA builds the SA backend with the given effort (restarts ≈ Na
 // for parity with the QPU, per detector.NewClassicalSA).
@@ -69,11 +81,11 @@ func NewClassicalSA(name string, sweeps, restarts int) *ClassicalSA {
 func (c *ClassicalSA) Describe() *Capabilities { return c.caps }
 
 // estimate is the descriptor's latency hook, modeling the deterministic SA
-// cost: sweeps × restarts × N spin updates. The quadratic local-field cost
-// in N is folded into the per-spin constant at the pool's typical sizes.
+// cost: sweeps × restarts × N spin visits, each a fixed part plus its share
+// of the N−1 neighbor updates an accepted flip pays.
 func (c *ClassicalSA) estimate(p *Problem) float64 {
 	n := float64(p.LogicalSpins())
-	return float64(c.SA.Sweeps) * float64(c.SA.Restarts) * n * c.MicrosPerSpinSweep * (1 + n/16)
+	return float64(c.SA.Sweeps) * float64(c.SA.Restarts) * n * c.MicrosPerSpinSweep * (1 + (n-1)/saNeighborsPerVisit)
 }
 
 // Solve anneals the problem's logical Ising form directly.

@@ -28,9 +28,10 @@ type ParallelTempering struct {
 }
 
 // DefaultPTMicrosPerSpinSweep is the measured per-spin-per-rung update cost
-// of the multi-spin inner loop on a current x86 core. The bit-packed engine
-// amortizes one CSR walk over a whole ladder, so this is far below the
-// scalar SA constant (DefaultMicrosPerSpinSweep).
+// of the multi-spin inner loop on a current x86 core: the bit-packed engine
+// amortizes one CSR walk over a whole ladder. (ClassicalSA's restarts run on
+// the same engine; its constants were re-fitted separately, see
+// DefaultMicrosPerSpinSweep.)
 const DefaultPTMicrosPerSpinSweep = 0.0008
 
 // NewParallelTempering builds the PT backend with the given per-ladder

@@ -2,8 +2,8 @@ package detector
 
 import (
 	"errors"
-	"math"
 
+	"quamax/internal/anneal"
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
 	"quamax/internal/qubo"
@@ -33,8 +33,10 @@ func NewClassicalSA(sweeps, restarts int) *ClassicalSA {
 	return &ClassicalSA{Sweeps: sweeps, Restarts: restarts, BetaInitial: 0.05, BetaFinal: 5}
 }
 
-// Decode reduces (H, y) to Ising form and anneals it directly, returning
-// the Gray bits of the best configuration found.
+// Decode reduces (H, y) to Ising form and anneals it directly — the restarts
+// are the replicas of one packed engine run (anneal.RunMultiSpin), which is
+// what the 64-lane block is for: they share every coupling — returning the
+// Gray bits of the lowest-energy configuration found.
 func (c *ClassicalSA) Decode(mod modulation.Modulation, h *linalg.Mat, y []complex128, src *rng.Source) (Result, error) {
 	if c.Sweeps < 1 || c.Restarts < 1 {
 		return Result{}, errors.New("detector: ClassicalSA needs positive sweeps and restarts")
@@ -46,43 +48,22 @@ func (c *ClassicalSA) Decode(mod modulation.Modulation, h *linalg.Mat, y []compl
 	if scale == 0 {
 		scale = 1
 	}
-	bi, bf := c.BetaInitial/scale*4, c.BetaFinal/scale*4
-	logRatio := math.Log(bf / bi)
-
-	spins := make([]int8, p.N)
-	best := make([]int8, p.N)
-	bestE := math.Inf(1)
-
-	for r := 0; r < c.Restarts; r++ {
-		for i := range spins {
-			if src.Bool() {
-				spins[i] = 1
-			} else {
-				spins[i] = -1
-			}
-		}
-		for sweep := 0; sweep < c.Sweeps; sweep++ {
-			s := float64(sweep) / math.Max(1, float64(c.Sweeps-1))
-			beta := bi * math.Exp(logRatio*s)
-			for i := 0; i < p.N; i++ {
-				f := p.H[i]
-				for j := 0; j < p.N; j++ {
-					if j != i {
-						f += p.GetJ(i, j) * float64(spins[j])
-					}
-				}
-				dE := -2 * float64(spins[i]) * f
-				if dE <= 0 || src.Float64() < math.Exp(-beta*dE) {
-					spins[i] = -spins[i]
-				}
-			}
-		}
-		if e := p.Energy(spins); e < bestE {
-			bestE = e
-			copy(best, spins)
+	sched := anneal.MSSchedule{
+		BetaInitial: c.BetaInitial / scale * 4,
+		BetaFinal:   c.BetaFinal / scale * 4,
+		Sweeps:      c.Sweeps,
+	}
+	samples, energies, err := anneal.RunMultiSpin(qubo.SparseFromIsing(p), sched, c.Restarts, 1, src)
+	if err != nil {
+		return Result{}, err
+	}
+	best := 0
+	for r, e := range energies {
+		if e < energies[best] {
+			best = r
 		}
 	}
-	qbits := qubo.BitsFromSpins(best)
+	qbits := qubo.BitsFromSpins(samples[best].Spins)
 	symbols := reduction.BitsToSymbols(mod, qbits)
 	res := finish(mod, h, y, symbols, 0)
 	res.Bits = mod.PostTranslate(qbits)

@@ -2,8 +2,11 @@ package detector
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"quamax/internal/linalg"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
 )
@@ -110,4 +113,64 @@ func TestClassicalSAValidation(t *testing.T) {
 	if _, err := bad.Decode(modulation.BPSK, h, y, src); err == nil {
 		t.Fatal("zero sweeps accepted")
 	}
+}
+
+// The restarts share one engine run whose working set is pooled, so a decode
+// allocates no more than the dense loop it replaced did (28 on this 36-user
+// BPSK shape, BenchmarkClassicalSA's): the reduction, the returned samples
+// and the result — no per-restart stream, state or output.
+func TestClassicalSAAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	src := rng.New(156)
+	h, y, _, _ := instance(src, modulation.BPSK, 36, 36, 20)
+	sa := NewClassicalSA(128, 100)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := sa.Decode(modulation.BPSK, h, y, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 28 {
+		t.Fatalf("ClassicalSA.Decode allocates %v times per call, want ≤ 28", allocs)
+	}
+}
+
+// Pooled engine scratch must never leak one decode's spins or couplings into
+// another: decodes of different sizes racing each other must each equal their
+// serial twin. CI runs this under -race -count=10.
+func TestClassicalSAConcurrentDecodesMatchSerialTwins(t *testing.T) {
+	src := rng.New(157)
+	sa := NewClassicalSA(32, 70) // 70 restarts: one full block and one partial
+	type job struct {
+		mod  modulation.Modulation
+		h    *linalg.Mat
+		y    []complex128
+		want Result
+	}
+	jobs := make([]*job, 6)
+	for i := range jobs {
+		mod := []modulation.Modulation{modulation.BPSK, modulation.QPSK, modulation.QAM16}[i%3]
+		h, y, _, _ := instance(src, mod, 3+2*i, 3+2*i, 15)
+		want, err := sa.Decode(mod, h, y, rng.New(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = &job{mod, h, y, want}
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 8; rep++ {
+				got, err := sa.Decode(j.mod, j.h, j.y, rng.New(int64(i)))
+				if err != nil || !reflect.DeepEqual(got, j.want) {
+					t.Errorf("job %d rep %d: concurrent decode diverges from its serial twin (err %v)", i, rep, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

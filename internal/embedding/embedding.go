@@ -47,9 +47,16 @@ type Embedding struct {
 	RowOff, ColOff int
 	Flipped        bool
 
-	physIndex map[int]int // graph qubit ID → dense physical index
-	physID    []int       // dense physical index → graph qubit ID
-	chainIdx  [][]int32   // Chains in dense physical indices (DenseChainIndices)
+	// Everything below is a property of the placement alone, computed once by
+	// embedTriangle in dense physical indices (0..NumPhysical−1, chain order)
+	// and immutable afterwards.
+	physID   []int     // dense physical index → graph qubit ID
+	chainIdx [][]int32 // Chains in dense physical indices (DenseChainIndices)
+	// couplers lists the working physical edges joining every pair of chains
+	// (δ_ij of Eq. 12), pairs in (i, j>i) row-major order; pair k owns
+	// couplers[pairStart[k]:pairStart[k+1]].
+	couplers  [][2]int32
+	pairStart []int32
 }
 
 // NumPhysical returns the number of physical qubits used.
@@ -89,8 +96,7 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 	e := &Embedding{
 		Graph: g, N: n, M: m,
 		RowOff: rowOff, ColOff: colOff, Flipped: flipped,
-		Chains:    make([][]int, n),
-		physIndex: make(map[int]int),
+		Chains: make([][]int, n),
 	}
 	for i := 0; i < n; i++ {
 		grp, off := i/4, i%4
@@ -125,25 +131,38 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 		}
 		e.Chains[i] = chain
 	}
-	// Validate that every logical pair has at least one physical coupler.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if len(e.couplerEdges(i, j)) == 0 {
-				return nil, fmt.Errorf("embedding: no working coupler between logical %d and %d", i, j)
-			}
-		}
-	}
 	// Dense physical indexing in chain order.
 	e.chainIdx = make([][]int32, n)
+	e.physID = make([]int, 0, n*(m+1))
+	seen := make(map[int]bool, n*(m+1))
 	for i, chain := range e.Chains {
 		e.chainIdx[i] = make([]int32, len(chain))
 		for k, q := range chain {
-			if _, ok := e.physIndex[q]; ok {
+			if seen[q] {
 				return nil, fmt.Errorf("embedding: qubit %d assigned to two chains", q)
 			}
+			seen[q] = true
 			e.chainIdx[i][k] = int32(len(e.physID))
-			e.physIndex[q] = len(e.physID)
 			e.physID = append(e.physID, q)
+		}
+	}
+	// The working couplers of every logical pair, of which each needs at
+	// least one. Chains meet inside one unit cell; they are short (≤ M+1), so
+	// scanning qubit pairs is cheap — once per placement.
+	e.pairStart = make([]int32, 1, n*(n-1)/2+1)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for ka, a := range e.Chains[i] {
+				for kb, b := range e.Chains[j] {
+					if g.HasEdge(a, b) {
+						e.couplers = append(e.couplers, [2]int32{e.chainIdx[i][ka], e.chainIdx[j][kb]})
+					}
+				}
+			}
+			if len(e.couplers) == int(e.pairStart[len(e.pairStart)-1]) {
+				return nil, fmt.Errorf("embedding: no working coupler between logical %d and %d", i, j)
+			}
+			e.pairStart = append(e.pairStart, int32(len(e.couplers)))
 		}
 	}
 	return e, nil
@@ -158,20 +177,11 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 // and shared: callers must not mutate it.
 func (e *Embedding) DenseChainIndices() [][]int32 { return e.chainIdx }
 
-// couplerEdges returns the working physical edges joining chains i and j
-// (δ_ij of Eq. 12).
-func (e *Embedding) couplerEdges(i, j int) [][2]int {
-	var out [][2]int
-	// Chains meet inside one unit cell; scan pairs cheaply since chains are
-	// short (≤ M+1).
-	for _, a := range e.Chains[i] {
-		for _, b := range e.Chains[j] {
-			if e.Graph.HasEdge(a, b) {
-				out = append(out, [2]int{a, b})
-			}
-		}
-	}
-	return out
+// couplerEdges returns the working physical edges joining chains i < j
+// (δ_ij of Eq. 12) in dense physical indices.
+func (e *Embedding) couplerEdges(i, j int) [][2]int32 {
+	k := i*e.N - i*(i+1)/2 + (j - i - 1)
+	return e.couplers[e.pairStart[k]:e.pairStart[k+1]]
 }
 
 // EmbeddedProblem is a compiled physical Ising program plus the metadata
@@ -205,6 +215,7 @@ func (e *Embedding) EmbedIsing(p *qubo.Ising, jf float64, improvedRange bool) (*
 		return nil, errors.New("embedding: |J_F| must be positive")
 	}
 	phys := qubo.NewSparse(e.NumPhysical())
+	phys.Edges = make([]qubo.SparseEdge, 0, e.NumPhysical()-e.N+len(e.couplers))
 	chainCoupler := -1.0
 	if improvedRange {
 		chainCoupler = -2.0
@@ -212,12 +223,12 @@ func (e *Embedding) EmbedIsing(p *qubo.Ising, jf float64, improvedRange bool) (*
 	ep := &EmbeddedProblem{Emb: e, Logical: p, JF: jf, ImprovedRange: improvedRange, Phys: phys}
 
 	chainLen := ChainLength(e.N)
-	for i, chain := range e.Chains {
+	for i, chain := range e.chainIdx {
 		f := p.H[i] / (jf * float64(chainLen))
 		for k, q := range chain {
-			phys.H[e.physIndex[q]] += f
+			phys.H[q] += f
 			if k > 0 {
-				phys.AddEdge(e.physIndex[chain[k-1]], e.physIndex[q], chainCoupler)
+				phys.AddEdge(int(chain[k-1]), int(q), chainCoupler)
 				ep.ChainEdges++
 			}
 		}
@@ -231,7 +242,7 @@ func (e *Embedding) EmbedIsing(p *qubo.Ising, jf float64, improvedRange bool) (*
 			edges := e.couplerEdges(i, j)
 			w := gij / (jf * float64(len(edges)))
 			for _, ed := range edges {
-				phys.AddEdge(e.physIndex[ed[0]], e.physIndex[ed[1]], w)
+				phys.AddEdge(int(ed[0]), int(ed[1]), w)
 			}
 		}
 	}
@@ -247,10 +258,10 @@ func (e *Embedding) Unembed(phys []int8, src *rng.Source) (logical []int8, broke
 		panic("embedding: physical sample length mismatch")
 	}
 	logical = make([]int8, e.N)
-	for i, chain := range e.Chains {
+	for i, chain := range e.chainIdx {
 		sum := 0
 		for _, q := range chain {
-			sum += int(phys[e.physIndex[q]])
+			sum += int(phys[q])
 		}
 		switch {
 		case sum > 0:
@@ -325,9 +336,9 @@ func (e *Embedding) PhysicalInit(logical []int8) []int8 {
 		panic("embedding: logical state length mismatch")
 	}
 	out := make([]int8, e.NumPhysical())
-	for i, chain := range e.Chains {
+	for i, chain := range e.chainIdx {
 		for _, q := range chain {
-			out[e.physIndex[q]] = logical[i]
+			out[q] = logical[i]
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"quamax/internal/chimera"
@@ -353,6 +354,88 @@ func TestPegasusProjection(t *testing.T) {
 	for _, n := range []int{1, 12, 48, 120, 350} {
 		if PegasusChainLength(n) > ChainLength(n) {
 			t.Fatalf("Pegasus chain longer than Chimera at n=%d", n)
+		}
+	}
+}
+
+// scanEmbedIsing is Appendix B compiled from scratch: every coupler found by
+// scanning Graph.HasEdge over the two chains' qubits, every index resolved
+// through a graph-ID map built here — the reference the placement's dense
+// coupler table must reproduce edge for edge.
+func scanEmbedIsing(e *Embedding, p *qubo.Ising, jf float64, improved bool) (*qubo.Sparse, int) {
+	index := make(map[int]int, e.NumPhysical())
+	for i := 0; i < e.NumPhysical(); i++ {
+		index[e.PhysicalID(i)] = i
+	}
+	phys := qubo.NewSparse(e.NumPhysical())
+	chainCoupler, chainEdges := -1.0, 0
+	if improved {
+		chainCoupler = -2
+	}
+	for i, chain := range e.Chains {
+		f := p.H[i] / (jf * float64(ChainLength(e.N)))
+		for k, q := range chain {
+			phys.H[index[q]] += f
+			if k > 0 {
+				phys.AddEdge(index[chain[k-1]], index[q], chainCoupler)
+				chainEdges++
+			}
+		}
+	}
+	for i := 0; i < e.N; i++ {
+		for j := i + 1; j < e.N; j++ {
+			if p.GetJ(i, j) == 0 {
+				continue
+			}
+			var edges [][2]int
+			for _, a := range e.Chains[i] {
+				for _, b := range e.Chains[j] {
+					if e.Graph.HasEdge(a, b) {
+						edges = append(edges, [2]int{index[a], index[b]})
+					}
+				}
+			}
+			w := p.GetJ(i, j) / (jf * float64(len(edges)))
+			for _, ed := range edges {
+				phys.AddEdge(ed[0], ed[1], w)
+			}
+		}
+	}
+	return phys, chainEdges
+}
+
+// The coupler edges are a property of the placement: EmbedIsing reads them
+// from the table embedTriangle kept, and must emit exactly the program a
+// per-call scan of the hardware graph does — same edges, same order, same
+// weights — on the primary placement and on every packed slot, without
+// scanning (or allocating per logical pair) again.
+func TestEmbedIsingMatchesHardwareScan(t *testing.T) {
+	g := chimera.DW2Q()
+	src := rng.New(17)
+	for _, n := range []int{16, 48} {
+		primary, err := Embed(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placements := append([]*Embedding{primary}, PackSlots(g, n)...)
+		if len(placements) < 2 {
+			t.Fatalf("n=%d: no packed slot to check", n)
+		}
+		p := randLogical(src, n)
+		for s, e := range placements {
+			for _, improved := range []bool{false, true} {
+				ep, err := e.EmbedIsing(p, 3.5, improved)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, chainEdges := scanEmbedIsing(e, p, 3.5, improved)
+				if !reflect.DeepEqual(ep.Phys, want) || ep.ChainEdges != chainEdges {
+					t.Fatalf("n=%d placement %d improved=%t: EmbedIsing diverges from the hardware scan", n, s, improved)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { primary.EmbedIsing(p, 3.5, true) }); allocs > 8 {
+			t.Errorf("n=%d: EmbedIsing allocates %v times per call, want ≤ 8 (no per-pair coupler scan)", n, allocs)
 		}
 	}
 }

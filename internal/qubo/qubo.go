@@ -39,7 +39,8 @@ func NewIsing(n int) *Ising {
 	if n < 0 {
 		panic("qubo: negative size")
 	}
-	return &Ising{N: n, H: make([]float64, n), J: make([]float64, n*(n-1)/2)}
+	pairs := n * (n - 1) / 2
+	return &Ising{N: n, H: make([]float64, n), J: make([]float64, pairs), nz: make([]int32, 0, pairs)}
 }
 
 // jIdx maps an (i,j) pair with i<j to the flat upper-triangular index.

@@ -34,6 +34,7 @@ func SparseFromIsing(p *Ising) *Sparse {
 	s := NewSparse(p.N)
 	copy(s.H, p.H)
 	s.Offset = p.Offset
+	s.Edges = make([]SparseEdge, 0, len(p.nz))
 	for _, k := range p.nz {
 		if p.J[k] == 0 {
 			continue // cleared after being set; structurally stale
