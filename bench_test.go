@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"quamax/internal/detector"
 	"quamax/internal/embedding"
 	"quamax/internal/experiments"
+	"quamax/internal/fronthaul"
 	"quamax/internal/health"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
@@ -1364,6 +1366,135 @@ func BenchmarkHealthGatedServe(b *testing.B) {
 			completed := st.Completed - pre.Completed
 			misses := st.DeadlineMisses - pre.DeadlineMisses
 			b.ReportMetric(float64(misses)/float64(completed), "missrate")
+		})
+	}
+}
+
+// The four benchmarks below are the orchestration path's layer rows: what a
+// request costs between the socket and the backend, with no solver behind it.
+
+// echoDispatcher answers every problem at once with zero bits of the right
+// length: the floor under a fronthaul round trip.
+type echoDispatcher struct{}
+
+func (echoDispatcher) Dispatch(_ context.Context, p *backend.Problem, _ time.Duration) (*backend.Result, error) {
+	return &backend.Result{Bits: make([]byte, p.LogicalSpins()), Backend: "echo", Batched: 1}, nil
+}
+
+// BenchmarkFronthaulRoundTrip measures one keyed (by-handle) 8×8 QPSK decode
+// from fronthaul.Client over loopback TCP to a server with nothing behind it:
+// codec, socket, demux and the server's writer. inflight=1 is the
+// request/response latency; inflight=16 is the pipelined rate, where
+// responses finishing together share a flush. allocs/op covers both ends.
+func BenchmarkFronthaulRoundTrip(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- fronthaul.NewPoolServer(echoDispatcher{}).Serve(ln) }()
+	c, err := fronthaul.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		c.Close()
+		ln.Close()
+		if err := <-served; err != nil {
+			b.Error(err)
+		}
+	}()
+	in := benchInstance(b, modulation.QPSK, 8, 20)
+	rc, err := c.RegisterChannel(in.Mod, in.H)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, inflight := range []int{1, 16} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
+			b.ReportAllocs()
+			calls := make([]*fronthaul.DecodeCall, 0, inflight)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(calls) {
+				calls = calls[:0]
+				for i := 0; i < inflight && done+i < b.N; i++ {
+					dc, err := c.SubmitDecodeWithChannel(rc, in.Y, 0, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					calls = append(calls, dc)
+				}
+				for _, dc := range calls {
+					if _, err := dc.Await(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInverse measures linalg.Inverse on the Gram matrices the linear
+// detectors, the SNR estimate and the VP compile invert: the serving shape
+// (8) and the paper's headline size (48).
+func BenchmarkInverse(b *testing.B) {
+	for _, n := range []int{8, 48} {
+		g := linalg.Gram(channel.Rayleigh{}.Generate(rng.New(4), n, n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := linalg.Inverse(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlan measures one planner verdict over the built-in table on the
+// cells_mixed_qos question: 8-user QPSK, 1e-3 target, 50 ms deadline, SNR
+// cycling through the workload's four classes.
+func BenchmarkPlan(b *testing.B) {
+	planner, err := qos.NewPlanner(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snrs := []float64{15, 20, 25, 30}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		planner.Plan(qos.Request{
+			Mod: modulation.QPSK, Nt: 8, SNRdB: snrs[i%len(snrs)], TargetBER: 1e-3, DeadlineMicros: 50_000,
+		})
+	}
+}
+
+// BenchmarkEstimateSNR measures the planner's SNR estimate both ways: the
+// one-shot form a self-contained request pays (pseudo-inverse included) and
+// the per-symbol half a registered window's symbols pay once the scheduler
+// holds the channel's estimator.
+func BenchmarkEstimateSNR(b *testing.B) {
+	for _, shape := range []struct {
+		mod modulation.Modulation
+		nt  int
+	}{{modulation.QPSK, 8}, {modulation.BPSK, 48}} {
+		in := benchInstance(b, shape.mod, shape.nt, 20)
+		b.Run(fmt.Sprintf("nt=%d/mode=one-shot", shape.nt), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := qos.EstimateSNRdB(in.Mod, in.H, in.Y); !ok {
+					b.Fatal("estimate failed")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("nt=%d/mode=per-channel", shape.nt), func(b *testing.B) {
+			est := qos.NewSNREstimator(in.Mod, in.H)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := est.Estimate(in.Y); !ok {
+					b.Fatal("estimate failed")
+				}
+			}
 		})
 	}
 }

@@ -101,8 +101,9 @@ func (c *Client) readLoop() {
 	// connection is unusable; closing it here unblocks a peer mid-write and
 	// any concurrent submit instead of leaving them wedged on a dead socket.
 	defer c.conn.Close()
+	fr := newFrameReader(c.conn)
 	for {
-		msgType, payload, err := readFrame(c.conn)
+		msgType, payload, err := fr.next()
 		if err != nil {
 			c.fail(fmt.Errorf("fronthaul: connection lost: %w", err))
 			return
@@ -164,11 +165,12 @@ func (c *Client) fail(err error) {
 }
 
 // submit runs the send half of one request's lifecycle: allocate an ID,
-// register the slot, encode (the callback receives the ID), frame and send.
-// Every request class — solve, register-channel, stats — goes through this
-// one function, so the lifecycle (including the abandon-on-local-failure
+// register the slot, encode the frame (the callback receives the ID) and send
+// it in one Write: the request is on the wire when submit returns. Every
+// request class — solve, register-channel, stats — goes through this one
+// function, so the lifecycle (including the abandon-on-local-failure
 // ordering) cannot drift between them.
-func (c *Client) submit(reqType, respType uint8, encode func(id uint64) ([]byte, error)) (*call, error) {
+func (c *Client) submit(respType uint8, encode func(id uint64) ([]byte, error)) (*call, error) {
 	k := &call{c: c, respType: respType, ch: make(chan any, 1)}
 	c.mu.Lock()
 	if c.closed != nil {
@@ -180,10 +182,10 @@ func (c *Client) submit(reqType, respType uint8, encode func(id uint64) ([]byte,
 	c.pending[id] = k
 	c.mu.Unlock()
 
-	payload, err := encode(id)
+	frame, err := encode(id)
 	if err == nil {
 		c.writeMu.Lock()
-		err = writeFrame(c.conn, reqType, payload)
+		err = sendFrame(c.conn, frame)
 		c.writeMu.Unlock()
 	}
 	if err != nil {
@@ -241,9 +243,9 @@ func (c *Client) solve(req *Request, deadline time.Duration, targetBER float64) 
 		req.DeadlineMicros = math.Min(float64(deadline)/float64(time.Microsecond), MaxDeadlineMicros)
 	}
 	req.TargetBER = math.Max(targetBER, 0)
-	k, err := c.submit(msgDecodeRequest, msgDecodeResponse, func(id uint64) ([]byte, error) {
+	k, err := c.submit(msgDecodeResponse, func(id uint64) ([]byte, error) {
 		req.ID = id
-		return encodeRequest(req)
+		return frameRequest(req)
 	})
 	return (*DecodeCall)(k), err
 }
@@ -319,8 +321,8 @@ func (rc *RemoteChannel) Mod() modulation.Modulation { return rc.mod }
 // program — and every DecodeWithChannel call only rewrites the y-dependent
 // biases.
 func (c *Client) RegisterChannel(mod modulation.Modulation, h *linalg.Mat) (*RemoteChannel, error) {
-	k, err := c.submit(msgRegisterChannel, msgRegisterResponse, func(id uint64) ([]byte, error) {
-		return encodeRegisterChannel(&RegisterChannelRequest{ID: id, Mod: mod, H: h})
+	k, err := c.submit(msgRegisterResponse, func(id uint64) ([]byte, error) {
+		return frameRegisterChannel(&RegisterChannelRequest{ID: id, Mod: mod, H: h})
 	})
 	if err != nil {
 		return nil, err
@@ -467,8 +469,8 @@ func (c *Client) SubmitDecodeSoftWithChannel(rc *RemoteChannel, y []complex128, 
 // anneal-quality aggregates. This is the frame behind `quamax -top` and
 // `-watch`.
 func (c *Client) PoolStats() (*StatsResponse, error) {
-	k, err := c.submit(msgStatsRequest, msgStatsResponse, func(id uint64) ([]byte, error) {
-		return encodeStatsRequest(&StatsRequest{ID: id}), nil
+	k, err := c.submit(msgStatsResponse, func(id uint64) ([]byte, error) {
+		return frameStatsRequest(&StatsRequest{ID: id}), nil
 	})
 	if err != nil {
 		return nil, err

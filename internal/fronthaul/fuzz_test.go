@@ -152,6 +152,8 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		Clamp: 24, LLR8: []int8{127, -127, 5, -9}, Saturated: 2,
 		Energy: 0.5, ComputeMicros: 80, Backend: "qpu0", Batched: 2})
 	bareResp := encodeResponse(&DecodeResponse{ID: 7, Err: "boom"})
+	// An error text past the u16 count's range, as the encoder clips it.
+	seeds = append(seeds, frame(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: 8, Err: strings.Repeat("e", 70_000)}), nil))
 	emptyLLR := append(bareResp[:len(bareResp)-1:len(bareResp)-1], respLLR)
 	emptyLLR = appendU32(appendU32(appendF64(emptyLLR, 24), 0), 0)
 	seeds = append(seeds,
@@ -310,9 +312,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		// (out-of-order responses, interleaved classes), truncated mid-frame,
 		// or with forged lengths. Drain until the first framing error, the
 		// exact loop a connection's read side runs.
-		r := bytes.NewReader(data)
+		fr := newFrameReader(bytes.NewReader(data))
 		for {
-			if _, _, err := readFrame(r); err != nil {
+			if _, _, err := fr.next(); err != nil {
 				break
 			}
 		}

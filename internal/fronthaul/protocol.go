@@ -40,20 +40,35 @@
 //	register  id u64 | mod u8, rows u16, cols u16, H rows·cols·c128
 //	          → id u64 | err (u16 + bytes) | handle u64
 //
-// Every declared length is checked against the bytes the payload still holds
-// before anything is allocated, every sample must be finite, and each grammar
-// is canonical: a payload that decodes re-encodes to the same bytes. A frame
-// of any other type is answered with an error naming ProtocolVersion and the
-// connection is closed.
+// Every declared length is checked against the bytes already received before
+// anything is allocated for it — a field's against the payload that holds it,
+// and the frame's own length prefix against the bytes that have arrived (the
+// read buffer grows at most readAhead past them). Every sample must be
+// finite, and each grammar is canonical: a payload that decodes re-encodes to
+// the same bytes. A frame of any other type is answered with an error naming
+// ProtocolVersion and the connection is closed.
+//
+// # I/O discipline
+//
+// A frame is encoded into one contiguous buffer, header first, and leaves in
+// one Write. Each connection end reads through one buffered reader into one
+// payload buffer it reuses frame after frame; decoders copy out everything
+// they keep, so a decoded message never aliases that buffer. The client
+// writes each request as it is submitted (it is on the wire when submit
+// returns). The server's writer goroutine buffers responses and flushes
+// whenever its queue runs empty — never on a timer — so a burst of responses
+// shares a segment and a lone response leaves at once.
 package fronthaul
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
@@ -178,36 +193,71 @@ type RegisterChannelResponse struct {
 	Handle uint64
 }
 
-// writeFrame emits one framed message.
-func writeFrame(w io.Writer, msgType uint8, payload []byte) error {
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("fronthaul: frame of %d bytes exceeds limit", len(payload))
+// frameHeaderLen is the frame header: payload length u32, frame type u8.
+const frameHeaderLen = 5
+
+// readAhead bounds how far a connection's payload buffer grows past the bytes
+// that have actually arrived, so a forged length prefix costs its sender's
+// peer this much memory and no more.
+const readAhead = 64 << 10
+
+// newFrame starts a frame: the header reserved, room for size payload bytes.
+// Encoders append the payload and finish with sealFrame.
+func newFrame(size int) []byte {
+	return make([]byte, frameHeaderLen, frameHeaderLen+size)
+}
+
+// sealFrame fills in the header of a frame begun with newFrame.
+func sealFrame(b []byte, msgType uint8) []byte {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-frameHeaderLen))
+	b[4] = msgType
+	return b
+}
+
+// sendFrame emits one sealed frame in a single Write.
+func sendFrame(w io.Writer, frame []byte) error {
+	if len(frame)-frameHeaderLen > MaxFrameBytes {
+		return fmt.Errorf("fronthaul: frame of %d bytes exceeds limit", len(frame)-frameHeaderLen)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one framed message.
-func readFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads one connection end's frames into a buffer it owns and
+// reuses for every frame up to readAhead bytes.
+type frameReader struct {
+	r   io.Reader
+	hdr [frameHeaderLen]byte
+	buf []byte
+}
+
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(conn)}
+}
+
+// next reads one frame. The payload is valid until the following call.
+func (fr *frameReader) next() (msgType uint8, payload []byte, err error) {
+	if _, err = io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := int(binary.LittleEndian.Uint32(fr.hdr[:]))
 	if n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("fronthaul: frame length %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("fronthaul: truncated frame: %w", err)
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), readAhead)
+		buf = slices.Grow(buf, chunk)
+		got, err := io.ReadFull(fr.r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return 0, nil, fmt.Errorf("fronthaul: truncated frame: %w", err)
+		}
 	}
-	return hdr[4], payload, nil
+	if cap(buf) <= readAhead {
+		fr.buf = buf // an outsized frame's buffer is not kept: an idle connection pins one chunk at most
+	}
+	return fr.hdr[4], buf, nil
 }
 
 // appendU16/U32/U64/F64 are little-endian append helpers.
@@ -385,9 +435,10 @@ func validatePerturbBits(bits int) error {
 	return nil
 }
 
-// encodeRequest serializes a solve request, refusing arguments the server
-// would reject as a bad request (and tear the connection down over).
-func encodeRequest(req *Request) ([]byte, error) {
+// frameRequest serializes a solve request into its frame, refusing arguments
+// the server would reject as a bad request (and tear the connection down
+// over).
+func frameRequest(req *Request) ([]byte, error) {
 	var flags uint8
 	size := 8 + 1 + 8 + 1 + 4 + 16*len(req.Vec) + 32
 	switch {
@@ -418,8 +469,7 @@ func encodeRequest(req *Request) ([]byte, error) {
 		}
 		flags |= reqPrecode
 	}
-	b := make([]byte, 0, size)
-	b = appendU64(b, req.ID)
+	b := appendU64(newFrame(size), req.ID)
 	b = append(b, flags)
 	if req.H == nil {
 		b = appendU64(b, req.Handle)
@@ -440,7 +490,7 @@ func encodeRequest(req *Request) ([]byte, error) {
 		b = appendF64(b, req.NoiseVar)
 		b = appendF64(b, req.LLRClamp)
 	}
-	return b, nil
+	return sealFrame(b, msgDecodeRequest), nil
 }
 
 // decodeRequest parses a solve request.
@@ -503,13 +553,17 @@ func decodeRequest(payload []byte) (*Request, error) {
 	return req, nil
 }
 
-// encodeRegisterChannel serializes a RegisterChannelRequest payload.
-func encodeRegisterChannel(req *RegisterChannelRequest) ([]byte, error) {
-	var b []byte
+// frameRegisterChannel serializes a RegisterChannelRequest into its frame.
+func frameRegisterChannel(req *RegisterChannelRequest) ([]byte, error) {
+	size := 8 + 5
 	if req.H != nil {
-		b = make([]byte, 0, 8+5+16*len(req.H.Data))
+		size += 16 * len(req.H.Data)
 	}
-	return appendMat(appendU64(b, req.ID), req.Mod, req.H)
+	b, err := appendMat(appendU64(newFrame(size), req.ID), req.Mod, req.H)
+	if err != nil {
+		return nil, err
+	}
+	return sealFrame(b, msgRegisterChannel), nil
 }
 
 // decodeRegisterChannel parses a RegisterChannelRequest payload.
@@ -526,14 +580,20 @@ func decodeRegisterChannel(payload []byte) (*RegisterChannelRequest, error) {
 	return req, nil
 }
 
-// encodeRegisterResponse serializes a RegisterChannelResponse payload.
-func encodeRegisterResponse(resp *RegisterChannelResponse) []byte {
-	b := make([]byte, 0, 8+2+len(resp.Err)+8)
-	b = appendU64(b, resp.ID)
-	b = appendU16(b, uint16(len(resp.Err)))
-	b = append(b, resp.Err...)
+// appendStr16 appends a u16-counted string, clipped to the 65,535 bytes the
+// count can express: an overlong error text loses its tail, not the frame its
+// grammar (and the connection every in-flight request with it).
+func appendStr16(b []byte, s string) []byte {
+	s = s[:min(len(s), math.MaxUint16)]
+	return append(appendU16(b, uint16(len(s))), s...)
+}
+
+// frameRegisterResponse serializes a RegisterChannelResponse into its frame.
+func frameRegisterResponse(resp *RegisterChannelResponse) []byte {
+	b := appendU64(newFrame(8+2+len(resp.Err)+8), resp.ID)
+	b = appendStr16(b, resp.Err)
 	b = appendU64(b, resp.Handle)
-	return b
+	return sealFrame(b, msgRegisterResponse)
 }
 
 // decodeRegisterResponse parses a RegisterChannelResponse payload.
@@ -552,22 +612,20 @@ func decodeRegisterResponse(payload []byte) (*RegisterChannelResponse, error) {
 	return resp, nil
 }
 
-// encodeResponse serializes a solve response. The LLR block rides only when
-// the response carries LLRs.
-func encodeResponse(resp *DecodeResponse) []byte {
-	b := make([]byte, 0, 8+2+len(resp.Err)+4+len(resp.Bits)+16+2+len(resp.Backend)+2+1+16+len(resp.LLR8))
+// frameResponse serializes a solve response into its frame. The LLR block
+// rides only when the response carries LLRs.
+func frameResponse(resp *DecodeResponse) []byte {
+	b := newFrame(8 + 2 + len(resp.Err) + 4 + len(resp.Bits) + 16 + 2 + len(resp.Backend) + 2 + 1 + 16 + len(resp.LLR8))
 	b = appendU64(b, resp.ID)
-	b = appendU16(b, uint16(len(resp.Err)))
-	b = append(b, resp.Err...)
+	b = appendStr16(b, resp.Err)
 	b = appendU32(b, uint32(len(resp.Bits)))
 	b = append(b, resp.Bits...)
 	b = appendF64(b, resp.Energy)
 	b = appendF64(b, resp.ComputeMicros)
-	b = appendU16(b, uint16(len(resp.Backend)))
-	b = append(b, resp.Backend...)
+	b = appendStr16(b, resp.Backend)
 	b = appendU16(b, uint16(resp.Batched))
 	if len(resp.LLR8) == 0 {
-		return append(b, 0)
+		return sealFrame(append(b, 0), msgDecodeResponse)
 	}
 	b = append(b, respLLR)
 	b = appendF64(b, resp.Clamp)
@@ -576,7 +634,7 @@ func encodeResponse(resp *DecodeResponse) []byte {
 	for _, q := range resp.LLR8 {
 		b = append(b, byte(q))
 	}
-	return b
+	return sealFrame(b, msgDecodeResponse)
 }
 
 // decodeResponse parses a solve response. The clamp of an LLR block must be

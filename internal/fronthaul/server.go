@@ -1,6 +1,7 @@
 package fronthaul
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -206,10 +207,35 @@ type registeredChannel struct {
 // is stale anyway (a decode against an evicted handle gets a clean error).
 const MaxChannelsPerConn = 256
 
-// outFrame is one response awaiting the connection's writer goroutine.
-type outFrame struct {
-	msgType uint8
-	payload []byte
+// writeBuffer sizes a connection's response buffer: a full in-flight window
+// of hard-decode responses (≈ 100 bytes each at 8×8 QPSK) leaves in one
+// Write. Larger responses pass through it unbuffered.
+const writeBuffer = 16 << 10
+
+// writeLoop is the single goroutine that touches a connection's write side.
+// It buffers the sealed frames it is handed and flushes whenever the queue
+// runs empty — never on a timer — so responses that finish together share a
+// segment and a lone response leaves at once. A failed write means no answer
+// can be delivered any more: it closes the connection, which ends the read
+// loop (so no new work is admitted and cancel discards what is queued), and
+// discards the rest of the queue. It returns when out is closed.
+func (s *Server) writeLoop(conn net.Conn, out <-chan []byte) {
+	w := bufio.NewWriterSize(conn, writeBuffer)
+	dead := false
+	for frame := range out {
+		if dead {
+			continue
+		}
+		err := sendFrame(w, frame)
+		if err == nil && len(out) == 0 {
+			err = w.Flush()
+		}
+		if err != nil {
+			s.logf("fronthaul: write response: %v", err)
+			conn.Close()
+			dead = true
+		}
+	}
 }
 
 // handleConn processes one AP connection. The connection's lifetime bounds a
@@ -228,27 +254,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	depth := s.pipelineDepth()
 
-	// Writer: the single goroutine that touches the connection's write side.
-	// Request goroutines finish by enqueueing; the channel closes only after
-	// every producer is reaped, then the writer drains and exits. A failed
-	// write means no answer can be delivered any more: the writer closes the
-	// connection, which ends the read loop (so no new work is admitted and
-	// cancel discards what is queued), and discards the rest of the queue.
-	out := make(chan outFrame, depth)
+	// Request goroutines finish by enqueueing a sealed frame; the channel
+	// closes only after every producer is reaped, then the writer drains and
+	// exits.
+	out := make(chan []byte, depth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		dead := false
-		for f := range out {
-			if dead {
-				continue
-			}
-			if err := writeFrame(conn, f.msgType, f.payload); err != nil {
-				s.logf("fronthaul: write response: %v", err)
-				conn.Close()
-				dead = true
-			}
-		}
+		s.writeLoop(conn, out)
 	}()
 	defer func() { close(out); <-writerDone }()
 
@@ -260,28 +273,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// The in-flight window: spawn blocks while depth requests are already in
-	// service, so the read loop stops consuming frames until a slot frees.
+	// The in-flight window: a solve takes a slot before it is spawned, so
+	// while depth requests are already in service the read loop stops
+	// consuming frames until one frees.
 	sem := make(chan struct{}, depth)
-	spawn := func(fn func()) {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn()
-		}()
-	}
 
 	var chanMu sync.Mutex
 	channels := make(map[uint64]registeredChannel)
 	var nextHandle uint64
 
-	write := func(msgType uint8, payload []byte) {
-		out <- outFrame{msgType: msgType, payload: payload}
-	}
+	fr := newFrameReader(conn)
 	for {
-		msgType, payload, err := readFrame(conn)
+		msgType, payload, err := fr.next()
 		if err != nil {
 			return // connection closed or corrupt framing
 		}
@@ -289,24 +292,28 @@ func (s *Server) handleConn(conn net.Conn) {
 		case msgDecodeRequest:
 			req, err := decodeRequest(payload)
 			if err != nil {
-				s.badRequest(write, payload, err)
+				s.badRequest(out, payload, err)
 				return
 			}
 			chanMu.Lock()
 			ch, refusal := channelFor(channels, req)
 			chanMu.Unlock()
 			if refusal != "" {
-				write(msgDecodeResponse, encodeResponse(&DecodeResponse{ID: req.ID, Err: refusal}))
+				out <- frameResponse(&DecodeResponse{ID: req.ID, Err: refusal})
 				continue
 			}
-			spawn(func() {
-				write(msgDecodeResponse, encodeResponse(s.process(ctx, req, ch)))
-			})
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				out <- frameResponse(s.process(ctx, req, ch))
+			}()
 
 		case msgRegisterChannel:
 			req, err := decodeRegisterChannel(payload)
 			if err != nil {
-				s.badRequest(write, payload, err)
+				s.badRequest(out, payload, err)
 				return
 			}
 			// Registration is pure bookkeeping (the pool's compiled-channel
@@ -320,23 +327,22 @@ func (s *Server) handleConn(conn net.Conn) {
 			channels[nextHandle] = rc
 			delete(channels, nextHandle-MaxChannelsPerConn)
 			chanMu.Unlock()
-			write(msgRegisterResponse, encodeRegisterResponse(
-				&RegisterChannelResponse{ID: req.ID, Handle: nextHandle}))
+			out <- frameRegisterResponse(&RegisterChannelResponse{ID: req.ID, Handle: nextHandle})
 
 		case msgStatsRequest:
 			req, err := decodeStatsRequest(payload)
 			if err != nil {
-				s.badRequest(write, payload, err)
+				s.badRequest(out, payload, err)
 				return
 			}
 			// Stats are a pure snapshot (no pool dispatch), so answer inline
 			// like channel registration.
-			write(msgStatsResponse, s.statsFrame(req.ID))
+			out <- s.statsFrame(req.ID)
 
 		default:
 			// A peer of another protocol generation: tell it so and hang up,
 			// or it would wait forever for an answer to a frame we dropped.
-			s.badRequest(write, payload, fmt.Errorf("unknown frame type %d", msgType))
+			s.badRequest(out, payload, fmt.Errorf("unknown frame type %d", msgType))
 			return
 		}
 	}
@@ -360,7 +366,7 @@ func channelFor(channels map[uint64]registeredChannel, req *Request) (ch registe
 	return ch, refusal
 }
 
-// statsFrame snapshots the serving planes into one stats-response payload.
+// statsFrame snapshots the serving planes into one stats-response frame.
 func (s *Server) statsFrame(id uint64) []byte {
 	resp := &StatsResponse{ID: id}
 	if st, ok := s.Stats(); ok {
@@ -378,9 +384,9 @@ func (s *Server) statsFrame(id uint64) []byte {
 			resp.Health = &h
 		}
 	}
-	b, err := encodeStatsResponse(resp)
+	b, err := frameStatsResponse(resp)
 	if err != nil {
-		b, _ = encodeStatsResponse(&StatsResponse{ID: id, Err: err.Error()})
+		b, _ = frameStatsResponse(&StatsResponse{ID: id, Err: err.Error()})
 	}
 	return b
 }
@@ -389,15 +395,15 @@ func (s *Server) statsFrame(id uint64) []byte {
 // salvageable (first 8 bytes), answers with an error response so a protocol-
 // mismatched client fails fast instead of blocking forever on a swallowed
 // request. The caller closes the connection afterwards.
-func (s *Server) badRequest(write func(uint8, []byte), payload []byte, err error) {
+func (s *Server) badRequest(out chan<- []byte, payload []byte, err error) {
 	s.logf("fronthaul: bad request: %v", err)
 	if len(payload) < 8 {
 		return
 	}
-	write(msgDecodeResponse, encodeResponse(&DecodeResponse{
+	out <- frameResponse(&DecodeResponse{
 		ID:  binary.LittleEndian.Uint64(payload),
 		Err: fmt.Sprintf("bad request (server speaks protocol version %d): %v", ProtocolVersion, err),
-	}))
+	})
 }
 
 // softClamp resolves the effective LLR clamp of one soft request: the

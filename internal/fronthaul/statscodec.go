@@ -39,9 +39,9 @@ type StatsResponse struct {
 	Health *metrics.HealthStats
 }
 
-// encodeStatsRequest serializes a StatsRequest payload.
-func encodeStatsRequest(req *StatsRequest) []byte {
-	return appendU64(nil, req.ID)
+// frameStatsRequest serializes a StatsRequest into its frame.
+func frameStatsRequest(req *StatsRequest) []byte {
+	return sealFrame(appendU64(newFrame(8), req.ID), msgStatsRequest)
 }
 
 // decodeStatsRequest parses a StatsRequest payload.
@@ -213,12 +213,12 @@ func readPoolStats(r *reader, payload []byte, p *metrics.PoolStats) error {
 	return r.err
 }
 
-// encodeStatsResponse serializes a StatsResponse payload.
-func encodeStatsResponse(resp *StatsResponse) ([]byte, error) {
+// frameStatsResponse serializes a StatsResponse into its frame.
+func frameStatsResponse(resp *StatsResponse) ([]byte, error) {
 	if len(resp.Err) > 0xffff {
 		return nil, errors.New("fronthaul: oversized error string")
 	}
-	b := appendU64(nil, resp.ID)
+	b := appendU64(newFrame(256), resp.ID)
 	b = appendU16(b, uint16(len(resp.Err)))
 	b = append(b, resp.Err...)
 	b = appendF64(b, resp.UptimeMicros)
@@ -298,7 +298,7 @@ func encodeStatsResponse(resp *StatsResponse) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return b, nil
+	return sealFrame(b, msgStatsResponse), nil
 }
 
 // appendHealth encodes the v9 solver-health block: per-backend drift entries

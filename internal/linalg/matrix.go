@@ -238,18 +238,15 @@ func MaxAbsDiff(a, b *Mat) float64 {
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// Solve solves a·x = b for square a via Gaussian elimination with partial
-// pivoting. a and b are not modified.
-func Solve(a *Mat, b []complex128) ([]complex128, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("linalg: Solve requires square a and matching b")
-	}
-	// Augmented working copies.
+// eliminate solves a·X = B for square a by Gaussian elimination with partial
+// pivoting, on a private copy of a. x is n×k, holds B on entry and X on
+// return. The k right-hand sides ride one elimination, and each of them sees
+// exactly the operation sequence a lone right-hand side would (row swap,
+// x[r] -= f·x[col] in elimination order, then back substitution), so a
+// column of X does not depend on which other columns were solved beside it.
+func eliminate(a, x *Mat) error {
+	n, k := a.Rows, x.Cols
 	m := a.Clone()
-	x := make([]complex128, n)
-	copy(x, b)
-
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in column.
 		p, best := col, cmplx.Abs(m.At(col, col))
@@ -259,58 +256,73 @@ func Solve(a *Mat, b []complex128) ([]complex128, error) {
 			}
 		}
 		if best == 0 || math.IsNaN(best) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
+		mc, xc := m.Data[col*n:(col+1)*n], x.Data[col*k:(col+1)*k]
 		if p != col {
-			for j := 0; j < n; j++ {
-				m.Data[col*n+j], m.Data[p*n+j] = m.Data[p*n+j], m.Data[col*n+j]
-			}
-			x[col], x[p] = x[p], x[col]
+			swapRows(mc, m.Data[p*n:(p+1)*n])
+			swapRows(xc, x.Data[p*k:(p+1)*k])
 		}
-		pivot := m.At(col, col)
+		pivot := mc[col]
 		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) / pivot
+			mr := m.Data[r*n : (r+1)*n]
+			f := mr[col] / pivot
 			if f == 0 {
 				continue
 			}
-			m.Set(r, col, 0)
+			mr[col] = 0
 			for j := col + 1; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
+				mr[j] -= f * mc[j]
 			}
-			x[r] -= f * x[col]
+			for j, v := range xc {
+				x.Data[r*k+j] -= f * v
+			}
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
+		xi := x.Data[i*k : (i+1)*k]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			u := m.Data[i*n+j]
+			for c, v := range x.Data[j*k : (j+1)*k] {
+				xi[c] -= u * v
+			}
 		}
-		x[i] = s / m.At(i, i)
+		for c := range xi {
+			xi[c] /= m.Data[i*n+i]
+		}
 	}
-	return x, nil
+	return nil
 }
 
-// Inverse returns a⁻¹ for square a.
+func swapRows(a, b []complex128) {
+	for j := range a {
+		a[j], b[j] = b[j], a[j]
+	}
+}
+
+// Solve solves a·x = b for square a via Gaussian elimination with partial
+// pivoting. a and b are not modified.
+func Solve(a *Mat, b []complex128) ([]complex128, error) {
+	if a.Cols != a.Rows || len(b) != a.Rows {
+		panic("linalg: Solve requires square a and matching b")
+	}
+	x := &Mat{Rows: a.Rows, Cols: 1, Data: append([]complex128(nil), b...)}
+	if err := eliminate(a, x); err != nil {
+		return nil, err
+	}
+	return x.Data, nil
+}
+
+// Inverse returns a⁻¹ for square a: one elimination over the identity's n
+// unit vectors, O(n³).
 func Inverse(a *Mat) (*Mat, error) {
-	n := a.Rows
-	if a.Cols != n {
+	if a.Cols != a.Rows {
 		panic("linalg: Inverse requires a square matrix")
 	}
-	inv := NewMat(n, n)
-	e := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
+	inv := Identity(a.Rows)
+	if err := eliminate(a, inv); err != nil {
+		return nil, err
 	}
 	return inv, nil
 }

@@ -8,7 +8,6 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
-	"quamax/internal/detector"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/mimo"
@@ -218,19 +217,38 @@ func distStats(d *metrics.Distribution) (p0, floor, spread float64) {
 	return p0, floor, spread
 }
 
-// EstimateSNRdB estimates the receive SNR of one channel use from its own
-// data: detect with zero-forcing, rebuild the noiseless signal from the
-// hard decisions, and compare signal to residual power. At serving SNRs the
-// ZF decisions are mostly correct, so the residual is dominated by noise;
-// the estimate biases high at very low SNR, where the planner's
-// below-fit-range guard takes over. ok is false when the channel is too
-// ill-conditioned to invert.
-func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
-	res, err := detector.ZeroForcing(mod, h, y)
-	if err != nil {
+// SNREstimator is the channel-dependent half of the receive-SNR estimate: the
+// zero-forcing filter of one (mod, H), built once per coherence window so
+// each received vector costs two matrix–vector products. It is immutable and
+// safe for concurrent use; it references h, which must not change.
+type SNREstimator struct {
+	mod  modulation.Modulation
+	h    *linalg.Mat
+	pinv *linalg.Mat // nil when h is too ill-conditioned to invert
+}
+
+// NewSNREstimator inverts the channel (O(Nt²·Nr + Nt³)).
+func NewSNREstimator(mod modulation.Modulation, h *linalg.Mat) *SNREstimator {
+	pinv, _ := linalg.PseudoInverse(h) // a singular channel leaves pinv nil: Estimate reports !ok
+	return &SNREstimator{mod: mod, h: h, pinv: pinv}
+}
+
+// Estimate estimates the receive SNR of one channel use from its own data:
+// detect with zero-forcing, rebuild the noiseless signal from the hard
+// decisions, and compare signal to residual power. At serving SNRs the ZF
+// decisions are mostly correct, so the residual is dominated by noise; the
+// estimate biases high at very low SNR, where the planner's below-fit-range
+// guard takes over. ok is false when the channel is too ill-conditioned to
+// invert.
+func (e *SNREstimator) Estimate(y []complex128) (float64, bool) {
+	if e.pinv == nil {
 		return 0, false
 	}
-	signal := linalg.MulVec(h, res.Symbols)
+	symbols := linalg.MulVec(e.pinv, y)
+	for i, v := range symbols {
+		symbols[i] = e.mod.Slice(v)
+	}
+	signal := linalg.MulVec(e.h, symbols)
 	sig := linalg.Norm2(signal)
 	noise := linalg.Norm2(linalg.VecSub(y, signal))
 	if sig == 0 {
@@ -240,4 +258,10 @@ func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (fl
 		return math.Inf(1), true
 	}
 	return channel.SNRLinearToDB(sig / noise), true
+}
+
+// EstimateSNRdB is the one-shot form of SNREstimator for a channel seen once:
+// it builds the filter, estimates, and discards it.
+func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
+	return NewSNREstimator(mod, h).Estimate(y)
 }

@@ -1,0 +1,254 @@
+package qos
+
+import (
+	"math"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"quamax/internal/channel"
+	"quamax/internal/detector"
+	"quamax/internal/linalg"
+	"quamax/internal/modulation"
+	"quamax/internal/rng"
+	"quamax/internal/trace"
+)
+
+// estimateSNRRef is EstimateSNRdB as it stood before the estimate was split
+// into a per-channel and a per-symbol half: a full zero-forcing detection
+// per received vector. The split estimator must return the same float64.
+func estimateSNRRef(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
+	res, err := detector.ZeroForcing(mod, h, y)
+	if err != nil {
+		return 0, false
+	}
+	signal := linalg.MulVec(h, res.Symbols)
+	sig := linalg.Norm2(signal)
+	noise := linalg.Norm2(linalg.VecSub(y, signal))
+	if sig == 0 {
+		return 0, false
+	}
+	if noise == 0 {
+		return math.Inf(1), true
+	}
+	return channel.SNRLinearToDB(sig / noise), true
+}
+
+// (t *Table) op and classCurve are the planner's table lookups as they stood
+// before the table was indexed: a scan of every entry per question. They are
+// the reference tableIndex is compared against.
+func (t *Table) op(mod modulation.Modulation) ClassOp {
+	name := mod.String()
+	for _, op := range t.Ops {
+		if op.Mod == name {
+			return op
+		}
+	}
+	return ClassOp{Mod: name, JF: 4, Ta: 1, Tp: 1, Sp: 0.35}
+}
+
+func (t *Table) classCurve(mod modulation.Modulation, nt int, mode Mode) (curve, bool, string) {
+	name := mod.String()
+	bestNt := -1
+	anyMod := false
+	for _, p := range t.Points {
+		if p.Mod != name || p.Mode != mode {
+			continue
+		}
+		anyMod = true
+		if p.Nt >= nt && (bestNt == -1 || p.Nt < bestNt) {
+			bestNt = p.Nt
+		}
+	}
+	if !anyMod {
+		return nil, false, ReasonUnfittedClass
+	}
+	if bestNt == -1 {
+		return nil, false, ReasonOversizeNt
+	}
+	var c curve
+	for _, p := range t.Points {
+		if p.Mod == name && p.Mode == mode && p.Nt == bestNt {
+			c = append(c, p)
+		}
+	}
+	sort.Slice(c, func(i, j int) bool { return c[i].SNRdB < c[j].SNRdB })
+	return c, true, ""
+}
+
+// The cells_mixed_qos shape: 8×8 QPSK over Ricean channels at 15–30 dB, every
+// symbol of a window estimated through one SNREstimator.
+func TestSplitSNREstimateBitIdentical(t *testing.T) {
+	src := rng.New(15)
+	tr, err := trace.GenerateMultiUser(src.Split(), trace.MultiUserConfig{
+		Cells: 16, Users: 256, Requests: 512, ZipfS: 1.1,
+		Antennas: 8, CellUsers: 8, WindowUses: 16, RiceanK: 3, Doppler: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := modulation.QPSK
+	perChannel := make(map[*linalg.Mat]*SNREstimator)
+	for i, r := range tr.Requests {
+		snrDB := []float64{15, 20, 25, 30}[r.User%4]
+		y := linalg.MulVec(r.H, mod.MapGrayVector(src.Bits(8*mod.BitsPerSymbol())))
+		y = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, snrDB))
+		est := perChannel[r.H]
+		if est == nil {
+			est = NewSNREstimator(mod, r.H)
+			perChannel[r.H] = est
+		}
+		want, wantOK := estimateSNRRef(mod, r.H, y)
+		for name, f := range map[string]func() (float64, bool){
+			"per-channel": func() (float64, bool) { return est.Estimate(y) },
+			"one-shot":    func() (float64, bool) { return EstimateSNRdB(mod, r.H, y) },
+		} {
+			got, ok := f()
+			if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("request %d, %s: got (%v, %v), reference (%v, %v)", i, name, got, ok, want, wantOK)
+			}
+		}
+		if !wantOK || math.IsNaN(want) {
+			t.Fatalf("request %d: reference estimate (%v, %v) at %v dB", i, want, wantOK, snrDB)
+		}
+	}
+	if len(perChannel) < 16 || len(perChannel) == len(tr.Requests) {
+		t.Fatalf("trace has %d channels over %d requests: windows are not being shared", len(perChannel), len(tr.Requests))
+	}
+
+	// A rank-deficient channel (two equal columns) and a noiseless one.
+	h := channel.Rayleigh{}.Generate(src, 8, 8)
+	x := mod.MapGrayVector(src.Bits(16))
+	clean := linalg.MulVec(h, x)
+	if got, ok := NewSNREstimator(mod, h).Estimate(clean); !ok || got < 100 {
+		t.Fatalf("noiseless estimate (%v, %v), want a huge or infinite SNR", got, ok)
+	}
+	for r := 0; r < 8; r++ {
+		h.Set(r, 1, h.At(r, 0))
+	}
+	y := linalg.MulVec(h, x)
+	_, refOK := estimateSNRRef(mod, h, y)
+	_, gotOK := NewSNREstimator(mod, h).Estimate(y)
+	_, oneOK := EstimateSNRdB(mod, h, y)
+	if refOK || gotOK || oneOK {
+		t.Fatalf("rank-deficient channel: ok = %v (reference), %v (per-channel), %v (one-shot); want all false", refOK, gotOK, oneOK)
+	}
+}
+
+// One estimator serves every request of its window, from many goroutines.
+func TestSNREstimatorConcurrentUse(t *testing.T) {
+	src := rng.New(3)
+	mod := modulation.QPSK
+	h := channel.Rayleigh{}.Generate(src, 8, 8)
+	est := NewSNREstimator(mod, h)
+	ys := make([][]complex128, 64)
+	want := make([]float64, len(ys))
+	for i := range ys {
+		y := linalg.MulVec(h, mod.MapGrayVector(src.Bits(16)))
+		ys[i] = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, 20))
+		want[i], _ = est.Estimate(ys[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, y := range ys {
+				if got, _ := est.Estimate(y); got != want[i] {
+					t.Errorf("vector %d: concurrent estimate %v, serial %v", i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestTableIndexMatchesScan(t *testing.T) {
+	// The builtin table, the hand-built one, and one with out-of-order
+	// points, a duplicate operating point, an unfitted modulation and a
+	// non-canonical modulation name (which the scan never matched).
+	shuffled := testTable()
+	shuffled.Points[0], shuffled.Points[2] = shuffled.Points[2], shuffled.Points[0]
+	shuffled.Points = append(shuffled.Points,
+		Point{Mod: "qpsk", Nt: 2, SNRdB: 10, Mode: ModeForward, P0: 0.5},
+		Point{Mod: "16-QAM", Nt: 2, SNRdB: 10, Mode: ModeReverse, P0: 0.5})
+	shuffled.Ops = append(shuffled.Ops, ClassOp{Mod: "QPSK", JF: 9, Ta: 2, Tp: 2, Sp: 0.5})
+	for name, tab := range map[string]*Table{"builtin": BuiltinTable(), "test": testTable(), "shuffled": shuffled} {
+		if err := tab.Validate(); err != nil {
+			t.Fatal(name, err)
+		}
+		ix := newTableIndex(tab)
+		reasons := make(map[string]int)
+		for _, mod := range append(modulation.All(), modulation.Modulation(99)) {
+			if got, want := ix.op(mod), tab.op(mod); got != want {
+				t.Fatalf("%s: op(%v) = %+v, scan %+v", name, mod, got, want)
+			}
+			for nt := 1; nt <= 64; nt++ {
+				for _, mode := range []Mode{ModeForward, ModeReverse} {
+					got, gotOK, gotReason := ix.classCurve(mod, nt, mode)
+					want, wantOK, wantReason := tab.classCurve(mod, nt, mode)
+					if gotOK != wantOK || gotReason != wantReason || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: classCurve(%v, %d, %s) = (%v, %v, %q), scan (%v, %v, %q)",
+							name, mod, nt, mode, got, gotOK, gotReason, want, wantOK, wantReason)
+					}
+					reasons[gotReason]++
+				}
+			}
+		}
+		for _, r := range []string{"", ReasonUnfittedClass, ReasonOversizeNt} {
+			if reasons[r] == 0 {
+				t.Fatalf("%s: no question ended in reason %q; the grid does not cover it", name, r)
+			}
+		}
+	}
+}
+
+// Planner counters are independent atomics: concurrent Plan calls must still
+// add up exactly once the callers are done.
+func TestPlannerStatsConcurrent(t *testing.T) {
+	pl := testPlanner(t)
+	reqs := []Request{
+		{Mod: modulation.QPSK, Nt: 4, SNRdB: 20, TargetBER: 1e-3, DeadlineMicros: 1000},             // fit
+		{Mod: modulation.QPSK, Nt: 4, SNRdB: 20},                                                    // no target
+		{Mod: modulation.QPSK, Nt: 4, SNRdB: 20, TargetBER: 1e-3, Soft: true},                       // soft fit
+		{Mod: modulation.QPSK, Nt: 16, SNRdB: 20, TargetBER: 1e-3},                                  // oversize
+		{Mod: modulation.BPSK, Nt: 4, SNRdB: 20, TargetBER: 1e-3},                                   // unfitted
+		{Mod: modulation.QPSK, Nt: 4, SNRdB: 10, TargetBER: 1e-3, DeadlineMicros: 1000},             // reverse or denial
+		{Mod: modulation.QPSK, Nt: 8, SNRdB: 10, TargetBER: 1e-9, DeadlineMicros: 1e6},              // floor
+		{Mod: modulation.QPSK, Nt: 4, SNRdB: 20, TargetBER: 1e-3, DeadlineMicros: 0.5},              // below anneal
+		{Mod: modulation.QPSK, Nt: 4, SNRdB: 12, TargetBER: 0.0101, DeadlineMicros: 4, Soft: false}, // deadline exceeded
+	}
+	const workers, rounds = 8, 200
+	var want Stats
+	want.ByReason = make(map[string]uint64)
+	serial := testPlanner(t)
+	for _, r := range reqs {
+		p := serial.Plan(r)
+		want.ByReason[p.Reason] += workers * rounds
+	}
+	one := serial.Stats()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, r := range reqs {
+					pl.Plan(r)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got := pl.Stats()
+	const k = workers * rounds
+	want.Plans, want.Quantum, want.Classical = one.Plans*k, one.Quantum*k, one.Classical*k
+	want.Reverse, want.Soft, want.PT, want.ReadsPlanned = one.Reverse*k, one.Soft*k, one.PT*k, one.ReadsPlanned*k
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent stats\n got %+v\nwant %+v", got, want)
+	}
+	if got.Plans != uint64(len(reqs))*k || len(got.ByReason) < 5 {
+		t.Fatalf("stats %+v do not cover the request mix", got)
+	}
+}

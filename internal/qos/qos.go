@@ -36,7 +36,7 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"quamax/internal/anneal"
@@ -162,18 +162,6 @@ func (t *Table) Validate() error {
 		}
 	}
 	return nil
-}
-
-// op returns the operating point for mod, defaulting to the paper's Fix
-// settings when the table carries none.
-func (t *Table) op(mod modulation.Modulation) ClassOp {
-	name := mod.String()
-	for _, op := range t.Ops {
-		if op.Mod == name {
-			return op
-		}
-	}
-	return ClassOp{Mod: name, JF: 4, Ta: 1, Tp: 1, Sp: 0.35}
 }
 
 // Request is one planning question: the problem class and QoS constraints of
@@ -349,13 +337,13 @@ type Planner struct {
 	PT *PTCost
 
 	table *Table
-
-	mu    sync.Mutex
-	stats Stats
+	index tableIndex
+	stats counters
 }
 
 // NewPlanner builds a planner over a validated table; a nil table selects
-// the built-in coefficients.
+// the built-in coefficients. The table is indexed here, once: it must not
+// change afterwards.
 func NewPlanner(t *Table) (*Planner, error) {
 	if t == nil {
 		t = BuiltinTable()
@@ -363,7 +351,7 @@ func NewPlanner(t *Table) (*Planner, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("qos: %w", err)
 	}
-	return &Planner{table: t}, nil
+	return &Planner{table: t, index: newTableIndex(t)}, nil
 }
 
 // Table exposes the planner's fitted table.
@@ -372,37 +360,72 @@ func (pl *Planner) Table() *Table { return pl.table }
 // curve is the SNR-ordered fit of one (mod, Nt, mode) class.
 type curve []Point
 
-// classCurve collects the points of (mod, nt, mode), sorted by SNR, choosing
-// the smallest fitted Nt ≥ nt (a larger problem is never easier, so rounding
-// Nt up is the conservative direction). ok is false when the modulation is
-// unfitted or nt exceeds every fitted size.
-func (t *Table) classCurve(mod modulation.Modulation, nt int, mode Mode) (curve, bool, string) {
-	name := mod.String()
-	bestNt := -1
-	anyMod := false
-	for _, p := range t.Points {
-		if p.Mod != name || p.Mode != mode {
-			continue
-		}
-		anyMod = true
-		if p.Nt >= nt && (bestNt == -1 || p.Nt < bestNt) {
-			bestNt = p.Nt
+// classKey names the curves of one modulation (by table name) under one mode.
+type classKey struct {
+	mod  string
+	mode Mode
+}
+
+// tableIndex is a table laid out for lookup: the first operating point listed
+// per modulation, and per (modulation, mode) the SNR-sorted curve of every
+// fitted Nt in ascending Nt.
+type tableIndex struct {
+	ops    map[string]ClassOp
+	curves map[classKey][]curve
+}
+
+func newTableIndex(t *Table) tableIndex {
+	ix := tableIndex{ops: make(map[string]ClassOp), curves: make(map[classKey][]curve)}
+	for _, op := range t.Ops {
+		if _, dup := ix.ops[op.Mod]; !dup {
+			ix.ops[op.Mod] = op
 		}
 	}
-	if !anyMod {
+	pts := append([]Point(nil), t.Points...)
+	sort.SliceStable(pts, func(i, j int) bool {
+		if pts[i].Nt != pts[j].Nt {
+			return pts[i].Nt < pts[j].Nt
+		}
+		return pts[i].SNRdB < pts[j].SNRdB
+	})
+	for _, p := range pts {
+		k := classKey{p.Mod, p.Mode}
+		cs := ix.curves[k]
+		if n := len(cs); n > 0 && cs[n-1][0].Nt == p.Nt {
+			cs[n-1] = append(cs[n-1], p)
+		} else {
+			cs = append(cs, curve{p})
+		}
+		ix.curves[k] = cs
+	}
+	return ix
+}
+
+// op returns the operating point for mod, defaulting to the paper's Fix
+// settings when the table carries none.
+func (ix tableIndex) op(mod modulation.Modulation) ClassOp {
+	name := mod.String()
+	if op, ok := ix.ops[name]; ok {
+		return op
+	}
+	return ClassOp{Mod: name, JF: 4, Ta: 1, Tp: 1, Sp: 0.35}
+}
+
+// classCurve returns the curve of (mod, nt, mode), choosing the smallest
+// fitted Nt ≥ nt (a larger problem is never easier, so rounding Nt up is the
+// conservative direction). ok is false when the modulation is unfitted or nt
+// exceeds every fitted size. The curve is shared: callers must not modify it.
+func (ix tableIndex) classCurve(mod modulation.Modulation, nt int, mode Mode) (curve, bool, string) {
+	cs, ok := ix.curves[classKey{mod.String(), mode}]
+	if !ok {
 		return nil, false, ReasonUnfittedClass
 	}
-	if bestNt == -1 {
-		return nil, false, ReasonOversizeNt
-	}
-	var c curve
-	for _, p := range t.Points {
-		if p.Mod == name && p.Mode == mode && p.Nt == bestNt {
-			c = append(c, p)
+	for _, c := range cs {
+		if c[0].Nt >= nt {
+			return c, true, ""
 		}
 	}
-	sort.Slice(c, func(i, j int) bool { return c[i].SNRdB < c[j].SNRdB })
-	return c, true, ""
+	return nil, false, ReasonOversizeNt
 }
 
 // logit maps a probability into log-odds, clamped away from the poles so
@@ -488,9 +511,7 @@ func (pl *Planner) Plan(req Request) Plan {
 	if !p.Quantum {
 		pl.sizePT(req, &p)
 	}
-	pl.mu.Lock()
 	pl.stats.record(req, p)
-	pl.mu.Unlock()
 	if pl.Telemetry != nil {
 		pl.Telemetry.ObserveStage(telemetry.StagePlan,
 			float64(time.Since(start))/float64(time.Microsecond))
@@ -499,7 +520,7 @@ func (pl *Planner) Plan(req Request) Plan {
 }
 
 func (pl *Planner) plan(req Request) Plan {
-	op := pl.table.op(req.Mod)
+	op := pl.index.op(req.Mod)
 	params := anneal.Params{
 		AnnealTimeMicros: op.Ta, PauseTimeMicros: op.Tp, PausePosition: op.Sp,
 	}
@@ -557,7 +578,7 @@ func (pl *Planner) plan(req Request) Plan {
 	var best *candidate
 	var failReason string
 	for _, mode := range modes {
-		c, ok, reason := pl.table.classCurve(req.Mod, req.Nt, mode)
+		c, ok, reason := pl.index.classCurve(req.Mod, req.Nt, mode)
 		if !ok {
 			if mode == ModeForward {
 				failReason = reason
@@ -633,37 +654,59 @@ type Stats struct {
 	ByReason map[string]uint64
 }
 
-func (s *Stats) record(req Request, p Plan) {
-	s.Plans++
-	if s.ByReason == nil {
-		s.ByReason = make(map[string]uint64)
+// reasons lists every Reason tag a plan can carry; counters.byReason is
+// indexed in this order.
+var reasons = [...]string{
+	ReasonFit, ReasonNoTarget, ReasonUnfittedClass, ReasonOversizeNt, ReasonSNRBelowFit,
+	ReasonFloorAboveTarget, ReasonDeadlineBelowAnneal, ReasonDeadlineExceeded, ReasonReadsCap,
+}
+
+// counters is the live form of Stats: independent atomics, so concurrent
+// Plan calls share no lock. Plans is not stored (it is Quantum + Classical).
+type counters struct {
+	quantum, classical, reverse, soft, pt, reads atomic.Uint64
+	byReason                                     [len(reasons)]atomic.Uint64
+}
+
+func (c *counters) record(req Request, p Plan) {
+	for i, r := range reasons {
+		if r == p.Reason {
+			c.byReason[i].Add(1)
+			break
+		}
 	}
-	s.ByReason[p.Reason]++
 	if req.Soft {
-		s.Soft++
+		c.soft.Add(1)
 	}
 	if p.Quantum {
-		s.Quantum++
-		s.ReadsPlanned += uint64(p.Params.NumAnneals)
+		c.quantum.Add(1)
+		c.reads.Add(uint64(p.Params.NumAnneals))
 		if p.Reverse {
-			s.Reverse++
+			c.reverse.Add(1)
 		}
 	} else {
-		s.Classical++
+		c.classical.Add(1)
 		if p.PT != nil {
-			s.PT++
+			c.pt.Add(1)
 		}
 	}
 }
 
-// Stats snapshots the planner counters.
+// Stats snapshots the planner counters. Each counter is read on its own, so
+// a snapshot taken while plans are in flight may be a plan apart between
+// fields; ByReason lists only the reasons seen.
 func (pl *Planner) Stats() Stats {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	out := pl.stats
-	out.ByReason = make(map[string]uint64, len(pl.stats.ByReason))
-	for k, v := range pl.stats.ByReason {
-		out.ByReason[k] = v
+	c := &pl.stats
+	out := Stats{
+		Quantum: c.quantum.Load(), Classical: c.classical.Load(), Reverse: c.reverse.Load(),
+		Soft: c.soft.Load(), PT: c.pt.Load(), ReadsPlanned: c.reads.Load(),
+		ByReason: make(map[string]uint64),
+	}
+	out.Plans = out.Quantum + out.Classical
+	for i, r := range reasons {
+		if n := c.byReason[i].Load(); n > 0 {
+			out.ByReason[r] = n
+		}
 	}
 	return out
 }

@@ -161,6 +161,7 @@ type Scheduler struct {
 	closed         bool
 	srcMu          sync.Mutex
 	src            *rng.Source
+	snr            snrCache // per-channel planning state (applyPlan)
 
 	wg   sync.WaitGroup // pool workers
 	fbWg sync.WaitGroup // in-flight fallback solves
@@ -366,7 +367,7 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	// A failed SNR estimate (singular channel) plans at the top of the
 	// fitted range; the planner's own guards still apply.
 	snr := math.Inf(1)
-	if est, ok := qos.EstimateSNRdB(p.Mod, p.H, p.Y); ok {
+	if est, ok := s.snr.estimator(p).Estimate(p.Y); ok {
 		snr = est
 	}
 	plan := s.cfg.Planner.Plan(qos.Request{
