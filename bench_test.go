@@ -219,26 +219,30 @@ func BenchmarkEmbedIsing(b *testing.B) {
 }
 
 // BenchmarkAnneal48BPSK measures one 100-anneal run of the paper's headline
-// 48-user BPSK problem (624 physical qubits) on the two sweep bodies of the
-// one Metropolis engine: mode=scalar is the device simulator (Machine.Run —
-// the QA-fidelity path: every read sweeps the scalar twin over its own
+// 48-user BPSK problem (624 physical qubits) on the two callers of the one
+// Metropolis sweep body (anneal.MSScalar.Sweep): mode=scalar is the device
+// simulator (Machine.Run — the QA-fidelity path: every read sweeps its own
 // ICE-perturbed, auto-scaled weights under the calibrated ramp+pause
-// schedule), mode=multispin is the packed body (anneal.RunMultiSpin, 64
-// replicas sharing one program per word) on the device-normalized program
-// under a tuned pure-ramp schedule. The comparison is iso-quality
-// (TTS-style), not iso-schedule: the mid-anneal pause is a quantum-annealing
-// physics aid that buys classical sweeps nothing (measured: +64 pause sweeps
-// move gsrate by +0.03), so the classical row runs the schedule that reaches
-// equal-or-better solution quality in the fewest sweeps (β 0.5→12 over 40
-// sweeps; the device simulator runs its calibrated 64+64). Each mode reports
-// gsrate — the fraction of anneals landing within 2% of the best-known energy
-// for this instance (the exact 624-qubit ground state is re-found too rarely
-// by either mode to discriminate). tools/benchjson -check enforces that the
-// packed run's gsrate is no worse than the device simulator's (less 0.02);
-// it holds no ns/op ratio between the rows, because they share an engine. The
-// differential harness in internal/anneal proves the packed sweep bit-exact
-// against its scalar twin, and a device read bit-exact against the twin on
-// its perturbed program.
+// schedule), mode=multispin is the classical replica runner
+// (anneal.RunMultiSpin, one twin per replica over one shared compiled
+// program; the sub-benchmark keeps the name of the packed multi-spin engine
+// it used to run because the CI gate and the BENCH_PR*.json snapshots key on
+// it) on the device-normalized program under a tuned pure-ramp schedule. The
+// comparison is iso-quality (TTS-style), not iso-schedule: the mid-anneal
+// pause is a quantum-annealing physics aid that buys classical sweeps nothing
+// (measured: +64 pause sweeps move gsrate by +0.03), so the classical row runs
+// the schedule that reaches equal-or-better solution quality in the fewest
+// sweeps (β 0.5→12 over 40 sweeps; the device simulator runs its calibrated
+// 64+64). Each mode reports gsrate — the fraction of anneals landing within
+// 2% of the best-known energy for this instance (the exact 624-qubit ground
+// state is re-found too rarely by either mode to discriminate).
+// tools/benchjson -check enforces that the classical run's gsrate is no worse
+// than the device simulator's (less 0.02); it holds no ns/op ratio between
+// the rows, because they run the same loop — what separates them is the
+// sweep count and the per-read ICE reprogramming. The differential harness in
+// internal/anneal holds that loop bit-exact against the packed block kept as
+// a test oracle, and a device read bit-exact against the twin on its
+// perturbed program.
 func BenchmarkAnneal48BPSK(b *testing.B) {
 	g := chimera.DW2Q()
 	emb, err := embedding.Embed(g, 48)
@@ -268,7 +272,7 @@ func BenchmarkAnneal48BPSK(b *testing.B) {
 	norm.Offset /= scale
 	msSched := anneal.MSSchedule{BetaInitial: 0.5, BetaFinal: 12, Sweeps: 40}
 
-	// Best-known energy from untimed warmup runs (a long multi-spin sweep
+	// Best-known energy from untimed warmup runs (a long classical ramp
 	// plus one run of each benchmarked mode); gsrate counts anneals within
 	// 2% of it.
 	ref := math.Inf(1)
@@ -448,30 +452,42 @@ func BenchmarkSAComparison(b *testing.B) {
 	})
 }
 
-// BenchmarkClassicalSA measures the logical-space SA baseline per decode at
-// quamax-serve's default effort (128 sweeps × 100 restarts) on N-user BPSK
-// (N logical spins), and holds the backend's admission estimate to it:
-// est/meas is backend.ClassicalSA's predicted latency over the measured one
-// (1 is a perfect model; the constants in internal/backend/classical.go were
-// fitted to these rows).
-func BenchmarkClassicalSA(b *testing.B) {
+// benchLatencyModel measures a classical backend per solve on N-user BPSK
+// (N logical spins) and holds its admission estimate to the measurement:
+// est/meas is the capability descriptor's predicted latency over the measured
+// one (1 is a perfect model).
+func benchLatencyModel(b *testing.B, be backend.Backend) {
 	for _, n := range []int{16, 36, 48} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			in := benchInstance(b, modulation.BPSK, n, 20)
-			be := backend.NewClassicalSA("sa", 128, 100)
+			p := &backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y}
 			src := rng.New(7)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := be.SA.Decode(in.Mod, in.H, in.Y, src); err != nil {
+				if _, err := be.Solve(context.Background(), p, src); err != nil {
 					b.Fatal(err)
 				}
 			}
 			meas := float64(b.Elapsed().Microseconds()) / float64(b.N)
-			est := be.Describe().PredictMicros(&backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y})
-			b.ReportMetric(est/meas, "est/meas")
+			b.ReportMetric(be.Describe().PredictMicros(p)/meas, "est/meas")
 		})
 	}
+}
+
+// BenchmarkClassicalSA measures the logical-space SA baseline at
+// quamax-serve's default effort (128 sweeps × 100 restarts); the constants in
+// internal/backend/classical.go were fitted to these rows.
+func BenchmarkClassicalSA(b *testing.B) {
+	benchLatencyModel(b, backend.NewClassicalSA("sa", 128, 100))
+}
+
+// BenchmarkParallelTempering is the same for the replica-exchange backend at
+// its default effort (16 rungs × 4 ladders × 100 sweeps, one worker) — the
+// estimate the QoS planner sizes PT budgets with; the constant in
+// internal/backend/pt.go was fitted to these rows.
+func BenchmarkParallelTempering(b *testing.B) {
+	benchLatencyModel(b, backend.NewParallelTempering("pt", 0, 0, 0))
 }
 
 // BenchmarkScheduler measures QPU-pool throughput end to end (no fronthaul):

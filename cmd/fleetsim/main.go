@@ -33,8 +33,8 @@
 // Lease cost is charged for the whole run's wall time on every pool worker
 // (a leased QPU costs money while idle — that is the entire capacity
 // trade), while per-solve spend and energy come from the scheduler's
-// per-backend PoolStats counters, the same numbers the v7 stats frame,
-// `quamax -top` and the Prometheus exporter surface in production.
+// per-backend PoolStats counters, the same numbers the fronthaul stats
+// frame, `quamax -top` and the Prometheus exporter surface in production.
 package main
 
 import (

@@ -8,11 +8,11 @@
 //
 // -pool sets the number of simulated annealer workers; -backends appends
 // classical solvers ("sa", "sphere", "pt" — plain simulated annealing, the
-// exact sphere decoder, or replica-exchange parallel tempering on the
-// bit-parallel multi-spin engine) as extra pool workers, the first of
-// which also serves as the deadline fallback; -deadline and -target-ber are
-// the default per-request budget and QoS target when the AP does not send
-// its own. With a "pt" backend present the planner also sizes a
+// exact sphere decoder, or replica-exchange parallel tempering; "sa" and
+// "pt" run the device simulator's own sweep body) as extra pool workers, the
+// first of which also serves as the deadline fallback; -deadline and
+// -target-ber are the default per-request budget and QoS target when the AP
+// does not send its own. With a "pt" backend present the planner also sizes a
 // replica-exchange budget (sweeps, then ladders) into every classical
 // verdict, so deadline-denied requests run the most PT effort that fits
 // (-pt-rungs/-pt-ladders/-pt-sweeps set the full-effort ceiling). The

@@ -28,11 +28,11 @@
 // paper exercised.
 //
 // The package holds ONE Metropolis engine (multispin.go): a flat-CSR kernel
-// with cached local fields and two bit-identical sweep bodies over it. The
-// device simulator here runs each read through the scalar body on that read's
+// with cached local fields and one sweep body, MSScalar.Sweep, over it. The
+// device simulator here runs each read through it on that read's
 // ICE-perturbed weights; the classical solvers (RunMultiSpin behind
-// detector.ClassicalSA, RunPT in pt.go) run the 64-replica packed body on a
-// shared program.
+// detector.ClassicalSA, RunPT in pt.go) run their restarts and rungs through
+// it on a shared program.
 package anneal
 
 import (
@@ -295,9 +295,7 @@ func (rd *deviceRead) bind(pp *PreparedProgram) {
 	k.h = grow(k.h, k.n)
 	k.w = grow(k.w, len(k.nbr))
 	k.flipW = grow(k.flipW, len(k.nbr))
-	rd.s.k = k
-	rd.s.spins = grow(rd.s.spins, k.n)
-	rd.s.lam = grow(rd.s.lam, k.n)
+	rd.s.bind(k)
 }
 
 // begin sets up one read. It writes the read's coefficients into the scratch
@@ -325,10 +323,5 @@ func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice
 		k.flipW[p], k.flipW[q] = 4*w, 4*w
 	}
 	rd.s.state = src.Uint64()
-	if initial == nil {
-		rd.s.Init()
-		return
-	}
-	copy(rd.s.spins, initial)
-	rd.s.recompute()
+	rd.s.start(initial)
 }

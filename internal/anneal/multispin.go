@@ -2,62 +2,61 @@ package anneal
 
 // The Metropolis engine (ROADMAP "One Metropolis engine"). Every sweep in the
 // repository — device reads (Machine.run), the classical-SA fallback
-// (RunMultiSpin) and parallel tempering (pt.go) — runs one of the two sweep
-// bodies in this file, MSBlock.Sweep and its scalar twin MSScalar.Sweep, over
-// one kernel layout:
+// (RunMultiSpin) and parallel tempering (pt.go) — runs the one sweep body in
+// this file, MSScalar.Sweep, over one kernel layout:
 //
 //   - Flat CSR. MSKernel stores the symmetric adjacency as row offsets plus
 //     neighbor and weight arrays, rows sorted by neighbor, duplicates merged.
-//   - Incremental local fields. lam[i·R+r] caches 2·(h_i + Σ_k J_ik·σ_k),
-//     the doubled local field of spin i in replica r (doubled so the flip
-//     energy dE = −2·σ_i·λ_i is a single sign transfer with no multiply).
-//     A visit is then O(1); only an accepted flip pays the O(degree)
-//     neighbor walk, scattering the precomputed per-edge deltas ±4·J_ik
-//     (flipW) into the neighbors' cached doubled fields.
+//   - Incremental local fields. lam[i] caches 2·(h_i + Σ_k J_ik·σ_k), the
+//     doubled local field of spin i (doubled so the flip energy
+//     dE = −2·σ_i·λ_i is a single sign transfer with no multiply). A visit is
+//     then O(1); only an accepted flip pays the O(degree) neighbor walk,
+//     scattering the precomputed per-edge deltas ±4·J_ik (flipW) into the
+//     neighbors' cached doubled fields.
 //   - Cheap draws. Each replica owns a splitmix64 stream, seeded with one
 //     Uint64 from the run's rng.Source, that supplies both its initial spins
 //     and its Metropolis draws; the acceptance probability uses expNegY, a
 //     deterministic interpolated 2^(−k/32) table, not math.Exp. Uphill
 //     proposals past the rejection cut (β·dE ≈ 36.74, acceptance below the
 //     draw's resolution) are rejected without consuming a draw.
-//   - Incremental energies. energy[r] accumulates the accepted dEs, so
-//     per-replica energies are always available (the parallel-tempering
-//     scheduler in pt.go reads them at every exchange attempt) without an
-//     O(n + |E|) evaluation.
+//   - Incremental energies. The twin's energy accumulates the accepted dEs,
+//     so it is always available (the parallel-tempering scheduler in pt.go
+//     reads it at every exchange attempt) without an O(n + |E|) evaluation.
 //
-// MSBlock adds multi-spin coding on top: up to 64 replicas that SHARE one
-// coupling program run in one block, spin i of replica r being bit r of
-// words[i], so a flip is one XOR against an accept mask, downhill moves are
-// gathered branchlessly from the sign bits, and one CSR walk serves 64
-// trajectories. That is what restarts of one logical program (ClassicalSA)
-// and the rungs of a tempering ladder are. Device reads do NOT share a
-// program — ICE redraws every coupler per read — so they run the scalar twin
-// over a per-read kernel (anneal.go); lane-packing reads with per-lane
-// weights was measured and is slower than the scalar body (ROADMAP item 2).
+// A replica — one device read, one SA restart, one tempering rung — is one
+// MSScalar: its spins, cached fields, energy, temperature and stream. Device
+// reads do not share a program (ICE redraws every coupler per read), so each
+// runs over a per-read kernel (anneal.go). SA restarts and PT rungs do share
+// one, and run on the replica runner at the bottom of this file: seeds drawn
+// up front in replica order, workers claiming replicas (or whole ladders)
+// from an atomic counter, one pooled kernel and one pooled twin per worker.
 //
-// The two bodies have identical arithmetic, operation order and stream
-// discipline: one stream per replica, one bit per spin at init, one draw per
-// uphill proposal below the rejection cut, all in spin order. The
-// differential harness (equiv_test.go), the metamorphic tests and
-// FuzzSweepEquivalence prove they produce bit-identical per-replica
-// trajectories, spins and energies, and that a device read is bit-identical
-// to the twin on a kernel compiled from that read's perturbed program.
+// Sharing a program is what multi-spin coding exploits — 64 replicas packed
+// into the bits of one word per spin, one CSR walk serving 64 trajectories —
+// and the classical tier ran on such a block until the twin was tuned past
+// it: an accepted flip in the block pays an indexed scatter per flipped lane
+// per neighbor, and at SA/PT acceptance rates that outweighs the shared walk
+// on every program the repository runs (dense logical N = 16…48 and the
+// 624-qubit Chimera program alike, 1.6–2.4×). The block now lives in
+// block_oracle_test.go as an independent second implementation: same
+// arithmetic, operation order and stream discipline (one stream per replica,
+// one bit per spin at init, one draw per uphill proposal below the rejection
+// cut, all in spin order), so the differential harness (equiv_test.go,
+// runner_test.go), the metamorphic tests and FuzzSweepEquivalence require
+// bit-identical per-replica trajectories, spins and energies from the two,
+// and a device read bit-identical to the twin on a kernel compiled from that
+// read's perturbed program.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"quamax/internal/qubo"
 	"quamax/internal/rng"
 )
-
-// MaxReplicasPerBlock is the multi-spin word width: how many independent
-// replicas one MSBlock packs (bit r of every word belongs to replica r).
-const MaxReplicasPerBlock = 64
 
 // The acceptance probability exp(−β·dE) is evaluated on a 1/32-octave grid:
 // expTab[k] = 2^(−k/32), linearly interpolated (relative error < 6e-5, well
@@ -70,8 +69,8 @@ const MaxReplicasPerBlock = 64
 // rejectCutY is the grid position above which an uphill proposal is
 // rejected without consuming a random draw: it corresponds to
 // β·dE ≈ 36.74, where exp(−β·dE) < 2⁻⁵³ — below the resolution of a
-// Float64 draw. Both the packed and the scalar sweep apply the same cut, so
-// the two paths stay bit-identical.
+// Float64 draw. The sweep and its test oracle apply the same cut, so the two
+// stay bit-identical.
 const (
 	expTabLast = 1696 // last interpolation interval start; 1696/(32·log₂e) ≈ 36.74
 	rejectCutY = float64(expTabLast)
@@ -92,14 +91,14 @@ func mix64(z uint64) uint64 {
 }
 
 // nextFloat advances replica stream s and returns a uniform draw in [0, 1)
-// with 53 random bits — the engine's Metropolis draw on both sweep paths.
+// with 53 random bits — the engine's Metropolis draw.
 func nextFloat(s *uint64) float64 {
 	*s += smixGamma
 	return float64(mix64(*s)>>11) * 0x1p-53
 }
 
 // nextSpinUp advances replica stream s and returns a fair coin — one initial
-// spin on both sweep paths.
+// spin.
 func nextSpinUp(s *uint64) bool {
 	*s += smixGamma
 	return mix64(*s)>>63 != 0
@@ -117,8 +116,9 @@ var expTab = func() (t [2048]float64) {
 
 // expNegY approximates exp(−β·dE) for a proposal already scored in grid
 // units y = β·dE·yPerBeta ∈ [0, rejectCutY): table lookup plus linear
-// interpolation. Deterministic by construction — both sweep paths call it
-// with bit-identical arguments and get bit-identical probabilities.
+// interpolation. Deterministic by construction — the sweep and its test
+// oracle call it with bit-identical arguments and get bit-identical
+// probabilities.
 func expNegY(y float64) float64 {
 	n := int(y)
 	a := expTab[n&2047]
@@ -126,9 +126,9 @@ func expNegY(y float64) float64 {
 }
 
 // MSKernel is a sparse Ising program compiled for the engine: the flat-CSR
-// adjacency both sweep paths walk, with the per-edge doubled-field deltas
+// adjacency the sweep walks, with the per-edge doubled-field deltas
 // (4·J, applied with the sign of the flipped spin). A kernel is immutable and
-// shared by any number of concurrent blocks.
+// shared by any number of concurrent twins.
 type MSKernel struct {
 	n      int
 	offset float64
@@ -167,7 +167,7 @@ func (k *MSKernel) compile(prog *qubo.Sparse) {
 // buildCSR compiles an undirected edge list into the kernel's symmetric
 // flat-CSR adjacency (n, start, nbr, w): row i lists spin i's neighbors in
 // ascending order — the flip scatter walks ascending addresses, and the row
-// order fixes the float summation order of localField2 for every sweep path —
+// order fixes the float summation order of the cached fields (recompute) —
 // with duplicate edges merged by summation in edge-list order.
 func (k *MSKernel) buildCSR(n int, edges []qubo.SparseEdge) {
 	// Row i's count goes to start[i+2], so that after the prefix sum
@@ -233,277 +233,13 @@ func (k *MSKernel) N() int { return k.n }
 // Offset returns the program's constant energy offset.
 func (k *MSKernel) Offset() float64 { return k.offset }
 
-// localField2 computes spin i's DOUBLED local field 2·(h_i + Σ J_ik·σ_k)
-// from scratch for one replica's spin reader (σ(j) ∈ {−1,+1}). Both sweep
-// paths initialize their cached fields through this one walk so their float
-// operation order is identical. (Doubling by 2 is exact in IEEE-754, so the
-// doubled representation tracks the plain field bit-for-bit.)
-func (k *MSKernel) localField2(i int, sigma func(int32) float64) float64 {
-	f := k.h[i]
-	for p := k.start[i]; p < k.start[i+1]; p++ {
-		f += k.w[p] * sigma(k.nbr[p])
-	}
-	return 2 * f
-}
-
-// energyOf evaluates the program energy of one replica from scratch, in the
-// fixed field-then-edge order both paths share (each coupling counted once,
-// from its lower-index spin's row).
-func (k *MSKernel) energyOf(sigma func(int32) float64) float64 {
-	e := k.offset
-	for i := 0; i < k.n; i++ {
-		e += k.h[i] * sigma(int32(i))
-	}
-	for i := int32(0); int(i) < k.n; i++ {
-		for p := k.start[i]; p < k.start[i+1]; p++ {
-			if j := k.nbr[p]; j > i {
-				e += k.w[p] * sigma(i) * sigma(j)
-			}
-		}
-	}
-	return e
-}
-
-// MSBlock is one bit-packed group of up to 64 replicas annealing one kernel.
-// Bit r of words[i] holds spin i of replica r (set = +1); lam caches every
-// replica's doubled local fields; energy tracks every replica's program
-// energy incrementally; beta is each replica's current inverse temperature
-// (a shared schedule for plain SA, one ladder rung each under parallel
-// tempering). A block is not safe for concurrent use — concurrency comes
-// from running independent blocks (RunMultiSpin, RunPT).
-type MSBlock struct {
-	k        *MSKernel
-	replicas int
-	mask     uint64    // low `replicas` bits set
-	words    []uint64  // len n
-	lam      []float64 // doubled fields, len n·replicas, row-major by spin
-	energy   []float64 // len replicas
-	beta     []float64 // len replicas
-	bscaled  []float64 // beta·yPerBeta, the sweep's grid-unit multiplier
-	state    []uint64  // splitmix64 stream per replica
-
-	rScratch []int32  // flipped-replica indices, per-spin scratch
-	sScratch []uint64 // matching pre-flip sign bits (bit 63)
-}
-
-// NewBlock allocates a block of `replicas` trajectories, consuming one Uint64
-// per replica from src, in replica order, to seed each replica's splitmix64
-// stream (the stream discipline the differential harness pins). Everything a
-// replica draws afterwards — its initial spins, its Metropolis draws — comes
-// from its own stream.
-func (k *MSKernel) NewBlock(replicas int, src *rng.Source) (*MSBlock, error) {
-	if replicas < 1 || replicas > MaxReplicasPerBlock {
-		return nil, fmt.Errorf("anneal: block of %d replicas outside [1,%d]", replicas, MaxReplicasPerBlock)
-	}
-	b := new(MSBlock)
-	b.reset(k, replicas, src)
-	return b, nil
-}
-
-// reset makes b a block of `replicas` trajectories over k with freshly seeded
-// streams, reusing whatever buffers b already owns. The block's spins, fields
-// and energies are unspecified until Init or InitFrom.
-func (b *MSBlock) reset(k *MSKernel, replicas int, src *rng.Source) {
-	b.k, b.replicas, b.mask = k, replicas, ^uint64(0)>>uint(64-replicas)
-	b.words = grow(b.words, k.n)
-	b.lam = grow(b.lam, k.n*replicas)
-	b.energy = grow(b.energy, replicas)
-	b.beta = grow(b.beta, replicas)
-	b.bscaled = grow(b.bscaled, replicas)
-	b.state = grow(b.state, replicas)
-	b.rScratch = grow(b.rScratch, replicas)
-	b.sScratch = grow(b.sScratch, replicas)
-	for r := range b.state {
-		b.state[r] = src.Uint64()
-	}
-}
-
-// Replicas returns the number of packed trajectories.
-func (b *MSBlock) Replicas() int { return b.replicas }
-
-// SetBeta sets replica r's inverse temperature.
-func (b *MSBlock) SetBeta(r int, beta float64) {
-	b.beta[r] = beta
-	b.bscaled[r] = beta * yPerBeta
-}
-
-// SetAllBeta sets every replica's inverse temperature (the SA schedule).
-func (b *MSBlock) SetAllBeta(beta float64) {
-	for r := range b.beta {
-		b.beta[r] = beta
-		b.bscaled[r] = beta * yPerBeta
-	}
-}
-
-// Beta returns replica r's current inverse temperature.
-func (b *MSBlock) Beta(r int) float64 { return b.beta[r] }
-
-// Init draws every replica's initial state uniformly at random — one coin
-// per spin from the replica's own stream, in spin order, exactly as the
-// scalar twin draws — then rebuilds the cached fields and energies.
-func (b *MSBlock) Init() {
-	for i := range b.words {
-		var w uint64
-		for r := 0; r < b.replicas; r++ {
-			if nextSpinUp(&b.state[r]) {
-				w |= 1 << uint(r)
-			}
-		}
-		b.words[i] = w
-	}
-	b.recompute()
-}
-
-// InitFrom installs explicit initial states (spins[r][i] ∈ {−1,+1}), the
-// warm-start/metamorphic entry point: no randomness is consumed.
-func (b *MSBlock) InitFrom(spins [][]int8) error {
-	if len(spins) != b.replicas {
-		return fmt.Errorf("anneal: %d initial states for %d replicas", len(spins), b.replicas)
-	}
-	for r, s := range spins {
-		if len(s) != b.k.n {
-			return fmt.Errorf("anneal: replica %d initial state has %d spins, want %d", r, len(s), b.k.n)
-		}
-		for i, v := range s {
-			if v == 1 {
-				b.words[i] |= 1 << uint(r)
-			} else {
-				b.words[i] &^= 1 << uint(r)
-			}
-		}
-	}
-	b.recompute()
-	return nil
-}
-
-// recompute rebuilds lam and energy from the current spins via the kernel's
-// shared from-scratch walks.
-func (b *MSBlock) recompute() {
-	R := b.replicas
-	for r := 0; r < R; r++ {
-		sigma := b.sigmaReader(r)
-		for i := 0; i < b.k.n; i++ {
-			b.lam[i*R+r] = b.k.localField2(i, sigma)
-		}
-		b.energy[r] = b.k.energyOf(sigma)
-	}
-}
-
-// sigmaReader returns replica r's ±1 spin reader.
-func (b *MSBlock) sigmaReader(r int) func(int32) float64 {
-	mask := uint64(1) << uint(r)
-	return func(i int32) float64 {
-		if b.words[i]&mask != 0 {
-			return 1
-		}
-		return -1
-	}
-}
-
-// Sweep performs one Metropolis pass over all spins for every replica in
-// the block. Per spin: a branchless pass gathers the downhill replicas
-// (dE = −σ_i·λ_i has its sign bit set) into an accept mask; the uphill
-// remainder walks the draw path (rejection cut, then one splitmix64 draw
-// against expNeg); the flips land as one XOR; and only flipped replicas pay
-// the neighbor walk that scatters the precomputed ±4J deltas.
-func (b *MSBlock) Sweep() {
-	k := b.k
-	R := b.replicas
-	lam := b.lam
-	words := b.words
-	bscaled := b.bscaled
-	state := b.state
-	energy := b.energy
-	rS := b.rScratch
-	sS := b.sScratch
-	starts := k.start
-	nbrs := k.nbr
-	flipWs := k.flipW
-	for i := 0; i < k.n; i++ {
-		w := words[i]
-		base := i * R
-		row := lam[base : base+R : base+R]
-		// Pass 1 (branchless): dE = −σ_i·λ_i as a sign transfer on the
-		// doubled field; sign bit set ⇒ dE < 0 (or −0) ⇒ accept outright.
-		var flips uint64
-		for r := 0; r < R; r++ {
-			deb := math.Float64bits(row[r]) ^ (((w >> uint(r)) & 1) << 63)
-			flips |= (deb >> 63) << uint(r)
-		}
-		// Pass 2: the uphill remainder runs the Metropolis draw in grid
-		// units (dE = |λ| here — the sign transfer came out non-negative).
-		// The accept bit is a flag materialization, not a branch, so the
-		// draw's inherent unpredictability never stalls the pipeline.
-		for f := b.mask &^ flips; f != 0; f &= f - 1 {
-			r := trailingZeros(f)
-			y := bscaled[r] * math.Abs(row[r])
-			if y >= rejectCutY {
-				continue // acceptance below draw resolution: reject, no draw
-			}
-			var bit uint64
-			if nextFloat(&state[r]) < expNegY(y) {
-				bit = 1
-			}
-			flips |= bit << uint(r)
-		}
-		if flips == 0 {
-			continue
-		}
-		words[i] = w ^ flips
-		// Collect flipped replicas once (index + pre-flip sign bit), paying
-		// the accepted dE into each energy; then scatter the flip deltas:
-		// flipping σ_i moves every neighbor's doubled field by −4·σ_i·J.
-		nf := 0
-		for f := flips; f != 0; f &= f - 1 {
-			r := trailingZeros(f)
-			sgn := ((w >> uint(r)) & 1) << 63
-			rS[nf] = int32(r)
-			sS[nf] = sgn
-			energy[r] += math.Float64frombits(math.Float64bits(row[r]) ^ sgn)
-			nf++
-		}
-		for p := starts[i]; p < starts[i+1]; p++ {
-			jb := int(nbrs[p]) * R
-			d4 := math.Float64bits(flipWs[p])
-			for c := 0; c < nf; c++ {
-				lam[jb+int(rS[c])] += math.Float64frombits(d4 ^ sS[c])
-			}
-		}
-	}
-}
-
-// Energy returns replica r's incrementally-maintained program energy.
-func (b *MSBlock) Energy(r int) float64 { return b.energy[r] }
-
-// Energies copies all replica energies.
-func (b *MSBlock) Energies() []float64 { return append([]float64(nil), b.energy...) }
-
-// Spins extracts replica r's configuration as ±1 spins.
-func (b *MSBlock) Spins(r int) []int8 {
-	out := make([]int8, b.k.n)
-	b.spinsInto(r, out)
-	return out
-}
-
-// spinsInto writes replica r's configuration into out (len n).
-func (b *MSBlock) spinsInto(r int, out []int8) {
-	mask := uint64(1) << uint(r)
-	for i, w := range b.words {
-		if w&mask != 0 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
-}
-
-// MSScalar is the engine's scalar twin: one replica, plain int8 spins, the
-// same incremental doubled fields, the same arithmetic in the same order,
-// and the same stream discipline as one bit-lane of MSBlock. It is the device
-// simulator's sweep (one read = one twin over that read's ICE-perturbed
-// kernel, see Machine.run), the readable reference for the packed loop's
-// semantics, and what holds the packed path honest — the differential and
-// fuzz harnesses require bit-identical trajectories.
+// MSScalar is one annealing trajectory — the engine's one sweep body and the
+// state it advances: plain int8 spins, the cached doubled fields, the running
+// energy, the inverse temperature and the replica's splitmix64 stream. A
+// device read is one twin over that read's ICE-perturbed kernel (Machine.run),
+// an SA restart one twin over the shared logical kernel (RunMultiSpin), a
+// tempering ladder one twin per rung (RunPT). A twin is not safe for
+// concurrent use — concurrency comes from running independent twins.
 type MSScalar struct {
 	k       *MSKernel
 	spins   []int8
@@ -514,15 +250,21 @@ type MSScalar struct {
 	state   uint64
 }
 
-// NewScalar allocates a scalar twin over the kernel, consuming one Uint64
-// from src to seed its stream (as NewBlock does per replica).
+// NewScalar allocates a twin over the kernel, consuming one Uint64 from src
+// to seed its stream.
 func (k *MSKernel) NewScalar(src *rng.Source) *MSScalar {
-	return &MSScalar{
-		k:     k,
-		spins: make([]int8, k.n),
-		lam:   make([]float64, k.n),
-		state: src.Uint64(),
-	}
+	s := &MSScalar{state: src.Uint64()}
+	s.bind(k)
+	return s
+}
+
+// bind points the twin at kernel k and sizes its buffers, reusing whatever
+// it already owns. Spins, fields and energy are unspecified until the
+// trajectory is started (Init, InitFrom).
+func (s *MSScalar) bind(k *MSKernel) {
+	s.k = k
+	s.spins = grow(s.spins, k.n)
+	s.lam = grow(s.lam, k.n)
 }
 
 // SetBeta sets the inverse temperature.
@@ -549,21 +291,60 @@ func (s *MSScalar) InitFrom(spins []int8) error {
 	if len(spins) != s.k.n {
 		return fmt.Errorf("anneal: initial state has %d spins, want %d", len(spins), s.k.n)
 	}
-	copy(s.spins, spins)
-	s.recompute()
+	s.start(spins)
 	return nil
 }
 
-func (s *MSScalar) recompute() {
-	sigma := func(i int32) float64 { return float64(s.spins[i]) }
-	for i := 0; i < s.k.n; i++ {
-		s.lam[i] = s.k.localField2(i, sigma)
+// start begins a trajectory from initial (len n; no randomness consumed), or
+// from a random state when initial is nil.
+func (s *MSScalar) start(initial []int8) {
+	if initial == nil {
+		s.Init()
+		return
 	}
-	s.energy = s.k.energyOf(sigma)
+	copy(s.spins, initial)
+	s.recompute()
 }
 
-// Sweep performs one Metropolis pass — the scalar mirror of MSBlock.Sweep,
-// operation for operation.
+// recompute rebuilds the cached doubled fields 2·(h_i + Σ J_ik·σ_k) and the
+// program energy from the current spins. The summation orders are part of the
+// engine's contract (the block oracle's from-scratch walks reproduce them bit
+// for bit): a field sums its CSR row in ascending neighbor order; the energy
+// adds the offset, the field terms in spin order, then each coupling once,
+// from its lower-index spin's row. (Doubling by 2 is exact in IEEE-754.)
+func (s *MSScalar) recompute() {
+	k, spins := s.k, s.spins
+	lam := s.lam[:len(spins)]
+	h, starts := k.h[:len(spins)], k.start[:len(spins)+1]
+	e := k.offset
+	for i, v := range spins {
+		row, ws := k.nbr[starts[i]:starts[i+1]], k.w[starts[i]:starts[i+1]]
+		f := h[i]
+		for p, j := range row {
+			f += ws[p] * float64(spins[j])
+		}
+		lam[i] = 2 * f
+		e += h[i] * float64(v)
+	}
+	for i, v := range spins {
+		row, ws := k.nbr[starts[i]:starts[i+1]], k.w[starts[i]:starts[i+1]]
+		si := float64(v)
+		for p, j := range row {
+			if int(j) > i {
+				e += ws[p] * si * float64(spins[j])
+			}
+		}
+	}
+	s.energy = e
+}
+
+// Sweep performs one Metropolis pass over all spins, in spin order — the one
+// sweep body every solve path runs. Per spin: dE = −σ_i·λ_i is a sign
+// transfer on the doubled field; a downhill proposal (sign bit set) is
+// accepted outright; an uphill one past the rejection cut is rejected without
+// a draw, otherwise it costs one splitmix64 draw against expNegY; only an
+// accepted flip pays the neighbor walk that scatters the precomputed ±4J
+// deltas.
 func (s *MSScalar) Sweep() {
 	spins := s.spins
 	lam := s.lam[:len(spins)]
@@ -598,10 +379,6 @@ func (s *MSScalar) Energy() float64 { return s.energy }
 
 // Spins returns a copy of the current configuration.
 func (s *MSScalar) Spins() []int8 { return append([]int8(nil), s.spins...) }
-
-// trailingZeros finds the lowest set bit's index (bits.TrailingZeros64 is a
-// compiler intrinsic on amd64, so this is a single TZCNT in the hot loop).
-func trailingZeros(v uint64) int { return bits.TrailingZeros64(v) }
 
 // MSSchedule is the simulated-annealing schedule of an engine run: a
 // geometric β ramp over Sweeps passes with an optional fixed-temperature
@@ -670,7 +447,7 @@ func (sc MSSchedule) validate() error {
 // betas expands the schedule into the β of every sweep, in order: the ramp,
 // with the pause's held sweeps (the anneal pause that lets the system
 // thermalize [43]) inserted after ramp index PauseAt. A run computes the list
-// once and every read or block walks it.
+// once and every read or replica walks it.
 func (sc MSSchedule) betas() []float64 {
 	out := make([]float64, 0, sc.Sweeps+sc.PauseSweeps)
 	for s := 0; s < sc.Sweeps; s++ {
@@ -685,21 +462,64 @@ func (sc MSSchedule) betas() []float64 {
 	return out
 }
 
-// msEngine is RunMultiSpin's working set — the compiled kernel and its
-// blocks — pooled across runs so a run allocates only what it returns.
+// msEngine is a replica run's working set — the compiled kernel, every
+// replica's stream seed and one group of twins per worker — pooled across
+// runs so a run allocates only what it returns.
 type msEngine struct {
-	k      MSKernel
-	blocks []MSBlock
+	k     MSKernel
+	width int        // replicas per group: 1 for SA restarts, the rung count for a PT ladder
+	seeds []uint64   // stream seed per replica, group-major; the caller fills it before run
+	twins []MSScalar // `width` twins per worker
+	next  atomic.Int32
 }
 
 var msEngines = sync.Pool{New: func() any { return new(msEngine) }}
 
-// RunMultiSpin executes `replicas` independent simulated anneals of prog
-// through the packed engine and returns every final state with its energy.
-// Replicas pack into 64-wide blocks; blocks run on up to `workers` goroutines
-// (≤ 0 means one). The run is deterministic given src: replica r always owns
-// the stream seeded by the r-th Uint64 drawn from it, regardless of worker
-// count. The returned samples share one backing array.
+// newReplicaRun takes an engine from the pool and prepares it to anneal
+// `groups` groups of `width` replicas of prog. The caller draws every
+// replica's seed into seeds up front, in replica order — which is what makes
+// a run independent of its worker count — calls run, and returns the engine
+// with msEngines.Put.
+func newReplicaRun(prog *qubo.Sparse, groups, width int) *msEngine {
+	eng := msEngines.Get().(*msEngine)
+	eng.k.compile(prog)
+	eng.width = width
+	eng.seeds = grow(eng.seeds, groups*width)
+	return eng
+}
+
+// run is the one replica runner behind RunMultiSpin and RunPT: up to
+// `workers` goroutines (≤ 0 means one) claim groups from an atomic counter;
+// for each, the worker's twins take the group's seeds, start from initial (or
+// from random states drawn from their own streams when initial is nil), and
+// drive anneals them and collects what the run returns before the worker
+// claims the next group. drive runs concurrently for different groups.
+func (eng *msEngine) run(workers int, initial []int8, drive func(g int, twins []MSScalar)) {
+	groups := len(eng.seeds) / eng.width
+	workers = max(1, min(workers, groups))
+	eng.twins = grow(eng.twins, workers*eng.width)
+	eng.next.Store(0)
+	fanOut(workers, func(w int) {
+		twins := eng.twins[w*eng.width : (w+1)*eng.width]
+		for r := range twins {
+			twins[r].bind(&eng.k)
+		}
+		for g := int(eng.next.Add(1)) - 1; g < groups; g = int(eng.next.Add(1)) - 1 {
+			for r := range twins {
+				twins[r].state = eng.seeds[g*eng.width+r]
+				twins[r].start(initial)
+			}
+			drive(g, twins)
+		}
+	})
+}
+
+// RunMultiSpin executes `replicas` independent simulated anneals of prog and
+// returns every final state with its energy. Each replica is one scalar twin
+// walking the schedule; replicas run on up to `workers` goroutines (≤ 0 means
+// one). The run is deterministic given src: replica r always owns the stream
+// seeded by the r-th Uint64 drawn from it, regardless of worker count. The
+// returned samples share one backing array.
 func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, src *rng.Source) ([]Sample, []float64, error) {
 	if err := sched.validate(); err != nil {
 		return nil, nil, err
@@ -710,37 +530,26 @@ func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, sr
 	if prog.N == 0 {
 		return nil, nil, errors.New("anneal: empty program")
 	}
-	eng := msEngines.Get().(*msEngine)
+	eng := newReplicaRun(prog, replicas, 1)
 	defer msEngines.Put(eng)
-	k := &eng.k
-	k.compile(prog)
-	eng.blocks = grow(eng.blocks, (replicas+MaxReplicasPerBlock-1)/MaxReplicasPerBlock)
-	blocks := eng.blocks
-	for b := range blocks {
-		blocks[b].reset(k, min(MaxReplicasPerBlock, replicas-b*MaxReplicasPerBlock), src)
+	for r := range eng.seeds {
+		eng.seeds[r] = src.Uint64()
 	}
+	n := prog.N
 	betas := sched.betas()
 	samples := make([]Sample, replicas)
 	energies := make([]float64, replicas)
-	spins := make([]int8, replicas*k.n)
-	var next atomic.Int32
-	work := func(int) {
-		for b := int(next.Add(1)) - 1; b < len(blocks); b = int(next.Add(1)) - 1 {
-			blk := &blocks[b]
-			blk.Init()
-			for _, beta := range betas {
-				blk.SetAllBeta(beta)
-				blk.Sweep()
-			}
-			for r := 0; r < blk.replicas; r++ {
-				a := b*MaxReplicasPerBlock + r
-				samples[a].Spins = spins[a*k.n : (a+1)*k.n : (a+1)*k.n]
-				blk.spinsInto(r, samples[a].Spins)
-				energies[a] = blk.energy[r]
-			}
+	spins := make([]int8, replicas*n)
+	eng.run(workers, nil, func(a int, twins []MSScalar) {
+		s := &twins[0]
+		for _, beta := range betas {
+			s.SetBeta(beta)
+			s.Sweep()
 		}
-	}
-	fanOut(min(workers, len(blocks)), work)
+		samples[a].Spins = spins[a*n : (a+1)*n : (a+1)*n]
+		copy(samples[a].Spins, s.spins)
+		energies[a] = s.energy
+	})
 	return samples, energies, nil
 }
 

@@ -1,41 +1,45 @@
 package anneal
 
-// Parallel tempering (replica exchange) over the multi-spin engine — the
+// Parallel tempering (replica exchange) over the Metropolis engine — the
 // strongest classical stand-in for the QPU (ParaMax; Kim et al., MobiCom
-// 2021). One temperature ladder packs its rungs into the bit-lanes of a
-// single MSBlock: every lane holds one replica at a fixed inverse
-// temperature, a sweep advances all rungs at once through the packed kernel,
-// and every SwapEvery sweeps adjacent rungs attempt a replica exchange.
+// 2021). One temperature ladder is a group of scalar twins (multispin.go),
+// one per rung: every twin holds one replica at a fixed inverse temperature,
+// a ladder sweep is one MSScalar.Sweep per twin, and every SwapEvery sweeps
+// adjacent rungs attempt a replica exchange.
 //
 // The exchange acceptance rule is the standard detailed-balance swap: for
 // rungs a and b, Δ = (β_a − β_b)·(E_a − E_b), accepted outright when Δ ≥ 0
 // and with probability exp(Δ) otherwise. An accepted exchange swaps the two
-// lanes' TEMPERATURES (SetBeta on each), not their configurations — the
-// packed words never move, only the rung→lane assignment — so an exchange
+// twins' TEMPERATURES (SetBeta on each), not their configurations — spins and
+// cached fields never move, only the rung→twin assignment — so an exchange
 // costs two β writes regardless of problem size. Exchange attempts alternate
 // between even pairs (0,1)(2,3)… and odd pairs (1,2)(3,4)…, the usual
 // non-interfering checkerboard.
 //
 // Ladders are independent: each gets its own source split (which seeds its
-// block's rung streams and then supplies its exchange draws) and its own
-// block, and they run goroutine-parallel exactly like RunMultiSpin blocks.
-// The run is deterministic given src regardless of worker count. Exchange
-// draws use math.Exp — the exchange path runs once per SwapEvery·n spin
-// visits, so it is nowhere near the sweep's hot loop.
+// rungs' streams, in rung order, and then supplies its exchange draws), and
+// they are the groups of the replica runner RunMultiSpin's restarts also run
+// on, goroutine-parallel and deterministic given src regardless of worker
+// count. Exchange draws use math.Exp — the exchange path runs once per
+// SwapEvery·n spin visits, so it is nowhere near the sweep's hot loop.
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"quamax/internal/qubo"
 	"quamax/internal/rng"
 )
 
+// MaxReplicasPerBlock caps a ladder's rungs. (The name is the word width of
+// the packed 64-lane block ladders used to run on, which the test oracle
+// still packs to.)
+const MaxReplicasPerBlock = 64
+
 // PTParams configures a parallel-tempering run.
 type PTParams struct {
-	// Rungs is the number of temperature rungs per ladder (2..64); all rungs
-	// of one ladder pack into the bit-lanes of one MSBlock. 0 means 16.
+	// Rungs is the number of temperature rungs per ladder (2..64), one
+	// scalar twin each. 0 means 16.
 	Rungs int
 	// Ladders is the number of independent ladders; each contributes one
 	// cold-rung sample. 0 means 4.
@@ -50,7 +54,7 @@ type PTParams struct {
 	// is the program's largest |coefficient| — the same normalization the
 	// device applies, so the defaults track the problem's energy scale.
 	BetaMin, BetaMax float64
-	// InitSpins optionally warm-starts every lane of every ladder from one
+	// InitSpins optionally warm-starts every rung of every ladder from one
 	// configuration (no randomness is consumed for initialization).
 	InitSpins []int8
 }
@@ -125,10 +129,10 @@ type PTResult struct {
 
 // ptLadder is one ladder's in-flight state.
 type ptLadder struct {
-	block *MSBlock
+	twins []MSScalar // the running worker's twins, one replica each
 	exch  *rng.Source
 	betas []float64 // rung temperatures, hottest first
-	lane  []int     // rung → bit-lane holding that rung's replica
+	lane  []int     // rung → twin holding that rung's replica
 	// running best for this ladder
 	bestEnergy float64
 	bestSpins  []int8
@@ -141,13 +145,13 @@ type ptLadder struct {
 func (l *ptLadder) exchange(parity int) {
 	for t := parity; t+1 < len(l.betas); t += 2 {
 		a, b := l.lane[t], l.lane[t+1]
-		delta := (l.betas[t] - l.betas[t+1]) * (l.block.Energy(a) - l.block.Energy(b))
+		delta := (l.betas[t] - l.betas[t+1]) * (l.twins[a].energy - l.twins[b].energy)
 		l.attempts++
 		if delta < 0 && !(l.exch.Float64() < math.Exp(delta)) {
 			continue
 		}
-		l.block.SetBeta(a, l.betas[t+1])
-		l.block.SetBeta(b, l.betas[t])
+		l.twins[a].SetBeta(l.betas[t+1])
+		l.twins[b].SetBeta(l.betas[t])
 		l.lane[t], l.lane[t+1] = b, a
 		l.swaps++
 	}
@@ -156,21 +160,28 @@ func (l *ptLadder) exchange(parity int) {
 // checkpoint records the ladder's best configuration if any rung improved it.
 func (l *ptLadder) checkpoint() {
 	best := -1
-	for r := 0; r < l.block.Replicas(); r++ {
-		if e := l.block.Energy(r); e < l.bestEnergy {
+	for r := range l.twins {
+		if e := l.twins[r].energy; e < l.bestEnergy {
 			l.bestEnergy = e
 			best = r
 		}
 	}
 	if best >= 0 {
-		l.bestSpins = l.block.Spins(best)
+		l.bestSpins = append(l.bestSpins[:0], l.twins[best].spins...)
 	}
 }
 
-// run drives one ladder to completion.
-func (l *ptLadder) run(p PTParams) {
+// run drives one ladder to completion on the given (started) twins.
+func (l *ptLadder) run(p PTParams, twins []MSScalar) {
+	l.twins = twins
+	for t := range twins {
+		l.lane[t] = t
+		twins[t].SetBeta(l.betas[t])
+	}
 	for s := 1; s <= p.Sweeps; s++ {
-		l.block.Sweep()
+		for r := range twins {
+			twins[r].Sweep()
+		}
 		if s%p.SwapEvery == 0 {
 			l.exchange((s / p.SwapEvery) % 2)
 			l.checkpoint()
@@ -189,59 +200,39 @@ func RunPT(prog *qubo.Sparse, params PTParams, workers int, src *rng.Source) (*P
 	if err != nil {
 		return nil, err
 	}
-	k, err := NewMSKernel(prog)
-	if err != nil {
-		return nil, err
+	if prog.N == 0 {
+		return nil, errors.New("anneal: empty program")
 	}
+	eng := newReplicaRun(prog, p.Ladders, p.Rungs)
+	defer msEngines.Put(eng)
 	betas := p.ladderBetas()
-	ladders := make([]*ptLadder, p.Ladders)
-	laneSrcs := src.SplitN(p.Ladders)
-	for i := range ladders {
-		block, err := k.NewBlock(p.Rungs, laneSrcs[i])
-		if err != nil {
-			return nil, err
+	ladders := make([]ptLadder, p.Ladders)
+	lanes := make([]int, p.Ladders*p.Rungs)
+	for i, ladderSrc := range src.SplitN(p.Ladders) {
+		for r := 0; r < p.Rungs; r++ {
+			eng.seeds[i*p.Rungs+r] = ladderSrc.Uint64()
 		}
-		l := &ptLadder{
-			block:      block,
-			exch:       laneSrcs[i],
+		ladders[i] = ptLadder{
+			exch:       ladderSrc,
 			betas:      betas,
-			lane:       make([]int, p.Rungs),
+			lane:       lanes[i*p.Rungs : (i+1)*p.Rungs],
 			bestEnergy: math.Inf(1),
 		}
-		for t := range l.lane {
-			l.lane[t] = t
-			block.SetBeta(t, betas[t])
-		}
-		if p.InitSpins != nil {
-			warm := make([][]int8, p.Rungs)
-			for r := range warm {
-				warm[r] = p.InitSpins
-			}
-			if err := block.InitFrom(warm); err != nil {
-				return nil, err
-			}
-		} else {
-			block.Init()
-		}
-		ladders[i] = l
 	}
-
-	var next atomic.Int32
-	fanOut(min(workers, len(ladders)), func(int) {
-		for i := int(next.Add(1)) - 1; i < len(ladders); i = int(next.Add(1)) - 1 {
-			ladders[i].run(p)
-		}
-	})
-
 	res := &PTResult{
 		BestEnergy: math.Inf(1),
 		Samples:    make([]Sample, p.Ladders),
 		Energies:   make([]float64, p.Ladders),
 	}
-	for i, l := range ladders {
-		cold := l.lane[p.Rungs-1]
-		res.Samples[i] = Sample{Spins: l.block.Spins(cold)}
-		res.Energies[i] = l.block.Energy(cold)
+	eng.run(workers, p.InitSpins, func(i int, twins []MSScalar) {
+		l := &ladders[i]
+		l.run(p, twins)
+		cold := &twins[l.lane[p.Rungs-1]]
+		res.Samples[i] = Sample{Spins: cold.Spins()}
+		res.Energies[i] = cold.energy
+	})
+	for i := range ladders {
+		l := &ladders[i]
 		res.SwapAttempts += l.attempts
 		res.Swaps += l.swaps
 		if l.bestEnergy < res.BestEnergy {

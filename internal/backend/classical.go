@@ -43,18 +43,21 @@ type ClassicalSA struct {
 }
 
 // DefaultMicrosPerSpinSweep and saNeighborsPerVisit are fitted to
-// BenchmarkClassicalSA (128 sweeps × 100 restarts, -cpu 1, 2.1 GHz Xeon):
-// 4.7 / 18.7 / 34.8 ms per decode at N = 16 / 36 / 48 logical spins, i.e.
-// 0.0231 / 0.0407 / 0.0566 µs per spin visit — a fixed part (the packed
-// engine's sign gather and Metropolis draw) plus a part linear in the spin's
-// N−1 neighbors (the logical problem is fully connected, and an accepted flip
+// BenchmarkClassicalSA (128 sweeps × 100 restarts, -cpu 1, 2.1 GHz Xeon) on
+// the scalar replica runner (anneal.RunMultiSpin: one MSScalar twin per
+// restart): 3.1 / 10.8 / 18.2 ms per decode at N = 16 / 36 / 48 logical
+// spins (the middle of two sessions' medians, 3.2 / 11.1 / 19.3 and
+// 3.0 / 10.4 / 17.0 — the host drifts that much between hours), i.e.
+// 0.0152 / 0.0233 / 0.0295 µs per spin visit — a fixed part (the sign
+// transfer and the Metropolis draw) plus a part linear in the spin's N−1
+// neighbors (the logical problem is fully connected, and an accepted flip
 // scatters into every neighbor's cached field). The fit predicts the three
-// rows to within 6% (the benchmark's est/meas metric).
+// rows of either session to within 7% (the benchmark's est/meas metric).
 const (
-	DefaultMicrosPerSpinSweep = 0.0069
+	DefaultMicrosPerSpinSweep = 0.0084
 	// saNeighborsPerVisit is how many neighbor updates cost as much as the
 	// fixed part of a visit, averaged over the schedule's acceptance rate.
-	saNeighborsPerVisit = 6.7
+	saNeighborsPerVisit = 18.7
 )
 
 // NewClassicalSA builds the SA backend with the given effort (restarts ≈ Na

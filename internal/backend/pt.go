@@ -11,28 +11,34 @@ import (
 
 // ParallelTempering adapts the replica-exchange solver (internal/detector
 // over anneal.RunPT) to the Backend interface — the strongest classical
-// stand-in for the QPU (ParaMax; Kim et al., MobiCom 2021), running the
-// bit-parallel multi-spin engine underneath. Like ClassicalSA its latency is
-// a deterministic function of the configured effort, so the QoS planner can
-// size a per-request budget (Problem.PT) exactly as it sizes anneal reads.
+// stand-in for the QPU (ParaMax; Kim et al., MobiCom 2021), every rung of
+// every ladder one scalar twin of the Metropolis engine. Like ClassicalSA its
+// latency is a deterministic function of the configured effort, so the QoS
+// planner can size a per-request budget (Problem.PT) exactly as it sizes
+// anneal reads.
 type ParallelTempering struct {
 	name string
 	// PT holds the default effort knobs; mutate before first use only.
 	PT *detector.ParallelTempering
-	// MicrosPerSpinSweep calibrates the latency model: one packed Metropolis
-	// update of one spin across one ladder lane costs about this much wall
-	// time. It only steers admission, not correctness.
+	// MicrosPerSpinSweep calibrates the latency model: one Metropolis visit
+	// of one spin on one rung costs about this much wall time. It only
+	// steers admission, not correctness.
 	MicrosPerSpinSweep float64
 
 	caps *Capabilities
 }
 
-// DefaultPTMicrosPerSpinSweep is the measured per-spin-per-rung update cost
-// of the multi-spin inner loop on a current x86 core: the bit-packed engine
-// amortizes one CSR walk over a whole ladder. (ClassicalSA's restarts run on
-// the same engine; its constants were re-fitted separately, see
-// DefaultMicrosPerSpinSweep.)
-const DefaultPTMicrosPerSpinSweep = 0.0008
+// DefaultPTMicrosPerSpinSweep is the per-spin-per-rung visit cost of a
+// tempering ladder on the scalar replica runner (anneal.RunPT: one MSScalar
+// twin per rung), fitted to BenchmarkParallelTempering (16 rungs × 4 ladders
+// × 100 sweeps, -cpu 1, 2.1 GHz Xeon): 1.65 / 5.6 / 9.7 ms per decode at
+// N = 16 / 36 / 48 logical spins (the middle of two sessions' medians, as for
+// DefaultMicrosPerSpinSweep), i.e. 0.0161 / 0.0243 / 0.0316 µs per visit. A
+// rung's visit costs what an SA restart's does plus the hot rungs' higher
+// acceptance — nothing is amortized across rungs. Under estimate's
+// (1 + N/64) size factor, which the QoS planner mirrors, the constant is the
+// geometric middle of the three rows: est/meas reads 1.19 / 0.98 / 0.85.
+const DefaultPTMicrosPerSpinSweep = 0.0153
 
 // NewParallelTempering builds the PT backend with the given per-ladder
 // effort (zero knobs take the engine defaults: 16 rungs, 4 ladders, 100
@@ -68,7 +74,7 @@ func (c *ParallelTempering) params(p *Problem) anneal.PTParams {
 }
 
 // estimate is the descriptor's latency hook, modeling the deterministic PT
-// cost: sweeps × rungs × ladders × N packed spin updates (zero knobs priced
+// cost: sweeps × rungs × ladders × N spin visits (zero knobs priced
 // at the engine defaults). The super-linear local-field scatter cost in N is
 // folded into the per-spin constant at the pool's typical sizes.
 func (c *ParallelTempering) estimate(p *Problem) float64 {

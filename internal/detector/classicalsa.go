@@ -34,9 +34,10 @@ func NewClassicalSA(sweeps, restarts int) *ClassicalSA {
 }
 
 // Decode reduces (H, y) to Ising form and anneals it directly — the restarts
-// are the replicas of one packed engine run (anneal.RunMultiSpin), which is
-// what the 64-lane block is for: they share every coupling — returning the
-// Gray bits of the lowest-energy configuration found.
+// are the replicas of one engine run (anneal.RunMultiSpin): the program is
+// compiled once and each restart is one scalar twin walking the schedule over
+// it, the same sweep body a device read runs — returning the Gray bits of
+// the lowest-energy configuration found.
 func (c *ClassicalSA) Decode(mod modulation.Modulation, h *linalg.Mat, y []complex128, src *rng.Source) (Result, error) {
 	if c.Sweeps < 1 || c.Restarts < 1 {
 		return Result{}, errors.New("detector: ClassicalSA needs positive sweeps and restarts")

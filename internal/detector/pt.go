@@ -10,14 +10,14 @@ import (
 )
 
 // ParallelTempering solves the SAME logical Ising problem QuAMax builds with
-// replica-exchange Monte Carlo over the bit-parallel multi-spin engine
-// (anneal.RunPT) — the strongest classical stand-in for the QPU (ParaMax;
-// Kim et al., MobiCom 2021). Where ClassicalSA restarts independent cooling
-// schedules, parallel tempering runs a fixed temperature ladder whose rungs
-// exchange replicas, so hot rungs keep supplying the cold rungs with escapes
-// from local minima; the multi-spin engine advances a whole ladder per
-// packed sweep. Like ClassicalSA it needs no embedding, chains, ICE or
-// hardware ranges.
+// replica-exchange Monte Carlo over the Metropolis engine (anneal.RunPT) —
+// the strongest classical stand-in for the QPU (ParaMax; Kim et al., MobiCom
+// 2021). Where ClassicalSA restarts independent cooling schedules, parallel
+// tempering runs a fixed temperature ladder whose rungs exchange replicas,
+// so hot rungs keep supplying the cold rungs with escapes from local minima;
+// every rung is one scalar twin, the sweep body ClassicalSA's restarts and
+// the device reads run. Like ClassicalSA it needs no embedding, chains, ICE
+// or hardware ranges.
 type ParallelTempering struct {
 	// Params forwards to anneal.RunPT; zero fields take the engine defaults
 	// (β ladder auto-scaled to the problem's coefficient magnitude).

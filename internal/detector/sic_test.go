@@ -115,10 +115,10 @@ func TestClassicalSAValidation(t *testing.T) {
 	}
 }
 
-// The restarts share one engine run whose working set is pooled, so a decode
-// allocates no more than the dense loop it replaced did (28 on this 36-user
-// BPSK shape, BenchmarkClassicalSA's): the reduction, the returned samples
-// and the result — no per-restart stream, state or output.
+// The restarts share one engine run whose working set (compiled kernel, seeds,
+// one twin per worker) is pooled, so a decode allocates what it returns and no
+// more — 27 on this 36-user BPSK shape: the reduction, the schedule, the
+// returned samples and the result; no per-restart stream, state or output.
 func TestClassicalSAAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -131,8 +131,8 @@ func TestClassicalSAAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 28 {
-		t.Fatalf("ClassicalSA.Decode allocates %v times per call, want ≤ 28", allocs)
+	if allocs > 27 {
+		t.Fatalf("ClassicalSA.Decode allocates %v times per call, want ≤ 27", allocs)
 	}
 }
 

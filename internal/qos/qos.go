@@ -224,11 +224,11 @@ type Plan struct {
 
 // PTCost configures the planner's parallel-tempering fallback sizing: the
 // full-effort run knobs a deadline scales down from, and the per-spin-sweep
-// wall cost of the packed engine (backend.DefaultPTMicrosPerSpinSweep is the
+// wall cost of the engine (backend.DefaultPTMicrosPerSpinSweep is the
 // measured value; the planner cannot import backend, so the caller wires it).
 type PTCost struct {
-	// MicrosPerSpinSweep is the wall cost of one packed Metropolis update of
-	// one spin on one rung — the same constant behind the PT backend's
+	// MicrosPerSpinSweep is the wall cost of one Metropolis visit of one
+	// spin on one rung — the same constant behind the PT backend's
 	// capability-descriptor latency model, so planned budgets and admission
 	// agree.
 	MicrosPerSpinSweep float64

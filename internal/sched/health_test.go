@@ -37,6 +37,10 @@ func (f *healthFake) Solve(ctx context.Context, p *backend.Problem, src *rng.Sou
 		return &backend.Result{Bits: []byte{0}, Backend: f.name, Batched: 1, Energy: 0, Reads: 100}, nil
 	}
 	f.traffic.Add(1)
+	// Hold the worker long enough that a request dispatched alongside this
+	// one finds it busy and wakes the other pool member: a solve that
+	// answers at once lets one hot worker drain every pair.
+	time.Sleep(200 * time.Microsecond)
 	return &backend.Result{
 		Bits: []byte{0}, Backend: f.name, Batched: 1,
 		Energy: -50, Reads: 100, BrokenChains: 2,

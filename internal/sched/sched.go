@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -68,6 +69,36 @@ func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsec
 
 // ErrClosed is returned by Dispatch after Close.
 var ErrClosed = errors.New("sched: scheduler closed")
+
+// PanicError is what a request gets when the backend solving it panicked.
+// The panic is contained to that request (every job of the run it rode in):
+// it counts as Failed, as an error on that backend and as a failed outcome
+// in the health plane, and the goroutine that ran the solve survives to
+// serve the next request.
+type PanicError struct {
+	Backend string // descriptor name of the backend that panicked
+	Value   any    // the recovered panic value
+	Stack   []byte // the panicking goroutine's stack, for the operator's log
+}
+
+// Error names the backend and the panic value; the stack is not included.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sched: backend %s panicked in solve: %v", e.Backend, e.Value)
+}
+
+// containPanic, deferred around a call into a backend, turns a panic there
+// into a *PanicError in *err.
+func containPanic(be backend.Backend, err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Backend: be.Describe().Name, Value: v, Stack: debug.Stack()}
+	}
+}
+
+// solveContained is be.Solve with a panic converted into an error.
+func solveContained(ctx context.Context, be backend.Backend, p *backend.Problem, src *rng.Source) (res *backend.Result, err error) {
+	defer containPanic(be, &err)
+	return be.Solve(ctx, p, src)
+}
 
 // DefaultCostEasyReads is the planned-read budget below which a decode
 // counts as an easy SNR class for cost-aware dispatch: at these budgets the
@@ -607,7 +638,7 @@ func (s *Scheduler) observeBurn(missed, berMiss bool) {
 // shard's SLO burn feed.
 func (s *Scheduler) runFallback(ctx context.Context, p *backend.Problem, deadline time.Duration, tr *telemetry.Trace, t0 time.Time, denied bool) (*backend.Result, error) {
 	started := s.now()
-	res, err := s.fallback.Solve(ctx, p, s.splitSource())
+	res, err := solveContained(ctx, s.fallback, p, s.splitSource())
 	solveEnd := s.now()
 	elapsed := micros(solveEnd.Sub(started))
 
@@ -677,7 +708,7 @@ func (s *Scheduler) gateWorker(idx int, be backend.Backend, ctr *backendCounters
 			// time still bills the backend — a quarantined chip is busy
 			// proving itself, and hiding that would flatter its utilization.
 			started := s.now()
-			res, err := be.Solve(context.Background(), s.canary.Problem, src)
+			res, err := solveContained(context.Background(), be, s.canary.Problem, src)
 			elapsed := micros(s.now().Sub(started))
 			s.mu.Lock()
 			ctr.busyMicros += elapsed
@@ -922,7 +953,9 @@ func (s *Scheduler) gatherCoherentLocked(head *job, slots int) []*job {
 
 // solve runs one batch (possibly of size 1) on be and updates batching
 // counters. slots is the capacity the worker already resolved for this run.
-func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source) ([]*backend.Result, error) {
+// A panic in the backend fails the whole batch with a *PanicError.
+func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source) (_ []*backend.Result, err error) {
+	defer containPanic(be, &err)
 	if len(batch) == 1 {
 		res, err := be.Solve(batch[0].ctx, batch[0].p, src)
 		if err != nil {

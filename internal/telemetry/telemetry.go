@@ -10,7 +10,7 @@
 // counters; this package makes those distributions observable on a live pool.
 // One Recorder instance is shared by sched.Scheduler, core.Decoder,
 // qos.Planner, and fronthaul.Server; it exports three ways — Prometheus text
-// + pprof over HTTP (Mux), a fronthaul v7 stats frame (Snapshot), and
+// + pprof over HTTP (Mux), a fronthaul stats frame (Snapshot), and
 // structured JSON trace dumps (BuildDump) that tools/benchjson ingests.
 //
 // Feeding discipline: every histogram has exactly one feeder so nothing is
@@ -394,7 +394,7 @@ func (r *Recorder) TraceCount() uint64 {
 }
 
 // Snapshot is the mergeable, wire-encodable aggregate view of a Recorder —
-// what the fronthaul v7 stats frame carries and the exporters render.
+// what the fronthaul stats frame carries and the exporters render.
 type Snapshot struct {
 	// UptimeMicros is time since the recorder was created.
 	UptimeMicros float64 `json:"uptime_micros"`

@@ -38,11 +38,12 @@
 //     extraction is post-processing, not another anneal), and the
 //     telemetry=on dispatch rate must stay within 5% of telemetry=off (the
 //     observability plane must be cheap enough to leave on), and the
-//     packed multi-spin run must reach a ground-state success rate no more
-//     than 0.02 below the device simulator's (both run the one Metropolis
-//     engine; a classical schedule that butchers solution quality does not
-//     count), and the 4-shard serving tier must clear 2.5× the single pool's
-//     decodes/s with no deadline-miss regression and a compiled-channel hit
+//     classical replica run (mode=multispin) must reach a ground-state
+//     success rate no more than 0.02 below the device simulator's (both run
+//     the one Metropolis sweep body; a classical schedule that butchers
+//     solution quality does not count), and the 4-shard serving tier must
+//     clear 2.5× the single pool's decodes/s with no deadline-miss
+//     regression and a compiled-channel hit
 //     rate within 5 points of the single pool's (throughput bought by
 //     shattering cache affinity does not count either), and the cost-aware
 //     dispatch mode must record at most 75% of the latency-only mode's
@@ -137,9 +138,9 @@ const maxSoftOverhead = 1.5
 const maxTelemetryOverhead = 1.05
 
 // maxGSRateLoss is the tolerated ground-state success-rate deficit of the
-// packed multi-spin run against the device simulator on the 48-user BPSK
-// acceptance benchmark: a classical schedule that costs more than this much
-// quality fails the gate.
+// classical replica run (mode=multispin) against the device simulator on the
+// 48-user BPSK acceptance benchmark: a classical schedule that costs more
+// than this much quality fails the gate.
 const maxGSRateLoss = 0.02
 
 // minShardSpeedup is the required decodes/s advantage of the 4-shard serving
@@ -507,9 +508,10 @@ func checkHistory(dir string) error {
 	}
 
 	// 1d. The anneal-engine acceptance rows (introduced with the multi-spin
-	// engine): both modes present with ns/op and gsrate, and the packed run's
-	// success rate within maxGSRateLoss of the device simulator's. (Both rows
-	// run the one Metropolis engine, so there is no speed ratio to hold.)
+	// engine, whose name the classical row keeps): both modes present with
+	// ns/op and gsrate, and the classical run's success rate within
+	// maxGSRateLoss of the device simulator's. (Both rows run the one
+	// Metropolis sweep body, so there is no speed ratio to hold.)
 	_, scalarNsOK := newest.metric("BenchmarkAnneal48BPSK/mode=scalar", "ns/op")
 	_, msNsOK := newest.metric("BenchmarkAnneal48BPSK/mode=multispin", "ns/op")
 	scalarSR, scalarSROK := newest.metric("BenchmarkAnneal48BPSK/mode=scalar", "gsrate")
