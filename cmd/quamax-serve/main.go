@@ -26,27 +26,27 @@
 // sizes each QPU's compiled-channel LRU: APs register an
 // estimated channel once per coherence window (fronthaul RegisterChannel)
 // and decode its symbols by handle, so the pool compiles H once and only
-// rewrites annealer biases per symbol. Protocol-v6 soft-decode requests
+// rewrites annealer biases per symbol. Soft-decode requests
 // (per-bit LLRs from the anneal read ensemble, for soft-decision FEC chains)
 // are served by default; -soft=false rejects them cleanly and -llr-clamp
 // sets the default LLR bound / int8 quantization full scale for requests
 // that carry none. -telemetry-addr starts the live telemetry plane: an HTTP
 // listener serving Prometheus text metrics at /metrics, the recent-trace ring
 // as JSON at /traces, and the standard net/http/pprof profiling endpoints at
-// /debug/pprof/; the same recorder also answers fronthaul stats polls
-// (`quamax -top addr` / `-watch`). -trace-out writes a JSON telemetry dump
-// (per-stage latency summaries plus the trace ring, ingestible by
-// tools/benchjson -traces) on shutdown. On SIGINT/SIGTERM the server stops
-// accepting connections, drains queued work, and prints the pool and planner
-// statistics.
+// /debug/pprof/. The same sample set /metrics renders answers fronthaul
+// stats polls (`quamax -top addr` / `-watch`), with or without this listener.
+// -trace-out writes a JSON telemetry dump (per-stage latency summaries plus
+// the trace ring, ingestible by tools/benchjson -traces) on shutdown. On
+// SIGINT/SIGTERM the server stops accepting connections, drains queued work,
+// and prints the pool and planner statistics.
 //
 // -cost-aware turns on fleet-economics dispatch: every backend publishes a
 // capability descriptor (latency model, $/solve, J/solve — internal/backend
 // Capabilities), and the scheduler diverts requests whose planned anneal
 // budget is classically easy (at most -cost-easy-reads) to the cheapest
 // backend whose latency estimate still meets the deadline. Per-backend spend
-// and energy counters ride the stats frame, `quamax -top`, and the
-// Prometheus export. cmd/fleetsim sweeps QPU-count × traffic-mix grids over
+// and energy counters are series of the exported sample set (`quamax -top`,
+// /metrics). cmd/fleetsim sweeps QPU-count × traffic-mix grids over
 // the same scheduler to pick the cost-optimal fleet shape offline.
 //
 // -shards N splits the data center into N independent scheduler pools behind
@@ -57,7 +57,9 @@
 // -shed-threshold arms tagged backpressure shedding when a shard's
 // deadline-miss EWMA climbs past it. -pipeline-depth bounds the per-connection
 // in-flight window of the pipelined fronthaul (0 = default).
-// Per-shard PoolStats ride the stats frame and the shutdown report.
+// Every pool series is exported per shard (a shard label), with the router's
+// shed counts and miss EWMAs beside them; the shutdown report prints the
+// per-shard PoolStats and their merge.
 //
 // -health arms the solver-health plane (internal/health): every solve feeds
 // per-backend × per-class anneal-quality baselines, a Page–Hinkley drift
@@ -65,9 +67,8 @@
 // skips quarantined members and re-admits them through known-ground-state
 // canary probes, and a per-shard SLO burn-rate tracker (deadline-miss and
 // BER budgets, set by -slo-miss-budget/-slo-ber-budget, fast+slow window
-// alerting) folds into the router's shed decision. The health view rides the
-// fronthaul stats frame (`quamax -top`) and the Prometheus export
-// (quamax_backend_health, quamax_slo_burn_rate).
+// alerting) folds into the router's shed decision. The health view joins the
+// exported sample set (quamax_backend_health, quamax_slo_burn_rate, ...).
 package main
 
 import (
@@ -98,7 +99,7 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:9370", "TCP listen address")
 		pool      = flag.Int("pool", 1, "number of simulated QPU workers in the pool")
-		backends  = flag.String("backends", "sa", "comma-separated classical backends to add (sa, sphere); first doubles as the deadline fallback; empty disables")
+		backends  = flag.String("backends", "sa", "comma-separated classical backends to add (sa, sphere, pt); first doubles as the deadline fallback; empty disables")
 		deadline  = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 		batch     = flag.Bool("batch", true, "batch compatible requests into shared embedding slots")
 		anneals   = flag.Int("anneals", 100, "anneals per decode (Na)")
@@ -188,8 +189,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "quamax-serve: -pool must be at least 1")
 		os.Exit(1)
 	}
-	// One recorder feeds all exports: the HTTP plane, the stats frames and
-	// the shutdown dump. Left nil (zero overhead) when no export is asked for.
+	// One recorder feeds all exports: the sample set (HTTP plane and stats
+	// frames) and the shutdown dump. Left nil (zero overhead) when no export is asked for.
 	var rec *telemetry.Recorder
 	if *telemetryAddr != "" || *traceOut != "" {
 		rec = telemetry.New(telemetry.Config{RingSize: *traceRing})
@@ -333,6 +334,7 @@ func main() {
 	}
 	var disp fronthaul.Dispatcher = schedulers[0]
 	statsFn := schedulers[0].Stats
+	poolSamples := func() []metrics.Sample { return schedulers[0].Stats().Samples() }
 	var rt *router.Router
 	if *shardsN > 1 {
 		r, err := router.New(router.Config{
@@ -348,28 +350,7 @@ func main() {
 		rt = r
 		disp = r
 		statsFn = r.Stats
-	}
-
-	// healthFn assembles the stats-frame / Prometheus view of the health
-	// plane: drift snapshots from the tracker, burn windows from the burn
-	// tracker, with the router's shed counters and miss EWMAs overlaid on
-	// the matching shard entries (the burn tracker never sees sheds — shed
-	// requests are turned away before any scheduler observes them).
-	var healthFn func() metrics.HealthStats
-	if *healthOn {
-		healthFn = func() metrics.HealthStats {
-			hs := metrics.HealthStats{
-				Backends: healthTracker.Snapshot(),
-				Shards:   burn.Snapshot(),
-			}
-			if rt != nil {
-				for i := range hs.Shards {
-					hs.Shards[i].Sheds = rt.ShedCount(i)
-					hs.Shards[i].MissEWMA = rt.MissEWMA(i)
-				}
-			}
-			return hs
-		}
+		poolSamples = r.Samples
 	}
 
 	srv := fronthaul.NewPoolServer(disp)
@@ -380,7 +361,13 @@ func main() {
 	srv.DisableSoft = !*soft
 	srv.LLRClamp = *llrClamp
 	srv.Telemetry = rec
-	srv.Health = healthFn
+	// One sample set answers stats polls and /metrics scrapes alike: the
+	// pool (per shard behind a router, with the router's shed counters and
+	// miss EWMAs), the recorder, and the health and burn trackers. The nil
+	// planes of a deployment that runs without them export nothing.
+	srv.Stats = func() []metrics.Sample {
+		return metrics.Collect(poolSamples(), rec.Snapshot().Samples(), healthTracker.Samples(), burn.Samples())
+	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)
@@ -390,7 +377,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mux := telemetry.Mux(rec, func() (metrics.PoolStats, bool) { return statsFn(), true }, healthFn)
+		mux := telemetry.Mux(rec, srv.Stats)
 		go func() {
 			if err := http.Serve(tl, mux); err != nil {
 				log.Printf("quamax-serve: telemetry server: %v", err)

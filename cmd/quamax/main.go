@@ -9,7 +9,7 @@
 // Experiment IDs: table1 table2 fig4 fig5 fig6 fig7 fig8
 // fig9 fig10 fig11 fig12 fig13 fig14 fig15.
 //
-// It also fronts the serving telemetry plane (protocol v7):
+// It also fronts a serving data center's metrics (the fronthaul stats frame):
 //
 //	quamax -top 127.0.0.1:9370             # one-shot serving stats
 //	quamax -top 127.0.0.1:9370 -watch 2s   # live redrawing table

@@ -2,22 +2,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"quamax/internal/fronthaul"
 	"quamax/internal/metrics"
-	"quamax/internal/telemetry"
 )
 
-// runTop polls a serving data center's stats frame and renders the live
-// serving picture: pool counters (with per-backend health verdicts when the
-// v9 health block rides the frame), the per-shard breakdown with shed counts
-// and deadline-miss EWMAs, SLO burn rates, per-stage latency quantiles,
-// deadline slack and per-class anneal quality. interval 0 means one shot;
-// otherwise the table redraws every interval until interrupted.
+// runTop polls a serving data center's stats frame and renders its sample
+// set. interval 0 means one shot; otherwise the tables redraw every interval
+// until interrupted.
 func runTop(addr string, interval time.Duration) error {
 	client, err := fronthaul.Dial(addr)
 	if err != nil {
@@ -32,7 +30,7 @@ func runTop(addr string, interval time.Duration) error {
 		if interval > 0 {
 			fmt.Print("\033[H\033[2J") // home + clear between redraws
 		}
-		printStats(addr, stats)
+		renderTop(os.Stdout, addr, stats.Samples)
 		if interval <= 0 {
 			return nil
 		}
@@ -77,133 +75,184 @@ func fmtMilliJ(v float64) string {
 	return fmt.Sprintf("%.1fmJ", v)
 }
 
-// fmtHealth renders one backend's drift verdict: the state, the drift score
-// behind it, and — while quarantined — the canary probe tally that decides
-// re-admission.
-func fmtHealth(bh metrics.BackendHealth) string {
-	switch bh.State {
-	case metrics.HealthQuarantined:
-		return fmt.Sprintf("QUARANTINED(%.2f canary %d/%d)", bh.Score, bh.CanaryPass, bh.CanaryPass+bh.CanaryFail)
-	case metrics.HealthDegraded:
-		return fmt.Sprintf("degraded(%.2f)", bh.Score)
-	}
-	return "ok"
+// units maps the unit a series name ends in (before any _total) to its
+// formatter; a name with no such suffix prints as a count or a plain number.
+var units = []struct {
+	suffix string
+	format func(float64) string
+}{
+	{"_micros", fmtMicros},
+	{"_microusd", fmtMicroUSD},
+	{"_millij", fmtMilliJ},
+	{"_seconds", func(v float64) string { return fmtMicros(v * 1e6) }},
 }
 
-// printShards writes the per-shard breakdown: the pool counters each shard
-// contributed plus — when the health block rides the frame — its shed count,
-// deadline-miss EWMA and SLO burn rates.
-func printShards(stats *fronthaul.StatsResponse) {
-	if len(stats.Shards) == 0 && (stats.Health == nil || len(stats.Health.Shards) == 0) {
+// formatValue renders one value of the series called name.
+func formatValue(name string, v float64) string {
+	base := strings.TrimSuffix(name, "_total")
+	for _, u := range units {
+		if strings.HasSuffix(base, u.suffix) {
+			return u.format(v)
+		}
+	}
+	if base != name {
+		return strconv.FormatFloat(v, 'f', -1, 64) // a count
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
+
+// pivots are the label keys -top draws a table for, in placement order: a
+// sample goes to the table of the first key it carries (rows are that label's
+// values) and samples carrying none list one per row under the header.
+var pivots = []string{"backend", "shard", "stage", "class"}
+
+// table is one pivot: rows × columns of samples. Samples that land on the same
+// cell (they differ only in another pivot label, e.g. one backend name on two
+// shards) are summed.
+type table struct {
+	rows, cols []string
+	cells      map[[2]string]metrics.Sample
+	proto      map[string]metrics.Sample // per column: the first sample seen (name and kind)
+}
+
+func (t *table) add(row, col string, s metrics.Sample) {
+	if t.cells == nil {
+		t.cells, t.proto = map[[2]string]metrics.Sample{}, map[string]metrics.Sample{}
+	}
+	if !slices.Contains(t.rows, row) {
+		t.rows = append(t.rows, row)
+	}
+	if _, ok := t.proto[col]; !ok {
+		t.cols, t.proto[col] = append(t.cols, col), s
+	}
+	if c, ok := t.cells[[2]string{row, col}]; ok {
+		s.Value, s.Hist = s.Value+c.Value, s.Hist.Merge(c.Hist)
+	}
+	t.cells[[2]string{row, col}] = s
+}
+
+// cell renders one sample: one string, or count/p50/p95/p99/max for a
+// histogram column. ok=false renders the placeholder of a missing cell.
+func cell(hist bool, s metrics.Sample, ok bool) []string {
+	switch {
+	case !hist && !ok:
+		return []string{"-"}
+	case !hist:
+		return []string{formatValue(s.Name, s.Value)}
+	case !ok:
+		return []string{"-", "-", "-", "-", "-"}
+	case s.Hist.Count == 0:
+		return []string{"0", "-", "-", "-", "-"}
+	}
+	out := []string{strconv.FormatUint(s.Hist.Count, 10)}
+	for _, v := range []float64{s.Hist.Quantile(50), s.Hist.Quantile(95), s.Hist.Quantile(99), s.Hist.Max} {
+		out = append(out, formatValue(s.Name, v))
+	}
+	return out
+}
+
+// maxWidth is where a table wraps: its remaining columns continue in a second
+// block under the same row labels.
+const maxWidth = 110
+
+// render prints the table under the header cell head. With totals, a table of
+// several rows closes with a row summing its counter columns (gauges and
+// histograms do not add up and show "-").
+func (t *table) render(w io.Writer, head string, totals bool) {
+	if len(t.rows) == 0 {
 		return
 	}
-	n := len(stats.Shards)
-	var burns []metrics.ShardBurn
-	if stats.Health != nil {
-		burns = stats.Health.Shards
-		if len(burns) > n {
-			n = len(burns)
+	slices.Sort(t.rows)
+	grid := [][]string{{head}}
+	for _, row := range t.rows {
+		grid = append(grid, []string{row})
+	}
+	total, summed := []string{"total"}, false
+	for _, col := range t.cols {
+		proto := t.proto[col]
+		hist := proto.Kind == metrics.KindHistogram
+		if hist {
+			grid[0] = append(grid[0], strings.TrimPrefix(col+" n", " "), "p50", "p95", "p99", "max")
+		} else {
+			grid[0] = append(grid[0], col)
+		}
+		sum := 0.0
+		for i, row := range t.rows {
+			s, ok := t.cells[[2]string{row, col}]
+			grid[i+1] = append(grid[i+1], cell(hist, s, ok)...)
+			sum += s.Value
+		}
+		if proto.Kind == metrics.KindCounter {
+			total, summed = append(total, formatValue(proto.Name, sum)), true
+		} else {
+			total = append(total, cell(hist, proto, false)...)
 		}
 	}
-	for i := 0; i < n; i++ {
-		line := fmt.Sprintf("  shard %d:", i)
-		if i < len(stats.Shards) {
-			sp := &stats.Shards[i]
-			line += fmt.Sprintf(" submitted=%d completed=%d failed=%d misses=%d",
-				sp.Submitted, sp.Completed, sp.Failed, sp.DeadlineMisses)
+	if totals && summed && len(t.rows) > 1 {
+		grid = append(grid, total)
+	}
+	widths := make([]int, len(grid[0]))
+	for _, line := range grid {
+		for i, c := range line {
+			widths[i] = max(widths[i], len([]rune(c)))
 		}
-		if i < len(burns) {
-			b := burns[i]
-			line += fmt.Sprintf(" sheds=%d miss-ewma=%.1f%% burn miss=%.2f/%.2f ber=%.2f/%.2f",
-				b.Sheds, 100*b.MissEWMA, b.FastMissRate, b.SlowMissRate, b.FastBERRate, b.SlowBERRate)
-			if b.Alerting {
-				line += " ALERT"
+	}
+	for from := 1; from < len(widths); {
+		to, width := from, widths[0]
+		for to < len(widths) && (to == from || width+2+widths[to] <= maxWidth) {
+			width += 2 + widths[to]
+			to++
+		}
+		for _, line := range grid {
+			fmt.Fprintf(w, "  %-*s", widths[0], line[0])
+			for i := from; i < to; i++ {
+				fmt.Fprintf(w, "  %*s", widths[i], line[i])
 			}
+			fmt.Fprintln(w)
 		}
-		fmt.Println(line)
+		from = to
 	}
 }
 
-// printStats writes one stats frame as the -top table.
-func printStats(addr string, stats *fronthaul.StatsResponse) {
-	p := &stats.Pool
-	fmt.Printf("quamax pool @ %s — uptime %s\n", addr, fmtMicros(stats.UptimeMicros))
-	fmt.Printf("  submitted %d  completed %d  failed %d  queue %d  occupancy %.0f%%\n",
-		p.Submitted, p.Completed, p.Failed, p.QueueDepth, 100*p.SlotOccupancy)
-	fmt.Printf("  fallback %d  planner-classical %d  deadline-misses %d  batch %d runs / %d problems  soft %d  llr-sat %d\n",
-		p.FallbackDispatches, p.PlannerClassical, p.DeadlineMisses,
-		p.BatchRuns, p.BatchedProblems, p.SoftSolved, p.LLRSaturations)
-	if cc := p.ChannelCache; cc.Hits+cc.Misses+cc.Evictions > 0 {
-		fmt.Printf("  channel cache: %d hits / %d misses / %d evictions\n", cc.Hits, cc.Misses, cc.Evictions)
-	}
-	// The health block's per-backend verdicts, keyed for the backend line.
-	healthBy := map[string]metrics.BackendHealth{}
-	if stats.Health != nil {
-		for _, bh := range stats.Health.Backends {
-			healthBy[bh.Name] = bh
-		}
-	}
-	if len(p.Backends) > 0 {
-		// Sort a copy by name so successive redraws keep a stable column
-		// order regardless of map-iteration order server-side.
-		backends := append([]metrics.BackendStats(nil), p.Backends...)
-		sort.Slice(backends, func(i, j int) bool { return backends[i].Name < backends[j].Name })
-		parts := make([]string, len(backends))
-		for i, be := range backends {
-			parts[i] = fmt.Sprintf("%s solved=%d errors=%d util=%.1f%%", be.Name, be.Solved, be.Errors, 100*be.Utilization)
-			if be.SpendMicroUSD > 0 || be.EnergyMilliJ > 0 {
-				parts[i] += fmt.Sprintf(" spend=%s energy=%s", fmtMicroUSD(be.SpendMicroUSD), fmtMilliJ(be.EnergyMilliJ))
-			}
-			if bh, ok := healthBy[be.Name]; ok {
-				parts[i] += " health=" + fmtHealth(bh)
+// renderTop writes one sample set as the -top tables: the series without a
+// pivot label first, then one table per pivot key.
+func renderTop(w io.Writer, addr string, samples []metrics.Sample) {
+	fmt.Fprintf(w, "quamax pool @ %s — %d series\n", addr, len(samples))
+	tables := make([]table, len(pivots)+1)
+	for _, s := range samples {
+		at, row := len(pivots), ""
+		for i, key := range pivots {
+			if v, ok := s.Label(key); ok {
+				at, row = i, v
+				break
 			}
 		}
-		fmt.Printf("  backends: %s\n", strings.Join(parts, "  |  "))
-	}
-	printShards(stats)
-
-	sn := stats.Telemetry
-	if sn == nil {
-		fmt.Println("  (server runs without a telemetry recorder — start quamax-serve with -telemetry-addr or -trace-out)")
-		return
-	}
-	fmt.Printf("telemetry: %d traces (%d failed), compile cache %d/%d hits\n",
-		sn.Traces, sn.Failed, sn.CompileHits, sn.CompileHits+sn.CompileMisses)
-	fmt.Printf("  %-8s %8s %10s %10s %10s %10s\n", "stage", "count", "p50", "p95", "p99", "max")
-	for i, name := range telemetry.StageNames() {
-		h := sn.Stages[i]
-		if h.Count == 0 {
-			continue
+		// The column is the series name without what the table already says
+		// (the quamax_ prefix, the pivot key, the unit the value is formatted
+		// in), qualified by the values of the labels that are not pivots.
+		col := strings.TrimSuffix(strings.TrimPrefix(s.Name, "quamax_"), "_total")
+		if at < len(pivots) {
+			col = strings.TrimPrefix(col, pivots[at]+"_")
 		}
-		s := telemetry.Summarize(h)
-		fmt.Printf("  %-8s %8d %10s %10s %10s %10s\n", name, s.Count,
-			fmtMicros(s.P50Micros), fmtMicros(s.P95Micros), fmtMicros(s.P99Micros), fmtMicros(s.MaxMicros))
-	}
-	if sn.Wire.Count > 0 {
-		s := telemetry.Summarize(sn.Wire)
-		fmt.Printf("  %-8s %8d %10s %10s %10s %10s\n", "wire", s.Count,
-			fmtMicros(s.P50Micros), fmtMicros(s.P95Micros), fmtMicros(s.P99Micros), fmtMicros(s.MaxMicros))
-	}
-	if total := sn.SlackMet.Count + sn.SlackMissed.Count; total > 0 {
-		fmt.Printf("  deadline slack: %d met", sn.SlackMet.Count)
-		if sn.SlackMet.Count > 0 {
-			fmt.Printf(" (p50 %s)", fmtMicros(sn.SlackMet.Quantile(50)))
+		for _, u := range units {
+			col = strings.TrimSuffix(col, u.suffix)
 		}
-		fmt.Printf(", %d missed", sn.SlackMissed.Count)
-		if sn.SlackMissed.Count > 0 {
-			fmt.Printf(" (p50 lateness %s)", fmtMicros(sn.SlackMissed.Quantile(50)))
+		for _, l := range s.Labels {
+			if !slices.Contains(pivots, l.Key) {
+				col += "." + l.Value
+			}
 		}
-		fmt.Printf(" — %.1f%% miss rate\n", 100*float64(sn.SlackMissed.Count)/float64(total))
+		if at == len(pivots) {
+			row, col = col, "value"
+			if s.Kind == metrics.KindHistogram {
+				col = ""
+			}
+		}
+		tables[at].add(row, col, s)
 	}
-	for _, class := range telemetry.SortedClasses(sn) {
-		q := sn.Quality[class]
-		llrSat := "-" // NaN = the class served no soft bits
-		if q.LLRBits > 0 {
-			llrSat = fmt.Sprintf("%.2f%%", 100*q.LLRSaturationRate())
-		}
-		fmt.Printf("  quality %-10s solves=%d reads=%d chain-breaks=%.2f%% llr-sat=%s best-energy p50=%.3g\n",
-			class, q.Solves, q.Reads, 100*q.ChainBreakRate(), llrSat,
-			q.BestEnergy.Quantile(50))
+	tables[len(pivots)].render(w, "series", false)
+	for i, key := range pivots {
+		tables[i].render(w, key, true)
 	}
 }
 

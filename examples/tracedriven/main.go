@@ -45,6 +45,7 @@ import (
 	"quamax/internal/backend"
 	"quamax/internal/channel"
 	"quamax/internal/core"
+	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
@@ -250,7 +251,7 @@ func main() {
 
 // printSlackHistogram renders the nonzero buckets of a slack histogram as
 // ASCII bars, one row per occupied latency bucket.
-func printSlackHistogram(h telemetry.Hist) {
+func printSlackHistogram(h metrics.Hist) {
 	if h.Count == 0 {
 		fmt.Println("  (no deadline-bearing requests)")
 		return
@@ -269,7 +270,7 @@ func printSlackHistogram(h telemetry.Hist) {
 		for j := range bar {
 			bar[j] = '#'
 		}
-		fmt.Printf("  ≤%9.0fµs %6d %s\n", telemetry.BucketBound(i), c, bar)
+		fmt.Printf("  ≤%9.0fµs %6d %s\n", metrics.BucketBound(i), c, bar)
 	}
 }
 

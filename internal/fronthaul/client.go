@@ -463,11 +463,11 @@ func (c *Client) SubmitDecodeSoftWithChannel(rc *RemoteChannel, y []complex128, 
 		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER)
 }
 
-// PoolStats polls the data center's live serving statistics: the pool
-// counter snapshot plus, when the server runs a telemetry recorder, the full
-// recorder snapshot with per-stage latency histograms, deadline slack and
-// anneal-quality aggregates. This is the frame behind `quamax -top` and
-// `-watch`.
+// PoolStats polls the data center's live serving statistics: every series
+// the server's planes export (pool counters per shard and backend, and —
+// where the deployment runs them — telemetry histograms, health verdicts,
+// burn rates, planner decisions) as one sample set. This is the frame behind
+// `quamax -top` and `-watch`.
 func (c *Client) PoolStats() (*StatsResponse, error) {
 	k, err := c.submit(msgStatsResponse, func(id uint64) ([]byte, error) {
 		return frameStatsRequest(&StatsRequest{ID: id}), nil

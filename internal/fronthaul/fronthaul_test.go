@@ -587,10 +587,7 @@ func TestPoolServerRoundTripMultiBackend(t *testing.T) {
 			t.Fatalf("request %d: no backend reported", i)
 		}
 	}
-	st, ok := server.Stats()
-	if !ok {
-		t.Fatal("pool server does not export stats")
-	}
+	st := s.Stats()
 	if st.Completed != parallel || st.QueueDepth != 0 {
 		t.Fatalf("pool stats after round trip: %+v", st)
 	}

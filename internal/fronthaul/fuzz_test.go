@@ -15,14 +15,15 @@ import (
 	"quamax/internal/telemetry"
 )
 
-// fuzzStatsResponse builds a fully populated stats response: pool counters
-// with two backends (both carrying spend/energy economics), a telemetry
-// snapshot whose histograms span first, middle and last buckets and whose
-// quality map holds two classes, a per-shard breakdown, and a health block
-// covering every state and the burn/alert fields.
+// fuzzStatsResponse builds a fully populated stats response the way a serving
+// binary does — through the planes' own producers: two shards' pool counters
+// (backends carrying spend/energy economics), a telemetry snapshot whose
+// histograms span first, middle and last buckets and whose quality map holds
+// two classes, and health and burn views covering every state and the alert
+// bit. Help is cleared, as it is on the far side of the wire.
 func fuzzStatsResponse() *StatsResponse {
-	hist := func(idx ...int) telemetry.Hist {
-		h := telemetry.Hist{Counts: make([]uint64, telemetry.NumBuckets), Min: 0.3, Max: 9000, Sum: 12345}
+	hist := func(idx ...int) metrics.Hist {
+		h := metrics.Hist{Counts: make([]uint64, metrics.NumBuckets), Min: 0.3, Max: 9000, Sum: 12345}
 		for i, ix := range idx {
 			h.Counts[ix] = uint64(i + 1)
 			h.Count += uint64(i + 1)
@@ -30,72 +31,63 @@ func fuzzStatsResponse() *StatsResponse {
 		return h
 	}
 	sn := &telemetry.Snapshot{
-		UptimeMicros: 1e6, Finished: 41, Failed: 1, Traces: 42,
+		Finished: 41, Failed: 1, Traces: 42,
 		CompileHits: 30, CompileMisses: 12,
 		Wire:     hist(10, 40),
-		SlackMet: hist(55), SlackMissed: hist(0, telemetry.NumBuckets-1),
+		SlackMet: hist(55), SlackMissed: hist(0, metrics.NumBuckets-1),
 		Quality: map[string]telemetry.QualityStats{
 			"QPSK/4":   {Solves: 40, Reads: 4000, ChainBreaks: 7, LLRBits: 320, LLRSaturated: 3, BestEnergy: hist(20, 21, 22)},
 			"16-QAM/8": {Solves: 2, Reads: 100, BestEnergy: hist(0)},
 		},
 	}
-	for i := range sn.Stages {
+	for i := range sn.Stages[:len(sn.Stages)-1] { // the last stage stays empty
 		sn.Stages[i] = hist(i, i+8)
 	}
-	return &StatsResponse{
-		ID: 14, UptimeMicros: 1e6,
-		Pool: metrics.PoolStats{
-			QueueDepth: 2, Submitted: 42, Completed: 41, Failed: 1,
+	shard := func(i string) metrics.Label { return metrics.Label{Key: "shard", Value: i} }
+	sets := [][]metrics.Sample{
+		sn.Samples(),
+		metrics.PoolStats{
+			UptimeMicros: 1e6, QueueDepth: 2, Submitted: 30, Completed: 30,
 			FallbackDispatches: 5, PlannerClassical: 3, DeadlineMisses: 2,
-			BatchRuns: 4, BatchedProblems: 12, SoftSolved: 6, LLRSaturations: 1,
-			SlotOccupancy: 0.75,
-			ChannelCache:  metrics.ChannelCacheStats{Hits: 30, Misses: 12, Evictions: 2},
+			BatchRuns: 3, BatchedProblems: 9, SoftSolved: 6, LLRSaturations: 1, SlotOccupancy: 0.5,
+			ChannelCache: metrics.ChannelCacheStats{Hits: 20, Misses: 8},
 			Backends: []metrics.BackendStats{
-				{Name: "qpu0", Solved: 20, Errors: 1, BusyMicros: 5000, Utilization: 0.5,
-					SpendMicroUSD: 2777.5, EnergyMilliJ: 125000},
-				{Name: "sa", Solved: 21, BusyMicros: 800, Utilization: 0.08,
+				{Name: "s0/qpu0", Solved: 30, Errors: 1, BusyMicros: 4000, Utilization: 0.4,
+					SpendMicroUSD: 2222, EnergyMilliJ: 100000},
+				{Name: "s0/sa", Solved: 21, BusyMicros: 800, Utilization: 0.08,
 					SpendMicroUSD: 0.25, EnergyMilliJ: 12},
 			},
-		},
-		Telemetry: sn,
-		Shards: []metrics.PoolStats{
-			{
-				Submitted: 30, Completed: 30, BatchRuns: 3, SlotOccupancy: 0.5,
-				ChannelCache: metrics.ChannelCacheStats{Hits: 20, Misses: 8},
-				Backends: []metrics.BackendStats{{Name: "s0/qpu0", Solved: 30, BusyMicros: 4000, Utilization: 0.4,
-					SpendMicroUSD: 2222, EnergyMilliJ: 100000}},
-			},
-			{
-				Submitted: 12, Completed: 11, Failed: 1, BatchRuns: 1, SlotOccupancy: 1,
-				ChannelCache: metrics.ChannelCacheStats{Hits: 10, Misses: 4, Evictions: 2},
-			},
-		},
-		Health: &metrics.HealthStats{
-			Backends: []metrics.BackendHealth{
-				{Name: "qpu0", State: metrics.HealthQuarantined, Score: 4.25, Observations: 900,
-					ChainBreakEWMA: 0.31, EnergyEWMA: 12.5, FailureEWMA: 0.05, ReadsPerSolve: 48,
-					CanaryPass: 2, CanaryFail: 7},
-				{Name: "qpu1", State: metrics.HealthDegraded, Score: 1.5, Observations: 850,
-					ChainBreakEWMA: 0.11, EnergyEWMA: 14.0, ReadsPerSolve: 50},
-				{Name: "sa", State: metrics.HealthHealthy, Observations: 400, EnergyEWMA: 13.9},
-			},
-			Shards: []metrics.ShardBurn{
-				{FastMissRate: 0.2, SlowMissRate: 0.08, FastBERRate: 0.12, SlowBERRate: 0.11,
-					Samples: 640, Alerting: true, Sheds: 12, MissEWMA: 0.19},
-				{SlowMissRate: 0.002, Samples: 500},
-			},
-		},
+		}.Samples(shard("0")),
+		metrics.PoolStats{
+			Submitted: 12, Completed: 11, Failed: 1, BatchRuns: 1, SlotOccupancy: 1,
+			ChannelCache: metrics.ChannelCacheStats{Hits: 10, Misses: 4, Evictions: 2},
+		}.Samples(shard("1")),
+		metrics.BackendHealth{Name: "s0/qpu0", State: metrics.HealthQuarantined, Score: 4.25, Observations: 900,
+			ChainBreakEWMA: 0.31, EnergyEWMA: 12.5, FailureEWMA: 0.05, ReadsPerSolve: 48,
+			CanaryPass: 2, CanaryFail: 7}.Samples(),
+		metrics.BackendHealth{Name: "s0/qpu1", State: metrics.HealthDegraded, Score: 1.5, Observations: 850,
+			ChainBreakEWMA: 0.11, EnergyEWMA: 14.0, ReadsPerSolve: 50}.Samples(),
+		metrics.BackendHealth{Name: "s0/sa", State: metrics.HealthHealthy, Observations: 400, EnergyEWMA: 13.9}.Samples(),
+		metrics.ShardBurn{FastMissRate: 0.2, SlowMissRate: 0.08, FastBERRate: 0.12, SlowBERRate: 0.11,
+			Observed: 640, Alerting: true}.Samples(0),
+		metrics.ShardBurn{SlowMissRate: 0.002, Observed: 500}.Samples(1),
 	}
+	resp := &StatsResponse{ID: 14, Samples: metrics.Collect(sets...)}
+	for i := range resp.Samples {
+		resp.Samples[i].Help = ""
+	}
+	return resp
 }
 
-// fuzzSeedFrames seeds the fuzzer with the real v10 grammar instead of random
+// fuzzSeedFrames seeds the fuzzer with the real v11 grammar instead of random
 // bytes: a solve request for every flag combination, the rejected
 // soft|precode pair, zero-length and non-finite vectors, the register frames,
 // every response shape (including a truncated and a non-canonical empty LLR
-// block), the stats frames (including a truncated histogram payload, an
-// all-empty-histogram snapshot, a telemetry-less response, and the
-// flag-gated shards, economics and health blocks with their truncated and
-// non-canonical empty forms), frame types of retired and unknown protocol
+// block), the stats frames (a full sample set, a pool-only one, one whose
+// histograms are all empty, and every way a sample set can be malformed:
+// unsorted or duplicated samples, unsorted label keys, an unknown kind byte,
+// a truncated histogram, a sample, label or bucket count larger than the
+// payload, trailing bytes), frame types of retired and unknown protocol
 // generations, and whole pipelined streams.
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -166,21 +158,21 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		frame(msgDecodeResponse, emptyLLR, nil),
 	)
 
-	// The stats grammar: the poll, a full telemetry snapshot, a pool-only
-	// response, and a telemetry block whose histograms are all empty.
+	// The stats grammar: the poll, a full sample set, a pool-only one, and a
+	// telemetry snapshot whose histograms are all empty.
 	statsFull, err := encodeStatsResponse(fuzzStatsResponse())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	statsBare, err := encodeStatsResponse(&StatsResponse{ID: 15, Pool: metrics.PoolStats{
+	statsBare, err := encodeStatsResponse(&StatsResponse{ID: 15, Samples: metrics.Collect(metrics.PoolStats{
 		Submitted: 3, Completed: 3,
 		Backends: []metrics.BackendStats{{Name: "qpu0", Solved: 3, BusyMicros: 900, Utilization: 0.4}},
-	}})
+	}.Samples())})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	statsEmptyHists, err := encodeStatsResponse(&StatsResponse{ID: 16,
-		Telemetry: &telemetry.Snapshot{UptimeMicros: 5}})
+		Samples: metrics.Collect((&telemetry.Snapshot{}).Samples())})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -189,9 +181,7 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		frame(msgStatsResponse, statsFull, nil),
 		frame(msgStatsResponse, statsBare, nil),
 		frame(msgStatsResponse, statsEmptyHists, nil),
-		// A stats response truncated inside a histogram's bucket list.
-		frame(msgStatsResponse, statsFull[:len(statsFull)-60], nil),
-		// A stats response with a declared bucket entry but no bucket bytes.
+		// A stats response with a declared sample but no sample bytes.
 		[]byte{msgStatsResponse, 0, 0, 0},
 		// Malformed shapes the decoders must reject without panicking.
 		[]byte{msgDecodeRequest},
@@ -204,34 +194,11 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		frame(99, []byte{1, 2, 3}, nil),
 		frame(1, inline, nil),
 	)
-	// A stats response whose shards flag is set but whose shard count is
-	// zero — non-canonical (it would re-encode without the flag), rejected.
-	// statsBare carries neither telemetry nor shards, so its final byte is
-	// the flags byte.
-	zeroShards := append([]byte(nil), statsBare...)
-	zeroShards[len(zeroShards)-1] |= statsRespShards
-	zeroShards = append(zeroShards, 0, 0)
-	seeds = append(seeds, frame(msgStatsResponse, zeroShards, nil))
-	// The economics twin: the flag is set but every spend/energy pair is
-	// zero — non-canonical for the same reason (a re-encode would drop the
-	// flag), rejected. statsBare lists one pool backend, so the trailing
-	// block is one all-zero f64 pair.
-	zeroEcon := append([]byte(nil), statsBare...)
-	zeroEcon[len(zeroEcon)-1] |= statsRespEconomics
-	zeroEcon = append(zeroEcon, make([]byte, 16)...)
-	seeds = append(seeds, frame(msgStatsResponse, zeroEcon, nil))
-	// A stats response truncated inside the trailing economics block.
-	seeds = append(seeds, frame(msgStatsResponse, statsFull[:len(statsFull)-9], nil))
-	// The health block's non-canonical form: the health flag set over an
-	// empty block (zero backends, zero shards) — a re-encode would drop the
-	// flag, so the decoder rejects it.
-	zeroHealth := append([]byte(nil), statsBare...)
-	zeroHealth[len(zeroHealth)-1] |= statsRespHealth
-	zeroHealth = append(zeroHealth, 0, 0, 0, 0)
-	seeds = append(seeds, frame(msgStatsResponse, zeroHealth, nil))
-	// A stats response truncated inside the health block (statsFull ends
-	// with it: cutting 20 bytes lands mid-shard-burn entry).
-	seeds = append(seeds, frame(msgStatsResponse, statsFull[:len(statsFull)-20], nil))
+	// Every way a sample set can be malformed (malformedStats): each is
+	// rejected, never repaired.
+	for _, m := range malformedStats(tb) {
+		seeds = append(seeds, frame(msgStatsResponse, m.payload, nil))
+	}
 	// Pipelined streams: a connection's read loop sees many frames back to
 	// back, responses returning out of order and interleaved across request
 	// classes, and teardown can truncate the stream mid-frame. These seeds
@@ -301,8 +268,8 @@ func FuzzDecodeFrame(f *testing.F) {
 				canonical(encodeStatsRequest(req), nil)
 			}
 		case msgStatsResponse:
-			// The sparse histogram grammar is canonical too (strictly
-			// increasing indexes, no zero counts).
+			// The sample-set grammar is canonical too (strictly ascending
+			// samples, label keys and bucket indexes; no zero counts).
 			if resp, err := decodeStatsResponse(payload); err == nil {
 				canonical(encodeStatsResponse(resp))
 			}

@@ -3,7 +3,7 @@
 // a handle to one, a vector, a QoS contract — over a low-latency fronthaul to
 // a centralized data center, where a QPU pool runs QuAMax and returns bits.
 //
-// # Wire format (v10)
+// # Wire format (v11)
 //
 // The protocol is a length-prefixed binary framing over any net.Conn (TCP in
 // deployment; net.Pipe in tests). Every frame is
@@ -39,6 +39,17 @@
 //	          | llr ? (clamp f64, saturated u32, n u32, llr8 n·i8)
 //	register  id u64 | mod u8, rows u16, cols u16, H rows·cols·c128
 //	          → id u64 | err (u16 + bytes) | handle u64
+//	stats     id u64
+//	          → id u64 | err (u16 + bytes) | n u32 | n × sample
+//	sample    name (u16 + bytes) | nlabels u8 | nlabels × (key, value: u16 + bytes)
+//	          | kind u8 {0 counter, 1 gauge, 2 histogram}
+//	          | counter, gauge ? value f64
+//	          | histogram ? nb u8 | nb × (bucket u8, count u64) | sum f64 | min f64 | max f64
+//
+// A stats response is the server's whole metric set as metrics.Sample series
+// (statscodec.go): samples strictly ascending by (name, labels), label keys
+// strictly ascending, only nonzero histogram buckets in ascending index order.
+// Adding a metric adds a sample, never a field of this grammar.
 //
 // Every declared length is checked against the bytes already received before
 // anything is allocated for it — a field's against the payload that holds it,
@@ -77,7 +88,7 @@ import (
 
 // ProtocolVersion is the fronthaul framing generation this package speaks.
 // Peers of any other generation are refused, not negotiated with.
-const ProtocolVersion = 10
+const ProtocolVersion = 11
 
 // Frame types.
 const (

@@ -57,9 +57,8 @@ type Server struct {
 	LLRClamp float64
 
 	// Telemetry, when non-nil, receives the server-side wall time of every
-	// request (the wire histogram) and is snapshotted into stats
-	// responses. Set before Serve; share the same recorder with the
-	// scheduler and planner so `quamax -top` sees one coherent plane.
+	// request (the wire histogram). Set before Serve; share the same recorder
+	// with the scheduler and planner so `quamax -top` sees one coherent plane.
 	Telemetry *telemetry.Recorder
 
 	// PipelineDepth bounds the in-flight window per connection: how many
@@ -70,11 +69,12 @@ type Server struct {
 	// sees its writes stall. 0 = DefaultPipelineDepth. Set before Serve.
 	PipelineDepth int
 
-	// Health, when non-nil, supplies the solver-health plane snapshot for
-	// stats responses (the serving binary assembles it from the health
-	// tracker, burn tracker and router shed counters). The health block rides
-	// the frame only when the snapshot carries data. Set before Serve.
-	Health func() metrics.HealthStats
+	// Stats supplies the sample set a stats poll is answered with, in
+	// canonical order (metrics.Collect). Whoever assembles the stack sets it
+	// — the same function feeds telemetry.Mux — from the planes it built:
+	// pool or router, recorder, health and burn trackers, planner. Nil answers
+	// an empty set. NewServer sets it to its own pool. Set before Serve.
+	Stats func() []metrics.Sample
 
 	precodeOnce     sync.Once
 	precodePrograms *precoding.Cache
@@ -115,7 +115,7 @@ func NewServer(dec *core.Decoder, seed int64) *Server {
 		// Unreachable: the pool is never empty here.
 		panic(err)
 	}
-	return &Server{disp: s, owned: s}
+	return &Server{disp: s, owned: s, Stats: func() []metrics.Sample { return metrics.Collect(s.Stats().Samples()) }}
 }
 
 // NewPoolServer serves decode requests through an externally owned
@@ -132,26 +132,6 @@ func (s *Server) Close() error {
 		return s.owned.Close()
 	}
 	return nil
-}
-
-// Stats reports pool statistics when the dispatcher exports them. For a
-// sharded router dispatcher this is the PoolStats.Merge aggregate.
-func (s *Server) Stats() (metrics.PoolStats, bool) {
-	type statser interface{ Stats() metrics.PoolStats }
-	if st, ok := s.disp.(statser); ok {
-		return st.Stats(), true
-	}
-	return metrics.PoolStats{}, false
-}
-
-// ShardStats reports the per-shard breakdown when the dispatcher is a
-// sharded front tier (internal/router). Single-pool dispatchers report none.
-func (s *Server) ShardStats() ([]metrics.PoolStats, bool) {
-	type shardStatser interface{ ShardStats() []metrics.PoolStats }
-	if st, ok := s.disp.(shardStatser); ok {
-		return st.ShardStats(), true
-	}
-	return nil, false
 }
 
 // DefaultPipelineDepth is the per-connection in-flight window when the
@@ -366,23 +346,11 @@ func channelFor(channels map[uint64]registeredChannel, req *Request) (ch registe
 	return ch, refusal
 }
 
-// statsFrame snapshots the serving planes into one stats-response frame.
+// statsFrame answers one stats poll with the assembled sample set.
 func (s *Server) statsFrame(id uint64) []byte {
 	resp := &StatsResponse{ID: id}
-	if st, ok := s.Stats(); ok {
-		resp.Pool = st
-	}
-	if per, ok := s.ShardStats(); ok {
-		resp.Shards = per
-	}
-	if s.Telemetry != nil {
-		resp.Telemetry = s.Telemetry.Snapshot()
-		resp.UptimeMicros = resp.Telemetry.UptimeMicros
-	}
-	if s.Health != nil {
-		if h := s.Health(); !h.Empty() {
-			resp.Health = &h
-		}
+	if s.Stats != nil {
+		resp.Samples = s.Stats()
 	}
 	b, err := frameStatsResponse(resp)
 	if err != nil {

@@ -1,13 +1,20 @@
 package fronthaul
 
 import (
+	"bytes"
+	"context"
 	"net"
 	"reflect"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"quamax/internal/backend"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
+	"quamax/internal/router"
 	"quamax/internal/sched"
 	"quamax/internal/telemetry"
 )
@@ -25,8 +32,15 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("stats round trip:\nwant %+v\ngot  %+v", want, got)
 	}
+	// Help is the one field that stays behind.
+	helped := *want
+	helped.Samples = append([]metrics.Sample(nil), want.Samples...)
+	helped.Samples[0].Help = "stays server-side"
+	if withHelp, err := encodeStatsResponse(&helped); err != nil || !bytes.Equal(withHelp, payload) {
+		t.Fatalf("Help changed the wire form (err %v)", err)
+	}
 
-	// A telemetry-less response (server without a recorder) round-trips too.
+	// An empty set (a server nobody gave a Stats function) round-trips too.
 	bare := &StatsResponse{ID: 3, Err: "pool draining"}
 	payload, err = encodeStatsResponse(bare)
 	if err != nil {
@@ -47,16 +61,74 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatsCodecRejectsCorruption(t *testing.T) {
-	payload, err := encodeStatsResponse(fuzzStatsResponse())
+// malformedStats lists every way a stats-response payload can break the
+// sample-set grammar, hand-assembled from the wire primitives. The corruption
+// test demands each is rejected; the fuzzer starts from them.
+func malformedStats(tb testing.TB) []struct {
+	name    string
+	payload []byte
+} {
+	tb.Helper()
+	value := appendF64(nil, 1)
+	sample := func(name string, kind byte, body []byte, labels ...string) []byte {
+		b := append(appendStr16(nil, name), byte(len(labels)/2))
+		for _, l := range labels {
+			b = appendStr16(b, l)
+		}
+		return append(append(b, kind), body...)
+	}
+	set := func(n uint32, samples ...[]byte) []byte {
+		b := appendU32(appendStr16(appendU64(nil, 9), ""), n)
+		for _, s := range samples {
+			b = append(b, s...)
+		}
+		return b
+	}
+	// hist assembles a histogram body: the declared bucket count, then
+	// (index, count) pairs, then sum/min/max.
+	hist := func(declared byte, pairs ...uint64) []byte {
+		b := []byte{declared}
+		for i := 0; i+1 < len(pairs); i += 2 {
+			b = appendU64(append(b, byte(pairs[i])), pairs[i+1])
+		}
+		return appendF64(appendF64(appendF64(b, 1), 2), 3)
+	}
+	if _, err := decodeStatsResponse(set(2, sample("a", 1, value, "k", "x"), sample("h", 2, hist(2, 5, 1, 9, 4)))); err != nil {
+		tb.Fatalf("the hand-assembled baseline does not decode: %v", err)
+	}
+	full, err := encodeStatsResponse(fuzzStatsResponse())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, err := decodeStatsResponse(payload[:len(payload)-5]); err == nil {
-		t.Fatal("truncated stats response accepted")
+	truncHist := set(1, sample("h", 2, hist(2, 5, 1, 9, 4)))
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"samples out of name order", set(2, sample("b", 0, value), sample("a", 0, value))},
+		{"samples out of label order", set(2, sample("a", 0, value, "k", "y"), sample("a", 0, value, "k", "x"))},
+		{"duplicate (name, labels)", set(2, sample("a", 0, value, "k", "x"), sample("a", 1, value, "k", "x"))},
+		{"unsorted label keys", set(1, sample("a", 0, value, "z", "1", "b", "2"))},
+		{"duplicate label key", set(1, sample("a", 0, value, "k", "1", "k", "2"))},
+		{"unknown kind byte", set(1, sample("a", 3, value))},
+		{"truncated histogram", truncHist[:len(truncHist)-30]},
+		{"zero-count bucket", set(1, sample("h", 2, hist(1, 5, 0)))},
+		{"repeated bucket index", set(1, sample("h", 2, hist(2, 5, 1, 5, 1)))},
+		{"bucket index past NumBuckets", set(1, sample("h", 2, hist(1, metrics.NumBuckets, 1)))},
+		{"bucket count past NumBuckets", set(1, sample("h", 2, hist(metrics.NumBuckets+1)))},
+		{"bucket count larger than the payload", set(1, sample("h", 2, hist(90)))},
+		{"sample count larger than the payload", set(1000, sample("a", 0, value))},
+		{"label count larger than the payload", set(1, append(append(appendStr16(nil, "a"), 200), value...))},
+		{"trailing bytes", append(set(1, sample("a", 0, value)), 0)},
+		{"truncated full response", full[:len(full)-5]},
 	}
-	if _, err := decodeStatsResponse(append(append([]byte(nil), payload...), 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
+}
+
+func TestStatsCodecRejectsCorruption(t *testing.T) {
+	for _, m := range malformedStats(t) {
+		if _, err := decodeStatsResponse(m.payload); err == nil {
+			t.Errorf("%s accepted", m.name)
+		}
 	}
 	if _, err := decodeStatsRequest([]byte{1, 2}); err == nil {
 		t.Fatal("truncated stats request accepted")
@@ -65,95 +137,43 @@ func TestStatsCodecRejectsCorruption(t *testing.T) {
 		t.Fatal("stats request trailing bytes accepted")
 	}
 
-	// The trailing economics block is flag-gated and canonical: a truncated
-	// block and a flag-with-all-zero-counters payload are both rejected.
-	if _, err := decodeStatsResponse(payload[:len(payload)-9]); err == nil {
-		t.Fatal("stats response truncated inside the economics block accepted")
+	// The encoder refuses what the decoder would: it never emits a frame
+	// outside the canonical form.
+	c := func(name string, labels ...metrics.Label) metrics.Sample {
+		return metrics.Sample{Name: name, Labels: labels}
 	}
-	bare, err := encodeStatsResponse(&StatsResponse{ID: 2, Pool: metrics.PoolStats{
-		Submitted: 1, Completed: 1,
-		Backends: []metrics.BackendStats{{Name: "qpu0", Solved: 1}},
-	}})
-	if err != nil {
-		t.Fatal(err)
+	k := func(key, value string) metrics.Label { return metrics.Label{Key: key, Value: value} }
+	for name, set := range map[string][]metrics.Sample{
+		"unsorted set":        {c("b"), c("a")},
+		"duplicate sample":    {c("a", k("k", "x")), c("a", k("k", "x"))},
+		"unsorted label keys": {c("a", k("z", "1"), k("b", "2"))},
+		"unknown kind":        {{Name: "a", Kind: 3}},
+		"oversized histogram": {{Name: "h", Kind: metrics.KindHistogram, Hist: metrics.Hist{Counts: make([]uint64, metrics.NumBuckets+1)}}},
+	} {
+		if _, err := encodeStatsResponse(&StatsResponse{ID: 1, Samples: set}); err == nil {
+			t.Errorf("encoder accepted %s", name)
+		}
 	}
-	zeroEcon := append([]byte(nil), bare...)
-	zeroEcon[len(zeroEcon)-1] |= statsRespEconomics
-	zeroEcon = append(zeroEcon, make([]byte, 16)...)
-	if _, err := decodeStatsResponse(zeroEcon); err == nil {
-		t.Fatal("economics flag with all-zero counters accepted")
-	}
+}
 
-	// The v9 health block is flag-gated and canonical the same way: the flag
-	// over an empty block (a re-encode would drop it) is rejected, as are
-	// blocks that violate the health grammar itself.
-	zeroHealth := append([]byte(nil), bare...)
-	zeroHealth[len(zeroHealth)-1] |= statsRespHealth
-	zeroHealth = append(zeroHealth, 0, 0, 0, 0)
-	if _, err := decodeStatsResponse(zeroHealth); err == nil {
-		t.Fatal("health flag with empty block accepted")
-	}
-	healthEntry := func(name string, state byte) []byte {
-		b := appendU16(nil, uint16(len(name)))
-		b = append(b, name...)
-		b = append(b, state)
-		b = appendF64(b, 1.5)    // score
-		b = appendU64(b, 10)     // observations
-		for i := 0; i < 4; i++ { // chain-break / energy / failure / reads EWMAs
-			b = appendF64(b, 0.25)
+// findSample returns the sample of the set with this name whose labels
+// include every given key, value pair.
+func findSample(t *testing.T, samples []metrics.Sample, name string, kv ...string) metrics.Sample {
+	t.Helper()
+next:
+	for _, s := range samples {
+		if s.Name != name {
+			continue
 		}
-		b = appendU64(b, 2) // canary pass
-		b = appendU64(b, 1) // canary fail
-		return b
-	}
-	mustRejectHealth := func(name string, raw []byte) {
-		t.Helper()
-		r := &reader{b: raw}
-		if _, err := readHealth(r, raw); err == nil {
-			t.Fatalf("%s accepted", name)
+		for i := 0; i+1 < len(kv); i += 2 {
+			if v, ok := s.Label(kv[i]); !ok || v != kv[i+1] {
+				continue next
+			}
 		}
+		return s
 	}
-	noShards := appendU16(nil, 0)
-	two := func(a, b []byte) []byte {
-		out := appendU16(nil, 2)
-		out = append(out, a...)
-		out = append(out, b...)
-		return append(out, noShards...)
-	}
-	one := func(e []byte) []byte {
-		return append(append(appendU16(nil, 1), e...), noShards...)
-	}
-	mustRejectHealth("out-of-order backend names", two(healthEntry("b", 0), healthEntry("a", 0)))
-	mustRejectHealth("duplicate backend name", two(healthEntry("a", 1), healthEntry("a", 1)))
-	mustRejectHealth("unknown health state", one(healthEntry("a", 3)))
-	mustRejectHealth("backend count past payload", append(appendU16(nil, 9), healthEntry("a", 0)...))
-	mustRejectHealth("truncated backend entry", append(appendU16(nil, 1), healthEntry("a", 0)[:20]...))
-	badAlert := append(appendU16(nil, 0), appendU16(nil, 1)...)
-	for i := 0; i < 4; i++ {
-		badAlert = appendF64(badAlert, 0.1) // fast/slow miss + BER rates
-	}
-	badAlert = appendU64(badAlert, 5) // samples
-	badAlert = append(badAlert, 2)    // non-boolean alert byte
-	badAlert = appendU64(badAlert, 0) // sheds
-	badAlert = appendF64(badAlert, 0) // miss EWMA
-	mustRejectHealth("non-boolean alert byte", badAlert)
-
-	// The histogram grammar is canonical: out-of-order or repeated bucket
-	// indexes, zero counts and oversized entry counts are all rejected.
-	mustRejectHist := func(name string, raw []byte) {
-		t.Helper()
-		r := &reader{b: raw}
-		if _, err := readHist(r); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-	u64 := func(v uint64) []byte { return appendU64(nil, v) }
-	f64x3 := appendF64(appendF64(appendF64(nil, 1), 2), 3)
-	mustRejectHist("zero-count bucket", append(append([]byte{1, 5}, u64(0)...), f64x3...))
-	mustRejectHist("repeated bucket index", append(append(append(append([]byte{2, 5}, u64(1)...), 5), u64(1)...), f64x3...))
-	mustRejectHist("bucket index past NumBuckets", append(append([]byte{1, telemetry.NumBuckets}, u64(1)...), f64x3...))
-	mustRejectHist("entry count past NumBuckets", append([]byte{telemetry.NumBuckets + 1}, f64x3...))
-	mustRejectHist("truncated bucket list", []byte{3, 0})
+	t.Errorf("no sample %s%v in the set", name, kv) // not Fatal: polled from goroutines too
+	return metrics.Sample{}
 }
 
 // Stats over the wire: an AP decodes through a telemetry-instrumented pool,
@@ -174,6 +194,9 @@ func TestPoolStatsOverWire(t *testing.T) {
 	defer pool.Close()
 	server := NewPoolServer(pool)
 	server.Telemetry = rec
+	server.Stats = func() []metrics.Sample {
+		return metrics.Collect(pool.Stats().Samples(), rec.Snapshot().Samples())
+	}
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -191,32 +214,114 @@ func TestPoolStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pool.Submitted != decodes || stats.Pool.Completed != decodes {
-		t.Fatalf("pool counters %d/%d, want %d submitted and completed",
-			stats.Pool.Submitted, stats.Pool.Completed, decodes)
+	for _, name := range []string{"quamax_pool_submitted_total", "quamax_pool_completed_total"} {
+		if got := findSample(t, stats.Samples, name).Value; got != decodes {
+			t.Fatalf("%s = %g, want %d", name, got, decodes)
+		}
 	}
-	sn := stats.Telemetry
-	if sn == nil {
-		t.Fatal("stats response carries no telemetry snapshot")
+	if got := findSample(t, stats.Samples, "quamax_backend_solved_total", "backend", "qpu0").Value; got != decodes {
+		t.Fatalf("qpu0 solved %g, want %d", got, decodes)
 	}
-	if sn.Traces != decodes || sn.Finished != decodes {
-		t.Fatalf("telemetry traces %d finished %d, want %d", sn.Traces, sn.Finished, decodes)
+	if got := findSample(t, stats.Samples, "quamax_traces_finished_total", "outcome", "ok").Value; got != decodes {
+		t.Fatalf("finished traces %g, want %d", got, decodes)
 	}
-	if got := sn.Stages[telemetry.StageE2E].Count; got != decodes {
+	if got := findSample(t, stats.Samples, "quamax_stage_latency_micros", "stage", "e2e").Hist.Count; got != decodes {
 		t.Fatalf("e2e histogram holds %d observations, want %d", got, decodes)
 	}
-	if sn.Wire.Count != decodes {
-		t.Fatalf("wire histogram holds %d observations, want %d", sn.Wire.Count, decodes)
+	wire := findSample(t, stats.Samples, "quamax_fronthaul_wire_micros")
+	if wire.Kind != metrics.KindHistogram || wire.Hist.Count != decodes {
+		t.Fatalf("wire histogram holds %d observations, want %d", wire.Hist.Count, decodes)
 	}
-	if sn.Wire.Sum <= 0 || sn.Wire.Max < sn.Wire.Min {
-		t.Fatalf("wire histogram not populated: %+v", sn.Wire)
+	if wire.Hist.Sum <= 0 || wire.Hist.Max < wire.Hist.Min {
+		t.Fatalf("wire histogram not populated: %+v", wire.Hist)
 	}
 	// The anneal-quality plane rode along: one class, with reads accounted.
-	q, ok := sn.Quality["QPSK/4"]
-	if !ok || q.Solves == 0 || q.Reads == 0 {
-		t.Fatalf("quality class missing or empty: %+v", sn.Quality)
+	if findSample(t, stats.Samples, "quamax_quality_solves_total", "class", "QPSK/4").Value == 0 ||
+		findSample(t, stats.Samples, "quamax_quality_reads_total", "class", "QPSK/4").Value == 0 {
+		t.Fatal("quality class empty")
 	}
-	if stats.UptimeMicros <= 0 {
-		t.Fatal("uptime not reported")
+	for _, s := range stats.Samples {
+		if s.Help != "" {
+			t.Fatalf("Help crossed the wire on %s", s.Name)
+		}
+	}
+}
+
+// A server started without a telemetry recorder still reports how long its
+// pool has been up: uptime is the scheduler's, not the recorder's.
+func TestStatsUptimeWithoutRecorder(t *testing.T) {
+	server := NewServer(testDecoder(t), 1)
+	defer server.Close()
+	cliConn, srvConn := net.Pipe()
+	go server.handleConn(srvConn)
+	client := NewClient(cliConn)
+	defer client.Close()
+	time.Sleep(time.Millisecond)
+	stats, err := client.PoolStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up := findSample(t, stats.Samples, "quamax_uptime_seconds"); up.Kind != metrics.KindGauge || up.Value <= 0 {
+		t.Fatalf("uptime without a recorder: %+v", up)
+	}
+}
+
+// countingShard is a router shard that counts its Stats calls and reports the
+// count, so a torn poll (totals and breakdown from different snapshots) would
+// show as disagreeing numbers.
+type countingShard struct{ calls atomic.Uint64 }
+
+func (s *countingShard) Dispatch(context.Context, *backend.Problem, time.Duration) (*backend.Result, error) {
+	return &backend.Result{}, nil
+}
+
+func (s *countingShard) Stats() metrics.PoolStats {
+	n := s.calls.Add(1)
+	return metrics.PoolStats{Submitted: n, Completed: n}
+}
+
+// One stats poll takes exactly one snapshot of every shard, however many
+// connections poll at once.
+func TestStatsOnePollOneSnapshotPerShard(t *testing.T) {
+	shards := []*countingShard{{}, {}, {}}
+	rt, err := router.New(router.Config{Shards: []router.Shard{shards[0], shards[1], shards[2]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewPoolServer(rt)
+	server.Stats = func() []metrics.Sample { return metrics.Collect(rt.Samples()) }
+
+	const conns, polls = 4, 8
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		cliConn, srvConn := net.Pipe()
+		go server.handleConn(srvConn)
+		client := NewClient(cliConn)
+		defer client.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := 0; p < polls; p++ {
+				stats, err := client.PoolStats()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range shards {
+					shard := strconv.Itoa(i)
+					sub := findSample(t, stats.Samples, "quamax_pool_submitted_total", "shard", shard).Value
+					done := findSample(t, stats.Samples, "quamax_pool_completed_total", "shard", shard).Value
+					if sub != done || sub == 0 {
+						t.Errorf("shard %d: submitted %g and completed %g come from different snapshots", i, sub, done)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, s := range shards {
+		if got := s.calls.Load(); got != conns*polls {
+			t.Errorf("shard %d snapshotted %d times over %d polls", i, got, conns*polls)
+		}
 	}
 }

@@ -165,9 +165,8 @@ func (t *BurnTracker) Budgets() (miss, ber float64) {
 	return t.cfg.MissBudget, t.cfg.BERBudget
 }
 
-// Snapshot exports every shard's burn view (Sheds and MissEWMA are the
-// router's fields and stay zero here — the serving binary overlays them).
-// Safe on a nil tracker (returns nil).
+// Snapshot exports every shard's burn view. Safe on a nil tracker (returns
+// nil).
 func (t *BurnTracker) Snapshot() []metrics.ShardBurn {
 	if t == nil {
 		return nil
@@ -180,10 +179,20 @@ func (t *BurnTracker) Snapshot() []metrics.ShardBurn {
 			SlowMissRate: s.slowMiss,
 			FastBERRate:  s.fastBER,
 			SlowBERRate:  s.slowBER,
-			Samples:      s.samples,
+			Observed:     s.samples,
 			Alerting:     t.alertingLocked(s),
 		}
 		s.mu.Unlock()
+	}
+	return out
+}
+
+// Samples exports every shard's burn view (metrics.ShardBurn.Samples). Safe
+// on a nil tracker (returns nil).
+func (t *BurnTracker) Samples() []metrics.Sample {
+	var out []metrics.Sample
+	for i, b := range t.Snapshot() {
+		out = append(out, b.Samples(i)...)
 	}
 	return out
 }

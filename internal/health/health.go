@@ -21,9 +21,8 @@
 //     which the router folds into its shed decision.
 //
 // The scheduler (internal/sched) feeds the Tracker with backend attribution,
-// skips Quarantined pool members, and runs the canary probes; snapshots ride
-// the protocol-v9 stats frame and the Prometheus exporter as
-// metrics.HealthStats.
+// skips Quarantined pool members, and runs the canary probes; Tracker.Samples
+// and BurnTracker.Samples export both views as metrics.Sample series.
 package health
 
 import (
@@ -456,5 +455,15 @@ func (t *Tracker) Snapshot() []metrics.BackendHealth {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// Samples exports every backend's view (metrics.BackendHealth.Samples). Safe
+// on a nil tracker (returns nil).
+func (t *Tracker) Samples() []metrics.Sample {
+	var out []metrics.Sample
+	for _, b := range t.Snapshot() {
+		out = append(out, b.Samples()...)
+	}
 	return out
 }

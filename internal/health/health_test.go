@@ -364,7 +364,7 @@ func TestBurnNilAndBounds(t *testing.T) {
 	if real.Alerting(-1) || real.Alerting(2) {
 		t.Fatal("out-of-range shard alerting")
 	}
-	if real.Snapshot()[0].Samples != 0 {
+	if real.Snapshot()[0].Observed != 0 {
 		t.Fatal("out-of-range observation landed on shard 0")
 	}
 }

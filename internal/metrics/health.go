@@ -1,6 +1,6 @@
 package metrics
 
-import "sort"
+import "strconv"
 
 // HealthState classifies one backend on the solver-health plane
 // (internal/health): Healthy serves normally, Degraded serves under watch
@@ -8,9 +8,8 @@ import "sort"
 // from regular dispatch and earns re-admission through canary probes.
 type HealthState uint8
 
-// Backend health states, ordered by severity. The numeric values ride the
-// protocol-v9 stats frame and the Prometheus gauge, so they are wire format:
-// never renumber.
+// Backend health states, ordered by severity. The numeric values are what
+// the quamax_backend_health gauge exports: never renumber.
 const (
 	HealthHealthy HealthState = iota
 	HealthDegraded
@@ -58,10 +57,27 @@ type BackendHealth struct {
 	CanaryPass, CanaryFail uint64
 }
 
+// Samples exports the view as series labelled backend=Name. This is the one
+// place a BackendHealth field becomes an exported metric.
+func (b BackendHealth) Samples() []Sample {
+	l := Label{"backend", b.Name}
+	const canary = "Canary probe outcomes per backend."
+	return []Sample{
+		Gauge("quamax_backend_health", "Backend health state: 0 healthy, 1 degraded, 2 quarantined.", float64(b.State), l),
+		Gauge("quamax_backend_health_score", "Page-Hinkley drift score per backend.", b.Score, l),
+		Counter("quamax_backend_health_observations_total", "Quality samples scored per backend.", float64(b.Observations), l),
+		Gauge("quamax_backend_chain_break_ewma", "Rolling per-read chain-break rate baseline per backend.", b.ChainBreakEWMA, l),
+		Gauge("quamax_backend_energy_ewma", "Rolling class-normalized |best energy| baseline per backend.", b.EnergyEWMA, l),
+		Gauge("quamax_backend_failure_ewma", "Rolling solve-failure rate per backend.", b.FailureEWMA, l),
+		Gauge("quamax_backend_reads_per_solve", "Rolling read budget per solve per backend.", b.ReadsPerSolve, l),
+		Counter("quamax_backend_canary_total", canary, float64(b.CanaryPass), l, Label{"result", "pass"}),
+		Counter("quamax_backend_canary_total", canary, float64(b.CanaryFail), l, Label{"result", "fail"}),
+	}
+}
+
 // ShardBurn is one shard's SLO burn-rate view: deadline-miss and BER-proxy
 // budget consumption over a fast and a slow window (Google-SRE-style
-// multi-window burn alerting), plus the router-side shed counters that act
-// on it.
+// multi-window burn alerting).
 type ShardBurn struct {
 	// FastMissRate and SlowMissRate are the deadline-miss rates over the
 	// fast and slow EWMA windows.
@@ -70,34 +86,31 @@ type ShardBurn struct {
 	// saturation or planner denial of a target-carrying request) over the
 	// same two windows.
 	FastBERRate, SlowBERRate float64
-	// Samples counts the requests observed.
-	Samples uint64
+	// Observed counts the requests observed.
+	Observed uint64
 	// Alerting reports the multi-window verdict: both windows burning
 	// faster than budget.
 	Alerting bool
-	// Sheds counts requests the router refused for this shard.
-	Sheds uint64
-	// MissEWMA is the router's shed-decision deadline-miss EWMA.
-	MissEWMA float64
 }
 
-// HealthStats is the health plane's exportable snapshot: per-backend drift
-// verdicts plus per-shard SLO burn rates. It rides the protocol-v9 stats
-// frame and feeds the Prometheus exporter and `quamax -top`.
-type HealthStats struct {
-	// Backends is sorted by name (the canonical wire order).
-	Backends []BackendHealth
-	// Shards is indexed by shard number.
-	Shards []ShardBurn
-}
-
-// Empty reports whether the snapshot carries no data — the protocol-v9
-// health flag rides the stats frame iff this is false.
-func (h *HealthStats) Empty() bool {
-	return h == nil || (len(h.Backends) == 0 && len(h.Shards) == 0)
-}
-
-// SortBackends puts the backend entries into canonical (name-sorted) order.
-func (h *HealthStats) SortBackends() {
-	sort.Slice(h.Backends, func(i, j int) bool { return h.Backends[i].Name < h.Backends[j].Name })
+// Samples exports the view as series labelled shard=<index>. This is the one
+// place a ShardBurn field becomes an exported metric.
+func (b ShardBurn) Samples(shard int) []Sample {
+	l := Label{"shard", strconv.Itoa(shard)}
+	const burn = "Per-shard SLO burn rate (raw event rate) by budget and window."
+	rate := func(v float64, slo, window string) Sample {
+		return Gauge("quamax_slo_burn_rate", burn, v, l, Label{"slo", slo}, Label{"window", window})
+	}
+	alerting := 0.0
+	if b.Alerting {
+		alerting = 1
+	}
+	return []Sample{
+		rate(b.FastMissRate, "miss", "fast"),
+		rate(b.SlowMissRate, "miss", "slow"),
+		rate(b.FastBERRate, "ber", "fast"),
+		rate(b.SlowBERRate, "ber", "slow"),
+		Gauge("quamax_slo_alerting", "Multi-window burn-rate alert per shard (1 = shedding-eligible).", alerting, l),
+		Counter("quamax_slo_burn_samples_total", "Requests the burn tracker observed per shard.", float64(b.Observed), l),
+	}
 }

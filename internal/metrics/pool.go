@@ -11,6 +11,8 @@ import (
 // for pool sizing and deadline-compliance monitoring (the feasibility
 // questions of Kasi et al., arXiv:2109.01465).
 type PoolStats struct {
+	// UptimeMicros is the scheduler's lifetime at snapshot time.
+	UptimeMicros float64
 	// QueueDepth is the number of problems waiting for a pool worker.
 	QueueDepth int
 	// Submitted counts all accepted problems; Completed those solved
@@ -70,6 +72,17 @@ func (c ChannelCacheStats) Add(o ChannelCacheStats) ChannelCacheStats {
 	}
 }
 
+// Samples exports the three counters as one family named name, split by an
+// event label (hit, miss, eviction).
+func (c ChannelCacheStats) Samples(name, help string, labels ...Label) []Sample {
+	event := func(e string) []Label { return append(labels[:len(labels):len(labels)], Label{"event", e}) }
+	return []Sample{
+		Counter(name, help, float64(c.Hits), event("hit")...),
+		Counter(name, help, float64(c.Misses), event("miss")...),
+		Counter(name, help, float64(c.Evictions), event("eviction")...),
+	}
+}
+
 // HitRate returns Hits over total lookups (0 when the cache was never used).
 func (c ChannelCacheStats) HitRate() float64 {
 	if c.Hits+c.Misses == 0 {
@@ -107,15 +120,49 @@ func (s PoolStats) MissRate() float64 {
 	return float64(s.DeadlineMisses) / float64(s.Completed)
 }
 
+// Samples exports the snapshot as series, each carrying labels (a sharded
+// deployment passes its shard label; backend series add a backend label).
+// This is the one place a PoolStats field becomes an exported metric.
+func (s PoolStats) Samples(labels ...Label) []Sample {
+	out := []Sample{
+		Gauge("quamax_uptime_seconds", "Seconds since the pool scheduler started.", s.UptimeMicros/1e6, labels...),
+		Gauge("quamax_pool_queue_depth", "Problems waiting for a pool worker.", float64(s.QueueDepth), labels...),
+		Gauge("quamax_pool_slot_occupancy", "Mean fraction of embedding slots filled per batched run.", s.SlotOccupancy, labels...),
+		Counter("quamax_pool_submitted_total", "Problems accepted by the scheduler.", float64(s.Submitted), labels...),
+		Counter("quamax_pool_completed_total", "Problems solved by pool or fallback.", float64(s.Completed), labels...),
+		Counter("quamax_pool_failed_total", "Problems that returned an error.", float64(s.Failed), labels...),
+		Counter("quamax_pool_fallback_total", "Problems routed to the classical fallback.", float64(s.FallbackDispatches), labels...),
+		Counter("quamax_pool_planner_classical_total", "Fallbacks the QoS planner denied outright.", float64(s.PlannerClassical), labels...),
+		Counter("quamax_pool_deadline_misses_total", "Results delivered after their deadline.", float64(s.DeadlineMisses), labels...),
+		Counter("quamax_pool_batch_runs_total", "Annealer runs carrying more than one problem.", float64(s.BatchRuns), labels...),
+		Counter("quamax_pool_batched_problems_total", "Problems carried by batched runs.", float64(s.BatchedProblems), labels...),
+		Counter("quamax_pool_soft_solved_total", "Completed soft-output decodes.", float64(s.SoftSolved), labels...),
+		Counter("quamax_pool_llr_saturations_total", "LLR entries that hit the clamp.", float64(s.LLRSaturations), labels...),
+	}
+	out = append(out, s.ChannelCache.Samples("quamax_channel_cache_total", "Compiled-channel cache traffic.", labels...)...)
+	for _, be := range s.Backends {
+		l := append(labels[:len(labels):len(labels)], Label{"backend", be.Name})
+		out = append(out,
+			Counter("quamax_backend_solved_total", "Problems solved per backend.", float64(be.Solved), l...),
+			Counter("quamax_backend_errors_total", "Problems failed per backend.", float64(be.Errors), l...),
+			Counter("quamax_backend_busy_micros_total", "Cumulative Solve wall time per backend.", be.BusyMicros, l...),
+			Counter("quamax_backend_spend_microusd_total", "Cumulative solve spend per backend in micro-USD.", be.SpendMicroUSD, l...),
+			Counter("quamax_backend_energy_millij_total", "Cumulative solve energy per backend in millijoules.", be.EnergyMilliJ, l...),
+			Gauge("quamax_backend_utilization", "Busy time over scheduler lifetime per backend.", be.Utilization, l...))
+	}
+	return out
+}
+
 // Merge returns the aggregate of two snapshots — the view a multi-pool
 // deployment (one scheduler per shard or per site) reports upward. Counters
-// and queue depth add; SlotOccupancy re-weights by batched runs; backend
+// and queue depth add; UptimeMicros takes the longer lifetime; SlotOccupancy re-weights by batched runs; backend
 // entries merge by name, summing Solved/Errors/BusyMicros and adding
 // utilizations (each addend is busy time over its own scheduler's lifetime,
 // so the sum keeps the per-worker 0..~1 reading when shards report over
 // equal windows).
 func (s PoolStats) Merge(o PoolStats) PoolStats {
 	out := s
+	out.UptimeMicros = math.Max(s.UptimeMicros, o.UptimeMicros)
 	out.QueueDepth += o.QueueDepth
 	out.Submitted += o.Submitted
 	out.Completed += o.Completed
@@ -160,6 +207,9 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 // String renders a compact multi-line report suitable for logs.
 func (s PoolStats) String() string {
 	var b strings.Builder
+	if s.UptimeMicros > 0 {
+		fmt.Fprintf(&b, "pool: uptime=%.1fs\n", s.UptimeMicros/1e6)
+	}
 	fmt.Fprintf(&b, "pool: queue=%d submitted=%d completed=%d failed=%d fallback=%d (planner=%d) miss=%d (%.1f%%)",
 		s.QueueDepth, s.Submitted, s.Completed, s.Failed,
 		s.FallbackDispatches, s.PlannerClassical, s.DeadlineMisses, 100*s.MissRate())

@@ -95,6 +95,7 @@ func TestPoolStatsStringCoversEveryField(t *testing.T) {
 	// Float fields print through format verbs, so their rendered form is
 	// field-specific. New float fields must be added here.
 	floatValue := map[string]float64{
+		"UptimeMicros":  3.21e7, // %.1fs of v/1e6
 		"SlotOccupancy": 0.56,   // %.0f%% of 100·v
 		"BusyMicros":    9876,   // %.0fµs
 		"Utilization":   0.0783, // %.1f%% of 100·v
@@ -102,6 +103,7 @@ func TestPoolStatsStringCoversEveryField(t *testing.T) {
 		"EnergyMilliJ":  42.5,   // %.1fmJ
 	}
 	floatRender := map[string]string{
+		"UptimeMicros":  "32.1s",
 		"SlotOccupancy": "56%",
 		"BusyMicros":    "9876µs",
 		"Utilization":   "7.8%",

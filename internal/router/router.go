@@ -34,7 +34,8 @@
 //
 // The router implements fronthaul.Dispatcher, so it drops in wherever a
 // single scheduler served before; Stats() reports the PoolStats.Merge
-// aggregate and ShardStats() the per-shard breakdown.
+// aggregate and ShardStats() the per-shard breakdown to in-process readers,
+// and Samples() exports the tier to the stats frame and /metrics.
 package router
 
 import (
@@ -44,6 +45,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,6 +377,22 @@ func (r *Router) ShardStats() []metrics.PoolStats {
 	out := make([]metrics.PoolStats, len(r.shards))
 	for i, sh := range r.shards {
 		out[i] = sh.Stats()
+	}
+	return out
+}
+
+// Samples exports the whole front tier as series labelled shard=<index>:
+// each shard's PoolStats (one Stats call per shard, so the totals a reader
+// sums are the breakdown it sees) plus the router's own shed count and
+// deadline-miss EWMA, whether or not a health plane is attached.
+func (r *Router) Samples() []metrics.Sample {
+	var out []metrics.Sample
+	for i, sh := range r.shards {
+		shard := metrics.Label{Key: "shard", Value: strconv.Itoa(i)}
+		out = append(out, sh.Stats().Samples(shard)...)
+		out = append(out,
+			metrics.Counter("quamax_shard_sheds_total", "Dispatches refused under backpressure per shard.", float64(r.ShedCount(i)), shard),
+			metrics.Gauge("quamax_shard_miss_ewma", "Deadline-miss EWMA behind the shed decision per shard.", r.MissEWMA(i), shard))
 	}
 	return out
 }

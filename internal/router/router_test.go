@@ -216,6 +216,43 @@ func TestSheddingTypedError(t *testing.T) {
 	}
 }
 
+// A router with a shed threshold and no health plane exports what it sheds:
+// the shed count and miss EWMA are the router's own series, beside each
+// shard's pool counters under the same shard label.
+func TestShedSeriesExportWithoutHealthPlane(t *testing.T) {
+	slow := newFakeShard(time.Millisecond)
+	r := newTestRouter(t, []Shard{slow, newFakeShard(0)}, Config{ShedThreshold: 0.5, ShedAlpha: 0.5, ShedMinSamples: 4})
+	key := core.ChannelKey(1)
+	for r.ShardFor(key) != 0 {
+		key++
+	}
+	shed := false
+	for i := 0; i < 100 && !shed; i++ {
+		_, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: key}, time.Microsecond)
+		shed = errors.Is(err, ErrShed)
+	}
+	if !shed {
+		t.Fatal("slow shard never shed")
+	}
+	got := map[string]float64{}
+	for _, s := range metrics.Collect(r.Samples()) {
+		shard, _ := s.Label("shard")
+		got[s.Name+"/"+shard] = s.Value
+	}
+	if got["quamax_shard_sheds_total/0"] != float64(r.ShedCount(0)) || r.ShedCount(0) == 0 {
+		t.Fatalf("shard 0 exports %g sheds, router counted %d", got["quamax_shard_sheds_total/0"], r.ShedCount(0))
+	}
+	if got["quamax_shard_miss_ewma/0"] != r.MissEWMA(0) || r.MissEWMA(0) <= 0.5 {
+		t.Fatalf("shard 0 exports miss EWMA %g, router holds %g", got["quamax_shard_miss_ewma/0"], r.MissEWMA(0))
+	}
+	if sheds, ok := got["quamax_shard_sheds_total/1"]; !ok || sheds != 0 {
+		t.Fatalf("healthy shard exports sheds %g (present %v), want a zero series", sheds, ok)
+	}
+	if got["quamax_pool_submitted_total/0"] != float64(slow.dispatched.Load()) {
+		t.Fatalf("shard 0 pool counters missing from the set: %v", got)
+	}
+}
+
 // TestSheddingDisabledByDefault checks the zero threshold never sheds, even
 // under persistent misses.
 func TestSheddingDisabledByDefault(t *testing.T) {

@@ -138,7 +138,7 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 	if st.Failed != 0 {
 		t.Fatalf("%d client-visible failures during quarantine", st.Failed)
 	}
-	if burn.Snapshot()[0].Samples == 0 {
+	if burn.Snapshot()[0].Observed == 0 {
 		t.Fatal("burn tracker saw no requests")
 	}
 	if burn.Alerting(0) {

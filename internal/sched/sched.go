@@ -1000,6 +1000,7 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 	defer s.mu.Unlock()
 	wallMicros := float64(s.now().Sub(s.start)) / float64(time.Microsecond)
 	st := metrics.PoolStats{
+		UptimeMicros:       wallMicros,
 		QueueDepth:         len(s.queue),
 		Submitted:          s.submitted,
 		Completed:          s.completed,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"quamax/internal/metrics"
 )
@@ -22,7 +21,7 @@ type StageSummary struct {
 }
 
 // Summarize digests a Hist into a StageSummary.
-func Summarize(h Hist) StageSummary {
+func Summarize(h metrics.Hist) StageSummary {
 	if h.Count == 0 {
 		return StageSummary{}
 	}
@@ -116,18 +115,5 @@ func StageNames() []string {
 	for i := range out {
 		out[i] = Stage(i).String()
 	}
-	return out
-}
-
-// SortedClasses returns the quality classes of a snapshot in sorted order.
-func SortedClasses(sn *Snapshot) []string {
-	if sn == nil {
-		return nil
-	}
-	out := make([]string, 0, len(sn.Quality))
-	for c := range sn.Quality {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }

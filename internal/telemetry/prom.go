@@ -7,44 +7,24 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
+	"strings"
 
 	"quamax/internal/metrics"
 )
-
-// PoolStatsFunc supplies the pool counters for export; ok=false means no
-// pool is attached (library-only recorders) and pool metrics are omitted.
-type PoolStatsFunc func() (metrics.PoolStats, bool)
-
-// HealthStatsFunc supplies the solver-health plane's view for export; an
-// Empty() result means no health plane is attached and health metrics are
-// omitted.
-type HealthStatsFunc func() metrics.HealthStats
 
 // Mux returns the telemetry HTTP handler quamax-serve mounts on
 // -telemetry-addr: Prometheus text exposition at /metrics, the runtime
 // profiler under /debug/pprof/, and the retained trace ring as JSON at
 // /traces (?exemplars=1 returns the pinned worst-slack exemplars instead —
-// the requests behind the p99, which survive ring wrap-around). pool and
-// health may be nil.
-func Mux(r *Recorder, pool PoolStatsFunc, health HealthStatsFunc) *http.ServeMux {
+// the requests behind the p99, which survive ring wrap-around). stats
+// supplies the sample set /metrics renders — the same function the fronthaul
+// server answers stats polls from (fronthaul.Server.Stats).
+func Mux(r *Recorder, stats func() []metrics.Sample) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var ps *metrics.PoolStats
-		if pool != nil {
-			if s, ok := pool(); ok {
-				ps = &s
-			}
-		}
-		var hs *metrics.HealthStats
-		if health != nil {
-			if h := health(); !h.Empty() {
-				hs = &h
-			}
-		}
-		WritePrometheus(w, r.Snapshot(), ps, hs)
+		WritePrometheus(w, stats())
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -64,207 +44,45 @@ func Mux(r *Recorder, pool PoolStatsFunc, health HealthStatsFunc) *http.ServeMux
 	return mux
 }
 
-// WritePrometheus renders a Snapshot (and optionally PoolStats and
-// HealthStats) in the Prometheus text exposition format, version 0.0.4:
-// HELP/TYPE headers, cumulative le-labeled histogram buckets ending at +Inf,
-// and _sum/_count series. sn may be nil (nothing telemetry-side is written);
-// pool and health may be nil. Every labeled family is emitted in sorted
-// label order so successive scrapes diff cleanly.
-func WritePrometheus(w io.Writer, sn *Snapshot, pool *metrics.PoolStats, health *metrics.HealthStats) {
-	if sn != nil {
-		writeGauge(w, "quamax_uptime_seconds", "Seconds since the telemetry recorder was created.", sn.UptimeMicros/1e6)
-		writeCounter(w, "quamax_traces_finished_total", "Requests traced to completion, by outcome.",
-			series{`outcome="ok"`, float64(sn.Finished)}, series{`outcome="failed"`, float64(sn.Failed)})
-		writeCounter(w, "quamax_compile_cache_total", "Channel compilations by cache outcome.",
-			series{`result="hit"`, float64(sn.CompileHits)}, series{`result="miss"`, float64(sn.CompileMisses)})
-		for i := range sn.Stages {
-			writeHist(w, "quamax_stage_latency_micros", "Per-stage request latency in microseconds.",
-				fmt.Sprintf("stage=%q", Stage(i).String()), sn.Stages[i], i == 0)
+// WritePrometheus renders a sample set in canonical order (metrics.Collect)
+// in the Prometheus text exposition format, version 0.0.4: one HELP/TYPE
+// header per family, label pairs in key order, and for a histogram the
+// cumulative le-labeled buckets of every nonzero-delta bound, the mandatory
+// le="+Inf", then _sum and _count — an empty histogram still emits those
+// three, so the series exists from first scrape.
+func WritePrometheus(w io.Writer, samples []metrics.Sample) {
+	for i, s := range samples {
+		if i == 0 || samples[i-1].Name != s.Name {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.Name, s.Help, s.Name, s.Kind)
 		}
-		writeHist(w, "quamax_fronthaul_wire_micros", "Server-side fronthaul request wall time in microseconds.", "", sn.Wire, true)
-		writeHist(w, "quamax_deadline_slack_micros", "Deadline slack (met) or lateness (missed) in microseconds.",
-			`outcome="met"`, sn.SlackMet, true)
-		writeHist(w, "quamax_deadline_slack_micros", "", `outcome="missed"`, sn.SlackMissed, false)
-		classes := make([]string, 0, len(sn.Quality))
-		for c := range sn.Quality {
-			classes = append(classes, c)
+		pairs := make([]string, len(s.Labels), len(s.Labels)+1)
+		for j, l := range s.Labels {
+			pairs[j] = fmt.Sprintf("%s=%q", l.Key, l.Value)
 		}
-		sort.Strings(classes)
-		for i, c := range classes {
-			q := sn.Quality[c]
-			label := fmt.Sprintf("class=%q", c)
-			first := i == 0
-			writeCounterL(w, "quamax_quality_solves_total", "Anneal solves observed per class.", label, float64(q.Solves), first)
-			writeCounterL(w, "quamax_quality_reads_total", "Anneal reads taken per class.", label, float64(q.Reads), first)
-			writeCounterL(w, "quamax_quality_chain_breaks_total", "Broken embedding chains per class.", label, float64(q.ChainBreaks), first)
-			writeCounterL(w, "quamax_quality_llr_bits_total", "Soft bits emitted per class.", label, float64(q.LLRBits), first)
-			writeCounterL(w, "quamax_quality_llr_saturated_total", "Soft bits that hit the LLR clamp per class.", label, float64(q.LLRSaturated), first)
-			writeHist(w, "quamax_quality_best_energy", "Distribution of |best Ising energy| per solve.", label, q.BestEnergy, first)
-		}
-	}
-	if pool != nil {
-		writeGauge(w, "quamax_pool_queue_depth", "Problems waiting for a pool worker.", float64(pool.QueueDepth))
-		writeGauge(w, "quamax_pool_slot_occupancy", "Mean fraction of embedding slots filled per batched run.", pool.SlotOccupancy)
-		writeCounterL(w, "quamax_pool_submitted_total", "Problems accepted by the scheduler.", "", float64(pool.Submitted), true)
-		writeCounterL(w, "quamax_pool_completed_total", "Problems solved by pool or fallback.", "", float64(pool.Completed), true)
-		writeCounterL(w, "quamax_pool_failed_total", "Problems that returned an error.", "", float64(pool.Failed), true)
-		writeCounterL(w, "quamax_pool_fallback_total", "Problems routed to the classical fallback.", "", float64(pool.FallbackDispatches), true)
-		writeCounterL(w, "quamax_pool_planner_classical_total", "Fallbacks the QoS planner denied outright.", "", float64(pool.PlannerClassical), true)
-		writeCounterL(w, "quamax_pool_deadline_misses_total", "Results delivered after their deadline.", "", float64(pool.DeadlineMisses), true)
-		writeCounterL(w, "quamax_pool_batch_runs_total", "Annealer runs carrying more than one problem.", "", float64(pool.BatchRuns), true)
-		writeCounterL(w, "quamax_pool_batched_problems_total", "Problems carried by batched runs.", "", float64(pool.BatchedProblems), true)
-		writeCounterL(w, "quamax_pool_soft_solved_total", "Completed soft-output decodes.", "", float64(pool.SoftSolved), true)
-		writeCounterL(w, "quamax_pool_llr_saturations_total", "LLR entries that hit the clamp.", "", float64(pool.LLRSaturations), true)
-		writeCounter(w, "quamax_channel_cache_total", "Compiled-channel cache traffic.",
-			series{`event="hit"`, float64(pool.ChannelCache.Hits)},
-			series{`event="miss"`, float64(pool.ChannelCache.Misses)},
-			series{`event="eviction"`, float64(pool.ChannelCache.Evictions)})
-		// Sort per-backend series by name: PoolStats carries them in pool
-		// order, which varies across deployments; sorted emission keeps
-		// successive scrapes (and scrapes of different shard layouts)
-		// diffable.
-		backends := append([]metrics.BackendStats(nil), pool.Backends...)
-		sort.Slice(backends, func(i, j int) bool { return backends[i].Name < backends[j].Name })
-		for i, be := range backends {
-			label := fmt.Sprintf("backend=%q", be.Name)
-			first := i == 0
-			writeCounterL(w, "quamax_backend_solved_total", "Problems solved per backend.", label, float64(be.Solved), first)
-			writeCounterL(w, "quamax_backend_errors_total", "Problems failed per backend.", label, float64(be.Errors), first)
-			writeCounterL(w, "quamax_backend_busy_micros_total", "Cumulative Solve wall time per backend.", label, be.BusyMicros, first)
-			writeCounterL(w, "quamax_backend_spend_microusd_total", "Cumulative solve spend per backend in micro-USD.", label, be.SpendMicroUSD, first)
-			writeCounterL(w, "quamax_backend_energy_millij_total", "Cumulative solve energy per backend in millijoules.", label, be.EnergyMilliJ, first)
-			if first {
-				fmt.Fprintf(w, "# HELP quamax_backend_utilization Busy time over scheduler lifetime per backend.\n# TYPE quamax_backend_utilization gauge\n")
+		// series renders one sample line: name+suffix, the label pairs plus
+		// any extra ones, and the value.
+		series := func(suffix, value string, extra ...string) {
+			labels := ""
+			if all := append(pairs, extra...); len(all) > 0 {
+				labels = "{" + strings.Join(all, ",") + "}"
 			}
-			fmt.Fprintf(w, "quamax_backend_utilization{%s} %s\n", label, promFloat(be.Utilization))
+			fmt.Fprintf(w, "%s%s%s %s\n", s.Name, suffix, labels, value)
 		}
-	}
-	if health != nil {
-		writeHealth(w, health)
-	}
-}
-
-// writeHealth renders the solver-health plane: one state gauge and one
-// drift-score gauge per backend (name-sorted), and the per-shard SLO burn
-// rates with their alerting verdicts.
-func writeHealth(w io.Writer, hs *metrics.HealthStats) {
-	backends := append([]metrics.BackendHealth(nil), hs.Backends...)
-	sort.Slice(backends, func(i, j int) bool { return backends[i].Name < backends[j].Name })
-	for i, b := range backends {
-		label := fmt.Sprintf("backend=%q", b.Name)
-		if i == 0 {
-			fmt.Fprintf(w, "# HELP quamax_backend_health Backend health state: 0 healthy, 1 degraded, 2 quarantined.\n# TYPE quamax_backend_health gauge\n")
-		}
-		fmt.Fprintf(w, "quamax_backend_health{%s} %d\n", label, b.State)
-	}
-	for i, b := range backends {
-		label := fmt.Sprintf("backend=%q", b.Name)
-		if i == 0 {
-			fmt.Fprintf(w, "# HELP quamax_backend_health_score Page-Hinkley drift score per backend.\n# TYPE quamax_backend_health_score gauge\n")
-		}
-		fmt.Fprintf(w, "quamax_backend_health_score{%s} %s\n", label, promFloat(b.Score))
-	}
-	for i, b := range backends {
-		label := fmt.Sprintf("backend=%q", b.Name)
-		first := i == 0
-		writeCounterL(w, "quamax_backend_canary_total", "Canary probe outcomes per backend.",
-			label+`,result="pass"`, float64(b.CanaryPass), first)
-		writeCounterL(w, "quamax_backend_canary_total", "", label+`,result="fail"`, float64(b.CanaryFail), false)
-	}
-	for i, s := range hs.Shards {
-		shard := fmt.Sprintf("shard=%q", strconv.Itoa(i))
-		if i == 0 {
-			fmt.Fprintf(w, "# HELP quamax_slo_burn_rate Per-shard SLO burn rate (raw event rate) by budget and window.\n# TYPE quamax_slo_burn_rate gauge\n")
-		}
-		fmt.Fprintf(w, "quamax_slo_burn_rate{%s,slo=\"miss\",window=\"fast\"} %s\n", shard, promFloat(s.FastMissRate))
-		fmt.Fprintf(w, "quamax_slo_burn_rate{%s,slo=\"miss\",window=\"slow\"} %s\n", shard, promFloat(s.SlowMissRate))
-		fmt.Fprintf(w, "quamax_slo_burn_rate{%s,slo=\"ber\",window=\"fast\"} %s\n", shard, promFloat(s.FastBERRate))
-		fmt.Fprintf(w, "quamax_slo_burn_rate{%s,slo=\"ber\",window=\"slow\"} %s\n", shard, promFloat(s.SlowBERRate))
-	}
-	for i, s := range hs.Shards {
-		shard := fmt.Sprintf("shard=%q", strconv.Itoa(i))
-		if i == 0 {
-			fmt.Fprintf(w, "# HELP quamax_slo_alerting Multi-window burn-rate alert per shard (1 = shedding-eligible).\n# TYPE quamax_slo_alerting gauge\n")
-		}
-		alert := 0
-		if s.Alerting {
-			alert = 1
-		}
-		fmt.Fprintf(w, "quamax_slo_alerting{%s} %d\n", shard, alert)
-	}
-	for i, s := range hs.Shards {
-		shard := fmt.Sprintf("shard=%q", strconv.Itoa(i))
-		writeCounterL(w, "quamax_shard_sheds_total", "Dispatches refused under backpressure per shard.", shard, float64(s.Sheds), i == 0)
-	}
-}
-
-type series struct {
-	labels string
-	value  float64
-}
-
-func writeGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, promFloat(v))
-}
-
-func writeCounter(w io.Writer, name, help string, ss ...series) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	for _, s := range ss {
-		fmt.Fprintf(w, "%s{%s} %s\n", name, s.labels, promFloat(s.value))
-	}
-}
-
-// writeCounterL writes one labeled counter sample, emitting the HELP/TYPE
-// header only when head is true (so repeated label values share one header).
-func writeCounterL(w io.Writer, name, help string, labels string, v float64, head bool) {
-	if head {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %s\n", name, labels, promFloat(v))
-}
-
-// writeHist renders one Hist as a Prometheus histogram: cumulative buckets
-// for every nonzero-delta bound plus the mandatory le="+Inf", then _sum and
-// _count. Empty histograms still emit the +Inf bucket and zero _sum/_count so
-// the series exists from first scrape.
-func writeHist(w io.Writer, name, help, labels string, h Hist, head bool) {
-	if head {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	}
-	join := func(extra string) string {
-		switch {
-		case labels == "":
-			return extra
-		case extra == "":
-			return labels
-		default:
-			return labels + "," + extra
-		}
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		if c == 0 {
+		if s.Kind != metrics.KindHistogram {
+			series("", promFloat(s.Value))
 			continue
 		}
-		cum += c
-		bound := "+Inf"
-		if !math.IsInf(bucketBounds[i], 1) {
-			bound = promFloat(bucketBounds[i])
+		var cum uint64
+		for b, c := range s.Hist.Counts {
+			if bound := metrics.BucketBound(b); c != 0 && !math.IsInf(bound, 1) {
+				cum += c
+				series("_bucket", strconv.FormatUint(cum, 10), fmt.Sprintf("le=%q", promFloat(bound)))
+			}
 		}
-		fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, join(fmt.Sprintf("le=%q", bound)), cum)
+		series("_bucket", strconv.FormatUint(s.Hist.Count, 10), `le="+Inf"`)
+		series("_sum", promFloat(s.Hist.Sum))
+		series("_count", strconv.FormatUint(s.Hist.Count, 10))
 	}
-	fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, join(`le="+Inf"`), h.Count)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %s\n", name, promFloat(h.Sum))
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-		return
-	}
-	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, promFloat(h.Sum))
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count)
 }
 
 // promFloat formats a value per the exposition format (no exponent-less

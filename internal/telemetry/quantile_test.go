@@ -3,6 +3,8 @@ package telemetry
 import (
 	"math"
 	"testing"
+
+	"quamax/internal/metrics"
 )
 
 // Quantile edge cases the serving paths actually hit: empty histograms
@@ -11,7 +13,7 @@ import (
 // quantiles over merged snapshots (the multi-shard rollup).
 
 func TestQuantileEmpty(t *testing.T) {
-	var empty Hist
+	var empty metrics.Hist
 	for _, p := range []float64{0, 50, 99, 100} {
 		if got := empty.Quantile(p); !math.IsNaN(got) {
 			t.Fatalf("empty Quantile(%g) = %g, want NaN", p, got)
@@ -23,7 +25,7 @@ func TestQuantileEmpty(t *testing.T) {
 	// A wire-decoded snapshot can carry Count without bucket detail
 	// (sparse encoding of an all-zero list); quantiles stay NaN rather
 	// than inventing a shape.
-	headerOnly := Hist{Count: 5, Sum: 10, Min: 1, Max: 3}
+	headerOnly := metrics.Hist{Count: 5, Sum: 10, Min: 1, Max: 3}
 	if got := headerOnly.Quantile(50); !math.IsNaN(got) {
 		t.Fatalf("bucket-less Quantile(50) = %g, want NaN", got)
 	}
@@ -55,7 +57,7 @@ func TestQuantileSingleBucketMass(t *testing.T) {
 
 func TestQuantileUnderflowBucket(t *testing.T) {
 	var h Histogram
-	for _, v := range []float64{0, -3, 0.01, HistBase} {
+	for _, v := range []float64{0, -3, 0.01, metrics.HistBase} {
 		h.Observe(v) // all at or below the base: bucket 0, negatives clamped
 	}
 	s := h.Snapshot()
@@ -70,8 +72,8 @@ func TestQuantileUnderflowBucket(t *testing.T) {
 	}
 	for _, p := range []float64{50, 99, 100} {
 		got := s.Quantile(p)
-		if got < 0 || got > HistBase {
-			t.Fatalf("Quantile(%g) = %g outside bucket 0's range [0, %g]", p, got, HistBase)
+		if got < 0 || got > metrics.HistBase {
+			t.Fatalf("Quantile(%g) = %g outside bucket 0's range [0, %g]", p, got, metrics.HistBase)
 		}
 	}
 }
@@ -82,7 +84,7 @@ func TestQuantileOverflowBucket(t *testing.T) {
 	h.Observe(math.Inf(1))
 	h.Observe(math.Inf(1))
 	s := h.Snapshot()
-	if s.Counts[NumBuckets-1] != 2 {
+	if s.Counts[metrics.NumBuckets-1] != 2 {
 		t.Fatalf("+Inf observations not in the catch-all bucket: %+v", s.Counts)
 	}
 	// Quantiles inside the unbounded bucket report the clamped Max (the
@@ -125,7 +127,7 @@ func TestMergeThenQuantileEquivalence(t *testing.T) {
 	}
 	// Merging an empty snapshot changes nothing.
 	for _, p := range []float64{25, 50, 95} {
-		if got := m.Merge(Hist{}).Quantile(p); got != m.Quantile(p) {
+		if got := m.Merge(metrics.Hist{}).Quantile(p); got != m.Quantile(p) {
 			t.Fatalf("Quantile(%g) moved after merging empty: %g vs %g", p, got, m.Quantile(p))
 		}
 	}

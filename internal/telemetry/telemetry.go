@@ -10,7 +10,7 @@
 // counters; this package makes those distributions observable on a live pool.
 // One Recorder instance is shared by sched.Scheduler, core.Decoder,
 // qos.Planner, and fronthaul.Server; it exports three ways — Prometheus text
-// + pprof over HTTP (Mux), a fronthaul stats frame (Snapshot), and
+// + pprof over HTTP (Mux), a fronthaul stats frame (Snapshot.Samples), and
 // structured JSON trace dumps (BuildDump) that tools/benchjson ingests.
 //
 // Feeding discipline: every histogram has exactly one feeder so nothing is
@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"quamax/internal/metrics"
 )
 
 // Stage identifies one span of a request's life in the serving pipeline.
@@ -133,7 +135,7 @@ type QualityObservation struct {
 	LLRBits, LLRSaturated int
 }
 
-// QualityStats is the mergeable per-class anneal-quality aggregate.
+// QualityStats is the per-class anneal-quality aggregate.
 type QualityStats struct {
 	// Solves counts quality observations; Reads/ChainBreaks total the
 	// per-solve samples, so ChainBreaks/Reads is the chain-break rate.
@@ -144,7 +146,7 @@ type QualityStats struct {
 	LLRBits      uint64 `json:"llr_bits"`
 	LLRSaturated uint64 `json:"llr_saturated"`
 	// BestEnergy is the distribution of |best energy| per solve.
-	BestEnergy Hist `json:"best_energy"`
+	BestEnergy metrics.Hist `json:"best_energy"`
 }
 
 // ChainBreakRate returns ChainBreaks/Reads (NaN when no reads).
@@ -161,18 +163,6 @@ func (q QualityStats) LLRSaturationRate() float64 {
 		return math.NaN()
 	}
 	return float64(q.LLRSaturated) / float64(q.LLRBits)
-}
-
-// Merge returns the aggregate of two per-class quality snapshots.
-func (q QualityStats) Merge(o QualityStats) QualityStats {
-	return QualityStats{
-		Solves:       q.Solves + o.Solves,
-		Reads:        q.Reads + o.Reads,
-		ChainBreaks:  q.ChainBreaks + o.ChainBreaks,
-		LLRBits:      q.LLRBits + o.LLRBits,
-		LLRSaturated: q.LLRSaturated + o.LLRSaturated,
-		BestEnergy:   q.BestEnergy.Merge(o.BestEnergy),
-	}
 }
 
 type qualityCell struct {
@@ -393,8 +383,8 @@ func (r *Recorder) TraceCount() uint64 {
 	return r.ringSeq
 }
 
-// Snapshot is the mergeable, wire-encodable aggregate view of a Recorder —
-// what the fronthaul stats frame carries and the exporters render.
+// Snapshot is the aggregate view of a Recorder: the in-process API the trace
+// dump and tests read, and (through Samples) what the exporters render.
 type Snapshot struct {
 	// UptimeMicros is time since the recorder was created.
 	UptimeMicros float64 `json:"uptime_micros"`
@@ -407,14 +397,14 @@ type Snapshot struct {
 	CompileHits   uint64 `json:"compile_hits"`
 	CompileMisses uint64 `json:"compile_misses"`
 	// Stages holds one latency histogram per pipeline Stage (index = Stage).
-	Stages [NumStages]Hist `json:"stages"`
+	Stages [NumStages]metrics.Hist `json:"stages"`
 	// Wire is the fronthaul server-side request wall time.
-	Wire Hist `json:"wire"`
+	Wire metrics.Hist `json:"wire"`
 	// SlackMet holds deadline slack for on-time requests; SlackMissed holds
 	// |slack| (lateness) for missed ones. Their counts give the miss rate
 	// over deadline-bearing requests.
-	SlackMet    Hist `json:"slack_met"`
-	SlackMissed Hist `json:"slack_missed"`
+	SlackMet    metrics.Hist `json:"slack_met"`
+	SlackMissed metrics.Hist `json:"slack_missed"`
 	// Quality maps class → anneal-quality aggregate.
 	Quality map[string]QualityStats `json:"quality,omitempty"`
 }
@@ -461,37 +451,38 @@ func (r *Recorder) Snapshot() *Snapshot {
 	return s
 }
 
-// Merge returns the aggregate of two snapshots (multi-pool rollup). Either
-// argument may be nil.
-func (s *Snapshot) Merge(o *Snapshot) *Snapshot {
+// Samples exports the snapshot as series: trace and compile-cache counters,
+// one latency histogram per stage, the wire and deadline-slack histograms, and
+// the per-class anneal-quality aggregates. This is the one place a Snapshot
+// field becomes an exported metric. Safe on a nil receiver (returns nil).
+func (s *Snapshot) Samples() []metrics.Sample {
 	if s == nil {
-		return o
+		return nil
 	}
-	if o == nil {
-		return s
+	l := func(k, v string) metrics.Label { return metrics.Label{Key: k, Value: v} }
+	const traces, compiles = "Requests traced to completion, by outcome.", "Channel compilations by cache outcome."
+	const slack = "Deadline slack (met) or lateness (missed) in microseconds."
+	out := []metrics.Sample{
+		metrics.Counter("quamax_traces_finished_total", traces, float64(s.Finished), l("outcome", "ok")),
+		metrics.Counter("quamax_traces_finished_total", traces, float64(s.Failed), l("outcome", "failed")),
+		metrics.Counter("quamax_compile_cache_total", compiles, float64(s.CompileHits), l("result", "hit")),
+		metrics.Counter("quamax_compile_cache_total", compiles, float64(s.CompileMisses), l("result", "miss")),
+		metrics.Histogram("quamax_fronthaul_wire_micros", "Server-side fronthaul request wall time in microseconds.", s.Wire),
+		metrics.Histogram("quamax_deadline_slack_micros", slack, s.SlackMet, l("outcome", "met")),
+		metrics.Histogram("quamax_deadline_slack_micros", slack, s.SlackMissed, l("outcome", "missed")),
 	}
-	out := &Snapshot{
-		UptimeMicros:  math.Max(s.UptimeMicros, o.UptimeMicros),
-		Finished:      s.Finished + o.Finished,
-		Failed:        s.Failed + o.Failed,
-		Traces:        s.Traces + o.Traces,
-		CompileHits:   s.CompileHits + o.CompileHits,
-		CompileMisses: s.CompileMisses + o.CompileMisses,
-		Wire:          s.Wire.Merge(o.Wire),
-		SlackMet:      s.SlackMet.Merge(o.SlackMet),
-		SlackMissed:   s.SlackMissed.Merge(o.SlackMissed),
+	for i, h := range s.Stages {
+		out = append(out, metrics.Histogram("quamax_stage_latency_micros", "Per-stage request latency in microseconds.", h, l("stage", Stage(i).String())))
 	}
-	for i := range out.Stages {
-		out.Stages[i] = s.Stages[i].Merge(o.Stages[i])
-	}
-	if len(s.Quality)+len(o.Quality) > 0 {
-		out.Quality = make(map[string]QualityStats)
-		for k, v := range s.Quality {
-			out.Quality[k] = v
-		}
-		for k, v := range o.Quality {
-			out.Quality[k] = out.Quality[k].Merge(v)
-		}
+	for c, q := range s.Quality {
+		class := l("class", c)
+		out = append(out,
+			metrics.Counter("quamax_quality_solves_total", "Anneal solves observed per class.", float64(q.Solves), class),
+			metrics.Counter("quamax_quality_reads_total", "Anneal reads taken per class.", float64(q.Reads), class),
+			metrics.Counter("quamax_quality_chain_breaks_total", "Broken embedding chains per class.", float64(q.ChainBreaks), class),
+			metrics.Counter("quamax_quality_llr_bits_total", "Soft bits emitted per class.", float64(q.LLRBits), class),
+			metrics.Counter("quamax_quality_llr_saturated_total", "Soft bits that hit the LLR clamp per class.", float64(q.LLRSaturated), class),
+			metrics.Histogram("quamax_quality_best_energy", "Distribution of |best Ising energy| per solve.", q.BestEnergy, class))
 	}
 	return out
 }

@@ -11,28 +11,28 @@ import (
 )
 
 func TestBucketIndexMonotone(t *testing.T) {
-	if got := bucketIndex(0); got != 0 {
-		t.Fatalf("bucketIndex(0) = %d, want 0", got)
+	if got := metrics.BucketIndex(0); got != 0 {
+		t.Fatalf("metrics.BucketIndex(0) = %d, want 0", got)
 	}
 	prev := -1
 	for v := 0.01; v < 1e13; v *= 1.07 {
-		i := bucketIndex(v)
+		i := metrics.BucketIndex(v)
 		if i < prev {
-			t.Fatalf("bucketIndex not monotone at %g: %d < %d", v, i, prev)
+			t.Fatalf("BucketIndex not monotone at %g: %d < %d", v, i, prev)
 		}
-		if i < 0 || i >= NumBuckets {
-			t.Fatalf("bucketIndex(%g) = %d out of range", v, i)
+		if i < 0 || i >= metrics.NumBuckets {
+			t.Fatalf("metrics.BucketIndex(%g) = %d out of range", v, i)
 		}
-		if i < NumBuckets-1 && v > bucketBounds[i] {
-			t.Fatalf("value %g above its bucket bound %g (bucket %d)", v, bucketBounds[i], i)
+		if i < metrics.NumBuckets-1 && v > metrics.BucketBound(i) {
+			t.Fatalf("value %g above its bucket bound %g (bucket %d)", v, metrics.BucketBound(i), i)
 		}
-		if i > 0 && v <= bucketBounds[i-1] {
-			t.Fatalf("value %g at or below previous bound %g (bucket %d)", v, bucketBounds[i-1], i)
+		if i > 0 && v <= metrics.BucketBound(i-1) {
+			t.Fatalf("value %g at or below previous bound %g (bucket %d)", v, metrics.BucketBound(i-1), i)
 		}
 		prev = i
 	}
-	if got := bucketIndex(math.Inf(1)); got != NumBuckets-1 {
-		t.Fatalf("bucketIndex(+Inf) = %d, want %d", got, NumBuckets-1)
+	if got := metrics.BucketIndex(math.Inf(1)); got != metrics.NumBuckets-1 {
+		t.Fatalf("metrics.BucketIndex(+Inf) = %d, want %d", got, metrics.NumBuckets-1)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestHistogramInfObservation(t *testing.T) {
 	if s.Count != 1 {
 		t.Fatalf("count = %d", s.Count)
 	}
-	if s.Counts[NumBuckets-1] != 1 {
+	if s.Counts[metrics.NumBuckets-1] != 1 {
 		t.Fatalf("+Inf not in catch-all bucket")
 	}
 	if math.IsInf(s.Sum, 1) || math.IsNaN(s.Sum) {
@@ -118,10 +118,10 @@ func TestHistMergeMatchesCombined(t *testing.T) {
 		}
 	}
 	// Merge with empty is identity in both directions.
-	if got := w.Merge(Hist{}); got.Count != w.Count {
+	if got := w.Merge(metrics.Hist{}); got.Count != w.Count {
 		t.Fatalf("merge with empty lost counts")
 	}
-	if got := (Hist{}).Merge(w); got.Count != w.Count {
+	if got := (metrics.Hist{}).Merge(w); got.Count != w.Count {
 		t.Fatalf("empty.Merge lost counts")
 	}
 }
@@ -248,14 +248,6 @@ func TestRecorderQualityAndCompile(t *testing.T) {
 	if sn.Stages[StageCompile].Count != 2 {
 		t.Fatalf("compile stage count = %d", sn.Stages[StageCompile].Count)
 	}
-	// Merge doubles everything.
-	m := sn.Merge(r.Snapshot())
-	if m.Quality["16qam/12"].Solves != 4 || m.Quality["qpsk/4"].Solves != 2 {
-		t.Fatalf("merged quality wrong: %+v", m.Quality)
-	}
-	if m.CompileHits != 2 || m.CompileMisses != 2 {
-		t.Fatalf("merged compile counters wrong")
-	}
 }
 
 func TestNilRecorderSafe(t *testing.T) {
@@ -265,7 +257,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.ObserveCompile(1, true)
 	r.ObserveWire(1)
 	r.ObserveQuality("x", QualityObservation{})
-	if r.Traces() != nil || r.TraceCount() != 0 || r.Snapshot() != nil {
+	if r.Traces() != nil || r.TraceCount() != 0 || r.Snapshot() != nil || r.Snapshot().Samples() != nil {
 		t.Fatalf("nil recorder leaked state")
 	}
 }
@@ -279,15 +271,17 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.FinishTrace(tr)
 	r.ObserveQuality("qpsk/4", QualityObservation{BestEnergy: -3, Reads: 10, ChainBreaks: 1})
 	r.ObserveWire(410)
-	pool := &metrics.PoolStats{
+	pool := metrics.PoolStats{
 		Submitted: 1, Completed: 1,
 		Backends: []metrics.BackendStats{{Name: "qpu0", Solved: 1, BusyMicros: 300, Utilization: 0.5}},
 	}
+	health := metrics.BackendHealth{Name: "qpu0", State: metrics.HealthDegraded, Score: 1.5, Observations: 90,
+		ChainBreakEWMA: 0.31, EnergyEWMA: 12.5, FailureEWMA: 0.05, ReadsPerSolve: 48}
+	burn := metrics.ShardBurn{FastMissRate: 0.25, SlowMissRate: 0.1, Observed: 64, Alerting: true}
+	shard0 := metrics.Label{Key: "shard", Value: "0"}
 	var b strings.Builder
-	WritePrometheus(&b, r.Snapshot(), pool, &metrics.HealthStats{
-		Backends: []metrics.BackendHealth{{Name: "qpu0", State: metrics.HealthDegraded, Score: 1.5}},
-		Shards:   []metrics.ShardBurn{{FastMissRate: 0.25, SlowMissRate: 0.1, Samples: 64, Alerting: true, Sheds: 3}},
-	})
+	WritePrometheus(&b, metrics.Collect(r.Snapshot().Samples(), pool.Samples(), health.Samples(), burn.Samples(0),
+		[]metrics.Sample{metrics.Counter("quamax_shard_sheds_total", "Dispatches refused under backpressure per shard.", 3, shard0)}))
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE quamax_stage_latency_micros histogram",
@@ -304,6 +298,16 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`quamax_slo_burn_rate{shard="0",slo="miss",window="fast"} 0.25`,
 		`quamax_slo_alerting{shard="0"} 1`,
 		`quamax_shard_sheds_total{shard="0"} 3`,
+		// Series the health block carried on the wire but /metrics dropped.
+		`quamax_backend_health_observations_total{backend="qpu0"} 90`,
+		`quamax_backend_chain_break_ewma{backend="qpu0"} 0.31`,
+		`quamax_backend_energy_ewma{backend="qpu0"} 12.5`,
+		`quamax_backend_failure_ewma{backend="qpu0"} 0.05`,
+		`quamax_backend_reads_per_solve{backend="qpu0"} 48`,
+		`quamax_slo_burn_samples_total{shard="0"} 64`,
+		// One header per family, typed by kind.
+		"# HELP quamax_pool_submitted_total Problems accepted by the scheduler.\n# TYPE quamax_pool_submitted_total counter\n",
+		"# TYPE quamax_backend_health gauge\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
