@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"quamax/internal/anneal"
+	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 	"quamax/internal/telemetry"
 )
@@ -707,6 +708,26 @@ func (pl *Planner) Stats() Stats {
 		if n := c.byReason[i].Load(); n > 0 {
 			out.ByReason[r] = n
 		}
+	}
+	return out
+}
+
+// Samples exports the planner's decisions as series: one counter per reason
+// seen, labelled with the verdict that reason implies (a fit or a missing
+// target dispatches to the annealer, every other reason denies it), and the
+// reads planned over quantum verdicts — reads over quantum decisions is the
+// mean planned budget. This is the one place a Stats field becomes an
+// exported metric.
+func (s Stats) Samples() []metrics.Sample {
+	out := []metrics.Sample{metrics.Counter("quamax_planner_reads_planned_total",
+		"Anneal reads planned over quantum verdicts.", float64(s.ReadsPlanned))}
+	for reason, n := range s.ByReason {
+		verdict := "classical"
+		if reason == ReasonFit || reason == ReasonNoTarget {
+			verdict = "quantum"
+		}
+		out = append(out, metrics.Counter("quamax_planner_decisions_total", "Planner decisions by verdict and reason.", float64(n),
+			metrics.Label{Key: "verdict", Value: verdict}, metrics.Label{Key: "reason", Value: reason}))
 	}
 	return out
 }

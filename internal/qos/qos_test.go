@@ -3,11 +3,13 @@ package qos
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/linalg"
+	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
@@ -171,6 +173,29 @@ func TestPlannerStats(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Fatal("empty stats rendering")
+	}
+	// The exported series say the same, split by the verdict each reason
+	// implies: per verdict they add up to the Quantum/Classical counters.
+	pl.Plan(Request{Mod: modulation.QPSK, Nt: 4, SNRdB: 30}) // no target: quantum at the default budget
+	st = pl.Stats()
+	got, byVerdict := map[string]float64{}, map[string]uint64{}
+	for _, s := range metrics.Collect(st.Samples()) {
+		verdict, _ := s.Label("verdict")
+		reason, _ := s.Label("reason")
+		got[s.Name+"/"+verdict+"/"+reason] = s.Value
+		byVerdict[verdict] += uint64(s.Value)
+	}
+	want := map[string]float64{
+		"quamax_planner_decisions_total/quantum/" + ReasonFit:          1,
+		"quamax_planner_decisions_total/quantum/" + ReasonNoTarget:     1,
+		"quamax_planner_decisions_total/classical/" + ReasonOversizeNt: 1,
+		"quamax_planner_reads_planned_total//":                         float64(st.ReadsPlanned),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("planner samples %v, want %v", got, want)
+	}
+	if byVerdict["quantum"] != st.Quantum || byVerdict["classical"] != st.Classical {
+		t.Fatalf("decisions by verdict %v disagree with %+v", byVerdict, st)
 	}
 }
 
