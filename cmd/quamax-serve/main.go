@@ -190,7 +190,8 @@ func main() {
 		os.Exit(1)
 	}
 	// One recorder feeds all exports: the sample set (HTTP plane and stats
-	// frames) and the shutdown dump. Left nil (zero overhead) when no export is asked for.
+	// frames) and the shutdown dump. Left nil (zero overhead) when no export
+	// is asked for.
 	var rec *telemetry.Recorder
 	if *telemetryAddr != "" || *traceOut != "" {
 		rec = telemetry.New(telemetry.Config{RingSize: *traceRing})

@@ -155,11 +155,11 @@ func (s PoolStats) Samples(labels ...Label) []Sample {
 
 // Merge returns the aggregate of two snapshots — the view a multi-pool
 // deployment (one scheduler per shard or per site) reports upward. Counters
-// and queue depth add; UptimeMicros takes the longer lifetime; SlotOccupancy re-weights by batched runs; backend
-// entries merge by name, summing Solved/Errors/BusyMicros and adding
-// utilizations (each addend is busy time over its own scheduler's lifetime,
-// so the sum keeps the per-worker 0..~1 reading when shards report over
-// equal windows).
+// and queue depth add; UptimeMicros takes the longer lifetime; SlotOccupancy
+// re-weights by batched runs; backend entries merge by name, summing
+// Solved/Errors/BusyMicros and adding utilizations (each addend is busy time
+// over its own scheduler's lifetime, so the sum keeps the per-worker 0..~1
+// reading when shards report over equal windows).
 func (s PoolStats) Merge(o PoolStats) PoolStats {
 	out := s
 	out.UptimeMicros = math.Max(s.UptimeMicros, o.UptimeMicros)
@@ -207,12 +207,12 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 // String renders a compact multi-line report suitable for logs.
 func (s PoolStats) String() string {
 	var b strings.Builder
-	if s.UptimeMicros > 0 {
-		fmt.Fprintf(&b, "pool: uptime=%.1fs\n", s.UptimeMicros/1e6)
-	}
 	fmt.Fprintf(&b, "pool: queue=%d submitted=%d completed=%d failed=%d fallback=%d (planner=%d) miss=%d (%.1f%%)",
 		s.QueueDepth, s.Submitted, s.Completed, s.Failed,
 		s.FallbackDispatches, s.PlannerClassical, s.DeadlineMisses, 100*s.MissRate())
+	if s.UptimeMicros > 0 {
+		fmt.Fprintf(&b, " uptime=%.1fs", s.UptimeMicros/1e6)
+	}
 	if s.BatchRuns > 0 {
 		fmt.Fprintf(&b, "\npool: batched runs=%d problems=%d slot-occupancy=%.0f%%",
 			s.BatchRuns, s.BatchedProblems, 100*s.SlotOccupancy)

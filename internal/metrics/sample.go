@@ -1,7 +1,8 @@
 package metrics
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
@@ -66,8 +67,8 @@ type Sample struct {
 func newSample(kind Kind, name, help string, labels []Label) Sample {
 	s := Sample{Name: name, Kind: kind, Help: help}
 	if len(labels) > 0 {
-		s.Labels = append([]Label(nil), labels...)
-		sort.Slice(s.Labels, func(i, j int) bool { return s.Labels[i].Key < s.Labels[j].Key })
+		s.Labels = slices.Clone(labels)
+		slices.SortFunc(s.Labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	}
 	return s
 }
@@ -107,28 +108,16 @@ func (s Sample) Label(key string) (string, bool) {
 // Compare orders samples by name, then by their label lists pair by pair —
 // the canonical order of a sample set.
 func (s Sample) Compare(o Sample) int {
-	if c := strings.Compare(s.Name, o.Name); c != 0 {
-		return c
-	}
-	for i := 0; i < len(s.Labels) && i < len(o.Labels); i++ {
-		if c := strings.Compare(s.Labels[i].Key, o.Labels[i].Key); c != 0 {
-			return c
-		}
-		if c := strings.Compare(s.Labels[i].Value, o.Labels[i].Value); c != 0 {
-			return c
-		}
-	}
-	return len(s.Labels) - len(o.Labels)
+	return cmp.Or(strings.Compare(s.Name, o.Name), slices.CompareFunc(s.Labels, o.Labels, func(a, b Label) int {
+		return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Value, b.Value))
+	}))
 }
 
 // Collect concatenates what the planes produced into one set in canonical
 // order, the form every exporter takes. Two samples with the same name and
 // labels are a producer bug; the stats-frame encoder refuses such a set.
 func Collect(sets ...[]Sample) []Sample {
-	var out []Sample
-	for _, set := range sets {
-		out = append(out, set...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := slices.Concat(sets...)
+	slices.SortStableFunc(out, Sample.Compare)
 	return out
 }
