@@ -43,7 +43,7 @@
 // -cost-aware turns on fleet-economics dispatch: every backend publishes a
 // capability descriptor (latency model, $/solve, J/solve — internal/backend
 // Capabilities), and the scheduler diverts requests whose planned anneal
-// budget is classically easy (at most -cost-easy-reads) to the cheapest
+// budget is classically easy (at most sched.DefaultCostEasyReads) to the cheapest
 // backend whose latency estimate still meets the deadline. Per-backend spend
 // and energy counters are series of the exported sample set (`quamax -top`,
 // /metrics). cmd/fleetsim sweeps QPU-count × traffic-mix grids over
@@ -132,8 +132,7 @@ func main() {
 		pipeDepth     = flag.Int("pipeline-depth", 0, "per-connection in-flight request window (0 = default)")
 		shedThreshold = flag.Float64("shed-threshold", 0, "deadline-miss EWMA above which a shard sheds keyed load with a tagged error (0 = never shed)")
 
-		costAware     = flag.Bool("cost-aware", false, "divert planner-sized easy requests to the cheapest backend by $/solve (capability descriptors) when QPU reads buy no extra QoS")
-		costEasyReads = flag.Int("cost-easy-reads", 0, "largest planner anneal budget still considered classically easy for cost diversion (0 = default)")
+		costAware = flag.Bool("cost-aware", false, "divert planner-sized easy requests to the cheapest backend by $/solve (capability descriptors) when QPU reads buy no extra QoS")
 
 		healthOn      = flag.Bool("health", false, "enable the solver-health plane: per-backend anneal-quality drift detection, quarantine gating with canary re-admission probes, and per-shard SLO burn-rate tracking")
 		sloMissBudget = flag.Float64("slo-miss-budget", 0, "per-shard deadline-miss SLO budget the burn rates are normalized against (0 = default)")
@@ -319,7 +318,6 @@ func main() {
 			Planner:          budgetPlanner,
 			DefaultTargetBER: *targetBER,
 			CostAware:        *costAware,
-			CostEasyReads:    *costEasyReads,
 			Seed:             *seed + int64(i),
 			ShardID:          i,
 			Telemetry:        rec,

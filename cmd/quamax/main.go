@@ -157,13 +157,6 @@ func runners(tracePath string) []runner {
 			func(e *experiments.Env) (*experiments.Table, error) {
 				return experiments.SAComparison(e, experiments.SAFull())
 			}},
-		{"qaoa",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.QAOAExperiment(e, experiments.QAOAQuick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.QAOAExperiment(e, experiments.QAOAFull())
-			}},
 	}
 }
 

@@ -345,18 +345,3 @@ func TestSAComparisonSmoke(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
-
-func TestQAOAExperimentSmoke(t *testing.T) {
-	e := tinyEnv()
-	cfg := QAOAQuick()
-	cfg.Instances = 2
-	cfg.Shots = 16
-	cfg.GridResolution = 8
-	tab, err := QAOAExperiment(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}

@@ -65,10 +65,9 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 	})
 	burn := health.NewBurnTracker(1, health.SLOConfig{})
 	s, err := New(Config{
-		Pool:       []backend.Backend{sick, okInner},
-		Health:     tracker,
-		Burn:       burn,
-		CanarySeed: 7,
+		Pool:   []backend.Backend{sick, okInner},
+		Health: tracker,
+		Burn:   burn,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,45 +3,47 @@
 // shared pool of pluggable solver backends (paper §1, §7; ROADMAP "sharding,
 // batching, async, multi-backend").
 //
-// The scheduler owns N backend workers fed from one FIFO queue of decode
-// problems. Three mechanisms shape dispatch:
+// The scheduler owns N backend workers fed from one FIFO queue, plus an
+// optional classical fallback that solves on the submitter's goroutine.
+// Every request lives one lifecycle, each step written once:
 //
-//   - Batching. When a worker's backend can co-schedule problems
-//     (backend.BatchBackend — the annealer, via disjoint Chimera embedding
-//     slots), the worker drains additional batch-compatible problems from the
-//     queue and solves them in one device run, amortizing Na·(Ta+Tp) across
-//     requests (§4 parallelization, applied across the pool).
+//   - Entry. Dispatch reads the clock once and builds the request's job:
+//     context, problem, trace and ONE absolute deadline, entry + d. Miss
+//     counting, trace slack and the SLO burn feed measure against it on both
+//     paths, so e2e + slack == deadline on every trace and the scheduler
+//     counts the misses the router sheds on.
 //
-//   - Deadline-aware hybrid dispatch. Each problem carries a deadline (e.g.
-//     the frame-processing budget of the air interface). At admission the
-//     scheduler projects queue wait + service time from the backends' latency
-//     estimates; when the pool cannot meet the deadline, the problem routes
-//     immediately to the classical fallback backend instead of joining the
-//     queue — the hybrid classical–quantum structure of Kim et al.
-//     (arXiv:2010.00682).
+//   - Plan. With a Planner configured, a problem carrying a target BER gets
+//     its anneal budget — reads, schedule, forward/reverse mode — sized from
+//     the fitted TTS model (internal/qos) to meet the target within the
+//     deadline, so easy requests stop over-provisioning reads (Kasi et al.,
+//     arXiv:2109.01465); or a denial, when the model says the classical
+//     fallback is the better bet.
 //
-//   - QoS planning. When a Planner is configured, each problem carrying a
-//     target BER gets its anneal budget sized at admission from the fitted
-//     TTS model (internal/qos): the planner picks the read count, anneal
-//     schedule and forward/reverse mode that meet the target within the
-//     deadline, or denies quantum dispatch outright when the model says the
-//     classical fallback is the better bet. The planned budget replaces the
-//     static run configuration, so easy requests stop over-provisioning
-//     reads (Kasi et al., arXiv:2109.01465) and queue waits shrink with
-//     problem difficulty.
+//   - Admit. One switch under the scheduler lock picks the route. A planner
+//     denial, a cost divert (Config.CostAware: spend minimization subject to
+//     the QoS constraints, priced through the backends' capability
+//     descriptors, arXiv:2109.01465) and a deadline that the projected
+//     queue wait plus service time cannot meet (the hybrid classical–quantum
+//     structure of Kim et al., arXiv:2010.00682) all leave through one
+//     fallback exit and solve at once; everything else joins the queue.
 //
-//   - Cost-aware dispatch. With Config.CostAware set, each admission also
-//     consults the backends' capability descriptors (backend.Capabilities):
-//     when the classical fallback solves a decode strictly cheaper than the
-//     cheapest pool backend, meets the deadline on its own, and the decode
-//     is classically safe (no BER target, or a planner-sized easy budget),
-//     it diverts there — spend minimization subject to the QoS constraints,
-//     the deployment economics of Kasi et al. (arXiv:2109.01465). Spend and
-//     energy are accounted per backend through the same descriptors.
+//   - Queue · gather · solve. A worker pops the head; when its backend can
+//     co-schedule problems (backend.BatchBackend — the annealer, via
+//     disjoint Chimera embedding slots) it gathers batch-compatible queued
+//     jobs, same coherence window first, into one device run, amortizing
+//     Na·(Ta+Tp) across requests (§4 parallelization, across the pool).
 //
-//   - Graceful drain. Close stops admission, lets queued and in-flight work
-//     finish, and then stops the workers, so a serving process can shut down
-//     without dropping accepted requests.
+//   - Finish. Every job — solved, failed, panicked or cancelled while
+//     queued, on either path — ends in one finish step under the lock: the
+//     only code that moves Completed/Failed/misses, the per-backend
+//     solved/error counters, the health and burn feeds and the trace. Once
+//     drained, Submitted == Completed + Failed == traces by construction,
+//     and a request a backend ran fed health and burn exactly once.
+//
+// Close stops admission, lets queued and in-flight work (pool and fallback)
+// finish, and then stops the workers, so a serving process can shut down
+// without dropping accepted requests.
 //
 // Pool observability (queue depth, per-backend utilization, deadline-miss
 // rate, batched-slot occupancy) is exported as metrics.PoolStats.
@@ -113,7 +115,8 @@ type Config struct {
 	// for concurrent Solve calls).
 	Pool []backend.Backend
 	// Fallback, when set, receives problems whose deadline the pool cannot
-	// meet. It runs on the submitting goroutine, outside the queue.
+	// meet, that the Planner denies or that CostAware diverts. It runs on
+	// the submitting goroutine, outside the queue.
 	Fallback backend.Backend
 	// DefaultDeadline applies to problems submitted without a deadline
 	// (0 = no deadline: never fall back, never count misses).
@@ -134,12 +137,9 @@ type Config struct {
 	// there at admission — but only when the fallback's own latency estimate
 	// meets the deadline and the decode is classically safe: either it
 	// carries no BER target, or the QoS planner sized an easy budget
-	// (planned reads ≤ CostEasyReads). Hard SNR classes keep their QPU
+	// (planned reads ≤ DefaultCostEasyReads). Hard SNR classes keep their QPU
 	// dispatch regardless of price — the TTS table says those reads pay.
 	CostAware bool
-	// CostEasyReads bounds the planned anneal-read budget a target-carrying
-	// decode may have and still divert for cost (0 = DefaultCostEasyReads).
-	CostEasyReads int
 	// Telemetry, when set, receives one trace per terminal request (spans
 	// for admit/plan/queue/gather/solve/respond/e2e plus deadline slack),
 	// finished at the same point the Completed/Failed counters move so the
@@ -152,12 +152,10 @@ type Config struct {
 	// the tracker quarantines (unless the whole pool is quarantined — a
 	// degraded answer beats none), and quarantined backends receive
 	// periodic canary probes (fixed known-ground-state instances) to earn
-	// re-admission. Deadline projection and pool estimates skip
+	// re-admission; all workers probe with the same instance, its generator
+	// stream derived from Seed. Deadline projection and pool estimates skip
 	// quarantined members. Nil disables health gating entirely.
 	Health *health.Tracker
-	// CanarySeed fixes the canary instance's generator stream (0 derives
-	// one from Seed). All workers probe with the same instance.
-	CanarySeed int64
 	// Burn, when set, receives one (deadline-miss, BER-risk) observation
 	// per terminal request under this scheduler's ShardID — the per-shard
 	// SLO burn-rate feed the router folds into its shed decision. A
@@ -180,7 +178,6 @@ type Scheduler struct {
 	cfg       Config
 	now       func() time.Time
 	start     time.Time
-	fallback  backend.Backend
 	canary    *health.Canary // set iff cfg.Health is
 	poolNames []string       // descriptor names, pool order
 
@@ -204,13 +201,17 @@ type Scheduler struct {
 	batchRuns, batchedProblems   uint64
 	softSolved, llrSaturations   uint64
 	occupancySum                 float64
-	perBackend                   []*backendCounters
-	fallbackCounters             *backendCounters
+	// counters holds one entry per pool worker, pool order, then the
+	// fallback's when it is not also a pool member: the list Stats reports.
+	counters         []*backendCounters
+	fallbackCounters *backendCounters // shared with a pool entry, or the last
 }
 
+// backendCounters is one backend as the scheduler sees it: its descriptor
+// (stable for its lifetime, so resolved once) and what it has served.
 type backendCounters struct {
+	be            backend.Backend
 	caps          *backend.Capabilities
-	name          string
 	solved        uint64
 	errors        uint64
 	busyMicros    float64
@@ -218,30 +219,40 @@ type backendCounters struct {
 	energyMilliJ  float64
 }
 
-// charge accounts one device run's economics against the backend: occupancy
-// priced and powered through its capability descriptor. The descriptor's
-// accessors guard non-finite occupancy, so the counters never absorb NaN.
+// charge accounts one device run against the backend: its occupancy, priced
+// and powered through the capability descriptor. It is per run, not per
+// request — a shared run has one occupancy and one fixed solve charge
+// however many jobs ride it. The descriptor's accessors guard non-finite
+// occupancy, so the spend and energy counters never absorb NaN.
 func (c *backendCounters) charge(busyMicros float64) {
+	c.busyMicros += busyMicros
 	c.spendMicroUSD += c.caps.SpendMicroUSD(busyMicros)
 	c.energyMilliJ += c.caps.EnergyMilliJ(busyMicros)
 }
 
-type jobResult struct {
-	res *backend.Result
-	err error
-}
+// The routes admit picks between. Every route but routeQueue solves on the
+// fallback backend.
+const (
+	routeQueue             = iota
+	routePlannerDenied     // the TTS model says the annealer cannot meet the target
+	routeCostDivert        // the fallback is strictly cheaper and classically safe
+	routeDeadlineProjected // projected queue wait + service time blows the deadline
+)
 
+// job is one request from Dispatch entry to finish.
 type job struct {
 	ctx      context.Context
 	p        *backend.Problem
-	est      float64   // pool service-time estimate (µs)
-	deadline time.Time // zero = none
-	done     chan jobResult
+	est      float64       // pool service-time estimate (µs)
+	entry    time.Time     // Dispatch entry: the deadline's origin and the trace's t0
+	deadline time.Time     // entry + d, the one deadline of both paths; zero = none
+	route    int           // set by admit
+	done     chan struct{} // routeQueue only: closed by finish once res/err are set
+	res      *backend.Result
+	err      error
 
-	// Telemetry fields, set only when Config.Telemetry is configured.
-	tr         *telemetry.Trace
-	t0         time.Time // Dispatch entry
-	enqueuedAt time.Time
+	tr         *telemetry.Trace // nil unless Config.Telemetry is configured
+	admittedAt time.Time        // end of admission, start of the queue span (traced jobs only)
 }
 
 // New starts the pool workers and returns the scheduler.
@@ -254,24 +265,19 @@ func New(cfg Config) (*Scheduler, error) {
 		now = time.Now
 	}
 	s := &Scheduler{
-		cfg:      cfg,
-		now:      now,
-		start:    now(),
-		fallback: cfg.Fallback,
-		src:      rng.New(cfg.Seed),
+		cfg:   cfg,
+		now:   now,
+		start: now(),
+		src:   rng.New(cfg.Seed),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, be := range cfg.Pool {
 		caps := describe(be)
-		s.perBackend = append(s.perBackend, &backendCounters{caps: caps, name: caps.Name})
+		s.counters = append(s.counters, &backendCounters{be: be, caps: caps})
 		s.poolNames = append(s.poolNames, caps.Name)
 	}
 	if cfg.Health != nil {
-		seed := cfg.CanarySeed
-		if seed == 0 {
-			seed = cfg.Seed ^ 0x6ca17a5e
-		}
-		canary, err := health.NewCanary(seed)
+		canary, err := health.NewCanary(cfg.Seed ^ 0x6ca17a5e)
 		if err != nil {
 			return nil, fmt.Errorf("sched: building canary instance: %w", err)
 		}
@@ -282,18 +288,18 @@ func New(cfg Config) (*Scheduler, error) {
 		// stats report it once.
 		for i, be := range cfg.Pool {
 			if be == cfg.Fallback {
-				s.fallbackCounters = s.perBackend[i]
+				s.fallbackCounters = s.counters[i]
 				break
 			}
 		}
 		if s.fallbackCounters == nil {
-			caps := describe(cfg.Fallback)
-			s.fallbackCounters = &backendCounters{caps: caps, name: caps.Name}
+			s.fallbackCounters = &backendCounters{be: cfg.Fallback, caps: describe(cfg.Fallback)}
+			s.counters = append(s.counters, s.fallbackCounters)
 		}
 	}
-	for i, be := range cfg.Pool {
+	for i := range cfg.Pool {
 		s.wg.Add(1)
-		go s.worker(i, be)
+		go s.worker(i)
 	}
 	return s, nil
 }
@@ -318,21 +324,16 @@ func describe(be backend.Backend) *backend.Capabilities {
 // dispatch by the health tracker. A quarantined member is only gated while
 // some other pool member still serves: when the whole pool is quarantined
 // the scheduler keeps serving on it (a degraded answer beats none), which
-// also keeps the queue from deadlocking.
+// also keeps the queue from deadlocking. Without a tracker nothing is gated:
+// a nil Tracker reports every backend Healthy.
 func (s *Scheduler) gated(i int) bool {
 	h := s.cfg.Health
-	if h == nil {
-		return false
-	}
 	return h.State(s.poolNames[i]) == metrics.HealthQuarantined && h.AnyServing(s.poolNames)
 }
 
 // servingWorkers counts the pool workers currently accepting regular work
 // (all of them when health gating is off or the whole pool is quarantined).
 func (s *Scheduler) servingWorkers() int {
-	if s.cfg.Health == nil {
-		return len(s.cfg.Pool)
-	}
 	n := 0
 	for i := range s.cfg.Pool {
 		if !s.gated(i) {
@@ -351,16 +352,16 @@ func (s *Scheduler) servingWorkers() int {
 // estimate is unearnable).
 func (s *Scheduler) poolEstimate(p *backend.Problem) float64 {
 	est := math.Inf(1)
-	for i, be := range s.cfg.Pool {
+	for i := range s.cfg.Pool {
 		if s.gated(i) {
 			continue
 		}
-		if e := describe(be).PredictMicros(p); e < est {
+		if e := s.counters[i].caps.PredictMicros(p); e < est {
 			est = e
 		}
 	}
 	if math.IsInf(est, 1) {
-		est = describe(s.cfg.Pool[0]).PredictMicros(p)
+		est = s.counters[0].caps.PredictMicros(p)
 	}
 	return est
 }
@@ -369,8 +370,8 @@ func (s *Scheduler) poolEstimate(p *backend.Problem) float64 {
 // the minimum over backends of their descriptor-priced predicted latency.
 func (s *Scheduler) poolSpend(p *backend.Problem) float64 {
 	var min float64
-	for i, be := range s.cfg.Pool {
-		caps := describe(be)
+	for i := range s.cfg.Pool {
+		caps := s.counters[i].caps
 		spend := caps.SpendMicroUSD(caps.PredictMicros(p))
 		if i == 0 || spend < min {
 			min = spend
@@ -403,14 +404,14 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	}
 	plan := s.cfg.Planner.Plan(qos.Request{
 		Mod: p.Mod, Nt: p.Users(), SNRdB: snr, TargetBER: target,
-		DeadlineMicros: float64(deadline) / float64(time.Microsecond),
+		DeadlineMicros: micros(deadline),
 		Soft:           p.Soft,
 	})
 	if !plan.Quantum {
 		// With no classical solver to deny to, a deadline-driven denial
 		// still carries the clamped best-effort budget — strictly better
 		// than running the static configuration.
-		if s.fallback != nil || plan.Params.NumAnneals < 1 {
+		if s.cfg.Fallback != nil || plan.Params.NumAnneals < 1 {
 			if plan.PT == nil {
 				return p, true
 			}
@@ -432,30 +433,22 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	return &q, false
 }
 
-// divertForCost decides cost-aware dispatch for p after planning: divert to
-// the fallback when it is strictly cheaper than the cheapest pool backend
-// (per the capability descriptors' cost models) AND the fallback's own
-// latency estimate meets the deadline AND the decode is classically safe —
-// no BER target, or a planner-sized easy budget (reads ≤ CostEasyReads).
-// Hard SNR classes never divert: their large read budgets are exactly where
-// the TTS table says QPU time pays for itself.
+// divertForCost decides cost-aware dispatch for p after planning, on the
+// three conditions Config.CostAware states: the fallback meets the deadline,
+// the decode is classically safe, and the fallback is strictly cheaper than
+// the cheapest pool backend. Hard SNR classes never divert: their large read
+// budgets are exactly where the TTS table says QPU time pays for itself.
 func (s *Scheduler) divertForCost(p *backend.Problem, deadline time.Duration) bool {
-	if !s.cfg.CostAware || s.fallback == nil {
+	if !s.cfg.CostAware || s.cfg.Fallback == nil {
 		return false
 	}
-	fbCaps := describe(s.fallback)
+	fbCaps := s.fallbackCounters.caps
 	fbEst := fbCaps.PredictMicros(p)
-	if deadline > 0 && fbEst > float64(deadline)/float64(time.Microsecond) {
+	if deadline > 0 && fbEst > micros(deadline) {
 		return false
 	}
-	if p.TargetBER > 0 {
-		easy := s.cfg.CostEasyReads
-		if easy <= 0 {
-			easy = DefaultCostEasyReads
-		}
-		if p.Anneal == nil || p.Anneal.NumAnneals > easy {
-			return false
-		}
+	if p.TargetBER > 0 && (p.Anneal == nil || p.Anneal.NumAnneals > DefaultCostEasyReads) {
+		return false
 	}
 	return fbCaps.SpendMicroUSD(fbEst) < s.poolSpend(p)
 }
@@ -467,40 +460,34 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 	if deadline <= 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
-	rec := s.cfg.Telemetry
-	var tr *telemetry.Trace
-	var t0 time.Time
-	if rec != nil {
-		t0 = s.now()
-	}
+	entry := s.now()
 	p, planDenied := s.applyPlan(p, deadline)
-	if rec != nil {
+	j := &job{ctx: ctx, p: p, entry: entry}
+	if deadline > 0 {
+		j.deadline = entry.Add(deadline)
+	}
+	if rec := s.cfg.Telemetry; rec != nil {
 		// Two clock reads bracket the plan; the trace record itself is built
 		// after the second read so its cost lands in admit, not plan. (The
 		// planner feeds the StagePlan histogram itself from inside Plan; this
 		// is the scheduler-side measurement carried on the trace.)
 		planEnd := s.now()
-		tr = &telemetry.Trace{
-			Class:       telemetry.Class(p.Mod.String(), p.Users()),
-			Soft:        p.Soft,
-			Shard:       s.cfg.ShardID,
-			StartMicros: rec.SinceStartMicros(t0),
+		j.tr = &telemetry.Trace{
+			Class:          telemetry.Class(p.Mod.String(), p.Users()),
+			Soft:           p.Soft,
+			Shard:          s.cfg.ShardID,
+			StartMicros:    rec.SinceStartMicros(entry),
+			DeadlineMicros: max(0, micros(deadline)), // 0 = none
 		}
-		if deadline > 0 {
-			tr.DeadlineMicros = micros(deadline)
-		}
-		tr.Stages[telemetry.StagePlan] = micros(planEnd.Sub(t0))
+		j.tr.Stages[telemetry.StagePlan] = micros(planEnd.Sub(entry))
 	}
 	// A planner denial that will route to the fallback never consults the
-	// pool, so don't charge the backends' estimators for it; every admission
-	// path below still records exactly one of plannerClassical/
-	// fallbackDispatches/queue so the Stats totals reconcile (Submitted ==
-	// Completed + Failed once drained — asserted in sched_test).
-	var est float64
-	var costDivert bool
-	if !planDenied || s.fallback == nil {
-		est = s.poolEstimate(p)
-		costDivert = !planDenied && s.divertForCost(p, deadline)
+	// pool, so don't charge the backends' estimators for it.
+	planDenied = planDenied && s.cfg.Fallback != nil
+	costDivert := false
+	if !planDenied {
+		j.est = s.poolEstimate(p)
+		costDivert = s.divertForCost(p, deadline)
 	}
 
 	s.mu.Lock()
@@ -509,96 +496,70 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		return nil, ErrClosed
 	}
 	s.submitted++
-
-	// Planner denial: the TTS model says the annealer cannot meet this
-	// request's target within its deadline — the classical fallback is the
-	// better bet regardless of queue state.
-	if planDenied && s.fallback != nil {
-		s.plannerClassical++
+	j.route = s.admitLocked(j, deadline, planDenied, costDivert)
+	if j.tr != nil {
+		// The admission span is entry-to-decision wall time minus the
+		// planner's share (already carried as StagePlan).
+		j.admittedAt = s.now()
+		j.tr.Stages[telemetry.StageAdmit] = max(0, micros(j.admittedAt.Sub(entry))-j.tr.Stages[telemetry.StagePlan])
+		j.tr.Fallback = j.route != routeQueue
+		j.tr.PlannerDenied = j.route == routePlannerDenied
+	}
+	if j.route != routeQueue {
+		if j.route == routePlannerDenied {
+			s.plannerClassical++
+		}
 		s.fallbackDispatches++
+		// Registered under mu, before the closed flag can flip: Close waits
+		// for this solve too.
 		s.fbWg.Add(1)
 		s.mu.Unlock()
-		defer s.fbWg.Done()
-		if tr != nil {
-			tr.Fallback, tr.PlannerDenied = true, true
-			tr.Stages[telemetry.StageAdmit] = admitSpan(s.now().Sub(t0), tr)
-		}
-		return s.runFallback(ctx, p, deadline, tr, t0, true)
+		return s.runFallback(j)
 	}
-
-	// Cost-aware dispatch: the fallback solves this decode strictly cheaper
-	// without risking its deadline or a planned BER target (divertForCost),
-	// so spend-minimization routes it off the expensive pool.
-	if costDivert {
-		s.fallbackDispatches++
-		s.fbWg.Add(1)
-		s.mu.Unlock()
-		defer s.fbWg.Done()
-		if tr != nil {
-			tr.Fallback = true
-			tr.Stages[telemetry.StageAdmit] = admitSpan(s.now().Sub(t0), tr)
-		}
-		return s.runFallback(ctx, p, deadline, tr, t0, false)
-	}
-
-	// Hybrid dispatch: if the projected pool completion time blows the
-	// deadline, route to the classical fallback now instead of queueing.
-	// The projection charges every queued job a full solver run — it
-	// deliberately ignores batch consolidation (which depends on slot
-	// capacities unknown until embedding time), so it is an upper bound:
-	// under same-N bursts the pool finishes earlier than projected and some
-	// requests fall back that could have been served. Deadline safety is
-	// preferred over pool utilization here; a batch-aware estimator can
-	// tighten this later.
-	if deadline > 0 && s.fallback != nil {
-		deadlineMicros := float64(deadline) / float64(time.Microsecond)
-		waitMicros := (s.queuedMicros + s.inflightMicros) / float64(s.servingWorkers())
-		if waitMicros+est > deadlineMicros {
-			s.fallbackDispatches++
-			// Registered under mu, before the closed flag can flip: Close
-			// waits for this solve too.
-			s.fbWg.Add(1)
-			s.mu.Unlock()
-			defer s.fbWg.Done()
-			if tr != nil {
-				tr.Fallback = true
-				tr.Stages[telemetry.StageAdmit] = admitSpan(s.now().Sub(t0), tr)
-			}
-			return s.runFallback(ctx, p, deadline, tr, t0, false)
-		}
-	}
-
-	j := &job{ctx: ctx, p: p, est: est, done: make(chan jobResult, 1)}
-	if deadline > 0 {
-		j.deadline = s.now().Add(deadline)
-	}
-	if tr != nil {
-		j.tr, j.t0 = tr, t0
-		j.enqueuedAt = s.now()
-		tr.Stages[telemetry.StageAdmit] = admitSpan(j.enqueuedAt.Sub(t0), tr)
-	}
+	j.done = make(chan struct{})
 	s.queue = append(s.queue, j)
-	s.queuedMicros += est
+	s.queuedMicros += j.est
 	s.cond.Signal()
 	s.mu.Unlock()
 
 	select {
-	case r := <-j.done:
-		return r.res, r.err
+	case <-j.done:
+		return j.res, j.err
 	case <-ctx.Done():
-		// The job stays queued; the worker discards it when it surfaces.
+		// The job stays queued; the worker finishes it, as cancelled, when
+		// it surfaces.
 		return nil, ctx.Err()
 	}
 }
 
-// admitSpan is the admission span: entry-to-decision wall time minus the
-// planner's share (already carried as StagePlan), clamped nonnegative.
-func admitSpan(sinceEntry time.Duration, tr *telemetry.Trace) float64 {
-	a := micros(sinceEntry) - tr.Stages[telemetry.StagePlan]
-	if a < 0 {
-		return 0
+// admitLocked is the one admission decision, under s.mu: the route j takes
+// given the planner's verdict, the cost comparison and the queue's state.
+func (s *Scheduler) admitLocked(j *job, deadline time.Duration, planDenied, costDivert bool) int {
+	switch {
+	case planDenied:
+		// The TTS model says the annealer cannot meet this request's target
+		// within its deadline — the classical fallback is the better bet
+		// regardless of queue state.
+		return routePlannerDenied
+	case costDivert:
+		// The fallback solves this decode strictly cheaper without risking
+		// its deadline or a planned BER target (divertForCost), so
+		// spend-minimization routes it off the expensive pool.
+		return routeCostDivert
+	case deadline > 0 && s.cfg.Fallback != nil &&
+		(s.queuedMicros+s.inflightMicros)/float64(s.servingWorkers())+j.est > micros(deadline):
+		// Hybrid dispatch: the projected pool completion time blows the
+		// deadline, so route to the classical fallback now instead of
+		// queueing. The projection charges every queued job a full solver
+		// run — it deliberately ignores batch consolidation (which depends
+		// on slot capacities unknown until embedding time), so it is an
+		// upper bound: under same-N bursts the pool finishes earlier than
+		// projected and some requests fall back that could have been
+		// served. Deadline safety is preferred over pool utilization here; a
+		// batch-aware estimator can tighten this later.
+		return routeDeadlineProjected
 	}
-	return a
+	return routeQueue
 }
 
 // observeSolve replays one terminal solve into the solver-health plane with
@@ -623,68 +584,88 @@ func (s *Scheduler) observeSolve(name string, p *backend.Problem, res *backend.R
 	})
 }
 
-// observeBurn feeds one terminal request's SLO bits to the shard burn
-// tracker under this scheduler's ShardID. No-op without Config.Burn.
-func (s *Scheduler) observeBurn(missed, berMiss bool) {
-	if b := s.cfg.Burn; b != nil {
-		b.Observe(s.cfg.ShardID, missed, berMiss)
-	}
-}
-
-// runFallback solves p on the fallback backend, on the caller's goroutine.
-// tr/t0 carry the request's telemetry trace when tracing is enabled. denied
-// marks a planner denial: the request carried a BER target the annealer
-// could not meet, so its classical answer counts as a BER-risk event in the
-// shard's SLO burn feed.
-func (s *Scheduler) runFallback(ctx context.Context, p *backend.Problem, deadline time.Duration, tr *telemetry.Trace, t0 time.Time, denied bool) (*backend.Result, error) {
+// runFallback solves a fallback-routed job on the fallback backend, on the
+// submitter's goroutine.
+func (s *Scheduler) runFallback(j *job) (*backend.Result, error) {
+	defer s.fbWg.Done()
 	started := s.now()
-	res, err := solveContained(ctx, s.fallback, p, s.splitSource())
+	res, err := solveContained(j.ctx, s.cfg.Fallback, j.p, s.splitSource())
 	solveEnd := s.now()
-	elapsed := micros(solveEnd.Sub(started))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.fallbackCounters.busyMicros += elapsed
-	s.fallbackCounters.charge(elapsed)
-	if tr != nil {
-		defer func() {
-			end := s.now()
-			tr.Backend = s.fallbackCounters.name
-			tr.Failed = err != nil
-			if res != nil {
-				tr.CacheHit = res.CacheHit
-				tr.Stages[telemetry.StageCompile] = res.CompileMicros
-			}
-			tr.Stages[telemetry.StageSolve] = elapsed
-			tr.Stages[telemetry.StageRespond] = micros(end.Sub(solveEnd))
-			tr.Stages[telemetry.StageE2E] = micros(end.Sub(t0))
-			if deadline > 0 {
-				tr.SlackMicros = micros(started.Add(deadline).Sub(end))
-			}
-			s.cfg.Telemetry.FinishTrace(*tr)
-		}()
-	}
+	s.fallbackCounters.charge(micros(solveEnd.Sub(started)))
 	if err != nil {
-		s.fallbackCounters.errors++
+		res = nil
+	}
+	s.finish(j, s.fallbackCounters, res, err, started, solveEnd, 0)
+	return res, err
+}
+
+// finish is the one terminal step of every request, on either path, called
+// under s.mu: the only code that moves Completed/Failed/misses and the soft
+// counters, the serving backend's solved/error counters, the health and burn
+// feeds and the trace — all at one instant, so they reconcile exactly — and
+// that answers a queued job's submitter. ctr is the backend that ran the
+// solve (the caller has charged it the run's occupancy); a nil ctr means none
+// did — the submitter gave up while the job was queued — and the request is
+// Failed and traced with no backend error and no health or burn observation:
+// nothing was learned about a solver or served against the SLO. res is nil
+// iff err is not. batched is the number of jobs in the run (0 off the pool).
+func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, err error, solveStart, solveEnd time.Time, batched int) {
+	end := s.now()
+	missed := !j.deadline.IsZero() && end.After(j.deadline)
+	if err != nil {
 		s.failed++
-		s.observeSolve(s.fallbackCounters.name, p, nil, true)
-		// A failed request blew its SLO whatever the clock says.
-		s.observeBurn(true, denied)
-		return nil, err
+	} else {
+		s.completed++
+		if missed {
+			s.misses++
+		}
+		if j.p.Soft {
+			s.softSolved++
+			s.llrSaturations += uint64(res.LLRSaturated)
+		}
 	}
-	s.fallbackCounters.solved++
-	s.completed++
-	if p.Soft {
-		s.softSolved++
-		s.llrSaturations += uint64(res.LLRSaturated)
+	if ctr != nil {
+		if err != nil {
+			ctr.errors++
+		} else {
+			ctr.solved++
+		}
+		s.observeSolve(ctr.caps.Name, j.p, res, err != nil)
+		// The shard's SLO burn feed (a nil tracker ignores it). A failed
+		// request blew its SLO whatever the clock says; BER risk is a target
+		// the planner denied to classical, or saturated soft output.
+		s.cfg.Burn.Observe(s.cfg.ShardID, missed || err != nil,
+			j.route == routePlannerDenied || (err == nil && j.p.Soft && res.LLRSaturated > 0))
 	}
-	missed := deadline > 0 && s.now().After(started.Add(deadline))
-	if missed {
-		s.misses++
+	if tr := j.tr; tr != nil {
+		tr.Failed = err != nil
+		if ctr != nil {
+			tr.Backend = ctr.caps.Name
+			tr.Batched = batched
+			tr.Stages[telemetry.StageSolve] = micros(solveEnd.Sub(solveStart))
+			tr.Stages[telemetry.StageRespond] = micros(end.Sub(solveEnd))
+		}
+		if res != nil {
+			if res.Backend != "" {
+				tr.Backend = res.Backend
+			}
+			tr.CacheHit = res.CacheHit
+			tr.Stages[telemetry.StageCompile] = res.CompileMicros
+		}
+		tr.Stages[telemetry.StageE2E] = micros(end.Sub(j.entry))
+		if !j.deadline.IsZero() {
+			tr.SlackMicros = micros(j.deadline.Sub(end))
+		}
+		s.cfg.Telemetry.FinishTrace(*tr)
 	}
-	s.observeSolve(s.fallbackCounters.name, p, res, false)
-	s.observeBurn(missed, denied || (p.Soft && res.LLRSaturated > 0))
-	return res, nil
+	if j.done != nil {
+		s.inflightMicros -= j.est
+		j.res, j.err = res, err
+		close(j.done)
+	}
 }
 
 // gateWorker holds a quarantined worker out of regular dispatch, probing
@@ -693,7 +674,7 @@ func (s *Scheduler) runFallback(ctx context.Context, p *backend.Problem, deadlin
 // un-gates everyone) is picked up promptly. Returns false when the
 // scheduler closed with an empty queue — the worker should exit — and true
 // when the worker may pull regular work again.
-func (s *Scheduler) gateWorker(idx int, be backend.Backend, ctr *backendCounters, src *rng.Source) bool {
+func (s *Scheduler) gateWorker(idx int, ctr *backendCounters, src *rng.Source) bool {
 	h := s.cfg.Health
 	for s.gated(idx) {
 		s.mu.Lock()
@@ -702,19 +683,18 @@ func (s *Scheduler) gateWorker(idx int, be backend.Backend, ctr *backendCounters
 		if done {
 			return false
 		}
-		if h.CanaryDue(ctr.name) {
+		if h.CanaryDue(ctr.caps.Name) {
 			// Probe on a background context: the canary is the scheduler's
 			// own request and must not inherit any client deadline. Device
 			// time still bills the backend — a quarantined chip is busy
 			// proving itself, and hiding that would flatter its utilization.
 			started := s.now()
-			res, err := solveContained(context.Background(), be, s.canary.Problem, src)
+			res, err := solveContained(context.Background(), ctr.be, s.canary.Problem, src)
 			elapsed := micros(s.now().Sub(started))
 			s.mu.Lock()
-			ctr.busyMicros += elapsed
 			ctr.charge(elapsed)
 			s.mu.Unlock()
-			h.RecordCanary(ctr.name, s.canary.Check(res, err))
+			h.RecordCanary(ctr.caps.Name, s.canary.Check(res, err))
 			continue
 		}
 		time.Sleep(time.Millisecond)
@@ -723,13 +703,14 @@ func (s *Scheduler) gateWorker(idx int, be backend.Backend, ctr *backendCounters
 }
 
 // worker runs one pool backend: pop the queue head, optionally gather a
-// batch, solve, deliver.
-func (s *Scheduler) worker(idx int, be backend.Backend) {
+// batch, solve, finish each job.
+func (s *Scheduler) worker(idx int) {
 	defer s.wg.Done()
 	src := s.splitSource()
-	ctr := s.perBackend[idx]
+	ctr := s.counters[idx]
+	be := ctr.be
 	for {
-		if s.cfg.Health != nil && !s.gateWorker(idx, be, ctr, src) {
+		if !s.gateWorker(idx, ctr, src) {
 			return
 		}
 		s.mu.Lock()
@@ -740,7 +721,7 @@ func (s *Scheduler) worker(idx int, be backend.Backend) {
 			s.mu.Unlock()
 			return
 		}
-		if s.cfg.Health != nil && s.gated(idx) {
+		if s.gated(idx) {
 			// The verdict may have flipped while this worker was parked in
 			// Wait — re-gate before touching the queue so a freshly
 			// quarantined backend never pulls one more job.
@@ -766,11 +747,7 @@ func (s *Scheduler) worker(idx int, be backend.Backend) {
 		if bb, ok := be.(backend.BatchBackend); ok && !s.cfg.DisableBatch {
 			if slots = bb.BatchSlots(head.p); slots > 1 {
 				s.mu.Lock()
-				if head.p.ChannelKey != 0 {
-					batch = s.gatherCoherentLocked(head, slots)
-				} else {
-					batch = s.gatherBatchLocked(head, slots)
-				}
+				batch = s.gatherLocked(head, slots)
 				s.mu.Unlock()
 			}
 		}
@@ -780,30 +757,19 @@ func (s *Scheduler) worker(idx int, be backend.Backend) {
 			// effectively queued until gathering finished. Spans stay
 			// disjoint so they partition each request's e2e.
 			gatherEnd := s.now()
-			head.tr.Stages[telemetry.StageQueue] = micros(popAt.Sub(head.enqueuedAt))
+			head.tr.Stages[telemetry.StageQueue] = micros(popAt.Sub(head.admittedAt))
 			head.tr.Stages[telemetry.StageGather] = micros(gatherEnd.Sub(popAt))
 			for _, j := range batch[1:] {
-				j.tr.Stages[telemetry.StageQueue] = micros(gatherEnd.Sub(j.enqueuedAt))
+				j.tr.Stages[telemetry.StageQueue] = micros(gatherEnd.Sub(j.admittedAt))
 			}
 		}
 
-		// Drop jobs whose submitter already gave up.
+		// Jobs whose submitter already gave up end here, unsolved.
 		live := batch[:0]
 		for _, j := range batch {
 			if err := j.ctx.Err(); err != nil {
-				j.done <- jobResult{err: err}
 				s.mu.Lock()
-				s.failed++
-				s.inflightMicros -= j.est
-				if j.tr != nil {
-					end := s.now()
-					j.tr.Failed = true
-					j.tr.Stages[telemetry.StageE2E] = micros(end.Sub(j.t0))
-					if !j.deadline.IsZero() {
-						j.tr.SlackMicros = micros(j.deadline.Sub(end))
-					}
-					s.cfg.Telemetry.FinishTrace(*j.tr)
-				}
+				s.finish(j, nil, nil, err, time.Time{}, time.Time{}, 0)
 				s.mu.Unlock()
 				continue
 			}
@@ -816,78 +782,53 @@ func (s *Scheduler) worker(idx int, be backend.Backend) {
 		started := s.now()
 		results, err := s.solve(be, live, slots, src)
 		solveEnd := s.now()
-		elapsed := micros(solveEnd.Sub(started))
 
 		s.mu.Lock()
-		ctr.busyMicros += elapsed
-		ctr.charge(elapsed)
+		ctr.charge(micros(solveEnd.Sub(started)))
+		if err != nil {
+			results = make([]*backend.Result, len(live)) // a failed run answers no job
+		}
 		for i, j := range live {
-			s.inflightMicros -= j.est
-			if err != nil {
-				ctr.errors++
-				s.failed++
-				s.observeSolve(ctr.name, j.p, nil, true)
-				// A failed request blew its SLO whatever the clock says.
-				s.observeBurn(true, false)
-				s.finishPoolTrace(j, nil, err, ctr.name, elapsed, solveEnd, len(live))
-				j.done <- jobResult{err: err}
-				continue
-			}
-			ctr.solved++
-			s.completed++
-			if j.p.Soft {
-				s.softSolved++
-				s.llrSaturations += uint64(results[i].LLRSaturated)
-			}
-			missed := !j.deadline.IsZero() && s.now().After(j.deadline)
-			if missed {
-				s.misses++
-			}
-			s.observeSolve(ctr.name, j.p, results[i], false)
-			s.observeBurn(missed, j.p.Soft && results[i].LLRSaturated > 0)
-			s.finishPoolTrace(j, results[i], nil, ctr.name, elapsed, solveEnd, len(live))
-			j.done <- jobResult{res: results[i]}
+			s.finish(j, ctr, results[i], err, started, solveEnd, len(live))
 		}
 		s.mu.Unlock()
 	}
 }
 
-// finishPoolTrace fills and finishes a pool-solved (or pool-failed) job's
-// trace. Called under s.mu at the same point the Completed/Failed counters
-// move, so traces reconcile exactly with Stats. No-op when tracing is off.
-func (s *Scheduler) finishPoolTrace(j *job, res *backend.Result, err error, beName string, solveMicros float64, solveEnd time.Time, batched int) {
-	if j.tr == nil {
-		return
-	}
-	end := s.now()
-	j.tr.Backend = beName
-	j.tr.Batched = batched
-	j.tr.Failed = err != nil
-	if res != nil {
-		if res.Backend != "" {
-			j.tr.Backend = res.Backend
-		}
-		j.tr.CacheHit = res.CacheHit
-		j.tr.Stages[telemetry.StageCompile] = res.CompileMicros
-	}
-	j.tr.Stages[telemetry.StageSolve] = solveMicros
-	j.tr.Stages[telemetry.StageRespond] = micros(end.Sub(solveEnd))
-	j.tr.Stages[telemetry.StageE2E] = micros(end.Sub(j.t0))
-	if !j.deadline.IsZero() {
-		j.tr.SlackMicros = micros(j.deadline.Sub(end))
-	}
-	s.cfg.Telemetry.FinishTrace(*j.tr)
-}
-
-// gatherBatchLocked extends an already-popped head job with batch-compatible
+// gatherLocked extends an already-popped head job with batch-compatible
 // queued jobs (backend.Batchable: same logical spin count and agreeing
-// anneal schedule, FIFO order) up to the backend's slot capacity. Estimates
-// move from queued to in-flight.
-func (s *Scheduler) gatherBatchLocked(head *job, slots int) []*job {
+// anneal schedule) up to the backend's slot capacity. For a head carrying a
+// ChannelKey, queued symbols from the SAME coherence window (equal key — the
+// channel is already programmed on the backend's compiled-channel cache)
+// claim the run's slots first, and only leftover slots go to other
+// batch-compatible jobs; an un-keyed head has no window and every free slot
+// is a leftover. Within each class FIFO order is preserved, and the batch
+// itself stays in queue order so FIFO fairness inside one run is untouched.
+// Estimates move from queued to in-flight.
+func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
+	key := head.p.ChannelKey
+	sameWindow := func(j *job) bool { return key != 0 && j.p.ChannelKey == key }
+	// First pass: how many free slots the head's window claims.
+	same, other := 0, slots-1
+	if key != 0 {
+		for _, j := range s.queue {
+			if other > 0 && sameWindow(j) && backend.Batchable(head.p, j.p) {
+				same++
+				other--
+			}
+		}
+	}
+	// Second pass: take that many same-window jobs and fill the leftover
+	// slots with any other batch-compatible job, in queue order.
 	batch := []*job{head}
 	kept := s.queue[:0]
 	for _, j := range s.queue {
-		if len(batch) < slots && backend.Batchable(head.p, j.p) {
+		free := &other
+		if sameWindow(j) {
+			free = &same
+		}
+		if *free > 0 && backend.Batchable(head.p, j.p) {
+			*free--
 			s.queuedMicros -= j.est
 			s.inflightMicros += j.est
 			batch = append(batch, j)
@@ -895,58 +836,7 @@ func (s *Scheduler) gatherBatchLocked(head *job, slots int) []*job {
 		}
 		kept = append(kept, j)
 	}
-	// Zero the tail so dropped slots don't pin jobs.
-	for i := len(kept); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = kept
-	return batch
-}
-
-// gatherCoherentLocked is the coherence-aware variant of gatherBatchLocked
-// for a head job carrying a ChannelKey: queued symbols from the SAME
-// coherence window (equal key — the channel is already programmed on the
-// backend's compiled-channel cache) claim the run's slots first, and only
-// leftover slots go to other batch-compatible jobs. Within each class FIFO
-// order is preserved, and the batch itself stays in queue order so FIFO
-// fairness inside one run is untouched.
-func (s *Scheduler) gatherCoherentLocked(head *job, slots int) []*job {
-	take := make([]bool, len(s.queue))
-	count := 1
-	// First pass: same coherence window.
-	for i, j := range s.queue {
-		if count >= slots {
-			break
-		}
-		if j.p.ChannelKey == head.p.ChannelKey && backend.Batchable(head.p, j.p) {
-			take[i] = true
-			count++
-		}
-	}
-	// Second pass: any remaining batch-compatible job fills leftover slots.
-	for i, j := range s.queue {
-		if count >= slots {
-			break
-		}
-		if !take[i] && backend.Batchable(head.p, j.p) {
-			take[i] = true
-			count++
-		}
-	}
-	batch := []*job{head}
-	kept := s.queue[:0]
-	for i, j := range s.queue {
-		if take[i] {
-			s.queuedMicros -= j.est
-			s.inflightMicros += j.est
-			batch = append(batch, j)
-			continue
-		}
-		kept = append(kept, j)
-	}
-	for i := len(kept); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
+	clear(s.queue[len(kept):]) // dropped slots must not pin jobs
 	s.queue = kept
 	return batch
 }
@@ -958,10 +848,7 @@ func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.
 	defer containPanic(be, &err)
 	if len(batch) == 1 {
 		res, err := be.Solve(batch[0].ctx, batch[0].p, src)
-		if err != nil {
-			return nil, err
-		}
-		return []*backend.Result{res}, nil
+		return []*backend.Result{res}, err
 	}
 	bb := be.(backend.BatchBackend)
 	ps := make([]*backend.Problem, len(batch))
@@ -998,7 +885,7 @@ func (s *Scheduler) Close() error {
 func (s *Scheduler) Stats() metrics.PoolStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wallMicros := float64(s.now().Sub(s.start)) / float64(time.Microsecond)
+	wallMicros := micros(s.now().Sub(s.start))
 	st := metrics.PoolStats{
 		UptimeMicros:       wallMicros,
 		QueueDepth:         len(s.queue),
@@ -1022,36 +909,14 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 	type channelCacheStatser interface {
 		ChannelCacheStats() metrics.ChannelCacheStats
 	}
-	seen := make(map[backend.Backend]bool, len(s.cfg.Pool)+1)
-	backends := s.cfg.Pool
-	if s.fallback != nil {
-		backends = append(append([]backend.Backend(nil), backends...), s.fallback)
-	}
-	for _, be := range backends {
-		if seen[be] {
-			continue
-		}
-		seen[be] = true
-		if cs, ok := be.(channelCacheStatser); ok {
+	seen := make(map[backend.Backend]bool, len(s.counters))
+	for _, c := range s.counters {
+		if cs, ok := c.be.(channelCacheStatser); ok && !seen[c.be] {
+			seen[c.be] = true
 			st.ChannelCache = st.ChannelCache.Add(cs.ChannelCacheStats())
 		}
-	}
-	all := s.perBackend
-	if s.fallbackCounters != nil {
-		shared := false
-		for _, c := range s.perBackend {
-			if c == s.fallbackCounters {
-				shared = true
-				break
-			}
-		}
-		if !shared {
-			all = append(append([]*backendCounters(nil), s.perBackend...), s.fallbackCounters)
-		}
-	}
-	for _, c := range all {
 		bs := metrics.BackendStats{
-			Name:          c.name,
+			Name:          c.caps.Name,
 			Solved:        c.solved,
 			Errors:        c.errors,
 			BusyMicros:    c.busyMicros,
@@ -1068,14 +933,10 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 
 // String describes the pool configuration.
 func (s *Scheduler) String() string {
-	names := make([]string, len(s.cfg.Pool))
-	for i, be := range s.cfg.Pool {
-		names[i] = describe(be).Name
-	}
 	fb := "none"
-	if s.fallback != nil {
-		fb = describe(s.fallback).Name
+	if s.fallbackCounters != nil {
+		fb = s.fallbackCounters.caps.Name
 	}
 	return fmt.Sprintf("sched: pool=%v fallback=%s default-deadline=%s batch=%t planner=%t cost-aware=%t",
-		names, fb, s.cfg.DefaultDeadline, !s.cfg.DisableBatch, s.cfg.Planner != nil, s.cfg.CostAware)
+		s.poolNames, fb, s.cfg.DefaultDeadline, !s.cfg.DisableBatch, s.cfg.Planner != nil, s.cfg.CostAware)
 }

@@ -2,8 +2,10 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,10 +14,13 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
+	"quamax/internal/health"
+	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
+	"quamax/internal/telemetry"
 )
 
 // fakeBackend is a deterministic Backend for scheduler-mechanics tests.
@@ -333,12 +338,16 @@ func TestBatchingDrainsCompatibleQueue(t *testing.T) {
 // form behind it.
 type gatedAnnealer struct {
 	*backend.Annealer
-	once sync.Once
-	gate chan struct{}
+	once    sync.Once
+	entered chan struct{} // closed when the first run reaches the gate
+	gate    chan struct{}
 }
 
 func (g *gatedAnnealer) Solve(ctx context.Context, p *backend.Problem, src *rng.Source) (*backend.Result, error) {
-	g.once.Do(func() { <-g.gate })
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.gate
+	})
 	return g.Annealer.Solve(ctx, p, src)
 }
 
@@ -352,7 +361,7 @@ func TestRealAnnealerBatchThroughScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated := &gatedAnnealer{Annealer: qpu, gate: make(chan struct{})}
+	gated := &gatedAnnealer{Annealer: qpu, entered: make(chan struct{}), gate: make(chan struct{})}
 	s, err := New(Config{Pool: []backend.Backend{gated}, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -377,13 +386,11 @@ func TestRealAnnealerBatchThroughScheduler(t *testing.T) {
 			outs[i] = outcome{res, err}
 		}()
 	}
-	// Admit the head job alone and wait until the gated worker holds it, so
-	// the remaining requests provably queue behind one blocked run.
+	// Admit the head job alone and wait until the gated worker holds it in
+	// Solve — past its gather, which would otherwise sweep up the requests
+	// below — so they provably queue behind one blocked run.
 	dispatch(0)
-	waitFor(t, "worker busy on head job", func() bool {
-		st := s.Stats()
-		return st.Submitted == 1 && st.QueueDepth == 0
-	})
+	<-gated.entered
 	for i := 1; i < n; i++ {
 		dispatch(i)
 	}
@@ -660,45 +667,221 @@ func assertReconciled(t *testing.T, s *Scheduler) {
 	}
 }
 
-// The stats ledger must reconcile across every admission path at once:
-// pool-queued, queue-pressure fallback, and planner-denied fallback.
-func TestStatsReconcileAcrossPaths(t *testing.T) {
+// The outcomes a request can end in, the second axis of the lifecycle table.
+const (
+	outcomeOK = iota
+	outcomeError
+	outcomePanic
+	outcomeCancelled // queue route only: the submitter gives up while queued
+)
+
+var errSolverFault = errors.New("injected solver fault")
+
+// lifecycleBackend answers, fails or panics as its mode says, counts the
+// solves it ran, and can hold one solve until released so work queues
+// behind it.
+type lifecycleBackend struct {
+	fakeBackend
+	mode  atomic.Int32 // the outcome of the solves that follow
+	calls atomic.Int64
+	hold  atomic.Pointer[chan struct{}] // taken by the next solve, which waits on it
+}
+
+func (b *lifecycleBackend) Solve(ctx context.Context, p *backend.Problem, src *rng.Source) (*backend.Result, error) {
+	b.calls.Add(1)
+	if h := b.hold.Swap(nil); h != nil {
+		<-*h
+	}
+	switch b.mode.Load() {
+	case outcomeError:
+		return nil, errSolverFault
+	case outcomePanic:
+		panic("solver bug")
+	}
+	return b.fakeBackend.Solve(ctx, p, src)
+}
+
+// lifecycleRow is one request of the lifecycle table, in submission order.
+type lifecycleRow struct{ route, outcome int }
+
+// lifecycleRun is a drained scheduler that served the lifecycle table with
+// every plane attached.
+type lifecycleRun struct {
+	s        *Scheduler
+	rec      *telemetry.Recorder
+	tracker  *health.Tracker
+	burn     *health.BurnTracker
+	pool, fb *lifecycleBackend
+	rows     []lifecycleRow
+}
+
+// runLifecycleTable drives {queue, plannerDenied, costDivert,
+// deadlineProjected} × {ok, solver error, panic, cancelled while queued
+// (queue route only)} through one scheduler, one request at a time, checks
+// what each submitter got back, and closes the scheduler.
+func runLifecycleTable(t *testing.T) *lifecycleRun {
+	t.Helper()
 	pl, err := qos.NewPlanner(plannerTable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := &fakeBackend{name: "qpu", est: 100}
-	fb := &fakeBackend{name: "fb", est: 10}
-	s, err := New(Config{Pool: []backend.Backend{pool}, Fallback: fb, Planner: pl})
+	r := &lifecycleRun{
+		rec:     telemetry.New(telemetry.Config{}),
+		tracker: health.NewTracker(health.Config{}),
+		burn:    health.NewBurnTracker(1, health.SLOConfig{}),
+		pool:    &lifecycleBackend{fakeBackend: fakeBackend{name: "qpu", est: 100, cost: backend.DefaultQPUCostModel}},
+		fb:      &lifecycleBackend{fakeBackend: fakeBackend{name: "fb", est: 10, cost: backend.DefaultClassicalCostModel}},
+	}
+	pl.Telemetry = r.rec
+	r.s, err = New(Config{
+		Pool: []backend.Backend{r.pool}, Fallback: r.fb, Planner: pl, CostAware: true,
+		Telemetry: r.rec, Health: r.tracker, Burn: r.burn, Seed: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Pool path: plain problems with no deadline pressure.
-	for i := 0; i < 3; i++ {
-		p, _ := testProblem(t, int64(950+i), modulation.QPSK, 4)
-		if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
-			t.Fatal(err)
+	// What steers a request down each route on this scheduler (pool estimate
+	// 100 µs, fallback 10 µs and cheaper, 4-user table).
+	request := func(route int, seed int64) (*backend.Problem, time.Duration) {
+		switch route {
+		case routeQueue: // a hard BER class keeps its QPU reads whatever the price
+			p, _ := testProblem(t, seed, modulation.QPSK, 4)
+			p.TargetBER = 1e-9
+			return p, time.Hour
+		case routePlannerDenied: // 8 users exceeds every fitted size
+			p, _ := testProblem(t, seed, modulation.QPSK, 8)
+			p.TargetBER = 1e-3
+			return p, time.Hour
+		case routeCostDivert: // best effort, and the fallback is cheaper
+			p, _ := testProblem(t, seed, modulation.QPSK, 4)
+			return p, time.Hour
+		default: // 5 µs: too tight for the fallback to divert for cost, and for the pool
+			p, _ := testProblem(t, seed, modulation.QPSK, 4)
+			return p, 5 * time.Microsecond
 		}
 	}
-	// Queue-pressure fallback: an unmeetable deadline.
-	p, _ := testProblem(t, 960, modulation.QPSK, 4)
-	if _, err := s.Dispatch(context.Background(), p, time.Microsecond); err != nil {
+	dispatch := func(ctx context.Context, route, outcome int) error {
+		p, d := request(route, int64(1000+len(r.rows)))
+		r.rows = append(r.rows, lifecycleRow{route, outcome})
+		_, err := r.s.Dispatch(ctx, p, d)
+		return err
+	}
+	for route := routeQueue; route <= routeDeadlineProjected; route++ {
+		be := r.fb
+		if route == routeQueue {
+			be = r.pool
+		}
+		for outcome := outcomeOK; outcome <= outcomePanic; outcome++ {
+			be.mode.Store(int32(outcome))
+			err := dispatch(context.Background(), route, outcome)
+			var pe *PanicError
+			switch {
+			case outcome == outcomeOK && err != nil,
+				outcome == outcomeError && !errors.Is(err, errSolverFault),
+				outcome == outcomePanic && !(errors.As(err, &pe) && pe.Backend == be.name):
+				t.Fatalf("route %d outcome %d: submitter got %v", route, outcome, err)
+			}
+		}
+		be.mode.Store(outcomeOK)
+	}
+
+	// Cancelled while queued: a held solve occupies the worker, the next
+	// request queues behind it, its submitter gives up, and the worker ends
+	// it unsolved when it surfaces.
+	hold := make(chan struct{})
+	r.pool.hold.Store(&hold)
+	held := make(chan error, 1)
+	go func() { held <- dispatch(context.Background(), routeQueue, outcomeOK) }()
+	waitFor(t, "the held solve to start", func() bool { return r.pool.hold.Load() == nil })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() { cancelled <- dispatch(ctx, routeQueue, outcomeCancelled) }()
+	waitFor(t, "the second request to queue", func() bool { return r.s.Stats().QueueDepth == 1 })
+	cancel()
+	if err := <-cancelled; err != context.Canceled {
+		t.Fatalf("cancelled dispatch returned %v", err)
+	}
+	close(hold)
+	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
-	// Planner denial: 8 users exceeds every fitted size.
-	p, _ = testProblem(t, 961, modulation.QPSK, 8)
-	p.TargetBER = 1e-3
-	if _, err := s.Dispatch(context.Background(), p, time.Hour); err != nil {
+	if err := r.s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	return r
+}
+
+// The ledger must reconcile over the whole lifecycle — every route crossed
+// with every way a request can end — with health, burn and telemetry
+// attached: each request is exactly one of completed or failed, each route
+// moves the dispatch counters it always did, and every request a backend ran
+// is one solved-or-error on that backend, one health outcome and one burn
+// observation; a request cancelled while queued is none of those.
+func TestStatsReconcileAcrossPaths(t *testing.T) {
+	r := runLifecycleTable(t)
+	assertReconciled(t, r.s)
+	var want struct{ completed, failed, fallbacks, denied, ran uint64 }
+	type served struct{ solved, errors uint64 }
+	wantServed := map[*lifecycleBackend]*served{r.pool: {}, r.fb: {}}
+	for _, row := range r.rows {
+		be := wantServed[r.fb]
+		if row.route == routeQueue {
+			be = wantServed[r.pool]
+		} else {
+			want.fallbacks++
+		}
+		if row.route == routePlannerDenied {
+			want.denied++
+		}
+		switch row.outcome {
+		case outcomeOK:
+			want.completed++
+			be.solved++
+		case outcomeCancelled: // failed, but no backend ran it
+			want.failed++
+		default:
+			want.failed++
+			be.errors++
+		}
+		if row.outcome != outcomeCancelled {
+			want.ran++
+		}
 	}
-	assertReconciled(t, s)
-	st := s.Stats()
-	if st.Submitted != 5 || st.FallbackDispatches != 2 || st.PlannerClassical != 1 {
-		t.Fatalf("path accounting: %+v", st)
+	st := r.s.Stats()
+	if st.Submitted != uint64(len(r.rows)) || st.Completed != want.completed || st.Failed != want.failed {
+		t.Fatalf("submitted/completed/failed = %d/%d/%d, want %d/%d/%d",
+			st.Submitted, st.Completed, st.Failed, len(r.rows), want.completed, want.failed)
+	}
+	if st.FallbackDispatches != want.fallbacks || st.PlannerClassical != want.denied {
+		t.Fatalf("FallbackDispatches/PlannerClassical = %d/%d, want %d/%d",
+			st.FallbackDispatches, st.PlannerClassical, want.fallbacks, want.denied)
+	}
+	if st.BatchRuns != 0 || st.BatchedProblems != 0 {
+		t.Fatalf("a non-batch pool recorded %d batch runs of %d problems", st.BatchRuns, st.BatchedProblems)
+	}
+	observations := make(map[string]uint64)
+	for _, h := range r.tracker.Snapshot() {
+		observations[h.Name] = h.Observations
+	}
+	for _, be := range []*lifecycleBackend{r.pool, r.fb} {
+		var bs metrics.BackendStats
+		for _, b := range st.Backends {
+			if b.Name == be.name {
+				bs = b
+			}
+		}
+		if w := wantServed[be]; bs.Solved != w.solved || bs.Errors != w.errors || bs.Solved+bs.Errors != uint64(be.calls.Load()) {
+			t.Errorf("%s: Solved/Errors = %d/%d over %d solves run, want %d/%d",
+				be.name, bs.Solved, bs.Errors, be.calls.Load(), w.solved, w.errors)
+		}
+		// One outcome per solve; a success adds its quality sample.
+		if got, want := observations[be.name], 2*bs.Solved+bs.Errors; got != want {
+			t.Errorf("%s: %d health observations, want %d (one outcome per request it ran)", be.name, got, want)
+		}
+	}
+	if got := r.burn.Snapshot()[0].Observed; got != want.ran {
+		t.Errorf("burn tracker observed %d requests, want %d (every request a backend ran, once)", got, want.ran)
 	}
 }
 

@@ -2,141 +2,155 @@ package sched
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"quamax/internal/backend"
 	"quamax/internal/modulation"
-	"quamax/internal/qos"
 	"quamax/internal/telemetry"
 )
 
-// The telemetry plane's core contract: every terminal request — pool-solved,
-// fallback-solved, planner-denied, or discarded after context cancellation —
-// finishes exactly one trace, so the span count reconciles exactly with the
-// PoolStats counters (Submitted == Completed + Failed == traces).
+// The telemetry plane's core contract, over the same lifecycle table as
+// TestStatsReconcileAcrossPaths: every terminal request — whatever its route,
+// and whether it was solved, failed, panicked or was discarded after context
+// cancellation — finishes exactly one trace, so the span count reconciles
+// exactly with the PoolStats counters (Submitted == Completed + Failed ==
+// traces), and the trace says which route and backend served it.
 func TestTelemetryTracesReconcileAcrossPaths(t *testing.T) {
-	rec := telemetry.New(telemetry.Config{})
-	pl, err := qos.NewPlanner(plannerTable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Telemetry = rec
-	pool := &fakeBackend{name: "qpu", est: 100, gate: make(chan struct{})}
-	fb := &fakeBackend{name: "fb", est: 10}
-	s, err := New(Config{Pool: []backend.Backend{pool}, Fallback: fb, Planner: pl, Telemetry: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Job A occupies the worker (gated); job B is canceled while queued and
-	// must be discarded — with a trace — when the worker surfaces it.
-	pa, _ := testProblem(t, 970, modulation.QPSK, 4)
-	aDone := make(chan error, 1)
-	go func() {
-		_, err := s.Dispatch(context.Background(), pa, 0)
-		aDone <- err
-	}()
-	for {
-		s.mu.Lock()
-		inflight := s.inflightMicros > 0
-		s.mu.Unlock()
-		if inflight {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	pb, _ := testProblem(t, 971, modulation.QPSK, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	bDone := make(chan error, 1)
-	go func() {
-		_, err := s.Dispatch(ctx, pb, 0)
-		bDone <- err
-	}()
-	for {
-		s.mu.Lock()
-		depth := len(s.queue)
-		s.mu.Unlock()
-		if depth == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-bDone; err != context.Canceled {
-		t.Fatalf("canceled dispatch returned %v", err)
-	}
-	pool.gate <- struct{}{} // release job A's solve
-	if err := <-aDone; err != nil {
-		t.Fatal(err)
-	}
-
-	// Queue-pressure fallback (unmeetable deadline) and planner denial
-	// (8 users exceeds every fitted size), both deadline-bearing.
-	pc, _ := testProblem(t, 972, modulation.QPSK, 4)
-	if _, err := s.Dispatch(context.Background(), pc, time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	pd, _ := testProblem(t, 973, modulation.QPSK, 8)
-	pd.TargetBER = 1e-3
-	if _, err := s.Dispatch(context.Background(), pd, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := s.Stats()
-	sn := rec.Snapshot()
-	if st.Submitted != 4 {
-		t.Fatalf("submitted = %d, want 4", st.Submitted)
+	r := runLifecycleTable(t)
+	st := r.s.Stats()
+	sn := r.rec.Snapshot()
+	if st.Submitted != uint64(len(r.rows)) {
+		t.Fatalf("submitted = %d, want %d", st.Submitted, len(r.rows))
 	}
 	if sn.Traces != st.Submitted || sn.Traces != st.Completed+st.Failed {
 		t.Fatalf("traces=%d submitted=%d completed+failed=%d: not reconciled",
 			sn.Traces, st.Submitted, st.Completed+st.Failed)
 	}
-	if sn.Failed != st.Failed || sn.Failed != 1 {
-		t.Fatalf("failed traces = %d, pool failed = %d, want 1", sn.Failed, st.Failed)
+	if sn.Failed != st.Failed {
+		t.Fatalf("failed traces = %d, pool failed = %d", sn.Failed, st.Failed)
 	}
 	if got := sn.Stages[telemetry.StageE2E].Count; got != sn.Traces {
 		t.Fatalf("e2e histogram count = %d, want %d", got, sn.Traces)
 	}
-	// The planner ran for the one target-BER request (it owns StagePlan).
-	if sn.Stages[telemetry.StagePlan].Count != 1 {
-		t.Fatalf("plan histogram count = %d, want 1", sn.Stages[telemetry.StagePlan].Count)
-	}
-	// Two requests carried deadlines; each landed in exactly one slack side.
-	if got := sn.SlackMet.Count + sn.SlackMissed.Count; got != 2 {
-		t.Fatalf("slack observations = %d, want 2", got)
+	// Every request carried a deadline; each landed in exactly one slack side.
+	if got := sn.SlackMet.Count + sn.SlackMissed.Count; got != sn.Traces {
+		t.Fatalf("slack observations = %d, want %d", got, sn.Traces)
 	}
 
-	traces := rec.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("ring holds %d traces, want 4", len(traces))
+	// Requests ran one at a time (the cancelled one ends after the solve it
+	// queued behind), so traces finish in submission order.
+	traces := r.rec.Traces()
+	if len(traces) != len(r.rows) {
+		t.Fatalf("ring holds %d traces, want %d", len(traces), len(r.rows))
 	}
-	var denied, fallbacks, failed int
-	for _, tr := range traces {
-		if tr.Class != "QPSK/4" && tr.Class != "QPSK/8" {
-			t.Fatalf("unexpected class %q", tr.Class)
+	var planned uint64
+	for i, row := range r.rows {
+		tr := traces[i]
+		wantClass, wantBackend := "QPSK/4", "fb"
+		switch row.route {
+		case routeQueue:
+			wantBackend = "qpu"
+			planned++
+		case routePlannerDenied:
+			wantClass = "QPSK/8"
+			planned++
 		}
-		if tr.PlannerDenied {
-			denied++
-			if !tr.Fallback || tr.Backend != "fb" {
-				t.Fatalf("planner-denied trace not marked fallback: %+v", tr)
-			}
+		if row.outcome == outcomeCancelled {
+			wantBackend = "" // no backend ran it
 		}
-		if tr.Fallback {
-			fallbacks++
+		if tr.Class != wantClass || tr.Backend != wantBackend ||
+			tr.Fallback != (row.route != routeQueue) ||
+			tr.PlannerDenied != (row.route == routePlannerDenied) ||
+			tr.Failed != (row.outcome != outcomeOK) {
+			t.Errorf("request %d (route %d, outcome %d): trace %+v", i, row.route, row.outcome, tr)
 		}
-		if tr.Failed {
-			failed++
-			if tr.Stages[telemetry.StageE2E] <= 0 {
-				t.Fatalf("failed trace missing e2e span: %+v", tr)
-			}
+		if tr.Stages[telemetry.StageE2E] <= 0 {
+			t.Errorf("request %d: trace missing its e2e span: %+v", i, tr)
 		}
 	}
-	if denied != 1 || fallbacks != 2 || failed != 1 {
-		t.Fatalf("denied/fallbacks/failed = %d/%d/%d, want 1/2/1", denied, fallbacks, failed)
+	// The planner ran for the target-BER requests (it owns StagePlan).
+	if got := sn.Stages[telemetry.StagePlan].Count; got != planned {
+		t.Fatalf("plan histogram count = %d, want %d", got, planned)
+	}
+}
+
+// steppedClock advances a fixed tick on every read, so a span is the number
+// of clock reads it brackets.
+type steppedClock struct {
+	mu   sync.Mutex
+	t    time.Time
+	tick time.Duration
+}
+
+func (c *steppedClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(c.tick)
+	return c.t
+}
+
+// A request has one deadline, measured from Dispatch entry, on the pool and
+// the fallback route alike: its trace satisfies e2e + slack == deadline
+// exactly, and it counts as a miss when entry-to-finish exceeds the deadline
+// even though the time since it was queued (pool) or since its solve started
+// (fallback) does not.
+func TestDeadlineMeasuredFromEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		poolEst float64 // µs; an estimate past any deadline routes to the fallback
+	}{
+		{"pool", 1},
+		{"fallback", 1e13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := &steppedClock{t: time.Unix(1_000_000, 0), tick: 10 * time.Microsecond}
+			rec := telemetry.New(telemetry.Config{Now: clock.Now})
+			s, err := New(Config{
+				Pool:      []backend.Backend{&fakeBackend{name: "qpu", est: tc.poolEst}},
+				Fallback:  &fakeBackend{name: "fb", est: 1},
+				Telemetry: rec, Now: clock.Now,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := testProblem(t, 990, modulation.QPSK, 4)
+			// A relaxed request measures how long the lifecycle takes on this
+			// clock; the same request given half a tick less than that has
+			// missed by the time it finishes, measured from entry, and not
+			// missed measured from any later origin.
+			if _, err := s.Dispatch(context.Background(), p, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			e2e := time.Duration(rec.Traces()[0].Stages[telemetry.StageE2E]) * time.Microsecond
+			if _, err := s.Dispatch(context.Background(), p, e2e-clock.tick/2); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats().DeadlineMisses; got != 1 {
+				t.Errorf("DeadlineMisses = %d, want 1: the second request finished %v after entry on a %v deadline",
+					got, e2e, e2e-clock.tick/2)
+			}
+			traces := rec.Traces()
+			if len(traces) != 2 {
+				t.Fatalf("ring holds %d traces, want 2", len(traces))
+			}
+			if traces[0].SlackMicros <= 0 || traces[1].SlackMicros >= 0 {
+				t.Errorf("slack %v then %v µs, want a met and a missed deadline", traces[0].SlackMicros, traces[1].SlackMicros)
+			}
+			for i, tr := range traces {
+				if tr.Fallback != (tc.name == "fallback") {
+					t.Errorf("trace %d took the wrong route: %+v", i, tr)
+				}
+				if got := tr.Stages[telemetry.StageE2E] + tr.SlackMicros; got != tr.DeadlineMicros {
+					t.Errorf("trace %d: e2e %v + slack %v = %v µs, want the deadline %v µs",
+						i, tr.Stages[telemetry.StageE2E], tr.SlackMicros, got, tr.DeadlineMicros)
+				}
+			}
+		})
 	}
 }
 
