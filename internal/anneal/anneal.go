@@ -128,7 +128,7 @@ type Machine struct {
 	// Workers bounds run concurrency (≤ 0 means 1).
 	Workers int
 
-	reads sync.Pool // *deviceRead: per-worker scratch, reused across runs
+	scratch sync.Pool // *Scratch behind the allocating entry points (Run, RunPrepared, RunReverse, RunPreparedReverse)
 }
 
 // NewMachine returns a machine with the repository's calibrated constants
@@ -164,38 +164,109 @@ func (m *Machine) Run(prog *qubo.Sparse, params Params, improvedRange bool, src 
 // biases between symbols — the device's couplers stay programmed — so the
 // adjacency build and coupler range scan of PrepareProgram are not redone per
 // symbol. Results are bit-identical to Run on the equivalent full program.
+//
+// It is the allocating form of RunPreparedInto: the run borrows a pooled
+// Scratch and the caller keeps the samples.
 func (m *Machine) RunPrepared(pp *PreparedProgram, h []float64, params Params, src *rng.Source) ([]Sample, error) {
+	sc := m.borrow()
+	samples, err := m.RunPreparedInto(sc, pp, h, params, src)
+	m.release(sc)
+	return samples, err
+}
+
+// RunPreparedInto is RunPrepared on the caller's scratch. The returned
+// samples alias sc and are valid until its next run.
+func (m *Machine) RunPreparedInto(sc *Scratch, pp *PreparedProgram, h []float64, params Params, src *rng.Source) ([]Sample, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return m.run(pp, h, ScheduleFromParams(m, params).betas(), params.NumAnneals, nil, src)
+	return m.run(sc, pp, h, sc.schedule(ScheduleFromParams(m, params), 0), params.NumAnneals, nil, src)
+}
+
+// Scratch is the working set of a device run: one deviceRead per worker
+// (private kernel, twin, re-seeded stream), the β list of the last schedule
+// run, and the backing of the samples a run returns. The one rule of the
+// solve path — a run allocates only what it returns — holds for device runs
+// through it: a caller that keeps a Scratch across runs (core pools one per
+// decode) allocates nothing here once it is warm, and the samples it gets
+// alias the scratch until its next run. The zero value is ready; a Scratch
+// must not be copied after first use and is not safe for concurrent runs.
+type Scratch struct {
+	crew    crew
+	reads   []deviceRead
+	betaKey betaKey
+	betas   []float64
+	samples []Sample
+	spins   []int8 // the samples' one backing array
+}
+
+// betaKey names a per-sweep β list: the forward schedule (turnAt == 0), or
+// the reverse cycle over it turning at schedule position turnAt.
+type betaKey struct {
+	sc     MSSchedule
+	turnAt float64
+}
+
+// borrow takes a scratch from the machine's pool.
+func (m *Machine) borrow() *Scratch {
+	if sc, ok := m.scratch.Get().(*Scratch); ok {
+		return sc
+	}
+	return new(Scratch)
+}
+
+// release returns a borrowed scratch whose run has returned, leaving the
+// samples of that run to the caller: the scratch's next run allocates its own.
+func (m *Machine) release(sc *Scratch) {
+	sc.samples, sc.spins = nil, nil
+	m.scratch.Put(sc)
+}
+
+// schedule returns the β of every sweep of sc — forward, or the reverse
+// cycle turning at turnAt — rebuilt only when it differs from the last list
+// this scratch ran.
+func (s *Scratch) schedule(sc MSSchedule, turnAt float64) []float64 {
+	if key := (betaKey{sc, turnAt}); key != s.betaKey {
+		s.betaKey = key
+		if turnAt == 0 {
+			s.betas = sc.appendBetas(s.betas[:0])
+		} else {
+			s.betas = sc.appendReverseBetas(s.betas[:0], turnAt)
+		}
+	}
+	return s.betas
 }
 
 // run is the one worker loop behind every entry point: reads of the prepared
 // program under fields h, each walking the per-sweep β list, fanned out over
-// independent deterministic random streams. initial == nil starts every read
-// from a random state; otherwise every read starts from initial (reverse
-// annealing). The returned samples share one backing array.
-func (m *Machine) run(pp *PreparedProgram, h, betas []float64, reads int, initial []int8, src *rng.Source) ([]Sample, error) {
+// independent deterministic random streams (worker w's is the w-th split of
+// src, re-seeded in place). initial == nil starts every read from a random
+// state; otherwise every read starts from initial (reverse annealing). The
+// one rule of the solve path — a run allocates only what it returns — ends
+// here: every worker's state and the samples (one backing array for all) are
+// sc's.
+func (m *Machine) run(sc *Scratch, pp *PreparedProgram, h, betas []float64, reads int, initial []int8, src *rng.Source) ([]Sample, error) {
 	n := pp.k.n
 	if len(h) != n {
 		return nil, fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(h), n)
 	}
 	scale := pp.scale(h)
 	workers := max(1, min(m.Workers, reads))
-	sources := src.SplitN(workers)
-	samples := make([]Sample, reads)
-	spins := make([]int8, reads*n)
+	for len(sc.reads) < workers {
+		sc.reads = append(sc.reads, deviceRead{})
+	}
+	rds := sc.reads[:workers]
+	for w := range rds {
+		src.SplitInto(&rds[w].src)
+	}
+	sc.samples, sc.spins = grow(sc.samples, reads), grow(sc.spins, reads*n)
+	samples, spins, ice := sc.samples, sc.spins, m.ICE
 
-	fanOut(workers, func(w int) {
-		rd, _ := m.reads.Get().(*deviceRead)
-		if rd == nil {
-			rd = new(deviceRead)
-		}
-		defer m.reads.Put(rd)
+	sc.crew.run(workers, func(w int) {
+		rd := &rds[w]
 		rd.bind(pp)
 		for a := w; a < reads; a += workers {
-			rd.begin(pp, h, scale, m.ICE, initial, sources[w])
+			rd.begin(pp, h, scale, ice, initial, &rd.src)
 			for _, beta := range betas {
 				rd.s.SetBeta(beta)
 				rd.s.Sweep()
@@ -282,13 +353,17 @@ func (m *Machine) Scale(prog *qubo.Sparse, improvedRange bool) float64 {
 
 // deviceRead is one worker's scratch: a private kernel that shares the
 // prepared program's adjacency and whose fields and weights are reprogrammed
-// for every read, and the scalar engine that sweeps it.
+// for every read, the scalar engine that sweeps it, and the worker's random
+// stream (re-seeded per run).
 type deviceRead struct {
-	k MSKernel
-	s MSScalar
+	k   MSKernel
+	s   MSScalar
+	src rng.Source
 }
 
-// bind points the scratch at pp's adjacency and sizes its buffers.
+// bind points the scratch at pp's adjacency and sizes its buffers. It runs
+// once per run, so the twin's kernel pointer survives the slice of reads
+// growing.
 func (rd *deviceRead) bind(pp *PreparedProgram) {
 	k := &rd.k
 	k.n, k.start, k.nbr = pp.k.n, pp.k.start, pp.k.nbr

@@ -447,9 +447,14 @@ func (sc MSSchedule) validate() error {
 // betas expands the schedule into the β of every sweep, in order: the ramp,
 // with the pause's held sweeps (the anneal pause that lets the system
 // thermalize [43]) inserted after ramp index PauseAt. A run computes the list
-// once and every read or replica walks it.
+// once (a device run keeps it in its Scratch until the schedule changes) and
+// every read or replica walks it.
 func (sc MSSchedule) betas() []float64 {
-	out := make([]float64, 0, sc.Sweeps+sc.PauseSweeps)
+	return sc.appendBetas(make([]float64, 0, sc.Sweeps+sc.PauseSweeps))
+}
+
+// appendBetas is betas appending to out.
+func (sc MSSchedule) appendBetas(out []float64) []float64 {
 	for s := 0; s < sc.Sweeps; s++ {
 		b := sc.beta(s)
 		out = append(out, b)
@@ -463,14 +468,16 @@ func (sc MSSchedule) betas() []float64 {
 }
 
 // msEngine is a replica run's working set — the compiled kernel, every
-// replica's stream seed and one group of twins per worker — pooled across
-// runs so a run allocates only what it returns.
+// replica's stream seed, one group of twins per worker and the fan-out —
+// pooled across runs under the solve path's one rule: a run allocates only
+// what it returns (Scratch is the same for device runs).
 type msEngine struct {
 	k     MSKernel
 	width int        // replicas per group: 1 for SA restarts, the rung count for a PT ladder
 	seeds []uint64   // stream seed per replica, group-major; the caller fills it before run
 	twins []MSScalar // `width` twins per worker
 	next  atomic.Int32
+	crew  crew
 }
 
 var msEngines = sync.Pool{New: func() any { return new(msEngine) }}
@@ -478,8 +485,8 @@ var msEngines = sync.Pool{New: func() any { return new(msEngine) }}
 // newReplicaRun takes an engine from the pool and prepares it to anneal
 // `groups` groups of `width` replicas of prog. The caller draws every
 // replica's seed into seeds up front, in replica order — which is what makes
-// a run independent of its worker count — calls run, and returns the engine
-// with msEngines.Put.
+// a run independent of its worker count — calls run, and once it has returned
+// gives the engine back with msEngines.Put.
 func newReplicaRun(prog *qubo.Sparse, groups, width int) *msEngine {
 	eng := msEngines.Get().(*msEngine)
 	eng.k.compile(prog)
@@ -499,7 +506,7 @@ func (eng *msEngine) run(workers int, initial []int8, drive func(g int, twins []
 	workers = max(1, min(workers, groups))
 	eng.twins = grow(eng.twins, workers*eng.width)
 	eng.next.Store(0)
-	fanOut(workers, func(w int) {
+	eng.crew.run(workers, func(w int) {
 		twins := eng.twins[w*eng.width : (w+1)*eng.width]
 		for r := range twins {
 			twins[r].bind(&eng.k)
@@ -531,7 +538,6 @@ func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, sr
 		return nil, nil, errors.New("anneal: empty program")
 	}
 	eng := newReplicaRun(prog, replicas, 1)
-	defer msEngines.Put(eng)
 	for r := range eng.seeds {
 		eng.seeds[r] = src.Uint64()
 	}
@@ -550,21 +556,37 @@ func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, sr
 		copy(samples[a].Spins, s.spins)
 		energies[a] = s.energy
 	})
+	msEngines.Put(eng)
 	return samples, energies, nil
 }
 
-// fanOut calls work(0) … work(workers−1) concurrently — work(0) on the
+// crew calls work(0) … work(workers−1) concurrently — work(0) on the
 // caller's goroutine, so one worker (or workers ≤ 0) spawns nothing — and
-// returns when all have.
-func fanOut(workers int, work func(w int)) {
-	var wg sync.WaitGroup
+// returns when all have. It lives in pooled run state (Scratch, msEngine) and
+// keeps its WaitGroup and the goroutines' entry closures across runs, so
+// fanning a run out allocates nothing once warm, whatever the worker count. A
+// crew must not be copied after first use, nor run concurrently with itself;
+// if work panics on the caller's goroutine the others may still be running,
+// so its owner goes back to a pool only from a run that returned.
+type crew struct {
+	wg    sync.WaitGroup
+	work  func(w int)
+	entry []func() // entry[w-1] runs work(w) and signs off
+}
+
+func (c *crew) run(workers int, work func(w int)) {
+	c.work = work
+	for w := len(c.entry) + 1; w < workers; w++ {
+		c.entry = append(c.entry, func() {
+			defer c.wg.Done()
+			c.work(w)
+		})
+	}
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
+		c.wg.Add(1)
+		go c.entry[w-1]()
 	}
 	work(0)
-	wg.Wait()
+	c.wg.Wait()
+	c.work = nil
 }

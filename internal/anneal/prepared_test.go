@@ -110,9 +110,11 @@ func TestRunPreparedLengthMismatch(t *testing.T) {
 	}
 }
 
-// A run allocates O(1): the worker streams, the β list, one backing array for
-// all samples — not per-read states and outputs. Na=5 on the bench ladder's
-// terms (anneal.allocs_per_run).
+// A run allocates only what it returns: the samples and their one backing
+// array, plus the closure its workers run — worker kernels, twins, streams,
+// the β list and the fan-out all live in the pooled Scratch, so the count does
+// not depend on Na or the worker count; on the caller's own Scratch the
+// samples are reused too. Na=5 is the bench ladder's anneal.allocs_per_run.
 func TestRunPreparedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -120,15 +122,26 @@ func TestRunPreparedAllocations(t *testing.T) {
 	prog := embeddedProgram(t)
 	m := NewMachine()
 	pp := m.PrepareProgram(prog, true)
-	params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 5}
 	src := rng.New(31)
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := m.RunPrepared(pp, prog.H, params, src); err != nil {
-			t.Fatal(err)
+	var sc Scratch
+	for _, na := range []int{5, 19} {
+		params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: na}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := m.RunPrepared(pp, prog.H, params, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("RunPrepared at Na=%d allocates %v times per run, want ≤ 4", na, allocs)
 		}
-	})
-	if allocs > 30 {
-		t.Fatalf("RunPrepared at Na=5 allocates %v times per run, want ≤ 30", allocs)
+		allocs = testing.AllocsPerRun(10, func() {
+			if _, err := m.RunPreparedInto(&sc, pp, prog.H, params, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("RunPreparedInto at Na=%d allocates %v times per run on a warm scratch, want ≤ 1", na, allocs)
+		}
 	}
 }
 
@@ -187,4 +200,38 @@ func TestConcurrentRunsMatchSerialTwins(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// One Scratch carried across runs of different programs, read counts and
+// directions (so its kernels are rebound across sizes, its worker set grows
+// and shrinks, and its β list flips between the forward schedule and the
+// reverse cycle) must return what the allocating entry points return.
+func TestScratchReuseMatchesAllocatingRuns(t *testing.T) {
+	m := NewMachine()
+	gen := rng.New(33)
+	var sc Scratch
+	for rep := 0; rep < 2; rep++ {
+		for i := 0; i < 6; i++ {
+			prog := randSparse(gen, 31-5*i)
+			pp := m.PrepareProgram(prog, i%2 == 0)
+			params := Params{AnnealTimeMicros: 1 + float64(i%2), PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 1 + 3*i}
+			seed := int64(10*rep + i)
+			var got, want []Sample
+			var err, werr error
+			if i%3 == 2 {
+				initial := randomSpins(gen, prog.N)
+				got, err = m.RunPreparedReverseInto(&sc, pp, prog.H, params, initial, rng.New(seed))
+				want, werr = m.RunPreparedReverse(pp, prog.H, params, initial, rng.New(seed))
+			} else {
+				got, err = m.RunPreparedInto(&sc, pp, prog.H, params, rng.New(seed))
+				want, werr = m.RunPrepared(pp, prog.H, params, rng.New(seed))
+			}
+			if err != nil || werr != nil {
+				t.Fatal(err, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("rep %d run %d: reused scratch diverges from the allocating run", rep, i)
+			}
+		}
+	}
 }

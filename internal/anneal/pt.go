@@ -204,7 +204,6 @@ func RunPT(prog *qubo.Sparse, params PTParams, workers int, src *rng.Source) (*P
 		return nil, errors.New("anneal: empty program")
 	}
 	eng := newReplicaRun(prog, p.Ladders, p.Rungs)
-	defer msEngines.Put(eng)
 	betas := p.ladderBetas()
 	ladders := make([]ptLadder, p.Ladders)
 	lanes := make([]int, p.Ladders*p.Rungs)
@@ -231,6 +230,7 @@ func RunPT(prog *qubo.Sparse, params PTParams, workers int, src *rng.Source) (*P
 		res.Samples[i] = Sample{Spins: cold.Spins()}
 		res.Energies[i] = cold.energy
 	})
+	msEngines.Put(eng)
 	for i := range ladders {
 		l := &ladders[i]
 		res.SwapAttempts += l.attempts

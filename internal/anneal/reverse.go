@@ -29,8 +29,18 @@ func (m *Machine) RunReverse(prog *qubo.Sparse, params Params, improvedRange boo
 }
 
 // RunPreparedReverse is RunReverse on a program prepared once with
-// PrepareProgram, under fresh linear fields h — what RunPrepared is to Run.
+// PrepareProgram, under fresh linear fields h — what RunPrepared is to Run,
+// and like it the allocating form of its Into twin.
 func (m *Machine) RunPreparedReverse(pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
+	sc := m.borrow()
+	samples, err := m.RunPreparedReverseInto(sc, pp, h, params, initial, src)
+	m.release(sc)
+	return samples, err
+}
+
+// RunPreparedReverseInto is RunPreparedReverse on the caller's scratch. The
+// returned samples alias sc and are valid until its next run.
+func (m *Machine) RunPreparedReverseInto(sc *Scratch, pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -40,23 +50,25 @@ func (m *Machine) RunPreparedReverse(pp *PreparedProgram, h []float64, params Pa
 	if len(initial) != pp.N() {
 		return nil, errors.New("anneal: initial state length mismatch")
 	}
-	// The reverse cycle as a per-sweep β list: heat linearly from the cold
-	// end to the turning point (the geometric schedule's β at the forward
-	// anneal's pause position) over half the Ta budget, hold for the Tp
-	// budget, re-cool over the other half.
-	sc := ScheduleFromParams(m, params)
+	return m.run(sc, pp, h, sc.schedule(ScheduleFromParams(m, params), params.PausePosition), params.NumAnneals, initial, src)
+}
+
+// appendReverseBetas appends the reverse cycle over sc as a per-sweep β list:
+// heat linearly from the cold end to the turning point (the geometric
+// schedule's β at the forward anneal's pause position turnAt) over half the
+// Ta budget, hold for the Tp budget, re-cool over the other half.
+func (sc MSSchedule) appendReverseBetas(betas []float64, turnAt float64) []float64 {
 	sc.Sweeps = max(sc.Sweeps, 2)
 	half := sc.Sweeps / 2
-	turn := sc.at(params.PausePosition)
-	betas := make([]float64, 0, sc.Sweeps+sc.PauseSweeps)
+	turn := sc.at(turnAt)
 	for k := 0; k < half; k++ {
-		betas = append(betas, m.BetaFinal+float64(k)/float64(half)*(turn-m.BetaFinal))
+		betas = append(betas, sc.BetaFinal+float64(k)/float64(half)*(turn-sc.BetaFinal))
 	}
 	for k := 0; k < sc.PauseSweeps; k++ {
 		betas = append(betas, turn)
 	}
 	for k := 0; k < sc.Sweeps-half; k++ {
-		betas = append(betas, turn+float64(k)/float64(sc.Sweeps-half)*(m.BetaFinal-turn))
+		betas = append(betas, turn+float64(k)/float64(sc.Sweeps-half)*(sc.BetaFinal-turn))
 	}
-	return m.run(pp, h, betas, params.NumAnneals, initial, src)
+	return betas
 }

@@ -14,6 +14,7 @@ package chimera
 
 import (
 	"fmt"
+	"slices"
 
 	"quamax/internal/rng"
 )
@@ -33,9 +34,9 @@ const (
 // Graph is a Chimera graph C_M with optional qubit and coupler defects.
 // The zero value is unusable; construct with New or NewWithDefects.
 type Graph struct {
-	M             int // grid is M×M unit cells
-	deadQubits    map[int]bool
-	deadCouplers  map[[2]int]bool // canonical order a<b
+	M             int             // grid is M×M unit cells
+	dead          []bool          // by qubit ID
+	deadCouplers  map[[2]int]bool // canonical order a<b; nil when every coupler works
 	numWorkingQ   int
 	numWorkingCpl int
 }
@@ -50,29 +51,33 @@ func NewWithDefects(m int, deadQubits []int, deadCouplers [][2]int) *Graph {
 	if m <= 0 {
 		panic("chimera: grid size must be positive")
 	}
-	g := &Graph{
-		M:            m,
-		deadQubits:   make(map[int]bool, len(deadQubits)),
-		deadCouplers: make(map[[2]int]bool, len(deadCouplers)),
-	}
+	g := &Graph{M: m, dead: make([]bool, 8*m*m), numWorkingQ: 8 * m * m}
 	for _, q := range deadQubits {
 		if q < 0 || q >= g.NumQubits() {
 			panic(fmt.Sprintf("chimera: defect qubit %d out of range", q))
 		}
-		g.deadQubits[q] = true
+		if !g.dead[q] {
+			g.dead[q] = true
+			g.numWorkingQ--
+		}
 	}
 	for _, c := range deadCouplers {
-		a, b := c[0], c[1]
-		if a > b {
-			a, b = b, a
-		}
+		a, b := min(c[0], c[1]), max(c[0], c[1])
 		if !g.edgeExistsIgnoringDefects(a, b) {
 			panic(fmt.Sprintf("chimera: defect coupler (%d,%d) is not a Chimera edge", a, b))
 		}
+		if g.deadCouplers == nil {
+			g.deadCouplers = make(map[[2]int]bool, len(deadCouplers))
+		}
 		g.deadCouplers[[2]int{a, b}] = true
 	}
-	g.numWorkingQ = g.NumQubits() - len(g.deadQubits)
-	g.numWorkingCpl = g.countWorkingCouplers()
+	for id := 0; id < g.NumQubits(); id++ {
+		g.eachNeighbor(id, func(other int) {
+			if other > id {
+				g.numWorkingCpl++
+			}
+		})
+	}
 	return g
 }
 
@@ -106,7 +111,7 @@ func (g *Graph) Coordinates(id int) (row, col int, side Side, k int) {
 
 // HasQubit reports whether qubit id exists and is working.
 func (g *Graph) HasQubit(id int) bool {
-	return id >= 0 && id < g.NumQubits() && !g.deadQubits[id]
+	return id >= 0 && id < g.NumQubits() && !g.dead[id]
 }
 
 // edgeExistsIgnoringDefects applies the Chimera adjacency rule.
@@ -129,67 +134,44 @@ func (g *Graph) edgeExistsIgnoringDefects(a, b int) bool {
 
 // HasEdge reports whether a working coupler joins a and b.
 func (g *Graph) HasEdge(a, b int) bool {
-	if !g.HasQubit(a) || !g.HasQubit(b) {
-		return false
-	}
-	if !g.edgeExistsIgnoringDefects(a, b) {
-		return false
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return !g.deadCouplers[[2]int{a, b}]
+	return g.edgeExistsIgnoringDefects(a, b) && g.works(a, b)
+}
+
+// works reports whether the Chimera edge a–b survived fabrication: both
+// qubits did, and the coupler is not in the (usually empty) dead set.
+func (g *Graph) works(a, b int) bool {
+	return !g.dead[a] && !g.dead[b] && (g.deadCouplers == nil || !g.deadCouplers[[2]int{min(a, b), max(a, b)}])
 }
 
 // Neighbors returns the working neighbours of qubit id (empty for dead
 // qubits). Degree is at most 6 in Chimera.
 func (g *Graph) Neighbors(id int) []int {
-	if !g.HasQubit(id) {
-		return nil
-	}
-	row, col, side, k := g.Coordinates(id)
-	out := make([]int, 0, 6)
-	add := func(other int) {
-		if g.HasEdge(id, other) {
-			out = append(out, other)
-		}
-	}
-	other := Horizontal
-	if side == Horizontal {
-		other = Vertical
-	}
-	for kk := 0; kk < CellSize; kk++ {
-		add(g.QubitID(row, col, other, kk))
-	}
-	if side == Vertical {
-		if row > 0 {
-			add(g.QubitID(row-1, col, Vertical, k))
-		}
-		if row < g.M-1 {
-			add(g.QubitID(row+1, col, Vertical, k))
-		}
-	} else {
-		if col > 0 {
-			add(g.QubitID(row, col-1, Horizontal, k))
-		}
-		if col < g.M-1 {
-			add(g.QubitID(row, col+1, Horizontal, k))
-		}
-	}
+	var out []int
+	g.eachNeighbor(id, func(other int) { out = append(out, other) })
 	return out
 }
 
-// countWorkingCouplers enumerates all edges once.
-func (g *Graph) countWorkingCouplers() int {
-	n := 0
-	for id := 0; id < g.NumQubits(); id++ {
-		for _, nb := range g.Neighbors(id) {
-			if nb > id {
-				n++
-			}
+// eachNeighbor calls visit for every working neighbour of qubit id (none for
+// a dead qubit): the other side of its cell, then its two inter-cell partners.
+func (g *Graph) eachNeighbor(id int, visit func(other int)) {
+	if !g.HasQubit(id) {
+		return
+	}
+	row, col, side, k := g.Coordinates(id)
+	try := func(row, col int, side Side, k int) {
+		if row < 0 || row >= g.M || col < 0 || col >= g.M {
+			return
+		}
+		if other := g.QubitID(row, col, side, k); g.works(id, other) {
+			visit(other)
 		}
 	}
-	return n
+	for kk := 0; kk < CellSize; kk++ {
+		try(row, col, 1-side, kk)
+	}
+	dr, dc := 1-int(side), int(side) // vertical qubits couple along the column, horizontal along the row
+	try(row-dr, col-dc, side, k)
+	try(row+dr, col+dc, side, k)
 }
 
 // TotalCouplers returns the manufactured coupler count of a defect-free C_M:
@@ -222,15 +204,12 @@ func DW2Q() *Graph {
 	src := rng.New(0xD20000)
 	full := New(DW2QGridSize)
 	dead := make([]int, 0, full.NumQubits()-DW2QWorkingQubits)
-	seen := make(map[int]bool)
-	for len(dead) < full.NumQubits()-DW2QWorkingQubits {
+	for len(dead) < cap(dead) {
 		row := src.Intn(4)      // rows 0–3
 		col := 12 + src.Intn(4) // columns 12–15
 		side := Side(src.Intn(2))
 		k := src.Intn(CellSize)
-		q := full.QubitID(row, col, side, k)
-		if !seen[q] {
-			seen[q] = true
+		if q := full.QubitID(row, col, side, k); !slices.Contains(dead, q) {
 			dead = append(dead, q)
 		}
 	}

@@ -85,6 +85,8 @@ type Decoder struct {
 	hits, misses uint64
 	evictions    uint64
 
+	scratch sync.Pool // *scratch: a call's working set (pipeline.go)
+
 	// telem, when set, receives per-solve anneal-quality samples and
 	// channel-compile timings (SetTelemetry).
 	telem atomic.Pointer[telemetry.Recorder]

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"quamax/internal/anneal"
 	"quamax/internal/detector"
@@ -72,24 +73,55 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 	if err != nil {
 		return nil, err
 	}
-	logical := cc.prog.Biases(req.Y)
-	hphys := make([]float64, pp.N())
-	fillChainFields(hphys, logical.H, cc.emb, jf)
-
-	var seed []int8
-	var samples []anneal.Sample
+	var seed, init []int8
 	if req.Reverse {
 		if seed, err = linearSeed(cc, &req); err != nil {
 			return nil, err
 		}
-		samples, err = d.opts.Machine.RunPreparedReverse(pp, hphys, params, cc.emb.PhysicalInit(seed), src)
+		init = cc.emb.PhysicalInit(seed)
+	}
+	logical := cc.prog.Biases(req.Y)
+	sc := d.borrow()
+	sc.hphys = slices.Grow(sc.hphys[:0], pp.N())[:pp.N()]
+	fillChainFields(sc.hphys, logical.H, cc.emb, jf)
+	var samples []anneal.Sample
+	if req.Reverse {
+		samples, err = d.opts.Machine.RunPreparedReverseInto(&sc.run, pp, sc.hphys, params, init, src)
 	} else {
-		samples, err = d.opts.Machine.RunPrepared(pp, hphys, params, src)
+		samples, err = d.opts.Machine.RunPreparedInto(&sc.run, pp, sc.hphys, params, src)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return d.collect(&req, cc, logical, cc.emb, 0, seed, samples, params, cc.slots, src), nil
+	out := d.collect(sc, &req, cc, logical, cc.emb, 0, seed, samples, params, cc.slots, src)
+	d.scratch.Put(sc)
+	return out, nil
+}
+
+// scratch is the working set of one Decode or DecodeRun call, pooled on the
+// decoder: the annealer's run scratch (worker kernels, streams, β list and the
+// samples themselves), the physical program a call writes, and the read
+// scorer's buffers. The one rule — a decode allocates only what it returns —
+// holds through it: nothing reachable from an Outcome aliases it, so it goes
+// back to the pool once the call has its outcomes (a call that fails or
+// panics just drops it).
+type scratch struct {
+	run      anneal.Scratch
+	hphys    []float64   // solo: the chain-spread fields of this y
+	combined qubo.Sparse // shared run: the slots' programs side by side
+	spins    []int8      // one read, unembedded
+	qbits    []byte      // … as QuAMax-transform bits
+	best     []byte      // the minimum-energy read's qbits so far
+	gray     []byte      // … post-translated, for the truth and soft tallies
+	ens      softout.Ensemble
+}
+
+// borrow takes a scratch from the decoder's pool.
+func (d *Decoder) borrow() *scratch {
+	if sc, ok := d.scratch.Get().(*scratch); ok {
+		return sc
+	}
+	return new(scratch)
 }
 
 // DecodeRun decodes up to BatchSlots(N) requests in ONE annealer run by
@@ -138,7 +170,9 @@ func (d *Decoder) DecodeRun(reqs []Request, b Budget, src *rng.Source) ([]*Outco
 		offsets[i] = total
 		total += packs[i].NumPhysical()
 	}
-	combined := qubo.NewSparse(total)
+	sc := d.borrow()
+	combined := &sc.combined
+	combined.N, combined.H, combined.Edges = total, slices.Grow(combined.H[:0], total)[:total], combined.Edges[:0]
 	logicals := make([]*qubo.Ising, len(reqs))
 	for i, cc := range ccs {
 		phys, err := cc.templates.slotFor(cc, i, packs[i], jf)
@@ -152,14 +186,16 @@ func (d *Decoder) DecodeRun(reqs []Request, b Budget, src *rng.Source) ([]*Outco
 			combined.Edges = append(combined.Edges, qubo.SparseEdge{I: e.I + off, J: e.J + off, W: e.W})
 		}
 	}
-	samples, err := d.opts.Machine.Run(combined, params, d.opts.ImprovedRange, src)
+	pp := d.opts.Machine.PrepareProgram(combined, d.opts.ImprovedRange)
+	samples, err := d.opts.Machine.RunPreparedInto(&sc.run, pp, combined.H, params, src)
 	if err != nil {
 		return nil, err
 	}
 	outs := make([]*Outcome, len(reqs))
 	for i := range reqs {
-		outs[i] = d.collect(&reqs[i], ccs[i], logicals[i], packs[i], offsets[i], nil, samples, params, len(reqs), src)
+		outs[i] = d.collect(sc, &reqs[i], ccs[i], logicals[i], packs[i], offsets[i], nil, samples, params, len(reqs), src)
 	}
+	d.scratch.Put(sc)
 	return outs, nil
 }
 
@@ -253,7 +289,12 @@ func fillChainFields(hphys, logicalH []float64, emb *embedding.Embedding, jf flo
 // the ranked distribution and as the candidate ensemble internal/softout
 // turns into max-log-MAP LLRs, so neither costs an objective evaluation nor
 // moves a hard field. slots is the Pf the run amortizes over.
-func (d *Decoder) collect(req *Request, cc *CompiledChannel, logical *qubo.Ising, emb *embedding.Embedding, off int, seed []int8, samples []anneal.Sample, params anneal.Params, slots int, src *rng.Source) *Outcome {
+//
+// Every per-read buffer is sc's (a read's bits are copied only when it becomes
+// the best so far), so the loop allocates nothing for a hard request and one
+// map key per distinct candidate for a soft one, and what collect allocates
+// besides — the Outcome, its Bits, Symbols and LLRs — is what it returns.
+func (d *Decoder) collect(sc *scratch, req *Request, cc *CompiledChannel, logical *qubo.Ising, emb *embedding.Embedding, off int, seed []int8, samples []anneal.Sample, params anneal.Params, slots int, src *rng.Source) *Outcome {
 	mod, truth := cc.prog.Mod, req.Truth
 	out := &Outcome{Pf: 1, WallMicrosPerAnneal: params.AnnealWallMicros()}
 	if d.opts.AmortizeParallel {
@@ -271,36 +312,41 @@ func (d *Decoder) collect(req *Request, cc *CompiledChannel, logical *qubo.Ising
 		if spec.NoiseVar <= 0 && truth != nil {
 			spec.NoiseVar = truth.NoiseVariance() // the instance knows its σ²
 		}
-		ens = softout.NewEnsemble(logical.N, spec.MaxCandidates)
+		ens = &sc.ens
+		ens.Reset(logical.N, spec.MaxCandidates)
 	}
 
-	bestE := 0.0
-	var bestBits []byte
+	bestE, scored := 0.0, false
 	score := func(spins []int8) {
 		energy := logical.Energy(spins)
-		qbits := qubo.BitsFromSpins(spins)
-		if bestBits == nil || energy < bestE {
-			bestE, bestBits = energy, qbits
+		sc.qbits = qubo.AppendBitsFromSpins(sc.qbits[:0], spins)
+		if !scored || energy < bestE {
+			bestE, scored = energy, true
+			sc.best = append(sc.best[:0], sc.qbits...)
 		}
+		if acc == nil && ens == nil {
+			return
+		}
+		sc.gray = mod.AppendPostTranslate(sc.gray[:0], sc.qbits)
 		if acc != nil {
-			acc.Add(string(qbits), energy, truth.BitErrors(mod.PostTranslate(qbits)))
+			acc.Add(string(sc.qbits), energy, truth.BitErrors(sc.gray))
 		}
 		if ens != nil {
-			ens.Add(mod.PostTranslate(qbits), energy)
+			ens.Add(sc.gray, energy)
 		}
 	}
 	if seed != nil {
 		score(seed)
 	}
 	np := emb.NumPhysical()
+	sc.spins = slices.Grow(sc.spins[:0], emb.N)[:emb.N]
 	for _, s := range samples {
-		spins, broken := emb.Unembed(s.Spins[off:off+np], src)
-		out.BrokenChains += broken
-		score(spins)
+		out.BrokenChains += emb.UnembedInto(sc.spins, s.Spins[off:off+np], src)
+		score(sc.spins)
 	}
 	out.Energy = bestE
-	out.Bits = mod.PostTranslate(bestBits)
-	out.Symbols = reduction.BitsToSymbols(mod, bestBits)
+	out.Bits = mod.PostTranslate(sc.best)
+	out.Symbols = reduction.BitsToSymbols(mod, sc.best)
 	if acc != nil {
 		out.Distribution = acc.Distribution()
 	}

@@ -147,14 +147,17 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 		}
 	}
 	// The working couplers of every logical pair, of which each needs at
-	// least one. Chains meet inside one unit cell; they are short (≤ M+1), so
-	// scanning qubit pairs is cheap — once per placement.
+	// least one. Distinct chains only ever meet inside one unit cell (an
+	// inter-cell coupler joins like-indexed qubits along one row or column, and
+	// a placement gives each such run to one chain), so only same-cell qubit
+	// pairs are asked of the graph.
+	const cell = 2 * chimera.CellSize
 	e.pairStart = make([]int32, 1, n*(n-1)/2+1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			for ka, a := range e.Chains[i] {
 				for kb, b := range e.Chains[j] {
-					if g.HasEdge(a, b) {
+					if a/cell == b/cell && g.HasEdge(a, b) {
 						e.couplers = append(e.couplers, [2]int32{e.chainIdx[i][ka], e.chainIdx[j][kb]})
 					}
 				}
@@ -252,12 +255,17 @@ func (e *Embedding) EmbedIsing(p *qubo.Ising, jf float64, improvedRange bool) (*
 // Unembed majority-votes each chain of a physical sample into a logical spin
 // (±1). Vote ties are randomized via src (paper §3.3). It returns the
 // logical spins and the number of broken chains (chains whose qubits
-// disagreed).
+// disagreed). It is the allocating form of UnembedInto.
 func (e *Embedding) Unembed(phys []int8, src *rng.Source) (logical []int8, broken int) {
-	if len(phys) != e.NumPhysical() {
-		panic("embedding: physical sample length mismatch")
-	}
 	logical = make([]int8, e.N)
+	return logical, e.UnembedInto(logical, phys, src)
+}
+
+// UnembedInto is Unembed writing the logical spins into logical (len N).
+func (e *Embedding) UnembedInto(logical, phys []int8, src *rng.Source) (broken int) {
+	if len(phys) != e.NumPhysical() || len(logical) != e.N {
+		panic("embedding: sample length mismatch")
+	}
 	for i, chain := range e.chainIdx {
 		sum := 0
 		for _, q := range chain {
@@ -279,7 +287,7 @@ func (e *Embedding) Unembed(phys []int8, src *rng.Source) (logical []int8, broke
 			broken++
 		}
 	}
-	return logical, broken
+	return broken
 }
 
 // UnembeddedEnergy evaluates the ORIGINAL logical Ising objective for a

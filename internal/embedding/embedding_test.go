@@ -412,7 +412,7 @@ func scanEmbedIsing(e *Embedding, p *qubo.Ising, jf float64, improved bool) (*qu
 func TestEmbedIsingMatchesHardwareScan(t *testing.T) {
 	g := chimera.DW2Q()
 	src := rng.New(17)
-	for _, n := range []int{16, 48} {
+	for _, n := range []int{16, 48, 60} {
 		primary, err := Embed(g, n)
 		if err != nil {
 			t.Fatal(err)

@@ -147,19 +147,24 @@ func ConjTranspose(a *Mat) *Mat {
 }
 
 // Gram returns aᴴ·a, the (Hermitian) Gram matrix used throughout the Ising
-// reduction.
+// reduction. The upper triangle accumulates one row outer product at a time
+// over contiguous row slices — every entry still sums its terms in row order,
+// so the result is the column-walk's bit for bit — and is then mirrored.
 func Gram(a *Mat) *Mat {
-	out := NewMat(a.Cols, a.Cols)
-	for i := 0; i < a.Cols; i++ {
-		for j := i; j < a.Cols; j++ {
-			var s complex128
-			for r := 0; r < a.Rows; r++ {
-				s += cmplx.Conj(a.At(r, i)) * a.At(r, j)
+	n := a.Cols
+	out := NewMat(n, n)
+	for r := 0; r < a.Rows; r++ {
+		row := a.Data[r*n : (r+1)*n]
+		for i, v := range row {
+			ci, acc := cmplx.Conj(v), out.Data[i*n:(i+1)*n]
+			for j := i; j < n; j++ {
+				acc[j] += ci * row[j]
 			}
-			out.Set(i, j, s)
-			if i != j {
-				out.Set(j, i, cmplx.Conj(s))
-			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			out.Data[j*n+i] = cmplx.Conj(out.Data[i*n+j])
 		}
 	}
 	return out

@@ -74,6 +74,43 @@ func TestGramIsHermitianAndMatchesNaive(t *testing.T) {
 	}
 }
 
+// gramColumnWalk is the loop Gram ran before it went row-outer: one entry at
+// a time, walking two columns of a. Kept as the reference for the bit-identity
+// below.
+func gramColumnWalk(a *Mat) *Mat {
+	out := NewMat(a.Cols, a.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := i; j < a.Cols; j++ {
+			var s complex128
+			for r := 0; r < a.Rows; r++ {
+				s += cmplx.Conj(a.At(r, i)) * a.At(r, j)
+			}
+			out.Set(i, j, s)
+			if i != j {
+				out.Set(j, i, cmplx.Conj(s))
+			}
+		}
+	}
+	return out
+}
+
+// The row-outer Gram sums every entry's terms in the same (row) order as the
+// column walk, so the two must agree to the last bit — compiled channels, and
+// with them pin_golden.json, hang off these values.
+func TestGramMatchesColumnWalkBitForBit(t *testing.T) {
+	src := rng.New(41)
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {12, 7}, {48, 48}, {0, 4}} {
+		a := randMat(src, shape[0], shape[1])
+		got, want := Gram(a), gramColumnWalk(a)
+		for k := range want.Data {
+			if math.Float64bits(real(got.Data[k])) != math.Float64bits(real(want.Data[k])) ||
+				math.Float64bits(imag(got.Data[k])) != math.Float64bits(imag(want.Data[k])) {
+				t.Fatalf("%d×%d: entry %d is %v, the column walk gives %v", shape[0], shape[1], k, got.Data[k], want.Data[k])
+			}
+		}
+	}
+}
+
 func TestConjMulVecMatchesNaive(t *testing.T) {
 	src := rng.New(4)
 	a := randMat(src, 5, 3)

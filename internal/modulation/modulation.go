@@ -266,17 +266,22 @@ func (m Modulation) DemapGrayVector(v []complex128) []byte {
 // It is the per-dimension binary→Gray conversion; TestPaperTwoStep proves it
 // equals the paper's column-flip + differential-encoding procedure.
 // qbits must be a whole number of symbols; the result has the same length.
+// It is the allocating form of AppendPostTranslate.
 func (m Modulation) PostTranslate(qbits []byte) []byte {
+	return m.AppendPostTranslate(make([]byte, 0, len(qbits)), qbits)
+}
+
+// AppendPostTranslate appends the post-translation of qbits to dst.
+func (m Modulation) AppendPostTranslate(dst, qbits []byte) []byte {
 	q := m.BitsPerSymbol()
 	if len(qbits)%q != 0 {
 		panic("modulation: PostTranslate bit count not a multiple of bits/symbol")
 	}
 	bd := m.BitsPerDim()
-	out := make([]byte, 0, len(qbits))
 	for off := 0; off < len(qbits); off += bd {
-		out = indexToBits(grayEncode(bitsToIndex(qbits[off:off+bd])), bd, out)
+		dst = indexToBits(grayEncode(bitsToIndex(qbits[off:off+bd])), bd, dst)
 	}
-	return out
+	return dst
 }
 
 // GrayToQuAMaxBits is the inverse of PostTranslate: Gray data bits to the

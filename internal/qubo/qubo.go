@@ -291,15 +291,22 @@ func SpinsFromBits(bits []byte) []int8 {
 	return s
 }
 
-// BitsFromSpins maps ±1 spins to 0/1 bits (−1→0, +1→1).
+// BitsFromSpins maps ±1 spins to 0/1 bits (−1→0, +1→1). It is the
+// allocating form of AppendBitsFromSpins.
 func BitsFromSpins(s []int8) []byte {
-	b := make([]byte, len(s))
-	for i, v := range s {
+	return AppendBitsFromSpins(make([]byte, 0, len(s)), s)
+}
+
+// AppendBitsFromSpins appends the bits of spins s to dst.
+func AppendBitsFromSpins(dst []byte, s []int8) []byte {
+	for _, v := range s {
 		if v > 0 {
-			b[i] = 1
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
 		}
 	}
-	return b
+	return dst
 }
 
 // MaxBruteForceN bounds the exhaustive solver (2^24 states ≈ 16M).

@@ -16,14 +16,28 @@ import (
 
 // Source is a deterministic random source with Gaussian and complex-valued
 // helpers. It is NOT safe for concurrent use; use Split to derive
-// independent sources for concurrent goroutines.
+// independent sources for concurrent goroutines. The zero value is unseeded:
+// Reseed (or SplitInto, as the child) it before drawing.
 type Source struct {
 	r *rand.Rand
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(mix(seed)))}
+	s := new(Source)
+	s.Reseed(seed)
+	return s
+}
+
+// Reseed restarts s, in place, on exactly the stream New(seed) yields. The
+// generator state (4.9 KB) is allocated on first use only, which is what lets
+// pooled scratch keep its streams across runs.
+func (s *Source) Reseed(seed int64) {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(mix(seed)))
+		return
+	}
+	s.r.Seed(mix(seed))
 }
 
 // mix applies a SplitMix64-style finalizer so that nearby seeds (0,1,2,...)
@@ -40,7 +54,15 @@ func mix(seed int64) int64 {
 // (and of other Split results) with overwhelming probability. The receiver
 // advances by one draw.
 func (s *Source) Split() *Source {
-	return New(int64(s.r.Uint64() & math.MaxInt64))
+	child := new(Source)
+	s.SplitInto(child)
+	return child
+}
+
+// SplitInto is Split into a Source the caller already owns: child restarts on
+// the stream Split would have returned.
+func (s *Source) SplitInto(child *Source) {
+	child.Reseed(int64(s.r.Uint64() & math.MaxInt64))
 }
 
 // SplitN returns n independent child sources.

@@ -144,3 +144,40 @@ func TestBoolBalance(t *testing.T) {
 		t.Fatalf("trues = %d/10000", trues)
 	}
 }
+
+// Reseed must restart a used source on exactly the stream New yields — the
+// contract that lets pooled scratch keep its generators across runs — and
+// SplitInto must hand a caller-owned child the stream Split would allocate.
+func TestReseedMatchesNew(t *testing.T) {
+	draw := func(s *Source) [8]uint64 {
+		return [8]uint64{
+			s.Uint64(), math.Float64bits(s.Norm()), uint64(s.Intn(1000)), boolBit(s.Bool()),
+			math.Float64bits(s.Gauss(1, 2)), s.Uint64(), uint64(s.Intn(7)), math.Float64bits(s.Norm()),
+		}
+	}
+	reused := new(Source) // zero value: the first Reseed allocates the generator
+	for _, seed := range []int64{0, 1, -5, 42, math.MaxInt64} {
+		reused.Reseed(seed)
+		if got, want := draw(reused), draw(New(seed)); got != want {
+			t.Fatalf("seed %d: Reseed stream %v, New stream %v", seed, got, want)
+		}
+	}
+	a, b, child := New(9), New(9), New(123)
+	child.Norm() // leave it mid-stream
+	for i := 0; i < 3; i++ {
+		a.SplitInto(child)
+		if got, want := draw(child), draw(b.Split()); got != want {
+			t.Fatalf("split %d: SplitInto stream %v, Split stream %v", i, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitInto and Split advance the parent differently")
+	}
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}

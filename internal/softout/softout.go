@@ -101,32 +101,48 @@ type Candidate struct {
 // Ensemble accumulates the distinct candidates of one decode's read
 // ensemble, deduplicating by bit pattern and evicting the highest-energy
 // candidate once the cap is reached. It is not safe for concurrent use; one
-// decode owns one ensemble.
+// decode owns one ensemble at a time, and Reset readies it — index, candidate
+// list and bit storage kept — for the next.
 type Ensemble struct {
 	nbits   int
 	cap     int
 	index   map[string]int
 	cands   []Candidate
+	bits    []byte // the candidates' Bits, nbits each, in slot order
 	dropped int
 }
 
 // NewEnsemble returns an empty ensemble for nbits-bit candidates retaining
 // at most cap distinct patterns (cap ≤ 0 selects DefaultMaxCandidates).
 func NewEnsemble(nbits, cap int) *Ensemble {
+	e := new(Ensemble)
+	e.Reset(nbits, cap)
+	return e
+}
+
+// Reset empties the ensemble for a new decode of nbits-bit candidates under
+// cap, keeping its storage. Candidates handed out earlier are invalidated.
+func (e *Ensemble) Reset(nbits, cap int) {
 	if cap <= 0 {
 		cap = DefaultMaxCandidates
 	}
-	return &Ensemble{nbits: nbits, cap: cap, index: make(map[string]int)}
+	if e.index == nil {
+		e.index = make(map[string]int)
+	}
+	clear(e.index)
+	e.nbits, e.cap, e.dropped = nbits, cap, 0
+	e.cands, e.bits = e.cands[:0], e.bits[:0]
 }
 
 // Add records one read's candidate. bits is copied when the pattern is new,
-// so callers may reuse their buffer across reads.
+// so callers may reuse their buffer across reads; a repeated pattern — the
+// common case once the anneal concentrates — costs one lookup and no
+// allocation (the map key is materialised only on insert).
 func (e *Ensemble) Add(bits []byte, energy float64) {
 	if len(bits) != e.nbits {
 		panic(fmt.Sprintf("softout: candidate has %d bits, ensemble holds %d-bit patterns", len(bits), e.nbits))
 	}
-	key := string(bits)
-	if i, ok := e.index[key]; ok {
+	if i, ok := e.index[string(bits)]; ok {
 		e.cands[i].Count++
 		if energy < e.cands[i].Energy {
 			// Identical bits imply identical spins and hence identical
@@ -136,28 +152,31 @@ func (e *Ensemble) Add(bits []byte, energy float64) {
 		}
 		return
 	}
-	if len(e.cands) >= e.cap {
+	slot := len(e.cands)
+	if slot >= e.cap {
 		// Evict the weakest retained candidate (or refuse the newcomer when
 		// it is weaker still): the max-energy pattern is the one least able
-		// to lower any per-bit minimum.
-		worst := 0
+		// to lower any per-bit minimum. The newcomer takes its slot.
+		e.dropped++
+		slot = 0
 		for i := range e.cands {
-			if e.cands[i].Energy > e.cands[worst].Energy {
-				worst = i
+			if e.cands[i].Energy > e.cands[slot].Energy {
+				slot = i
 			}
 		}
-		if energy >= e.cands[worst].Energy {
-			e.dropped++
+		if energy >= e.cands[slot].Energy {
 			return
 		}
-		delete(e.index, string(e.cands[worst].Bits))
-		e.cands[worst] = Candidate{Bits: append([]byte(nil), bits...), Energy: energy, Count: 1}
-		e.index[key] = worst
-		e.dropped++
-		return
+		delete(e.index, string(e.cands[slot].Bits))
+		copy(e.cands[slot].Bits, bits)
+	} else {
+		// Growing e.bits may move it; candidates already placed keep their
+		// (unchanged) bytes in the old array.
+		e.bits = append(e.bits, bits...)
+		e.cands = append(e.cands, Candidate{Bits: e.bits[slot*e.nbits : (slot+1)*e.nbits : (slot+1)*e.nbits]})
 	}
-	e.index[key] = len(e.cands)
-	e.cands = append(e.cands, Candidate{Bits: append([]byte(nil), bits...), Energy: energy, Count: 1})
+	e.cands[slot].Energy, e.cands[slot].Count = energy, 1
+	e.index[string(bits)] = slot
 }
 
 // Len returns the number of distinct candidates retained.
