@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -478,6 +479,11 @@ type msEngine struct {
 	twins []MSScalar // `width` twins per worker
 	next  atomic.Int32
 	crew  crew
+
+	// The tally of a capped run (RunMultiSpinUntil), in replica order: the
+	// minimum-energy replica so far, how many replicas returned its
+	// configuration, and how many replicas ran.
+	best, repeats, ran int
 }
 
 var msEngines = sync.Pool{New: func() any { return new(msEngine) }}
@@ -500,8 +506,11 @@ func newReplicaRun(prog *qubo.Sparse, groups, width int) *msEngine {
 // for each, the worker's twins take the group's seeds, start from initial (or
 // from random states drawn from their own streams when initial is nil), and
 // drive anneals them and collects what the run returns before the worker
-// claims the next group. drive runs concurrently for different groups.
-func (eng *msEngine) run(workers int, initial []int8, drive func(g int, twins []MSScalar)) {
+// claims the next group. drive runs concurrently for different groups. When
+// drive reports the run settled, no further group is handed out; on one
+// worker that makes a stopped run the exact prefix of the uncut one, since
+// the seeds were drawn up front.
+func (eng *msEngine) run(workers int, initial []int8, drive func(g int, twins []MSScalar) (settled bool)) {
 	groups := len(eng.seeds) / eng.width
 	workers = max(1, min(workers, groups))
 	eng.twins = grow(eng.twins, workers*eng.width)
@@ -516,7 +525,9 @@ func (eng *msEngine) run(workers int, initial []int8, drive func(g int, twins []
 				twins[r].state = eng.seeds[g*eng.width+r]
 				twins[r].start(initial)
 			}
-			drive(g, twins)
+			if drive(g, twins) {
+				eng.next.Store(int32(groups))
+			}
 		}
 	})
 }
@@ -528,6 +539,18 @@ func (eng *msEngine) run(workers int, initial []int8, drive func(g int, twins []
 // seeded by the r-th Uint64 drawn from it, regardless of worker count. The
 // returned samples share one backing array.
 func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, src *rng.Source) ([]Sample, []float64, error) {
+	return RunMultiSpinUntil(prog, sched, replicas, workers, 0, src)
+}
+
+// RunMultiSpinUntil is RunMultiSpin with `replicas` as a cap when repeats > 0:
+// the run ends once `repeats` replicas have returned the minimum-energy
+// configuration so far, and returns the replicas it ran — an exact prefix of
+// the uncut run, since every seed is drawn up front and the rule is evaluated
+// after every replica, in replica order. That order takes one worker, so a
+// capped run ignores `workers`. Configurations are compared, not energies:
+// equal spins can carry incrementally accumulated energies that differ in the
+// last bit.
+func RunMultiSpinUntil(prog *qubo.Sparse, sched MSSchedule, replicas, workers, repeats int, src *rng.Source) ([]Sample, []float64, error) {
 	if err := sched.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -541,12 +564,16 @@ func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, sr
 	for r := range eng.seeds {
 		eng.seeds[r] = src.Uint64()
 	}
+	if repeats > 0 {
+		workers = 1
+	}
 	n := prog.N
 	betas := sched.betas()
 	samples := make([]Sample, replicas)
 	energies := make([]float64, replicas)
 	spins := make([]int8, replicas*n)
-	eng.run(workers, nil, func(a int, twins []MSScalar) {
+	eng.ran = replicas
+	eng.run(workers, nil, func(a int, twins []MSScalar) bool {
 		s := &twins[0]
 		for _, beta := range betas {
 			s.SetBeta(beta)
@@ -555,9 +582,24 @@ func RunMultiSpin(prog *qubo.Sparse, sched MSSchedule, replicas, workers int, sr
 		samples[a].Spins = spins[a*n : (a+1)*n : (a+1)*n]
 		copy(samples[a].Spins, s.spins)
 		energies[a] = s.energy
+		if repeats < 1 {
+			return false
+		}
+		switch {
+		case a > 0 && slices.Equal(s.spins, samples[eng.best].Spins):
+			eng.repeats++
+		case a == 0 || s.energy < energies[eng.best]:
+			eng.best, eng.repeats = a, 1
+		}
+		if eng.repeats < repeats {
+			return false
+		}
+		eng.ran = a + 1
+		return true
 	})
+	ran := eng.ran
 	msEngines.Put(eng)
-	return samples, energies, nil
+	return samples[:ran], energies[:ran], nil
 }
 
 // crew calls work(0) … work(workers−1) concurrently — work(0) on the

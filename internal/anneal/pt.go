@@ -223,12 +223,13 @@ func RunPT(prog *qubo.Sparse, params PTParams, workers int, src *rng.Source) (*P
 		Samples:    make([]Sample, p.Ladders),
 		Energies:   make([]float64, p.Ladders),
 	}
-	eng.run(workers, p.InitSpins, func(i int, twins []MSScalar) {
+	eng.run(workers, p.InitSpins, func(i int, twins []MSScalar) bool {
 		l := &ladders[i]
 		l.run(p, twins)
 		cold := &twins[l.lane[p.Rungs-1]]
 		res.Samples[i] = Sample{Spins: cold.Spins()}
 		res.Energies[i] = cold.energy
+		return false // nothing arms a stopping rule on ladders
 	})
 	msEngines.Put(eng)
 	for i := range ladders {

@@ -184,7 +184,7 @@ func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, 
 	res.Batched = batched
 	res.LLRs = out.LLRs
 	res.LLRSaturated = out.LLRSaturated
-	res.Reads = params.NumAnneals
+	res.Reads, res.ReadsPlanned = params.NumAnneals, params.NumAnneals
 	res.BrokenChains = out.BrokenChains
 	return res
 }

@@ -71,6 +71,13 @@ type Problem struct {
 	NoiseVar float64
 	// LLRClamp bounds |LLR| on soft problems (0 = softout.DefaultClamp).
 	LLRClamp float64
+	// StopRepeats, when positive, makes ClassicalSA's configured restarts a
+	// cap: the decode ends once that many restarts have returned the best
+	// configuration so far. The scheduler sets it on a classical denial
+	// (sched.applyPlan), and only for problems with a target BER. Every other
+	// backend ignores it — on device reads the rule is unsound (ICE-perturbed
+	// reads cluster in local minima) — and it does not enter Batchable.
+	StopRepeats int
 }
 
 // Users returns the transmitter count Nt.
@@ -111,13 +118,17 @@ type Result struct {
 	// plane's StageCompile span.
 	CompileMicros float64
 	CacheHit      bool
-	// Reads is the run's read budget (anneal count) and BrokenChains the
-	// total broken logical chains across those reads — the per-solve
-	// anneal-quality sample the scheduler replays into the solver-health
-	// plane (internal/health) with backend attribution. Classical backends
-	// leave both zero (no chains to break).
+	// Reads is the number of reads the run executed (anneals; for ClassicalSA,
+	// its restarts) and BrokenChains the total broken logical chains across
+	// those reads — the per-solve anneal-quality sample the scheduler replays
+	// into the solver-health plane (internal/health) with backend
+	// attribution. Other classical backends leave both zero.
 	Reads        int
 	BrokenChains int
+	// ReadsPlanned is the cap Reads ran under: the read budget, or the
+	// configured restarts. Reads < ReadsPlanned says Problem.StopRepeats
+	// ended the run early.
+	ReadsPlanned int
 }
 
 // Backend is a pluggable solver. Implementations must be safe for concurrent

@@ -85,19 +85,22 @@ func (c *ClassicalSA) Describe() *Capabilities { return c.caps }
 
 // estimate is the descriptor's latency hook, modeling the deterministic SA
 // cost: sweeps × restarts × N spin visits, each a fixed part plus its share
-// of the N−1 neighbor updates an accepted flip pays.
+// of the N−1 neighbor updates an accepted flip pays. With Problem.StopRepeats
+// set the restarts are a cap, so this is an upper bound, used for admission
+// only.
 func (c *ClassicalSA) estimate(p *Problem) float64 {
 	n := float64(p.LogicalSpins())
 	return float64(c.SA.Sweeps) * float64(c.SA.Restarts) * n * c.MicrosPerSpinSweep * (1 + (n-1)/saNeighborsPerVisit)
 }
 
-// Solve anneals the problem's logical Ising form directly.
+// Solve anneals the problem's logical Ising form directly, restarting until
+// the configured count, or until Problem.StopRepeats of them agree on the best.
 func (c *ClassicalSA) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := c.SA.Decode(p.Mod, p.H, p.Y, src)
+	res, err := c.SA.DecodeUntil(p.Mod, p.H, p.Y, p.StopRepeats, src)
 	if err != nil {
 		return nil, err
 	}
@@ -107,6 +110,8 @@ func (c *ClassicalSA) Solve(ctx context.Context, p *Problem, src *rng.Source) (*
 		ComputeMicros: float64(time.Since(start)) / float64(time.Microsecond),
 		Backend:       c.name,
 		Batched:       1,
+		Reads:         res.Restarts,
+		ReadsPlanned:  c.SA.Restarts,
 	}
 	fillClassicalSoft(p, out)
 	return out, nil

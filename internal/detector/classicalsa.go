@@ -39,6 +39,14 @@ func NewClassicalSA(sweeps, restarts int) *ClassicalSA {
 // it, the same sweep body a device read runs — returning the Gray bits of
 // the lowest-energy configuration found.
 func (c *ClassicalSA) Decode(mod modulation.Modulation, h *linalg.Mat, y []complex128, src *rng.Source) (Result, error) {
+	return c.DecodeUntil(mod, h, y, 0, src)
+}
+
+// DecodeUntil is Decode with Restarts as a cap when repeats > 0: the decode
+// ends once that many restarts have returned the best configuration so far —
+// the answer the uncut decode would have given unless a later restart found a
+// lower energy. Result.Restarts reports how many ran.
+func (c *ClassicalSA) DecodeUntil(mod modulation.Modulation, h *linalg.Mat, y []complex128, repeats int, src *rng.Source) (Result, error) {
 	if c.Sweeps < 1 || c.Restarts < 1 {
 		return Result{}, errors.New("detector: ClassicalSA needs positive sweeps and restarts")
 	}
@@ -54,7 +62,7 @@ func (c *ClassicalSA) Decode(mod modulation.Modulation, h *linalg.Mat, y []compl
 		BetaFinal:   c.BetaFinal / scale * 4,
 		Sweeps:      c.Sweeps,
 	}
-	samples, energies, err := anneal.RunMultiSpin(qubo.SparseFromIsing(p), sched, c.Restarts, 1, src)
+	samples, energies, err := anneal.RunMultiSpinUntil(qubo.SparseFromIsing(p), sched, c.Restarts, 1, repeats, src)
 	if err != nil {
 		return Result{}, err
 	}
@@ -68,5 +76,6 @@ func (c *ClassicalSA) Decode(mod modulation.Modulation, h *linalg.Mat, y []compl
 	symbols := reduction.BitsToSymbols(mod, qbits)
 	res := finish(mod, h, y, symbols, 0)
 	res.Bits = mod.PostTranslate(qbits)
+	res.Restarts = len(samples)
 	return res, nil
 }

@@ -25,6 +25,10 @@ type Result struct {
 	VisitedNodes int
 	// Metric is ‖y − H·Symbols‖² for the returned decision.
 	Metric float64
+	// Restarts counts the annealing restarts ClassicalSA ran — fewer than
+	// configured when DecodeUntil's rule ended them — and is 0 for other
+	// detectors.
+	Restarts int
 }
 
 func finish(mod modulation.Modulation, h *linalg.Mat, y, symbols []complex128, visited int) Result {

@@ -134,6 +134,18 @@ func TestClassicalSAAllocations(t *testing.T) {
 	if allocs > 27 {
 		t.Fatalf("ClassicalSA.Decode allocates %v times per call, want ≤ 27", allocs)
 	}
+	// The stopping rule's tally lives in the pooled engine: armed, firing or
+	// not, costs nothing more.
+	for _, repeats := range []int{3, 1000} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := sa.DecodeUntil(modulation.BPSK, h, y, repeats, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 27 {
+			t.Fatalf("ClassicalSA.DecodeUntil(repeats=%d) allocates %v times per call, want ≤ 27", repeats, allocs)
+		}
+	}
 }
 
 // Pooled engine scratch must never leak one decode's spins or couplings into

@@ -42,6 +42,10 @@ type PoolStats struct {
 	// clamp is too tight) and the "soft" outputs are degenerating into hard
 	// decisions.
 	LLRSaturations uint64
+	// StoppedEarly counts solves the repeat rule (backend.Problem.StopRepeats,
+	// set at admission on classical denials) ended before their planned
+	// restarts.
+	StoppedEarly uint64
 	// SlotOccupancy is the mean fraction of available embedding slots
 	// actually filled per batched annealer run (0 when no batch ran).
 	SlotOccupancy float64
@@ -109,6 +113,11 @@ type BackendStats struct {
 	// EnergyMilliJ is the cumulative energy drawn at the descriptor's device
 	// power over the same occupancy, in millijoules.
 	EnergyMilliJ float64
+	// ReadsPlanned totals, over this backend's solves, the reads each was
+	// budgeted (anneals on the annealer, restarts on classical SA) and
+	// ReadsRun the reads it ran: the two differ by what the repeat rule
+	// saved. Counted per request, so a shared run counts once per member.
+	ReadsPlanned, ReadsRun uint64
 }
 
 // MissRate returns the fraction of completed problems that missed their
@@ -138,6 +147,7 @@ func (s PoolStats) Samples(labels ...Label) []Sample {
 		Counter("quamax_pool_batched_problems_total", "Problems carried by batched runs.", float64(s.BatchedProblems), labels...),
 		Counter("quamax_pool_soft_solved_total", "Completed soft-output decodes.", float64(s.SoftSolved), labels...),
 		Counter("quamax_pool_llr_saturations_total", "LLR entries that hit the clamp.", float64(s.LLRSaturations), labels...),
+		Counter("quamax_pool_stopped_early_total", "Solves the repeat rule ended before their planned reads.", float64(s.StoppedEarly), labels...),
 	}
 	out = append(out, s.ChannelCache.Samples("quamax_channel_cache_total", "Compiled-channel cache traffic.", labels...)...)
 	for _, be := range s.Backends {
@@ -148,6 +158,8 @@ func (s PoolStats) Samples(labels ...Label) []Sample {
 			Counter("quamax_backend_busy_micros_total", "Cumulative Solve wall time per backend.", be.BusyMicros, l...),
 			Counter("quamax_backend_spend_microusd_total", "Cumulative solve spend per backend in micro-USD.", be.SpendMicroUSD, l...),
 			Counter("quamax_backend_energy_millij_total", "Cumulative solve energy per backend in millijoules.", be.EnergyMilliJ, l...),
+			Counter("quamax_backend_reads_planned_total", "Reads (anneals, SA restarts) budgeted per backend.", float64(be.ReadsPlanned), l...),
+			Counter("quamax_backend_reads_run_total", "Reads (anneals, SA restarts) run per backend.", float64(be.ReadsRun), l...),
 			Gauge("quamax_backend_utilization", "Busy time over scheduler lifetime per backend.", be.Utilization, l...))
 	}
 	return out
@@ -174,6 +186,7 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 	out.BatchedProblems += o.BatchedProblems
 	out.SoftSolved += o.SoftSolved
 	out.LLRSaturations += o.LLRSaturations
+	out.StoppedEarly += o.StoppedEarly
 	if total := out.BatchRuns; total > 0 {
 		out.SlotOccupancy = (s.SlotOccupancy*float64(s.BatchRuns) +
 			o.SlotOccupancy*float64(o.BatchRuns)) / float64(total)
@@ -199,6 +212,8 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 			out.Backends[i].Utilization += be.Utilization
 			out.Backends[i].SpendMicroUSD += be.SpendMicroUSD
 			out.Backends[i].EnergyMilliJ += be.EnergyMilliJ
+			out.Backends[i].ReadsPlanned += be.ReadsPlanned
+			out.Backends[i].ReadsRun += be.ReadsRun
 		}
 	}
 	return out
@@ -223,6 +238,9 @@ func (s PoolStats) String() string {
 			fmt.Fprintf(&b, " (%.1f/decode)", float64(s.LLRSaturations)/float64(s.SoftSolved))
 		}
 	}
+	if s.StoppedEarly > 0 {
+		fmt.Fprintf(&b, "\npool: stopped early=%d", s.StoppedEarly)
+	}
 	if c := s.ChannelCache; c.Hits+c.Misses+c.Evictions > 0 {
 		fmt.Fprintf(&b, "\npool: channel cache hits=%d misses=%d evictions=%d (%.0f%% hit)",
 			c.Hits, c.Misses, c.Evictions, 100*c.HitRate())
@@ -232,6 +250,9 @@ func (s PoolStats) String() string {
 			be.Name, be.Solved, be.Errors, be.BusyMicros, 100*be.Utilization)
 		if spend, energy := finiteOrZero(be.SpendMicroUSD), finiteOrZero(be.EnergyMilliJ); spend > 0 || energy > 0 {
 			fmt.Fprintf(&b, " spend=%.1fµUSD energy=%.1fmJ", spend, energy)
+		}
+		if be.ReadsPlanned > 0 {
+			fmt.Fprintf(&b, " reads=%d/%d planned", be.ReadsRun, be.ReadsPlanned)
 		}
 	}
 	return b.String()

@@ -320,6 +320,14 @@ const DefaultMaxReads = 1000
 // unreachable class stays a classical denial.
 const SoftTargetRelief = 4
 
+// StopRepeats is r of the classical tier's repeat rule (internal/sched arms
+// it on a planner denial): SA restarts end once r of them have returned the
+// best configuration so far. It is fixed on the seeded request corpus of
+// internal/sched's TestStopRuleCorpus, which counts the answers it changes
+// (r = 3 changed 43 of 5,698 on the sizing corpus, r = 5 three, r = 8 none),
+// and is not an option.
+const StopRepeats = 5
+
 // Planner answers anneal-budget questions from a fitted table. It is safe
 // for concurrent use.
 type Planner struct {

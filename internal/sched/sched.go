@@ -200,6 +200,7 @@ type Scheduler struct {
 	plannerClassical             uint64
 	batchRuns, batchedProblems   uint64
 	softSolved, llrSaturations   uint64
+	stoppedEarly                 uint64 // solves the repeat rule ended under their cap
 	occupancySum                 float64
 	// counters holds one entry per pool worker, pool order, then the
 	// fallback's when it is not also a pool member: the list Stats reports.
@@ -217,6 +218,8 @@ type backendCounters struct {
 	busyMicros    float64
 	spendMicroUSD float64
 	energyMilliJ  float64
+	readsPlanned  uint64 // Σ Result.ReadsPlanned over solved requests
+	readsRun      uint64 // Σ Result.Reads
 }
 
 // charge accounts one device run against the backend: its occupancy, priced
@@ -385,6 +388,12 @@ func (s *Scheduler) poolSpend(p *backend.Problem) float64 {
 // a copy carrying the planned anneal budget, since callers may reuse their
 // Problem across Dispatch calls — and whether the planner denied quantum
 // dispatch.
+//
+// It is also where the repeat rule is armed (backend.Problem.StopRepeats),
+// being the only place that knows which tier a request goes to: a classical
+// denial's restarts become a cap. Requests without a target BER never reach
+// this point, and fitted plans — on the pool, or diverted to the fallback
+// under cost or deadline pressure — run every planned read.
 func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*backend.Problem, bool) {
 	if s.cfg.Planner == nil {
 		return p, false
@@ -412,14 +421,16 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 		// still carries the clamped best-effort budget — strictly better
 		// than running the static configuration.
 		if s.cfg.Fallback != nil || plan.Params.NumAnneals < 1 {
-			if plan.PT == nil {
+			if s.cfg.Fallback == nil && plan.PT == nil {
 				return p, true
 			}
-			// A PT-aware planner sized a replica-exchange budget for the
-			// fallback solve; carry it on a copy (callers reuse Problems).
+			// A denied solve carries the repeat rule (only ClassicalSA reads
+			// it), and a PT-aware planner's replica-exchange budget rides
+			// along, on a copy (callers reuse Problems).
 			q := *p
 			q.TargetBER = target
 			q.PT = plan.PT
+			q.StopRepeats = qos.StopRepeats
 			return &q, true
 		}
 	}
@@ -632,6 +643,12 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 			ctr.errors++
 		} else {
 			ctr.solved++
+			// What the repeat rule made of this request's budget.
+			ctr.readsPlanned += uint64(res.ReadsPlanned)
+			ctr.readsRun += uint64(res.Reads)
+			if res.Reads < res.ReadsPlanned {
+				s.stoppedEarly++
+			}
 		}
 		s.observeSolve(ctr.caps.Name, j.p, res, err != nil)
 		// The shard's SLO burn feed (a nil tracker ignores it). A failed
@@ -654,6 +671,7 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 			}
 			tr.CacheHit = res.CacheHit
 			tr.Stages[telemetry.StageCompile] = res.CompileMicros
+			tr.ReadsPlanned, tr.Reads = res.ReadsPlanned, res.Reads
 		}
 		tr.Stages[telemetry.StageE2E] = micros(end.Sub(j.entry))
 		if !j.deadline.IsZero() {
@@ -899,6 +917,7 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 		BatchedProblems:    s.batchedProblems,
 		SoftSolved:         s.softSolved,
 		LLRSaturations:     s.llrSaturations,
+		StoppedEarly:       s.stoppedEarly,
 	}
 	if s.batchRuns > 0 {
 		st.SlotOccupancy = s.occupancySum / float64(s.batchRuns)
@@ -922,6 +941,8 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 			BusyMicros:    c.busyMicros,
 			SpendMicroUSD: c.spendMicroUSD,
 			EnergyMilliJ:  c.energyMilliJ,
+			ReadsPlanned:  c.readsPlanned,
+			ReadsRun:      c.readsRun,
 		}
 		if wallMicros > 0 {
 			bs.Utilization = c.busyMicros / wallMicros

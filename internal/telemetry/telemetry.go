@@ -119,6 +119,12 @@ type Trace struct {
 	// SlackMicros = DeadlineMicros − e2e, negative on a miss.
 	DeadlineMicros float64 `json:"deadline_micros,omitempty"`
 	SlackMicros    float64 `json:"slack_micros,omitempty"`
+	// ReadsPlanned and Reads are the solve's read budget (anneals, or SA
+	// restarts) and the reads it ran; fewer than planned means the repeat
+	// rule ended it early — on the worst-slack exemplars, why a slow solve
+	// took the reads it did.
+	ReadsPlanned int `json:"reads_planned,omitempty"`
+	Reads        int `json:"reads,omitempty"`
 }
 
 // QualityObservation is one solve's anneal-quality sample.
