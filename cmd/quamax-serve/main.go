@@ -22,8 +22,7 @@
 //	quamax-serve -calibrate -tts-table tts.json
 //
 // which measures the simulator across the serving grid, writes the fit, and
-// exits; without a table the built-in coefficients apply. -channel-cache
-// sizes each QPU's compiled-channel LRU: APs register an
+// exits; without a table the built-in coefficients apply. APs register an
 // estimated channel once per coherence window (fronthaul RegisterChannel)
 // and decode its symbols by handle, so the pool compiles H once and only
 // rewrites annealer biases per symbol. Soft-decode requests
@@ -97,29 +96,27 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:9370", "TCP listen address")
-		pool      = flag.Int("pool", 1, "number of simulated QPU workers in the pool")
-		backends  = flag.String("backends", "sa", "comma-separated classical backends to add (sa, sphere, pt); first doubles as the deadline fallback; empty disables")
-		deadline  = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-		batch     = flag.Bool("batch", true, "batch compatible requests into shared embedding slots")
-		anneals   = flag.Int("anneals", 100, "anneals per decode (Na)")
-		jf        = flag.Float64("jf", 4, "ferromagnetic chain strength |J_F|")
-		ta        = flag.Float64("ta", 1, "anneal time Ta (µs)")
-		tp        = flag.Float64("tp", 1, "pause time Tp (µs, 0 disables)")
-		sp        = flag.Float64("sp", 0.35, "pause position sp")
-		improved  = flag.Bool("improved-range", true, "use the improved coupler dynamic range")
-		amortize  = flag.Bool("amortize", true, "amortize compute time over parallel embedding slots")
-		chanCache = flag.Int("channel-cache", 0, "compiled-channel LRU entries per QPU (coherence windows pinned; 0 = default)")
-		seed      = flag.Int64("seed", 1, "solver random seed")
-		saSweeps  = flag.Int("sa-sweeps", 128, "classical SA sweeps per restart")
-		saResets  = flag.Int("sa-restarts", 100, "classical SA restarts")
+		listen   = flag.String("listen", "127.0.0.1:9370", "TCP listen address")
+		pool     = flag.Int("pool", 1, "number of simulated QPU workers in the pool")
+		backends = flag.String("backends", "sa", "comma-separated classical backends to add (sa, sphere, pt); first doubles as the deadline fallback; empty disables")
+		deadline = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
+		batch    = flag.Bool("batch", true, "batch compatible requests into shared embedding slots")
+		anneals  = flag.Int("anneals", 100, "anneals per decode (Na)")
+		jf       = flag.Float64("jf", 4, "ferromagnetic chain strength |J_F|")
+		ta       = flag.Float64("ta", 1, "anneal time Ta (µs)")
+		tp       = flag.Float64("tp", 1, "pause time Tp (µs, 0 disables)")
+		sp       = flag.Float64("sp", 0.35, "pause position sp")
+		improved = flag.Bool("improved-range", true, "use the improved coupler dynamic range")
+		amortize = flag.Bool("amortize", true, "amortize compute time over parallel embedding slots")
+		seed     = flag.Int64("seed", 1, "solver random seed")
+		saSweeps = flag.Int("sa-sweeps", 128, "classical SA sweeps per restart")
+		saResets = flag.Int("sa-restarts", 100, "classical SA restarts")
 
 		ptRungs   = flag.Int("pt-rungs", 0, "parallel-tempering temperature rungs per ladder (0 = engine default)")
 		ptLadders = flag.Int("pt-ladders", 0, "parallel-tempering independent ladders (0 = engine default)")
 		ptSweeps  = flag.Int("pt-sweeps", 0, "parallel-tempering sweeps per rung (0 = engine default)")
 
-		precodeBits  = flag.Int("precode-bits", 0, "default perturbation alphabet depth for downlink precode requests that carry none (0 = 1 bit/dimension)")
-		precodeCache = flag.Int("precode-cache", 0, "compiled VP-program LRU entries for downlink coherence windows (0 = default)")
+		precodeBits = flag.Int("precode-bits", 0, "default perturbation alphabet depth for downlink precode requests that carry none (0 = 1 bit/dimension)")
 
 		soft     = flag.Bool("soft", true, "serve soft-decode requests (per-bit LLRs from the anneal ensemble)")
 		llrClamp = flag.Float64("llr-clamp", 0, "default LLR magnitude bound / int8 quantization full scale for soft requests that carry none (0 = package default)")
@@ -181,7 +178,6 @@ func main() {
 			NumAnneals:       *anneals,
 		},
 		AmortizeParallel: *amortize,
-		ChannelCache:     *chanCache,
 	}
 
 	if *pool < 1 {
@@ -356,7 +352,6 @@ func main() {
 	srv.PipelineDepth = *pipeDepth
 	srv.Logf = log.Printf
 	srv.PrecodeBits = *precodeBits
-	srv.PrecodeCache = *precodeCache
 	srv.DisableSoft = !*soft
 	srv.LLRClamp = *llrClamp
 	srv.Telemetry = rec

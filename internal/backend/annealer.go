@@ -83,9 +83,10 @@ func (a *Annealer) occupancyMicros(p *Problem) float64 {
 // request turns a problem into the decoder's request shape and starts the
 // Result its outcome will complete. A problem tagged with a ChannelKey (a
 // coherence-window symbol) names its channel through the decoder's
-// compiled-channel cache — compiled on the window's first symbol, only the
-// biases rewritten after; the lookup is timed into CompileMicros/CacheHit. An
-// untagged one stays raw, so one-shot channels don't churn the cache.
+// compiled-channel store under that key — compiled on the window's first
+// symbol, only the biases rewritten after; the lookup is timed into
+// CompileMicros/CacheHit. An untagged one stays raw, so one-shot channels
+// don't churn the store.
 func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
@@ -100,7 +101,7 @@ func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 		return req, res, nil
 	}
 	start := time.Now()
-	cc, hit, err := a.dec.CompileTracked(p.Mod, p.H)
+	cc, hit, err := a.dec.CompileKeyed(p.ChannelKey, p.Mod, p.H)
 	req.CC = cc
 	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
 	res.CacheHit = hit

@@ -55,10 +55,11 @@ type Problem struct {
 	// coherence window: all problems carrying the same key observe the same
 	// (Mod, H) and differ only in Y. The scheduler uses it to gather
 	// same-window symbols onto an already-programmed backend, and annealer
-	// backends decode keyed problems through their compiled-channel cache
+	// backends decode keyed problems through their compiled-channel store
 	// (compile H once, rewrite biases per symbol). Equal keys must mean
-	// identical channels; core.FingerprintChannel is the canonical producer.
-	// Classical backends ignore it.
+	// identical channels — every store checks it on a hit, so a reused key
+	// costs a rebuild, not a wrong answer; core.FingerprintChannel mints
+	// them, once where H enters the process. Classical backends ignore it.
 	ChannelKey core.ChannelKey
 	// Soft requests per-bit LLRs alongside the hard decision (Result.LLRs):
 	// annealer backends retain the read ensemble (internal/softout),

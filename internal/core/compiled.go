@@ -10,10 +10,9 @@
 //	per symbol:   y ──Biases──▶ fields f_i(H,y) ──chain spread──▶ physical
 //	    fields ──RunPrepared──▶ samples ──Unembed──▶ bits
 //
-// Compile keeps its artifacts in a per-decoder LRU keyed by the channel
-// fingerprint (hash of modulation, Nt/Nr shape, and H's exact float bits),
-// so a serving pool recognizes returning coherence windows without any
-// caller bookkeeping.
+// Compile keeps its artifacts in the decoder's WindowStore (store.go), so a
+// serving pool recognizes returning coherence windows without any caller
+// bookkeeping.
 package core
 
 import (
@@ -30,16 +29,17 @@ import (
 	"quamax/internal/reduction"
 )
 
-// ChannelKey fingerprints a (modulation, H) pair for the compiled-channel
-// cache and for coherence-window grouping in the pool scheduler. Zero is
-// reserved as "no key". Equal keys are expected to mean identical channels;
-// the decoder's cache hashes the full matrix contents, so a caller-supplied
-// key of lesser quality can only degrade scheduling locality, never
-// correctness.
+// ChannelKey names a (modulation, H) pair to every WindowStore and to the
+// pool scheduler's coherence-window grouping. Zero is reserved as "no key".
+// Equal keys are expected to mean identical channels; every store checks that
+// on a hit, so a key of lesser quality than FingerprintChannel's can only
+// cost scheduling locality and rebuilds, never correctness.
 type ChannelKey uint64
 
-// FingerprintChannel hashes (mod, H) — shape and exact float64 bit patterns
-// — into a ChannelKey (FNV-1a, never zero).
+// FingerprintChannel mints the key for (mod, H): a hash of the modulation, the
+// shape and H's exact float64 bit patterns (FNV-1a, never zero). It is O(Nt·Nr)
+// — 68 µs at 48×48 — so it runs once where H enters the process (fronthaul
+// registration, precoding.Compile, a key-less Compile), never per symbol.
 func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 	const (
 		offset64 = 14695981039346656037
@@ -74,7 +74,6 @@ func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 // for the duration of one call), owned by that decoder, and safe for
 // concurrent use.
 type CompiledChannel struct {
-	key   ChannelKey
 	prog  *reduction.ChannelProgram
 	emb   *embedding.Embedding
 	slots int
@@ -142,9 +141,6 @@ func (tc *templateCache) slotFor(cc *CompiledChannel, slot int, pack *embedding.
 	return ep.Phys, nil
 }
 
-// Key returns the channel fingerprint the artifact is cached under.
-func (cc *CompiledChannel) Key() ChannelKey { return cc.key }
-
 // Mod returns the modulation the channel was compiled for.
 func (cc *CompiledChannel) Mod() modulation.Modulation { return cc.prog.Mod }
 
@@ -155,83 +151,55 @@ func (cc *CompiledChannel) Channel() *linalg.Mat { return cc.prog.Channel() }
 // this channel.
 func (cc *CompiledChannel) LogicalSpins() int { return cc.prog.N }
 
-// Compile returns the compiled artifact for (mod, h), reusing the decoder's
-// LRU cache when the channel fingerprint is warm. A miss compiles the
-// couplings and resolves the (itself cached) clique embedding; an insert past
-// the configured capacity evicts the least-recently-used channel.
+// Compile returns the compiled artifact for (mod, h) from the decoder's
+// window store — Options.ChannelCache channels, least recently used first
+// out. A miss compiles the couplings and resolves the (itself cached) clique
+// embedding. This is the entry for a caller holding no key: H enters here, so
+// the key is minted here.
 func (d *Decoder) Compile(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
-	cc, _, err := d.CompileTracked(mod, h)
+	cc, _, err := d.CompileKeyed(0, mod, h)
 	return cc, err
 }
 
 // CompileTracked is Compile, additionally reporting whether the artifact was
-// served from the compiled-channel cache — the signal backends surface as
-// Result.CacheHit and the telemetry plane's compile-stage feeder.
+// already in the store.
 func (d *Decoder) CompileTracked(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
+	return d.CompileKeyed(0, mod, h)
+}
+
+// CompileKeyed is CompileTracked for a caller that already holds the key
+// minted for (mod, h) — a backend.Problem's ChannelKey, a VP program's Key —
+// so a warm window costs no hash of H (WindowStore states the contract). The
+// hit report is the signal backends surface as Result.CacheHit and the
+// telemetry plane's compile-stage feeder. key 0 mints the fingerprint here.
+func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
 	rec := d.telem.Load()
 	var start time.Time
 	if rec != nil {
 		start = time.Now()
 	}
-	cc, hit, err := d.compile(mod, h)
+	if key == 0 {
+		key = FingerprintChannel(mod, h)
+	}
+	// The build runs outside the store's lock: the first embedding for a new
+	// problem size is a placement search that must not stall other lookups.
+	cc, hit, err := d.channels.Get(key, mod, h, func() (*CompiledChannel, error) { return d.newChannel(mod, h) })
 	if rec != nil && err == nil {
 		rec.ObserveCompile(float64(time.Since(start))/float64(time.Microsecond), hit)
 	}
 	return cc, hit, err
 }
 
-func (d *Decoder) compile(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
-	key := FingerprintChannel(mod, h)
-	d.cacheMu.Lock()
-	if el, ok := d.cache[key]; ok {
-		d.lru.MoveToFront(el)
-		d.hits++
-		cc := el.Value.(*CompiledChannel)
-		d.cacheMu.Unlock()
-		return cc, true, nil
-	}
-	d.misses++
-	d.cacheMu.Unlock()
-
-	// Compile outside the cache lock: the first embedding for a new problem
-	// size runs a placement search that must not stall concurrent lookups.
-	cc, err := d.newChannel(key, mod, h)
-	if err != nil {
-		return nil, false, err
-	}
-
-	d.cacheMu.Lock()
-	defer d.cacheMu.Unlock()
-	if el, ok := d.cache[key]; ok {
-		// A concurrent Compile won the race; keep the incumbent so every
-		// caller shares one artifact (and one set of physical templates).
-		d.lru.MoveToFront(el)
-		return el.Value.(*CompiledChannel), false, nil
-	}
-	d.cache[key] = d.lru.PushFront(cc)
-	for d.lru.Len() > d.opts.ChannelCache {
-		back := d.lru.Back()
-		d.lru.Remove(back)
-		delete(d.cache, back.Value.(*CompiledChannel).key)
-		d.evictions++
-	}
-	return cc, false, nil
-}
-
 // newChannel compiles (mod, h) into an artifact that is not (yet) in the
-// cache: the couplings plus the — itself cached — clique embedding for N.
-func (d *Decoder) newChannel(key ChannelKey, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
+// store: the couplings plus the — itself cached — clique embedding for N.
+func (d *Decoder) newChannel(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
 	prog := reduction.CompileChannel(mod, h)
 	emb, slots, err := d.embeddingFor(prog.N)
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledChannel{key: key, prog: prog, emb: emb, slots: slots, dec: d}, nil
+	return &CompiledChannel{prog: prog, emb: emb, slots: slots, dec: d}, nil
 }
 
-// ChannelCacheStats snapshots the compiled-channel cache counters.
-func (d *Decoder) ChannelCacheStats() metrics.ChannelCacheStats {
-	d.cacheMu.Lock()
-	defer d.cacheMu.Unlock()
-	return metrics.ChannelCacheStats{Hits: d.hits, Misses: d.misses, Evictions: d.evictions}
-}
+// ChannelCacheStats snapshots the compiled-channel store's counters.
+func (d *Decoder) ChannelCacheStats() metrics.ChannelCacheStats { return d.channels.Stats() }

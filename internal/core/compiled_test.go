@@ -190,9 +190,10 @@ func TestDecodeCompiledSharedRunBitIdentical(t *testing.T) {
 	}
 }
 
-// The compiled-channel LRU must hit on the fingerprint, miss on new
-// channels, and evict least-recently-used entries at capacity — with the
-// counters reporting exactly that.
+// Options.ChannelCache bounds the decoder's compiled-channel store: Compile
+// hits on a channel it holds and returns the one artifact, misses on a new
+// one, and evicts past the configured capacity — with ChannelCacheStats
+// reporting exactly that. (The store's own mechanics are TestWindowStore's.)
 func TestChannelCacheLRU(t *testing.T) {
 	d := compiledTestDecoder(t, 2)
 	ins := []*mimo.Instance{
@@ -227,17 +228,42 @@ func TestChannelCacheLRU(t *testing.T) {
 	if st.Misses != 3 || st.Hits != 2 || st.Evictions != 1 {
 		t.Fatalf("cache stats %+v, want 3 misses / 2 hits / 1 eviction", st)
 	}
-	// ins[1] was evicted: compiling it again must miss and displace the
-	// current LRU entry ins[0], whose next lookup then misses too.
-	if _, err := d.Compile(ins[1].Mod, ins[1].H); err != nil {
+}
+
+// Two channels under one key — a caller reusing, forging or colliding a
+// ChannelKey: the second is a miss that compiles ITS channel, and its decode is
+// bit-identical to the un-keyed decode of that channel. A warm window under the
+// right key stays a hit.
+func TestReusedKeyCompilesTheRequestsOwnChannel(t *testing.T) {
+	d := compiledTestDecoder(t, 4)
+	a := compiledInstance(t, 970, modulation.QPSK, 3, 20)
+	b := compiledInstance(t, 971, modulation.QPSK, 3, 20)
+	key := FingerprintChannel(a.Mod, a.H)
+	ccA, _, err := d.CompileKeyed(key, a.Mod, a.H)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Compile(ins[0].Mod, ins[0].H); err != nil {
+	if again, hit, err := d.CompileKeyed(key, a.Mod, a.H); err != nil || !hit || again != ccA {
+		t.Fatalf("the window's own key: hit=%v err=%v, same artifact=%v", hit, err, again == ccA)
+	}
+	ccB, hit, err := d.CompileKeyed(key, b.Mod, b.H)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st = d.ChannelCacheStats()
-	if st.Misses != 5 || st.Hits != 2 || st.Evictions != 3 {
-		t.Fatalf("cache stats after churn %+v, want 5 misses / 2 hits / 3 evictions", st)
+	if hit || ccB == ccA || ccB.Channel() != b.H {
+		t.Fatalf("another channel under the same key: hit=%v, served the first channel's artifact=%v", hit, ccB == ccA)
+	}
+	keyed, err := d.Decode(Request{CC: ccB, Y: b.Y}, Budget{}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := d.Decode(Request{Mod: b.Mod, H: b.H, Y: b.Y}, Budget{}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomesIdentical(t, "reused key", keyed, raw)
+	if !reflect.DeepEqual(keyed, raw) {
+		t.Fatalf("keyed %+v, un-keyed %+v", keyed, raw)
 	}
 }
 

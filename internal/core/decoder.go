@@ -16,7 +16,7 @@
 // The raw-vs-compiled rule: a raw channel costs a compile on every call and
 // is never cached, which suits a channel seen once; a receiver decoding a
 // coherence window calls Compile once — the result lives in the decoder's
-// LRU, keyed by the channel's fingerprint — and sends each symbol as a
+// WindowStore, under the channel's key — and sends each symbol as a
 // Request carrying the *CompiledChannel, paying only the bias rewrite. The
 // two are bit-identical on the same random stream.
 //
@@ -26,7 +26,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -78,12 +77,7 @@ type Decoder struct {
 	embs  map[int]*embedding.Embedding   // by logical size N
 	packs map[int][]*embedding.Embedding // parallel slot packings by N (their count is the geometric Pf)
 
-	// Compiled-channel LRU (see compiled.go).
-	cacheMu      sync.Mutex
-	cache        map[ChannelKey]*list.Element
-	lru          *list.List
-	hits, misses uint64
-	evictions    uint64
+	channels *WindowStore[ChannelKey, *CompiledChannel] // Compile's artifacts
 
 	scratch sync.Pool // *scratch: a call's working set (pipeline.go)
 
@@ -120,11 +114,10 @@ func New(opts Options) (*Decoder, error) {
 		return nil, errors.New("core: channel cache size must be positive")
 	}
 	return &Decoder{
-		opts:  opts,
-		embs:  make(map[int]*embedding.Embedding),
-		packs: make(map[int][]*embedding.Embedding),
-		cache: make(map[ChannelKey]*list.Element),
-		lru:   list.New(),
+		opts:     opts,
+		embs:     make(map[int]*embedding.Embedding),
+		packs:    make(map[int][]*embedding.Embedding),
+		channels: NewWindowStore[ChannelKey, *CompiledChannel](opts.ChannelCache),
 	}, nil
 }
 

@@ -242,7 +242,7 @@ func (d *Decoder) resolve(req *Request) (*CompiledChannel, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		var err error
-		if cc, err = d.newChannel(0, req.Mod, h); err != nil {
+		if cc, err = d.newChannel(req.Mod, h); err != nil {
 			return nil, err
 		}
 	}

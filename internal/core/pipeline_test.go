@@ -20,7 +20,7 @@ import (
 // field of Request or Budget, not a method.
 func TestDecoderSurface(t *testing.T) {
 	want := []string{
-		"BatchSlots", "ChannelCacheStats", "Compile", "CompileTracked",
+		"BatchSlots", "ChannelCacheStats", "Compile", "CompileKeyed", "CompileTracked",
 		"Decode", "DecodeRun",
 		// bench/ladder.go's four fillers of Decode/DecodeRun:
 		"DecodeCompiledSharedRunWithParams", "DecodeCompiledSoftWithParams",
@@ -175,7 +175,7 @@ func TestRawRequestsBypassTheCache(t *testing.T) {
 	if _, err := d.DecodeRun([]Request{req, req}, Budget{}, rng.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.ChannelCacheStats(); st.Hits+st.Misses+st.Evictions != 0 || d.lru.Len() != 0 {
-		t.Fatalf("raw requests touched the channel cache: %+v, %d entries", st, d.lru.Len())
+	if st := d.ChannelCacheStats(); st.Hits+st.Misses+st.Evictions != 0 || len(d.channels.m) != 0 {
+		t.Fatalf("raw requests touched the channel cache: %+v, %d entries", st, len(d.channels.m))
 	}
 }

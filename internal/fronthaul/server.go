@@ -43,10 +43,6 @@ type Server struct {
 	// requests that leave theirs zero (0 = precoding.DefaultPerturbBits).
 	// Set before Serve.
 	PrecodeBits int
-	// PrecodeCache bounds the compiled-VP-program LRU shared by all
-	// connections (0 = precoding.DefaultCache). Set before Serve.
-	PrecodeCache int
-
 	// DisableSoft rejects soft-decode requests with a clean
 	// error response (quamax-serve -soft=false) — for deployments whose
 	// planner tables were fitted for hard chains only. Set before Serve.
@@ -76,31 +72,14 @@ type Server struct {
 	// an empty set. NewServer sets it to its own pool. Set before Serve.
 	Stats func() []metrics.Sample
 
-	precodeOnce     sync.Once
+	// precodePrograms holds the compiled VP programs of the server's
+	// downlink windows, shared by all connections, so every symbol vector of
+	// a window pays the channel inversion and coupling compile once.
 	precodePrograms *precoding.Cache
 }
 
-// precodeProgram resolves the compiled VP program for one precode request
-// through the server-wide LRU, so every symbol vector of a coherence window
-// pays the channel inversion and coupling compile once.
-func (s *Server) precodeProgram(mod modulation.Modulation, h *linalg.Mat, bits int) (*precoding.Program, error) {
-	s.precodeOnce.Do(func() {
-		s.precodePrograms = precoding.NewCache(s.PrecodeCache)
-	})
-	if bits == 0 {
-		bits = s.PrecodeBits
-	}
-	return s.precodePrograms.Get(mod, h, bits)
-}
-
-// PrecodeCacheStats snapshots the compiled-VP-program LRU counters (zero
-// before the first precode request).
-func (s *Server) PrecodeCacheStats() metrics.ChannelCacheStats {
-	s.precodeOnce.Do(func() {
-		s.precodePrograms = precoding.NewCache(s.PrecodeCache)
-	})
-	return s.precodePrograms.Stats()
-}
+// PrecodeCacheStats snapshots the compiled-VP-program cache counters.
+func (s *Server) PrecodeCacheStats() metrics.ChannelCacheStats { return s.precodePrograms.Stats() }
 
 // NewServer wraps a single QuAMax decoder as a one-QPU pool — the paper's
 // original single-annealer deployment. seed drives all solver randomness.
@@ -115,14 +94,17 @@ func NewServer(dec *core.Decoder, seed int64) *Server {
 		// Unreachable: the pool is never empty here.
 		panic(err)
 	}
-	return &Server{disp: s, owned: s, Stats: func() []metrics.Sample { return metrics.Collect(s.Stats().Samples()) }}
+	srv := NewPoolServer(s)
+	srv.owned = s
+	srv.Stats = func() []metrics.Sample { return metrics.Collect(s.Stats().Samples()) }
+	return srv
 }
 
 // NewPoolServer serves decode requests through an externally owned
 // dispatcher (typically a multi-backend sched.Scheduler). The caller keeps
 // responsibility for draining it.
 func NewPoolServer(d Dispatcher) *Server {
-	return &Server{disp: d}
+	return &Server{disp: d, precodePrograms: precoding.NewCache(0)}
 }
 
 // Close drains a server-owned pool (no-op for NewPoolServer servers, whose
@@ -391,14 +373,20 @@ func (s *Server) softClamp(reqClamp float64) float64 {
 // process turns one solve request into the pool's problem, routes it through
 // the dispatcher and frames the answer. Precoding is the same problem with a
 // different (H, y): the compiled VP program substitutes its equivalent uplink
-// channel and target. Program resolution (O(Nu³) channel inversion on an LRU
-// miss) runs here, on the request goroutine, so it cannot head-of-line-block
-// pipelined frames.
+// channel and target. Program resolution (O(Nu³) channel inversion on a
+// cache miss) runs here, on the request goroutine, so it cannot
+// head-of-line-block pipelined frames.
 func (s *Server) process(ctx context.Context, req *Request, ch registeredChannel) *DecodeResponse {
 	var p *backend.Problem
 	switch {
 	case req.Precode:
-		prog, err := s.precodeProgram(ch.mod, ch.h, req.PerturbBits)
+		bits := req.PerturbBits
+		if bits == 0 {
+			bits = s.PrecodeBits
+		}
+		// A registered channel carries the key minted at registration; an
+		// inline one has none, and its H enters the process with this frame.
+		prog, err := s.precodePrograms.Get(ch.key, ch.mod, ch.h, bits)
 		if err != nil {
 			return &DecodeResponse{ID: req.ID, Err: err.Error()}
 		}

@@ -1,111 +1,54 @@
 package precoding
 
 import (
-	"container/list"
-	"sync"
-
 	"quamax/internal/core"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 )
 
-// DefaultCache is the compiled-VP-program LRU capacity when a Cache is built
-// with size zero — matching the decoder's compiled-channel default, so one
-// serving process recognizes the same number of concurrent coherence windows
-// on the downlink as on the uplink.
+// DefaultCache is how many compiled VP programs a Cache of size zero
+// remembers: the decoder's compiled-channel default, so one serving process
+// recognizes as many coherence windows on the downlink as on the uplink.
 const DefaultCache = core.DefaultChannelCache
 
-// cacheKey identifies one VP program family: the downlink channel
-// fingerprint (over the data modulation and H's exact bits) plus the
+// programKey selects one VP program: the downlink channel's key plus the
 // perturbation depth, which changes the alphabet and therefore the program.
-type cacheKey struct {
+type programKey struct {
 	ck   core.ChannelKey
 	bits int
 }
 
-// Cache is a fingerprint-keyed LRU of compiled VP programs. It amortizes the
-// channel inversion and coupling compile across the symbol vectors of a
-// coherence window for callers that receive self-contained (mod, H, s)
-// requests — the fronthaul server and the Precoder. Safe for concurrent use.
+// Cache remembers the compiled VP programs of the most recent coherence
+// windows (a core.WindowStore, whose key contract it inherits), so a window's
+// symbol vectors pay the channel inversion and coupling compile once. The
+// fronthaul server holds one, each Precoder another. Safe for concurrent use.
 type Cache struct {
-	mu        sync.Mutex
-	cap       int
-	m         map[cacheKey]*list.Element
-	lru       *list.List // of *cacheEntry
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	programs *core.WindowStore[programKey, *Program]
 }
 
-type cacheEntry struct {
-	key  cacheKey
-	prog *Program
-}
-
-// NewCache returns an LRU holding up to capacity compiled programs
-// (0 selects DefaultCache).
+// NewCache returns a cache of up to capacity programs (0 selects DefaultCache).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCache
 	}
-	return &Cache{
-		cap: capacity,
-		m:   make(map[cacheKey]*list.Element),
-		lru: list.New(),
-	}
+	return &Cache{programs: core.NewWindowStore[programKey, *Program](capacity)}
 }
 
-// Get returns the compiled program for (dataMod, h, bits), compiling and
-// inserting on a miss. bits = 0 selects DefaultPerturbBits. Equal
-// fingerprints must mean identical channels (the same contract as the
-// decoder's compiled-channel cache); the canonical case is a caller
-// re-presenting the same estimated H for every symbol vector of a window.
-func (c *Cache) Get(dataMod modulation.Modulation, h *linalg.Mat, bits int) (*Program, error) {
+// Get returns the compiled program for (dataMod, h, bits), compiling it on a
+// miss. key is the ChannelKey the caller holds for (dataMod, h); 0 mints it
+// here, for a caller through whom H enters the process. bits = 0 selects
+// DefaultPerturbBits.
+func (c *Cache) Get(key core.ChannelKey, dataMod modulation.Modulation, h *linalg.Mat, bits int) (*Program, error) {
 	if bits == 0 {
 		bits = DefaultPerturbBits
 	}
-	key := cacheKey{ck: core.FingerprintChannel(dataMod, h), bits: bits}
-	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		prog := el.Value.(*cacheEntry).prog
-		c.mu.Unlock()
-		return prog, nil
+	if key == 0 {
+		key = core.FingerprintChannel(dataMod, h)
 	}
-	c.misses++
-	c.mu.Unlock()
-
-	// Compile outside the lock: the channel inversion is O(Nu³) and must not
-	// stall concurrent lookups.
-	prog, err := Compile(dataMod, h, bits)
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		// A concurrent Get won the race; keep the incumbent so every caller
-		// shares one program (and its coupling storage).
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).prog, nil
-	}
-	c.m[key] = c.lru.PushFront(&cacheEntry{key: key, prog: prog})
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.m, back.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	return prog, nil
+	prog, _, err := c.programs.Get(programKey{key, bits}, dataMod, h, func() (*Program, error) { return Compile(dataMod, h, bits) })
+	return prog, err
 }
 
-// Stats snapshots the cache counters in the same shape as the decoder's
-// compiled-channel cache, so pool observability can aggregate both.
-func (c *Cache) Stats() metrics.ChannelCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return metrics.ChannelCacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
-}
+// Stats snapshots the cache counters, in the compiled-channel store's shape.
+func (c *Cache) Stats() metrics.ChannelCacheStats { return c.programs.Stats() }

@@ -13,10 +13,10 @@ import (
 // Precoder runs the VP search on a QuAMax decoder with the same
 // compile/execute economics as uplink decoding: the VP program (channel
 // inversion + couplings) compiles once per coherence window through a
-// fingerprint-keyed LRU, the decoder pins the embedded physical program in
-// its compiled-channel cache, and each symbol vector only pays one
-// matrix–vector product plus the bias rewrite and anneal. Safe for
-// concurrent use.
+// Cache, the decoder pins the embedded physical program in its
+// compiled-channel store under the program's key, and each symbol vector
+// only pays one matrix–vector product plus the bias rewrite and anneal. Safe
+// for concurrent use.
 type Precoder struct {
 	dec   *core.Decoder
 	bits  int
@@ -49,10 +49,10 @@ func (p *Precoder) PerturbBits() int { return p.bits }
 func (p *Precoder) CacheStats() metrics.ChannelCacheStats { return p.cache.Stats() }
 
 // Compile returns the VP program for one downlink channel estimate through
-// the precoder's LRU — call once per coherence window (repeat calls with
-// the same H are cache hits).
+// the precoder's cache — call once per coherence window (repeat calls with
+// the same H are cache hits). H enters here, so its key is minted here.
 func (p *Precoder) Compile(dataMod modulation.Modulation, h *linalg.Mat) (*Program, error) {
-	return p.cache.Get(dataMod, h, p.bits)
+	return p.cache.Get(0, dataMod, h, p.bits)
 }
 
 // Result is one solved VP search.
@@ -80,7 +80,7 @@ type Result struct {
 // bit-identical to PrecodeRecompile on the same (program inputs, random
 // stream) — the property tests assert it.
 func (p *Precoder) Precode(prog *Program, s []complex128, src *rng.Source) (*Result, error) {
-	cc, err := p.dec.Compile(prog.PerturbMod(), prog.VPChannel())
+	cc, _, err := p.dec.CompileKeyed(prog.Key(), prog.PerturbMod(), prog.VPChannel())
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quamax/internal/channel"
+	"quamax/internal/core"
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
 	"quamax/internal/qubo"
@@ -308,12 +309,15 @@ func TestRightInverseProperty(t *testing.T) {
 	}
 }
 
-// TestCacheSharing proves concurrent lookups converge on one shared program
-// per (channel, bits) and that eviction respects capacity.
+// TestCacheSharing: concurrent lookups of one window converge on one shared
+// program, a registered key and a key minted here name the same entry, and the
+// perturbation depth is part of what selects a program. (Order, eviction and
+// single-flight are the store's, core.TestWindowStore.)
 func TestCacheSharing(t *testing.T) {
 	src := rng.New(507)
 	cache := NewCache(2)
 	h := channel.Rayleigh{}.Generate(src, 3, 4)
+	registered := core.FingerprintChannel(modulation.QPSK, h)
 
 	const workers = 8
 	progs := make([]*Program, workers)
@@ -322,7 +326,11 @@ func TestCacheSharing(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p, err := cache.Get(modulation.QPSK, h, 1)
+			key := registered
+			if w%2 == 1 {
+				key = 0 // minted inside Get
+			}
+			p, err := cache.Get(key, modulation.QPSK, h, 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -336,30 +344,26 @@ func TestCacheSharing(t *testing.T) {
 			t.Fatal("concurrent Get returned distinct programs")
 		}
 	}
-	// Get deliberately compiles outside the lock, so several concurrent
-	// misses are legal (the race loser's program is discarded); every call
-	// still counts exactly one hit or miss.
-	st := cache.Stats()
-	if st.Hits+st.Misses != workers || st.Misses < 1 {
+	if st := cache.Stats(); st.Hits+st.Misses != workers || st.Misses < 1 {
 		t.Fatalf("stats after warm loop: %+v", st)
 	}
 
 	// Different bit depth is a different program.
-	p2, err := cache.Get(modulation.QPSK, h, 2)
+	p2, err := cache.Get(registered, modulation.QPSK, h, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2 == progs[0] {
 		t.Fatal("bit depths share a cache entry")
 	}
-	// Two more channels overflow the 2-entry capacity.
-	for i := 0; i < 2; i++ {
-		hh := channel.Rayleigh{}.Generate(src, 3, 4)
-		if _, err := cache.Get(modulation.QPSK, hh, 1); err != nil {
-			t.Fatal(err)
-		}
+	// The key of another window presented with this channel is a miss that
+	// compiles this channel, not a hit on the other window's program.
+	other := channel.Rayleigh{}.Generate(src, 3, 4)
+	p3, err := cache.Get(registered, modulation.QPSK, other, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions at capacity 2: %+v", st)
+	if p3 == progs[0] || p3.Channel() != other {
+		t.Fatal("a reused key served another channel's program")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"quamax/internal/backend"
 	"quamax/internal/channel"
 	"quamax/internal/core"
+	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
@@ -39,9 +40,10 @@ func noisyProblems(t *testing.T, windows, symbols int) [][]*backend.Problem {
 	return out
 }
 
-// A problem planned through the per-channel cache must get exactly the plan
+// A problem planned through the per-window store must get exactly the plan
 // the same problem gets un-keyed (estimator built and discarded), on first
-// sight of its window and on every later symbol.
+// sight of its window and on every later symbol — and only keyed problems
+// are remembered, one estimator per window.
 func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 	pl, err := qos.NewPlanner(nil)
 	if err != nil {
@@ -75,52 +77,75 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 	if quantum == 0 || denied == 0 {
 		t.Fatalf("%d sized plans, %d denials: the grid does not exercise both verdicts", quantum, denied)
 	}
-	if n := s.snr.lru.Len(); n != 12 {
-		t.Fatalf("cache holds %d windows, want the 12 keyed ones (un-keyed problems must not be cached)", n)
+	if st, want := s.snr.Stats(), (metrics.ChannelCacheStats{Hits: 12 * 5, Misses: 12}); st != want {
+		t.Fatalf("planning store %+v, want %+v: one build per keyed window, un-keyed problems never stored", st, want)
 	}
 }
 
-func TestSNRCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	var c snrCache
-	p := noisyProblems(t, 1, 1)[0][0]
-	at := func(key int) *qos.SNREstimator {
-		q := *p
-		q.ChannelKey = core.ChannelKey(key)
-		return c.estimator(&q)
+// Two channels under one ChannelKey: each request is planned from its OWN
+// channel. The key's first channel here has nearly collinear columns; a
+// well-conditioned 30 dB channel estimated through ITS pseudo-inverse reads as
+// noise, so a scheduler that trusts the key denies a request its own channel
+// fits on the annealer.
+func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
+	pl, err := qos.NewPlanner(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := at(1)
-	for key := 2; key <= snrCacheWindows; key++ {
-		at(key)
+	s, err := New(Config{Pool: []backend.Backend{&fakeBackend{name: "qpu"}}, Fallback: &fakeBackend{name: "sa"}, Planner: pl})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if at(1) != first {
-		t.Fatal("a window within the bound was rebuilt")
+	defer s.Close()
+	src := rng.New(43)
+	cfg := mimo.Config{Mod: modulation.QPSK, Nt: 8, Nr: 8, Channel: channel.Rayleigh{}, SNRdB: 30}
+	good, err := mimo.Generate(src, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Key 1 is now the most recent, key 2 the oldest: ten more windows evict
-	// keys 2..11 and nothing else.
-	for key := snrCacheWindows + 1; key <= snrCacheWindows+10; key++ {
-		at(key)
-	}
-	if len(c.m) != snrCacheWindows || c.lru.Len() != snrCacheWindows {
-		t.Fatalf("cache holds %d keys / %d entries, want the bound %d", len(c.m), c.lru.Len(), snrCacheWindows)
-	}
-	for key := 2; key <= 11; key++ {
-		if _, ok := c.m[core.ChannelKey(key)]; ok {
-			t.Fatalf("key %d outlived %d newer windows", key, snrCacheWindows)
+	hBad := good.H.Clone()
+	for r := 0; r < hBad.Rows; r++ {
+		for c := 1; c < hBad.Cols; c++ {
+			hBad.Set(r, c, hBad.At(r, 0)+0.05*hBad.At(r, c))
 		}
 	}
-	if at(1) != first {
-		t.Fatal("the most recently used window was evicted")
+	bad, err := mimo.FromParts(src, cfg, hBad, src.Bits(16))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.m[12]; !ok {
-		t.Fatal("key 12 evicted ahead of its turn")
+	key := core.FingerprintChannel(bad.Mod, bad.H)
+	plan := func(in *mimo.Instance, key core.ChannelKey) (backend.Problem, bool) {
+		q, denied := s.applyPlan(&backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, TargetBER: 1e-3, ChannelKey: key}, 50*time.Millisecond)
+		out := *q
+		out.ChannelKey = 0
+		return out, denied
+	}
+	wantGood, wantGoodDenied := plan(good, 0)
+	wantBad, wantBadDenied := plan(bad, 0)
+	if wantGoodDenied == wantBadDenied && reflect.DeepEqual(wantGood.Anneal, wantBad.Anneal) {
+		t.Fatal("the two channels plan alike: the test cannot tell whose estimator was used")
+	}
+	for i, c := range []struct {
+		in         *mimo.Instance
+		want       backend.Problem
+		wantDenied bool
+	}{{bad, wantBad, wantBadDenied}, {good, wantGood, wantGoodDenied}, {bad, wantBad, wantBadDenied}} {
+		if got, denied := plan(c.in, key); denied != c.wantDenied || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("request %d under the shared key: budget %+v denied=%v, its own channel's plan is %+v denied=%v",
+				i, got.Anneal, denied, c.want.Anneal, c.wantDenied)
+		}
 	}
 }
 
 // The symbols of two new windows arriving together: every goroutine gets its
-// window's one estimator, each built once. Run under -race.
-func TestSNRCacheConcurrentWindows(t *testing.T) {
+// window's one estimator. Run under -race.
+func TestEstimatorConcurrentWindows(t *testing.T) {
 	windows := noisyProblems(t, 2, 1)
-	var c snrCache
+	s, err := New(Config{Pool: []backend.Backend{&fakeBackend{name: "qpu"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	const workers = 16
 	got := make([]*qos.SNREstimator, workers)
 	var wg sync.WaitGroup
@@ -130,7 +155,7 @@ func TestSNRCacheConcurrentWindows(t *testing.T) {
 			defer wg.Done()
 			p := *windows[g%2][0]
 			p.ChannelKey = core.ChannelKey(1 + g%2)
-			got[g] = c.estimator(&p)
+			got[g] = s.estimator(&p)
 			if _, ok := got[g].Estimate(p.Y); !ok {
 				t.Errorf("goroutine %d: estimate failed", g)
 			}

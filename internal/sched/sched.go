@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"quamax/internal/backend"
+	"quamax/internal/core"
 	"quamax/internal/health"
 	"quamax/internal/metrics"
 	"quamax/internal/qos"
@@ -189,7 +190,7 @@ type Scheduler struct {
 	closed         bool
 	srcMu          sync.Mutex
 	src            *rng.Source
-	snr            snrCache // per-channel planning state (applyPlan)
+	snr            *core.WindowStore[core.ChannelKey, *qos.SNREstimator] // per-channel planning state (applyPlan)
 
 	wg   sync.WaitGroup // pool workers
 	fbWg sync.WaitGroup // in-flight fallback solves
@@ -272,6 +273,7 @@ func New(cfg Config) (*Scheduler, error) {
 		now:   now,
 		start: now(),
 		src:   rng.New(cfg.Seed),
+		snr:   core.NewWindowStore[core.ChannelKey, *qos.SNREstimator](snrWindows),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, be := range cfg.Pool {
@@ -408,7 +410,7 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	// A failed SNR estimate (singular channel) plans at the top of the
 	// fitted range; the planner's own guards still apply.
 	snr := math.Inf(1)
-	if est, ok := s.snr.estimator(p).Estimate(p.Y); ok {
+	if est, ok := s.estimator(p).Estimate(p.Y); ok {
 		snr = est
 	}
 	plan := s.cfg.Planner.Plan(qos.Request{
@@ -442,6 +444,26 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	q.Reverse = plan.Reverse
 	q.PT = plan.PT
 	return &q, false
+}
+
+// snrWindows is how many windows' SNR estimators a scheduler remembers: the
+// live channel handles one fronthaul connection may hold
+// (fronthaul.MaxChannelsPerConn, which this package cannot import), so one
+// AP's registered windows never evict each other's planning state. An entry is
+// one Nt×Nr matrix (37 KB at 48×48).
+const snrWindows = 256
+
+// estimator returns the SNR estimator for p's channel: its window's, so the
+// symbols of a window share one O(Nt³) inversion and each pays O(Nt·Nr), or
+// for an un-keyed problem (a channel seen once) a fresh one, never remembered.
+func (s *Scheduler) estimator(p *backend.Problem) *qos.SNREstimator {
+	if p.ChannelKey == 0 {
+		return qos.NewSNREstimator(p.Mod, p.H)
+	}
+	est, _, _ := s.snr.Get(p.ChannelKey, p.Mod, p.H, func() (*qos.SNREstimator, error) {
+		return qos.NewSNREstimator(p.Mod, p.H), nil // cannot fail: a singular H is reported by Estimate
+	})
+	return est
 }
 
 // divertForCost decides cost-aware dispatch for p after planning, on the

@@ -8,7 +8,10 @@
 //     internal/reduction, internal/core, internal/precoding,
 //     internal/softout, internal/telemetry, internal/anneal,
 //     internal/router, cmd/fleetsim) lacks a doc
-//     comment.
+//     comment, or
+//   - a Test…/Fuzz… name in a -run or -fuzz argument of the CI workflow
+//     matches no function in any _test.go file — a renamed test would
+//     otherwise leave its step green and empty.
 //
 // Run it from the repository root:
 //
@@ -56,6 +59,7 @@ func main() {
 	for _, dir := range fullDocPackages {
 		problems = append(problems, checkExportedDocs(dir)...)
 	}
+	problems = append(problems, checkWorkflowTests(".github/workflows/go.yml")...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -119,6 +123,43 @@ func checkMarkdownLinks(root string) []string {
 	})
 	if err != nil {
 		problems = append(problems, "markdown walk: "+err.Error())
+	}
+	return problems
+}
+
+// runArg matches a -run or -fuzz flag with its (possibly quoted) pattern;
+// testName, the whole test names inside one ("^Fuzz" and "^$" hold none).
+var (
+	runArg   = regexp.MustCompile(`-(?:run|fuzz)[ =]('[^']*'|\S+)`)
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz)\w+`)
+)
+
+// checkWorkflowTests verifies that every test the workflow selects by name
+// is defined by some _test.go file in the repository.
+func checkWorkflowTests(workflow string) []string {
+	yml, err := os.ReadFile(workflow)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var tests strings.Builder
+	err = filepath.WalkDir(".", func(path string, _ os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		tests.Write(src)
+		return err
+	})
+	if err != nil {
+		return []string{"test walk: " + err.Error()}
+	}
+	var problems []string
+	for _, arg := range runArg.FindAllStringSubmatch(string(yml), -1) {
+		for _, name := range testName.FindAllString(arg[1], -1) {
+			if !strings.Contains(tests.String(), "\nfunc "+name+"(") {
+				problems = append(problems, fmt.Sprintf("%s: a -run/-fuzz pattern selects %s, which no _test.go file defines", workflow, name))
+			}
+		}
 	}
 	return problems
 }
