@@ -1,16 +1,62 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"quamax/internal/modulation"
 )
 
-// Tiny presets so the whole suite smoke-tests in seconds; the scientific
-// shape checks live in the bench harness.
+// Tiny presets so the whole suite runs in seconds. Each experiment's table at
+// its tiny preset is pinned byte for byte in testdata/<id>.golden.
+
+var update = flag.Bool("update", false, "rewrite the experiment golden files")
 
 func tinyEnv() *Env { return NewEnv() }
+
+// hostTimeColumns are the cells measured with time.Since, the only
+// nondeterminism in any table; the golden compare masks them.
+var hostTimeColumns = map[string][]string{
+	"fig14": {"ZF time", "speedup"},
+	"sa":    {"SA wall time"},
+}
+
+// golden compares the rendered table with testdata/<id>.golden.
+func golden(t *testing.T, id string, tab *Table, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked := *tab
+	masked.Rows = make([][]string, len(tab.Rows))
+	for r, row := range tab.Rows {
+		masked.Rows[r] = append([]string(nil), row...)
+		for c, name := range tab.Columns {
+			for _, host := range hostTimeColumns[id] {
+				if name == host {
+					masked.Rows[r][c] = "~"
+				}
+			}
+		}
+	}
+	got := masked.String()
+	path := filepath.Join("testdata", id+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: table moved (rerun with -update if intended):\n%s", id, got)
+	}
+}
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "T", Columns: []string{"a", "bee"}, Notes: []string{"n"}}
@@ -31,19 +77,12 @@ func TestTable1Smoke(t *testing.T) {
 	cfg := Table1Quick()
 	cfg.Instances = 3
 	tab, err := Table1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "table1", tab, err)
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
 	tab, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "table2", tab, err)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -71,12 +110,7 @@ func TestFig4Smoke(t *testing.T) {
 	cfg.Anneals = 60
 	cfg.TopRanks = 2
 	tab, err := Fig4(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
+	golden(t, "fig4", tab, err)
 }
 
 func TestFig5Smoke(t *testing.T) {
@@ -88,13 +122,7 @@ func TestFig5Smoke(t *testing.T) {
 	cfg.Instances = 2
 	cfg.Anneals = 50
 	tab, err := Fig5(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 mods × 1 size × 2 ranges × 2 JFs.
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig5", tab, err)
 }
 
 func TestFig6Smoke(t *testing.T) {
@@ -106,12 +134,7 @@ func TestFig6Smoke(t *testing.T) {
 	cfg.Instances = 2
 	cfg.Anneals = 40
 	tab, err := Fig6(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 { // 1 size × 2 ranges × 2 Ta × 1 JF
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig6", tab, err)
 }
 
 func TestFig7Smoke(t *testing.T) {
@@ -124,12 +147,7 @@ func TestFig7Smoke(t *testing.T) {
 	cfg.Instances = 2
 	cfg.Anneals = 40
 	tab, err := Fig7(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 { // ICE on + off
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig7", tab, err)
 	if !e.Machine.ICE.Enabled {
 		t.Fatal("Fig7 must restore the ICE setting")
 	}
@@ -145,12 +163,7 @@ func TestFig8Smoke(t *testing.T) {
 	cfg.OptJFs = []float64{4}
 	cfg.OptSps = []float64{0.35}
 	tab, err := Fig8(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 { // 4 strategies × 2 Na
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig8", tab, err)
 }
 
 func TestFig12Smoke(t *testing.T) {
@@ -161,12 +174,7 @@ func TestFig12Smoke(t *testing.T) {
 	cfg.Anneals = 60
 	cfg.Ranks = 2
 	tab, err := Fig12(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
+	golden(t, "fig12", tab, err)
 }
 
 func TestFig14Smoke(t *testing.T) {
@@ -177,12 +185,7 @@ func TestFig14Smoke(t *testing.T) {
 	cfg.Instances = 2
 	cfg.Anneals = 50
 	tab, err := Fig14(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig14", tab, err)
 }
 
 func TestFig15Smoke(t *testing.T) {
@@ -192,12 +195,7 @@ func TestFig15Smoke(t *testing.T) {
 	cfg.Anneals = 50
 	cfg.Grid = OptGrid{JFs: []float64{4}, PausePositions: []float64{0.35}}
 	tab, err := Fig15(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 { // 2 mods × {TTB, TTF}
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig15", tab, err)
 }
 
 func TestEdgeConfigsCoverPaperSizes(t *testing.T) {
@@ -226,24 +224,14 @@ func TestFig9Fig10Fig11Smoke(t *testing.T) {
 	cfg9.NaGrid = []int{1, 10}
 	cfg9.Grid = OptGrid{JFs: []float64{4}, PausePositions: []float64{0.35}}
 	tab, err := Fig9(e, cfg9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("fig9: no rows")
-	}
+	golden(t, "fig9", tab, err)
 
 	cfg10 := Fig10Quick()
 	cfg10.Instances = 2
 	cfg10.Anneals = 40
 	cfg10.Grid = OptGrid{JFs: []float64{4}, PausePositions: []float64{0.35}}
 	tab, err = Fig10(e, cfg10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("fig10: no rows")
-	}
+	golden(t, "fig10", tab, err)
 
 	cfg11 := Fig11Quick()
 	cfg11.Instances = 2
@@ -251,12 +239,7 @@ func TestFig9Fig10Fig11Smoke(t *testing.T) {
 	cfg11.Grid = OptGrid{JFs: []float64{4}, PausePositions: []float64{0.35}}
 	cfg11.FrameBytes = []int{50}
 	tab, err = Fig11(e, cfg11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("fig11: no rows")
-	}
+	golden(t, "fig11", tab, err)
 }
 
 func TestFig13Smoke(t *testing.T) {
@@ -275,22 +258,12 @@ func TestFig13Smoke(t *testing.T) {
 	cfg.Anneals = 40
 	cfg.Grid = OptGrid{JFs: []float64{4}, PausePositions: []float64{0.35}}
 	tab, err := Fig13(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 6 { // 3 left + 3 right
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "fig13", tab, err)
 }
 
 func TestTableFutureProjection(t *testing.T) {
 	tab, err := TableFuture()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
+	golden(t, "future", tab, err)
 	// The 60x60 BPSK footprint must shrink dramatically under Pegasus chains.
 	if tab.Rows[0][3] != "960" || tab.Rows[0][5] != "360" {
 		t.Fatalf("unexpected 60x60 BPSK projection row: %v", tab.Rows[0])
@@ -305,12 +278,7 @@ func TestAblationReverseSmoke(t *testing.T) {
 	cfg.Instances = 2
 	cfg.Anneals = 50
 	tab, err := AblationReverse(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "reverse", tab, err)
 }
 
 func TestCodedSmoke(t *testing.T) {
@@ -322,12 +290,7 @@ func TestCodedSmoke(t *testing.T) {
 	cfg.Frames = 2
 	cfg.Anneals = 30
 	tab, err := Coded(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 { // 1 SNR × 3 front ends
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "coded", tab, err)
 }
 
 func TestSAComparisonSmoke(t *testing.T) {
@@ -338,10 +301,5 @@ func TestSAComparisonSmoke(t *testing.T) {
 	cfg.Anneals = 30
 	cfg.SASweeps = 50
 	tab, err := SAComparison(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
+	golden(t, "sa", tab, err)
 }
