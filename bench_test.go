@@ -1,5 +1,6 @@
-// Benchmark harness: one benchmark per paper table/figure (quick-scale
-// presets; run cmd/quamax for full scale), plus component micro-benchmarks.
+// Benchmark harness: BenchmarkExperiment/<id> for every registered paper
+// table/figure (quick-scale presets; run cmd/quamax for full scale), plus
+// component micro-benchmarks.
 //
 //	go test -bench=. -benchmem
 //
@@ -44,118 +45,30 @@ import (
 	"quamax/internal/trace"
 )
 
-// sharedEnv reuses embeddings/decoders across experiment benchmarks.
-var (
-	envOnce sync.Once
-	env     *experiments.Env
-)
-
-func sharedEnv() *experiments.Env {
-	envOnce.Do(func() { env = experiments.NewEnv() })
-	return env
-}
-
-func runExperiment(b *testing.B, fn func(*experiments.Env) (*experiments.Table, error)) {
-	b.Helper()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		tab, err := fn(sharedEnv())
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(tab.Rows)
-		if rows == 0 {
-			b.Fatal("experiment produced no rows")
-		}
-		if i == 0 {
-			b.Log("\n" + tab.String())
-		}
+// BenchmarkExperiment regenerates every registered experiment at its quick
+// preset, one sub-benchmark per ID (BenchmarkExperiment/fig5), over one Env
+// so embeddings and decoders are reused.
+func BenchmarkExperiment(b *testing.B) {
+	env := experiments.NewEnv()
+	for _, x := range experiments.Registry {
+		b.Run(x.ID, func(b *testing.B) {
+			var rows int
+			for i := 0; i < b.N; i++ {
+				tab, err := x.Run(env, experiments.Quick)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(tab.Rows)
+				if rows == 0 {
+					b.Fatal("experiment produced no rows")
+				}
+				if i == 0 {
+					b.Log("\n" + tab.String())
+				}
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-func BenchmarkTable1(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Table1(experiments.Table1Quick())
-	})
-}
-
-func BenchmarkTable2(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Table2()
-	})
-}
-
-func BenchmarkFig4(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig4(e, experiments.Fig4Quick())
-	})
-}
-
-func BenchmarkFig5(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig5(e, experiments.Fig5Quick())
-	})
-}
-
-func BenchmarkFig6(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig6(e, experiments.Fig6Quick())
-	})
-}
-
-func BenchmarkFig7(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig7(e, experiments.Fig7Quick())
-	})
-}
-
-func BenchmarkFig8(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig8(e, experiments.Fig8Quick())
-	})
-}
-
-func BenchmarkFig9(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig9(e, experiments.Fig9Quick())
-	})
-}
-
-func BenchmarkFig10(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig10(e, experiments.Fig10Quick())
-	})
-}
-
-func BenchmarkFig11(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig11(e, experiments.Fig11Quick())
-	})
-}
-
-func BenchmarkFig12(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig12(e, experiments.Fig12Quick())
-	})
-}
-
-func BenchmarkFig13(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig13(e, experiments.Fig13Quick())
-	})
-}
-
-func BenchmarkFig14(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig14(e, experiments.Fig14Quick())
-	})
-}
-
-func BenchmarkFig15(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Fig15(e, experiments.Fig15Quick())
-	})
 }
 
 // --- Component micro-benchmarks -------------------------------------------
@@ -422,34 +335,6 @@ func BenchmarkBruteForce20(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qubo.BruteForceIsing(p)
 	}
-}
-
-// BenchmarkFuture regenerates the §8 next-generation-chip projection table.
-func BenchmarkFuture(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.TableFuture()
-	})
-}
-
-// BenchmarkReverse regenerates the reverse-annealing ablation (§8 [68]).
-func BenchmarkReverse(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.AblationReverse(e, experiments.ReverseQuick())
-	})
-}
-
-// BenchmarkCoded regenerates the simulated coded-FER extension table.
-func BenchmarkCoded(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.Coded(e, experiments.CodedQuick())
-	})
-}
-
-// BenchmarkSAComparison regenerates the QA-vs-classical-SA table (§6).
-func BenchmarkSAComparison(b *testing.B) {
-	runExperiment(b, func(e *experiments.Env) (*experiments.Table, error) {
-		return experiments.SAComparison(e, experiments.SAQuick())
-	})
 }
 
 // benchLatencyModel measures a classical backend per solve on N-user BPSK

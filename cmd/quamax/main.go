@@ -5,9 +5,10 @@
 //	quamax -exp table1              # one experiment
 //	quamax -exp fig5,fig6 -quick    # several, at bench scale
 //	quamax -exp all -csv out/       # everything, also writing CSV files
+//	quamax -list                    # every experiment ID and its paper artifact
 //
-// Experiment IDs: table1 table2 fig4 fig5 fig6 fig7 fig8
-// fig9 fig10 fig11 fig12 fig13 fig14 fig15.
+// The experiments are internal/experiments' Registry; -list and the usage
+// text print it, so no ID is enumerated here.
 //
 // It also fronts a serving data center's metrics (the fronthaul stats frame):
 //
@@ -26,147 +27,13 @@ import (
 	"quamax/internal/experiments"
 )
 
-// runner executes one experiment at quick or full scale.
-type runner struct {
-	name  string
-	quick func(e *experiments.Env) (*experiments.Table, error)
-	full  func(e *experiments.Env) (*experiments.Table, error)
-}
-
-func runners(tracePath string) []runner {
-	return []runner{
-		{"table1",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Table1(experiments.Table1Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Table1(experiments.Table1Full())
-			}},
-		{"table2",
-			func(e *experiments.Env) (*experiments.Table, error) { return experiments.Table2() },
-			func(e *experiments.Env) (*experiments.Table, error) { return experiments.Table2() }},
-		{"fig4",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig4(e, experiments.Fig4Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig4(e, experiments.Fig4Full())
-			}},
-		{"fig5",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig5(e, experiments.Fig5Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig5(e, experiments.Fig5Full())
-			}},
-		{"fig6",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig6(e, experiments.Fig6Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig6(e, experiments.Fig6Full())
-			}},
-		{"fig7",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig7(e, experiments.Fig7Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig7(e, experiments.Fig7Full())
-			}},
-		{"fig8",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig8(e, experiments.Fig8Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig8(e, experiments.Fig8Full())
-			}},
-		{"fig9",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig9(e, experiments.Fig9Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig9(e, experiments.Fig9Full())
-			}},
-		{"fig10",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig10(e, experiments.Fig10Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig10(e, experiments.Fig10Full())
-			}},
-		{"fig11",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig11(e, experiments.Fig11Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig11(e, experiments.Fig11Full())
-			}},
-		{"fig12",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig12(e, experiments.Fig12Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig12(e, experiments.Fig12Full())
-			}},
-		{"fig13",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig13(e, experiments.Fig13Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig13(e, experiments.Fig13Full())
-			}},
-		{"fig14",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig14(e, experiments.Fig14Quick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Fig14(e, experiments.Fig14Full())
-			}},
-		{"fig15",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				cfg := experiments.Fig15Quick()
-				cfg.TracePath = tracePath
-				return experiments.Fig15(e, cfg)
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				cfg := experiments.Fig15Full()
-				cfg.TracePath = tracePath
-				return experiments.Fig15(e, cfg)
-			}},
-		{"future",
-			func(e *experiments.Env) (*experiments.Table, error) { return experiments.TableFuture() },
-			func(e *experiments.Env) (*experiments.Table, error) { return experiments.TableFuture() }},
-		{"reverse",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.AblationReverse(e, experiments.ReverseQuick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.AblationReverse(e, experiments.ReverseFull())
-			}},
-		{"coded",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Coded(e, experiments.CodedQuick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.Coded(e, experiments.CodedFull())
-			}},
-		{"sa",
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.SAComparison(e, experiments.SAQuick())
-			},
-			func(e *experiments.Env) (*experiments.Table, error) {
-				return experiments.SAComparison(e, experiments.SAFull())
-			}},
-	}
-}
-
 func main() {
 	var (
 		exp    = flag.String("exp", "", "comma-separated experiment IDs, or 'all'")
 		quick  = flag.Bool("quick", false, "run at bench scale instead of full scale")
 		csvDir = flag.String("csv", "", "directory to also write <exp>.csv files into")
 		trace  = flag.String("trace", "", "QMTR trace file for fig15 (default: synthesize)")
-		list   = flag.Bool("list", false, "list experiment IDs and exit")
+		list   = flag.Bool("list", false, "list experiment IDs with their paper artifacts and exit")
 		top    = flag.String("top", "", "poll a serving data center's live stats (fronthaul address) and exit")
 		watch  = flag.Duration("watch", 0, "with -top, redraw the stats table every interval")
 	)
@@ -176,59 +43,44 @@ func main() {
 		return
 	}
 
-	all := runners(*trace)
 	if *list {
-		for _, r := range all {
-			fmt.Println(r.name)
+		for _, x := range experiments.Registry {
+			fmt.Printf("%-8s %s\n", x.ID, x.Artifact)
 		}
 		return
 	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "usage: quamax -exp <id>[,<id>...] | -exp all [-quick] [-csv dir]")
-		fmt.Fprintln(os.Stderr, "experiments:", names(all))
+		fmt.Fprintln(os.Stderr, "experiments:", ids())
+		os.Exit(2)
+	}
+	selected, unknown := selectExperiments(*exp)
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment(s) %s; known: %s\n", strings.Join(unknown, " "), ids())
 		os.Exit(2)
 	}
 
-	wanted := map[string]bool{}
-	if *exp == "all" {
-		for _, r := range all {
-			wanted[r.name] = true
-		}
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			wanted[strings.TrimSpace(id)] = true
-		}
-	}
-	for id := range wanted {
-		if !contains(all, id) {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", id, names(all))
-			os.Exit(2)
-		}
-	}
-
 	env := experiments.NewEnv()
-	for _, r := range all {
-		if !wanted[r.name] {
-			continue
-		}
+	env.TracePath = *trace
+	scale := experiments.Full
+	if *quick {
+		scale = experiments.Quick
+	}
+	for _, x := range selected {
 		start := time.Now()
-		run := r.full
-		if *quick {
-			run = r.quick
-		}
-		tab, err := run(env)
+		tab, err := x.Run(env, scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", x.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println(tab.String())
-		fmt.Printf("(%s completed in %v)\n\n", r.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", x.ID, time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			path := filepath.Join(*csvDir, r.name+".csv")
+			path := filepath.Join(*csvDir, x.ID+".csv")
 			if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
 				os.Exit(1)
@@ -237,19 +89,38 @@ func main() {
 	}
 }
 
-func names(rs []runner) string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.name
+// selectExperiments resolves an -exp value ("all" or comma-separated IDs) to
+// the registered experiments it names, in registry order, and every ID it
+// names that is not registered, in the order given.
+func selectExperiments(exp string) (selected []experiments.Experiment, unknown []string) {
+	if exp == "all" {
+		return experiments.Registry, nil
 	}
-	return strings.Join(out, " ")
-}
-
-func contains(rs []runner, name string) bool {
-	for _, r := range rs {
-		if r.name == name {
-			return true
+	known := map[string]bool{}
+	for _, x := range experiments.Registry {
+		known[x.ID] = true
+	}
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(exp, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] && !wanted[id] {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		wanted[id] = true
+	}
+	for _, x := range experiments.Registry {
+		if wanted[x.ID] {
+			selected = append(selected, x)
 		}
 	}
-	return false
+	return selected, unknown
+}
+
+// ids lists the registered experiment IDs, space separated.
+func ids() string {
+	out := make([]string, len(experiments.Registry))
+	for i, x := range experiments.Registry {
+		out[i] = x.ID
+	}
+	return strings.Join(out, " ")
 }

@@ -57,8 +57,11 @@ func CodedFull() CodedConfig {
 func Coded(e *Env, cfg CodedConfig) (*Table, error) {
 	mod := modulation.QPSK
 	t := &Table{
-		Title:   fmt.Sprintf("Extension: simulated coded FER (QPSK %dx%d, K=7 r=1/2 + interleaver, estimated CSI)", cfg.Users, cfg.Antennas),
-		Columns: []string{"SNR(dB)", "front end", "raw BER", "coded FER", "analytic FER(raw)", "post-FEC BER"},
+		Title: fmt.Sprintf("Extension: simulated coded FER (QPSK %dx%d, K=7 r=1/2 + interleaver, estimated CSI)", cfg.Users, cfg.Antennas),
+		Columns: []Column{
+			col("SNR(dB)", "%g"), col("front end", "%v"), colBER("raw BER"), col("coded FER", "%.3f"),
+			col("analytic FER(raw)", "%.3f"), colBER("post-FEC BER"),
+		},
 		Notes: []string{
 			fmt.Sprintf("%d frames of %d subcarriers x %d symbols; analytic column applies the paper's 1-(1-BER)^bits to the measured raw BER", cfg.Frames, cfg.Subcarriers, cfg.Symbols),
 			"expected: coding turns ML-grade raw BER into clean frames while ZF's error floor defeats the code",
@@ -115,14 +118,7 @@ func Coded(e *Env, cfg CodedConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			frameBits := frame.DataBits()
-			t.AddRow(
-				fmt.Sprintf("%g", snr), f.name,
-				fmtBER(rawBER),
-				fmt.Sprintf("%.3f", fer),
-				fmt.Sprintf("%.3f", metrics.FER(rawBER, frameBits)),
-				fmtBER(codedBER),
-			)
+			t.AddRow(snr, f.name, rawBER, fer, metrics.FER(rawBER, frame.DataBits()), codedBER)
 		}
 	}
 	return t, nil
@@ -165,8 +161,11 @@ func SAFull() SAConfig {
 func SAComparison(e *Env, cfg SAConfig) (*Table, error) {
 	mod := modulation.BPSK
 	t := &Table{
-		Title:   "Extension: QuAMax (QPU model) vs classical simulated annealing (logical problem, host CPU)",
-		Columns: []string{"users", "QPU BER@Na", "QPU time model", "SA BER", "SA wall time"},
+		Title: "Extension: QuAMax (QPU model) vs classical simulated annealing (logical problem, host CPU)",
+		Columns: []Column{
+			col("users", "%d"), colBER("QPU BER@Na"), colMicros("QPU time model"), colBER("SA BER"),
+			colMicros("SA wall time").hostTime(),
+		},
 		Notes: []string{
 			fmt.Sprintf("SA uses %d restarts x %d sweeps on the UNembedded problem; QPU runs %d anneals with the Fix parameters", cfg.Anneals, cfg.SASweeps, cfg.Anneals),
 			"the QPU time model is Na*(Ta+Tp)/Pf (compute time only, per the paper's §5.2 convention); SA time is measured wall clock",
@@ -199,13 +198,8 @@ func SAComparison(e *Env, cfg SAConfig) (*Table, error) {
 			}
 			saBER = append(saBER, in.BER(res.Bits))
 		}
-		t.AddRow(
-			fmt.Sprintf("%d", users),
-			fmtBER(metrics.Median(qpuBER)),
-			fmtMicros(qpuTime),
-			fmtBER(metrics.Median(saBER)),
-			fmtMicros(float64(saElapsed.Microseconds())/float64(cfg.Instances)),
-		)
+		t.AddRow(users, metrics.Median(qpuBER), qpuTime, metrics.Median(saBER),
+			float64(saElapsed.Microseconds())/float64(cfg.Instances))
 	}
 	return t, nil
 }

@@ -1,17 +1,19 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§5). Each experiment has a Config with two presets: Quick
-// (used by the root bench_test.go, minutes of compute) and Full (used by
-// cmd/quamax, closer to the paper's statistics). The output is a Table —
-// the same rows/series the paper plots — renderable as aligned text or CSV.
+// evaluation (§5). An experiment is one file — a Config with two presets,
+// Quick (bench scale, minutes of compute for the whole set) and Full (closer
+// to the paper's statistics), and a function from the Env and a Config to a
+// Table — plus one line of Registry, which is what cmd/quamax, the root
+// BenchmarkExperiment loop, the golden test and tools/docgate iterate. The
+// output is a Table — the same rows/series the paper plots — holding typed
+// values under formatting columns, renderable as aligned text or CSV.
 //
-// The per-experiment index lives in cmd/quamax (quamax -exp all); measured-vs-paper
-// comparisons live in the experiment doc comments and the bench harness.
+// The paper shapes that hold on this tree are asserted on the tables' numbers
+// by shape_test.go; the ones that do not are recorded in docs/EXPERIMENTS.md,
+// "Interpreting deviations from the paper".
 package experiments
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"quamax/internal/anneal"
 	"quamax/internal/chimera"
@@ -22,111 +24,15 @@ import (
 	"quamax/internal/rng"
 )
 
-// Table is a rendered experiment result.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
-	// Notes carry caveats (calibration, scale) into the rendered output.
-	Notes []string
-}
-
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// String renders an aligned text table.
-func (t *Table) String() string {
-	var b strings.Builder
-	b.WriteString("## " + t.Title + "\n")
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.Columns)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		line(row)
-	}
-	for _, n := range t.Notes {
-		b.WriteString("note: " + n + "\n")
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (cells are escaped by
-// replacing embedded commas; experiment cells never need full quoting).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string { return strings.ReplaceAll(s, ",", ";") }
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = esc(c)
-	}
-	b.WriteString(strings.Join(cols, ",") + "\n")
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		b.WriteString(strings.Join(cells, ",") + "\n")
-	}
-	return b.String()
-}
-
-// fmtMicros formats a microsecond quantity the way the paper's axes do.
-func fmtMicros(us float64) string {
-	switch {
-	case math.IsInf(us, 1):
-		return "inf"
-	case us >= 1e4:
-		return fmt.Sprintf("%.1fms", us/1e3)
-	default:
-		return fmt.Sprintf("%.2fus", us)
-	}
-}
-
-// fmtBER formats a bit error rate.
-func fmtBER(ber float64) string {
-	switch {
-	case math.IsNaN(ber):
-		return "nan"
-	case ber == 0:
-		return "0"
-	case ber < 1e-3:
-		return fmt.Sprintf("%.1e", ber)
-	default:
-		return fmt.Sprintf("%.4f", ber)
-	}
-}
-
 // Env bundles the shared experimental apparatus: the chip model and the
 // calibrated machine. One Env is reused across experiments so embeddings and
 // packings are computed once.
 type Env struct {
 	Graph   *chimera.Graph
 	Machine *anneal.Machine
+	// TracePath, when set, is the QMTR trace file Fig. 15 replays; empty
+	// synthesizes the Argos-like dataset (see internal/trace).
+	TracePath string
 
 	decoders map[string]*core.Decoder
 }
@@ -232,31 +138,4 @@ func DefaultOptGrid() OptGrid {
 // QuickOptGrid is the bench-scale Opt oracle grid.
 func QuickOptGrid() OptGrid {
 	return OptGrid{JFs: []float64{2, 4, 8, 12}, PausePositions: []float64{0.35}}
-}
-
-// bestTTB evaluates the grid and returns the minimum TTB(target) across
-// combinations (the Opt oracle), along with the distribution that achieved it.
-func (e *Env) bestTTB(in *mimo.Instance, grid OptGrid, numAnneals int, target float64, amortize bool, src *rng.Source) (float64, *metrics.Distribution, error) {
-	best := math.Inf(1)
-	var bestDist *metrics.Distribution
-	for _, jf := range grid.JFs {
-		for _, sp := range grid.PausePositions {
-			fp := FixParams{
-				JF: jf, Improved: true,
-				Params: anneal.Params{
-					AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: sp,
-					NumAnneals: numAnneals,
-				},
-			}
-			dist, wall, pf, err := e.decodeDist(in, fp, amortize, src)
-			if err != nil {
-				return 0, nil, err
-			}
-			if ttb := dist.TTB(target, wall, pf); bestDist == nil || ttb < best {
-				best = ttb
-				bestDist = dist
-			}
-		}
-	}
-	return best, bestDist, nil
 }

@@ -17,29 +17,19 @@ var update = flag.Bool("update", false, "rewrite the experiment golden files")
 
 func tinyEnv() *Env { return NewEnv() }
 
-// hostTimeColumns are the cells measured with time.Since, the only
-// nondeterminism in any table; the golden compare masks them.
-var hostTimeColumns = map[string][]string{
-	"fig14": {"ZF time", "speedup"},
-	"sa":    {"SA wall time"},
-}
-
-// golden compares the rendered table with testdata/<id>.golden.
+// golden compares the rendered table with testdata/<id>.golden. Host-time
+// columns (time.Since cells, the only nondeterminism in any table) render
+// as "~".
 func golden(t *testing.T, id string, tab *Table, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
 	masked := *tab
-	masked.Rows = make([][]string, len(tab.Rows))
-	for r, row := range tab.Rows {
-		masked.Rows[r] = append([]string(nil), row...)
-		for c, name := range tab.Columns {
-			for _, host := range hostTimeColumns[id] {
-				if name == host {
-					masked.Rows[r][c] = "~"
-				}
-			}
+	masked.Columns = append([]Column(nil), tab.Columns...)
+	for c := range masked.Columns {
+		if masked.Columns[c].HostTime {
+			masked.Columns[c].format = func(any) string { return "~" }
 		}
 	}
 	got := masked.String()
@@ -58,9 +48,31 @@ func golden(t *testing.T, id string, tab *Table, err error) {
 	}
 }
 
+// TestGoldensCoverRegistry fails when a registered experiment has no golden
+// (its tiny-preset test is missing) or a golden names no experiment.
+func TestGoldensCoverRegistry(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens := map[string]bool{}
+	for _, f := range files {
+		goldens[strings.TrimSuffix(filepath.Base(f), ".golden")] = true
+	}
+	for _, x := range Registry {
+		if !goldens[x.ID] {
+			t.Errorf("experiment %s is registered but has no testdata/%s.golden", x.ID, x.ID)
+		}
+		delete(goldens, x.ID)
+	}
+	for id := range goldens {
+		t.Errorf("testdata/%s.golden names no registered experiment", id)
+	}
+}
+
 func TestTableRendering(t *testing.T) {
-	tab := &Table{Title: "T", Columns: []string{"a", "bee"}, Notes: []string{"n"}}
-	tab.AddRow("1", "2,3")
+	tab := &Table{Title: "T", Columns: []Column{col("a", "%d"), col("bee", "%v")}, Notes: []string{"n"}}
+	tab.AddRow(1, "2,3")
 	s := tab.String()
 	for _, want := range []string{"## T", "a", "bee", "note: n"} {
 		if !strings.Contains(s, want) {
@@ -76,7 +88,7 @@ func TestTableRendering(t *testing.T) {
 func TestTable1Smoke(t *testing.T) {
 	cfg := Table1Quick()
 	cfg.Instances = 3
-	tab, err := Table1(cfg)
+	tab, err := Table1(nil, cfg)
 	golden(t, "table1", tab, err)
 }
 
@@ -91,15 +103,15 @@ func TestTable2MatchesPaper(t *testing.T) {
 	if !strings.Contains(s, "10 (40)") {
 		t.Fatalf("missing 10x10 BPSK footprint:\n%s", s)
 	}
-	if !strings.Contains(tab.Rows[3][4], "INFEASIBLE") {
+	if tab.Rows[3][4].(footprint).feasible {
 		t.Fatalf("60x60 64-QAM should be infeasible: %v", tab.Rows[3])
 	}
 	// 60x60 BPSK (960 qubits) feasible — the paper's headline size.
-	if strings.Contains(tab.Rows[3][1], "INFEASIBLE") {
+	if !tab.Rows[3][1].(footprint).feasible {
 		t.Fatalf("60x60 BPSK should be feasible: %v", tab.Rows[3])
 	}
 	// 20x20 16-QAM (80 logical, M=20) infeasible.
-	if !strings.Contains(tab.Rows[1][3], "INFEASIBLE") {
+	if tab.Rows[1][3].(footprint).feasible {
 		t.Fatalf("20x20 16-QAM should be infeasible: %v", tab.Rows[1])
 	}
 }
@@ -265,7 +277,7 @@ func TestTableFutureProjection(t *testing.T) {
 	tab, err := TableFuture()
 	golden(t, "future", tab, err)
 	// The 60x60 BPSK footprint must shrink dramatically under Pegasus chains.
-	if tab.Rows[0][3] != "960" || tab.Rows[0][5] != "360" {
+	if tab.Rows[0][3] != 960 || tab.Rows[0][5] != 360 {
 		t.Fatalf("unexpected 60x60 BPSK projection row: %v", tab.Rows[0])
 	}
 }

@@ -45,46 +45,31 @@ func Fig10Full() Fig10Config {
 // Fig10 reports the TTB five-number summaries.
 func Fig10(e *Env, cfg Fig10Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 10: TTB to BER %.0e (boxes across instances)", cfg.TargetBER),
-		Columns: []string{"config", "strategy", "p5", "q1", "median", "q3", "p95", "mean", "reached"},
+		Title: fmt.Sprintf("Figure 10: TTB to BER %.0e (boxes across instances)", cfg.TargetBER),
+		Columns: []Column{
+			col("config", "%v"), col("strategy", "%v"), colMicros("p5"), colMicros("q1"), colMicros("median"),
+			colMicros("q3"), colMicros("p95"), colMicros("mean"), col("reached", "%v"),
+		},
 		Notes: []string{
 			"instances that cannot reach the target within the run appear in reached=k/n and inflate the mean (paper: mean TTB dominates median)",
 		},
 	}
-	for _, ec := range edgeConfigs(cfg.Quick) {
-		for _, users := range ec.users {
-			ins, err := instancesForConfig(ec.mod, users, cfg.Instances, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			src := rng.New(cfg.Seed + int64(users))
-			var fixTTB, optTTB []float64
-			for _, in := range ins {
-				fp := ClassFix(ec.mod, cfg.Anneals)
-				d, wall, pf, err := e.decodeDist(in, fp, true, src)
-				if err != nil {
-					return nil, err
-				}
-				fixTTB = append(fixTTB, d.TTB(cfg.TargetBER, wall, pf))
-				best, _, err := e.bestTTB(in, cfg.Grid, cfg.Anneals, cfg.TargetBER, true, src)
-				if err != nil {
-					return nil, err
-				}
-				optTTB = append(optTTB, best)
-			}
-			name := fmt.Sprintf("%v %dx%d", ec.mod, users, users)
-			for _, strat := range []struct {
-				label string
-				ttbs  []float64
-			}{{"Opt", optTTB}, {"Fix", fixTTB}} {
-				b := metrics.Box(strat.ttbs)
-				t.AddRow(
-					name, strat.label,
-					fmtMicros(b.P5), fmtMicros(b.Q1), fmtMicros(b.Median),
-					fmtMicros(b.Q3), fmtMicros(b.P95), fmtMicros(b.Mean),
-					fmt.Sprintf("%d/%d", b.Finite, b.Total),
-				)
-			}
+	for mod, users := range eachClass(edgeConfigs(cfg.Quick)) {
+		ms, err := e.measureEdge(mod, users, cfg.Instances, cfg.Seed, cfg.Anneals, cfg.Grid, cfg.TargetBER,
+			rng.New(cfg.Seed+int64(users)))
+		if err != nil {
+			return nil, err
+		}
+		for _, strat := range []struct {
+			label string
+			ttb   func(fixOpt) float64
+		}{
+			{"Opt", func(m fixOpt) float64 { return m.optTTB }},
+			{"Fix", func(m fixOpt) float64 { return m.fixTTB }},
+		} {
+			b := metrics.Box(project(ms, strat.ttb))
+			t.AddRow(configName(mod, users), strat.label,
+				b.P5, b.Q1, b.Median, b.Q3, b.P95, b.Mean, reached{b.Finite, b.Total})
 		}
 	}
 	return t, nil

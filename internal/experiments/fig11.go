@@ -44,62 +44,33 @@ func Fig11Full() Fig11Config {
 	return cfg
 }
 
-// Fig11 reports median-Opt (idealized) and mean-Fix (QuAMax) Time-to-FER.
+// Fig11 reports median-Opt (idealized) and mean-Fix (QuAMax) Time-to-FER,
+// Opt chosen by TTB to BER 1e-6.
 func Fig11(e *Env, cfg Fig11Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 11: Time-to-FER %.0e vs frame size", cfg.TargetFER),
-		Columns: []string{"config", "frame(B)", "TTF median Opt", "TTF mean Fix", "reached Fix"},
+		Title: fmt.Sprintf("Figure 11: Time-to-FER %.0e vs frame size", cfg.TargetFER),
+		Columns: []Column{
+			col("config", "%v"), col("frame(B)", "%d"), colMicros("TTF median Opt"), colMicros("TTF mean Fix"),
+			col("reached Fix", "%v"),
+		},
 		Notes: []string{
 			"expected shape: low sensitivity to frame size (50 B vs 1500 B), tens of microseconds at the edge sizes",
 		},
 	}
-	for _, ec := range edgeConfigs(cfg.Quick) {
-		for _, users := range ec.users {
-			ins, err := instancesForConfig(ec.mod, users, cfg.Instances, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			src := rng.New(cfg.Seed + int64(users)*7)
-			// Distributions once per instance per strategy; TTF per frame size.
-			type pair struct{ fix, opt *metrics.Distribution }
-			dists := make([]pair, len(ins))
-			var wall, pf float64
-			for i, in := range ins {
-				fp := ClassFix(ec.mod, cfg.Anneals)
-				d, w, p, err := e.decodeDist(in, fp, true, src)
-				if err != nil {
-					return nil, err
-				}
-				wall, pf = w, p
-				_, od, err := e.bestTTB(in, cfg.Grid, cfg.Anneals, 1e-6, true, src)
-				if err != nil {
-					return nil, err
-				}
-				dists[i] = pair{fix: d, opt: od}
-			}
-			name := fmt.Sprintf("%v %dx%d", ec.mod, users, users)
-			for _, fb := range cfg.FrameBytes {
-				frameBits := fb * 8
-				var fixTTF, optTTF []float64
-				reached := 0
-				for _, d := range dists {
-					f := d.fix.TTF(cfg.TargetFER, frameBits, wall, pf)
-					fixTTF = append(fixTTF, f)
-					if !isInf(f) {
-						reached++
-					}
-					optTTF = append(optTTF, d.opt.TTF(cfg.TargetFER, frameBits, wall, pf))
-				}
-				t.AddRow(
-					name, fmt.Sprintf("%d", fb),
-					fmtMicros(metrics.Median(optTTF)),
-					fmtMicros(metrics.Mean(fixTTF)),
-					fmt.Sprintf("%d/%d", reached, len(fixTTF)),
-				)
-			}
+	for mod, users := range eachClass(edgeConfigs(cfg.Quick)) {
+		// Distributions once per instance per strategy; TTF per frame size.
+		ms, err := e.measureEdge(mod, users, cfg.Instances, cfg.Seed, cfg.Anneals, cfg.Grid, 1e-6,
+			rng.New(cfg.Seed+int64(users)*7))
+		if err != nil {
+			return nil, err
+		}
+		last := ms[len(ms)-1]
+		for _, fb := range cfg.FrameBytes {
+			fixTTF := project(ms, func(m fixOpt) float64 { return m.fix.TTF(cfg.TargetFER, fb*8, last.wall, last.pf) })
+			optTTF := project(ms, func(m fixOpt) float64 { return m.opt.TTF(cfg.TargetFER, fb*8, last.wall, last.pf) })
+			t.AddRow(configName(mod, users), fb, metrics.Median(optTTF), metrics.Mean(fixTTF),
+				reached{countFinite(fixTTF), len(fixTTF)})
 		}
 	}
 	return t, nil
 }
-
-func isInf(f float64) bool { return f > 1e300 }

@@ -43,8 +43,11 @@ func Fig12Full() Fig12Config {
 // Fig12 reports the per-SNR rank detail.
 func Fig12(e *Env, cfg Fig12Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 12: rank detail vs SNR (%d-user QPSK, fixed channel/bits)", cfg.Users),
-		Columns: []string{"SNR(dB)", "rank", "dE% vs min", "freq", "bit errs", "P(best found)"},
+		Title: fmt.Sprintf("Figure 12: rank detail vs SNR (%d-user QPSK, fixed channel/bits)", cfg.Users),
+		Columns: []Column{
+			col("SNR(dB)", "%g"), col("rank", "%d"), col("dE% vs min", "%.2f"), col("freq", "%.4f"),
+			col("bit errs", "%d"), col("P(best found)", "%.3f"),
+		},
 		Notes: []string{
 			"expected shape: as SNR increases the ground-state probability and the rank-1/rank-2 energy gap grow (at 10 dB the paper's gap narrows to ~3%)",
 		},
@@ -78,14 +81,7 @@ func Fig12(e *Env, cfg Fig12Config) (*Table, error) {
 			if math.Abs(minE) > 1e-12 {
 				gap = (s.Energy - minE) / math.Abs(minE) * 100
 			}
-			t.AddRow(
-				fmt.Sprintf("%g", snr),
-				fmt.Sprintf("%d", r+1),
-				fmt.Sprintf("%.2f", gap),
-				fmt.Sprintf("%.4f", float64(s.Count)/float64(dist.Total)),
-				fmt.Sprintf("%d", s.BitErrors),
-				fmt.Sprintf("%.3f", pBest),
-			)
+			t.AddRow(snr, r+1, gap, float64(s.Count)/float64(dist.Total), s.BitErrors, pBest)
 		}
 	}
 	return t, nil

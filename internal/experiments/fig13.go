@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"quamax/internal/channel"
 	"quamax/internal/metrics"
-	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
 )
@@ -61,60 +59,49 @@ func Fig13Full() Fig13Config {
 	return cfg
 }
 
-// fig13Measure returns mean-Fix and median-Opt TTB for one configuration.
-func fig13Measure(e *Env, mod modulation.Modulation, users int, snr float64, cfg Fig13Config) (meanFix, medianOpt float64, err error) {
-	src := rng.New(cfg.Seed + int64(users)*11 + int64(snr*3) + int64(mod)*101)
-	var fixTTB, optTTB []float64
-	for i := 0; i < cfg.Instances; i++ {
-		in, err := mimo.Generate(src, mimo.Config{
-			Mod: mod, Nt: users, Nr: users, Channel: channel.RandomPhase{}, SNRdB: snr,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		fp := ClassFix(mod, cfg.Anneals)
-		d, wall, pf, err := e.decodeDist(in, fp, true, src)
-		if err != nil {
-			return 0, 0, err
-		}
-		fixTTB = append(fixTTB, d.TTB(cfg.TargetBER, wall, pf))
-		best, _, err := e.bestTTB(in, cfg.Grid, cfg.Anneals, cfg.TargetBER, true, src)
-		if err != nil {
-			return 0, 0, err
-		}
-		optTTB = append(optTTB, best)
-	}
-	return metrics.Mean(fixTTB), metrics.Median(optTTB), nil
-}
-
 // Fig13 emits both panels.
 func Fig13(e *Env, cfg Fig13Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 13: TTB to BER %.0e under AWGN", cfg.TargetBER),
-		Columns: []string{"panel", "mod", "users", "SNR(dB)", "TTB mean Fix", "TTB median Opt"},
+		Title: fmt.Sprintf("Figure 13: TTB to BER %.0e under AWGN", cfg.TargetBER),
+		Columns: []Column{
+			col("panel", "%v"), col("mod", "%v"), col("users", "%d"), col("SNR(dB)", "%g"),
+			colMicros("TTB mean Fix"), colMicros("TTB median Opt"),
+		},
 		Notes: []string{
 			"expected shape: graceful TTB degradation with more users at fixed SNR; improvement with SNR at fixed users; Opt shows little SNR sensitivity",
 		},
 	}
-	for _, mod := range []modulation.Modulation{modulation.BPSK, modulation.QPSK, modulation.QAM16} {
-		for _, users := range cfg.LeftUsers[mod] {
-			mf, mo, err := fig13Measure(e, mod, users, cfg.LeftSNR, cfg)
+	// row measures one configuration over fresh AWGN instances.
+	row := func(panel string, mod modulation.Modulation, users int, snr float64) error {
+		src := rng.New(cfg.Seed + int64(users)*11 + int64(snr*3) + int64(mod)*101)
+		ms := make([]fixOpt, cfg.Instances)
+		for i := range ms {
+			in, err := genSquareInstance(src, mod, users, snr)
 			if err != nil {
+				return err
+			}
+			if ms[i], err = e.measureFixOpt(in, cfg.Anneals, cfg.Grid, cfg.TargetBER, src); err != nil {
+				return err
+			}
+		}
+		t.AddRow(panel, mod, users, snr,
+			metrics.Mean(project(ms, func(m fixOpt) float64 { return m.fixTTB })),
+			metrics.Median(project(ms, func(m fixOpt) float64 { return m.optTTB })))
+		return nil
+	}
+	mods := []modulation.Modulation{modulation.BPSK, modulation.QPSK, modulation.QAM16}
+	for _, mod := range mods {
+		for _, users := range cfg.LeftUsers[mod] {
+			if err := row("left", mod, users, cfg.LeftSNR); err != nil {
 				return nil, err
 			}
-			t.AddRow("left", mod.String(), fmt.Sprintf("%d", users),
-				fmt.Sprintf("%g", cfg.LeftSNR), fmtMicros(mf), fmtMicros(mo))
 		}
 	}
-	for _, mod := range []modulation.Modulation{modulation.BPSK, modulation.QPSK, modulation.QAM16} {
-		users := cfg.RightUsers[mod]
+	for _, mod := range mods {
 		for _, snr := range cfg.RightSNRs {
-			mf, mo, err := fig13Measure(e, mod, users, snr, cfg)
-			if err != nil {
+			if err := row("right", mod, cfg.RightUsers[mod], snr); err != nil {
 				return nil, err
 			}
-			t.AddRow("right", mod.String(), fmt.Sprintf("%d", users),
-				fmt.Sprintf("%g", snr), fmtMicros(mf), fmtMicros(mo))
 		}
 	}
 	return t, nil

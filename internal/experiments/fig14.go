@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"quamax/internal/channel"
 	"quamax/internal/detector"
 	"quamax/internal/metrics"
-	"quamax/internal/mimo"
-	"quamax/internal/modulation"
 	"quamax/internal/rng"
 )
 
@@ -52,67 +49,51 @@ func Fig14Full() Fig14Config {
 // Fig14 compares QuAMax TTB against the zero-forcing baseline.
 func Fig14(e *Env, cfg Fig14Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 14: QuAMax vs zero-forcing at %g dB SNR (Nt=Nr)", cfg.SNRdB),
-		Columns: []string{"mod", "users", "ZF BER", "ZF time", "QuAMax TTB to ZF BER", "speedup"},
+		Title: fmt.Sprintf("Figure 14: QuAMax vs zero-forcing at %g dB SNR (Nt=Nr)", cfg.SNRdB),
+		Columns: []Column{
+			col("mod", "%v"), col("users", "%d"), colBER("ZF BER"), colMicros("ZF time").hostTime(),
+			colMicros("QuAMax TTB to ZF BER"), col("speedup", "%.0fx").hostTime(),
+		},
 		Notes: []string{
 			"ZF time is the measured wall time of this repository's zero-forcing (pseudo-inverse + slice) per channel use",
 			"expected shape: ZF hits a BER floor at Nt=Nr; QuAMax reaches that BER 10-1000x faster (paper)",
 		},
 	}
-	type group struct {
-		mod   modulation.Modulation
-		users []int
-	}
-	for _, g := range []group{
-		{modulation.BPSK, cfg.BPSKUsers},
-		{modulation.QPSK, cfg.QPSKUsers},
-	} {
-		for _, users := range g.users {
-			src := rng.New(cfg.Seed + int64(users)*13 + int64(g.mod))
-			var (
-				zfErrs, zfBits int
-				zfElapsed      time.Duration
-				ttbs           []float64
-			)
-			for i := 0; i < cfg.Instances; i++ {
-				in, err := mimo.Generate(src, mimo.Config{
-					Mod: g.mod, Nt: users, Nr: users, Channel: channel.RandomPhase{}, SNRdB: cfg.SNRdB,
-				})
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				zf, err := detector.ZeroForcing(g.mod, in.H, in.Y)
-				zfElapsed += time.Since(start)
-				if err != nil {
-					continue // singular draw: skip (rare for random phase)
-				}
-				zfErrs += in.BitErrors(zf.Bits)
-				zfBits += len(in.TxBits)
+	for mod, users := range eachClass(bpskQPSK(cfg.BPSKUsers, cfg.QPSKUsers)) {
+		src := rng.New(cfg.Seed + int64(users)*13 + int64(mod))
+		var (
+			zfErrs, zfBits int
+			zfElapsed      time.Duration
+			ttbs           []float64
+		)
+		for i := 0; i < cfg.Instances; i++ {
+			in, err := genSquareInstance(src, mod, users, cfg.SNRdB)
+			if err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			zf, err := detector.ZeroForcing(mod, in.H, in.Y)
+			zfElapsed += time.Since(start)
+			if err != nil {
+				continue // singular draw: skip (rare for random phase)
+			}
+			zfErrs += in.BitErrors(zf.Bits)
+			zfBits += len(in.TxBits)
 
-				fp := DefaultFix(cfg.Anneals)
-				d, wall, pf, err := e.decodeDist(in, fp, true, src)
-				if err != nil {
-					return nil, err
-				}
-				// Time for QuAMax to reach this instance's ZF BER (at least
-				// one anneal).
-				target := in.BER(zf.Bits)
-				ttbs = append(ttbs, d.TTB(target, wall, pf))
+			d, wall, pf, err := e.decodeDist(in, DefaultFix(cfg.Anneals), true, src)
+			if err != nil {
+				return nil, err
 			}
-			if zfBits == 0 {
-				continue
-			}
-			zfBER := float64(zfErrs) / float64(zfBits)
-			zfMicros := float64(zfElapsed.Microseconds()) / float64(cfg.Instances)
-			qm := metrics.Median(ttbs)
-			speedup := zfMicros / qm
-			t.AddRow(
-				g.mod.String(), fmt.Sprintf("%d", users),
-				fmtBER(zfBER), fmtMicros(zfMicros), fmtMicros(qm),
-				fmt.Sprintf("%.0fx", speedup),
-			)
+			// Time for QuAMax to reach this instance's ZF BER (at least
+			// one anneal).
+			ttbs = append(ttbs, d.TTB(in.BER(zf.Bits), wall, pf))
 		}
+		if zfBits == 0 {
+			continue
+		}
+		zfMicros := float64(zfElapsed.Microseconds()) / float64(cfg.Instances)
+		qm := metrics.Median(ttbs)
+		t.AddRow(mod, users, float64(zfErrs)/float64(zfBits), zfMicros, qm, zfMicros/qm)
 	}
 	return t, nil
 }

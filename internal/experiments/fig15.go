@@ -16,9 +16,6 @@ import (
 // 8×8 channel uses sampled from a 96-antenna many-antenna trace at
 // 25–35 dB SNR, BPSK and QPSK, reporting TTB and TTF for Fix and Opt.
 type Fig15Config struct {
-	// TracePath loads a trace file; empty generates the synthetic Argos-like
-	// dataset (see internal/trace).
-	TracePath  string
 	Uses       int
 	PickAnt    int
 	SNRLow     float64
@@ -52,13 +49,14 @@ func Fig15Full() Fig15Config {
 	return cfg
 }
 
-// Fig15 runs the trace-driven decode.
+// Fig15 runs the trace-driven decode; e.TracePath, when set, names the trace
+// to replay in place of the synthetic Argos-like dataset.
 func Fig15(e *Env, cfg Fig15Config) (*Table, error) {
 	src := rng.New(cfg.Seed)
 	var ds *trace.Dataset
 	var err error
-	if cfg.TracePath != "" {
-		ds, err = trace.Load(cfg.TracePath)
+	if e.TracePath != "" {
+		ds, err = trace.Load(e.TracePath)
 	} else {
 		gen := trace.DefaultGeneratorConfig()
 		gen.Uses = cfg.Uses
@@ -70,17 +68,21 @@ func Fig15(e *Env, cfg Fig15Config) (*Table, error) {
 	ds.NormalizeAveragePower()
 
 	t := &Table{
-		Title:   "Figure 15: trace-driven 8x8 performance (25-35 dB)",
-		Columns: []string{"mod", "metric", "median Opt", "mean Fix", "reached Fix"},
+		Title: "Figure 15: trace-driven 8x8 performance (25-35 dB)",
+		Columns: []Column{
+			col("mod", "%v"), col("metric", "%v"), colMicros("median Opt"), colMicros("mean Fix"),
+			col("reached Fix", "%v"),
+		},
 		Notes: []string{
 			fmt.Sprintf("%d channel uses, %d of %d antennas sampled per use", cfg.Uses, cfg.PickAnt, ds.Antennas),
 			"expected shape: 1e-6 BER / 1e-4 FER within ~10us for QPSK, amortized ~2us for BPSK (paper)",
 		},
 	}
+	ttbLabel := fmt.Sprintf("TTB %.0e", cfg.TargetBER)
+	ttfLabel := fmt.Sprintf("TTF %.0e (%dB)", cfg.TargetFER, cfg.FrameBytes)
 	for _, mod := range []modulation.Modulation{modulation.BPSK, modulation.QPSK} {
-		var fixTTB, optTTB, fixTTF, optTTF []float64
-		reachedB, reachedF := 0, 0
-		for use := 0; use < cfg.Uses; use++ {
+		ms := make([]fixOpt, cfg.Uses)
+		for use := range ms {
 			h, err := ds.Sample(src, use, cfg.PickAnt)
 			if err != nil {
 				return nil, err
@@ -94,34 +96,17 @@ func Fig15(e *Env, cfg Fig15Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			fp := ClassFix(mod, cfg.Anneals)
-			d, wall, pf, err := e.decodeDist(in, fp, true, src)
-			if err != nil {
+			if ms[use], err = e.measureFixOpt(in, cfg.Anneals, cfg.Grid, cfg.TargetBER, src); err != nil {
 				return nil, err
 			}
-			ttb := d.TTB(cfg.TargetBER, wall, pf)
-			ttf := d.TTF(cfg.TargetFER, cfg.FrameBytes*8, wall, pf)
-			fixTTB = append(fixTTB, ttb)
-			fixTTF = append(fixTTF, ttf)
-			if !isInf(ttb) {
-				reachedB++
-			}
-			if !isInf(ttf) {
-				reachedF++
-			}
-			best, bd, err := e.bestTTB(in, cfg.Grid, cfg.Anneals, cfg.TargetBER, true, src)
-			if err != nil {
-				return nil, err
-			}
-			optTTB = append(optTTB, best)
-			optTTF = append(optTTF, bd.TTF(cfg.TargetFER, cfg.FrameBytes*8, wall, pf))
 		}
-		t.AddRow(mod.String(), fmt.Sprintf("TTB %.0e", cfg.TargetBER),
-			fmtMicros(metrics.Median(optTTB)), fmtMicros(metrics.Mean(fixTTB)),
-			fmt.Sprintf("%d/%d", reachedB, cfg.Uses))
-		t.AddRow(mod.String(), fmt.Sprintf("TTF %.0e (%dB)", cfg.TargetFER, cfg.FrameBytes),
-			fmtMicros(metrics.Median(optTTF)), fmtMicros(metrics.Mean(fixTTF)),
-			fmt.Sprintf("%d/%d", reachedF, cfg.Uses))
+		// Both strategies' frame times use the instance's Fix-run wall and Pf.
+		fixTTB := project(ms, func(m fixOpt) float64 { return m.fixTTB })
+		fixTTF := project(ms, func(m fixOpt) float64 { return m.fix.TTF(cfg.TargetFER, cfg.FrameBytes*8, m.wall, m.pf) })
+		optTTB := project(ms, func(m fixOpt) float64 { return m.optTTB })
+		optTTF := project(ms, func(m fixOpt) float64 { return m.opt.TTF(cfg.TargetFER, cfg.FrameBytes*8, m.wall, m.pf) })
+		t.AddRow(mod, ttbLabel, metrics.Median(optTTB), metrics.Mean(fixTTB), reached{countFinite(fixTTB), cfg.Uses})
+		t.AddRow(mod, ttfLabel, metrics.Median(optTTF), metrics.Mean(fixTTF), reached{countFinite(fixTTF), cfg.Uses})
 	}
 	return t, nil
 }

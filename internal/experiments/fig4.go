@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"quamax/internal/rng"
-
 	"quamax/internal/modulation"
+	"quamax/internal/rng"
 )
 
 // Fig4Config drives the empirical-QA-results detail (paper Fig. 4): six
@@ -25,28 +24,19 @@ func Fig4Quick() Fig4Config { return Fig4Config{Anneals: 400, TopRanks: 5, Seed:
 // Fig4Full approaches the paper's statistics.
 func Fig4Full() Fig4Config { return Fig4Config{Anneals: 20000, TopRanks: 10, Seed: 4} }
 
+// fig4Classes are the three 36-logical-qubit problems.
+var fig4Classes = []class{
+	{modulation.BPSK, []int{36}}, {modulation.QPSK, []int{18}}, {modulation.QAM16, []int{9}},
+}
+
 // Fig4 runs the six panels.
 func Fig4(e *Env, cfg Fig4Config) (*Table, error) {
-	type panel struct {
-		mod   modulation.Modulation
-		users int
-		use   int
-	}
-	var panels []panel
-	for _, p := range []struct {
-		mod   modulation.Modulation
-		users int
-	}{
-		{modulation.BPSK, 36}, {modulation.QPSK, 18}, {modulation.QAM16, 9},
-	} {
-		for use := 0; use < 2; use++ {
-			panels = append(panels, panel{p.mod, p.users, use})
-		}
-	}
-
 	t := &Table{
-		Title:   "Figure 4: Ising energy rank vs occurrence vs bit errors (36 logical qubits, noise-free)",
-		Columns: []string{"panel", "P0", "rank", "dE%", "freq", "bit errs"},
+		Title: "Figure 4: Ising energy rank vs occurrence vs bit errors (36 logical qubits, noise-free)",
+		Columns: []Column{
+			col("panel", "%v"), col("P0", "%.3f"), col("rank", "%d"), col("dE%", "%.2f"),
+			col("freq", "%.4f"), col("bit errs", "%d"),
+		},
 		Notes: []string{
 			fmt.Sprintf("%d anneals per panel at the Fix operating point", cfg.Anneals),
 			"expected shape: P0 decreases left to right (BPSK 36 > QPSK 18 > 16-QAM 9)",
@@ -54,37 +44,32 @@ func Fig4(e *Env, cfg Fig4Config) (*Table, error) {
 	}
 	fix := DefaultFix(cfg.Anneals)
 	src := rng.New(cfg.Seed)
-	for _, p := range panels {
-		ins, err := noiseFreeInstances(p.mod, p.users, p.use+1, cfg.Seed+int64(p.use)*100+int64(p.mod))
-		if err != nil {
-			return nil, err
-		}
-		in := ins[p.use] // distinct channel uses per panel
-		dist, _, _, err := e.decodeDist(in, fix, false, src)
-		if err != nil {
-			return nil, err
-		}
-		p0 := dist.GroundProbability(0, groundTol)
-		name := fmt.Sprintf("%v %dx%d use%d", p.mod, p.users, p.users, p.use+1)
-		minE := dist.Solutions[0].Energy
-		for r, s := range dist.Solutions {
-			if r >= cfg.TopRanks {
-				break
+	for mod, users := range eachClass(fig4Classes) {
+		for use := 0; use < 2; use++ {
+			ins, err := noiseFreeInstances(mod, users, use+1, cfg.Seed+int64(use)*100+int64(mod))
+			if err != nil {
+				return nil, err
 			}
-			dE := 0.0
-			if minE > groundTol {
-				dE = (s.Energy - minE) / minE * 100
-			} else if r > 0 {
-				dE = s.Energy // ground is 0: report absolute energy
+			in := ins[use] // distinct channel uses per panel
+			dist, _, _, err := e.decodeDist(in, fix, false, src)
+			if err != nil {
+				return nil, err
 			}
-			t.AddRow(
-				name,
-				fmt.Sprintf("%.3f", p0),
-				fmt.Sprintf("%d", r+1),
-				fmt.Sprintf("%.2f", dE),
-				fmt.Sprintf("%.4f", float64(s.Count)/float64(dist.Total)),
-				fmt.Sprintf("%d", s.BitErrors),
-			)
+			p0 := dist.GroundProbability(0, groundTol)
+			name := fmt.Sprintf("%s use%d", configName(mod, users), use+1)
+			minE := dist.Solutions[0].Energy
+			for r, s := range dist.Solutions {
+				if r >= cfg.TopRanks {
+					break
+				}
+				dE := 0.0
+				if minE > groundTol {
+					dE = (s.Energy - minE) / minE * 100
+				} else if r > 0 {
+					dE = s.Energy // ground is 0: report absolute energy
+				}
+				t.AddRow(name, p0, r+1, dE, float64(s.Count)/float64(dist.Total), s.BitErrors)
+			}
 		}
 	}
 	return t, nil

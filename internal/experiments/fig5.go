@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"quamax/internal/metrics"
-	"quamax/internal/modulation"
 )
 
 // Fig5Config drives the ferromagnetic-coupling microbenchmark (paper Fig. 5):
@@ -51,42 +50,30 @@ func Fig5Full() Fig5Config {
 // Fig5 sweeps |J_F| and reports median/10th/90th-percentile TTS.
 func Fig5(e *Env, cfg Fig5Config) (*Table, error) {
 	t := &Table{
-		Title:   "Figure 5: TTS(0.99) vs |J_F| (Ta=1us, no pause)",
-		Columns: []string{"mod", "users", "range", "JF", "TTS p50", "TTS p10", "TTS p90"},
+		Title: "Figure 5: TTS(0.99) vs |J_F| (Ta=1us, no pause)",
+		Columns: []Column{
+			col("mod", "%v"), col("users", "%d"), col("range", "%v"), col("JF", "%.1f"),
+			colMicros("TTS p50"), colMicros("TTS p10"), colMicros("TTS p90"),
+		},
 		Notes: []string{
 			fmt.Sprintf("%d instances, %d anneals each", cfg.Instances, cfg.Anneals),
 			"expected shape: standard range has a size-dependent optimum |J_F|; improved range is flatter",
 		},
 	}
-	type group struct {
-		mod   modulation.Modulation
-		users []int
-	}
-	for _, g := range []group{{modulation.BPSK, cfg.BPSKUsers}, {modulation.QPSK, cfg.QPSKUsers}} {
-		for _, users := range g.users {
-			ins, err := noiseFreeInstances(g.mod, users, cfg.Instances, cfg.Seed+int64(users))
-			if err != nil {
-				return nil, err
-			}
-			for _, improved := range []bool{false, true} {
-				rangeName := "standard"
-				if improved {
-					rangeName = "improved"
+	for mod, users := range eachClass(bpskQPSK(cfg.BPSKUsers, cfg.QPSKUsers)) {
+		ins, err := noiseFreeInstances(mod, users, cfg.Instances, cfg.Seed+int64(users))
+		if err != nil {
+			return nil, err
+		}
+		for _, improved := range []bool{false, true} {
+			for _, jf := range cfg.JFs {
+				fp := FixParams{JF: jf, Improved: improved, Params: paramsTa(1, cfg.Anneals)}
+				tts, err := e.ttsPerInstance(ins, fp, cfg.Seed+int64(jf*10))
+				if err != nil {
+					return nil, err
 				}
-				for _, jf := range cfg.JFs {
-					fp := FixParams{JF: jf, Improved: improved, Params: paramsTa(1, cfg.Anneals)}
-					tts, err := e.ttsPerInstance(ins, fp, cfg.Seed+int64(jf*10))
-					if err != nil {
-						return nil, err
-					}
-					t.AddRow(
-						g.mod.String(), fmt.Sprintf("%d", users), rangeName,
-						fmt.Sprintf("%.1f", jf),
-						fmtMicros(metrics.Median(tts)),
-						fmtMicros(metrics.Percentile(tts, 10)),
-						fmtMicros(metrics.Percentile(tts, 90)),
-					)
-				}
+				t.AddRow(mod, users, rangeName(improved), jf,
+					metrics.Median(tts), metrics.Percentile(tts, 10), metrics.Percentile(tts, 90))
 			}
 		}
 	}

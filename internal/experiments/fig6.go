@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"quamax/internal/metrics"
@@ -45,8 +44,11 @@ func Fig6Full() Fig6Config {
 // |J_F| per (users, range, Ta) — the paper's highlighted line.
 func Fig6(e *Env, cfg Fig6Config) (*Table, error) {
 	t := &Table{
-		Title:   "Figure 6: TTS vs anneal time (QPSK)",
-		Columns: []string{"users", "range", "Ta(us)", "JF", "TTS p50", "best-JF line"},
+		Title: "Figure 6: TTS vs anneal time (QPSK)",
+		Columns: []Column{
+			col("users", "%d"), col("range", "%v"), col("Ta(us)", "%g"), col("JF", "%.1f"),
+			colMicros("TTS p50"), col("best-JF line", "%v"),
+		},
 		Notes: []string{
 			"expected shape: improved range achieves its best TTS at Ta=1us regardless of size, with less |J_F| sensitivity",
 		},
@@ -57,10 +59,6 @@ func Fig6(e *Env, cfg Fig6Config) (*Table, error) {
 			return nil, err
 		}
 		for _, improved := range []bool{false, true} {
-			rangeName := "standard"
-			if improved {
-				rangeName = "improved"
-			}
 			for _, ta := range cfg.AnnealTimes {
 				medians := make([]float64, len(cfg.JFs))
 				bestIdx, bestVal := 0, math.Inf(1)
@@ -81,11 +79,7 @@ func Fig6(e *Env, cfg Fig6Config) (*Table, error) {
 					if i == bestIdx {
 						mark = "*"
 					}
-					t.AddRow(
-						fmt.Sprintf("%d", users), rangeName,
-						fmt.Sprintf("%g", ta), fmt.Sprintf("%.1f", jf),
-						fmtMicros(medians[i]), mark,
-					)
+					t.AddRow(users, rangeName(improved), ta, jf, medians[i], mark)
 				}
 			}
 		}

@@ -57,8 +57,10 @@ func Fig7Full() Fig7Config {
 // Fig7 sweeps pause time and position.
 func Fig7(e *Env, cfg Fig7Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 7: TTS vs anneal pause (QPSK %d users, improved range, Ta=1us)", cfg.Users),
-		Columns: []string{"ICE", "Tp(us)", "sp", "JF", "TTS p50"},
+		Title: fmt.Sprintf("Figure 7: TTS vs anneal pause (QPSK %d users, improved range, Ta=1us)", cfg.Users),
+		Columns: []Column{
+			col("ICE", "%v"), col("Tp(us)", "%g"), col("sp", "%.2f"), col("JF", "%.1f"), colMicros("TTS p50"),
+		},
 		Notes: []string{
 			"expected shape: Tp=1us beats longer pauses (pause time dominates wall clock); a mid-schedule sp is optimal",
 		},
@@ -87,17 +89,10 @@ func Fig7(e *Env, cfg Fig7Config) (*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					t.AddRow(
-						iceName,
-						fmt.Sprintf("%g", tp),
-						fmt.Sprintf("%.2f", sp),
-						fmt.Sprintf("%.1f", jf),
-						fmtMicros(metrics.Median(tts)),
-					)
+					t.AddRow(iceName, tp, sp, jf, metrics.Median(tts))
 				}
 			}
 		}
 	}
-	e.Machine.ICE = baseICE
 	return t, nil
 }

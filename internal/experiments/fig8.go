@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"quamax/internal/metrics"
-	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
 )
@@ -63,84 +62,49 @@ func Fig8(e *Env, cfg Fig8Config) (*Table, error) {
 		{"pause Opt", true, true},
 	}
 	t := &Table{
-		Title:   fmt.Sprintf("Figure 8: BER vs anneals and time (%dx%d QPSK, median of %d instances)", cfg.Users, cfg.Users, cfg.Instances),
-		Columns: []string{"strategy", "Na", "time", "BER p50", "BER p15", "BER p85"},
+		Title: fmt.Sprintf("Figure 8: BER vs anneals and time (%dx%d QPSK, median of %d instances)", cfg.Users, cfg.Users, cfg.Instances),
+		Columns: []Column{
+			col("strategy", "%v"), col("Na", "%d"), colMicros("time"),
+			colBER("BER p50"), colBER("BER p15"), colBER("BER p85"),
+		},
 		Notes: []string{
 			"expected shape: the pausing strategies dominate at equal TIME despite each anneal costing 2x (paper §5.3.2)",
 		},
 	}
 	src := rng.New(cfg.Seed)
-	ins := make([]*mimo.Instance, 0, cfg.Instances)
-	list, err := noiseFreeInstances(modulation.QPSK, cfg.Users, cfg.Instances, cfg.Seed)
+	ins, err := noiseFreeInstances(modulation.QPSK, cfg.Users, cfg.Instances, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ins = append(ins, list...)
-
+	// The Opt oracle's figure of merit here is the anneal count that reaches
+	// BER 1e-6 (the x axis), not a time.
+	annealsTo1e6 := func(d *metrics.Distribution, _, _ float64) float64 {
+		if na, ok := d.RequiredAnneals(1e-6); ok {
+			return float64(na)
+		}
+		return math.Inf(1)
+	}
 	for _, s := range strategies {
 		// Per-instance distribution under this strategy.
 		dists := make([]*metrics.Distribution, len(ins))
-		wall := 1.0
-		if s.pause {
-			wall = 2.0
+		wall, fix := 2.0, DefaultFix(cfg.Anneals)
+		if !s.pause {
+			wall, fix.Params = 1.0, paramsTa(1, cfg.Anneals)
+		}
+		// Fix is the oracle over one point.
+		points := []FixParams{fix}
+		if s.opt {
+			points = OptGrid{JFs: cfg.OptJFs, PausePositions: cfg.OptSps}.points(s.pause, cfg.Anneals)
 		}
 		for i, in := range ins {
-			if !s.opt {
-				fp := DefaultFix(cfg.Anneals)
-				if !s.pause {
-					fp.Params = paramsTa(1, cfg.Anneals)
-				}
-				d, _, _, err := e.decodeDist(in, fp, false, src)
-				if err != nil {
-					return nil, err
-				}
-				dists[i] = d
-				continue
-			}
-			// Opt oracle: best combination per instance by required anneals
-			// to reach BER 1e-6.
-			bestNa := math.Inf(1)
-			for _, jf := range cfg.OptJFs {
-				sps := cfg.OptSps
-				if !s.pause {
-					sps = []float64{0.35} // sp unused without pause
-				}
-				for _, sp := range sps {
-					fp := FixParams{JF: jf, Improved: true}
-					if s.pause {
-						fp.Params = paramsPause(1, 1, sp, cfg.Anneals)
-					} else {
-						fp.Params = paramsTa(1, cfg.Anneals)
-					}
-					d, _, _, err := e.decodeDist(in, fp, false, src)
-					if err != nil {
-						return nil, err
-					}
-					na, ok := d.RequiredAnneals(1e-6)
-					score := math.Inf(1)
-					if ok {
-						score = float64(na)
-					}
-					if dists[i] == nil || score < bestNa {
-						bestNa = score
-						dists[i] = d
-					}
-				}
+			if _, dists[i], err = e.optOracle(in, points, false, src, annealsTo1e6); err != nil {
+				return nil, err
 			}
 		}
 		for _, na := range cfg.NaGrid {
-			bers := make([]float64, len(dists))
-			for i, d := range dists {
-				bers[i] = d.ExpectedBER(na)
-			}
-			t.AddRow(
-				s.name,
-				fmt.Sprintf("%d", na),
-				fmtMicros(float64(na)*wall),
-				fmtBER(metrics.Median(bers)),
-				fmtBER(metrics.Percentile(bers, 15)),
-				fmtBER(metrics.Percentile(bers, 85)),
-			)
+			bers := expectedBERs(dists, na)
+			t.AddRow(s.name, na, float64(na)*wall,
+				metrics.Median(bers), metrics.Percentile(bers, 15), metrics.Percentile(bers, 85))
 		}
 	}
 	return t, nil

@@ -5,27 +5,21 @@ import (
 	"math"
 
 	"quamax/internal/metrics"
-	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
 )
 
 // edgeConfigs are the "edge of QuAMax's performance capabilities" systems of
 // Figs. 9–11: the largest sizes that embed on the DW2Q per modulation.
-type edgeConfig struct {
-	mod   modulation.Modulation
-	users []int
-}
-
-func edgeConfigs(quick bool) []edgeConfig {
+func edgeConfigs(quick bool) []class {
 	if quick {
-		return []edgeConfig{
+		return []class{
 			{modulation.BPSK, []int{36, 48, 60}},
 			{modulation.QPSK, []int{12, 18}},
 			{modulation.QAM16, []int{6, 9}},
 		}
 	}
-	return []edgeConfig{
+	return []class{
 		{modulation.BPSK, []int{36, 48, 60}},
 		{modulation.QPSK, []int{12, 15, 18}},
 		{modulation.QAM16, []int{6, 8, 9}},
@@ -67,73 +61,41 @@ func Fig9Full() Fig9Config {
 	}
 }
 
-// fig9Dists computes per-instance distributions for Fix and Opt (by TTB to
-// BER 1e-6) with parallel amortization, returning also wall and Pf.
-func fig9Dists(e *Env, mod modulation.Modulation, users int, cfg Fig9Config) (fix, opt []*metrics.Distribution, wall, pf float64, err error) {
-	src := rng.New(cfg.Seed + int64(users) + int64(mod)*1000)
-	ins, err := noiseFreeInstances(mod, users, cfg.Instances, cfg.Seed+int64(users)*3+int64(mod))
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	for _, in := range ins {
-		fp := ClassFix(mod, cfg.Anneals)
-		d, w, p, err := e.decodeDist(in, fp, true, src)
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-		wall, pf = w, p
-		fix = append(fix, d)
-		_, bd, err := e.bestTTB(in, cfg.Grid, cfg.Anneals, 1e-6, true, src)
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-		opt = append(opt, bd)
-	}
-	return fix, opt, wall, pf, nil
-}
-
-// Fig9 emits the BER-vs-time series for every edge configuration.
+// Fig9 emits the BER-vs-time series for every edge configuration, Opt chosen
+// by TTB to BER 1e-6.
 func Fig9(e *Env, cfg Fig9Config) (*Table, error) {
 	t := &Table{
-		Title:   "Figure 9: Time-to-BER curves (noise-free, parallelization-amortized)",
-		Columns: []string{"config", "strategy", "time", "BER p50", "BER mean", "BER p10", "BER p90"},
+		Title: "Figure 9: Time-to-BER curves (noise-free, parallelization-amortized)",
+		Columns: []Column{
+			col("config", "%v"), col("strategy", "%v"), colMicros("time"),
+			colBER("BER p50"), colBER("BER mean"), colBER("BER p10"), colBER("BER p90"),
+		},
 		Notes: []string{
 			fmt.Sprintf("%d instances per configuration; Opt oracle over |J_F|×sp grid", cfg.Instances),
 			"expected shape: larger users/higher modulation push curves right; mean lags median (outliers)",
 		},
 	}
-	for _, ec := range edgeConfigs(cfg.Quick) {
-		for _, users := range ec.users {
-			fix, opt, wall, pf, err := fig9Dists(e, ec.mod, users, cfg)
-			if err != nil {
-				return nil, err
-			}
-			name := fmt.Sprintf("%v %dx%d", ec.mod, users, users)
-			for _, strat := range []struct {
-				label string
-				dists []*metrics.Distribution
-			}{{"Opt", opt}, {"Fix", fix}} {
-				for _, na := range cfg.NaGrid {
-					bers := make([]float64, len(strat.dists))
-					for i, d := range strat.dists {
-						bers[i] = d.ExpectedBER(na)
-					}
-					t.AddRow(
-						name, strat.label,
-						fmtMicros(float64(na)*wall/math.Max(pf, 1)),
-						fmtBER(metrics.Median(bers)),
-						fmtBER(metrics.Mean(bers)),
-						fmtBER(metrics.Percentile(bers, 10)),
-						fmtBER(metrics.Percentile(bers, 90)),
-					)
-				}
+	for mod, users := range eachClass(edgeConfigs(cfg.Quick)) {
+		ms, err := e.measureEdge(mod, users, cfg.Instances, cfg.Seed, cfg.Anneals, cfg.Grid, 1e-6,
+			rng.New(cfg.Seed+int64(users)+int64(mod)*1000))
+		if err != nil {
+			return nil, err
+		}
+		opt, fix := make([]*metrics.Distribution, len(ms)), make([]*metrics.Distribution, len(ms))
+		for i, m := range ms {
+			opt[i], fix[i] = m.opt, m.fix
+		}
+		last := ms[len(ms)-1]
+		for _, strat := range []struct {
+			label string
+			dists []*metrics.Distribution
+		}{{"Opt", opt}, {"Fix", fix}} {
+			for _, na := range cfg.NaGrid {
+				bers := expectedBERs(strat.dists, na)
+				t.AddRow(configName(mod, users), strat.label, float64(na)*last.wall/math.Max(last.pf, 1),
+					metrics.Median(bers), metrics.Mean(bers), metrics.Percentile(bers, 10), metrics.Percentile(bers, 90))
 			}
 		}
 	}
 	return t, nil
-}
-
-// instancesForConfig is shared by Figs. 10/11.
-func instancesForConfig(mod modulation.Modulation, users, count int, seed int64) ([]*mimo.Instance, error) {
-	return noiseFreeInstances(mod, users, count, seed+int64(users)*3+int64(mod))
 }

@@ -42,7 +42,7 @@ var table1Rows = []table1Row{
 
 // Table1 measures the mean sphere-decoder visited-node count for each of the
 // paper's nine configurations.
-func Table1(cfg Table1Config) (*Table, error) {
+func Table1(_ *Env, cfg Table1Config) (*Table, error) {
 	src := rng.New(cfg.Seed)
 	measure := func(mod modulation.Modulation, nt int) (float64, error) {
 		var total float64
@@ -67,9 +67,13 @@ func Table1(cfg Table1Config) (*Table, error) {
 		return total / float64(n), nil
 	}
 
+	const size, nodes = "%[1]dx%[1]d", "%.0f"
 	t := &Table{
-		Title:   "Table 1: Sphere Decoder visited node count (13 dB Rayleigh)",
-		Columns: []string{"class", "BPSK", "nodes", "QPSK", "nodes", "16-QAM", "nodes", "paper"},
+		Title: "Table 1: Sphere Decoder visited node count (13 dB Rayleigh)",
+		Columns: []Column{
+			col("class", "%v"), col("BPSK", size), col("nodes", nodes), col("QPSK", size), col("nodes", nodes),
+			col("16-QAM", size), col("nodes", nodes), col("paper", "%v"),
+		},
 		Notes: []string{
 			fmt.Sprintf("%d instances per configuration; paper used 10,000 over 50 subcarriers", cfg.Instances),
 		},
@@ -87,13 +91,7 @@ func Table1(cfg Table1Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(
-			row.class,
-			fmt.Sprintf("%dx%d", row.bpsk, row.bpsk), fmt.Sprintf("%.0f", b),
-			fmt.Sprintf("%dx%d", row.qpsk, row.qpsk), fmt.Sprintf("%.0f", q),
-			fmt.Sprintf("%dx%d", row.qam, row.qam), fmt.Sprintf("%.0f", g),
-			row.paperNodes,
-		)
+		t.AddRow(row.class, row.bpsk, b, row.qpsk, q, row.qam, g, row.paperNodes)
 	}
 	return t, nil
 }

@@ -21,27 +21,39 @@ func Table2() (*Table, error) {
 
 	t := &Table{
 		Title:   "Table 2: logical (physical) qubits per configuration",
-		Columns: []string{"config"},
+		Columns: []Column{col("config", "%[1]dx%[1]d")},
 		Notes: []string{
 			"INFEASIBLE marks configurations exceeding the DW2Q (2,031 working qubits, C16 grid) — the paper's bold entries",
 		},
 	}
 	for _, m := range mods {
-		t.Columns = append(t.Columns, m.String())
+		t.Columns = append(t.Columns, col(m.String(), "%v"))
 	}
 	for _, nt := range configs {
-		row := []string{fmt.Sprintf("%dx%d", nt, nt)}
+		row := []any{nt}
 		for _, m := range mods {
 			n := reduction.NumVariables(m, nt)
 			phys := embedding.PhysicalQubits(n)
-			feasible := (n+3)/4 <= chimera.DW2QGridSize && phys <= chimera.DW2QWorkingQubits
-			cell := fmt.Sprintf("%d (%d)", n, phys)
-			if !feasible {
-				cell += " INFEASIBLE"
-			}
-			row = append(row, cell)
+			row = append(row, footprint{
+				logical: n, physical: phys,
+				feasible: (n+3)/4 <= chimera.DW2QGridSize && phys <= chimera.DW2QWorkingQubits,
+			})
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// footprint is one Table 2 cell: "logical (physical)", marked when it does
+// not fit the chip.
+type footprint struct {
+	logical, physical int
+	feasible          bool
+}
+
+func (f footprint) String() string {
+	if f.feasible {
+		return fmt.Sprintf("%d (%d)", f.logical, f.physical)
+	}
+	return fmt.Sprintf("%d (%d) INFEASIBLE", f.logical, f.physical)
 }
