@@ -10,8 +10,10 @@ import (
 	"quamax/internal/modulation"
 )
 
-// Tiny presets so the whole suite runs in seconds. Each experiment's table at
-// its tiny preset is pinned byte for byte in testdata/<id>.golden.
+// Tiny presets so the goldens run in seconds: each experiment's table at its
+// tiny preset is pinned byte for byte in testdata/<id>.golden. The scientific
+// shape checks are in shape_test.go, asserted on the tables' numbers at the
+// quick presets.
 
 var update = flag.Bool("update", false, "rewrite the experiment golden files")
 

@@ -1,0 +1,262 @@
+package experiments
+
+import (
+	"math"
+	"testing"
+
+	"quamax/internal/modulation"
+)
+
+// The shape suite: the paper shapes (arXiv:2001.04014 §5) that hold on this
+// tree, asserted on the tables' numbers. Each test states its seed, scale and
+// margin; the measured values in the comments are what this tree produces at
+// that seed (the engine is deterministic, so they move only when the engine
+// or the experiment does). Shapes that do NOT hold here are not asserted
+// loosely: they are recorded, with their numbers, in docs/EXPERIMENTS.md,
+// "Interpreting deviations from the paper". Table 2 is exact
+// (TestTable2MatchesPaper).
+
+// shapeEnv skips the suite where it proves nothing and costs ten times more.
+func shapeEnv(t *testing.T) *Env {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("shape suite: single-goroutine arithmetic, skipped under -race")
+	}
+	return NewEnv()
+}
+
+// rowsWhere restricts a table to the rows whose named cell renders as want.
+func rowsWhere(t *Table, name, want string) *Table {
+	out := &Table{Title: t.Title, Columns: t.Columns}
+	for c, column := range t.Columns {
+		if column.Name != name {
+			continue
+		}
+		for _, row := range t.Rows {
+			if column.format(row[c]) == want {
+				out.Rows = append(out.Rows, row)
+			}
+		}
+		return out
+	}
+	panic("no column " + name)
+}
+
+// nonDecreasing reports whether xs never falls (+Inf, "never reached", is the
+// largest value).
+func nonDecreasing(xs []float64) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] < xs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// Fig. 4: the ground-state probability falls from BPSK 36 to QPSK 18 to
+// 16-QAM 9 (all 36 logical qubits). Fig4Quick: seed 4, 400 anneals, two
+// channel uses per class. Measured class means 0.0338 > 0.0200 > 0; margin:
+// strict ordering, the closer pair 1.7x apart.
+func TestShapeFig4GroundProbabilityFallsWithModulation(t *testing.T) {
+	tab, err := Fig4(shapeEnv(t), Fig4Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meanP0 := func(class string) float64 {
+		return (rowsWhere(tab, "panel", class+" use1").Floats("P0")[0] +
+			rowsWhere(tab, "panel", class+" use2").Floats("P0")[0]) / 2
+	}
+	bpsk, qpsk, qam := meanP0("BPSK 36x36"), meanP0("QPSK 18x18"), meanP0("16-QAM 9x9")
+	if !(bpsk > qpsk && qpsk > qam) {
+		t.Errorf("mean P0: BPSK 36 %.4f, QPSK 18 %.4f, 16-QAM 9 %.4f; want strictly falling", bpsk, qpsk, qam)
+	}
+}
+
+// Fig. 6: the shortest anneal gives the best TTS whatever the size or the
+// coupler range. Fig6Quick's instances (seed 6, QPSK 6 and 12 users,
+// 3 instances, 200 anneals) at |J_F| = 8, Ta ∈ {1, 10} µs (Ta = 100 µs costs
+// 100x and is worse still at quick scale). Measured TTS p50 at Ta = 1 vs
+// 10 µs: 6 users 27.3 vs 146 µs (standard), 33.1 vs 127 µs (improved);
+// 12 users 919 vs 4,582 µs, 100 vs 247 µs. Margin: Ta = 1 µs at least 2x
+// better in all four (measured ≥ 2.4x).
+func TestShapeFig6ShortestAnnealIsBest(t *testing.T) {
+	cfg := Fig6Quick()
+	cfg.AnnealTimes = []float64{1, 10}
+	cfg.JFs = []float64{8}
+	tab, err := Fig6(shapeEnv(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := rowsWhere(tab, "Ta(us)", "1").Floats("users")
+	ta1 := rowsWhere(tab, "Ta(us)", "1").Floats("TTS p50")
+	ta10 := rowsWhere(tab, "Ta(us)", "10").Floats("TTS p50")
+	if len(ta1) != 4 {
+		t.Fatalf("rows at Ta=1: %d, want 2 sizes x 2 ranges", len(ta1))
+	}
+	for i := range ta1 {
+		if !(2*ta1[i] <= ta10[i]) {
+			t.Errorf("%v users (row %d): TTS %.1f us at Ta=1 vs %.1f us at Ta=10; want Ta=1 at least 2x better", users[i], i, ta1[i], ta10[i])
+		}
+	}
+}
+
+// Fig. 7: a 1 µs pause beats a 10 µs one at every position (pause time
+// dominates the wall clock), and where the pause sits matters — the best
+// position is not the earliest and beats it clearly. Fig7Quick's instances
+// (seed 7, 12-user QPSK, 3 instances, 400 anneals) at |J_F| = 8, ICE on,
+// sp ∈ {0.15, 0.35, 0.45}. Measured TTS p50, Tp = 1 µs: 212 / 127 / 48.6 µs;
+// Tp = 10 µs: 1041 / 553 / 218 µs. Margins: every 1 µs point at least 2x
+// better than its 10 µs twin (measured ≥ 4.3x); best position at least 2x
+// better than sp = 0.15 (measured 4.4x).
+func TestShapeFig7ShortPauseWinsAndPositionMatters(t *testing.T) {
+	cfg := Fig7Quick()
+	cfg.JFs = []float64{8}
+	cfg.PausePositions = []float64{0.15, 0.35, 0.45}
+	cfg.IncludeNoICE = false
+	tab, err := Fig7(shapeEnv(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := rowsWhere(tab, "Tp(us)", "1").Floats("TTS p50")
+	long := rowsWhere(tab, "Tp(us)", "10").Floats("TTS p50")
+	best := math.Inf(1)
+	for i, sp := range cfg.PausePositions {
+		if !(2*short[i] <= long[i]) {
+			t.Errorf("sp %.2f: TTS %.1f us at Tp=1 vs %.1f us at Tp=10; want the short pause at least 2x better", sp, short[i], long[i])
+		}
+		best = math.Min(best, short[i])
+	}
+	if !(2*best <= short[0]) {
+		t.Errorf("Tp=1: best TTS %.1f us vs %.1f us at sp=0.15; want a later position at least 2x better", best, short[0])
+	}
+}
+
+// Fig. 8: expected BER never rises with the number of anneals under any of
+// the four strategies, and at the largest Na the per-instance oracle is no
+// worse than the fixed operating point. Fig8Quick: seed 8, 18x18 QPSK,
+// 4 instances, 300 anneals. Measured median BER at Na = 100: no-pause
+// 0.0715 (Opt) vs 0.1032 (Fix), pause 0.0656 vs 0.1205. Margin: none on
+// monotonicity (measured strictly falling at every step of the Na grid);
+// Opt ≤ Fix with the measured gaps 31% and 46%. Not asserted at Na = 1, where it does not hold (pause Opt
+// 0.1882 vs pause Fix 0.1875).
+func TestShapeFig8BERFallsWithAnnealsAndOptBeatsFix(t *testing.T) {
+	tab, err := Fig8(shapeEnv(t), Fig8Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := map[string]float64{}
+	for _, strategy := range []string{"no-pause Fix", "no-pause Opt", "pause Fix", "pause Opt"} {
+		bers := rowsWhere(tab, "strategy", strategy).Floats("BER p50")
+		for i := 1; i < len(bers); i++ {
+			if bers[i] > bers[i-1] {
+				t.Errorf("%s: median BER rises with Na: %v", strategy, bers)
+				break
+			}
+		}
+		last[strategy] = bers[len(bers)-1]
+	}
+	for _, pause := range []string{"no-pause", "pause"} {
+		if opt, fix := last[pause+" Opt"], last[pause+" Fix"]; !(opt <= fix) {
+			t.Errorf("%s at the largest Na: Opt BER %.4f above Fix %.4f", pause, opt, fix)
+		}
+	}
+}
+
+// Fig. 12: on one fixed channel and bit string, the relative energy gap
+// between the two lowest-energy solutions grows with SNR. Fig12Quick: seed
+// 12, 12-user QPSK, 600 anneals, SNR 10–40 dB. Measured rank-2 gap 68.6% →
+// 544% → 1,751% → 10,049% → 10,478% → 178,256%. Margin: strictly increasing
+// (the closest step, 25 → 30 dB, is +4.3%) and at least 100x from 10 to
+// 40 dB (measured 2,600x). The note's other half, the ground-state
+// probability growing with SNR, does not hold here and is in the deviation
+// table.
+func TestShapeFig12EnergyGapGrowsWithSNR(t *testing.T) {
+	tab, err := Fig12(shapeEnv(t), Fig12Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gaps := rowsWhere(tab, "rank", "2").Floats("dE% vs min")
+	for i := 1; i < len(gaps); i++ {
+		if !(gaps[i] > gaps[i-1]) {
+			t.Errorf("rank-1/rank-2 gap does not grow with SNR: %v", gaps)
+			break
+		}
+	}
+	if first, last := gaps[0], gaps[len(gaps)-1]; !(last >= 100*first) {
+		t.Errorf("gap at the highest SNR %.1f%% vs %.1f%% at the lowest; want at least 100x", last, first)
+	}
+}
+
+// Fig. 13, left panel: at 20 dB the time to BER 1e-6 rises with the number
+// of users, for the fixed operating point and for the oracle. Fig13Quick's
+// left panel only (seed 13, 3 instances, 200 anneals; no right panel, no
+// 16-QAM, whose two larger sizes never reach the target here). Measured
+// mean-Fix TTB: BPSK 24/48/60 users 3.90 / 1,452 µs / unreached, QPSK
+// 6/12/18 users 2.98 / 224.67 µs / unreached; median-Opt 2.00 / 240 / 3,880
+// and 1.06 / 32.57 / 2,042 µs. Margin: non-decreasing in users, the smallest
+// size reached, and the largest at least 10x the smallest (measured ≥ 370x).
+func TestShapeFig13TTBRisesWithUsers(t *testing.T) {
+	cfg := Fig13Quick()
+	cfg.RightSNRs = nil
+	delete(cfg.LeftUsers, modulation.QAM16)
+	tab, err := Fig13(shapeEnv(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mod := range []string{"BPSK", "QPSK"} {
+		for _, column := range []string{"TTB mean Fix", "TTB median Opt"} {
+			ttb := rowsWhere(tab, "mod", mod).Floats(column)
+			if !nonDecreasing(ttb) || math.IsInf(ttb[0], 1) || !(ttb[len(ttb)-1] >= 10*ttb[0]) {
+				t.Errorf("%s %s by users: %v us; want reached at the smallest size and rising at least 10x", mod, column, ttb)
+			}
+		}
+	}
+}
+
+// Fig. 14: at 10 dB and Nt = Nr zero-forcing sits on a BER floor, and QuAMax
+// reaches that BER within tens of microseconds at every size (the model
+// column; the host-time columns are not asserted). Fig14Quick: seed 14,
+// 6 instances, 200 anneals. Measured ZF BER 0.17–0.36, QuAMax TTB to it
+// 0.57–26.25 µs. Margins: ZF BER ≥ 0.1 and TTB ≤ 100 µs at all six sizes.
+func TestShapeFig14QuAMaxReachesZFFloorInMicroseconds(t *testing.T) {
+	tab, err := Fig14(shapeEnv(t), Fig14Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, zf, ttb := tab.Floats("users"), tab.Floats("ZF BER"), tab.Floats("QuAMax TTB to ZF BER")
+	if len(users) != 6 {
+		t.Fatalf("rows = %d, want the six sizes", len(users))
+	}
+	for i := range users {
+		if zf[i] < 0.1 {
+			t.Errorf("%v users: ZF BER %.4f is no floor (want ≥ 0.1)", users[i], zf[i])
+		}
+		if !(ttb[i] <= 100) {
+			t.Errorf("%v users: QuAMax needs %.2f us to reach ZF's BER (want ≤ 100 us)", users[i], ttb[i])
+		}
+	}
+}
+
+// Fig. 15: on trace-driven 8x8 channels at 25–35 dB, every channel use
+// reaches BER 1e-6 and FER 1e-4 (1,500-byte frames) within about 2 µs
+// amortized for BPSK and about 10 µs for QPSK. Fig15Quick: seed 15,
+// 6 synthetic Argos-like channel uses, 200 anneals. Measured mean-Fix TTB /
+// TTF: BPSK 1.21 / 1.70 µs, QPSK 10.44 / 14.76 µs. Margins: BPSK ≤ 4 µs and
+// QPSK ≤ 30 µs (2x the measured worst), all uses reached.
+func TestShapeFig15TraceDrivenMicroseconds(t *testing.T) {
+	tab, err := Fig15(shapeEnv(t), Fig15Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mod, limit := range map[string]float64{"BPSK": 4, "QPSK": 30} {
+		rows := rowsWhere(tab, "mod", mod)
+		for i, micros := range rows.Floats("mean Fix") {
+			if !(micros <= limit) {
+				t.Errorf("%s %v: mean Fix %.2f us, want ≤ %g us", mod, rows.Rows[i][1], micros, limit)
+			}
+			if r := rows.Rows[i][4].(reached); r.k != r.n {
+				t.Errorf("%s %v: reached %v of the channel uses", mod, rows.Rows[i][1], r)
+			}
+		}
+	}
+}

@@ -11,7 +11,10 @@
 //     comment, or
 //   - a Test…/Fuzz… name in a -run or -fuzz argument of the CI workflow
 //     matches no function in any _test.go file — a renamed test would
-//     otherwise leave its step green and empty.
+//     otherwise leave its step green and empty, or
+//   - the experiment IDs in the first column of docs/EXPERIMENTS.md's
+//     experiment table are not exactly the IDs internal/experiments
+//     registers.
 //
 // Run it from the repository root:
 //
@@ -28,6 +31,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"quamax/internal/experiments"
 )
 
 // fullDocPackages are the directories where every exported identifier must
@@ -60,6 +65,7 @@ func main() {
 		problems = append(problems, checkExportedDocs(dir)...)
 	}
 	problems = append(problems, checkWorkflowTests(".github/workflows/go.yml")...)
+	problems = append(problems, checkExperimentTable("docs/EXPERIMENTS.md")...)
 	if len(problems) > 0 {
 		sort.Strings(problems)
 		for _, p := range problems {
@@ -160,6 +166,39 @@ func checkWorkflowTests(workflow string) []string {
 				problems = append(problems, fmt.Sprintf("%s: a -run/-fuzz pattern selects %s, which no _test.go file defines", workflow, name))
 			}
 		}
+	}
+	return problems
+}
+
+// checkExperimentTable verifies that the experiment table of doc (the one
+// whose header row starts "| ID |") has one row per registered experiment
+// and no other.
+func checkExperimentTable(doc string) []string {
+	md, err := os.ReadFile(doc)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	documented := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(string(md), "\n") {
+		switch {
+		case strings.HasPrefix(line, "| ID |"):
+			inTable = true
+		case inTable && !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable && !strings.HasPrefix(line, "|---"):
+			documented[strings.Trim(strings.TrimSpace(strings.Split(line, "|")[1]), "`")] = true
+		}
+	}
+	var problems []string
+	for _, x := range experiments.Registry {
+		if !documented[x.ID] {
+			problems = append(problems, fmt.Sprintf("%s: experiment %s is registered but has no row in the experiment table", doc, x.ID))
+		}
+		delete(documented, x.ID)
+	}
+	for id := range documented {
+		problems = append(problems, fmt.Sprintf("%s: the experiment table lists %s, which internal/experiments does not register", doc, id))
 	}
 	return problems
 }
