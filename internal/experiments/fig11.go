@@ -68,8 +68,7 @@ func Fig11(e *Env, cfg Fig11Config) (*Table, error) {
 		for _, fb := range cfg.FrameBytes {
 			fixTTF := project(ms, func(m fixOpt) float64 { return m.fix.TTF(cfg.TargetFER, fb*8, last.wall, last.pf) })
 			optTTF := project(ms, func(m fixOpt) float64 { return m.opt.TTF(cfg.TargetFER, fb*8, last.wall, last.pf) })
-			t.AddRow(configName(mod, users), fb, metrics.Median(optTTF), metrics.Mean(fixTTF),
-				reached{countFinite(fixTTF), len(fixTTF)})
+			t.AddRow(configName(mod, users), fb, metrics.Median(optTTF), metrics.Mean(fixTTF), reachedOf(fixTTF))
 		}
 	}
 	return t, nil

@@ -105,8 +105,8 @@ func Fig15(e *Env, cfg Fig15Config) (*Table, error) {
 		fixTTF := project(ms, func(m fixOpt) float64 { return m.fix.TTF(cfg.TargetFER, cfg.FrameBytes*8, m.wall, m.pf) })
 		optTTB := project(ms, func(m fixOpt) float64 { return m.optTTB })
 		optTTF := project(ms, func(m fixOpt) float64 { return m.opt.TTF(cfg.TargetFER, cfg.FrameBytes*8, m.wall, m.pf) })
-		t.AddRow(mod, ttbLabel, metrics.Median(optTTB), metrics.Mean(fixTTB), reached{countFinite(fixTTB), cfg.Uses})
-		t.AddRow(mod, ttfLabel, metrics.Median(optTTF), metrics.Mean(fixTTF), reached{countFinite(fixTTF), cfg.Uses})
+		t.AddRow(mod, ttbLabel, metrics.Median(optTTB), metrics.Mean(fixTTB), reachedOf(fixTTB))
+		t.AddRow(mod, ttfLabel, metrics.Median(optTTF), metrics.Mean(fixTTF), reachedOf(fixTTF))
 	}
 	return t, nil
 }

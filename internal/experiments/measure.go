@@ -209,15 +209,10 @@ type reached struct{ k, n int }
 
 func (r reached) String() string { return fmt.Sprintf("%d/%d", r.k, r.n) }
 
-// countFinite counts the times that are not "never reached".
-func countFinite(times []float64) int {
-	n := 0
-	for _, t := range times {
-		if !math.IsInf(t, 1) {
-			n++
-		}
-	}
-	return n
+// reachedOf counts the times that are not +Inf, "never reached".
+func reachedOf(times []float64) reached {
+	b := metrics.Box(times)
+	return reached{b.Finite, b.Total}
 }
 
 // zfBER measures the zero-forcing (or, for a singular channel, MMSE) BER of

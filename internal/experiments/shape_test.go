@@ -28,30 +28,29 @@ func shapeEnv(t *testing.T) *Env {
 // rowsWhere restricts a table to the rows whose named cell renders as want.
 func rowsWhere(t *Table, name, want string) *Table {
 	out := &Table{Title: t.Title, Columns: t.Columns}
-	for c, column := range t.Columns {
-		if column.Name != name {
-			continue
+	c := t.column(name)
+	for _, row := range t.Rows {
+		if t.Columns[c].format(row[c]) == want {
+			out.Rows = append(out.Rows, row)
 		}
-		for _, row := range t.Rows {
-			if column.format(row[c]) == want {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		return out
 	}
-	panic("no column " + name)
+	return out
 }
 
-// nonDecreasing reports whether xs never falls (+Inf, "never reached", is the
-// largest value).
-func nonDecreasing(xs []float64) bool {
+// ordered reports whether every consecutive pair of xs satisfies ok (+Inf,
+// "never reached", compares as the largest value).
+func ordered(xs []float64, ok func(prev, next float64) bool) bool {
 	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
+		if !ok(xs[i-1], xs[i]) {
 			return false
 		}
 	}
 	return true
 }
+
+func rising(prev, next float64) bool     { return next > prev }
+func notFalling(prev, next float64) bool { return next >= prev }
+func notRising(prev, next float64) bool  { return next <= prev }
 
 // Fig. 4: the ground-state probability falls from BPSK 36 to QPSK 18 to
 // 16-QAM 9 (all 36 logical qubits). Fig4Quick: seed 4, 400 anneals, two
@@ -147,11 +146,8 @@ func TestShapeFig8BERFallsWithAnnealsAndOptBeatsFix(t *testing.T) {
 	last := map[string]float64{}
 	for _, strategy := range []string{"no-pause Fix", "no-pause Opt", "pause Fix", "pause Opt"} {
 		bers := rowsWhere(tab, "strategy", strategy).Floats("BER p50")
-		for i := 1; i < len(bers); i++ {
-			if bers[i] > bers[i-1] {
-				t.Errorf("%s: median BER rises with Na: %v", strategy, bers)
-				break
-			}
+		if !ordered(bers, notRising) {
+			t.Errorf("%s: median BER rises with Na: %v", strategy, bers)
 		}
 		last[strategy] = bers[len(bers)-1]
 	}
@@ -176,11 +172,8 @@ func TestShapeFig12EnergyGapGrowsWithSNR(t *testing.T) {
 		t.Fatal(err)
 	}
 	gaps := rowsWhere(tab, "rank", "2").Floats("dE% vs min")
-	for i := 1; i < len(gaps); i++ {
-		if !(gaps[i] > gaps[i-1]) {
-			t.Errorf("rank-1/rank-2 gap does not grow with SNR: %v", gaps)
-			break
-		}
+	if !ordered(gaps, rising) {
+		t.Errorf("rank-1/rank-2 gap does not grow with SNR: %v", gaps)
 	}
 	if first, last := gaps[0], gaps[len(gaps)-1]; !(last >= 100*first) {
 		t.Errorf("gap at the highest SNR %.1f%% vs %.1f%% at the lowest; want at least 100x", last, first)
@@ -206,7 +199,7 @@ func TestShapeFig13TTBRisesWithUsers(t *testing.T) {
 	for _, mod := range []string{"BPSK", "QPSK"} {
 		for _, column := range []string{"TTB mean Fix", "TTB median Opt"} {
 			ttb := rowsWhere(tab, "mod", mod).Floats(column)
-			if !nonDecreasing(ttb) || math.IsInf(ttb[0], 1) || !(ttb[len(ttb)-1] >= 10*ttb[0]) {
+			if !ordered(ttb, notFalling) || math.IsInf(ttb[0], 1) || !(ttb[len(ttb)-1] >= 10*ttb[0]) {
 				t.Errorf("%s %s by users: %v us; want reached at the smallest size and rising at least 10x", mod, column, ttb)
 			}
 		}

@@ -51,28 +51,33 @@ type Table struct {
 // AddRow appends one row of values, one per column.
 func (t *Table) AddRow(values ...any) { t.Rows = append(t.Rows, values) }
 
-// Floats returns the named column's values as numbers: float64 and int
-// cells as themselves, anything else (labels) as NaN. It panics on a name
-// the table does not have.
-func (t *Table) Floats(name string) []float64 {
+// column returns the index of the first column with the given name; it
+// panics on a name the table does not have (a bug in the caller).
+func (t *Table) column(name string) int {
 	for c, column := range t.Columns {
-		if column.Name != name {
-			continue
+		if column.Name == name {
+			return c
 		}
-		out := make([]float64, len(t.Rows))
-		for r, row := range t.Rows {
-			switch v := row[c].(type) {
-			case float64:
-				out[r] = v
-			case int:
-				out[r] = float64(v)
-			default:
-				out[r] = math.NaN()
-			}
-		}
-		return out
 	}
 	panic("experiments: table " + t.Title + " has no column " + name)
+}
+
+// Floats returns the named column's values as numbers: float64 and int
+// cells as themselves, anything else (labels) as NaN.
+func (t *Table) Floats(name string) []float64 {
+	c := t.column(name)
+	out := make([]float64, len(t.Rows))
+	for r, row := range t.Rows {
+		switch v := row[c].(type) {
+		case float64:
+			out[r] = v
+		case int:
+			out[r] = float64(v)
+		default:
+			out[r] = math.NaN()
+		}
+	}
+	return out
 }
 
 // cells renders the header and every row through the columns' formats.
