@@ -54,7 +54,7 @@ func Fig11(e *Env, cfg Fig11Config) (*Table, error) {
 			col("reached Fix", "%v"),
 		},
 		Notes: []string{
-			"expected shape: low sensitivity to frame size (50 B vs 1500 B), tens of microseconds at the edge sizes",
+			"paper shape: low sensitivity to frame size (50 B vs 1500 B), tens of microseconds at the edge sizes",
 		},
 	}
 	for mod, users := range eachClass(edgeConfigs(cfg.Quick)) {

@@ -49,7 +49,7 @@ func Fig12(e *Env, cfg Fig12Config) (*Table, error) {
 			col("bit errs", "%d"), col("P(best found)", "%.3f"),
 		},
 		Notes: []string{
-			"expected shape: as SNR increases the ground-state probability and the rank-1/rank-2 energy gap grow (at 10 dB the paper's gap narrows to ~3%)",
+			"paper shape: as SNR increases the ground-state probability and the rank-1/rank-2 energy gap grow (at 10 dB the paper's gap narrows to ~3%)",
 		},
 	}
 	// One fixed channel and bit string; noise differs per SNR (paper §5.4).

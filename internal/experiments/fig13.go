@@ -68,7 +68,7 @@ func Fig13(e *Env, cfg Fig13Config) (*Table, error) {
 			colMicros("TTB mean Fix"), colMicros("TTB median Opt"),
 		},
 		Notes: []string{
-			"expected shape: graceful TTB degradation with more users at fixed SNR; improvement with SNR at fixed users; Opt shows little SNR sensitivity",
+			"paper shape: graceful TTB degradation with more users at fixed SNR; improvement with SNR at fixed users; Opt shows little SNR sensitivity",
 		},
 	}
 	// row measures one configuration over fresh AWGN instances.

@@ -56,7 +56,7 @@ func Fig14(e *Env, cfg Fig14Config) (*Table, error) {
 		},
 		Notes: []string{
 			"ZF time is the measured wall time of this repository's zero-forcing (pseudo-inverse + slice) per channel use",
-			"expected shape: ZF hits a BER floor at Nt=Nr; QuAMax reaches that BER 10-1000x faster (paper)",
+			"paper shape: ZF hits a BER floor at Nt=Nr; QuAMax reaches that BER 10-1000x faster (paper)",
 		},
 	}
 	for mod, users := range eachClass(bpskQPSK(cfg.BPSKUsers, cfg.QPSKUsers)) {

@@ -75,7 +75,7 @@ func Fig15(e *Env, cfg Fig15Config) (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d channel uses, %d of %d antennas sampled per use", cfg.Uses, cfg.PickAnt, ds.Antennas),
-			"expected shape: 1e-6 BER / 1e-4 FER within ~10us for QPSK, amortized ~2us for BPSK (paper)",
+			"paper shape: 1e-6 BER / 1e-4 FER within ~10us for QPSK, amortized ~2us for BPSK (paper)",
 		},
 	}
 	ttbLabel := fmt.Sprintf("TTB %.0e", cfg.TargetBER)

@@ -39,7 +39,7 @@ func Fig4(e *Env, cfg Fig4Config) (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d anneals per panel at the Fix operating point", cfg.Anneals),
-			"expected shape: P0 decreases left to right (BPSK 36 > QPSK 18 > 16-QAM 9)",
+			"paper shape: P0 decreases left to right (BPSK 36 > QPSK 18 > 16-QAM 9)",
 		},
 	}
 	fix := DefaultFix(cfg.Anneals)

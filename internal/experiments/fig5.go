@@ -57,7 +57,7 @@ func Fig5(e *Env, cfg Fig5Config) (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d instances, %d anneals each", cfg.Instances, cfg.Anneals),
-			"expected shape: standard range has a size-dependent optimum |J_F|; improved range is flatter",
+			"paper shape: standard range has a size-dependent optimum |J_F|; improved range is flatter",
 		},
 	}
 	for mod, users := range eachClass(bpskQPSK(cfg.BPSKUsers, cfg.QPSKUsers)) {

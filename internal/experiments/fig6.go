@@ -50,7 +50,7 @@ func Fig6(e *Env, cfg Fig6Config) (*Table, error) {
 			colMicros("TTS p50"), col("best-JF line", "%v"),
 		},
 		Notes: []string{
-			"expected shape: improved range achieves its best TTS at Ta=1us regardless of size, with less |J_F| sensitivity",
+			"paper shape: improved range achieves its best TTS at Ta=1us regardless of size, with less |J_F| sensitivity",
 		},
 	}
 	for _, users := range cfg.QPSKUsers {

@@ -62,7 +62,7 @@ func Fig7(e *Env, cfg Fig7Config) (*Table, error) {
 			col("ICE", "%v"), col("Tp(us)", "%g"), col("sp", "%.2f"), col("JF", "%.1f"), colMicros("TTS p50"),
 		},
 		Notes: []string{
-			"expected shape: Tp=1us beats longer pauses (pause time dominates wall clock); a mid-schedule sp is optimal",
+			"paper shape: Tp=1us beats longer pauses (pause time dominates wall clock); a mid-schedule sp is optimal",
 		},
 	}
 	ins, err := noiseFreeInstances(modulation.QPSK, cfg.Users, cfg.Instances, cfg.Seed)

@@ -68,7 +68,7 @@ func Fig8(e *Env, cfg Fig8Config) (*Table, error) {
 			colBER("BER p50"), colBER("BER p15"), colBER("BER p85"),
 		},
 		Notes: []string{
-			"expected shape: the pausing strategies dominate at equal TIME despite each anneal costing 2x (paper §5.3.2)",
+			"paper shape: the pausing strategies dominate at equal TIME despite each anneal costing 2x (paper §5.3.2)",
 		},
 	}
 	src := rng.New(cfg.Seed)

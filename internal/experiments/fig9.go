@@ -72,7 +72,7 @@ func Fig9(e *Env, cfg Fig9Config) (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("%d instances per configuration; Opt oracle over |J_F|×sp grid", cfg.Instances),
-			"expected shape: larger users/higher modulation push curves right; mean lags median (outliers)",
+			"paper shape: larger users/higher modulation push curves right; mean lags median (outliers)",
 		},
 	}
 	for mod, users := range eachClass(edgeConfigs(cfg.Quick)) {
