@@ -1384,7 +1384,7 @@ func BenchmarkEstimateSNR(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := est.Estimate(in.Y); !ok {
+				if _, _, ok := est.Estimate(in.Y); !ok {
 					b.Fatal("estimate failed")
 				}
 			}

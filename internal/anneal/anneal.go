@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"quamax/internal/qubo"
 	"quamax/internal/rng"
@@ -194,6 +195,8 @@ func (m *Machine) RunPreparedInto(sc *Scratch, pp *PreparedProgram, h []float64,
 type Scratch struct {
 	crew    crew
 	reads   []deviceRead
+	seeds   []int64      // RunSlots: slot i's stream seed
+	next    atomic.Int32 // RunSlots: the next unclaimed slot
 	betaKey betaKey
 	betas   []float64
 	samples []Sample
@@ -252,9 +255,7 @@ func (m *Machine) run(sc *Scratch, pp *PreparedProgram, h, betas []float64, read
 	}
 	scale := pp.scale(h)
 	workers := max(1, min(m.Workers, reads))
-	for len(sc.reads) < workers {
-		sc.reads = append(sc.reads, deviceRead{})
-	}
+	sc.reads = append(sc.reads, make([]deviceRead, max(0, workers-len(sc.reads)))...)
 	rds := sc.reads[:workers]
 	for w := range rds {
 		src.SplitInto(&rds[w].src)
@@ -266,16 +267,58 @@ func (m *Machine) run(sc *Scratch, pp *PreparedProgram, h, betas []float64, read
 		rd := &rds[w]
 		rd.bind(pp)
 		for a := w; a < reads; a += workers {
-			rd.begin(pp, h, scale, ice, initial, &rd.src)
-			for _, beta := range betas {
-				rd.s.SetBeta(beta)
-				rd.s.Sweep()
-			}
 			samples[a].Spins = spins[a*n : (a+1)*n : (a+1)*n]
-			copy(samples[a].Spins, rd.s.spins)
+			copy(samples[a].Spins, rd.read(pp, h, scale, ice, initial, betas, &rd.src))
 		}
 	})
 	return samples, nil
+}
+
+// Slot is one member of a shared run: its prepared program and this run's fields.
+type Slot struct {
+	PP *PreparedProgram
+	H  []float64
+}
+
+// RunSlots executes one QA job that programs several problems side by side
+// (§4 parallelization). The slots are qubit-disjoint with no coupler between
+// them, so the chip's Metropolis chain is a product of per-slot chains tied
+// only by the analog range, and the run anneals slot by slot: the auto-scale
+// is the max over the slots (what a scan of the combined program computes),
+// slot i draws from the stream seeded by src's i-th draw, and workers claim
+// whole slots, so its reads depend on neither worker count nor neighbors. Each
+// goes to read (concurrently across slots; spins valid during the call) until
+// NumAnneals or until read reports the slot settled: a prefix of its uncut self.
+func (m *Machine) RunSlots(sc *Scratch, slots []Slot, params Params, src *rng.Source, read func(slot int, spins []int8) (settled bool)) error {
+	if err := params.Validate(); err != nil {
+		return err
+	}
+	scale := 1.0
+	sc.seeds = grow(sc.seeds, len(slots))
+	for i, sl := range slots {
+		if len(sl.H) != sl.PP.k.n {
+			return fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(sl.H), sl.PP.k.n)
+		}
+		scale = max(scale, sl.PP.scale(sl.H))
+		sc.seeds[i] = int64(src.Uint64() & math.MaxInt64) // what SplitInto seeds a child with
+	}
+	betas, ice := sc.schedule(ScheduleFromParams(m, params), 0), m.ICE
+	workers := max(1, min(m.Workers, len(slots)))
+	sc.reads = append(sc.reads, make([]deviceRead, max(0, workers-len(sc.reads)))...)
+	sc.next.Store(0)
+	sc.crew.run(workers, func(w int) {
+		rd := &sc.reads[w]
+		for i := int(sc.next.Add(1)) - 1; i < len(slots); i = int(sc.next.Add(1)) - 1 {
+			rd.bind(slots[i].PP)
+			rd.src.Reseed(sc.seeds[i])
+			for a := 0; a < params.NumAnneals; a++ {
+				if read(i, rd.read(slots[i].PP, slots[i].H, scale, ice, nil, betas, &rd.src)) {
+					break
+				}
+			}
+		}
+	})
+	return nil
 }
 
 // PreparedProgram is the field-independent half of a programmed machine: the
@@ -399,4 +442,14 @@ func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice
 	}
 	rd.s.state = src.Uint64()
 	rd.s.start(initial)
+}
+
+// read anneals one read and returns its spins, which the next overwrites.
+func (rd *deviceRead) read(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, betas []float64, src *rng.Source) []int8 {
+	rd.begin(pp, h, scale, ice, initial, src)
+	for _, beta := range betas {
+		rd.s.SetBeta(beta)
+		rd.s.Sweep()
+	}
+	return rd.s.spins
 }

@@ -72,9 +72,11 @@ func (a *Annealer) params(p *Problem) anneal.Params {
 }
 
 // occupancyMicros is the descriptor's latency hook: the modeled device
-// occupancy of one run, Na·(Ta+Tp). The chip is busy for the full run
-// regardless of slot amortization, so this — not the amortized per-problem
-// time — is what queue waits accumulate.
+// occupancy of one run at its read budget, Na·(Ta+Tp). The chip is busy for
+// the full run regardless of slot amortization, so this — not the amortized
+// per-problem time — is what queue waits accumulate. A shared run whose
+// members all settle early ends sooner, so like ClassicalSA.estimate this is
+// an upper bound, used for admission only.
 func (a *Annealer) occupancyMicros(p *Problem) float64 {
 	params := a.params(p)
 	return float64(params.NumAnneals) * params.AnnealWallMicros()
@@ -91,7 +93,7 @@ func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
 	// toward the seed's decision (the planner never plans soft reverse either).
-	req := core.Request{Y: p.Y, Reverse: p.Reverse && !p.Soft}
+	req := core.Request{Y: p.Y, Reverse: p.Reverse && !p.Soft, Radius: p.StopRadius}
 	if p.Soft {
 		req.Soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 	}
@@ -129,7 +131,7 @@ func (a *Annealer) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return a.result(res, out, budget.Params, 1), nil
+	return a.result(res, out, budget.Params, out.Reads, 1), nil
 }
 
 // BatchSlots implements BatchBackend via the chip's geometric slot packing.
@@ -144,7 +146,9 @@ func (a *Annealer) BatchSlots(p *Problem) int {
 // SolveBatch decodes all ps in one shared annealer run (core.DecodeRun). The
 // run's schedule comes from the batch's (Batchable-compatible) anneal
 // overrides, with the read budget the max over the batch — extra reads only
-// improve the co-scheduled problems.
+// improve the co-scheduled problems. A problem with a StopRadius ends its own
+// reads when its answer is in; the device is charged the reads the run
+// executed, the most any member ran.
 func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Source) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -165,8 +169,12 @@ func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Sourc
 	if err != nil {
 		return nil, err
 	}
+	ran := 0
+	for _, out := range outs {
+		ran = max(ran, out.Reads)
+	}
 	for i, out := range outs {
-		a.result(results[i], out, budget.Params, len(ps))
+		a.result(results[i], out, budget.Params, ran, len(ps))
 	}
 	return results, nil
 }
@@ -177,15 +185,16 @@ func (a *Annealer) ChannelCacheStats() metrics.ChannelCacheStats {
 }
 
 // result completes res from a decoder outcome, applying the Na·(Ta+Tp)/Pf
-// compute-time model the fronthaul reports for TTB accounting.
-func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, batched int) *Result {
+// compute-time model the fronthaul reports for TTB accounting, with Na the
+// reads the run executed (ran).
+func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, ran, batched int) *Result {
 	res.Bits = out.Bits
 	res.Energy = out.Energy
-	res.ComputeMicros = float64(params.NumAnneals) * out.WallMicrosPerAnneal / max(out.Pf, 1)
+	res.ComputeMicros = float64(ran) * out.WallMicrosPerAnneal / max(out.Pf, 1)
 	res.Batched = batched
 	res.LLRs = out.LLRs
 	res.LLRSaturated = out.LLRSaturated
-	res.Reads, res.ReadsPlanned = params.NumAnneals, params.NumAnneals
+	res.Reads, res.ReadsPlanned = out.Reads, params.NumAnneals
 	res.BrokenChains = out.BrokenChains
 	return res
 }

@@ -79,6 +79,18 @@ type Problem struct {
 	// backend ignores it — on device reads the rule is unsound (ICE-perturbed
 	// reads cluster in local minima) — and it does not enter Batchable.
 	StopRepeats int
+	// StopRadius, when positive, is the noise radius around Y inside which an
+	// annealer read's ML metric ‖y − Hv‖² is taken for the answer: as a member
+	// of a shared run (SolveBatch) the problem stops reading there — a soft
+	// one not before softout.MinEnsemble reads — while its co-members read
+	// on; Result.Reads says where. The scheduler sizes it on fitted plans
+	// (sched.applyPlan, qos.StopRadius). Solo runs and every other backend
+	// ignore it, and it does not enter Batchable.
+	StopRadius float64
+	// Lattice marks Y as a lattice-search target (a vector-perturbation
+	// precode) rather than a noisy observation of a transmitted vector: its
+	// residual is the objective itself, so no noise radius applies.
+	Lattice bool
 }
 
 // Users returns the transmitter count Nt.
@@ -97,8 +109,9 @@ type Result struct {
 	// annealer this equals the logical Ising energy by construction).
 	Energy float64
 	// ComputeMicros is the modeled solver compute time: QPU device time
-	// Na·(Ta+Tp)/Pf for the annealer, measured wall time for classical
-	// backends. Reported to the AP for TTB accounting.
+	// Na·(Ta+Tp)/Pf for the annealer — Na the reads the run executed, the most
+	// any of its members ran — measured wall time for classical backends.
+	// Reported to the AP for TTB accounting.
 	ComputeMicros float64
 	// Backend names the solver that produced this result.
 	Backend string
@@ -119,16 +132,16 @@ type Result struct {
 	// plane's StageCompile span.
 	CompileMicros float64
 	CacheHit      bool
-	// Reads is the number of reads the run executed (anneals; for ClassicalSA,
+	// Reads is the number of reads this problem ran (anneals; for ClassicalSA,
 	// its restarts) and BrokenChains the total broken logical chains across
 	// those reads — the per-solve anneal-quality sample the scheduler replays
 	// into the solver-health plane (internal/health) with backend
 	// attribution. Other classical backends leave both zero.
 	Reads        int
 	BrokenChains int
-	// ReadsPlanned is the cap Reads ran under: the read budget, or the
-	// configured restarts. Reads < ReadsPlanned says Problem.StopRepeats
-	// ended the run early.
+	// ReadsPlanned is the cap Reads ran under: the run's read budget, or the
+	// configured restarts. Reads < ReadsPlanned says Problem.StopRepeats or
+	// Problem.StopRadius ended this problem's reads early.
 	ReadsPlanned int
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
+	"quamax/internal/softout"
 )
 
 // Problem.StopRepeats makes ClassicalSA's restarts a cap, and the Result says
@@ -55,5 +56,70 @@ func TestStopRepeatsCapsTheSATier(t *testing.T) {
 		!reflect.DeepEqual(qGot.Bits, qFull.Bits) || qGot.Energy != qFull.Energy || qGot.BrokenChains != qFull.BrokenChains {
 		t.Fatalf("annealer under the repeat rule: %d of %d reads, %v µs, energy %v (unarmed %v)",
 			qGot.Reads, qGot.ReadsPlanned, qGot.ComputeMicros, qGot.Energy, qFull.Energy)
+	}
+}
+
+// Problem.StopRadius ends a shared-run member's reads when its answer is in,
+// and the Results say what ran: each member its own Reads under the run's
+// ReadsPlanned, the device charged the most any member ran. An un-armed
+// co-member runs the budget and answers as it would have; a solo run ignores
+// the radius; and the radius does not split a batch.
+func TestStopRadiusStopsASharedRunMember(t *testing.T) {
+	ctx := context.Background()
+	a, err := NewAnnealer("qpu0", testOptions()) // Na = 40, Pf = 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Noise-free instances: the transmitted vector sits at energy 0, inside any
+	// radius, and the annealer finds it within a few reads.
+	armed := problemOf(testInstance(t, 31, modulation.QPSK, 2))
+	armed.StopRadius = 1e-6
+	soft := problemOf(testInstance(t, 32, modulation.QPSK, 2))
+	soft.StopRadius, soft.Soft, soft.NoiseVar = 1e-6, true, 0.1
+	plain := problemOf(testInstance(t, 33, modulation.QPSK, 2))
+	if !Batchable(armed, plain) || !Batchable(soft, plain) {
+		t.Fatal("the stop radius split a batch")
+	}
+
+	got, err := a.SolveBatch(ctx, []*Problem{armed, soft, plain}, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unarmed := *armed
+	unarmed.StopRadius = 0
+	uncut, err := a.SolveBatch(ctx, []*Problem{&unarmed, soft, plain}, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Reads >= 40 || got[0].Energy > armed.StopRadius || !reflect.DeepEqual(got[0].Bits, uncut[0].Bits) {
+		t.Errorf("armed hard member: %d of %d reads, energy %v, bits %v (uncut %v)", got[0].Reads, got[0].ReadsPlanned, got[0].Energy, got[0].Bits, uncut[0].Bits)
+	}
+	if got[1].Reads < softout.MinEnsemble || got[1].Reads >= 40 || len(got[1].LLRs) != len(got[1].Bits) {
+		t.Errorf("armed soft member: %d reads (ensemble floor %d), %d LLRs", got[1].Reads, softout.MinEnsemble, len(got[1].LLRs))
+	}
+	if got[2].Reads != 40 || !reflect.DeepEqual(got[2], uncut[2]) {
+		t.Errorf("un-armed member: %+v, beside an un-armed co-member %+v", got[2], uncut[2])
+	}
+	for i, r := range got {
+		if r.ReadsPlanned != 40 || r.Batched != 3 || r.ComputeMicros != 40*2 {
+			t.Errorf("member %d: planned %d, batched %d, %v µs; want the run's 40 reads charged to all three", i, r.ReadsPlanned, r.Batched, r.ComputeMicros)
+		}
+	}
+	// With every member armed the run ends when the slowest is settled, and
+	// that is what the device is charged.
+	all, err := a.SolveBatch(ctx, []*Problem{armed, soft}, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := max(all[0].Reads, all[1].Reads)
+	if ran >= 40 || all[0].ComputeMicros != float64(ran)*2 || all[1].ComputeMicros != float64(ran)*2 {
+		t.Errorf("all-armed run: members ran %d and %d reads, charged %v and %v µs", all[0].Reads, all[1].Reads, all[0].ComputeMicros, all[1].ComputeMicros)
+	}
+	solo, err := a.Solve(ctx, armed, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.Reads != 40 || solo.ReadsPlanned != 40 || solo.ComputeMicros != 40*2 {
+		t.Errorf("solo run under a radius: %d of %d reads, %v µs; want every planned read", solo.Reads, solo.ReadsPlanned, solo.ComputeMicros)
 	}
 }

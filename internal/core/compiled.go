@@ -25,7 +25,6 @@ import (
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
-	"quamax/internal/qubo"
 	"quamax/internal/reduction"
 )
 
@@ -68,77 +67,47 @@ func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 
 // CompiledChannel pins together everything H-dependent about a decode: the
 // compiled Ising couplings (reduction.ChannelProgram), the clique embedding,
-// the slot packing metadata, and — lazily, per chain strength — the embedded
-// physical coupler program with its prepared adjacency and pre-scanned
-// coupler range. It is produced by Decoder.Compile (or, for a raw request,
-// for the duration of one call), owned by that decoder, and safe for
-// concurrent use.
+// the parallel slots for N, and — lazily — the embedded physical coupler
+// programs with their prepared adjacency and pre-scanned coupler range. It is
+// produced by Decoder.Compile (or, for a raw request, for the duration of one
+// call), owned by that decoder, and safe for concurrent use.
 type CompiledChannel struct {
 	prog  *reduction.ChannelProgram
 	emb   *embedding.Embedding
-	slots int
+	packs []*embedding.Embedding // their count is the geometric Pf
 	dec   *Decoder
 
-	templates templateCache
+	mu        sync.Mutex
+	templates []template
 }
 
-// templateCache lazily materializes a channel's physical coupler programs
-// (edges final, fields all zero — the program stage fills those per y): one
-// solo program on the primary clique placement, prepared for RunPrepared, and
-// one per parallel slot, concatenated into shared-run programs. They are
-// keyed by chain strength so planner-supplied |J_F| overrides each get their
-// own program, exactly as a real chip would be reprogrammed when the
-// operating point changes.
-type templateCache struct {
-	mu    sync.Mutex
-	solo  map[float64]*anneal.PreparedProgram
-	slots map[slotJF]*qubo.Sparse
+// template is one of a channel's physical coupler programs (edges final, no
+// fields — the program stage fills those per y), prepared once for the
+// annealer. It depends on its placement only through the dense layout, so the
+// primary placement and every slot laid out alike (all, where slots are defect
+// free) share one; each chain strength a planner supplies reprograms the chip.
+type template struct {
+	emb *embedding.Embedding
+	jf  float64
+	pp  *anneal.PreparedProgram
 }
 
-// slotJF keys a per-slot template: the (decoder-stable) slot index within
-// the packing for N, plus the chain strength the couplers were scaled at.
-type slotJF struct {
-	slot int
-	jf   float64
-}
-
-// soloFor returns (building on first use) the prepared primary-slot coupler
-// program for chain strength jf.
-func (tc *templateCache) soloFor(cc *CompiledChannel, jf float64) (*anneal.PreparedProgram, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if pp, ok := tc.solo[jf]; ok {
-		return pp, nil
+// programFor returns (building on first use) the template for emb at jf.
+func (cc *CompiledChannel) programFor(emb *embedding.Embedding, jf float64) (*anneal.PreparedProgram, error) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for _, t := range cc.templates {
+		if t.jf == jf && (t.emb == emb || t.emb.SameLayout(emb)) {
+			return t.pp, nil
+		}
 	}
-	ep, err := cc.emb.EmbedIsing(cc.prog.CouplingTemplate(), jf, cc.dec.opts.ImprovedRange)
+	ep, err := emb.EmbedIsing(cc.prog.CouplingTemplate(), jf, cc.dec.opts.ImprovedRange)
 	if err != nil {
 		return nil, err
 	}
-	if tc.solo == nil {
-		tc.solo = make(map[float64]*anneal.PreparedProgram)
-	}
-	tc.solo[jf] = cc.dec.opts.Machine.PrepareProgram(ep.Phys, cc.dec.opts.ImprovedRange)
-	return tc.solo[jf], nil
-}
-
-// slotFor returns (building on first use) the coupler program for one
-// parallel embedding slot at chain strength jf.
-func (tc *templateCache) slotFor(cc *CompiledChannel, slot int, pack *embedding.Embedding, jf float64) (*qubo.Sparse, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	key := slotJF{slot: slot, jf: jf}
-	if phys, ok := tc.slots[key]; ok {
-		return phys, nil
-	}
-	ep, err := pack.EmbedIsing(cc.prog.CouplingTemplate(), jf, cc.dec.opts.ImprovedRange)
-	if err != nil {
-		return nil, err
-	}
-	if tc.slots == nil {
-		tc.slots = make(map[slotJF]*qubo.Sparse)
-	}
-	tc.slots[key] = ep.Phys
-	return ep.Phys, nil
+	pp := cc.dec.opts.Machine.PrepareProgram(ep.Phys, cc.dec.opts.ImprovedRange)
+	cc.templates = append(cc.templates, template{emb, jf, pp})
+	return pp, nil
 }
 
 // Mod returns the modulation the channel was compiled for.
@@ -194,11 +163,11 @@ func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *lin
 // store: the couplings plus the — itself cached — clique embedding for N.
 func (d *Decoder) newChannel(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
 	prog := reduction.CompileChannel(mod, h)
-	emb, slots, err := d.embeddingFor(prog.N)
+	emb, packs, err := d.embeddingFor(prog.N)
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledChannel{prog: prog, emb: emb, slots: slots, dec: d}, nil
+	return &CompiledChannel{prog: prog, emb: emb, packs: packs, dec: d}, nil
 }
 
 // ChannelCacheStats snapshots the compiled-channel store's counters.

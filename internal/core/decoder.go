@@ -8,9 +8,9 @@
 //	         compiled for this call (CompileChannel → clique embedding)
 //	program  the chip: the channel's coupler template (EmbedIsing, prepared
 //	         once per |J_F|) plus this y's biases spread along the chains;
-//	         a shared run concatenates one slot template per request
-//	run      Na anneals, forward or reverse from the linear seed
-//	collect  Unembed + majority vote ──▶ logical energies ──▶ min energy
+//	         a shared run programs one slot per request
+//	run      Na anneals, forward or reverse from the seed, or slot by slot
+//	tally    Unembed + majority vote ──▶ logical energies ──▶ min energy
 //	         ──▶ QUBO bits ──PostTranslate──▶ b̂ (+ distribution, + LLRs)
 //
 // The raw-vs-compiled rule: a raw channel costs a compile on every call and
@@ -35,7 +35,6 @@ import (
 	"quamax/internal/chimera"
 	"quamax/internal/embedding"
 	"quamax/internal/metrics"
-	"quamax/internal/modulation"
 	"quamax/internal/telemetry"
 )
 
@@ -130,65 +129,33 @@ func (d *Decoder) Options() Options { return d.opts }
 // and cache outcome. Safe to call concurrently with decodes.
 func (d *Decoder) SetTelemetry(rec *telemetry.Recorder) { d.telem.Store(rec) }
 
-// recordQuality reports one solve's anneal-quality sample to the attached
-// recorder, if any. n is the logical spin count; reads the sample count of
-// the run the outcome was distilled from.
-func (d *Decoder) recordQuality(mod modulation.Modulation, n, reads int, out *Outcome) {
-	rec := d.telem.Load()
-	if rec == nil {
-		return
-	}
-	rec.ObserveQuality(telemetry.Class(mod.String(), n/mod.BitsPerSymbol()), telemetry.QualityObservation{
-		BestEnergy:   out.Energy,
-		Reads:        reads,
-		ChainBreaks:  out.BrokenChains,
-		LLRBits:      len(out.LLRs),
-		LLRSaturated: out.LLRSaturated,
-	})
-}
-
-// embeddingFor returns (and caches) the clique embedding for N logical spins.
-func (d *Decoder) embeddingFor(n int) (*embedding.Embedding, int, error) {
+// embeddingFor returns (and caches) the clique embedding for N logical spins
+// and the disjoint slot packing a shared run programs side by side.
+func (d *Decoder) embeddingFor(n int) (*embedding.Embedding, []*embedding.Embedding, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if e, ok := d.embs[n]; ok {
-		return e, len(d.packs[n]), nil
+		return e, d.packs[n], nil
 	}
 	e, err := embedding.Embed(d.opts.Graph, n)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: %d logical spins: %w", n, err)
+		return nil, nil, fmt.Errorf("core: %d logical spins: %w", n, err)
 	}
 	packs := embedding.PackSlots(d.opts.Graph, n)
 	if len(packs) == 0 {
-		// No disjoint pack fits (possible with defects at large N even
-		// though a single placement exists): the lone embedding is the one
-		// slot, keeping BatchSlots ≥ 1 honest for DecodeRun.
+		// No disjoint pack fits (possible with defects at large N though one
+		// placement exists): the lone embedding is the one slot of DecodeRun.
 		packs = []*embedding.Embedding{e}
 	}
-	d.embs[n] = e
-	d.packs[n] = packs
-	return e, len(packs), nil
-}
-
-// packsFor returns (and caches) the disjoint parallel slot packing for N
-// logical spins — the embeddings a shared run programs side by side.
-func (d *Decoder) packsFor(n int) ([]*embedding.Embedding, error) {
-	if _, _, err := d.embeddingFor(n); err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.packs[n], nil
+	d.embs[n], d.packs[n] = e, packs
+	return e, packs, nil
 }
 
 // BatchSlots returns how many independent N-spin problems fit one annealer
-// run — the geometric parallel slot count of §4 and the capacity of DecodeRun.
+// run (≥ 1) — the geometric slot count of §4 and the capacity of DecodeRun.
 func (d *Decoder) BatchSlots(n int) (int, error) {
-	packs, err := d.packsFor(n)
-	if err != nil {
-		return 0, err
-	}
-	return len(packs), nil // packsFor guarantees ≥ 1
+	_, packs, err := d.embeddingFor(n)
+	return len(packs), err
 }
 
 // Outcome is the result of one decode (one channel use).
@@ -200,7 +167,10 @@ type Outcome struct {
 	// Energy is the logical Ising energy of the best sample; by
 	// construction it equals the ML metric ‖y − H·Symbols‖².
 	Energy float64
-	// BrokenChains totals broken logical chains across all anneals
+	// Reads is the number of anneals scored for this request: the run's read
+	// budget, or fewer for a shared-run member whose Radius settled it.
+	Reads int
+	// BrokenChains totals broken logical chains across those anneals
 	// (annealer health diagnostic).
 	BrokenChains int
 	// Pf is the parallelization factor used for time amortization

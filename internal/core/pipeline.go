@@ -16,6 +16,7 @@ import (
 	"quamax/internal/reduction"
 	"quamax/internal/rng"
 	"quamax/internal/softout"
+	"quamax/internal/telemetry"
 )
 
 // Request is one decode: a received vector Y observed through a channel
@@ -36,6 +37,10 @@ type Request struct {
 	// only: the ensemble clusters around the seed, which would bias LLRs, and
 	// a shared run has no per-slot initial state.
 	Reverse bool
+	// Radius, when positive, ends a shared-run member's reads at the first whose
+	// ML metric ‖y − Hv‖² (the logical energy) is inside it — a Soft one's not
+	// before softout.MinEnsemble reads. A solo Decode scores a finished run.
+	Radius float64
 	// Truth, when non-nil, fills the evaluation fields of the Outcome
 	// (Distribution, TxEnergy) from the instance's transmitted bits.
 	Truth *mimo.Instance
@@ -69,7 +74,7 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 	if err != nil {
 		return nil, err
 	}
-	pp, err := cc.templates.soloFor(cc, jf)
+	pp, err := cc.programFor(cc.emb, jf)
 	if err != nil {
 		return nil, err
 	}
@@ -80,48 +85,49 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 		}
 		init = cc.emb.PhysicalInit(seed)
 	}
-	logical := cc.prog.Biases(req.Y)
-	sc := d.borrow()
-	sc.hphys = slices.Grow(sc.hphys[:0], pp.N())[:pp.N()]
-	fillChainFields(sc.hphys, logical.H, cc.emb, jf)
+	sc := d.borrow(1)
+	t := &sc.tallies[0]
+	t.begin(&req, cc, cc.emb, jf, 0, src)
 	var samples []anneal.Sample
 	if req.Reverse {
-		samples, err = d.opts.Machine.RunPreparedReverseInto(&sc.run, pp, sc.hphys, params, init, src)
+		samples, err = d.opts.Machine.RunPreparedReverseInto(&sc.run, pp, t.h, params, init, src)
 	} else {
-		samples, err = d.opts.Machine.RunPreparedInto(&sc.run, pp, sc.hphys, params, src)
+		samples, err = d.opts.Machine.RunPreparedInto(&sc.run, pp, t.h, params, src)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := d.collect(sc, &req, cc, logical, cc.emb, 0, seed, samples, params, cc.slots, src)
+	if seed != nil {
+		t.score(seed)
+	}
+	for _, s := range samples {
+		t.read(s.Spins)
+	}
+	out := t.outcome(d, params, len(cc.packs))
 	d.scratch.Put(sc)
 	return out, nil
 }
 
 // scratch is the working set of one Decode or DecodeRun call, pooled on the
-// decoder: the annealer's run scratch (worker kernels, streams, β list and the
-// samples themselves), the physical program a call writes, and the read
-// scorer's buffers. The one rule — a decode allocates only what it returns —
-// holds through it: nothing reachable from an Outcome aliases it, so it goes
-// back to the pool once the call has its outcomes (a call that fails or
-// panics just drops it).
+// decoder, through which a decode allocates only what it returns: no Outcome
+// aliases it, so it goes back to the pool once the call has its outcomes (a
+// call that fails or panics just drops it).
 type scratch struct {
-	run      anneal.Scratch
-	hphys    []float64   // solo: the chain-spread fields of this y
-	combined qubo.Sparse // shared run: the slots' programs side by side
-	spins    []int8      // one read, unembedded
-	qbits    []byte      // … as QuAMax-transform bits
-	best     []byte      // the minimum-energy read's qbits so far
-	gray     []byte      // … post-translated, for the truth and soft tallies
-	ens      softout.Ensemble
+	run     anneal.Scratch
+	tallies []tally
+	slots   []anneal.Slot                     // shared run: what the annealer programs
+	read    func(slot int, spins []int8) bool // tallies[slot].read, bound once
 }
 
-// borrow takes a scratch from the decoder's pool.
-func (d *Decoder) borrow() *scratch {
-	if sc, ok := d.scratch.Get().(*scratch); ok {
-		return sc
+// borrow takes a scratch with a tally per request from the decoder's pool.
+func (d *Decoder) borrow(reqs int) *scratch {
+	sc, ok := d.scratch.Get().(*scratch)
+	if !ok {
+		sc = new(scratch)
+		sc.read = func(slot int, spins []int8) bool { return sc.tallies[slot].read(spins) }
 	}
-	return new(scratch)
+	sc.tallies = append(sc.tallies, make([]tally, max(0, reqs-len(sc.tallies)))...)
+	return sc
 }
 
 // DecodeRun decodes up to BatchSlots(N) requests in ONE annealer run by
@@ -131,7 +137,8 @@ func (d *Decoder) borrow() *scratch {
 // size N. The run's wall clock is shared, so each Outcome reports
 // Pf = len(reqs) under AmortizeParallel; so is the device's analog range, so
 // the auto-scale divisor is the max over the run — the squeeze a real shared
-// chip applies.
+// chip applies. Nothing else is: each request anneals in its slot on streams
+// of its own (RunSlots), is scored read by read, and stops alone.
 func (d *Decoder) DecodeRun(reqs []Request, b Budget, src *rng.Source) ([]*Outcome, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("core: empty run")
@@ -140,60 +147,41 @@ func (d *Decoder) DecodeRun(reqs []Request, b Budget, src *rng.Source) ([]*Outco
 	if err != nil {
 		return nil, err
 	}
-	ccs := make([]*CompiledChannel, len(reqs))
+	sc := d.borrow(len(reqs))
+	sc.slots = sc.slots[:0]
+	var packs []*embedding.Embedding
 	for i := range reqs {
 		if reqs[i].Reverse {
 			return nil, errors.New("core: reverse annealing cannot share a run")
 		}
-		if ccs[i], err = d.resolve(&reqs[i]); err != nil {
-			return nil, err
-		}
-		if ccs[i].prog.N != ccs[0].prog.N {
-			return nil, fmt.Errorf("core: run mixes logical sizes %d and %d", ccs[0].prog.N, ccs[i].prog.N)
-		}
-	}
-	n := ccs[0].prog.N
-	packs, err := d.packsFor(n)
-	if err != nil {
-		return nil, err
-	}
-	if len(reqs) > len(packs) {
-		return nil, fmt.Errorf("core: run of %d exceeds the %d parallel slots for N=%d", len(reqs), len(packs), n)
-	}
-
-	// Slots are qubit-disjoint, so concatenating each channel's slot template
-	// at an index offset yields the exact combined program: couplers are
-	// copied, fields computed fresh per received vector.
-	offsets := make([]int, len(reqs))
-	total := 0
-	for i := range reqs {
-		offsets[i] = total
-		total += packs[i].NumPhysical()
-	}
-	sc := d.borrow()
-	combined := &sc.combined
-	combined.N, combined.H, combined.Edges = total, slices.Grow(combined.H[:0], total)[:total], combined.Edges[:0]
-	logicals := make([]*qubo.Ising, len(reqs))
-	for i, cc := range ccs {
-		phys, err := cc.templates.slotFor(cc, i, packs[i], jf)
+		cc, err := d.resolve(&reqs[i])
 		if err != nil {
 			return nil, err
 		}
-		logicals[i] = cc.prog.Biases(reqs[i].Y)
-		off := offsets[i]
-		fillChainFields(combined.H[off:off+packs[i].NumPhysical()], logicals[i].H, packs[i], jf)
-		for _, e := range phys.Edges {
-			combined.Edges = append(combined.Edges, qubo.SparseEdge{I: e.I + off, J: e.J + off, W: e.W})
+		if i == 0 {
+			packs = cc.packs
 		}
+		if n := packs[0].N; cc.prog.N != n {
+			return nil, fmt.Errorf("core: run mixes logical sizes %d and %d", n, cc.prog.N)
+		} else if len(reqs) > len(packs) {
+			return nil, fmt.Errorf("core: run of %d exceeds the %d parallel slots for N=%d", len(reqs), len(packs), n)
+		}
+		pp, err := cc.programFor(packs[i], jf)
+		if err != nil {
+			return nil, err
+		}
+		// Tie-break streams are split in slot order, ahead of the slots' own.
+		t := &sc.tallies[i]
+		src.SplitInto(&t.own)
+		t.begin(&reqs[i], cc, packs[i], jf, reqs[i].Radius, &t.own)
+		sc.slots = append(sc.slots, anneal.Slot{PP: pp, H: t.h})
 	}
-	pp := d.opts.Machine.PrepareProgram(combined, d.opts.ImprovedRange)
-	samples, err := d.opts.Machine.RunPreparedInto(&sc.run, pp, combined.H, params, src)
-	if err != nil {
+	if err := d.opts.Machine.RunSlots(&sc.run, sc.slots, params, src, sc.read); err != nil {
 		return nil, err
 	}
 	outs := make([]*Outcome, len(reqs))
 	for i := range reqs {
-		outs[i] = d.collect(sc, &reqs[i], ccs[i], logicals[i], packs[i], offsets[i], nil, samples, params, len(reqs), src)
+		outs[i] = sc.tallies[i].outcome(d, params, len(reqs))
 	}
 	d.scratch.Put(sc)
 	return outs, nil
@@ -266,95 +254,115 @@ func linearSeed(cc *CompiledChannel, req *Request) ([]int8, error) {
 	return qubo.SpinsFromBits(mod.GrayToQuAMaxBits(res.Bits)), nil
 }
 
-// fillChainFields spreads the logical fields along each chain per Eq. 11:
-// every chain qubit of logical spin i carries f_i/(|J_F|·chainLen) — the
-// same arithmetic EmbedIsing performs, applied to a zeroed field vector.
-func fillChainFields(hphys, logicalH []float64, emb *embedding.Embedding, jf float64) {
+// tally is one request's read scorer — majority-vote unembedding, logical
+// energy, minimum-energy selection, post-translation — and the only one: a
+// solo Decode feeds it the finished run, a shared run each read as it arrives,
+// which makes every request shape bit-identical on the same streams and lets a
+// member stop when its answer is in. Truth and Soft only retain what the hard
+// decision computed — each distinct read's (Gray bits, energy) — as the ranked
+// distribution and the ensemble softout turns into LLRs, so neither moves a
+// hard field. Its buffers are its own: scoring allocates one map key per soft
+// candidate, outcome what it returns, and a run's workers drive tallies apart.
+type tally struct {
+	truth   *mimo.Instance // the request's Truth
+	mod     modulation.Modulation
+	emb     *embedding.Embedding
+	logical *qubo.Ising
+	tie     *rng.Source // breaks majority-vote ties
+	radius  float64     // settled once the best energy is inside it (0 = never)
+	acc     *metrics.Accumulator
+	spec    softout.Spec
+
+	bestE         float64
+	scored, soft  bool // soft: the request asked for LLRs
+	reads, broken int
+
+	own         rng.Source // a shared-run member's tie stream
+	h           []float64  // the chain-spread fields of this y on emb
+	spins       []int8     // one read, unembedded
+	qbits, gray []byte     // … as QuAMax-transform bits; post-translated, for the truth and soft tallies
+	best        []byte     // the minimum-energy candidate's qbits so far
+	ens         softout.Ensemble
+}
+
+// begin resets the tally for one request on placement emb, spreading its y's
+// fields along each chain per Eq. 11: f_i/(|J_F|·chainLen) on every qubit of
+// chain i, as EmbedIsing computes it.
+func (t *tally) begin(req *Request, cc *CompiledChannel, emb *embedding.Embedding, jf, radius float64, tie *rng.Source) {
+	t.truth, t.soft, t.mod, t.emb, t.logical, t.tie = req.Truth, req.Soft != nil, cc.prog.Mod, emb, cc.prog.Biases(req.Y), tie
+	t.radius, t.acc, t.scored, t.reads, t.broken = radius, nil, false, 0, 0
+	t.spins = slices.Grow(t.spins[:0], emb.N)[:emb.N]
+	t.h = slices.Grow(t.h[:0], emb.NumPhysical())[:emb.NumPhysical()]
 	chainLen := float64(embedding.ChainLength(emb.N))
 	for i, chain := range emb.DenseChainIndices() {
-		v := logicalH[i] / (jf * chainLen)
 		for _, q := range chain {
-			hphys[q] = v
+			t.h[q] = t.logical.H[i] / (jf * chainLen)
 		}
+	}
+	if t.truth != nil {
+		t.acc = metrics.NewAccumulator(t.logical.N)
+	}
+	if t.soft {
+		t.spec = req.Soft.WithDefaults()
+		if t.spec.NoiseVar <= 0 && t.truth != nil {
+			t.spec.NoiseVar = t.truth.NoiseVariance() // the instance knows its σ²
+		}
+		t.ens.Reset(t.logical.N, t.spec.MaxCandidates)
 	}
 }
 
-// collect distills one request's view of a run — the samples' qubits
-// [off, off+emb.NumPhysical()) — into an Outcome: majority-vote unembedding,
-// logical-energy scoring, minimum-energy selection and post-translation. It
-// is the only read-scoring loop, which is what makes every request shape
-// bit-identical on the same random stream. seed, when non-nil, competes as a
-// candidate ahead of the reads. Truth and Soft only retain what the hard
-// decision already computed — each distinct read's (Gray bits, energy) — as
-// the ranked distribution and as the candidate ensemble internal/softout
-// turns into max-log-MAP LLRs, so neither costs an objective evaluation nor
-// moves a hard field. slots is the Pf the run amortizes over.
-//
-// Every per-read buffer is sc's (a read's bits are copied only when it becomes
-// the best so far), so the loop allocates nothing for a hard request and one
-// map key per distinct candidate for a soft one, and what collect allocates
-// besides — the Outcome, its Bits, Symbols and LLRs — is what it returns.
-func (d *Decoder) collect(sc *scratch, req *Request, cc *CompiledChannel, logical *qubo.Ising, emb *embedding.Embedding, off int, seed []int8, samples []anneal.Sample, params anneal.Params, slots int, src *rng.Source) *Outcome {
-	mod, truth := cc.prog.Mod, req.Truth
-	out := &Outcome{Pf: 1, WallMicrosPerAnneal: params.AnnealWallMicros()}
+// score enters one candidate (a read, or a reverse anneal's seed) as spins.
+func (t *tally) score(spins []int8) {
+	energy := t.logical.Energy(spins)
+	t.qbits = qubo.AppendBitsFromSpins(t.qbits[:0], spins)
+	if !t.scored || energy < t.bestE {
+		t.bestE, t.scored = energy, true
+		t.best = append(t.best[:0], t.qbits...)
+	}
+	if t.acc == nil && !t.soft {
+		return
+	}
+	t.gray = t.mod.AppendPostTranslate(t.gray[:0], t.qbits)
+	if t.acc != nil {
+		t.acc.Add(string(t.qbits), energy, t.truth.BitErrors(t.gray))
+	}
+	if t.soft {
+		t.ens.Add(t.gray, energy)
+	}
+}
+
+// read scores one read (physical spins in the placement's dense order) and
+// reports whether the request is settled.
+func (t *tally) read(phys []int8) (settled bool) {
+	t.broken += t.emb.UnembedInto(t.spins, phys, t.tie)
+	t.score(t.spins)
+	t.reads++
+	return t.radius > 0 && t.bestE <= t.radius && (!t.soft || t.reads >= softout.MinEnsemble)
+}
+
+// outcome distills what was scored (slots is the Pf the run amortizes over)
+// and reports its anneal quality, over the reads run, to d's recorder if any.
+func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
+	out := &Outcome{
+		Bits: t.mod.PostTranslate(t.best), Symbols: reduction.BitsToSymbols(t.mod, t.best), Energy: t.bestE,
+		Reads: t.reads, BrokenChains: t.broken, Pf: 1, WallMicrosPerAnneal: params.AnnealWallMicros(),
+	}
 	if d.opts.AmortizeParallel {
 		out.Pf = float64(slots)
 	}
-	var acc *metrics.Accumulator
-	if truth != nil {
-		acc = metrics.NewAccumulator(logical.N)
-		out.TxEnergy = logical.Energy(qubo.SpinsFromBits(truth.TxQUBOBits()))
+	if t.acc != nil {
+		out.TxEnergy = t.logical.Energy(qubo.SpinsFromBits(t.truth.TxQUBOBits()))
+		out.Distribution = t.acc.Distribution()
 	}
-	var ens *softout.Ensemble
-	var spec softout.Spec
-	if req.Soft != nil {
-		spec = req.Soft.WithDefaults()
-		if spec.NoiseVar <= 0 && truth != nil {
-			spec.NoiseVar = truth.NoiseVariance() // the instance knows its σ²
-		}
-		ens = &sc.ens
-		ens.Reset(logical.N, spec.MaxCandidates)
+	if t.soft {
+		out.LLRs, out.LLRSaturated = t.ens.LLRs(t.spec)
+		out.SoftCandidates = t.ens.Len()
 	}
-
-	bestE, scored := 0.0, false
-	score := func(spins []int8) {
-		energy := logical.Energy(spins)
-		sc.qbits = qubo.AppendBitsFromSpins(sc.qbits[:0], spins)
-		if !scored || energy < bestE {
-			bestE, scored = energy, true
-			sc.best = append(sc.best[:0], sc.qbits...)
-		}
-		if acc == nil && ens == nil {
-			return
-		}
-		sc.gray = mod.AppendPostTranslate(sc.gray[:0], sc.qbits)
-		if acc != nil {
-			acc.Add(string(sc.qbits), energy, truth.BitErrors(sc.gray))
-		}
-		if ens != nil {
-			ens.Add(sc.gray, energy)
-		}
+	if rec := d.telem.Load(); rec != nil {
+		rec.ObserveQuality(telemetry.Class(t.mod.String(), t.logical.N/t.mod.BitsPerSymbol()), telemetry.QualityObservation{
+			BestEnergy: out.Energy, Reads: out.Reads, ChainBreaks: out.BrokenChains, LLRBits: len(out.LLRs), LLRSaturated: out.LLRSaturated})
 	}
-	if seed != nil {
-		score(seed)
-	}
-	np := emb.NumPhysical()
-	sc.spins = slices.Grow(sc.spins[:0], emb.N)[:emb.N]
-	for _, s := range samples {
-		out.BrokenChains += emb.UnembedInto(sc.spins, s.Spins[off:off+np], src)
-		score(sc.spins)
-	}
-	out.Energy = bestE
-	out.Bits = mod.PostTranslate(sc.best)
-	out.Symbols = reduction.BitsToSymbols(mod, sc.best)
-	if acc != nil {
-		out.Distribution = acc.Distribution()
-	}
-	if ens != nil {
-		out.LLRs, out.LLRSaturated = ens.LLRs(spec)
-		out.SoftCandidates = ens.Len()
-	}
-	d.recordQuality(mod, logical.N, len(samples), out)
+	t.truth, t.logical, t.acc, t.tie = nil, nil, nil, nil // the pooled tally must not pin the request
 	return out
 }
 

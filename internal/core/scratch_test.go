@@ -20,8 +20,10 @@ import (
 // run's workers execute — whatever Na is: per-read state, the worker streams,
 // the β list, the samples and every scorer buffer are the pooled scratch's. A
 // soft decode adds its LLRs and one map key per distinct candidate (≤ Na). A
-// shared run adds, per call, the prepared combined program (8) and four
-// per-request slices, and per item the same six as a solo decode.
+// shared run makes two per call — the slice of outcomes it returns and the
+// closure its workers execute — and per item the same six as a solo decode:
+// the slots' prepared programs are the channels' cached templates, and the
+// tallies, tie-break streams and field buffers are the pooled scratch's.
 func TestDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -30,7 +32,7 @@ func TestDecodeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hardBound, runBound = 8, 13 + 3*6
+	const hardBound, runBound = 7, 2 + 3*6
 	budget := func(na int) Budget {
 		return Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: na}}
 	}

@@ -19,6 +19,7 @@ package embedding
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"quamax/internal/chimera"
 	"quamax/internal/qubo"
@@ -179,6 +180,15 @@ func embedTriangle(g *chimera.Graph, n, rowOff, colOff int, flipped bool) (*Embe
 // only on the placement, so it is computed once when the embedding is built
 // and shared: callers must not mutate it.
 func (e *Embedding) DenseChainIndices() [][]int32 { return e.chainIdx }
+
+// SameLayout reports whether o lays its chains and couplers out at the same
+// dense physical indices as e — the same size and the same working couplers
+// between every pair of chains — so that EmbedIsing compiles one logical
+// program into the same physical program on both. Placements that differ only
+// in where they sit on a defect-free region do.
+func (e *Embedding) SameLayout(o *Embedding) bool {
+	return e.N == o.N && slices.Equal(e.pairStart, o.pairStart) && slices.Equal(e.couplers, o.couplers)
+}
 
 // couplerEdges returns the working physical edges joining chains i < j
 // (δ_ij of Eq. 12) in dense physical indices.

@@ -439,3 +439,69 @@ func TestEmbedIsingMatchesHardwareScan(t *testing.T) {
 		}
 	}
 }
+
+// SameLayout is what lets one compiled program serve every slot that lays its
+// chains and couplers out alike: on the DW2Q every slot of a packing and the
+// primary placement do (a slot with a defect is dropped, not patched), and
+// EmbedIsing then compiles one logical program into the same physical program
+// on each. A placement that lost one of two couplers between a pair of chains
+// is still valid — and a different layout.
+func TestSameLayout(t *testing.T) {
+	g := chimera.DW2Q()
+	primary, err := Embed(g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := randLogical(rng.New(9), 16)
+	want, err := primary.EmbedIsing(logical, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, slot := range PackSlots(g, 16) {
+		if !slot.SameLayout(primary) || !primary.SameLayout(slot) {
+			t.Fatalf("slot %d of the DW2Q packing lays out differently from the primary placement", i)
+		}
+		got, err := slot.EmbedIsing(logical, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Phys, want.Phys) {
+			t.Fatalf("slot %d: same layout, different physical program", i)
+		}
+	}
+	if other, _ := Embed(g, 12); other.SameLayout(primary) {
+		t.Fatal("a 12-spin placement claims a 16-spin layout")
+	}
+
+	clean := chimera.New(4)
+	e, err := Embed(clean, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead [][2]int // the couplers of the first pair of chains that meets on two
+	for i := 0; i < e.N && len(dead) < 2; i++ {
+		for j := i + 1; j < e.N && len(dead) < 2; j++ {
+			dead = dead[:0]
+			for _, a := range e.Chains[i] {
+				for _, b := range e.Chains[j] {
+					if clean.HasEdge(a, b) {
+						dead = append(dead, [2]int{a, b})
+					}
+				}
+			}
+		}
+	}
+	if len(dead) < 2 {
+		t.Fatal("no pair of chains meets on two couplers: nothing to lose one of")
+	}
+	patched, err := Embed(chimera.NewWithDefects(4, nil, dead[:1]), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(patched.Chains, e.Chains) {
+		t.Fatal("the placement moved: the lost coupler was not tolerated in place")
+	}
+	if patched.SameLayout(e) {
+		t.Fatal("a placement that lost a coupler claims the defect-free layout")
+	}
+}

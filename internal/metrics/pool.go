@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -42,10 +44,16 @@ type PoolStats struct {
 	// clamp is too tight) and the "soft" outputs are degenerating into hard
 	// decisions.
 	LLRSaturations uint64
-	// StoppedEarly counts solves the repeat rule (backend.Problem.StopRepeats,
-	// set at admission on classical denials) ended before their planned
-	// restarts.
+	// StoppedEarly counts solves a stop rule ended before their planned reads:
+	// the repeat rule on classical denials (backend.Problem.StopRepeats) and
+	// the noise radius on shared annealer runs (backend.Problem.StopRadius),
+	// both set at admission.
 	StoppedEarly uint64
+	// RadiusMisses counts, per problem class (modulation/users), the pool
+	// solves that carried a StopRadius and ended with no read inside it — the
+	// fitted decodes the annealer did not settle, a live reading of the
+	// (1 − p0)^Na the planner's table claims to know. Nil when there are none.
+	RadiusMisses map[string]uint64
 	// SlotOccupancy is the mean fraction of available embedding slots
 	// actually filled per batched annealer run (0 when no batch ran).
 	SlotOccupancy float64
@@ -147,7 +155,11 @@ func (s PoolStats) Samples(labels ...Label) []Sample {
 		Counter("quamax_pool_batched_problems_total", "Problems carried by batched runs.", float64(s.BatchedProblems), labels...),
 		Counter("quamax_pool_soft_solved_total", "Completed soft-output decodes.", float64(s.SoftSolved), labels...),
 		Counter("quamax_pool_llr_saturations_total", "LLR entries that hit the clamp.", float64(s.LLRSaturations), labels...),
-		Counter("quamax_pool_stopped_early_total", "Solves the repeat rule ended before their planned reads.", float64(s.StoppedEarly), labels...),
+		Counter("quamax_pool_stopped_early_total", "Solves a stop rule ended before their planned reads.", float64(s.StoppedEarly), labels...),
+	}
+	for _, class := range slices.Sorted(maps.Keys(s.RadiusMisses)) {
+		out = append(out, Counter("quamax_pool_radius_misses_total", "Pool solves that ended with no read inside their stop radius.",
+			float64(s.RadiusMisses[class]), append(labels[:len(labels):len(labels)], Label{"class", class})...))
 	}
 	out = append(out, s.ChannelCache.Samples("quamax_channel_cache_total", "Compiled-channel cache traffic.", labels...)...)
 	for _, be := range s.Backends {
@@ -187,6 +199,15 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 	out.SoftSolved += o.SoftSolved
 	out.LLRSaturations += o.LLRSaturations
 	out.StoppedEarly += o.StoppedEarly
+	out.RadiusMisses = nil
+	for _, m := range []map[string]uint64{s.RadiusMisses, o.RadiusMisses} {
+		for class, n := range m {
+			if out.RadiusMisses == nil {
+				out.RadiusMisses = make(map[string]uint64)
+			}
+			out.RadiusMisses[class] += n
+		}
+	}
 	if total := out.BatchRuns; total > 0 {
 		out.SlotOccupancy = (s.SlotOccupancy*float64(s.BatchRuns) +
 			o.SlotOccupancy*float64(o.BatchRuns)) / float64(total)
@@ -240,6 +261,9 @@ func (s PoolStats) String() string {
 	}
 	if s.StoppedEarly > 0 {
 		fmt.Fprintf(&b, "\npool: stopped early=%d", s.StoppedEarly)
+	}
+	for _, class := range slices.Sorted(maps.Keys(s.RadiusMisses)) {
+		fmt.Fprintf(&b, "\npool: radius misses %s=%d", class, s.RadiusMisses[class])
 	}
 	if c := s.ChannelCache; c.Hits+c.Misses+c.Evictions > 0 {
 		fmt.Fprintf(&b, "\npool: channel cache hits=%d misses=%d evictions=%d (%.0f%% hit)",

@@ -70,6 +70,9 @@ func TestPoolStatsSamplesCoverEveryField(t *testing.T) {
 			elem := reflect.New(v.Type().Elem()).Elem()
 			fill(elem, path+"[0]")
 			v.Set(reflect.Append(v, elem))
+		case reflect.Map: // a counter per string key
+			v.Set(reflect.MakeMap(v.Type()))
+			v.SetMapIndex(reflect.ValueOf("class0"), reflect.ValueOf(uint64(next)))
 		case reflect.Int:
 			v.SetInt(int64(next))
 		case reflect.Uint64:

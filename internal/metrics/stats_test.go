@@ -126,6 +126,11 @@ func TestPoolStatsStringCoversEveryField(t *testing.T) {
 			elem := reflect.New(v.Type().Elem()).Elem()
 			fill(elem, name, path+"[0].")
 			v.Set(reflect.Append(v, elem))
+		case reflect.Map: // a counter per string key
+			v.Set(reflect.MakeMap(v.Type()))
+			v.SetMapIndex(reflect.ValueOf("class0"), reflect.ValueOf(next))
+			want[path] = "class0=" + strconv.FormatUint(next, 10)
+			next++
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 			v.SetInt(int64(next))
 			want[path] = strconv.FormatUint(next, 10)

@@ -252,6 +252,7 @@ func (p *Program) Problem(s []complex128) *backend.Problem {
 		H:          p.hvp,
 		Y:          p.Target(s),
 		ChannelKey: p.key,
+		Lattice:    true,
 	}
 }
 

@@ -238,11 +238,12 @@ func NewSNREstimator(mod modulation.Modulation, h *linalg.Mat) *SNREstimator {
 // decisions, and compare signal to residual power. At serving SNRs the ZF
 // decisions are mostly correct, so the residual is dominated by noise; the
 // estimate biases high at very low SNR, where the planner's below-fit-range
-// guard takes over. ok is false when the channel is too ill-conditioned to
-// invert.
-func (e *SNREstimator) Estimate(y []complex128) (float64, bool) {
+// guard takes over. residual is that ZF decision's ML metric ‖y − H·v‖², the
+// noise estimate the device tier's stop radius is sized from (StopRadius). ok
+// is false when the channel is too ill-conditioned to invert.
+func (e *SNREstimator) Estimate(y []complex128) (snrDB, residual float64, ok bool) {
 	if e.pinv == nil {
-		return 0, false
+		return 0, 0, false
 	}
 	symbols := linalg.MulVec(e.pinv, y)
 	for i, v := range symbols {
@@ -250,18 +251,19 @@ func (e *SNREstimator) Estimate(y []complex128) (float64, bool) {
 	}
 	signal := linalg.MulVec(e.h, symbols)
 	sig := linalg.Norm2(signal)
-	noise := linalg.Norm2(linalg.VecSub(y, signal))
+	residual = linalg.Norm2(linalg.VecSub(y, signal))
 	if sig == 0 {
-		return 0, false
+		return 0, residual, false
 	}
-	if noise == 0 {
-		return math.Inf(1), true
+	if residual == 0 {
+		return math.Inf(1), 0, true
 	}
-	return channel.SNRLinearToDB(sig / noise), true
+	return channel.SNRLinearToDB(sig / residual), residual, true
 }
 
 // EstimateSNRdB is the one-shot form of SNREstimator for a channel seen once:
 // it builds the filter, estimates, and discards it.
 func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
-	return NewSNREstimator(mod, h).Estimate(y)
+	snr, _, ok := NewSNREstimator(mod, h).Estimate(y)
+	return snr, ok
 }

@@ -101,7 +101,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 		}
 		want, wantOK := estimateSNRRef(mod, r.H, y)
 		for name, f := range map[string]func() (float64, bool){
-			"per-channel": func() (float64, bool) { return est.Estimate(y) },
+			"per-channel": func() (float64, bool) { snr, _, ok := est.Estimate(y); return snr, ok },
 			"one-shot":    func() (float64, bool) { return EstimateSNRdB(mod, r.H, y) },
 		} {
 			got, ok := f()
@@ -121,7 +121,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	h := channel.Rayleigh{}.Generate(src, 8, 8)
 	x := mod.MapGrayVector(src.Bits(16))
 	clean := linalg.MulVec(h, x)
-	if got, ok := NewSNREstimator(mod, h).Estimate(clean); !ok || got < 100 {
+	if got, _, ok := NewSNREstimator(mod, h).Estimate(clean); !ok || got < 100 {
 		t.Fatalf("noiseless estimate (%v, %v), want a huge or infinite SNR", got, ok)
 	}
 	for r := 0; r < 8; r++ {
@@ -129,7 +129,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	}
 	y := linalg.MulVec(h, x)
 	_, refOK := estimateSNRRef(mod, h, y)
-	_, gotOK := NewSNREstimator(mod, h).Estimate(y)
+	_, _, gotOK := NewSNREstimator(mod, h).Estimate(y)
 	_, oneOK := EstimateSNRdB(mod, h, y)
 	if refOK || gotOK || oneOK {
 		t.Fatalf("rank-deficient channel: ok = %v (reference), %v (per-channel), %v (one-shot); want all false", refOK, gotOK, oneOK)
@@ -147,7 +147,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 	for i := range ys {
 		y := linalg.MulVec(h, mod.MapGrayVector(src.Bits(16)))
 		ys[i] = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, 20))
-		want[i], _ = est.Estimate(ys[i])
+		want[i], _, _ = est.Estimate(ys[i])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -155,7 +155,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, y := range ys {
-				if got, _ := est.Estimate(y); got != want[i] {
+				if got, _, _ := est.Estimate(y); got != want[i] {
 					t.Errorf("vector %d: concurrent estimate %v, serial %v", i, got, want[i])
 				}
 			}

@@ -328,6 +328,24 @@ const SoftTargetRelief = 4
 // and is not an option.
 const StopRepeats = 5
 
+// StopRadiusDeviations sizes the device tier's stop radius (internal/sched
+// arms it on fitted plans; core.Request.Radius reads it): the transmitted
+// vector's ML metric ‖y − Hv‖² is σ²/2 · χ² with 2·Nr degrees of freedom —
+// mean Nr·σ², deviation √Nr·σ² — and a read whose metric is inside the mean
+// plus this many deviations is taken for the answer, ending its member's
+// reads. Like StopRepeats it is fixed on TestStopRuleCorpus, which counts the
+// answers it changes and the reads it saves, and is not an option.
+const StopRadiusDeviations = 1
+
+// StopRadius is the stop radius of a decode over nr receive antennas at noise
+// variance noiseVar: σ²·(Nr + StopRadiusDeviations·√Nr). A hard request
+// carries no σ²; its estimate is the zero-forcing residual per antenna
+// (SNREstimator.Estimate), which makes the radius residual·(1 + 1/√Nr) — a
+// read at least about as close to y as the linear decision.
+func StopRadius(noiseVar float64, nr int) float64 {
+	return noiseVar * (float64(nr) + StopRadiusDeviations*math.Sqrt(float64(nr)))
+}
+
 // Planner answers anneal-budget questions from a fitted table. It is safe
 // for concurrent use.
 type Planner struct {

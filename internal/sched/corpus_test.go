@@ -20,7 +20,7 @@ import (
 	"quamax/internal/trace"
 )
 
-// The repeat rule's proof is a count, not an argument. A stopped SA decode is
+// The stop rules' proof is a count, not an argument. A stopped SA decode is
 // an exact prefix of the uncut one (anneal's prefix test), so an armed decode
 // can differ from the uncut decode of the same request on the same stream only
 // when a restart past the stop had lower energy. This test serves a seeded
@@ -33,6 +33,19 @@ import (
 // strictly lower uncut energy), and per tier the BER of what was served beside
 // the linear and the exact answer. It fails above the ceilings below, which is
 // what fixes qos.StopRepeats.
+//
+// The device tier's noise radius gets the same treatment. A member of a shared
+// run that stops scored the exact prefix of its uncut self (core's prefix
+// test), so the same argument holds per member: the corpus's fitted decodes
+// are regrouped, in corpus order, into shared runs of 1, 3, 5, 7 and 10
+// members, each run once armed as applyPlan armed it and once with the radii
+// stripped, on the same stream. Counted per run size: slot-reads run against
+// the cap (run budget × members) and against what the planner asked for,
+// device reads charged (the most any member ran), members that never settled,
+// answers changed, served BER both ways, and — on the soft members that
+// stopped, at or past the softout.MinEnsemble floor — how many LLR signs agree
+// with the uncut ensemble's. The ceilings below fix qos.StopRadiusDeviations
+// and softout.MinEnsemble.
 const (
 	corpusRequests = 1400
 	// Ceilings: answers the rule may change, and the share of the configured
@@ -41,6 +54,15 @@ const (
 	// the count instead of adding to it).
 	corpusChangedCeiling   = 0.002
 	corpusSARestartCeiling = 0.10
+	// Device tier: how many fitted decodes are regrouped (a multiple of every
+	// run size), the share of answers the radius may change, the share of the
+	// cap's slot-reads a run of three or more may still run, how far the served
+	// BER may sit above the uncut run's, and the LLR signs that must survive.
+	corpusDeviceDecodes      = 420
+	corpusDeviceChanged      = 0.01
+	corpusDeviceReadsCeiling = 0.60
+	corpusDeviceBERSlack     = 0.002
+	corpusLLRSignFloor       = 0.97
 )
 
 // corpusRequest is one generated request with its ground truth.
@@ -148,6 +170,7 @@ func TestStopRuleCorpus(t *testing.T) {
 
 	var device, classical, precodeSA tierTally
 	var gammaArmed, gammaUncut, gammaZF float64
+	var fitted []corpusRequest // the device tier's decodes, as planned
 	for i, cr := range corpus(t, 20261004, corpusRequests) {
 		q, denied := s.applyPlan(cr.p, 50*time.Millisecond)
 		if (q.StopRepeats == qos.StopRepeats) != denied || (!denied && q.StopRepeats != 0) {
@@ -164,6 +187,7 @@ func TestStopRuleCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			device.score(t, q, cr.bits, res, res)
+			fitted = append(fitted, corpusRequest{p: q, bits: cr.bits})
 			continue
 		}
 		uncut := *q
@@ -233,6 +257,110 @@ func TestStopRuleCorpus(t *testing.T) {
 	if math.Abs(gammaArmed-gammaUncut) > 0.01*gammaUncut {
 		t.Errorf("denied precodes: mean γ moved from %.4f to %.4f under the repeat rule", gammaUncut, gammaArmed)
 	}
+
+	if len(fitted) < corpusDeviceDecodes {
+		t.Fatalf("corpus holds %d fitted decodes, the device rows need %d", len(fitted), corpusDeviceDecodes)
+	}
+	for _, size := range []int{1, 3, 5, 7, 10} {
+		row := deviceRow(t, qpu, fitted[:corpusDeviceDecodes], size)
+		t.Logf("device tier, runs of %2d: slot-reads run/cap/planned %d/%d/%d = %.3f of cap, %.3f of planned; device reads charged %d of %d = %.3f; never settled %d of %d; answers changed %d; BER armed %.4f, uncut %.4f; soft members stopped %d, LLR signs kept %d of %d = %.4f",
+			size, row.run, row.cap, row.planned, share(row.run, row.cap), share(row.run, row.planned),
+			row.charged, row.chargedCap, share(row.charged, row.chargedCap), row.unsettled, row.members, row.changed,
+			ber(row.errArmed, row.bits), ber(row.errUncut, row.bits), row.softStopped, row.signsKept, row.signs, share(row.signsKept, row.signs))
+		if row.members < corpusDeviceDecodes*9/10 {
+			t.Errorf("runs of %d: only %d of %d fitted decodes were batchable", size, row.members, corpusDeviceDecodes)
+		}
+		if c := share(row.changed, row.members); c > corpusDeviceChanged {
+			t.Errorf("runs of %d: the radius changed %d of %d answers (%.4f), ceiling %.4f", size, row.changed, row.members, c, corpusDeviceChanged)
+		}
+		if r := share(row.run, row.cap); size >= 3 && r > corpusDeviceReadsCeiling {
+			t.Errorf("runs of %d ran %.3f of their cap's slot-reads, ceiling %.2f", size, r, corpusDeviceReadsCeiling)
+		}
+		if a, u := ber(row.errArmed, row.bits), ber(row.errUncut, row.bits); a > u+corpusDeviceBERSlack {
+			t.Errorf("runs of %d: served BER %.4f armed, %.4f uncut", size, a, u)
+		}
+		if k := share(row.signsKept, row.signs); row.signs == 0 || k < corpusLLRSignFloor {
+			t.Errorf("runs of %d: %d of %d LLR signs of stopped soft members agree with the uncut ensemble (%.4f), floor %.2f", size, row.signsKept, row.signs, k, corpusLLRSignFloor)
+		}
+	}
+}
+
+// deviceTally is the device tier's fitted decodes served as shared runs of one
+// size, armed and uncut.
+type deviceTally struct {
+	members, unsettled, changed int
+	run, cap, planned           int // slot-reads: run, run budget × members, the members' own plans
+	charged, chargedCap         int // device reads: the most any member ran, the run budget
+	bits, errArmed, errUncut    int
+	softStopped                 int
+	signs, signsKept            int // LLR entries of stopped soft members; those whose sign the uncut ensemble shares
+}
+
+// deviceRow serves decodes as consecutive shared runs of size members, each
+// run armed and with the radii stripped on one stream, and tallies what the
+// radius did. A stopped member differs from its uncut self only when a read
+// past the stop had lower energy; anything else fails the test.
+func deviceRow(t *testing.T, qpu *backend.Annealer, decodes []corpusRequest, size int) (row deviceTally) {
+	t.Helper()
+	ctx := context.Background()
+next:
+	for g := 0; g+size <= len(decodes); g += size {
+		armedPs, uncutPs := make([]*backend.Problem, size), make([]*backend.Problem, size)
+		for i, cr := range decodes[g : g+size] {
+			if !backend.Batchable(decodes[g].p, cr.p) {
+				continue next // mixed operating points: the scheduler would not gather them either
+			}
+			stripped := *cr.p
+			stripped.StopRadius = 0
+			armedPs[i], uncutPs[i] = cr.p, &stripped
+			row.planned += cr.p.Anneal.NumAnneals
+		}
+		seed := int64(5000 + 100*size + g)
+		armed, err := qpu.SolveBatch(ctx, armedPs, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncut, err := qpu.SolveBatch(ctx, uncutPs, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget, ran := uncut[0].ReadsPlanned, 0
+		for i, a := range armed {
+			u, p, bits := uncut[i], armedPs[i], decodes[g+i].bits
+			if u.Reads != budget || a.ReadsPlanned != budget || a.Reads > budget {
+				t.Fatalf("run at %d member %d: armed ran %d/%d reads, uncut %d/%d", g, i, a.Reads, a.ReadsPlanned, u.Reads, budget)
+			}
+			row.members++
+			row.run += a.Reads
+			row.cap += budget
+			ran = max(ran, a.Reads)
+			if a.Reads == budget && a.Energy > p.StopRadius {
+				row.unsettled++
+			}
+			if !slices.Equal(a.Bits, u.Bits) {
+				row.changed++
+				if !(u.Energy < a.Energy) {
+					t.Errorf("run at %d member %d: the radius changed the answer without a better later read: stopped after %d of %d at energy %v, uncut energy %v",
+						g, i, a.Reads, budget, a.Energy, u.Energy)
+				}
+			}
+			row.bits += len(bits)
+			row.errArmed += bitErrs(a.Bits, bits)
+			row.errUncut += bitErrs(u.Bits, bits)
+			if p.Soft && a.Reads < budget {
+				row.softStopped++
+				for k, l := range a.LLRs {
+					row.signs++
+					if (l > 0) == (u.LLRs[k] > 0) {
+						row.signsKept++
+					}
+				}
+			}
+		}
+		row.charged += ran
+		row.chargedCap += budget
+	}
+	return row
 }
 
 // score adds one decode to the tally: the bit errors of the served and the

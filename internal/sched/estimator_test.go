@@ -156,7 +156,7 @@ func TestEstimatorConcurrentWindows(t *testing.T) {
 			p := *windows[g%2][0]
 			p.ChannelKey = core.ChannelKey(1 + g%2)
 			got[g] = s.estimator(&p)
-			if _, ok := got[g].Estimate(p.Y); !ok {
+			if _, _, ok := got[g].Estimate(p.Y); !ok {
 				t.Errorf("goroutine %d: estimate failed", g)
 			}
 		}()

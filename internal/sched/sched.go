@@ -62,6 +62,7 @@ import (
 	"quamax/internal/core"
 	"quamax/internal/health"
 	"quamax/internal/metrics"
+	"quamax/internal/modulation"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
 	"quamax/internal/telemetry"
@@ -201,12 +202,22 @@ type Scheduler struct {
 	plannerClassical             uint64
 	batchRuns, batchedProblems   uint64
 	softSolved, llrSaturations   uint64
-	stoppedEarly                 uint64 // solves the repeat rule ended under their cap
+	stoppedEarly                 uint64 // solves a stop rule ended under their cap
 	occupancySum                 float64
+	// radiusMisses counts, per problem class, the pool solves that ended with
+	// no read inside their StopRadius: the annealer did not settle them.
+	radiusMisses map[problemClass]uint64
 	// counters holds one entry per pool worker, pool order, then the
 	// fallback's when it is not also a pool member: the list Stats reports.
 	counters         []*backendCounters
 	fallbackCounters *backendCounters // shared with a pool entry, or the last
+}
+
+// problemClass is telemetry.Class before it is a string: a counter key that
+// costs no allocation per solve.
+type problemClass struct {
+	mod   modulation.Modulation
+	users int
 }
 
 // backendCounters is one backend as the scheduler sees it: its descriptor
@@ -274,6 +285,8 @@ func New(cfg Config) (*Scheduler, error) {
 		start: now(),
 		src:   rng.New(cfg.Seed),
 		snr:   core.NewWindowStore[core.ChannelKey, *qos.SNREstimator](snrWindows),
+
+		radiusMisses: make(map[problemClass]uint64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, be := range cfg.Pool {
@@ -391,11 +404,15 @@ func (s *Scheduler) poolSpend(p *backend.Problem) float64 {
 // Problem across Dispatch calls — and whether the planner denied quantum
 // dispatch.
 //
-// It is also where the repeat rule is armed (backend.Problem.StopRepeats),
-// being the only place that knows which tier a request goes to: a classical
-// denial's restarts become a cap. Requests without a target BER never reach
-// this point, and fitted plans — on the pool, or diverted to the fallback
-// under cost or deadline pressure — run every planned read.
+// It is also where the stop rules are armed, being the only place that knows
+// which tier a request goes to. A classical denial's restarts become a cap
+// (backend.Problem.StopRepeats). A fitted plan that is not a precode gets the
+// device tier's noise radius (backend.Problem.StopRadius) from what this
+// function already holds: the request's own σ² when a soft request carries
+// one, the zero-forcing residual the SNR estimate computed otherwise. The
+// annealer honors it in shared runs; a fit diverted to the fallback under
+// cost or deadline pressure runs uncut. Requests without a target BER never
+// reach this point.
 func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*backend.Problem, bool) {
 	if s.cfg.Planner == nil {
 		return p, false
@@ -409,9 +426,9 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	}
 	// A failed SNR estimate (singular channel) plans at the top of the
 	// fitted range; the planner's own guards still apply.
-	snr := math.Inf(1)
-	if est, ok := s.estimator(p).Estimate(p.Y); ok {
-		snr = est
+	snr, residual := math.Inf(1), 0.0
+	if est, res, ok := s.estimator(p).Estimate(p.Y); ok {
+		snr, residual = est, res
 	}
 	plan := s.cfg.Planner.Plan(qos.Request{
 		Mod: p.Mod, Nt: p.Users(), SNRdB: snr, TargetBER: target,
@@ -443,6 +460,14 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 	q.ChainJF = plan.JF
 	q.Reverse = plan.Reverse
 	q.PT = plan.PT
+	if plan.Quantum && !p.Lattice {
+		nr := p.H.Rows
+		noiseVar := residual / float64(nr)
+		if p.Soft && p.NoiseVar > 0 {
+			noiseVar = p.NoiseVar
+		}
+		q.StopRadius = qos.StopRadius(noiseVar, nr)
+	}
 	return &q, false
 }
 
@@ -665,11 +690,14 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 			ctr.errors++
 		} else {
 			ctr.solved++
-			// What the repeat rule made of this request's budget.
+			// What the stop rules made of this request's budget.
 			ctr.readsPlanned += uint64(res.ReadsPlanned)
 			ctr.readsRun += uint64(res.Reads)
 			if res.Reads < res.ReadsPlanned {
 				s.stoppedEarly++
+			}
+			if j.p.StopRadius > 0 && batched > 0 && res.Energy > j.p.StopRadius {
+				s.radiusMisses[problemClass{j.p.Mod, j.p.Users()}]++
 			}
 		}
 		s.observeSolve(ctr.caps.Name, j.p, res, err != nil)
@@ -943,6 +971,12 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 	}
 	if s.batchRuns > 0 {
 		st.SlotOccupancy = s.occupancySum / float64(s.batchRuns)
+	}
+	if len(s.radiusMisses) > 0 {
+		st.RadiusMisses = make(map[string]uint64, len(s.radiusMisses))
+	}
+	for c, n := range s.radiusMisses {
+		st.RadiusMisses[telemetry.Class(c.mod.String(), c.users)] = n
 	}
 	// Channel-cache counters live in the backends' decoders; aggregate over
 	// distinct instances so a pool listing one backend behind several workers

@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"quamax/internal/backend"
 	"quamax/internal/channel"
 	"quamax/internal/core"
+	"quamax/internal/detector"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/precoding"
@@ -66,6 +68,71 @@ func TestApplyPlanArmsTheRepeatRule(t *testing.T) {
 	}
 	if q, denied := without.applyPlan(low, deadline); !denied || q != low {
 		t.Fatalf("denied decode with no fallback and no PT budget: denied=%v, want the caller's problem back", denied)
+	}
+}
+
+// applyPlan arms the device tier's noise radius on a fitted plan that is not a
+// precode, from what it already holds — the request's own σ² on a soft request
+// that carries one, the zero-forcing residual of its SNR estimate otherwise —
+// and nowhere else; the caller's Problem is never written.
+func TestApplyPlanArmsTheStopRadius(t *testing.T) {
+	planner, err := qos.NewPlanner(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Pool: []backend.Backend{&fakeBackend{name: "qpu", est: 100}}, Fallback: &fakeBackend{name: "sa", est: 100}, Planner: planner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	deadline := 50 * time.Millisecond
+	const nr = 8
+	spread := nr + math.Sqrt(nr) // Nr + one deviation √Nr, in units of σ²
+
+	hard, in := noisyProblem(t, 11, 25)
+	zf, err := detector.ZeroForcing(hard.Mod, hard.H, hard.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, denied := s.applyPlan(hard, deadline)
+	if want := zf.Metric / nr * spread; denied || math.Abs(q.StopRadius-want) > 1e-9*want || hard.StopRadius != 0 {
+		t.Fatalf("fitted hard decode: denied=%v radius %v (caller's %v), want the ZF residual %v × (1 + 1/√Nr) = %v on a copy", denied, q.StopRadius, hard.StopRadius, zf.Metric, want)
+	}
+	if q.StopRadius < in.NoiseVariance()*nr/4 || q.StopRadius > in.NoiseVariance()*nr*4 {
+		t.Errorf("hard radius %v is not of the order of Nr·σ² = %v", q.StopRadius, in.NoiseVariance()*nr)
+	}
+	soft := *hard
+	soft.Soft, soft.NoiseVar = true, 0.03
+	if q, denied := s.applyPlan(&soft, deadline); denied || q.StopRadius != 0.03*spread {
+		t.Fatalf("fitted soft decode carrying σ²: denied=%v radius %v, want σ²·(Nr + √Nr) = %v", denied, q.StopRadius, 0.03*spread)
+	}
+	soft.NoiseVar = 0
+	if q, _ := s.applyPlan(&soft, deadline); math.Abs(q.StopRadius-zf.Metric/nr*spread) > 1e-9 {
+		t.Fatalf("soft decode without σ²: radius %v, want the ZF-residual radius", q.StopRadius)
+	}
+	low, _ := noisyProblem(t, 12, 2) // below the fitted range: denied
+	if q, denied := s.applyPlan(low, deadline); !denied || q.StopRadius != 0 {
+		t.Fatalf("denied decode: denied=%v radius %v, want none", denied, q.StopRadius)
+	}
+	vp, err := precoding.Compile(modulation.QPSK, hard.H, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted := 0
+	src := rng.New(5)
+	for i := 0; i < 8; i++ {
+		p := vp.Problem(modulation.QPSK.MapGrayVector(src.Bits(16)))
+		p.TargetBER = 1e-3
+		q, denied := s.applyPlan(p, deadline)
+		if q.StopRadius != 0 {
+			t.Fatalf("precode %d (denied=%v) carries a noise radius %v: its residual is the objective, not noise", i, denied, q.StopRadius)
+		}
+		if !denied {
+			fitted++
+		}
+	}
+	if fitted == 0 {
+		t.Error("no precode was fitted: the set no longer exercises the exclusion")
 	}
 }
 
@@ -199,5 +266,85 @@ func TestStopCountersAndTraceFields(t *testing.T) {
 	}
 	if traced != run || tracedPlanned != planned {
 		t.Errorf("traces carry reads run/planned %v/%v; results say %v/%v", traced, tracedPlanned, run, planned)
+	}
+}
+
+// The device tier's stops show in the same counters as the SA tier's, and the
+// fitted decodes the annealer did not settle are counted per class: a shared
+// run of fitted requests behind a gated head, reconciled against its results.
+func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
+	qpu, err := backend.NewAnnealer("qpu", core.Options{AmortizeParallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := qos.NewPlanner(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := &gatedAnnealer{Annealer: qpu, entered: make(chan struct{}), gate: make(chan struct{})}
+	s, err := New(Config{Pool: []backend.Backend{gated}, Planner: planner, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n, deadline = 13, 50 * time.Millisecond
+	problems := make([]*backend.Problem, n)
+	results := make([]*backend.Result, n)
+	var wg sync.WaitGroup
+	dispatch := func(i int) {
+		problems[i], _ = noisyProblem(t, int64(900+i), 18)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.Dispatch(context.Background(), problems[i], deadline)
+			if err != nil {
+				t.Errorf("dispatch %d: %v", i, err)
+			}
+			results[i] = res
+		}()
+	}
+	dispatch(0) // solo, held at the gate while the others queue behind it
+	<-gated.entered
+	for i := 1; i < n; i++ {
+		dispatch(i)
+	}
+	waitFor(t, "backlog behind gated run", func() bool { return s.Stats().QueueDepth == n-1 })
+	close(gated.gate)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	var stopped, misses, run uint64
+	for i, res := range results {
+		// What the request was dispatched as: a fit carries its radius; a denial
+		// (there is no fallback to deny to) rides along un-armed.
+		q, denied := s.applyPlan(problems[i], deadline)
+		if denied != (q.StopRadius == 0) {
+			t.Fatalf("request %d: denied=%v radius %v", i, denied, q.StopRadius)
+		}
+		if res.Reads > res.ReadsPlanned || ((res.Batched == 1 || denied) && res.Reads != res.ReadsPlanned) {
+			t.Errorf("request %d (run of %d): %d of %d reads", i, res.Batched, res.Reads, res.ReadsPlanned)
+		}
+		run += uint64(res.Reads)
+		if res.Reads < res.ReadsPlanned {
+			stopped++
+			if res.Energy > q.StopRadius {
+				t.Errorf("request %d stopped after %d reads at energy %v, outside its radius %v", i, res.Reads, res.Energy, q.StopRadius)
+			}
+		}
+		if !denied && res.Energy > q.StopRadius {
+			misses++
+		}
+	}
+	st := s.Stats()
+	if st.StoppedEarly != stopped || stopped == 0 {
+		t.Errorf("pool counter stopped early %d, results say %d (want some)", st.StoppedEarly, stopped)
+	}
+	if got := st.RadiusMisses["QPSK/8"]; got != misses || misses == 0 || len(st.RadiusMisses) != 1 {
+		t.Errorf("radius misses %v, results say QPSK/8 = %d (want some)", st.RadiusMisses, misses)
+	}
+	if got := st.Backends[0].ReadsRun; got != run {
+		t.Errorf("backend reads run %d, results say %d", got, run)
 	}
 }

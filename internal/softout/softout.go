@@ -46,6 +46,13 @@ const DefaultClamp = 24.0
 // the common case while bounding memory under pathological read budgets.
 const DefaultMaxCandidates = 64
 
+// MinEnsemble is the fewest reads a soft decode scores before a stopping rule
+// may end it (core.Request.Radius): max-log-MAP needs a counter-hypothesis
+// per bit, and an ensemble cut at its first good read has none. Fixed on
+// internal/sched's TestStopRuleCorpus (LLR sign agreement with the uncut
+// ensemble at this floor), not an option.
+const MinEnsemble = 8
+
 // Spec configures one soft-output extraction.
 type Spec struct {
 	// NoiseVar is σ², the per-antenna complex noise variance scaling the
