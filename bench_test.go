@@ -281,6 +281,37 @@ func BenchmarkSphereDecoder(b *testing.B) {
 	}
 }
 
+// BenchmarkSphereProgram measures the compiled sphere search's two halves on
+// the shapes admission certifies: the per-window factorization
+// (detector.CompileSphere) and the per-symbol certificate at qos.CertifyNodes
+// on a warm scratch (0 allocations) — cells_mixed_qos's 8×8 QPSK at 20 dB and
+// the headline 48×48 BPSK at 20 dB.
+func BenchmarkSphereProgram(b *testing.B) {
+	for _, shape := range []struct {
+		mod modulation.Modulation
+		nt  int
+	}{{modulation.QPSK, 8}, {modulation.BPSK, 48}} {
+		in := benchInstance(b, shape.mod, shape.nt, 20)
+		b.Run(fmt.Sprintf("nt=%d/compile", shape.nt), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				detector.CompileSphere(in.Mod, in.H)
+			}
+		})
+		b.Run(fmt.Sprintf("nt=%d/certify", shape.nt), func(b *testing.B) {
+			p := detector.CompileSphere(in.Mod, in.H)
+			var s detector.SphereScratch
+			c := p.Certify(in.Y, qos.CertifyNodes, &s)
+			b.ReportMetric(float64(c.Nodes), "nodes")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Certify(in.Y, qos.CertifyNodes, &s)
+			}
+		})
+	}
+}
+
 // BenchmarkZeroForcing measures the linear baseline at 48 users.
 func BenchmarkZeroForcing(b *testing.B) {
 	in := benchInstance(b, modulation.BPSK, 48, 10)
@@ -1361,10 +1392,11 @@ func BenchmarkPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateSNR measures the planner's SNR estimate both ways: the
-// one-shot form a self-contained request pays (pseudo-inverse included) and
-// the per-symbol half a registered window's symbols pay once the scheduler
-// holds the channel's estimator.
+// BenchmarkEstimateSNR measures the planner's SNR estimate three ways: the
+// one-shot form a self-contained request pays (factorization included), the
+// per-symbol half a registered window's symbols pay once the scheduler holds
+// the channel's estimator, and that half with admission's certificate search
+// (qos.CertifyNodes) — what a hard or precode request pays before the planner.
 func BenchmarkEstimateSNR(b *testing.B) {
 	for _, shape := range []struct {
 		mod modulation.Modulation
@@ -1379,15 +1411,20 @@ func BenchmarkEstimateSNR(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("nt=%d/mode=per-channel", shape.nt), func(b *testing.B) {
-			est := qos.NewSNREstimator(in.Mod, in.H)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := est.Estimate(in.Y); !ok {
-					b.Fatal("estimate failed")
+		for _, mode := range []struct {
+			name  string
+			nodes int
+		}{{"per-channel", 0}, {"per-channel+certify", qos.CertifyNodes}} {
+			b.Run(fmt.Sprintf("nt=%d/mode=%s", shape.nt, mode.name), func(b *testing.B) {
+				est := qos.NewSNREstimator(in.Mod, in.H)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !est.Estimate(in.Y, mode.nodes).OK {
+						b.Fatal("estimate failed")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -57,7 +57,7 @@ func fullSet(t *testing.T) []metrics.Sample {
 		fixedShard{metrics.PoolStats{
 			UptimeMicros: 7.5e6, QueueDepth: 2, Submitted: 30, Completed: 30, FallbackDispatches: 5, PlannerClassical: 3,
 			DeadlineMisses: 2, BatchRuns: 3, BatchedProblems: 9, SoftSolved: 6, LLRSaturations: 1, SlotOccupancy: 0.5,
-			StoppedEarly: 5,
+			StoppedEarly: 5, Certified: 7,
 			ChannelCache: metrics.ChannelCacheStats{Hits: 20, Misses: 8},
 			Backends: []metrics.BackendStats{
 				{Name: "s0/qpu0", Solved: 25, Errors: 1, BusyMicros: 4000, Utilization: 0.4, SpendMicroUSD: 2222, EnergyMilliJ: 100000, ReadsPlanned: 470, ReadsRun: 470},

@@ -4,12 +4,15 @@
 // anneal-budget planner — over TCP; an access point process estimates uplink
 // channels and ships per-subcarrier decode requests over the fronthaul,
 // pipelining all subcarriers of an OFDM symbol in flight at once (§1, §5.5,
-// §7). Every request carries a target BER, so the planner sizes the read
-// budget per subcarrier instead of running the static Na = 100
-// configuration; odd subcarriers additionally carry a deadline shorter than
-// a single anneal, so the run also shows the hybrid dispatch of
-// arXiv:2010.00682: those route to the classical fallback while the rest
-// share batched, right-sized annealer runs. The scheduler runs cost-aware
+// §7). Every request carries a target BER, and the run shows the three ways
+// the hybrid classical–quantum structure of arXiv:2010.00682 serves one:
+// every fourth subcarrier asks for a hard decision, which a budgeted sphere
+// search proves ML at admission (backend "certificate": no anneal at all);
+// the other subcarriers ask for soft output (per-bit LLRs), which the
+// planner sizes a read budget for instead of running the static Na = 100
+// configuration, so they share batched, right-sized annealer runs — except
+// the odd ones, which carry a deadline shorter than a single anneal and
+// route to the classical fallback. The scheduler runs cost-aware
 // (sched.Config.CostAware): every backend publishes a capability descriptor
 // with a $/solve and J/solve cost model, easy QoS classes divert to the
 // cheapest solver that still meets their deadline, and the final pool stats
@@ -49,6 +52,9 @@ const (
 	// a 1 µs budget is unmeetable by any solver; the fallback still
 	// delivers a best-effort decode).
 	tightDeadline = 1 * time.Microsecond
+	// hardEvery: one subcarrier in hardEvery asks for a hard decision and no
+	// deadline — the request the certificate answers.
+	hardEvery = 4
 )
 
 func main() {
@@ -105,17 +111,18 @@ func main() {
 		y        []complex128
 		txBits   []byte
 		deadline time.Duration
+		soft     bool
 	}
 	jobs := make([]job, subcarriers)
 	for sc := 0; sc < subcarriers; sc++ {
 		bits := src.Bits(users * quamax.QPSK.BitsPerSymbol())
 		v := quamax.QPSK.MapGrayVector(bits)
 		y := channel.AddAWGN(src, linalg.MulVec(perSC[sc], v), sigma)
-		jobs[sc] = job{sc: sc, h: perSC[sc], y: y, txBits: bits}
-		if sc%2 == 1 {
-			// Odd subcarriers carry a deadline no anneal can fit: the planner
-			// denies quantum dispatch and they run classically. Even
-			// subcarriers carry only the target BER.
+		jobs[sc] = job{sc: sc, h: perSC[sc], y: y, txBits: bits, soft: sc%hardEvery != hardEvery-1}
+		if jobs[sc].soft && sc%2 == 1 {
+			// Odd soft subcarriers carry a deadline no anneal can fit: the
+			// planner denies quantum dispatch and they run classically. The
+			// rest carry only the target BER.
 			jobs[sc].deadline = tightDeadline
 		}
 	}
@@ -135,7 +142,15 @@ func main() {
 		wg.Add(1)
 		go func(j job) {
 			defer wg.Done()
-			resp, err := client.DecodeQoS(quamax.QPSK, j.h, j.y, j.deadline, targetBER)
+			var resp *fronthaul.DecodeResponse
+			var err error
+			if j.soft {
+				resp, err = client.DecodeSoft(quamax.QPSK, j.h, j.y, fronthaul.SoftQoS{
+					NoiseVar: sigma * sigma, Deadline: j.deadline, TargetBER: targetBER,
+				})
+			} else {
+				resp, err = client.DecodeQoS(quamax.QPSK, j.h, j.y, j.deadline, targetBER)
+			}
 			if err != nil {
 				log.Fatalf("subcarrier %d: %v", j.sc, err)
 			}
@@ -157,10 +172,10 @@ func main() {
 
 	fmt.Printf("\nAP: decoded %d subcarriers × %d users QPSK at %d dB (target BER %g)\n\n",
 		subcarriers, users, snrDB, targetBER)
-	fmt.Printf("%4s  %10s  %14s  %8s  %7s\n", "sc", "bit errs", "compute (µs)", "backend", "batched")
+	fmt.Printf("%4s  %10s  %14s  %11s  %7s\n", "sc", "bit errs", "compute (µs)", "backend", "batched")
 	totalErrs, totalBits := 0, 0
 	for _, r := range results {
-		fmt.Printf("%4d  %10d  %14.1f  %8s  %7d\n", r.sc, r.errs, r.compute, r.backend, r.batched)
+		fmt.Printf("%4d  %10d  %14.1f  %11s  %7d\n", r.sc, r.errs, r.compute, r.backend, r.batched)
 		totalErrs += r.errs
 		totalBits += users * quamax.QPSK.BitsPerSymbol()
 	}

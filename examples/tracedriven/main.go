@@ -3,9 +3,11 @@
 // stand-in, or a real QMTR file produced by cmd/tracegen) at 25–35 dB SNR.
 // Instead of calling the decoder directly, every channel use is dispatched
 // through the QPU pool scheduler with a target BER, so the replay exercises
-// exactly what a C-RAN data center runs: the TTS planner sizes each
-// request's read budget, compatible requests share batched annealer runs,
-// and requests the annealer cannot serve fall back to classical SA.
+// exactly what a C-RAN data center runs: admission first searches each hard
+// decode from its zero-forcing decision and answers the ones the search
+// proves ML (backend "certificate" — at these SNRs, all of them); anything
+// left is planned by the TTS planner, shares batched annealer runs, or falls
+// back to classical SA (examples/cran sends soft requests to show that half).
 //
 // Each channel use is replayed as a COHERENCE WINDOW: one estimated H
 // carries several OFDM symbols (paper footnote 2), so all of a window's
@@ -13,7 +15,8 @@
 // The pool compiles each channel once (couplings, embedding, prepared
 // physical program), gathers same-window symbols into shared annealer runs,
 // and only rewrites per-symbol biases — the cache hit/miss line in the final
-// pool stats shows the amortization.
+// pool stats shows the amortization (it reads 0/0 when the certificate
+// answered every request, as it does on the synthetic trace).
 //
 // The replay runs fully instrumented: a telemetry recorder traces every
 // request through admit → plan → queue → gather → compile → solve → respond,

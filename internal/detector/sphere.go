@@ -3,7 +3,6 @@ package detector
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
@@ -33,131 +32,400 @@ type SphereResult struct {
 }
 
 // SphereDecode runs a depth-first Schnorr–Euchner sphere decoder (§2.1) on
-// the real-valued decomposition of the channel: QR-decompose, then walk the
-// tree from the last dimension with children ordered by distance from the
-// zigzag center, pruning branches whose partial metric exceeds the current
-// radius, and shrinking the radius at each improving leaf.
+// the real-valued decomposition of the channel: compile the channel's
+// triangle (CompileSphere), then walk the tree from the last dimension with
+// children ordered by distance from the zigzag center, pruning branches whose
+// partial metric exceeds the current radius, and shrinking the radius at each
+// improving leaf. It is the allocating one-shot form; a window of symbols
+// through one channel compiles once and calls Certify per symbol.
 //
 // VisitedNodes counts every tree node whose partial metric was evaluated —
 // the complexity measure of Table 1.
 func SphereDecode(mod modulation.Modulation, h *linalg.Mat, y []complex128, opts SphereOptions) (SphereResult, error) {
-	nt := h.Cols
-	// Real-valued system: BPSK keeps Nt real dimensions, QAM uses 2Nt.
-	var hr *linalg.Mat
-	if mod.HasQuadrature() {
-		hr = linalg.RealDecomposition(h)
-	} else {
-		hr = linalg.RealDecompositionI(h)
+	p := CompileSphere(mod, h)
+	if !p.fullRank {
+		return SphereResult{}, errors.New("detector: sphere decoder needs a full-rank channel")
 	}
-	yr := linalg.StackReal(y)
-	n := hr.Cols
-
-	f := linalg.QRDecompose(hr)
-	ybar := f.RotateReceived(yr)
-
-	// Real triangular system.
-	r := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		r[i] = make([]float64, n)
-		for j := i; j < n; j++ {
-			r[i][j] = real(f.R.At(i, j))
-		}
-		if r[i][i] == 0 {
-			return SphereResult{}, errors.New("detector: sphere decoder needs a full-rank channel")
-		}
-	}
-	yb := make([]float64, n)
-	for i := range yb {
-		yb[i] = real(ybar[i])
-	}
-	// The rotated residual ‖yr‖²−‖ybar‖² is constant (Q thin); account for it
-	// so returned metrics match ‖y−Hv‖² exactly.
-	residual := linalg.Norm2(yr) - linalg.Norm2(ybar)
-	if residual < 0 {
-		residual = 0
-	}
-
-	levels := mod.Levels()
+	s := new(SphereScratch)
+	p.rotate(y, s)
 	radius2 := math.Inf(1)
 	if opts.InitialRadius2 > 0 {
-		radius2 = opts.InitialRadius2 - residual
-	}
-
-	best := make([]float64, n)
-	bestMetric := math.Inf(1)
-	found := false
-	visited := 0
-	exhausted := false
-	x := make([]float64, n)
-
-	// candidate ordering scratch.
-	type cand struct {
-		val  float64
-		dist float64
-	}
-	cands := make([][]cand, n)
-	for i := range cands {
-		cands[i] = make([]cand, len(levels))
-	}
-
-	var dfs func(level int, partial float64)
-	dfs = func(level int, partial float64) {
-		if exhausted {
-			return
+		// The part of y outside H's range adds the same to every leaf's
+		// ‖y−Hv‖²; take it off so the radius bounds ‖y−Hv‖² exactly.
+		var outside float64
+		for _, v := range s.yr[p.n:] {
+			outside += v * v
 		}
-		// Schnorr–Euchner: order this level's alphabet by distance to the
-		// unconstrained center.
-		var proj float64
-		for j := level + 1; j < n; j++ {
-			proj += r[level][j] * x[j]
-		}
-		center := (yb[level] - proj) / r[level][level]
-		cs := cands[level]
-		for k, lvl := range levels {
-			d := r[level][level] * (lvl - center)
-			cs[k] = cand{val: lvl, dist: d * d}
-		}
-		sort.Slice(cs, func(a, b int) bool { return cs[a].dist < cs[b].dist })
-
-		for _, c := range cs {
-			visited++
-			if opts.MaxVisitedNodes > 0 && visited > opts.MaxVisitedNodes {
-				exhausted = true
-				return
-			}
-			m := partial + c.dist
-			if m >= radius2 || m >= bestMetric {
-				// Children are distance-ordered: all remaining are worse.
-				break
-			}
-			x[level] = c.val
-			if level == 0 {
-				bestMetric = m
-				radius2 = m
-				copy(best, x)
-				found = true
-				continue
-			}
-			dfs(level-1, m)
-			if exhausted {
-				return
-			}
-		}
+		radius2 = opts.InitialRadius2 - outside
 	}
-	dfs(n-1, 0)
-
+	visited, found, exhausted := p.walk(s, radius2, opts.MaxVisitedNodes)
 	if !found {
 		return SphereResult{Result: Result{VisitedNodes: visited}, Exhausted: exhausted}, ErrNoLeafFound
 	}
-	// Reassemble complex symbols from the RVD solution.
-	symbols := make([]complex128, nt)
-	for i := 0; i < nt; i++ {
-		if mod.HasQuadrature() {
-			symbols[i] = complex(best[i], best[i+nt])
-		} else {
-			symbols[i] = complex(best[i], 0)
+	symbols := make([]complex128, p.nt)
+	p.symbols(s.best, symbols)
+	return SphereResult{Result: finish(mod, h, y, symbols, visited), Exhausted: exhausted}, nil
+}
+
+// SphereProgram is the channel-dependent half of the sphere search for one
+// (mod, H): the real Householder QR of the real decomposition (BPSK keeps the
+// Nt real columns, QAM uses 2Nt), built once per coherence window so each
+// received vector pays one rotation, one back substitution and the tree walk.
+// It is immutable and safe for concurrent use; it references H, which must
+// not change.
+type SphereProgram struct {
+	h        *linalg.Mat
+	nt, nr   int       // complex users and antennas
+	n, m     int       // real columns (tree depth) and real rows
+	levels   []float64 // per-dimension PAM levels, ascending
+	r        []float64 // R, n×n row-major upper triangle, positive diagonal
+	refl     []float64 // reflector k in refl[k*m+k : (k+1)*m] (Q = H_0·…·H_{n−1}·S)
+	beta     []float64 // reflector k is I − beta[k]·v·vᵀ; 0 = none
+	flip     []bool    // S: ȳ_k changes sign where R's row k did
+	fullRank bool
+}
+
+// rankTol is the smallest |R_kk| / max|R_jj| a program treats as full rank:
+// below it the diagonal entry is a rounding residue of a rank-deficient
+// channel (two equal columns leave 0 or a few 1e-16), and no decision read
+// off the triangle means much.
+const rankTol = 1e-10
+
+// CompileSphere factors the real decomposition of h for the sphere search:
+// Householder reflections in column order, R's diagonal made positive. The
+// triangle is linalg.QRDecompose's, operation for operation, on real numbers;
+// Q is kept as its reflectors, which a received vector is rotated by. A
+// channel with fewer real rows than columns, or whose triangle is
+// rank-deficient, compiles to a program that certifies nothing (Certify
+// reports !OK).
+func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
+	nt, nr := h.Cols, h.Rows
+	n := nt
+	if mod.HasQuadrature() {
+		n = 2 * nt
+	}
+	m := 2 * nr
+	p := &SphereProgram{h: h, nt: nt, nr: nr, n: n, m: m, levels: mod.Levels()}
+	if m < n {
+		return p
+	}
+	// at is the m×n real decomposition [Re H −Im H; Im H Re H] (BPSK: the
+	// first block column only), held by columns (column j at at[j*m:]) so
+	// every inner loop below runs down contiguous memory.
+	at := make([]float64, m*n)
+	for i := 0; i < nr; i++ {
+		for j := 0; j < nt; j++ {
+			re, im := real(h.At(i, j)), imag(h.At(i, j))
+			at[j*m+i], at[j*m+i+nr] = re, im
+			if n > nt {
+				at[(j+nt)*m+i], at[(j+nt)*m+i+nr] = -im, re
+			}
 		}
 	}
-	res := finish(mod, h, y, symbols, visited)
-	return SphereResult{Result: res, Exhausted: exhausted}, nil
+	prog := make([]float64, n*n+n*m+n)
+	p.r, p.refl, p.beta = prog[:n*n], prog[n*n:n*n+n*m], prog[n*n+n*m:]
+	p.flip = make([]bool, n)
+	for k := 0; k < n; k++ {
+		col := at[k*m : (k+1)*m]
+		var normx float64
+		for _, x := range col[k:] {
+			normx += x * x
+		}
+		normx = math.Sqrt(normx)
+		if normx == 0 {
+			continue
+		}
+		alpha := -normx
+		if col[k] < 0 {
+			alpha = normx
+		}
+		v := p.refl[k*m+k : (k+1)*m]
+		copy(v, col[k:])
+		v[0] -= alpha
+		var vnorm2 float64
+		for _, x := range v {
+			vnorm2 += x * x
+		}
+		if vnorm2 == 0 {
+			continue
+		}
+		beta := 2 / vnorm2
+		p.beta[k] = beta
+		// R ← (I − β·v·vᵀ)·R on columns k..n−1.
+		for j := k; j < n; j++ {
+			cj := at[j*m+k : (j+1)*m]
+			var dot float64
+			for i, x := range cj {
+				dot += v[i] * x
+			}
+			dot *= beta
+			for i := range cj {
+				cj[i] -= dot * v[i]
+			}
+		}
+	}
+	// Positive diagonal: negate row k of R (and, through flip, ȳ_k).
+	for k := 0; k < n; k++ {
+		if p.flip[k] = at[k*m+k] < 0; p.flip[k] {
+			for j := k; j < n; j++ {
+				at[j*m+k] = -at[j*m+k]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			p.r[i*n+j] = at[j*m+i]
+		}
+	}
+	var maxDiag float64
+	for k := 0; k < n; k++ {
+		maxDiag = max(maxDiag, p.r[k*n+k])
+	}
+	p.fullRank = true
+	for k := 0; k < n; k++ {
+		if !(p.r[k*n+k] > rankTol*maxDiag) { // also catches NaN
+			p.fullRank = false
+		}
+	}
+	return p
+}
+
+// SphereScratch is the per-call working memory of a SphereProgram: the
+// stacked and rotated receive vectors, the walk's path, its sorted children
+// and the decision it returns. The zero value is ready; it grows to fit the
+// largest program it serves, after which Certify allocates nothing. A scratch
+// serves one call at a time.
+type SphereScratch struct {
+	yr, yb     []float64    // Qᵀ·[Re y; Im y] before R's sign flips, and ȳ
+	x, best    []float64    // the walk's path and best leaf (real dimensions)
+	partial    []float64    // partial[l]: the metric of the path above level l
+	cval, cdst []float64    // each level's children, nearest first
+	pos        []int        // each level's next child
+	sym        []complex128 // a decision's symbols
+}
+
+// fit sizes s for p, reusing its arrays when they are large enough.
+func (s *SphereScratch) fit(p *SphereProgram) {
+	grow := func(b []float64, n int) []float64 {
+		if cap(b) < n {
+			return make([]float64, n)
+		}
+		return b[:n]
+	}
+	l := len(p.levels)
+	s.yr, s.yb = grow(s.yr, p.m), grow(s.yb, p.n)
+	s.x, s.best = grow(s.x, p.n), grow(s.best, p.n)
+	s.partial = grow(s.partial, p.n+1)
+	s.cval, s.cdst = grow(s.cval, p.n*l), grow(s.cdst, p.n*l)
+	if cap(s.pos) < p.n {
+		s.pos = make([]int, p.n)
+	}
+	s.pos = s.pos[:p.n]
+	if cap(s.sym) < p.nt {
+		s.sym = make([]complex128, p.nt)
+	}
+	s.sym = s.sym[:p.nt]
+}
+
+// rotate fits s to p, stacks y as [Re y; Im y] into s.yr and rotates it
+// there, reflector by reflector, into s.yb = ȳ: its last m − n entries are
+// then the part of y outside H's range.
+func (p *SphereProgram) rotate(y []complex128, s *SphereScratch) {
+	s.fit(p)
+	w := s.yr
+	for i, v := range y {
+		w[i], w[i+p.nr] = real(v), imag(v)
+	}
+	for k := 0; k < p.n; k++ {
+		beta := p.beta[k]
+		if beta == 0 {
+			continue
+		}
+		v, wk := p.refl[k*p.m+k:(k+1)*p.m], w[k:]
+		var dot float64
+		for i, x := range v {
+			dot += x * wk[i]
+		}
+		dot *= beta
+		for i, x := range v {
+			wk[i] -= dot * x
+		}
+	}
+	for k := range s.yb {
+		s.yb[k] = w[k]
+		if p.flip[k] {
+			s.yb[k] = -w[k]
+		}
+	}
+}
+
+// symbols writes the complex symbols of real leaf x into out.
+func (p *SphereProgram) symbols(x []float64, out []complex128) {
+	for i := range out {
+		if p.n > p.nt {
+			out[i] = complex(x[i], x[i+p.nt])
+		} else {
+			out[i] = complex(x[i], 0)
+		}
+	}
+}
+
+// center is the unconstrained estimate of dimension level given the path
+// below it in x: (ȳ_l − Σ_{j>l} R_lj·x_j) / R_ll.
+func (p *SphereProgram) center(level int, yb, x []float64) float64 {
+	n := p.n
+	row := p.r[level*n : (level+1)*n]
+	var proj float64
+	for j := level + 1; j < n; j++ {
+		proj += row[j] * x[j]
+	}
+	return (yb[level] - proj) / row[level]
+}
+
+// children fills level's candidate list in s, nearest the zigzag center
+// first (Schnorr–Euchner), ties in level order, and rewinds its cursor.
+func (p *SphereProgram) children(level int, s *SphereScratch) {
+	l := len(p.levels)
+	rll := p.r[level*p.n+level]
+	c := p.center(level, s.yb, s.x)
+	vals, dsts := s.cval[level*l:(level+1)*l], s.cdst[level*l:(level+1)*l]
+	for k, lvl := range p.levels {
+		d := rll * (lvl - c)
+		dist := d * d
+		// Insertion: an equal distance stays behind the earlier level.
+		i := k
+		for ; i > 0 && dist < dsts[i-1]; i-- {
+			vals[i], dsts[i] = vals[i-1], dsts[i-1]
+		}
+		vals[i], dsts[i] = lvl, dist
+	}
+	s.pos[level] = 0
+}
+
+// walk is the depth-first tree search on s.yb: only leaves strictly inside
+// radius2 (rotated frame) are taken, each into s.best and shrinking the
+// radius to its metric. maxNodes > 0 bounds the nodes visited. It returns the
+// nodes visited, whether any leaf was taken, and whether the budget ended the
+// search.
+func (p *SphereProgram) walk(s *SphereScratch, radius2 float64, maxNodes int) (visited int, found, exhausted bool) {
+	n, l := p.n, len(p.levels)
+	level := n - 1
+	s.partial[n] = 0
+	p.children(level, s)
+	for {
+		if s.pos[level] == l {
+			if level++; level == n {
+				return visited, found, false
+			}
+			continue
+		}
+		k := level*l + s.pos[level]
+		s.pos[level]++
+		if visited++; maxNodes > 0 && visited > maxNodes {
+			return visited, found, true
+		}
+		m := s.partial[level+1] + s.cdst[k]
+		if m >= radius2 {
+			// Children are distance-ordered: every remaining one is worse.
+			s.pos[level] = l
+			continue
+		}
+		s.x[level] = s.cval[k]
+		if level == 0 {
+			radius2 = m
+			copy(s.best, s.x)
+			found = true
+			continue
+		}
+		s.partial[level] = m
+		level--
+		p.children(level, s)
+	}
+}
+
+// Certificate is one received vector's budgeted search, seeded with the
+// zero-forcing decision as its incumbent leaf.
+type Certificate struct {
+	// OK is false when the program is rank-deficient: nothing else is set.
+	OK bool
+	// Signal and Residual are the zero-forcing decision's ‖H·v‖² and
+	// ‖y − H·v‖²: the receive-SNR estimate's signal and noise powers.
+	Signal, Residual float64
+	// Symbols is the best leaf — the zero-forcing decision when no leaf beat
+	// it — and Metric its ‖y − H·v‖². Symbols is backed by the scratch and
+	// valid until the scratch's next use.
+	Symbols []complex128
+	Metric  float64
+	// Nodes counts the tree nodes the search visited (0 when none ran).
+	Nodes int
+	// Proved reports that the search finished inside its budget. The
+	// incumbent made the radius the zero-forcing metric, so a finished search
+	// has ruled out every leaf strictly closer to y than Symbols: Symbols is
+	// an ML decision.
+	Proved bool
+}
+
+// Certify decodes one received vector: rotate y, take the zero-forcing
+// decision off the triangle (back substitution, then per-dimension slicing),
+// then walk the tree with that decision as the incumbent, visiting at most
+// maxNodes nodes (maxNodes ≤ 0 runs no search: the zero-forcing decision
+// alone). It allocates nothing once s has served a program of this size.
+func (p *SphereProgram) Certify(y []complex128, maxNodes int, s *SphereScratch) Certificate {
+	if !p.fullRank {
+		return Certificate{}
+	}
+	p.rotate(y, s)
+	n := p.n
+	// Zero forcing: x̂ = R⁻¹·ȳ, sliced per dimension into s.best.
+	for i := n - 1; i >= 0; i-- {
+		row := p.r[i*n : (i+1)*n]
+		sum := s.yb[i]
+		for j := i + 1; j < n; j++ {
+			sum -= row[j] * s.x[j]
+		}
+		s.x[i] = sum / row[i]
+	}
+	lv := len(p.levels)
+	for i, v := range s.x {
+		k := min(max(int(math.Round((v+float64(lv-1))/2)), 0), lv-1)
+		s.best[i] = p.levels[k]
+	}
+	p.symbols(s.best, s.sym)
+	c := Certificate{OK: true, Symbols: s.sym}
+	c.Signal, c.Residual = p.residual(y, s)
+	c.Metric = c.Residual
+	if maxNodes <= 0 {
+		return c
+	}
+	// The radius is the incumbent's metric in the walk's own arithmetic, so
+	// the walk prunes the incumbent's path exactly and takes only strictly
+	// better leaves.
+	var radius2 float64
+	for level := n - 1; level >= 0; level-- {
+		d := p.r[level*n+level] * (s.best[level] - p.center(level, s.yb, s.best))
+		radius2 += d * d
+	}
+	visited, improved, exhausted := p.walk(s, radius2, maxNodes)
+	c.Nodes, c.Proved = visited, !exhausted
+	if improved {
+		p.symbols(s.best, s.sym)
+		_, c.Metric = p.residual(y, s)
+	}
+	return c
+}
+
+// residual returns ‖H·v‖² and ‖y − H·v‖² for the symbols in s.sym, in
+// linalg.MulVec / Norm2 order.
+func (p *SphereProgram) residual(y []complex128, s *SphereScratch) (signal, residual float64) {
+	h := p.h
+	for i := 0; i < p.nr; i++ {
+		var sum complex128
+		for j, v := range h.Data[i*h.Cols : (i+1)*h.Cols] {
+			sum += v * s.sym[j]
+		}
+		signal += real(sum)*real(sum) + imag(sum)*imag(sum)
+		d := y[i] - sum
+		residual += real(d)*real(d) + imag(d)*imag(d)
+	}
+	return signal, residual
 }

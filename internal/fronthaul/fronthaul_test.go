@@ -716,8 +716,21 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	go srv.handleConn(server)
 	c := NewClient(client)
 
+	// A hard decode with a target is answered at admission by the
+	// certificate search: proved ML, no planner call, no device time.
 	in := testInstance(t, 640, modulation.QPSK, 2)
 	resp, err := c.DecodeQoS(in.Mod, in.H, in.Y, 0, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := in.BitErrors(resp.Bits); errs != 0 || resp.Backend != sched.CertificateBackend || resp.ComputeMicros != 0 {
+		t.Fatalf("certified decode: %d bit errors, backend %q, %g µs", errs, resp.Backend, resp.ComputeMicros)
+	}
+	if st := pl.Stats(); st.Plans != 0 {
+		t.Fatalf("the planner saw a certified request: %+v", st)
+	}
+	// A soft decode with the same target is planned.
+	resp, err = c.DecodeSoft(in.Mod, in.H, in.Y, SoftQoS{TargetBER: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +738,7 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 		t.Fatalf("planned decode: %d bit errors", errs)
 	}
 	st := pl.Stats()
-	if st.Plans != 1 || st.Quantum != 1 {
+	if st.Plans != 1 || st.Quantum != 1 || st.Soft != 1 {
 		t.Fatalf("planner never saw the request: %+v", st)
 	}
 	// The planned budget is what the annealer billed: far below the static

@@ -29,6 +29,10 @@ type PoolStats struct {
 	// planner denied outright (target unreachable on the annealer within the
 	// deadline), as opposed to queue-pressure fallbacks.
 	PlannerClassical uint64
+	// Certified counts the Completed problems the certificate search answered
+	// at admission: a budgeted sphere search seeded with the zero-forcing
+	// decision finished, proving its answer ML, so no backend ran them.
+	Certified uint64
 	// DeadlineMisses counts problems whose result was delivered after their
 	// absolute deadline.
 	DeadlineMisses uint64
@@ -150,6 +154,7 @@ func (s PoolStats) Samples(labels ...Label) []Sample {
 		Counter("quamax_pool_failed_total", "Problems that returned an error.", float64(s.Failed), labels...),
 		Counter("quamax_pool_fallback_total", "Problems routed to the classical fallback.", float64(s.FallbackDispatches), labels...),
 		Counter("quamax_pool_planner_classical_total", "Fallbacks the QoS planner denied outright.", float64(s.PlannerClassical), labels...),
+		Counter("quamax_pool_certified_total", "Problems a finished sphere search answered at admission (proved ML).", float64(s.Certified), labels...),
 		Counter("quamax_pool_deadline_misses_total", "Results delivered after their deadline.", float64(s.DeadlineMisses), labels...),
 		Counter("quamax_pool_batch_runs_total", "Annealer runs carrying more than one problem.", float64(s.BatchRuns), labels...),
 		Counter("quamax_pool_batched_problems_total", "Problems carried by batched runs.", float64(s.BatchedProblems), labels...),
@@ -193,6 +198,7 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 	out.Failed += o.Failed
 	out.FallbackDispatches += o.FallbackDispatches
 	out.PlannerClassical += o.PlannerClassical
+	out.Certified += o.Certified
 	out.DeadlineMisses += o.DeadlineMisses
 	out.BatchRuns += o.BatchRuns
 	out.BatchedProblems += o.BatchedProblems
@@ -248,6 +254,9 @@ func (s PoolStats) String() string {
 		s.FallbackDispatches, s.PlannerClassical, s.DeadlineMisses, 100*s.MissRate())
 	if s.UptimeMicros > 0 {
 		fmt.Fprintf(&b, " uptime=%.1fs", s.UptimeMicros/1e6)
+	}
+	if s.Certified > 0 {
+		fmt.Fprintf(&b, "\npool: certified at admission=%d", s.Certified)
 	}
 	if s.BatchRuns > 0 {
 		fmt.Fprintf(&b, "\npool: batched runs=%d problems=%d slot-occupancy=%.0f%%",

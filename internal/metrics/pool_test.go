@@ -14,6 +14,7 @@ func samplePool() PoolStats {
 		Failed:             1,
 		FallbackDispatches: 3,
 		PlannerClassical:   2,
+		Certified:          1,
 		DeadlineMisses:     1,
 		BatchRuns:          2,
 		BatchedProblems:    6,
@@ -44,6 +45,7 @@ func TestPoolStatsMergeCounters(t *testing.T) {
 		Submitted:          4,
 		Completed:          4,
 		FallbackDispatches: 1,
+		Certified:          3,
 		DeadlineMisses:     2,
 		BatchRuns:          6,
 		BatchedProblems:    12,
@@ -59,7 +61,7 @@ func TestPoolStatsMergeCounters(t *testing.T) {
 	if m.QueueDepth != 3 || m.Submitted != 14 || m.Completed != 11 || m.Failed != 1 {
 		t.Fatalf("merged counters: %+v", m)
 	}
-	if m.FallbackDispatches != 4 || m.PlannerClassical != 2 || m.DeadlineMisses != 3 {
+	if m.FallbackDispatches != 4 || m.PlannerClassical != 2 || m.Certified != 4 || m.DeadlineMisses != 3 {
 		t.Fatalf("merged dispatch counters: %+v", m)
 	}
 	if m.BatchRuns != 8 || m.BatchedProblems != 18 {
@@ -179,13 +181,13 @@ func TestPoolStatsMergeZeroValue(t *testing.T) {
 
 func TestPoolStatsString(t *testing.T) {
 	s := samplePool().String()
-	for _, want := range []string{"fallback=3", "planner=2", "batched runs=2", "soft decodes=3", "llr-saturations=12", "qpu0", "sa"} {
+	for _, want := range []string{"fallback=3", "planner=2", "certified at admission=1", "batched runs=2", "soft decodes=3", "llr-saturations=12", "qpu0", "sa"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendering misses %q:\n%s", want, s)
 		}
 	}
-	if strings.Contains(PoolStats{}.String(), "soft decodes") {
-		t.Fatal("String printed a soft line with no soft decodes")
+	if s := (PoolStats{}).String(); strings.Contains(s, "soft decodes") || strings.Contains(s, "certified") {
+		t.Fatalf("String printed a soft or certified line with neither:\n%s", s)
 	}
 }
 

@@ -3,11 +3,13 @@ package qos
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"quamax/internal/anneal"
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
+	"quamax/internal/detector"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/mimo"
@@ -217,53 +219,89 @@ func distStats(d *metrics.Distribution) (p0, floor, spread float64) {
 	return p0, floor, spread
 }
 
-// SNREstimator is the channel-dependent half of the receive-SNR estimate: the
-// zero-forcing filter of one (mod, H), built once per coherence window so
-// each received vector costs two matrix–vector products. It is immutable and
-// safe for concurrent use; it references h, which must not change.
+// CertifyNodes is the tree-node budget of the certificate search admission
+// runs ahead of the planner (SNREstimator.Estimate; sched.Dispatch): a search
+// that finishes inside it has proved its answer ML, and one that does not goes
+// to the planner as before. It is fixed on sched's seeded corpus
+// (TestStopRuleCorpus's certificate table): 8×8 QPSK at 15–30 dB certifies
+// every hard decode at 10³ nodes and all but one precode at 10⁴, where a
+// budget the corpus does not reach costs an exhausted search ≈ 0.1 ms. It is a
+// constant, not a knob.
+const CertifyNodes = 10_000
+
+// SNREstimator is the channel-dependent half of admission's per-request work:
+// the sphere-search program of one (mod, H) — the triangle of its real
+// decomposition (detector.CompileSphere) — built once per coherence window.
+// The zero-forcing decision behind the SNR estimate and the certificate
+// search both read that one triangle. For QAM that decision is the complex
+// pseudo-inverse's, split into its real and imaginary parts; for BPSK, whose
+// decomposition keeps only the real symbol dimensions, it is the real
+// least-squares solution's, sliced. It is immutable and safe for concurrent
+// use; it references h, which must not change.
 type SNREstimator struct {
 	mod  modulation.Modulation
-	h    *linalg.Mat
-	pinv *linalg.Mat // nil when h is too ill-conditioned to invert
+	prog *detector.SphereProgram
 }
 
-// NewSNREstimator inverts the channel (O(Nt²·Nr + Nt³)).
+// NewSNREstimator factors the channel (O(Nt²·Nr)).
 func NewSNREstimator(mod modulation.Modulation, h *linalg.Mat) *SNREstimator {
-	pinv, _ := linalg.PseudoInverse(h) // a singular channel leaves pinv nil: Estimate reports !ok
-	return &SNREstimator{mod: mod, h: h, pinv: pinv}
+	return &SNREstimator{mod: mod, prog: detector.CompileSphere(mod, h)}
 }
 
-// Estimate estimates the receive SNR of one channel use from its own data:
+// Estimate is one received vector as admission reads it: the receive-SNR
+// estimate and, when a search ran, its certificate.
+type Estimate struct {
+	// SNRdB is the receive SNR estimated from the vector's own data, and
+	// Residual the zero-forcing decision's ML metric ‖y − H·v‖² (see
+	// SNREstimator.Estimate). OK is false when the channel is too
+	// ill-conditioned to invert; nothing else is then set.
+	SNRdB, Residual float64
+	OK              bool
+	// Nodes counts the tree nodes the certificate search visited (0 when it
+	// did not run).
+	Nodes int
+	// Proved reports that the search finished inside its budget: Bits are
+	// then the Gray bits of an ML decision and Metric its ‖y − H·v‖². Both are
+	// unset otherwise.
+	Proved bool
+	Bits   []byte
+	Metric float64
+}
+
+// scratch pools the sphere searches' working memory across every estimator:
+// a scratch grows to the largest program it has served and is reused as is.
+var scratch = sync.Pool{New: func() any { return new(detector.SphereScratch) }}
+
+// Estimate estimates the receive SNR of one channel use from its own data —
 // detect with zero-forcing, rebuild the noiseless signal from the hard
-// decisions, and compare signal to residual power. At serving SNRs the ZF
-// decisions are mostly correct, so the residual is dominated by noise; the
-// estimate biases high at very low SNR, where the planner's below-fit-range
-// guard takes over. residual is that ZF decision's ML metric ‖y − H·v‖², the
-// noise estimate the device tier's stop radius is sized from (StopRadius). ok
-// is false when the channel is too ill-conditioned to invert.
-func (e *SNREstimator) Estimate(y []complex128) (snrDB, residual float64, ok bool) {
-	if e.pinv == nil {
-		return 0, 0, false
+// decisions, and compare signal to residual power — and, with certifyNodes >
+// 0, runs the certificate search from that decision within that many tree
+// nodes (detector.SphereProgram.Certify). At serving SNRs the ZF decisions
+// are mostly correct, so the residual is dominated by noise; the estimate
+// biases high at very low SNR, where the planner's below-fit-range guard
+// takes over. The residual is the noise estimate the device tier's stop radius
+// is sized from (StopRadius). Only a proved answer's Bits allocate.
+func (e *SNREstimator) Estimate(y []complex128, certifyNodes int) Estimate {
+	s := scratch.Get().(*detector.SphereScratch)
+	defer scratch.Put(s)
+	c := e.prog.Certify(y, certifyNodes, s)
+	if !c.OK || c.Signal == 0 {
+		return Estimate{Residual: c.Residual}
 	}
-	symbols := linalg.MulVec(e.pinv, y)
-	for i, v := range symbols {
-		symbols[i] = e.mod.Slice(v)
+	est := Estimate{Residual: c.Residual, OK: true, Nodes: c.Nodes, SNRdB: math.Inf(1)}
+	if c.Residual > 0 {
+		est.SNRdB = channel.SNRLinearToDB(c.Signal / c.Residual)
 	}
-	signal := linalg.MulVec(e.h, symbols)
-	sig := linalg.Norm2(signal)
-	residual = linalg.Norm2(linalg.VecSub(y, signal))
-	if sig == 0 {
-		return 0, residual, false
+	if c.Proved {
+		est.Proved, est.Metric = true, c.Metric
+		est.Bits = e.mod.DemapGrayVector(c.Symbols)
 	}
-	if residual == 0 {
-		return math.Inf(1), 0, true
-	}
-	return channel.SNRLinearToDB(sig / residual), residual, true
+	return est
 }
 
 // EstimateSNRdB is the one-shot form of SNREstimator for a channel seen once:
-// it builds the filter, estimates, and discards it.
+// it factors the channel, estimates, and discards the program.
 func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
-	snr, _, ok := NewSNREstimator(mod, h).Estimate(y)
-	return snr, ok
+	est := NewSNREstimator(mod, h).Estimate(y, 0)
+	return est.SNRdB, est.OK
 }

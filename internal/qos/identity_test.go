@@ -17,7 +17,9 @@ import (
 
 // estimateSNRRef is EstimateSNRdB as it stood before the estimate was split
 // into a per-channel and a per-symbol half: a full zero-forcing detection
-// per received vector. The split estimator must return the same float64.
+// (pseudo-inverse) per received vector. The estimator, which reads its
+// zero-forcing decision off the sphere program's triangle instead, must
+// return the same float64.
 func estimateSNRRef(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
 	res, err := detector.ZeroForcing(mod, h, y)
 	if err != nil {
@@ -101,7 +103,8 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 		}
 		want, wantOK := estimateSNRRef(mod, r.H, y)
 		for name, f := range map[string]func() (float64, bool){
-			"per-channel": func() (float64, bool) { snr, _, ok := est.Estimate(y); return snr, ok },
+			"per-channel": func() (float64, bool) { e := est.Estimate(y, 0); return e.SNRdB, e.OK },
+			"certifying":  func() (float64, bool) { e := est.Estimate(y, CertifyNodes); return e.SNRdB, e.OK },
 			"one-shot":    func() (float64, bool) { return EstimateSNRdB(mod, r.H, y) },
 		} {
 			got, ok := f()
@@ -121,18 +124,51 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	h := channel.Rayleigh{}.Generate(src, 8, 8)
 	x := mod.MapGrayVector(src.Bits(16))
 	clean := linalg.MulVec(h, x)
-	if got, _, ok := NewSNREstimator(mod, h).Estimate(clean); !ok || got < 100 {
-		t.Fatalf("noiseless estimate (%v, %v), want a huge or infinite SNR", got, ok)
+	if got := NewSNREstimator(mod, h).Estimate(clean, 0); !got.OK || got.SNRdB < 100 {
+		t.Fatalf("noiseless estimate (%v, %v), want a huge or infinite SNR", got.SNRdB, got.OK)
 	}
 	for r := 0; r < 8; r++ {
 		h.Set(r, 1, h.At(r, 0))
 	}
 	y := linalg.MulVec(h, x)
 	_, refOK := estimateSNRRef(mod, h, y)
-	_, _, gotOK := NewSNREstimator(mod, h).Estimate(y)
+	got := NewSNREstimator(mod, h).Estimate(y, CertifyNodes)
 	_, oneOK := EstimateSNRdB(mod, h, y)
-	if refOK || gotOK || oneOK {
-		t.Fatalf("rank-deficient channel: ok = %v (reference), %v (per-channel), %v (one-shot); want all false", refOK, gotOK, oneOK)
+	if refOK || got.OK || got.Proved || oneOK {
+		t.Fatalf("rank-deficient channel: ok = %v (reference), %v (per-channel, proved %v), %v (one-shot); want all false", refOK, got.OK, got.Proved, oneOK)
+	}
+}
+
+// A certifying estimate is the plain estimate plus a certificate: Proved
+// carries the Gray bits of an ML decision and their metric, and the estimate
+// allocates only those bits.
+func TestEstimateCertifiesAndAllocatesOnlyItsAnswer(t *testing.T) {
+	src := rng.New(16)
+	mod := modulation.QPSK
+	h := channel.Rayleigh{}.Generate(src, 8, 8)
+	est := NewSNREstimator(mod, h)
+	bits := src.Bits(16)
+	y := channel.AddAWGN(src, linalg.MulVec(h, mod.MapGrayVector(bits)), channel.NoiseSigma(mod, 8, 20))
+	got := est.Estimate(y, CertifyNodes)
+	ml, err := detector.SphereDecode(mod, h, y, detector.SphereOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Proved || got.Nodes == 0 || !reflect.DeepEqual(got.Bits, ml.Bits) || math.Abs(got.Metric-ml.Metric) > 1e-9*ml.Metric {
+		t.Fatalf("certificate %+v, sphere decoder bits %v metric %v", got, ml.Bits, ml.Metric)
+	}
+	plain := est.Estimate(y, 0)
+	if plain.Proved || plain.Nodes != 0 || plain.Bits != nil || plain.SNRdB != got.SNRdB || plain.Residual != got.Residual {
+		t.Fatalf("plain estimate %+v beside certifying %+v", plain, got)
+	}
+	if raceEnabled {
+		return // the race detector's pool drops entries at random
+	}
+	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, 0) }); a != 0 {
+		t.Errorf("Estimate without a search: %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, CertifyNodes) }); a != 1 {
+		t.Errorf("certifying Estimate: %v allocations, want 1 (the answer's bits)", a)
 	}
 }
 
@@ -147,7 +183,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 	for i := range ys {
 		y := linalg.MulVec(h, mod.MapGrayVector(src.Bits(16)))
 		ys[i] = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, 20))
-		want[i], _, _ = est.Estimate(ys[i])
+		want[i] = est.Estimate(ys[i], CertifyNodes).SNRdB
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -155,7 +191,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, y := range ys {
-				if got, _, _ := est.Estimate(y); got != want[i] {
+				if got := est.Estimate(y, CertifyNodes).SNRdB; got != want[i] {
 					t.Errorf("vector %d: concurrent estimate %v, serial %v", i, got, want[i])
 				}
 			}

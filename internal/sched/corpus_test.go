@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"quamax/internal/core"
 	"quamax/internal/detector"
 	"quamax/internal/linalg"
+	"quamax/internal/metrics"
+	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/precoding"
 	"quamax/internal/qos"
@@ -46,6 +49,19 @@ import (
 // stopped, at or past the softout.MinEnsemble floor — how many LLR signs agree
 // with the uncut ensemble's. The ceilings below fix qos.StopRadiusDeviations
 // and softout.MinEnsemble.
+//
+// Admission certifies before it plans: a hard decode or precode whose
+// budgeted sphere search finishes is answered there, proved ML, and never
+// reaches a tier. The stop-rule rows above keep the population they were
+// fixed on — every request as the planner sizes it (plan), which is exactly
+// what a request meets when its search runs out of nodes — and a certificate
+// table sits beside them: per class (hard, soft had it been searched, precode)
+// and per budget 10², 10³, 10⁴, the certified share and the node quantiles,
+// every proved answer checked against the exact ML answer; then the BER
+// admission serves per tier (certificate, device, classical) beside the ZF and
+// ML answers to the same requests; then a 48×48 BPSK row at 10 / 15 / 20 dB,
+// the paper's headline shape. The certificate table is what fixes
+// qos.CertifyNodes.
 const (
 	corpusRequests = 1400
 	// Ceilings: answers the rule may change, and the share of the configured
@@ -63,6 +79,9 @@ const (
 	corpusDeviceReadsCeiling = 0.60
 	corpusDeviceBERSlack     = 0.002
 	corpusLLRSignFloor       = 0.97
+	// The share of hard decodes the certificate must answer at
+	// qos.CertifyNodes.
+	corpusCertifiedHardFloor = 0.99
 )
 
 // corpusRequest is one generated request with its ground truth.
@@ -168,19 +187,28 @@ func TestStopRuleCorpus(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	var device, classical, precodeSA tierTally
-	var gammaArmed, gammaUncut, gammaZF float64
+	var device, classical, precodeSA tierTally // the stop rules' tiers, as planned
+	var served [3]tierTally                    // what admission serves: certificate, device, classical
+	var certPrecodes int
+	var gammaArmed, gammaUncut, gammaZF, gammaCert, gammaCertML float64
 	var fitted []corpusRequest // the device tier's decodes, as planned
+	var certs certTable
 	for i, cr := range corpus(t, 20261004, corpusRequests) {
-		q, denied := s.applyPlan(cr.p, 50*time.Millisecond)
+		certs.observe(t, s, cr)
+		v := s.applyPlan(cr.p, 50*time.Millisecond)
+		q, denied := planned(s, cr.p, 50*time.Millisecond)
+		if v.proved == nil && (v.denied != denied || !reflect.DeepEqual(v.p, q)) {
+			t.Fatalf("request %d: the search ran out of nodes and admission planned %+v (denied=%v), the planner alone %+v (denied=%v)", i, v.p, v.denied, q, denied)
+		}
 		if (q.StopRepeats == qos.StopRepeats) != denied || (!denied && q.StopRepeats != 0) {
 			t.Fatalf("request %d (denied=%v): repeat rule %d", i, denied, q.StopRepeats)
 		}
 		seed := int64(1000 + i)
-		if !denied {
-			if cr.vp != nil {
-				continue // a fitted precode: nothing armed, no bits to score
-			}
+		var planRes *backend.Result // what the planned tier answered, armed
+		switch {
+		case !denied && cr.vp != nil:
+			// A fitted precode: nothing armed, no bits to score.
+		case !denied:
 			// The device tier runs every planned read; it is here for its BER.
 			res, err := qpu.Solve(ctx, q, rng.New(seed))
 			if err != nil {
@@ -188,46 +216,72 @@ func TestStopRuleCorpus(t *testing.T) {
 			}
 			device.score(t, q, cr.bits, res, res)
 			fitted = append(fitted, corpusRequest{p: q, bits: cr.bits})
-			continue
-		}
-		uncut := *q
-		uncut.StopRepeats = 0
-		armed, err := sa.Solve(ctx, q, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := sa.Solve(ctx, &uncut, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Reads != full.ReadsPlanned || armed.ReadsPlanned != full.ReadsPlanned || armed.Reads > full.Reads {
-			t.Fatalf("request %d: armed ran %d/%d restarts, uncut %d/%d", i, armed.Reads, armed.ReadsPlanned, full.Reads, full.ReadsPlanned)
-		}
-		tally := &classical
-		if cr.vp != nil {
-			tally = &precodeSA
-		}
-		tally.readsRun += armed.Reads
-		tally.readsPlan += armed.ReadsPlanned
-		if !slices.Equal(armed.Bits, full.Bits) {
-			tally.changed++
-			// The one way a prefix can answer differently: a later restart won.
-			if !(full.Energy < armed.Energy) {
-				t.Errorf("request %d: the rule changed the answer without a better later restart: stopped after %d of %d at energy %v, uncut energy %v",
+			planRes = res
+		default:
+			uncut := *q
+			uncut.StopRepeats = 0
+			armed, err := sa.Solve(ctx, q, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := sa.Solve(ctx, &uncut, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Reads != full.ReadsPlanned || armed.ReadsPlanned != full.ReadsPlanned || armed.Reads > full.Reads {
+				t.Fatalf("request %d: armed ran %d/%d restarts, uncut %d/%d", i, armed.Reads, armed.ReadsPlanned, full.Reads, full.ReadsPlanned)
+			}
+			tally := &classical
+			if cr.vp != nil {
+				tally = &precodeSA
+			}
+			tally.readsRun += armed.Reads
+			tally.readsPlan += armed.ReadsPlanned
+			if !slices.Equal(armed.Bits, full.Bits) {
+				tally.changed++
+				// The one way a prefix can answer differently: a later restart won.
+				if !(full.Energy < armed.Energy) {
+					t.Errorf("request %d: the rule changed the answer without a better later restart: stopped after %d of %d at energy %v, uncut energy %v",
+						i, armed.Reads, armed.ReadsPlanned, armed.Energy, full.Energy)
+				}
+				t.Logf("request %d: stopped after %d of %d restarts at energy %.4f; a later restart reached %.4f",
 					i, armed.Reads, armed.ReadsPlanned, armed.Energy, full.Energy)
 			}
-			t.Logf("request %d: stopped after %d of %d restarts at energy %.4f; a later restart reached %.4f",
-				i, armed.Reads, armed.ReadsPlanned, armed.Energy, full.Energy)
+			if cr.vp != nil {
+				tally.decodes++
+				mod := cr.vp.PerturbMod()
+				gammaArmed += cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(mod, armed.Bits))
+				gammaUncut += cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(mod, full.Bits))
+				gammaZF += cr.vp.ZFGamma(cr.s)
+			} else {
+				tally.score(t, q, cr.bits, armed, full)
+			}
+			planRes = armed
 		}
-		if cr.vp != nil {
-			tally.decodes++
-			mod := cr.vp.PerturbMod()
-			gammaArmed += cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(mod, armed.Bits))
-			gammaUncut += cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(mod, full.Bits))
-			gammaZF += cr.vp.ZFGamma(cr.s)
-			continue
+
+		// What admission serves.
+		switch {
+		case cr.vp != nil:
+			if v.proved != nil {
+				certPrecodes++
+				gamma := cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(cr.vp.PerturbMod(), v.proved.Bits))
+				ml, err := detector.SphereDecode(cr.p.Mod, cr.p.H, cr.p.Y, detector.SphereOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relEqual(gamma, v.proved.Energy) || !relEqual(gamma, ml.Metric) {
+					t.Errorf("request %d: certified precode γ %v reported as %v; the exact search's γ is %v", i, gamma, v.proved.Energy, ml.Metric)
+				}
+				gammaCert += gamma
+				gammaCertML += ml.Metric
+			}
+		case v.proved != nil:
+			served[0].score(t, cr.p, cr.bits, v.proved, v.proved)
+		case denied:
+			served[2].score(t, q, cr.bits, planRes, planRes)
+		default:
+			served[1].score(t, q, cr.bits, planRes, planRes)
 		}
-		tally.score(t, q, cr.bits, armed, full)
 	}
 
 	ber := func(errs, bits int) float64 { return float64(errs) / float64(max(bits, 1)) }
@@ -236,9 +290,28 @@ func TestStopRuleCorpus(t *testing.T) {
 		name string
 		*tierTally
 	}{{"device", &device}, {"classical", &classical}} {
-		t.Logf("%s tier: %d decodes; BER served %.4f, uncut %.4f, zero-forcing %.4f (ZF strictly beats the served answer on %d), exact ML %.4f",
+		t.Logf("%s tier as planned: %d decodes; BER served %.4f, uncut %.4f, zero-forcing %.4f (ZF strictly beats the served answer on %d), exact ML %.4f",
 			tier.name, tier.decodes, ber(tier.errServed, tier.bits), ber(tier.errUncut, tier.bits), ber(tier.errZF, tier.bits), tier.zfWins, ber(tier.errML, tier.bits))
 	}
+	certs.log(t)
+	var all tierTally
+	for k, name := range []string{"certificate", "device", "classical"} {
+		tt := served[k]
+		t.Logf("served by the %-11s tier: %4d decodes; BER served %.4f, zero-forcing %.4f, exact ML %.4f",
+			name, tt.decodes, ber(tt.errServed, tt.bits), ber(tt.errZF, tt.bits), ber(tt.errML, tt.bits))
+		all.decodes, all.bits = all.decodes+tt.decodes, all.bits+tt.bits
+		all.errServed, all.errZF, all.errML = all.errServed+tt.errServed, all.errZF+tt.errZF, all.errML+tt.errML
+	}
+	t.Logf("served, all decodes: %d; BER served %.4f, zero-forcing %.4f, exact ML %.4f; certified precodes %d, mean γ %.4f (exact search %.4f)",
+		all.decodes, ber(all.errServed, all.bits), ber(all.errZF, all.bits), ber(all.errML, all.bits),
+		certPrecodes, gammaCert/float64(max(certPrecodes, 1)), gammaCertML/float64(max(certPrecodes, 1)))
+	if c := served[0]; c.decodes == 0 || c.errServed != c.errML {
+		t.Errorf("certificate tier: %d bit errors served over %d decodes, exact ML %d: a proved answer is an ML answer", c.errServed, c.decodes, c.errML)
+	}
+	if hard := certs.at(certHard, qos.CertifyNodes); share(hard.proved, hard.requests) < corpusCertifiedHardFloor {
+		t.Errorf("the certificate answered %d of %d hard decodes at %d nodes, floor %.2f", hard.proved, hard.requests, qos.CertifyNodes, corpusCertifiedHardFloor)
+	}
+	bpsk48Row(t)
 	t.Logf("classical tier: restarts run/configured %d/%d = %.3f, answers changed %d of %d",
 		classical.readsRun, classical.readsPlan, share(classical.readsRun, classical.readsPlan), classical.changed, classical.decodes)
 	t.Logf("denied precodes: %d, restarts run/configured %d/%d, answers changed %d, mean γ armed %.4f, uncut %.4f, γ/γ_ZF %.4f → %.4f",
@@ -361,6 +434,137 @@ next:
 		row.chargedCap += budget
 	}
 	return row
+}
+
+// certBudgets are the node budgets the certificate table reads, qos.CertifyNodes
+// among them.
+var certBudgets = []int{100, 1_000, 10_000}
+
+// The certificate table's request classes.
+const (
+	certHard = iota
+	certSoft // searched here only: admission does not certify soft requests
+	certPrecode
+	certClasses
+)
+
+// certRow is one class at one budget: how many of its requests a search of
+// that many nodes proved, the nodes each search visited, and — over the
+// proved decodes — the bit errors of the certified and of the exact ML answer.
+type certRow struct {
+	requests, proved     int
+	nodes                []float64
+	bits, errCert, errML int
+}
+
+// certTable is the certificate table, rows[class][budget index].
+type certTable struct{ rows [certClasses][]certRow }
+
+// observe searches one corpus request at every budget through the
+// scheduler's own estimator and checks each proved answer against the exact
+// ML answer (an unbudgeted sphere decode): equal metrics, or the search proved
+// something false.
+func (c *certTable) observe(t *testing.T, s *Scheduler, cr corpusRequest) {
+	t.Helper()
+	class := certHard
+	switch {
+	case cr.vp != nil:
+		class = certPrecode
+	case cr.p.Soft:
+		class = certSoft
+	}
+	ml, err := detector.SphereDecode(cr.p.Mod, cr.p.H, cr.p.Y, detector.SphereOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.rows[class] == nil {
+		c.rows[class] = make([]certRow, len(certBudgets))
+	}
+	est := s.estimator(cr.p)
+	for b, budget := range certBudgets {
+		e := est.Estimate(cr.p.Y, budget)
+		row := &c.rows[class][b]
+		row.requests++
+		row.nodes = append(row.nodes, float64(e.Nodes))
+		if !e.Proved {
+			continue
+		}
+		row.proved++
+		if !relEqual(e.Metric, ml.Metric) {
+			t.Errorf("a search of %d nodes proved metric %v; the exact search's is %v", budget, e.Metric, ml.Metric)
+		}
+		if cr.bits != nil {
+			row.bits += len(cr.bits)
+			row.errCert += bitErrs(e.Bits, cr.bits)
+			row.errML += bitErrs(ml.Bits, cr.bits)
+		}
+	}
+}
+
+// at returns class's row at budget, which must be one of certBudgets.
+func (c *certTable) at(class, budget int) certRow {
+	return c.rows[class][slices.Index(certBudgets, budget)]
+}
+
+func (c *certTable) log(t *testing.T) {
+	t.Helper()
+	for class, name := range []string{"hard", "soft", "precode"} {
+		for b, budget := range certBudgets {
+			row := c.rows[class][b]
+			t.Logf("certificate, %-7s at %5d nodes: %4d of %4d = %.4f; nodes p50 %.0f, p90 %.0f, p99 %.0f, max %.0f; certified BER %.4f, exact ML %.4f on the same decodes",
+				name, budget, row.proved, row.requests, float64(row.proved)/float64(max(row.requests, 1)),
+				metrics.Percentile(row.nodes, 50), metrics.Percentile(row.nodes, 90), metrics.Percentile(row.nodes, 99), metrics.Percentile(row.nodes, 100),
+				float64(row.errCert)/float64(max(row.bits, 1)), float64(row.errML)/float64(max(row.bits, 1)))
+		}
+	}
+}
+
+// bpsk48Row sizes the certificate on the paper's headline shape, which the
+// corpus does not carry: 48×48 BPSK over Rayleigh channels at 10, 15 and
+// 20 dB, forty instances each, searched at qos.CertifyNodes. It reports what
+// the search costs there and asserts nothing: headline_bpsk48 carries no
+// target BER, so admission never searches it.
+func bpsk48Row(t *testing.T) {
+	t.Helper()
+	const instances = 40
+	src := rng.New(48)
+	for _, snr := range []float64{10, 15, 20} {
+		var nodes []float64
+		var factor, search time.Duration
+		proved, bits, errCert, errZF := 0, 0, 0, 0
+		for i := 0; i < instances; i++ {
+			in, err := mimo.Generate(src, mimo.Config{Mod: modulation.BPSK, Nt: 48, Nr: 48, Channel: channel.Rayleigh{}, SNRdB: snr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t0 := time.Now()
+			est := qos.NewSNREstimator(in.Mod, in.H)
+			t1 := time.Now()
+			e := est.Estimate(in.Y, qos.CertifyNodes)
+			factor, search = factor+t1.Sub(t0), search+time.Since(t1)
+			nodes = append(nodes, float64(e.Nodes))
+			if !e.Proved {
+				continue
+			}
+			zf, err := detector.ZeroForcing(in.Mod, in.H, in.Y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proved++
+			bits += len(in.TxBits)
+			errCert += bitErrs(e.Bits, in.TxBits)
+			errZF += bitErrs(zf.Bits, in.TxBits)
+		}
+		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) / instances }
+		t.Logf("certificate, 48×48 BPSK at %2.0f dB: %d of %d at %d nodes; nodes p50 %.0f, p99 %.0f, max %.0f; %.1f µs per search, %.0f µs per factorization; certified BER %.4f, zero-forcing %.4f on the same decodes",
+			snr, proved, instances, qos.CertifyNodes, metrics.Percentile(nodes, 50), metrics.Percentile(nodes, 99), metrics.Percentile(nodes, 100),
+			us(search), us(factor), float64(errCert)/float64(max(bits, 1)), float64(errZF)/float64(max(bits, 1)))
+	}
+}
+
+// relEqual reports a and b equal to a relative 1e-9.
+func relEqual(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-12
 }
 
 // score adds one decode to the tally: the bit errors of the served and the

@@ -40,10 +40,12 @@ func noisyProblems(t *testing.T, windows, symbols int) [][]*backend.Problem {
 	return out
 }
 
-// A problem planned through the per-window store must get exactly the plan
-// the same problem gets un-keyed (estimator built and discarded), on first
-// sight of its window and on every later symbol — and only keyed problems
-// are remembered, one estimator per window.
+// A problem admitted through the per-window store must get exactly the
+// verdict the same problem gets un-keyed (estimator built and discarded) — the
+// same certificate, or the same plan — on first sight of its window and on
+// every later symbol, and only keyed problems are remembered, one estimator
+// per window. Each symbol is admitted hard (the certificate answers those)
+// and soft (which the planner sizes or denies).
 func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 	pl, err := qos.NewPlanner(nil)
 	if err != nil {
@@ -54,39 +56,47 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	quantum, denied := 0, 0
+	quantum, denied, certified := 0, 0, 0
 	for _, window := range noisyProblems(t, 12, 6) {
 		key := core.FingerprintChannel(window[0].Mod, window[0].H)
-		for _, p := range window {
-			keyed := *p
-			keyed.ChannelKey = key
-			wantQ, wantDenied := s.applyPlan(p, 50*time.Millisecond)
-			gotQ, gotDenied := s.applyPlan(&keyed, 50*time.Millisecond)
-			got := *gotQ
-			got.ChannelKey = 0
-			if gotDenied != wantDenied || !reflect.DeepEqual(&got, wantQ) {
-				t.Fatalf("keyed plan (%+v, denied=%v) differs from un-keyed (%+v, denied=%v)", got, gotDenied, wantQ, wantDenied)
-			}
-			if wantDenied {
-				denied++
-			} else if wantQ.Anneal != nil {
-				quantum++
+		for _, hard := range window {
+			soft := *hard
+			soft.Soft = true
+			for _, p := range []*backend.Problem{hard, &soft} {
+				keyed := *p
+				keyed.ChannelKey = key
+				want := s.applyPlan(p, 50*time.Millisecond)
+				got := s.applyPlan(&keyed, 50*time.Millisecond)
+				gotQ := *got.p
+				gotQ.ChannelKey = 0
+				got.p = &gotQ
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("keyed verdict (%+v, %+v) differs from un-keyed (%+v, %+v)", got, got.p, want, want.p)
+				}
+				switch {
+				case want.proved != nil:
+					certified++
+				case want.denied:
+					denied++
+				case want.p.Anneal != nil:
+					quantum++
+				}
 			}
 		}
 	}
-	if quantum == 0 || denied == 0 {
-		t.Fatalf("%d sized plans, %d denials: the grid does not exercise both verdicts", quantum, denied)
+	if quantum == 0 || denied == 0 || certified == 0 {
+		t.Fatalf("%d sized plans, %d denials, %d certificates: the grid does not exercise every verdict", quantum, denied, certified)
 	}
-	if st, want := s.snr.Stats(), (metrics.ChannelCacheStats{Hits: 12 * 5, Misses: 12}); st != want {
+	if st, want := s.snr.Stats(), (metrics.ChannelCacheStats{Hits: 12 * (2*6 - 1), Misses: 12}); st != want {
 		t.Fatalf("planning store %+v, want %+v: one build per keyed window, un-keyed problems never stored", st, want)
 	}
 }
 
 // Two channels under one ChannelKey: each request is planned from its OWN
 // channel. The key's first channel here has nearly collinear columns; a
-// well-conditioned 30 dB channel estimated through ITS pseudo-inverse reads as
+// well-conditioned 30 dB channel estimated through ITS triangle reads as
 // noise, so a scheduler that trusts the key denies a request its own channel
-// fits on the annealer.
+// fits on the annealer. The requests are soft, so the planner sees them.
 func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
 	pl, err := qos.NewPlanner(nil)
 	if err != nil {
@@ -115,10 +125,10 @@ func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
 	}
 	key := core.FingerprintChannel(bad.Mod, bad.H)
 	plan := func(in *mimo.Instance, key core.ChannelKey) (backend.Problem, bool) {
-		q, denied := s.applyPlan(&backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, TargetBER: 1e-3, ChannelKey: key}, 50*time.Millisecond)
-		out := *q
+		v := s.applyPlan(&backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, TargetBER: 1e-3, ChannelKey: key, Soft: true}, 50*time.Millisecond)
+		out := *v.p
 		out.ChannelKey = 0
-		return out, denied
+		return out, v.denied
 	}
 	wantGood, wantGoodDenied := plan(good, 0)
 	wantBad, wantBadDenied := plan(bad, 0)
@@ -156,7 +166,7 @@ func TestEstimatorConcurrentWindows(t *testing.T) {
 			p := *windows[g%2][0]
 			p.ChannelKey = core.ChannelKey(1 + g%2)
 			got[g] = s.estimator(&p)
-			if _, _, ok := got[g].Estimate(p.Y); !ok {
+			if !got[g].Estimate(p.Y, qos.CertifyNodes).OK {
 				t.Errorf("goroutine %d: estimate failed", g)
 			}
 		}()

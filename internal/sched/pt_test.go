@@ -2,7 +2,9 @@ package sched
 
 // A PT-aware planner's replica-exchange budget must travel with the problem
 // through the scheduler to the classical side, and never leak onto the
-// quantum path or into the caller's Problem.
+// quantum path or into the caller's Problem. The requests are soft: a hard
+// one on these noise-free channels is answered by the certificate at
+// admission and never meets the planner.
 
 import (
 	"context"
@@ -37,7 +39,7 @@ func TestPlannerDenialCarriesPTBudgetToFallback(t *testing.T) {
 	// 8 users exceeds every fitted size: denied to the fallback, but with a
 	// deadline-sized replica-exchange budget attached.
 	p, _ := testProblem(t, 911, modulation.QPSK, 8)
-	p.TargetBER = 1e-3
+	p.TargetBER, p.Soft = 1e-3, true
 	res, err := s.Dispatch(context.Background(), p, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +68,7 @@ func TestQuantumPlanCarriesNoPTBudget(t *testing.T) {
 	defer s.Close()
 
 	p, _ := testProblem(t, 912, modulation.QPSK, 4)
-	p.TargetBER = 1e-3
+	p.TargetBER, p.Soft = 1e-3, true
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}

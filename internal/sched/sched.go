@@ -13,19 +13,35 @@
 //     paths, so e2e + slack == deadline on every trace and the scheduler
 //     counts the misses the router sheds on.
 //
-//   - Plan. With a Planner configured, a problem carrying a target BER gets
-//     its anneal budget — reads, schedule, forward/reverse mode — sized from
-//     the fitted TTS model (internal/qos) to meet the target within the
-//     deadline, so easy requests stop over-provisioning reads (Kasi et al.,
-//     arXiv:2109.01465); or a denial, when the model says the classical
-//     fallback is the better bet.
+//   - Certify. With a Planner configured, a problem carrying a target BER is
+//     read once through its window's sphere program (qos.SNREstimator, one
+//     WindowStore lookup): the SNR estimate, the zero-forcing decision and
+//     its residual ‖y − H·v_ZF‖². Unless the problem is soft, a
+//     Schnorr–Euchner search of at most qos.CertifyNodes tree nodes starts
+//     from that decision as its incumbent leaf, so its radius is the
+//     zero-forcing metric and it keeps only strictly closer leaves. A search
+//     that finishes inside the budget has ruled out every leaf closer to y
+//     than the one it holds: that leaf is an ML answer, and no annealer read
+//     can beat it. The request is answered there — Backend "certificate",
+//     no reads, no queue slot, no backend and no planner call — the hybrid
+//     classical–quantum structure of Kim et al. (arXiv:2010.00682) applied
+//     per request. A search that runs out of nodes leaves the request to the
+//     planner exactly as before. Soft requests skip the search: a proved
+//     leaf alone gives only saturated LLRs.
 //
-//   - Admit. One switch under the scheduler lock picks the route. A planner
-//     denial, a cost divert (Config.CostAware: spend minimization subject to
-//     the QoS constraints, priced through the backends' capability
-//     descriptors, arXiv:2109.01465) and a deadline that the projected
-//     queue wait plus service time cannot meet (the hybrid classical–quantum
-//     structure of Kim et al., arXiv:2010.00682) all leave through one
+//   - Plan. A problem carrying a target BER that the certificate did not
+//     answer gets its anneal budget — reads, schedule, forward/reverse mode —
+//     sized from the fitted TTS model (internal/qos) to meet the target
+//     within the deadline, so easy requests stop over-provisioning reads
+//     (Kasi et al., arXiv:2109.01465); or a denial, when the model says the
+//     classical fallback is the better bet.
+//
+//   - Admit. One switch under the scheduler lock picks the route. A
+//     certified request is answered at once. A planner denial, a cost divert
+//     (Config.CostAware: spend minimization subject to the QoS constraints,
+//     priced through the backends' capability descriptors, arXiv:2109.01465)
+//     and a deadline that the projected queue wait plus service time cannot
+//     meet (the same hybrid structure, per deadline) all leave through one
 //     fallback exit and solve at once; everything else joins the queue.
 //
 //   - Queue · gather · solve. A worker pops the head; when its backend can
@@ -34,19 +50,21 @@
 //     jobs, same coherence window first, into one device run, amortizing
 //     Na·(Ta+Tp) across requests (§4 parallelization, across the pool).
 //
-//   - Finish. Every job — solved, failed, panicked or cancelled while
-//     queued, on either path — ends in one finish step under the lock: the
-//     only code that moves Completed/Failed/misses, the per-backend
+//   - Finish. Every job — certified, solved, failed, panicked or cancelled
+//     while queued, on any path — ends in one finish step under the lock:
+//     the only code that moves Completed/Failed/misses, the per-backend
 //     solved/error counters, the health and burn feeds and the trace. Once
-//     drained, Submitted == Completed + Failed == traces by construction,
-//     and a request a backend ran fed health and burn exactly once.
+//     drained, Submitted == Completed + Failed == traces by construction, a
+//     request a backend ran fed health and burn exactly once, and a
+//     certified one fed burn once and no backend counter or health.
 //
 // Close stops admission, lets queued and in-flight work (pool and fallback)
 // finish, and then stops the workers, so a serving process can shut down
 // without dropping accepted requests.
 //
 // Pool observability (queue depth, per-backend utilization, deadline-miss
-// rate, batched-slot occupancy) is exported as metrics.PoolStats.
+// rate, batched-slot occupancy, certified answers) is exported as
+// metrics.PoolStats.
 package sched
 
 import (
@@ -200,6 +218,7 @@ type Scheduler struct {
 	submitted, completed, failed uint64
 	fallbackDispatches, misses   uint64
 	plannerClassical             uint64
+	certified                    uint64 // requests the certificate answered at admission
 	batchRuns, batchedProblems   uint64
 	softSolved, llrSaturations   uint64
 	stoppedEarly                 uint64 // solves a stop rule ended under their cap
@@ -245,13 +264,14 @@ func (c *backendCounters) charge(busyMicros float64) {
 	c.energyMilliJ += c.caps.EnergyMilliJ(busyMicros)
 }
 
-// The routes admit picks between. Every route but routeQueue solves on the
-// fallback backend.
+// The routes admit picks between. routeCertified is answered at admission;
+// every other route but routeQueue solves on the fallback backend.
 const (
 	routeQueue             = iota
 	routePlannerDenied     // the TTS model says the annealer cannot meet the target
 	routeCostDivert        // the fallback is strictly cheaper and classically safe
 	routeDeadlineProjected // projected queue wait + service time blows the deadline
+	routeCertified         // the certificate search proved its answer ML
 )
 
 // job is one request from Dispatch entry to finish.
@@ -398,37 +418,82 @@ func (s *Scheduler) poolSpend(p *backend.Problem) float64 {
 	return min
 }
 
-// applyPlan consults the QoS planner for a problem carrying a target BER
-// (its own or the configured default). It returns the problem to dispatch —
-// a copy carrying the planned anneal budget, since callers may reuse their
-// Problem across Dispatch calls — and whether the planner denied quantum
-// dispatch.
+// CertificateBackend is the Result.Backend (and trace backend) of a request
+// the certificate search answered at admission: no backend ran it.
+const CertificateBackend = "certificate"
+
+// verdict is what admission decides before the lock: the problem to
+// dispatch, whether the planner denied it quantum dispatch, and what the
+// certificate search made of it.
+type verdict struct {
+	p      *backend.Problem
+	denied bool
+	proved *backend.Result // the ML answer, when the search finished
+	nodes  int             // tree nodes the search visited (0: none ran)
+}
+
+// applyPlan is admission's work for a problem carrying a target BER (its own
+// or the configured default), with a Planner configured; any other problem
+// passes through untouched. One store lookup and one Estimate give the SNR,
+// the zero-forcing residual and — unless the problem is soft — a certificate
+// search of qos.CertifyNodes nodes seeded with the zero-forcing decision.
+// A search that finished has proved its leaf ML: the verdict carries that
+// answer and the planner is never asked. Otherwise the problem is planned
+// (plan) exactly as it would have been without the search.
+//
+// Soft problems are not certified: a proved leaf alone gives saturated LLRs,
+// which a soft request did not ask for.
+func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) verdict {
+	target := s.target(p)
+	if target <= 0 {
+		return verdict{p: p}
+	}
+	nodes := qos.CertifyNodes
+	if p.Soft {
+		nodes = 0
+	}
+	est := s.estimator(p).Estimate(p.Y, nodes)
+	if est.Proved {
+		return verdict{p: p, nodes: est.Nodes, proved: &backend.Result{
+			Bits: est.Bits, Energy: est.Metric, Backend: CertificateBackend,
+		}}
+	}
+	v := s.plan(p, target, deadline, est)
+	v.nodes = est.Nodes
+	return v
+}
+
+// target is the BER target admission plans p for: its own, else the
+// configured default; 0 when there is none or no Planner to plan it.
+func (s *Scheduler) target(p *backend.Problem) float64 {
+	if s.cfg.Planner == nil {
+		return 0
+	}
+	if p.TargetBER != 0 {
+		return p.TargetBER
+	}
+	return s.cfg.DefaultTargetBER
+}
+
+// plan consults the QoS planner for p at target. It returns the problem to
+// dispatch — a copy carrying the planned anneal budget, since callers may
+// reuse their Problem across Dispatch calls — and whether the planner denied
+// quantum dispatch.
 //
 // It is also where the stop rules are armed, being the only place that knows
 // which tier a request goes to. A classical denial's restarts become a cap
 // (backend.Problem.StopRepeats). A fitted plan that is not a precode gets the
-// device tier's noise radius (backend.Problem.StopRadius) from what this
-// function already holds: the request's own σ² when a soft request carries
-// one, the zero-forcing residual the SNR estimate computed otherwise. The
-// annealer honors it in shared runs; a fit diverted to the fallback under
-// cost or deadline pressure runs uncut. Requests without a target BER never
-// reach this point.
-func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*backend.Problem, bool) {
-	if s.cfg.Planner == nil {
-		return p, false
-	}
-	target := p.TargetBER
-	if target == 0 {
-		target = s.cfg.DefaultTargetBER
-	}
-	if target <= 0 {
-		return p, false
-	}
+// device tier's noise radius (backend.Problem.StopRadius) from what admission
+// already holds: the request's own σ² when a soft request carries one, the
+// zero-forcing residual of est otherwise. The annealer honors it in shared
+// runs; a fit diverted to the fallback under cost or deadline pressure runs
+// uncut.
+func (s *Scheduler) plan(p *backend.Problem, target float64, deadline time.Duration, est qos.Estimate) verdict {
 	// A failed SNR estimate (singular channel) plans at the top of the
 	// fitted range; the planner's own guards still apply.
 	snr, residual := math.Inf(1), 0.0
-	if est, res, ok := s.estimator(p).Estimate(p.Y); ok {
-		snr, residual = est, res
+	if est.OK {
+		snr, residual = est.SNRdB, est.Residual
 	}
 	plan := s.cfg.Planner.Plan(qos.Request{
 		Mod: p.Mod, Nt: p.Users(), SNRdB: snr, TargetBER: target,
@@ -441,7 +506,7 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 		// than running the static configuration.
 		if s.cfg.Fallback != nil || plan.Params.NumAnneals < 1 {
 			if s.cfg.Fallback == nil && plan.PT == nil {
-				return p, true
+				return verdict{p: p, denied: true}
 			}
 			// A denied solve carries the repeat rule (only ClassicalSA reads
 			// it), and a PT-aware planner's replica-exchange budget rides
@@ -450,7 +515,7 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 			q.TargetBER = target
 			q.PT = plan.PT
 			q.StopRepeats = qos.StopRepeats
-			return &q, true
+			return verdict{p: &q, denied: true}
 		}
 	}
 	q := *p
@@ -468,19 +533,21 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) (*back
 		}
 		q.StopRadius = qos.StopRadius(noiseVar, nr)
 	}
-	return &q, false
+	return verdict{p: &q}
 }
 
 // snrWindows is how many windows' SNR estimators a scheduler remembers: the
 // live channel handles one fronthaul connection may hold
 // (fronthaul.MaxChannelsPerConn, which this package cannot import), so one
 // AP's registered windows never evict each other's planning state. An entry is
-// one Nt×Nr matrix (37 KB at 48×48).
+// one sphere program: the triangle and the reflectors of the real
+// decomposition's QR (4 KB at 8×8 QPSK, 56 KB at 48×48 BPSK).
 const snrWindows = 256
 
 // estimator returns the SNR estimator for p's channel: its window's, so the
-// symbols of a window share one O(Nt³) inversion and each pays O(Nt·Nr), or
-// for an un-keyed problem (a channel seen once) a fresh one, never remembered.
+// symbols of a window share one factorization and each pays O(Nt·Nr) plus its
+// search, or for an un-keyed problem (a channel seen once) a fresh one, never
+// remembered.
 func (s *Scheduler) estimator(p *backend.Problem) *qos.SNREstimator {
 	if p.ChannelKey == 0 {
 		return qos.NewSNREstimator(p.Mod, p.H)
@@ -519,7 +586,8 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		deadline = s.cfg.DefaultDeadline
 	}
 	entry := s.now()
-	p, planDenied := s.applyPlan(p, deadline)
+	v := s.applyPlan(p, deadline)
+	p = v.p
 	j := &job{ctx: ctx, p: p, entry: entry}
 	if deadline > 0 {
 		j.deadline = entry.Add(deadline)
@@ -536,14 +604,17 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 			Shard:          s.cfg.ShardID,
 			StartMicros:    rec.SinceStartMicros(entry),
 			DeadlineMicros: max(0, micros(deadline)), // 0 = none
+			CertifyNodes:   v.nodes,
 		}
 		j.tr.Stages[telemetry.StagePlan] = micros(planEnd.Sub(entry))
 	}
-	// A planner denial that will route to the fallback never consults the
-	// pool, so don't charge the backends' estimators for it.
-	planDenied = planDenied && s.cfg.Fallback != nil
+	// A certified request or a planner denial that will route to the
+	// fallback never consults the pool, so don't charge the backends'
+	// estimators for it.
+	certified := v.proved != nil
+	planDenied := v.denied && s.cfg.Fallback != nil
 	costDivert := false
-	if !planDenied {
+	if !planDenied && !certified {
 		j.est = s.poolEstimate(p)
 		costDivert = s.divertForCost(p, deadline)
 	}
@@ -554,14 +625,21 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		return nil, ErrClosed
 	}
 	s.submitted++
-	j.route = s.admitLocked(j, deadline, planDenied, costDivert)
+	j.route = s.admitLocked(j, deadline, certified, planDenied, costDivert)
 	if j.tr != nil {
 		// The admission span is entry-to-decision wall time minus the
 		// planner's share (already carried as StagePlan).
 		j.admittedAt = s.now()
 		j.tr.Stages[telemetry.StageAdmit] = max(0, micros(j.admittedAt.Sub(entry))-j.tr.Stages[telemetry.StagePlan])
-		j.tr.Fallback = j.route != routeQueue
+		j.tr.Fallback = j.route != routeQueue && j.route != routeCertified
 		j.tr.PlannerDenied = j.route == routePlannerDenied
+	}
+	if j.route == routeCertified {
+		// Answered at admission: no queue slot, no backend, no planner call.
+		s.certified++
+		s.finish(j, nil, v.proved, nil, time.Time{}, time.Time{}, 0)
+		s.mu.Unlock()
+		return v.proved, nil
 	}
 	if j.route != routeQueue {
 		if j.route == routePlannerDenied {
@@ -591,9 +669,13 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 }
 
 // admitLocked is the one admission decision, under s.mu: the route j takes
-// given the planner's verdict, the cost comparison and the queue's state.
-func (s *Scheduler) admitLocked(j *job, deadline time.Duration, planDenied, costDivert bool) int {
+// given the certificate, the planner's verdict, the cost comparison and the
+// queue's state.
+func (s *Scheduler) admitLocked(j *job, deadline time.Duration, certified, planDenied, costDivert bool) int {
 	switch {
+	case certified:
+		// The search proved its answer ML: nothing left to solve.
+		return routeCertified
 	case planDenied:
 		// The TTS model says the annealer cannot meet this request's target
 		// within its deadline — the classical fallback is the better bet
@@ -666,10 +748,13 @@ func (s *Scheduler) runFallback(j *job) (*backend.Result, error) {
 // feeds and the trace — all at one instant, so they reconcile exactly — and
 // that answers a queued job's submitter. ctr is the backend that ran the
 // solve (the caller has charged it the run's occupancy); a nil ctr means none
-// did — the submitter gave up while the job was queued — and the request is
-// Failed and traced with no backend error and no health or burn observation:
-// nothing was learned about a solver or served against the SLO. res is nil
-// iff err is not. batched is the number of jobs in the run (0 off the pool).
+// did. Then either the certificate answered at admission (err is nil): the
+// request is Completed and feeds the burn feed, but no backend counter or
+// health observation moves; or the submitter gave up while the job was
+// queued: the request is Failed and traced with no backend error and no
+// health or burn observation — nothing was learned about a solver or served
+// against the SLO. res is nil iff err is not. batched is the number of jobs
+// in the run (0 off the pool).
 func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, err error, solveStart, solveEnd time.Time, batched int) {
 	end := s.now()
 	missed := !j.deadline.IsZero() && end.After(j.deadline)
@@ -701,6 +786,8 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 			}
 		}
 		s.observeSolve(ctr.caps.Name, j.p, res, err != nil)
+	}
+	if ctr != nil || err == nil {
 		// The shard's SLO burn feed (a nil tracker ignores it). A failed
 		// request blew its SLO whatever the clock says; BER risk is a target
 		// the planner denied to classical, or saturated soft output.
@@ -962,6 +1049,7 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 		Failed:             s.failed,
 		FallbackDispatches: s.fallbackDispatches,
 		PlannerClassical:   s.plannerClassical,
+		Certified:          s.certified,
 		DeadlineMisses:     s.misses,
 		BatchRuns:          s.batchRuns,
 		BatchedProblems:    s.batchedProblems,

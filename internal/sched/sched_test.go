@@ -433,6 +433,11 @@ func plannerTable() *qos.Table {
 	}
 }
 
+// The planner tests below dispatch soft requests: a hard one on these
+// noise-free channels is answered by the certificate at admission and never
+// meets the planner. A soft target is relieved SoftTargetRelief× (1e-3 plans as
+// 4e-3).
+
 // A target-BER request must reach the backend with a planner-sized anneal
 // budget, leaving the caller's Problem untouched.
 func TestPlannerSizesAnnealBudget(t *testing.T) {
@@ -448,9 +453,9 @@ func TestPlannerSizesAnnealBudget(t *testing.T) {
 	defer s.Close()
 
 	// Noise-free 4-user QPSK: the SNR estimate is far above the fitted range
-	// and clamps to the 30 dB point. (0.5)^Na·0.1 ≤ 1e-3 → Na = 7.
+	// and clamps to the 30 dB point. (0.5)^Na·0.1 ≤ 4e-3 → Na = 5.
 	p, _ := testProblem(t, 900, modulation.QPSK, 4)
-	p.TargetBER = 1e-3
+	p.TargetBER, p.Soft = 1e-3, true
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -460,8 +465,8 @@ func TestPlannerSizesAnnealBudget(t *testing.T) {
 	f.mu.Lock()
 	served := f.order[0]
 	f.mu.Unlock()
-	if served.Anneal == nil || served.Anneal.NumAnneals != 7 {
-		t.Fatalf("backend saw Anneal=%+v, want a 7-read budget", served.Anneal)
+	if served.Anneal == nil || served.Anneal.NumAnneals != 5 {
+		t.Fatalf("backend saw Anneal=%+v, want a 5-read budget", served.Anneal)
 	}
 	if served.Anneal.AnnealTimeMicros != 1 || served.Anneal.PauseTimeMicros != 1 {
 		t.Fatalf("backend saw schedule %+v, want the class operating point", served.Anneal)
@@ -485,7 +490,7 @@ func TestPlannerDenialRoutesToFallback(t *testing.T) {
 	// 8 users exceeds every fitted size: the planner denies quantum dispatch
 	// even though the pool queue is empty and the deadline generous.
 	p, _ := testProblem(t, 901, modulation.QPSK, 8)
-	p.TargetBER = 1e-3
+	p.TargetBER, p.Soft = 1e-3, true
 	res, err := s.Dispatch(context.Background(), p, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -518,14 +523,15 @@ func TestPlannerDefaultTargetBER(t *testing.T) {
 	defer s.Close()
 
 	p, _ := testProblem(t, 902, modulation.QPSK, 4)
+	p.Soft = true
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.mu.Lock()
 	served := f.order[0]
 	f.mu.Unlock()
-	if served.Anneal == nil || served.Anneal.NumAnneals != 7 {
-		t.Fatalf("backend saw Anneal=%+v, want the default-target 7-read budget", served.Anneal)
+	if served.Anneal == nil || served.Anneal.NumAnneals != 5 {
+		t.Fatalf("backend saw Anneal=%+v, want the default-target 5-read budget", served.Anneal)
 	}
 }
 
@@ -594,18 +600,18 @@ func TestPlannerBestEffortWithoutFallback(t *testing.T) {
 	}
 	defer s.Close()
 
-	// The table's QPSK nt=4 fit (p0=0.5, spread=0.1) needs 7 reads (14 µs)
-	// for 1e-3; a 10 µs deadline fits 5.
+	// The table's QPSK nt=4 fit (p0=0.5, spread=0.1) needs 5 reads (10 µs)
+	// for a soft 1e-3; an 8 µs deadline fits 4.
 	p, _ := testProblem(t, 930, modulation.QPSK, 4)
-	p.TargetBER = 1e-3
-	if _, err := s.Dispatch(context.Background(), p, 10*time.Microsecond); err != nil {
+	p.TargetBER, p.Soft = 1e-3, true
+	if _, err := s.Dispatch(context.Background(), p, 8*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	f.mu.Lock()
 	served := f.order[0]
 	f.mu.Unlock()
-	if served.Anneal == nil || served.Anneal.NumAnneals != 5 {
-		t.Fatalf("backend saw Anneal=%+v, want the clamped 5-read best effort", served.Anneal)
+	if served.Anneal == nil || served.Anneal.NumAnneals != 4 {
+		t.Fatalf("backend saw Anneal=%+v, want the clamped 4-read best effort", served.Anneal)
 	}
 	if st := s.Stats(); st.PlannerClassical != 0 || st.FallbackDispatches != 0 {
 		t.Fatalf("best-effort dispatch miscounted: %+v", st)
@@ -626,7 +632,7 @@ func TestPlannerAppliesChainStrength(t *testing.T) {
 	defer s.Close()
 
 	p, _ := testProblem(t, 931, modulation.QAM16, 2)
-	p.TargetBER = 0.05
+	p.TargetBER, p.Soft = 0.05, true
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -640,8 +646,8 @@ func TestPlannerAppliesChainStrength(t *testing.T) {
 
 // assertReconciled checks the PoolStats accounting invariant after a drain:
 // every submitted problem is exactly one of completed or failed, completions
-// match the per-backend solved counters, and planner denials are a subset of
-// fallback dispatches.
+// are the per-backend solved counters plus the certificate's answers, and
+// planner denials are a subset of fallback dispatches.
 func assertReconciled(t *testing.T, s *Scheduler) {
 	t.Helper()
 	st := s.Stats()
@@ -656,8 +662,8 @@ func assertReconciled(t *testing.T, s *Scheduler) {
 		solved += be.Solved
 		errors += be.Errors
 	}
-	if solved != st.Completed {
-		t.Fatalf("Σ backend Solved %d != Completed %d (%+v)", solved, st.Completed, st)
+	if solved+st.Certified != st.Completed {
+		t.Fatalf("Σ backend Solved %d + Certified %d != Completed %d (%+v)", solved, st.Certified, st.Completed, st)
 	}
 	if errors > st.Failed {
 		t.Fatalf("Σ backend Errors %d > Failed %d", errors, st.Failed)
@@ -717,8 +723,9 @@ type lifecycleRun struct {
 
 // runLifecycleTable drives {queue, plannerDenied, costDivert,
 // deadlineProjected} × {ok, solver error, panic, cancelled while queued
-// (queue route only)} through one scheduler, one request at a time, checks
-// what each submitter got back, and closes the scheduler.
+// (queue route only)}, plus the certified route (ok only: no backend runs
+// it), through one scheduler, one request at a time, checks what each
+// submitter got back, and closes the scheduler.
 func runLifecycleTable(t *testing.T) *lifecycleRun {
 	t.Helper()
 	pl, err := qos.NewPlanner(plannerTable())
@@ -742,15 +749,20 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 	}
 
 	// What steers a request down each route on this scheduler (pool estimate
-	// 100 µs, fallback 10 µs and cheaper, 4-user table).
+	// 100 µs, fallback 10 µs and cheaper, 4-user table). The planned routes
+	// carry soft requests: the certificate answers a hard one at admission.
 	request := func(route int, seed int64) (*backend.Problem, time.Duration) {
 		switch route {
 		case routeQueue: // a hard BER class keeps its QPU reads whatever the price
 			p, _ := testProblem(t, seed, modulation.QPSK, 4)
-			p.TargetBER = 1e-9
+			p.TargetBER, p.Soft = 1e-9, true
 			return p, time.Hour
 		case routePlannerDenied: // 8 users exceeds every fitted size
 			p, _ := testProblem(t, seed, modulation.QPSK, 8)
+			p.TargetBER, p.Soft = 1e-3, true
+			return p, time.Hour
+		case routeCertified: // a hard decode with a target: the search proves it
+			p, _ := testProblem(t, seed, modulation.QPSK, 4)
 			p.TargetBER = 1e-3
 			return p, time.Hour
 		case routeCostDivert: // best effort, and the fallback is cheaper
@@ -767,12 +779,16 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 		_, err := r.s.Dispatch(ctx, p, d)
 		return err
 	}
-	for route := routeQueue; route <= routeDeadlineProjected; route++ {
+	for route := routeQueue; route <= routeCertified; route++ {
 		be := r.fb
 		if route == routeQueue {
 			be = r.pool
 		}
-		for outcome := outcomeOK; outcome <= outcomePanic; outcome++ {
+		last := outcomePanic
+		if route == routeCertified {
+			last = outcomeOK // no backend runs it: nothing can fail
+		}
+		for outcome := outcomeOK; outcome <= last; outcome++ {
 			be.mode.Store(int32(outcome))
 			err := dispatch(context.Background(), route, outcome)
 			var pe *PanicError
@@ -817,14 +833,22 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 // attached: each request is exactly one of completed or failed, each route
 // moves the dispatch counters it always did, and every request a backend ran
 // is one solved-or-error on that backend, one health outcome and one burn
-// observation; a request cancelled while queued is none of those.
+// observation; a certified request is one completion and one burn
+// observation on no backend; a request cancelled while queued is none of
+// those.
 func TestStatsReconcileAcrossPaths(t *testing.T) {
 	r := runLifecycleTable(t)
 	assertReconciled(t, r.s)
-	var want struct{ completed, failed, fallbacks, denied, ran uint64 }
+	var want struct{ completed, failed, fallbacks, denied, certified, burned uint64 }
 	type served struct{ solved, errors uint64 }
 	wantServed := map[*lifecycleBackend]*served{r.pool: {}, r.fb: {}}
 	for _, row := range r.rows {
+		if row.route == routeCertified {
+			want.completed++
+			want.certified++
+			want.burned++
+			continue
+		}
 		be := wantServed[r.fb]
 		if row.route == routeQueue {
 			be = wantServed[r.pool]
@@ -845,7 +869,7 @@ func TestStatsReconcileAcrossPaths(t *testing.T) {
 			be.errors++
 		}
 		if row.outcome != outcomeCancelled {
-			want.ran++
+			want.burned++
 		}
 	}
 	st := r.s.Stats()
@@ -853,9 +877,9 @@ func TestStatsReconcileAcrossPaths(t *testing.T) {
 		t.Fatalf("submitted/completed/failed = %d/%d/%d, want %d/%d/%d",
 			st.Submitted, st.Completed, st.Failed, len(r.rows), want.completed, want.failed)
 	}
-	if st.FallbackDispatches != want.fallbacks || st.PlannerClassical != want.denied {
-		t.Fatalf("FallbackDispatches/PlannerClassical = %d/%d, want %d/%d",
-			st.FallbackDispatches, st.PlannerClassical, want.fallbacks, want.denied)
+	if st.FallbackDispatches != want.fallbacks || st.PlannerClassical != want.denied || st.Certified != want.certified {
+		t.Fatalf("FallbackDispatches/PlannerClassical/Certified = %d/%d/%d, want %d/%d/%d",
+			st.FallbackDispatches, st.PlannerClassical, st.Certified, want.fallbacks, want.denied, want.certified)
 	}
 	if st.BatchRuns != 0 || st.BatchedProblems != 0 {
 		t.Fatalf("a non-batch pool recorded %d batch runs of %d problems", st.BatchRuns, st.BatchedProblems)
@@ -880,8 +904,8 @@ func TestStatsReconcileAcrossPaths(t *testing.T) {
 			t.Errorf("%s: %d health observations, want %d (one outcome per request it ran)", be.name, got, want)
 		}
 	}
-	if got := r.burn.Snapshot()[0].Observed; got != want.ran {
-		t.Errorf("burn tracker observed %d requests, want %d (every request a backend ran, once)", got, want.ran)
+	if got := r.burn.Snapshot()[0].Observed; got != want.burned {
+		t.Errorf("burn tracker observed %d requests, want %d (every request a backend ran or the certificate answered, once)", got, want.burned)
 	}
 }
 
@@ -1049,10 +1073,12 @@ func TestCostAwareDispatch(t *testing.T) {
 			defer s.Close()
 
 			// Noise-free 4-user QPSK clamps to the table's 30 dB point:
-			// (0.5)^Na·0.1 ≤ target prices 1e-3 at 7 reads (easy, under
-			// DefaultCostEasyReads) and 1e-9 at 27 (hard, over it).
+			// (0.5)^Na·0.1 ≤ target prices a soft 1e-3 (relieved to 4e-3) at
+			// 5 reads (easy, under DefaultCostEasyReads) and a soft 1e-9 at 25
+			// (hard, over it). Soft, because the certificate answers a hard
+			// request with a target at admission.
 			p, _ := testProblem(t, int64(950+i), modulation.QPSK, 4)
-			p.TargetBER = c.targetBER
+			p.TargetBER, p.Soft = c.targetBER, true
 			res, err := s.Dispatch(context.Background(), p, c.deadline)
 			if err != nil {
 				t.Fatal(err)

@@ -32,9 +32,22 @@ func noisyProblem(t *testing.T, seed int64, snr float64) (*backend.Problem, *mim
 	return &backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, TargetBER: 1e-3}, in
 }
 
-// applyPlan arms the repeat rule on a classical denial and nowhere else: a
-// fitted quantum plan and a request without a target run every planned read,
-// and the caller's Problem is never written.
+// planned is the planner's half of admission (plan): the problem and verdict
+// a request meets when no certificate answers it — a soft one, or one whose
+// search ran out of nodes. The arming tests below are about that half, so
+// they call it on problems the certificate would otherwise answer.
+func planned(s *Scheduler, p *backend.Problem, deadline time.Duration) (*backend.Problem, bool) {
+	target := s.target(p)
+	if target <= 0 {
+		return p, false
+	}
+	v := s.plan(p, target, deadline, s.estimator(p).Estimate(p.Y, 0))
+	return v.p, v.denied
+}
+
+// plan arms the repeat rule on a classical denial and nowhere else: a fitted
+// quantum plan and a request without a target run every planned read, and the
+// caller's Problem is never written.
 func TestApplyPlanArmsTheRepeatRule(t *testing.T) {
 	planner, err := qos.NewPlanner(nil)
 	if err != nil {
@@ -54,27 +67,27 @@ func TestApplyPlanArmsTheRepeatRule(t *testing.T) {
 	deadline := 50 * time.Millisecond
 
 	fit, _ := noisyProblem(t, 11, 25)
-	if q, denied := with.applyPlan(fit, deadline); denied || q.StopRepeats != 0 || q.Anneal == nil {
+	if q, denied := planned(with, fit, deadline); denied || q.StopRepeats != 0 || q.Anneal == nil {
 		t.Fatalf("fitted decode: denied=%v repeats=%d, want a planned budget and no rule", denied, q.StopRepeats)
 	}
 	untargeted := *fit
 	untargeted.TargetBER = 0
-	if q, _ := with.applyPlan(&untargeted, deadline); q != &untargeted {
+	if q, _ := planned(with, &untargeted, deadline); q != &untargeted {
 		t.Fatal("a request without a target BER was planned")
 	}
 	low, _ := noisyProblem(t, 12, 2) // below the fitted range: denied
-	if q, denied := with.applyPlan(low, deadline); !denied || q.StopRepeats != qos.StopRepeats || low.StopRepeats != 0 {
+	if q, denied := planned(with, low, deadline); !denied || q.StopRepeats != qos.StopRepeats || low.StopRepeats != 0 {
 		t.Fatalf("denied decode: denied=%v repeats=%d (caller's %d), want %d on a copy", denied, q.StopRepeats, low.StopRepeats, qos.StopRepeats)
 	}
-	if q, denied := without.applyPlan(low, deadline); !denied || q != low {
+	if q, denied := planned(without, low, deadline); !denied || q != low {
 		t.Fatalf("denied decode with no fallback and no PT budget: denied=%v, want the caller's problem back", denied)
 	}
 }
 
-// applyPlan arms the device tier's noise radius on a fitted plan that is not a
-// precode, from what it already holds — the request's own σ² on a soft request
-// that carries one, the zero-forcing residual of its SNR estimate otherwise —
-// and nowhere else; the caller's Problem is never written.
+// plan arms the device tier's noise radius on a fitted plan that is not a
+// precode, from what admission already holds — the request's own σ² on a soft
+// request that carries one, the zero-forcing residual of its SNR estimate
+// otherwise — and nowhere else; the caller's Problem is never written.
 func TestApplyPlanArmsTheStopRadius(t *testing.T) {
 	planner, err := qos.NewPlanner(nil)
 	if err != nil {
@@ -94,7 +107,7 @@ func TestApplyPlanArmsTheStopRadius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, denied := s.applyPlan(hard, deadline)
+	q, denied := planned(s, hard, deadline)
 	if want := zf.Metric / nr * spread; denied || math.Abs(q.StopRadius-want) > 1e-9*want || hard.StopRadius != 0 {
 		t.Fatalf("fitted hard decode: denied=%v radius %v (caller's %v), want the ZF residual %v × (1 + 1/√Nr) = %v on a copy", denied, q.StopRadius, hard.StopRadius, zf.Metric, want)
 	}
@@ -103,15 +116,15 @@ func TestApplyPlanArmsTheStopRadius(t *testing.T) {
 	}
 	soft := *hard
 	soft.Soft, soft.NoiseVar = true, 0.03
-	if q, denied := s.applyPlan(&soft, deadline); denied || q.StopRadius != 0.03*spread {
+	if q, denied := planned(s, &soft, deadline); denied || q.StopRadius != 0.03*spread {
 		t.Fatalf("fitted soft decode carrying σ²: denied=%v radius %v, want σ²·(Nr + √Nr) = %v", denied, q.StopRadius, 0.03*spread)
 	}
 	soft.NoiseVar = 0
-	if q, _ := s.applyPlan(&soft, deadline); math.Abs(q.StopRadius-zf.Metric/nr*spread) > 1e-9 {
+	if q, _ := planned(s, &soft, deadline); math.Abs(q.StopRadius-zf.Metric/nr*spread) > 1e-9 {
 		t.Fatalf("soft decode without σ²: radius %v, want the ZF-residual radius", q.StopRadius)
 	}
 	low, _ := noisyProblem(t, 12, 2) // below the fitted range: denied
-	if q, denied := s.applyPlan(low, deadline); !denied || q.StopRadius != 0 {
+	if q, denied := planned(s, low, deadline); !denied || q.StopRadius != 0 {
 		t.Fatalf("denied decode: denied=%v radius %v, want none", denied, q.StopRadius)
 	}
 	vp, err := precoding.Compile(modulation.QPSK, hard.H, 0)
@@ -123,7 +136,7 @@ func TestApplyPlanArmsTheStopRadius(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p := vp.Problem(modulation.QPSK.MapGrayVector(src.Bits(16)))
 		p.TargetBER = 1e-3
-		q, denied := s.applyPlan(p, deadline)
+		q, denied := planned(s, p, deadline)
 		if q.StopRadius != 0 {
 			t.Fatalf("precode %d (denied=%v) carries a noise radius %v: its residual is the objective, not noise", i, denied, q.StopRadius)
 		}
@@ -137,8 +150,9 @@ func TestApplyPlanArmsTheStopRadius(t *testing.T) {
 }
 
 // A precode under the armed stack answers with the γ the unarmed stack gives:
-// vector-perturbation searches over a seeded set go through applyPlan to the
-// backend it routes them to, armed and uncut on the same stream. (The repeat
+// vector-perturbation searches over a seeded set go through plan to the
+// backend it routes them to, armed and uncut on the same stream — as a
+// precode whose certificate search ran out of nodes would. (The repeat
 // rule on denied precodes changed 5 answers in 710 on the sizing corpus; this
 // set is small enough to demand equality.)
 func TestPrecodeGammaUnmovedByTheRule(t *testing.T) {
@@ -168,7 +182,7 @@ func TestPrecodeGammaUnmovedByTheRule(t *testing.T) {
 		symbols := modulation.QPSK.MapGrayVector(src.Bits(16))
 		p := vp.Problem(symbols)
 		p.TargetBER = 1e-3
-		q, denied := s.applyPlan(p, 50*time.Millisecond)
+		q, denied := planned(s, p, 50*time.Millisecond)
 		be := backend.Backend(qpu)
 		if denied {
 			be = sa
@@ -199,7 +213,8 @@ func TestPrecodeGammaUnmovedByTheRule(t *testing.T) {
 
 // What the rule did shows in the pool counters and on the trace's solve span:
 // reads run beside reads planned per backend, and the solves stopped early —
-// all of them on the SA tier, none on the annealer.
+// all of them on the SA tier, none on the annealer. The requests are soft, so
+// no certificate answers them at admission.
 func TestStopCountersAndTraceFields(t *testing.T) {
 	qpu, err := backend.NewAnnealer("qpu", core.Options{})
 	if err != nil {
@@ -227,6 +242,7 @@ func TestStopCountersAndTraceFields(t *testing.T) {
 			snr = 2 // denied: the SA tier
 		}
 		p, _ := noisyProblem(t, int64(500+i), snr)
+		p.Soft = true
 		res, err := s.Dispatch(ctx, p, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
@@ -271,7 +287,8 @@ func TestStopCountersAndTraceFields(t *testing.T) {
 
 // The device tier's stops show in the same counters as the SA tier's, and the
 // fitted decodes the annealer did not settle are counted per class: a shared
-// run of fitted requests behind a gated head, reconciled against its results.
+// run of fitted soft requests (no certificate answers those) behind a gated
+// head, reconciled against its results.
 func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 	qpu, err := backend.NewAnnealer("qpu", core.Options{AmortizeParallel: true})
 	if err != nil {
@@ -293,6 +310,7 @@ func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 	var wg sync.WaitGroup
 	dispatch := func(i int) {
 		problems[i], _ = noisyProblem(t, int64(900+i), 18)
+		problems[i].Soft = true
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -319,7 +337,7 @@ func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 	for i, res := range results {
 		// What the request was dispatched as: a fit carries its radius; a denial
 		// (there is no fallback to deny to) rides along un-armed.
-		q, denied := s.applyPlan(problems[i], deadline)
+		q, denied := planned(s, problems[i], deadline)
 		if denied != (q.StopRadius == 0) {
 			t.Fatalf("request %d: denied=%v radius %v", i, denied, q.StopRadius)
 		}

@@ -56,13 +56,16 @@ func TestTelemetryTracesReconcileAcrossPaths(t *testing.T) {
 		case routePlannerDenied:
 			wantClass = "QPSK/8"
 			planned++
+		case routeCertified:
+			wantBackend = CertificateBackend
 		}
 		if row.outcome == outcomeCancelled {
 			wantBackend = "" // no backend ran it
 		}
 		if tr.Class != wantClass || tr.Backend != wantBackend ||
-			tr.Fallback != (row.route != routeQueue) ||
+			tr.Fallback != (row.route != routeQueue && row.route != routeCertified) ||
 			tr.PlannerDenied != (row.route == routePlannerDenied) ||
+			(tr.CertifyNodes > 0) != (row.route == routeCertified) ||
 			tr.Failed != (row.outcome != outcomeOK) {
 			t.Errorf("request %d (route %d, outcome %d): trace %+v", i, row.route, row.outcome, tr)
 		}
@@ -70,7 +73,8 @@ func TestTelemetryTracesReconcileAcrossPaths(t *testing.T) {
 			t.Errorf("request %d: trace missing its e2e span: %+v", i, tr)
 		}
 	}
-	// The planner ran for the target-BER requests (it owns StagePlan).
+	// The planner ran for the target-BER requests the certificate did not
+	// answer (it owns StagePlan).
 	if got := sn.Stages[telemetry.StagePlan].Count; got != planned {
 		t.Fatalf("plan histogram count = %d, want %d", got, planned)
 	}

@@ -125,6 +125,10 @@ type Trace struct {
 	// took the reads it did.
 	ReadsPlanned int `json:"reads_planned,omitempty"`
 	Reads        int `json:"reads,omitempty"`
+	// CertifyNodes is the tree nodes admission's certificate search visited
+	// (0 when none ran). A request it answered carries Backend "certificate";
+	// any other ran out of its node budget and went on to the planner.
+	CertifyNodes int `json:"certify_nodes,omitempty"`
 }
 
 // QualityObservation is one solve's anneal-quality sample.
