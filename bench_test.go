@@ -284,8 +284,9 @@ func BenchmarkSphereDecoder(b *testing.B) {
 // BenchmarkSphereProgram measures the compiled sphere search's two halves on
 // the shapes admission certifies: the per-window factorization
 // (detector.CompileSphere) and the per-symbol certificate at qos.CertifyNodes
-// on a warm scratch (0 allocations) — cells_mixed_qos's 8×8 QPSK at 20 dB and
-// the headline 48×48 BPSK at 20 dB.
+// on a warm scratch (0 allocations), hard and — clipped where the default LLR
+// clamp saturates at the instance's σ² — soft: cells_mixed_qos's 8×8 QPSK at
+// 20 dB and the headline 48×48 BPSK at 20 dB.
 func BenchmarkSphereProgram(b *testing.B) {
 	for _, shape := range []struct {
 		mod modulation.Modulation
@@ -298,17 +299,22 @@ func BenchmarkSphereProgram(b *testing.B) {
 				detector.CompileSphere(in.Mod, in.H)
 			}
 		})
-		b.Run(fmt.Sprintf("nt=%d/certify", shape.nt), func(b *testing.B) {
-			p := detector.CompileSphere(in.Mod, in.H)
-			var s detector.SphereScratch
-			c := p.Certify(in.Y, qos.CertifyNodes, &s)
-			b.ReportMetric(float64(c.Nodes), "nodes")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Certify(in.Y, qos.CertifyNodes, &s)
-			}
-		})
+		for _, mode := range []struct {
+			name string
+			clip float64
+		}{{"certify", 0}, {"certify-soft", softout.Spec{NoiseVar: in.NoiseVariance()}.ClipRadius()}} {
+			b.Run(fmt.Sprintf("nt=%d/%s", shape.nt, mode.name), func(b *testing.B) {
+				p := detector.CompileSphere(in.Mod, in.H)
+				var s detector.SphereScratch
+				c := p.Certify(in.Y, qos.CertifyNodes, mode.clip, &s)
+				b.ReportMetric(float64(c.Nodes), "nodes")
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Certify(in.Y, qos.CertifyNodes, mode.clip, &s)
+				}
+			})
+		}
 	}
 }
 
@@ -1420,7 +1426,7 @@ func BenchmarkEstimateSNR(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if !est.Estimate(in.Y, mode.nodes).OK {
+					if !est.Estimate(in.Y, mode.nodes, nil).OK {
 						b.Fatal("estimate failed")
 					}
 				}

@@ -4,15 +4,24 @@
 // anneal-budget planner — over TCP; an access point process estimates uplink
 // channels and ships per-subcarrier decode requests over the fronthaul,
 // pipelining all subcarriers of an OFDM symbol in flight at once (§1, §5.5,
-// §7). Every request carries a target BER, and the run shows the three ways
-// the hybrid classical–quantum structure of arXiv:2010.00682 serves one:
-// every fourth subcarrier asks for a hard decision, which a budgeted sphere
-// search proves ML at admission (backend "certificate": no anneal at all);
-// the other subcarriers ask for soft output (per-bit LLRs), which the
-// planner sizes a read budget for instead of running the static Na = 100
-// configuration, so they share batched, right-sized annealer runs — except
-// the odd ones, which carry a deadline shorter than a single anneal and
-// route to the classical fallback. The scheduler runs cost-aware
+// §7). The run shows the tiers of the hybrid classical–quantum structure of
+// arXiv:2010.00682 through four kinds of request, one subcarrier in four
+// each:
+//
+//   - a hard decision with a target BER, which a budgeted sphere search
+//     proves ML at admission (backend "certificate": no anneal at all);
+//   - soft output (per-bit LLRs) with a target BER, which the same search,
+//     clipped at the LLR clamp, answers at admission with the exact clamped
+//     max-log LLRs;
+//   - soft output without a target — best effort — inside a 1 ms deadline:
+//     the classical fallback's cost estimate cannot meet it, so these share
+//     batched annealer runs at the static Na = 100;
+//   - best-effort soft output under a deadline shorter than a single anneal,
+//     which routes to the classical fallback.
+//
+// At 25 dB every request with a target is proved, so the planner, which sizes
+// read budgets for the requests the search cannot finish, sees none (its
+// stats block reads zero). The scheduler runs cost-aware
 // (sched.Config.CostAware): every backend publishes a capability descriptor
 // with a $/solve and J/solve cost model, easy QoS classes divert to the
 // cheapest solver that still meets their deadline, and the final pool stats
@@ -43,18 +52,28 @@ const (
 	apAntennas  = 8
 	subcarriers = 16
 	snrDB       = 25
-	// targetBER is the per-subcarrier QoS target the AP expresses over the
-	// fronthaul; the data center's planner turns it into a read budget.
+	// targetBER is the QoS target the AP expresses over the fronthaul for
+	// the subcarriers that carry one: the data center certifies the request
+	// or, where the search cannot finish, plans a read budget for it.
 	targetBER = 1e-3
-	// tightDeadline is shorter than a single anneal (Ta+Tp = 2 µs), so the
-	// planner denies quantum dispatch and requests carrying it must run on
-	// the classical SA fallback (and inevitably count as deadline misses —
-	// a 1 µs budget is unmeetable by any solver; the fallback still
-	// delivers a best-effort decode).
+	// annealDeadline fits the annealer's 200 µs estimate but not the SA
+	// fallback's ≈ 3 ms, so cost-aware dispatch keeps best-effort requests
+	// carrying it on the pool (the simulator runs slower than the modeled
+	// device, so they still count as deadline misses on the wall clock).
+	annealDeadline = time.Millisecond
+	// tightDeadline is shorter than a single anneal (Ta+Tp = 2 µs), so
+	// requests carrying it must run on the classical SA fallback (and
+	// inevitably count as deadline misses — a 1 µs budget is unmeetable by
+	// any solver; the fallback still delivers a best-effort decode).
 	tightDeadline = 1 * time.Microsecond
-	// hardEvery: one subcarrier in hardEvery asks for a hard decision and no
-	// deadline — the request the certificate answers.
-	hardEvery = 4
+)
+
+// The four kinds of request, by subcarrier index modulo 4.
+const (
+	softCertified = iota // soft output with a target BER
+	softFallback         // best-effort soft output under tightDeadline
+	softAnnealed         // best-effort soft output under annealDeadline
+	hardCertified        // a hard decision with a target BER
 )
 
 func main() {
@@ -111,6 +130,7 @@ func main() {
 		y        []complex128
 		txBits   []byte
 		deadline time.Duration
+		target   float64
 		soft     bool
 	}
 	jobs := make([]job, subcarriers)
@@ -118,12 +138,16 @@ func main() {
 		bits := src.Bits(users * quamax.QPSK.BitsPerSymbol())
 		v := quamax.QPSK.MapGrayVector(bits)
 		y := channel.AddAWGN(src, linalg.MulVec(perSC[sc], v), sigma)
-		jobs[sc] = job{sc: sc, h: perSC[sc], y: y, txBits: bits, soft: sc%hardEvery != hardEvery-1}
-		if jobs[sc].soft && sc%2 == 1 {
-			// Odd soft subcarriers carry a deadline no anneal can fit: the
-			// planner denies quantum dispatch and they run classically. The
-			// rest carry only the target BER.
+		jobs[sc] = job{sc: sc, h: perSC[sc], y: y, txBits: bits, soft: true}
+		switch sc % 4 {
+		case softCertified:
+			jobs[sc].target = targetBER
+		case softFallback:
 			jobs[sc].deadline = tightDeadline
+		case softAnnealed:
+			jobs[sc].deadline = annealDeadline
+		case hardCertified:
+			jobs[sc].target, jobs[sc].soft = targetBER, false
 		}
 	}
 
@@ -146,10 +170,10 @@ func main() {
 			var err error
 			if j.soft {
 				resp, err = client.DecodeSoft(quamax.QPSK, j.h, j.y, fronthaul.SoftQoS{
-					NoiseVar: sigma * sigma, Deadline: j.deadline, TargetBER: targetBER,
+					NoiseVar: sigma * sigma, Deadline: j.deadline, TargetBER: j.target,
 				})
 			} else {
-				resp, err = client.DecodeQoS(quamax.QPSK, j.h, j.y, j.deadline, targetBER)
+				resp, err = client.DecodeQoS(quamax.QPSK, j.h, j.y, j.deadline, j.target)
 			}
 			if err != nil {
 				log.Fatalf("subcarrier %d: %v", j.sc, err)
@@ -170,8 +194,8 @@ func main() {
 	}
 	wg.Wait()
 
-	fmt.Printf("\nAP: decoded %d subcarriers × %d users QPSK at %d dB (target BER %g)\n\n",
-		subcarriers, users, snrDB, targetBER)
+	fmt.Printf("\nAP: decoded %d subcarriers × %d users QPSK at %d dB (target BER %g on subcarriers ≡ %d, %d mod 4)\n\n",
+		subcarriers, users, snrDB, targetBER, softCertified, hardCertified)
 	fmt.Printf("%4s  %10s  %14s  %11s  %7s\n", "sc", "bit errs", "compute (µs)", "backend", "batched")
 	totalErrs, totalBits := 0, 0
 	for _, r := range results {

@@ -3,6 +3,7 @@ package detector
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
@@ -58,7 +59,7 @@ func SphereDecode(mod modulation.Modulation, h *linalg.Mat, y []complex128, opts
 		}
 		radius2 = opts.InitialRadius2 - outside
 	}
-	visited, found, exhausted := p.walk(s, radius2, opts.MaxVisitedNodes)
+	visited, found, exhausted := p.walk(s, radius2, 0, opts.MaxVisitedNodes)
 	if !found {
 		return SphereResult{Result: Result{VisitedNodes: visited}, Exhausted: exhausted}, ErrNoLeafFound
 	}
@@ -78,6 +79,8 @@ type SphereProgram struct {
 	nt, nr   int       // complex users and antennas
 	n, m     int       // real columns (tree depth) and real rows
 	levels   []float64 // per-dimension PAM levels, ascending
+	gray     []uint8   // gray[i]: level i's Gray code, whose bit j is the dimension's data bit bpd−1−j
+	bpd      int       // data bits per real dimension
 	r        []float64 // R, n×n row-major upper triangle, positive diagonal
 	refl     []float64 // reflector k in refl[k*m+k : (k+1)*m] (Q = H_0·…·H_{n−1}·S)
 	beta     []float64 // reflector k is I − beta[k]·v·vᵀ; 0 = none
@@ -105,7 +108,11 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 		n = 2 * nt
 	}
 	m := 2 * nr
-	p := &SphereProgram{h: h, nt: nt, nr: nr, n: n, m: m, levels: mod.Levels()}
+	p := &SphereProgram{h: h, nt: nt, nr: nr, n: n, m: m, levels: mod.Levels(), bpd: mod.BitsPerDim()}
+	p.gray = make([]uint8, len(p.levels))
+	for i := range p.gray {
+		p.gray[i] = uint8(i ^ i>>1)
+	}
 	if m < n {
 		return p
 	}
@@ -191,40 +198,45 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 }
 
 // SphereScratch is the per-call working memory of a SphereProgram: the
-// stacked and rotated receive vectors, the walk's path, its sorted children
-// and the decision it returns. The zero value is ready; it grows to fit the
-// largest program it serves, after which Certify allocates nothing. A scratch
-// serves one call at a time.
+// stacked and rotated receive vectors, the walk's path, its sorted children,
+// the search's metrics and the decision it returns. The zero value is ready;
+// it grows to fit the largest program it serves, after which Certify allocates
+// nothing. A scratch serves one call at a time.
 type SphereScratch struct {
-	yr, yb     []float64    // Qᵀ·[Re y; Im y] before R's sign flips, and ȳ
-	x, best    []float64    // the walk's path and best leaf (real dimensions)
-	partial    []float64    // partial[l]: the metric of the path above level l
-	cval, cdst []float64    // each level's children, nearest first
-	pos        []int        // each level's next child
-	sym        []complex128 // a decision's symbols
+	yr, yb  []float64    // Qᵀ·[Re y; Im y] before R's sign flips, and ȳ
+	x, best []float64    // the walk's path and best leaf (real dimensions)
+	xi, bi  []int        // the same two as level indices
+	partial []float64    // partial[l]: the metric of the path at levels ≥ l
+	cidx    []int        // each level's children (level indices), nearest first
+	cdst    []float64    // and their distances
+	pos     []int        // each level's next child
+	ml      float64      // the best leaf's metric, λ_ML
+	lam     []float64    // lam[d·bpd+j]: λ̄, the counter-hypothesis metric of dimension d's Gray bit j
+	free    []float64    // free[l]: the largest λ̄ of the dimensions below level l
+	above   []float64    // above[l]: the largest metric a leaf could lower through the path's bits at levels ≥ l
+	gaps    []float64    // a certificate's Gaps
+	sym     []complex128 // a decision's symbols
+}
+
+// grow returns b resized to n, reallocated only when it is too small.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
 }
 
 // fit sizes s for p, reusing its arrays when they are large enough.
 func (s *SphereScratch) fit(p *SphereProgram) {
-	grow := func(b []float64, n int) []float64 {
-		if cap(b) < n {
-			return make([]float64, n)
-		}
-		return b[:n]
-	}
-	l := len(p.levels)
-	s.yr, s.yb = grow(s.yr, p.m), grow(s.yb, p.n)
-	s.x, s.best = grow(s.x, p.n), grow(s.best, p.n)
-	s.partial = grow(s.partial, p.n+1)
-	s.cval, s.cdst = grow(s.cval, p.n*l), grow(s.cdst, p.n*l)
-	if cap(s.pos) < p.n {
-		s.pos = make([]int, p.n)
-	}
-	s.pos = s.pos[:p.n]
-	if cap(s.sym) < p.nt {
-		s.sym = make([]complex128, p.nt)
-	}
-	s.sym = s.sym[:p.nt]
+	n, l := p.n, len(p.levels)
+	s.yr, s.yb = grow(s.yr, p.m), grow(s.yb, n)
+	s.x, s.best = grow(s.x, n), grow(s.best, n)
+	s.xi, s.bi = grow(s.xi, n), grow(s.bi, n)
+	s.partial, s.free, s.above = grow(s.partial, n+1), grow(s.free, n+1), grow(s.above, n+1)
+	s.cidx, s.cdst = grow(s.cidx, n*l), grow(s.cdst, n*l)
+	s.pos = grow(s.pos, n)
+	s.lam, s.gaps = grow(s.lam, n*p.bpd), grow(s.gaps, n*p.bpd)
+	s.sym = grow(s.sym, p.nt)
 }
 
 // rotate fits s to p, stacks y as [Re y; Im y] into s.yr and rotates it
@@ -288,27 +300,47 @@ func (p *SphereProgram) children(level int, s *SphereScratch) {
 	l := len(p.levels)
 	rll := p.r[level*p.n+level]
 	c := p.center(level, s.yb, s.x)
-	vals, dsts := s.cval[level*l:(level+1)*l], s.cdst[level*l:(level+1)*l]
+	idx, dsts := s.cidx[level*l:(level+1)*l], s.cdst[level*l:(level+1)*l]
 	for k, lvl := range p.levels {
 		d := rll * (lvl - c)
 		dist := d * d
 		// Insertion: an equal distance stays behind the earlier level.
 		i := k
 		for ; i > 0 && dist < dsts[i-1]; i-- {
-			vals[i], dsts[i] = vals[i-1], dsts[i-1]
+			idx[i], dsts[i] = idx[i-1], dsts[i-1]
 		}
-		vals[i], dsts[i] = lvl, dist
+		idx[i], dsts[i] = k, dist
 	}
 	s.pos[level] = 0
 }
 
-// walk is the depth-first tree search on s.yb: only leaves strictly inside
-// radius2 (rotated frame) are taken, each into s.best and shrinking the
-// radius to its metric. maxNodes > 0 bounds the nodes visited. It returns the
-// nodes visited, whether any leaf was taken, and whether the budget ended the
+// walk is the depth-first single-tree search on s.yb (Studer, Burg &
+// Bölcskei, IEEE JSAC 2008). It holds the best leaf (s.best, metric λ_ML =
+// s.ml, starting at radius2) and, when clip > 0, per Gray bit λ̄: the least
+// metric among the leaves taken whose bit differs from the best leaf's
+// (s.bi, the incumbent's bits on entry), clipped to at most λ_ML + clip. A
+// leaf is worth reaching while its metric is below one it could lower — λ_ML
+// through a bit it shares with the best leaf, λ̄ through one it does not —
+// and a node while its partial metric is below the largest such metric of any
+// leaf beneath it. With clip ≤ 0 every λ̄ would be λ_ML, so the walk keeps
+// none and compares against λ_ML alone: the hard search, which takes only
+// leaves strictly inside the radius, each shrinking it to its metric.
+// maxNodes > 0 bounds the nodes visited. It returns the nodes visited,
+// whether a leaf replaced the best one, and whether the budget ended the
 // search.
-func (p *SphereProgram) walk(s *SphereScratch, radius2 float64, maxNodes int) (visited int, found, exhausted bool) {
-	n, l := p.n, len(p.levels)
+func (p *SphereProgram) walk(s *SphereScratch, radius2, clip float64, maxNodes int) (visited int, found, exhausted bool) {
+	n, levels := p.n, p.levels
+	l := len(levels)
+	soft := clip > 0
+	ml := radius2 // λ_ML, kept in s.ml too for the soft bookkeeping
+	s.ml = ml
+	if soft {
+		for k := range s.lam {
+			s.lam[k] = radius2 + clip
+		}
+		s.above[n] = math.Inf(-1)
+		p.bound(s, 1)
+	}
 	level := n - 1
 	s.partial[n] = 0
 	p.children(level, s)
@@ -325,14 +357,32 @@ func (p *SphereProgram) walk(s *SphereScratch, radius2 float64, maxNodes int) (v
 			return visited, found, true
 		}
 		m := s.partial[level+1] + s.cdst[k]
-		if m >= radius2 {
-			// Children are distance-ordered: every remaining one is worse.
+		cut := ml
+		if soft {
+			cut = max(s.above[level+1], s.free[level+1])
+		}
+		if m >= cut {
+			// Children are distance-ordered: no remaining one reaches a metric
+			// any of its leaves could lower.
 			s.pos[level] = l
 			continue
 		}
-		s.x[level] = s.cval[k]
+		i := s.cidx[k]
+		if soft {
+			reach := max(s.above[level+1], p.reach(s, level, i))
+			if m >= max(reach, s.free[level]) {
+				continue
+			}
+			s.above[level], s.xi[level] = reach, i
+		}
+		s.x[level] = levels[i]
 		if level == 0 {
-			radius2 = m
+			if soft {
+				found = p.leaf(s, m, clip) || found
+				ml = s.ml
+				continue
+			}
+			ml = m
 			copy(s.best, s.x)
 			found = true
 			continue
@@ -340,6 +390,62 @@ func (p *SphereProgram) walk(s *SphereScratch, radius2 float64, maxNodes int) (v
 		s.partial[level] = m
 		level--
 		p.children(level, s)
+	}
+}
+
+// reach is the largest metric a leaf holding level i at dimension level could
+// lower through that dimension's bits: λ_ML through a bit it shares with the
+// best leaf, λ̄ through one it does not.
+func (p *SphereProgram) reach(s *SphereScratch, level, i int) float64 {
+	r := s.ml
+	for diff := p.gray[i] ^ p.gray[s.bi[level]]; diff != 0; diff &= diff - 1 {
+		r = max(r, s.lam[level*p.bpd+bits.TrailingZeros8(diff)])
+	}
+	return r
+}
+
+// leaf takes a soft walk's leaf s.x, of metric m. Below λ_ML it is the new
+// best leaf: the old best becomes the counter-hypothesis of every bit the two
+// differ on, and every λ̄ is clipped to the new λ_ML + clip. Otherwise it is a
+// counter-hypothesis of the bits it differs from the best leaf on. leaf
+// reports a new best leaf.
+func (p *SphereProgram) leaf(s *SphereScratch, m, clip float64) bool {
+	improved := m < s.ml
+	for d, i := range s.xi {
+		for diff := p.gray[i] ^ p.gray[s.bi[d]]; diff != 0; diff &= diff - 1 {
+			k := d*p.bpd + bits.TrailingZeros8(diff)
+			if improved {
+				s.lam[k] = s.ml
+			} else {
+				s.lam[k] = min(s.lam[k], m)
+			}
+		}
+	}
+	if improved {
+		s.ml = m
+		copy(s.best, s.x)
+		copy(s.bi, s.xi)
+		for k, v := range s.lam {
+			s.lam[k] = min(v, m+clip)
+		}
+	}
+	p.bound(s, p.n)
+	return improved
+}
+
+// bound recomputes what the walk prunes against once λ_ML or a λ̄ has moved:
+// free at every level, and above along the path at levels 1 … top − 1.
+func (p *SphereProgram) bound(s *SphereScratch, top int) {
+	s.free[0] = math.Inf(-1)
+	for d := 0; d < p.n; d++ {
+		f := s.free[d]
+		for _, v := range s.lam[d*p.bpd : (d+1)*p.bpd] {
+			f = max(f, v)
+		}
+		s.free[d+1] = f
+	}
+	for level := top - 1; level >= 1; level-- {
+		s.above[level] = max(s.above[level+1], p.reach(s, level, s.xi[level]))
 	}
 }
 
@@ -363,14 +469,24 @@ type Certificate struct {
 	// has ruled out every leaf strictly closer to y than Symbols: Symbols is
 	// an ML decision.
 	Proved bool
+	// Gaps is set when a search with a clip radius finished: per data bit, in
+	// DemapGrayVector order of Symbols, how much farther from y than Symbols
+	// the nearest leaf is whose bit differs — the max-log counter-hypothesis,
+	// exact below the clip radius and +Inf where no such leaf lies strictly
+	// inside it. Backed by the scratch, like Symbols.
+	Gaps []float64
 }
 
 // Certify decodes one received vector: rotate y, take the zero-forcing
 // decision off the triangle (back substitution, then per-dimension slicing),
 // then walk the tree with that decision as the incumbent, visiting at most
 // maxNodes nodes (maxNodes ≤ 0 runs no search: the zero-forcing decision
-// alone). It allocates nothing once s has served a program of this size.
-func (p *SphereProgram) Certify(y []complex128, maxNodes int, s *SphereScratch) Certificate {
+// alone). clip ≤ 0 asks for the ML decision only. clip > 0 is a radius in
+// metric units within which every bit's counter-hypothesis is wanted too
+// (Gaps): the walk then also visits the leaves that could lower one, and a
+// search that finishes has every bit's max-log gap exact up to clip. It
+// allocates nothing once s has served a program of this size.
+func (p *SphereProgram) Certify(y []complex128, maxNodes int, clip float64, s *SphereScratch) Certificate {
 	if !p.fullRank {
 		return Certificate{}
 	}
@@ -388,7 +504,7 @@ func (p *SphereProgram) Certify(y []complex128, maxNodes int, s *SphereScratch) 
 	lv := len(p.levels)
 	for i, v := range s.x {
 		k := min(max(int(math.Round((v+float64(lv-1))/2)), 0), lv-1)
-		s.best[i] = p.levels[k]
+		s.best[i], s.bi[i] = p.levels[k], k
 	}
 	p.symbols(s.best, s.sym)
 	c := Certificate{OK: true, Symbols: s.sym}
@@ -405,13 +521,34 @@ func (p *SphereProgram) Certify(y []complex128, maxNodes int, s *SphereScratch) 
 		d := p.r[level*n+level] * (s.best[level] - p.center(level, s.yb, s.best))
 		radius2 += d * d
 	}
-	visited, improved, exhausted := p.walk(s, radius2, maxNodes)
+	visited, improved, exhausted := p.walk(s, radius2, clip, maxNodes)
 	c.Nodes, c.Proved = visited, !exhausted
 	if improved {
 		p.symbols(s.best, s.sym)
 		_, c.Metric = p.residual(y, s)
 	}
+	if clip > 0 && c.Proved {
+		c.Gaps = p.gaps(s, clip)
+	}
 	return c
+}
+
+// gaps writes the finished walk's λ̄ − λ_ML into s.gaps in data-bit order — a
+// dimension's Gray bits most significant first, a symbol's in-phase bits
+// before its quadrature ones — with +Inf where λ̄ never fell below the clip.
+func (p *SphereProgram) gaps(s *SphereScratch, clip float64) []float64 {
+	perSymbol := p.bpd * p.n / p.nt
+	for d := 0; d < p.n; d++ {
+		first := d%p.nt*perSymbol + d/p.nt*p.bpd + p.bpd - 1
+		for j, v := range s.lam[d*p.bpd : (d+1)*p.bpd] {
+			gap := math.Inf(1)
+			if v < s.ml+clip {
+				gap = v - s.ml
+			}
+			s.gaps[first-j] = gap
+		}
+	}
+	return s.gaps
 }
 
 // residual returns ‖H·v‖² and ‖y − H·v‖² for the symbols in s.sym, in

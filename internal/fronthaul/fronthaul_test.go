@@ -696,10 +696,27 @@ func TestRequestCodecCarriesTargetBER(t *testing.T) {
 }
 
 // The full QoS contract must survive the wire: a pool server with a planner
-// receives the client's target BER and plans the request's budget.
+// receives the client's target BER. A hard and a soft decode the certificate
+// search finishes are answered at admission — the ML bits, and for the soft
+// one its exact LLRs — with no planner call and no device time; a decode the
+// search cannot finish (16×16 QPSK at −6 dB) is planned, and the planned
+// budget is what the annealer billed.
 func TestClientDecodeQoSThroughPlanner(t *testing.T) {
-	qpu := backend.AnnealerFromDecoder("qpu0", testDecoder(t))
-	pl, err := qos.NewPlanner(nil)
+	d, err := core.New(core.Options{ // the default chip: the planned decode has 32 spins
+		Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qpu := backend.AnnealerFromDecoder("qpu0", d)
+	// One flat fit for 16-user QPSK: (0.5)^Na·0.1 ≤ 1e-3 plans Na = 7.
+	fit := qos.Point{Mod: "QPSK", Nt: 16, SNRdB: -20, Mode: qos.ModeForward, P0: 0.5, SpreadBER: 0.1}
+	top := fit
+	top.SNRdB = 30
+	pl, err := qos.NewPlanner(&qos.Table{
+		Ops:    []qos.ClassOp{{Mod: "QPSK", JF: 4, Ta: 1, Tp: 1, Sp: 0.35}},
+		Points: []qos.Point{fit, top},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,8 +733,6 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	go srv.handleConn(server)
 	c := NewClient(client)
 
-	// A hard decode with a target is answered at admission by the
-	// certificate search: proved ML, no planner call, no device time.
 	in := testInstance(t, 640, modulation.QPSK, 2)
 	resp, err := c.DecodeQoS(in.Mod, in.H, in.Y, 0, 1e-3)
 	if err != nil {
@@ -726,23 +741,33 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	if errs := in.BitErrors(resp.Bits); errs != 0 || resp.Backend != sched.CertificateBackend || resp.ComputeMicros != 0 {
 		t.Fatalf("certified decode: %d bit errors, backend %q, %g µs", errs, resp.Backend, resp.ComputeMicros)
 	}
-	if st := pl.Stats(); st.Plans != 0 {
-		t.Fatalf("the planner saw a certified request: %+v", st)
-	}
-	// A soft decode with the same target is planned.
 	resp, err = c.DecodeSoft(in.Mod, in.H, in.Y, SoftQoS{TargetBER: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := in.BitErrors(resp.Bits); errs != 0 {
-		t.Fatalf("planned decode: %d bit errors", errs)
+	if errs := in.BitErrors(resp.Bits); errs != 0 || resp.Backend != sched.CertificateBackend || resp.ComputeMicros != 0 || len(resp.LLR8) != len(resp.Bits) {
+		t.Fatalf("certified soft decode: %d bit errors, backend %q, %g µs, %d LLRs", errs, resp.Backend, resp.ComputeMicros, len(resp.LLR8))
 	}
-	st := pl.Stats()
-	if st.Plans != 1 || st.Quantum != 1 || st.Soft != 1 {
-		t.Fatalf("planner never saw the request: %+v", st)
+	if st := pl.Stats(); st.Plans != 0 {
+		t.Fatalf("the planner saw a certified request: %+v", st)
 	}
-	// The planned budget is what the annealer billed: far below the static
-	// Na = 100 device time of 200 µs.
+
+	hard, err := mimo.Generate(rng.New(641), mimo.Config{Mod: modulation.QPSK, Nt: 16, Nr: 16, Channel: channel.Rayleigh{}, SNRdB: -6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est := qos.NewSNREstimator(hard.Mod, hard.H).Estimate(hard.Y, qos.CertifyNodes, nil); est.Proved {
+		t.Fatalf("the certificate finished the cell-edge decode in %d nodes: it would never reach the planner", est.Nodes)
+	}
+	resp, err = c.DecodeQoS(hard.Mod, hard.H, hard.Y, 0, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := pl.Stats(); st.Plans != 1 || st.Quantum != 1 || resp.Backend != "qpu0" {
+		t.Fatalf("planner never sized the request (served by %q): %+v", resp.Backend, st)
+	}
+	// The planned budget is what the annealer billed: 7 reads of 2 µs, far
+	// below the static Na = 100 device time of 200 µs.
 	if resp.ComputeMicros <= 0 || resp.ComputeMicros >= 200 {
 		t.Fatalf("ComputeMicros = %g, want a planner-sized budget below the static 200 µs", resp.ComputeMicros)
 	}

@@ -15,6 +15,7 @@ import (
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
+	"quamax/internal/softout"
 )
 
 // ClassSpec names one problem class of the calibration grid.
@@ -261,11 +262,14 @@ type Estimate struct {
 	// did not run).
 	Nodes int
 	// Proved reports that the search finished inside its budget: Bits are
-	// then the Gray bits of an ML decision and Metric its ‖y − H·v‖². Both are
-	// unset otherwise.
-	Proved bool
-	Bits   []byte
-	Metric float64
+	// then the Gray bits of an ML decision and Metric its ‖y − H·v‖², and a
+	// soft search's LLRs are the exact clamped max-log LLRs of the request's
+	// spec, LLRSaturated of them at the clamp. All are unset otherwise.
+	Proved       bool
+	Bits         []byte
+	Metric       float64
+	LLRs         []float64
+	LLRSaturated int
 }
 
 // scratch pools the sphere searches' working memory across every estimator:
@@ -276,15 +280,24 @@ var scratch = sync.Pool{New: func() any { return new(detector.SphereScratch) }}
 // detect with zero-forcing, rebuild the noiseless signal from the hard
 // decisions, and compare signal to residual power — and, with certifyNodes >
 // 0, runs the certificate search from that decision within that many tree
-// nodes (detector.SphereProgram.Certify). At serving SNRs the ZF decisions
-// are mostly correct, so the residual is dominated by noise; the estimate
-// biases high at very low SNR, where the planner's below-fit-range guard
-// takes over. The residual is the noise estimate the device tier's stop radius
-// is sized from (StopRadius). Only a proved answer's Bits allocate.
-func (e *SNREstimator) Estimate(y []complex128, certifyNodes int) Estimate {
+// nodes (detector.SphereProgram.Certify). A soft request (soft non-nil) is
+// searched with its spec's clip radius, so a finished search also holds every
+// bit's counter-hypothesis out to where its LLR clamps. At serving SNRs the ZF
+// decisions are mostly correct, so the residual is dominated by noise; the
+// estimate biases high at very low SNR, where the planner's below-fit-range
+// guard takes over. The residual is the noise estimate the device tier's stop
+// radius is sized from (StopRadius). Only a proved answer's Bits and LLRs
+// allocate.
+func (e *SNREstimator) Estimate(y []complex128, certifyNodes int, soft *softout.Spec) Estimate {
 	s := scratch.Get().(*detector.SphereScratch)
 	defer scratch.Put(s)
-	c := e.prog.Certify(y, certifyNodes, s)
+	var clip float64
+	if soft != nil {
+		if clip = soft.ClipRadius(); !(clip > 0) {
+			certifyNodes = 0 // a spec no LLR can honor proves nothing
+		}
+	}
+	c := e.prog.Certify(y, certifyNodes, clip, s)
 	if !c.OK || c.Signal == 0 {
 		return Estimate{Residual: c.Residual}
 	}
@@ -295,6 +308,9 @@ func (e *SNREstimator) Estimate(y []complex128, certifyNodes int) Estimate {
 	if c.Proved {
 		est.Proved, est.Metric = true, c.Metric
 		est.Bits = e.mod.DemapGrayVector(c.Symbols)
+		if soft != nil {
+			est.LLRs, est.LLRSaturated = softout.FromGaps(est.Bits, c.Gaps, *soft)
+		}
 	}
 	return est
 }
@@ -302,6 +318,6 @@ func (e *SNREstimator) Estimate(y []complex128, certifyNodes int) Estimate {
 // EstimateSNRdB is the one-shot form of SNREstimator for a channel seen once:
 // it factors the channel, estimates, and discards the program.
 func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
-	est := NewSNREstimator(mod, h).Estimate(y, 0)
+	est := NewSNREstimator(mod, h).Estimate(y, 0, nil)
 	return est.SNRdB, est.OK
 }

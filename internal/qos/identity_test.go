@@ -12,6 +12,7 @@ import (
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
+	"quamax/internal/softout"
 	"quamax/internal/trace"
 )
 
@@ -103,8 +104,8 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 		}
 		want, wantOK := estimateSNRRef(mod, r.H, y)
 		for name, f := range map[string]func() (float64, bool){
-			"per-channel": func() (float64, bool) { e := est.Estimate(y, 0); return e.SNRdB, e.OK },
-			"certifying":  func() (float64, bool) { e := est.Estimate(y, CertifyNodes); return e.SNRdB, e.OK },
+			"per-channel": func() (float64, bool) { e := est.Estimate(y, 0, nil); return e.SNRdB, e.OK },
+			"certifying":  func() (float64, bool) { e := est.Estimate(y, CertifyNodes, nil); return e.SNRdB, e.OK },
 			"one-shot":    func() (float64, bool) { return EstimateSNRdB(mod, r.H, y) },
 		} {
 			got, ok := f()
@@ -124,7 +125,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	h := channel.Rayleigh{}.Generate(src, 8, 8)
 	x := mod.MapGrayVector(src.Bits(16))
 	clean := linalg.MulVec(h, x)
-	if got := NewSNREstimator(mod, h).Estimate(clean, 0); !got.OK || got.SNRdB < 100 {
+	if got := NewSNREstimator(mod, h).Estimate(clean, 0, nil); !got.OK || got.SNRdB < 100 {
 		t.Fatalf("noiseless estimate (%v, %v), want a huge or infinite SNR", got.SNRdB, got.OK)
 	}
 	for r := 0; r < 8; r++ {
@@ -132,7 +133,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	}
 	y := linalg.MulVec(h, x)
 	_, refOK := estimateSNRRef(mod, h, y)
-	got := NewSNREstimator(mod, h).Estimate(y, CertifyNodes)
+	got := NewSNREstimator(mod, h).Estimate(y, CertifyNodes, nil)
 	_, oneOK := EstimateSNRdB(mod, h, y)
 	if refOK || got.OK || got.Proved || oneOK {
 		t.Fatalf("rank-deficient channel: ok = %v (reference), %v (per-channel, proved %v), %v (one-shot); want all false", refOK, got.OK, got.Proved, oneOK)
@@ -149,7 +150,7 @@ func TestEstimateCertifiesAndAllocatesOnlyItsAnswer(t *testing.T) {
 	est := NewSNREstimator(mod, h)
 	bits := src.Bits(16)
 	y := channel.AddAWGN(src, linalg.MulVec(h, mod.MapGrayVector(bits)), channel.NoiseSigma(mod, 8, 20))
-	got := est.Estimate(y, CertifyNodes)
+	got := est.Estimate(y, CertifyNodes, nil)
 	ml, err := detector.SphereDecode(mod, h, y, detector.SphereOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,18 +158,57 @@ func TestEstimateCertifiesAndAllocatesOnlyItsAnswer(t *testing.T) {
 	if !got.Proved || got.Nodes == 0 || !reflect.DeepEqual(got.Bits, ml.Bits) || math.Abs(got.Metric-ml.Metric) > 1e-9*ml.Metric {
 		t.Fatalf("certificate %+v, sphere decoder bits %v metric %v", got, ml.Bits, ml.Metric)
 	}
-	plain := est.Estimate(y, 0)
+	plain := est.Estimate(y, 0, nil)
 	if plain.Proved || plain.Nodes != 0 || plain.Bits != nil || plain.SNRdB != got.SNRdB || plain.Residual != got.Residual {
 		t.Fatalf("plain estimate %+v beside certifying %+v", plain, got)
 	}
 	if raceEnabled {
 		return // the race detector's pool drops entries at random
 	}
-	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, 0) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, 0, nil) }); a != 0 {
 		t.Errorf("Estimate without a search: %v allocations, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, CertifyNodes) }); a != 1 {
+	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, CertifyNodes, nil) }); a != 1 {
 		t.Errorf("certifying Estimate: %v allocations, want 1 (the answer's bits)", a)
+	}
+	soft := &softout.Spec{NoiseVar: channel.NoiseSigma(mod, 8, 20) * channel.NoiseSigma(mod, 8, 20)}
+	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, CertifyNodes, soft) }); a != 2 {
+		t.Errorf("soft certifying Estimate: %v allocations, want 2 (the answer's bits and LLRs)", a)
+	}
+}
+
+// A soft certifying estimate is the hard one plus the clipped search's LLRs:
+// the same SNR, residual, decision and metric, at least as many nodes (the
+// soft search visits every node the hard one does), and the LLRs the
+// certificate's gaps give through softout's one formula — scaled by the
+// spec's σ², clamped at its clamp. A spec no LLR can honor (a negative clamp)
+// runs no search.
+func TestSoftEstimateCarriesTheCertificateLLRs(t *testing.T) {
+	src := rng.New(17)
+	mod := modulation.QPSK
+	var s detector.SphereScratch
+	for trial := 0; trial < 40; trial++ {
+		h := channel.Rayleigh{}.Generate(src, 8, 8)
+		est := NewSNREstimator(mod, h)
+		sigma := channel.NoiseSigma(mod, 8, []float64{15, 20, 25, 30}[trial%4])
+		y := channel.AddAWGN(src, linalg.MulVec(h, mod.MapGrayVector(src.Bits(16))), sigma)
+		spec := softout.Spec{NoiseVar: sigma * sigma, Clamp: []float64{0, 4}[trial%2]}
+		hard, got := est.Estimate(y, CertifyNodes, nil), est.Estimate(y, CertifyNodes, &spec)
+		if !hard.Proved || !got.Proved || got.SNRdB != hard.SNRdB || got.Residual != hard.Residual ||
+			!reflect.DeepEqual(got.Bits, hard.Bits) || got.Metric != hard.Metric || got.Nodes < hard.Nodes {
+			t.Fatalf("trial %d: soft estimate %+v beside hard %+v", trial, got, hard)
+		}
+		c := detector.CompileSphere(mod, h).Certify(y, CertifyNodes, spec.ClipRadius(), &s)
+		llrs, saturated := softout.FromGaps(mod.DemapGrayVector(c.Symbols), c.Gaps, spec)
+		if !reflect.DeepEqual(got.LLRs, llrs) || got.LLRSaturated != saturated || got.Nodes != c.Nodes {
+			t.Fatalf("trial %d: LLRs %v (%d saturated, %d nodes), certificate's %v (%d, %d)", trial, got.LLRs, got.LLRSaturated, got.Nodes, llrs, saturated, c.Nodes)
+		}
+		if hard.LLRs != nil {
+			t.Fatalf("trial %d: a hard estimate carries LLRs", trial)
+		}
+		if bad := est.Estimate(y, CertifyNodes, &softout.Spec{Clamp: -1}); bad.Proved || bad.Nodes != 0 || bad.SNRdB != hard.SNRdB {
+			t.Fatalf("trial %d: a negative clamp gave %+v", trial, bad)
+		}
 	}
 }
 
@@ -183,7 +223,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 	for i := range ys {
 		y := linalg.MulVec(h, mod.MapGrayVector(src.Bits(16)))
 		ys[i] = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, 20))
-		want[i] = est.Estimate(ys[i], CertifyNodes).SNRdB
+		want[i] = est.Estimate(ys[i], CertifyNodes, nil).SNRdB
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -191,7 +231,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, y := range ys {
-				if got := est.Estimate(y, CertifyNodes).SNRdB; got != want[i] {
+				if got := est.Estimate(y, CertifyNodes, nil).SNRdB; got != want[i] {
 					t.Errorf("vector %d: concurrent estimate %v, serial %v", i, got, want[i])
 				}
 			}

@@ -20,6 +20,7 @@ import (
 	"quamax/internal/precoding"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
+	"quamax/internal/softout"
 	"quamax/internal/trace"
 )
 
@@ -50,14 +51,17 @@ import (
 // with the uncut ensemble's. The ceilings below fix qos.StopRadiusDeviations
 // and softout.MinEnsemble.
 //
-// Admission certifies before it plans: a hard decode or precode whose
-// budgeted sphere search finishes is answered there, proved ML, and never
-// reaches a tier. The stop-rule rows above keep the population they were
-// fixed on — every request as the planner sizes it (plan), which is exactly
-// what a request meets when its search runs out of nodes — and a certificate
-// table sits beside them: per class (hard, soft had it been searched, precode)
-// and per budget 10², 10³, 10⁴, the certified share and the node quantiles,
-// every proved answer checked against the exact ML answer; then the BER
+// Admission certifies before it plans: a request whose budgeted sphere search
+// finishes is answered there, proved ML — a soft one with its exact clamped
+// max-log LLRs — and never reaches a tier. The stop-rule rows above keep the
+// population they were fixed on — every request as the planner sizes it
+// (plan), which is exactly what a request meets when its search runs out of
+// nodes — and a certificate table sits beside them: per class (hard, soft,
+// precode) and per budget 10², 10³, 10⁴, the certified share, the node
+// quantiles and the mean cost of one search, every proved answer checked
+// against the exact ML answer and every proved soft answer's LLRs against
+// max-log over all 2¹⁶ candidate vectors; then how the device tier's ensemble
+// LLRs compare with the exact ones on the same soft requests; then the BER
 // admission serves per tier (certificate, device, classical) beside the ZF and
 // ML answers to the same requests; then a 48×48 BPSK row at 10 / 15 / 20 dB,
 // the paper's headline shape. The certificate table is what fixes
@@ -79,9 +83,10 @@ const (
 	corpusDeviceReadsCeiling = 0.60
 	corpusDeviceBERSlack     = 0.002
 	corpusLLRSignFloor       = 0.97
-	// The share of hard decodes the certificate must answer at
+	// The share of hard and of soft decodes the certificate must answer at
 	// qos.CertifyNodes.
 	corpusCertifiedHardFloor = 0.99
+	corpusCertifiedSoftFloor = 0.99
 )
 
 // corpusRequest is one generated request with its ground truth.
@@ -193,6 +198,7 @@ func TestStopRuleCorpus(t *testing.T) {
 	var gammaArmed, gammaUncut, gammaZF, gammaCert, gammaCertML float64
 	var fitted []corpusRequest // the device tier's decodes, as planned
 	var certs certTable
+	var ensemble ensembleTally
 	for i, cr := range corpus(t, 20261004, corpusRequests) {
 		certs.observe(t, s, cr)
 		v := s.applyPlan(cr.p, 50*time.Millisecond)
@@ -217,6 +223,9 @@ func TestStopRuleCorpus(t *testing.T) {
 			device.score(t, q, cr.bits, res, res)
 			fitted = append(fitted, corpusRequest{p: q, bits: cr.bits})
 			planRes = res
+			if v.proved != nil && cr.p.Soft {
+				ensemble.observe(res.LLRs, v.proved.LLRs, softout.Spec{NoiseVar: cr.p.NoiseVar, Clamp: cr.p.LLRClamp})
+			}
 		default:
 			uncut := *q
 			uncut.StopRepeats = 0
@@ -294,6 +303,8 @@ func TestStopRuleCorpus(t *testing.T) {
 			tier.name, tier.decodes, ber(tier.errServed, tier.bits), ber(tier.errUncut, tier.bits), ber(tier.errZF, tier.bits), tier.zfWins, ber(tier.errML, tier.bits))
 	}
 	certs.log(t)
+	t.Logf("device ensemble against the certificate, %d soft requests: LLR signs agree on %d of %d bits (%.4f); the ensemble clamps %d bits the exact search leaves below the clamp, and the exact search clamps %d the ensemble does not",
+		ensemble.requests, ensemble.agree, ensemble.bits, share(ensemble.agree, ensemble.bits), ensemble.overconfident, ensemble.underconfident)
 	var all tierTally
 	for k, name := range []string{"certificate", "device", "classical"} {
 		tt := served[k]
@@ -310,6 +321,9 @@ func TestStopRuleCorpus(t *testing.T) {
 	}
 	if hard := certs.at(certHard, qos.CertifyNodes); share(hard.proved, hard.requests) < corpusCertifiedHardFloor {
 		t.Errorf("the certificate answered %d of %d hard decodes at %d nodes, floor %.2f", hard.proved, hard.requests, qos.CertifyNodes, corpusCertifiedHardFloor)
+	}
+	if soft := certs.at(certSoft, qos.CertifyNodes); share(soft.proved, soft.requests) < corpusCertifiedSoftFloor || soft.llrs == 0 {
+		t.Errorf("the certificate answered %d of %d soft decodes at %d nodes, floor %.2f", soft.proved, soft.requests, qos.CertifyNodes, corpusCertifiedSoftFloor)
 	}
 	bpsk48Row(t)
 	t.Logf("classical tier: restarts run/configured %d/%d = %.3f, answers changed %d of %d",
@@ -443,35 +457,46 @@ var certBudgets = []int{100, 1_000, 10_000}
 // The certificate table's request classes.
 const (
 	certHard = iota
-	certSoft // searched here only: admission does not certify soft requests
+	certSoft
 	certPrecode
 	certClasses
 )
 
 // certRow is one class at one budget: how many of its requests a search of
-// that many nodes proved, the nodes each search visited, and — over the
-// proved decodes — the bit errors of the certified and of the exact ML answer.
+// that many nodes proved, the nodes each search visited, the time a search
+// took, and — over the proved decodes — the bit errors of the certified and
+// of the exact ML answer, and the soft ones' LLRs and how many clamp.
 type certRow struct {
 	requests, proved     int
 	nodes                []float64
+	cost                 time.Duration
 	bits, errCert, errML int
+	llrs, clamped        int
 }
 
 // certTable is the certificate table, rows[class][budget index].
 type certTable struct{ rows [certClasses][]certRow }
 
+// certTimings is how many times each search is repeated on a warm scratch to
+// time it.
+const certTimings = 8
+
 // observe searches one corpus request at every budget through the
-// scheduler's own estimator and checks each proved answer against the exact
-// ML answer (an unbudgeted sphere decode): equal metrics, or the search proved
-// something false.
+// scheduler's own estimator — a soft request with its own spec — and checks
+// each proved answer against the exact ML answer (an unbudgeted sphere
+// decode): equal metrics, or the search proved something false; a proved soft
+// answer's LLRs must be enumeration's. Each search is then timed on the
+// request's compiled program.
 func (c *certTable) observe(t *testing.T, s *Scheduler, cr corpusRequest) {
 	t.Helper()
 	class := certHard
+	var spec *softout.Spec
 	switch {
 	case cr.vp != nil:
 		class = certPrecode
 	case cr.p.Soft:
 		class = certSoft
+		spec = &softout.Spec{NoiseVar: cr.p.NoiseVar, Clamp: cr.p.LLRClamp}
 	}
 	ml, err := detector.SphereDecode(cr.p.Mod, cr.p.H, cr.p.Y, detector.SphereOptions{})
 	if err != nil {
@@ -481,11 +506,24 @@ func (c *certTable) observe(t *testing.T, s *Scheduler, cr corpusRequest) {
 		c.rows[class] = make([]certRow, len(certBudgets))
 	}
 	est := s.estimator(cr.p)
+	prog := detector.CompileSphere(cr.p.Mod, cr.p.H)
+	var scratch detector.SphereScratch
+	var clip float64
+	if spec != nil {
+		clip = spec.ClipRadius()
+	}
+	var exact []float64 // enumeration's LLRs, once a soft search proves
 	for b, budget := range certBudgets {
-		e := est.Estimate(cr.p.Y, budget)
+		e := est.Estimate(cr.p.Y, budget, spec)
 		row := &c.rows[class][b]
 		row.requests++
 		row.nodes = append(row.nodes, float64(e.Nodes))
+		prog.Certify(cr.p.Y, budget, clip, &scratch)
+		start := time.Now()
+		for range certTimings {
+			prog.Certify(cr.p.Y, budget, clip, &scratch)
+		}
+		row.cost += time.Since(start) / certTimings
 		if !e.Proved {
 			continue
 		}
@@ -498,6 +536,19 @@ func (c *certTable) observe(t *testing.T, s *Scheduler, cr corpusRequest) {
 			row.errCert += bitErrs(e.Bits, cr.bits)
 			row.errML += bitErrs(ml.Bits, cr.bits)
 		}
+		if spec == nil {
+			continue
+		}
+		if exact == nil {
+			exact, _ = enumeratedLLRs(cr.p, *spec)
+		}
+		for k, l := range e.LLRs {
+			if math.Abs(l-exact[k]) > 1e-6 {
+				t.Fatalf("a search of %d nodes proved LLR %v for bit %d; enumeration over every leaf gives %v (all: %v against %v)", budget, l, k, exact[k], e.LLRs, exact)
+			}
+		}
+		row.llrs += len(e.LLRs)
+		row.clamped += e.LLRSaturated
 	}
 }
 
@@ -511,10 +562,36 @@ func (c *certTable) log(t *testing.T) {
 	for class, name := range []string{"hard", "soft", "precode"} {
 		for b, budget := range certBudgets {
 			row := c.rows[class][b]
-			t.Logf("certificate, %-7s at %5d nodes: %4d of %4d = %.4f; nodes p50 %.0f, p90 %.0f, p99 %.0f, max %.0f; certified BER %.4f, exact ML %.4f on the same decodes",
+			t.Logf("certificate, %-7s at %5d nodes: %4d of %4d = %.4f; nodes p50 %.0f, p90 %.0f, p99 %.0f, max %.0f, mean %.0f; %.2f µs per search; certified BER %.4f, exact ML %.4f on the same decodes; LLRs equal to enumeration %d, clamped %d",
 				name, budget, row.proved, row.requests, float64(row.proved)/float64(max(row.requests, 1)),
-				metrics.Percentile(row.nodes, 50), metrics.Percentile(row.nodes, 90), metrics.Percentile(row.nodes, 99), metrics.Percentile(row.nodes, 100),
-				float64(row.errCert)/float64(max(row.bits, 1)), float64(row.errML)/float64(max(row.bits, 1)))
+				metrics.Percentile(row.nodes, 50), metrics.Percentile(row.nodes, 90), metrics.Percentile(row.nodes, 99), metrics.Percentile(row.nodes, 100), metrics.Mean(row.nodes),
+				float64(row.cost)/float64(time.Microsecond)/float64(max(row.requests, 1)),
+				float64(row.errCert)/float64(max(row.bits, 1)), float64(row.errML)/float64(max(row.bits, 1)), row.llrs, row.clamped)
+		}
+	}
+}
+
+// ensembleTally compares the device tier's ensemble LLRs with the exact ones
+// the certificate serves for the same soft requests: sign agreement, and the
+// bits one side clamps while the other leaves below the clamp.
+type ensembleTally struct {
+	requests, bits, agree         int
+	overconfident, underconfident int
+}
+
+func (e *ensembleTally) observe(ensemble, exact []float64, spec softout.Spec) {
+	clamp := spec.WithDefaults().Clamp
+	e.requests++
+	for k, x := range exact {
+		e.bits++
+		if (ensemble[k] > 0) == (x > 0) {
+			e.agree++
+		}
+		switch ens, ex := math.Abs(ensemble[k]) == clamp, math.Abs(x) == clamp; {
+		case ens && !ex:
+			e.overconfident++
+		case ex && !ens:
+			e.underconfident++
 		}
 	}
 }
@@ -540,7 +617,7 @@ func bpsk48Row(t *testing.T) {
 			t0 := time.Now()
 			est := qos.NewSNREstimator(in.Mod, in.H)
 			t1 := time.Now()
-			e := est.Estimate(in.Y, qos.CertifyNodes)
+			e := est.Estimate(in.Y, qos.CertifyNodes, nil)
 			factor, search = factor+t1.Sub(t0), search+time.Since(t1)
 			nodes = append(nodes, float64(e.Nodes))
 			if !e.Proved {

@@ -44,10 +44,11 @@ func noisyProblems(t *testing.T, windows, symbols int) [][]*backend.Problem {
 // verdict the same problem gets un-keyed (estimator built and discarded) — the
 // same certificate, or the same plan — on first sight of its window and on
 // every later symbol, and only keyed problems are remembered, one estimator
-// per window. Each symbol is admitted hard (the certificate answers those)
-// and soft (which the planner sizes or denies).
+// per window. Each symbol is admitted hard and soft: on the 8×8 windows the
+// certificate answers both, and the uncertified windows are planned — sized
+// (QPSK, which the flat table fits) or denied (16-QAM, which it does not).
 func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
-	pl, err := qos.NewPlanner(nil)
+	pl, err := qos.NewPlanner(plannerTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +57,18 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	const symbols = 4
+	windows := noisyProblems(t, 4, symbols)
+	for w := 0; w < 4; w++ {
+		mod := []modulation.Modulation{modulation.QPSK, modulation.QAM16}[w%2]
+		window := uncertifiedWindow(t, int64(60+w), mod, symbols)
+		for _, p := range window {
+			p.TargetBER = 1e-3
+		}
+		windows = append(windows, window)
+	}
 	quantum, denied, certified := 0, 0, 0
-	for _, window := range noisyProblems(t, 12, 6) {
+	for _, window := range windows {
 		key := core.FingerprintChannel(window[0].Mod, window[0].H)
 		for _, hard := range window {
 			soft := *hard
@@ -84,21 +95,25 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 			}
 		}
 	}
-	if quantum == 0 || denied == 0 || certified == 0 {
-		t.Fatalf("%d sized plans, %d denials, %d certificates: the grid does not exercise every verdict", quantum, denied, certified)
+	if quantum != 2*2*symbols || denied != 2*2*symbols || certified != 4*2*symbols {
+		t.Fatalf("%d sized plans, %d denials, %d certificates: want %d, %d and %d", quantum, denied, certified, 2*2*symbols, 2*2*symbols, 4*2*symbols)
 	}
-	if st, want := s.snr.Stats(), (metrics.ChannelCacheStats{Hits: 12 * (2*6 - 1), Misses: 12}); st != want {
+	n := uint64(len(windows))
+	if st, want := s.snr.Stats(), (metrics.ChannelCacheStats{Hits: n * (2*symbols - 1), Misses: n}); st != want {
 		t.Fatalf("planning store %+v, want %+v: one build per keyed window, un-keyed problems never stored", st, want)
 	}
 }
 
 // Two channels under one ChannelKey: each request is planned from its OWN
-// channel. The key's first channel here has nearly collinear columns; a
-// well-conditioned 30 dB channel estimated through ITS triangle reads as
-// noise, so a scheduler that trusts the key denies a request its own channel
-// fits on the annealer. The requests are soft, so the planner sees them.
+// channel. The key's first channel here has nearly collinear columns, the
+// other is the uncertified 16×16 QPSK channel it was bent from; the table's
+// success probability climbs with SNR, so the two plan different budgets and
+// a scheduler that trusted the key would plan one request from the other's
+// estimate.
 func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
-	pl, err := qos.NewPlanner(nil)
+	table := plannerTable()
+	table.Points[0].P0, table.Points[1].P0 = 0.05, 0.95
+	pl, err := qos.NewPlanner(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,40 +122,42 @@ func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	src := rng.New(43)
-	cfg := mimo.Config{Mod: modulation.QPSK, Nt: 8, Nr: 8, Channel: channel.Rayleigh{}, SNRdB: 30}
-	good, err := mimo.Generate(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := uncertified(t, 43, modulation.QPSK)
 	hBad := good.H.Clone()
 	for r := 0; r < hBad.Rows; r++ {
 		for c := 1; c < hBad.Cols; c++ {
 			hBad.Set(r, c, hBad.At(r, 0)+0.05*hBad.At(r, c))
 		}
 	}
-	bad, err := mimo.FromParts(src, cfg, hBad, src.Bits(16))
+	src := rng.New(44)
+	bad, err := mimo.FromParts(src, mimo.Config{Mod: modulation.QPSK, Nt: 16, Nr: 16, Channel: channel.Rayleigh{}, SNRdB: -6}, hBad, src.Bits(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := core.FingerprintChannel(bad.Mod, bad.H)
-	plan := func(in *mimo.Instance, key core.ChannelKey) (backend.Problem, bool) {
-		v := s.applyPlan(&backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, TargetBER: 1e-3, ChannelKey: key, Soft: true}, 50*time.Millisecond)
+	key := core.FingerprintChannel(modulation.QPSK, hBad)
+	plan := func(p *backend.Problem, key core.ChannelKey) (backend.Problem, bool) {
+		q := *p
+		q.TargetBER, q.ChannelKey, q.Soft = 1e-3, key, true
+		v := s.applyPlan(&q, 50*time.Millisecond)
+		if v.proved != nil {
+			t.Fatal("the certificate answered a request the test needs planned")
+		}
 		out := *v.p
 		out.ChannelKey = 0
 		return out, v.denied
 	}
+	badP := &backend.Problem{Mod: bad.Mod, H: bad.H, Y: bad.Y}
 	wantGood, wantGoodDenied := plan(good, 0)
-	wantBad, wantBadDenied := plan(bad, 0)
+	wantBad, wantBadDenied := plan(badP, 0)
 	if wantGoodDenied == wantBadDenied && reflect.DeepEqual(wantGood.Anneal, wantBad.Anneal) {
 		t.Fatal("the two channels plan alike: the test cannot tell whose estimator was used")
 	}
 	for i, c := range []struct {
-		in         *mimo.Instance
+		p          *backend.Problem
 		want       backend.Problem
 		wantDenied bool
-	}{{bad, wantBad, wantBadDenied}, {good, wantGood, wantGoodDenied}, {bad, wantBad, wantBadDenied}} {
-		if got, denied := plan(c.in, key); denied != c.wantDenied || !reflect.DeepEqual(got, c.want) {
+	}{{badP, wantBad, wantBadDenied}, {good, wantGood, wantGoodDenied}, {badP, wantBad, wantBadDenied}} {
+		if got, denied := plan(c.p, key); denied != c.wantDenied || !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("request %d under the shared key: budget %+v denied=%v, its own channel's plan is %+v denied=%v",
 				i, got.Anneal, denied, c.want.Anneal, c.wantDenied)
 		}
@@ -166,7 +183,7 @@ func TestEstimatorConcurrentWindows(t *testing.T) {
 			p := *windows[g%2][0]
 			p.ChannelKey = core.ChannelKey(1 + g%2)
 			got[g] = s.estimator(&p)
-			if !got[g].Estimate(p.Y, qos.CertifyNodes).OK {
+			if !got[g].Estimate(p.Y, qos.CertifyNodes, nil).OK {
 				t.Errorf("goroutine %d: estimate failed", g)
 			}
 		}()

@@ -2,9 +2,9 @@ package sched
 
 // A PT-aware planner's replica-exchange budget must travel with the problem
 // through the scheduler to the classical side, and never leak onto the
-// quantum path or into the caller's Problem. The requests are soft: a hard
-// one on these noise-free channels is answered by the certificate at
-// admission and never meets the planner.
+// quantum path or into the caller's Problem. The requests are uncertified:
+// one the certificate search finishes is answered at admission and never
+// meets the planner.
 
 import (
 	"context"
@@ -36,10 +36,10 @@ func TestPlannerDenialCarriesPTBudgetToFallback(t *testing.T) {
 	}
 	defer s.Close()
 
-	// 8 users exceeds every fitted size: denied to the fallback, but with a
+	// 16-QAM is not in the table: denied to the fallback, but with a
 	// deadline-sized replica-exchange budget attached.
-	p, _ := testProblem(t, 911, modulation.QPSK, 8)
-	p.TargetBER, p.Soft = 1e-3, true
+	p := uncertified(t, 911, modulation.QAM16)
+	p.TargetBER = 1e-3
 	res, err := s.Dispatch(context.Background(), p, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func TestQuantumPlanCarriesNoPTBudget(t *testing.T) {
 	}
 	defer s.Close()
 
-	p, _ := testProblem(t, 912, modulation.QPSK, 4)
-	p.TargetBER, p.Soft = 1e-3, true
+	p := uncertified(t, 912, modulation.QPSK)
+	p.TargetBER = 1e-3
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}

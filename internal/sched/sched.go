@@ -16,18 +16,20 @@
 //   - Certify. With a Planner configured, a problem carrying a target BER is
 //     read once through its window's sphere program (qos.SNREstimator, one
 //     WindowStore lookup): the SNR estimate, the zero-forcing decision and
-//     its residual ‖y − H·v_ZF‖². Unless the problem is soft, a
-//     Schnorr–Euchner search of at most qos.CertifyNodes tree nodes starts
-//     from that decision as its incumbent leaf, so its radius is the
-//     zero-forcing metric and it keeps only strictly closer leaves. A search
-//     that finishes inside the budget has ruled out every leaf closer to y
-//     than the one it holds: that leaf is an ML answer, and no annealer read
-//     can beat it. The request is answered there — Backend "certificate",
-//     no reads, no queue slot, no backend and no planner call — the hybrid
-//     classical–quantum structure of Kim et al. (arXiv:2010.00682) applied
-//     per request. A search that runs out of nodes leaves the request to the
-//     planner exactly as before. Soft requests skip the search: a proved
-//     leaf alone gives only saturated LLRs.
+//     its residual ‖y − H·v_ZF‖². A Schnorr–Euchner search of at most
+//     qos.CertifyNodes tree nodes starts from that decision as its incumbent
+//     leaf, so its radius is the zero-forcing metric and it keeps only
+//     strictly closer leaves. A search that finishes inside the budget has
+//     ruled out every leaf closer to y than the one it holds: that leaf is an
+//     ML answer, and no annealer read can beat it. For a soft request the
+//     search is the clipped single-tree max-log search (Studer, Burg &
+//     Bölcskei): it also keeps, per bit, the nearest leaf with that bit
+//     flipped, out to where the request's LLR clamps, so a finished search
+//     holds the exact clamped max-log LLRs. The request is answered there —
+//     Backend "certificate", no reads, no queue slot, no backend and no
+//     planner call — the hybrid classical–quantum structure of Kim et al.
+//     (arXiv:2010.00682) applied per request. A search that runs out of
+//     nodes leaves the request to the planner exactly as before.
 //
 //   - Plan. A problem carrying a target BER that the certificate did not
 //     answer gets its anneal budget — reads, schedule, forward/reverse mode —
@@ -83,6 +85,7 @@ import (
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
+	"quamax/internal/softout"
 	"quamax/internal/telemetry"
 )
 
@@ -179,8 +182,9 @@ type Config struct {
 	// Burn, when set, receives one (deadline-miss, BER-risk) observation
 	// per terminal request under this scheduler's ShardID — the per-shard
 	// SLO burn-rate feed the router folds into its shed decision. A
-	// BER-risk event is a soft decode whose LLRs saturated or a
-	// target-carrying request the planner denied to classical.
+	// BER-risk event is a soft decode a backend answered with saturated LLRs
+	// or a target-carrying request the planner denied to classical; a
+	// certified soft answer's clamped LLRs are exact and never count.
 	Burn *health.BurnTracker
 	// ShardID stamps every trace this scheduler emits when one Recorder is
 	// shared across a sharded router, attributing queue/gather spans to the
@@ -435,27 +439,26 @@ type verdict struct {
 // applyPlan is admission's work for a problem carrying a target BER (its own
 // or the configured default), with a Planner configured; any other problem
 // passes through untouched. One store lookup and one Estimate give the SNR,
-// the zero-forcing residual and — unless the problem is soft — a certificate
-// search of qos.CertifyNodes nodes seeded with the zero-forcing decision.
-// A search that finished has proved its leaf ML: the verdict carries that
-// answer and the planner is never asked. Otherwise the problem is planned
-// (plan) exactly as it would have been without the search.
-//
-// Soft problems are not certified: a proved leaf alone gives saturated LLRs,
-// which a soft request did not ask for.
+// the zero-forcing residual and a certificate search of qos.CertifyNodes
+// nodes seeded with the zero-forcing decision — for a soft problem, clipped
+// at its LLR spec, so a finished search also holds its exact clamped max-log
+// LLRs. A search that finished has proved its answer: the verdict carries it
+// and the planner is never asked. Otherwise the problem is planned (plan)
+// exactly as it would have been without the search.
 func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) verdict {
 	target := s.target(p)
 	if target <= 0 {
 		return verdict{p: p}
 	}
-	nodes := qos.CertifyNodes
+	var soft *softout.Spec
 	if p.Soft {
-		nodes = 0
+		soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 	}
-	est := s.estimator(p).Estimate(p.Y, nodes)
+	est := s.estimator(p).Estimate(p.Y, qos.CertifyNodes, soft)
 	if est.Proved {
 		return verdict{p: p, nodes: est.Nodes, proved: &backend.Result{
-			Bits: est.Bits, Energy: est.Metric, Backend: CertificateBackend,
+			Bits: est.Bits, Energy: est.Metric, LLRs: est.LLRs, LLRSaturated: est.LLRSaturated,
+			Backend: CertificateBackend,
 		}}
 	}
 	v := s.plan(p, target, deadline, est)
@@ -790,9 +793,10 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 	if ctr != nil || err == nil {
 		// The shard's SLO burn feed (a nil tracker ignores it). A failed
 		// request blew its SLO whatever the clock says; BER risk is a target
-		// the planner denied to classical, or saturated soft output.
+		// the planner denied to classical, or saturated soft output from a
+		// solver. A certified answer's clamped LLRs are proved, not risked.
 		s.cfg.Burn.Observe(s.cfg.ShardID, missed || err != nil,
-			j.route == routePlannerDenied || (err == nil && j.p.Soft && res.LLRSaturated > 0))
+			j.route == routePlannerDenied || (ctr != nil && err == nil && j.p.Soft && res.LLRSaturated > 0))
 	}
 	if tr := j.tr; tr != nil {
 		tr.Failed = err != nil

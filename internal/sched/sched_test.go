@@ -92,6 +92,49 @@ func testProblem(t *testing.T, seed int64, mod modulation.Modulation, nt int) (*
 	return &backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y}, in
 }
 
+// uncertifiedWindow draws symbols requests through one seeded Rayleigh channel
+// the certificate cannot finish on, so admission hands them to the planner
+// (NoiseVar carries the draw's σ², which only a soft request reads):
+// 16×16 QPSK at −6 dB, or 16×16 16-QAM at 10 dB (32 and 64 logical spins: the
+// QPSK class shares device runs on the default chip; each ran out of nodes on
+// 1,000 of 1,000 seeded draws). Each
+// carries no target BER and is asserted to run its hard search out of
+// qos.CertifyNodes nodes; a soft search visits every node the hard one does,
+// so it runs out too. A test that needs the planner thereby fails loudly
+// instead of quietly testing the certificate.
+func uncertifiedWindow(t *testing.T, seed int64, mod modulation.Modulation, symbols int) []*backend.Problem {
+	t.Helper()
+	snr := -6.0
+	if mod == modulation.QAM16 {
+		snr = 10
+	}
+	src := rng.New(seed)
+	cfg := mimo.Config{Mod: mod, Nt: 16, Nr: 16, Channel: channel.Rayleigh{}, SNRdB: snr}
+	first, err := mimo.Generate(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := qos.NewSNREstimator(mod, first.H)
+	out := make([]*backend.Problem, symbols)
+	for i := range out {
+		in, err := mimo.FromParts(src, cfg, first.H, src.Bits(16*mod.BitsPerSymbol()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := est.Estimate(in.Y, qos.CertifyNodes, nil); e.Proved {
+			t.Fatalf("seed %d symbol %d: the certificate finished in %d nodes; the request would never reach the planner", seed, i, e.Nodes)
+		}
+		out[i] = &backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, NoiseVar: in.NoiseVariance()}
+	}
+	return out
+}
+
+// uncertified is one request of uncertifiedWindow.
+func uncertified(t *testing.T, seed int64, mod modulation.Modulation) *backend.Problem {
+	t.Helper()
+	return uncertifiedWindow(t, seed, mod, 1)[0]
+}
+
 // waitFor polls cond for up to 5 s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -423,20 +466,27 @@ func TestRealAnnealerBatchThroughScheduler(t *testing.T) {
 
 // plannerTable is a minimal QPSK fit for scheduler planning tests: 4-user
 // QPSK at 20–30 dB with p0=0.5, zero floor, 0.1 spread.
-func plannerTable() *qos.Table {
+func plannerTable() *qos.Table { return flatTable("QPSK", 4) }
+
+// flatTable fits mod at 16 users with one operating point (chain strength jf)
+// and one distribution from −20 to 30 dB (p0 = 0.5, spread 0.1, no floor): an
+// uncertified request of mod plans alike whatever its SNR estimate, and a
+// soft target of 1e-3 — relieved SoftTargetRelief× to 4e-3 — plans
+// (0.5)^Na·0.1 ≤ 4e-3 → Na = 5 reads. Every other modulation is unfitted:
+// the planner denies it.
+func flatTable(mod string, jf float64) *qos.Table {
+	pt := qos.Point{Mod: mod, Nt: 16, SNRdB: -20, Mode: qos.ModeForward, P0: 0.5, FloorBER: 0, SpreadBER: 0.1}
+	top := pt
+	top.SNRdB = 30
 	return &qos.Table{
-		Ops: []qos.ClassOp{{Mod: "QPSK", JF: 4, Ta: 1, Tp: 1, Sp: 0.35}},
-		Points: []qos.Point{
-			{Mod: "QPSK", Nt: 4, SNRdB: 20, Mode: qos.ModeForward, P0: 0.5, FloorBER: 0, SpreadBER: 0.1},
-			{Mod: "QPSK", Nt: 4, SNRdB: 30, Mode: qos.ModeForward, P0: 0.5, FloorBER: 0, SpreadBER: 0.1},
-		},
+		Ops:    []qos.ClassOp{{Mod: mod, JF: jf, Ta: 1, Tp: 1, Sp: 0.35}},
+		Points: []qos.Point{pt, top},
 	}
 }
 
-// The planner tests below dispatch soft requests: a hard one on these
-// noise-free channels is answered by the certificate at admission and never
-// meets the planner. A soft target is relieved SoftTargetRelief× (1e-3 plans as
-// 4e-3).
+// The planner tests below dispatch uncertified requests: anything the
+// certificate search finishes — hard or soft — is answered at admission and
+// never meets the planner.
 
 // A target-BER request must reach the backend with a planner-sized anneal
 // budget, leaving the caller's Problem untouched.
@@ -452,9 +502,8 @@ func TestPlannerSizesAnnealBudget(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Noise-free 4-user QPSK: the SNR estimate is far above the fitted range
-	// and clamps to the 30 dB point. (0.5)^Na·0.1 ≤ 4e-3 → Na = 5.
-	p, _ := testProblem(t, 900, modulation.QPSK, 4)
+	// A soft 1e-3 on the flat table: (0.5)^Na·0.1 ≤ 4e-3 → Na = 5.
+	p := uncertified(t, 900, modulation.QPSK)
 	p.TargetBER, p.Soft = 1e-3, true
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
@@ -487,10 +536,10 @@ func TestPlannerDenialRoutesToFallback(t *testing.T) {
 	}
 	defer s.Close()
 
-	// 8 users exceeds every fitted size: the planner denies quantum dispatch
-	// even though the pool queue is empty and the deadline generous.
-	p, _ := testProblem(t, 901, modulation.QPSK, 8)
-	p.TargetBER, p.Soft = 1e-3, true
+	// 16-QAM is not in the table: the planner denies quantum dispatch even
+	// though the pool queue is empty and the deadline generous.
+	p := uncertified(t, 901, modulation.QAM16)
+	p.TargetBER = 1e-3
 	res, err := s.Dispatch(context.Background(), p, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +553,7 @@ func TestPlannerDenialRoutesToFallback(t *testing.T) {
 	}
 
 	// The planner's own stats recorded the denial reason.
-	if pst := pl.Stats(); pst.Classical != 1 || pst.ByReason[qos.ReasonOversizeNt] != 1 {
+	if pst := pl.Stats(); pst.Classical != 1 || pst.ByReason[qos.ReasonUnfittedClass] != 1 {
 		t.Fatalf("planner stats: %+v", pst)
 	}
 }
@@ -522,7 +571,7 @@ func TestPlannerDefaultTargetBER(t *testing.T) {
 	}
 	defer s.Close()
 
-	p, _ := testProblem(t, 902, modulation.QPSK, 4)
+	p := uncertified(t, 902, modulation.QPSK)
 	p.Soft = true
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
@@ -600,9 +649,9 @@ func TestPlannerBestEffortWithoutFallback(t *testing.T) {
 	}
 	defer s.Close()
 
-	// The table's QPSK nt=4 fit (p0=0.5, spread=0.1) needs 5 reads (10 µs)
-	// for a soft 1e-3; an 8 µs deadline fits 4.
-	p, _ := testProblem(t, 930, modulation.QPSK, 4)
+	// The flat table's fit needs 5 reads (10 µs) for a soft 1e-3; an 8 µs
+	// deadline fits 4.
+	p := uncertified(t, 930, modulation.QPSK)
 	p.TargetBER, p.Soft = 1e-3, true
 	if _, err := s.Dispatch(context.Background(), p, 8*time.Microsecond); err != nil {
 		t.Fatal(err)
@@ -620,7 +669,7 @@ func TestPlannerBestEffortWithoutFallback(t *testing.T) {
 
 // The planner's fitted chain strength must reach the backend.
 func TestPlannerAppliesChainStrength(t *testing.T) {
-	pl, err := qos.NewPlanner(nil) // builtin: 16-QAM fitted at |J_F| = 12
+	pl, err := qos.NewPlanner(flatTable("16-QAM", 12)) // as the built-in table fits 16-QAM
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,8 +680,8 @@ func TestPlannerAppliesChainStrength(t *testing.T) {
 	}
 	defer s.Close()
 
-	p, _ := testProblem(t, 931, modulation.QAM16, 2)
-	p.TargetBER, p.Soft = 0.05, true
+	p := uncertified(t, 931, modulation.QAM16)
+	p.TargetBER = 0.05
 	if _, err := s.Dispatch(context.Background(), p, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -749,17 +798,18 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 	}
 
 	// What steers a request down each route on this scheduler (pool estimate
-	// 100 µs, fallback 10 µs and cheaper, 4-user table). The planned routes
-	// carry soft requests: the certificate answers a hard one at admission.
+	// 100 µs, fallback 10 µs and cheaper, the flat QPSK table). The planned
+	// routes carry uncertified requests: the certificate answers the others at
+	// admission.
 	request := func(route int, seed int64) (*backend.Problem, time.Duration) {
 		switch route {
 		case routeQueue: // a hard BER class keeps its QPU reads whatever the price
-			p, _ := testProblem(t, seed, modulation.QPSK, 4)
-			p.TargetBER, p.Soft = 1e-9, true
+			p := uncertified(t, seed, modulation.QPSK)
+			p.TargetBER = 1e-9
 			return p, time.Hour
-		case routePlannerDenied: // 8 users exceeds every fitted size
-			p, _ := testProblem(t, seed, modulation.QPSK, 8)
-			p.TargetBER, p.Soft = 1e-3, true
+		case routePlannerDenied: // 16-QAM is not in the table
+			p := uncertified(t, seed, modulation.QAM16)
+			p.TargetBER = 1e-3
 			return p, time.Hour
 		case routeCertified: // a hard decode with a target: the search proves it
 			p, _ := testProblem(t, seed, modulation.QPSK, 4)
@@ -1072,12 +1122,12 @@ func TestCostAwareDispatch(t *testing.T) {
 			}
 			defer s.Close()
 
-			// Noise-free 4-user QPSK clamps to the table's 30 dB point:
-			// (0.5)^Na·0.1 ≤ target prices a soft 1e-3 (relieved to 4e-3) at
-			// 5 reads (easy, under DefaultCostEasyReads) and a soft 1e-9 at 25
-			// (hard, over it). Soft, because the certificate answers a hard
-			// request with a target at admission.
-			p, _ := testProblem(t, int64(950+i), modulation.QPSK, 4)
+			// The flat table prices a soft 1e-3 (relieved to 4e-3) at 5
+			// reads (easy, under DefaultCostEasyReads) and a soft 1e-9 at 25
+			// (hard, over it): (0.5)^Na·0.1 ≤ target. Uncertified, because
+			// the certificate answers any other request with a target at
+			// admission.
+			p := uncertified(t, int64(950+i), modulation.QPSK)
 			p.TargetBER, p.Soft = c.targetBER, true
 			res, err := s.Dispatch(context.Background(), p, c.deadline)
 			if err != nil {

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func planned(s *Scheduler, p *backend.Problem, deadline time.Duration) (*backend
 	if target <= 0 {
 		return p, false
 	}
-	v := s.plan(p, target, deadline, s.estimator(p).Estimate(p.Y, 0))
+	v := s.plan(p, target, deadline, s.estimator(p).Estimate(p.Y, 0, nil))
 	return v.p, v.denied
 }
 
@@ -213,14 +214,17 @@ func TestPrecodeGammaUnmovedByTheRule(t *testing.T) {
 
 // What the rule did shows in the pool counters and on the trace's solve span:
 // reads run beside reads planned per backend, and the solves stopped early —
-// all of them on the SA tier, none on the annealer. The requests are soft, so
-// no certificate answers them at admission.
+// all of them on the SA tier, none on the annealer. The requests are
+// uncertified, so no certificate answers them at admission; the flat table,
+// given a BER floor of 1e-4, fits a 1e-3 target and denies a 1e-5 one.
 func TestStopCountersAndTraceFields(t *testing.T) {
 	qpu, err := backend.NewAnnealer("qpu", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner, err := qos.NewPlanner(nil)
+	table := plannerTable()
+	table.Points[0].FloorBER, table.Points[1].FloorBER = 1e-4, 1e-4
+	planner, err := qos.NewPlanner(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +240,12 @@ func TestStopCountersAndTraceFields(t *testing.T) {
 	ctx := context.Background()
 	var planned, run [2]uint64 // [qpu, sa]
 	var stopped uint64
-	for i := 0; i < 40; i++ {
-		snr := 25.0
+	for i := 0; i < 24; i++ {
+		p := uncertified(t, int64(500+i), modulation.QPSK)
+		p.TargetBER = 1e-3
 		if i%4 == 3 {
-			snr = 2 // denied: the SA tier
+			p.TargetBER = 1e-5 // denied: the SA tier
 		}
-		p, _ := noisyProblem(t, int64(500+i), snr)
-		p.Soft = true
 		res, err := s.Dispatch(ctx, p, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
@@ -287,14 +290,23 @@ func TestStopCountersAndTraceFields(t *testing.T) {
 
 // The device tier's stops show in the same counters as the SA tier's, and the
 // fitted decodes the annealer did not settle are counted per class: a shared
-// run of fitted soft requests (no certificate answers those) behind a gated
-// head, reconciled against its results.
+// run of fitted uncertified soft requests carrying their σ² behind a gated
+// head, reconciled against its results. The table fits QPSK and 16-QAM with a
+// low success probability (p0 = 0.1), so a soft 1e-3 target plans 31 reads:
+// room for a QPSK member to stop past the softout.MinEnsemble floor, while
+// the 16-QAM requests (64 spins: runs of one) rarely reach their radius.
 func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 	qpu, err := backend.NewAnnealer("qpu", core.Options{AmortizeParallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner, err := qos.NewPlanner(nil)
+	table := plannerTable()
+	qam := flatTable("16-QAM", 12)
+	table.Ops, table.Points = append(table.Ops, qam.Ops...), append(table.Points, qam.Points...)
+	for i := range table.Points {
+		table.Points[i].P0 = 0.1
+	}
+	planner, err := qos.NewPlanner(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +321,12 @@ func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 	results := make([]*backend.Result, n)
 	var wg sync.WaitGroup
 	dispatch := func(i int) {
-		problems[i], _ = noisyProblem(t, int64(900+i), 18)
-		problems[i].Soft = true
+		mod := modulation.QPSK
+		if i%4 == 2 {
+			mod = modulation.QAM16
+		}
+		problems[i] = uncertified(t, int64(900+i), mod)
+		problems[i].TargetBER, problems[i].Soft = 1e-3, true
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -333,7 +349,8 @@ func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 		return
 	}
 
-	var stopped, misses, run uint64
+	var stopped, run uint64
+	misses := map[string]uint64{}
 	for i, res := range results {
 		// What the request was dispatched as: a fit carries its radius; a denial
 		// (there is no fallback to deny to) rides along un-armed.
@@ -352,15 +369,15 @@ func TestDeviceStopsAndRadiusMissesAreCounted(t *testing.T) {
 			}
 		}
 		if !denied && res.Energy > q.StopRadius {
-			misses++
+			misses[telemetry.Class(q.Mod.String(), q.Users())]++
 		}
 	}
 	st := s.Stats()
 	if st.StoppedEarly != stopped || stopped == 0 {
 		t.Errorf("pool counter stopped early %d, results say %d (want some)", st.StoppedEarly, stopped)
 	}
-	if got := st.RadiusMisses["QPSK/8"]; got != misses || misses == 0 || len(st.RadiusMisses) != 1 {
-		t.Errorf("radius misses %v, results say QPSK/8 = %d (want some)", st.RadiusMisses, misses)
+	if !reflect.DeepEqual(st.RadiusMisses, misses) || len(misses) == 0 {
+		t.Errorf("radius misses %v, results say %v (want some)", st.RadiusMisses, misses)
 	}
 	if got := st.Backends[0].ReadsRun; got != run {
 		t.Errorf("backend reads run %d, results say %d", got, run)

@@ -8,6 +8,7 @@ import (
 
 	"quamax/internal/backend"
 	"quamax/internal/modulation"
+	"quamax/internal/qos"
 	"quamax/internal/telemetry"
 )
 
@@ -48,13 +49,15 @@ func TestTelemetryTracesReconcileAcrossPaths(t *testing.T) {
 	var planned uint64
 	for i, row := range r.rows {
 		tr := traces[i]
-		wantClass, wantBackend := "QPSK/4", "fb"
+		// A request with a target was searched: the certified one finished
+		// inside the budget, the planned ones ran out of it.
+		wantClass, wantBackend, wantNodes := "QPSK/4", "fb", 0
 		switch row.route {
 		case routeQueue:
-			wantBackend = "qpu"
+			wantClass, wantBackend, wantNodes = "QPSK/16", "qpu", qos.CertifyNodes+1
 			planned++
 		case routePlannerDenied:
-			wantClass = "QPSK/8"
+			wantClass, wantNodes = "16-QAM/16", qos.CertifyNodes+1
 			planned++
 		case routeCertified:
 			wantBackend = CertificateBackend
@@ -62,10 +65,14 @@ func TestTelemetryTracesReconcileAcrossPaths(t *testing.T) {
 		if row.outcome == outcomeCancelled {
 			wantBackend = "" // no backend ran it
 		}
+		nodesOK := tr.CertifyNodes == wantNodes
+		if row.route == routeCertified {
+			nodesOK = tr.CertifyNodes >= 1 && tr.CertifyNodes <= qos.CertifyNodes
+		}
 		if tr.Class != wantClass || tr.Backend != wantBackend ||
 			tr.Fallback != (row.route != routeQueue && row.route != routeCertified) ||
 			tr.PlannerDenied != (row.route == routePlannerDenied) ||
-			(tr.CertifyNodes > 0) != (row.route == routeCertified) ||
+			!nodesOK ||
 			tr.Failed != (row.outcome != outcomeOK) {
 			t.Errorf("request %d (route %d, outcome %d): trace %+v", i, row.route, row.outcome, tr)
 		}

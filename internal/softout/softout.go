@@ -27,6 +27,11 @@
 // Energies are reused from the decode's own sample scoring, so LLR
 // extraction adds no objective evaluations — only the candidate bookkeeping
 // and one Gray translation per read.
+//
+// A decision proved ML at admission carries exact LLRs instead: a clipped
+// sphere search (internal/detector) finds every bit's nearest
+// counter-hypothesis out to ClipRadius, and FromGaps turns those distances
+// into LLRs through the same formula (LLR) the ensemble uses.
 package softout
 
 import (
@@ -218,11 +223,6 @@ func (e *Ensemble) Best() (Candidate, bool) {
 // formula and sign convention). saturated counts the bits that hit the
 // clamp, including one-sided bits. An empty ensemble yields all-zero LLRs.
 func (e *Ensemble) LLRs(spec Spec) (llrs []float64, saturated int) {
-	spec = spec.WithDefaults()
-	scale := 1.0
-	if spec.NoiseVar > 0 {
-		scale = 1 / spec.NoiseVar
-	}
 	llrs = make([]float64, e.nbits)
 	if len(e.cands) == 0 {
 		return llrs, 0
@@ -239,24 +239,61 @@ func (e *Ensemble) LLRs(spec Spec) (llrs []float64, saturated int) {
 				e1 = c.Energy
 			}
 		}
-		var llr float64
-		switch {
-		case math.IsInf(e1, 1): // every candidate says 0
-			llr = -spec.Clamp
-		case math.IsInf(e0, 1): // every candidate says 1
-			llr = spec.Clamp
-		default:
-			llr = (e0 - e1) * scale
-			if llr > spec.Clamp {
-				llr = spec.Clamp
-			} else if llr < -spec.Clamp {
-				llr = -spec.Clamp
-			}
-		}
-		if llr == spec.Clamp || llr == -spec.Clamp {
+		var sat bool
+		if llrs[k], sat = LLR(e0, e1, spec); sat {
 			saturated++
 		}
-		llrs[k] = llr
+	}
+	return llrs, saturated
+}
+
+// LLR is the package's one max-log-MAP formula: one bit's ratio from e0 and
+// e1, the least energies among the candidates with that bit 0 and with it 1
+// (+Inf where there is none). It is (e0 − e1)/σ² — unscaled when NoiseVar ≤
+// 0 — clamped to ±Clamp (0 selects DefaultClamp); a one-sided bit takes the
+// clamp on its candidates' side. saturated reports |LLR| = Clamp.
+func LLR(e0, e1 float64, spec Spec) (llr float64, saturated bool) {
+	spec = spec.WithDefaults()
+	switch {
+	case math.IsInf(e1, 1): // every candidate says 0
+		llr = -spec.Clamp
+	case math.IsInf(e0, 1): // every candidate says 1
+		llr = spec.Clamp
+	default:
+		scale := 1.0
+		if spec.NoiseVar > 0 {
+			scale = 1 / spec.NoiseVar
+		}
+		llr = min(max((e0-e1)*scale, -spec.Clamp), spec.Clamp)
+	}
+	return llr, llr == spec.Clamp || llr == -spec.Clamp
+}
+
+// ClipRadius is the energy distance at which an LLR reaches the clamp: Clamp·σ²,
+// or Clamp when NoiseVar ≤ 0. A counter-hypothesis this much farther than the
+// best candidate, or more, yields ±Clamp however far it is.
+func (s Spec) ClipRadius() float64 {
+	s = s.WithDefaults()
+	if s.NoiseVar > 0 {
+		return s.Clamp * s.NoiseVar
+	}
+	return s.Clamp
+}
+
+// FromGaps is LLR for one decision: bits its data bits, and gaps[k] how much
+// farther the nearest candidate with bit k flipped lies (+Inf for none) — a
+// max-log search's output in place of an ensemble's. It allocates the LLRs.
+func FromGaps(bits []byte, gaps []float64, spec Spec) (llrs []float64, saturated int) {
+	llrs = make([]float64, len(bits))
+	for k, b := range bits {
+		e0, e1 := 0.0, gaps[k]
+		if b != 0 {
+			e0, e1 = e1, e0
+		}
+		var sat bool
+		if llrs[k], sat = LLR(e0, e1, spec); sat {
+			saturated++
+		}
 	}
 	return llrs, saturated
 }

@@ -231,3 +231,53 @@ func TestWithDefaults(t *testing.T) {
 		t.Fatalf("WithDefaults overwrote explicit fields: %+v", s)
 	}
 }
+
+// A decision and its per-bit gaps carry what an ensemble's LLRs read: the best
+// candidate, and per bit how much farther the least-energy candidate holding
+// the other value lies. FromGaps gives the ensemble's LLRs bit for bit, under
+// scaled and unscaled, default and small clamps.
+func TestFromGapsMatchesEnsemble(t *testing.T) {
+	src := rng.New(8)
+	for trial := 0; trial < 300; trial++ {
+		nbits := 1 + src.Intn(10)
+		spec := Spec{NoiseVar: []float64{0, 0.3, 2}[trial%3], Clamp: []float64{0, 3, 0.5, 50}[trial%4]}
+		e := NewEnsemble(nbits, 0)
+		for c := 0; c < 1+src.Intn(20); c++ {
+			e.Add(src.Bits(nbits), src.Float64()*10)
+		}
+		best, _ := e.Best()
+		gaps := make([]float64, nbits)
+		for k := range gaps {
+			gaps[k] = math.Inf(1)
+			for _, c := range e.Candidates() {
+				if c.Bits[k] != best.Bits[k] {
+					gaps[k] = min(gaps[k], c.Energy-best.Energy)
+				}
+			}
+		}
+		want, wantSat := e.LLRs(spec)
+		got, gotSat := FromGaps(best.Bits, gaps, spec)
+		if gotSat != wantSat {
+			t.Fatalf("trial %d: %d saturated from gaps, %d from the ensemble", trial, gotSat, wantSat)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d bit %d: LLR %v from gaps, %v from the ensemble", trial, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// ClipRadius is where the LLR meets the clamp: a gap of exactly that much
+// saturates, scaled or not, and anything nearer does not.
+func TestClipRadius(t *testing.T) {
+	for _, spec := range []Spec{{NoiseVar: 0.5, Clamp: 10}, {Clamp: 4}, {NoiseVar: 0.25}} {
+		r := spec.ClipRadius()
+		if l, sat := LLR(0, r, spec); !sat || l != -spec.WithDefaults().Clamp {
+			t.Errorf("%+v: a gap of the clip radius %v gives LLR %v (saturated %v)", spec, r, l, sat)
+		}
+		if _, sat := LLR(r*0.99, 0, spec); sat {
+			t.Errorf("%+v: a gap inside the clip radius saturates", spec)
+		}
+	}
+}
