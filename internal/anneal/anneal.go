@@ -16,9 +16,9 @@
 //     inverse-temperature ramp β(s) that mirrors the A(t)/B(t) signal swap,
 //     with the anneal time Ta setting the sweep budget and an optional
 //     mid-anneal pause of duration Tp at schedule position sp (§4, [43]).
-//   - Batching. A run executes Na anneals (one QA "job", §4) with fresh
-//     ICE noise and fresh initial states, parallelized across goroutines
-//     with independent deterministic random streams.
+//   - Batching. A run executes Na anneals (one QA "job", §4) per slot, each
+//     with fresh ICE noise and a fresh initial state drawn from a stream keyed
+//     by (slot, read), so workers share out reads without changing any.
 //
 // The only non-reproduced aspect is the sampler's physics: Metropolis
 // dynamics replace quantum dynamics, so absolute success probabilities are
@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -129,7 +130,7 @@ type Machine struct {
 	// Workers bounds run concurrency (≤ 0 means 1).
 	Workers int
 
-	scratch sync.Pool // *Scratch behind the allocating entry points (Run, RunPrepared, RunReverse, RunPreparedReverse)
+	scratch sync.Pool // *Scratch behind the allocating entry points (Run, RunPrepared, RunReverse)
 }
 
 // NewMachine returns a machine with the repository's calibrated constants
@@ -141,6 +142,7 @@ func NewMachine() *Machine {
 		BetaFinal:            CalibratedBetaFinal,
 		ICE:                  DefaultICE(),
 		Workers:              8,
+		scratch:              sync.Pool{New: func() any { return new(Scratch) }},
 	}
 }
 
@@ -165,42 +167,58 @@ func (m *Machine) Run(prog *qubo.Sparse, params Params, improvedRange bool, src 
 // biases between symbols — the device's couplers stay programmed — so the
 // adjacency build and coupler range scan of PrepareProgram are not redone per
 // symbol. Results are bit-identical to Run on the equivalent full program.
-//
-// It is the allocating form of RunPreparedInto: the run borrows a pooled
-// Scratch and the caller keeps the samples.
 func (m *Machine) RunPrepared(pp *PreparedProgram, h []float64, params Params, src *rng.Source) ([]Sample, error) {
-	sc := m.borrow()
-	samples, err := m.RunPreparedInto(sc, pp, h, params, src)
-	m.release(sc)
-	return samples, err
+	return m.collect(Slot{PP: pp, H: h}, params, src)
 }
 
-// RunPreparedInto is RunPrepared on the caller's scratch. The returned
-// samples alias sc and are valid until its next run.
-func (m *Machine) RunPreparedInto(sc *Scratch, pp *PreparedProgram, h []float64, params Params, src *rng.Source) ([]Sample, error) {
+// collect is the allocating form of a run of one slot (Run, RunPrepared,
+// RunReverse): it borrows a pooled Scratch and keeps every read, in index
+// order, in samples sharing one backing array.
+func (m *Machine) collect(sl Slot, params Params, src *rng.Source) ([]Sample, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return m.run(sc, pp, h, sc.schedule(ScheduleFromParams(m, params), 0), params.NumAnneals, nil, src)
+	n := sl.PP.N()
+	samples, spins := make([]Sample, 0, params.NumAnneals), make([]int8, params.NumAnneals*n)
+	sc := m.scratch.Get().(*Scratch)
+	err := m.RunSlots(sc, []Slot{sl}, params, src, func(_ int, read []int8) bool {
+		samples = append(samples, Sample{Spins: spins[len(samples)*n:][:n:n]})
+		copy(samples[len(samples)-1].Spins, read)
+		return false
+	})
+	m.scratch.Put(sc)
+	if err != nil {
+		return nil, err
+	}
+	return samples, nil
 }
 
-// Scratch is the working set of a device run: one deviceRead per worker
-// (private kernel, twin, re-seeded stream), the β list of the last schedule
-// run, and the backing of the samples a run returns. The one rule of the
-// solve path — a run allocates only what it returns — holds for device runs
-// through it: a caller that keeps a Scratch across runs (core pools one per
-// decode) allocates nothing here once it is warm, and the samples it gets
-// alias the scratch until its next run. The zero value is ready; a Scratch
+// Scratch is the working set of a device run: one deviceRead per worker, the β
+// list of the last schedule run, and the run in flight — its slots and their
+// stream seeds, how far each slot's reads have been handed out, and the
+// finished reads that wait for a predecessor, in one reads × qubits array. A
+// caller that keeps a Scratch across runs (core pools one per decode)
+// allocates nothing here once it is warm. The zero value is ready; a Scratch
 // must not be copied after first use and is not safe for concurrent runs.
 type Scratch struct {
 	crew    crew
+	work    func(w int) // claim, bound once
 	reads   []deviceRead
-	seeds   []int64      // RunSlots: slot i's stream seed
-	next    atomic.Int32 // RunSlots: the next unclaimed slot
 	betaKey betaKey
 	betas   []float64
-	samples []Sample
-	spins   []int8 // the samples' one backing array
+
+	slots   []Slot
+	read    func(slot int, spins []int8) (settled bool)
+	seeds   []uint64 // slot i's stream seed
+	scale   float64
+	ice     ICEModel
+	na      int
+	next    atomic.Int64 // the next unclaimed (slot, read) pair, read-major
+	mu      sync.Mutex   // guards handed and waiting
+	handed  []int        // per slot: reads handed to read so far; na once settled
+	waiting []bool       // per (slot, read) pair: finished, its row in spins
+	spins   []int8       // one row of stride spins per (slot, read) pair
+	stride  int
 }
 
 // betaKey names a per-sweep β list: the forward schedule (turnAt == 0), or
@@ -208,21 +226,6 @@ type Scratch struct {
 type betaKey struct {
 	sc     MSSchedule
 	turnAt float64
-}
-
-// borrow takes a scratch from the machine's pool.
-func (m *Machine) borrow() *Scratch {
-	if sc, ok := m.scratch.Get().(*Scratch); ok {
-		return sc
-	}
-	return new(Scratch)
-}
-
-// release returns a borrowed scratch whose run has returned, leaving the
-// samples of that run to the caller: the scratch's next run allocates its own.
-func (m *Machine) release(sc *Scratch) {
-	sc.samples, sc.spins = nil, nil
-	m.scratch.Put(sc)
 }
 
 // schedule returns the β of every sweep of sc — forward, or the reverse
@@ -240,85 +243,115 @@ func (s *Scratch) schedule(sc MSSchedule, turnAt float64) []float64 {
 	return s.betas
 }
 
-// run is the one worker loop behind every entry point: reads of the prepared
-// program under fields h, each walking the per-sweep β list, fanned out over
-// independent deterministic random streams (worker w's is the w-th split of
-// src, re-seeded in place). initial == nil starts every read from a random
-// state; otherwise every read starts from initial (reverse annealing). The
-// one rule of the solve path — a run allocates only what it returns — ends
-// here: every worker's state and the samples (one backing array for all) are
-// sc's.
-func (m *Machine) run(sc *Scratch, pp *PreparedProgram, h, betas []float64, reads int, initial []int8, src *rng.Source) ([]Sample, error) {
-	n := pp.k.n
-	if len(h) != n {
-		return nil, fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(h), n)
-	}
-	scale := pp.scale(h)
-	workers := max(1, min(m.Workers, reads))
-	sc.reads = append(sc.reads, make([]deviceRead, max(0, workers-len(sc.reads)))...)
-	rds := sc.reads[:workers]
-	for w := range rds {
-		src.SplitInto(&rds[w].src)
-	}
-	sc.samples, sc.spins = grow(sc.samples, reads), grow(sc.spins, reads*n)
-	samples, spins, ice := sc.samples, sc.spins, m.ICE
-
-	sc.crew.run(workers, func(w int) {
-		rd := &rds[w]
-		rd.bind(pp)
-		for a := w; a < reads; a += workers {
-			samples[a].Spins = spins[a*n : (a+1)*n : (a+1)*n]
-			copy(samples[a].Spins, rd.read(pp, h, scale, ice, initial, betas, &rd.src))
-		}
-	})
-	return samples, nil
-}
-
-// Slot is one member of a shared run: its prepared program and this run's fields.
+// Slot is one member of a run: its prepared program, this run's fields, and —
+// for a reverse anneal — the state every read starts from.
 type Slot struct {
-	PP *PreparedProgram
-	H  []float64
+	PP   *PreparedProgram
+	H    []float64
+	Init []int8
 }
 
-// RunSlots executes one QA job that programs several problems side by side
-// (§4 parallelization). The slots are qubit-disjoint with no coupler between
-// them, so the chip's Metropolis chain is a product of per-slot chains tied
-// only by the analog range, and the run anneals slot by slot: the auto-scale
-// is the max over the slots (what a scan of the combined program computes),
-// slot i draws from the stream seeded by src's i-th draw, and workers claim
-// whole slots, so its reads depend on neither worker count nor neighbors. Each
-// goes to read (concurrently across slots; spins valid during the call) until
-// NumAnneals or until read reports the slot settled: a prefix of its uncut self.
+// RunSlots executes one QA job that programs one or several problems side by
+// side (§4 parallelization). The slots are qubit-disjoint with no coupler
+// between them, so the chip's Metropolis chain is a product of per-slot chains
+// tied only by the analog range: the auto-scale is the max over the slots
+// (what a scan of the combined program computes), and read a of slot i draws
+// from the stream keyed by (src's i-th draw, a). Workers claim (slot, read)
+// pairs, so no read depends on the worker count or on the neighbors. Each
+// slot's reads go to read in index order, one call at a time per slot (spins
+// valid during the call), until NumAnneals or until read reports the slot
+// settled, which ends its claims: a prefix of its uncut self. Slots with an
+// Init anneal in reverse from it (RunReverse); a run does not mix the two.
 func (m *Machine) RunSlots(sc *Scratch, slots []Slot, params Params, src *rng.Source, read func(slot int, spins []int8) (settled bool)) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	scale := 1.0
+	if len(slots) == 0 {
+		return errors.New("anneal: a run needs a slot")
+	}
+	turnAt := 0.0
+	if slots[0].Init != nil {
+		if turnAt = params.PausePosition; turnAt <= 0 || turnAt >= 1 {
+			return errors.New("anneal: reverse annealing requires a turning point in (0,1)")
+		}
+	}
+	sc.scale, sc.stride = 1, 0
 	sc.seeds = grow(sc.seeds, len(slots))
 	for i, sl := range slots {
-		if len(sl.H) != sl.PP.k.n {
-			return fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(sl.H), sl.PP.k.n)
+		n := sl.PP.N()
+		if len(sl.H) != n {
+			return fmt.Errorf("anneal: %d fields for a %d-qubit prepared program", len(sl.H), n)
 		}
-		scale = max(scale, sl.PP.scale(sl.H))
-		sc.seeds[i] = int64(src.Uint64() & math.MaxInt64) // what SplitInto seeds a child with
+		if (sl.Init != nil) != (turnAt != 0) || (sl.Init != nil && len(sl.Init) != n) {
+			return errors.New("anneal: every slot of a reverse run needs an initial state per qubit, a forward run none")
+		}
+		sc.scale, sc.stride = max(sc.scale, sl.PP.scale(sl.H)), max(sc.stride, n)
+		sc.seeds[i] = src.Uint64()
 	}
-	betas, ice := sc.schedule(ScheduleFromParams(m, params), 0), m.ICE
-	workers := max(1, min(m.Workers, len(slots)))
+	pairs := len(slots) * params.NumAnneals
+	sc.slots, sc.read, sc.ice, sc.na = slots, read, m.ICE, params.NumAnneals
+	sc.schedule(ScheduleFromParams(m, params), turnAt)
+	sc.handed, sc.waiting, sc.spins = grow(sc.handed, len(slots)), grow(sc.waiting, pairs), grow(sc.spins, pairs*sc.stride)
+	clear(sc.handed)
+	clear(sc.waiting)
+	workers := max(1, min(m.Workers, pairs))
 	sc.reads = append(sc.reads, make([]deviceRead, max(0, workers-len(sc.reads)))...)
 	sc.next.Store(0)
-	sc.crew.run(workers, func(w int) {
-		rd := &sc.reads[w]
-		for i := int(sc.next.Add(1)) - 1; i < len(slots); i = int(sc.next.Add(1)) - 1 {
-			rd.bind(slots[i].PP)
-			rd.src.Reseed(sc.seeds[i])
-			for a := 0; a < params.NumAnneals; a++ {
-				if read(i, rd.read(slots[i].PP, slots[i].H, scale, ice, nil, betas, &rd.src)) {
-					break
-				}
-			}
-		}
-	})
+	if sc.work == nil {
+		sc.work = sc.claim
+	}
+	sc.crew.run(workers, sc.work)
+	sc.slots, sc.read = nil, nil // the pooled scratch must not pin the run
 	return nil
+}
+
+// claim is worker w's body: it runs (slot, read) pairs in read-major order —
+// read 0 of every slot, then read 1, … — skipping slots that take no more.
+func (sc *Scratch) claim(w int) {
+	rd, n := &sc.reads[w], len(sc.slots)
+	for k := int(sc.next.Add(1)) - 1; k < n*sc.na; k = int(sc.next.Add(1)) - 1 {
+		i, a := k%n, k/n
+		sc.mu.Lock()
+		done := sc.handed[i] == sc.na
+		sc.mu.Unlock()
+		if done {
+			continue
+		}
+		sl := &sc.slots[i]
+		rd.bind(sl.PP)
+		sc.deliver(k, rd.read(sl.PP, sl.H, sc.scale, sc.ice, sl.Init, sc.betas, sc.seeds[i], a))
+	}
+}
+
+// deliver hands finished pair k to read in its slot's index order: a read
+// whose predecessors are still out waits in its row; the next one goes at once
+// (outside the lock), then every successor already waiting. Reads past a
+// settled slot's last are dropped.
+func (sc *Scratch) deliver(k int, spins []int8) {
+	n := len(sc.slots)
+	i, a := k%n, k/n
+	sc.mu.Lock()
+	if a != sc.handed[i] {
+		if a > sc.handed[i] {
+			sc.waiting[k] = true
+			copy(sc.spins[k*sc.stride:], spins)
+		}
+		sc.mu.Unlock()
+		return
+	}
+	for {
+		sc.mu.Unlock()
+		settled := sc.read(i, spins)
+		sc.mu.Lock()
+		if sc.handed[i]++; settled {
+			sc.handed[i] = sc.na
+		}
+		if k += n; sc.handed[i] == sc.na || !sc.waiting[k] {
+			sc.mu.Unlock()
+			return
+		}
+		spins = sc.spins[k*sc.stride : k*sc.stride+len(spins)]
+	}
 }
 
 // PreparedProgram is the field-independent half of a programmed machine: the
@@ -396,17 +429,16 @@ func (m *Machine) Scale(prog *qubo.Sparse, improvedRange bool) float64 {
 
 // deviceRead is one worker's scratch: a private kernel that shares the
 // prepared program's adjacency and whose fields and weights are reprogrammed
-// for every read, the scalar engine that sweeps it, and the worker's random
-// stream (re-seeded per run).
+// for every read, the scalar engine that sweeps it, and the stream a read
+// draws from, re-seeded in place for every read.
 type deviceRead struct {
 	k   MSKernel
 	s   MSScalar
-	src rng.Source
+	pcg *rand.PCG
+	src *rand.Rand // draws from pcg
 }
 
-// bind points the scratch at pp's adjacency and sizes its buffers. It runs
-// once per run, so the twin's kernel pointer survives the slice of reads
-// growing.
+// bind points the scratch at pp's adjacency and sizes its buffers.
 func (rd *deviceRead) bind(pp *PreparedProgram) {
 	k := &rd.k
 	k.n, k.start, k.nbr = pp.k.n, pp.k.start, pp.k.nbr
@@ -416,37 +448,43 @@ func (rd *deviceRead) bind(pp *PreparedProgram) {
 	rd.s.bind(k)
 }
 
-// begin sets up one read. It writes the read's coefficients into the scratch
-// kernel — the programmed values divided by the run's auto-scale, each
-// perturbed by a fresh ICE draw (§4: "noise fluctuating at a time scale of
-// the order of the anneal time"), fields first, then couplers, one draw per
-// coefficient — then seeds the read's stream with one Uint64 from src and
-// starts it from initial, or from a random state (the initial superposition
-// analog) when initial is nil.
-func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, src *rng.Source) {
+// begin sets up read a of the slot whose stream seed is seed. It re-seeds the
+// read's stream from (seed, a) — a PCG re-seed, O(1) — then writes the read's
+// coefficients into the scratch kernel: the programmed values divided by the
+// run's auto-scale, each perturbed by a fresh ICE draw (§4: "noise fluctuating
+// at a time scale of the order of the anneal time"), fields first, then
+// couplers, one draw per coefficient; then seeds the twin's stream with one
+// Uint64 and starts it from initial, or from a random state (the initial
+// superposition analog) when initial is nil.
+func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, seed uint64, a int) {
+	if rd.pcg == nil {
+		rd.pcg = new(rand.PCG)
+		rd.src = rand.New(rd.pcg)
+	}
+	rd.pcg.Seed(seed, mix64(uint64(a+1)*smixGamma))
 	k := &rd.k
 	for i, v := range h {
 		k.h[i] = v / scale
 		if ice.Enabled {
-			k.h[i] += src.Gauss(ice.HMean, ice.HStd)
+			k.h[i] += ice.HMean + ice.HStd*rd.src.NormFloat64()
 		}
 	}
 	for e, p := range pp.up {
 		w := pp.k.w[p] / scale
 		if ice.Enabled {
-			w += src.Gauss(ice.JMean, ice.JStd)
+			w += ice.JMean + ice.JStd*rd.src.NormFloat64()
 		}
 		q := pp.lo[e]
 		k.w[p], k.w[q] = w, w
 		k.flipW[p], k.flipW[q] = 4*w, 4*w
 	}
-	rd.s.state = src.Uint64()
+	rd.s.state = rd.pcg.Uint64()
 	rd.s.start(initial)
 }
 
-// read anneals one read and returns its spins, which the next overwrites.
-func (rd *deviceRead) read(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, betas []float64, src *rng.Source) []int8 {
-	rd.begin(pp, h, scale, ice, initial, src)
+// read anneals read a (begin) and returns its spins, which the next overwrites.
+func (rd *deviceRead) read(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, betas []float64, seed uint64, a int) []int8 {
+	rd.begin(pp, h, scale, ice, initial, seed, a)
 	for _, beta := range betas {
 		rd.s.SetBeta(beta)
 		rd.s.Sweep()

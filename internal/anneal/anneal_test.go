@@ -2,6 +2,7 @@ package anneal
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"quamax/internal/channel"
@@ -237,23 +238,39 @@ func TestPauseImprovesSuccess(t *testing.T) {
 	}
 }
 
-func TestWorkerCountDoesNotChangeSampleCount(t *testing.T) {
+// A read is a function of its slot and index, not of the worker that ran it:
+// forward, reverse and multi-slot runs return the same samples, spin for spin,
+// at every worker count. CI runs this under -race -count=10.
+func TestSamplesIdenticalAtEveryWorkerCount(t *testing.T) {
 	m := NewMachine()
-	prog := qubo.NewSparse(4)
-	prog.AddEdge(0, 1, -1)
-	for _, workers := range []int{0, 1, 3, 16} {
+	prog := randSparse(rng.New(3), 40)
+	initial := randomSpins(rng.New(4), prog.N)
+	params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 11}
+	shared := newSlotRun(m, rng.New(5), true, 24, 16, 30)
+	var fwd, rev []Sample
+	var slots [][][]int8
+	for _, workers := range []int{1, 3, 8} {
 		m.Workers = workers
-		samples, err := m.Run(prog, Params{AnnealTimeMicros: 1, NumAnneals: 7}, false, rng.New(3))
+		f, err := m.Run(prog, params, true, rng.New(6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(samples) != 7 {
-			t.Fatalf("workers=%d: %d samples", workers, len(samples))
+		r, err := m.RunReverse(prog, params, true, initial, rng.New(6))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, s := range samples {
-			if len(s.Spins) != 4 {
-				t.Fatal("bad sample shape")
-			}
+		var sc Scratch
+		s := collectSlots(t, m, &sc, shared.slots, params, 7, nil)
+		if workers == 1 {
+			fwd, rev, slots = f, r, s
+			continue
 		}
+		if !reflect.DeepEqual(f, fwd) || !reflect.DeepEqual(r, rev) || !reflect.DeepEqual(s, slots) {
+			t.Fatalf("workers=%d: samples differ from the one-worker run (forward %t, reverse %t, slots %t)", workers,
+				reflect.DeepEqual(f, fwd), reflect.DeepEqual(r, rev), reflect.DeepEqual(s, slots))
+		}
+	}
+	if len(fwd) != params.NumAnneals || reflect.DeepEqual(fwd, rev) {
+		t.Fatalf("%d forward samples, reverse equal to forward %t", len(fwd), reflect.DeepEqual(fwd, rev))
 	}
 }

@@ -209,7 +209,7 @@ func checkDeviceRead(t *testing.T, m *Machine, prog *qubo.Sparse, improved bool,
 	pp := m.PrepareProgram(prog, improved)
 	rd := new(deviceRead)
 	rd.bind(pp)
-	rd.begin(pp, prog.H, pp.scale(prog.H), m.ICE, initial, rng.New(seed))
+	rd.begin(pp, prog.H, pp.scale(prog.H), m.ICE, initial, uint64(seed), 0)
 
 	pert := qubo.NewSparse(prog.N)
 	copy(pert.H, rd.k.h)

@@ -1,7 +1,7 @@
 package anneal
 
 // The Metropolis engine (ROADMAP "One Metropolis engine"). Every sweep in the
-// repository — device reads (Machine.run), the classical-SA fallback
+// repository — device reads (Machine.RunSlots), the classical-SA fallback
 // (RunMultiSpin) and parallel tempering (pt.go) — runs the one sweep body in
 // this file, MSScalar.Sweep, over one kernel layout:
 //
@@ -14,7 +14,7 @@ package anneal
 //     scattering the precomputed per-edge deltas ±4·J_ik (flipW) into the
 //     neighbors' cached doubled fields.
 //   - Cheap draws. Each replica owns a splitmix64 stream, seeded with one
-//     Uint64 from the run's rng.Source, that supplies both its initial spins
+//     Uint64 from the run's or read's stream, that supplies its initial spins
 //     and its Metropolis draws; the acceptance probability uses expNegY, a
 //     deterministic interpolated 2^(−k/32) table, not math.Exp. Uphill
 //     proposals past the rejection cut (β·dE ≈ 36.74, acceptance below the
@@ -237,7 +237,7 @@ func (k *MSKernel) Offset() float64 { return k.offset }
 // MSScalar is one annealing trajectory — the engine's one sweep body and the
 // state it advances: plain int8 spins, the cached doubled fields, the running
 // energy, the inverse temperature and the replica's splitmix64 stream. A
-// device read is one twin over that read's ICE-perturbed kernel (Machine.run),
+// device read is one twin over that read's ICE-perturbed kernel (RunSlots),
 // an SA restart one twin over the shared logical kernel (RunMultiSpin), a
 // tempering ladder one twin per rung (RunPT). A twin is not safe for
 // concurrent use — concurrency comes from running independent twins.

@@ -110,11 +110,11 @@ func TestRunPreparedLengthMismatch(t *testing.T) {
 	}
 }
 
-// A run allocates only what it returns: the samples and their one backing
-// array, plus the closure its workers run — worker kernels, twins, streams,
-// the β list and the fan-out all live in the pooled Scratch, so the count does
-// not depend on Na or the worker count; on the caller's own Scratch the
-// samples are reused too. Na=5 is the bench ladder's anneal.allocs_per_run.
+// An allocating run allocates only what it returns plus a constant: the
+// samples and their one backing array, the one-slot run it builds and the
+// callback that keeps the reads — worker kernels, twins, streams, the β list
+// and the fan-out live in the pooled Scratch, so the count does not depend on
+// Na. Na=5 is the bench ladder's anneal.allocs_per_run.
 func TestRunPreparedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -123,7 +123,6 @@ func TestRunPreparedAllocations(t *testing.T) {
 	m := NewMachine()
 	pp := m.PrepareProgram(prog, true)
 	src := rng.New(31)
-	var sc Scratch
 	for _, na := range []int{5, 19} {
 		params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: na}
 		allocs := testing.AllocsPerRun(10, func() {
@@ -131,16 +130,8 @@ func TestRunPreparedAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 4 {
-			t.Fatalf("RunPrepared at Na=%d allocates %v times per run, want ≤ 4", na, allocs)
-		}
-		allocs = testing.AllocsPerRun(10, func() {
-			if _, err := m.RunPreparedInto(&sc, pp, prog.H, params, src); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 1 {
-			t.Fatalf("RunPreparedInto at Na=%d allocates %v times per run on a warm scratch, want ≤ 1", na, allocs)
+		if allocs > 5 {
+			t.Fatalf("RunPrepared at Na=%d allocates %v times per run, want ≤ 5", na, allocs)
 		}
 	}
 }
@@ -153,19 +144,19 @@ func TestConcurrentRunsMatchSerialTwins(t *testing.T) {
 	m := NewMachine()
 	gen := rng.New(32)
 	type job struct {
-		pp      *PreparedProgram
-		h       []float64
-		initial []int8
-		params  Params
-		want    []Sample
+		prog     *qubo.Sparse
+		improved bool
+		initial  []int8
+		params   Params
+		want     []Sample
 	}
 	run := func(j *job, seed int64) []Sample {
 		var got []Sample
 		var err error
 		if j.initial == nil {
-			got, err = m.RunPrepared(j.pp, j.h, j.params, rng.New(seed))
+			got, err = m.Run(j.prog, j.params, j.improved, rng.New(seed))
 		} else {
-			got, err = m.RunPreparedReverse(j.pp, j.h, j.params, j.initial, rng.New(seed))
+			got, err = m.RunReverse(j.prog, j.params, j.improved, j.initial, rng.New(seed))
 		}
 		if err != nil {
 			t.Error(err)
@@ -176,9 +167,9 @@ func TestConcurrentRunsMatchSerialTwins(t *testing.T) {
 	for i := range jobs {
 		prog := randSparse(gen, 10+7*i)
 		j := &job{
-			pp:     m.PrepareProgram(prog, i%2 == 0),
-			h:      prog.H,
-			params: Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 3 + 2*i},
+			prog:     prog,
+			improved: i%2 == 0,
+			params:   Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 3 + 2*i},
 		}
 		if i%3 == 2 {
 			j.initial = randomSpins(gen, prog.N)
@@ -205,7 +196,7 @@ func TestConcurrentRunsMatchSerialTwins(t *testing.T) {
 // One Scratch carried across runs of different programs, read counts and
 // directions (so its kernels are rebound across sizes, its worker set grows
 // and shrinks, and its β list flips between the forward schedule and the
-// reverse cycle) must return what the allocating entry points return.
+// reverse cycle) must hand out what the allocating entry points return.
 func TestScratchReuseMatchesAllocatingRuns(t *testing.T) {
 	m := NewMachine()
 	gen := rng.New(33)
@@ -213,24 +204,26 @@ func TestScratchReuseMatchesAllocatingRuns(t *testing.T) {
 	for rep := 0; rep < 2; rep++ {
 		for i := 0; i < 6; i++ {
 			prog := randSparse(gen, 31-5*i)
-			pp := m.PrepareProgram(prog, i%2 == 0)
+			improved := i%2 == 0
+			slot := Slot{PP: m.PrepareProgram(prog, improved), H: prog.H}
 			params := Params{AnnealTimeMicros: 1 + float64(i%2), PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 1 + 3*i}
 			seed := int64(10*rep + i)
-			var got, want []Sample
-			var err, werr error
+			var want []Sample
+			var err error
 			if i%3 == 2 {
-				initial := randomSpins(gen, prog.N)
-				got, err = m.RunPreparedReverseInto(&sc, pp, prog.H, params, initial, rng.New(seed))
-				want, werr = m.RunPreparedReverse(pp, prog.H, params, initial, rng.New(seed))
+				slot.Init = randomSpins(gen, prog.N)
+				want, err = m.RunReverse(prog, params, improved, slot.Init, rng.New(seed))
 			} else {
-				got, err = m.RunPreparedInto(&sc, pp, prog.H, params, rng.New(seed))
-				want, werr = m.RunPrepared(pp, prog.H, params, rng.New(seed))
+				want, err = m.Run(prog, params, improved, rng.New(seed))
 			}
-			if err != nil || werr != nil {
-				t.Fatal(err, werr)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("rep %d run %d: reused scratch diverges from the allocating run", rep, i)
+			got := collectSlots(t, m, &sc, []Slot{slot}, params, seed, nil)[0]
+			for a := range want {
+				if !reflect.DeepEqual(got[a], want[a].Spins) {
+					t.Fatalf("rep %d run %d read %d: reused scratch diverges from the allocating run", rep, i, a)
+				}
 			}
 		}
 	}

@@ -266,10 +266,9 @@ func TestDeviceReadsMatchReferenceChain(t *testing.T) {
 			scale := pp.scale(pr.prog.H)
 			rd, engStats := new(deviceRead), newStats()
 			rd.bind(pp)
-			src = rng.New(92)
 			sigma := func(i int32) float64 { return float64(rd.s.spins[i]) }
 			for a := 0; a < pr.anneals; a++ {
-				rd.begin(pp, pr.prog.H, scale, m.ICE, nil, src)
+				rd.begin(pp, pr.prog.H, scale, m.ICE, nil, 92, a)
 				copy(prev, rd.s.spins)
 				for s, beta := range betas {
 					rd.s.SetBeta(beta)

@@ -22,35 +22,10 @@ import (
 // params.PausePosition is the turning point (required, in (0,1));
 // params.PauseTimeMicros may be zero for a pure down-up ramp.
 func (m *Machine) RunReverse(prog *qubo.Sparse, params Params, improvedRange bool, initial []int8, src *rng.Source) ([]Sample, error) {
-	if prog.N == 0 {
-		return nil, errors.New("anneal: empty program")
+	if prog.N == 0 || len(initial) != prog.N {
+		return nil, errors.New("anneal: reverse annealing needs a program and an initial state per qubit")
 	}
-	return m.RunPreparedReverse(m.PrepareProgram(prog, improvedRange), prog.H, params, initial, src)
-}
-
-// RunPreparedReverse is RunReverse on a program prepared once with
-// PrepareProgram, under fresh linear fields h — what RunPrepared is to Run,
-// and like it the allocating form of its Into twin.
-func (m *Machine) RunPreparedReverse(pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
-	sc := m.borrow()
-	samples, err := m.RunPreparedReverseInto(sc, pp, h, params, initial, src)
-	m.release(sc)
-	return samples, err
-}
-
-// RunPreparedReverseInto is RunPreparedReverse on the caller's scratch. The
-// returned samples alias sc and are valid until its next run.
-func (m *Machine) RunPreparedReverseInto(sc *Scratch, pp *PreparedProgram, h []float64, params Params, initial []int8, src *rng.Source) ([]Sample, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if params.PausePosition <= 0 || params.PausePosition >= 1 {
-		return nil, errors.New("anneal: reverse annealing requires a turning point in (0,1)")
-	}
-	if len(initial) != pp.N() {
-		return nil, errors.New("anneal: initial state length mismatch")
-	}
-	return m.run(sc, pp, h, sc.schedule(ScheduleFromParams(m, params), params.PausePosition), params.NumAnneals, initial, src)
+	return m.collect(Slot{PP: m.PrepareProgram(prog, improvedRange), H: prog.H, Init: initial}, params, src)
 }
 
 // appendReverseBetas appends the reverse cycle over sc as a per-sweep β list:

@@ -30,7 +30,9 @@ func TestRunReverseValidation(t *testing.T) {
 }
 
 // Reverse annealing seeded AT the ground state of an easy problem must
-// mostly stay there (local refinement, not a restart).
+// mostly stay there (local refinement, not a restart). Over many seeds the
+// kept share is ≈ 64%; five runs of 60 pool 300 reads, and the bound sits
+// about three binomial deviations below that.
 func TestRunReverseStaysNearGoodSeed(t *testing.T) {
 	m := NewMachine()
 	m.ICE.Enabled = false
@@ -44,24 +46,26 @@ func TestRunReverseStaysNearGoodSeed(t *testing.T) {
 		init[i] = 1
 	}
 	params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 60}
-	samples, err := m.RunReverse(prog, params, false, init, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	stay := 0
-	for _, s := range samples {
-		ok := true
-		for _, v := range s.Spins {
-			if v != 1 {
-				ok = false
+	for seed := int64(2); seed < 7; seed++ {
+		samples, err := m.RunReverse(prog, params, false, init, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			ok := true
+			for _, v := range s.Spins {
+				if v != 1 {
+					ok = false
+				}
+			}
+			if ok {
+				stay++
 			}
 		}
-		if ok {
-			stay++
-		}
 	}
-	if stay < 40 {
-		t.Fatalf("reverse annealing kept the perfect seed only %d/60 times", stay)
+	if stay < 170 {
+		t.Fatalf("reverse annealing kept the perfect seed only %d/300 times", stay)
 	}
 }
 

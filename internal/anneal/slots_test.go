@@ -2,7 +2,6 @@ package anneal
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"quamax/internal/qubo"
@@ -41,19 +40,19 @@ func newSlotRun(m *Machine, src *rng.Source, improved bool, sizes ...int) slotRu
 	return r
 }
 
-// serialReads is the oracle of a slot-major run: slot i's reads are one
-// deviceRead walking the schedule on the i-th split of the run's source, under
-// the given auto-scale, whatever the other slots do.
+// serialReads is the oracle of a run: slot i's reads are one deviceRead
+// walking the schedule, read a on the stream keyed by (the run source's i-th
+// draw, a), under the given auto-scale, whatever the other slots do.
 func serialReads(m *Machine, r slotRun, scale float64, params Params, seed int64) [][][]int8 {
 	src := rng.New(seed)
-	streams := src.SplitN(len(r.slots))
 	betas := ScheduleFromParams(m, params).betas()
 	out := make([][][]int8, len(r.slots))
 	for i, sl := range r.slots {
 		var rd deviceRead
 		rd.bind(sl.PP)
+		seed := src.Uint64()
 		for a := 0; a < params.NumAnneals; a++ {
-			spins := rd.read(sl.PP, sl.H, scale, m.ICE, nil, betas, streams[i])
+			spins := rd.read(sl.PP, sl.H, scale, m.ICE, nil, betas, seed, a)
 			out[i] = append(out[i], append([]int8(nil), spins...))
 		}
 	}
@@ -61,14 +60,12 @@ func serialReads(m *Machine, r slotRun, scale float64, params Params, seed int64
 }
 
 // collectSlots runs RunSlots and keeps every read it hands out, settling slot
-// i after stopAt[i] reads (0 = never).
-func collectSlots(t *testing.T, m *Machine, sc *Scratch, r slotRun, params Params, seed int64, stopAt []int) [][][]int8 {
+// i after stopAt[i] reads (0 = never). The callback takes no lock: a run
+// calls it one read at a time per slot, and slot i's reads land in got[i].
+func collectSlots(t *testing.T, m *Machine, sc *Scratch, slots []Slot, params Params, seed int64, stopAt []int) [][][]int8 {
 	t.Helper()
-	var mu sync.Mutex
-	got := make([][][]int8, len(r.slots))
-	err := m.RunSlots(sc, r.slots, params, rng.New(seed), func(slot int, spins []int8) bool {
-		mu.Lock()
-		defer mu.Unlock()
+	got := make([][][]int8, len(slots))
+	err := m.RunSlots(sc, slots, params, rng.New(seed), func(slot int, spins []int8) bool {
 		got[slot] = append(got[slot], append([]int8(nil), spins...))
 		return stopAt != nil && len(got[slot]) == stopAt[slot]
 	})
@@ -78,11 +75,11 @@ func collectSlots(t *testing.T, m *Machine, sc *Scratch, r slotRun, params Param
 	return got
 }
 
-// The slot-major run is exact, not approximate: its auto-scale EQUALS the
-// combined program's (a max has no rounding), every slot's reads are the
-// serial chain on that slot's own stream at every worker count, and a slot
-// that settles ran the exact prefix of its uncut self while its neighbors'
-// reads do not move. CI runs this under -race -count=10.
+// A shared run is exact, not approximate: its auto-scale EQUALS the combined
+// program's (a max has no rounding), every slot's reads are the serial chain
+// on that slot's own keyed streams at every worker count, and a slot that
+// settles ran the exact prefix of its uncut self while its neighbors' reads do
+// not move. CI runs this under -race -count=10.
 func TestRunSlotsMatchesSerialReadsAtEveryWorkerCount(t *testing.T) {
 	params := Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 9}
 	for _, improved := range []bool{false, true} {
@@ -101,10 +98,10 @@ func TestRunSlotsMatchesSerialReadsAtEveryWorkerCount(t *testing.T) {
 		var sc Scratch
 		for _, workers := range []int{1, 3, 8} {
 			m.Workers = workers
-			if got := collectSlots(t, m, &sc, r, params, 77, nil); !reflect.DeepEqual(got, uncut) {
+			if got := collectSlots(t, m, &sc, r.slots, params, 77, nil); !reflect.DeepEqual(got, uncut) {
 				t.Fatalf("improved=%t workers=%d: slot-major reads diverge from the serial chains", improved, workers)
 			}
-			got := collectSlots(t, m, &sc, r, params, 77, stopAt)
+			got := collectSlots(t, m, &sc, r.slots, params, 77, stopAt)
 			for i, reads := range got {
 				k := stopAt[i]
 				if k == 0 {
@@ -126,14 +123,35 @@ func TestRunSlotsRejectsBadInput(t *testing.T) {
 	if err := m.RunSlots(&sc, r.slots, Params{}, rng.New(1), never); err == nil {
 		t.Fatal("invalid params accepted")
 	}
+	if err := m.RunSlots(&sc, nil, DefaultParams(), rng.New(1), never); err == nil {
+		t.Fatal("empty run accepted")
+	}
+	reverse := DefaultParams()
+	r.slots[0].Init = randomSpins(rng.New(2), r.slots[0].PP.N())
+	if err := m.RunSlots(&sc, r.slots, reverse, rng.New(1), never); err == nil {
+		t.Fatal("run mixing a reverse and a forward slot accepted")
+	}
+	r.slots[1].Init = randomSpins(rng.New(3), r.slots[1].PP.N()-1)
+	if err := m.RunSlots(&sc, r.slots, reverse, rng.New(1), never); err == nil {
+		t.Fatal("short initial state accepted")
+	}
+	r.slots[1].Init = randomSpins(rng.New(3), r.slots[1].PP.N())
+	if err := m.RunSlots(&sc, r.slots, reverse, rng.New(1), never); err != nil {
+		t.Fatal(err)
+	}
+	reverse.PauseTimeMicros, reverse.PausePosition = 0, 0
+	if err := m.RunSlots(&sc, r.slots, reverse, rng.New(1), never); err == nil {
+		t.Fatal("reverse run without a turning point accepted")
+	}
+	r.slots[0].Init, r.slots[1].Init = nil, nil
 	r.slots[1].H = r.slots[1].H[:7]
 	if err := m.RunSlots(&sc, r.slots, DefaultParams(), rng.New(1), never); err == nil {
 		t.Fatal("short field vector accepted")
 	}
 }
 
-// On a warm scratch a slot-major run allocates its fan-out closure and
-// nothing else, whatever the read budget.
+// On a warm scratch a run allocates nothing, whatever the read budget: the
+// worker body is bound once and the run's state lives in the scratch.
 func TestRunSlotsAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -150,8 +168,8 @@ func TestRunSlotsAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
-			t.Fatalf("RunSlots at Na=%d allocates %v times per run on a warm scratch, want ≤ 1", na, allocs)
+		if allocs > 0 {
+			t.Fatalf("RunSlots at Na=%d allocates %v times per run on a warm scratch, want 0", na, allocs)
 		}
 	}
 }

@@ -111,9 +111,9 @@ func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 }
 
 // Solve runs the QuAMax pipeline on one problem, honoring its Anneal, ChainJF,
-// Reverse and Soft fields. A reverse decode that cannot compute its linear
-// seed (ill-conditioned channel, core.ErrNoSeed) falls back to a forward
-// anneal; any other error is a real failure and surfaces.
+// Reverse, Soft and StopRadius fields. A reverse decode that cannot compute
+// its linear seed (ill-conditioned channel, core.ErrNoSeed) falls back to a
+// forward anneal; any other error is a real failure and surfaces.
 func (a *Annealer) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

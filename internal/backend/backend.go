@@ -80,12 +80,12 @@ type Problem struct {
 	// reads cluster in local minima) — and it does not enter Batchable.
 	StopRepeats int
 	// StopRadius, when positive, is the noise radius around Y inside which an
-	// annealer read's ML metric ‖y − Hv‖² is taken for the answer: as a member
-	// of a shared run (SolveBatch) the problem stops reading there — a soft
-	// one not before softout.MinEnsemble reads — while its co-members read
-	// on; Result.Reads says where. The scheduler sizes it on fitted plans
-	// (sched.applyPlan, qos.StopRadius). Solo runs and every other backend
-	// ignore it, and it does not enter Batchable.
+	// annealer read's ML metric ‖y − Hv‖² is taken for the answer: solo
+	// (Solve) or as a member of a shared run (SolveBatch), the problem stops
+	// reading there — a soft one not before softout.MinEnsemble reads — while
+	// any co-members read on; Result.Reads says where. The scheduler sizes it
+	// on fitted plans (sched.applyPlan, qos.StopRadius). Every other backend
+	// ignores it, and it does not enter Batchable.
 	StopRadius float64
 	// Lattice marks Y as a lattice-search target (a vector-perturbation
 	// precode) rather than a noisy observation of a transmitted vector: its

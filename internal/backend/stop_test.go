@@ -62,8 +62,8 @@ func TestStopRepeatsCapsTheSATier(t *testing.T) {
 // Problem.StopRadius ends a shared-run member's reads when its answer is in,
 // and the Results say what ran: each member its own Reads under the run's
 // ReadsPlanned, the device charged the most any member ran. An un-armed
-// co-member runs the budget and answers as it would have; a solo run ignores
-// the radius; and the radius does not split a batch.
+// co-member runs the budget and answers as it would have; a solo run stops
+// alike and is charged what it ran; and the radius does not split a batch.
 func TestStopRadiusStopsASharedRunMember(t *testing.T) {
 	ctx := context.Background()
 	a, err := NewAnnealer("qpu0", testOptions()) // Na = 40, Pf = 1
@@ -119,7 +119,13 @@ func TestStopRadiusStopsASharedRunMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solo.Reads != 40 || solo.ReadsPlanned != 40 || solo.ComputeMicros != 40*2 {
-		t.Errorf("solo run under a radius: %d of %d reads, %v µs; want every planned read", solo.Reads, solo.ReadsPlanned, solo.ComputeMicros)
+	soloUncut, err := a.Solve(ctx, &unarmed, rng.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.Reads >= 40 || solo.ReadsPlanned != 40 || solo.ComputeMicros != float64(solo.Reads)*2 ||
+		solo.Energy > armed.StopRadius || !reflect.DeepEqual(solo.Bits, soloUncut.Bits) || soloUncut.Reads != 40 {
+		t.Errorf("solo run under a radius: %d of %d reads, %v µs, energy %v, bits %v (uncut: %d reads, bits %v)",
+			solo.Reads, solo.ReadsPlanned, solo.ComputeMicros, solo.Energy, solo.Bits, soloUncut.Reads, soloUncut.Bits)
 	}
 }

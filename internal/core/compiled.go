@@ -8,7 +8,7 @@
 //	per channel:  H ──CompileChannel──▶ couplings g_ij(H) ──EmbedIsing──▶
 //	    physical coupler program ──PrepareProgram──▶ adjacency + range scan
 //	per symbol:   y ──Biases──▶ fields f_i(H,y) ──chain spread──▶ physical
-//	    fields ──RunPrepared──▶ samples ──Unembed──▶ bits
+//	    fields ──RunSlots──▶ reads ──Unembed──▶ bits
 //
 // Compile keeps its artifacts in the decoder's WindowStore (store.go), so a
 // serving pool recognizes returning coherence windows without any caller

@@ -9,7 +9,7 @@
 //	program  the chip: the channel's coupler template (EmbedIsing, prepared
 //	         once per |J_F|) plus this y's biases spread along the chains;
 //	         a shared run programs one slot per request
-//	run      Na anneals, forward or reverse from the seed, or slot by slot
+//	run      Na anneals per slot, forward, or reverse from the seed (solo)
 //	tally    Unembed + majority vote ──▶ logical energies ──▶ min energy
 //	         ──▶ QUBO bits ──PostTranslate──▶ b̂ (+ distribution, + LLRs)
 //
@@ -168,7 +168,7 @@ type Outcome struct {
 	// construction it equals the ML metric ‖y − H·Symbols‖².
 	Energy float64
 	// Reads is the number of anneals scored for this request: the run's read
-	// budget, or fewer for a shared-run member whose Radius settled it.
+	// budget, or fewer when the request's Radius settled it.
 	Reads int
 	// BrokenChains totals broken logical chains across those anneals
 	// (annealer health diagnostic).

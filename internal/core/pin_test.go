@@ -285,8 +285,8 @@ func TestPinGolden(t *testing.T) {
 // paper's receive pipeline composed here from the package primitives —
 // ReduceToIsing → EmbedIsing → Machine.Run → Unembed → minimum energy →
 // PostTranslate — without touching the decoder's pipeline, its templates or
-// its collect loop. The decoder must agree exactly, raw or compiled, default
-// or overridden budget.
+// its tally. The decoder must agree exactly, raw or compiled, default or
+// overridden budget.
 func TestPinReferencePipeline(t *testing.T) {
 	d := pinDecoder(t)
 	opts := d.Options()
@@ -300,6 +300,7 @@ func TestPinReferencePipeline(t *testing.T) {
 			seed := shape.seed + int64(100*bi)
 
 			src := rng.New(seed)
+			tie := src.Split() // a request's tie stream is split ahead of the run's
 			logical := reduction.ReduceToIsing(in.Mod, in.H, in.Y)
 			emb, err := embedding.Embed(opts.Graph, logical.N)
 			if err != nil {
@@ -316,7 +317,7 @@ func TestPinReferencePipeline(t *testing.T) {
 			var bestBits []byte
 			bestE, broken := 0.0, 0
 			for _, s := range samples {
-				spins, br := emb.Unembed(s.Spins, src)
+				spins, br := emb.Unembed(s.Spins, tie)
 				broken += br
 				if e := logical.Energy(spins); bestBits == nil || e < bestE {
 					bestE, bestBits = e, qubo.BitsFromSpins(spins)

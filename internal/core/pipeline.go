@@ -35,11 +35,11 @@ type Request struct {
 	// seed as a candidate, so the result is never worse than the seed. It
 	// errors with ErrNoSeed when no linear seed exists. Solo hard decodes
 	// only: the ensemble clusters around the seed, which would bias LLRs, and
-	// a shared run has no per-slot initial state.
+	// a chip runs one schedule, so a reverse run has no forward co-members.
 	Reverse bool
-	// Radius, when positive, ends a shared-run member's reads at the first whose
-	// ML metric ‖y − Hv‖² (the logical energy) is inside it — a Soft one's not
-	// before softout.MinEnsemble reads. A solo Decode scores a finished run.
+	// Radius, when positive, ends the request's reads at the first whose ML
+	// metric ‖y − Hv‖² (the logical energy) is inside it — a Soft one's not
+	// before softout.MinEnsemble reads — solo or sharing a run alike.
 	Radius float64
 	// Truth, when non-nil, fills the evaluation fields of the Outcome
 	// (Distribution, TxEnergy) from the instance's transmitted bits.
@@ -59,53 +59,16 @@ type Budget struct {
 // it from device errors: a missing seed means "run a forward anneal instead".
 var ErrNoSeed = errors.New("core: no linear seed for reverse annealing")
 
-// Decode runs one request through its own annealer run. src drives the
-// annealer and tie-breaking; reuse one source across calls for independent
-// randomness.
+// Decode runs one request as a run of one: the channel's own embedding, the
+// geometric slot count for time amortization (Outcome.Pf), and, alone of
+// all runs, a reverse anneal when asked. src drives the annealer and
+// tie-breaking; reuse one source across calls for independent randomness.
 func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, error) {
-	if req.Reverse && req.Soft != nil {
-		return nil, errors.New("core: reverse annealing has no soft output")
-	}
-	params, jf, err := d.budget(b, src)
-	if err != nil {
+	var out [1]*Outcome
+	if err := d.run([]Request{req}, b, src, out[:]); err != nil {
 		return nil, err
 	}
-	cc, err := d.resolve(&req)
-	if err != nil {
-		return nil, err
-	}
-	pp, err := cc.programFor(cc.emb, jf)
-	if err != nil {
-		return nil, err
-	}
-	var seed, init []int8
-	if req.Reverse {
-		if seed, err = linearSeed(cc, &req); err != nil {
-			return nil, err
-		}
-		init = cc.emb.PhysicalInit(seed)
-	}
-	sc := d.borrow(1)
-	t := &sc.tallies[0]
-	t.begin(&req, cc, cc.emb, jf, 0, src)
-	var samples []anneal.Sample
-	if req.Reverse {
-		samples, err = d.opts.Machine.RunPreparedReverseInto(&sc.run, pp, t.h, params, init, src)
-	} else {
-		samples, err = d.opts.Machine.RunPreparedInto(&sc.run, pp, t.h, params, src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if seed != nil {
-		t.score(seed)
-	}
-	for _, s := range samples {
-		t.read(s.Spins)
-	}
-	out := t.outcome(d, params, len(cc.packs))
-	d.scratch.Put(sc)
-	return out, nil
+	return out[0], nil
 }
 
 // scratch is the working set of one Decode or DecodeRun call, pooled on the
@@ -115,76 +78,95 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 type scratch struct {
 	run     anneal.Scratch
 	tallies []tally
-	slots   []anneal.Slot                     // shared run: what the annealer programs
+	slots   []anneal.Slot                     // what the annealer programs
 	read    func(slot int, spins []int8) bool // tallies[slot].read, bound once
-}
-
-// borrow takes a scratch with a tally per request from the decoder's pool.
-func (d *Decoder) borrow(reqs int) *scratch {
-	sc, ok := d.scratch.Get().(*scratch)
-	if !ok {
-		sc = new(scratch)
-		sc.read = func(slot int, spins []int8) bool { return sc.tallies[slot].read(spins) }
-	}
-	sc.tallies = append(sc.tallies, make([]tally, max(0, reqs-len(sc.tallies)))...)
-	return sc
 }
 
 // DecodeRun decodes up to BatchSlots(N) requests in ONE annealer run by
 // programming each into its own disjoint clique-embedding slot — the §4
 // parallelization applied across requests instead of within one. Requests may
 // mix channels, modulations and hard/soft output but must share the logical
-// size N. The run's wall clock is shared, so each Outcome reports
-// Pf = len(reqs) under AmortizeParallel; so is the device's analog range, so
-// the auto-scale divisor is the max over the run — the squeeze a real shared
-// chip applies. Nothing else is: each request anneals in its slot on streams
-// of its own (RunSlots), is scored read by read, and stops alone.
+// size N. The run's wall clock is shared, so each Outcome of a run of two or
+// more reports Pf = len(reqs) under AmortizeParallel; so is the device's
+// analog range, so the auto-scale divisor is the max over the run — the
+// squeeze a real shared chip applies. Nothing else is: each request anneals
+// in its slot on streams of its own, is scored read by read, and stops alone.
+// A run of one is Decode.
 func (d *Decoder) DecodeRun(reqs []Request, b Budget, src *rng.Source) ([]*Outcome, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("core: empty run")
 	}
-	params, jf, err := d.budget(b, src)
-	if err != nil {
+	outs := make([]*Outcome, len(reqs))
+	if err := d.run(reqs, b, src, outs); err != nil {
 		return nil, err
 	}
-	sc := d.borrow(len(reqs))
+	return outs, nil
+}
+
+// run is the one decode body: it programs request i into slot i of one
+// annealer run (a lone request on its channel's own embedding), runs it with
+// every read scored as it arrives, and fills outs[i].
+func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome) error {
+	params, jf, err := d.budget(b, src)
+	if err != nil {
+		return err
+	}
+	sc, ok := d.scratch.Get().(*scratch)
+	if !ok {
+		sc = new(scratch)
+		sc.read = func(slot int, spins []int8) bool { return sc.tallies[slot].read(spins) }
+	}
+	sc.tallies = append(sc.tallies, make([]tally, max(0, len(reqs)-len(sc.tallies)))...)
 	sc.slots = sc.slots[:0]
+	solo, pf := len(reqs) == 1, len(reqs) // pf: the Pf the outcomes amortize over
 	var packs []*embedding.Embedding
 	for i := range reqs {
-		if reqs[i].Reverse {
-			return nil, errors.New("core: reverse annealing cannot share a run")
-		}
-		cc, err := d.resolve(&reqs[i])
+		req := &reqs[i]
+		cc, err := d.resolve(req)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if i == 0 {
 			packs = cc.packs
 		}
 		if n := packs[0].N; cc.prog.N != n {
-			return nil, fmt.Errorf("core: run mixes logical sizes %d and %d", n, cc.prog.N)
+			return fmt.Errorf("core: run mixes logical sizes %d and %d", n, cc.prog.N)
 		} else if len(reqs) > len(packs) {
-			return nil, fmt.Errorf("core: run of %d exceeds the %d parallel slots for N=%d", len(reqs), len(packs), n)
+			return fmt.Errorf("core: run of %d exceeds the %d parallel slots for N=%d", len(reqs), len(packs), n)
 		}
-		pp, err := cc.programFor(packs[i], jf)
+		emb := packs[i]
+		if solo {
+			emb, pf = cc.emb, len(packs)
+		}
+		pp, err := cc.programFor(emb, jf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Tie-break streams are split in slot order, ahead of the slots' own.
 		t := &sc.tallies[i]
-		src.SplitInto(&t.own)
-		t.begin(&reqs[i], cc, packs[i], jf, reqs[i].Radius, &t.own)
-		sc.slots = append(sc.slots, anneal.Slot{PP: pp, H: t.h})
+		t.begin(req, cc, emb, jf, src)
+		slot := anneal.Slot{PP: pp, H: t.h}
+		if req.Reverse {
+			if !solo {
+				return errors.New("core: reverse annealing cannot share a run")
+			}
+			seed, err := linearSeed(cc, req)
+			if err != nil {
+				return err
+			}
+			slot.Init = emb.PhysicalInit(seed)
+			t.score(seed) // a candidate: the result is never worse than the seed
+		}
+		sc.slots = append(sc.slots, slot)
 	}
 	if err := d.opts.Machine.RunSlots(&sc.run, sc.slots, params, src, sc.read); err != nil {
-		return nil, err
+		return err
 	}
-	outs := make([]*Outcome, len(reqs))
 	for i := range reqs {
-		outs[i] = sc.tallies[i].outcome(d, params, len(reqs))
+		outs[i] = sc.tallies[i].outcome(d, params, pf)
 	}
 	d.scratch.Put(sc)
-	return outs, nil
+	return nil
 }
 
 // budget resolves a call's operating point against the decoder's configured
@@ -221,6 +203,9 @@ func (d *Decoder) resolve(req *Request) (*CompiledChannel, error) {
 		return nil, fmt.Errorf("core: y has %d entries, H has %d rows", len(req.Y), h.Rows)
 	}
 	if req.Soft != nil {
+		if req.Reverse {
+			return nil, errors.New("core: reverse annealing has no soft output")
+		}
 		if err := req.Soft.Validate(); err != nil {
 			return nil, err
 		}
@@ -255,10 +240,9 @@ func linearSeed(cc *CompiledChannel, req *Request) ([]int8, error) {
 }
 
 // tally is one request's read scorer — majority-vote unembedding, logical
-// energy, minimum-energy selection, post-translation — and the only one: a
-// solo Decode feeds it the finished run, a shared run each read as it arrives,
-// which makes every request shape bit-identical on the same streams and lets a
-// member stop when its answer is in. Truth and Soft only retain what the hard
+// energy, minimum-energy selection, post-translation — and the only one: every
+// run feeds it each read as it arrives, in read order, which lets a request
+// stop when its answer is in. Truth and Soft only retain what the hard
 // decision computed — each distinct read's (Gray bits, energy) — as the ranked
 // distribution and the ensemble softout turns into LLRs, so neither moves a
 // hard field. Its buffers are its own: scoring allocates one map key per soft
@@ -268,8 +252,7 @@ type tally struct {
 	mod     modulation.Modulation
 	emb     *embedding.Embedding
 	logical *qubo.Ising
-	tie     *rng.Source // breaks majority-vote ties
-	radius  float64     // settled once the best energy is inside it (0 = never)
+	radius  float64 // settled once the best energy is inside it (0 = never)
 	acc     *metrics.Accumulator
 	spec    softout.Spec
 
@@ -277,7 +260,7 @@ type tally struct {
 	scored, soft  bool // soft: the request asked for LLRs
 	reads, broken int
 
-	own         rng.Source // a shared-run member's tie stream
+	own         rng.Source // breaks majority-vote ties
 	h           []float64  // the chain-spread fields of this y on emb
 	spins       []int8     // one read, unembedded
 	qbits, gray []byte     // … as QuAMax-transform bits; post-translated, for the truth and soft tallies
@@ -285,12 +268,13 @@ type tally struct {
 	ens         softout.Ensemble
 }
 
-// begin resets the tally for one request on placement emb, spreading its y's
-// fields along each chain per Eq. 11: f_i/(|J_F|·chainLen) on every qubit of
-// chain i, as EmbedIsing computes it.
-func (t *tally) begin(req *Request, cc *CompiledChannel, emb *embedding.Embedding, jf, radius float64, tie *rng.Source) {
-	t.truth, t.soft, t.mod, t.emb, t.logical, t.tie = req.Truth, req.Soft != nil, cc.prog.Mod, emb, cc.prog.Biases(req.Y), tie
-	t.radius, t.acc, t.scored, t.reads, t.broken = radius, nil, false, 0, 0
+// begin resets the tally for one request on placement emb, splitting its tie
+// stream from src and spreading its y's fields along each chain per Eq. 11:
+// f_i/(|J_F|·chainLen) on every qubit of chain i, as EmbedIsing computes it.
+func (t *tally) begin(req *Request, cc *CompiledChannel, emb *embedding.Embedding, jf float64, src *rng.Source) {
+	src.SplitInto(&t.own)
+	t.truth, t.soft, t.mod, t.emb, t.logical = req.Truth, req.Soft != nil, cc.prog.Mod, emb, cc.prog.Biases(req.Y)
+	t.radius, t.acc, t.scored, t.reads, t.broken = req.Radius, nil, false, 0, 0
 	t.spins = slices.Grow(t.spins[:0], emb.N)[:emb.N]
 	t.h = slices.Grow(t.h[:0], emb.NumPhysical())[:emb.NumPhysical()]
 	chainLen := float64(embedding.ChainLength(emb.N))
@@ -334,7 +318,7 @@ func (t *tally) score(spins []int8) {
 // read scores one read (physical spins in the placement's dense order) and
 // reports whether the request is settled.
 func (t *tally) read(phys []int8) (settled bool) {
-	t.broken += t.emb.UnembedInto(t.spins, phys, t.tie)
+	t.broken += t.emb.UnembedInto(t.spins, phys, &t.own)
 	t.score(t.spins)
 	t.reads++
 	return t.radius > 0 && t.bestE <= t.radius && (!t.soft || t.reads >= softout.MinEnsemble)
@@ -362,7 +346,7 @@ func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
 		rec.ObserveQuality(telemetry.Class(t.mod.String(), t.logical.N/t.mod.BitsPerSymbol()), telemetry.QualityObservation{
 			BestEnergy: out.Energy, Reads: out.Reads, ChainBreaks: out.BrokenChains, LLRBits: len(out.LLRs), LLRSaturated: out.LLRSaturated})
 	}
-	t.truth, t.logical, t.acc, t.tie = nil, nil, nil, nil // the pooled tally must not pin the request
+	t.truth, t.logical, t.acc = nil, nil, nil // the pooled tally must not pin the request
 	return out
 }
 

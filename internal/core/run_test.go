@@ -14,11 +14,11 @@ import (
 	"quamax/internal/softout"
 )
 
-// A shared run anneals slot by slot, and the tests here hold what that buys: a
-// member's Outcome is a function of the run's requests and seed alone — not of
-// the worker count, not of which co-member stops when — and a member that
-// stops scored exactly the first reads of its uncut self. CI runs them under
-// -race -count=10.
+// A run anneals read by read, each read keyed to its slot, and the tests here
+// hold what that buys: an Outcome — solo or a shared-run member's — is a
+// function of the run's requests and seed alone — not of the worker count, not
+// of which co-member stops when — and a request that stops scored exactly the
+// first reads of its uncut self. CI runs them under -race -count=10.
 
 // runDecoder is a DW2Q decoder whose machine fans out over `workers`.
 func runDecoder(t *testing.T, workers int) *Decoder {
@@ -79,70 +79,109 @@ func runBudget(reads int) Budget {
 	return Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: reads}}
 }
 
+// decodeAll decodes reqs as one shared run and then each alone — hard and
+// soft as asked, and every hard one once more in reverse — on fixed seeds,
+// returning the run's outcomes followed by the solo ones.
+func decodeAll(t *testing.T, d *Decoder, reqs []Request, reads int) []*Outcome {
+	t.Helper()
+	outs, err := d.DecodeRun(reqs, runBudget(reads), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		out, err := d.Decode(req, runBudget(reads), rng.New(int64(50+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+		if req.Soft == nil {
+			req.Reverse = true
+			if out, err = d.Decode(req, runBudget(reads), rng.New(int64(70+i))); err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+	}
+	return outs
+}
+
 func TestSharedRunIdenticalAtEveryWorkerCount(t *testing.T) {
 	for _, armed := range [][]int{nil, {0, 1, 4}} {
-		want, err := runDecoder(t, 1).DecodeRun(mixedRun(t, armed...), runBudget(14), rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runDecoder(t, 8).DecodeRun(mixedRun(t, armed...), runBudget(14), rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("armed %v member %d: 8 workers %+v, 1 worker %+v", armed, i, got[i], want[i])
+		want := decodeAll(t, runDecoder(t, 1), mixedRun(t, armed...), 14)
+		for _, workers := range []int{3, 8} {
+			got := decodeAll(t, runDecoder(t, workers), mixedRun(t, armed...), 14)
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("armed %v outcome %d: %d workers %+v, 1 worker %+v", armed, i, workers, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
+// A stopped request scored exactly the first reads of its uncut self, whether
+// it shares a run (every member on one seed) or runs alone (request i on
+// seed 60 + i).
 func TestStoppedMemberScoredThePrefixOfItsUncutSelf(t *testing.T) {
 	const budget = 14
 	d := runDecoder(t, 8)
 	armedSet := []int{0, 1, 3, 4}
-	armed, err := d.DecodeRun(mixedRun(t, armedSet...), runBudget(budget), rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopped := 0
-	for _, i := range armedSet {
-		out := armed[i]
-		req := mixedRun(t, armedSet...)[i]
-		if out.Reads == budget {
-			continue // never settled, or settled on the last read: nothing was cut
-		}
-		stopped++
-		if out.Energy > req.Radius {
-			t.Errorf("member %d stopped after %d reads at energy %v, outside its radius %v", i, out.Reads, out.Energy, req.Radius)
-		}
-		if req.Soft != nil && out.Reads < softout.MinEnsemble {
-			t.Errorf("soft member %d stopped after %d reads, under the ensemble floor %d", i, out.Reads, softout.MinEnsemble)
-		}
-		// The uncut run cut where the member stopped is a run with that budget:
-		// same requests, no radius, same seed. The member's whole Outcome —
-		// bits, energy, chain breaks, ranked distribution, LLRs — must match.
-		prefix, err := d.DecodeRun(mixedRun(t), runBudget(out.Reads), rng.New(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(out, prefix[i]) {
-			t.Errorf("member %d stopped after %d reads: %+v, the uncut run's first %d reads score %+v", i, out.Reads, out, out.Reads, prefix[i])
-		}
-		// … and it stopped at the FIRST read inside the radius: one read
-		// earlier nothing was (the soft floor aside).
-		if out.Reads > 1 && (req.Soft == nil || out.Reads > softout.MinEnsemble) {
-			before, err := d.DecodeRun(mixedRun(t), runBudget(out.Reads-1), rng.New(6))
+	decode := map[string]func(reqs []Request, reads int) []*Outcome{
+		"shared": func(reqs []Request, reads int) []*Outcome {
+			outs, err := d.DecodeRun(reqs, runBudget(reads), rng.New(6))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if before[i].Energy <= req.Radius {
-				t.Errorf("member %d read on to %d although read %d was already inside its radius", i, out.Reads, out.Reads-1)
+			return outs
+		},
+		"solo": func(reqs []Request, reads int) []*Outcome {
+			outs := make([]*Outcome, len(reqs))
+			for i, req := range reqs {
+				var err error
+				if outs[i], err = d.Decode(req, runBudget(reads), rng.New(int64(60+i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return outs
+		},
+	}
+	for mode, decode := range decode {
+		armed := decode(mixedRun(t, armedSet...), budget)
+		stopped, softStopped := 0, 0
+		for _, i := range armedSet {
+			out := armed[i]
+			req := mixedRun(t, armedSet...)[i]
+			if out.Reads == budget {
+				continue // never settled, or settled on the last read: nothing was cut
+			}
+			stopped++
+			if out.Energy > req.Radius {
+				t.Errorf("%s request %d stopped after %d reads at energy %v, outside its radius %v", mode, i, out.Reads, out.Energy, req.Radius)
+			}
+			if req.Soft != nil {
+				softStopped++
+				if out.Reads < softout.MinEnsemble {
+					t.Errorf("%s soft request %d stopped after %d reads, under the ensemble floor %d", mode, i, out.Reads, softout.MinEnsemble)
+				}
+			}
+			// The uncut run cut where the request stopped is a run with that
+			// budget: same requests, no radius, same seed. The whole Outcome —
+			// bits, energy, chain breaks, ranked distribution, LLRs — must match.
+			prefix := decode(mixedRun(t), out.Reads)
+			if !reflect.DeepEqual(out, prefix[i]) {
+				t.Errorf("%s request %d stopped after %d reads: %+v, the uncut run's first %d reads score %+v", mode, i, out.Reads, out, out.Reads, prefix[i])
+			}
+			// … and it stopped at the FIRST read inside the radius: one read
+			// earlier nothing was (the soft floor aside).
+			if out.Reads > 1 && (req.Soft == nil || out.Reads > softout.MinEnsemble) {
+				if before := decode(mixedRun(t), out.Reads-1); before[i].Energy <= req.Radius {
+					t.Errorf("%s request %d read on to %d although read %d was already inside its radius", mode, i, out.Reads, out.Reads-1)
+				}
 			}
 		}
-	}
-	if stopped < 2 {
-		t.Fatalf("only %d of %d armed members stopped early: the run no longer exercises the rule", stopped, len(armedSet))
+		if stopped < 2 || softStopped < 1 {
+			t.Fatalf("%s: %d of %d armed requests stopped early, %d of them soft: the runs no longer exercise the rule", mode, stopped, len(armedSet), softStopped)
+		}
 	}
 }
 
@@ -175,7 +214,7 @@ func TestArmingAMemberDoesNotMoveItsCoMembers(t *testing.T) {
 // combinedRunOracle is the shared run as it was simulated before it went
 // slot-major, kept in test code only: every member's embedded program
 // concatenated at index offsets into ONE physical program, annealed as one
-// Metropolis chain on the worker-striped streams of Machine.Run, and only then
+// Metropolis chain by Machine.Run (a run of one slot), and only then
 // unembedded member by member. Per member it returns how many reads decoded
 // the transmitted bits exactly and the broken chains over all reads; and the
 // auto-scale of the combined program beside the max over the members' own.

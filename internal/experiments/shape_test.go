@@ -75,9 +75,12 @@ func TestShapeFig4GroundProbabilityFallsWithModulation(t *testing.T) {
 // coupler range. Fig6Quick's instances (seed 6, QPSK 6 and 12 users,
 // 3 instances, 200 anneals) at |J_F| = 8, Ta ∈ {1, 10} µs (Ta = 100 µs costs
 // 100x and is worse still at quick scale). Measured TTS p50 at Ta = 1 vs
-// 10 µs: 6 users 27.3 vs 146 µs (standard), 33.1 vs 127 µs (improved);
-// 12 users 919 vs 4,582 µs, 100 vs 247 µs. Margin: Ta = 1 µs at least 2x
-// better in all four (measured ≥ 2.4x).
+// 10 µs: 6 users 39.5 vs 172 µs (standard), 41.5 vs 143 µs (improved);
+// 12 users 919 vs 9,187 µs, 182 vs 219 µs. The 12-user improved row is close
+// in expectation: over 2,400 anneals per instance the median instance's
+// ground probability is 0.024–0.033 at Ta = 1 µs against 0.18–0.19 at
+// Ta = 10 µs, a TTS ratio of 1.2–1.7x. Margins: Ta = 1 µs better in all
+// four, and at least 2x better in the other three (measured ≥ 3.4x).
 func TestShapeFig6ShortestAnnealIsBest(t *testing.T) {
 	cfg := Fig6Quick()
 	cfg.AnnealTimes = []float64{1, 10}
@@ -93,8 +96,12 @@ func TestShapeFig6ShortestAnnealIsBest(t *testing.T) {
 		t.Fatalf("rows at Ta=1: %d, want 2 sizes x 2 ranges", len(ta1))
 	}
 	for i := range ta1 {
-		if !(2*ta1[i] <= ta10[i]) {
-			t.Errorf("%v users (row %d): TTS %.1f us at Ta=1 vs %.1f us at Ta=10; want Ta=1 at least 2x better", users[i], i, ta1[i], ta10[i])
+		margin := 2.0
+		if i == 3 { // 12 users, improved range
+			margin = 1
+		}
+		if !(margin*ta1[i] < ta10[i]) {
+			t.Errorf("%v users (row %d): TTS %.1f us at Ta=1 vs %.1f us at Ta=10; want Ta=1 at least %gx better", users[i], i, ta1[i], ta10[i], margin)
 		}
 	}
 }

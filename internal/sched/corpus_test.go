@@ -41,9 +41,10 @@ import (
 // The device tier's noise radius gets the same treatment. A member of a shared
 // run that stops scored the exact prefix of its uncut self (core's prefix
 // test), so the same argument holds per member: the corpus's fitted decodes
-// are regrouped, in corpus order, into shared runs of 1, 3, 5, 7 and 10
-// members, each run once armed as applyPlan armed it and once with the radii
-// stripped, on the same stream. Counted per run size: slot-reads run against
+// are regrouped, in corpus order, into solo runs (Annealer.Solve, which arms
+// the radius alike) and shared runs of 3, 5, 7 and 10 members, each run once
+// armed as applyPlan armed it and once with the radii stripped, on the same
+// stream. Counted per run size: slot-reads run against
 // the cap (run budget × members) and against what the planner asked for,
 // device reads charged (the most any member ran), members that never settled,
 // answers changed, served BER both ways, and — on the soft members that
@@ -215,7 +216,7 @@ func TestStopRuleCorpus(t *testing.T) {
 		case !denied && cr.vp != nil:
 			// A fitted precode: nothing armed, no bits to score.
 		case !denied:
-			// The device tier runs every planned read; it is here for its BER.
+			// The device tier runs as planned, radius armed; it is here for its BER.
 			res, err := qpu.Solve(ctx, q, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
@@ -389,7 +390,6 @@ type deviceTally struct {
 // past the stop had lower energy; anything else fails the test.
 func deviceRow(t *testing.T, qpu *backend.Annealer, decodes []corpusRequest, size int) (row deviceTally) {
 	t.Helper()
-	ctx := context.Background()
 next:
 	for g := 0; g+size <= len(decodes); g += size {
 		armedPs, uncutPs := make([]*backend.Problem, size), make([]*backend.Problem, size)
@@ -403,14 +403,7 @@ next:
 			row.planned += cr.p.Anneal.NumAnneals
 		}
 		seed := int64(5000 + 100*size + g)
-		armed, err := qpu.SolveBatch(ctx, armedPs, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		uncut, err := qpu.SolveBatch(ctx, uncutPs, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		armed, uncut := solveRun(t, qpu, armedPs, seed), solveRun(t, qpu, uncutPs, seed)
 		budget, ran := uncut[0].ReadsPlanned, 0
 		for i, a := range armed {
 			u, p, bits := uncut[i], armedPs[i], decodes[g+i].bits
@@ -448,6 +441,24 @@ next:
 		row.chargedCap += budget
 	}
 	return row
+}
+
+// solveRun serves ps as the scheduler would: one problem solo, more as one
+// shared run.
+func solveRun(t *testing.T, qpu *backend.Annealer, ps []*backend.Problem, seed int64) []*backend.Result {
+	t.Helper()
+	if len(ps) == 1 {
+		res, err := qpu.Solve(context.Background(), ps[0], rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*backend.Result{res}
+	}
+	res, err := qpu.SolveBatch(context.Background(), ps, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // certBudgets are the node budgets the certificate table reads, qos.CertifyNodes
