@@ -179,11 +179,12 @@ func (m *Machine) collect(sl Slot, params Params, src *rng.Source) ([]Sample, er
 		return nil, err
 	}
 	n := sl.PP.N()
-	samples, spins := make([]Sample, 0, params.NumAnneals), make([]int8, params.NumAnneals*n)
+	samples, spins := make([]Sample, params.NumAnneals), make([]int8, params.NumAnneals*n)
 	sc := m.scratch.Get().(*Scratch)
-	err := m.RunSlots(sc, []Slot{sl}, params, src, func(_ int, read []int8) bool {
-		samples = append(samples, Sample{Spins: spins[len(samples)*n:][:n:n]})
-		copy(samples[len(samples)-1].Spins, read)
+	sc.one[0] = sl
+	err := m.RunSlots(sc, sc.one[:], params, src, func(_ int, read []int8) bool {
+		a := sc.handed[0] // the read in hand: deliver counts it once this returns
+		samples[a].Spins = append(spins[a*n:a*n:(a+1)*n], read...)
 		return false
 	})
 	m.scratch.Put(sc)
@@ -206,6 +207,7 @@ type Scratch struct {
 	reads   []deviceRead
 	betaKey betaKey
 	betas   []float64
+	one     [1]Slot // the run of one an allocating entry point builds
 
 	slots   []Slot
 	read    func(slot int, spins []int8) (settled bool)
@@ -301,7 +303,7 @@ func (m *Machine) RunSlots(sc *Scratch, slots []Slot, params Params, src *rng.So
 		sc.work = sc.claim
 	}
 	sc.crew.run(workers, sc.work)
-	sc.slots, sc.read = nil, nil // the pooled scratch must not pin the run
+	sc.slots, sc.read, sc.one[0] = nil, nil, Slot{} // the pooled scratch must not pin the run
 	return nil
 }
 

@@ -110,11 +110,11 @@ func TestRunPreparedLengthMismatch(t *testing.T) {
 	}
 }
 
-// An allocating run allocates only what it returns plus a constant: the
-// samples and their one backing array, the one-slot run it builds and the
-// callback that keeps the reads — worker kernels, twins, streams, the β list
-// and the fan-out live in the pooled Scratch, so the count does not depend on
-// Na. Na=5 is the bench ladder's anneal.allocs_per_run.
+// A run allocates only what it returns: the samples and their one backing
+// array, plus the callback that keeps the reads — worker kernels, twins,
+// streams, the β list, the one-slot run and the fan-out all live in the pooled
+// Scratch, so the count does not depend on Na or the worker count. Na=5 is
+// the bench ladder's anneal.allocs_per_run.
 func TestRunPreparedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -130,8 +130,8 @@ func TestRunPreparedAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 5 {
-			t.Fatalf("RunPrepared at Na=%d allocates %v times per run, want ≤ 5", na, allocs)
+		if allocs > 3 {
+			t.Fatalf("RunPrepared at Na=%d allocates %v times per run, want ≤ 3", na, allocs)
 		}
 	}
 }

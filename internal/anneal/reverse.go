@@ -22,8 +22,8 @@ import (
 // params.PausePosition is the turning point (required, in (0,1));
 // params.PauseTimeMicros may be zero for a pure down-up ramp.
 func (m *Machine) RunReverse(prog *qubo.Sparse, params Params, improvedRange bool, initial []int8, src *rng.Source) ([]Sample, error) {
-	if prog.N == 0 || len(initial) != prog.N {
-		return nil, errors.New("anneal: reverse annealing needs a program and an initial state per qubit")
+	if prog.N == 0 {
+		return nil, errors.New("anneal: empty program")
 	}
 	return m.collect(Slot{PP: m.PrepareProgram(prog, improvedRange), H: prog.H, Init: initial}, params, src)
 }
