@@ -47,20 +47,25 @@ type Client struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
+	wbuf    []byte // the request frame being written, under writeMu
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*call
 	closed  error
+
+	names backendNames // the read loop's
 }
 
-// call is one in-flight pipelined request: the slot submit registered, the
-// frame type that may answer it, and the channel its decoded response (or
-// teardown, as a close) arrives on.
+// call is one in-flight pipelined request: the frame type that may answer
+// it, the storage its answer is decoded into, and the channel closed once
+// the answer — or the connection's terminal error, in err — is there.
 type call struct {
-	c        *Client
 	respType uint8
-	ch       chan any
+	done     chan struct{}
+	err      error
+	resp     DecodeResponse // a solve's answer
+	reply    any            // a registration's or stats poll's answer
 }
 
 // NewClient wraps an established connection and starts the response reader.
@@ -88,14 +93,14 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// readLoop is the per-connection demux: it decodes each response frame and
-// hands it to the caller waiting on its ID, in whatever order they arrive.
-// Anything that breaks the demux's trust in the stream is terminal: a frame
-// that does not decode, an unknown frame type (the peer speaks another
-// protocol generation), and an ID that matches no in-flight request or
-// matches one of a different frame class — a duplicate delivery or a peer
-// answering what was never asked — which tears down with a typed
-// *ResponseIDError.
+// readLoop is the per-connection demux: it reads each response frame's ID,
+// finds the call waiting on it, in whatever order they arrive, and decodes
+// the frame into that call's storage. Anything that breaks the demux's trust
+// in the stream is terminal: an unknown frame type (the peer speaks another
+// protocol generation), an ID that matches no in-flight request or matches
+// one of a different frame class — a duplicate delivery or a peer answering
+// what was never asked — which tears down with a typed *ResponseIDError, and
+// a frame that does not decode.
 func (c *Client) readLoop() {
 	// The demux only exits with the terminal error set, at which point the
 	// connection is unusable; closing it here unblocks a peer mid-write and
@@ -108,30 +113,15 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("fronthaul: connection lost: %w", err))
 			return
 		}
-		var id uint64
-		var resp any
-		switch msgType {
-		case msgDecodeResponse:
-			var r *DecodeResponse
-			if r, err = decodeResponse(payload); err == nil {
-				id, resp = r.ID, r
-			}
-		case msgRegisterResponse:
-			var r *RegisterChannelResponse
-			if r, err = decodeRegisterResponse(payload); err == nil {
-				id, resp = r.ID, r
-			}
-		case msgStatsResponse:
-			var r *StatsResponse
-			if r, err = decodeStatsResponse(payload); err == nil {
-				id, resp = r.ID, r
-			}
-		default:
-			err = fmt.Errorf("fronthaul: protocol error: unknown frame type %d (this client speaks version %d)",
-				msgType, ProtocolVersion)
+		if msgType != msgDecodeResponse && msgType != msgRegisterResponse && msgType != msgStatsResponse {
+			c.fail(fmt.Errorf("fronthaul: protocol error: unknown frame type %d (this client speaks version %d)",
+				msgType, ProtocolVersion))
+			return
 		}
-		if err != nil {
-			c.fail(err)
+		r := reader{b: payload}
+		id := r.u64()
+		if r.err != nil {
+			c.fail(r.err)
 			return
 		}
 		c.mu.Lock()
@@ -146,13 +136,27 @@ func (c *Client) readLoop() {
 			c.fail(&ResponseIDError{MsgType: msgType, ID: id})
 			return
 		}
-		k.ch <- resp
+		switch msgType {
+		case msgDecodeResponse:
+			err = k.resp.decode(payload, &c.names)
+		case msgRegisterResponse:
+			k.reply, err = decodeRegisterResponse(payload)
+		default:
+			k.reply, err = decodeStatsResponse(payload)
+		}
+		if err != nil {
+			k.err = c.fail(err)
+			close(k.done)
+			return
+		}
+		close(k.done)
 	}
 }
 
-// fail aborts all pending calls. The first terminal error wins: a Close
-// racing the read loop's socket error keeps its ErrClientClosed tag.
-func (c *Client) fail(err error) {
+// fail aborts all pending calls with the client's terminal error, and
+// returns it. The first terminal error wins: a Close racing the read loop's
+// socket error keeps its ErrClientClosed tag.
+func (c *Client) fail(err error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed == nil {
@@ -160,52 +164,59 @@ func (c *Client) fail(err error) {
 	}
 	for id, k := range c.pending {
 		delete(c.pending, id)
-		close(k.ch)
+		k.err = c.closed
+		close(k.done)
 	}
+	return c.closed
 }
 
 // submit runs the send half of one request's lifecycle: allocate an ID,
-// register the slot, encode the frame (the callback receives the ID) and send
-// it in one Write: the request is on the wire when submit returns. Every
-// request class — solve, register-channel, stats — goes through this one
-// function, so the lifecycle (including the abandon-on-local-failure
-// ordering) cannot drift between them.
-func (c *Client) submit(respType uint8, encode func(id uint64) ([]byte, error)) (*call, error) {
-	k := &call{c: c, respType: respType, ch: make(chan any, 1)}
+// register the call, encode the frame into the client's write buffer and
+// send it in one Write: the request is on the wire when submit returns.
+// Every request class goes through this one function, so the lifecycle
+// cannot drift between them. A request refused before a byte is written is
+// the caller's error alone; a failed Write may have left part of a frame on
+// the wire, so it fails the whole client.
+func (c *Client) submit(k *call, encode func(buf []byte, id uint64) ([]byte, error)) error {
+	k.done = make(chan struct{})
 	c.mu.Lock()
 	if c.closed != nil {
 		c.mu.Unlock()
-		return nil, c.closed
+		return c.closed
 	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = k
 	c.mu.Unlock()
 
-	frame, err := encode(id)
+	c.writeMu.Lock()
+	frame, err := encode(c.wbuf, id)
 	if err == nil {
-		c.writeMu.Lock()
-		err = sendFrame(c.conn, frame)
-		c.writeMu.Unlock()
+		if cap(frame) <= readAhead {
+			c.wbuf = frame // an outsized frame's buffer is not kept, as on the read side
+		}
+		if err = sendFrame(c.conn, frame); err != nil && !errors.Is(err, errFrameSize) {
+			c.writeMu.Unlock()
+			err = c.fail(fmt.Errorf("fronthaul: write request: %w", err))
+			c.conn.Close()
+			return err
+		}
 	}
+	c.writeMu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, err
 	}
-	return k, nil
+	return err
 }
 
-// await blocks for the matched response; a closed channel means the
-// connection died (or Close drained the call) and the terminal error is
-// surfaced. Callers check their response's Err field afterward.
-func (k *call) await() (any, error) {
-	resp, ok := <-k.ch
-	if !ok {
-		return nil, k.c.closedErr()
-	}
-	return resp, nil
+// await blocks for the matched response and returns the connection's
+// terminal error if it died (or Close drained the call) first. Callers check
+// their response's Err field afterward.
+func (k *call) await() error {
+	<-k.done
+	return k.err
 }
 
 // DecodeCall is one in-flight pipelined solve request, returned by the
@@ -213,20 +224,18 @@ func (k *call) await() (any, error) {
 // responses return out of order, so many calls may be awaited in any order —
 // and converts a remote error string into a Go error exactly like the
 // blocking calls. Await must be called exactly once per call. (It is the
-// in-flight slot itself under its public name, not a wrapper around one.)
+// call itself under its public name, not a wrapper around one.)
 type DecodeCall call
 
 // Await blocks for the solve response.
 func (dc *DecodeCall) Await() (*DecodeResponse, error) {
-	v, err := (*call)(dc).await()
-	if err != nil {
+	if err := (*call)(dc).await(); err != nil {
 		return nil, err
 	}
-	resp := v.(*DecodeResponse)
-	if resp.Err != "" {
-		return nil, fmt.Errorf("fronthaul: remote decode failed: %s", resp.Err)
+	if dc.resp.Err != "" {
+		return nil, fmt.Errorf("fronthaul: remote decode failed: %s", dc.resp.Err)
 	}
-	return resp, nil
+	return &dc.resp, nil
 }
 
 // solve ships one solve request with its QoS contract filled in and returns
@@ -243,11 +252,14 @@ func (c *Client) solve(req *Request, deadline time.Duration, targetBER float64) 
 		req.DeadlineMicros = math.Min(float64(deadline)/float64(time.Microsecond), MaxDeadlineMicros)
 	}
 	req.TargetBER = math.Max(targetBER, 0)
-	k, err := c.submit(msgDecodeResponse, func(id uint64) ([]byte, error) {
+	k := &call{respType: msgDecodeResponse}
+	if err := c.submit(k, func(buf []byte, id uint64) ([]byte, error) {
 		req.ID = id
-		return frameRequest(req)
-	})
-	return (*DecodeCall)(k), err
+		return frameRequest(buf, req)
+	}); err != nil {
+		return nil, err
+	}
+	return (*DecodeCall)(k), nil
 }
 
 // solveOn is solve against a registered channel.
@@ -266,14 +278,6 @@ func (c *Client) solveOn(rc *RemoteChannel, req *Request, deadline time.Duration
 // bits. It blocks until the response arrives or the connection fails.
 func (c *Client) Decode(mod modulation.Modulation, h *linalg.Mat, y []complex128) (*DecodeResponse, error) {
 	return c.DecodeQoS(mod, h, y, 0, 0)
-}
-
-// DecodeWithDeadline is Decode with a per-request processing budget: the
-// data-center scheduler routes the problem to a classical solver when the
-// QPU pool cannot meet the deadline. deadline ≤ 0 means no deadline (the
-// server default applies).
-func (c *Client) DecodeWithDeadline(mod modulation.Modulation, h *linalg.Mat, y []complex128, deadline time.Duration) (*DecodeResponse, error) {
-	return c.DecodeQoS(mod, h, y, deadline, 0)
 }
 
 // DecodeQoS is Decode with the full QoS contract: a processing deadline and
@@ -321,17 +325,16 @@ func (rc *RemoteChannel) Mod() modulation.Modulation { return rc.mod }
 // program — and every DecodeWithChannel call only rewrites the y-dependent
 // biases.
 func (c *Client) RegisterChannel(mod modulation.Modulation, h *linalg.Mat) (*RemoteChannel, error) {
-	k, err := c.submit(msgRegisterResponse, func(id uint64) ([]byte, error) {
-		return frameRegisterChannel(&RegisterChannelRequest{ID: id, Mod: mod, H: h})
-	})
-	if err != nil {
+	k := &call{respType: msgRegisterResponse}
+	if err := c.submit(k, func(buf []byte, id uint64) ([]byte, error) {
+		return frameRegisterChannel(buf, &RegisterChannelRequest{ID: id, Mod: mod, H: h})
+	}); err != nil {
 		return nil, err
 	}
-	v, err := k.await()
-	if err != nil {
+	if err := k.await(); err != nil {
 		return nil, err
 	}
-	resp := v.(*RegisterChannelResponse)
+	resp := k.reply.(*RegisterChannelResponse)
 	if resp.Err != "" {
 		return nil, fmt.Errorf("fronthaul: channel registration failed: %s", resp.Err)
 	}
@@ -452,15 +455,8 @@ func (c *Client) DecodeSoft(mod modulation.Modulation, h *linalg.Mat, y []comple
 // symbol an O(Nr) frame tagged with the channel's fingerprint for
 // coherence-aware batching — exactly like DecodeWithChannel, soft.
 func (c *Client) DecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*DecodeResponse, error) {
-	return awaitCall(c.SubmitDecodeSoftWithChannel(rc, y, q))
-}
-
-// SubmitDecodeSoftWithChannel is the pipelined form of
-// DecodeSoftWithChannel: the soft per-symbol decode ships immediately and
-// the caller holds the in-flight handle.
-func (c *Client) SubmitDecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*DecodeCall, error) {
-	return c.solveOn(rc, &Request{Vec: y,
-		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER)
+	return awaitCall(c.solveOn(rc, &Request{Vec: y,
+		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER))
 }
 
 // PoolStats polls the data center's live serving statistics: every series
@@ -469,29 +465,18 @@ func (c *Client) SubmitDecodeSoftWithChannel(rc *RemoteChannel, y []complex128, 
 // burn rates, planner decisions) as one sample set. This is the frame behind
 // `quamax -top` and `-watch`.
 func (c *Client) PoolStats() (*StatsResponse, error) {
-	k, err := c.submit(msgStatsResponse, func(id uint64) ([]byte, error) {
+	k := &call{respType: msgStatsResponse}
+	if err := c.submit(k, func(_ []byte, id uint64) ([]byte, error) {
 		return frameStatsRequest(&StatsRequest{ID: id}), nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	v, err := k.await()
-	if err != nil {
+	if err := k.await(); err != nil {
 		return nil, err
 	}
-	resp := v.(*StatsResponse)
+	resp := k.reply.(*StatsResponse)
 	if resp.Err != "" {
 		return nil, fmt.Errorf("fronthaul: remote stats failed: %s", resp.Err)
 	}
 	return resp, nil
-}
-
-// closedErr returns the connection's terminal error (or a generic one).
-func (c *Client) closedErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed != nil {
-		return c.closed
-	}
-	return errors.New("fronthaul: connection closed")
 }

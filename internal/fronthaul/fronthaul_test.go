@@ -21,6 +21,7 @@ import (
 	"quamax/internal/chimera"
 	"quamax/internal/core"
 	"quamax/internal/linalg"
+	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/precoding"
@@ -39,6 +40,21 @@ func testDecoder(t *testing.T) *core.Decoder {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// newDecoderServer serves one QuAMax decoder as a one-QPU pool — the paper's
+// original single-annealer deployment — and drains the pool when the test
+// ends.
+func newDecoderServer(t *testing.T, dec *core.Decoder, seed int64) *Server {
+	t.Helper()
+	s, err := sched.New(sched.Config{Pool: []backend.Backend{backend.AnnealerFromDecoder("qpu0", dec)}, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	srv := NewPoolServer(s)
+	srv.Stats = func() []metrics.Sample { return metrics.Collect(s.Stats().Samples()) }
+	return srv
 }
 
 func testInstance(t *testing.T, seed int64, mod modulation.Modulation, nt int) *mimo.Instance {
@@ -230,8 +246,7 @@ func TestFrameSizeGuard(t *testing.T) {
 // Full loop over an in-memory pipe: AP decodes a noise-free instance through
 // the data-center server and gets its bits back.
 func TestClientServerOverPipe(t *testing.T) {
-	server := NewServer(testDecoder(t), 1)
-	defer server.Close()
+	server := newDecoderServer(t, testDecoder(t), 1)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -255,8 +270,7 @@ func TestClientServerOverPipe(t *testing.T) {
 
 // Real TCP with concurrent pipelined requests from multiple goroutines.
 func TestClientServerOverTCPConcurrent(t *testing.T) {
-	server := NewServer(testDecoder(t), 2)
-	defer server.Close()
+	server := newDecoderServer(t, testDecoder(t), 2)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +313,7 @@ func TestClientServerOverTCPConcurrent(t *testing.T) {
 // A decode error on the server (oversized problem) must surface at the
 // client as an error, not a hang.
 func TestServerReportsDecodeError(t *testing.T) {
-	server := NewServer(testDecoder(t), 3)
-	defer server.Close()
+	server := newDecoderServer(t, testDecoder(t), 3)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -605,7 +618,7 @@ func TestDeadlineOverWireRoutesToFallback(t *testing.T) {
 
 	in := testInstance(t, 700, modulation.QPSK, 4)
 	// The pool's annealers need Na·(Ta+Tp) = 80 µs; 20 µs is unmeetable.
-	resp, err := client.DecodeWithDeadline(in.Mod, in.H, in.Y, 20*time.Microsecond)
+	resp, err := client.DecodeQoS(in.Mod, in.H, in.Y, 20*time.Microsecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +739,6 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	}
 	defer s.Close()
 	srv := NewPoolServer(s)
-	defer srv.Close()
 
 	client, server := net.Pipe()
 	defer client.Close()
@@ -820,8 +832,7 @@ func TestRegisterCodecRoundTrip(t *testing.T) {
 // window of symbols by handle, and verify each decode — plus a self-contained
 // Decode on the same connection.
 func TestRegisterChannelDecodeWindow(t *testing.T) {
-	server := NewServer(testDecoder(t), 3)
-	defer server.Close()
+	server := newDecoderServer(t, testDecoder(t), 3)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -932,8 +943,7 @@ func TestRegisterChannelEvictsOldest(t *testing.T) {
 func precodeTestBench(t *testing.T, users, antennas int) (*Server, *Client, *linalg.Mat) {
 	t.Helper()
 	dec := testDecoder(t)
-	server := NewServer(dec, 9)
-	t.Cleanup(func() { server.Close() })
+	server := newDecoderServer(t, dec, 9)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)

@@ -64,9 +64,10 @@
 // A frame is encoded into one contiguous buffer, header first, and leaves in
 // one Write. Each connection end reads through one buffered reader into one
 // payload buffer it reuses frame after frame; decoders copy out everything
-// they keep, so a decoded message never aliases that buffer. The client
-// writes each request as it is submitted (it is on the wire when submit
-// returns). The server's writer goroutine buffers responses and flushes
+// they keep, into storage its owner holds (a server request slot, a client
+// call), so a decoded message never aliases that buffer. The client writes
+// each request as it is submitted (it is on the wire when submit returns).
+// The server's writer goroutine buffers the slots' responses and flushes
 // whenever its queue runs empty — never on a timer — so a burst of responses
 // shares a segment and a lone response leaves at once.
 package fronthaul
@@ -176,7 +177,7 @@ type DecodeResponse struct {
 	Batched int
 	// LLR8 are the per-bit LLRs of a soft decode (softout convention:
 	// positive favors bit 1) quantized to int8 at full scale ±Clamp
-	// (softout.Quantize), so a soft bit costs one byte on the fronthaul
+	// (softout.AppendQuantized), so a soft bit costs one byte on the fronthaul
 	// instead of a float64. Nil on hard decodes and precodes.
 	LLR8 []int8
 	// Clamp is the LLR magnitude the quantization maps onto ±127 — the
@@ -212,10 +213,10 @@ const frameHeaderLen = 5
 // peer this much memory and no more.
 const readAhead = 64 << 10
 
-// newFrame starts a frame: the header reserved, room for size payload bytes.
-// Encoders append the payload and finish with sealFrame.
-func newFrame(size int) []byte {
-	return make([]byte, frameHeaderLen, frameHeaderLen+size)
+// newFrame starts a frame in buf's storage: the header reserved, room for
+// size payload bytes. Encoders append the payload and finish with sealFrame.
+func newFrame(buf []byte, size int) []byte {
+	return slices.Grow(buf[:0], frameHeaderLen+size)[:frameHeaderLen]
 }
 
 // sealFrame fills in the header of a frame begun with newFrame.
@@ -225,10 +226,14 @@ func sealFrame(b []byte, msgType uint8) []byte {
 	return b
 }
 
-// sendFrame emits one sealed frame in a single Write.
+// errFrameSize tags the refusal of a frame past MaxFrameBytes.
+var errFrameSize = errors.New("fronthaul: frame exceeds limit")
+
+// sendFrame emits one sealed frame in a single Write. A frame past
+// MaxFrameBytes is refused with errFrameSize before a byte is written.
 func sendFrame(w io.Writer, frame []byte) error {
 	if len(frame)-frameHeaderLen > MaxFrameBytes {
-		return fmt.Errorf("fronthaul: frame of %d bytes exceeds limit", len(frame)-frameHeaderLen)
+		return fmt.Errorf("%w: %d bytes", errFrameSize, len(frame)-frameHeaderLen)
 	}
 	_, err := w.Write(frame)
 	return err
@@ -330,30 +335,19 @@ type reader struct {
 
 // The fixed-width reads return zero once the payload has run short; callers
 // check r.err after a batch of reads.
-func (r *reader) u8() uint8 {
-	if b := r.bytes(1); b != nil {
-		return b[0]
+func (r *reader) u8() uint8   { return r.fixed(1)[0] }
+func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+
+// fixed reads n ≤ 8 bytes, or zeros once the payload has run short.
+func (r *reader) fixed(n int) []byte {
+	if b := r.bytes(n); b != nil {
+		return b
 	}
-	return 0
+	return make([]byte, n)
 }
-func (r *reader) u16() uint16 {
-	if b := r.bytes(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-func (r *reader) u32() uint32 {
-	if b := r.bytes(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-func (r *reader) u64() uint64 {
-	if b := r.bytes(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
+
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
@@ -367,11 +361,12 @@ func (r *reader) bytes(n int) []byte {
 
 var errShort = errors.New("fronthaul: short payload")
 
-// readC128s reads n complex samples. The count is bounded by what the payload
-// still holds (16 bytes per sample) before anything is allocated, so a forged
-// header cannot provoke a large allocation, and non-finite samples are
-// rejected here for every frame that carries a vector or a matrix.
-func readC128s(r *reader, n int) ([]complex128, error) {
+// readC128s reads n complex samples into dst's storage. The count is bounded
+// by what the payload still holds (16 bytes per sample) before anything is
+// allocated, so a forged header cannot provoke a large allocation, and
+// non-finite samples are rejected here for every frame that carries a vector
+// or a matrix.
+func readC128s(r *reader, dst []complex128, n int) ([]complex128, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -379,7 +374,7 @@ func readC128s(r *reader, n int) ([]complex128, error) {
 		return nil, fmt.Errorf("fronthaul: %d complex samples exceed the payload", n)
 	}
 	raw := r.bytes(16 * n)
-	v := make([]complex128, n)
+	v := slices.Grow(dst[:0], n)[:n]
 	for i := range v {
 		v[i] = complex(
 			math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:])),
@@ -405,7 +400,7 @@ func readMat(r *reader) (modulation.Modulation, *linalg.Mat, error) {
 	if rows < 1 || cols < 1 {
 		return 0, nil, errors.New("fronthaul: empty channel matrix")
 	}
-	data, err := readC128s(r, rows*cols)
+	data, err := readC128s(r, nil, rows*cols)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -446,10 +441,10 @@ func validatePerturbBits(bits int) error {
 	return nil
 }
 
-// frameRequest serializes a solve request into its frame, refusing arguments
-// the server would reject as a bad request (and tear the connection down
-// over).
-func frameRequest(req *Request) ([]byte, error) {
+// frameRequest serializes a solve request into its frame, in buf's storage,
+// refusing arguments the server would reject as a bad request (and tear the
+// connection down over).
+func frameRequest(buf []byte, req *Request) ([]byte, error) {
 	var flags uint8
 	size := 8 + 1 + 8 + 1 + 4 + 16*len(req.Vec) + 32
 	switch {
@@ -480,7 +475,7 @@ func frameRequest(req *Request) ([]byte, error) {
 		}
 		flags |= reqPrecode
 	}
-	b := appendU64(newFrame(size), req.ID)
+	b := appendU64(newFrame(buf, size), req.ID)
 	b = append(b, flags)
 	if req.H == nil {
 		b = appendU64(b, req.Handle)
@@ -504,27 +499,27 @@ func frameRequest(req *Request) ([]byte, error) {
 	return sealFrame(b, msgDecodeRequest), nil
 }
 
-// decodeRequest parses a solve request.
-func decodeRequest(payload []byte) (*Request, error) {
+// decode parses a solve request into req, overwriting every field. The
+// vector is read into req.Vec's storage; an inline channel is always fresh,
+// because the layers below may keep it past the request.
+func (req *Request) decode(payload []byte) error {
 	r := &reader{b: payload}
-	req := &Request{ID: r.u64()}
+	*req = Request{ID: r.u64(), Vec: req.Vec}
 	flags := r.u8()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if flags&^(reqByHandle|reqSoft|reqPrecode) != 0 || flags&(reqSoft|reqPrecode) == reqSoft|reqPrecode {
-		return nil, fmt.Errorf("fronthaul: bad request flags %#x", flags)
+		return fmt.Errorf("fronthaul: bad request flags %#x", flags)
 	}
 	req.Soft, req.Precode = flags&reqSoft != 0, flags&reqPrecode != 0
+	var err error
 	if flags&reqByHandle != 0 {
 		if req.Handle = r.u64(); r.err == nil && req.Handle == 0 {
-			return nil, errors.New("fronthaul: channel handle 0 is never issued")
+			return errors.New("fronthaul: channel handle 0 is never issued")
 		}
-	} else {
-		var err error
-		if req.Mod, req.H, err = readMat(r); err != nil {
-			return nil, err
-		}
+	} else if req.Mod, req.H, err = readMat(r); err != nil {
+		return err
 	}
 	if req.Precode {
 		// More users than antennas is a *request* error, not a framing error:
@@ -532,16 +527,15 @@ func decodeRequest(payload []byte) (*Request, error) {
 		// one bad argument does not tear down a shared pipelined connection.
 		req.PerturbBits = int(r.u8())
 		if err := validatePerturbBits(req.PerturbBits); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	n := int(r.u32())
 	if r.err == nil && req.H != nil && n != req.H.Rows {
-		return nil, fmt.Errorf("fronthaul: vector has %d entries, channel has %d rows", n, req.H.Rows)
+		return fmt.Errorf("fronthaul: vector has %d entries, channel has %d rows", n, req.H.Rows)
 	}
-	var err error
-	if req.Vec, err = readC128s(r, n); err != nil {
-		return nil, err
+	if req.Vec, err = readC128s(r, req.Vec, n); err != nil {
+		return err
 	}
 	req.DeadlineMicros = r.f64()
 	req.TargetBER = r.f64()
@@ -550,27 +544,28 @@ func decodeRequest(payload []byte) (*Request, error) {
 		req.LLRClamp = r.f64()
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if err := validateQoSWire(req.DeadlineMicros, req.TargetBER); err != nil {
-		return nil, err
+		return err
 	}
 	if err := validateSoftScaling(req.NoiseVar, req.LLRClamp); err != nil {
-		return nil, err
+		return err
 	}
 	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in request")
+		return errors.New("fronthaul: trailing bytes in request")
 	}
-	return req, nil
+	return nil
 }
 
-// frameRegisterChannel serializes a RegisterChannelRequest into its frame.
-func frameRegisterChannel(req *RegisterChannelRequest) ([]byte, error) {
+// frameRegisterChannel serializes a RegisterChannelRequest into its frame,
+// in buf's storage.
+func frameRegisterChannel(buf []byte, req *RegisterChannelRequest) ([]byte, error) {
 	size := 8 + 5
 	if req.H != nil {
 		size += 16 * len(req.H.Data)
 	}
-	b, err := appendMat(appendU64(newFrame(size), req.ID), req.Mod, req.H)
+	b, err := appendMat(appendU64(newFrame(buf, size), req.ID), req.Mod, req.H)
 	if err != nil {
 		return nil, err
 	}
@@ -599,9 +594,10 @@ func appendStr16(b []byte, s string) []byte {
 	return append(appendU16(b, uint16(len(s))), s...)
 }
 
-// frameRegisterResponse serializes a RegisterChannelResponse into its frame.
-func frameRegisterResponse(resp *RegisterChannelResponse) []byte {
-	b := appendU64(newFrame(8+2+len(resp.Err)+8), resp.ID)
+// frameRegisterResponse serializes a RegisterChannelResponse into its frame,
+// in buf's storage.
+func frameRegisterResponse(buf []byte, resp *RegisterChannelResponse) []byte {
+	b := appendU64(newFrame(buf, 8+2+len(resp.Err)+8), resp.ID)
 	b = appendStr16(b, resp.Err)
 	b = appendU64(b, resp.Handle)
 	return sealFrame(b, msgRegisterResponse)
@@ -623,10 +619,10 @@ func decodeRegisterResponse(payload []byte) (*RegisterChannelResponse, error) {
 	return resp, nil
 }
 
-// frameResponse serializes a solve response into its frame. The LLR block
-// rides only when the response carries LLRs.
-func frameResponse(resp *DecodeResponse) []byte {
-	b := newFrame(8 + 2 + len(resp.Err) + 4 + len(resp.Bits) + 16 + 2 + len(resp.Backend) + 2 + 1 + 16 + len(resp.LLR8))
+// frameResponse serializes a solve response into its frame, in buf's
+// storage. The LLR block rides only when the response carries LLRs.
+func frameResponse(buf []byte, resp *DecodeResponse) []byte {
+	b := newFrame(buf, 8+2+len(resp.Err)+4+len(resp.Bits)+16+2+len(resp.Backend)+2+1+16+len(resp.LLR8))
 	b = appendU64(b, resp.ID)
 	b = appendStr16(b, resp.Err)
 	b = appendU32(b, uint32(len(resp.Bits)))
@@ -648,12 +644,14 @@ func frameResponse(resp *DecodeResponse) []byte {
 	return sealFrame(b, msgDecodeResponse)
 }
 
-// decodeResponse parses a solve response. The clamp of an LLR block must be
-// finite and non-negative so dequantization is well defined, and the block
-// must hold at least one LLR (an empty one would re-encode without its flag).
-func decodeResponse(payload []byte) (*DecodeResponse, error) {
+// decode parses a solve response into resp, overwriting every field, with
+// the backend name interned in names. The clamp of an LLR
+// block must be finite and non-negative so dequantization is well defined,
+// and the block must hold at least one LLR (an empty one would re-encode
+// without its flag).
+func (resp *DecodeResponse) decode(payload []byte, names *backendNames) error {
 	r := &reader{b: payload}
-	resp := &DecodeResponse{ID: r.u64()}
+	*resp = DecodeResponse{ID: r.u64()}
 	errLen := int(r.u16())
 	resp.Err = string(r.bytes(errLen))
 	bitLen := int(r.u32())
@@ -661,18 +659,18 @@ func decodeResponse(payload []byte) (*DecodeResponse, error) {
 	resp.Energy = r.f64()
 	resp.ComputeMicros = r.f64()
 	backendLen := int(r.u16())
-	resp.Backend = string(r.bytes(backendLen))
+	resp.Backend = names.intern(r.bytes(backendLen))
 	resp.Batched = int(r.u16())
 	flags := r.u8()
 	if r.err == nil && flags&^respLLR != 0 {
-		return nil, fmt.Errorf("fronthaul: bad response flags %#x", flags)
+		return fmt.Errorf("fronthaul: bad response flags %#x", flags)
 	}
 	if flags&respLLR != 0 {
 		resp.Clamp = r.f64()
 		resp.Saturated = int(r.u32())
 		raw := r.bytes(int(r.u32()))
 		if r.err == nil && len(raw) == 0 {
-			return nil, errors.New("fronthaul: empty LLR block in response")
+			return errors.New("fronthaul: empty LLR block in response")
 		}
 		resp.LLR8 = make([]int8, len(raw))
 		for i, v := range raw {
@@ -680,13 +678,32 @@ func decodeResponse(payload []byte) (*DecodeResponse, error) {
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if !(resp.Clamp >= 0) || math.IsInf(resp.Clamp, 0) {
-		return nil, fmt.Errorf("fronthaul: invalid LLR clamp %g in response", resp.Clamp)
+		return fmt.Errorf("fronthaul: invalid LLR clamp %g in response", resp.Clamp)
 	}
 	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in response")
+		return errors.New("fronthaul: trailing bytes in response")
 	}
-	return resp, nil
+	return nil
+}
+
+// backendNames interns the backend names one connection's responses carry:
+// a pool has a handful, so the last few seen match nearly every response,
+// and the comparison does not copy b.
+type backendNames struct {
+	seen [8]string
+	next int
+}
+
+func (n *backendNames) intern(b []byte) string {
+	for i := range n.seen {
+		if string(b) == n.seen[i] {
+			return n.seen[i]
+		}
+	}
+	s := string(b)
+	n.seen[n.next], n.next = s, (n.next+1)%len(n.seen)
+	return s
 }

@@ -16,7 +16,6 @@ import (
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 	"quamax/internal/precoding"
-	"quamax/internal/sched"
 	"quamax/internal/softout"
 	"quamax/internal/telemetry"
 )
@@ -33,8 +32,7 @@ type Dispatcher interface {
 // the backend workers (simulated QPUs and classical solvers) and the
 // deadline-aware hybrid dispatch.
 type Server struct {
-	disp  Dispatcher
-	owned *sched.Scheduler // set when the server built its own pool
+	disp Dispatcher
 
 	// Logf receives diagnostic messages; nil silences them.
 	Logf func(format string, args ...interface{})
@@ -57,19 +55,19 @@ type Server struct {
 	// with the scheduler and planner so `quamax -top` sees one coherent plane.
 	Telemetry *telemetry.Recorder
 
-	// PipelineDepth bounds the in-flight window per connection: how many
-	// requests may be in service (dispatched but unanswered) at once. When
-	// the window is full the connection's read loop stops pulling frames, so
-	// backpressure lands on the socket instead of growing an unbounded
-	// goroutine set — a client pipelining faster than the pool drains simply
-	// sees its writes stall. 0 = DefaultPipelineDepth. Set before Serve.
+	// PipelineDepth bounds the in-flight window per connection: the request
+	// slots it owns, so how many requests may be in service (dispatched but
+	// unanswered) at once. With every slot busy the connection's read loop
+	// stops pulling frames, so backpressure lands on the socket instead of
+	// growing server state — a client pipelining faster than the pool drains
+	// simply sees its writes stall. 0 = DefaultPipelineDepth. Set before Serve.
 	PipelineDepth int
 
 	// Stats supplies the sample set a stats poll is answered with, in
 	// canonical order (metrics.Collect). Whoever assembles the stack sets it
 	// — the same function feeds telemetry.Mux — from the planes it built:
 	// pool or router, recorder, health and burn trackers, planner. Nil answers
-	// an empty set. NewServer sets it to its own pool. Set before Serve.
+	// an empty set. Set before Serve.
 	Stats func() []metrics.Sample
 
 	// precodePrograms holds the compiled VP programs of the server's
@@ -81,54 +79,18 @@ type Server struct {
 // PrecodeCacheStats snapshots the compiled-VP-program cache counters.
 func (s *Server) PrecodeCacheStats() metrics.ChannelCacheStats { return s.precodePrograms.Stats() }
 
-// NewServer wraps a single QuAMax decoder as a one-QPU pool — the paper's
-// original single-annealer deployment. seed drives all solver randomness.
-// The server owns the pool's worker goroutine; call Close to drain it when
-// the server is done serving.
-func NewServer(dec *core.Decoder, seed int64) *Server {
-	s, err := sched.New(sched.Config{
-		Pool: []backend.Backend{backend.AnnealerFromDecoder("qpu0", dec)},
-		Seed: seed,
-	})
-	if err != nil {
-		// Unreachable: the pool is never empty here.
-		panic(err)
-	}
-	srv := NewPoolServer(s)
-	srv.owned = s
-	srv.Stats = func() []metrics.Sample { return metrics.Collect(s.Stats().Samples()) }
-	return srv
-}
-
 // NewPoolServer serves decode requests through an externally owned
-// dispatcher (typically a multi-backend sched.Scheduler). The caller keeps
-// responsibility for draining it.
+// dispatcher (typically a sched.Scheduler, or a router over several). The
+// caller keeps responsibility for draining it.
 func NewPoolServer(d Dispatcher) *Server {
 	return &Server{disp: d, precodePrograms: precoding.NewCache(0)}
-}
-
-// Close drains a server-owned pool (no-op for NewPoolServer servers, whose
-// scheduler lifetime belongs to the caller).
-func (s *Server) Close() error {
-	if s.owned != nil {
-		return s.owned.Close()
-	}
-	return nil
 }
 
 // DefaultPipelineDepth is the per-connection in-flight window when the
 // server does not configure one: deep enough to keep a multi-worker shard
 // busy from one AP, small enough that a misbehaving client cannot hold
-// thousands of goroutines.
+// thousands of request slots.
 const DefaultPipelineDepth = 64
-
-// pipelineDepth resolves the configured in-flight window.
-func (s *Server) pipelineDepth() int {
-	if s.PipelineDepth > 0 {
-		return s.PipelineDepth
-	}
-	return DefaultPipelineDepth
-}
 
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.Logf != nil {
@@ -137,8 +99,8 @@ func (s *Server) logf(format string, args ...interface{}) {
 }
 
 // Serve accepts connections until the listener is closed. Each connection
-// gets a read loop; each request is decoded on its own goroutine so
-// pipelined subcarriers overlap (the §5.5 parallelization opportunity).
+// gets a read loop and up to PipelineDepth request slots, so pipelined
+// subcarriers overlap (the §5.5 parallelization opportunity).
 func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -174,29 +136,47 @@ const MaxChannelsPerConn = 256
 // Write. Larger responses pass through it unbuffered.
 const writeBuffer = 16 << 10
 
+// slot is one request in service on a connection, which owns at most its
+// pipeline depth of them, each made on first need with a goroutine to run
+// it: the request, its channel, the problem dispatched and the response
+// frame, all reused. The read loop decodes into an idle slot and hands it to
+// a goroutine on work; that goroutine dispatches and frames the answer; the
+// writer hands the slot back on idle once the frame is buffered. So a slot
+// is reused only after its Dispatch returned on a live connection: one that
+// returned on cancellation may leave its job queued below, still reading the
+// problem, but the context is cancelled only once the read loop is gone.
+type slot struct {
+	req   Request
+	ch    registeredChannel
+	p     backend.Problem
+	llr8  []int8
+	frame []byte
+}
+
 // writeLoop is the single goroutine that touches a connection's write side.
-// It buffers the sealed frames it is handed and flushes whenever the queue
-// runs empty — never on a timer — so responses that finish together share a
-// segment and a lone response leaves at once. A failed write means no answer
-// can be delivered any more: it closes the connection, which ends the read
-// loop (so no new work is admitted and cancel discards what is queued), and
-// discards the rest of the queue. It returns when out is closed.
-func (s *Server) writeLoop(conn net.Conn, out <-chan []byte) {
+// It buffers the frames of the slots it is handed, returning each slot to
+// idle once its frame is buffered, and flushes whenever the queue runs empty
+// — never on a timer — so responses that finish together share a segment
+// and a lone response leaves at once. A failed write means no answer can be
+// delivered any more: it closes the connection, which ends the read loop (so
+// no new work is admitted and cancel discards what is queued), and discards
+// the rest of the queue. It returns when out is closed.
+func (s *Server) writeLoop(conn net.Conn, out <-chan *slot, idle chan<- *slot) {
 	w := bufio.NewWriterSize(conn, writeBuffer)
 	dead := false
-	for frame := range out {
-		if dead {
-			continue
+	for sl := range out {
+		if !dead {
+			err := sendFrame(w, sl.frame)
+			if err == nil && len(out) == 0 {
+				err = w.Flush()
+			}
+			if err != nil {
+				s.logf("fronthaul: write response: %v", err)
+				conn.Close()
+				dead = true
+			}
 		}
-		err := sendFrame(w, frame)
-		if err == nil && len(out) == 0 {
-			err = w.Flush()
-		}
-		if err != nil {
-			s.logf("fronthaul: write response: %v", err)
-			conn.Close()
-			dead = true
-		}
+		idle <- sl
 	}
 }
 
@@ -207,40 +187,58 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan []byte) {
 // association.
 //
 // The connection is fully pipelined and multiplexed: the read loop pulls
-// frames and hands solve requests to per-request goroutines, a bounded
-// in-flight window (pipelineDepth) caps how many are in service at once — a
-// full window stalls the read loop, pushing backpressure onto the socket —
-// and one writer goroutine serializes the out-of-order responses back onto
-// the wire.
+// frames and decodes solve requests into idle slots, at most PipelineDepth
+// of them — with every slot busy the read loop stalls, pushing backpressure
+// onto the socket — and one writer goroutine serializes the out-of-order
+// responses back onto the wire.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
-	depth := s.pipelineDepth()
+	depth := DefaultPipelineDepth
+	if s.PipelineDepth > 0 {
+		depth = s.PipelineDepth
+	}
 
-	// Request goroutines finish by enqueueing a sealed frame; the channel
-	// closes only after every producer is reaped, then the writer drains and
-	// exits.
-	out := make(chan []byte, depth)
+	// Every frame leaves from a slot, enqueued on out; the channel closes only
+	// after every slot goroutine is reaped, then the writer drains and exits.
+	// A slot is in at most one of out, idle and work, once, and there are at
+	// most depth slots, so no send on them blocks.
+	out := make(chan *slot, depth)
+	idle := make(chan *slot, depth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		s.writeLoop(conn, out)
+		s.writeLoop(conn, out, idle)
 	}()
 	defer func() { close(out); <-writerDone }()
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	// Deferred after wg.Wait so it runs first: a dropped connection cancels
-	// queued dispatches, then the in-flight goroutines are reaped, and only
-	// then does the writer shut down.
+	// Deferred after wg.Wait so they run first: a dropped connection cancels
+	// queued dispatches and ends the slot goroutines' work, then they are
+	// reaped, and only then does the writer shut down.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	work := make(chan *slot, depth)
+	defer close(work)
+	// acquire returns an idle slot, first making one (and its goroutine)
+	// while none is idle and the connection owns fewer than depth.
+	made := 0
+	acquire := func() *slot {
+		if len(idle) == 0 && made < depth {
+			made++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for sl := range work {
+					s.process(ctx, sl)
+					out <- sl
+				}
+			}()
+			idle <- &slot{}
+		}
+		return <-idle
+	}
 
-	// The in-flight window: a solve takes a slot before it is spawned, so
-	// while depth requests are already in service the read loop stops
-	// consuming frames until one frees.
-	sem := make(chan struct{}, depth)
-
-	var chanMu sync.Mutex
 	channels := make(map[uint64]registeredChannel)
 	var nextHandle uint64
 
@@ -250,63 +248,57 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			return // connection closed or corrupt framing
 		}
+		// Every frame is answered from a slot: a solve request runs in it,
+		// and the read loop frames its own answers in it.
+		sl := acquire()
 		switch msgType {
 		case msgDecodeRequest:
-			req, err := decodeRequest(payload)
-			if err != nil {
-				s.badRequest(out, payload, err)
-				return
+			if err = sl.req.decode(payload); err != nil {
+				break
 			}
-			chanMu.Lock()
-			ch, refusal := channelFor(channels, req)
-			chanMu.Unlock()
-			if refusal != "" {
-				out <- frameResponse(&DecodeResponse{ID: req.ID, Err: refusal})
+			var refusal string
+			if sl.ch, refusal = channelFor(channels, &sl.req); refusal == "" {
+				work <- sl
 				continue
 			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				out <- frameResponse(s.process(ctx, req, ch))
-			}()
+			sl.refuse(refusal)
 
 		case msgRegisterChannel:
-			req, err := decodeRegisterChannel(payload)
-			if err != nil {
-				s.badRequest(out, payload, err)
-				return
+			var req *RegisterChannelRequest
+			if req, err = decodeRegisterChannel(payload); err != nil {
+				break
 			}
 			// Registration is pure bookkeeping (the pool's compiled-channel
 			// cache fills lazily on the first decode), so answer inline.
 			// Handles are issued sequentially, so at capacity the oldest live
 			// one is exactly MaxChannelsPerConn behind the newest (below
 			// capacity that key does not exist and the delete is a no-op).
-			rc := registeredChannel{mod: req.Mod, h: req.H, key: core.FingerprintChannel(req.Mod, req.H)}
-			chanMu.Lock()
 			nextHandle++
-			channels[nextHandle] = rc
+			channels[nextHandle] = registeredChannel{mod: req.Mod, h: req.H, key: core.FingerprintChannel(req.Mod, req.H)}
 			delete(channels, nextHandle-MaxChannelsPerConn)
-			chanMu.Unlock()
-			out <- frameRegisterResponse(&RegisterChannelResponse{ID: req.ID, Handle: nextHandle})
+			sl.frame = frameRegisterResponse(sl.frame, &RegisterChannelResponse{ID: req.ID, Handle: nextHandle})
 
 		case msgStatsRequest:
-			req, err := decodeStatsRequest(payload)
-			if err != nil {
-				s.badRequest(out, payload, err)
-				return
+			var req *StatsRequest
+			if req, err = decodeStatsRequest(payload); err != nil {
+				break
 			}
 			// Stats are a pure snapshot (no pool dispatch), so answer inline
 			// like channel registration.
-			out <- s.statsFrame(req.ID)
+			sl.frame = s.statsFrame(req.ID)
 
 		default:
 			// A peer of another protocol generation: tell it so and hang up,
 			// or it would wait forever for an answer to a frame we dropped.
-			s.badRequest(out, payload, fmt.Errorf("unknown frame type %d", msgType))
+			err = fmt.Errorf("unknown frame type %d", msgType)
+		}
+		if err != nil {
+			if s.badRequest(sl, payload, err) {
+				out <- sl
+			}
 			return
 		}
+		out <- sl
 	}
 }
 
@@ -342,18 +334,20 @@ func (s *Server) statsFrame(id uint64) []byte {
 }
 
 // badRequest logs a frame the server cannot parse and, when the request ID is
-// salvageable (first 8 bytes), answers with an error response so a protocol-
+// salvageable (first 8 bytes), frames an error response in sl, so a protocol-
 // mismatched client fails fast instead of blocking forever on a swallowed
-// request. The caller closes the connection afterwards.
-func (s *Server) badRequest(out chan<- []byte, payload []byte, err error) {
+// request; it reports whether it did. The caller closes the connection
+// afterwards.
+func (s *Server) badRequest(sl *slot, payload []byte, err error) bool {
 	s.logf("fronthaul: bad request: %v", err)
 	if len(payload) < 8 {
-		return
+		return false
 	}
-	out <- frameResponse(&DecodeResponse{
+	sl.frame = frameResponse(sl.frame, &DecodeResponse{
 		ID:  binary.LittleEndian.Uint64(payload),
 		Err: fmt.Sprintf("bad request (server speaks protocol version %d): %v", ProtocolVersion, err),
 	})
+	return true
 }
 
 // softClamp resolves the effective LLR clamp of one soft request: the
@@ -370,14 +364,15 @@ func (s *Server) softClamp(reqClamp float64) float64 {
 	return softout.DefaultClamp
 }
 
-// process turns one solve request into the pool's problem, routes it through
-// the dispatcher and frames the answer. Precoding is the same problem with a
-// different (H, y): the compiled VP program substitutes its equivalent uplink
-// channel and target. Program resolution (O(Nu³) channel inversion on a
-// cache miss) runs here, on the request goroutine, so it cannot
+// process turns the slot's request into the pool's problem, routes it
+// through the dispatcher and frames the answer into the slot's response
+// frame, straight from the dispatcher's result. Precoding is the same problem
+// with a different (H, y): the compiled VP program substitutes its equivalent
+// uplink channel and target. Program resolution (O(Nu³) channel inversion on
+// a cache miss) runs here, on the slot's goroutine, so it cannot
 // head-of-line-block pipelined frames.
-func (s *Server) process(ctx context.Context, req *Request, ch registeredChannel) *DecodeResponse {
-	var p *backend.Problem
+func (s *Server) process(ctx context.Context, sl *slot) {
+	req, ch, p := &sl.req, sl.ch, &sl.p
 	switch {
 	case req.Precode:
 		bits := req.PerturbBits
@@ -388,13 +383,15 @@ func (s *Server) process(ctx context.Context, req *Request, ch registeredChannel
 		// inline one has none, and its H enters the process with this frame.
 		prog, err := s.precodePrograms.Get(ch.key, ch.mod, ch.h, bits)
 		if err != nil {
-			return &DecodeResponse{ID: req.ID, Err: err.Error()}
+			sl.refuse(err.Error())
+			return
 		}
 		p = prog.Problem(req.Vec)
 	case req.Soft && s.DisableSoft:
-		return &DecodeResponse{ID: req.ID, Err: "soft decode disabled by server configuration"}
+		sl.refuse("soft decode disabled by server configuration")
+		return
 	default:
-		p = &backend.Problem{Mod: ch.mod, H: ch.h, Y: req.Vec, ChannelKey: ch.key}
+		*p = backend.Problem{Mod: ch.mod, H: ch.h, Y: req.Vec, ChannelKey: ch.key}
 		if req.Soft {
 			p.Soft, p.NoiseVar, p.LLRClamp = true, req.NoiseVar, s.softClamp(req.LLRClamp)
 		}
@@ -409,21 +406,20 @@ func (s *Server) process(ctx context.Context, req *Request, ch registeredChannel
 		s.Telemetry.ObserveWire(float64(time.Since(start)) / float64(time.Microsecond))
 	}
 	if err != nil {
-		return &DecodeResponse{ID: req.ID, Err: err.Error()}
+		sl.refuse(err.Error())
+		return
 	}
-	resp := &DecodeResponse{
-		ID:            req.ID,
-		Bits:          res.Bits,
-		Energy:        res.Energy,
-		ComputeMicros: res.ComputeMicros,
-		Backend:       res.Backend,
-		Batched:       res.Batched,
-	}
+	resp := DecodeResponse{ID: req.ID, Bits: res.Bits, Energy: res.Energy,
+		ComputeMicros: res.ComputeMicros, Backend: res.Backend, Batched: res.Batched}
 	if p.Soft {
 		// Quantize at the problem's clamp, the one the backend clamped at.
-		resp.Clamp = p.LLRClamp
-		resp.LLR8 = softout.Quantize(res.LLRs, p.LLRClamp)
-		resp.Saturated = res.LLRSaturated
+		sl.llr8 = softout.AppendQuantized(sl.llr8[:0], res.LLRs, p.LLRClamp)
+		resp.Clamp, resp.LLR8, resp.Saturated = p.LLRClamp, sl.llr8, res.LLRSaturated
 	}
-	return resp
+	sl.frame = frameResponse(sl.frame, &resp)
+}
+
+// refuse frames an error answer to the slot's request.
+func (sl *slot) refuse(msg string) {
+	sl.frame = frameResponse(sl.frame, &DecodeResponse{ID: sl.req.ID, Err: msg})
 }

@@ -60,8 +60,7 @@ func TestSoftResponseCodecRoundTrip(t *testing.T) {
 // quantization step of the local soft decode.
 func TestDecodeSoftOverPipe(t *testing.T) {
 	dec := testDecoder(t)
-	server := NewServer(dec, 1)
-	defer server.Close()
+	server := newDecoderServer(t, dec, 1)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -96,8 +95,7 @@ func TestDecodeSoftOverPipe(t *testing.T) {
 // the request-clamp override.
 func TestDecodeSoftWithChannelOverPipe(t *testing.T) {
 	dec := testDecoder(t)
-	server := NewServer(dec, 1)
-	defer server.Close()
+	server := newDecoderServer(t, dec, 1)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)
@@ -132,9 +130,8 @@ func TestDecodeSoftWithChannelOverPipe(t *testing.T) {
 
 // TestServerDisableSoft checks -soft=false servers answer cleanly.
 func TestServerDisableSoft(t *testing.T) {
-	server := NewServer(testDecoder(t), 1)
+	server := newDecoderServer(t, testDecoder(t), 1)
 	server.DisableSoft = true
-	defer server.Close()
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)

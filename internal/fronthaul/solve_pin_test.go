@@ -201,7 +201,7 @@ func TestSolveShapesPinned(t *testing.T) {
 			case row.want.Soft:
 				want.Bits = res.Bits
 				want.Clamp = row.want.LLRClamp
-				want.LLR8 = softout.Quantize(res.LLRs, want.Clamp)
+				want.LLR8 = softout.AppendQuantized(nil, res.LLRs, want.Clamp)
 				want.Saturated = res.LLRSaturated
 			default:
 				want.Bits = res.Bits

@@ -250,8 +250,7 @@ func TestPoolStatsOverWire(t *testing.T) {
 // A server started without a telemetry recorder still reports how long its
 // pool has been up: uptime is the scheduler's, not the recorder's.
 func TestStatsUptimeWithoutRecorder(t *testing.T) {
-	server := NewServer(testDecoder(t), 1)
-	defer server.Close()
+	server := newDecoderServer(t, testDecoder(t), 1)
 	cliConn, srvConn := net.Pipe()
 	go server.handleConn(srvConn)
 	client := NewClient(cliConn)

@@ -25,7 +25,7 @@ type StatsResponse struct {
 
 // frameStatsRequest serializes a StatsRequest into its frame.
 func frameStatsRequest(req *StatsRequest) []byte {
-	return sealFrame(appendU64(newFrame(8), req.ID), msgStatsRequest)
+	return sealFrame(appendU64(newFrame(nil, 8), req.ID), msgStatsRequest)
 }
 
 // decodeStatsRequest parses a StatsRequest payload.
@@ -45,7 +45,7 @@ func decodeStatsRequest(payload []byte) (*StatsRequest, error) {
 // that is not in canonical form is an error, not a frame the peer would
 // refuse.
 func frameStatsResponse(resp *StatsResponse) ([]byte, error) {
-	b := appendStr16(appendU64(newFrame(64+48*len(resp.Samples)), resp.ID), resp.Err)
+	b := appendStr16(appendU64(newFrame(nil, 64+48*len(resp.Samples)), resp.ID), resp.Err)
 	b, err := appendSamples(b, resp.Samples)
 	if err != nil {
 		return nil, err

@@ -4,25 +4,42 @@ import "io"
 
 // The codec tests work on bare payloads and on frames written and read one at
 // a time over any io.Reader/io.Writer. These helpers give them that view of
-// the frame-at-once production codec: encodeX is frameX without its header,
-// writeFrame seals a payload and sends it in one Write, and readFrame reads
-// exactly one frame and not a byte more (no read-ahead, so it can be called
-// repeatedly on a shared stream).
+// the frame-at-once production codec: encodeX is frameX without its header
+// into fresh storage, decodeX decodes into a fresh message, writeFrame seals
+// a payload and sends it in one Write, and readFrame reads exactly one frame
+// and not a byte more (no read-ahead, so it can be called repeatedly on a
+// shared stream).
 
-func encodeRequest(req *Request) ([]byte, error) { return payloadOf(frameRequest(req)) }
+func encodeRequest(req *Request) ([]byte, error) { return payloadOf(frameRequest(nil, req)) }
+
+func decodeRequest(payload []byte) (*Request, error) {
+	req := new(Request)
+	if err := req.decode(payload); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
 
 func encodeRegisterChannel(req *RegisterChannelRequest) ([]byte, error) {
-	return payloadOf(frameRegisterChannel(req))
+	return payloadOf(frameRegisterChannel(nil, req))
 }
 
 func encodeStatsResponse(resp *StatsResponse) ([]byte, error) {
 	return payloadOf(frameStatsResponse(resp))
 }
 
-func encodeResponse(resp *DecodeResponse) []byte { return frameResponse(resp)[frameHeaderLen:] }
+func encodeResponse(resp *DecodeResponse) []byte { return frameResponse(nil, resp)[frameHeaderLen:] }
+
+func decodeResponse(payload []byte) (*DecodeResponse, error) {
+	resp := new(DecodeResponse)
+	if err := resp.decode(payload, new(backendNames)); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
 
 func encodeRegisterResponse(resp *RegisterChannelResponse) []byte {
-	return frameRegisterResponse(resp)[frameHeaderLen:]
+	return frameRegisterResponse(nil, resp)[frameHeaderLen:]
 }
 
 func encodeStatsRequest(req *StatsRequest) []byte { return frameStatsRequest(req)[frameHeaderLen:] }
@@ -35,7 +52,7 @@ func payloadOf(frame []byte, err error) ([]byte, error) {
 }
 
 func writeFrame(w io.Writer, msgType uint8, payload []byte) error {
-	return sendFrame(w, sealFrame(append(newFrame(len(payload)), payload...), msgType))
+	return sendFrame(w, sealFrame(append(newFrame(nil, len(payload)), payload...), msgType))
 }
 
 func readFrame(r io.Reader) (msgType uint8, payload []byte, err error) {

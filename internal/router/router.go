@@ -304,11 +304,7 @@ func (r *Router) route(p *backend.Problem) (int, error) {
 		// the overload worse.
 		shard := r.ShardFor(p.ChannelKey)
 		if ewma, shed := r.shedding(shard); shed {
-			st := r.state[shard]
-			st.mu.Lock()
-			st.sheds++
-			st.mu.Unlock()
-			return 0, &ShedError{Shard: shard, MissEWMA: ewma}
+			return 0, r.shed(shard, ewma)
 		}
 		return shard, nil
 	}
@@ -323,11 +319,7 @@ func (r *Router) route(p *backend.Problem) (int, error) {
 			shard = b
 		}
 		ewma, _ := r.shedding(shard)
-		st := r.state[shard]
-		st.mu.Lock()
-		st.sheds++
-		st.mu.Unlock()
-		return 0, &ShedError{Shard: shard, MissEWMA: ewma}
+		return 0, r.shed(shard, ewma)
 	case shedA:
 		return b, nil
 	case shedB:
@@ -337,6 +329,15 @@ func (r *Router) route(p *backend.Problem) (int, error) {
 		return b, nil
 	}
 	return a, nil
+}
+
+// shed counts one refusal by shard and returns its tagged error.
+func (r *Router) shed(shard int, ewma float64) error {
+	st := r.state[shard]
+	st.mu.Lock()
+	st.sheds++
+	st.mu.Unlock()
+	return &ShedError{Shard: shard, MissEWMA: ewma}
 }
 
 // Dispatch routes one problem to its shard and runs it there, folding the
@@ -361,12 +362,8 @@ func (r *Router) Dispatch(ctx context.Context, p *backend.Problem, deadline time
 // Stats reports the PoolStats.Merge aggregate over all shards — the single
 // roll-up view a multi-pool deployment exports upward.
 func (r *Router) Stats() metrics.PoolStats {
-	var out metrics.PoolStats
-	for i, sh := range r.shards {
-		if i == 0 {
-			out = sh.Stats()
-			continue
-		}
+	out := r.shards[0].Stats()
+	for _, sh := range r.shards[1:] {
 		out = out.Merge(sh.Stats())
 	}
 	return out

@@ -12,6 +12,7 @@ import (
 	"quamax/internal/detector"
 	"quamax/internal/health"
 	"quamax/internal/qos"
+	"quamax/internal/router"
 	"quamax/internal/telemetry"
 )
 
@@ -127,5 +128,41 @@ func TestCertifiedRequestsReconcile(t *testing.T) {
 		if tr.Backend != CertificateBackend || tr.CertifyNodes < 1 || tr.CertifyNodes > qos.CertifyNodes || tr.Fallback || tr.Failed {
 			t.Errorf("trace %d: %+v", i, tr)
 		}
+	}
+}
+
+// A keyed, certified hard dispatch, through the router as the server sends
+// it, allocates only its answer: the Result and its Bits. Admission holds the
+// job and its trace on the stack, and the window's sphere program is built by
+// the first dispatch, before the count.
+func TestCertifiedDispatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	pl, err := qos.NewPlanner(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Pool: []backend.Backend{&fakeBackend{name: "qpu", est: 100}}, Planner: pl, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r, err := router.New(router.Config{Shards: []router.Shard{s}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := noisyProblems(t, 1, 1)[0][0]
+	p.ChannelKey = core.FingerprintChannel(p.Mod, p.H)
+	p.TargetBER = 1e-3
+	dispatch := func() {
+		res, err := r.Dispatch(context.Background(), p, time.Hour)
+		if err != nil || res.Backend != CertificateBackend {
+			t.Fatalf("dispatch: %+v, %v; want the certificate's answer", res, err)
+		}
+	}
+	dispatch()
+	if allocs := testing.AllocsPerRun(200, dispatch); allocs > 2 {
+		t.Fatalf("certified dispatch allocates %.2f objects, want ≤ 2", allocs)
 	}
 }

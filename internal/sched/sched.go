@@ -278,7 +278,8 @@ const (
 	routeCertified         // the certificate search proved its answer ML
 )
 
-// job is one request from Dispatch entry to finish.
+// job is one request from Dispatch entry to finish. Dispatch holds it by
+// value, and copies it to the heap only when it enters the queue.
 type job struct {
 	ctx      context.Context
 	p        *backend.Problem
@@ -290,8 +291,8 @@ type job struct {
 	res      *backend.Result
 	err      error
 
-	tr         *telemetry.Trace // nil unless Config.Telemetry is configured
-	admittedAt time.Time        // end of admission, start of the queue span (traced jobs only)
+	tr         telemetry.Trace // filled only when Config.Telemetry is configured
+	admittedAt time.Time       // end of admission, start of the queue span (traced jobs only)
 }
 
 // New starts the pool workers and returns the scheduler.
@@ -591,7 +592,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 	entry := s.now()
 	v := s.applyPlan(p, deadline)
 	p = v.p
-	j := &job{ctx: ctx, p: p, entry: entry}
+	j := job{ctx: ctx, p: p, entry: entry}
 	if deadline > 0 {
 		j.deadline = entry.Add(deadline)
 	}
@@ -601,7 +602,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		// planner feeds the StagePlan histogram itself from inside Plan; this
 		// is the scheduler-side measurement carried on the trace.)
 		planEnd := s.now()
-		j.tr = &telemetry.Trace{
+		j.tr = telemetry.Trace{
 			Class:          telemetry.Class(p.Mod.String(), p.Users()),
 			Soft:           p.Soft,
 			Shard:          s.cfg.ShardID,
@@ -628,8 +629,8 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		return nil, ErrClosed
 	}
 	s.submitted++
-	j.route = s.admitLocked(j, deadline, certified, planDenied, costDivert)
-	if j.tr != nil {
+	j.route = s.admitLocked(&j, deadline, certified, planDenied, costDivert)
+	if s.cfg.Telemetry != nil {
 		// The admission span is entry-to-decision wall time minus the
 		// planner's share (already carried as StagePlan).
 		j.admittedAt = s.now()
@@ -640,7 +641,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 	if j.route == routeCertified {
 		// Answered at admission: no queue slot, no backend, no planner call.
 		s.certified++
-		s.finish(j, nil, v.proved, nil, time.Time{}, time.Time{}, 0)
+		s.finish(&j, nil, v.proved, nil, time.Time{}, time.Time{}, 0)
 		s.mu.Unlock()
 		return v.proved, nil
 	}
@@ -653,17 +654,19 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		// for this solve too.
 		s.fbWg.Add(1)
 		s.mu.Unlock()
-		return s.runFallback(j)
+		return s.runFallback(&j)
 	}
-	j.done = make(chan struct{})
-	s.queue = append(s.queue, j)
-	s.queuedMicros += j.est
+	q := new(job)
+	*q = j
+	q.done = make(chan struct{})
+	s.queue = append(s.queue, q)
+	s.queuedMicros += q.est
 	s.cond.Signal()
 	s.mu.Unlock()
 
 	select {
-	case <-j.done:
-		return j.res, j.err
+	case <-q.done:
+		return q.res, q.err
 	case <-ctx.Done():
 		// The job stays queued; the worker finishes it, as cancelled, when
 		// it surfaces.
@@ -798,7 +801,7 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 		s.cfg.Burn.Observe(s.cfg.ShardID, missed || err != nil,
 			j.route == routePlannerDenied || (ctr != nil && err == nil && j.p.Soft && res.LLRSaturated > 0))
 	}
-	if tr := j.tr; tr != nil {
+	if tr := &j.tr; s.cfg.Telemetry != nil {
 		tr.Failed = err != nil
 		if ctr != nil {
 			tr.Backend = ctr.caps.Name
@@ -898,7 +901,7 @@ func (s *Scheduler) worker(idx int) {
 		s.mu.Unlock()
 
 		var popAt time.Time
-		if head.tr != nil {
+		if s.cfg.Telemetry != nil {
 			popAt = s.now()
 		}
 		batch := []*job{head}
@@ -910,7 +913,7 @@ func (s *Scheduler) worker(idx int) {
 				s.mu.Unlock()
 			}
 		}
-		if head.tr != nil {
+		if s.cfg.Telemetry != nil {
 			// The head waited until it was popped and is charged the run
 			// assembly (slot resolution + gathering); batch riders stayed
 			// effectively queued until gathering finished. Spans stay

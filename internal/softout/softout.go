@@ -37,6 +37,7 @@ package softout
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DefaultClamp is the LLR magnitude cap applied when a Spec leaves Clamp
@@ -302,15 +303,17 @@ func FromGaps(bits []byte, gaps []float64, spec Spec) (llrs []float64, saturated
 // onto: ±Clamp ↔ ±127.
 const QuantScale = 127
 
-// Quantize maps LLRs onto int8 wire values: q = round(QuantScale·llr/clamp),
-// saturating at ±QuantScale (clamp ≤ 0 selects DefaultClamp). This is the
-// fronthaul payload format of protocol v6 — 1 byte per bit instead of a
-// float64, an 8× payload shrink at a quantization step of clamp/127.
-func Quantize(llrs []float64, clamp float64) []int8 {
+// AppendQuantized maps LLRs onto int8 wire values, appended to dst:
+// q = round(QuantScale·llr/clamp), saturating at ±QuantScale (clamp ≤ 0
+// selects DefaultClamp). This is the fronthaul payload format of protocol
+// v6 — 1 byte per bit instead of a float64, an 8× payload shrink at a
+// quantization step of clamp/127.
+func AppendQuantized(dst []int8, llrs []float64, clamp float64) []int8 {
 	if clamp <= 0 {
 		clamp = DefaultClamp
 	}
-	q := make([]int8, len(llrs))
+	dst = slices.Grow(dst, len(llrs))
+	q := dst[len(dst) : len(dst)+len(llrs)]
 	for i, v := range llrs {
 		s := math.Round(v * QuantScale / clamp)
 		if s > QuantScale {
@@ -320,10 +323,10 @@ func Quantize(llrs []float64, clamp float64) []int8 {
 		}
 		q[i] = int8(s)
 	}
-	return q
+	return dst[:len(dst)+len(llrs)]
 }
 
-// Dequantize inverts Quantize up to the quantization step: llr = q·clamp/127
+// Dequantize inverts AppendQuantized up to the quantization step: llr = q·clamp/127
 // (clamp ≤ 0 selects DefaultClamp).
 func Dequantize(q []int8, clamp float64) []float64 {
 	if clamp <= 0 {

@@ -150,7 +150,7 @@ func TestEmptyEnsembleLLRs(t *testing.T) {
 func TestQuantizeRoundTrip(t *testing.T) {
 	const clamp = 16.0
 	llrs := []float64{0, clamp, -clamp, 3.7, -11.2, clamp * 2, -clamp * 3}
-	q := Quantize(llrs, clamp)
+	q := AppendQuantized(nil, llrs, clamp)
 	if q[1] != QuantScale || q[2] != -QuantScale {
 		t.Fatalf("full-scale quantization: %v", q)
 	}
@@ -168,7 +168,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 }
 
 func TestQuantizeDefaultsClamp(t *testing.T) {
-	q := Quantize([]float64{DefaultClamp}, 0)
+	q := AppendQuantized(nil, []float64{DefaultClamp}, 0)
 	if q[0] != QuantScale {
 		t.Fatalf("default clamp quantization: %d", q[0])
 	}
