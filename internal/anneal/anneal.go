@@ -356,56 +356,82 @@ func (sc *Scratch) deliver(k int, spins []int8) {
 	}
 }
 
-// PreparedProgram is the field-independent half of a programmed machine: the
-// couplers compiled into the engine's flat-CSR kernel, where each coupler's
-// two directed slots sit, and the coupler contribution to the analog-range
-// auto-scale. Build it once per compiled channel with PrepareProgram; run it
-// with fresh per-symbol fields via RunPrepared. A PreparedProgram is immutable
-// and safe for concurrent RunPrepared calls.
+// Adjacency is the coupler layout of a device program, the half every
+// channel programmed on one placement shares: the engine's flat-CSR rows and,
+// per coupler, its two directed slots. It is built once with NewAdjacency,
+// immutable, and safe to share among any number of programs and runs.
+type Adjacency struct {
+	n          int
+	start, nbr []int32 // CSR row offsets (len n+1) and neighbors, ascending within a row
+	up, lo     []int32 // per coupler: its slot in the lower spin's row, and the mirror slot
+}
+
+// NewAdjacency compiles an undirected edge list over n qubits into the
+// engine's CSR adjacency (duplicate edges merge into one coupler) and returns
+// each coupler's merged weight, in coupler order. It is the one builder of
+// device adjacencies. A caller whose edges are distinct may carry any value
+// per edge through W and read it back per coupler.
+func NewAdjacency(n int, edges []qubo.SparseEdge) (*Adjacency, []float64) {
+	var k MSKernel
+	k.buildCSR(n, edges)
+	adj := &Adjacency{n: n, start: k.start, nbr: k.nbr, up: make([]int32, 0, len(k.w)/2), lo: make([]int32, 0, len(k.w)/2)}
+	// Rows are sorted, so row j's slots for neighbors below j come first and
+	// in the order the walk below reaches them: a cursor per row finds every
+	// mirror slot. The weights compact into k.w in place: coupler e lands at
+	// index e, at or below its slot, which the walk has already read.
+	w := k.w[:0]
+	cur := append([]int32(nil), k.start[:n]...)
+	for i := int32(0); int(i) < n; i++ {
+		for p := k.start[i]; p < k.start[i+1]; p++ {
+			if j := k.nbr[p]; j >= i {
+				adj.up, adj.lo, w = append(adj.up, p), append(adj.lo, cur[j]), append(w, k.w[p])
+				cur[j]++
+			}
+		}
+	}
+	return adj, w
+}
+
+// PreparedProgram is the field-independent half of a programmed machine: a
+// shared Adjacency, a weight per coupler, and the couplers' share of the
+// analog-range auto-scale. Build it with PrepareProgram, or with NewProgram
+// over a shared adjacency; run it with per-symbol fields (RunPrepared,
+// RunSlots). It is immutable and safe for concurrent runs.
 type PreparedProgram struct {
 	improved  bool
-	k         *MSKernel // programmed (unscaled) coupler weights; no fields
-	up, lo    []int32   // per coupler: its slot in the lower spin's row, and the mirror slot
+	adj       *Adjacency
+	w         []float64 // programmed (unscaled) weight per coupler, in adj's coupler order
 	edgeScale float64   // max over couplers of |W|/limit (≥ 0)
 }
 
 // N returns the physical qubit count the program was prepared for.
-func (pp *PreparedProgram) N() int { return pp.k.n }
+func (pp *PreparedProgram) N() int { return pp.adj.n }
+
+// EdgeScale returns the couplers' share of the auto-scale: the largest
+// coupler weight over its analog limit (0 for a program without couplers).
+func (pp *PreparedProgram) EdgeScale() float64 { return pp.edgeScale }
 
 // PrepareProgram performs the field-independent half of programming the
-// device: it compiles the couplers into the engine's CSR adjacency
-// (duplicate edges merge into one coupler) and scans them against the analog
-// range. Only prog.N and prog.Edges are read; fields arrive per run.
+// device: the adjacency of prog.Edges (NewAdjacency), then its weights
+// (NewProgram). Only prog.N and prog.Edges are read; fields arrive per run.
 func (m *Machine) PrepareProgram(prog *qubo.Sparse, improvedRange bool) *PreparedProgram {
-	r := Range(improvedRange)
-	k := new(MSKernel)
-	k.buildCSR(prog.N, prog.Edges)
-	pp := &PreparedProgram{
-		improved: improvedRange,
-		k:        k,
-		up:       make([]int32, 0, len(k.w)/2),
-		lo:       make([]int32, 0, len(k.w)/2),
-	}
-	// Rows are sorted, so row j's slots for neighbors below j come first and
-	// in the order the walk below reaches them: a cursor per row finds every
-	// mirror slot.
-	cur := append([]int32(nil), k.start[:prog.N]...)
-	for i := int32(0); int(i) < prog.N; i++ {
-		for p := k.start[i]; p < k.start[i+1]; p++ {
-			j := k.nbr[p]
-			if j < i {
-				continue
-			}
-			pp.up, pp.lo = append(pp.up, p), append(pp.lo, cur[j])
-			cur[j]++
-			s := k.w[p] / r.JPosMax
-			if k.w[p] < 0 {
-				s = -k.w[p] / r.JNegMax
-			}
-			pp.edgeScale = max(pp.edgeScale, s)
+	adj, w := NewAdjacency(prog.N, prog.Edges)
+	return NewProgram(adj, w, improvedRange)
+}
+
+// NewProgram programs adj with w, one weight per coupler in adj's coupler
+// order (referenced, not copied), and scans the weights against the analog
+// range.
+func NewProgram(adj *Adjacency, w []float64, improvedRange bool) *PreparedProgram {
+	r, scale := Range(improvedRange), 0.0
+	for _, v := range w {
+		s := v / r.JPosMax
+		if v < 0 {
+			s = -v / r.JNegMax
 		}
+		scale = max(scale, s)
 	}
-	return pp
+	return &PreparedProgram{improved: improvedRange, adj: adj, w: w, edgeScale: scale}
 }
 
 // scale is the hardware auto-scaling divisor for one run (programs must fit
@@ -443,7 +469,7 @@ type deviceRead struct {
 // bind points the scratch at pp's adjacency and sizes its buffers.
 func (rd *deviceRead) bind(pp *PreparedProgram) {
 	k := &rd.k
-	k.n, k.start, k.nbr = pp.k.n, pp.k.start, pp.k.nbr
+	k.n, k.start, k.nbr = pp.adj.n, pp.adj.start, pp.adj.nbr
 	k.h = grow(k.h, k.n)
 	k.w = grow(k.w, len(k.nbr))
 	k.flipW = grow(k.flipW, len(k.nbr))
@@ -471,12 +497,12 @@ func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice
 			k.h[i] += ice.HMean + ice.HStd*rd.src.NormFloat64()
 		}
 	}
-	for e, p := range pp.up {
-		w := pp.k.w[p] / scale
+	for e, p := range pp.adj.up {
+		w := pp.w[e] / scale
 		if ice.Enabled {
 			w += ice.JMean + ice.JStd*rd.src.NormFloat64()
 		}
-		q := pp.lo[e]
+		q := pp.adj.lo[e]
 		k.w[p], k.w[q] = w, w
 		k.flipW[p], k.flipW[q] = 4*w, 4*w
 	}

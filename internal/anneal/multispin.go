@@ -231,9 +231,6 @@ func grow[T any](s []T, n int) []T {
 // N returns the spin count the kernel was compiled for.
 func (k *MSKernel) N() int { return k.n }
 
-// Offset returns the program's constant energy offset.
-func (k *MSKernel) Offset() float64 { return k.offset }
-
 // MSScalar is one annealing trajectory — the engine's one sweep body and the
 // state it advances: plain int8 spins, the cached doubled fields, the running
 // energy, the inverse temperature and the replica's splitmix64 stream. A

@@ -34,12 +34,12 @@ func stripedRunOracle(m *Machine, pp *PreparedProgram, h []float64, params Param
 					k.h[i] += ws.Gauss(ice.HMean, ice.HStd)
 				}
 			}
-			for e, p := range pp.up {
-				wt := pp.k.w[p] / scale
+			for e, p := range pp.adj.up {
+				wt := pp.w[e] / scale
 				if ice.Enabled {
 					wt += ws.Gauss(ice.JMean, ice.JStd)
 				}
-				q := pp.lo[e]
+				q := pp.adj.lo[e]
 				k.w[p], k.w[q] = wt, wt
 				k.flipW[p], k.flipW[q] = 4*wt, 4*wt
 			}

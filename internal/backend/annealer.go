@@ -86,9 +86,10 @@ func (a *Annealer) occupancyMicros(p *Problem) float64 {
 // Result its outcome will complete. A problem tagged with a ChannelKey (a
 // coherence-window symbol) names its channel through the decoder's
 // compiled-channel store under that key — compiled on the window's first
-// symbol, only the biases rewritten after; the lookup is timed into
-// CompileMicros/CacheHit. An untagged one stays raw, so one-shot channels
-// don't churn the store.
+// symbol, only the biases rewritten after. An untagged one is compiled for
+// this solve alone (core.Decoder.CompileOnce), so one-shot channels don't
+// churn the store. Either way the compile is timed into CompileMicros, and
+// CacheHit reports a store hit.
 func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
@@ -98,15 +99,14 @@ func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 		req.Soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 	}
 	res := &Result{Backend: a.name}
-	if p.ChannelKey == 0 {
-		req.Mod, req.H = p.Mod, p.H
-		return req, res, nil
-	}
 	start := time.Now()
-	cc, hit, err := a.dec.CompileKeyed(p.ChannelKey, p.Mod, p.H)
-	req.CC = cc
+	var err error
+	if p.ChannelKey == 0 {
+		req.CC, err = a.dec.CompileOnce(p.Mod, p.H)
+	} else {
+		req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.ChannelKey, p.Mod, p.H)
+	}
 	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
-	res.CacheHit = hit
 	return req, res, err
 }
 

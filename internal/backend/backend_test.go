@@ -14,6 +14,7 @@ import (
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
+	"quamax/internal/telemetry"
 )
 
 func testOptions() core.Options {
@@ -212,6 +213,34 @@ func TestAnnealerSolveCompiledChannel(t *testing.T) {
 	}
 	if st := a.ChannelCacheStats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("cache stats after second window symbol: %+v", st)
+	}
+}
+
+// An un-keyed problem compiles in the backend, outside the store, and that
+// compile is visible: its Result carries the time with CacheHit false, and an
+// attached recorder counts one miss per solve.
+func TestAnnealerSolveTimesFreshCompile(t *testing.T) {
+	a, err := NewAnnealer("qpu0", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New(telemetry.Config{})
+	a.Decoder().SetTelemetry(rec)
+	const solves = 3
+	for i := 0; i < solves; i++ {
+		res, err := a.Solve(context.Background(), problemOf(testInstance(t, int64(60+i), modulation.QPSK, 4)), rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CompileMicros <= 0 || res.CacheHit {
+			t.Fatalf("solve %d: compile %v µs, cache hit %t; want a timed miss", i, res.CompileMicros, res.CacheHit)
+		}
+	}
+	if sn := rec.Snapshot(); sn.CompileMisses != solves || sn.CompileHits != 0 {
+		t.Fatalf("recorder compile hits/misses = %d/%d, want 0/%d", sn.CompileHits, sn.CompileMisses, solves)
+	}
+	if st := a.ChannelCacheStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("an un-keyed solve touched the channel store: %+v", st)
 	}
 }
 

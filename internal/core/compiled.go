@@ -5,10 +5,12 @@
 // subcarrier groups — through ONE estimated H, so the pipeline splits at the
 // H/y boundary:
 //
-//	per channel:  H ──CompileChannel──▶ couplings g_ij(H) ──EmbedIsing──▶
-//	    physical coupler program ──PrepareProgram──▶ adjacency + range scan
-//	per symbol:   y ──Biases──▶ fields f_i(H,y) ──chain spread──▶ physical
-//	    fields ──RunSlots──▶ reads ──Unembed──▶ bits
+//	per placement: layout + nonzero couplings ──Couplers──▶ coupler sources
+//	    ──NewAdjacency──▶ shared CSR adjacency (Decoder.chipFor, once)
+//	per channel:  H ──CompileChannel──▶ couplings g_ij(H) ──one pass over
+//	    the adjacency's couplers──▶ weights + range scan (NewProgram)
+//	per symbol:   y ──BiasesInto──▶ fields f_i(H,y) ──chain spread──▶
+//	    physical fields ──RunSlots──▶ reads ──Unembed──▶ bits
 //
 // Compile keeps its artifacts in the decoder's WindowStore (store.go), so a
 // serving pool recognizes returning coherence windows without any caller
@@ -16,6 +18,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -67,8 +70,8 @@ func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 
 // CompiledChannel pins together everything H-dependent about a decode: the
 // compiled Ising couplings (reduction.ChannelProgram), the clique embedding,
-// the parallel slots for N, and — lazily — the embedded physical coupler
-// programs with their prepared adjacency and pre-scanned coupler range. It is
+// the parallel slots for N, and — lazily — its coupler weights over the
+// decoder's shared chip adjacency, one program per chain strength. It is
 // produced by Decoder.Compile (or, for a raw request, for the duration of one
 // call), owned by that decoder, and safe for concurrent use.
 type CompiledChannel struct {
@@ -81,33 +84,38 @@ type CompiledChannel struct {
 	templates []template
 }
 
-// template is one of a channel's physical coupler programs (edges final, no
-// fields — the program stage fills those per y), prepared once for the
-// annealer. It depends on its placement only through the dense layout, so the
-// primary placement and every slot laid out alike (all, where slots are defect
-// free) share one; each chain strength a planner supplies reprograms the chip.
+// template is one of a channel's chip programs: the decoder's adjacency for
+// its placement layout and nonzero couplings, with this channel's weights at
+// one chain strength (no fields — the program stage fills those per y). It
+// depends on its placement only through the dense layout, so the primary
+// placement and every slot laid out alike (all, where slots are defect free)
+// share one; each chain strength a planner supplies reprograms the chip.
 type template struct {
 	emb *embedding.Embedding
 	jf  float64
 	pp  *anneal.PreparedProgram
 }
 
-// programFor returns (building on first use) the template for emb at jf.
-func (cc *CompiledChannel) programFor(emb *embedding.Embedding, jf float64) (*anneal.PreparedProgram, error) {
+// programFor returns (building on first use) the template for emb at jf: one
+// pass over the shared adjacency's couplers, each weighed as EmbedIsing
+// weighs it.
+func (cc *CompiledChannel) programFor(emb *embedding.Embedding, jf float64) *anneal.PreparedProgram {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for _, t := range cc.templates {
 		if t.jf == jf && (t.emb == emb || t.emb.SameLayout(emb)) {
-			return t.pp, nil
+			return t.pp
 		}
 	}
-	ep, err := emb.EmbedIsing(cc.prog.CouplingTemplate(), jf, cc.dec.opts.ImprovedRange)
-	if err != nil {
-		return nil, err
+	improved, p := cc.dec.opts.ImprovedRange, cc.prog.CouplingTemplate()
+	c := cc.dec.chipFor(emb, p)
+	w := make([]float64, len(c.src))
+	for e, src := range c.src {
+		w[e] = c.emb.CouplerWeight(src, p, jf, improved)
 	}
-	pp := cc.dec.opts.Machine.PrepareProgram(ep.Phys, cc.dec.opts.ImprovedRange)
+	pp := anneal.NewProgram(c.adj, w, improved)
 	cc.templates = append(cc.templates, template{emb, jf, pp})
-	return pp, nil
+	return pp
 }
 
 // Mod returns the modulation the channel was compiled for.
@@ -142,21 +150,35 @@ func (d *Decoder) CompileTracked(mod modulation.Modulation, h *linalg.Mat) (*Com
 // hit report is the signal backends surface as Result.CacheHit and the
 // telemetry plane's compile-stage feeder. key 0 mints the fingerprint here.
 func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
-	rec := d.telem.Load()
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	if key == 0 {
 		key = FingerprintChannel(mod, h)
 	}
 	// The build runs outside the store's lock: the first embedding for a new
 	// problem size is a placement search that must not stall other lookups.
 	cc, hit, err := d.channels.Get(key, mod, h, func() (*CompiledChannel, error) { return d.newChannel(mod, h) })
-	if rec != nil && err == nil {
+	if rec := d.telem.Load(); rec != nil && err == nil {
 		rec.ObserveCompile(float64(time.Since(start))/float64(time.Microsecond), hit)
 	}
 	return cc, hit, err
+}
+
+// CompileOnce compiles (mod, h) for one caller, outside the window store —
+// the build a raw Request runs, which suits a channel seen once: the store is
+// neither searched nor filled. An attached recorder sees it as a miss.
+func (d *Decoder) CompileOnce(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
+	if h.Rows < 1 || h.Cols < 1 {
+		return nil, fmt.Errorf("core: empty %d×%d channel", h.Rows, h.Cols)
+	}
+	if _, err := modulation.Parse(mod.String()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	start := time.Now()
+	cc, err := d.newChannel(mod, h)
+	if rec := d.telem.Load(); rec != nil && err == nil {
+		rec.ObserveCompile(float64(time.Since(start))/float64(time.Microsecond), false)
+	}
+	return cc, err
 }
 
 // newChannel compiles (mod, h) into an artifact that is not (yet) in the

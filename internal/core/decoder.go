@@ -5,10 +5,13 @@
 // (pipeline.go), under one Budget per run:
 //
 //	resolve  the channel: a *CompiledChannel as given, or a raw (Mod, H)
-//	         compiled for this call (CompileChannel → clique embedding)
-//	program  the chip: the channel's coupler template (EmbedIsing, prepared
-//	         once per |J_F|) plus this y's biases spread along the chains;
-//	         a shared run programs one slot per request
+//	         compiled for this call (CompileOnce: CompileChannel → clique
+//	         embedding)
+//	program  the chip: the placement's adjacency (built once per layout and
+//	         nonzero couplings, shared by every channel), then the channel's
+//	         coupler weights over it (one pass, once per |J_F|), plus this
+//	         y's biases spread along the chains; a shared run programs one
+//	         slot per request
 //	run      Na anneals per slot, forward, or reverse from the seed (solo)
 //	tally    Unembed + majority vote ──▶ logical energies ──▶ min energy
 //	         ──▶ QUBO bits ──PostTranslate──▶ b̂ (+ distribution, + LLRs)
@@ -21,13 +24,15 @@
 // two are bit-identical on the same random stream.
 //
 // The decoder also caches clique embeddings and parallel-slot packings per
-// problem size, mirroring a deployment where the C-RAN data center programs
-// the same embedding template for every subcarrier of a given user count.
+// problem size, and the chip adjacency of each placement layout, mirroring a
+// deployment where the C-RAN data center programs the same embedding template
+// for every subcarrier of a given user count.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +40,7 @@ import (
 	"quamax/internal/chimera"
 	"quamax/internal/embedding"
 	"quamax/internal/metrics"
+	"quamax/internal/qubo"
 	"quamax/internal/telemetry"
 )
 
@@ -57,8 +63,8 @@ type Options struct {
 	// are divided by the geometric slot count Pf.
 	AmortizeParallel bool
 	// ChannelCache bounds the compiled-channel LRU cache in entries — one
-	// entry pins a channel's Ising couplings, clique embedding and prepared
-	// physical program for the coherence window (see CompiledChannel).
+	// entry pins a channel's Ising couplings, clique embedding and coupler
+	// weights for the coherence window (see CompiledChannel).
 	// 0 selects DefaultChannelCache; negative values are rejected.
 	ChannelCache int
 }
@@ -75,6 +81,7 @@ type Decoder struct {
 	mu    sync.Mutex
 	embs  map[int]*embedding.Embedding   // by logical size N
 	packs map[int][]*embedding.Embedding // parallel slot packings by N (their count is the geometric Pf)
+	chips []*chip                        // chip adjacencies, oldest first (chipFor)
 
 	channels *WindowStore[ChannelKey, *CompiledChannel] // Compile's artifacts
 
@@ -149,6 +156,43 @@ func (d *Decoder) embeddingFor(n int) (*embedding.Embedding, []*embedding.Embedd
 	}
 	d.embs[n], d.packs[n] = e, packs
 	return e, packs, nil
+}
+
+// chip is what every channel with the same nonzero couplings shares on a
+// placement, and on every placement laid out alike: the adjacency, and each
+// coupler's source (embedding.Couplers).
+type chip struct {
+	emb *embedding.Embedding
+	nz  []bool // per logical pair: its coupling is nonzero
+	adj *anneal.Adjacency
+	src []float64
+}
+
+// maxChips bounds the chips a decoder keeps, oldest first out, so that a
+// stream of unusual zero patterns cannot grow the list without end.
+const maxChips = 16
+
+// chipFor returns (building on first use) the chip for couplings p on emb.
+// Callers meeting a new one build it once: the build holds the decoder's
+// lock, as a placement search does.
+func (d *Decoder) chipFor(emb *embedding.Embedding, p *qubo.Ising) *chip {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, c := range d.chips {
+		if (c.emb == emb || c.emb.SameLayout(emb)) && slices.EqualFunc(c.nz, p.J, func(nz bool, g float64) bool { return nz == (g != 0) }) {
+			return c
+		}
+	}
+	c := &chip{emb: emb, nz: make([]bool, len(p.J))}
+	for k, g := range p.J {
+		c.nz[k] = g != 0
+	}
+	c.adj, c.src = anneal.NewAdjacency(emb.NumPhysical(), emb.Couplers(p))
+	if len(d.chips) == maxChips {
+		d.chips = d.chips[1:]
+	}
+	d.chips = append(d.chips, c)
+	return c
 }
 
 // BatchSlots returns how many independent N-spin problems fit one annealer

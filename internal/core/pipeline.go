@@ -138,10 +138,7 @@ func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome
 		if solo {
 			emb, pf = cc.emb, len(packs)
 		}
-		pp, err := cc.programFor(emb, jf)
-		if err != nil {
-			return err
-		}
+		pp := cc.programFor(emb, jf)
 		// Tie-break streams are split in slot order, ahead of the slots' own.
 		t := &sc.tallies[i]
 		t.begin(req, cc, emb, jf, src)
@@ -185,21 +182,22 @@ func (d *Decoder) budget(b Budget, src *rng.Source) (anneal.Params, float64, err
 }
 
 // resolve validates a request and returns its channel: the given compiled
-// one, or a raw (Mod, H) compiled for this call only — never inserted in the
-// LRU, so one-shot channels do not churn the cache.
+// one, or a raw (Mod, H) compiled for this call only (CompileOnce) — never
+// inserted in the LRU, so one-shot channels do not churn the cache.
 func (d *Decoder) resolve(req *Request) (*CompiledChannel, error) {
-	cc, h := req.CC, req.H
+	cc := req.CC
 	switch {
-	case (cc == nil) == (h == nil):
+	case (cc == nil) == (req.H == nil):
 		return nil, errors.New("core: a request names exactly one of CC and H")
 	case cc != nil && cc.dec != d:
 		return nil, errors.New("core: compiled channel belongs to a different decoder")
-	case cc != nil:
-		h = cc.Channel()
-	case h.Rows < 1 || h.Cols < 1:
-		return nil, fmt.Errorf("core: empty %d×%d channel", h.Rows, h.Cols)
+	case cc == nil:
+		var err error
+		if cc, err = d.CompileOnce(req.Mod, req.H); err != nil {
+			return nil, err
+		}
 	}
-	if len(req.Y) != h.Rows {
+	if h := cc.Channel(); len(req.Y) != h.Rows {
 		return nil, fmt.Errorf("core: y has %d entries, H has %d rows", len(req.Y), h.Rows)
 	}
 	if req.Soft != nil {
@@ -207,15 +205,6 @@ func (d *Decoder) resolve(req *Request) (*CompiledChannel, error) {
 			return nil, errors.New("core: reverse annealing has no soft output")
 		}
 		if err := req.Soft.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if cc == nil {
-		if _, err := modulation.Parse(req.Mod.String()); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		var err error
-		if cc, err = d.newChannel(req.Mod, h); err != nil {
 			return nil, err
 		}
 	}
@@ -251,8 +240,8 @@ type tally struct {
 	truth   *mimo.Instance // the request's Truth
 	mod     modulation.Modulation
 	emb     *embedding.Embedding
-	logical *qubo.Ising
-	radius  float64 // settled once the best energy is inside it (0 = never)
+	logical qubo.Ising // this y's program: the channel's couplings, fields of its own
+	radius  float64    // settled once the best energy is inside it (0 = never)
 	acc     *metrics.Accumulator
 	spec    softout.Spec
 
@@ -273,7 +262,8 @@ type tally struct {
 // f_i/(|J_F|·chainLen) on every qubit of chain i, as EmbedIsing computes it.
 func (t *tally) begin(req *Request, cc *CompiledChannel, emb *embedding.Embedding, jf float64, src *rng.Source) {
 	src.SplitInto(&t.own)
-	t.truth, t.soft, t.mod, t.emb, t.logical = req.Truth, req.Soft != nil, cc.prog.Mod, emb, cc.prog.Biases(req.Y)
+	t.truth, t.soft, t.mod, t.emb = req.Truth, req.Soft != nil, cc.prog.Mod, emb
+	cc.prog.BiasesInto(&t.logical, req.Y)
 	t.radius, t.acc, t.scored, t.reads, t.broken = req.Radius, nil, false, 0, 0
 	t.spins = slices.Grow(t.spins[:0], emb.N)[:emb.N]
 	t.h = slices.Grow(t.h[:0], emb.NumPhysical())[:emb.NumPhysical()]
@@ -346,7 +336,8 @@ func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
 		rec.ObserveQuality(telemetry.Class(t.mod.String(), t.logical.N/t.mod.BitsPerSymbol()), telemetry.QualityObservation{
 			BestEnergy: out.Energy, Reads: out.Reads, ChainBreaks: out.BrokenChains, LLRBits: len(out.LLRs), LLRSaturated: out.LLRSaturated})
 	}
-	t.truth, t.logical, t.acc = nil, nil, nil // the pooled tally must not pin the request
+	t.truth, t.acc = nil, nil // the pooled tally must not pin the request or its channel
+	t.logical = qubo.Ising{H: t.logical.H}
 	return out
 }
 

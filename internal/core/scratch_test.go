@@ -15,15 +15,14 @@ import (
 )
 
 // A decode allocates only what it returns. On a compiled channel a hard decode
-// makes 6 allocations — the Outcome, its Bits and Symbols; the matched-filter
-// vector and the logical Ising (struct + fields) of Biases — whatever Na is:
+// makes 3 allocations — the Outcome, its Bits and Symbols — whatever Na is:
 // per-read state, the read streams, the β list, the waiting reads, the worker
-// body and every scorer buffer are the pooled scratch's. A soft decode adds
-// its LLRs and one map key per distinct candidate (≤ Na). A shared run makes
-// one per call — the slice of outcomes it returns — and per item the same six
-// as a solo decode: the slots' prepared programs are the channels' cached
-// templates, and the tallies, tie-break streams and field buffers are the
-// pooled scratch's.
+// body, this y's fields and every scorer buffer are the pooled scratch's. A
+// soft decode adds its LLRs and one map key per distinct candidate (≤ Na). A
+// shared run makes one per call — the slice of outcomes it returns — and per
+// item the same three as a solo decode: the slots' prepared programs are the
+// channels' cached templates, and the tallies, tie-break streams and field
+// buffers are the pooled scratch's.
 func TestDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -32,7 +31,7 @@ func TestDecodeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hardBound, runBound = 6, 1 + 3*6
+	const hardBound, runBound = 3, 1 + 3*3
 	budget := func(na int) Budget {
 		return Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: na}}
 	}

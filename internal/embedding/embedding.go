@@ -190,11 +190,43 @@ func (e *Embedding) SameLayout(o *Embedding) bool {
 	return e.N == o.N && slices.Equal(e.pairStart, o.pairStart) && slices.Equal(e.couplers, o.couplers)
 }
 
-// couplerEdges returns the working physical edges joining chains i < j
-// (δ_ij of Eq. 12) in dense physical indices.
-func (e *Embedding) couplerEdges(i, j int) [][2]int32 {
-	k := i*e.N - i*(i+1)/2 + (j - i - 1)
-	return e.couplers[e.pairStart[k]:e.pairStart[k+1]]
+// Couplers lists the physical couplers EmbedIsing programs for every logical
+// problem with p's nonzero couplings, in EmbedIsing's order — the chain
+// couplers chain by chain, then each nonzero pair's δ edges — each with its
+// source for W: −1 for a chain coupler, else the flat upper-triangular index
+// of its logical pair. The edges are distinct and depend only on the
+// placement's layout and p's nonzero set, so one adjacency built from them
+// serves every channel sharing both; CouplerWeight turns a source into a
+// weight.
+func (e *Embedding) Couplers(p *qubo.Ising) []qubo.SparseEdge {
+	edges := make([]qubo.SparseEdge, 0, e.NumPhysical()-e.N+len(e.couplers))
+	for _, chain := range e.chainIdx {
+		for k := 1; k < len(chain); k++ {
+			edges = append(edges, qubo.SparseEdge{I: int(chain[k-1]), J: int(chain[k]), W: -1})
+		}
+	}
+	for k, g := range p.J { // p.J's flat index walks the pairs (i, j>i) row-major, as pairStart does
+		if g != 0 {
+			for _, ed := range e.couplers[e.pairStart[k]:e.pairStart[k+1]] {
+				edges = append(edges, qubo.SparseEdge{I: int(ed[0]), J: int(ed[1]), W: float64(k)})
+			}
+		}
+	}
+	return edges
+}
+
+// CouplerWeight is the weight of a coupler whose source Couplers reported as
+// src: the chain coupler, −1 or −2 with the improved range (Eq. 10), or pair
+// k's g_k/(|J_F|·|δ_k|) (Eq. 12).
+func (e *Embedding) CouplerWeight(src float64, p *qubo.Ising, jf float64, improvedRange bool) float64 {
+	switch k := int(src); {
+	case k >= 0:
+		return p.J[k] / (jf * float64(e.pairStart[k+1]-e.pairStart[k]))
+	case improvedRange:
+		return -2
+	default:
+		return -1
+	}
 }
 
 // EmbeddedProblem is a compiled physical Ising program plus the metadata
@@ -228,35 +260,19 @@ func (e *Embedding) EmbedIsing(p *qubo.Ising, jf float64, improvedRange bool) (*
 		return nil, errors.New("embedding: |J_F| must be positive")
 	}
 	phys := qubo.NewSparse(e.NumPhysical())
-	phys.Edges = make([]qubo.SparseEdge, 0, e.NumPhysical()-e.N+len(e.couplers))
-	chainCoupler := -1.0
-	if improvedRange {
-		chainCoupler = -2.0
-	}
+	phys.Edges = e.Couplers(p)
 	ep := &EmbeddedProblem{Emb: e, Logical: p, JF: jf, ImprovedRange: improvedRange, Phys: phys}
-
+	for i, ed := range phys.Edges {
+		if ed.W < 0 {
+			ep.ChainEdges++
+		}
+		phys.Edges[i].W = e.CouplerWeight(ed.W, p, jf, improvedRange)
+	}
 	chainLen := ChainLength(e.N)
 	for i, chain := range e.chainIdx {
 		f := p.H[i] / (jf * float64(chainLen))
-		for k, q := range chain {
+		for _, q := range chain {
 			phys.H[q] += f
-			if k > 0 {
-				phys.AddEdge(int(chain[k-1]), int(q), chainCoupler)
-				ep.ChainEdges++
-			}
-		}
-	}
-	for i := 0; i < e.N; i++ {
-		for j := i + 1; j < e.N; j++ {
-			gij := p.GetJ(i, j)
-			if gij == 0 {
-				continue
-			}
-			edges := e.couplerEdges(i, j)
-			w := gij / (jf * float64(len(edges)))
-			for _, ed := range edges {
-				phys.AddEdge(int(ed[0]), int(ed[1]), w)
-			}
 		}
 	}
 	return ep, nil

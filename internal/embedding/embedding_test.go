@@ -505,3 +505,10 @@ func TestSameLayout(t *testing.T) {
 		t.Fatal("a placement that lost a coupler claims the defect-free layout")
 	}
 }
+
+// couplerEdges returns the working physical edges joining chains i < j
+// (δ_ij of Eq. 12) in dense physical indices.
+func (e *Embedding) couplerEdges(i, j int) [][2]int32 {
+	k := i*e.N - i*(i+1)/2 + (j - i - 1)
+	return e.couplers[e.pairStart[k]:e.pairStart[k+1]]
+}

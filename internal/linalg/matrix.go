@@ -170,6 +170,31 @@ func Gram(a *Mat) *Mat {
 	return out
 }
 
+// GramUpper adds the upper triangle of aᴴ·a into re and, unless im is empty,
+// into im: entry (i, j ≥ i) at i·Cols+j, with no matrix allocated. Each entry
+// sums a's rows in Gram's order, and Re(conj(u)·v) = u_r·v_r + u_i·v_i and
+// Im = u_r·v_i − u_i·v_r round as Gram's complex products do, so every entry
+// is Gram's bit for bit; a caller needing only the real part skips the rest.
+func GramUpper(re, im []float64, a *Mat) {
+	n := a.Cols
+	for r := 0; r < a.Rows; r++ {
+		row := a.Data[r*n : (r+1)*n]
+		for i, v := range row {
+			vr, vi, rest := real(v), imag(v), row[i:]
+			acc := re[i*n+i:][:len(rest)]
+			for j, b := range rest {
+				acc[j] += vr*real(b) + vi*imag(b)
+			}
+			if len(im) > 0 {
+				acc = im[i*n+i:][:len(rest)]
+				for j, b := range rest {
+					acc[j] += vr*imag(b) - vi*real(b)
+				}
+			}
+		}
+	}
+}
+
 // ConjMulVec returns aᴴ·y, the matched-filter output.
 func ConjMulVec(a *Mat, y []complex128) []complex128 {
 	if a.Rows != len(y) {

@@ -337,3 +337,34 @@ func TestNormHelpers(t *testing.T) {
 		t.Fatalf("Norm = %g", Norm(x))
 	}
 }
+
+// GramUpper's entries are Gram's upper triangle, bit for bit, real and
+// imaginary parts alike, and it adds nothing when asked for the real part
+// alone.
+func TestGramUpperMatchesGramBitForBit(t *testing.T) {
+	src := rng.New(42)
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {12, 7}, {48, 48}} {
+		a := randMat(src, shape[0], shape[1])
+		n, want := a.Cols, Gram(a)
+		re, im := make([]float64, n*n), make([]float64, n*n)
+		GramUpper(re, im, a)
+		reOnly := make([]float64, n*n)
+		GramUpper(reOnly, nil, a)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				k := i*n + j
+				if j < i {
+					if re[k] != 0 || im[k] != 0 {
+						t.Fatalf("%d×%d: wrote below the diagonal at (%d,%d)", shape[0], shape[1], i, j)
+					}
+					continue
+				}
+				w := want.Data[k]
+				if math.Float64bits(re[k]) != math.Float64bits(real(w)) || math.Float64bits(im[k]) != math.Float64bits(imag(w)) ||
+					math.Float64bits(reOnly[k]) != math.Float64bits(real(w)) {
+					t.Fatalf("%d×%d: entry (%d,%d) is %v%+vi (real only %v), Gram gives %v", shape[0], shape[1], i, j, re[k], im[k], reOnly[k], w)
+				}
+			}
+		}
+	}
+}

@@ -161,7 +161,21 @@ func (p *Ising) Clone() *Ising {
 // once, and each received vector only rewrites fields and offset. Neither
 // problem may call SetJ/AddJ after sharing.
 func (p *Ising) SharedCouplings() *Ising {
-	return &Ising{N: p.N, H: make([]float64, p.N), J: p.J, nz: p.nz}
+	c := new(Ising)
+	p.ShareCouplingsInto(c)
+	return c
+}
+
+// ShareCouplingsInto is SharedCouplings into dst: dst becomes a problem over
+// p's couplings with a zero offset and fields of its own, kept in dst.H's
+// storage when it has room (the fields are then unspecified, not zero) — a
+// caller reusing one dst across problems allocates nothing.
+func (p *Ising) ShareCouplingsInto(dst *Ising) {
+	h := dst.H
+	if cap(h) < p.N {
+		h = make([]float64, p.N)
+	}
+	*dst = Ising{N: p.N, H: h[:p.N], J: p.J, nz: p.nz}
 }
 
 // QUBO is the binary objective  Σ_{i≤j} Q_ij q_i q_j + Offset with

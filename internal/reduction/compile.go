@@ -13,6 +13,8 @@ package reduction
 
 import (
 	"fmt"
+	"math/cmplx"
+	"sync"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
@@ -49,7 +51,11 @@ func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 	q := mod.BitsPerSymbol()
 	n := NumVariables(mod, nt)
 
-	gram := linalg.Gram(h) // G = HᴴH
+	buf := gramScratch.Get().(*[]float64)
+	defer gramScratch.Put(buf)
+	*buf = append((*buf)[:0], make([]float64, dims*nt*nt)...)
+	reG, imG := (*buf)[:nt*nt], (*buf)[nt*nt:] // Im(G) only for a quadrature modulation
+	linalg.GramUpper(reG, imG, h)              // G = HᴴH, upper triangle
 	p := qubo.NewIsing(n)
 
 	var u2 float64
@@ -62,7 +68,7 @@ func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 
 	for us := 0; us < nt; us++ {
 		// Intra-user same-dimension couplings.
-		gmm := real(gram.At(us, us))
+		gmm := reG[us*nt+us]
 		for d := 0; d < dims; d++ {
 			for t := 0; t < nb; t++ {
 				for t2 := t + 1; t2 < nb; t2++ {
@@ -75,20 +81,20 @@ func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 	// Inter-user couplings.
 	for us := 0; us < nt; us++ {
 		for k := us + 1; k < nt; k++ {
-			reG := real(gram.At(us, k))
-			imG := imag(gram.At(us, k))
+			re := reG[us*nt+k]
 			for t := 0; t < nb; t++ {
 				for t2 := 0; t2 < nb; t2++ {
 					w := 2 * u[t] * u[t2]
 					// R–R.
-					p.SetJ(spinIndex(us, 0, t), spinIndex(k, 0, t2), w*reG)
+					p.SetJ(spinIndex(us, 0, t), spinIndex(k, 0, t2), w*re)
 					if dims == 2 {
+						im := imG[us*nt+k]
 						// Q–Q.
-						p.SetJ(spinIndex(us, 1, t), spinIndex(k, 1, t2), w*reG)
+						p.SetJ(spinIndex(us, 1, t), spinIndex(k, 1, t2), w*re)
 						// R(us)–Q(k).
-						p.SetJ(spinIndex(us, 0, t), spinIndex(k, 1, t2), -w*imG)
+						p.SetJ(spinIndex(us, 0, t), spinIndex(k, 1, t2), -w*im)
 						// Q(us)–R(k).
-						p.SetJ(spinIndex(us, 1, t), spinIndex(k, 0, t2), w*imG)
+						p.SetJ(spinIndex(us, 1, t), spinIndex(k, 0, t2), w*im)
 					}
 				}
 			}
@@ -96,6 +102,9 @@ func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 	}
 	return &ChannelProgram{Mod: mod, Nt: nt, N: n, h: h, u: u, template: p}
 }
+
+// gramScratch pools CompileChannel's Gram accumulators.
+var gramScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // Channel returns the matrix the program was compiled from.
 func (cp *ChannelProgram) Channel() *linalg.Mat { return cp.h }
@@ -115,6 +124,15 @@ func (cp *ChannelProgram) CouplingTemplate() *qubo.Ising { return cp.template }
 // is the amortization): callers must not mutate its J entries, and the
 // program must outlive every Ising it produced.
 func (cp *ChannelProgram) Biases(y []complex128) *qubo.Ising {
+	p := new(qubo.Ising)
+	cp.BiasesInto(p, y)
+	return p
+}
+
+// BiasesInto is Biases writing into p, whose field storage it reuses when
+// that has room (qubo.Ising.ShareCouplingsInto): a caller keeping one p across
+// symbols allocates nothing per symbol.
+func (cp *ChannelProgram) BiasesInto(p *qubo.Ising, y []complex128) {
 	if len(y) != cp.h.Rows {
 		panic(fmt.Sprintf("reduction: y has %d entries, H has %d rows", len(y), cp.h.Rows))
 	}
@@ -122,11 +140,14 @@ func (cp *ChannelProgram) Biases(y []complex128) *qubo.Ising {
 	dims := cp.Mod.Dims()
 	q := cp.Mod.BitsPerSymbol()
 
-	m := linalg.ConjMulVec(cp.h, y) // Hᴴy, so M_m = conj((yᴴH)_m)
-	p := cp.template.SharedCouplings()
+	cp.template.ShareCouplingsInto(p)
 	for us := 0; us < cp.Nt; us++ {
-		reM := real(m[us])  // Re((yᴴH)_us)
-		imM := -imag(m[us]) // Im((yᴴH)_us) = −Im((Hᴴy)_us)
+		var m complex128 // (Hᴴy)_us = conj((yᴴH)_us), summed as linalg.ConjMulVec sums it
+		for i, yi := range y {
+			m += cmplx.Conj(cp.h.At(i, us)) * yi
+		}
+		reM := real(m)  // Re((yᴴH)_us)
+		imM := -imag(m) // Im((yᴴH)_us) = −Im((Hᴴy)_us)
 		base := us * q
 		for t := 0; t < nb; t++ {
 			p.H[base+t] = -2 * cp.u[t] * reM
@@ -136,5 +157,4 @@ func (cp *ChannelProgram) Biases(y []complex128) *qubo.Ising {
 		}
 	}
 	p.Offset = cp.template.Offset + linalg.Norm2(y)
-	return p
 }

@@ -40,9 +40,11 @@ func isingEqualExact(t *testing.T, label string, got, want *qubo.Ising) {
 // The compile/execute split must reproduce the one-shot reduction EXACTLY:
 // compiling a channel once and filling biases per symbol yields, for every
 // modulation, user count and received vector, the same Ising program —
-// bit-identical fields, couplings and offset — as recompiling from scratch.
+// bit-identical fields, couplings and offset — as recompiling from scratch;
+// so does BiasesInto into one Ising reused across channels and symbols.
 func TestCompiledBiasesMatchReduceToIsing(t *testing.T) {
 	src := rng.New(77)
+	var reused qubo.Ising
 	for _, mod := range modulation.All() {
 		for _, nt := range []int{2, 4, 8} {
 			h, _, _ := randInstance(src, mod, nt, nt, 0.3)
@@ -62,6 +64,8 @@ func TestCompiledBiasesMatchReduceToIsing(t *testing.T) {
 				got := cp.Biases(y)
 				want := ReduceToIsing(mod, h, y)
 				isingEqualExact(t, mod.String(), got, want)
+				cp.BiasesInto(&reused, y)
+				isingEqualExact(t, mod.String()+" reused", &reused, want)
 			}
 		}
 	}
