@@ -396,7 +396,8 @@ func NewAdjacency(n int, edges []qubo.SparseEdge) (*Adjacency, []float64) {
 // shared Adjacency, a weight per coupler, and the couplers' share of the
 // analog-range auto-scale. Build it with PrepareProgram, or with NewProgram
 // over a shared adjacency; run it with per-symbol fields (RunPrepared,
-// RunSlots). It is immutable and safe for concurrent runs.
+// RunSlots). Between Reprogram calls it is immutable and safe for concurrent
+// runs.
 type PreparedProgram struct {
 	improved  bool
 	adj       *Adjacency
@@ -423,6 +424,14 @@ func (m *Machine) PrepareProgram(prog *qubo.Sparse, improvedRange bool) *Prepare
 // order (referenced, not copied), and scans the weights against the analog
 // range.
 func NewProgram(adj *Adjacency, w []float64, improvedRange bool) *PreparedProgram {
+	pp := new(PreparedProgram)
+	pp.Reprogram(adj, w, improvedRange)
+	return pp
+}
+
+// Reprogram is NewProgram in pp's own storage, for a caller that keeps one
+// program for channel after channel. No run may be using pp.
+func (pp *PreparedProgram) Reprogram(adj *Adjacency, w []float64, improvedRange bool) {
 	r, scale := Range(improvedRange), 0.0
 	for _, v := range w {
 		s := v / r.JPosMax
@@ -431,7 +440,7 @@ func NewProgram(adj *Adjacency, w []float64, improvedRange bool) *PreparedProgra
 		}
 		scale = max(scale, s)
 	}
-	return &PreparedProgram{improved: improvedRange, adj: adj, w: w, edgeScale: scale}
+	*pp = PreparedProgram{improved: improvedRange, adj: adj, w: w, edgeScale: scale}
 }
 
 // scale is the hardware auto-scaling divisor for one run (programs must fit

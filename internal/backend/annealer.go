@@ -86,10 +86,10 @@ func (a *Annealer) occupancyMicros(p *Problem) float64 {
 // Result its outcome will complete. A problem tagged with a ChannelKey (a
 // coherence-window symbol) names its channel through the decoder's
 // compiled-channel store under that key — compiled on the window's first
-// symbol, only the biases rewritten after. An untagged one is compiled for
-// this solve alone (core.Decoder.CompileOnce), so one-shot channels don't
-// churn the store. Either way the compile is timed into CompileMicros, and
-// CacheHit reports a store hit.
+// symbol, only the biases rewritten after — and the lookup is timed into
+// CompileMicros, with CacheHit reporting a store hit. An untagged one goes as
+// a raw channel, compiled in the run's own storage so one-shot channels
+// don't churn the store; the decoder times that compile (result adds it).
 func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
@@ -99,13 +99,13 @@ func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 		req.Soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 	}
 	res := &Result{Backend: a.name}
+	if p.ChannelKey == 0 {
+		req.Mod, req.H = p.Mod, p.H
+		return req, res, nil
+	}
 	start := time.Now()
 	var err error
-	if p.ChannelKey == 0 {
-		req.CC, err = a.dec.CompileOnce(p.Mod, p.H)
-	} else {
-		req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.ChannelKey, p.Mod, p.H)
-	}
+	req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.ChannelKey, p.Mod, p.H)
 	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
 	return req, res, err
 }
@@ -190,6 +190,7 @@ func (a *Annealer) ChannelCacheStats() metrics.ChannelCacheStats {
 func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, ran, batched int) *Result {
 	res.Bits = out.Bits
 	res.Energy = out.Energy
+	res.CompileMicros += out.CompileMicros
 	res.ComputeMicros = float64(ran) * out.WallMicrosPerAnneal / max(out.Pf, 1)
 	res.Batched = batched
 	res.LLRs = out.LLRs

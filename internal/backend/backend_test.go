@@ -359,3 +359,66 @@ func TestAnnealerConcurrentSolvesMatchSerial(t *testing.T) {
 		}
 	}
 }
+
+// A raw channel compiles into run storage its decoder pools: many goroutines
+// solving distinct raw channels on one Annealer — alone and two to a shared
+// run, at three problem sizes — each get what a serial solve of the same
+// problem on the same seed gets, so no run's compile is another's. CI runs
+// this under -race -count=10.
+func TestPooledRawCompileNeverAliased(t *testing.T) {
+	shapes := []struct {
+		mod modulation.Modulation
+		nt  int
+	}{{modulation.QPSK, 4}, {modulation.BPSK, 8}, {modulation.QAM16, 3}}
+	const jobs = 24
+	problems := make([][]*Problem, jobs) // job j: one problem solo, or two sharing a run
+	for j := range problems {
+		s := shapes[j%len(shapes)]
+		for k := 0; k < 1+j%2; k++ {
+			problems[j] = append(problems[j], problemOf(testInstance(t, int64(200+2*j+k), s.mod, s.nt)))
+		}
+	}
+	solve := func(a *Annealer, j int) ([]*Result, error) {
+		src := rng.New(int64(j))
+		if len(problems[j]) == 1 {
+			res, err := a.Solve(context.Background(), problems[j][0], src)
+			return []*Result{res}, err
+		}
+		return a.SolveBatch(context.Background(), problems[j], src)
+	}
+	serial, err := NewAnnealer("qpu0", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]*Result, jobs)
+	for j := range want {
+		if want[j], err = solve(serial, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared, err := NewAnnealer("qpu0", testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	for g := 0; g < rounds*jobs; g++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			got, err := solve(shared, j)
+			if err != nil {
+				t.Errorf("job %d: %v", j, err)
+				return
+			}
+			for k, g := range got {
+				w := want[j][k]
+				if !reflect.DeepEqual(g.Bits, w.Bits) || g.Energy != w.Energy || g.BrokenChains != w.BrokenChains ||
+					g.Reads != w.Reads || g.Batched != w.Batched || g.CompileMicros <= 0 {
+					t.Errorf("job %d item %d: concurrent %+v, serial %+v", j, k, g, w)
+				}
+			}
+		}(g % jobs)
+	}
+	wg.Wait()
+}

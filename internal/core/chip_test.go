@@ -196,12 +196,11 @@ func TestConcurrentCallersBuildOneAdjacency(t *testing.T) {
 }
 
 // freshDecodeAllocs and compiledDecodeAllocs are what one 48×48 BPSK decode at
-// Na = 1 allocates. A decode on a compiled channel makes 3: the Outcome, its
-// Bits and its Symbols. A raw one adds its compile, 10: the channel program,
-// its spin weights and its coupling template (struct, fields, couplings and
-// their index); the CompiledChannel, its template list, and the chip program
-// with its coupler weights.
-const freshDecodeAllocs, compiledDecodeAllocs = 13, 3
+// Na = 1 allocates: 3 either way, the Outcome, its Bits and its Symbols. A raw
+// channel lives only for its run, so its compile — the channel program and
+// its coupling template, the CompiledChannel and its template list, the chip
+// program and its coupler weights — is rebuilt in the pooled run scratch.
+const freshDecodeAllocs, compiledDecodeAllocs = 3, 3
 
 func decodeAllocs(t *testing.T, req func(*Decoder) Request) float64 {
 	t.Helper()
@@ -221,8 +220,8 @@ func decodeAllocs(t *testing.T, req func(*Decoder) Request) float64 {
 	})
 }
 
-// A fresh channel's decode allocates its compile and what it returns; the
-// adjacency its program runs over is the decoder's, built once.
+// A fresh channel's decode allocates only what it returns: its compile is
+// the run's, and the adjacency its program runs over the decoder's.
 func TestFreshDecodeAllocs(t *testing.T) {
 	in := compiledInstance(t, 5, modulation.BPSK, 48, 20)
 	if got := decodeAllocs(t, func(*Decoder) Request { return Request{Mod: in.Mod, H: in.H, Y: in.Y} }); got != freshDecodeAllocs {
@@ -242,6 +241,54 @@ func TestCompiledDecodeAllocs(t *testing.T) {
 	})
 	if got != compiledDecodeAllocs {
 		t.Fatalf("compiled 48×48 BPSK decode: %v allocations, want %d", got, compiledDecodeAllocs)
+	}
+}
+
+// Raw channels compiled one after another into one decoder's pooled run
+// storage decode as each would on a decoder of its own, compiled once: the
+// same bits, symbols, energies, chain breaks and sample distribution. The
+// sequence changes N, the modulation and — with a real-valued channel's exact
+// zero couplings — the chip, then returns to the first shape, so storage that
+// carried anything from one channel to the next would show.
+func TestRawChannelsShareRunStorage(t *testing.T) {
+	b := Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 4}}
+	pooled, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		mod  modulation.Modulation
+		nt   int
+		real bool
+	}{
+		{modulation.BPSK, 48, false}, {modulation.QPSK, 8, false}, {modulation.QAM16, 16, false},
+		{modulation.QPSK, 8, true}, {modulation.BPSK, 48, false},
+	} {
+		label := fmt.Sprintf("channel %d (%v %d×%d real=%t)", i, c.mod, c.nt, c.nt, c.real)
+		in := compiledInstance(t, int64(90+i), c.mod, c.nt, 12)
+		if c.real {
+			in.H = realChannel(in.H)
+		}
+		got, err := pooled.Decode(truthReq(in), b, rng.New(int64(i)))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		fresh, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := fresh.CompileOnce(in.Mod, in.H)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Decode(Request{CC: cc, Y: in.Y, Truth: in}, b, rng.New(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomesIdentical(t, label, got, want)
+		if got.CompileMicros <= 0 || !sameOutcome(got, want) {
+			t.Fatalf("%s: pooled raw decode %+v (compile %v µs), fresh compiled decode %+v", label, got, got.CompileMicros, want)
+		}
 	}
 }
 

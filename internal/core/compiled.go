@@ -14,12 +14,14 @@
 //
 // Compile keeps its artifacts in the decoder's WindowStore (store.go), so a
 // serving pool recognizes returning coherence windows without any caller
-// bookkeeping.
+// bookkeeping. A raw Request's channel lives only for its run, so its
+// artifacts live in the pooled run scratch (pipeline.go), rebuilt in place.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,7 +77,7 @@ func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 // produced by Decoder.Compile (or, for a raw request, for the duration of one
 // call), owned by that decoder, and safe for concurrent use.
 type CompiledChannel struct {
-	prog  *reduction.ChannelProgram
+	prog  reduction.ChannelProgram
 	emb   *embedding.Embedding
 	packs []*embedding.Embedding // their count is the geometric Pf
 	dec   *Decoder
@@ -85,20 +87,22 @@ type CompiledChannel struct {
 }
 
 // template is one of a channel's chip programs: the decoder's adjacency for
-// its placement layout and nonzero couplings, with this channel's weights at
-// one chain strength (no fields — the program stage fills those per y). It
+// its placement layout and nonzero couplings, with this channel's weights w
+// at one chain strength (no fields — the program stage fills those per y). It
 // depends on its placement only through the dense layout, so the primary
 // placement and every slot laid out alike (all, where slots are defect free)
 // share one; each chain strength a planner supplies reprograms the chip.
 type template struct {
 	emb *embedding.Embedding
 	jf  float64
+	w   []float64
 	pp  *anneal.PreparedProgram
 }
 
 // programFor returns (building on first use) the template for emb at jf: one
 // pass over the shared adjacency's couplers, each weighed as EmbedIsing
-// weighs it.
+// weighs it, in the storage of a template a rebuilt channel left past the
+// list's length (compileInto) where there is one.
 func (cc *CompiledChannel) programFor(emb *embedding.Embedding, jf float64) *anneal.PreparedProgram {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -109,13 +113,17 @@ func (cc *CompiledChannel) programFor(emb *embedding.Embedding, jf float64) *ann
 	}
 	improved, p := cc.dec.opts.ImprovedRange, cc.prog.CouplingTemplate()
 	c := cc.dec.chipFor(emb, p)
-	w := make([]float64, len(c.src))
-	for e, src := range c.src {
-		w[e] = c.emb.CouplerWeight(src, p, jf, improved)
+	cc.templates = slices.Grow(cc.templates, 1)[:len(cc.templates)+1]
+	t := &cc.templates[len(cc.templates)-1]
+	if t.pp == nil {
+		t.pp = new(anneal.PreparedProgram)
 	}
-	pp := anneal.NewProgram(c.adj, w, improved)
-	cc.templates = append(cc.templates, template{emb, jf, pp})
-	return pp
+	t.emb, t.jf, t.w = emb, jf, slices.Grow(t.w[:0], len(c.src))[:len(c.src)]
+	for e, src := range c.src {
+		t.w[e] = c.emb.CouplerWeight(src, p, jf, improved)
+	}
+	t.pp.Reprogram(c.adj, t.w, improved)
+	return t.pp
 }
 
 // Mod returns the modulation the channel was compiled for.
@@ -151,12 +159,16 @@ func (d *Decoder) CompileTracked(mod modulation.Modulation, h *linalg.Mat) (*Com
 // telemetry plane's compile-stage feeder. key 0 mints the fingerprint here.
 func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
 	start := time.Now()
-	if key == 0 {
-		key = FingerprintChannel(mod, h)
-	}
 	// The build runs outside the store's lock: the first embedding for a new
 	// problem size is a placement search that must not stall other lookups.
-	cc, hit, err := d.channels.Get(key, mod, h, func() (*CompiledChannel, error) { return d.newChannel(mod, h) })
+	// Without a key, H enters the process here, only lent (WindowStore).
+	lent := key == 0
+	if lent {
+		key = FingerprintChannel(mod, h)
+	}
+	cc, hit, err := d.channels.Get(key, mod, h, lent, func(h *linalg.Mat) (*CompiledChannel, error) {
+		return d.build(new(CompiledChannel), mod, h)
+	})
 	if rec := d.telem.Load(); rec != nil && err == nil {
 		rec.ObserveCompile(float64(time.Since(start))/float64(time.Microsecond), hit)
 	}
@@ -164,32 +176,44 @@ func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *lin
 }
 
 // CompileOnce compiles (mod, h) for one caller, outside the window store —
-// the build a raw Request runs, which suits a channel seen once: the store is
-// neither searched nor filled. An attached recorder sees it as a miss.
+// the build a raw Request runs into run storage: the store is neither
+// searched nor filled. An attached recorder sees it as a miss.
 func (d *Decoder) CompileOnce(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
-	if h.Rows < 1 || h.Cols < 1 {
-		return nil, fmt.Errorf("core: empty %d×%d channel", h.Rows, h.Cols)
-	}
-	if _, err := modulation.Parse(mod.String()); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	start := time.Now()
-	cc, err := d.newChannel(mod, h)
-	if rec := d.telem.Load(); rec != nil && err == nil {
-		rec.ObserveCompile(float64(time.Since(start))/float64(time.Microsecond), false)
-	}
+	cc, _, err := d.compileInto(new(CompiledChannel), mod, h)
 	return cc, err
 }
 
-// newChannel compiles (mod, h) into an artifact that is not (yet) in the
-// store: the couplings plus the — itself cached — clique embedding for N.
-func (d *Decoder) newChannel(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
-	prog := reduction.CompileChannel(mod, h)
-	emb, packs, err := d.embeddingFor(prog.N)
+// compileInto is CompileOnce into cc, whose storage from an earlier channel
+// it rebuilds in place, also returning the compile's wall time in µs.
+func (d *Decoder) compileInto(cc *CompiledChannel, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, float64, error) {
+	if h.Rows < 1 || h.Cols < 1 {
+		return nil, 0, fmt.Errorf("core: empty %d×%d channel", h.Rows, h.Cols)
+	}
+	if _, err := modulation.Parse(mod.String()); err != nil {
+		return nil, 0, fmt.Errorf("core: %w", err)
+	}
+	start := time.Now()
+	if _, err := d.build(cc, mod, h); err != nil {
+		return nil, 0, err
+	}
+	micros := float64(time.Since(start)) / float64(time.Microsecond)
+	if rec := d.telem.Load(); rec != nil {
+		rec.ObserveCompile(micros, false)
+	}
+	return cc, micros, nil
+}
+
+// build compiles (mod, h) into cc and returns it: the couplings plus the —
+// itself cached — clique embedding for N. cc's templates are emptied, their
+// storage kept.
+func (d *Decoder) build(cc *CompiledChannel, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
+	reduction.CompileChannelInto(&cc.prog, mod, h)
+	emb, packs, err := d.embeddingFor(cc.prog.N)
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledChannel{prog: prog, emb: emb, packs: packs, dec: d}, nil
+	cc.emb, cc.packs, cc.dec, cc.templates = emb, packs, d, cc.templates[:0]
+	return cc, nil
 }
 
 // ChannelCacheStats snapshots the compiled-channel store's counters.

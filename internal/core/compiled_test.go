@@ -38,6 +38,14 @@ func compiledInstance(t *testing.T, seed int64, mod modulation.Modulation, nt in
 	return in
 }
 
+// sameOutcome is reflect.DeepEqual on two outcomes but for CompileMicros,
+// their one wall-clock field.
+func sameOutcome(a, b *Outcome) bool {
+	x, y := *a, *b
+	x.CompileMicros, y.CompileMicros = 0, 0
+	return reflect.DeepEqual(x, y)
+}
+
 // outcomesIdentical requires the hard fields of two decode outcomes to agree
 // exactly — bits, symbols, energies, chain diagnostics — naming the first
 // field that does not.
@@ -108,7 +116,10 @@ func checkFormsIdentical(t *testing.T, d *Decoder, rows []formsRow) {
 		want, got := decode(raw), decode(compiled)
 		for i := range want {
 			outcomesIdentical(t, r.name, got[i], want[i])
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if want[i].CompileMicros <= 0 || got[i].CompileMicros != 0 {
+				t.Fatalf("%s item %d: compile %v µs raw, %v µs compiled; want a timed raw compile only", r.name, i, want[i].CompileMicros, got[i].CompileMicros)
+			}
+			if !sameOutcome(got[i], want[i]) {
 				t.Fatalf("%s item %d: compiled %+v, raw %+v", r.name, i, got[i], want[i])
 			}
 			if r.soft != nil && r.soft[i] != (got[i].LLRs != nil) {
@@ -262,7 +273,7 @@ func TestReusedKeyCompilesTheRequestsOwnChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	outcomesIdentical(t, "reused key", keyed, raw)
-	if !reflect.DeepEqual(keyed, raw) {
+	if !sameOutcome(keyed, raw) {
 		t.Fatalf("keyed %+v, un-keyed %+v", keyed, raw)
 	}
 }

@@ -5,8 +5,8 @@
 // (pipeline.go), under one Budget per run:
 //
 //	resolve  the channel: a *CompiledChannel as given, or a raw (Mod, H)
-//	         compiled for this call (CompileOnce: CompileChannel → clique
-//	         embedding)
+//	         compiled for this call into the run's pooled storage
+//	         (CompileChannelInto → clique embedding)
 //	program  the chip: the placement's adjacency (built once per layout and
 //	         nonzero couplings, shared by every channel), then the channel's
 //	         coupler weights over it (one pass, once per |J_F|), plus this
@@ -17,7 +17,10 @@
 //	         ──▶ QUBO bits ──PostTranslate──▶ b̂ (+ distribution, + LLRs)
 //
 // The raw-vs-compiled rule: a raw channel costs a compile on every call and
-// is never cached, which suits a channel seen once; a receiver decoding a
+// is never cached, which suits a channel seen once. It never outlives its
+// run, so its compile — couplings, template list, weights, chip program —
+// lives in the run scratch the decoder pools, rebuilt in place for the next
+// raw channel, and the decode allocates only its Outcome. A receiver decoding a
 // coherence window calls Compile once — the result lives in the decoder's
 // WindowStore, under the channel's key — and sends each symbol as a
 // Request carrying the *CompiledChannel, paying only the bias rewrite. The
@@ -222,6 +225,9 @@ type Outcome struct {
 	Pf float64
 	// WallMicrosPerAnneal is Ta+Tp.
 	WallMicrosPerAnneal float64
+	// CompileMicros is the wall time the decode spent compiling a raw
+	// channel (0 for a compiled one).
+	CompileMicros float64
 	// Distribution is the rank-ordered solution distribution with bit
 	// errors against ground truth — non-nil iff the request carried Truth
 	// (bit errors need the transmitted bits, footnote 7).

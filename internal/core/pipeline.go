@@ -74,12 +74,15 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 // scratch is the working set of one Decode or DecodeRun call, pooled on the
 // decoder, through which a decode allocates only what it returns: no Outcome
 // aliases it, so it goes back to the pool once the call has its outcomes (a
-// call that fails or panics just drops it).
+// call that fails or panics just drops it). raw[k] is the k-th raw request's
+// channel, which lives only for its run: compileInto rebuilds it in place.
 type scratch struct {
 	run     anneal.Scratch
 	tallies []tally
 	slots   []anneal.Slot                     // what the annealer programs
 	read    func(slot int, spins []int8) bool // tallies[slot].read, bound once
+	raw     []*CompiledChannel
+	nraw    int // raw channels this call has compiled
 }
 
 // DecodeRun decodes up to BatchSlots(N) requests in ONE annealer run by
@@ -117,12 +120,12 @@ func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome
 		sc.read = func(slot int, spins []int8) bool { return sc.tallies[slot].read(spins) }
 	}
 	sc.tallies = append(sc.tallies, make([]tally, max(0, len(reqs)-len(sc.tallies)))...)
-	sc.slots = sc.slots[:0]
+	sc.slots, sc.nraw = sc.slots[:0], 0
 	solo, pf := len(reqs) == 1, len(reqs) // pf: the Pf the outcomes amortize over
 	var packs []*embedding.Embedding
 	for i := range reqs {
 		req := &reqs[i]
-		cc, err := d.resolve(req)
+		cc, compile, err := d.resolve(req, sc)
 		if err != nil {
 			return err
 		}
@@ -142,6 +145,7 @@ func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome
 		// Tie-break streams are split in slot order, ahead of the slots' own.
 		t := &sc.tallies[i]
 		t.begin(req, cc, emb, jf, src)
+		t.compile = compile
 		slot := anneal.Slot{PP: pp, H: t.h}
 		if req.Reverse {
 			if !solo {
@@ -182,36 +186,41 @@ func (d *Decoder) budget(b Budget, src *rng.Source) (anneal.Params, float64, err
 }
 
 // resolve validates a request and returns its channel: the given compiled
-// one, or a raw (Mod, H) compiled for this call only (CompileOnce) — never
-// inserted in the LRU, so one-shot channels do not churn the cache.
-func (d *Decoder) resolve(req *Request) (*CompiledChannel, error) {
-	cc := req.CC
+// one, or a raw (Mod, H) compiled into sc's next raw channel, with the
+// compile's wall time — never inserted in the window store, so one-shot
+// channels do not churn it.
+func (d *Decoder) resolve(req *Request, sc *scratch) (*CompiledChannel, float64, error) {
+	cc, compile := req.CC, 0.0
 	switch {
 	case (cc == nil) == (req.H == nil):
-		return nil, errors.New("core: a request names exactly one of CC and H")
+		return nil, 0, errors.New("core: a request names exactly one of CC and H")
 	case cc != nil && cc.dec != d:
-		return nil, errors.New("core: compiled channel belongs to a different decoder")
+		return nil, 0, errors.New("core: compiled channel belongs to a different decoder")
 	case cc == nil:
-		var err error
-		if cc, err = d.CompileOnce(req.Mod, req.H); err != nil {
-			return nil, err
+		if sc.nraw == len(sc.raw) {
+			sc.raw = append(sc.raw, new(CompiledChannel))
 		}
+		var err error
+		if cc, compile, err = d.compileInto(sc.raw[sc.nraw], req.Mod, req.H); err != nil {
+			return nil, 0, err
+		}
+		sc.nraw++
 	}
 	if h := cc.Channel(); len(req.Y) != h.Rows {
-		return nil, fmt.Errorf("core: y has %d entries, H has %d rows", len(req.Y), h.Rows)
+		return nil, 0, fmt.Errorf("core: y has %d entries, H has %d rows", len(req.Y), h.Rows)
 	}
 	if req.Soft != nil {
 		if req.Reverse {
-			return nil, errors.New("core: reverse annealing has no soft output")
+			return nil, 0, errors.New("core: reverse annealing has no soft output")
 		}
 		if err := req.Soft.Validate(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	if req.Truth != nil && req.Truth.NumVariables() != cc.prog.N {
-		return nil, fmt.Errorf("core: truth has %d bits, the problem %d", req.Truth.NumVariables(), cc.prog.N)
+		return nil, 0, fmt.Errorf("core: truth has %d bits, the problem %d", req.Truth.NumVariables(), cc.prog.N)
 	}
-	return cc, nil
+	return cc, compile, nil
 }
 
 // linearSeed is the reverse anneal's start state: the linear detector's
@@ -248,6 +257,7 @@ type tally struct {
 	bestE         float64
 	scored, soft  bool // soft: the request asked for LLRs
 	reads, broken int
+	compile       float64 // µs the request's raw channel took to compile
 
 	own         rng.Source // breaks majority-vote ties
 	h           []float64  // the chain-spread fields of this y on emb
@@ -320,6 +330,7 @@ func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
 	out := &Outcome{
 		Bits: t.mod.PostTranslate(t.best), Symbols: reduction.BitsToSymbols(t.mod, t.best), Energy: t.bestE,
 		Reads: t.reads, BrokenChains: t.broken, Pf: 1, WallMicrosPerAnneal: params.AnnealWallMicros(),
+		CompileMicros: t.compile,
 	}
 	if d.opts.AmortizeParallel {
 		out.Pf = float64(slots)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"quamax/internal/anneal"
@@ -111,7 +110,7 @@ func TestSharedRunIdenticalAtEveryWorkerCount(t *testing.T) {
 		for _, workers := range []int{3, 8} {
 			got := decodeAll(t, runDecoder(t, workers), mixedRun(t, armed...), 14)
 			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
+				if !sameOutcome(got[i], want[i]) {
 					t.Errorf("armed %v outcome %d: %d workers %+v, 1 worker %+v", armed, i, workers, got[i], want[i])
 				}
 			}
@@ -168,7 +167,7 @@ func TestStoppedMemberScoredThePrefixOfItsUncutSelf(t *testing.T) {
 			// budget: same requests, no radius, same seed. The whole Outcome —
 			// bits, energy, chain breaks, ranked distribution, LLRs — must match.
 			prefix := decode(mixedRun(t), out.Reads)
-			if !reflect.DeepEqual(out, prefix[i]) {
+			if !sameOutcome(out, prefix[i]) {
 				t.Errorf("%s request %d stopped after %d reads: %+v, the uncut run's first %d reads score %+v", mode, i, out.Reads, out, out.Reads, prefix[i])
 			}
 			// … and it stopped at the FIRST read inside the radius: one read
@@ -202,7 +201,7 @@ func TestArmingAMemberDoesNotMoveItsCoMembers(t *testing.T) {
 			cut = cut || armed[i].Reads < uncut[i].Reads
 			continue
 		}
-		if !reflect.DeepEqual(armed[i], uncut[i]) {
+		if !sameOutcome(armed[i], uncut[i]) {
 			t.Errorf("un-armed member %d moved when members %v were armed: %+v, was %+v", i, armedSet, armed[i], uncut[i])
 		}
 	}

@@ -21,6 +21,10 @@ import (
 // colliding key is therefore a miss that replaces the entry, never another
 // channel's value. K is the ChannelKey, or a struct of it and whatever else
 // selects the value. Safe for concurrent use.
+//
+// A store copies any H it was only lent: a keyed H was registered, and stays
+// immutable; one without a key enters the process at the call, from storage
+// its caller reuses (a fronthaul slot's inline H).
 type WindowStore[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -35,6 +39,7 @@ type windowEntry[K comparable, V any] struct {
 	key   K
 	mod   modulation.Modulation
 	h     *linalg.Mat
+	own   linalg.Mat     // h's storage when the caller only lent it
 	built bool           // under the store lock: val is in
 	ready sync.WaitGroup // done when the build has ended
 	val   V
@@ -52,9 +57,10 @@ func NewWindowStore[K comparable, V any](capacity int) *WindowStore[K, V] {
 // it was already there. A hit costs one lock, one map lookup, one list move
 // and no allocation. On a miss build runs outside the lock, once however many
 // callers arrive for the window together (they wait for it, and count as
-// misses), and the oldest window past capacity is dropped. A build that fails
-// is not remembered: its callers get the error and the next one builds again.
-func (s *WindowStore[K, V]) Get(key K, mod modulation.Modulation, h *linalg.Mat, build func() (V, error)) (V, bool, error) {
+// misses), and the oldest window past capacity is dropped; it gets the H the
+// entry keeps, a copy when the caller only lent h. A build that fails is not
+// remembered: its callers get the error and the next one builds again.
+func (s *WindowStore[K, V]) Get(key K, mod modulation.Modulation, h *linalg.Mat, lent bool, build func(h *linalg.Mat) (V, error)) (V, bool, error) {
 	s.mu.Lock()
 	if el, ok := s.m[key]; ok {
 		e := el.Value.(*windowEntry[K, V])
@@ -74,6 +80,10 @@ func (s *WindowStore[K, V]) Get(key K, mod modulation.Modulation, h *linalg.Mat,
 	}
 	s.stats.Misses++
 	e := &windowEntry[K, V]{key: key, mod: mod, h: h, err: errBuildAbandoned}
+	if lent {
+		e.own = linalg.Mat{Rows: h.Rows, Cols: h.Cols, Data: slices.Clone(h.Data)}
+		e.h = &e.own
+	}
 	e.ready.Add(1)
 	s.m[key] = s.lru.PushFront(e)
 	for s.lru.Len() > s.capacity {
@@ -91,7 +101,7 @@ func (s *WindowStore[K, V]) Get(key K, mod modulation.Modulation, h *linalg.Mat,
 		s.mu.Unlock()
 		e.ready.Done()
 	}()
-	e.val, e.err = build()
+	e.val, e.err = build(e.h)
 	return e.val, false, e.err
 }
 

@@ -81,7 +81,7 @@ func TestWindowStore(t *testing.T) {
 			boom := errors.New("boom")
 			for i, st := range row.steps {
 				who := built{st.key, st.ch % 3, st.mod} // a clone is its original
-				build := func() (int, error) {
+				build := func(*linalg.Mat) (int, error) {
 					if st.fail {
 						return 0, boom
 					}
@@ -92,12 +92,12 @@ func TestWindowStore(t *testing.T) {
 				if st.boom {
 					func() {
 						defer func() { recover() }()
-						s.Get(st.key, st.mod, chans[st.ch], func() (int, error) { panic("boom") })
+						s.Get(st.key, st.mod, chans[st.ch], false, func(*linalg.Mat) (int, error) { panic("boom") })
 						t.Fatalf("step %d: the build's panic did not reach its caller", i)
 					}()
 					continue
 				}
-				got, hit, err := s.Get(st.key, st.mod, chans[st.ch], build)
+				got, hit, err := s.Get(st.key, st.mod, chans[st.ch], false, build)
 				if st.fail != (err != nil) || (err != nil && !errors.Is(err, boom)) {
 					t.Fatalf("step %d: err %v, fail=%v", i, err, st.fail)
 				}
@@ -135,7 +135,7 @@ func TestWindowStoreSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			w := g % 2
-			v, hit, err := s.Get(ChannelKey(1+w), modulation.QPSK, chans[w], func() (*int, error) {
+			v, hit, err := s.Get(ChannelKey(1+w), modulation.QPSK, chans[w], false, func(*linalg.Mat) (*int, error) {
 				builds.Add(1)
 				<-release
 				return &w, nil

@@ -386,8 +386,9 @@ func readC128s(r *reader, dst []complex128, n int) ([]complex128, error) {
 	return v, nil
 }
 
-// readMat reads an inline channel (mod u8, rows u16, cols u16, H).
-func readMat(r *reader) (modulation.Modulation, *linalg.Mat, error) {
+// readMat reads an inline channel (mod u8, rows u16, cols u16, H) into dst's
+// storage, and returns dst.
+func readMat(r *reader, dst *linalg.Mat) (modulation.Modulation, *linalg.Mat, error) {
 	mod := modulation.Modulation(r.u8())
 	rows := int(r.u16())
 	cols := int(r.u16())
@@ -400,11 +401,12 @@ func readMat(r *reader) (modulation.Modulation, *linalg.Mat, error) {
 	if rows < 1 || cols < 1 {
 		return 0, nil, errors.New("fronthaul: empty channel matrix")
 	}
-	data, err := readC128s(r, nil, rows*cols)
+	data, err := readC128s(r, dst.Data, rows*cols)
 	if err != nil {
 		return 0, nil, err
 	}
-	return mod, &linalg.Mat{Rows: rows, Cols: cols, Data: data}, nil
+	*dst = linalg.Mat{Rows: rows, Cols: cols, Data: data}
+	return mod, dst, nil
 }
 
 // validateSoftScaling rejects unrepresentable noise-variance / clamp pairs.
@@ -500,9 +502,11 @@ func frameRequest(buf []byte, req *Request) ([]byte, error) {
 }
 
 // decode parses a solve request into req, overwriting every field. The
-// vector is read into req.Vec's storage; an inline channel is always fresh,
-// because the layers below may keep it past the request.
-func (req *Request) decode(payload []byte) error {
+// vector is read into req.Vec's storage and an inline channel into h's (req.H
+// is then h), so both belong to the caller's request slot: the layers below
+// read them only while the request is dispatched, and a store that keeps an
+// inline H keeps a copy (core.WindowStore).
+func (req *Request) decode(payload []byte, h *linalg.Mat) error {
 	r := &reader{b: payload}
 	*req = Request{ID: r.u64(), Vec: req.Vec}
 	flags := r.u8()
@@ -518,7 +522,7 @@ func (req *Request) decode(payload []byte) error {
 		if req.Handle = r.u64(); r.err == nil && req.Handle == 0 {
 			return errors.New("fronthaul: channel handle 0 is never issued")
 		}
-	} else if req.Mod, req.H, err = readMat(r); err != nil {
+	} else if req.Mod, req.H, err = readMat(r, h); err != nil {
 		return err
 	}
 	if req.Precode {
@@ -577,7 +581,7 @@ func decodeRegisterChannel(payload []byte) (*RegisterChannelRequest, error) {
 	r := &reader{b: payload}
 	req := &RegisterChannelRequest{ID: r.u64()}
 	var err error
-	if req.Mod, req.H, err = readMat(r); err != nil {
+	if req.Mod, req.H, err = readMat(r, new(linalg.Mat)); err != nil {
 		return nil, err
 	}
 	if r.off != len(payload) {

@@ -138,15 +138,17 @@ const writeBuffer = 16 << 10
 
 // slot is one request in service on a connection, which owns at most its
 // pipeline depth of them, each made on first need with a goroutine to run
-// it: the request, its channel, the problem dispatched and the response
-// frame, all reused. The read loop decodes into an idle slot and hands it to
-// a goroutine on work; that goroutine dispatches and frames the answer; the
-// writer hands the slot back on idle once the frame is buffered. So a slot
-// is reused only after its Dispatch returned on a live connection: one that
-// returned on cancellation may leave its job queued below, still reading the
-// problem, but the context is cancelled only once the read loop is gone.
+// it: the request with its vector and inline H, its channel, the problem
+// dispatched and the response frame, all reused. The read loop decodes into
+// an idle slot and hands it to a goroutine on work; that goroutine dispatches
+// and frames the answer; the writer hands the slot back on idle once the
+// frame is buffered. So a slot is reused only after its Dispatch returned on
+// a live connection: one that returned on cancellation may leave its job
+// queued below, still reading the problem, but the context is cancelled only
+// once the read loop is gone.
 type slot struct {
 	req   Request
+	h     linalg.Mat // an inline H's storage
 	ch    registeredChannel
 	p     backend.Problem
 	llr8  []int8
@@ -253,7 +255,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		sl := acquire()
 		switch msgType {
 		case msgDecodeRequest:
-			if err = sl.req.decode(payload); err != nil {
+			if err = sl.req.decode(payload, &sl.h); err != nil {
 				break
 			}
 			var refusal string

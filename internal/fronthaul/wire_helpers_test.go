@@ -1,6 +1,10 @@
 package fronthaul
 
-import "io"
+import (
+	"io"
+
+	"quamax/internal/linalg"
+)
 
 // The codec tests work on bare payloads and on frames written and read one at
 // a time over any io.Reader/io.Writer. These helpers give them that view of
@@ -14,7 +18,7 @@ func encodeRequest(req *Request) ([]byte, error) { return payloadOf(frameRequest
 
 func decodeRequest(payload []byte) (*Request, error) {
 	req := new(Request)
-	if err := req.decode(payload); err != nil {
+	if err := req.decode(payload, new(linalg.Mat)); err != nil {
 		return nil, err
 	}
 	return req, nil

@@ -19,6 +19,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
+	"quamax/internal/precoding"
 	"quamax/internal/rng"
 )
 
@@ -383,105 +384,145 @@ func TestClientPartialWriteFailsClient(t *testing.T) {
 }
 
 // A slot is reused only after its Dispatch returned on a live connection. A
-// gated dispatcher snapshots each problem's samples, waits for its release —
-// given out of order, a window at a time, so every slot serves many requests
-// — and reads them again: no answer may come from another request's samples,
-// and no dispatcher may see its samples change. Then the connection drops
-// with a window in service: each Dispatch returns on cancellation as
-// sched.Dispatch does, while its job, still queued, reads the problem after
-// the server has unwound.
+// gated dispatcher snapshots each problem's samples and channel, waits for
+// its release — given out of order, a window at a time, so every slot serves
+// many requests — and reads them again: no answer may come from another
+// request's problem, and no dispatcher may see its problem change. Then the
+// connection drops with a window in service: each Dispatch returns on
+// cancellation as sched.Dispatch does, while its job, still queued, reads the
+// problem after the server has unwound. Every request carries an inline H,
+// read into its slot, from a rotation of channels. A precode request's H is
+// compiled into the server's VP program cache, which must keep a copy: after
+// the run every channel sent is still a hit there, on a program compiled from
+// that channel.
 func TestSlotReuseNeverMovesADispatchedProblem(t *testing.T) {
 	const depth, n = 4, 64
+	const channels = 2*depth + 1
+	channel := func(i int) *linalg.Mat {
+		c := float64(i % channels)
+		return &linalg.Mat{Rows: 2, Cols: 2, Data: []complex128{complex(1+c, 0), 1, 0.5, complex(2, c)}}
+	}
+	vec := func(i int) []complex128 { return []complex128{complex(float64(i), 0), complex(float64(-i), 0)} }
 	transports(t, func(t *testing.T, connect func() (net.Conn, net.Conn)) {
-		var changed atomic.Int64
-		var held sync.WaitGroup
-		entered := make(chan chan struct{}, depth)
-		teardown := make(chan struct{})
-		disp := dispatcherFunc(func(ctx context.Context, p *backend.Problem, _ time.Duration) (*backend.Result, error) {
-			want := slices.Clone(p.Y)
-			release := make(chan struct{})
-			entered <- release
-			select {
-			case <-release:
-			case <-ctx.Done():
-				held.Add(1)
-				go func() {
-					defer held.Done()
-					<-teardown
-					if !slices.Equal(p.Y, want) {
+		for _, precode := range []bool{false, true} {
+			// answers[i] is the energy the dispatcher answers request i with:
+			// its problem's first sample, the vector itself or the VP target.
+			answers := make([]float64, n)
+			for i := range answers {
+				answers[i] = float64(i)
+				if precode {
+					prog, err := precoding.Compile(modulation.QPSK, channel(i), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answers[i] = real(prog.Problem(vec(i)).Y[0])
+				}
+			}
+			t.Run(map[bool]string{false: "inline decode", true: "inline precode"}[precode], func(t *testing.T) {
+				var changed atomic.Int64
+				var held sync.WaitGroup
+				entered := make(chan chan struct{}, depth)
+				teardown := make(chan struct{})
+				disp := dispatcherFunc(func(ctx context.Context, p *backend.Problem, _ time.Duration) (*backend.Result, error) {
+					snapshot := func() []complex128 { return append(slices.Clone(p.Y), p.H.Data...) }
+					want := snapshot()
+					release := make(chan struct{})
+					entered <- release
+					select {
+					case <-release:
+					case <-ctx.Done():
+						held.Add(1)
+						go func() {
+							defer held.Done()
+							<-teardown
+							if !slices.Equal(snapshot(), want) {
+								changed.Add(1)
+							}
+						}()
+						return nil, ctx.Err()
+					}
+					if !slices.Equal(snapshot(), want) {
 						changed.Add(1)
 					}
-				}()
-				return nil, ctx.Err()
-			}
-			if !slices.Equal(p.Y, want) {
-				changed.Add(1)
-			}
-			return &backend.Result{Bits: []byte{1}, Energy: real(p.Y[0]), Backend: "gate"}, nil
-		})
-		cliConn, srvConn := connect()
-		srv := NewPoolServer(disp)
-		srv.PipelineDepth = depth
-		done := make(chan struct{})
-		go func() { srv.handleConn(srvConn); close(done) }()
-		client := NewClient(cliConn)
-		h := linalg.Identity(2)
-		submit := func(from, to int) <-chan *DecodeCall {
-			calls := make(chan *DecodeCall, to-from)
-			go func() {
-				defer close(calls)
-				for i := from; i < to; i++ {
-					dc, err := client.SubmitDecodeQoS(modulation.BPSK, h, []complex128{complex(float64(i), 0), complex(float64(-i), 0)}, 0, 0)
-					if err != nil {
-						t.Errorf("submit %d: %v", i, err)
-						return
+					return &backend.Result{Bits: make([]byte, p.LogicalSpins()), Energy: real(p.Y[0]), Backend: "gate"}, nil
+				})
+				cliConn, srvConn := connect()
+				srv := NewPoolServer(disp)
+				srv.PipelineDepth = depth
+				done := make(chan struct{})
+				go func() { srv.handleConn(srvConn); close(done) }()
+				client := NewClient(cliConn)
+				submit := func(from, to int) <-chan *DecodeCall {
+					calls := make(chan *DecodeCall, to-from)
+					go func() {
+						defer close(calls)
+						for i := from; i < to; i++ {
+							dc, err := client.solve(&Request{Mod: modulation.QPSK, H: channel(i), Vec: vec(i), Precode: precode}, 0, 0)
+							if err != nil {
+								t.Errorf("submit %d: %v", i, err)
+								return
+							}
+							calls <- dc
+						}
+					}()
+					return calls
+				}
+
+				calls := submit(0, n)
+				within(t, "live windows", func() {
+					for released := 0; released < n; {
+						window := make([]chan struct{}, min(depth, n-released))
+						for i := range window {
+							window[i] = <-entered
+						}
+						for i := len(window) - 1; i >= 0; i-- {
+							close(window[i])
+						}
+						released += len(window)
 					}
-					calls <- dc
-				}
-			}()
-			return calls
-		}
+				})
+				within(t, "live answers", func() {
+					i := 0
+					for dc := range calls {
+						if resp, err := dc.Await(); err != nil || resp.Energy != answers[i] {
+							t.Errorf("request %d: %+v, %v", i, resp, err)
+						}
+						i++
+					}
+				})
 
-		calls := submit(0, n)
-		within(t, "live windows", func() {
-			for released := 0; released < n; {
-				window := make([]chan struct{}, min(depth, n-released))
-				for i := range window {
-					window[i] = <-entered
+				dropped := submit(n, n+depth)
+				within(t, "a window in service", func() {
+					for i := 0; i < depth; i++ {
+						<-entered
+					}
+				})
+				client.Close()
+				within(t, "server unwind", func() { <-done })
+				close(teardown)
+				held.Wait()
+				for dc := range dropped {
+					if _, err := dc.Await(); !errors.Is(err, ErrClientClosed) {
+						t.Errorf("call on a dropped connection: %v", err)
+					}
 				}
-				for i := len(window) - 1; i >= 0; i-- {
-					close(window[i])
+				if c := changed.Load(); c != 0 {
+					t.Fatalf("%d dispatchers saw their problem change", c)
 				}
-				released += len(window)
-			}
-		})
-		within(t, "live answers", func() {
-			i := 0
-			for dc := range calls {
-				if resp, err := dc.Await(); err != nil || resp.Energy != float64(i) {
-					t.Errorf("request %d: %+v, %v", i, resp, err)
+				if !precode {
+					return
 				}
-				i++
-			}
-		})
-
-		dropped := submit(n, n+depth)
-		within(t, "a window in service", func() {
-			for i := 0; i < depth; i++ {
-				<-entered
-			}
-		})
-		client.Close()
-		within(t, "server unwind", func() { <-done })
-		close(teardown)
-		held.Wait()
-		for dc := range dropped {
-			if _, err := dc.Await(); !errors.Is(err, ErrClientClosed) {
-				t.Errorf("call on a dropped connection: %v", err)
-			}
-		}
-		if c := changed.Load(); c != 0 {
-			t.Fatalf("%d dispatchers saw their problem's samples change", c)
+				before := srv.PrecodeCacheStats()
+				for c := 0; c < channels; c++ {
+					prog, err := srv.precodePrograms.Get(0, modulation.QPSK, channel(c), 0)
+					if err != nil || !slices.Equal(prog.Channel().Data, channel(c).Data) {
+						t.Fatalf("channel %d: the cached program was compiled from %v (%v)", c, prog.Channel(), err)
+					}
+				}
+				if hits := srv.PrecodeCacheStats().Hits - before.Hits; hits != channels {
+					t.Fatalf("%d of the %d channels sent inline are still hits in the VP program cache", hits, channels)
+				}
+			})
 		}
 	})
 }

@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Mat is a dense row-major complex matrix.
@@ -57,22 +59,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) []complex128 {
-	col := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		col[i] = m.At(i, j)
-	}
-	return col
-}
-
-// Row returns a copy of row i.
-func (m *Mat) Row(i int) []complex128 {
-	row := make([]complex128, m.Cols)
-	copy(row, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return row
 }
 
 // String renders the matrix for debugging.
@@ -175,25 +161,57 @@ func Gram(a *Mat) *Mat {
 // sums a's rows in Gram's order, and Re(conj(u)·v) = u_r·v_r + u_i·v_i and
 // Im = u_r·v_i − u_i·v_r round as Gram's complex products do, so every entry
 // is Gram's bit for bit; a caller needing only the real part skips the rest.
+// The columns are read from a pooled transposed copy, and four entries of a
+// row at a time are summed in registers and stored once.
 func GramUpper(re, im []float64, a *Mat) {
-	n := a.Cols
-	for r := 0; r < a.Rows; r++ {
-		row := a.Data[r*n : (r+1)*n]
-		for i, v := range row {
-			vr, vi, rest := real(v), imag(v), row[i:]
-			acc := re[i*n+i:][:len(rest)]
-			for j, b := range rest {
-				acc[j] += vr*real(b) + vi*imag(b)
-			}
-			if len(im) > 0 {
-				acc = im[i*n+i:][:len(rest)]
-				for j, b := range rest {
-					acc[j] += vr*imag(b) - vi*real(b)
-				}
-			}
+	n, m := a.Cols, a.Rows
+	buf := colScratch.Get().(*[]float64)
+	defer colScratch.Put(buf)
+	*buf = slices.Grow((*buf)[:0], 3*n*m)[:3*n*m]
+	cr, ci, nci := (*buf)[:n*m], (*buf)[n*m:2*n*m], (*buf)[2*n*m:] // column c at c·m: real, imaginary, −imaginary
+	for r := 0; r < m; r++ {
+		for c, v := range a.Data[r*n : (r+1)*n] {
+			cr[c*m+r], ci[c*m+r], nci[c*m+r] = real(v), imag(v), -imag(v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		gramRow(re[i*n:(i+1)*n], i, m, cr[i*m:][:m], ci[i*m:][:m], cr, ci)
+		if len(im) > 0 {
+			// u_r·v_i − u_i·v_r is u_r·v_i + (−u_i)·v_r exactly.
+			gramRow(im[i*n:(i+1)*n], i, m, cr[i*m:][:m], nci[i*m:][:m], ci, cr)
 		}
 	}
 }
+
+// gramRow adds Σ_r x[r]·b_j[r] + y[r]·d_j[r] into out[j] for every j ≥ i, in
+// r's order, where b_j and d_j are column j (m entries each) of b and d.
+func gramRow(out []float64, i, m int, x, y, b, d []float64) {
+	y = y[:len(x)]
+	j := i
+	for ; j+4 <= len(out); j += 4 {
+		b0, b1, b2, b3 := b[j*m:][:len(x)], b[(j+1)*m:][:len(x)], b[(j+2)*m:][:len(x)], b[(j+3)*m:][:len(x)]
+		d0, d1, d2, d3 := d[j*m:][:len(x)], d[(j+1)*m:][:len(x)], d[(j+2)*m:][:len(x)], d[(j+3)*m:][:len(x)]
+		s0, s1, s2, s3 := out[j], out[j+1], out[j+2], out[j+3]
+		for r, u := range x {
+			v := y[r]
+			s0 += u*b0[r] + v*d0[r]
+			s1 += u*b1[r] + v*d1[r]
+			s2 += u*b2[r] + v*d2[r]
+			s3 += u*b3[r] + v*d3[r]
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(out); j++ {
+		bj, dj, s := b[j*m:][:len(x)], d[j*m:][:len(x)], out[j]
+		for r, u := range x {
+			s += u*bj[r] + y[r]*dj[r]
+		}
+		out[j] = s
+	}
+}
+
+// colScratch pools GramUpper's transposed copies.
+var colScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // ConjMulVec returns aᴴ·y, the matched-filter output.
 func ConjMulVec(a *Mat, y []complex128) []complex128 {
@@ -246,9 +264,6 @@ func Norm2(x []complex128) float64 {
 
 // Norm returns ‖x‖.
 func Norm(x []complex128) float64 { return math.Sqrt(Norm2(x)) }
-
-// FrobeniusNorm returns the Frobenius norm of a.
-func FrobeniusNorm(a *Mat) float64 { return Norm(a.Data) }
 
 // MaxAbsDiff returns max |a_ij − b_ij|, a test helper for approximate equality.
 func MaxAbsDiff(a, b *Mat) float64 {

@@ -294,22 +294,6 @@ func TestRealDecomposition(t *testing.T) {
 	}
 }
 
-func TestCond2Estimate(t *testing.T) {
-	// Diagonal matrix with known condition number.
-	a := NewMat(3, 3)
-	a.Set(0, 0, 10)
-	a.Set(1, 1, 2)
-	a.Set(2, 2, 1)
-	got := Cond2Estimate(a, 100)
-	if math.Abs(got-10) > 1e-6 {
-		t.Fatalf("cond estimate = %g, want 10", got)
-	}
-	sing := MatFromRows([][]complex128{{1, 1}, {1, 1}})
-	if !math.IsInf(Cond2Estimate(sing, 50), 1) {
-		t.Fatal("expected +Inf condition for singular matrix")
-	}
-}
-
 // Property: (A·B)ᴴ == Bᴴ·Aᴴ for random small matrices.
 func TestConjTransposeProductProperty(t *testing.T) {
 	src := rng.New(12)
@@ -340,11 +324,18 @@ func TestNormHelpers(t *testing.T) {
 
 // GramUpper's entries are Gram's upper triangle, bit for bit, real and
 // imaginary parts alike, and it adds nothing when asked for the real part
-// alone.
+// alone — the BPSK compile's call; QPSK and 16-QAM ask for both. The shapes
+// cover the row blocks' tails and a real-valued channel, whose imaginary
+// parts are exact zeros.
 func TestGramUpperMatchesGramBitForBit(t *testing.T) {
 	src := rng.New(42)
-	for _, shape := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {12, 7}, {48, 48}} {
+	for _, shape := range [][3]int{{1, 1}, {3, 5}, {8, 8}, {12, 7}, {16, 16}, {48, 48}, {48, 48, 1}, {9, 6, 1}} {
 		a := randMat(src, shape[0], shape[1])
+		if shape[2] == 1 {
+			for i, v := range a.Data {
+				a.Data[i] = complex(real(v), 0)
+			}
+		}
 		n, want := a.Cols, Gram(a)
 		re, im := make([]float64, n*n), make([]float64, n*n)
 		GramUpper(re, im, a)
@@ -366,5 +357,26 @@ func TestGramUpperMatchesGramBitForBit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkGramUpper times the upper triangle of HᴴH at the serving
+// benchmark's 48×48, both parts (QPSK, 16-QAM) and the real part alone
+// (BPSK).
+func BenchmarkGramUpper(b *testing.B) {
+	a := randMat(rng.New(1), 48, 48)
+	re, im := make([]float64, 48*48), make([]float64, 48*48)
+	for _, c := range []struct {
+		name string
+		im   []float64
+	}{{"real", nil}, {"complex", im}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(re)
+				clear(c.im)
+				GramUpper(re, c.im, a)
+			}
+		})
 	}
 }

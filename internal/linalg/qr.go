@@ -125,61 +125,6 @@ func (f *QR) RotateReceived(y []complex128) []complex128 {
 	return ConjMulVec(f.Q, y)
 }
 
-// Cond2Estimate estimates the 2-norm condition number of a via power
-// iteration on aᴴa (largest singular value) and inverse iteration (smallest).
-// iters controls the iteration count; 50 is plenty for the matrix sizes here.
-// Returns +Inf for singular matrices.
-func Cond2Estimate(a *Mat, iters int) float64 {
-	g := Gram(a)
-	n := g.Rows
-	if n == 0 {
-		return 0
-	}
-	// Largest eigenvalue of G by power iteration.
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(1/math.Sqrt(float64(n)), 0)
-	}
-	var lamMax float64
-	for it := 0; it < iters; it++ {
-		y := MulVec(g, x)
-		nrm := Norm(y)
-		if nrm == 0 {
-			return math.Inf(1)
-		}
-		for i := range y {
-			y[i] /= complex(nrm, 0)
-		}
-		x = y
-		lamMax = nrm
-	}
-	// Smallest eigenvalue by inverse power iteration.
-	for i := range x {
-		x[i] = complex(1/math.Sqrt(float64(n)), 0)
-	}
-	var lamMinInv float64
-	for it := 0; it < iters; it++ {
-		y, err := Solve(g, x)
-		if err != nil {
-			return math.Inf(1)
-		}
-		nrm := Norm(y)
-		if nrm == 0 {
-			return math.Inf(1)
-		}
-		for i := range y {
-			y[i] /= complex(nrm, 0)
-		}
-		x = y
-		lamMinInv = nrm
-	}
-	if lamMinInv == 0 {
-		return math.Inf(1)
-	}
-	// cond2(a) = sqrt(lamMax/lamMin) of the Gram matrix.
-	return math.Sqrt(lamMax * lamMinInv)
-}
-
 // RealDecomposition converts the complex system y = H v + n into the
 // equivalent real-valued system used by the sphere decoder:
 //

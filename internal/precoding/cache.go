@@ -37,16 +37,18 @@ func NewCache(capacity int) *Cache {
 
 // Get returns the compiled program for (dataMod, h, bits), compiling it on a
 // miss. key is the ChannelKey the caller holds for (dataMod, h); 0 mints it
-// here, for a caller through whom H enters the process. bits = 0 selects
+// here, for a caller through whom H enters the process and who only lends it:
+// a program compiled on a miss keeps a copy. bits = 0 selects
 // DefaultPerturbBits.
 func (c *Cache) Get(key core.ChannelKey, dataMod modulation.Modulation, h *linalg.Mat, bits int) (*Program, error) {
 	if bits == 0 {
 		bits = DefaultPerturbBits
 	}
-	if key == 0 {
+	lent := key == 0
+	if lent {
 		key = core.FingerprintChannel(dataMod, h)
 	}
-	prog, _, err := c.programs.Get(programKey{key, bits}, dataMod, h, func() (*Program, error) { return Compile(dataMod, h, bits) })
+	prog, _, err := c.programs.Get(programKey{key, bits}, dataMod, h, lent, func(h *linalg.Mat) (*Program, error) { return Compile(dataMod, h, bits) })
 	return prog, err
 }
 

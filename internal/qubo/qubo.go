@@ -13,6 +13,7 @@ package qubo
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Ising is the spin-glass objective  Σ_{i<j} J_ij s_i s_j + Σ_i H_i s_i + Offset
@@ -41,6 +42,26 @@ func NewIsing(n int) *Ising {
 	}
 	pairs := n * (n - 1) / 2
 	return &Ising{N: n, H: make([]float64, n), J: make([]float64, pairs), nz: make([]int32, 0, pairs)}
+}
+
+// Reset makes p NewIsing(n) in p's own storage where it has room, so one p
+// rebuilt problem after problem allocates only to grow. No problem sharing
+// p's couplings (SharedCouplings) may be in use.
+func (p *Ising) Reset(n int) {
+	if n < 0 {
+		panic("qubo: negative size")
+	}
+	pairs := n * (n - 1) / 2
+	h, j := p.H, p.J
+	if cap(h) < n {
+		h = make([]float64, n)
+	}
+	if cap(j) < pairs {
+		j = make([]float64, pairs)
+	}
+	*p = Ising{N: n, H: h[:n], J: j[:pairs], nz: slices.Grow(p.nz[:0], pairs)}
+	clear(p.H)
+	clear(p.J)
 }
 
 // jIdx maps an (i,j) pair with i<j to the flat upper-triangular index.

@@ -36,7 +36,7 @@ type ChannelProgram struct {
 
 	h        *linalg.Mat // the channel, referenced (callers must not mutate)
 	u        []float64   // spin weights u_t
-	template *qubo.Ising // couplings + Gram offset; fields all zero
+	template qubo.Ising  // couplings + Gram offset; fields all zero
 }
 
 // CompileChannel evaluates the H-dependent Ising coefficients (the g_ij of
@@ -44,6 +44,13 @@ type ChannelProgram struct {
 // references h; callers must treat the matrix as immutable for the program's
 // lifetime (the C-RAN contract: a compiled channel IS an estimated H).
 func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
+	return CompileChannelInto(new(ChannelProgram), mod, h)
+}
+
+// CompileChannelInto is CompileChannel into dst, which it returns, rebuilding
+// dst's coupling template in its own storage where that has room. No Ising
+// dst's previous program produced may still be in use: they share it.
+func CompileChannelInto(dst *ChannelProgram, mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 	nt := h.Cols
 	u := spinWeights(mod)
 	nb := mod.BitsPerDim()
@@ -56,7 +63,8 @@ func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 	*buf = append((*buf)[:0], make([]float64, dims*nt*nt)...)
 	reG, imG := (*buf)[:nt*nt], (*buf)[nt*nt:] // Im(G) only for a quadrature modulation
 	linalg.GramUpper(reG, imG, h)              // G = HᴴH, upper triangle
-	p := qubo.NewIsing(n)
+	p := &dst.template
+	p.Reset(n)
 
 	var u2 float64
 	for _, w := range u {
@@ -100,7 +108,8 @@ func CompileChannel(mod modulation.Modulation, h *linalg.Mat) *ChannelProgram {
 			}
 		}
 	}
-	return &ChannelProgram{Mod: mod, Nt: nt, N: n, h: h, u: u, template: p}
+	dst.Mod, dst.Nt, dst.N, dst.h, dst.u = mod, nt, n, h, u
+	return dst
 }
 
 // gramScratch pools CompileChannel's Gram accumulators.
@@ -113,7 +122,7 @@ func (cp *ChannelProgram) Channel() *linalg.Mat { return cp.h }
 // program (fields all zero) so embedding compilers can program the couplers
 // once per coherence window. Callers must not mutate it — every Ising this
 // program ever produced shares its coupling storage.
-func (cp *ChannelProgram) CouplingTemplate() *qubo.Ising { return cp.template }
+func (cp *ChannelProgram) CouplingTemplate() *qubo.Ising { return &cp.template }
 
 // Biases completes the compiled program for one received vector: it fills
 // the y-dependent linear fields f_i(H,y) and the ‖y‖² offset term around the

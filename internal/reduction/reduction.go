@@ -44,15 +44,13 @@ func NumVariables(mod modulation.Modulation, nt int) int {
 // spinWeights returns the per-dimension spin amplitude weights u_t: the
 // QuAMax transform per dimension is  Σ_t 2^{n−1−t}·s_t  in spin variables
 // (the constant cancels), e.g. {1} for BPSK/QPSK, {2,1} for 16-QAM,
-// {4,2,1} for 64-QAM.
+// {4,2,1} for 64-QAM. The slice is shared: callers must not mutate it.
 func spinWeights(mod modulation.Modulation) []float64 {
-	n := mod.BitsPerDim()
-	w := make([]float64, n)
-	for t := 0; t < n; t++ {
-		w[t] = float64(int(1) << (n - 1 - t))
-	}
-	return w
+	return spinWeightTable[mod.BitsPerDim()]
 }
+
+// spinWeightTable holds spinWeights by bits per dimension.
+var spinWeightTable = [...][]float64{1: {1}, 2: {2, 1}, 3: {4, 2, 1}}
 
 // transformMatrix returns (A, b) with e = A·q + b: the complex linear map
 // from the N QUBO variables to the Nt candidate symbols under the QuAMax

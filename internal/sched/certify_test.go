@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"quamax/internal/detector"
 	"quamax/internal/health"
 	"quamax/internal/qos"
+	"quamax/internal/rng"
 	"quamax/internal/router"
 	"quamax/internal/telemetry"
 )
@@ -164,5 +166,103 @@ func TestCertifiedDispatchAllocs(t *testing.T) {
 	dispatch()
 	if allocs := testing.AllocsPerRun(200, dispatch); allocs > 2 {
 		t.Fatalf("certified dispatch allocates %.2f objects, want ≤ 2", allocs)
+	}
+}
+
+// echoBackend answers after delay with a Result of its own, the one object
+// a queued dispatch through it must allocate, whose Energy is the problem's
+// first sample.
+type echoBackend struct {
+	caps  backend.Capabilities
+	delay time.Duration
+}
+
+func (e *echoBackend) Describe() *backend.Capabilities { return &e.caps }
+func (e *echoBackend) Solve(_ context.Context, p *backend.Problem, _ *rng.Source) (*backend.Result, error) {
+	if e.delay > 0 {
+		time.Sleep(e.delay)
+	}
+	return &backend.Result{Backend: e.caps.Name, Energy: real(p.Y[0])}, nil
+}
+
+// A queued dispatch allocates nothing of the scheduler's in steady state: its
+// job comes from the free list with its done channel, the queue keeps its
+// backing array, and a batch of one returns its result in the worker's own
+// slice. Only the backend's Result is new.
+func TestQueuedDispatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	be := &echoBackend{caps: backend.Capabilities{Name: "echo", Latency: func(*backend.Problem) float64 { return 1 }}}
+	s, err := New(Config{Pool: []backend.Backend{be}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p := noisyProblems(t, 1, 1)[0][0]
+	dispatch := func() {
+		if res, err := s.Dispatch(context.Background(), p, time.Hour); err != nil || res.Backend != "echo" {
+			t.Fatalf("dispatch: %+v, %v; want the echo's answer", res, err)
+		}
+	}
+	dispatch()
+	if allocs := testing.AllocsPerRun(200, dispatch); allocs > 1 {
+		t.Fatalf("a queued dispatch allocates %.2f objects, want ≤ 1 (the backend's Result)", allocs)
+	}
+}
+
+// Queued jobs are reused, and a job goes back to the free list only when both
+// sides are through with it: many goroutines dispatch through two slow
+// workers while a third of them give up with their job still queued, so
+// Dispatch frees some jobs and the workers free the abandoned ones. Every
+// answer is its own problem's, every give-up reports its context, and the
+// counters reconcile. CI runs this under -race -count=10.
+func TestQueuedJobsReusedAcrossCancellation(t *testing.T) {
+	caps := backend.Capabilities{Name: "echo", Latency: func(*backend.Problem) float64 { return 1 }}
+	s, err := New(Config{Pool: []backend.Backend{
+		&echoBackend{caps: caps, delay: 50 * time.Microsecond}, &echoBackend{caps: caps, delay: 50 * time.Microsecond},
+	}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, rounds = 16, 20
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				id := float64(g*rounds + r)
+				p := &backend.Problem{Y: []complex128{complex(id, 0)}}
+				ctx, cancel := context.WithCancel(context.Background())
+				if r%3 == 0 {
+					cancel()
+				}
+				res, err := s.Dispatch(ctx, p, time.Hour)
+				cancel()
+				switch {
+				case err != nil && !errors.Is(err, context.Canceled):
+					t.Errorf("caller %d round %d: %v", g, r, err)
+				case err == nil && res.Energy != id:
+					t.Errorf("caller %d round %d: the answer to problem %v", g, r, res.Energy)
+				case err != nil && r%3 != 0:
+					t.Errorf("caller %d round %d gave up uncancelled: %v", g, r, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Completed+st.Failed != callers*rounds || st.Submitted != callers*rounds {
+		t.Fatalf("submitted %d, completed %d, failed %d; want %d submitted, all ended", st.Submitted, st.Completed, st.Failed, callers*rounds)
+	}
+	// Every job made is back on the list, and no more were made than could
+	// be live at once: one per caller, plus those it abandoned to the queue.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if abandoned := (rounds + 2) / 3; len(s.free) == 0 || len(s.free) > callers*(1+abandoned) {
+		t.Fatalf("%d jobs made for %d callers of %d dispatches each", len(s.free), callers, rounds)
 	}
 }

@@ -81,6 +81,7 @@ import (
 	"quamax/internal/backend"
 	"quamax/internal/core"
 	"quamax/internal/health"
+	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
@@ -208,6 +209,7 @@ type Scheduler struct {
 	mu             sync.Mutex
 	cond           *sync.Cond
 	queue          []*job
+	free           []*job  // finished queued jobs, for Dispatch to reuse
 	queuedMicros   float64 // Σ estimate of queued jobs
 	inflightMicros float64 // Σ estimate of jobs being solved right now
 	closed         bool
@@ -279,7 +281,8 @@ const (
 )
 
 // job is one request from Dispatch entry to finish. Dispatch holds it by
-// value, and copies it to the heap only when it enters the queue.
+// value, and copies it into a job from the free list when it enters the
+// queue; Dispatch and the worker then each hold it until they release it.
 type job struct {
 	ctx      context.Context
 	p        *backend.Problem
@@ -287,7 +290,8 @@ type job struct {
 	entry    time.Time     // Dispatch entry: the deadline's origin and the trace's t0
 	deadline time.Time     // entry + d, the one deadline of both paths; zero = none
 	route    int           // set by admit
-	done     chan struct{} // routeQueue only: closed by finish once res/err are set
+	done     chan struct{} // queued jobs only (1-buffered): finish sends once res/err are set
+	holds    int           // queued jobs only, under s.mu: sides not yet through with it
 	res      *backend.Result
 	err      error
 
@@ -556,8 +560,8 @@ func (s *Scheduler) estimator(p *backend.Problem) *qos.SNREstimator {
 	if p.ChannelKey == 0 {
 		return qos.NewSNREstimator(p.Mod, p.H)
 	}
-	est, _, _ := s.snr.Get(p.ChannelKey, p.Mod, p.H, func() (*qos.SNREstimator, error) {
-		return qos.NewSNREstimator(p.Mod, p.H), nil // cannot fail: a singular H is reported by Estimate
+	est, _, _ := s.snr.Get(p.ChannelKey, p.Mod, p.H, false, func(h *linalg.Mat) (*qos.SNREstimator, error) {
+		return qos.NewSNREstimator(p.Mod, h), nil // cannot fail: a singular H is reported by Estimate
 	})
 	return est
 }
@@ -656,22 +660,56 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		s.mu.Unlock()
 		return s.runFallback(&j)
 	}
-	q := new(job)
-	*q = j
-	q.done = make(chan struct{})
+	q := s.queuedJobLocked(&j)
 	s.queue = append(s.queue, q)
 	s.queuedMicros += q.est
 	s.cond.Signal()
 	s.mu.Unlock()
 
+	var res *backend.Result
+	var err error
 	select {
 	case <-q.done:
-		return q.res, q.err
+		res, err = q.res, q.err
 	case <-ctx.Done():
 		// The job stays queued; the worker finishes it, as cancelled, when
 		// it surfaces.
-		return nil, ctx.Err()
+		err = ctx.Err()
 	}
+	s.mu.Lock()
+	s.releaseLocked(q)
+	s.mu.Unlock()
+	return res, err
+}
+
+// queuedJobLocked copies j into a job from the free list (a new one when it
+// is empty), held by Dispatch and the worker, under s.mu.
+func (s *Scheduler) queuedJobLocked(j *job) *job {
+	var q *job
+	if n := len(s.free); n > 0 {
+		q, s.free = s.free[n-1], s.free[:n-1]
+		j.done = q.done
+	} else {
+		q, j.done = new(job), make(chan struct{}, 1)
+	}
+	*q = *j
+	q.holds = 2
+	return q
+}
+
+// releaseLocked ends one side's hold on a queued job, under s.mu. The last
+// side returns it to the free list, dropping what it references and an
+// answer Dispatch gave up on.
+func (s *Scheduler) releaseLocked(q *job) {
+	if q.holds--; q.holds > 0 {
+		return
+	}
+	select {
+	case <-q.done:
+	default:
+	}
+	*q = job{done: q.done}
+	s.free = append(s.free, q)
 }
 
 // admitLocked is the one admission decision, under s.mu: the route j takes
@@ -826,7 +864,7 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 	if j.done != nil {
 		s.inflightMicros -= j.est
 		j.res, j.err = res, err
-		close(j.done)
+		j.done <- struct{}{}
 	}
 }
 
@@ -871,6 +909,7 @@ func (s *Scheduler) worker(idx int) {
 	src := s.splitSource()
 	ctr := s.counters[idx]
 	be := ctr.be
+	var one [1]*backend.Result // a batch of one's result (solve)
 	for {
 		if !s.gateWorker(idx, ctr, src) {
 			return
@@ -895,7 +934,9 @@ func (s *Scheduler) worker(idx int) {
 		// size runs a clique-embedding search, which must not stall
 		// admission and the other workers.
 		head := s.queue[0]
-		s.queue = s.queue[1:]
+		n := copy(s.queue, s.queue[1:]) // the backing array stays for the next append
+		s.queue[n] = nil                // the vacated slot must not pin a job
+		s.queue = s.queue[:n]
 		s.queuedMicros -= head.est
 		s.inflightMicros += head.est
 		s.mu.Unlock()
@@ -932,6 +973,7 @@ func (s *Scheduler) worker(idx int) {
 			if err := j.ctx.Err(); err != nil {
 				s.mu.Lock()
 				s.finish(j, nil, nil, err, time.Time{}, time.Time{}, 0)
+				s.releaseLocked(j)
 				s.mu.Unlock()
 				continue
 			}
@@ -942,7 +984,7 @@ func (s *Scheduler) worker(idx int) {
 		}
 
 		started := s.now()
-		results, err := s.solve(be, live, slots, src)
+		results, err := s.solve(be, live, slots, src, one[:])
 		solveEnd := s.now()
 
 		s.mu.Lock()
@@ -952,8 +994,10 @@ func (s *Scheduler) worker(idx int) {
 		}
 		for i, j := range live {
 			s.finish(j, ctr, results[i], err, started, solveEnd, len(live))
+			s.releaseLocked(j)
 		}
 		s.mu.Unlock()
+		one[0] = nil // the worker must not pin an answer
 	}
 }
 
@@ -1003,14 +1047,15 @@ func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
 	return batch
 }
 
-// solve runs one batch (possibly of size 1) on be and updates batching
-// counters. slots is the capacity the worker already resolved for this run.
-// A panic in the backend fails the whole batch with a *PanicError.
-func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source) (_ []*backend.Result, err error) {
+// solve runs one batch (possibly of size 1, whose result it returns in one,
+// the worker's) on be and updates batching counters. slots is the capacity
+// the worker already resolved for this run. A panic in the backend fails the
+// whole batch with a *PanicError.
+func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source, one []*backend.Result) (_ []*backend.Result, err error) {
 	defer containPanic(be, &err)
 	if len(batch) == 1 {
-		res, err := be.Solve(batch[0].ctx, batch[0].p, src)
-		return []*backend.Result{res}, err
+		one[0], err = be.Solve(batch[0].ctx, batch[0].p, src)
+		return one, err
 	}
 	bb := be.(backend.BatchBackend)
 	ps := make([]*backend.Problem, len(batch))
