@@ -298,6 +298,9 @@ func (m *Machine) RunSlots(sc *Scratch, slots []Slot, params Params, src *rng.So
 	clear(sc.waiting)
 	workers := max(1, min(m.Workers, pairs))
 	sc.reads = append(sc.reads, make([]deviceRead, max(0, workers-len(sc.reads)))...)
+	for w := range sc.reads[:workers] {
+		sc.reads[w].warm(slots)
+	}
 	sc.next.Store(0)
 	if sc.work == nil {
 		sc.work = sc.claim
@@ -475,6 +478,20 @@ type deviceRead struct {
 	src *rand.Rand // draws from pcg
 }
 
+// warm sizes the scratch for every slot of a run and makes its stream before
+// the run fans out. A worker claims no read at all when the others take them
+// first, so without this the first read it ever claims would allocate, and a
+// warm Scratch's allocations would depend on how its workers were scheduled.
+func (rd *deviceRead) warm(slots []Slot) {
+	for i := range slots {
+		rd.bind(slots[i].PP)
+	}
+	if rd.pcg == nil {
+		rd.pcg = new(rand.PCG)
+		rd.src = rand.New(rd.pcg)
+	}
+}
+
 // bind points the scratch at pp's adjacency and sizes its buffers.
 func (rd *deviceRead) bind(pp *PreparedProgram) {
 	k := &rd.k
@@ -494,10 +511,6 @@ func (rd *deviceRead) bind(pp *PreparedProgram) {
 // Uint64 and starts it from initial, or from a random state (the initial
 // superposition analog) when initial is nil.
 func (rd *deviceRead) begin(pp *PreparedProgram, h []float64, scale float64, ice ICEModel, initial []int8, seed uint64, a int) {
-	if rd.pcg == nil {
-		rd.pcg = new(rand.PCG)
-		rd.src = rand.New(rd.pcg)
-	}
 	rd.pcg.Seed(seed, mix64(uint64(a+1)*smixGamma))
 	k := &rd.k
 	for i, v := range h {

@@ -208,7 +208,7 @@ func checkDeviceRead(t *testing.T, m *Machine, prog *qubo.Sparse, improved bool,
 	t.Helper()
 	pp := m.PrepareProgram(prog, improved)
 	rd := new(deviceRead)
-	rd.bind(pp)
+	rd.warm([]Slot{{PP: pp}})
 	rd.begin(pp, prog.H, pp.scale(prog.H), m.ICE, initial, uint64(seed), 0)
 
 	pert := qubo.NewSparse(prog.N)

@@ -265,7 +265,7 @@ func TestDeviceReadsMatchReferenceChain(t *testing.T) {
 			pp := m.PrepareProgram(pr.prog, pr.improved)
 			scale := pp.scale(pr.prog.H)
 			rd, engStats := new(deviceRead), newStats()
-			rd.bind(pp)
+			rd.warm([]Slot{{PP: pp}})
 			sigma := func(i int32) float64 { return float64(rd.s.spins[i]) }
 			for a := 0; a < pr.anneals; a++ {
 				rd.begin(pp, pr.prog.H, scale, m.ICE, nil, 92, a)

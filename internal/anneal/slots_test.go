@@ -49,7 +49,7 @@ func serialReads(m *Machine, r slotRun, scale float64, params Params, seed int64
 	out := make([][][]int8, len(r.slots))
 	for i, sl := range r.slots {
 		var rd deviceRead
-		rd.bind(sl.PP)
+		rd.warm([]Slot{sl})
 		seed := src.Uint64()
 		for a := 0; a < params.NumAnneals; a++ {
 			spins := rd.read(sl.PP, sl.H, scale, m.ICE, nil, betas, seed, a)

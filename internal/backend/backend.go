@@ -91,6 +91,15 @@ type Problem struct {
 	// precode) rather than a noisy observation of a transmitted vector: its
 	// residual is the objective itself, so no noise radius applies.
 	Lattice bool
+	// Answer, when non-nil, lends the caller's storage for the answer. Only an
+	// answer built on Dispatch's own goroutine before it returns may use it —
+	// the certificate at admission (sched): it overwrites *Answer, appending
+	// its Bits and LLRs to the capacity Answer's own hold (a hard answer's
+	// LLRs left empty), and returns Answer. A queued or fallback solve
+	// allocates its own Result, since Dispatch returns on cancellation while
+	// such a solve may still run. Backends ignore it, and it does not enter
+	// Batchable.
+	Answer *Result
 }
 
 // Users returns the transmitter count Nt.
@@ -120,7 +129,7 @@ type Result struct {
 	Batched int
 	// LLRs are the per-bit log-likelihood ratios of a soft decode
 	// (Problem.Soft; positive favors bit 1 — the internal/softout
-	// convention); nil on hard decodes.
+	// convention); empty on hard decodes.
 	LLRs []float64
 	// LLRSaturated counts the LLR entries that hit the clamp (soft decodes
 	// only) — aggregated into metrics.PoolStats.LLRSaturations.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -46,6 +47,9 @@ func TestDecodeAllocations(t *testing.T) {
 		}
 		src := rng.New(1)
 		measure := func(na int, reqs ...Request) float64 {
+			// A collection mid-measurement would empty the pooled scratch and
+			// count its rebuild, so none runs while the decodes are counted.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			return testing.AllocsPerRun(10, func() {
 				var err error
 				if len(reqs) == 1 {

@@ -11,60 +11,6 @@ import (
 	"quamax/internal/rng"
 )
 
-func TestSICNoiseFree(t *testing.T) {
-	src := rng.New(151)
-	for _, mod := range []modulation.Modulation{modulation.BPSK, modulation.QPSK, modulation.QAM16} {
-		h, y, bits, _ := instance(src, mod, 4, 6, math.Inf(1))
-		res, err := SIC(mod, h, y, 0.01)
-		if err != nil {
-			t.Fatalf("%v: %v", mod, err)
-		}
-		if bitErrors(bits, res.Bits) != 0 {
-			t.Fatalf("%v: SIC failed noise-free", mod)
-		}
-	}
-}
-
-// SIC must beat plain MMSE on square channels at moderate SNR (cancellation
-// gain) while remaining below ML.
-func TestSICBetweenMMSEAndML(t *testing.T) {
-	src := rng.New(152)
-	var sicErrs, mmseErrs, mlErrs, total int
-	for trial := 0; trial < 60; trial++ {
-		h, y, bits, nv := instance(src, modulation.BPSK, 8, 8, 12)
-		sic, err := SIC(modulation.BPSK, h, y, nv)
-		if err != nil {
-			continue
-		}
-		mmse, err := MMSE(modulation.BPSK, h, y, nv)
-		if err != nil {
-			continue
-		}
-		ml, err := SphereDecode(modulation.BPSK, h, y, SphereOptions{})
-		if err != nil {
-			continue
-		}
-		sicErrs += bitErrors(bits, sic.Bits)
-		mmseErrs += bitErrors(bits, mmse.Bits)
-		mlErrs += bitErrors(bits, ml.Bits)
-		total += len(bits)
-	}
-	if sicErrs >= mmseErrs {
-		t.Fatalf("SIC (%d/%d) should beat MMSE (%d/%d)", sicErrs, total, mmseErrs, total)
-	}
-	if mlErrs > sicErrs {
-		t.Logf("note: ML %d vs SIC %d (ML should win or tie)", mlErrs, sicErrs)
-	}
-}
-
-func TestSICValidation(t *testing.T) {
-	src := rng.New(153)
-	h, y, _, _ := instance(src, modulation.BPSK, 2, 2, 10)
-	if _, err := SIC(modulation.BPSK, h, y, -1); err == nil {
-		t.Fatal("negative noise accepted")
-	}
-}
-
 func TestClassicalSADecodesNoiseFree(t *testing.T) {
 	src := rng.New(154)
 	sa := NewClassicalSA(200, 20)

@@ -497,7 +497,7 @@ func checkSoftCertificate(t testing.TB, mod modulation.Modulation, h *linalg.Mat
 		if math.Abs(c.Metric-ml) > 1e-9*ml+1e-12 {
 			t.Fatalf("%v %d×%d, %+v: decision %v at %v; exhaustive ML metric %v", mod, h.Rows, h.Cols, spec, c.Symbols, c.Metric, ml)
 		}
-		got, gotSat := softout.FromGaps(mod.DemapGrayVector(c.Symbols), c.Gaps, spec)
+		got, gotSat := softout.AppendFromGaps(nil, mod.DemapGrayVector(c.Symbols), c.Gaps, spec)
 		scale := 1.0
 		if spec.NoiseVar > 0 {
 			scale /= spec.NoiseVar

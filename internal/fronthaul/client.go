@@ -37,6 +37,22 @@ func (e *ResponseIDError) Error() string {
 	return fmt.Sprintf("fronthaul: response frame type %d carries unknown request ID %d", e.MsgType, e.ID)
 }
 
+// RemoteError is a solve request the data center answered with an error: a
+// refusal (a stale channel handle, a shed, a bad argument) or a failed solve.
+// Its text is the one error value of the answer, made once when the answer is
+// decoded.
+type RemoteError struct {
+	text string // remoteFailed + the data center's message
+}
+
+// remoteFailed prefixes every RemoteError's text.
+const remoteFailed = "fronthaul: remote decode failed: "
+
+func (e *RemoteError) Error() string { return e.text }
+
+// Msg returns the data center's message, as the answer carried it.
+func (e *RemoteError) Msg() string { return e.text[len(remoteFailed):] }
+
 // Client is the AP side of the fronthaul. It is safe for concurrent use:
 // requests are pipelined on one connection and matched to responses by ID,
 // so every OFDM subcarrier can be decoded in flight simultaneously. The
@@ -58,15 +74,24 @@ type Client struct {
 }
 
 // call is one in-flight pipelined request: the frame type that may answer
-// it, the storage its answer is decoded into, and the channel closed once
-// the answer — or the connection's terminal error, in err — is there.
+// it, the storage its answer is decoded into, and the wait group done once
+// the answer — or the connection's terminal error, in err — is there. A
+// solve's call is its answer: the blocking calls return &resp, so a call is
+// never reused, and the served shapes' bits and LLRs fit its own arrays.
 type call struct {
 	respType uint8
-	done     chan struct{}
+	done     sync.WaitGroup
 	err      error
 	resp     DecodeResponse // a solve's answer
 	reply    any            // a registration's or stats poll's answer
+	bits     [inlineBits]byte
+	llr8     [inlineBits]int8
 }
+
+// inlineBits sizes a call's answer arrays for the served shapes: 8×8 QPSK
+// answers 16 bits and 48×48 BPSK 48. Only a larger answer allocates its own
+// Bits and LLR8.
+const inlineBits = 48
 
 // NewClient wraps an established connection and starts the response reader.
 func NewClient(conn net.Conn) *Client {
@@ -138,7 +163,7 @@ func (c *Client) readLoop() {
 		}
 		switch msgType {
 		case msgDecodeResponse:
-			err = k.resp.decode(payload, &c.names)
+			err = k.resp.decode(payload, &c.names, k.bits[:0], k.llr8[:0])
 		case msgRegisterResponse:
 			k.reply, err = decodeRegisterResponse(payload)
 		default:
@@ -146,10 +171,10 @@ func (c *Client) readLoop() {
 		}
 		if err != nil {
 			k.err = c.fail(err)
-			close(k.done)
+			k.done.Done()
 			return
 		}
-		close(k.done)
+		k.done.Done()
 	}
 }
 
@@ -165,7 +190,7 @@ func (c *Client) fail(err error) error {
 	for id, k := range c.pending {
 		delete(c.pending, id)
 		k.err = c.closed
-		close(k.done)
+		k.done.Done()
 	}
 	return c.closed
 }
@@ -178,7 +203,7 @@ func (c *Client) fail(err error) error {
 // the caller's error alone; a failed Write may have left part of a frame on
 // the wire, so it fails the whole client.
 func (c *Client) submit(k *call, encode func(buf []byte, id uint64) ([]byte, error)) error {
-	k.done = make(chan struct{})
+	k.done.Add(1)
 	c.mu.Lock()
 	if c.closed != nil {
 		c.mu.Unlock()
@@ -215,16 +240,16 @@ func (c *Client) submit(k *call, encode func(buf []byte, id uint64) ([]byte, err
 // terminal error if it died (or Close drained the call) first. Callers check
 // their response's Err field afterward.
 func (k *call) await() error {
-	<-k.done
+	k.done.Wait()
 	return k.err
 }
 
 // DecodeCall is one in-flight pipelined solve request, returned by the
 // Submit* methods. Await blocks until the matched response arrives —
 // responses return out of order, so many calls may be awaited in any order —
-// and converts a remote error string into a Go error exactly like the
-// blocking calls. Await must be called exactly once per call. (It is the
-// call itself under its public name, not a wrapper around one.)
+// and converts a remote error into a *RemoteError exactly like the blocking
+// calls. Await must be called exactly once per call. (It is the call itself
+// under its public name, not a wrapper around one.)
 type DecodeCall call
 
 // Await blocks for the solve response.
@@ -233,18 +258,18 @@ func (dc *DecodeCall) Await() (*DecodeResponse, error) {
 		return nil, err
 	}
 	if dc.resp.Err != "" {
-		return nil, fmt.Errorf("fronthaul: remote decode failed: %s", dc.resp.Err)
+		return nil, &dc.resp.remote
 	}
 	return &dc.resp, nil
 }
 
-// solve ships one solve request with its QoS contract filled in and returns
-// the in-flight handle; every Decode*, DecodeSoft* and Precode* method is a
-// filler of req over this one path. deadline ≤ 0 and targetBER ≤ 0 each
-// select the server default (the deadline is bounded by MaxDeadlineMicros);
-// targetBER ≥ 1 or NaN is a local argument error, as is anything else the
-// server would refuse as a bad request (encodeRequest).
-func (c *Client) solve(req *Request, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
+// solve ships one solve request with its QoS contract filled in, answered
+// into k, and returns the in-flight handle; every Decode*, DecodeSoft* and
+// Precode* method is a filler of req over this one path. deadline ≤ 0 and
+// targetBER ≤ 0 each select the server default (the deadline is bounded by
+// MaxDeadlineMicros); targetBER ≥ 1 or NaN is a local argument error, as is
+// anything else the server would refuse as a bad request (encodeRequest).
+func (c *Client) solve(k *call, req *Request, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
 	if targetBER >= 1 || math.IsNaN(targetBER) {
 		return nil, fmt.Errorf("fronthaul: target BER %g outside [0,1)", targetBER)
 	}
@@ -252,7 +277,7 @@ func (c *Client) solve(req *Request, deadline time.Duration, targetBER float64) 
 		req.DeadlineMicros = math.Min(float64(deadline)/float64(time.Microsecond), MaxDeadlineMicros)
 	}
 	req.TargetBER = math.Max(targetBER, 0)
-	k := &call{respType: msgDecodeResponse}
+	k.respType = msgDecodeResponse
 	if err := c.submit(k, func(buf []byte, id uint64) ([]byte, error) {
 		req.ID = id
 		return frameRequest(buf, req)
@@ -263,7 +288,7 @@ func (c *Client) solve(req *Request, deadline time.Duration, targetBER float64) 
 }
 
 // solveOn is solve against a registered channel.
-func (c *Client) solveOn(rc *RemoteChannel, req *Request, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
+func (c *Client) solveOn(k *call, rc *RemoteChannel, req *Request, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
 	if rc == nil || rc.c != c {
 		return nil, errors.New("fronthaul: channel not registered on this client")
 	}
@@ -271,7 +296,7 @@ func (c *Client) solveOn(rc *RemoteChannel, req *Request, deadline time.Duration
 		return nil, fmt.Errorf("fronthaul: vector has %d entries, channel has %d rows", len(req.Vec), rc.rows)
 	}
 	req.Handle = rc.handle
-	return c.solve(req, deadline, targetBER)
+	return c.solve(k, req, deadline, targetBER)
 }
 
 // Decode ships one channel use to the data center and waits for the decoded
@@ -303,7 +328,7 @@ func awaitCall(dc *DecodeCall, err error) (*DecodeResponse, error) {
 // wire when SubmitDecodeQoS returns, so an AP can keep a window of many
 // decodes in flight on one connection and Await them as responses arrive.
 func (c *Client) SubmitDecodeQoS(mod modulation.Modulation, h *linalg.Mat, y []complex128, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
-	return c.solve(&Request{Mod: mod, H: h, Vec: y}, deadline, targetBER)
+	return c.solve(new(call), &Request{Mod: mod, H: h, Vec: y}, deadline, targetBER)
 }
 
 // RemoteChannel is a channel registered with the data center for a coherence
@@ -356,7 +381,7 @@ func (c *Client) DecodeWithChannel(rc *RemoteChannel, y []complex128, deadline t
 // concurrently and the data center's coherence-aware batching sees them all
 // at once instead of one per round trip.
 func (c *Client) SubmitDecodeWithChannel(rc *RemoteChannel, y []complex128, deadline time.Duration, targetBER float64) (*DecodeCall, error) {
-	return c.solveOn(rc, &Request{Vec: y}, deadline, targetBER)
+	return c.solveOn(new(call), rc, &Request{Vec: y}, deadline, targetBER)
 }
 
 // PrecodeResponse is one solved downlink vector-perturbation search.
@@ -375,10 +400,23 @@ type PrecodeResponse struct {
 	Batched       int
 }
 
-// precodeResponse awaits a precode's solve response and converts it into a
+// precodeCall is a precode's call with the storage its answer is converted
+// into: like a solve's call it is the answer, and the served shapes'
+// perturbations fit its own array.
+type precodeCall struct {
+	call
+	pre PrecodeResponse
+	v   [inlineUsers]complex128
+}
+
+// inlineUsers sizes a precodeCall's perturbation array for the served shape,
+// 8 users; only a larger precode allocates its own V.
+const inlineUsers = 8
+
+// precodeResponse awaits a precode's solve response and converts it into pc's
 // PrecodeResponse, inferring the perturbation alphabet the server used from
 // the solution bit count (users · 2 · bits).
-func precodeResponse(users int, dc *DecodeCall, err error) (*PrecodeResponse, error) {
+func precodeResponse(users int, pc *precodeCall, dc *DecodeCall, err error) (*PrecodeResponse, error) {
 	resp, err := awaitCall(dc, err)
 	if err != nil {
 		return nil, err
@@ -390,14 +428,15 @@ func precodeResponse(users int, dc *DecodeCall, err error) (*PrecodeResponse, er
 	if err != nil {
 		return nil, fmt.Errorf("fronthaul: precode response alphabet: %w", err)
 	}
-	return &PrecodeResponse{
-		V:             precoding.PerturbationFromGrayBits(pam, resp.Bits),
+	pc.pre = PrecodeResponse{
+		V:             precoding.AppendPerturbationFromGrayBits(pc.v[:0], pam, resp.Bits),
 		PerturbMod:    pam,
 		Energy:        resp.Energy,
 		ComputeMicros: resp.ComputeMicros,
 		Backend:       resp.Backend,
 		Batched:       resp.Batched,
-	}, nil
+	}
+	return &pc.pre, nil
 }
 
 // Precode ships one downlink vector-perturbation search to the data center:
@@ -407,8 +446,9 @@ func precodeResponse(users int, dc *DecodeCall, err error) (*PrecodeResponse, er
 // usual QoS contract. The caller forms the transmit vector from the returned
 // perturbation (precoding.Program.Transmit).
 func (c *Client) Precode(mod modulation.Modulation, h *linalg.Mat, s []complex128, perturbBits int, deadline time.Duration, targetBER float64) (*PrecodeResponse, error) {
-	dc, err := c.solve(&Request{Mod: mod, H: h, Vec: s, Precode: true, PerturbBits: perturbBits}, deadline, targetBER)
-	return precodeResponse(len(s), dc, err)
+	pc := new(precodeCall)
+	dc, err := c.solve(&pc.call, &Request{Mod: mod, H: h, Vec: s, Precode: true, PerturbBits: perturbBits}, deadline, targetBER)
+	return precodeResponse(len(s), pc, dc, err)
 }
 
 // PrecodeWithChannel is Precode against a registered channel (the downlink
@@ -416,8 +456,9 @@ func (c *Client) Precode(mod modulation.Modulation, h *linalg.Mat, s []complex12
 // symbol vector is an O(Nu) frame the data center precodes through its
 // compiled VP program.
 func (c *Client) PrecodeWithChannel(rc *RemoteChannel, s []complex128, perturbBits int, deadline time.Duration, targetBER float64) (*PrecodeResponse, error) {
-	dc, err := c.solveOn(rc, &Request{Vec: s, Precode: true, PerturbBits: perturbBits}, deadline, targetBER)
-	return precodeResponse(len(s), dc, err)
+	pc := new(precodeCall)
+	dc, err := c.solveOn(&pc.call, rc, &Request{Vec: s, Precode: true, PerturbBits: perturbBits}, deadline, targetBER)
+	return precodeResponse(len(s), pc, dc, err)
 }
 
 // SoftQoS is the per-request contract of a soft decode: the LLR scaling and
@@ -446,7 +487,7 @@ func (r *DecodeResponse) LLRs() []float64 {
 // fronthaul as int8 at the response's clamp scale; use DecodeResponse.LLRs
 // to recover float values for the FEC layer.
 func (c *Client) DecodeSoft(mod modulation.Modulation, h *linalg.Mat, y []complex128, q SoftQoS) (*DecodeResponse, error) {
-	return awaitCall(c.solve(&Request{Mod: mod, H: h, Vec: y,
+	return awaitCall(c.solve(new(call), &Request{Mod: mod, H: h, Vec: y,
 		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER))
 }
 
@@ -455,7 +496,7 @@ func (c *Client) DecodeSoft(mod modulation.Modulation, h *linalg.Mat, y []comple
 // symbol an O(Nr) frame tagged with the channel's fingerprint for
 // coherence-aware batching — exactly like DecodeWithChannel, soft.
 func (c *Client) DecodeSoftWithChannel(rc *RemoteChannel, y []complex128, q SoftQoS) (*DecodeResponse, error) {
-	return awaitCall(c.solveOn(rc, &Request{Vec: y,
+	return awaitCall(c.solveOn(new(call), rc, &Request{Vec: y,
 		Soft: true, NoiseVar: q.NoiseVar, LLRClamp: q.LLRClamp}, q.Deadline, q.TargetBER))
 }
 

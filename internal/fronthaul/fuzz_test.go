@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"net"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -157,6 +159,11 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		frame(msgDecodeResponse, softResp[:len(softResp)-2], nil),
 		frame(msgDecodeResponse, emptyLLR, nil),
 	)
+	// Answers that fill a client call's inline arrays exactly, and that
+	// overflow them by one and by a multiple.
+	for _, n := range []int{inlineBits, inlineBits + 1, 3 * inlineBits} {
+		seeds = append(seeds, frame(msgDecodeResponse, encodeResponse(sizedResponse(20, n, true)), nil))
+	}
 
 	// The stats grammar: the poll, a full sample set, a pool-only one, and a
 	// telemetry snapshot whose histograms are all empty.
@@ -252,8 +259,16 @@ func FuzzDecodeFrame(f *testing.F) {
 				canonical(encodeRequest(req))
 			}
 		case msgDecodeResponse:
-			if resp, err := decodeResponse(payload); err == nil {
+			resp, err := decodeResponse(payload)
+			if err == nil {
 				canonical(encodeResponse(resp), nil)
+			}
+			// Decoded into a client call's inline arrays, as the demux does,
+			// the answer is the same whether it fits them or overflows them.
+			var k call
+			if inErr := k.resp.decode(payload, new(backendNames), k.bits[:0], k.llr8[:0]); (inErr == nil) != (err == nil) ||
+				err == nil && !reflect.DeepEqual(&k.resp, resp) {
+				t.Fatalf("decoding into a call's arrays: %v, fresh storage: %v", inErr, err)
 			}
 		case msgRegisterChannel:
 			if req, err := decodeRegisterChannel(payload); err == nil {
@@ -291,18 +306,23 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzClientDemux drives a live Client's per-connection demux with a
 // fuzz-chosen response script: each script byte answers one request ID in
 // [0,5), so responses arrive out of order, duplicated (an already-answered
-// ID), or for requests never issued. The invariants: no delivery may panic
+// ID), or for requests never issued, with an answer size it also picks (b/5
+// mod 4: 2 bits, a call's inline arrays filled, overflowed by one, or by a
+// multiple; with LLRs when b/20 is odd). The invariants: no delivery may panic
 // or wedge, an unmatched ID must tear the connection down with the typed
-// *ResponseIDError, and every in-flight call must return — a matched
-// response, the ID error, or the teardown tag — once the peer goes away.
+// *ResponseIDError, every in-flight call must return — a matched response, the
+// ID error, or the teardown tag — once the peer goes away, and a matched
+// response is the one its first delivery carried.
 func FuzzClientDemux(f *testing.F) {
-	f.Add([]byte{1, 2, 3}) // in order
-	f.Add([]byte{3, 1, 2}) // out of order, all matched
-	f.Add([]byte{2})       // partial delivery, then peer close
-	f.Add([]byte{1, 1, 2}) // duplicate ID: second delivery collides
-	f.Add([]byte{0})       // ID never allocated by this client
-	f.Add([]byte{4, 1})    // ID above every issued request
-	f.Add([]byte{})        // peer closes without answering
+	f.Add([]byte{1, 2, 3})       // in order
+	f.Add([]byte{3, 1, 2})       // out of order, all matched
+	f.Add([]byte{2})             // partial delivery, then peer close
+	f.Add([]byte{1, 1, 2})       // duplicate ID: second delivery collides
+	f.Add([]byte{0})             // ID never allocated by this client
+	f.Add([]byte{4, 1})          // ID above every issued request
+	f.Add([]byte{})              // peer closes without answering
+	f.Add([]byte{6, 12, 18})     // inline-sized, overflowing by one, by a multiple
+	f.Add([]byte{26, 37, 33, 1}) // the same with LLRs, then ID 1 again (collides)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		h := linalg.MatFromRows([][]complex128{{1, 0}, {0, 1}})
 		y := []complex128{1, -1}
@@ -327,10 +347,17 @@ func FuzzClientDemux(f *testing.F) {
 			}
 			calls = append(calls, dc)
 		}
+		sized := func(b byte) *DecodeResponse {
+			n := []int{2, inlineBits, inlineBits + 1, 3 * inlineBits}[b/5%4]
+			return sizedResponse(uint64(b%5), n, b/20%2 == 1)
+		}
+		first := map[uint64]*DecodeResponse{}
 		for _, b := range script {
 			id := uint64(b % 5)
-			err := writeFrame(srvConn, msgDecodeResponse,
-				encodeResponse(&DecodeResponse{ID: id, Bits: []byte{1, 0}}))
+			if first[id] == nil {
+				first[id] = sized(b)
+			}
+			err := writeFrame(srvConn, msgDecodeResponse, encodeResponse(sized(b)))
 			if err != nil {
 				// The demux tore the connection down mid-script (collision);
 				// that is the expected path, not a failure.
@@ -341,8 +368,9 @@ func FuzzClientDemux(f *testing.F) {
 		for i, dc := range calls {
 			resp, err := dc.Await()
 			if err == nil {
-				if resp == nil || len(resp.Bits) == 0 {
-					t.Fatalf("call %d delivered an empty response", i)
+				want := first[uint64(i+1)]
+				if want == nil || !bytes.Equal(resp.Bits, want.Bits) || !slices.Equal(resp.LLR8, want.LLR8) {
+					t.Fatalf("call %d delivered %d bits and %d LLRs, not its first answer", i, len(resp.Bits), len(resp.LLR8))
 				}
 				continue
 			}
@@ -364,6 +392,22 @@ func FuzzClientDemux(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sizedResponse is a response to id with n bits and, when soft, n LLRs, a
+// pattern that tells the entries apart.
+func sizedResponse(id uint64, n int, soft bool) *DecodeResponse {
+	resp := &DecodeResponse{ID: id, Bits: make([]byte, n), Backend: "qpu0"}
+	for i := range resp.Bits {
+		resp.Bits[i] = byte(i % 2)
+	}
+	if soft {
+		resp.Clamp, resp.LLR8 = 8, make([]int8, n)
+		for i := range resp.LLR8 {
+			resp.LLR8[i] = int8(i%200 - 100)
+		}
+	}
+	return resp
 }
 
 // duplicated reports whether id is answered more than once by script.

@@ -138,7 +138,7 @@ type Request struct {
 	// Precode selects the downlink vector-perturbation search; PerturbBits is
 	// its alphabet depth per dimension (0 = server default). The response's
 	// Bits are then the Gray solution bits of the perturbation constellation
-	// (precoding.PerturbationFromGrayBits decodes them) and Energy is the
+	// (precoding.AppendPerturbationFromGrayBits decodes them) and Energy is the
 	// minimized transmit power γ = ‖P(s+τv)‖².
 	Precode     bool
 	PerturbBits int
@@ -185,6 +185,8 @@ type DecodeResponse struct {
 	Clamp float64
 	// Saturated counts the LLR entries that hit the clamp server-side.
 	Saturated int
+
+	remote RemoteError // Err as an error: a decoded error answer's (Await)
 }
 
 // RegisterChannelRequest registers one estimated channel for a coherence
@@ -629,6 +631,25 @@ func frameResponse(buf []byte, resp *DecodeResponse) []byte {
 	b := newFrame(buf, 8+2+len(resp.Err)+4+len(resp.Bits)+16+2+len(resp.Backend)+2+1+16+len(resp.LLR8))
 	b = appendU64(b, resp.ID)
 	b = appendStr16(b, resp.Err)
+	return appendAnswer(b, resp)
+}
+
+// frameRefusal frames an error answer to request id, in buf's storage, with
+// the text that text appends written straight into the frame (clipped like
+// appendStr16's): a refusal builds no string. Its bytes are frameResponse's
+// for DecodeResponse{ID: id, Err: that text}.
+func frameRefusal(buf []byte, id uint64, text func(b []byte) []byte) []byte {
+	b := appendU64(newFrame(buf, 8+2+64+4+16+2+2+1), id)
+	at := len(b) + 2
+	b = text(appendU16(b, 0))
+	b = b[:min(len(b), at+math.MaxUint16)]
+	binary.LittleEndian.PutUint16(b[at-2:], uint16(len(b)-at))
+	return appendAnswer(b, &DecodeResponse{})
+}
+
+// appendAnswer appends what follows a solve response's error text and seals
+// the frame.
+func appendAnswer(b []byte, resp *DecodeResponse) []byte {
 	b = appendU32(b, uint32(len(resp.Bits)))
 	b = append(b, resp.Bits...)
 	b = appendF64(b, resp.Energy)
@@ -649,17 +670,21 @@ func frameResponse(buf []byte, resp *DecodeResponse) []byte {
 }
 
 // decode parses a solve response into resp, overwriting every field, with
-// the backend name interned in names. The clamp of an LLR
-// block must be finite and non-negative so dequantization is well defined,
-// and the block must hold at least one LLR (an empty one would re-encode
-// without its flag).
-func (resp *DecodeResponse) decode(payload []byte, names *backendNames) error {
+// the backend name interned in names and the bits and LLRs appended to bits
+// and llr8 (nil for fresh storage). An error text is made once, as its
+// RemoteError's, and Err is its tail. The clamp of an LLR block must be
+// finite and non-negative so dequantization is well defined, and the block
+// must hold at least one LLR (an empty one would re-encode without its flag).
+func (resp *DecodeResponse) decode(payload []byte, names *backendNames, bits []byte, llr8 []int8) error {
 	r := &reader{b: payload}
 	*resp = DecodeResponse{ID: r.u64()}
-	errLen := int(r.u16())
-	resp.Err = string(r.bytes(errLen))
-	bitLen := int(r.u32())
-	resp.Bits = append([]byte(nil), r.bytes(bitLen)...)
+	if msg := r.bytes(int(r.u16())); len(msg) > 0 {
+		resp.remote.text = remoteFailed + string(msg)
+		resp.Err = resp.remote.Msg()
+	}
+	if raw := r.bytes(int(r.u32())); len(raw) > 0 {
+		resp.Bits = append(bits, raw...)
+	}
 	resp.Energy = r.f64()
 	resp.ComputeMicros = r.f64()
 	backendLen := int(r.u16())
@@ -676,10 +701,11 @@ func (resp *DecodeResponse) decode(payload []byte, names *backendNames) error {
 		if r.err == nil && len(raw) == 0 {
 			return errors.New("fronthaul: empty LLR block in response")
 		}
-		resp.LLR8 = make([]int8, len(raw))
-		for i, v := range raw {
-			resp.LLR8[i] = int8(v)
+		llr8 = slices.Grow(llr8, len(raw))
+		for _, v := range raw {
+			llr8 = append(llr8, int8(v))
 		}
+		resp.LLR8 = llr8
 	}
 	if r.err != nil {
 		return r.err

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -139,20 +140,24 @@ const writeBuffer = 16 << 10
 // slot is one request in service on a connection, which owns at most its
 // pipeline depth of them, each made on first need with a goroutine to run
 // it: the request with its vector and inline H, its channel, the problem
-// dispatched and the response frame, all reused. The read loop decodes into
-// an idle slot and hands it to a goroutine on work; that goroutine dispatches
-// and frames the answer; the writer hands the slot back on idle once the
-// frame is buffered. So a slot is reused only after its Dispatch returned on
-// a live connection: one that returned on cancellation may leave its job
-// queued below, still reading the problem, but the context is cancelled only
-// once the read loop is gone.
+// dispatched with a precode's target, the answer storage the problem lends
+// (backend.Problem.Answer) and the response frame, all reused. The read loop
+// decodes into an idle slot and hands it to a goroutine on work; that
+// goroutine dispatches and frames the answer; the writer hands the slot back
+// on idle once the frame is buffered. So a slot is reused only after its
+// Dispatch returned on a live connection, and its answer was framed before
+// that: one that returned on cancellation may leave its job queued below,
+// still reading the problem, but the context is cancelled only once the read
+// loop is gone.
 type slot struct {
-	req   Request
-	h     linalg.Mat // an inline H's storage
-	ch    registeredChannel
-	p     backend.Problem
-	llr8  []int8
-	frame []byte
+	req    Request
+	h      linalg.Mat // an inline H's storage
+	ch     registeredChannel
+	p      backend.Problem
+	target []complex128 // a precode's target, p.Y's storage
+	answer backend.Result
+	llr8   []int8
+	frame  []byte
 }
 
 // writeLoop is the single goroutine that touches a connection's write side.
@@ -258,12 +263,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			if err = sl.req.decode(payload, &sl.h); err != nil {
 				break
 			}
-			var refusal string
-			if sl.ch, refusal = channelFor(channels, &sl.req); refusal == "" {
+			if sl.resolveChannel(channels) {
 				work <- sl
 				continue
 			}
-			sl.refuse(refusal)
 
 		case msgRegisterChannel:
 			var req *RegisterChannelRequest
@@ -304,22 +307,32 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// channelFor resolves the channel a solve request runs against: its inline H,
-// or the registered one its handle names. A stale handle or a wrong-length
-// vector is the request's own error — the refusal is answered and the
-// connection kept.
-func channelFor(channels map[uint64]registeredChannel, req *Request) (ch registeredChannel, refusal string) {
+// resolveChannel resolves the channel the slot's solve request runs against,
+// its inline H or the registered one its handle names, and reports whether it
+// did. A stale handle or a wrong-length vector is the request's own error:
+// the refusal is framed into the slot, its text written straight into the
+// frame, and the connection kept.
+func (sl *slot) resolveChannel(channels map[uint64]registeredChannel) bool {
+	req := &sl.req
 	if req.H != nil {
-		return registeredChannel{mod: req.Mod, h: req.H}, ""
+		sl.ch = registeredChannel{mod: req.Mod, h: req.H}
+		return true
 	}
 	ch, ok := channels[req.Handle]
 	switch {
 	case !ok:
-		refusal = fmt.Sprintf("unknown channel handle %d", req.Handle)
+		sl.frame = frameRefusal(sl.frame, req.ID, func(b []byte) []byte {
+			return strconv.AppendUint(append(b, "unknown channel handle "...), req.Handle, 10)
+		})
 	case len(req.Vec) != ch.h.Rows:
-		refusal = fmt.Sprintf("vector has %d entries, channel has %d rows", len(req.Vec), ch.h.Rows)
+		sl.frame = frameRefusal(sl.frame, req.ID, func(b []byte) []byte {
+			return fmt.Appendf(b, "vector has %d entries, channel has %d rows", len(req.Vec), ch.h.Rows)
+		})
+	default:
+		sl.ch = ch
+		return true
 	}
-	return ch, refusal
+	return false
 }
 
 // statsFrame answers one stats poll with the assembled sample set.
@@ -372,7 +385,9 @@ func (s *Server) softClamp(reqClamp float64) float64 {
 // with a different (H, y): the compiled VP program substitutes its equivalent
 // uplink channel and target. Program resolution (O(Nu³) channel inversion on
 // a cache miss) runs here, on the slot's goroutine, so it cannot
-// head-of-line-block pipelined frames.
+// head-of-line-block pipelined frames. The problem lends the slot's answer
+// storage, which a certified answer lands in and is framed from before the
+// slot can be reused.
 func (s *Server) process(ctx context.Context, sl *slot) {
 	req, ch, p := &sl.req, sl.ch, &sl.p
 	switch {
@@ -388,7 +403,8 @@ func (s *Server) process(ctx context.Context, sl *slot) {
 			sl.refuse(err.Error())
 			return
 		}
-		p = prog.Problem(req.Vec)
+		prog.ProblemInto(p, req.Vec, sl.target)
+		sl.target = p.Y
 	case req.Soft && s.DisableSoft:
 		sl.refuse("soft decode disabled by server configuration")
 		return
@@ -399,6 +415,7 @@ func (s *Server) process(ctx context.Context, sl *slot) {
 		}
 	}
 	p.TargetBER = req.TargetBER
+	p.Answer = &sl.answer
 
 	start := time.Now()
 	res, err := s.disp.Dispatch(ctx, p, time.Duration(req.DeadlineMicros*float64(time.Microsecond)))
@@ -423,5 +440,5 @@ func (s *Server) process(ctx context.Context, sl *slot) {
 
 // refuse frames an error answer to the slot's request.
 func (sl *slot) refuse(msg string) {
-	sl.frame = frameResponse(sl.frame, &DecodeResponse{ID: sl.req.ID, Err: msg})
+	sl.frame = frameRefusal(sl.frame, sl.req.ID, func(b []byte) []byte { return append(b, msg...) })
 }

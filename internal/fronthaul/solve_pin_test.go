@@ -49,7 +49,8 @@ func observe(resp any) (a solveAnswer) {
 // registered handle} and pins both ends of each: the exact problem and
 // deadline the dispatcher receives, and the exact answer the caller gets
 // back. It uses only the public client API, so it holds across any
-// re-framing of the wire underneath.
+// re-framing of the wire underneath. The problem always lends the server's
+// answer storage (backend.Problem.Answer); the pin compares the rest.
 func TestSolveShapesPinned(t *testing.T) {
 	const (
 		users    = 2
@@ -184,6 +185,10 @@ func TestSolveShapesPinned(t *testing.T) {
 			}
 			answer := observe(resp)
 			disp := <-got
+			if disp.p.Answer == nil {
+				t.Error("dispatcher received a problem that lends no answer storage")
+			}
+			disp.p.Answer = nil
 			if !reflect.DeepEqual(disp.p, row.want) {
 				t.Errorf("dispatcher received\n %+v\nwant\n %+v", disp.p, row.want)
 			}
@@ -197,7 +202,7 @@ func TestSolveShapesPinned(t *testing.T) {
 			switch {
 			case row.vp != nil:
 				want.PerturbMod = row.vp.PerturbMod()
-				want.V = precoding.PerturbationFromGrayBits(want.PerturbMod, res.Bits)
+				want.V = precoding.AppendPerturbationFromGrayBits(nil, want.PerturbMod, res.Bits)
 			case row.want.Soft:
 				want.Bits = res.Bits
 				want.Clamp = row.want.LLRClamp

@@ -36,7 +36,7 @@ func encodeResponse(resp *DecodeResponse) []byte { return frameResponse(nil, res
 
 func decodeResponse(payload []byte) (*DecodeResponse, error) {
 	resp := new(DecodeResponse)
-	if err := resp.decode(payload, new(backendNames)); err != nil {
+	if err := resp.decode(payload, new(backendNames), nil, nil); err != nil {
 		return nil, err
 	}
 	return resp, nil

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // Modulation identifies a constellation.
@@ -254,11 +255,16 @@ func (m Modulation) DemapGray(v complex128, dst []byte) []byte {
 
 // DemapGrayVector hard-slices each symbol and concatenates the Gray bits.
 func (m Modulation) DemapGrayVector(v []complex128) []byte {
-	out := make([]byte, 0, len(v)*m.BitsPerSymbol())
+	return m.AppendDemapGrayVector(nil, v)
+}
+
+// AppendDemapGrayVector appends DemapGrayVector(v) to dst, growing it once.
+func (m Modulation) AppendDemapGrayVector(dst []byte, v []complex128) []byte {
+	dst = slices.Grow(dst, len(v)*m.BitsPerSymbol())
 	for _, s := range v {
-		out = m.DemapGray(s, out)
+		dst = m.DemapGray(s, dst)
 	}
-	return out
+	return dst
 }
 
 // PostTranslate converts QuAMax-transform solution bits (natural binary per
@@ -288,16 +294,20 @@ func (m Modulation) AppendPostTranslate(dst, qbits []byte) []byte {
 // QuAMax-transform bit pattern of the same symbol (used to compute ground
 // truth QUBO solutions in tests and metrics).
 func (m Modulation) GrayToQuAMaxBits(gbits []byte) []byte {
+	return m.AppendGrayToQuAMaxBits(make([]byte, 0, len(gbits)), gbits)
+}
+
+// AppendGrayToQuAMaxBits appends GrayToQuAMaxBits(gbits) to dst.
+func (m Modulation) AppendGrayToQuAMaxBits(dst, gbits []byte) []byte {
 	q := m.BitsPerSymbol()
 	if len(gbits)%q != 0 {
 		panic("modulation: GrayToQuAMaxBits bit count not a multiple of bits/symbol")
 	}
 	bd := m.BitsPerDim()
-	out := make([]byte, 0, len(gbits))
 	for off := 0; off < len(gbits); off += bd {
-		out = indexToBits(grayDecode(bitsToIndex(gbits[off:off+bd])), bd, out)
+		dst = indexToBits(grayDecode(bitsToIndex(gbits[off:off+bd])), bd, dst)
 	}
-	return out
+	return dst
 }
 
 // PaperPostTranslate16QAM implements the two-step translation exactly as

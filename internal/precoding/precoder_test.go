@@ -171,7 +171,7 @@ func TestProblemThroughScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := PerturbationFromGrayBits(prog.PerturbMod(), res.Bits)
+		v := AppendPerturbationFromGrayBits(nil, prog.PerturbMod(), res.Bits)
 		if len(v) != nu {
 			t.Fatalf("perturbation has %d entries", len(v))
 		}

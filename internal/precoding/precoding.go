@@ -55,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"quamax/internal/backend"
 	"quamax/internal/core"
@@ -222,14 +223,25 @@ func (p *Program) LogicalSpins() int { return p.prog.N }
 // vector for one user-data symbol vector — the only per-symbol-vector
 // arithmetic of the execute phase (one O(Nt·Nu) matrix–vector product).
 func (p *Program) Target(s []complex128) []complex128 {
+	return p.AppendTarget(nil, s)
+}
+
+// AppendTarget appends Target(s) to dst, growing it once; dst must not
+// overlap s.
+func (p *Program) AppendTarget(dst, s []complex128) []complex128 {
 	if len(s) != p.h.Rows {
 		panic(fmt.Sprintf("precoding: s has %d entries, channel serves %d users", len(s), p.h.Rows))
 	}
-	shifted := make([]complex128, len(s))
-	for i, v := range s {
-		shifted[i] = v - p.base
+	a := p.pinv
+	dst = slices.Grow(dst, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		var acc complex128
+		for j, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			acc += v * (s[j] - p.base)
+		}
+		dst = append(dst, acc)
 	}
-	return linalg.MulVec(p.pinv, shifted)
+	return dst
 }
 
 // Ising completes the compiled program for one user-data symbol vector. The
@@ -247,10 +259,19 @@ func (p *Program) Ising(s []complex128) *qubo.Ising {
 // searches and annealer backends solve them through their compiled-channel
 // cache. The caller may set TargetBER and Anneal overrides before dispatch.
 func (p *Program) Problem(s []complex128) *backend.Problem {
-	return &backend.Problem{
+	q := new(backend.Problem)
+	p.ProblemInto(q, s, nil)
+	return q
+}
+
+// ProblemInto writes Problem(s) into dst, overwriting every field, with the
+// target appended to target[:0], whose storage dst.Y then holds; target must
+// not overlap s.
+func (p *Program) ProblemInto(dst *backend.Problem, s, target []complex128) {
+	*dst = backend.Problem{
 		Mod:        p.perturbMod,
 		H:          p.hvp,
-		Y:          p.Target(s),
+		Y:          p.AppendTarget(target[:0], s),
 		ChannelKey: p.key,
 		Lattice:    true,
 	}
@@ -267,12 +288,22 @@ func Perturbation(pamSymbols []complex128) []complex128 {
 	return v
 }
 
-// PerturbationFromGrayBits decodes the Gray (post-translated) solution bits
-// a solver backend returns into the perturbation vector. perturbMod is the
-// alphabet constellation (PerturbModulation of the bit depth); the bit slice
-// length must be a multiple of its bits-per-symbol.
-func PerturbationFromGrayBits(perturbMod modulation.Modulation, gray []byte) []complex128 {
-	return Perturbation(reduction.BitsToSymbols(perturbMod, perturbMod.GrayToQuAMaxBits(gray)))
+// AppendPerturbationFromGrayBits decodes the Gray (post-translated) solution
+// bits a solver backend returns into the perturbation vector, appended to
+// dst. perturbMod is the alphabet constellation (PerturbModulation of the bit
+// depth); the bit slice length must be a multiple of its bits-per-symbol.
+func AppendPerturbationFromGrayBits(dst []complex128, perturbMod modulation.Modulation, gray []byte) []complex128 {
+	q := perturbMod.BitsPerSymbol()
+	if len(gray)%q != 0 {
+		panic("precoding: solution bit count not a multiple of bits/symbol")
+	}
+	dst = slices.Grow(dst, len(gray)/q)
+	var qbits [2 * MaxPerturbBits]byte
+	for off := 0; off < len(gray); off += q {
+		c := perturbMod.QuAMaxTransform(perturbMod.AppendGrayToQuAMaxBits(qbits[:0], gray[off:off+q]))
+		dst = append(dst, (c-complex(1, 1))/2)
+	}
+	return dst
 }
 
 // Transmit forms the precoded transmit vector x = P·(s + τ·v) for a chosen

@@ -287,8 +287,15 @@ var scratch = sync.Pool{New: func() any { return new(detector.SphereScratch) }}
 // estimate biases high at very low SNR, where the planner's below-fit-range
 // guard takes over. The residual is the noise estimate the device tier's stop
 // radius is sized from (StopRadius). Only a proved answer's Bits and LLRs
-// allocate.
+// allocate (EstimateInto lends them storage).
 func (e *SNREstimator) Estimate(y []complex128, certifyNodes int, soft *softout.Spec) Estimate {
+	return e.EstimateInto(y, certifyNodes, soft, nil, nil)
+}
+
+// EstimateInto is Estimate with a proved answer's Bits appended to bits[:0]
+// and its LLRs to llrs[:0] (a hard answer's LLRs are then llrs[:0], empty):
+// where their capacity holds the answer, nothing allocates.
+func (e *SNREstimator) EstimateInto(y []complex128, certifyNodes int, soft *softout.Spec, bits []byte, llrs []float64) Estimate {
 	s := scratch.Get().(*detector.SphereScratch)
 	defer scratch.Put(s)
 	var clip float64
@@ -307,9 +314,9 @@ func (e *SNREstimator) Estimate(y []complex128, certifyNodes int, soft *softout.
 	}
 	if c.Proved {
 		est.Proved, est.Metric = true, c.Metric
-		est.Bits = e.mod.DemapGrayVector(c.Symbols)
+		est.Bits, est.LLRs = e.mod.AppendDemapGrayVector(bits[:0], c.Symbols), llrs[:0]
 		if soft != nil {
-			est.LLRs, est.LLRSaturated = softout.FromGaps(est.Bits, c.Gaps, *soft)
+			est.LLRs, est.LLRSaturated = softout.AppendFromGaps(est.LLRs, est.Bits, c.Gaps, *soft)
 		}
 	}
 	return est

@@ -199,7 +199,7 @@ func TestSoftEstimateCarriesTheCertificateLLRs(t *testing.T) {
 			t.Fatalf("trial %d: soft estimate %+v beside hard %+v", trial, got, hard)
 		}
 		c := detector.CompileSphere(mod, h).Certify(y, CertifyNodes, spec.ClipRadius(), &s)
-		llrs, saturated := softout.FromGaps(mod.DemapGrayVector(c.Symbols), c.Gaps, spec)
+		llrs, saturated := softout.AppendFromGaps(nil, mod.DemapGrayVector(c.Symbols), c.Gaps, spec)
 		if !reflect.DeepEqual(got.LLRs, llrs) || got.LLRSaturated != saturated || got.Nodes != c.Nodes {
 			t.Fatalf("trial %d: LLRs %v (%d saturated, %d nodes), certificate's %v (%d, %d)", trial, got.LLRs, got.LLRSaturated, got.Nodes, llrs, saturated, c.Nodes)
 		}

@@ -134,9 +134,11 @@ func TestCertifiedRequestsReconcile(t *testing.T) {
 }
 
 // A keyed, certified hard dispatch, through the router as the server sends
-// it, allocates only its answer: the Result and its Bits. Admission holds the
-// job and its trace on the stack, and the window's sphere program is built by
-// the first dispatch, before the count.
+// it, allocates nothing: its answer lands in the Result the problem lends
+// (backend.Problem.Answer), its Bits in that Result's own capacity. Admission
+// holds the job and its trace on the stack, and the window's sphere program
+// and the lent Bits' capacity are built by the first dispatch, before the
+// count. With no Result lent the answer is the two objects it was before.
 func TestCertifiedDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -162,10 +164,18 @@ func TestCertifiedDispatchAllocs(t *testing.T) {
 		if err != nil || res.Backend != CertificateBackend {
 			t.Fatalf("dispatch: %+v, %v; want the certificate's answer", res, err)
 		}
+		if p.Answer != nil && res != p.Answer {
+			t.Fatal("the certificate's answer is not the lent Result")
+		}
 	}
 	dispatch()
 	if allocs := testing.AllocsPerRun(200, dispatch); allocs > 2 {
-		t.Fatalf("certified dispatch allocates %.2f objects, want ≤ 2", allocs)
+		t.Fatalf("certified dispatch with no Result lent allocates %.2f objects, want ≤ 2", allocs)
+	}
+	p.Answer = new(backend.Result)
+	dispatch()
+	if allocs := testing.AllocsPerRun(200, dispatch); allocs != 0 {
+		t.Fatalf("certified dispatch into a lent Result allocates %.2f objects, want 0", allocs)
 	}
 }
 

@@ -260,8 +260,8 @@ func TestStopRuleCorpus(t *testing.T) {
 			if cr.vp != nil {
 				tally.decodes++
 				mod := cr.vp.PerturbMod()
-				gammaArmed += cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(mod, armed.Bits))
-				gammaUncut += cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(mod, full.Bits))
+				gammaArmed += cr.vp.Gamma(cr.s, precoding.AppendPerturbationFromGrayBits(nil, mod, armed.Bits))
+				gammaUncut += cr.vp.Gamma(cr.s, precoding.AppendPerturbationFromGrayBits(nil, mod, full.Bits))
 				gammaZF += cr.vp.ZFGamma(cr.s)
 			} else {
 				tally.score(t, q, cr.bits, armed, full)
@@ -274,7 +274,7 @@ func TestStopRuleCorpus(t *testing.T) {
 		case cr.vp != nil:
 			if v.proved != nil {
 				certPrecodes++
-				gamma := cr.vp.Gamma(cr.s, precoding.PerturbationFromGrayBits(cr.vp.PerturbMod(), v.proved.Bits))
+				gamma := cr.vp.Gamma(cr.s, precoding.AppendPerturbationFromGrayBits(nil, cr.vp.PerturbMod(), v.proved.Bits))
 				ml, err := detector.SphereDecode(cr.p.Mod, cr.p.H, cr.p.Y, detector.SphereOptions{})
 				if err != nil {
 					t.Fatal(err)

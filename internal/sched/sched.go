@@ -450,6 +450,10 @@ type verdict struct {
 // LLRs. A search that finished has proved its answer: the verdict carries it
 // and the planner is never asked. Otherwise the problem is planned (plan)
 // exactly as it would have been without the search.
+//
+// The proved answer is the one built on Dispatch's own goroutine, so it is
+// the one that lands in the storage p.Answer lends (backend.Problem.Answer);
+// with none lent it is a new Result.
 func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) verdict {
 	target := s.target(p)
 	if target <= 0 {
@@ -459,12 +463,22 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) verdic
 	if p.Soft {
 		soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 	}
-	est := s.estimator(p).Estimate(p.Y, qos.CertifyNodes, soft)
+	var bits []byte
+	var llrs []float64
+	if p.Answer != nil {
+		bits, llrs = p.Answer.Bits, p.Answer.LLRs
+	}
+	est := s.estimator(p).EstimateInto(p.Y, qos.CertifyNodes, soft, bits, llrs)
 	if est.Proved {
-		return verdict{p: p, nodes: est.Nodes, proved: &backend.Result{
+		res := p.Answer
+		if res == nil {
+			res = new(backend.Result)
+		}
+		*res = backend.Result{
 			Bits: est.Bits, Energy: est.Metric, LLRs: est.LLRs, LLRSaturated: est.LLRSaturated,
 			Backend: CertificateBackend,
-		}}
+		}
+		return verdict{p: p, nodes: est.Nodes, proved: res}
 	}
 	v := s.plan(p, target, deadline, est)
 	v.nodes = est.Nodes

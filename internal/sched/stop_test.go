@@ -201,7 +201,7 @@ func TestPrecodeGammaUnmovedByTheRule(t *testing.T) {
 		}
 		saved += full.Reads - armed.Reads
 		gamma := func(r *backend.Result) float64 {
-			return vp.Gamma(symbols, precoding.PerturbationFromGrayBits(vp.PerturbMod(), r.Bits))
+			return vp.Gamma(symbols, precoding.AppendPerturbationFromGrayBits(nil, vp.PerturbMod(), r.Bits))
 		}
 		if ga, gf := gamma(armed), gamma(full); math.Float64bits(ga) != math.Float64bits(gf) || !slices.Equal(armed.Bits, full.Bits) {
 			t.Errorf("precode %d on %s: γ %v under the armed stack, %v uncut", i, be.Describe().Name, ga, gf)

@@ -281,11 +281,12 @@ func (s Spec) ClipRadius() float64 {
 	return s.Clamp
 }
 
-// FromGaps is LLR for one decision: bits its data bits, and gaps[k] how much
-// farther the nearest candidate with bit k flipped lies (+Inf for none) — a
-// max-log search's output in place of an ensemble's. It allocates the LLRs.
-func FromGaps(bits []byte, gaps []float64, spec Spec) (llrs []float64, saturated int) {
-	llrs = make([]float64, len(bits))
+// AppendFromGaps is LLR for one decision, appended to dst: bits its data
+// bits, and gaps[k] how much farther the nearest candidate with bit k flipped
+// lies (+Inf for none) — a max-log search's output in place of an ensemble's.
+func AppendFromGaps(dst []float64, bits []byte, gaps []float64, spec Spec) (llrs []float64, saturated int) {
+	dst = slices.Grow(dst, len(bits))
+	llrs = dst[len(dst) : len(dst)+len(bits)]
 	for k, b := range bits {
 		e0, e1 := 0.0, gaps[k]
 		if b != 0 {
@@ -296,7 +297,7 @@ func FromGaps(bits []byte, gaps []float64, spec Spec) (llrs []float64, saturated
 			saturated++
 		}
 	}
-	return llrs, saturated
+	return dst[:len(dst)+len(bits)], saturated
 }
 
 // QuantScale is the int8 full-scale value LLR quantization maps the clamp

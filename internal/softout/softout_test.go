@@ -234,7 +234,7 @@ func TestWithDefaults(t *testing.T) {
 
 // A decision and its per-bit gaps carry what an ensemble's LLRs read: the best
 // candidate, and per bit how much farther the least-energy candidate holding
-// the other value lies. FromGaps gives the ensemble's LLRs bit for bit, under
+// the other value lies. AppendFromGaps gives the ensemble's LLRs bit for bit, under
 // scaled and unscaled, default and small clamps.
 func TestFromGapsMatchesEnsemble(t *testing.T) {
 	src := rng.New(8)
@@ -256,7 +256,7 @@ func TestFromGapsMatchesEnsemble(t *testing.T) {
 			}
 		}
 		want, wantSat := e.LLRs(spec)
-		got, gotSat := FromGaps(best.Bits, gaps, spec)
+		got, gotSat := AppendFromGaps(nil, best.Bits, gaps, spec)
 		if gotSat != wantSat {
 			t.Fatalf("trial %d: %d saturated from gaps, %d from the ensemble", trial, gotSat, wantSat)
 		}
