@@ -533,6 +533,7 @@ func BenchmarkShardedServe(b *testing.B) {
 	// per-request channels in place.
 	tr.Dataset().NormalizeAveragePower()
 	probs := make([]*backend.Problem, len(tr.Requests))
+	windows := traceWindows(mod, tr.Requests)
 	for i, r := range tr.Requests {
 		bits := src.Bits(cfg.CellUsers * mod.BitsPerSymbol())
 		inst, err := mimo.FromParts(src, mimo.Config{
@@ -542,10 +543,7 @@ func BenchmarkShardedServe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		probs[i] = &backend.Problem{
-			Mod: inst.Mod, H: inst.H, Y: inst.Y,
-			ChannelKey: core.FingerprintChannel(mod, r.H),
-		}
+		probs[i] = &backend.Problem{Mod: inst.Mod, H: inst.H, Y: inst.Y, Window: windows[i]}
 	}
 	for _, n := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
@@ -920,7 +918,7 @@ func BenchmarkPrecodeWindow(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prec, err := precoding.NewPrecoder(dec, bits, 1)
+				prec, err := precoding.NewPrecoder(dec, bits)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1082,6 +1080,7 @@ func BenchmarkCostAwareDispatch(b *testing.B) {
 		bits []byte
 	}
 	jobs := make([]job, len(tr.Requests))
+	windows := traceWindows(mod, tr.Requests)
 	for i, r := range tr.Requests {
 		bits := src.Bits(cfg.CellUsers * mod.BitsPerSymbol())
 		inst, err := mimo.FromParts(src, mimo.Config{
@@ -1094,8 +1093,7 @@ func BenchmarkCostAwareDispatch(b *testing.B) {
 		jobs[i] = job{
 			p: &backend.Problem{
 				Mod: inst.Mod, H: inst.H, Y: inst.Y,
-				ChannelKey: core.FingerprintChannel(mod, r.H),
-				TargetBER:  1e-3,
+				Window: windows[i], TargetBER: 1e-3,
 			},
 			bits: bits,
 		}
@@ -1422,15 +1420,29 @@ func BenchmarkEstimateSNR(b *testing.B) {
 			nodes int
 		}{{"per-channel", 0}, {"per-channel+certify", qos.CertifyNodes}} {
 			b.Run(fmt.Sprintf("nt=%d/mode=%s", shape.nt, mode.name), func(b *testing.B) {
-				est := qos.NewSNREstimator(in.Mod, in.H)
+				est := detector.CompileSphere(in.Mod, in.H)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if !est.Estimate(in.Y, mode.nodes, nil).OK {
+					if !qos.EstimateInto(est, in.Y, mode.nodes, nil, nil, nil).OK {
 						b.Fatal("estimate failed")
 					}
 				}
 			})
 		}
 	}
+}
+
+// traceWindows mints one window per channel of a multi-user trace: the
+// requests of one coherence window share their *linalg.Mat.
+func traceWindows(mod modulation.Modulation, reqs []trace.Request) []*core.Window {
+	byH := make(map[*linalg.Mat]*core.Window)
+	out := make([]*core.Window, len(reqs))
+	for i, r := range reqs {
+		if byH[r.H] == nil {
+			byH[r.H] = core.NewWindow(mod, r.H)
+		}
+		out[i] = byH[r.H]
+	}
+	return out
 }

@@ -54,6 +54,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
+	"quamax/internal/linalg"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
@@ -173,6 +174,7 @@ func buildLoad(m mix, seed int64) ([]*backend.Problem, error) {
 	}
 	tr.Dataset().NormalizeAveragePower()
 	probs := make([]*backend.Problem, len(tr.Requests))
+	windows := make(map[*linalg.Mat]*core.Window) // a user's window shares one H
 	for i, r := range tr.Requests {
 		bits := src.Bits(m.trace.CellUsers * mod.BitsPerSymbol())
 		inst, err := mimo.FromParts(src, mimo.Config{
@@ -182,10 +184,14 @@ func buildLoad(m mix, seed int64) ([]*backend.Problem, error) {
 		if err != nil {
 			return nil, err
 		}
+		win := windows[r.H]
+		if win == nil {
+			win = core.NewWindow(mod, r.H)
+			windows[r.H] = win
+		}
 		probs[i] = &backend.Problem{
 			Mod: inst.Mod, H: inst.H, Y: inst.Y,
-			ChannelKey: core.FingerprintChannel(mod, r.H),
-			TargetBER:  m.targetBER,
+			Window: win, TargetBER: m.targetBER,
 		}
 	}
 	return probs, nil

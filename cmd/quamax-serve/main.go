@@ -357,16 +357,15 @@ func main() {
 	srv.Telemetry = rec
 	// One sample set answers stats polls and /metrics scrapes alike: the
 	// pool (per shard behind a router, with the router's shed counters and
-	// miss EWMAs), the recorder, the health and burn trackers, the planner's
-	// decisions and the precode-program cache. The nil planes of a deployment
-	// that runs without them export nothing.
+	// miss EWMAs), the recorder, the health and burn trackers and the
+	// planner's decisions. The nil planes of a deployment that runs without
+	// them export nothing.
 	srv.Stats = func() []metrics.Sample {
 		var planned []metrics.Sample
 		if budgetPlanner != nil {
 			planned = budgetPlanner.Stats().Samples()
 		}
-		return metrics.Collect(poolSamples(), rec.Snapshot().Samples(), healthTracker.Samples(), burn.Samples(), planned,
-			srv.PrecodeCacheStats().Samples("quamax_precode_cache_total", "Compiled vector-perturbation program cache traffic."))
+		return metrics.Collect(poolSamples(), rec.Snapshot().Samples(), healthTracker.Samples(), burn.Samples(), planned)
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

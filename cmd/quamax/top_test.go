@@ -76,9 +76,7 @@ func fullSet(t *testing.T) []metrics.Sample {
 	planned := qos.Stats{Plans: 42, Quantum: 29, Classical: 13, ReadsPlanned: 541, ByReason: map[string]uint64{
 		qos.ReasonFit: 25, qos.ReasonNoTarget: 4, qos.ReasonDeadlineExceeded: 9, qos.ReasonFloorAboveTarget: 4,
 	}}
-	precode := metrics.ChannelCacheStats{Hits: 6, Misses: 2}
-	set := [][]metrics.Sample{rt.Samples(), sn.Samples(), planned.Samples(),
-		precode.Samples("quamax_precode_cache_total", "Compiled vector-perturbation program cache traffic.")}
+	set := [][]metrics.Sample{rt.Samples(), sn.Samples(), planned.Samples()}
 	for _, b := range []metrics.BackendHealth{
 		{Name: "s0/qpu0", State: metrics.HealthQuarantined, Score: 4.25, Observations: 900,
 			ChainBreakEWMA: 0.31, EnergyEWMA: 12.5, FailureEWMA: 0.05, ReadsPerSolve: 48, CanaryPass: 2, CanaryFail: 7},

@@ -3,12 +3,13 @@
 // streams user-data symbol vectors as O(Nu) precode-by-handle frames
 // (Client.PrecodeWithChannel). The pool solves each NP-hard VP search
 // min_v ‖P(s+τv)‖² on the same annealer stack that serves uplink decodes —
-// ChannelKey-tagged, so same-window searches batch into shared runs over the
-// compiled VP program — and returns the perturbation. The example then plays
-// transmitter AND users: it forms x = P(s+τv), normalizes transmit power,
-// adds receiver noise, recovers each user's symbol with the blind modulo-τ
-// reduction, and compares bit errors and effective SNR against plain
-// channel-inversion (zero-forcing) precoding at the same power budget.
+// each problem carrying its VP program's window, so same-window searches
+// batch into shared runs over the compiled VP program — and returns the
+// perturbation. The example then plays transmitter AND users: it forms
+// x = P(s+τv), normalizes transmit power, adds receiver noise, recovers each
+// user's symbol with the blind modulo-τ reduction, and compares bit errors
+// and effective SNR against plain channel-inversion (zero-forcing) precoding
+// at the same power budget.
 //
 //	go run ./examples/downlink
 package main

@@ -11,7 +11,7 @@
 //
 // Each channel use is replayed as a COHERENCE WINDOW: one estimated H
 // carries several OFDM symbols (paper footnote 2), so all of a window's
-// symbols are dispatched with the channel's fingerprint as their ChannelKey.
+// symbols are dispatched carrying the channel's window (core.NewWindow).
 // The pool compiles each channel once (couplings, embedding, prepared
 // physical program), gathers same-window symbols into shared annealer runs,
 // and only rewrites per-symbol biases — the cache hit/miss line in the final
@@ -48,6 +48,7 @@ import (
 	"quamax/internal/backend"
 	"quamax/internal/channel"
 	"quamax/internal/core"
+	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/qos"
@@ -131,7 +132,7 @@ func main() {
 
 		type symbol struct {
 			in  *mimo.Instance
-			key core.ChannelKey
+			win *core.Window
 		}
 		type windowJobs struct {
 			snr     float64
@@ -144,7 +145,7 @@ func main() {
 				log.Fatal(err)
 			}
 			snr := 25 + 10*src.Float64()
-			key := core.FingerprintChannel(mod, h)
+			win := core.NewWindow(mod, h)
 			w := windowJobs{snr: snr, symbols: make([]symbol, window)}
 			// One channel estimate, `window` transmitted symbols through it.
 			for sym := 0; sym < window; sym++ {
@@ -156,7 +157,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				w.symbols[sym] = symbol{in: inst, key: key}
+				w.symbols[sym] = symbol{in: inst, win: win}
 			}
 			jobs[use] = w
 		}
@@ -181,7 +182,7 @@ func main() {
 					// planned budget.
 					res, err := scheduler.Dispatch(context.Background(), &backend.Problem{
 						Mod: sb.in.Mod, H: sb.in.H, Y: sb.in.Y,
-						TargetBER: targetBER, ChannelKey: sb.key,
+						TargetBER: targetBER, Window: sb.win,
 					}, deadline)
 					results[use][sym] = result{res, err}
 				}(use, sym, sb)
@@ -342,8 +343,13 @@ func runMultiUser(nShards int) {
 	}
 	outcomes := make([]outcome, len(tr.Requests))
 	var wg sync.WaitGroup
+	windows := make(map[*linalg.Mat]*core.Window) // a user's window shares one H
 	for i, r := range tr.Requests {
-		key := core.FingerprintChannel(mod, r.H)
+		win := windows[r.H]
+		if win == nil {
+			win = core.NewWindow(mod, r.H)
+			windows[r.H] = win
+		}
 		bits := src.Bits(cfg.CellUsers * mod.BitsPerSymbol())
 		inst, err := mimo.FromParts(src, mimo.Config{
 			Mod: mod, Nt: cfg.CellUsers, Nr: cfg.Antennas,
@@ -353,14 +359,14 @@ func runMultiUser(nShards int) {
 			log.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, key core.ChannelKey, inst *mimo.Instance) {
+		go func(i int, win *core.Window, inst *mimo.Instance) {
 			defer wg.Done()
 			res, derr := rt.Dispatch(context.Background(), &backend.Problem{
 				Mod: inst.Mod, H: inst.H, Y: inst.Y,
-				TargetBER: targetBER, ChannelKey: key,
+				TargetBER: targetBER, Window: win,
 			}, muDeadline)
-			outcomes[i] = outcome{shard: rt.ShardFor(key), res: res, err: derr}
-		}(i, key, inst)
+			outcomes[i] = outcome{shard: rt.ShardFor(win.Key()), res: res, err: derr}
+		}(i, win, inst)
 	}
 	wg.Wait()
 	for _, s := range schedulers {

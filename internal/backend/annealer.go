@@ -83,13 +83,14 @@ func (a *Annealer) occupancyMicros(p *Problem) float64 {
 }
 
 // request turns a problem into the decoder's request shape and starts the
-// Result its outcome will complete. A problem tagged with a ChannelKey (a
+// Result its outcome will complete. A problem carrying a Window (a
 // coherence-window symbol) names its channel through the decoder's
-// compiled-channel store under that key — compiled on the window's first
-// symbol, only the biases rewritten after — and the lookup is timed into
-// CompileMicros, with CacheHit reporting a store hit. An untagged one goes as
-// a raw channel, compiled in the run's own storage so one-shot channels
-// don't churn the store; the decoder times that compile (result adds it).
+// compiled-channel store under the window's key — compiled on the window's
+// first symbol, only the biases rewritten after — and the lookup is timed
+// into CompileMicros, with CacheHit reporting a store hit. One without a
+// window goes as a raw channel, compiled in the run's own storage so
+// one-shot channels don't churn the store; the decoder times that compile
+// (result adds it).
 func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
@@ -99,13 +100,13 @@ func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
 		req.Soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 	}
 	res := &Result{Backend: a.name}
-	if p.ChannelKey == 0 {
+	if p.Window == nil {
 		req.Mod, req.H = p.Mod, p.H
 		return req, res, nil
 	}
 	start := time.Now()
 	var err error
-	req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.ChannelKey, p.Mod, p.H)
+	req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.Window.Key(), p.Mod, p.H)
 	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
 	return req, res, err
 }

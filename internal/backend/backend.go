@@ -51,16 +51,18 @@ type Problem struct {
 	// reads). Annealer backends fall back to a forward anneal when the seed
 	// cannot be computed; classical backends ignore it.
 	Reverse bool
-	// ChannelKey, when nonzero, tags this problem as part of a channel-
-	// coherence window: all problems carrying the same key observe the same
-	// (Mod, H) and differ only in Y. The scheduler uses it to gather
-	// same-window symbols onto an already-programmed backend, and annealer
-	// backends decode keyed problems through their compiled-channel store
-	// (compile H once, rewrite biases per symbol). Equal keys must mean
-	// identical channels — every store checks it on a hit, so a reused key
-	// costs a rebuild, not a wrong answer; core.FingerprintChannel mints
-	// them, once where H enters the process. Classical backends ignore it.
-	ChannelKey core.ChannelKey
+	// Window, when non-nil, tags this problem as a symbol of a channel-
+	// coherence window: every problem carrying a window with the same key
+	// observes the same (Mod, H) and differs only in Y. The window is minted
+	// once, where H enters the process (core.NewWindow), and carries its
+	// classical state: the scheduler gathers same-window symbols by its key
+	// onto an already-programmed backend, reads its sphere program for the
+	// SNR estimate and the certificate, annealer backends decode through
+	// their compiled-channel store under its key (compile H once, rewrite
+	// biases per symbol), and Sphere searches its program. A window that is
+	// not this problem's own (Mod, H) costs a rebuild, never a wrong answer:
+	// each reader checks. Nil is a channel seen once.
+	Window *core.Window
 	// Soft requests per-bit LLRs alongside the hard decision (Result.LLRs):
 	// annealer backends retain the read ensemble (internal/softout),
 	// classical single-solution backends answer with saturated ±clamp LLRs.
@@ -136,7 +138,7 @@ type Result struct {
 	LLRSaturated int
 	// CompileMicros is the wall time this solve spent compiling (or looking
 	// up) the problem's channel program; nonzero only on compiled-channel
-	// paths (Problem.ChannelKey). CacheHit reports whether that lookup was
+	// paths (Problem.Window). CacheHit reports whether that lookup was
 	// served from the compiled-channel cache. Both feed the telemetry
 	// plane's StageCompile span.
 	CompileMicros float64

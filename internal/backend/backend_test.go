@@ -11,6 +11,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
+	"quamax/internal/detector"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
@@ -164,6 +165,37 @@ func TestSphereSolveAndAdaptiveEstimate(t *testing.T) {
 	}
 }
 
+// A problem carrying its window is searched on the window's sphere program —
+// no factorization per solve — and answered exactly as one without; a
+// window that is not the problem's own channel is not trusted.
+func TestSphereSearchesTheWindowsProgram(t *testing.T) {
+	s := NewSphere("sphere", 0)
+	in := testInstance(t, 52, modulation.QPSK, 4)
+	want, err := s.Solve(context.Background(), problemOf(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := testInstance(t, 53, modulation.QPSK, 4)
+	for _, c := range []struct {
+		w      *core.Window
+		builds uint64
+	}{{core.NewWindow(in.Mod, in.H), 0}, {core.NewWindow(other.Mod, other.H), 3}} {
+		c.w.Sphere()
+		before := detector.SphereCompiles()
+		for i := 0; i < 3; i++ {
+			p := problemOf(in)
+			p.Window = c.w
+			got, err := s.Solve(context.Background(), p, nil)
+			if err != nil || !reflect.DeepEqual(got.Bits, want.Bits) || got.Energy != want.Energy {
+				t.Fatalf("solve %d: %+v, %v; want %+v", i, got, err, want)
+			}
+		}
+		if n := detector.SphereCompiles() - before; n != c.builds {
+			t.Fatalf("%d factorizations over 3 solves, want %d", n, c.builds)
+		}
+	}
+}
+
 func TestSolveHonorsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -180,7 +212,7 @@ func TestSolveHonorsCanceledContext(t *testing.T) {
 	}
 }
 
-// A ChannelKey-tagged problem must route through the compiled-channel path,
+// A problem carrying its window must route through the compiled-channel path,
 // produce a result bit-identical to the recompiling path, and register cache
 // traffic; repeated symbols of the window must hit.
 func TestAnnealerSolveCompiledChannel(t *testing.T) {
@@ -191,7 +223,7 @@ func TestAnnealerSolveCompiledChannel(t *testing.T) {
 	in := testInstance(t, 77, modulation.QPSK, 4)
 	plain := problemOf(in)
 	keyed := problemOf(in)
-	keyed.ChannelKey = core.FingerprintChannel(in.Mod, in.H)
+	keyed.Window = core.NewWindow(in.Mod, in.H)
 
 	want, err := a.Solve(context.Background(), plain, rng.New(9))
 	if err != nil {
@@ -261,7 +293,7 @@ func TestAnnealerBatchCompiledChannel(t *testing.T) {
 	plain := []*Problem{problemOf(ins[0]), problemOf(ins[1])}
 	keyed := []*Problem{problemOf(ins[0]), problemOf(ins[1])}
 	for i, p := range keyed {
-		p.ChannelKey = core.FingerprintChannel(ins[i].Mod, ins[i].H)
+		p.Window = core.NewWindow(ins[i].Mod, ins[i].H)
 	}
 	want, err := a.SolveBatch(context.Background(), plain, rng.New(5))
 	if err != nil {
@@ -290,7 +322,7 @@ func TestAnnealerBatchCompiledChannel(t *testing.T) {
 func TestAnnealerConcurrentSolvesMatchSerial(t *testing.T) {
 	in := testInstance(t, 91, modulation.QPSK, 2)
 	other := testInstance(t, 92, modulation.BPSK, 4) // same N=4: batches with in
-	key := core.FingerprintChannel(in.Mod, in.H)
+	win := core.NewWindow(in.Mod, in.H)
 	mk := func(edit func(*Problem)) []*Problem {
 		p := problemOf(in)
 		edit(p)
@@ -298,12 +330,12 @@ func TestAnnealerConcurrentSolvesMatchSerial(t *testing.T) {
 	}
 	jobs := [][]*Problem{
 		mk(func(p *Problem) {}),
-		mk(func(p *Problem) { p.ChannelKey = key }),
+		mk(func(p *Problem) { p.Window = win }),
 		mk(func(p *Problem) { p.Soft = true; p.NoiseVar = 0.1 }),
-		mk(func(p *Problem) { p.Soft = true; p.NoiseVar = 0.1; p.ChannelKey = key }),
+		mk(func(p *Problem) { p.Soft = true; p.NoiseVar = 0.1; p.Window = win }),
 		mk(func(p *Problem) { p.Reverse = true }),
-		mk(func(p *Problem) { p.Reverse = true; p.ChannelKey = key; p.ChainJF = 6 }),
-		{problemOf(in), {Mod: in.Mod, H: in.H, Y: in.Y, ChannelKey: key, Soft: true}, problemOf(other)},
+		mk(func(p *Problem) { p.Reverse = true; p.Window = win; p.ChainJF = 6 }),
+		{problemOf(in), {Mod: in.Mod, H: in.H, Y: in.Y, Window: win, Soft: true}, problemOf(other)},
 	}
 	solve := func(a *Annealer, ps []*Problem, seed int64) ([]*Result, error) {
 		if len(ps) > 1 {

@@ -177,14 +177,15 @@ func (s *Sphere) estimate(p *Problem) float64 {
 	return s.PriorMicros
 }
 
-// Solve runs the exact tree search and folds the measured latency back into
-// the estimate (EWMA, α = 1/4).
+// Solve runs the exact tree search — on the window's sphere program when the
+// problem carries its window, else on a fresh factorization of H — and folds
+// the measured latency back into the estimate (EWMA, α = 1/4).
 func (s *Sphere) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := detector.SphereDecode(p.Mod, p.H, p.Y, s.Opts)
+	res, err := p.Window.SphereFor(p.Mod, p.H).Decode(p.Y, s.Opts)
 	elapsed := float64(time.Since(start)) / float64(time.Microsecond)
 	key := sphereKey{byte(p.Mod), p.Users()}
 	s.mu.Lock()

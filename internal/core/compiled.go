@@ -33,17 +33,18 @@ import (
 	"quamax/internal/reduction"
 )
 
-// ChannelKey names a (modulation, H) pair to every WindowStore and to the
-// pool scheduler's coherence-window grouping. Zero is reserved as "no key".
-// Equal keys are expected to mean identical channels; every store checks that
-// on a hit, so a key of lesser quality than FingerprintChannel's can only
-// cost scheduling locality and rebuilds, never correctness.
+// ChannelKey names a (modulation, H) pair — a Window's — to the decoder's
+// WindowStore, the router's shard ring and the pool scheduler's
+// coherence-window grouping. Zero is reserved as "no key". Equal keys are
+// expected to mean identical channels; the store checks that on a hit, so a
+// key of lesser quality than FingerprintChannel's can only cost scheduling
+// locality and rebuilds, never correctness.
 type ChannelKey uint64
 
 // FingerprintChannel mints the key for (mod, H): a hash of the modulation, the
 // shape and H's exact float64 bit patterns (FNV-1a, never zero). It is O(Nt·Nr)
-// — 68 µs at 48×48 — so it runs once where H enters the process (fronthaul
-// registration, precoding.Compile, a key-less Compile), never per symbol.
+// — 68 µs at 48×48 — so it runs once where H enters the process (NewWindow,
+// a key-less Compile), never per symbol.
 func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 	const (
 		offset64 = 14695981039346656037
@@ -153,8 +154,8 @@ func (d *Decoder) CompileTracked(mod modulation.Modulation, h *linalg.Mat) (*Com
 }
 
 // CompileKeyed is CompileTracked for a caller that already holds the key
-// minted for (mod, h) — a backend.Problem's ChannelKey, a VP program's Key —
-// so a warm window costs no hash of H (WindowStore states the contract). The
+// minted for (mod, h) — the key of a backend.Problem's or a VP program's
+// Window — so a warm window costs no hash of H (WindowStore states the contract). The
 // hit report is the signal backends surface as Result.CacheHit and the
 // telemetry plane's compile-stage feeder. key 0 mints the fingerprint here.
 func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {

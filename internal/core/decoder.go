@@ -86,7 +86,7 @@ type Decoder struct {
 	packs map[int][]*embedding.Embedding // parallel slot packings by N (their count is the geometric Pf)
 	chips []*chip                        // chip adjacencies, oldest first (chipFor)
 
-	channels *WindowStore[ChannelKey, *CompiledChannel] // Compile's artifacts
+	channels *WindowStore[*CompiledChannel] // Compile's artifacts
 
 	scratch sync.Pool // *scratch: a call's working set (pipeline.go)
 
@@ -126,7 +126,7 @@ func New(opts Options) (*Decoder, error) {
 		opts:     opts,
 		embs:     make(map[int]*embedding.Embedding),
 		packs:    make(map[int][]*embedding.Embedding),
-		channels: NewWindowStore[ChannelKey, *CompiledChannel](opts.ChannelCache),
+		channels: NewWindowStore[*CompiledChannel](opts.ChannelCache),
 	}, nil
 }
 

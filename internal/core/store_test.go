@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"quamax/internal/channel"
+	"quamax/internal/detector"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
@@ -72,7 +73,7 @@ func TestWindowStore(t *testing.T) {
 		}, metrics.ChannelCacheStats{Hits: 1, Misses: 2}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			s := NewWindowStore[int, int](row.capacity)
+			s := NewWindowStore[int](row.capacity)
 			type built struct {
 				key, ch int
 				mod     modulation.Modulation
@@ -92,12 +93,12 @@ func TestWindowStore(t *testing.T) {
 				if st.boom {
 					func() {
 						defer func() { recover() }()
-						s.Get(st.key, st.mod, chans[st.ch], false, func(*linalg.Mat) (int, error) { panic("boom") })
+						s.Get(ChannelKey(st.key), st.mod, chans[st.ch], false, func(*linalg.Mat) (int, error) { panic("boom") })
 						t.Fatalf("step %d: the build's panic did not reach its caller", i)
 					}()
 					continue
 				}
-				got, hit, err := s.Get(st.key, st.mod, chans[st.ch], false, build)
+				got, hit, err := s.Get(ChannelKey(st.key), st.mod, chans[st.ch], false, build)
 				if st.fail != (err != nil) || (err != nil && !errors.Is(err, boom)) {
 					t.Fatalf("step %d: err %v, fail=%v", i, err, st.fail)
 				}
@@ -124,7 +125,7 @@ func TestWindowStore(t *testing.T) {
 func TestWindowStoreSingleFlight(t *testing.T) {
 	src := rng.New(78)
 	chans := []*linalg.Mat{channel.Rayleigh{}.Generate(src, 3, 3), channel.Rayleigh{}.Generate(src, 3, 3)}
-	s := NewWindowStore[ChannelKey, *int](4)
+	s := NewWindowStore[*int](4)
 	const callers = 16
 	var builds atomic.Int32
 	release := make(chan struct{})
@@ -181,5 +182,51 @@ func TestWindowStoreHitAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("a keyed compile of a warm window makes %v allocations, want 0", n)
+	}
+}
+
+// A window factors its channel once, on first use, however many goroutines
+// ask at once; it serves its program only for its own channel — the same
+// matrix or an equal one — and a foreign channel, or no window, gets a
+// fresh program. CI runs this under -race.
+func TestWindowSphereFor(t *testing.T) {
+	src := rng.New(79)
+	h := channel.Rayleigh{}.Generate(src, 4, 3)
+	w := NewWindow(modulation.QPSK, h)
+	if w.Key() != FingerprintChannel(modulation.QPSK, h) || (*Window)(nil).Key() != 0 {
+		t.Fatal("a window's key is not its channel's fingerprint, or a nil window has a key")
+	}
+	before := detector.SphereCompiles()
+	const callers = 8
+	got := make([]*detector.SphereProgram, callers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = w.SphereFor(modulation.QPSK, h)
+		}()
+	}
+	wg.Wait()
+	if n := detector.SphereCompiles() - before; n != 1 {
+		t.Fatalf("%d factorizations for one window", n)
+	}
+	for _, p := range got {
+		if p != w.Sphere() {
+			t.Fatal("a caller got a program that is not the window's")
+		}
+	}
+	if w.SphereFor(modulation.QPSK, h.Clone()) != w.Sphere() {
+		t.Fatal("an equal matrix under another pointer is not the window's channel")
+	}
+	other := channel.Rayleigh{}.Generate(src, 4, 3)
+	for _, c := range []struct {
+		w   *Window
+		mod modulation.Modulation
+		h   *linalg.Mat
+	}{{w, modulation.QPSK, other}, {w, modulation.QAM16, h}, {nil, modulation.QPSK, h}} {
+		if p := c.w.SphereFor(c.mod, c.h); p == w.Sphere() || p.Mod() != c.mod {
+			t.Fatalf("SphereFor(%v, %p) on window %p served the window's program", c.mod, c.h, c.w)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
@@ -33,17 +34,22 @@ type SphereResult struct {
 }
 
 // SphereDecode runs a depth-first Schnorr–Euchner sphere decoder (§2.1) on
-// the real-valued decomposition of the channel: compile the channel's
-// triangle (CompileSphere), then walk the tree from the last dimension with
-// children ordered by distance from the zigzag center, pruning branches whose
-// partial metric exceeds the current radius, and shrinking the radius at each
-// improving leaf. It is the allocating one-shot form; a window of symbols
-// through one channel compiles once and calls Certify per symbol.
+// the real-valued decomposition of the channel: it compiles the channel's
+// triangle (CompileSphere) and searches it once (SphereProgram.Decode). It is
+// the allocating one-shot form; a window of symbols through one channel
+// compiles once and searches per symbol.
+func SphereDecode(mod modulation.Modulation, h *linalg.Mat, y []complex128, opts SphereOptions) (SphereResult, error) {
+	return CompileSphere(mod, h).Decode(y, opts)
+}
+
+// Decode is the sphere search of one received vector through the program:
+// walk the tree from the last dimension with children ordered by distance
+// from the zigzag center, pruning branches whose partial metric exceeds the
+// current radius, and shrinking the radius at each improving leaf.
 //
 // VisitedNodes counts every tree node whose partial metric was evaluated —
 // the complexity measure of Table 1.
-func SphereDecode(mod modulation.Modulation, h *linalg.Mat, y []complex128, opts SphereOptions) (SphereResult, error) {
-	p := CompileSphere(mod, h)
+func (p *SphereProgram) Decode(y []complex128, opts SphereOptions) (SphereResult, error) {
 	if !p.fullRank {
 		return SphereResult{}, errors.New("detector: sphere decoder needs a full-rank channel")
 	}
@@ -65,7 +71,7 @@ func SphereDecode(mod modulation.Modulation, h *linalg.Mat, y []complex128, opts
 	}
 	symbols := make([]complex128, p.nt)
 	p.symbols(s.best, symbols)
-	return SphereResult{Result: finish(mod, h, y, symbols, visited), Exhausted: exhausted}, nil
+	return SphereResult{Result: finish(p.mod, p.h, y, symbols, visited), Exhausted: exhausted}, nil
 }
 
 // SphereProgram is the channel-dependent half of the sphere search for one
@@ -75,6 +81,7 @@ func SphereDecode(mod modulation.Modulation, h *linalg.Mat, y []complex128, opts
 // It is immutable and safe for concurrent use; it references H, which must
 // not change.
 type SphereProgram struct {
+	mod      modulation.Modulation
 	h        *linalg.Mat
 	nt, nr   int       // complex users and antennas
 	n, m     int       // real columns (tree depth) and real rows
@@ -108,7 +115,8 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 		n = 2 * nt
 	}
 	m := 2 * nr
-	p := &SphereProgram{h: h, nt: nt, nr: nr, n: n, m: m, levels: mod.Levels(), bpd: mod.BitsPerDim()}
+	compiles.Add(1)
+	p := &SphereProgram{mod: mod, h: h, nt: nt, nr: nr, n: n, m: m, levels: mod.Levels(), bpd: mod.BitsPerDim()}
 	p.gray = make([]uint8, len(p.levels))
 	for i := range p.gray {
 		p.gray[i] = uint8(i ^ i>>1)
@@ -196,6 +204,17 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 	}
 	return p
 }
+
+// Mod returns the modulation the program was compiled for.
+func (p *SphereProgram) Mod() modulation.Modulation { return p.mod }
+
+// compiles counts CompileSphere's factorizations, process-wide.
+var compiles atomic.Uint64
+
+// SphereCompiles reports how many channels CompileSphere has factored in this
+// process: the count a caller holding one program per coherence window keeps
+// at one per window.
+func SphereCompiles() uint64 { return compiles.Load() }
 
 // SphereScratch is the per-call working memory of a SphereProgram: the
 // stacked and rotated receive vectors, the walk's path, its sorted children,

@@ -20,6 +20,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
+	"quamax/internal/detector"
 	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/mimo"
@@ -768,7 +769,7 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := qos.NewSNREstimator(hard.Mod, hard.H).Estimate(hard.Y, qos.CertifyNodes, nil); est.Proved {
+	if est := qos.EstimateInto(detector.CompileSphere(hard.Mod, hard.H), hard.Y, qos.CertifyNodes, nil, nil, nil); est.Proved {
 		t.Fatalf("the certificate finished the cell-edge decode in %d nodes: it would never reach the planner", est.Nodes)
 	}
 	resp, err = c.DecodeQoS(hard.Mod, hard.H, hard.Y, 0, 1e-3)
@@ -782,6 +783,29 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	// below the static Na = 100 device time of 200 µs.
 	if resp.ComputeMicros <= 0 || resp.ComputeMicros >= 200 {
 		t.Fatalf("ComputeMicros = %g, want a planner-sized budget below the static 200 µs", resp.ComputeMicros)
+	}
+}
+
+// A registration allocates its H (the matrix and its data) and its window:
+// the request decodes into a value.
+func TestRegistrationAllocatesItsHAndWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	h := channel.Rayleigh{}.Generate(rng.New(132), 8, 8)
+	payload, err := encodeRegisterChannel(&RegisterChannelRequest{ID: 5, Mod: modulation.QPSK, H: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	channels := make(map[uint64]registeredChannel, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		req, err := decodeRegisterChannel(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		channels[1] = registeredChannel{w: core.NewWindow(req.Mod, req.H)}
+	}); n != 3 {
+		t.Fatalf("a registration makes %v allocations, want 3: H, its data and the window", n)
 	}
 }
 
@@ -800,7 +824,7 @@ func TestRegisterCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, reg) {
+	if !reflect.DeepEqual(&back, reg) {
 		t.Fatalf("register round trip drifted: %+v", back)
 	}
 	for cut := 0; cut < len(payload); cut++ {
@@ -940,7 +964,7 @@ func TestRegisterChannelEvictsOldest(t *testing.T) {
 
 // precodeTestBench builds a pool server around one annealer decoder plus the
 // downlink fixtures shared by the precode end-to-end tests.
-func precodeTestBench(t *testing.T, users, antennas int) (*Server, *Client, *linalg.Mat) {
+func precodeTestBench(t *testing.T, users, antennas int) (*Client, *linalg.Mat) {
 	t.Helper()
 	dec := testDecoder(t)
 	server := newDecoderServer(t, dec, 9)
@@ -949,17 +973,17 @@ func precodeTestBench(t *testing.T, users, antennas int) (*Server, *Client, *lin
 	client := NewClient(cliConn)
 	t.Cleanup(func() { client.Close() })
 	h := channel.Rayleigh{}.Generate(rng.New(int64(users*100+antennas)), users, antennas)
-	return server, client, h
+	return client, h
 }
 
 // TestPrecodeOverWire runs the self-contained precode flow end to end: the
 // returned perturbation is in-alphabet and its transmit power matches the
-// reported energy, and repeating the window hits the server's VP-program
-// cache.
+// reported energy, on every repeat of the inline channel (each compiles its
+// own program).
 func TestPrecodeOverWire(t *testing.T) {
 	const users = 3
 	mod := modulation.QPSK
-	server, client, h := precodeTestBench(t, users, users+1)
+	client, h := precodeTestBench(t, users, users+1)
 
 	src := rng.New(541)
 	prog, err := precoding.Compile(mod, h, 1)
@@ -990,10 +1014,6 @@ func TestPrecodeOverWire(t *testing.T) {
 			t.Fatalf("solver metadata missing: %+v", resp)
 		}
 	}
-	st := server.PrecodeCacheStats()
-	if st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("VP program cache stats %+v, want 1 miss + 2 hits", st)
-	}
 	// A users > antennas channel fails per-request (compile error) without
 	// killing the shared connection.
 	wide := channel.Rayleigh{}.Generate(src, 4, 2)
@@ -1011,7 +1031,7 @@ func TestPrecodeOverWire(t *testing.T) {
 func TestPrecodeWithChannelOverWire(t *testing.T) {
 	const users = 3
 	mod := modulation.QPSK
-	_, client, h := precodeTestBench(t, users, users)
+	client, h := precodeTestBench(t, users, users)
 
 	rc, err := client.RegisterChannel(mod, h)
 	if err != nil {

@@ -272,7 +272,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		case msgRegisterChannel:
 			if req, err := decodeRegisterChannel(payload); err == nil {
-				canonical(encodeRegisterChannel(req))
+				canonical(encodeRegisterChannel(&req))
 			}
 		case msgRegisterResponse:
 			if resp, err := decodeRegisterResponse(payload); err == nil {

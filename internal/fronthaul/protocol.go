@@ -578,16 +578,17 @@ func frameRegisterChannel(buf []byte, req *RegisterChannelRequest) ([]byte, erro
 	return sealFrame(b, msgRegisterChannel), nil
 }
 
-// decodeRegisterChannel parses a RegisterChannelRequest payload.
-func decodeRegisterChannel(payload []byte) (*RegisterChannelRequest, error) {
+// decodeRegisterChannel parses a RegisterChannelRequest payload into a value:
+// only its H is allocated.
+func decodeRegisterChannel(payload []byte) (RegisterChannelRequest, error) {
 	r := &reader{b: payload}
-	req := &RegisterChannelRequest{ID: r.u64()}
+	req := RegisterChannelRequest{ID: r.u64()}
 	var err error
 	if req.Mod, req.H, err = readMat(r, new(linalg.Mat)); err != nil {
-		return nil, err
+		return RegisterChannelRequest{}, err
 	}
 	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in register-channel request")
+		return RegisterChannelRequest{}, errors.New("fronthaul: trailing bytes in register-channel request")
 	}
 	return req, nil
 }

@@ -2,6 +2,7 @@ package fronthaul
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -70,21 +71,13 @@ type Server struct {
 	// pool or router, recorder, health and burn trackers, planner. Nil answers
 	// an empty set. Set before Serve.
 	Stats func() []metrics.Sample
-
-	// precodePrograms holds the compiled VP programs of the server's
-	// downlink windows, shared by all connections, so every symbol vector of
-	// a window pays the channel inversion and coupling compile once.
-	precodePrograms *precoding.Cache
 }
-
-// PrecodeCacheStats snapshots the compiled-VP-program cache counters.
-func (s *Server) PrecodeCacheStats() metrics.ChannelCacheStats { return s.precodePrograms.Stats() }
 
 // NewPoolServer serves decode requests through an externally owned
 // dispatcher (typically a sched.Scheduler, or a router over several). The
 // caller keeps responsibility for draining it.
 func NewPoolServer(d Dispatcher) *Server {
-	return &Server{disp: d, precodePrograms: precoding.NewCache(0)}
+	return &Server{disp: d}
 }
 
 // DefaultPipelineDepth is the per-connection in-flight window when the
@@ -115,14 +108,35 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// registeredChannel is one compiled coherence window on a connection: the
-// estimated channel an AP registered with a register-channel frame, plus the
-// fingerprint the pool scheduler groups same-window symbols by. An inline
-// request's channel takes the same shape with a zero key.
+// registeredChannel is one coherence window on a connection: the window an
+// AP registered with a register-channel frame, minted there — its key, which
+// the pool scheduler groups same-window symbols by, and its sphere program —
+// plus, once a precode asks for them, its VP programs. An inline request's
+// channel has neither: it is seen once.
 type registeredChannel struct {
-	mod modulation.Modulation
-	h   *linalg.Mat
-	key core.ChannelKey
+	w  *core.Window
+	vp *vpPrograms // made by the read loop on the window's first precode
+}
+
+// vpPrograms are a registered window's VP programs, one per perturbation
+// depth, each compiled once, on first use, on the goroutine of the slot that
+// needs it.
+type vpPrograms [precoding.MaxPerturbBits]struct {
+	once sync.Once
+	prog *precoding.Program
+	err  error
+}
+
+// program returns the VP program at depth bits of the channel (mod, h): the
+// registered window's, compiled on first use, or for an inline channel (or
+// a depth Compile refuses) one compiled for this request alone.
+func (ch registeredChannel) program(mod modulation.Modulation, h *linalg.Mat, bits int) (*precoding.Program, error) {
+	if ch.vp == nil || bits < 1 || bits > len(ch.vp) {
+		return precoding.Compile(mod, h, bits)
+	}
+	e := &ch.vp[bits-1]
+	e.once.Do(func() { e.prog, e.err = precoding.Compile(mod, h, bits) })
+	return e.prog, e.err
 }
 
 // MaxChannelsPerConn bounds live channel registrations on one connection, so
@@ -269,17 +283,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 
 		case msgRegisterChannel:
-			var req *RegisterChannelRequest
+			var req RegisterChannelRequest
 			if req, err = decodeRegisterChannel(payload); err != nil {
 				break
 			}
-			// Registration is pure bookkeeping (the pool's compiled-channel
-			// cache fills lazily on the first decode), so answer inline.
-			// Handles are issued sequentially, so at capacity the oldest live
-			// one is exactly MaxChannelsPerConn behind the newest (below
-			// capacity that key does not exist and the delete is a no-op).
+			// Registration mints the window and nothing more (its sphere
+			// program, its VP programs and the pool's compiled channel are
+			// built on first use), so answer inline. Handles are issued
+			// sequentially, so at capacity the oldest live one is exactly
+			// MaxChannelsPerConn behind the newest (below capacity that key
+			// does not exist and the delete is a no-op).
 			nextHandle++
-			channels[nextHandle] = registeredChannel{mod: req.Mod, h: req.H, key: core.FingerprintChannel(req.Mod, req.H)}
+			channels[nextHandle] = registeredChannel{w: core.NewWindow(req.Mod, req.H)}
 			delete(channels, nextHandle-MaxChannelsPerConn)
 			sl.frame = frameRegisterResponse(sl.frame, &RegisterChannelResponse{ID: req.ID, Handle: nextHandle})
 
@@ -308,14 +323,15 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // resolveChannel resolves the channel the slot's solve request runs against,
-// its inline H or the registered one its handle names, and reports whether it
-// did. A stale handle or a wrong-length vector is the request's own error:
-// the refusal is framed into the slot, its text written straight into the
-// frame, and the connection kept.
+// its inline H or the registered window its handle names (whose Mod and H it
+// writes into the request), and reports whether it did. A stale handle or a
+// wrong-length vector is the request's own error: the refusal is framed into
+// the slot, its text written straight into the frame, and the connection
+// kept.
 func (sl *slot) resolveChannel(channels map[uint64]registeredChannel) bool {
 	req := &sl.req
 	if req.H != nil {
-		sl.ch = registeredChannel{mod: req.Mod, h: req.H}
+		sl.ch = registeredChannel{}
 		return true
 	}
 	ch, ok := channels[req.Handle]
@@ -324,12 +340,16 @@ func (sl *slot) resolveChannel(channels map[uint64]registeredChannel) bool {
 		sl.frame = frameRefusal(sl.frame, req.ID, func(b []byte) []byte {
 			return strconv.AppendUint(append(b, "unknown channel handle "...), req.Handle, 10)
 		})
-	case len(req.Vec) != ch.h.Rows:
+	case len(req.Vec) != ch.w.Channel().Rows:
 		sl.frame = frameRefusal(sl.frame, req.ID, func(b []byte) []byte {
-			return fmt.Appendf(b, "vector has %d entries, channel has %d rows", len(req.Vec), ch.h.Rows)
+			return fmt.Appendf(b, "vector has %d entries, channel has %d rows", len(req.Vec), ch.w.Channel().Rows)
 		})
 	default:
-		sl.ch = ch
+		if req.Precode && ch.vp == nil {
+			ch.vp = new(vpPrograms)
+			channels[req.Handle] = ch
+		}
+		sl.ch, req.Mod, req.H = ch, ch.w.Mod(), ch.w.Channel()
 		return true
 	}
 	return false
@@ -384,32 +404,29 @@ func (s *Server) softClamp(reqClamp float64) float64 {
 // frame, straight from the dispatcher's result. Precoding is the same problem
 // with a different (H, y): the compiled VP program substitutes its equivalent
 // uplink channel and target. Program resolution (O(Nu³) channel inversion on
-// a cache miss) runs here, on the slot's goroutine, so it cannot
-// head-of-line-block pipelined frames. The problem lends the slot's answer
-// storage, which a certified answer lands in and is framed from before the
-// slot can be reused.
+// a window's first precode at a depth) runs here, on the slot's goroutine,
+// so it cannot head-of-line-block pipelined frames. The problem lends the
+// slot's answer storage, which a certified answer lands in and is framed from
+// before the slot can be reused.
 func (s *Server) process(ctx context.Context, sl *slot) {
 	req, ch, p := &sl.req, sl.ch, &sl.p
 	switch {
 	case req.Precode:
-		bits := req.PerturbBits
-		if bits == 0 {
-			bits = s.PrecodeBits
-		}
-		// A registered channel carries the key minted at registration; an
-		// inline one has none, and its H enters the process with this frame.
-		prog, err := s.precodePrograms.Get(ch.key, ch.mod, ch.h, bits)
+		prog, err := ch.program(req.Mod, req.H, cmp.Or(req.PerturbBits, s.PrecodeBits, precoding.DefaultPerturbBits))
 		if err != nil {
 			sl.refuse(err.Error())
 			return
 		}
 		prog.ProblemInto(p, req.Vec, sl.target)
 		sl.target = p.Y
+		if ch.w == nil {
+			p.Window = nil // an inline channel is seen once on both links
+		}
 	case req.Soft && s.DisableSoft:
 		sl.refuse("soft decode disabled by server configuration")
 		return
 	default:
-		*p = backend.Problem{Mod: ch.mod, H: ch.h, Y: req.Vec, ChannelKey: ch.key}
+		*p = backend.Problem{Mod: req.Mod, H: req.H, Y: req.Vec, Window: ch.w}
 		if req.Soft {
 			p.Soft, p.NoiseVar, p.LLRClamp = true, req.NoiseVar, s.softClamp(req.LLRClamp)
 		}

@@ -63,7 +63,7 @@ func TestSolveShapesPinned(t *testing.T) {
 	h := channel.Rayleigh{}.Generate(src, users, users)
 	y := []complex128{1 + 2i, -0.5 - 0.25i}
 	s := []complex128{1 + 1i, -1 + 1i}
-	key := core.FingerprintChannel(mod, h)
+	win := core.NewWindow(mod, h)
 
 	// fakeResult is the dispatcher's answer: a fixed bit pattern over the
 	// problem's spins, distinct metadata, and LLRs that exercise both the
@@ -120,7 +120,7 @@ func TestSolveShapesPinned(t *testing.T) {
 			call: func(c *Client, rc *RemoteChannel) (any, error) {
 				return c.DecodeWithChannel(rc, y, deadline, target)
 			},
-			want: &backend.Problem{Mod: mod, H: h, Y: y, TargetBER: target, ChannelKey: key},
+			want: &backend.Problem{Mod: mod, H: h, Y: y, TargetBER: target, Window: win},
 		},
 		{
 			// No request clamp: the server default scales backend and wire alike.
@@ -137,7 +137,7 @@ func TestSolveShapesPinned(t *testing.T) {
 				return c.DecodeSoftWithChannel(rc, y, SoftQoS{NoiseVar: noiseVar, LLRClamp: 8,
 					Deadline: deadline, TargetBER: target})
 			},
-			want: &backend.Problem{Mod: mod, H: h, Y: y, TargetBER: target, ChannelKey: key,
+			want: &backend.Problem{Mod: mod, H: h, Y: y, TargetBER: target, Window: win,
 				Soft: true, NoiseVar: noiseVar, LLRClamp: 8},
 		},
 		{
@@ -145,8 +145,12 @@ func TestSolveShapesPinned(t *testing.T) {
 			call: func(c *Client, _ *RemoteChannel) (any, error) {
 				return c.Precode(mod, h, s, 2, deadline, target)
 			},
-			want: precodeProblem(vp2),
-			vp:   vp2,
+			want: func() *backend.Problem {
+				p := precodeProblem(vp2)
+				p.Window = nil // an inline channel is seen once on both links
+				return p
+			}(),
+			vp: vp2,
 		},
 		{
 			// Perturbation depth 0 selects the server default alphabet.

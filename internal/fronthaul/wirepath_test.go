@@ -398,10 +398,8 @@ func TestClientPartialWriteFailsClient(t *testing.T) {
 // connection drops with a window in service: each Dispatch returns on
 // cancellation as sched.Dispatch does, while its job, still queued, reads the
 // problem after the server has unwound. Every request carries an inline H,
-// read into its slot, from a rotation of channels. A precode request's H is
-// compiled into the server's VP program cache, which must keep a copy: after
-// the run every channel sent is still a hit there, on a program compiled from
-// that channel.
+// read into its slot, from a rotation of channels; a precode request's
+// program is compiled from it for that request alone.
 func TestSlotReuseNeverMovesADispatchedProblem(t *testing.T) {
 	const depth, n = 4, 64
 	const channels = 2*depth + 1
@@ -515,19 +513,6 @@ func TestSlotReuseNeverMovesADispatchedProblem(t *testing.T) {
 				}
 				if c := changed.Load(); c != 0 {
 					t.Fatalf("%d dispatchers saw their problem change", c)
-				}
-				if !precode {
-					return
-				}
-				before := srv.PrecodeCacheStats()
-				for c := 0; c < channels; c++ {
-					prog, err := srv.precodePrograms.Get(0, modulation.QPSK, channel(c), 0)
-					if err != nil || !slices.Equal(prog.Channel().Data, channel(c).Data) {
-						t.Fatalf("channel %d: the cached program was compiled from %v (%v)", c, prog.Channel(), err)
-					}
-				}
-				if hits := srv.PrecodeCacheStats().Hits - before.Hits; hits != channels {
-					t.Fatalf("%d of the %d channels sent inline are still hits in the VP program cache", hits, channels)
 				}
 			})
 		}

@@ -5,28 +5,25 @@ import (
 
 	"quamax/internal/core"
 	"quamax/internal/linalg"
-	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
 )
 
 // Precoder runs the VP search on a QuAMax decoder with the same
-// compile/execute economics as uplink decoding: the VP program (channel
-// inversion + couplings) compiles once per coherence window through a
-// Cache, the decoder pins the embedded physical program in its
-// compiled-channel store under the program's key, and each symbol vector
-// only pays one matrix–vector product plus the bias rewrite and anneal. Safe
-// for concurrent use.
+// compile/execute economics as uplink decoding: the caller compiles the VP
+// program (channel inversion + couplings) once per coherence window and
+// holds it, the decoder pins the embedded physical program in its
+// compiled-channel store under the program's window key, and each symbol
+// vector only pays one matrix–vector product plus the bias rewrite and
+// anneal. Safe for concurrent use.
 type Precoder struct {
-	dec   *core.Decoder
-	bits  int
-	cache *Cache
+	dec  *core.Decoder
+	bits int
 }
 
 // NewPrecoder wraps a decoder as a VP precoder. bits is the perturbation
-// depth (0 = DefaultPerturbBits); cacheSize bounds the compiled-VP-program
-// LRU (0 = DefaultCache).
-func NewPrecoder(dec *core.Decoder, bits, cacheSize int) (*Precoder, error) {
+// depth (0 = DefaultPerturbBits).
+func NewPrecoder(dec *core.Decoder, bits int) (*Precoder, error) {
 	if dec == nil {
 		return nil, errors.New("precoding: nil decoder")
 	}
@@ -36,7 +33,7 @@ func NewPrecoder(dec *core.Decoder, bits, cacheSize int) (*Precoder, error) {
 	if _, err := PerturbModulation(bits); err != nil {
 		return nil, err
 	}
-	return &Precoder{dec: dec, bits: bits, cache: NewCache(cacheSize)}, nil
+	return &Precoder{dec: dec, bits: bits}, nil
 }
 
 // Decoder exposes the wrapped decoder (shared with any uplink use).
@@ -45,14 +42,11 @@ func (p *Precoder) Decoder() *core.Decoder { return p.dec }
 // PerturbBits returns the configured perturbation depth.
 func (p *Precoder) PerturbBits() int { return p.bits }
 
-// CacheStats snapshots the compiled-VP-program LRU counters.
-func (p *Precoder) CacheStats() metrics.ChannelCacheStats { return p.cache.Stats() }
-
-// Compile returns the VP program for one downlink channel estimate through
-// the precoder's cache — call once per coherence window (repeat calls with
-// the same H are cache hits). H enters here, so its key is minted here.
+// Compile returns the VP program for one downlink channel estimate at the
+// precoder's depth: call once per coherence window and hold the program for
+// the window's symbol vectors.
 func (p *Precoder) Compile(dataMod modulation.Modulation, h *linalg.Mat) (*Program, error) {
-	return p.cache.Get(0, dataMod, h, p.bits)
+	return Compile(dataMod, h, p.bits)
 }
 
 // Result is one solved VP search.
@@ -80,7 +74,7 @@ type Result struct {
 // bit-identical to PrecodeRecompile on the same (program inputs, random
 // stream) — the property tests assert it.
 func (p *Precoder) Precode(prog *Program, s []complex128, src *rng.Source) (*Result, error) {
-	cc, _, err := p.dec.CompileKeyed(prog.Key(), prog.PerturbMod(), prog.VPChannel())
+	cc, _, err := p.dec.CompileKeyed(prog.window.Key(), prog.PerturbMod(), prog.VPChannel())
 	if err != nil {
 		return nil, err
 	}

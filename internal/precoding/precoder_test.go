@@ -45,7 +45,7 @@ func TestPrecodeCompiledMatchesRecompile(t *testing.T) {
 		{modulation.BPSK, 4, 2},
 	} {
 		dec := testDecoder(t, 25, 0)
-		prec, err := NewPrecoder(dec, tc.bits, 0)
+		prec, err := NewPrecoder(dec, tc.bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestAnnealedMatchesExhaustive(t *testing.T) {
 	// this fixed-seed set reach their exhaustive optimum through the
 	// simulator's ICE noise and analog range clipping.
 	dec := testDecoder(t, 3000, 0)
-	prec, err := NewPrecoder(dec, 1, 0)
+	prec, err := NewPrecoder(dec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAnnealedMatchesExhaustive(t *testing.T) {
 }
 
 // TestProblemThroughScheduler proves the VP workload rides the existing pool
-// stack unchanged: ChannelKey-tagged problems from one program dispatch
+// stack unchanged: problems from one program, carrying its window, dispatch
 // through a multi-QPU scheduler, solve on the compiled-channel path, and
 // decode back to in-alphabet perturbations whose transmit power matches the
 // reported energy.
@@ -164,8 +164,8 @@ func TestProblemThroughScheduler(t *testing.T) {
 	for sym := 0; sym < symbols; sym++ {
 		data := randomSymbols(src, mod, nu)
 		p := prog.Problem(data)
-		if p.ChannelKey != prog.Key() || p.ChannelKey == 0 {
-			t.Fatal("problem not tagged with the program's channel key")
+		if p.Window != prog.Window() || p.Window.Key() == 0 {
+			t.Fatal("problem does not carry the program's window")
 		}
 		res, err := s.Dispatch(ctx, p, 0)
 		if err != nil {

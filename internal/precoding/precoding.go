@@ -46,9 +46,9 @@
 //
 // Compile once per coherence window with Compile; derive per-symbol-vector
 // problems with Program.Ising (decoder-direct) or Program.Problem
-// (scheduler dispatch, ChannelKey-tagged). The Precoder type packages the
-// decoder-direct path with the same compile/execute economics as uplink
-// decoding.
+// (scheduler dispatch, carrying the program's window). The Precoder type
+// packages the decoder-direct path with the same compile/execute economics
+// as uplink decoding.
 package precoding
 
 import (
@@ -101,10 +101,11 @@ func Tau(dataMod modulation.Modulation) float64 {
 
 // Program is the compiled, channel-dependent half of the VP search for one
 // coherence window: the right pseudo-inverse P, the equivalent uplink
-// channel H′ = −(τ/2)P with its precompiled Ising couplings, and the channel
-// fingerprint that tags every derived problem for coherence-aware
-// scheduling. Compile once per estimated channel; derive per-symbol-vector
-// programs with Ising or Problem. A Program is immutable after Compile and
+// channel H′ = −(τ/2)P with its precompiled Ising couplings, and H′'s
+// window (core.Window): the key that tags every derived problem for
+// coherence-aware scheduling and the sphere program its certificates read.
+// Compile once per estimated channel; derive per-symbol-vector programs with
+// Ising or Problem. A Program is immutable after Compile and
 // safe for concurrent use (the Isings it produces share coupling storage,
 // with the same contract as reduction.ChannelProgram).
 type Program struct {
@@ -118,14 +119,14 @@ type Program struct {
 	hvp  *linalg.Mat // H′ = −(τ/2)·P, the equivalent uplink channel
 	base complex128  // (τ/2)(1+j), the per-user affine shift of the alphabet
 
-	prog *reduction.ChannelProgram // couplings of ‖y′ − H′·v_pam‖²
-	key  core.ChannelKey           // FingerprintChannel(perturbMod, hvp)
+	prog   *reduction.ChannelProgram // couplings of ‖y′ − H′·v_pam‖²
+	window *core.Window              // (perturbMod, hvp)
 }
 
 // Compile builds the VP program for one downlink channel estimate: the
 // right pseudo-inverse, the equivalent uplink channel H′, its compiled Ising
-// couplings, and the coherence fingerprint. h is Nu×Nt with Nu ≤ Nt (full
-// row rank); bits is the perturbation depth (0 selects DefaultPerturbBits).
+// couplings, and H′'s window. h is Nu×Nt with Nu ≤ Nt (full row rank); bits
+// is the perturbation depth (0 selects DefaultPerturbBits).
 // The returned program references h; callers must treat the matrix as
 // immutable for the program's lifetime.
 func Compile(dataMod modulation.Modulation, h *linalg.Mat, bits int) (*Program, error) {
@@ -166,7 +167,7 @@ func Compile(dataMod modulation.Modulation, h *linalg.Mat, bits int) (*Program, 
 		hvp:        hvp,
 		base:       complex(tau/2, tau/2),
 		prog:       reduction.CompileChannel(perturbMod, hvp),
-		key:        core.FingerprintChannel(perturbMod, hvp),
+		window:     core.NewWindow(perturbMod, hvp),
 	}, nil
 }
 
@@ -210,10 +211,10 @@ func (p *Program) Inverse() *linalg.Mat { return p.pinv }
 // anneals over (shared, do not mutate).
 func (p *Program) VPChannel() *linalg.Mat { return p.hvp }
 
-// Key returns the coherence fingerprint of the VP problem family — the
-// ChannelKey every Problem derived from this program carries, and the key
-// the decoder's compiled-channel LRU recognizes the window by.
-func (p *Program) Key() core.ChannelKey { return p.key }
+// Window returns the coherence window of the VP problem family, (PerturbMod,
+// VPChannel): the window every Problem derived from this program carries,
+// whose key the decoder's compiled-channel LRU recognizes it by.
+func (p *Program) Window() *core.Window { return p.window }
 
 // LogicalSpins returns N = Nu · 2b, the Ising size of every VP search
 // through this channel.
@@ -254,10 +255,11 @@ func (p *Program) Ising(s []complex128) *qubo.Ising {
 }
 
 // Problem packages one VP search as a scheduler-dispatchable problem: the
-// equivalent uplink channel and target, tagged with the program's
-// ChannelKey so the pool's coherence-aware gather batches same-window
-// searches and annealer backends solve them through their compiled-channel
-// cache. The caller may set TargetBER and Anneal overrides before dispatch.
+// equivalent uplink channel and target, carrying the program's window so
+// the pool's coherence-aware gather batches same-window searches, annealer
+// backends solve them through their compiled-channel cache and the
+// certificate reads the window's sphere program. The caller may set
+// TargetBER and Anneal overrides before dispatch.
 func (p *Program) Problem(s []complex128) *backend.Problem {
 	q := new(backend.Problem)
 	p.ProblemInto(q, s, nil)
@@ -269,11 +271,11 @@ func (p *Program) Problem(s []complex128) *backend.Problem {
 // not overlap s.
 func (p *Program) ProblemInto(dst *backend.Problem, s, target []complex128) {
 	*dst = backend.Problem{
-		Mod:        p.perturbMod,
-		H:          p.hvp,
-		Y:          p.AppendTarget(target[:0], s),
-		ChannelKey: p.key,
-		Lattice:    true,
+		Mod:     p.perturbMod,
+		H:       p.hvp,
+		Y:       p.AppendTarget(target[:0], s),
+		Window:  p.window,
+		Lattice: true,
 	}
 }
 

@@ -2,11 +2,9 @@ package precoding
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"quamax/internal/channel"
-	"quamax/internal/core"
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
 	"quamax/internal/qubo"
@@ -280,8 +278,8 @@ func TestCompileValidation(t *testing.T) {
 	if prog.LogicalSpins() != 2*2*DefaultPerturbBits {
 		t.Fatalf("logical spins = %d", prog.LogicalSpins())
 	}
-	if prog.Key() == 0 {
-		t.Fatal("zero channel key")
+	if w := prog.Window(); w.Key() == 0 || w.Mod() != prog.PerturbMod() || w.Channel() != prog.VPChannel() {
+		t.Fatal("the program's window is not its VP channel's")
 	}
 }
 
@@ -306,64 +304,5 @@ func TestRightInverseProperty(t *testing.T) {
 		if hvp.Data[i] != complex(-prog.Tau()/2, 0)*prog.Inverse().Data[i] {
 			t.Fatal("VP channel is not −τ/2 · P")
 		}
-	}
-}
-
-// TestCacheSharing: concurrent lookups of one window converge on one shared
-// program, a registered key and a key minted here name the same entry, and the
-// perturbation depth is part of what selects a program. (Order, eviction and
-// single-flight are the store's, core.TestWindowStore.)
-func TestCacheSharing(t *testing.T) {
-	src := rng.New(507)
-	cache := NewCache(2)
-	h := channel.Rayleigh{}.Generate(src, 3, 4)
-	registered := core.FingerprintChannel(modulation.QPSK, h)
-
-	const workers = 8
-	progs := make([]*Program, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			key := registered
-			if w%2 == 1 {
-				key = 0 // minted inside Get
-			}
-			p, err := cache.Get(key, modulation.QPSK, h, 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			progs[w] = p
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range progs[1:] {
-		if p != progs[0] {
-			t.Fatal("concurrent Get returned distinct programs")
-		}
-	}
-	if st := cache.Stats(); st.Hits+st.Misses != workers || st.Misses < 1 {
-		t.Fatalf("stats after warm loop: %+v", st)
-	}
-
-	// Different bit depth is a different program.
-	p2, err := cache.Get(registered, modulation.QPSK, h, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 == progs[0] {
-		t.Fatal("bit depths share a cache entry")
-	}
-	// The key of another window presented with this channel is a miss that
-	// compiles this channel, not a hit on the other window's program.
-	other := channel.Rayleigh{}.Generate(src, 3, 4)
-	p3, err := cache.Get(registered, modulation.QPSK, other, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == progs[0] || p3.Channel() != other {
-		t.Fatal("a reused key served another channel's program")
 	}
 }

@@ -221,7 +221,7 @@ func distStats(d *metrics.Distribution) (p0, floor, spread float64) {
 }
 
 // CertifyNodes is the tree-node budget of the certificate search admission
-// runs ahead of the planner (SNREstimator.Estimate; sched.Dispatch): a search
+// runs ahead of the planner (EstimateInto; sched.Dispatch): a search
 // that finishes inside it has proved its answer ML, and one that does not goes
 // to the planner as before. It is fixed on sched's seeded corpus
 // (TestStopRuleCorpus's certificate table): 8×8 QPSK at 15–30 dB certifies
@@ -230,31 +230,12 @@ func distStats(d *metrics.Distribution) (p0, floor, spread float64) {
 // constant, not a knob.
 const CertifyNodes = 10_000
 
-// SNREstimator is the channel-dependent half of admission's per-request work:
-// the sphere-search program of one (mod, H) — the triangle of its real
-// decomposition (detector.CompileSphere) — built once per coherence window.
-// The zero-forcing decision behind the SNR estimate and the certificate
-// search both read that one triangle. For QAM that decision is the complex
-// pseudo-inverse's, split into its real and imaginary parts; for BPSK, whose
-// decomposition keeps only the real symbol dimensions, it is the real
-// least-squares solution's, sliced. It is immutable and safe for concurrent
-// use; it references h, which must not change.
-type SNREstimator struct {
-	mod  modulation.Modulation
-	prog *detector.SphereProgram
-}
-
-// NewSNREstimator factors the channel (O(Nt²·Nr)).
-func NewSNREstimator(mod modulation.Modulation, h *linalg.Mat) *SNREstimator {
-	return &SNREstimator{mod: mod, prog: detector.CompileSphere(mod, h)}
-}
-
 // Estimate is one received vector as admission reads it: the receive-SNR
 // estimate and, when a search ran, its certificate.
 type Estimate struct {
 	// SNRdB is the receive SNR estimated from the vector's own data, and
 	// Residual the zero-forcing decision's ML metric ‖y − H·v‖² (see
-	// SNREstimator.Estimate). OK is false when the channel is too
+	// EstimateInto). OK is false when the channel is too
 	// ill-conditioned to invert; nothing else is then set.
 	SNRdB, Residual float64
 	OK              bool
@@ -272,30 +253,27 @@ type Estimate struct {
 	LLRSaturated int
 }
 
-// scratch pools the sphere searches' working memory across every estimator:
+// scratch pools the sphere searches' working memory across every program:
 // a scratch grows to the largest program it has served and is reused as is.
 var scratch = sync.Pool{New: func() any { return new(detector.SphereScratch) }}
 
-// Estimate estimates the receive SNR of one channel use from its own data —
-// detect with zero-forcing, rebuild the noiseless signal from the hard
-// decisions, and compare signal to residual power — and, with certifyNodes >
-// 0, runs the certificate search from that decision within that many tree
-// nodes (detector.SphereProgram.Certify). A soft request (soft non-nil) is
-// searched with its spec's clip radius, so a finished search also holds every
-// bit's counter-hypothesis out to where its LLR clamps. At serving SNRs the ZF
-// decisions are mostly correct, so the residual is dominated by noise; the
-// estimate biases high at very low SNR, where the planner's below-fit-range
-// guard takes over. The residual is the noise estimate the device tier's stop
-// radius is sized from (StopRadius). Only a proved answer's Bits and LLRs
-// allocate (EstimateInto lends them storage).
-func (e *SNREstimator) Estimate(y []complex128, certifyNodes int, soft *softout.Spec) Estimate {
-	return e.EstimateInto(y, certifyNodes, soft, nil, nil)
-}
-
-// EstimateInto is Estimate with a proved answer's Bits appended to bits[:0]
-// and its LLRs to llrs[:0] (a hard answer's LLRs are then llrs[:0], empty):
-// where their capacity holds the answer, nothing allocates.
-func (e *SNREstimator) EstimateInto(y []complex128, certifyNodes int, soft *softout.Spec, bits []byte, llrs []float64) Estimate {
+// EstimateInto reads one received vector through its channel's sphere
+// program (detector.CompileSphere; core.Window.Sphere builds it once per
+// coherence window). It estimates the receive SNR from the vector's own data
+// — detect with zero-forcing off the program's triangle, rebuild the
+// noiseless signal from the hard decisions, and compare signal to residual
+// power — and, with certifyNodes > 0, runs the certificate search from that
+// decision within that many tree nodes (detector.SphereProgram.Certify). A
+// soft request (soft non-nil) is searched with its spec's clip radius, so a
+// finished search also holds every bit's counter-hypothesis out to where its
+// LLR clamps. At serving SNRs the ZF decisions are mostly correct, so the
+// residual is dominated by noise; the estimate biases high at very low SNR,
+// where the planner's below-fit-range guard takes over. The residual is the
+// noise estimate the device tier's stop radius is sized from (StopRadius). A
+// proved answer's Bits are appended to bits[:0] and its LLRs to llrs[:0] (a
+// hard answer's LLRs are then llrs[:0], empty): where their capacity holds
+// the answer, nothing allocates.
+func EstimateInto(prog *detector.SphereProgram, y []complex128, certifyNodes int, soft *softout.Spec, bits []byte, llrs []float64) Estimate {
 	s := scratch.Get().(*detector.SphereScratch)
 	defer scratch.Put(s)
 	var clip float64
@@ -304,7 +282,7 @@ func (e *SNREstimator) EstimateInto(y []complex128, certifyNodes int, soft *soft
 			certifyNodes = 0 // a spec no LLR can honor proves nothing
 		}
 	}
-	c := e.prog.Certify(y, certifyNodes, clip, s)
+	c := prog.Certify(y, certifyNodes, clip, s)
 	if !c.OK || c.Signal == 0 {
 		return Estimate{Residual: c.Residual}
 	}
@@ -314,7 +292,7 @@ func (e *SNREstimator) EstimateInto(y []complex128, certifyNodes int, soft *soft
 	}
 	if c.Proved {
 		est.Proved, est.Metric = true, c.Metric
-		est.Bits, est.LLRs = e.mod.AppendDemapGrayVector(bits[:0], c.Symbols), llrs[:0]
+		est.Bits, est.LLRs = prog.Mod().AppendDemapGrayVector(bits[:0], c.Symbols), llrs[:0]
 		if soft != nil {
 			est.LLRs, est.LLRSaturated = softout.AppendFromGaps(est.LLRs, est.Bits, c.Gaps, *soft)
 		}
@@ -322,9 +300,9 @@ func (e *SNREstimator) EstimateInto(y []complex128, certifyNodes int, soft *soft
 	return est
 }
 
-// EstimateSNRdB is the one-shot form of SNREstimator for a channel seen once:
-// it factors the channel, estimates, and discards the program.
+// EstimateSNRdB is the one-shot SNR estimate of a channel seen once: it
+// factors the channel, estimates, and discards the program.
 func EstimateSNRdB(mod modulation.Modulation, h *linalg.Mat, y []complex128) (float64, bool) {
-	est := NewSNREstimator(mod, h).Estimate(y, 0, nil)
+	est := EstimateInto(detector.CompileSphere(mod, h), y, 0, nil, nil, nil)
 	return est.SNRdB, est.OK
 }

@@ -81,7 +81,7 @@ func (t *Table) classCurve(mod modulation.Modulation, nt int, mode Mode) (curve,
 }
 
 // The cells_mixed_qos shape: 8×8 QPSK over Ricean channels at 15–30 dB, every
-// symbol of a window estimated through one SNREstimator.
+// symbol of a window estimated through one sphere program.
 func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	src := rng.New(15)
 	tr, err := trace.GenerateMultiUser(src.Split(), trace.MultiUserConfig{
@@ -92,20 +92,20 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := modulation.QPSK
-	perChannel := make(map[*linalg.Mat]*SNREstimator)
+	perChannel := make(map[*linalg.Mat]*detector.SphereProgram)
 	for i, r := range tr.Requests {
 		snrDB := []float64{15, 20, 25, 30}[r.User%4]
 		y := linalg.MulVec(r.H, mod.MapGrayVector(src.Bits(8*mod.BitsPerSymbol())))
 		y = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, snrDB))
 		est := perChannel[r.H]
 		if est == nil {
-			est = NewSNREstimator(mod, r.H)
+			est = detector.CompileSphere(mod, r.H)
 			perChannel[r.H] = est
 		}
 		want, wantOK := estimateSNRRef(mod, r.H, y)
 		for name, f := range map[string]func() (float64, bool){
-			"per-channel": func() (float64, bool) { e := est.Estimate(y, 0, nil); return e.SNRdB, e.OK },
-			"certifying":  func() (float64, bool) { e := est.Estimate(y, CertifyNodes, nil); return e.SNRdB, e.OK },
+			"per-channel": func() (float64, bool) { e := EstimateInto(est, y, 0, nil, nil, nil); return e.SNRdB, e.OK },
+			"certifying":  func() (float64, bool) { e := EstimateInto(est, y, CertifyNodes, nil, nil, nil); return e.SNRdB, e.OK },
 			"one-shot":    func() (float64, bool) { return EstimateSNRdB(mod, r.H, y) },
 		} {
 			got, ok := f()
@@ -125,7 +125,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	h := channel.Rayleigh{}.Generate(src, 8, 8)
 	x := mod.MapGrayVector(src.Bits(16))
 	clean := linalg.MulVec(h, x)
-	if got := NewSNREstimator(mod, h).Estimate(clean, 0, nil); !got.OK || got.SNRdB < 100 {
+	if got := EstimateInto(detector.CompileSphere(mod, h), clean, 0, nil, nil, nil); !got.OK || got.SNRdB < 100 {
 		t.Fatalf("noiseless estimate (%v, %v), want a huge or infinite SNR", got.SNRdB, got.OK)
 	}
 	for r := 0; r < 8; r++ {
@@ -133,7 +133,7 @@ func TestSplitSNREstimateBitIdentical(t *testing.T) {
 	}
 	y := linalg.MulVec(h, x)
 	_, refOK := estimateSNRRef(mod, h, y)
-	got := NewSNREstimator(mod, h).Estimate(y, CertifyNodes, nil)
+	got := EstimateInto(detector.CompileSphere(mod, h), y, CertifyNodes, nil, nil, nil)
 	_, oneOK := EstimateSNRdB(mod, h, y)
 	if refOK || got.OK || got.Proved || oneOK {
 		t.Fatalf("rank-deficient channel: ok = %v (reference), %v (per-channel, proved %v), %v (one-shot); want all false", refOK, got.OK, got.Proved, oneOK)
@@ -147,10 +147,10 @@ func TestEstimateCertifiesAndAllocatesOnlyItsAnswer(t *testing.T) {
 	src := rng.New(16)
 	mod := modulation.QPSK
 	h := channel.Rayleigh{}.Generate(src, 8, 8)
-	est := NewSNREstimator(mod, h)
+	est := detector.CompileSphere(mod, h)
 	bits := src.Bits(16)
 	y := channel.AddAWGN(src, linalg.MulVec(h, mod.MapGrayVector(bits)), channel.NoiseSigma(mod, 8, 20))
-	got := est.Estimate(y, CertifyNodes, nil)
+	got := EstimateInto(est, y, CertifyNodes, nil, nil, nil)
 	ml, err := detector.SphereDecode(mod, h, y, detector.SphereOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -158,21 +158,21 @@ func TestEstimateCertifiesAndAllocatesOnlyItsAnswer(t *testing.T) {
 	if !got.Proved || got.Nodes == 0 || !reflect.DeepEqual(got.Bits, ml.Bits) || math.Abs(got.Metric-ml.Metric) > 1e-9*ml.Metric {
 		t.Fatalf("certificate %+v, sphere decoder bits %v metric %v", got, ml.Bits, ml.Metric)
 	}
-	plain := est.Estimate(y, 0, nil)
+	plain := EstimateInto(est, y, 0, nil, nil, nil)
 	if plain.Proved || plain.Nodes != 0 || plain.Bits != nil || plain.SNRdB != got.SNRdB || plain.Residual != got.Residual {
 		t.Fatalf("plain estimate %+v beside certifying %+v", plain, got)
 	}
 	if raceEnabled {
 		return // the race detector's pool drops entries at random
 	}
-	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, 0, nil) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { EstimateInto(est, y, 0, nil, nil, nil) }); a != 0 {
 		t.Errorf("Estimate without a search: %v allocations, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, CertifyNodes, nil) }); a != 1 {
+	if a := testing.AllocsPerRun(100, func() { EstimateInto(est, y, CertifyNodes, nil, nil, nil) }); a != 1 {
 		t.Errorf("certifying Estimate: %v allocations, want 1 (the answer's bits)", a)
 	}
 	soft := &softout.Spec{NoiseVar: channel.NoiseSigma(mod, 8, 20) * channel.NoiseSigma(mod, 8, 20)}
-	if a := testing.AllocsPerRun(100, func() { est.Estimate(y, CertifyNodes, soft) }); a != 2 {
+	if a := testing.AllocsPerRun(100, func() { EstimateInto(est, y, CertifyNodes, soft, nil, nil) }); a != 2 {
 		t.Errorf("soft certifying Estimate: %v allocations, want 2 (the answer's bits and LLRs)", a)
 	}
 }
@@ -189,11 +189,11 @@ func TestSoftEstimateCarriesTheCertificateLLRs(t *testing.T) {
 	var s detector.SphereScratch
 	for trial := 0; trial < 40; trial++ {
 		h := channel.Rayleigh{}.Generate(src, 8, 8)
-		est := NewSNREstimator(mod, h)
+		est := detector.CompileSphere(mod, h)
 		sigma := channel.NoiseSigma(mod, 8, []float64{15, 20, 25, 30}[trial%4])
 		y := channel.AddAWGN(src, linalg.MulVec(h, mod.MapGrayVector(src.Bits(16))), sigma)
 		spec := softout.Spec{NoiseVar: sigma * sigma, Clamp: []float64{0, 4}[trial%2]}
-		hard, got := est.Estimate(y, CertifyNodes, nil), est.Estimate(y, CertifyNodes, &spec)
+		hard, got := EstimateInto(est, y, CertifyNodes, nil, nil, nil), EstimateInto(est, y, CertifyNodes, &spec, nil, nil)
 		if !hard.Proved || !got.Proved || got.SNRdB != hard.SNRdB || got.Residual != hard.Residual ||
 			!reflect.DeepEqual(got.Bits, hard.Bits) || got.Metric != hard.Metric || got.Nodes < hard.Nodes {
 			t.Fatalf("trial %d: soft estimate %+v beside hard %+v", trial, got, hard)
@@ -206,24 +206,24 @@ func TestSoftEstimateCarriesTheCertificateLLRs(t *testing.T) {
 		if hard.LLRs != nil {
 			t.Fatalf("trial %d: a hard estimate carries LLRs", trial)
 		}
-		if bad := est.Estimate(y, CertifyNodes, &softout.Spec{Clamp: -1}); bad.Proved || bad.Nodes != 0 || bad.SNRdB != hard.SNRdB {
+		if bad := EstimateInto(est, y, CertifyNodes, &softout.Spec{Clamp: -1}, nil, nil); bad.Proved || bad.Nodes != 0 || bad.SNRdB != hard.SNRdB {
 			t.Fatalf("trial %d: a negative clamp gave %+v", trial, bad)
 		}
 	}
 }
 
-// One estimator serves every request of its window, from many goroutines.
+// One program serves every request of its window, from many goroutines.
 func TestSNREstimatorConcurrentUse(t *testing.T) {
 	src := rng.New(3)
 	mod := modulation.QPSK
 	h := channel.Rayleigh{}.Generate(src, 8, 8)
-	est := NewSNREstimator(mod, h)
+	est := detector.CompileSphere(mod, h)
 	ys := make([][]complex128, 64)
 	want := make([]float64, len(ys))
 	for i := range ys {
 		y := linalg.MulVec(h, mod.MapGrayVector(src.Bits(16)))
 		ys[i] = channel.AddAWGN(src, y, channel.NoiseSigma(mod, 8, 20))
-		want[i] = est.Estimate(ys[i], CertifyNodes, nil).SNRdB
+		want[i] = EstimateInto(est, ys[i], CertifyNodes, nil, nil, nil).SNRdB
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -231,7 +231,7 @@ func TestSNREstimatorConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, y := range ys {
-				if got := est.Estimate(y, CertifyNodes, nil).SNRdB; got != want[i] {
+				if got := EstimateInto(est, y, CertifyNodes, nil, nil, nil).SNRdB; got != want[i] {
 					t.Errorf("vector %d: concurrent estimate %v, serial %v", i, got, want[i])
 				}
 			}

@@ -340,7 +340,7 @@ const StopRadiusDeviations = 1
 // StopRadius is the stop radius of a decode over nr receive antennas at noise
 // variance noiseVar: σ²·(Nr + StopRadiusDeviations·√Nr). A hard request
 // carries no σ²; its estimate is the zero-forcing residual per antenna
-// (SNREstimator.Estimate), which makes the radius residual·(1 + 1/√Nr) — a
+// (EstimateInto), which makes the radius residual·(1 + 1/√Nr) — a
 // read at least about as close to y as the linear decision.
 func StopRadius(noiseVar float64, nr int) float64 {
 	return noiseVar * (float64(nr) + StopRadiusDeviations*math.Sqrt(float64(nr)))

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"quamax/internal/backend"
-	"quamax/internal/core"
 	"quamax/internal/health"
 )
 
@@ -22,20 +21,8 @@ func TestBurnRateShedding(t *testing.T) {
 	s0, s1 := newFakeShard(0), newFakeShard(0)
 	r := newTestRouter(t, []Shard{s0, s1}, Config{Burn: burn})
 
-	var key0, key1 core.ChannelKey
-	for k := uint64(1); key0 == 0 || key1 == 0; k++ {
-		switch r.ShardFor(core.ChannelKey(k)) {
-		case 0:
-			if key0 == 0 {
-				key0 = core.ChannelKey(k)
-			}
-		case 1:
-			if key1 == 0 {
-				key1 = core.ChannelKey(k)
-			}
-		}
-	}
-	if _, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: key0}, time.Second); err != nil {
+	win0, win1 := windowOn(r, 0), windowOn(r, 1)
+	if _, err := r.Dispatch(context.Background(), &backend.Problem{Window: win0}, time.Second); err != nil {
 		t.Fatalf("calm shard refused: %v", err)
 	}
 
@@ -47,7 +34,7 @@ func TestBurnRateShedding(t *testing.T) {
 	if !burn.Alerting(0) {
 		t.Fatal("setup: shard 0 never alerted")
 	}
-	_, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: key0}, time.Second)
+	_, err := r.Dispatch(context.Background(), &backend.Problem{Window: win0}, time.Second)
 	if err == nil {
 		t.Fatal("burning shard accepted keyed traffic")
 	}
@@ -58,7 +45,7 @@ func TestBurnRateShedding(t *testing.T) {
 	if r.ShedCount(0) == 0 {
 		t.Fatal("burn shed not counted")
 	}
-	if _, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: key1}, time.Second); err != nil {
+	if _, err := r.Dispatch(context.Background(), &backend.Problem{Window: win1}, time.Second); err != nil {
 		t.Fatalf("calm shard refused during peer burn: %v", err)
 	}
 	before := s1.dispatched.Load()
@@ -79,7 +66,7 @@ func TestBurnRateShedding(t *testing.T) {
 	if burn.Alerting(0) {
 		t.Fatal("setup: shard 0 never recovered")
 	}
-	if _, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: key0}, time.Second); err != nil {
+	if _, err := r.Dispatch(context.Background(), &backend.Problem{Window: win0}, time.Second); err != nil {
 		t.Fatalf("recovered shard still shed: %v", err)
 	}
 }

@@ -7,7 +7,7 @@
 // Three routing mechanisms:
 //
 //   - Channel-affinity routing. Requests carrying a channel fingerprint
-//     (backend.Problem.ChannelKey — every decode against a registered
+//     (the key of backend.Problem.Window — every decode against a registered
 //     coherence window) are placed by consistent hashing on the fingerprint:
 //     a hash ring with Replicas virtual nodes per shard. Every symbol of a
 //     coherence window therefore lands on the shard that compiled its
@@ -298,11 +298,11 @@ func (r *Router) observe(shard int, missed bool) {
 // power-of-two-choices over outstanding counts for un-keyed ones. The
 // returned error is a *ShedError when backpressure refuses the dispatch.
 func (r *Router) route(p *backend.Problem) (int, error) {
-	if p.ChannelKey != 0 {
+	if p.Window != nil {
 		// Affinity is strict: a shed shard's keyed traffic is refused, not
 		// diverted — moving it would recompile the window elsewhere and make
 		// the overload worse.
-		shard := r.ShardFor(p.ChannelKey)
+		shard := r.ShardFor(p.Window.Key())
 		if ewma, shed := r.shedding(shard); shed {
 			return 0, r.shed(shard, ewma)
 		}

@@ -34,9 +34,9 @@ func newFakeShard(delay time.Duration) *fakeShard {
 
 func (f *fakeShard) Dispatch(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
 	f.dispatched.Add(1)
-	if p.ChannelKey != 0 {
+	if p.Window != nil {
 		f.mu.Lock()
-		f.keys[p.ChannelKey]++
+		f.keys[p.Window.Key()]++
 		f.mu.Unlock()
 	}
 	if f.delay > 0 {
@@ -48,6 +48,21 @@ func (f *fakeShard) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 func (f *fakeShard) Stats() metrics.PoolStats {
 	n := f.dispatched.Load()
 	return metrics.PoolStats{Submitted: n, Completed: n}
+}
+
+// tagWindow is the window of a 1×1 BPSK channel holding k: a distinct key
+// per k, which is all the router reads of a window.
+func tagWindow(k uint64) *core.Window {
+	return core.NewWindow(modulation.BPSK, &linalg.Mat{Rows: 1, Cols: 1, Data: []complex128{complex(float64(k), 0)}})
+}
+
+// windowOn returns a tag window whose key the ring places on shard.
+func windowOn(r *Router, shard int) *core.Window {
+	for k := uint64(1); ; k++ {
+		if w := tagWindow(k); r.ShardFor(w.Key()) == shard {
+			return w
+		}
+	}
 }
 
 func newTestRouter(t *testing.T, shards []Shard, cfg Config) *Router {
@@ -74,14 +89,16 @@ func TestAffinityStable(t *testing.T) {
 	r := newTestRouter(t, shards, Config{})
 	src := rng.New(7)
 
-	keys := make([]core.ChannelKey, 100)
-	for i := range keys {
-		keys[i] = core.ChannelKey(src.Uint64() | 1) // nonzero
+	wins := make([]*core.Window, 100)
+	keys := make([]core.ChannelKey, len(wins))
+	for i := range wins {
+		wins[i] = tagWindow(src.Uint64())
+		keys[i] = wins[i].Key()
 	}
 	for i := 0; i < 10000; i++ {
 		key := keys[i%len(keys)]
 		want := r.ShardFor(key)
-		p := &backend.Problem{ChannelKey: key}
+		p := &backend.Problem{Window: wins[i%len(wins)]}
 		if _, err := r.Dispatch(context.Background(), p, 0); err != nil {
 			t.Fatalf("dispatch %d: %v", i, err)
 		}
@@ -157,25 +174,13 @@ func TestSheddingTypedError(t *testing.T) {
 		ShedAlpha:      0.5,
 		ShedMinSamples: 4,
 	})
-	// Find fingerprints owned by each shard.
-	var slowKey, fastKey core.ChannelKey
-	for k := uint64(1); slowKey == 0 || fastKey == 0; k++ {
-		switch r.ShardFor(core.ChannelKey(k)) {
-		case 0:
-			if slowKey == 0 {
-				slowKey = core.ChannelKey(k)
-			}
-		case 1:
-			if fastKey == 0 {
-				fastKey = core.ChannelKey(k)
-			}
-		}
-	}
+	// Find windows owned by each shard.
+	slowWin, fastWin := windowOn(r, 0), windowOn(r, 1)
 	// Every dispatch misses its 1µs deadline on the slow shard, pumping the
 	// EWMA toward 1 until the threshold trips.
 	var shedErr error
 	for i := 0; i < 100; i++ {
-		_, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: slowKey}, time.Microsecond)
+		_, err := r.Dispatch(context.Background(), &backend.Problem{Window: slowWin}, time.Microsecond)
 		if err != nil {
 			shedErr = err
 			break
@@ -201,7 +206,7 @@ func TestSheddingTypedError(t *testing.T) {
 		t.Fatal("ShedCount(0) is zero after a shed")
 	}
 	// The healthy shard's keyed traffic is unaffected.
-	if _, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: fastKey}, time.Second); err != nil {
+	if _, err := r.Dispatch(context.Background(), &backend.Problem{Window: fastWin}, time.Second); err != nil {
 		t.Fatalf("healthy shard refused: %v", err)
 	}
 	// Un-keyed traffic steers around the shed shard.
@@ -222,13 +227,10 @@ func TestSheddingTypedError(t *testing.T) {
 func TestShedSeriesExportWithoutHealthPlane(t *testing.T) {
 	slow := newFakeShard(time.Millisecond)
 	r := newTestRouter(t, []Shard{slow, newFakeShard(0)}, Config{ShedThreshold: 0.5, ShedAlpha: 0.5, ShedMinSamples: 4})
-	key := core.ChannelKey(1)
-	for r.ShardFor(key) != 0 {
-		key++
-	}
+	win := windowOn(r, 0)
 	shed := false
 	for i := 0; i < 100 && !shed; i++ {
-		_, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: key}, time.Microsecond)
+		_, err := r.Dispatch(context.Background(), &backend.Problem{Window: win}, time.Microsecond)
 		shed = errors.Is(err, ErrShed)
 	}
 	if !shed {
@@ -258,8 +260,9 @@ func TestShedSeriesExportWithoutHealthPlane(t *testing.T) {
 func TestSheddingDisabledByDefault(t *testing.T) {
 	slow := newFakeShard(time.Millisecond)
 	r := newTestRouter(t, []Shard{slow}, Config{})
+	win := tagWindow(1)
 	for i := 0; i < 50; i++ {
-		if _, err := r.Dispatch(context.Background(), &backend.Problem{ChannelKey: 1}, time.Microsecond); err != nil {
+		if _, err := r.Dispatch(context.Background(), &backend.Problem{Window: win}, time.Microsecond); err != nil {
 			t.Fatalf("dispatch %d refused with shedding disabled: %v", i, err)
 		}
 	}
@@ -305,21 +308,21 @@ func TestReconciliationAcrossShards(t *testing.T) {
 	const total = 600
 	var wg sync.WaitGroup
 	src := rng.New(9)
-	keys := make([]core.ChannelKey, total)
-	for i := range keys {
+	wins := make([]*core.Window, total)
+	for i := range wins {
 		if i%2 == 0 {
-			keys[i] = core.ChannelKey(src.Uint64() | 1) // keyed half
+			wins[i] = tagWindow(src.Uint64()) // keyed half
 		}
 	}
 	for i := 0; i < total; i++ {
 		wg.Add(1)
-		go func(key core.ChannelKey) {
+		go func(w *core.Window) {
 			defer wg.Done()
-			p := &backend.Problem{Mod: modulation.BPSK, H: h, Y: []complex128{1, 1}, ChannelKey: key}
+			p := &backend.Problem{Mod: modulation.BPSK, H: h, Y: []complex128{1, 1}, Window: w}
 			if _, err := r.Dispatch(context.Background(), p, 0); err != nil {
 				t.Errorf("dispatch: %v", err)
 			}
-		}(keys[i])
+		}(wins[i])
 	}
 	wg.Wait()
 	for _, s := range schedulers {

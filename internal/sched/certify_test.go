@@ -47,9 +47,9 @@ func TestCertifiedRequestsReconcile(t *testing.T) {
 	var problems []*backend.Problem
 	var want []detector.SphereResult
 	for _, window := range noisyProblems(t, 4, 8) {
-		key := core.FingerprintChannel(window[0].Mod, window[0].H)
+		w := core.NewWindow(window[0].Mod, window[0].H)
 		for _, p := range window {
-			p.ChannelKey = key
+			p.Window = w
 			ml, err := detector.SphereDecode(p.Mod, p.H, p.Y, detector.SphereOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -157,7 +157,7 @@ func TestCertifiedDispatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := noisyProblems(t, 1, 1)[0][0]
-	p.ChannelKey = core.FingerprintChannel(p.Mod, p.H)
+	p.Window = core.NewWindow(p.Mod, p.H)
 	p.TargetBER = 1e-3
 	dispatch := func() {
 		res, err := r.Dispatch(context.Background(), p, time.Hour)

@@ -118,6 +118,7 @@ func corpus(t *testing.T, seed int64, n int) []corpusRequest {
 	snrs := []float64{15, 20, 25, 30}
 	dsrc := src.Split()
 	programs := map[*linalg.Mat]*precoding.Program{}
+	windows := map[*linalg.Mat]*core.Window{}
 	out := make([]corpusRequest, 0, n)
 	for _, r := range tr.Requests {
 		sigma := channel.NoiseSigma(mod, nt, snrs[r.User%len(snrs)])
@@ -136,9 +137,10 @@ func corpus(t *testing.T, seed int64, n int) []corpusRequest {
 			req = corpusRequest{p: vp.Problem(symbols), vp: vp, s: symbols}
 		default:
 			y := channel.AddAWGN(dsrc, linalg.MulVec(r.H, symbols), sigma)
-			req = corpusRequest{bits: bits, p: &backend.Problem{
-				Mod: mod, H: r.H, Y: y, ChannelKey: core.FingerprintChannel(mod, r.H),
-			}}
+			if windows[r.H] == nil {
+				windows[r.H] = core.NewWindow(mod, r.H)
+			}
+			req = corpusRequest{bits: bits, p: &backend.Problem{Mod: mod, H: r.H, Y: y, Window: windows[r.H]}}
 			if slot < 3 { // soft
 				req.p.Soft, req.p.NoiseVar = true, sigma*sigma
 			}
@@ -516,7 +518,7 @@ func (c *certTable) observe(t *testing.T, s *Scheduler, cr corpusRequest) {
 	if c.rows[class] == nil {
 		c.rows[class] = make([]certRow, len(certBudgets))
 	}
-	est := s.estimator(cr.p)
+	est := cr.p.Window.SphereFor(cr.p.Mod, cr.p.H)
 	prog := detector.CompileSphere(cr.p.Mod, cr.p.H)
 	var scratch detector.SphereScratch
 	var clip float64
@@ -525,7 +527,7 @@ func (c *certTable) observe(t *testing.T, s *Scheduler, cr corpusRequest) {
 	}
 	var exact []float64 // enumeration's LLRs, once a soft search proves
 	for b, budget := range certBudgets {
-		e := est.Estimate(cr.p.Y, budget, spec)
+		e := qos.EstimateInto(est, cr.p.Y, budget, spec, nil, nil)
 		row := &c.rows[class][b]
 		row.requests++
 		row.nodes = append(row.nodes, float64(e.Nodes))
@@ -626,9 +628,9 @@ func bpsk48Row(t *testing.T) {
 				t.Fatal(err)
 			}
 			t0 := time.Now()
-			est := qos.NewSNREstimator(in.Mod, in.H)
+			est := detector.CompileSphere(in.Mod, in.H)
 			t1 := time.Now()
-			e := est.Estimate(in.Y, qos.CertifyNodes, nil)
+			e := qos.EstimateInto(est, in.Y, qos.CertifyNodes, nil, nil, nil)
 			factor, search = factor+t1.Sub(t0), search+time.Since(t1)
 			nodes = append(nodes, float64(e.Nodes))
 			if !e.Proved {

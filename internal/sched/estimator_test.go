@@ -9,7 +9,7 @@ import (
 	"quamax/internal/backend"
 	"quamax/internal/channel"
 	"quamax/internal/core"
-	"quamax/internal/metrics"
+	"quamax/internal/detector"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
@@ -40,13 +40,14 @@ func noisyProblems(t *testing.T, windows, symbols int) [][]*backend.Problem {
 	return out
 }
 
-// A problem admitted through the per-window store must get exactly the
-// verdict the same problem gets un-keyed (estimator built and discarded) — the
+// A problem carrying its window must get exactly the verdict the same
+// problem gets without one (a sphere program factored and discarded) — the
 // same certificate, or the same plan — on first sight of its window and on
-// every later symbol, and only keyed problems are remembered, one estimator
-// per window. Each symbol is admitted hard and soft: on the 8×8 windows the
-// certificate answers both, and the uncertified windows are planned — sized
-// (QPSK, which the flat table fits) or denied (16-QAM, which it does not).
+// every later symbol, and a window is factored once, however many of its
+// symbols admission reads. Each symbol is admitted hard and soft: on the 8×8
+// windows the certificate answers both, and the uncertified windows are
+// planned — sized (QPSK, which the flat table fits) or denied (16-QAM, which
+// it does not).
 func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 	pl, err := qos.NewPlanner(plannerTable())
 	if err != nil {
@@ -68,21 +69,24 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 		windows = append(windows, window)
 	}
 	quantum, denied, certified := 0, 0, 0
+	var windowBuilds uint64
 	for _, window := range windows {
-		key := core.FingerprintChannel(window[0].Mod, window[0].H)
+		win := core.NewWindow(window[0].Mod, window[0].H)
 		for _, hard := range window {
 			soft := *hard
 			soft.Soft = true
 			for _, p := range []*backend.Problem{hard, &soft} {
 				keyed := *p
-				keyed.ChannelKey = key
+				keyed.Window = win
 				want := s.applyPlan(p, 50*time.Millisecond)
+				before := detector.SphereCompiles()
 				got := s.applyPlan(&keyed, 50*time.Millisecond)
+				windowBuilds += detector.SphereCompiles() - before
 				gotQ := *got.p
-				gotQ.ChannelKey = 0
+				gotQ.Window = nil
 				got.p = &gotQ
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("keyed verdict (%+v, %+v) differs from un-keyed (%+v, %+v)", got, got.p, want, want.p)
+					t.Fatalf("windowed verdict (%+v, %+v) differs from un-windowed (%+v, %+v)", got, got.p, want, want.p)
 				}
 				switch {
 				case want.proved != nil:
@@ -98,17 +102,16 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 	if quantum != 2*2*symbols || denied != 2*2*symbols || certified != 4*2*symbols {
 		t.Fatalf("%d sized plans, %d denials, %d certificates: want %d, %d and %d", quantum, denied, certified, 2*2*symbols, 2*2*symbols, 4*2*symbols)
 	}
-	n := uint64(len(windows))
-	if st, want := s.snr.Stats(), (metrics.ChannelCacheStats{Hits: n * (2*symbols - 1), Misses: n}); st != want {
-		t.Fatalf("planning store %+v, want %+v: one build per keyed window, un-keyed problems never stored", st, want)
+	if n := uint64(len(windows)); windowBuilds != n {
+		t.Fatalf("%d sphere programs factored for the windowed problems of %d windows: want one per window", windowBuilds, n)
 	}
 }
 
-// Two channels under one ChannelKey: each request is planned from its OWN
-// channel. The key's first channel here has nearly collinear columns, the
+// Two channels under one window: each request is planned from its OWN
+// channel. The window's channel here has nearly collinear columns, the
 // other is the uncertified 16×16 QPSK channel it was bent from; the table's
 // success probability climbs with SNR, so the two plan different budgets and
-// a scheduler that trusted the key would plan one request from the other's
+// a scheduler that trusted the window would plan one request from the other's
 // estimate.
 func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
 	table := plannerTable()
@@ -134,67 +137,66 @@ func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := core.FingerprintChannel(modulation.QPSK, hBad)
-	plan := func(p *backend.Problem, key core.ChannelKey) (backend.Problem, bool) {
+	win := core.NewWindow(modulation.QPSK, hBad)
+	plan := func(p *backend.Problem, w *core.Window) (backend.Problem, bool) {
 		q := *p
-		q.TargetBER, q.ChannelKey, q.Soft = 1e-3, key, true
+		q.TargetBER, q.Window, q.Soft = 1e-3, w, true
 		v := s.applyPlan(&q, 50*time.Millisecond)
 		if v.proved != nil {
 			t.Fatal("the certificate answered a request the test needs planned")
 		}
 		out := *v.p
-		out.ChannelKey = 0
+		out.Window = nil
 		return out, v.denied
 	}
 	badP := &backend.Problem{Mod: bad.Mod, H: bad.H, Y: bad.Y}
-	wantGood, wantGoodDenied := plan(good, 0)
-	wantBad, wantBadDenied := plan(badP, 0)
+	wantGood, wantGoodDenied := plan(good, nil)
+	wantBad, wantBadDenied := plan(badP, nil)
 	if wantGoodDenied == wantBadDenied && reflect.DeepEqual(wantGood.Anneal, wantBad.Anneal) {
-		t.Fatal("the two channels plan alike: the test cannot tell whose estimator was used")
+		t.Fatal("the two channels plan alike: the test cannot tell whose program was used")
 	}
 	for i, c := range []struct {
 		p          *backend.Problem
 		want       backend.Problem
 		wantDenied bool
 	}{{badP, wantBad, wantBadDenied}, {good, wantGood, wantGoodDenied}, {badP, wantBad, wantBadDenied}} {
-		if got, denied := plan(c.p, key); denied != c.wantDenied || !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("request %d under the shared key: budget %+v denied=%v, its own channel's plan is %+v denied=%v",
+		if got, denied := plan(c.p, win); denied != c.wantDenied || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("request %d under the shared window: budget %+v denied=%v, its own channel's plan is %+v denied=%v",
 				i, got.Anneal, denied, c.want.Anneal, c.wantDenied)
 		}
 	}
 }
 
-// The symbols of two new windows arriving together: every goroutine gets its
-// window's one estimator. Run under -race.
+// The symbols of two new windows arriving together: each window is factored
+// once, and every symbol is certified from it. Run under -race.
 func TestEstimatorConcurrentWindows(t *testing.T) {
+	pl, err := qos.NewPlanner(plannerTable())
+	if err != nil {
+		t.Fatal(err)
+	}
 	windows := noisyProblems(t, 2, 1)
-	s, err := New(Config{Pool: []backend.Backend{&fakeBackend{name: "qpu"}}})
+	s, err := New(Config{Pool: []backend.Backend{&fakeBackend{name: "qpu"}}, Planner: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	wins := []*core.Window{core.NewWindow(windows[0][0].Mod, windows[0][0].H), core.NewWindow(windows[1][0].Mod, windows[1][0].H)}
 	const workers = 16
-	got := make([]*qos.SNREstimator, workers)
+	before := detector.SphereCompiles()
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			p := *windows[g%2][0]
-			p.ChannelKey = core.ChannelKey(1 + g%2)
-			got[g] = s.estimator(&p)
-			if !got[g].Estimate(p.Y, qos.CertifyNodes, nil).OK {
-				t.Errorf("goroutine %d: estimate failed", g)
+			p.Window = wins[g%2]
+			if v := s.applyPlan(&p, 50*time.Millisecond); v.proved == nil {
+				t.Errorf("goroutine %d: the certificate did not answer", g)
 			}
 		}()
 	}
 	wg.Wait()
-	for g := 2; g < workers; g++ {
-		if got[g] != got[g%2] {
-			t.Fatalf("goroutine %d got its own estimator for window %d", g, g%2)
-		}
-	}
-	if got[0] == got[1] {
-		t.Fatal("two windows share one estimator")
+	if n := detector.SphereCompiles() - before; n != 2 {
+		t.Fatalf("%d sphere programs factored for 2 windows", n)
 	}
 }

@@ -14,8 +14,9 @@
 //     counts the misses the router sheds on.
 //
 //   - Certify. With a Planner configured, a problem carrying a target BER is
-//     read once through its window's sphere program (qos.SNREstimator, one
-//     WindowStore lookup): the SNR estimate, the zero-forcing decision and
+//     read once through its window's sphere program (qos.EstimateInto on
+//     core.Window.Sphere, factored once per window): the SNR estimate, the
+//     zero-forcing decision and
 //     its residual ‖y − H·v_ZF‖². A Schnorr–Euchner search of at most
 //     qos.CertifyNodes tree nodes starts from that decision as its incumbent
 //     leaf, so its radius is the zero-forcing metric and it keeps only
@@ -79,9 +80,7 @@ import (
 	"time"
 
 	"quamax/internal/backend"
-	"quamax/internal/core"
 	"quamax/internal/health"
-	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
@@ -215,7 +214,6 @@ type Scheduler struct {
 	closed         bool
 	srcMu          sync.Mutex
 	src            *rng.Source
-	snr            *core.WindowStore[core.ChannelKey, *qos.SNREstimator] // per-channel planning state (applyPlan)
 
 	wg   sync.WaitGroup // pool workers
 	fbWg sync.WaitGroup // in-flight fallback solves
@@ -313,7 +311,6 @@ func New(cfg Config) (*Scheduler, error) {
 		now:   now,
 		start: now(),
 		src:   rng.New(cfg.Seed),
-		snr:   core.NewWindowStore[core.ChannelKey, *qos.SNREstimator](snrWindows),
 
 		radiusMisses: make(map[problemClass]uint64),
 	}
@@ -443,7 +440,8 @@ type verdict struct {
 
 // applyPlan is admission's work for a problem carrying a target BER (its own
 // or the configured default), with a Planner configured; any other problem
-// passes through untouched. One store lookup and one Estimate give the SNR,
+// passes through untouched. One read through its window's sphere program
+// (a fresh one for a problem without its own window) gives the SNR,
 // the zero-forcing residual and a certificate search of qos.CertifyNodes
 // nodes seeded with the zero-forcing decision — for a soft problem, clipped
 // at its LLR spec, so a finished search also holds its exact clamped max-log
@@ -468,7 +466,7 @@ func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) verdic
 	if p.Answer != nil {
 		bits, llrs = p.Answer.Bits, p.Answer.LLRs
 	}
-	est := s.estimator(p).EstimateInto(p.Y, qos.CertifyNodes, soft, bits, llrs)
+	est := qos.EstimateInto(p.Window.SphereFor(p.Mod, p.H), p.Y, qos.CertifyNodes, soft, bits, llrs)
 	if est.Proved {
 		res := p.Answer
 		if res == nil {
@@ -556,28 +554,6 @@ func (s *Scheduler) plan(p *backend.Problem, target float64, deadline time.Durat
 		q.StopRadius = qos.StopRadius(noiseVar, nr)
 	}
 	return verdict{p: &q}
-}
-
-// snrWindows is how many windows' SNR estimators a scheduler remembers: the
-// live channel handles one fronthaul connection may hold
-// (fronthaul.MaxChannelsPerConn, which this package cannot import), so one
-// AP's registered windows never evict each other's planning state. An entry is
-// one sphere program: the triangle and the reflectors of the real
-// decomposition's QR (4 KB at 8×8 QPSK, 56 KB at 48×48 BPSK).
-const snrWindows = 256
-
-// estimator returns the SNR estimator for p's channel: its window's, so the
-// symbols of a window share one factorization and each pays O(Nt·Nr) plus its
-// search, or for an un-keyed problem (a channel seen once) a fresh one, never
-// remembered.
-func (s *Scheduler) estimator(p *backend.Problem) *qos.SNREstimator {
-	if p.ChannelKey == 0 {
-		return qos.NewSNREstimator(p.Mod, p.H)
-	}
-	est, _, _ := s.snr.Get(p.ChannelKey, p.Mod, p.H, false, func(h *linalg.Mat) (*qos.SNREstimator, error) {
-		return qos.NewSNREstimator(p.Mod, h), nil // cannot fail: a singular H is reported by Estimate
-	})
-	return est
 }
 
 // divertForCost decides cost-aware dispatch for p after planning, on the
@@ -1018,7 +994,7 @@ func (s *Scheduler) worker(idx int) {
 // gatherLocked extends an already-popped head job with batch-compatible
 // queued jobs (backend.Batchable: same logical spin count and agreeing
 // anneal schedule) up to the backend's slot capacity. For a head carrying a
-// ChannelKey, queued symbols from the SAME coherence window (equal key — the
+// Window, queued symbols from the SAME coherence window (equal key — the
 // channel is already programmed on the backend's compiled-channel cache)
 // claim the run's slots first, and only leftover slots go to other
 // batch-compatible jobs; an un-keyed head has no window and every free slot
@@ -1026,8 +1002,8 @@ func (s *Scheduler) worker(idx int) {
 // itself stays in queue order so FIFO fairness inside one run is untouched.
 // Estimates move from queued to in-flight.
 func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
-	key := head.p.ChannelKey
-	sameWindow := func(j *job) bool { return key != 0 && j.p.ChannelKey == key }
+	key := head.p.Window.Key()
+	sameWindow := func(j *job) bool { return key != 0 && j.p.Window.Key() == key }
 	// First pass: how many free slots the head's window claims.
 	same, other := 0, slots-1
 	if key != 0 {

@@ -14,7 +14,9 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/chimera"
 	"quamax/internal/core"
+	"quamax/internal/detector"
 	"quamax/internal/health"
+	"quamax/internal/linalg"
 	"quamax/internal/metrics"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
@@ -114,14 +116,14 @@ func uncertifiedWindow(t *testing.T, seed int64, mod modulation.Modulation, symb
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := qos.NewSNREstimator(mod, first.H)
+	est := detector.CompileSphere(mod, first.H)
 	out := make([]*backend.Problem, symbols)
 	for i := range out {
 		in, err := mimo.FromParts(src, cfg, first.H, src.Bits(16*mod.BitsPerSymbol()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := est.Estimate(in.Y, qos.CertifyNodes, nil); e.Proved {
+		if e := qos.EstimateInto(est, in.Y, qos.CertifyNodes, nil, nil, nil); e.Proved {
 			t.Fatalf("seed %d symbol %d: the certificate finished in %d nodes; the request would never reach the planner", seed, i, e.Nodes)
 		}
 		out[i] = &backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, NoiseVar: in.NoiseVariance()}
@@ -974,11 +976,12 @@ func TestCoherentGatherPrefersSameChannel(t *testing.T) {
 	}
 	defer s.Close()
 
-	const window core.ChannelKey = 7
+	// Gathering reads only a window's key: a tag window stands for each.
+	window, elsewhere := core.NewWindow(modulation.BPSK, linalg.Identity(2)), core.NewWindow(modulation.QPSK, linalg.Identity(2))
 	var wg sync.WaitGroup
-	dispatch := func(seed int64, key core.ChannelKey) *backend.Problem {
+	dispatch := func(seed int64, w *core.Window) *backend.Problem {
 		p, _ := testProblem(t, seed, modulation.BPSK, 2)
-		p.ChannelKey = key
+		p.Window = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -991,18 +994,18 @@ func TestCoherentGatherPrefersSameChannel(t *testing.T) {
 
 	// A blocker occupies the gated worker so everything below queues; each
 	// admission is sequenced so the queue order is deterministic.
-	blocker := dispatch(969, 0)
+	blocker := dispatch(969, nil)
 	waitFor(t, "worker busy", func() bool { return s.Stats().Submitted == 1 && s.Stats().QueueDepth == 0 })
 	// Queue order: keyed head, then two other-window jobs AHEAD of the two
 	// same-window symbols.
-	enqueue := func(i int, seed int64, key core.ChannelKey) *backend.Problem {
-		p := dispatch(seed, key)
+	enqueue := func(i int, seed int64, w *core.Window) *backend.Problem {
+		p := dispatch(seed, w)
 		waitFor(t, "admission", func() bool { return s.Stats().QueueDepth == i })
 		return p
 	}
 	head := enqueue(1, 970, window)
-	other1 := enqueue(2, 971, 0)
-	other2 := enqueue(3, 972, 99)
+	other1 := enqueue(2, 971, nil)
+	other2 := enqueue(3, 972, elsewhere)
 	same1 := enqueue(4, 973, window)
 	same2 := enqueue(5, 974, window)
 
@@ -1044,10 +1047,11 @@ func TestCoherentGatherFillsLeftoverSlots(t *testing.T) {
 	}
 	defer s.Close()
 
+	window := core.NewWindow(modulation.BPSK, linalg.Identity(2)) // gathering reads only its key
 	var wg sync.WaitGroup
-	dispatch := func(seed int64, key core.ChannelKey, nt int) {
+	dispatch := func(seed int64, w *core.Window, nt int) {
 		p, _ := testProblem(t, seed, modulation.BPSK, nt)
-		p.ChannelKey = key
+		p.Window = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -1056,16 +1060,16 @@ func TestCoherentGatherFillsLeftoverSlots(t *testing.T) {
 			}
 		}()
 	}
-	dispatch(979, 0, 2) // blocker
+	dispatch(979, nil, 2) // blocker
 	waitFor(t, "worker busy", func() bool { return s.Stats().Submitted == 1 && s.Stats().QueueDepth == 0 })
-	enqueue := func(i int, seed int64, key core.ChannelKey, nt int) {
-		dispatch(seed, key, nt)
+	enqueue := func(i int, seed int64, w *core.Window, nt int) {
+		dispatch(seed, w, nt)
 		waitFor(t, "admission", func() bool { return s.Stats().QueueDepth == i })
 	}
-	enqueue(1, 980, 5, 2) // keyed head
-	enqueue(2, 981, 0, 2) // other window, compatible
-	enqueue(3, 982, 5, 2) // same window
-	enqueue(4, 983, 0, 4) // incompatible N
+	enqueue(1, 980, window, 2) // keyed head
+	enqueue(2, 981, nil, 2)    // other window, compatible
+	enqueue(3, 982, window, 2) // same window
+	enqueue(4, 983, nil, 4)    // incompatible N
 
 	f.gate <- struct{}{} // blocker solo
 	f.gate <- struct{}{} // head batch: same-window symbols + leftover compatible

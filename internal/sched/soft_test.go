@@ -269,9 +269,9 @@ func TestCertifiedSoftAnswersBurnNoBudget(t *testing.T) {
 	defer s.Close()
 	var problems []*backend.Problem
 	for _, window := range noisyProblems(t, 8, 8) {
-		key := core.FingerprintChannel(window[0].Mod, window[0].H)
+		w := core.NewWindow(window[0].Mod, window[0].H)
 		for _, p := range window {
-			p.Soft, p.NoiseVar, p.ChannelKey = true, 0.05, key
+			p.Soft, p.NoiseVar, p.Window = true, 0.05, w
 			problems = append(problems, p)
 		}
 	}

@@ -42,7 +42,7 @@ func planned(s *Scheduler, p *backend.Problem, deadline time.Duration) (*backend
 	if target <= 0 {
 		return p, false
 	}
-	v := s.plan(p, target, deadline, s.estimator(p).Estimate(p.Y, 0, nil))
+	v := s.plan(p, target, deadline, qos.EstimateInto(p.Window.SphereFor(p.Mod, p.H), p.Y, 0, nil, nil, nil))
 	return v.p, v.denied
 }
 

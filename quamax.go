@@ -145,8 +145,7 @@ func NoiseFree() float64 { return math.Inf(1) }
 type Precoder = precoding.Precoder
 
 // VPProgram is one compiled downlink coherence window: the channel
-// inversion, the equivalent uplink Ising couplings, and the coherence
-// fingerprint.
+// inversion, the equivalent uplink Ising couplings, and their window.
 type VPProgram = precoding.Program
 
 // VPResult is one solved vector-perturbation search: the perturbation, the
@@ -154,10 +153,9 @@ type VPProgram = precoding.Program
 type VPResult = precoding.Result
 
 // NewPrecoder wraps a decoder as a VP precoder. perturbBits selects the
-// perturbation alphabet depth per dimension (0 = 1 bit, v ∈ {−1,0}²);
-// cacheSize bounds the compiled-program LRU (0 = default).
-func NewPrecoder(dec *Decoder, perturbBits, cacheSize int) (*Precoder, error) {
-	return precoding.NewPrecoder(dec, perturbBits, cacheSize)
+// perturbation alphabet depth per dimension (0 = 1 bit, v ∈ {−1,0}²).
+func NewPrecoder(dec *Decoder, perturbBits int) (*Precoder, error) {
+	return precoding.NewPrecoder(dec, perturbBits)
 }
 
 // SoftSpec configures soft output (Request.Soft): the noise variance scaling
