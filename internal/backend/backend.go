@@ -77,7 +77,7 @@ type Problem struct {
 	// StopRepeats, when positive, makes ClassicalSA's configured restarts a
 	// cap: the decode ends once that many restarts have returned the best
 	// configuration so far. The scheduler sets it on a classical denial
-	// (sched.applyPlan), and only for problems with a target BER. Every other
+	// (sched.Scheduler.plan), and only for problems with a target BER. Every other
 	// backend ignores it — on device reads the rule is unsound (ICE-perturbed
 	// reads cluster in local minima) — and it does not enter Batchable.
 	StopRepeats int
@@ -86,7 +86,7 @@ type Problem struct {
 	// (Solve) or as a member of a shared run (SolveBatch), the problem stops
 	// reading there — a soft one not before softout.MinEnsemble reads — while
 	// any co-members read on; Result.Reads says where. The scheduler sizes it
-	// on fitted plans (sched.applyPlan, qos.StopRadius). Every other backend
+	// on fitted plans (sched.Scheduler.plan, qos.StopRadius). Every other backend
 	// ignores it, and it does not enter Batchable.
 	StopRadius float64
 	// Lattice marks Y as a lattice-search target (a vector-perturbation

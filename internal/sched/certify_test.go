@@ -127,7 +127,7 @@ func TestCertifiedRequestsReconcile(t *testing.T) {
 		t.Errorf("misses %d, slack missed/met %d/%d; want %d missed of %d", st.DeadlineMisses, sn.SlackMissed.Count, sn.SlackMet.Count, missed, n)
 	}
 	for i, tr := range rec.Traces() {
-		if tr.Backend != CertificateBackend || tr.CertifyNodes < 1 || tr.CertifyNodes > qos.CertifyNodes || tr.Fallback || tr.Failed {
+		if tr.Backend != CertificateBackend || tr.CertifyNodes < 1 || tr.CertifyNodes > qos.CertifyNodes || tr.Route != "certified" || tr.Failed {
 			t.Errorf("trace %d: %+v", i, tr)
 		}
 	}

@@ -31,7 +31,7 @@ import (
 // corpus shaped like the benchmark's cells_mixed_qos traffic — 8×8 QPSK over
 // trace.GenerateMultiUser's 16 Zipf cells, Ricean K = 3, SNR 15–30 dB and
 // hard/soft/precode class dealt by user ID, target BER 1e-3, 50 ms deadline —
-// through the scheduler's own applyPlan and the two backends it routes to, the
+// through the scheduler's own admit and the two backends it routes to, the
 // classical denials once armed and once uncut, and counts: restarts run
 // against restarts configured, every answer the rule changed (each must be a
 // strictly lower uncut energy), and per tier the BER of what was served beside
@@ -43,7 +43,7 @@ import (
 // test), so the same argument holds per member: the corpus's fitted decodes
 // are regrouped, in corpus order, into solo runs (Annealer.Solve, which arms
 // the radius alike) and shared runs of 3, 5, 7 and 10 members, each run once
-// armed as applyPlan armed it and once with the radii stripped, on the same
+// armed as admit armed it and once with the radii stripped, on the same
 // stream. Counted per run size: slot-reads run against
 // the cap (run budget × members) and against what the planner asked for,
 // device reads charged (the most any member ran), members that never settled,
@@ -204,10 +204,11 @@ func TestStopRuleCorpus(t *testing.T) {
 	var ensemble ensembleTally
 	for i, cr := range corpus(t, 20261004, corpusRequests) {
 		certs.observe(t, s, cr)
-		v := s.applyPlan(cr.p, 50*time.Millisecond)
+		v := s.admit(cr.p, 50*time.Millisecond)
 		q, denied := planned(s, cr.p, 50*time.Millisecond)
-		if v.proved == nil && (v.denied != denied || !reflect.DeepEqual(v.p, q)) {
-			t.Fatalf("request %d: the search ran out of nodes and admission planned %+v (denied=%v), the planner alone %+v (denied=%v)", i, v.p, v.denied, q, denied)
+		if v.proved == nil && (v.route != routeQueue && v.route != routePlannerDenied ||
+			(v.route == routePlannerDenied) != denied || !reflect.DeepEqual(v.p, q)) {
+			t.Fatalf("request %d: the search ran out of nodes and admission routed %v with %+v, the planner alone %+v (denied=%v)", i, v.route, v.p, q, denied)
 		}
 		if (q.StopRepeats == qos.StopRepeats) != denied || (!denied && q.StopRepeats != 0) {
 			t.Fatalf("request %d (denied=%v): repeat rule %d", i, denied, q.StopRepeats)

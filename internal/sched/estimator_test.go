@@ -40,7 +40,7 @@ func noisyProblems(t *testing.T, windows, symbols int) [][]*backend.Problem {
 	return out
 }
 
-// A problem carrying its window must get exactly the verdict the same
+// A problem carrying its window must get exactly the decision the same
 // problem gets without one (a sphere program factored and discarded) — the
 // same certificate, or the same plan — on first sight of its window and on
 // every later symbol, and a window is factored once, however many of its
@@ -78,20 +78,20 @@ func TestKeyedPlanMatchesUnkeyed(t *testing.T) {
 			for _, p := range []*backend.Problem{hard, &soft} {
 				keyed := *p
 				keyed.Window = win
-				want := s.applyPlan(p, 50*time.Millisecond)
+				want := s.admit(p, 50*time.Millisecond)
 				before := detector.SphereCompiles()
-				got := s.applyPlan(&keyed, 50*time.Millisecond)
+				got := s.admit(&keyed, 50*time.Millisecond)
 				windowBuilds += detector.SphereCompiles() - before
 				gotQ := *got.p
 				gotQ.Window = nil
 				got.p = &gotQ
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("windowed verdict (%+v, %+v) differs from un-windowed (%+v, %+v)", got, got.p, want, want.p)
+					t.Fatalf("windowed decision (%+v, %+v) differs from un-windowed (%+v, %+v)", got, got.p, want, want.p)
 				}
 				switch {
-				case want.proved != nil:
+				case want.route == routeCertified:
 					certified++
-				case want.denied:
+				case want.route == routePlannerDenied:
 					denied++
 				case want.p.Anneal != nil:
 					quantum++
@@ -141,13 +141,13 @@ func TestReusedKeyPlansFromTheRequestsOwnChannel(t *testing.T) {
 	plan := func(p *backend.Problem, w *core.Window) (backend.Problem, bool) {
 		q := *p
 		q.TargetBER, q.Window, q.Soft = 1e-3, w, true
-		v := s.applyPlan(&q, 50*time.Millisecond)
-		if v.proved != nil {
+		d := s.admit(&q, 50*time.Millisecond)
+		if d.route == routeCertified {
 			t.Fatal("the certificate answered a request the test needs planned")
 		}
-		out := *v.p
+		out := *d.p
 		out.Window = nil
-		return out, v.denied
+		return out, d.route == routePlannerDenied
 	}
 	badP := &backend.Problem{Mod: bad.Mod, H: bad.H, Y: bad.Y}
 	wantGood, wantGoodDenied := plan(good, nil)
@@ -190,7 +190,7 @@ func TestEstimatorConcurrentWindows(t *testing.T) {
 			defer wg.Done()
 			p := *windows[g%2][0]
 			p.Window = wins[g%2]
-			if v := s.applyPlan(&p, 50*time.Millisecond); v.proved == nil {
+			if d := s.admit(&p, 50*time.Millisecond); d.route != routeCertified {
 				t.Errorf("goroutine %d: the certificate did not answer", g)
 			}
 		}()

@@ -13,39 +13,47 @@
 //     paths, so e2e + slack == deadline on every trace and the scheduler
 //     counts the misses the router sheds on.
 //
-//   - Certify. With a Planner configured, a problem carrying a target BER is
-//     read once through its window's sphere program (qos.EstimateInto on
-//     core.Window.Sphere, factored once per window): the SNR estimate, the
-//     zero-forcing decision and
-//     its residual ‖y − H·v_ZF‖². A Schnorr–Euchner search of at most
-//     qos.CertifyNodes tree nodes starts from that decision as its incumbent
-//     leaf, so its radius is the zero-forcing metric and it keeps only
-//     strictly closer leaves. A search that finishes inside the budget has
-//     ruled out every leaf closer to y than the one it holds: that leaf is an
-//     ML answer, and no annealer read can beat it. For a soft request the
-//     search is the clipped single-tree max-log search (Studer, Burg &
-//     Bölcskei): it also keeps, per bit, the nearest leaf with that bit
-//     flipped, out to where the request's LLR clamps, so a finished search
-//     holds the exact clamped max-log LLRs. The request is answered there —
-//     Backend "certificate", no reads, no queue slot, no backend and no
-//     planner call — the hybrid classical–quantum structure of Kim et al.
-//     (arXiv:2010.00682) applied per request. A search that runs out of
-//     nodes leaves the request to the planner exactly as before.
+//   - Admit · certify. Outside the lock, admit returns the request's one
+//     decision — its route, the problem to run (a planned copy or the caller's
+//     own), what the certificate search found and the pool's price — from
+//     three rules in order. First, with a Planner configured, a problem
+//     carrying a target BER is read once through its window's sphere program
+//     (qos.EstimateInto on core.Window.Sphere, factored once per window): the
+//     SNR estimate, the zero-forcing decision and its residual ‖y − H·v_ZF‖².
+//     A Schnorr–Euchner search of at most qos.CertifyNodes tree nodes starts
+//     from that decision as its incumbent leaf, so its radius is the
+//     zero-forcing metric and it keeps only strictly closer leaves. A search
+//     that finishes inside the budget has ruled out every leaf closer to y
+//     than the one it holds: that leaf is an ML answer, and no annealer read
+//     can beat it. For a soft request the search is the clipped single-tree
+//     max-log search (Studer, Burg & Bölcskei): it also keeps, per bit, the
+//     nearest leaf with that bit flipped, out to where the request's LLR
+//     clamps, so a finished search holds the exact clamped max-log LLRs. The
+//     request is answered there — Backend "certificate", no reads, no queue
+//     slot, no backend and no planner call — the hybrid classical–quantum
+//     structure of Kim et al. (arXiv:2010.00682) applied per request. A search
+//     that runs out of nodes leaves the request to the planner.
 //
-//   - Plan. A problem carrying a target BER that the certificate did not
-//     answer gets its anneal budget — reads, schedule, forward/reverse mode —
-//     sized from the fitted TTS model (internal/qos) to meet the target
-//     within the deadline, so easy requests stop over-provisioning reads
-//     (Kasi et al., arXiv:2109.01465); or a denial, when the model says the
+//   - Admit · plan. A problem carrying a target BER that the certificate did
+//     not answer gets its anneal budget — reads, schedule, forward/reverse
+//     mode — sized from the fitted TTS model (internal/qos) to meet the target
+//     within the deadline, so easy requests stop over-provisioning reads (Kasi
+//     et al., arXiv:2109.01465); or a denial, when the model says the
 //     classical fallback is the better bet.
 //
-//   - Admit. One switch under the scheduler lock picks the route. A
-//     certified request is answered at once. A planner denial, a cost divert
-//     (Config.CostAware: spend minimization subject to the QoS constraints,
-//     priced through the backends' capability descriptors, arXiv:2109.01465)
-//     and a deadline that the projected queue wait plus service time cannot
-//     meet (the same hybrid structure, per deadline) all leave through one
-//     fallback exit and solve at once; everything else joins the queue.
+//   - Admit · price. The rest is priced on the pool's health-gated serving
+//     set, read once: its best-case service time and its cheapest spend. A
+//     cost divert (Config.CostAware: spend minimization subject to the QoS
+//     constraints, priced through the backends' capability descriptors,
+//     arXiv:2109.01465) sends a classically safe request to a strictly cheaper
+//     fallback.
+//
+//   - Apply. Dispatch takes the lock for the one rule that reads the queue —
+//     a queue route whose projected wait plus service time passes the
+//     deadline falls back instead — and then takes one of three exits: a
+//     certified request is answered at once; a planner denial, a cost divert
+//     and a projected deadline miss leave through one fallback exit and
+//     solve at once; everything else joins the queue.
 //
 //   - Queue · gather · solve. A worker pops the head; when its backend can
 //     co-schedule problems (backend.BatchBackend — the annealer, via
@@ -74,7 +82,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -85,7 +92,6 @@ import (
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
-	"quamax/internal/softout"
 	"quamax/internal/telemetry"
 )
 
@@ -176,7 +182,7 @@ type Config struct {
 	// degraded answer beats none), and quarantined backends receive
 	// periodic canary probes (fixed known-ground-state instances) to earn
 	// re-admission; all workers probe with the same instance, its generator
-	// stream derived from Seed. Deadline projection and pool estimates skip
+	// stream derived from Seed. Deadline projection and pool pricing skip
 	// quarantined members. Nil disables health gating entirely.
 	Health *health.Tracker
 	// Burn, when set, receives one (deadline-miss, BER-risk) observation
@@ -268,16 +274,6 @@ func (c *backendCounters) charge(busyMicros float64) {
 	c.energyMilliJ += c.caps.EnergyMilliJ(busyMicros)
 }
 
-// The routes admit picks between. routeCertified is answered at admission;
-// every other route but routeQueue solves on the fallback backend.
-const (
-	routeQueue             = iota
-	routePlannerDenied     // the TTS model says the annealer cannot meet the target
-	routeCostDivert        // the fallback is strictly cheaper and classically safe
-	routeDeadlineProjected // projected queue wait + service time blows the deadline
-	routeCertified         // the certificate search proved its answer ML
-)
-
 // job is one request from Dispatch entry to finish. Dispatch holds it by
 // value, and copies it into a job from the free list when it enters the
 // queue; Dispatch and the worker then each hold it until they release it.
@@ -287,7 +283,7 @@ type job struct {
 	est      float64       // pool service-time estimate (µs)
 	entry    time.Time     // Dispatch entry: the deadline's origin and the trace's t0
 	deadline time.Time     // entry + d, the one deadline of both paths; zero = none
-	route    int           // set by admit
+	route    route         // the decision's, after Dispatch's deadline rule
 	done     chan struct{} // queued jobs only (1-buffered): finish sends once res/err are set
 	holds    int           // queued jobs only, under s.mu: sides not yet through with it
 	res      *backend.Result
@@ -364,218 +360,6 @@ func describe(be backend.Backend) *backend.Capabilities {
 	return &backend.Capabilities{}
 }
 
-// gated reports whether the pool backend at index i is pulled from regular
-// dispatch by the health tracker. A quarantined member is only gated while
-// some other pool member still serves: when the whole pool is quarantined
-// the scheduler keeps serving on it (a degraded answer beats none), which
-// also keeps the queue from deadlocking. Without a tracker nothing is gated:
-// a nil Tracker reports every backend Healthy.
-func (s *Scheduler) gated(i int) bool {
-	h := s.cfg.Health
-	return h.State(s.poolNames[i]) == metrics.HealthQuarantined && h.AnyServing(s.poolNames)
-}
-
-// servingWorkers counts the pool workers currently accepting regular work
-// (all of them when health gating is off or the whole pool is quarantined).
-func (s *Scheduler) servingWorkers() int {
-	n := 0
-	for i := range s.cfg.Pool {
-		if !s.gated(i) {
-			n++
-		}
-	}
-	if n == 0 {
-		return len(s.cfg.Pool)
-	}
-	return n
-}
-
-// poolEstimate is the best-case pool service time for p: the minimum
-// predicted latency over the pool backends' capability descriptors,
-// skipping health-quarantined members (they take no regular work, so their
-// estimate is unearnable).
-func (s *Scheduler) poolEstimate(p *backend.Problem) float64 {
-	est := math.Inf(1)
-	for i := range s.cfg.Pool {
-		if s.gated(i) {
-			continue
-		}
-		if e := s.counters[i].caps.PredictMicros(p); e < est {
-			est = e
-		}
-	}
-	if math.IsInf(est, 1) {
-		est = s.counters[0].caps.PredictMicros(p)
-	}
-	return est
-}
-
-// poolSpend is the cheapest projected spend for one solve of p on the pool:
-// the minimum over backends of their descriptor-priced predicted latency.
-func (s *Scheduler) poolSpend(p *backend.Problem) float64 {
-	var min float64
-	for i := range s.cfg.Pool {
-		caps := s.counters[i].caps
-		spend := caps.SpendMicroUSD(caps.PredictMicros(p))
-		if i == 0 || spend < min {
-			min = spend
-		}
-	}
-	return min
-}
-
-// CertificateBackend is the Result.Backend (and trace backend) of a request
-// the certificate search answered at admission: no backend ran it.
-const CertificateBackend = "certificate"
-
-// verdict is what admission decides before the lock: the problem to
-// dispatch, whether the planner denied it quantum dispatch, and what the
-// certificate search made of it.
-type verdict struct {
-	p      *backend.Problem
-	denied bool
-	proved *backend.Result // the ML answer, when the search finished
-	nodes  int             // tree nodes the search visited (0: none ran)
-}
-
-// applyPlan is admission's work for a problem carrying a target BER (its own
-// or the configured default), with a Planner configured; any other problem
-// passes through untouched. One read through its window's sphere program
-// (a fresh one for a problem without its own window) gives the SNR,
-// the zero-forcing residual and a certificate search of qos.CertifyNodes
-// nodes seeded with the zero-forcing decision — for a soft problem, clipped
-// at its LLR spec, so a finished search also holds its exact clamped max-log
-// LLRs. A search that finished has proved its answer: the verdict carries it
-// and the planner is never asked. Otherwise the problem is planned (plan)
-// exactly as it would have been without the search.
-//
-// The proved answer is the one built on Dispatch's own goroutine, so it is
-// the one that lands in the storage p.Answer lends (backend.Problem.Answer);
-// with none lent it is a new Result.
-func (s *Scheduler) applyPlan(p *backend.Problem, deadline time.Duration) verdict {
-	target := s.target(p)
-	if target <= 0 {
-		return verdict{p: p}
-	}
-	var soft *softout.Spec
-	if p.Soft {
-		soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
-	}
-	var bits []byte
-	var llrs []float64
-	if p.Answer != nil {
-		bits, llrs = p.Answer.Bits, p.Answer.LLRs
-	}
-	est := qos.EstimateInto(p.Window.SphereFor(p.Mod, p.H), p.Y, qos.CertifyNodes, soft, bits, llrs)
-	if est.Proved {
-		res := p.Answer
-		if res == nil {
-			res = new(backend.Result)
-		}
-		*res = backend.Result{
-			Bits: est.Bits, Energy: est.Metric, LLRs: est.LLRs, LLRSaturated: est.LLRSaturated,
-			Backend: CertificateBackend,
-		}
-		return verdict{p: p, nodes: est.Nodes, proved: res}
-	}
-	v := s.plan(p, target, deadline, est)
-	v.nodes = est.Nodes
-	return v
-}
-
-// target is the BER target admission plans p for: its own, else the
-// configured default; 0 when there is none or no Planner to plan it.
-func (s *Scheduler) target(p *backend.Problem) float64 {
-	if s.cfg.Planner == nil {
-		return 0
-	}
-	if p.TargetBER != 0 {
-		return p.TargetBER
-	}
-	return s.cfg.DefaultTargetBER
-}
-
-// plan consults the QoS planner for p at target. It returns the problem to
-// dispatch — a copy carrying the planned anneal budget, since callers may
-// reuse their Problem across Dispatch calls — and whether the planner denied
-// quantum dispatch.
-//
-// It is also where the stop rules are armed, being the only place that knows
-// which tier a request goes to. A classical denial's restarts become a cap
-// (backend.Problem.StopRepeats). A fitted plan that is not a precode gets the
-// device tier's noise radius (backend.Problem.StopRadius) from what admission
-// already holds: the request's own σ² when a soft request carries one, the
-// zero-forcing residual of est otherwise. The annealer honors it in shared
-// runs; a fit diverted to the fallback under cost or deadline pressure runs
-// uncut.
-func (s *Scheduler) plan(p *backend.Problem, target float64, deadline time.Duration, est qos.Estimate) verdict {
-	// A failed SNR estimate (singular channel) plans at the top of the
-	// fitted range; the planner's own guards still apply.
-	snr, residual := math.Inf(1), 0.0
-	if est.OK {
-		snr, residual = est.SNRdB, est.Residual
-	}
-	plan := s.cfg.Planner.Plan(qos.Request{
-		Mod: p.Mod, Nt: p.Users(), SNRdB: snr, TargetBER: target,
-		DeadlineMicros: micros(deadline),
-		Soft:           p.Soft,
-	})
-	if !plan.Quantum {
-		// With no classical solver to deny to, a deadline-driven denial
-		// still carries the clamped best-effort budget — strictly better
-		// than running the static configuration.
-		if s.cfg.Fallback != nil || plan.Params.NumAnneals < 1 {
-			if s.cfg.Fallback == nil && plan.PT == nil {
-				return verdict{p: p, denied: true}
-			}
-			// A denied solve carries the repeat rule (only ClassicalSA reads
-			// it), and a PT-aware planner's replica-exchange budget rides
-			// along, on a copy (callers reuse Problems).
-			q := *p
-			q.TargetBER = target
-			q.PT = plan.PT
-			q.StopRepeats = qos.StopRepeats
-			return verdict{p: &q, denied: true}
-		}
-	}
-	q := *p
-	q.TargetBER = target
-	params := plan.Params
-	q.Anneal = &params
-	q.ChainJF = plan.JF
-	q.Reverse = plan.Reverse
-	q.PT = plan.PT
-	if plan.Quantum && !p.Lattice {
-		nr := p.H.Rows
-		noiseVar := residual / float64(nr)
-		if p.Soft && p.NoiseVar > 0 {
-			noiseVar = p.NoiseVar
-		}
-		q.StopRadius = qos.StopRadius(noiseVar, nr)
-	}
-	return verdict{p: &q}
-}
-
-// divertForCost decides cost-aware dispatch for p after planning, on the
-// three conditions Config.CostAware states: the fallback meets the deadline,
-// the decode is classically safe, and the fallback is strictly cheaper than
-// the cheapest pool backend. Hard SNR classes never divert: their large read
-// budgets are exactly where the TTS table says QPU time pays for itself.
-func (s *Scheduler) divertForCost(p *backend.Problem, deadline time.Duration) bool {
-	if !s.cfg.CostAware || s.cfg.Fallback == nil {
-		return false
-	}
-	fbCaps := s.fallbackCounters.caps
-	fbEst := fbCaps.PredictMicros(p)
-	if deadline > 0 && fbEst > micros(deadline) {
-		return false
-	}
-	if p.TargetBER > 0 && (p.Anneal == nil || p.Anneal.NumAnneals > DefaultCostEasyReads) {
-		return false
-	}
-	return fbCaps.SpendMicroUSD(fbEst) < s.poolSpend(p)
-}
-
 // Dispatch submits one problem and blocks until it is solved, the context is
 // canceled, or the scheduler is closed. deadline ≤ 0 selects the configured
 // default. It implements fronthaul.Dispatcher.
@@ -584,37 +368,27 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		deadline = s.cfg.DefaultDeadline
 	}
 	entry := s.now()
-	v := s.applyPlan(p, deadline)
-	p = v.p
-	j := job{ctx: ctx, p: p, entry: entry}
+	d := s.admit(p, deadline)
+	j := job{ctx: ctx, p: d.p, est: d.est, entry: entry}
 	if deadline > 0 {
 		j.deadline = entry.Add(deadline)
 	}
 	if rec := s.cfg.Telemetry; rec != nil {
-		// Two clock reads bracket the plan; the trace record itself is built
-		// after the second read so its cost lands in admit, not plan. (The
-		// planner feeds the StagePlan histogram itself from inside Plan; this
-		// is the scheduler-side measurement carried on the trace.)
+		// Two clock reads bracket admit (certificate, plan and pricing); the
+		// trace record itself is built after the second read so its cost
+		// lands in admit, not plan. (The planner feeds the StagePlan
+		// histogram itself from inside Plan; this is the scheduler-side
+		// measurement carried on the trace.)
 		planEnd := s.now()
 		j.tr = telemetry.Trace{
-			Class:          telemetry.Class(p.Mod.String(), p.Users()),
-			Soft:           p.Soft,
+			Class:          telemetry.Class(d.p.Mod.String(), d.p.Users()),
+			Soft:           d.p.Soft,
 			Shard:          s.cfg.ShardID,
 			StartMicros:    rec.SinceStartMicros(entry),
 			DeadlineMicros: max(0, micros(deadline)), // 0 = none
-			CertifyNodes:   v.nodes,
+			CertifyNodes:   d.nodes,
 		}
 		j.tr.Stages[telemetry.StagePlan] = micros(planEnd.Sub(entry))
-	}
-	// A certified request or a planner denial that will route to the
-	// fallback never consults the pool, so don't charge the backends'
-	// estimators for it.
-	certified := v.proved != nil
-	planDenied := v.denied && s.cfg.Fallback != nil
-	costDivert := false
-	if !planDenied && !certified {
-		j.est = s.poolEstimate(p)
-		costDivert = s.divertForCost(p, deadline)
 	}
 
 	s.mu.Lock()
@@ -623,105 +397,8 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		return nil, ErrClosed
 	}
 	s.submitted++
-	j.route = s.admitLocked(&j, deadline, certified, planDenied, costDivert)
-	if s.cfg.Telemetry != nil {
-		// The admission span is entry-to-decision wall time minus the
-		// planner's share (already carried as StagePlan).
-		j.admittedAt = s.now()
-		j.tr.Stages[telemetry.StageAdmit] = max(0, micros(j.admittedAt.Sub(entry))-j.tr.Stages[telemetry.StagePlan])
-		j.tr.Fallback = j.route != routeQueue && j.route != routeCertified
-		j.tr.PlannerDenied = j.route == routePlannerDenied
-	}
-	if j.route == routeCertified {
-		// Answered at admission: no queue slot, no backend, no planner call.
-		s.certified++
-		s.finish(&j, nil, v.proved, nil, time.Time{}, time.Time{}, 0)
-		s.mu.Unlock()
-		return v.proved, nil
-	}
-	if j.route != routeQueue {
-		if j.route == routePlannerDenied {
-			s.plannerClassical++
-		}
-		s.fallbackDispatches++
-		// Registered under mu, before the closed flag can flip: Close waits
-		// for this solve too.
-		s.fbWg.Add(1)
-		s.mu.Unlock()
-		return s.runFallback(&j)
-	}
-	q := s.queuedJobLocked(&j)
-	s.queue = append(s.queue, q)
-	s.queuedMicros += q.est
-	s.cond.Signal()
-	s.mu.Unlock()
-
-	var res *backend.Result
-	var err error
-	select {
-	case <-q.done:
-		res, err = q.res, q.err
-	case <-ctx.Done():
-		// The job stays queued; the worker finishes it, as cancelled, when
-		// it surfaces.
-		err = ctx.Err()
-	}
-	s.mu.Lock()
-	s.releaseLocked(q)
-	s.mu.Unlock()
-	return res, err
-}
-
-// queuedJobLocked copies j into a job from the free list (a new one when it
-// is empty), held by Dispatch and the worker, under s.mu.
-func (s *Scheduler) queuedJobLocked(j *job) *job {
-	var q *job
-	if n := len(s.free); n > 0 {
-		q, s.free = s.free[n-1], s.free[:n-1]
-		j.done = q.done
-	} else {
-		q, j.done = new(job), make(chan struct{}, 1)
-	}
-	*q = *j
-	q.holds = 2
-	return q
-}
-
-// releaseLocked ends one side's hold on a queued job, under s.mu. The last
-// side returns it to the free list, dropping what it references and an
-// answer Dispatch gave up on.
-func (s *Scheduler) releaseLocked(q *job) {
-	if q.holds--; q.holds > 0 {
-		return
-	}
-	select {
-	case <-q.done:
-	default:
-	}
-	*q = job{done: q.done}
-	s.free = append(s.free, q)
-}
-
-// admitLocked is the one admission decision, under s.mu: the route j takes
-// given the certificate, the planner's verdict, the cost comparison and the
-// queue's state.
-func (s *Scheduler) admitLocked(j *job, deadline time.Duration, certified, planDenied, costDivert bool) int {
-	switch {
-	case certified:
-		// The search proved its answer ML: nothing left to solve.
-		return routeCertified
-	case planDenied:
-		// The TTS model says the annealer cannot meet this request's target
-		// within its deadline — the classical fallback is the better bet
-		// regardless of queue state.
-		return routePlannerDenied
-	case costDivert:
-		// The fallback solves this decode strictly cheaper without risking
-		// its deadline or a planned BER target (divertForCost), so
-		// spend-minimization routes it off the expensive pool.
-		return routeCostDivert
-	case deadline > 0 && s.cfg.Fallback != nil &&
-		(s.queuedMicros+s.inflightMicros)/float64(s.servingWorkers())+j.est > micros(deadline):
+	if d.route == routeQueue && deadline > 0 && s.cfg.Fallback != nil &&
+		(s.queuedMicros+s.inflightMicros)/float64(s.servingWorkers())+d.est > micros(deadline) {
 		// Hybrid dispatch: the projected pool completion time blows the
 		// deadline, so route to the classical fallback now instead of
 		// queueing. The projection charges every queued job a full solver
@@ -731,9 +408,39 @@ func (s *Scheduler) admitLocked(j *job, deadline time.Duration, certified, planD
 		// projected and some requests fall back that could have been
 		// served. Deadline safety is preferred over pool utilization here; a
 		// batch-aware estimator can tighten this later.
-		return routeDeadlineProjected
+		d.route = routeDeadlineProjected
 	}
-	return routeQueue
+	j.route = d.route
+	if s.cfg.Telemetry != nil {
+		// The admission span is entry-to-decision wall time minus the
+		// planner's share (already carried as StagePlan).
+		j.admittedAt = s.now()
+		j.tr.Stages[telemetry.StageAdmit] = max(0, micros(j.admittedAt.Sub(entry))-j.tr.Stages[telemetry.StagePlan])
+	}
+	switch d.route {
+	case routeCertified:
+		// Answered at admission: no queue slot, no backend, no planner call.
+		s.certified++
+		s.finish(&j, nil, d.proved, nil, time.Time{}, time.Time{}, 0)
+		s.mu.Unlock()
+		return d.proved, nil
+	case routeQueue:
+		q := s.queuedJobLocked(&j)
+		s.queue = append(s.queue, q)
+		s.queuedMicros += q.est
+		s.cond.Signal()
+		s.mu.Unlock()
+		return s.await(q)
+	}
+	if d.route == routePlannerDenied {
+		s.plannerClassical++
+	}
+	s.fallbackDispatches++
+	// Registered under mu, before the closed flag can flip: Close waits for
+	// this solve too.
+	s.fbWg.Add(1)
+	s.mu.Unlock()
+	return s.runFallback(&j)
 }
 
 // observeSolve replays one terminal solve into the solver-health plane with
@@ -831,6 +538,7 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 	}
 	if tr := &j.tr; s.cfg.Telemetry != nil {
 		tr.Failed = err != nil
+		tr.Route = j.route.String()
 		if ctr != nil {
 			tr.Backend = ctr.caps.Name
 			tr.Batched = batched
@@ -856,214 +564,6 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 		j.res, j.err = res, err
 		j.done <- struct{}{}
 	}
-}
-
-// gateWorker holds a quarantined worker out of regular dispatch, probing
-// its backend with the canary instance on the tracker's schedule. It spins
-// in ~1ms quanta so re-admission (or the rest of the pool going down, which
-// un-gates everyone) is picked up promptly. Returns false when the
-// scheduler closed with an empty queue — the worker should exit — and true
-// when the worker may pull regular work again.
-func (s *Scheduler) gateWorker(idx int, ctr *backendCounters, src *rng.Source) bool {
-	h := s.cfg.Health
-	for s.gated(idx) {
-		s.mu.Lock()
-		done := s.closed && len(s.queue) == 0
-		s.mu.Unlock()
-		if done {
-			return false
-		}
-		if h.CanaryDue(ctr.caps.Name) {
-			// Probe on a background context: the canary is the scheduler's
-			// own request and must not inherit any client deadline. Device
-			// time still bills the backend — a quarantined chip is busy
-			// proving itself, and hiding that would flatter its utilization.
-			started := s.now()
-			res, err := solveContained(context.Background(), ctr.be, s.canary.Problem, src)
-			elapsed := micros(s.now().Sub(started))
-			s.mu.Lock()
-			ctr.charge(elapsed)
-			s.mu.Unlock()
-			h.RecordCanary(ctr.caps.Name, s.canary.Check(res, err))
-			continue
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
-}
-
-// worker runs one pool backend: pop the queue head, optionally gather a
-// batch, solve, finish each job.
-func (s *Scheduler) worker(idx int) {
-	defer s.wg.Done()
-	src := s.splitSource()
-	ctr := s.counters[idx]
-	be := ctr.be
-	var one [1]*backend.Result // a batch of one's result (solve)
-	for {
-		if !s.gateWorker(idx, ctr, src) {
-			return
-		}
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		if s.gated(idx) {
-			// The verdict may have flipped while this worker was parked in
-			// Wait — re-gate before touching the queue so a freshly
-			// quarantined backend never pulls one more job.
-			s.mu.Unlock()
-			continue
-		}
-		// Pop the head under the lock, but resolve the backend's batch
-		// capacity outside it: the first BatchSlots call for a new problem
-		// size runs a clique-embedding search, which must not stall
-		// admission and the other workers.
-		head := s.queue[0]
-		n := copy(s.queue, s.queue[1:]) // the backing array stays for the next append
-		s.queue[n] = nil                // the vacated slot must not pin a job
-		s.queue = s.queue[:n]
-		s.queuedMicros -= head.est
-		s.inflightMicros += head.est
-		s.mu.Unlock()
-
-		var popAt time.Time
-		if s.cfg.Telemetry != nil {
-			popAt = s.now()
-		}
-		batch := []*job{head}
-		slots := 1
-		if bb, ok := be.(backend.BatchBackend); ok && !s.cfg.DisableBatch {
-			if slots = bb.BatchSlots(head.p); slots > 1 {
-				s.mu.Lock()
-				batch = s.gatherLocked(head, slots)
-				s.mu.Unlock()
-			}
-		}
-		if s.cfg.Telemetry != nil {
-			// The head waited until it was popped and is charged the run
-			// assembly (slot resolution + gathering); batch riders stayed
-			// effectively queued until gathering finished. Spans stay
-			// disjoint so they partition each request's e2e.
-			gatherEnd := s.now()
-			head.tr.Stages[telemetry.StageQueue] = micros(popAt.Sub(head.admittedAt))
-			head.tr.Stages[telemetry.StageGather] = micros(gatherEnd.Sub(popAt))
-			for _, j := range batch[1:] {
-				j.tr.Stages[telemetry.StageQueue] = micros(gatherEnd.Sub(j.admittedAt))
-			}
-		}
-
-		// Jobs whose submitter already gave up end here, unsolved.
-		live := batch[:0]
-		for _, j := range batch {
-			if err := j.ctx.Err(); err != nil {
-				s.mu.Lock()
-				s.finish(j, nil, nil, err, time.Time{}, time.Time{}, 0)
-				s.releaseLocked(j)
-				s.mu.Unlock()
-				continue
-			}
-			live = append(live, j)
-		}
-		if len(live) == 0 {
-			continue
-		}
-
-		started := s.now()
-		results, err := s.solve(be, live, slots, src, one[:])
-		solveEnd := s.now()
-
-		s.mu.Lock()
-		ctr.charge(micros(solveEnd.Sub(started)))
-		if err != nil {
-			results = make([]*backend.Result, len(live)) // a failed run answers no job
-		}
-		for i, j := range live {
-			s.finish(j, ctr, results[i], err, started, solveEnd, len(live))
-			s.releaseLocked(j)
-		}
-		s.mu.Unlock()
-		one[0] = nil // the worker must not pin an answer
-	}
-}
-
-// gatherLocked extends an already-popped head job with batch-compatible
-// queued jobs (backend.Batchable: same logical spin count and agreeing
-// anneal schedule) up to the backend's slot capacity. For a head carrying a
-// Window, queued symbols from the SAME coherence window (equal key — the
-// channel is already programmed on the backend's compiled-channel cache)
-// claim the run's slots first, and only leftover slots go to other
-// batch-compatible jobs; an un-keyed head has no window and every free slot
-// is a leftover. Within each class FIFO order is preserved, and the batch
-// itself stays in queue order so FIFO fairness inside one run is untouched.
-// Estimates move from queued to in-flight.
-func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
-	key := head.p.Window.Key()
-	sameWindow := func(j *job) bool { return key != 0 && j.p.Window.Key() == key }
-	// First pass: how many free slots the head's window claims.
-	same, other := 0, slots-1
-	if key != 0 {
-		for _, j := range s.queue {
-			if other > 0 && sameWindow(j) && backend.Batchable(head.p, j.p) {
-				same++
-				other--
-			}
-		}
-	}
-	// Second pass: take that many same-window jobs and fill the leftover
-	// slots with any other batch-compatible job, in queue order.
-	batch := []*job{head}
-	kept := s.queue[:0]
-	for _, j := range s.queue {
-		free := &other
-		if sameWindow(j) {
-			free = &same
-		}
-		if *free > 0 && backend.Batchable(head.p, j.p) {
-			*free--
-			s.queuedMicros -= j.est
-			s.inflightMicros += j.est
-			batch = append(batch, j)
-			continue
-		}
-		kept = append(kept, j)
-	}
-	clear(s.queue[len(kept):]) // dropped slots must not pin jobs
-	s.queue = kept
-	return batch
-}
-
-// solve runs one batch (possibly of size 1, whose result it returns in one,
-// the worker's) on be and updates batching counters. slots is the capacity
-// the worker already resolved for this run. A panic in the backend fails the
-// whole batch with a *PanicError.
-func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source, one []*backend.Result) (_ []*backend.Result, err error) {
-	defer containPanic(be, &err)
-	if len(batch) == 1 {
-		one[0], err = be.Solve(batch[0].ctx, batch[0].p, src)
-		return one, err
-	}
-	bb := be.(backend.BatchBackend)
-	ps := make([]*backend.Problem, len(batch))
-	for i, j := range batch {
-		ps[i] = j.p
-	}
-	results, err := bb.SolveBatch(batch[0].ctx, ps, src)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.batchRuns++
-	s.batchedProblems += uint64(len(batch))
-	if slots > 0 {
-		s.occupancySum += float64(len(batch)) / float64(slots)
-	}
-	s.mu.Unlock()
-	return results, nil
 }
 
 // Close stops admission, drains queued and in-flight work (pool and

@@ -759,7 +759,10 @@ func (b *lifecycleBackend) Solve(ctx context.Context, p *backend.Problem, src *r
 }
 
 // lifecycleRow is one request of the lifecycle table, in submission order.
-type lifecycleRow struct{ route, outcome int }
+type lifecycleRow struct {
+	route   route
+	outcome int
+}
 
 // lifecycleRun is a drained scheduler that served the lifecycle table with
 // every plane attached.
@@ -770,6 +773,34 @@ type lifecycleRun struct {
 	burn     *health.BurnTracker
 	pool, fb *lifecycleBackend
 	rows     []lifecycleRow
+}
+
+// lifecycleRequest is what steers a request down route r on a lifecycle
+// scheduler (pool estimate 100 µs, fallback 10 µs and cheaper, cost-aware,
+// the flat QPSK table). The planned routes carry uncertified requests: the
+// certificate answers the others at admission.
+func lifecycleRequest(t *testing.T, r route, seed int64) (*backend.Problem, time.Duration) {
+	t.Helper()
+	switch r {
+	case routeQueue: // a hard BER class keeps its QPU reads whatever the price
+		p := uncertified(t, seed, modulation.QPSK)
+		p.TargetBER = 1e-9
+		return p, time.Hour
+	case routePlannerDenied: // 16-QAM is not in the table
+		p := uncertified(t, seed, modulation.QAM16)
+		p.TargetBER = 1e-3
+		return p, time.Hour
+	case routeCertified: // a hard decode with a target: the search proves it
+		p, _ := testProblem(t, seed, modulation.QPSK, 4)
+		p.TargetBER = 1e-3
+		return p, time.Hour
+	case routeCostDivert: // best effort, and the fallback is cheaper
+		p, _ := testProblem(t, seed, modulation.QPSK, 4)
+		return p, time.Hour
+	default: // 5 µs: too tight for the fallback to divert for cost, and for the pool
+		p, _ := testProblem(t, seed, modulation.QPSK, 4)
+		return p, 5 * time.Microsecond
+	}
 }
 
 // runLifecycleTable drives {queue, plannerDenied, costDivert,
@@ -799,34 +830,8 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 		t.Fatal(err)
 	}
 
-	// What steers a request down each route on this scheduler (pool estimate
-	// 100 µs, fallback 10 µs and cheaper, the flat QPSK table). The planned
-	// routes carry uncertified requests: the certificate answers the others at
-	// admission.
-	request := func(route int, seed int64) (*backend.Problem, time.Duration) {
-		switch route {
-		case routeQueue: // a hard BER class keeps its QPU reads whatever the price
-			p := uncertified(t, seed, modulation.QPSK)
-			p.TargetBER = 1e-9
-			return p, time.Hour
-		case routePlannerDenied: // 16-QAM is not in the table
-			p := uncertified(t, seed, modulation.QAM16)
-			p.TargetBER = 1e-3
-			return p, time.Hour
-		case routeCertified: // a hard decode with a target: the search proves it
-			p, _ := testProblem(t, seed, modulation.QPSK, 4)
-			p.TargetBER = 1e-3
-			return p, time.Hour
-		case routeCostDivert: // best effort, and the fallback is cheaper
-			p, _ := testProblem(t, seed, modulation.QPSK, 4)
-			return p, time.Hour
-		default: // 5 µs: too tight for the fallback to divert for cost, and for the pool
-			p, _ := testProblem(t, seed, modulation.QPSK, 4)
-			return p, 5 * time.Microsecond
-		}
-	}
-	dispatch := func(ctx context.Context, route, outcome int) error {
-		p, d := request(route, int64(1000+len(r.rows)))
+	dispatch := func(ctx context.Context, route route, outcome int) error {
+		p, d := lifecycleRequest(t, route, int64(1000+len(r.rows)))
 		r.rows = append(r.rows, lifecycleRow{route, outcome})
 		_, err := r.s.Dispatch(ctx, p, d)
 		return err
@@ -848,7 +853,7 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 			case outcome == outcomeOK && err != nil,
 				outcome == outcomeError && !errors.Is(err, errSolverFault),
 				outcome == outcomePanic && !(errors.As(err, &pe) && pe.Backend == be.name):
-				t.Fatalf("route %d outcome %d: submitter got %v", route, outcome, err)
+				t.Fatalf("route %v outcome %d: submitter got %v", route, outcome, err)
 			}
 		}
 		be.mode.Store(outcomeOK)

@@ -33,17 +33,15 @@ func noisyProblem(t *testing.T, seed int64, snr float64) (*backend.Problem, *mim
 	return &backend.Problem{Mod: in.Mod, H: in.H, Y: in.Y, TargetBER: 1e-3}, in
 }
 
-// planned is the planner's half of admission (plan): the problem and verdict
-// a request meets when no certificate answers it — a soft one, or one whose
-// search ran out of nodes. The arming tests below are about that half, so
-// they call it on problems the certificate would otherwise answer.
+// planned is the planner's half of admission (plan): the problem a request
+// meets, and whether it was denied, when no certificate answers it — one
+// whose search ran out of nodes. The arming tests below are about that half,
+// so they call it on problems the certificate would otherwise answer.
 func planned(s *Scheduler, p *backend.Problem, deadline time.Duration) (*backend.Problem, bool) {
-	target := s.target(p)
-	if target <= 0 {
+	if p.TargetBER <= 0 {
 		return p, false
 	}
-	v := s.plan(p, target, deadline, qos.EstimateInto(p.Window.SphereFor(p.Mod, p.H), p.Y, 0, nil, nil, nil))
-	return v.p, v.denied
+	return s.plan(p, p.TargetBER, deadline, qos.EstimateInto(p.Window.SphereFor(p.Mod, p.H), p.Y, 0, nil, nil, nil))
 }
 
 // plan arms the repeat rule on a classical denial and nowhere else: a fitted

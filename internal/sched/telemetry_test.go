@@ -70,11 +70,10 @@ func TestTelemetryTracesReconcileAcrossPaths(t *testing.T) {
 			nodesOK = tr.CertifyNodes >= 1 && tr.CertifyNodes <= qos.CertifyNodes
 		}
 		if tr.Class != wantClass || tr.Backend != wantBackend ||
-			tr.Fallback != (row.route != routeQueue && row.route != routeCertified) ||
-			tr.PlannerDenied != (row.route == routePlannerDenied) ||
+			tr.Route != row.route.String() ||
 			!nodesOK ||
 			tr.Failed != (row.outcome != outcomeOK) {
-			t.Errorf("request %d (route %d, outcome %d): trace %+v", i, row.route, row.outcome, tr)
+			t.Errorf("request %d (route %v, outcome %d): trace %+v", i, row.route, row.outcome, tr)
 		}
 		if tr.Stages[telemetry.StageE2E] <= 0 {
 			t.Errorf("request %d: trace missing its e2e span: %+v", i, tr)
@@ -111,9 +110,10 @@ func TestDeadlineMeasuredFromEntry(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		poolEst float64 // µs; an estimate past any deadline routes to the fallback
+		route   string
 	}{
-		{"pool", 1},
-		{"fallback", 1e13},
+		{"pool", 1, "queue"},
+		{"fallback", 1e13, "deadline_projected"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := &steppedClock{t: time.Unix(1_000_000, 0), tick: 10 * time.Microsecond}
@@ -153,7 +153,7 @@ func TestDeadlineMeasuredFromEntry(t *testing.T) {
 				t.Errorf("slack %v then %v µs, want a met and a missed deadline", traces[0].SlackMicros, traces[1].SlackMicros)
 			}
 			for i, tr := range traces {
-				if tr.Fallback != (tc.name == "fallback") {
+				if tr.Route != tc.route {
 					t.Errorf("trace %d took the wrong route: %+v", i, tr)
 				}
 				if got := tr.Stages[telemetry.StageE2E] + tr.SlackMicros; got != tr.DeadlineMicros {

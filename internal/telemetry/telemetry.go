@@ -102,10 +102,11 @@ type Trace struct {
 	Soft bool `json:"soft,omitempty"`
 	// Failed reports the request returned an error.
 	Failed bool `json:"failed,omitempty"`
-	// Fallback reports classical-fallback dispatch; PlannerDenied marks the
-	// subset the QoS planner denied outright.
-	Fallback      bool `json:"fallback,omitempty"`
-	PlannerDenied bool `json:"planner_denied,omitempty"`
+	// Route names the way admission sent the request: "certified" (answered
+	// at admission), "queue" (the pool), or the rule that sent it to the
+	// classical fallback — "planner_denied", "cost_divert" or
+	// "deadline_projected".
+	Route string `json:"route,omitempty"`
 	// Shard is the serving-pool index that handled the request when the
 	// recorder is shared across a sharded router (0 for a single pool), so
 	// queue and gather spans attribute per shard.

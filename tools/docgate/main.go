@@ -2,6 +2,9 @@
 //
 //   - a markdown file contains a relative link to a file or anchor-less
 //     target that does not exist in the repository, or
+//   - one of the repository's documents points into Go source by line
+//     (sched.go:449): any edit above the line moves it, so a document names
+//     the function instead (sched.Scheduler.Dispatch), or
 //   - an internal package lacks a package doc comment, or
 //   - an exported identifier in the fully-documented packages
 //     (internal/backend, internal/sched, internal/metrics, internal/qos,
@@ -60,6 +63,7 @@ var fullDocPackages = []string{
 func main() {
 	var problems []string
 	problems = append(problems, checkMarkdownLinks(".")...)
+	problems = append(problems, checkLineRefs(".")...)
 	problems = append(problems, checkPackageDocs("internal")...)
 	for _, dir := range fullDocPackages {
 		problems = append(problems, checkExportedDocs(dir)...)
@@ -126,6 +130,41 @@ func checkMarkdownLinks(root string) []string {
 			}
 		}
 		return nil
+	})
+	if err != nil {
+		problems = append(problems, "markdown walk: "+err.Error())
+	}
+	return problems
+}
+
+// lineRef matches a pointer into Go source by line, such as sched.go:449.
+var lineRef = regexp.MustCompile(`\w+\.go:\d+`)
+
+// rootDocs are the markdown files at the repository root that checkLineRefs
+// reads, with every markdown file below the root; the other root files quote
+// material from outside the tree.
+var rootDocs = map[string]bool{"README.md": true, "ROADMAP.md": true, "CHANGES.md": true}
+
+// checkLineRefs reports every file:line pointer into Go source in the
+// repository's documents.
+func checkLineRefs(root string) []string {
+	var problems []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".md") || filepath.Dir(path) == root && !rootDocs[d.Name()]:
+			return nil
+		}
+		content, err := os.ReadFile(path)
+		for i, line := range strings.Split(string(content), "\n") {
+			for _, ref := range lineRef.FindAllString(line, -1) {
+				problems = append(problems, fmt.Sprintf("%s:%d: %q points into Go source by line; name the function", path, i+1, ref))
+			}
+		}
+		return err
 	})
 	if err != nil {
 		problems = append(problems, "markdown walk: "+err.Error())
