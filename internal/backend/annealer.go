@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"quamax/internal/anneal"
@@ -21,9 +22,37 @@ import (
 // (core.DecodeRun), which is the §4 parallelization applied across requests
 // instead of within one.
 type Annealer struct {
-	name string
-	dec  *core.Decoder
-	caps *Capabilities
+	name  string
+	dec   *core.Decoder
+	caps  *Capabilities
+	lends sync.Pool // *lent: what a solve lends the decoder
+}
+
+// lent is the storage one problem's decode lends the decoder, pooled on the
+// annealer: the Outcome the decoder overwrites (its Symbols' capacity kept
+// from solve to solve, its Bits and LLRs the Result's) and the soft spec the
+// request points at.
+type lent struct {
+	out  core.Outcome
+	spec softout.Spec
+}
+
+// lend takes a lent from the pool for a decode answering in res: the
+// outcome's Bits and LLRs are res's own, so the decoder appends to their
+// capacity.
+func (a *Annealer) lend(res *Result) *lent {
+	l, ok := a.lends.Get().(*lent)
+	if !ok {
+		l = new(lent)
+	}
+	l.out.Bits, l.out.LLRs = res.Bits, res.LLRs
+	return l
+}
+
+// reclaim returns l to the pool, which must not pin what res took over.
+func (a *Annealer) reclaim(l *lent) {
+	l.out.Bits, l.out.LLRs = nil, nil
+	a.lends.Put(l)
 }
 
 // NewAnnealer builds a simulated QPU backend with the given decoder options
@@ -82,44 +111,47 @@ func (a *Annealer) occupancyMicros(p *Problem) float64 {
 	return float64(params.NumAnneals) * params.AnnealWallMicros()
 }
 
-// request turns a problem into the decoder's request shape and starts the
-// Result its outcome will complete. A problem carrying a Window (a
-// coherence-window symbol) names its channel through the decoder's
-// compiled-channel store under the window's key — compiled on the window's
-// first symbol, only the biases rewritten after — and the lookup is timed
-// into CompileMicros, with CacheHit reporting a store hit. One without a
-// window goes as a raw channel, compiled in the run's own storage so
-// one-shot channels don't churn the store; the decoder times that compile
-// (result adds it).
-func (a *Annealer) request(p *Problem) (core.Request, *Result, error) {
+// request turns a problem into the decoder's request shape, decoding into
+// l, and starts res, the Result its outcome will complete (answerFor). A
+// problem carrying a Window (a coherence-window symbol) names its channel
+// through the decoder's compiled-channel store under the window's key —
+// compiled on the window's first symbol, only the biases rewritten after —
+// and the lookup is timed into CompileMicros, with CacheHit reporting a store
+// hit. One without a window goes as a raw channel, compiled in the run's own
+// storage so one-shot channels don't churn the store; the decoder times that
+// compile (result adds it).
+func (a *Annealer) request(p *Problem, res *Result, l *lent) (core.Request, error) {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
 	// toward the seed's decision (the planner never plans soft reverse either).
-	req := core.Request{Y: p.Y, Reverse: p.Reverse && !p.Soft, Radius: p.StopRadius}
+	req := core.Request{Y: p.Y, Reverse: p.Reverse && !p.Soft, Radius: p.StopRadius, Answer: &l.out}
 	if p.Soft {
-		req.Soft = &softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
+		l.spec = softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
+		req.Soft = &l.spec
 	}
-	res := &Result{Backend: a.name}
 	if p.Window == nil {
 		req.Mod, req.H = p.Mod, p.H
-		return req, res, nil
+		return req, nil
 	}
 	start := time.Now()
 	var err error
 	req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.Window.Key(), p.Mod, p.H)
 	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
-	return req, res, err
+	return req, err
 }
 
 // Solve runs the QuAMax pipeline on one problem, honoring its Anneal, ChainJF,
-// Reverse, Soft and StopRadius fields. A reverse decode that cannot compute
-// its linear seed (ill-conditioned channel, core.ErrNoSeed) falls back to a
-// forward anneal; any other error is a real failure and surfaces.
+// Reverse, Soft, StopRadius and Answer fields. A reverse decode that cannot
+// compute its linear seed (ill-conditioned channel, core.ErrNoSeed) falls
+// back to a forward anneal; any other error is a real failure and surfaces.
 func (a *Annealer) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req, res, err := a.request(p)
+	res := answerFor(p, a.name)
+	l := a.lend(res)
+	defer a.reclaim(l)
+	req, err := a.request(p, res, l)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +181,8 @@ func (a *Annealer) BatchSlots(p *Problem) int {
 // overrides, with the read budget the max over the batch — extra reads only
 // improve the co-scheduled problems. A problem with a StopRadius ends its own
 // reads when its answer is in; the device is charged the reads the run
-// executed, the most any member ran.
+// executed, the most any member ran. Each problem's Answer is honored as in
+// Solve.
 func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Source) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -157,12 +190,22 @@ func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Sourc
 	budget := core.Budget{Params: a.params(ps[0]), JF: ps[0].ChainJF}
 	reqs := make([]core.Request, len(ps))
 	results := make([]*Result, len(ps))
+	ls := make([]*lent, len(ps))
+	defer func() {
+		for _, l := range ls {
+			if l != nil {
+				a.reclaim(l)
+			}
+		}
+	}()
 	for i, p := range ps {
 		if na := a.params(p).NumAnneals; na > budget.Params.NumAnneals {
 			budget.Params.NumAnneals = na
 		}
+		results[i] = answerFor(p, a.name)
+		ls[i] = a.lend(results[i])
 		var err error
-		if reqs[i], results[i], err = a.request(p); err != nil {
+		if reqs[i], err = a.request(p, results[i], ls[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -185,9 +228,11 @@ func (a *Annealer) ChannelCacheStats() metrics.ChannelCacheStats {
 	return a.dec.ChannelCacheStats()
 }
 
-// result completes res from a decoder outcome, applying the Na·(Ta+Tp)/Pf
-// compute-time model the fronthaul reports for TTB accounting, with Na the
-// reads the run executed (ran).
+// result completes res (answerFor, then request) from a decoder outcome,
+// taking over its Bits and LLRs and applying the Na·(Ta+Tp)/Pf compute-time
+// model the fronthaul reports for TTB accounting, with Na the reads the run
+// executed (ran). res's CompileMicros holds only request's lookup, so the
+// decoder's compile adds to it once.
 func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, ran, batched int) *Result {
 	res.Bits = out.Bits
 	res.Energy = out.Energy

@@ -93,14 +93,18 @@ type Problem struct {
 	// precode) rather than a noisy observation of a transmitted vector: its
 	// residual is the objective itself, so no noise radius applies.
 	Lattice bool
-	// Answer, when non-nil, lends the caller's storage for the answer. Only an
-	// answer built on Dispatch's own goroutine before it returns may use it —
-	// the certificate at admission (sched): it overwrites *Answer, appending
-	// its Bits and LLRs to the capacity Answer's own hold (a hard answer's
-	// LLRs left empty), and returns Answer. A queued or fallback solve
-	// allocates its own Result, since Dispatch returns on cancellation while
-	// such a solve may still run. Backends ignore it, and it does not enter
-	// Batchable.
+	// Answer, when non-nil, lends the caller's storage for the answer: a
+	// backend honoring it (Annealer, ClassicalSA, Sphere, ParallelTempering)
+	// overwrites *Answer — nothing of what it held survives — appending its
+	// Bits and LLRs to the capacity Answer's own hold (a hard answer's LLRs
+	// left empty), and returns Answer. Another backend returns a Result of
+	// its own. The scheduler answers a problem lending storage in it on every
+	// route, and writes it only on Dispatch's own goroutine before Dispatch
+	// returns: the certificate at admission; a fallback solve, which runs
+	// there; a queued job's answer, which its backend writes into storage the
+	// job owns (Dispatch returns on cancellation while the solve may still
+	// run) and Dispatch copies over once the job is done (Result.Assign). It
+	// does not enter Batchable.
 	Answer *Result
 }
 
@@ -154,6 +158,29 @@ type Result struct {
 	// configured restarts. Reads < ReadsPlanned says Problem.StopRepeats or
 	// Problem.StopRadius ended this problem's reads early.
 	ReadsPlanned int
+}
+
+// Assign overwrites r with src — nothing of what r held survives — appending
+// src's Bits and LLRs to the capacity r's own hold, and returns r.
+func (r *Result) Assign(src *Result) *Result {
+	if r != src {
+		bits, llrs := append(r.Bits[:0], src.Bits...), append(r.LLRs[:0], src.LLRs...)
+		*r = *src
+		r.Bits, r.LLRs = bits, llrs
+	}
+	return r
+}
+
+// answerFor returns the Result a solve of p answers in, named for its
+// backend: the storage p lends (Problem.Answer), emptied — its Bits and LLRs
+// kept as capacity to append to — or a new one.
+func answerFor(p *Problem, name string) *Result {
+	res := p.Answer
+	if res == nil {
+		return &Result{Backend: name}
+	}
+	*res = Result{Backend: name, Bits: res.Bits[:0], LLRs: res.LLRs[:0]}
+	return res
 }
 
 // Backend is a pluggable solver. Implementations must be safe for concurrent

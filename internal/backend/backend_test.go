@@ -316,7 +316,8 @@ func TestAnnealerBatchCompiledChannel(t *testing.T) {
 // One Annealer behind several sched workers: keyed, unkeyed, soft and reverse
 // Solves plus a SolveBatch run concurrently (CI runs this package under
 // -race) and each must equal its serial twin — a solve's answer depends on
-// its problem and its source, never on what shares the decoder's caches.
+// its problem and its source, never on what shares the decoder's caches or
+// the Outcomes the annealer pools, half of them answered in lent storage.
 // The keyed reverse row also pins that reverse decodes reuse the window's
 // cached channel instead of recompiling it.
 func TestAnnealerConcurrentSolvesMatchSerial(t *testing.T) {
@@ -374,7 +375,17 @@ func TestAnnealerConcurrentSolvesMatchSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = solve(shared, jobs[i%len(jobs)], int64(i))
+			ps := jobs[i%len(jobs)]
+			if i%2 == 1 { // answered in lent storage (Problem.Answer)
+				lent := make([]*Problem, len(ps))
+				for k, p := range ps {
+					q := *p
+					q.Answer = new(Result)
+					lent[k] = &q
+				}
+				ps = lent
+			}
+			got[i], errs[i] = solve(shared, ps, int64(i))
 		}(i)
 	}
 	wg.Wait()

@@ -10,18 +10,27 @@ import (
 	"quamax/internal/softout"
 )
 
-// fillClassicalSoft completes a classical single-solution result for a soft
-// problem: one candidate means every bit is "certain", so the LLRs saturate
-// to ±clamp from the hard decision (softout.Saturated) and every entry
-// counts as saturated. Feeding these to the soft Viterbi provably reproduces
-// hard-decision decoding, so a soft request that falls back to a classical
-// solver degrades gracefully instead of failing.
-func fillClassicalSoft(p *Problem, res *Result) {
-	if !p.Soft {
-		return
+// classicalAnswer is a classical single-solution answer to p in the storage
+// p lends (Problem.Answer), else in a new Result: the decision's bits and
+// metric, and for a soft problem saturated LLRs — one candidate means every
+// bit is "certain", so they saturate to ±clamp from the hard decision
+// (softout.Saturated) and every entry counts as saturated. Feeding these to
+// the soft Viterbi provably reproduces hard-decision decoding, so a soft
+// request that falls back to a classical solver degrades gracefully instead
+// of failing. micros is the solve's measured wall time.
+func classicalAnswer(p *Problem, name string, bits []byte, metric, micros float64) *Result {
+	res := answerFor(p, name)
+	if p.Answer == nil {
+		res.Bits = bits // a new Result owns the solver's new bits
+	} else {
+		res.Bits = append(res.Bits, bits...)
 	}
-	res.LLRs = softout.Saturated(res.Bits, p.LLRClamp)
-	res.LLRSaturated = len(res.LLRs)
+	res.Energy, res.ComputeMicros, res.Batched = metric, micros, 1
+	if p.Soft {
+		res.LLRs = softout.AppendSaturated(res.LLRs, res.Bits, p.LLRClamp)
+		res.LLRSaturated = len(res.LLRs)
+	}
+	return res
 }
 
 // ClassicalSA adapts the logical-space simulated-annealing baseline
@@ -104,16 +113,8 @@ func (c *ClassicalSA) Solve(ctx context.Context, p *Problem, src *rng.Source) (*
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Bits:          res.Bits,
-		Energy:        res.Metric,
-		ComputeMicros: float64(time.Since(start)) / float64(time.Microsecond),
-		Backend:       c.name,
-		Batched:       1,
-		Reads:         res.Restarts,
-		ReadsPlanned:  c.SA.Restarts,
-	}
-	fillClassicalSoft(p, out)
+	out := classicalAnswer(p, c.name, res.Bits, res.Metric, float64(time.Since(start))/float64(time.Microsecond))
+	out.Reads, out.ReadsPlanned = res.Restarts, c.SA.Restarts
 	return out, nil
 }
 
@@ -198,13 +199,5 @@ func (s *Sphere) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Bits:          res.Bits,
-		Energy:        res.Metric,
-		ComputeMicros: elapsed,
-		Backend:       s.name,
-		Batched:       1,
-	}
-	fillClassicalSoft(p, out)
-	return out, nil
+	return classicalAnswer(p, s.name, res.Bits, res.Metric, elapsed), nil
 }

@@ -108,13 +108,5 @@ func (c *ParallelTempering) Solve(ctx context.Context, p *Problem, src *rng.Sour
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Bits:          res.Bits,
-		Energy:        res.Metric,
-		ComputeMicros: float64(time.Since(start)) / float64(time.Microsecond),
-		Backend:       c.name,
-		Batched:       1,
-	}
-	fillClassicalSoft(p, out)
-	return out, nil
+	return classicalAnswer(p, c.name, res.Bits, res.Metric, float64(time.Since(start))/float64(time.Microsecond)), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -196,10 +197,11 @@ func TestConcurrentCallersBuildOneAdjacency(t *testing.T) {
 }
 
 // freshDecodeAllocs and compiledDecodeAllocs are what one 48×48 BPSK decode at
-// Na = 1 allocates: 3 either way, the Outcome, its Bits and its Symbols. A raw
-// channel lives only for its run, so its compile — the channel program and
-// its coupling template, the CompiledChannel and its template list, the chip
-// program and its coupler weights — is rebuilt in the pooled run scratch.
+// Na = 1 allocates: 3 either way, the Outcome, its Bits and its Symbols, and
+// none into a lent Outcome (Request.Answer). A raw channel lives only for its
+// run, so its compile — the channel program and its coupling template, the
+// CompiledChannel and its template list, the chip program and its coupler
+// weights — is rebuilt in the pooled run scratch.
 const freshDecodeAllocs, compiledDecodeAllocs = 3, 3
 
 func decodeAllocs(t *testing.T, req func(*Decoder) Request) float64 {
@@ -213,6 +215,9 @@ func decodeAllocs(t *testing.T, req func(*Decoder) Request) float64 {
 	}
 	b := Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 1}}
 	r, src := req(d), rng.New(1)
+	// A collection mid-measurement would empty the pooled scratch and count
+	// its rebuild, so none runs while the decodes are counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(20, func() {
 		if _, err := d.Decode(r, b, src); err != nil {
 			t.Fatal(err)
@@ -226,6 +231,10 @@ func TestFreshDecodeAllocs(t *testing.T) {
 	in := compiledInstance(t, 5, modulation.BPSK, 48, 20)
 	if got := decodeAllocs(t, func(*Decoder) Request { return Request{Mod: in.Mod, H: in.H, Y: in.Y} }); got != freshDecodeAllocs {
 		t.Fatalf("raw 48×48 BPSK decode: %v allocations, want %d", got, freshDecodeAllocs)
+	}
+	lent := func(*Decoder) Request { return Request{Mod: in.Mod, H: in.H, Y: in.Y, Answer: new(Outcome)} }
+	if got := decodeAllocs(t, lent); got != 0 {
+		t.Fatalf("raw 48×48 BPSK decode into a lent Outcome: %v allocations, want 0", got)
 	}
 }
 
@@ -241,6 +250,16 @@ func TestCompiledDecodeAllocs(t *testing.T) {
 	})
 	if got != compiledDecodeAllocs {
 		t.Fatalf("compiled 48×48 BPSK decode: %v allocations, want %d", got, compiledDecodeAllocs)
+	}
+	got = decodeAllocs(t, func(d *Decoder) Request {
+		cc, err := d.Compile(in.Mod, in.H)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Request{CC: cc, Y: in.Y, Answer: new(Outcome)}
+	})
+	if got != 0 {
+		t.Fatalf("compiled 48×48 BPSK decode into a lent Outcome: %v allocations, want 0", got)
 	}
 }
 

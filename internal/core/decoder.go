@@ -20,11 +20,12 @@
 // is never cached, which suits a channel seen once. It never outlives its
 // run, so its compile — couplings, template list, weights, chip program —
 // lives in the run scratch the decoder pools, rebuilt in place for the next
-// raw channel, and the decode allocates only its Outcome. A receiver decoding a
-// coherence window calls Compile once — the result lives in the decoder's
-// WindowStore, under the channel's key — and sends each symbol as a
-// Request carrying the *CompiledChannel, paying only the bias rewrite. The
-// two are bit-identical on the same random stream.
+// raw channel, and the decode allocates only its Outcome — nothing, when the
+// request lends one (Request.Answer). A receiver decoding a coherence window
+// calls Compile once — the result lives in the decoder's WindowStore, under
+// the channel's key — and sends each symbol as a Request carrying the
+// *CompiledChannel, paying only the bias rewrite. The two are bit-identical
+// on the same random stream.
 //
 // The decoder also caches clique embeddings and parallel-slot packings per
 // problem size, and the chip adjacency of each placement layout, mirroring a

@@ -44,6 +44,11 @@ type Request struct {
 	// Truth, when non-nil, fills the evaluation fields of the Outcome
 	// (Distribution, TxEnergy) from the instance's transmitted bits.
 	Truth *mimo.Instance
+	// Answer, when non-nil, lends the caller's storage for the outcome: the
+	// decode overwrites *Answer — nothing of what it held survives — appending
+	// its Bits, Symbols and LLRs to the capacity Answer's own hold (a hard
+	// decode's LLRs left empty), and returns Answer.
+	Answer *Outcome
 }
 
 // Budget is the operating point of one annealer run. The zero value is the
@@ -63,6 +68,7 @@ var ErrNoSeed = errors.New("core: no linear seed for reverse annealing")
 // geometric slot count for time amortization (Outcome.Pf), and, alone of
 // all runs, a reverse anneal when asked. src drives the annealer and
 // tie-breaking; reuse one source across calls for independent randomness.
+// The outcome is the request's Answer when it lends one.
 func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, error) {
 	var out [1]*Outcome
 	if err := d.run([]Request{req}, b, src, out[:]); err != nil {
@@ -72,10 +78,11 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 }
 
 // scratch is the working set of one Decode or DecodeRun call, pooled on the
-// decoder, through which a decode allocates only what it returns: no Outcome
-// aliases it, so it goes back to the pool once the call has its outcomes (a
-// call that fails or panics just drops it). raw[k] is the k-th raw request's
-// channel, which lives only for its run: compileInto rebuilds it in place.
+// decoder, through which a decode allocates only what it returns — nothing,
+// into a lent Answer: no Outcome aliases it, so it goes back to the pool once
+// the call has its outcomes (a call that fails or panics just drops it).
+// raw[k] is the k-th raw request's channel, which lives only for its run:
+// compileInto rebuilds it in place.
 type scratch struct {
 	run     anneal.Scratch
 	tallies []tally
@@ -244,9 +251,11 @@ func linearSeed(cc *CompiledChannel, req *Request) ([]int8, error) {
 // decision computed — each distinct read's (Gray bits, energy) — as the ranked
 // distribution and the ensemble softout turns into LLRs, so neither moves a
 // hard field. Its buffers are its own: scoring allocates one map key per soft
-// candidate, outcome what it returns, and a run's workers drive tallies apart.
+// candidate, outcome what it returns (nothing into a lent Answer), and a run's
+// workers drive tallies apart.
 type tally struct {
 	truth   *mimo.Instance // the request's Truth
+	answer  *Outcome       // the request's Answer
 	mod     modulation.Modulation
 	emb     *embedding.Embedding
 	logical qubo.Ising // this y's program: the channel's couplings, fields of its own
@@ -272,7 +281,7 @@ type tally struct {
 // f_i/(|J_F|·chainLen) on every qubit of chain i, as EmbedIsing computes it.
 func (t *tally) begin(req *Request, cc *CompiledChannel, emb *embedding.Embedding, jf float64, src *rng.Source) {
 	src.SplitInto(&t.own)
-	t.truth, t.soft, t.mod, t.emb = req.Truth, req.Soft != nil, cc.prog.Mod, emb
+	t.truth, t.answer, t.soft, t.mod, t.emb = req.Truth, req.Answer, req.Soft != nil, cc.prog.Mod, emb
 	cc.prog.BiasesInto(&t.logical, req.Y)
 	t.radius, t.acc, t.scored, t.reads, t.broken = req.Radius, nil, false, 0, 0
 	t.spins = slices.Grow(t.spins[:0], emb.N)[:emb.N]
@@ -325,12 +334,18 @@ func (t *tally) read(phys []int8) (settled bool) {
 }
 
 // outcome distills what was scored (slots is the Pf the run amortizes over)
-// and reports its anneal quality, over the reads run, to d's recorder if any.
+// into the request's Answer, or a new Outcome, and reports its anneal
+// quality, over the reads run, to d's recorder if any.
 func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
-	out := &Outcome{
-		Bits: t.mod.PostTranslate(t.best), Symbols: reduction.BitsToSymbols(t.mod, t.best), Energy: t.bestE,
+	out := t.answer
+	if out == nil {
+		out = new(Outcome)
+	}
+	*out = Outcome{
+		Bits:    t.mod.AppendPostTranslate(slices.Grow(out.Bits[:0], len(t.best)), t.best),
+		Symbols: reduction.AppendBitsToSymbols(out.Symbols[:0], t.mod, t.best), Energy: t.bestE,
 		Reads: t.reads, BrokenChains: t.broken, Pf: 1, WallMicrosPerAnneal: params.AnnealWallMicros(),
-		CompileMicros: t.compile,
+		CompileMicros: t.compile, LLRs: out.LLRs[:0],
 	}
 	if d.opts.AmortizeParallel {
 		out.Pf = float64(slots)
@@ -340,14 +355,14 @@ func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
 		out.Distribution = t.acc.Distribution()
 	}
 	if t.soft {
-		out.LLRs, out.LLRSaturated = t.ens.LLRs(t.spec)
+		out.LLRs, out.LLRSaturated = t.ens.AppendLLRs(out.LLRs, t.spec)
 		out.SoftCandidates = t.ens.Len()
 	}
 	if rec := d.telem.Load(); rec != nil {
 		rec.ObserveQuality(telemetry.Class(t.mod.String(), t.logical.N/t.mod.BitsPerSymbol()), telemetry.QualityObservation{
 			BestEnergy: out.Energy, Reads: out.Reads, ChainBreaks: out.BrokenChains, LLRBits: len(out.LLRs), LLRSaturated: out.LLRSaturated})
 	}
-	t.truth, t.acc = nil, nil // the pooled tally must not pin the request or its channel
+	t.truth, t.answer, t.acc = nil, nil, nil // the pooled tally must not pin the request or its channel
 	t.logical = qubo.Ising{H: t.logical.H}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,7 +24,9 @@ import (
 // shared run makes one per call — the slice of outcomes it returns — and per
 // item the same three as a solo decode: the slots' prepared programs are the
 // channels' cached templates, and the tallies, tie-break streams and field
-// buffers are the pooled scratch's.
+// buffers are the pooled scratch's. Into a lent Outcome (Request.Answer) a
+// hard decode allocates nothing, a soft one only its map keys, and a shared
+// run only its slice.
 func TestDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -66,13 +69,24 @@ func TestDecodeAllocations(t *testing.T) {
 		soft := hard
 		soft.Soft = &softout.Spec{NoiseVar: in.NoiseVariance()}
 
+		lent := func(r Request) Request {
+			r.Answer = new(Outcome)
+			return r
+		}
+
 		h5, h19 := measure(5, hard), measure(19, hard)
 		if h5 != h19 || h5 > hardBound {
 			t.Errorf("N=%d hard decode: %v allocations at Na=5, %v at Na=19; want equal and ≤ %d", cc.LogicalSpins(), h5, h19, hardBound)
 		}
+		if l5, l19 := measure(5, lent(hard)), measure(19, lent(hard)); l5 != 0 || l19 != 0 {
+			t.Errorf("N=%d hard decode into a lent Outcome: %v allocations at Na=5, %v at Na=19; want 0", cc.LogicalSpins(), l5, l19)
+		}
 		measure(19, soft) // the ensemble's storage reaches its size
 		if s := measure(19, soft); s > h19+1+19 {
 			t.Errorf("N=%d soft decode: %v allocations at Na=19, want ≤ hard + LLRs + Na keys = %v", cc.LogicalSpins(), s, h19+1+19)
+		}
+		if s := measure(19, lent(soft)); s > 19 {
+			t.Errorf("N=%d soft decode into a lent Outcome: %v allocations at Na=19, want ≤ Na keys = 19", cc.LogicalSpins(), s)
 		}
 		if slots, err := d.BatchSlots(cc.LogicalSpins()); err != nil || slots < 3 {
 			continue // N=48 fills the chip: no 3-item run to measure
@@ -81,17 +95,23 @@ func TestDecodeAllocations(t *testing.T) {
 		if r5 != r19 || r5 > runBound {
 			t.Errorf("N=%d 3-item run: %v allocations at Na=5, %v at Na=19; want equal and ≤ %d", cc.LogicalSpins(), r5, r19, runBound)
 		}
+		if l := measure(19, lent(hard), lent(hard), lent(hard)); l > 1 {
+			t.Errorf("N=%d 3-item run into lent Outcomes: %v allocations at Na=19, want ≤ 1 (the returned slice)", cc.LogicalSpins(), l)
+		}
 	}
 }
 
-// sameDecision requires two outcomes to agree on everything a pooled buffer
-// could corrupt: bits, symbols, energy and LLRs to the last float bit, the
-// broken-chain count and the soft tallies.
+// sameDecision requires two outcomes to agree on everything a pooled or lent
+// buffer could corrupt: bits, symbols, energy and LLRs to the last float bit,
+// the read and broken-chain counts, the soft tallies and the evaluation
+// fields.
 func sameDecision(got, want *Outcome) bool {
-	if !reflect.DeepEqual(got.Bits, want.Bits) || !reflect.DeepEqual(got.Symbols, want.Symbols) ||
+	if !slices.Equal(got.Bits, want.Bits) || !slices.Equal(got.Symbols, want.Symbols) ||
 		math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
-		got.BrokenChains != want.BrokenChains || len(got.LLRs) != len(want.LLRs) ||
-		got.LLRSaturated != want.LLRSaturated || got.SoftCandidates != want.SoftCandidates {
+		got.Reads != want.Reads || got.BrokenChains != want.BrokenChains || len(got.LLRs) != len(want.LLRs) ||
+		got.LLRSaturated != want.LLRSaturated || got.SoftCandidates != want.SoftCandidates ||
+		math.Float64bits(got.TxEnergy) != math.Float64bits(want.TxEnergy) ||
+		!reflect.DeepEqual(got.Distribution, want.Distribution) {
 		return false
 	}
 	for k := range want.LLRs {
@@ -103,10 +123,16 @@ func sameDecision(got, want *Outcome) bool {
 }
 
 // Pooled scratch must never leak one decode's fields, samples, bits or
-// candidates into another: hard, soft, reverse and shared-run requests of
-// mixed N and modulation racing on one Decoder (so every scratch is rebound
-// across sizes and request shapes) must each equal the same request on a
-// fresh Decoder with the same seed. CI runs this under -race -count=10.
+// candidates into another: hard, soft, reverse, evaluated and shared-run
+// requests of mixed N and modulation racing on one Decoder (so every scratch
+// is rebound across sizes and request shapes) must each equal the same
+// request on a fresh Decoder with the same seed. Nor may a lent Outcome
+// (Request.Answer): each goroutine walks every job in its own order, on
+// alternate reps into the same few lent Outcomes, so one carries a soft
+// answer into a hard one, a 16-QAM answer into a BPSK one and an evaluated
+// answer into one without Truth — and each must read as the fresh decoder's
+// allocating answer does, and be the lent Outcome itself. CI runs this under
+// -race -count=10.
 func TestPooledDecodeMatchesFreshDecoder(t *testing.T) {
 	newDecoder := func() *Decoder {
 		d, err := New(Options{
@@ -125,11 +151,15 @@ func TestPooledDecodeMatchesFreshDecoder(t *testing.T) {
 		compiledInstance(t, 64, modulation.QPSK, 8, 10),
 		compiledInstance(t, 65, modulation.BPSK, 12, 8),
 	}
-	// Each job decodes on the decoder it is given; all of them compile their
-	// channels there, so the shared decoder serves them from its cache.
-	type job func(d *Decoder, src *rng.Source) ([]*Outcome, error)
-	solo := func(in *mimo.Instance, soft, reverse bool, na int) job {
-		return func(d *Decoder, src *rng.Source) ([]*Outcome, error) {
+	// Each job decodes on the decoder it is given, into lent[i] for its item
+	// i when lent is non-nil; all of them compile their channels there, so
+	// the shared decoder serves them from its cache.
+	type job func(d *Decoder, src *rng.Source, lent []*Outcome) ([]*Outcome, error)
+	budget := func(na int) Budget {
+		return Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: na}}
+	}
+	solo := func(in *mimo.Instance, soft, reverse, truth bool, na int) job {
+		return func(d *Decoder, src *rng.Source, lent []*Outcome) ([]*Outcome, error) {
 			cc, err := d.Compile(in.Mod, in.H)
 			if err != nil {
 				return nil, err
@@ -138,12 +168,18 @@ func TestPooledDecodeMatchesFreshDecoder(t *testing.T) {
 			if soft {
 				req.Soft = &softout.Spec{NoiseVar: in.NoiseVariance(), MaxCandidates: 4}
 			}
-			out, err := d.Decode(req, Budget{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: na}}, src)
+			if truth {
+				req.Truth = in
+			}
+			if lent != nil {
+				req.Answer = lent[0]
+			}
+			out, err := d.Decode(req, budget(na), src)
 			return []*Outcome{out}, err
 		}
 	}
 	run := func(soft []bool, items ...*mimo.Instance) job {
-		return func(d *Decoder, src *rng.Source) ([]*Outcome, error) {
+		return func(d *Decoder, src *rng.Source, lent []*Outcome) ([]*Outcome, error) {
 			reqs := make([]Request, len(items))
 			for i, in := range items {
 				cc, err := d.Compile(in.Mod, in.H)
@@ -154,42 +190,56 @@ func TestPooledDecodeMatchesFreshDecoder(t *testing.T) {
 				if soft[i] {
 					reqs[i].Soft = &softout.Spec{NoiseVar: in.NoiseVariance()}
 				}
+				if lent != nil {
+					reqs[i].Answer = lent[i]
+				}
 			}
 			return d.DecodeRun(reqs, Budget{}, src)
 		}
 	}
 	jobs := []job{
-		solo(ins[0], false, false, 5),
-		solo(ins[1], true, false, 9),
-		solo(ins[2], false, true, 6),
-		solo(ins[3], true, false, 12),
-		solo(ins[4], false, true, 3),
-		solo(ins[3], false, false, 4),
+		solo(ins[0], false, false, false, 5),
+		solo(ins[1], true, false, false, 9),
+		solo(ins[2], false, true, false, 6),
+		solo(ins[3], true, false, true, 12),
+		solo(ins[4], false, true, false, 3),
+		solo(ins[3], false, false, false, 4),
+		solo(ins[2], false, false, true, 5),
 		run([]bool{false, true}, ins[1], ins[2]), // N = 12 twice, BPSK beside 16-QAM
 		run([]bool{true, false, false}, ins[4], ins[1], ins[2]),
 	}
 	wants := make([][]*Outcome, len(jobs))
 	for i, j := range jobs {
 		var err error
-		if wants[i], err = j(newDecoder(), rng.New(int64(100+i))); err != nil {
+		if wants[i], err = j(newDecoder(), rng.New(int64(100+i)), nil); err != nil {
 			t.Fatalf("job %d on a fresh decoder: %v", i, err)
 		}
 	}
 	shared := newDecoder()
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for g := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for rep := 0; rep < 6; rep++ {
-				got, err := j(shared, rng.New(int64(100+i)))
+			lent := []*Outcome{new(Outcome), new(Outcome), new(Outcome)}
+			for rep := 0; rep < 2*len(jobs); rep++ {
+				i := (g + rep) % len(jobs)
+				var into []*Outcome
+				if rep%2 == 1 {
+					into = lent
+				}
+				got, err := jobs[i](shared, rng.New(int64(100+i)), into)
 				if err != nil {
 					t.Errorf("job %d rep %d: %v", i, rep, err)
 					return
 				}
 				for k := range wants[i] {
+					if into != nil && got[k] != into[k] {
+						t.Errorf("job %d rep %d item %d: the outcome is not the lent one", i, rep, k)
+						return
+					}
 					if !sameDecision(got[k], wants[i][k]) {
-						t.Errorf("job %d rep %d item %d: pooled decode %+v, fresh decoder %+v", i, rep, k, got[k], wants[i][k])
+						t.Errorf("job %d rep %d item %d (lent %v): pooled decode %+v, fresh decoder %+v", i, rep, k, into != nil, got[k], wants[i][k])
 						return
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"quamax/internal/linalg"
@@ -85,15 +86,23 @@ type SphereProgram struct {
 	h        *linalg.Mat
 	nt, nr   int       // complex users and antennas
 	n, m     int       // real columns (tree depth) and real rows
-	levels   []float64 // per-dimension PAM levels, ascending
-	gray     []uint8   // gray[i]: level i's Gray code, whose bit j is the dimension's data bit bpd−1−j
+	levels   []float64 // per-dimension PAM levels, ascending (shared, modulation.Levels)
 	bpd      int       // data bits per real dimension
 	r        []float64 // R, n×n row-major upper triangle, positive diagonal
 	refl     []float64 // reflector k in refl[k*m+k : (k+1)*m] (Q = H_0·…·H_{n−1}·S)
 	beta     []float64 // reflector k is I − beta[k]·v·vᵀ; 0 = none
-	flip     []bool    // S: ȳ_k changes sign where R's row k did
+	sign     []float64 // S: ȳ_k's sign, −1 where R's row k changed sign, else 1
 	fullRank bool
 }
+
+// grayCodes[i] is PAM level i's Gray code, i ^ i>>1, whose bit j is the
+// dimension's data bit bpd−1−j, for up to the 8 levels per dimension of
+// 64-QAM.
+var grayCodes = [...]uint8{0, 1, 3, 2, 6, 7, 5, 4}
+
+// qrWork pools CompileSphere's working copy of the real decomposition
+// (*[]float64), which no program keeps.
+var qrWork sync.Pool
 
 // rankTol is the smallest |R_kk| / max|R_jj| a program treats as full rank:
 // below it the diagonal entry is a rounding residue of a rank-deficient
@@ -107,7 +116,8 @@ const rankTol = 1e-10
 // Q is kept as its reflectors, which a received vector is rotated by. A
 // channel with fewer real rows than columns, or whose triangle is
 // rank-deficient, compiles to a program that certifies nothing (Certify
-// reports !OK).
+// reports !OK). A compile allocates the program and one block its slices
+// are carved from.
 func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 	nt, nr := h.Cols, h.Rows
 	n := nt
@@ -117,17 +127,20 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 	m := 2 * nr
 	compiles.Add(1)
 	p := &SphereProgram{mod: mod, h: h, nt: nt, nr: nr, n: n, m: m, levels: mod.Levels(), bpd: mod.BitsPerDim()}
-	p.gray = make([]uint8, len(p.levels))
-	for i := range p.gray {
-		p.gray[i] = uint8(i ^ i>>1)
-	}
 	if m < n {
 		return p
 	}
 	// at is the m×n real decomposition [Re H −Im H; Im H Re H] (BPSK: the
 	// first block column only), held by columns (column j at at[j*m:]) so
-	// every inner loop below runs down contiguous memory.
-	at := make([]float64, m*n)
+	// every inner loop below runs down contiguous memory. Every entry is
+	// written before it is read.
+	work, _ := qrWork.Get().(*[]float64)
+	if work == nil {
+		work = new([]float64)
+	}
+	defer qrWork.Put(work)
+	*work = grow(*work, m*n)
+	at := *work
 	for i := 0; i < nr; i++ {
 		for j := 0; j < nt; j++ {
 			re, im := real(h.At(i, j)), imag(h.At(i, j))
@@ -137,9 +150,8 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 			}
 		}
 	}
-	prog := make([]float64, n*n+n*m+n)
-	p.r, p.refl, p.beta = prog[:n*n], prog[n*n:n*n+n*m], prog[n*n+n*m:]
-	p.flip = make([]bool, n)
+	prog := make([]float64, n*n+n*m+2*n)
+	p.r, p.refl, p.beta, p.sign = prog[:n*n], prog[n*n:n*n+n*m], prog[n*n+n*m:n*n+n*m+n], prog[n*n+n*m+n:]
 	for k := 0; k < n; k++ {
 		col := at[k*m : (k+1)*m]
 		var normx float64
@@ -179,9 +191,11 @@ func CompileSphere(mod modulation.Modulation, h *linalg.Mat) *SphereProgram {
 			}
 		}
 	}
-	// Positive diagonal: negate row k of R (and, through flip, ȳ_k).
+	// Positive diagonal: negate row k of R (and, through sign, ȳ_k).
 	for k := 0; k < n; k++ {
-		if p.flip[k] = at[k*m+k] < 0; p.flip[k] {
+		p.sign[k] = 1
+		if at[k*m+k] < 0 {
+			p.sign[k] = -1
 			for j := k; j < n; j++ {
 				at[j*m+k] = -at[j*m+k]
 			}
@@ -283,10 +297,7 @@ func (p *SphereProgram) rotate(y []complex128, s *SphereScratch) {
 		}
 	}
 	for k := range s.yb {
-		s.yb[k] = w[k]
-		if p.flip[k] {
-			s.yb[k] = -w[k]
-		}
+		s.yb[k] = p.sign[k] * w[k] // exact: a sign change or nothing
 	}
 }
 
@@ -417,7 +428,7 @@ func (p *SphereProgram) walk(s *SphereScratch, radius2, clip float64, maxNodes i
 // best leaf, λ̄ through one it does not.
 func (p *SphereProgram) reach(s *SphereScratch, level, i int) float64 {
 	r := s.ml
-	for diff := p.gray[i] ^ p.gray[s.bi[level]]; diff != 0; diff &= diff - 1 {
+	for diff := grayCodes[i] ^ grayCodes[s.bi[level]]; diff != 0; diff &= diff - 1 {
 		r = max(r, s.lam[level*p.bpd+bits.TrailingZeros8(diff)])
 	}
 	return r
@@ -431,7 +442,7 @@ func (p *SphereProgram) reach(s *SphereScratch, level, i int) float64 {
 func (p *SphereProgram) leaf(s *SphereScratch, m, clip float64) bool {
 	improved := m < s.ml
 	for d, i := range s.xi {
-		for diff := p.gray[i] ^ p.gray[s.bi[d]]; diff != 0; diff &= diff - 1 {
+		for diff := grayCodes[i] ^ grayCodes[s.bi[d]]; diff != 0; diff &= diff - 1 {
 			k := d*p.bpd + bits.TrailingZeros8(diff)
 			if improved {
 				s.lam[k] = s.ml

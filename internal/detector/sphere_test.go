@@ -3,6 +3,7 @@ package detector
 import (
 	"errors"
 	"math"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -315,6 +316,20 @@ func TestCertifyAllocatesNothingOnAWarmScratch(t *testing.T) {
 				t.Errorf("program %d, clip %v: %v allocations per certificate on a warm scratch", i, clip, a)
 			}
 		}
+	}
+}
+
+// A compile allocates the program and the one block its slices are carved
+// from: the PAM levels and Gray codes are shared tables and the working copy
+// of the real decomposition is pooled.
+func TestCompileSphereAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	h, _, _, _ := instance(rng.New(86), modulation.QPSK, 8, 8, 20)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	if a := testing.AllocsPerRun(50, func() { CompileSphere(modulation.QPSK, h) }); a > 2 {
+		t.Fatalf("8×8 QPSK compile: %v allocations, want ≤ 2", a)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -12,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"quamax/internal/anneal"
 	"quamax/internal/backend"
+	"quamax/internal/core"
 	"quamax/internal/mimo"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
@@ -235,5 +238,60 @@ func TestRefusalFramedInPlace(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("a refused round trip allocates %.2f objects, want ≤ 2", allocs)
+	}
+}
+
+// A round trip the annealer answers allocates, both ends of the connection
+// included, only the client's call: the server's slot lends its answer
+// storage, the scheduler's queued job lends its own to the annealer, whose
+// decoder writes into an Outcome the annealer pools, and the answer is
+// copied into the slot's storage once the job is done. So the server side
+// allocates nothing, for a channel sent inline with every request (compiled
+// into the decoder's pooled run storage) and for a registered one alike.
+func TestAnnealerRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	qpu, err := backend.NewAnnealer("qpu", core.Options{
+		Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.New(sched.Config{Pool: []backend.Backend{qpu}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cliConn, srvConn := net.Pipe()
+	go NewPoolServer(s).handleConn(srvConn)
+	client := NewClient(cliConn)
+	defer client.Close()
+	in := testInstance(t, 505, modulation.QPSK, 8)
+	rc, err := client.RegisterChannel(in.Mod, in.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func() (*DecodeResponse, error)
+	}{
+		{"inline", func() (*DecodeResponse, error) { return client.Decode(in.Mod, in.H, in.Y) }},
+		{"registered", func() (*DecodeResponse, error) { return client.DecodeWithChannel(rc, in.Y, 0, 0) }},
+	} {
+		roundTrip := func() {
+			if resp, err := c.decode(); err != nil || resp.Backend != "qpu" || len(resp.Bits) != 16 {
+				t.Fatalf("%s round trip: %+v, %v; want the annealer's answer", c.name, resp, err)
+			}
+		}
+		roundTrip()
+		// A collection mid-measurement would empty the pools and count their
+		// rebuild, so none runs while the round trips are counted.
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(200, roundTrip)
+		debug.SetGCPercent(gc)
+		if allocs > 1 {
+			t.Errorf("%s round trip through an annealer pool allocates %.2f objects, want ≤ 1 (the client's call)", c.name, allocs)
+		}
 	}
 }

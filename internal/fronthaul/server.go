@@ -406,8 +406,9 @@ func (s *Server) softClamp(reqClamp float64) float64 {
 // uplink channel and target. Program resolution (O(Nu³) channel inversion on
 // a window's first precode at a depth) runs here, on the slot's goroutine,
 // so it cannot head-of-line-block pipelined frames. The problem lends the
-// slot's answer storage, which a certified answer lands in and is framed from
-// before the slot can be reused.
+// slot's answer storage, which the answer lands in on every route (a queued
+// one copied over once its job is done) and is framed from before the slot
+// can be reused.
 func (s *Server) process(ctx context.Context, sl *slot) {
 	req, ch, p := &sl.req, sl.ch, &sl.p
 	switch {

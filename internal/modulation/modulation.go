@@ -98,15 +98,22 @@ func (m Modulation) ConstellationSize() int { return 1 << m.BitsPerSymbol() }
 func (m Modulation) LevelsPerDim() int { return 1 << m.BitsPerDim() }
 
 // Levels returns the PAM levels per dimension in increasing order:
-// −(L−1), −(L−3), …, +(L−1).
+// −(L−1), −(L−3), …, +(L−1). The slice is shared: callers must not write it.
 func (m Modulation) Levels() []float64 {
 	l := m.LevelsPerDim()
-	out := make([]float64, l)
-	for k := 0; k < l; k++ {
-		out[k] = float64(2*k - (l - 1))
-	}
-	return out
+	return levelTable[m][:l:l]
 }
+
+// levelTable holds each modulation's Levels.
+var levelTable = func() (t [QAM64 + 1][]float64) {
+	for m := range t {
+		l := Modulation(m).LevelsPerDim()
+		for k := 0; k < l; k++ {
+			t[m] = append(t[m], float64(2*k-(l-1)))
+		}
+	}
+	return t
+}()
 
 // AvgSymbolEnergy returns E|v|² over the (unnormalized) constellation:
 // 1 for BPSK, 2 for QPSK, 10 for 16-QAM, 42 for 64-QAM.

@@ -30,6 +30,7 @@ package reduction
 
 import (
 	"fmt"
+	"slices"
 
 	"quamax/internal/linalg"
 	"quamax/internal/modulation"
@@ -144,15 +145,21 @@ func ReduceToIsing(mod modulation.Modulation, h *linalg.Mat, y []complex128) *qu
 // BitsToSymbols decodes N QUBO solution bits to the Nt candidate symbols via
 // the QuAMax transform T (the e vector of Eq. 5).
 func BitsToSymbols(mod modulation.Modulation, bits []byte) []complex128 {
+	return AppendBitsToSymbols(make([]complex128, 0, len(bits)/mod.BitsPerSymbol()), mod, bits)
+}
+
+// AppendBitsToSymbols is BitsToSymbols appending the symbols to dst, which
+// grows at most once.
+func AppendBitsToSymbols(dst []complex128, mod modulation.Modulation, bits []byte) []complex128 {
 	q := mod.BitsPerSymbol()
 	if len(bits)%q != 0 {
 		panic("reduction: bit count not a multiple of bits/symbol")
 	}
-	out := make([]complex128, len(bits)/q)
-	for i := range out {
-		out[i] = mod.QuAMaxTransform(bits[i*q : (i+1)*q])
+	dst = slices.Grow(dst, len(bits)/q)
+	for i := 0; i < len(bits); i += q {
+		dst = append(dst, mod.QuAMaxTransform(bits[i:i+q]))
 	}
-	return out
+	return dst
 }
 
 // SpinsToSymbols decodes Ising spins (±1) to candidate symbols.

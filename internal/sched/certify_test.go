@@ -196,28 +196,49 @@ func (e *echoBackend) Solve(_ context.Context, p *backend.Problem, _ *rng.Source
 }
 
 // A queued dispatch allocates nothing of the scheduler's in steady state: its
-// job comes from the free list with its done channel, the queue keeps its
-// backing array, and a batch of one returns its result in the worker's own
-// slice. Only the backend's Result is new.
+// job comes from the free list with its done channel and its answer storage,
+// the queue keeps its backing array, and a batch of one returns its result in
+// the worker's own slice. Only a backend's own Result is new: one that
+// answers in the storage the job lends it (backend.Problem.Answer) allocates
+// nothing, and the answer is copied into the caller's lent Result, if any, in
+// its capacity.
 func TestQueuedDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	be := &echoBackend{caps: backend.Capabilities{Name: "echo", Latency: func(*backend.Problem) float64 { return 1 }}}
-	s, err := New(Config{Pool: []backend.Backend{be}, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	p := noisyProblems(t, 1, 1)[0][0]
-	dispatch := func() {
-		if res, err := s.Dispatch(context.Background(), p, time.Hour); err != nil || res.Backend != "echo" {
-			t.Fatalf("dispatch: %+v, %v; want the echo's answer", res, err)
+	latency := func(*backend.Problem) float64 { return 1 }
+	for _, c := range []struct {
+		be   backend.Backend
+		lent bool
+		max  float64
+	}{
+		{&echoBackend{caps: backend.Capabilities{Name: "echo", Latency: latency}}, false, 1},
+		{&echoBackend{caps: backend.Capabilities{Name: "echo", Latency: latency}}, true, 1},
+		{newLendingBackend(1, false), true, 0},
+	} {
+		s, err := New(Config{Pool: []backend.Backend{c.be}, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	dispatch()
-	if allocs := testing.AllocsPerRun(200, dispatch); allocs > 1 {
-		t.Fatalf("a queued dispatch allocates %.2f objects, want ≤ 1 (the backend's Result)", allocs)
+		p := *noisyProblems(t, 1, 1)[0][0]
+		if c.lent {
+			p.Answer = new(backend.Result)
+		}
+		name := c.be.Describe().Name
+		dispatch := func() {
+			res, err := s.Dispatch(context.Background(), &p, time.Hour)
+			if err != nil || res.Backend != name || res.Energy != real(p.Y[0]) {
+				t.Fatalf("dispatch: %+v, %v; want the %s's answer", res, err, name)
+			}
+			if c.lent && res != p.Answer {
+				t.Fatalf("the %s's answer is not in the lent Result", name)
+			}
+		}
+		dispatch()
+		if allocs := testing.AllocsPerRun(200, dispatch); allocs > c.max {
+			t.Errorf("a queued dispatch through the %s (Result lent: %v) allocates %.2f objects, want ≤ %v", name, c.lent, allocs, c.max)
+		}
+		s.Close()
 	}
 }
 

@@ -11,23 +11,37 @@ import (
 )
 
 // queuedJobLocked copies j into a job from the free list (a new one when it
-// is empty), held by Dispatch and the worker, under s.mu.
+// is empty), held by Dispatch and the worker, under s.mu. A reused job keeps
+// its answer storage.
 func (s *Scheduler) queuedJobLocked(j *job) *job {
 	var q *job
 	if n := len(s.free); n > 0 {
 		q, s.free = s.free[n-1], s.free[:n-1]
-		j.done = q.done
+		j.done, j.ans = q.done, q.ans
 	} else {
 		q, j.done = new(job), make(chan struct{}, 1)
 	}
 	*q = *j
 	q.holds = 2
+	if q.p.Answer != nil {
+		q.lent = *q.p
+		q.lent.Answer = &q.ans
+	}
 	return q
+}
+
+// problem is the problem q's backend solves: p, or lent when p lends an
+// Answer (job).
+func (q *job) problem() *backend.Problem {
+	if q.p.Answer != nil {
+		return &q.lent
+	}
+	return q.p
 }
 
 // releaseLocked ends one side's hold on a queued job, under s.mu. The last
 // side returns it to the free list, dropping what it references and an
-// answer Dispatch gave up on.
+// answer Dispatch gave up on, but keeping its answer storage's capacity.
 func (s *Scheduler) releaseLocked(q *job) {
 	if q.holds--; q.holds > 0 {
 		return
@@ -36,17 +50,21 @@ func (s *Scheduler) releaseLocked(q *job) {
 	case <-q.done:
 	default:
 	}
-	*q = job{done: q.done}
+	*q = job{done: q.done, ans: backend.Result{Bits: q.ans.Bits[:0], LLRs: q.ans.LLRs[:0]}}
 	s.free = append(s.free, q)
 }
 
 // await blocks Dispatch on its queued job q until the worker answers it or
-// the submitter gives up, then ends Dispatch's hold on it. A job given up on
+// the submitter gives up, then ends Dispatch's hold on it. An answer lands in
+// the caller's lent Answer, if any, on this goroutine. A job given up on
 // stays queued; the worker finishes it, as cancelled, when it surfaces.
 func (s *Scheduler) await(q *job) (res *backend.Result, err error) {
 	select {
 	case <-q.done:
 		res, err = q.res, q.err
+		if err == nil && q.p.Answer != nil {
+			res = q.p.Answer.Assign(res)
+		}
 	case <-q.ctx.Done():
 		err = q.ctx.Err()
 	}
@@ -116,6 +134,15 @@ func (s *Scheduler) gateWorker(idx int, ctr *backendCounters, src *rng.Source) b
 	return true
 }
 
+// run is a worker's storage for the run it assembles, reused from one run to
+// the next: its jobs, their problems and a batch of one's result (solve).
+// The jobs are the free list's, so holding them pins nothing.
+type run struct {
+	jobs []*job
+	ps   []*backend.Problem
+	one  [1]*backend.Result
+}
+
 // worker runs one pool backend: pop the queue head, optionally gather a
 // batch, solve, finish each job.
 func (s *Scheduler) worker(idx int) {
@@ -123,7 +150,7 @@ func (s *Scheduler) worker(idx int) {
 	src := s.splitSource()
 	ctr := s.counters[idx]
 	be := ctr.be
-	var one [1]*backend.Result // a batch of one's result (solve)
+	var r run
 	for {
 		if !s.gateWorker(idx, ctr, src) {
 			return
@@ -159,15 +186,16 @@ func (s *Scheduler) worker(idx int) {
 		if s.cfg.Telemetry != nil {
 			popAt = s.now()
 		}
-		batch := []*job{head}
+		batch := append(r.jobs[:0], head)
 		slots := 1
 		if bb, ok := be.(backend.BatchBackend); ok && !s.cfg.DisableBatch {
 			if slots = bb.BatchSlots(head.p); slots > 1 {
 				s.mu.Lock()
-				batch = s.gatherLocked(head, slots)
+				batch = s.gatherLocked(batch, slots)
 				s.mu.Unlock()
 			}
 		}
+		r.jobs = batch
 		if s.cfg.Telemetry != nil {
 			// The head waited until it was popped and is charged the run
 			// assembly (slot resolution + gathering); batch riders stayed
@@ -198,7 +226,7 @@ func (s *Scheduler) worker(idx int) {
 		}
 
 		started := s.now()
-		results, err := s.solve(be, live, slots, src, one[:])
+		results, err := s.solve(be, live, slots, src, &r)
 		solveEnd := s.now()
 
 		s.mu.Lock()
@@ -211,11 +239,12 @@ func (s *Scheduler) worker(idx int) {
 			s.releaseLocked(j)
 		}
 		s.mu.Unlock()
-		one[0] = nil // the worker must not pin an answer
+		r.one[0] = nil // the worker must not pin an answer
+		clear(r.ps)    // nor a problem
 	}
 }
 
-// gatherLocked extends an already-popped head job with batch-compatible
+// gatherLocked extends batch, an already-popped head job, with batch-compatible
 // queued jobs (backend.Batchable: same logical spin count and agreeing
 // anneal schedule) up to the backend's slot capacity. For a head carrying a
 // Window, queued symbols from the SAME coherence window (equal key — the
@@ -225,7 +254,8 @@ func (s *Scheduler) worker(idx int) {
 // is a leftover. Within each class FIFO order is preserved, and the batch
 // itself stays in queue order so FIFO fairness inside one run is untouched.
 // Estimates move from queued to in-flight.
-func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
+func (s *Scheduler) gatherLocked(batch []*job, slots int) []*job {
+	head := batch[0]
 	key := head.p.Window.Key()
 	sameWindow := func(j *job) bool { return key != 0 && j.p.Window.Key() == key }
 	// First pass: how many free slots the head's window claims.
@@ -240,7 +270,6 @@ func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
 	}
 	// Second pass: take that many same-window jobs and fill the leftover
 	// slots with any other batch-compatible job, in queue order.
-	batch := []*job{head}
 	kept := s.queue[:0]
 	for _, j := range s.queue {
 		free := &other
@@ -261,22 +290,22 @@ func (s *Scheduler) gatherLocked(head *job, slots int) []*job {
 	return batch
 }
 
-// solve runs one batch (possibly of size 1, whose result it returns in one,
-// the worker's) on be and updates batching counters. slots is the capacity
-// the worker already resolved for this run. A panic in the backend fails the
+// solve runs one batch (possibly of size 1, whose result it returns in
+// r.one) on be and updates batching counters. slots is the capacity the
+// worker already resolved for this run. A panic in the backend fails the
 // whole batch with a *PanicError.
-func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source, one []*backend.Result) (_ []*backend.Result, err error) {
+func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.Source, r *run) (_ []*backend.Result, err error) {
 	defer containPanic(be, &err)
 	if len(batch) == 1 {
-		one[0], err = be.Solve(batch[0].ctx, batch[0].p, src)
-		return one, err
+		r.one[0], err = be.Solve(batch[0].ctx, batch[0].problem(), src)
+		return r.one[:], err
 	}
 	bb := be.(backend.BatchBackend)
-	ps := make([]*backend.Problem, len(batch))
-	for i, j := range batch {
-		ps[i] = j.p
+	r.ps = r.ps[:0]
+	for _, j := range batch {
+		r.ps = append(r.ps, j.problem())
 	}
-	results, err := bb.SolveBatch(batch[0].ctx, ps, src)
+	results, err := bb.SolveBatch(batch[0].ctx, r.ps, src)
 	if err != nil {
 		return nil, err
 	}

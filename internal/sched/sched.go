@@ -59,7 +59,11 @@
 //     co-schedule problems (backend.BatchBackend — the annealer, via
 //     disjoint Chimera embedding slots) it gathers batch-compatible queued
 //     jobs, same coherence window first, into one device run, amortizing
-//     Na·(Ta+Tp) across requests (§4 parallelization, across the pool).
+//     Na·(Ta+Tp) across requests (§4 parallelization, across the pool). A
+//     problem lending answer storage (backend.Problem.Answer) is solved
+//     lending the job's own instead, and Dispatch copies the answer over
+//     once the job is done, so a solve it gave up on never writes the
+//     caller's storage.
 //
 //   - Finish. Every job — certified, solved, failed, panicked or cancelled
 //     while queued, on any path — ends in one finish step under the lock:
@@ -277,6 +281,11 @@ func (c *backendCounters) charge(busyMicros float64) {
 // job is one request from Dispatch entry to finish. Dispatch holds it by
 // value, and copies it into a job from the free list when it enters the
 // queue; Dispatch and the worker then each hold it until they release it.
+// A queued job owns the storage its solve answers in (ans, kept from one use
+// of the job to the next): when p lends an Answer, the backend solves lent,
+// a copy of p lending ans instead, and await copies the answer over into
+// p's Answer once the job is done. So a solve Dispatch gave up on writes
+// only storage of the job's.
 type job struct {
 	ctx      context.Context
 	p        *backend.Problem
@@ -288,6 +297,8 @@ type job struct {
 	holds    int           // queued jobs only, under s.mu: sides not yet through with it
 	res      *backend.Result
 	err      error
+	ans      backend.Result  // queued jobs only: the answer storage lent lends
+	lent     backend.Problem // queued jobs only, when p lends an Answer: p lending ans instead
 
 	tr         telemetry.Trace // filled only when Config.Telemetry is configured
 	admittedAt time.Time       // end of admission, start of the queue span (traced jobs only)
@@ -466,12 +477,16 @@ func (s *Scheduler) observeSolve(name string, p *backend.Problem, res *backend.R
 }
 
 // runFallback solves a fallback-routed job on the fallback backend, on the
-// submitter's goroutine.
+// submitter's goroutine, so the fallback answers in the caller's lent
+// Answer, if any, directly — or its own Result is copied there.
 func (s *Scheduler) runFallback(j *job) (*backend.Result, error) {
 	defer s.fbWg.Done()
 	started := s.now()
 	res, err := solveContained(j.ctx, s.cfg.Fallback, j.p, s.splitSource())
 	solveEnd := s.now()
+	if err == nil && j.p.Answer != nil {
+		res = j.p.Answer.Assign(res)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

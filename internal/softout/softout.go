@@ -224,9 +224,14 @@ func (e *Ensemble) Best() (Candidate, bool) {
 // formula and sign convention). saturated counts the bits that hit the
 // clamp, including one-sided bits. An empty ensemble yields all-zero LLRs.
 func (e *Ensemble) LLRs(spec Spec) (llrs []float64, saturated int) {
-	llrs = make([]float64, e.nbits)
+	return e.AppendLLRs(make([]float64, 0, e.nbits), spec)
+}
+
+// AppendLLRs is LLRs appending the ratios to dst, which grows at most once.
+func (e *Ensemble) AppendLLRs(dst []float64, spec Spec) (llrs []float64, saturated int) {
+	llrs = slices.Grow(dst, e.nbits)
 	if len(e.cands) == 0 {
-		return llrs, 0
+		return append(llrs, make([]float64, e.nbits)...), 0
 	}
 	for k := 0; k < e.nbits; k++ {
 		e0, e1 := math.Inf(1), math.Inf(1)
@@ -240,10 +245,11 @@ func (e *Ensemble) LLRs(spec Spec) (llrs []float64, saturated int) {
 				e1 = c.Energy
 			}
 		}
-		var sat bool
-		if llrs[k], sat = LLR(e0, e1, spec); sat {
+		llr, sat := LLR(e0, e1, spec)
+		if sat {
 			saturated++
 		}
+		llrs = append(llrs, llr)
 	}
 	return llrs, saturated
 }
@@ -346,18 +352,24 @@ func Dequantize(q []int8, clamp float64) []float64 {
 // their answer on the soft interface — every bit certain — and feeding the
 // result to a soft decoder provably reproduces hard-decision decoding.
 func Saturated(bits []byte, clamp float64) []float64 {
+	return AppendSaturated(make([]float64, 0, len(bits)), bits, clamp)
+}
+
+// AppendSaturated is Saturated appending the LLRs to dst, which grows at most
+// once.
+func AppendSaturated(dst []float64, bits []byte, clamp float64) []float64 {
 	if clamp <= 0 {
 		clamp = DefaultClamp
 	}
-	llrs := make([]float64, len(bits))
-	for i, b := range bits {
+	dst = slices.Grow(dst, len(bits))
+	for _, b := range bits {
 		if b != 0 {
-			llrs[i] = clamp
+			dst = append(dst, clamp)
 		} else {
-			llrs[i] = -clamp
+			dst = append(dst, -clamp)
 		}
 	}
-	return llrs
+	return dst
 }
 
 // HardDecisions slices LLRs to hard bits: positive → 1, otherwise → 0
