@@ -235,20 +235,20 @@ func (d *pacedQPU) Solve(ctx context.Context, p *backend.Problem, src *rng.Sourc
 	return res, nil
 }
 
-// runPoint replays one mix through a pool of n paced QPUs plus a classical
-// SA fallback and prices the run.
+// runPoint replays one mix through a pool of n paced QPUs, sharing one
+// decoder, plus a classical SA fallback and prices the run.
 func runPoint(m mix, probs []*backend.Problem, n, concurrency int, occupancy, deadline time.Duration, costAware bool, seed int64) (point, error) {
+	dec, err := quamax.NewDecoder(quamax.Options{
+		Graph:        chimera.New(6),
+		Params:       anneal.Params{AnnealTimeMicros: 1, NumAnneals: 10},
+		ChannelCache: 512,
+	})
+	if err != nil {
+		return point{}, err
+	}
 	var workers []backend.Backend
 	for i := 0; i < n; i++ {
-		qpu, err := backend.NewAnnealer(fmt.Sprintf("qpu%d", i), quamax.Options{
-			Graph:        chimera.New(6),
-			Params:       anneal.Params{AnnealTimeMicros: 1, NumAnneals: 10},
-			ChannelCache: 512,
-		})
-		if err != nil {
-			return point{}, err
-		}
-		workers = append(workers, newPacedQPU(qpu, occupancy))
+		workers = append(workers, newPacedQPU(backend.AnnealerFromDecoder(fmt.Sprintf("qpu%d", i), dec), occupancy))
 	}
 	sa := backend.NewClassicalSA("sa", 64, 8)
 	planner, err := qos.NewPlanner(nil)

@@ -6,7 +6,8 @@
 //
 //	quamax-serve -listen :9370 -pool 4 -backends sa -deadline 2ms -target-ber 1e-4
 //
-// -pool sets the number of simulated annealer workers; -backends appends
+// -pool sets the number of simulated annealer workers, which share one
+// decoder and so one compiled program per coherence window; -backends appends
 // classical solvers ("sa", "sphere", "pt" — plain simulated annealing, the
 // exact sphere decoder, or replica-exchange parallel tempering; "sa" and
 // "pt" run the device simulator's own sweep body) as extra pool workers, the
@@ -210,21 +211,23 @@ func main() {
 			}
 		}
 	}
-	// buildWorkers instantiates one shard's worker set. prefix namespaces the
-	// backend names ("" for a single pool, "sN/" per shard) so per-shard
-	// PoolStats merge without colliding.
+	// buildWorkers instantiates one shard's worker set: its annealers share
+	// one decoder, so a window compiles once per shard whichever annealer
+	// serves its symbols. prefix namespaces the backend names ("" for a
+	// single pool, "sN/" per shard) so per-shard PoolStats merge without
+	// colliding.
 	buildWorkers := func(prefix string) ([]backend.Backend, backend.Backend) {
+		dec, err := quamax.NewDecoder(opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if rec != nil {
+			dec.SetTelemetry(rec)
+		}
 		var workers []backend.Backend
 		for i := 0; i < *pool; i++ {
-			qpu, err := backend.NewAnnealer(fmt.Sprintf("%sqpu%d", prefix, i), opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if rec != nil {
-				qpu.Decoder().SetTelemetry(rec)
-			}
-			workers = append(workers, qpu)
+			workers = append(workers, backend.AnnealerFromDecoder(fmt.Sprintf("%sqpu%d", prefix, i), dec))
 		}
 		var fallback backend.Backend
 		if *backends != "" {

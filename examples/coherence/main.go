@@ -37,14 +37,15 @@ func main() {
 	mod := quamax.QPSK
 	src := rng.New(42)
 
-	// Data center: a two-QPU pool behind the fronthaul TCP protocol.
+	// Data center: a two-QPU pool behind the fronthaul TCP protocol. Its
+	// annealers share one decoder, so each window compiles once.
+	dec, err := quamax.NewDecoder(quamax.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var pool []backend.Backend
 	for _, name := range []string{"qpu0", "qpu1"} {
-		qpu, err := backend.NewAnnealer(name, quamax.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		pool = append(pool, qpu)
+		pool = append(pool, backend.AnnealerFromDecoder(name, dec))
 	}
 	scheduler, err := sched.New(sched.Config{Pool: pool, Seed: 11})
 	if err != nil {

@@ -77,14 +77,15 @@ const (
 )
 
 func main() {
-	// --- Data center: a QPU pool behind a fronthaul server. ---
+	// --- Data center: a QPU pool (two annealers on one decoder) behind a
+	// fronthaul server. ---
+	dec, err := quamax.NewDecoder(quamax.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var pool []backend.Backend
 	for _, name := range []string{"qpu0", "qpu1"} {
-		qpu, err := backend.NewAnnealer(name, quamax.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		pool = append(pool, qpu)
+		pool = append(pool, backend.AnnealerFromDecoder(name, dec))
 	}
 	planner, err := qos.NewPlanner(nil) // built-in TTS coefficients
 	if err != nil {

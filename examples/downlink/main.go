@@ -50,15 +50,15 @@ func main() {
 	mod := quamax.QPSK
 	src := rng.New(7)
 
-	// Data center: a two-QPU pool behind the fronthaul TCP protocol — the
-	// same pool that would serve uplink decodes.
+	// Data center: a two-QPU pool on one decoder behind the fronthaul TCP
+	// protocol — the same pool that would serve uplink decodes.
+	dec, err := quamax.NewDecoder(quamax.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var pool []backend.Backend
 	for _, name := range []string{"qpu0", "qpu1"} {
-		qpu, err := backend.NewAnnealer(name, quamax.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		pool = append(pool, qpu)
+		pool = append(pool, backend.AnnealerFromDecoder(name, dec))
 	}
 	scheduler, err := sched.New(sched.Config{Pool: pool, Seed: 23})
 	if err != nil {

@@ -97,18 +97,18 @@ func main() {
 	}
 	ds.NormalizeAveragePower()
 
-	// Data center: two simulated QPUs, a classical-SA fallback, and the
-	// TTS-driven anneal-budget planner (built-in coefficients), all feeding
-	// one telemetry recorder.
+	// Data center: two simulated QPUs on one decoder, a classical-SA
+	// fallback, and the TTS-driven anneal-budget planner (built-in
+	// coefficients), all feeding one telemetry recorder.
 	rec := telemetry.New(telemetry.Config{})
+	dec, err := quamax.NewDecoder(quamax.Options{AmortizeParallel: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	dec.SetTelemetry(rec)
 	var pool []backend.Backend
 	for _, name := range []string{"qpu0", "qpu1"} {
-		qpu, err := backend.NewAnnealer(name, quamax.Options{AmortizeParallel: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		qpu.Decoder().SetTelemetry(rec)
-		pool = append(pool, qpu)
+		pool = append(pool, backend.AnnealerFromDecoder(name, dec))
 	}
 	planner, err := qos.NewPlanner(nil)
 	if err != nil {
@@ -309,13 +309,13 @@ func runMultiUser(nShards int) {
 	var schedulers []*sched.Scheduler
 	var shards []router.Shard
 	for i := 0; i < nShards; i++ {
-		qpu, err := backend.NewAnnealer(fmt.Sprintf("s%d/qpu0", i), quamax.Options{AmortizeParallel: true})
+		dec, err := quamax.NewDecoder(quamax.Options{AmortizeParallel: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		qpu.Decoder().SetTelemetry(rec)
+		dec.SetTelemetry(rec)
 		s, err := sched.New(sched.Config{
-			Pool:      []backend.Backend{qpu},
+			Pool:      []backend.Backend{backend.AnnealerFromDecoder(fmt.Sprintf("s%d/qpu0", i), dec)},
 			Fallback:  backend.NewClassicalSA(fmt.Sprintf("s%d/sa", i), 128, 100),
 			Seed:      int64(100 + i),
 			ShardID:   i,

@@ -55,8 +55,9 @@ func (a *Annealer) reclaim(l *lent) {
 	a.lends.Put(l)
 }
 
-// NewAnnealer builds a simulated QPU backend with the given decoder options
-// (zero Options select the paper's DW2Q operating point).
+// NewAnnealer builds a simulated QPU backend on a decoder of its own with the
+// given options (zero Options select the paper's DW2Q operating point): the
+// shorthand for a one-annealer pool.
 func NewAnnealer(name string, opts core.Options) (*Annealer, error) {
 	dec, err := core.New(opts)
 	if err != nil {
@@ -65,8 +66,10 @@ func NewAnnealer(name string, opts core.Options) (*Annealer, error) {
 	return AnnealerFromDecoder(name, dec), nil
 }
 
-// AnnealerFromDecoder wraps an existing decoder (sharing its embedding
-// caches) as a Backend.
+// AnnealerFromDecoder wraps an existing decoder as a Backend. The annealers
+// of one pool wrap one decoder: a window's symbols then compile once
+// whichever annealer serves them, and the embedding searches and chip
+// adjacencies are shared too (the decoder is safe for concurrent use).
 func AnnealerFromDecoder(name string, dec *core.Decoder) *Annealer {
 	a := &Annealer{name: name, dec: dec}
 	slots, err := dec.BatchSlots(2)

@@ -98,7 +98,7 @@ func TestChipProgramMatchesEmbedIsing(t *testing.T) {
 			if s.real {
 				h = realChannel(h)
 			}
-			cc, err := d.CompileOnce(s.mod, h)
+			cc, _, err := d.compileInto(new(CompiledChannel), s.mod, h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestConcurrentCallersBuildOneAdjacency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			cc, err := d.CompileOnce(in.Mod, in.H)
+			cc, _, err := d.compileInto(new(CompiledChannel), in.Mod, in.H)
 			if err != nil {
 				t.Error(err)
 				return
@@ -296,7 +296,7 @@ func TestRawChannelsShareRunStorage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := fresh.CompileOnce(in.Mod, in.H)
+		cc, _, err := fresh.compileInto(new(CompiledChannel), in.Mod, in.H)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func BenchmarkFreshCompile(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cc, err := d.CompileOnce(in.Mod, in.H)
+		cc, _, err := d.compileInto(new(CompiledChannel), in.Mod, in.H)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -176,16 +176,11 @@ func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *lin
 	return cc, hit, err
 }
 
-// CompileOnce compiles (mod, h) for one caller, outside the window store —
-// the build a raw Request runs into run storage: the store is neither
-// searched nor filled. An attached recorder sees it as a miss.
-func (d *Decoder) CompileOnce(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
-	cc, _, err := d.compileInto(new(CompiledChannel), mod, h)
-	return cc, err
-}
-
-// compileInto is CompileOnce into cc, whose storage from an earlier channel
-// it rebuilds in place, also returning the compile's wall time in µs.
+// compileInto compiles (mod, h) into cc, outside the window store — the
+// build a raw Request runs into run storage: the store is neither searched
+// nor filled, and an attached recorder sees it as a miss. cc's storage from
+// an earlier channel is rebuilt in place; the compile's wall time in µs is
+// returned with it.
 func (d *Decoder) compileInto(cc *CompiledChannel, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, float64, error) {
 	if h.Rows < 1 || h.Cols < 1 {
 		return nil, 0, fmt.Errorf("core: empty %d×%d channel", h.Rows, h.Cols)

@@ -20,7 +20,7 @@ import (
 // field of Request or Budget, not a method.
 func TestDecoderSurface(t *testing.T) {
 	want := []string{
-		"BatchSlots", "ChannelCacheStats", "Compile", "CompileKeyed", "CompileOnce", "CompileTracked",
+		"BatchSlots", "ChannelCacheStats", "Compile", "CompileKeyed", "CompileTracked",
 		"Decode", "DecodeRun",
 		// bench/ladder.go's four fillers of Decode/DecodeRun:
 		"DecodeCompiledSharedRunWithParams", "DecodeCompiledSoftWithParams",

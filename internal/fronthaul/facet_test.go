@@ -15,6 +15,7 @@ import (
 	"quamax/internal/chimera"
 	"quamax/internal/core"
 	"quamax/internal/detector"
+	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 	"quamax/internal/qos"
 	"quamax/internal/router"
@@ -27,7 +28,9 @@ import (
 // perturbation depths — certified at admission, solved on the annealers and
 // searched by the fallback — factors exactly one sphere program per window
 // (the registration's and each VP program's) and compiles one VP program per
-// depth. CI runs this under -race ×10.
+// depth. A shard's annealers share one decoder, so each window they serve
+// compiles once per shard, and the pool stats count that one store once.
+// CI runs this under -race ×10.
 func TestWindowFacetsBuildOnce(t *testing.T) {
 	const users = 4
 	in := testInstance(t, 1301, modulation.QPSK, users)
@@ -42,17 +45,19 @@ func TestWindowFacetsBuildOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shards []router.Shard
+	var decs []*core.Decoder // one per shard, shared by its annealers
 	for sh := 0; sh < 2; sh++ {
+		dec, err := core.New(core.Options{
+			Graph:  chimera.New(6),
+			Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 20},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decs = append(decs, dec)
 		var pool []backend.Backend
 		for q := 0; q < 4; q++ {
-			a, err := backend.NewAnnealer(fmt.Sprintf("s%d/qpu%d", sh, q), core.Options{
-				Graph:  chimera.New(6),
-				Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 20},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool = append(pool, a)
+			pool = append(pool, backend.AnnealerFromDecoder(fmt.Sprintf("s%d/qpu%d", sh, q), dec))
 		}
 		s, err := sched.New(sched.Config{Pool: pool, Fallback: backend.NewSphere(fmt.Sprintf("s%d/sphere", sh), 0),
 			Planner: pl, Seed: int64(sh + 1)})
@@ -68,17 +73,35 @@ func TestWindowFacetsBuildOnce(t *testing.T) {
 	}
 
 	// The dispatcher sees every problem: a precode's carries the window of
-	// the VP program it was derived from, one program per depth.
+	// the VP program it was derived from, one program per depth. A lookup
+	// that waits on its window's compile counts as a store miss too
+	// (core.WindowStore), so a window's first annealer-bound problem (no
+	// deadline, no target) is answered before the rest of its annealer-bound
+	// problems go in: a shard store's misses are then its compiles.
 	var mu sync.Mutex
 	vpWindows := map[modulation.Modulation]map[*core.Window]bool{}
+	compiled := map[*core.Window]chan struct{}{}
 	srv := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, d time.Duration) (*backend.Result, error) {
+		mu.Lock()
 		if p.Lattice {
-			mu.Lock()
 			if vpWindows[p.Mod] == nil {
 				vpWindows[p.Mod] = map[*core.Window]bool{}
 			}
 			vpWindows[p.Mod][p.Window] = true
-			mu.Unlock()
+		}
+		var gate chan struct{}
+		first := false
+		if d == 0 && p.TargetBER == 0 {
+			if gate = compiled[p.Window]; gate == nil {
+				gate, first = make(chan struct{}), true
+				compiled[p.Window] = gate
+			}
+		}
+		mu.Unlock()
+		if first {
+			defer close(gate)
+		} else if gate != nil {
+			<-gate
 		}
 		return rt.Dispatch(ctx, p, d)
 	}))
@@ -150,5 +173,34 @@ func TestWindowFacetsBuildOnce(t *testing.T) {
 	}
 	if n := detector.SphereCompiles() - before; n != 3 {
 		t.Fatalf("%d sphere programs factored for one registration and its 2 VP programs, want 3", n)
+	}
+
+	// The windows each shard's annealers solved: the registration's, for a
+	// decode, or the VP program's of the precode's depth.
+	served := make([]map[string]bool, len(decs))
+	for g, b := range answeredBy {
+		var sh int
+		if _, err := fmt.Sscanf(b, "s%d/qpu", &sh); err != nil {
+			continue
+		}
+		window := "registration"
+		if g/len(routes)%4 >= 2 {
+			window = fmt.Sprintf("VP depth %d", 1+g%2)
+		}
+		if served[sh] == nil {
+			served[sh] = map[string]bool{}
+		}
+		served[sh][window] = true
+	}
+	var sum metrics.ChannelCacheStats
+	for sh, dec := range decs {
+		cs := dec.ChannelCacheStats()
+		if cs.Misses != uint64(len(served[sh])) {
+			t.Errorf("shard %d: %d compiles for the %d windows its annealers served (%v), want one each", sh, cs.Misses, len(served[sh]), served[sh])
+		}
+		sum = sum.Add(cs)
+	}
+	if got := rt.Stats().ChannelCache; got != sum {
+		t.Errorf("pool stats count compiled-channel traffic %+v, the shards' stores %+v", got, sum)
 	}
 }

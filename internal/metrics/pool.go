@@ -62,9 +62,9 @@ type PoolStats struct {
 	// actually filled per batched annealer run (0 when no batch ran).
 	SlotOccupancy float64
 	// ChannelCache aggregates the compiled-channel cache counters over the
-	// pool's annealer backends: how often a decode reused an already-compiled
-	// channel (couplings, embedding, prepared physical program) instead of
-	// recompiling it.
+	// pool's distinct stores — one per decoder, however many annealers share
+	// it: how often a decode reused an already-compiled channel (couplings,
+	// embedding, prepared physical program) instead of recompiling it.
 	ChannelCache ChannelCacheStats
 	// Backends holds per-worker-backend accounting, pool order first, the
 	// fallback (if any) last.

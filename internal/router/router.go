@@ -9,8 +9,8 @@
 //   - Channel-affinity routing. Requests carrying a channel fingerprint
 //     (the key of backend.Problem.Window — every decode against a registered
 //     coherence window) are placed by consistent hashing on the fingerprint:
-//     a hash ring with Replicas virtual nodes per shard. Every symbol of a
-//     coherence window therefore lands on the shard that compiled its
+//     a hash ring with DefaultReplicas virtual nodes per shard. Every symbol
+//     of a coherence window therefore lands on the shard that compiled its
 //     channel, so compiled-channel cache hit rates are preserved at N shards
 //     with no cross-shard duplication, and adding or removing a shard only
 //     remaps the ~1/N of windows whose ring arcs move.
@@ -104,9 +104,6 @@ type Config struct {
 	// lifetime. The router does not own their lifecycles: the caller closes
 	// the schedulers after the router stops receiving traffic.
 	Shards []Shard
-	// Replicas is the number of virtual ring nodes per shard
-	// (0 = DefaultReplicas).
-	Replicas int
 	// ShedThreshold is the deadline-miss EWMA above which a shard sheds
 	// (0 disables shedding entirely; 1 can never trigger).
 	ShedThreshold float64
@@ -166,10 +163,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("router: no shards")
 	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
 	alpha := cfg.ShedAlpha
 	if alpha <= 0 {
 		alpha = DefaultShedAlpha
@@ -189,10 +182,10 @@ func New(cfg Config) (*Router, error) {
 	for range cfg.Shards {
 		r.state = append(r.state, &shardState{})
 	}
-	r.ring = make([]ringPoint, 0, len(cfg.Shards)*replicas)
+	r.ring = make([]ringPoint, 0, len(cfg.Shards)*DefaultReplicas)
 	var buf [16]byte
 	for s := range cfg.Shards {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultReplicas; v++ {
 			binary.LittleEndian.PutUint64(buf[0:8], uint64(s))
 			binary.LittleEndian.PutUint64(buf[8:16], uint64(v))
 			h := fnv.New64a()

@@ -310,8 +310,8 @@ func (s *Scheduler) solve(be backend.Backend, batch []*job, slots int, src *rng.
 		return nil, err
 	}
 	s.mu.Lock()
-	s.batchRuns++
-	s.batchedProblems += uint64(len(batch))
+	s.stats.BatchRuns++
+	s.stats.BatchedProblems += uint64(len(batch))
 	if slots > 0 {
 		s.occupancySum += float64(len(batch)) / float64(slots)
 	}

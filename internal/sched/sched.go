@@ -91,6 +91,7 @@ import (
 	"time"
 
 	"quamax/internal/backend"
+	"quamax/internal/core"
 	"quamax/internal/health"
 	"quamax/internal/metrics"
 	"quamax/internal/modulation"
@@ -228,15 +229,10 @@ type Scheduler struct {
 	wg   sync.WaitGroup // pool workers
 	fbWg sync.WaitGroup // in-flight fallback solves
 
-	// counters (guarded by mu)
-	submitted, completed, failed uint64
-	fallbackDispatches, misses   uint64
-	plannerClassical             uint64
-	certified                    uint64 // requests the certificate answered at admission
-	batchRuns, batchedProblems   uint64
-	softSolved, llrSaturations   uint64
-	stoppedEarly                 uint64 // solves a stop rule ended under their cap
-	occupancySum                 float64
+	// stats holds the counters Stats reports (guarded by mu), counted in
+	// place; Stats fills in only the derived fields.
+	stats        metrics.PoolStats
+	occupancySum float64 // Σ filled/available slots over batched runs
 	// radiusMisses counts, per problem class, the pool solves that ended with
 	// no read inside their StopRadius: the annealer did not settle them.
 	radiusMisses map[problemClass]uint64
@@ -244,6 +240,14 @@ type Scheduler struct {
 	// fallback's when it is not also a pool member: the list Stats reports.
 	counters         []*backendCounters
 	fallbackCounters *backendCounters // shared with a pool entry, or the last
+	// caches holds one member per compiled-channel store behind counters'
+	// backends: the annealers of one shard share their decoder's.
+	caches []channelCacheStatser
+}
+
+// channelCacheStatser is a backend that reports a compiled-channel store.
+type channelCacheStatser interface {
+	ChannelCacheStats() metrics.ChannelCacheStats
 }
 
 // problemClass is telemetry.Class before it is a string: a counter key that
@@ -254,17 +258,12 @@ type problemClass struct {
 }
 
 // backendCounters is one backend as the scheduler sees it: its descriptor
-// (stable for its lifetime, so resolved once) and what it has served.
+// (stable for its lifetime, so resolved once) and what it has served, counted
+// into the BackendStats that Stats reports (Stats derives Utilization).
 type backendCounters struct {
-	be            backend.Backend
-	caps          *backend.Capabilities
-	solved        uint64
-	errors        uint64
-	busyMicros    float64
-	spendMicroUSD float64
-	energyMilliJ  float64
-	readsPlanned  uint64 // Σ Result.ReadsPlanned over solved requests
-	readsRun      uint64 // Σ Result.Reads
+	metrics.BackendStats
+	be   backend.Backend
+	caps *backend.Capabilities
 }
 
 // charge accounts one device run against the backend: its occupancy, priced
@@ -273,9 +272,9 @@ type backendCounters struct {
 // however many jobs ride it. The descriptor's accessors guard non-finite
 // occupancy, so the spend and energy counters never absorb NaN.
 func (c *backendCounters) charge(busyMicros float64) {
-	c.busyMicros += busyMicros
-	c.spendMicroUSD += c.caps.SpendMicroUSD(busyMicros)
-	c.energyMilliJ += c.caps.EnergyMilliJ(busyMicros)
+	c.BusyMicros += busyMicros
+	c.SpendMicroUSD += c.caps.SpendMicroUSD(busyMicros)
+	c.EnergyMilliJ += c.caps.EnergyMilliJ(busyMicros)
 }
 
 // job is one request from Dispatch entry to finish. Dispatch holds it by
@@ -323,9 +322,9 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, be := range cfg.Pool {
-		caps := describe(be)
-		s.counters = append(s.counters, &backendCounters{be: be, caps: caps})
-		s.poolNames = append(s.poolNames, caps.Name)
+		c := counting(be)
+		s.counters = append(s.counters, c)
+		s.poolNames = append(s.poolNames, c.Name)
 	}
 	if cfg.Health != nil {
 		canary, err := health.NewCanary(cfg.Seed ^ 0x6ca17a5e)
@@ -344,8 +343,25 @@ func New(cfg Config) (*Scheduler, error) {
 			}
 		}
 		if s.fallbackCounters == nil {
-			s.fallbackCounters = &backendCounters{be: cfg.Fallback, caps: describe(cfg.Fallback)}
+			s.fallbackCounters = counting(cfg.Fallback)
 			s.counters = append(s.counters, s.fallbackCounters)
+		}
+	}
+	// A compiled-channel store counts once however many backends share it:
+	// an annealer names it by its decoder, any other backend by itself.
+	stores := make(map[any]bool)
+	for _, c := range s.counters {
+		cs, ok := c.be.(channelCacheStatser)
+		if !ok {
+			continue
+		}
+		var store any = c.be
+		if a, ok := c.be.(interface{ Decoder() *core.Decoder }); ok {
+			store = a.Decoder()
+		}
+		if !stores[store] {
+			stores[store] = true
+			s.caches = append(s.caches, cs)
 		}
 	}
 	for i := range cfg.Pool {
@@ -362,13 +378,15 @@ func (s *Scheduler) splitSource() *rng.Source {
 	return s.src.Split()
 }
 
-// describe returns be's capability descriptor, substituting an empty one for
-// an implementation that declares none, so dispatch never dereferences nil.
-func describe(be backend.Backend) *backend.Capabilities {
-	if caps := be.Describe(); caps != nil {
-		return caps
+// counting returns fresh counters for be, resolving its capability
+// descriptor once — an empty one for an implementation that declares none,
+// so dispatch never dereferences nil.
+func counting(be backend.Backend) *backendCounters {
+	caps := be.Describe()
+	if caps == nil {
+		caps = &backend.Capabilities{}
 	}
-	return &backend.Capabilities{}
+	return &backendCounters{BackendStats: metrics.BackendStats{Name: caps.Name}, be: be, caps: caps}
 }
 
 // Dispatch submits one problem and blocks until it is solved, the context is
@@ -407,7 +425,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s.submitted++
+	s.stats.Submitted++
 	if d.route == routeQueue && deadline > 0 && s.cfg.Fallback != nil &&
 		(s.queuedMicros+s.inflightMicros)/float64(s.servingWorkers())+d.est > micros(deadline) {
 		// Hybrid dispatch: the projected pool completion time blows the
@@ -431,7 +449,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 	switch d.route {
 	case routeCertified:
 		// Answered at admission: no queue slot, no backend, no planner call.
-		s.certified++
+		s.stats.Certified++
 		s.finish(&j, nil, d.proved, nil, time.Time{}, time.Time{}, 0)
 		s.mu.Unlock()
 		return d.proved, nil
@@ -444,9 +462,9 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		return s.await(q)
 	}
 	if d.route == routePlannerDenied {
-		s.plannerClassical++
+		s.stats.PlannerClassical++
 	}
-	s.fallbackDispatches++
+	s.stats.FallbackDispatches++
 	// Registered under mu, before the closed flag can flip: Close waits for
 	// this solve too.
 	s.fbWg.Add(1)
@@ -515,27 +533,27 @@ func (s *Scheduler) finish(j *job, ctr *backendCounters, res *backend.Result, er
 	end := s.now()
 	missed := !j.deadline.IsZero() && end.After(j.deadline)
 	if err != nil {
-		s.failed++
+		s.stats.Failed++
 	} else {
-		s.completed++
+		s.stats.Completed++
 		if missed {
-			s.misses++
+			s.stats.DeadlineMisses++
 		}
 		if j.p.Soft {
-			s.softSolved++
-			s.llrSaturations += uint64(res.LLRSaturated)
+			s.stats.SoftSolved++
+			s.stats.LLRSaturations += uint64(res.LLRSaturated)
 		}
 	}
 	if ctr != nil {
 		if err != nil {
-			ctr.errors++
+			ctr.Errors++
 		} else {
-			ctr.solved++
+			ctr.Solved++
 			// What the stop rules made of this request's budget.
-			ctr.readsPlanned += uint64(res.ReadsPlanned)
-			ctr.readsRun += uint64(res.Reads)
+			ctr.ReadsPlanned += uint64(res.ReadsPlanned)
+			ctr.ReadsRun += uint64(res.Reads)
 			if res.Reads < res.ReadsPlanned {
-				s.stoppedEarly++
+				s.stats.StoppedEarly++
 			}
 			if j.p.StopRadius > 0 && batched > 0 && res.Energy > j.p.StopRadius {
 				s.radiusMisses[problemClass{j.p.Mod, j.p.Users()}]++
@@ -593,29 +611,15 @@ func (s *Scheduler) Close() error {
 	return nil
 }
 
-// Stats snapshots the pool counters.
+// Stats snapshots the pool counters, filling in the derived fields.
 func (s *Scheduler) Stats() metrics.PoolStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wallMicros := micros(s.now().Sub(s.start))
-	st := metrics.PoolStats{
-		UptimeMicros:       wallMicros,
-		QueueDepth:         len(s.queue),
-		Submitted:          s.submitted,
-		Completed:          s.completed,
-		Failed:             s.failed,
-		FallbackDispatches: s.fallbackDispatches,
-		PlannerClassical:   s.plannerClassical,
-		Certified:          s.certified,
-		DeadlineMisses:     s.misses,
-		BatchRuns:          s.batchRuns,
-		BatchedProblems:    s.batchedProblems,
-		SoftSolved:         s.softSolved,
-		LLRSaturations:     s.llrSaturations,
-		StoppedEarly:       s.stoppedEarly,
-	}
-	if s.batchRuns > 0 {
-		st.SlotOccupancy = s.occupancySum / float64(s.batchRuns)
+	st := s.stats
+	st.UptimeMicros = micros(s.now().Sub(s.start))
+	st.QueueDepth = len(s.queue)
+	if st.BatchRuns > 0 {
+		st.SlotOccupancy = s.occupancySum / float64(st.BatchRuns)
 	}
 	if len(s.radiusMisses) > 0 {
 		st.RadiusMisses = make(map[string]uint64, len(s.radiusMisses))
@@ -623,30 +627,13 @@ func (s *Scheduler) Stats() metrics.PoolStats {
 	for c, n := range s.radiusMisses {
 		st.RadiusMisses[telemetry.Class(c.mod.String(), c.users)] = n
 	}
-	// Channel-cache counters live in the backends' decoders; aggregate over
-	// distinct instances so a pool listing one backend behind several workers
-	// counts its cache once.
-	type channelCacheStatser interface {
-		ChannelCacheStats() metrics.ChannelCacheStats
+	for _, cs := range s.caches {
+		st.ChannelCache = st.ChannelCache.Add(cs.ChannelCacheStats())
 	}
-	seen := make(map[backend.Backend]bool, len(s.counters))
 	for _, c := range s.counters {
-		if cs, ok := c.be.(channelCacheStatser); ok && !seen[c.be] {
-			seen[c.be] = true
-			st.ChannelCache = st.ChannelCache.Add(cs.ChannelCacheStats())
-		}
-		bs := metrics.BackendStats{
-			Name:          c.caps.Name,
-			Solved:        c.solved,
-			Errors:        c.errors,
-			BusyMicros:    c.busyMicros,
-			SpendMicroUSD: c.spendMicroUSD,
-			EnergyMilliJ:  c.energyMilliJ,
-			ReadsPlanned:  c.readsPlanned,
-			ReadsRun:      c.readsRun,
-		}
-		if wallMicros > 0 {
-			bs.Utilization = c.busyMicros / wallMicros
+		bs := c.BackendStats
+		if st.UptimeMicros > 0 {
+			bs.Utilization = bs.BusyMicros / st.UptimeMicros
 		}
 		st.Backends = append(st.Backends, bs)
 	}
