@@ -190,7 +190,7 @@ func buildLoad(m mix, seed int64) ([]*backend.Problem, error) {
 			windows[r.H] = win
 		}
 		probs[i] = &backend.Problem{
-			Mod: inst.Mod, H: inst.H, Y: inst.Y,
+			Mod: inst.Mod, H: win.Channel(), Y: inst.Y,
 			Window: win, TargetBER: m.targetBER,
 		}
 	}

@@ -181,7 +181,7 @@ func main() {
 					// No wall deadline: the target BER alone drives the
 					// planned budget.
 					res, err := scheduler.Dispatch(context.Background(), &backend.Problem{
-						Mod: sb.in.Mod, H: sb.in.H, Y: sb.in.Y,
+						Mod: sb.in.Mod, H: sb.win.Channel(), Y: sb.in.Y,
 						TargetBER: targetBER, Window: sb.win,
 					}, deadline)
 					results[use][sym] = result{res, err}
@@ -362,7 +362,7 @@ func runMultiUser(nShards int) {
 		go func(i int, win *core.Window, inst *mimo.Instance) {
 			defer wg.Done()
 			res, derr := rt.Dispatch(context.Background(), &backend.Problem{
-				Mod: inst.Mod, H: inst.H, Y: inst.Y,
+				Mod: inst.Mod, H: win.Channel(), Y: inst.Y,
 				TargetBER: targetBER, Window: win,
 			}, muDeadline)
 			outcomes[i] = outcome{shard: rt.ShardFor(win.Key()), res: res, err: derr}

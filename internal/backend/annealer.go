@@ -3,8 +3,8 @@ package backend
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
-	"time"
 
 	"quamax/internal/anneal"
 	"quamax/internal/core"
@@ -22,10 +22,11 @@ import (
 // (core.DecodeRun), which is the §4 parallelization applied across requests
 // instead of within one.
 type Annealer struct {
-	name  string
-	dec   *core.Decoder
-	caps  *Capabilities
-	lends sync.Pool // *lent: what a solve lends the decoder
+	name    string
+	dec     *core.Decoder
+	caps    *Capabilities
+	lends   sync.Pool // *lent: what a solve lends the decoder
+	batches sync.Pool // *batch: what a shared run lends it
 }
 
 // lent is the storage one problem's decode lends the decoder, pooled on the
@@ -117,30 +118,21 @@ func (a *Annealer) occupancyMicros(p *Problem) float64 {
 // request turns a problem into the decoder's request shape, decoding into
 // l, and starts res, the Result its outcome will complete (answerFor). A
 // problem carrying a Window (a coherence-window symbol) names its channel
-// through the decoder's compiled-channel store under the window's key —
-// compiled on the window's first symbol, only the biases rewritten after —
-// and the lookup is timed into CompileMicros, with CacheHit reporting a store
-// hit. One without a window goes as a raw channel, compiled in the run's own
-// storage so one-shot channels don't churn the store; the decoder times that
-// compile (result adds it).
-func (a *Annealer) request(p *Problem, res *Result, l *lent) (core.Request, error) {
+// by the window: the decoder resolves it through its compiled-channel store
+// under the window's key — compiled on the window's first symbol, only the
+// biases rewritten after — and reports the lookup's time and hit on the
+// outcome. One without a window goes as a raw channel, compiled in the run's
+// own storage so one-shot channels don't churn the store.
+func (a *Annealer) request(p *Problem, l *lent) core.Request {
 	// A soft problem asking for reverse annealing runs forward: the reverse
 	// ensemble clusters around the linear seed, which would bias the LLRs
 	// toward the seed's decision (the planner never plans soft reverse either).
-	req := core.Request{Y: p.Y, Reverse: p.Reverse && !p.Soft, Radius: p.StopRadius, Answer: &l.out}
+	req := core.Request{Window: p.Window, Mod: p.Mod, H: p.H, Y: p.Y, Reverse: p.Reverse && !p.Soft, Radius: p.StopRadius, Answer: &l.out}
 	if p.Soft {
 		l.spec = softout.Spec{NoiseVar: p.NoiseVar, Clamp: p.LLRClamp}
 		req.Soft = &l.spec
 	}
-	if p.Window == nil {
-		req.Mod, req.H = p.Mod, p.H
-		return req, nil
-	}
-	start := time.Now()
-	var err error
-	req.CC, res.CacheHit, err = a.dec.CompileKeyed(p.Window.Key(), p.Mod, p.H)
-	res.CompileMicros = float64(time.Since(start)) / float64(time.Microsecond)
-	return req, err
+	return req
 }
 
 // Solve runs the QuAMax pipeline on one problem, honoring its Anneal, ChainJF,
@@ -154,10 +146,7 @@ func (a *Annealer) Solve(ctx context.Context, p *Problem, src *rng.Source) (*Res
 	res := answerFor(p, a.name)
 	l := a.lend(res)
 	defer a.reclaim(l)
-	req, err := a.request(p, res, l)
-	if err != nil {
-		return nil, err
-	}
+	req := a.request(p, l)
 	budget := core.Budget{Params: a.params(p), JF: p.ChainJF}
 	out, err := a.dec.Decode(req, budget, src)
 	if errors.Is(err, core.ErrNoSeed) {
@@ -185,34 +174,31 @@ func (a *Annealer) BatchSlots(p *Problem) int {
 // improve the co-scheduled problems. A problem with a StopRadius ends its own
 // reads when its answer is in; the device is charged the reads the run
 // executed, the most any member ran. Each problem's Answer is honored as in
-// Solve.
+// Solve; the run's requests and the storage they lend come from a pooled
+// batch, so when every problem lends its Answer the returned slice is all
+// SolveBatch allocates.
 func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Source) ([]*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	budget := core.Budget{Params: a.params(ps[0]), JF: ps[0].ChainJF}
-	reqs := make([]core.Request, len(ps))
+	b, ok := a.batches.Get().(*batch)
+	if !ok {
+		b = new(batch)
+	}
+	defer a.release(b)
+	b.reqs, b.ls = slices.Grow(b.reqs[:0], len(ps))[:len(ps)], slices.Grow(b.ls[:0], len(ps))[:len(ps)]
 	results := make([]*Result, len(ps))
-	ls := make([]*lent, len(ps))
-	defer func() {
-		for _, l := range ls {
-			if l != nil {
-				a.reclaim(l)
-			}
-		}
-	}()
 	for i, p := range ps {
 		if na := a.params(p).NumAnneals; na > budget.Params.NumAnneals {
 			budget.Params.NumAnneals = na
 		}
 		results[i] = answerFor(p, a.name)
-		ls[i] = a.lend(results[i])
-		var err error
-		if reqs[i], err = a.request(p, results[i], ls[i]); err != nil {
-			return nil, err
-		}
+		l := &b.ls[i]
+		l.out.Bits, l.out.LLRs = results[i].Bits, results[i].LLRs
+		b.reqs[i] = a.request(p, l)
 	}
-	outs, err := a.dec.DecodeRun(reqs, budget, src)
+	outs, err := a.dec.DecodeRun(b.reqs, budget, src)
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +212,23 @@ func (a *Annealer) SolveBatch(ctx context.Context, ps []*Problem, src *rng.Sourc
 	return results, nil
 }
 
+// batch is one shared run's working set, pooled on the annealer: the
+// decoder's requests and, per member, the storage its decode lends.
+type batch struct {
+	reqs []core.Request
+	ls   []lent
+}
+
+// release returns b to the pool, which must not pin what the run's problems
+// and results hold.
+func (a *Annealer) release(b *batch) {
+	clear(b.reqs)
+	for i := range b.ls {
+		b.ls[i].out.Bits, b.ls[i].out.LLRs = nil, nil
+	}
+	a.batches.Put(b)
+}
+
 // ChannelCacheStats exposes the decoder's compiled-channel cache counters.
 func (a *Annealer) ChannelCacheStats() metrics.ChannelCacheStats {
 	return a.dec.ChannelCacheStats()
@@ -234,12 +237,11 @@ func (a *Annealer) ChannelCacheStats() metrics.ChannelCacheStats {
 // result completes res (answerFor, then request) from a decoder outcome,
 // taking over its Bits and LLRs and applying the Na·(Ta+Tp)/Pf compute-time
 // model the fronthaul reports for TTB accounting, with Na the reads the run
-// executed (ran). res's CompileMicros holds only request's lookup, so the
-// decoder's compile adds to it once.
+// executed (ran).
 func (a *Annealer) result(res *Result, out *core.Outcome, params anneal.Params, ran, batched int) *Result {
 	res.Bits = out.Bits
 	res.Energy = out.Energy
-	res.CompileMicros += out.CompileMicros
+	res.CompileMicros, res.CacheHit = out.CompileMicros, out.CacheHit
 	res.ComputeMicros = float64(ran) * out.WallMicrosPerAnneal / max(out.Pf, 1)
 	res.Batched = batched
 	res.LLRs = out.LLRs

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"quamax/internal/anneal"
 	"quamax/internal/core"
 	"quamax/internal/modulation"
 	"quamax/internal/rng"
@@ -196,5 +197,94 @@ func TestAnnealerLentSolveAllocs(t *testing.T) {
 		if got := measure(&p); got > c.max {
 			t.Errorf("%s solve into a lent Result: %v allocations, want ≤ %v", c.name, got, c.max)
 		}
+	}
+}
+
+// A shared run whose every member lends its Result allocates only the slice
+// of results it returns — raw channels or keyed ones: the run's requests and
+// the outcomes its members lend the decoder are a pooled batch's, and the
+// decoder's slice of outcomes stays on SolveBatch's stack.
+func TestAnnealerLentSolveBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	opts := core.Options{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 4}}
+	a, err := NewAnnealer("qpu", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw, keyed []*Problem
+	for i := range 3 {
+		in := testInstance(t, int64(51+i), modulation.QPSK, 8)
+		p := problemOf(in)
+		p.Answer = new(Result)
+		raw = append(raw, p)
+		k := *p
+		k.Window = core.NewWindow(in.Mod, in.H)
+		k.H, k.Answer = k.Window.Channel(), new(Result)
+		keyed = append(keyed, &k)
+	}
+	if slots := a.BatchSlots(raw[0]); slots < len(raw) {
+		t.Fatalf("%d slots for N=16, want ≥ %d", slots, len(raw))
+	}
+	for _, c := range []struct {
+		name string
+		ps   []*Problem
+	}{{"raw", raw}, {"keyed", keyed}} {
+		src := rng.New(1)
+		run := func() {
+			results, err := a.SolveBatch(context.Background(), c.ps, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				if res != c.ps[i].Answer || res.Batched != len(c.ps) || len(res.Bits) != 16 {
+					t.Fatalf("%s member %d: %+v, want a 3-member answer in its lent Result", c.name, i, res)
+				}
+			}
+		}
+		run()
+		gc := debug.SetGCPercent(-1)
+		got := testing.AllocsPerRun(50, run)
+		debug.SetGCPercent(gc)
+		if got > 1 {
+			t.Errorf("%s 3-member shared run into lent Results: %v allocations, want ≤ 1 (the returned slice)", c.name, got)
+		}
+	}
+}
+
+// A keyed solve whose window misses a full store allocates nothing into a
+// lent Result: 48×48 BPSK windows cycling through a 4-entry store each
+// rebuild the storage of the window they evict.
+func TestAnnealerKeyedMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	opts := core.Options{Params: anneal.Params{AnnealTimeMicros: 1, PauseTimeMicros: 1, PausePosition: 0.35, NumAnneals: 2}, ChannelCache: 4}
+	a, err := NewAnnealer("qpu", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps []*Problem
+	for i := range 5 {
+		in := testInstance(t, int64(61+i), modulation.BPSK, 48)
+		w := core.NewWindow(in.Mod, in.H)
+		ps = append(ps, &Problem{Mod: in.Mod, H: w.Channel(), Y: in.Y, Window: w, Answer: new(Result)})
+	}
+	src, turn := rng.New(1), 0
+	solve := func() {
+		turn++
+		if res, err := a.Solve(context.Background(), ps[turn%len(ps)], src); err != nil || res.CacheHit {
+			t.Fatalf("solve %d: hit=%v err=%v, want a miss", turn, res != nil && res.CacheHit, err)
+		}
+	}
+	for range 2 * len(ps) {
+		solve()
+	}
+	gc := debug.SetGCPercent(-1)
+	got := testing.AllocsPerRun(20, solve)
+	debug.SetGCPercent(gc)
+	if got != 0 {
+		t.Fatalf("a keyed solve missing a full store: %v allocations into a lent Result, want 0", got)
 	}
 }

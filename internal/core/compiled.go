@@ -12,10 +12,12 @@
 //	per symbol:   y ──BiasesInto──▶ fields f_i(H,y) ──chain spread──▶
 //	    physical fields ──RunSlots──▶ reads ──Unembed──▶ bits
 //
-// Compile keeps its artifacts in the decoder's WindowStore (store.go), so a
-// serving pool recognizes returning coherence windows without any caller
-// bookkeeping. A raw Request's channel lives only for its run, so its
-// artifacts live in the pooled run scratch (pipeline.go), rebuilt in place.
+// A Window request and Compile keep their artifacts in the decoder's
+// WindowStore (store.go), so a serving pool recognizes returning coherence
+// windows without any caller bookkeeping; the store rebuilds an evicted
+// window's artifacts in place for the next window. A raw Request's channel
+// lives only for its run, so its artifacts live in the pooled run scratch
+// (pipeline.go), rebuilt in place too.
 package core
 
 import (
@@ -74,9 +76,10 @@ func FingerprintChannel(mod modulation.Modulation, h *linalg.Mat) ChannelKey {
 // CompiledChannel pins together everything H-dependent about a decode: the
 // compiled Ising couplings (reduction.ChannelProgram), the clique embedding,
 // the parallel slots for N, and — lazily — its coupler weights over the
-// decoder's shared chip adjacency, one program per chain strength. It is
-// produced by Decoder.Compile (or, for a raw request, for the duration of one
-// call), owned by that decoder, and safe for concurrent use.
+// decoder's shared chip adjacency, one program per chain strength. It lives
+// in the decoder's window store (Decoder.Compile, a Window request) or, for a
+// raw request, in run storage for the duration of one call; it is owned by
+// that decoder, and safe for concurrent use.
 type CompiledChannel struct {
 	prog  reduction.ChannelProgram
 	emb   *embedding.Embedding
@@ -85,6 +88,7 @@ type CompiledChannel struct {
 
 	mu        sync.Mutex
 	templates []template
+	first     [1]template // templates' storage until a second chain strength
 }
 
 // template is one of a channel's chip programs: the decoder's adjacency for
@@ -97,34 +101,31 @@ type template struct {
 	emb *embedding.Embedding
 	jf  float64
 	w   []float64
-	pp  *anneal.PreparedProgram
+	pp  anneal.PreparedProgram
 }
 
 // programFor returns (building on first use) the template for emb at jf: one
 // pass over the shared adjacency's couplers, each weighed as EmbedIsing
 // weighs it, in the storage of a template a rebuilt channel left past the
-// list's length (compileInto) where there is one.
+// list's length (build) where there is one.
 func (cc *CompiledChannel) programFor(emb *embedding.Embedding, jf float64) *anneal.PreparedProgram {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	for _, t := range cc.templates {
-		if t.jf == jf && (t.emb == emb || t.emb.SameLayout(emb)) {
-			return t.pp
+	for i := range cc.templates {
+		if t := &cc.templates[i]; t.jf == jf && (t.emb == emb || t.emb.SameLayout(emb)) {
+			return &t.pp
 		}
 	}
 	improved, p := cc.dec.opts.ImprovedRange, cc.prog.CouplingTemplate()
 	c := cc.dec.chipFor(emb, p)
 	cc.templates = slices.Grow(cc.templates, 1)[:len(cc.templates)+1]
 	t := &cc.templates[len(cc.templates)-1]
-	if t.pp == nil {
-		t.pp = new(anneal.PreparedProgram)
-	}
 	t.emb, t.jf, t.w = emb, jf, slices.Grow(t.w[:0], len(c.src))[:len(c.src)]
 	for e, src := range c.src {
 		t.w[e] = c.emb.CouplerWeight(src, p, jf, improved)
 	}
 	t.pp.Reprogram(c.adj, t.w, improved)
-	return t.pp
+	return &t.pp
 }
 
 // Mod returns the modulation the channel was compiled for.
@@ -141,39 +142,55 @@ func (cc *CompiledChannel) LogicalSpins() int { return cc.prog.N }
 // window store — Options.ChannelCache channels, least recently used first
 // out. A miss compiles the couplings and resolves the (itself cached) clique
 // embedding. This is the entry for a caller holding no key: H enters here, so
-// the key is minted here.
+// the key is minted here. The artifact is the caller's to keep: the store
+// never rebuilds it for another window (a Window request, which the decoder
+// holds only for its run, lets it).
 func (d *Decoder) Compile(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
-	cc, _, err := d.CompileKeyed(0, mod, h)
+	cc, _, err := d.CompileTracked(mod, h)
 	return cc, err
 }
 
 // CompileTracked is Compile, additionally reporting whether the artifact was
 // already in the store.
 func (d *Decoder) CompileTracked(mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
-	return d.CompileKeyed(0, mod, h)
-}
-
-// CompileKeyed is CompileTracked for a caller that already holds the key
-// minted for (mod, h) — the key of a backend.Problem's or a VP program's
-// Window — so a warm window costs no hash of H (WindowStore states the contract). The
-// hit report is the signal backends surface as Result.CacheHit and the
-// telemetry plane's compile-stage feeder. key 0 mints the fingerprint here.
-func (d *Decoder) CompileKeyed(key ChannelKey, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, bool, error) {
 	start := time.Now()
 	// The build runs outside the store's lock: the first embedding for a new
 	// problem size is a placement search that must not stall other lookups.
-	// Without a key, H enters the process here, only lent (WindowStore).
-	lent := key == 0
-	if lent {
-		key = FingerprintChannel(mod, h)
-	}
-	cc, hit, err := d.channels.Get(key, mod, h, lent, func(h *linalg.Mat) (*CompiledChannel, error) {
-		return d.build(new(CompiledChannel), mod, h)
+	// H enters the process here, only lent (WindowStore).
+	cc, hit, err := d.channels.Get(FingerprintChannel(mod, h), mod, h, true, func(cc *CompiledChannel, h *linalg.Mat) error {
+		_, err := d.build(cc, mod, h)
+		return err
 	})
-	if rec := d.telem.Load(); rec != nil && err == nil {
-		rec.ObserveCompile(float64(time.Since(start))/float64(time.Microsecond), hit)
+	if err == nil {
+		d.observeCompile(start, hit)
 	}
 	return cc, hit, err
+}
+
+// pinWindow resolves a Window request's channel through the window store,
+// pinned until the run unpins it, with the lookup's wall time in µs (the
+// build's, on a miss) and whether it hit. The window's H is registered, so
+// the store keeps it as given.
+func (d *Decoder) pinWindow(w *Window) (*windowEntry[CompiledChannel], float64, bool, error) {
+	start := time.Now()
+	e, hit, err := d.channels.pin(w.key, w.mod, w.Channel(), false, false, func(cc *CompiledChannel, h *linalg.Mat) error {
+		_, err := d.build(cc, w.mod, h)
+		return err
+	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return e, d.observeCompile(start, hit), hit, nil
+}
+
+// observeCompile returns the µs since start, a compile or lookup's wall time,
+// and reports it to the attached recorder, if any.
+func (d *Decoder) observeCompile(start time.Time, hit bool) float64 {
+	micros := float64(time.Since(start)) / float64(time.Microsecond)
+	if rec := d.telem.Load(); rec != nil {
+		rec.ObserveCompile(micros, hit)
+	}
+	return micros
 }
 
 // compileInto compiles (mod, h) into cc, outside the window store — the
@@ -192,21 +209,21 @@ func (d *Decoder) compileInto(cc *CompiledChannel, mod modulation.Modulation, h 
 	if _, err := d.build(cc, mod, h); err != nil {
 		return nil, 0, err
 	}
-	micros := float64(time.Since(start)) / float64(time.Microsecond)
-	if rec := d.telem.Load(); rec != nil {
-		rec.ObserveCompile(micros, false)
-	}
-	return cc, micros, nil
+	return cc, d.observeCompile(start, false), nil
 }
 
 // build compiles (mod, h) into cc and returns it: the couplings plus the —
-// itself cached — clique embedding for N. cc's templates are emptied, their
-// storage kept.
+// itself cached — clique embedding for N. cc's storage from an earlier
+// channel is rebuilt in place: its couplings', and its templates' (emptied),
+// whose list starts in cc itself.
 func (d *Decoder) build(cc *CompiledChannel, mod modulation.Modulation, h *linalg.Mat) (*CompiledChannel, error) {
 	reduction.CompileChannelInto(&cc.prog, mod, h)
 	emb, packs, err := d.embeddingFor(cc.prog.N)
 	if err != nil {
 		return nil, err
+	}
+	if cc.templates == nil {
+		cc.templates = cc.first[:0]
 	}
 	cc.emb, cc.packs, cc.dec, cc.templates = emb, packs, d, cc.templates[:0]
 	return cc, nil

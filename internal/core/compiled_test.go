@@ -242,39 +242,43 @@ func TestChannelCacheLRU(t *testing.T) {
 }
 
 // Two channels under one key — a caller reusing, forging or colliding a
-// ChannelKey: the second is a miss that compiles ITS channel, and its decode is
-// bit-identical to the un-keyed decode of that channel. A warm window under the
-// right key stays a hit.
+// ChannelKey: a window carrying another channel's key is a miss that compiles
+// ITS channel, and its decode is bit-identical to the un-keyed decode of that
+// channel. A window that is not the request's own channel runs the request
+// raw, bit-identical too. A warm window under the right key stays a hit.
 func TestReusedKeyCompilesTheRequestsOwnChannel(t *testing.T) {
 	d := compiledTestDecoder(t, 4)
 	a := compiledInstance(t, 970, modulation.QPSK, 3, 20)
 	b := compiledInstance(t, 971, modulation.QPSK, 3, 20)
-	key := FingerprintChannel(a.Mod, a.H)
-	ccA, _, err := d.CompileKeyed(key, a.Mod, a.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, hit, err := d.CompileKeyed(key, a.Mod, a.H); err != nil || !hit || again != ccA {
-		t.Fatalf("the window's own key: hit=%v err=%v, same artifact=%v", hit, err, again == ccA)
-	}
-	ccB, hit, err := d.CompileKeyed(key, b.Mod, b.H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit || ccB == ccA || ccB.Channel() != b.H {
-		t.Fatalf("another channel under the same key: hit=%v, served the first channel's artifact=%v", hit, ccB == ccA)
-	}
-	keyed, err := d.Decode(Request{CC: ccB, Y: b.Y}, Budget{}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	wa := NewWindow(a.Mod, a.H)
+	var out Outcome
+	for i := range 2 {
+		if _, err := d.Decode(Request{Window: wa, Y: a.Y, Answer: &out}, Budget{}, rng.New(5)); err != nil || out.CacheHit != (i == 1) {
+			t.Fatalf("the window's own key, decode %d: hit=%v err=%v", i, out.CacheHit, err)
+		}
 	}
 	raw, err := d.Decode(Request{Mod: b.Mod, H: b.H, Y: b.Y}, Budget{}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	forged := &Window{mod: b.Mod, h: *b.H, key: wa.Key()}
+	keyed, err := d.Decode(Request{Window: forged, Y: b.Y}, Budget{}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyed.CacheHit {
+		t.Fatal("another channel under the same key was served the first channel's artifact")
+	}
 	outcomesIdentical(t, "reused key", keyed, raw)
 	if !sameOutcome(keyed, raw) {
 		t.Fatalf("keyed %+v, un-keyed %+v", keyed, raw)
+	}
+	mislabelled, err := d.Decode(Request{Window: wa, Mod: b.Mod, H: b.H, Y: b.Y}, Budget{}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameOutcome(mislabelled, raw) {
+		t.Fatalf("a request under another channel's window %+v, un-keyed %+v", mislabelled, raw)
 	}
 }
 

@@ -4,8 +4,9 @@
 // sharing a run — is one Request through one four-stage pipeline
 // (pipeline.go), under one Budget per run:
 //
-//	resolve  the channel: a *CompiledChannel as given, or a raw (Mod, H)
-//	         compiled for this call into the run's pooled storage
+//	resolve  the channel: a *CompiledChannel as given, a Window's from the
+//	         window store (compiled on a miss, pinned for the run), or a raw
+//	         (Mod, H) compiled for this call into the run's pooled storage
 //	         (CompileChannelInto → clique embedding)
 //	program  the chip: the placement's adjacency (built once per layout and
 //	         nonzero couplings, shared by every channel), then the channel's
@@ -22,10 +23,12 @@
 // lives in the run scratch the decoder pools, rebuilt in place for the next
 // raw channel, and the decode allocates only its Outcome — nothing, when the
 // request lends one (Request.Answer). A receiver decoding a coherence window
-// calls Compile once — the result lives in the decoder's WindowStore, under
-// the channel's key — and sends each symbol as a Request carrying the
-// *CompiledChannel, paying only the bias rewrite. The two are bit-identical
-// on the same random stream.
+// names the window on each symbol's Request (Request.Window): the decoder
+// compiles it on the first into its WindowStore, under the window's key, and
+// holds it for each run, so every symbol pays only the bias rewrite, and an
+// evicted window's storage is rebuilt in place for the next. A caller may
+// instead Compile once and keep the *CompiledChannel. All of them are
+// bit-identical on the same random stream.
 //
 // The decoder also caches clique embeddings and parallel-slot packings per
 // problem size, and the chip adjacency of each placement layout, mirroring a
@@ -87,7 +90,7 @@ type Decoder struct {
 	packs map[int][]*embedding.Embedding // parallel slot packings by N (their count is the geometric Pf)
 	chips []*chip                        // chip adjacencies, oldest first (chipFor)
 
-	channels *WindowStore[*CompiledChannel] // Compile's artifacts
+	channels *WindowStore[CompiledChannel] // Compile's and Window requests' artifacts
 
 	scratch sync.Pool // *scratch: a call's working set (pipeline.go)
 
@@ -127,7 +130,7 @@ func New(opts Options) (*Decoder, error) {
 		opts:     opts,
 		embs:     make(map[int]*embedding.Embedding),
 		packs:    make(map[int][]*embedding.Embedding),
-		channels: NewWindowStore[*CompiledChannel](opts.ChannelCache),
+		channels: NewWindowStore[CompiledChannel](opts.ChannelCache),
 	}, nil
 }
 
@@ -227,8 +230,10 @@ type Outcome struct {
 	// WallMicrosPerAnneal is Ta+Tp.
 	WallMicrosPerAnneal float64
 	// CompileMicros is the wall time the decode spent compiling a raw
-	// channel (0 for a compiled one).
+	// channel, or looking up a Window's in the window store — compiling it on
+	// a miss (0 for a compiled one). CacheHit reports that lookup's hit.
 	CompileMicros float64
+	CacheHit      bool
 	// Distribution is the rank-ordered solution distribution with bit
 	// errors against ground truth — non-nil iff the request carried Truth
 	// (bit errors need the transmitted bits, footnote 7).

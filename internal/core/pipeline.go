@@ -20,12 +20,18 @@ import (
 )
 
 // Request is one decode: a received vector Y observed through a channel
-// given either compiled (CC) or raw (Mod and H) — exactly one of the two.
+// given compiled (CC), as a coherence window (Window) or raw (Mod and H). A
+// Window request decodes through the decoder's window store: the window's
+// channel is compiled on its first symbol, under its key, and the store holds
+// it for the run. Mod and H may ride along with a Window; when they are not
+// the window's own channel, the request runs raw — a window that is not the
+// request's costs a compile, never a wrong answer. CC goes alone.
 type Request struct {
-	CC  *CompiledChannel
-	Mod modulation.Modulation
-	H   *linalg.Mat
-	Y   []complex128
+	CC     *CompiledChannel
+	Window *Window
+	Mod    modulation.Modulation
+	H      *linalg.Mat
+	Y      []complex128
 	// Soft, when non-nil, additionally fills the Outcome's LLR fields from
 	// the read ensemble. The hard fields are unaffected. NoiseVar ≤ 0 takes
 	// Truth's σ² when Truth is given.
@@ -71,10 +77,11 @@ var ErrNoSeed = errors.New("core: no linear seed for reverse annealing")
 // The outcome is the request's Answer when it lends one.
 func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, error) {
 	var out [1]*Outcome
-	if err := d.run([]Request{req}, b, src, out[:]); err != nil {
+	outs, err := d.run([]Request{req}, b, src, out[:0])
+	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return outs[0], nil
 }
 
 // scratch is the working set of one Decode or DecodeRun call, pooled on the
@@ -82,7 +89,8 @@ func (d *Decoder) Decode(req Request, b Budget, src *rng.Source) (*Outcome, erro
 // into a lent Answer: no Outcome aliases it, so it goes back to the pool once
 // the call has its outcomes (a call that fails or panics just drops it).
 // raw[k] is the k-th raw request's channel, which lives only for its run:
-// compileInto rebuilds it in place.
+// compileInto rebuilds it in place. pinned holds the window-store entries
+// the call's Window requests run through, until the call unpins them.
 type scratch struct {
 	run     anneal.Scratch
 	tallies []tally
@@ -90,6 +98,7 @@ type scratch struct {
 	read    func(slot int, spins []int8) bool // tallies[slot].read, bound once
 	raw     []*CompiledChannel
 	nraw    int // raw channels this call has compiled
+	pinned  []*windowEntry[CompiledChannel]
 }
 
 // DecodeRun decodes up to BatchSlots(N) requests in ONE annealer run by
@@ -103,46 +112,58 @@ type scratch struct {
 // in its slot on streams of its own, is scored read by read, and stops alone.
 // A run of one is Decode.
 func (d *Decoder) DecodeRun(reqs []Request, b Budget, src *rng.Source) ([]*Outcome, error) {
-	if len(reqs) == 0 {
-		return nil, errors.New("core: empty run")
-	}
-	outs := make([]*Outcome, len(reqs))
-	if err := d.run(reqs, b, src, outs); err != nil {
-		return nil, err
-	}
-	return outs, nil
+	// DecodeRun inlines, so a caller that keeps the slice it returns to
+	// itself keeps a run of up to four on its stack.
+	var short [4]*Outcome
+	return d.run(reqs, b, src, short[:0])
 }
 
 // run is the one decode body: it programs request i into slot i of one
 // annealer run (a lone request on its channel's own embedding), runs it with
-// every read scored as it arrives, and fills outs[i].
-func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome) error {
+// every read scored as it arrives, and appends request i's outcome to outs.
+// The store entries its Window requests pinned are unpinned when it returns,
+// however it returns.
+func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome) ([]*Outcome, error) {
+	if len(reqs) == 0 {
+		return nil, errors.New("core: empty run")
+	}
 	params, jf, err := d.budget(b, src)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sc, ok := d.scratch.Get().(*scratch)
 	if !ok {
 		sc = new(scratch)
 		sc.read = func(slot int, spins []int8) bool { return sc.tallies[slot].read(spins) }
 	}
+	done := false
+	defer func() {
+		for _, e := range sc.pinned {
+			d.channels.unpin(e)
+		}
+		clear(sc.pinned)
+		sc.pinned = sc.pinned[:0]
+		if done {
+			d.scratch.Put(sc)
+		}
+	}()
 	sc.tallies = append(sc.tallies, make([]tally, max(0, len(reqs)-len(sc.tallies)))...)
 	sc.slots, sc.nraw = sc.slots[:0], 0
 	solo, pf := len(reqs) == 1, len(reqs) // pf: the Pf the outcomes amortize over
 	var packs []*embedding.Embedding
 	for i := range reqs {
 		req := &reqs[i]
-		cc, compile, err := d.resolve(req, sc)
+		cc, compile, hit, err := d.resolve(req, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if i == 0 {
 			packs = cc.packs
 		}
 		if n := packs[0].N; cc.prog.N != n {
-			return fmt.Errorf("core: run mixes logical sizes %d and %d", n, cc.prog.N)
+			return nil, fmt.Errorf("core: run mixes logical sizes %d and %d", n, cc.prog.N)
 		} else if len(reqs) > len(packs) {
-			return fmt.Errorf("core: run of %d exceeds the %d parallel slots for N=%d", len(reqs), len(packs), n)
+			return nil, fmt.Errorf("core: run of %d exceeds the %d parallel slots for N=%d", len(reqs), len(packs), n)
 		}
 		emb := packs[i]
 		if solo {
@@ -152,15 +173,15 @@ func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome
 		// Tie-break streams are split in slot order, ahead of the slots' own.
 		t := &sc.tallies[i]
 		t.begin(req, cc, emb, jf, src)
-		t.compile = compile
+		t.compile, t.hit = compile, hit
 		slot := anneal.Slot{PP: pp, H: t.h}
 		if req.Reverse {
 			if !solo {
-				return errors.New("core: reverse annealing cannot share a run")
+				return nil, errors.New("core: reverse annealing cannot share a run")
 			}
 			seed, err := linearSeed(cc, req)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			slot.Init = emb.PhysicalInit(seed)
 			t.score(seed) // a candidate: the result is never worse than the seed
@@ -168,13 +189,13 @@ func (d *Decoder) run(reqs []Request, b Budget, src *rng.Source, outs []*Outcome
 		sc.slots = append(sc.slots, slot)
 	}
 	if err := d.opts.Machine.RunSlots(&sc.run, sc.slots, params, src, sc.read); err != nil {
-		return err
+		return nil, err
 	}
 	for i := range reqs {
-		outs[i] = sc.tallies[i].outcome(d, params, pf)
+		outs = append(outs, sc.tallies[i].outcome(d, params, pf))
 	}
-	d.scratch.Put(sc)
-	return nil
+	done = true
+	return outs, nil
 }
 
 // budget resolves a call's operating point against the decoder's configured
@@ -193,41 +214,49 @@ func (d *Decoder) budget(b Budget, src *rng.Source) (anneal.Params, float64, err
 }
 
 // resolve validates a request and returns its channel: the given compiled
-// one, or a raw (Mod, H) compiled into sc's next raw channel, with the
-// compile's wall time — never inserted in the window store, so one-shot
-// channels do not churn it.
-func (d *Decoder) resolve(req *Request, sc *scratch) (*CompiledChannel, float64, error) {
-	cc, compile := req.CC, 0.0
+// one; a Window's from the window store, pinned in sc, with the lookup's wall
+// time and whether it hit; or a raw (Mod, H) compiled into sc's next raw
+// channel, with the compile's wall time — never inserted in the window store,
+// so one-shot channels do not churn it.
+func (d *Decoder) resolve(req *Request, sc *scratch) (*CompiledChannel, float64, bool, error) {
+	cc, compile, hit := req.CC, 0.0, false
 	switch {
-	case (cc == nil) == (req.H == nil):
-		return nil, 0, errors.New("core: a request names exactly one of CC and H")
+	case cc != nil && (req.Window != nil || req.H != nil), cc == nil && req.Window == nil && req.H == nil:
+		return nil, 0, false, errors.New("core: a request names exactly one of CC and a Window or H")
 	case cc != nil && cc.dec != d:
-		return nil, 0, errors.New("core: compiled channel belongs to a different decoder")
+		return nil, 0, false, errors.New("core: compiled channel belongs to a different decoder")
+	case cc == nil && (req.H == nil || req.Window.holds(req.Mod, req.H)):
+		e, micros, ok, err := d.pinWindow(req.Window)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		sc.pinned = append(sc.pinned, e)
+		cc, compile, hit = &e.val, micros, ok
 	case cc == nil:
 		if sc.nraw == len(sc.raw) {
 			sc.raw = append(sc.raw, new(CompiledChannel))
 		}
 		var err error
 		if cc, compile, err = d.compileInto(sc.raw[sc.nraw], req.Mod, req.H); err != nil {
-			return nil, 0, err
+			return nil, 0, false, err
 		}
 		sc.nraw++
 	}
 	if h := cc.Channel(); len(req.Y) != h.Rows {
-		return nil, 0, fmt.Errorf("core: y has %d entries, H has %d rows", len(req.Y), h.Rows)
+		return nil, 0, false, fmt.Errorf("core: y has %d entries, H has %d rows", len(req.Y), h.Rows)
 	}
 	if req.Soft != nil {
 		if req.Reverse {
-			return nil, 0, errors.New("core: reverse annealing has no soft output")
+			return nil, 0, false, errors.New("core: reverse annealing has no soft output")
 		}
 		if err := req.Soft.Validate(); err != nil {
-			return nil, 0, err
+			return nil, 0, false, err
 		}
 	}
 	if req.Truth != nil && req.Truth.NumVariables() != cc.prog.N {
-		return nil, 0, fmt.Errorf("core: truth has %d bits, the problem %d", req.Truth.NumVariables(), cc.prog.N)
+		return nil, 0, false, fmt.Errorf("core: truth has %d bits, the problem %d", req.Truth.NumVariables(), cc.prog.N)
 	}
-	return cc, compile, nil
+	return cc, compile, hit, nil
 }
 
 // linearSeed is the reverse anneal's start state: the linear detector's
@@ -266,7 +295,8 @@ type tally struct {
 	bestE         float64
 	scored, soft  bool // soft: the request asked for LLRs
 	reads, broken int
-	compile       float64 // µs the request's raw channel took to compile
+	compile       float64 // µs the request's channel took to compile or look up
+	hit           bool    // its window was in the store
 
 	own         rng.Source // breaks majority-vote ties
 	h           []float64  // the chain-spread fields of this y on emb
@@ -345,7 +375,7 @@ func (t *tally) outcome(d *Decoder, params anneal.Params, slots int) *Outcome {
 		Bits:    t.mod.AppendPostTranslate(slices.Grow(out.Bits[:0], len(t.best)), t.best),
 		Symbols: reduction.AppendBitsToSymbols(out.Symbols[:0], t.mod, t.best), Energy: t.bestE,
 		Reads: t.reads, BrokenChains: t.broken, Pf: 1, WallMicrosPerAnneal: params.AnnealWallMicros(),
-		CompileMicros: t.compile, LLRs: out.LLRs[:0],
+		CompileMicros: t.compile, CacheHit: t.hit, LLRs: out.LLRs[:0],
 	}
 	if d.opts.AmortizeParallel {
 		out.Pf = float64(slots)

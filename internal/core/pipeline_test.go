@@ -20,7 +20,7 @@ import (
 // field of Request or Budget, not a method.
 func TestDecoderSurface(t *testing.T) {
 	want := []string{
-		"BatchSlots", "ChannelCacheStats", "Compile", "CompileKeyed", "CompileTracked",
+		"BatchSlots", "ChannelCacheStats", "Compile", "CompileTracked",
 		"Decode", "DecodeRun",
 		// bench/ladder.go's four fillers of Decode/DecodeRun:
 		"DecodeCompiledSharedRunWithParams", "DecodeCompiledSoftWithParams",
@@ -56,6 +56,7 @@ func TestDecodeRejectsMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := Request{Mod: in.Mod, H: in.H, Y: in.Y}
+	win := NewWindow(in.Mod, in.H)
 	src := rng.New(1)
 
 	rows := []struct {
@@ -67,11 +68,13 @@ func TestDecodeRejectsMalformedRequests(t *testing.T) {
 	}{
 		{"neither CC nor H (panic)", Request{Y: in.Y}, false, src, "exactly one"},
 		{"both CC and H", Request{CC: cc, Mod: in.Mod, H: in.H, Y: in.Y}, false, src, "exactly one"},
+		{"both CC and a window", Request{CC: cc, Window: win, Y: in.Y}, false, src, "exactly one"},
 		{"run item with nil CC (panic)", Request{Y: in.Y}, true, src, "exactly one"},
 		{"unknown modulation (panic)", Request{Mod: modulation.Modulation(9), H: in.H, Y: in.Y}, false, src, "modulation"},
 		{"empty channel (panic)", Request{Mod: in.Mod, H: linalg.NewMat(0, 0)}, false, src, "empty"},
 		{"short y, raw (panic)", Request{Mod: in.Mod, H: in.H, Y: in.Y[:1]}, false, src, "y has 1 entries"},
 		{"short y, compiled (panic)", Request{CC: cc, Y: in.Y[:1]}, false, src, "y has 1 entries"},
+		{"short y, window", Request{Window: win, Y: in.Y[:1]}, false, src, "y has 1 entries"},
 		{"short y in a run (panic)", Request{CC: cc, Y: nil}, true, src, "y has 0 entries"},
 		{"truth of another size (panic)", Request{CC: cc, Y: in.Y, Truth: big}, false, src, "truth has 6 bits"},
 		{"bad soft spec", Request{CC: cc, Y: in.Y, Soft: &softout.Spec{Clamp: -1}}, false, src, "clamp"},

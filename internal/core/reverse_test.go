@@ -23,7 +23,7 @@ func reverseReq(in *mimo.Instance) Request {
 // zfSeed exposes the pipeline's reverse-anneal start state for in.
 func zfSeed(d *Decoder, in *mimo.Instance) ([]int8, error) {
 	req := reverseReq(in)
-	cc, _, err := d.resolve(&req, new(scratch))
+	cc, _, _, err := d.resolve(&req, new(scratch))
 	if err != nil {
 		return nil, err
 	}

@@ -295,3 +295,46 @@ func TestAnnealerRoundTripAllocs(t *testing.T) {
 		}
 	}
 }
+
+// A registration allocates only the handle it returns on the client: its call
+// comes from the client's pool and the answer decodes into it. The peer here
+// answers every registration from one reused frame, allocating nothing, so
+// the count is the client's alone.
+func TestClientRegistrationAllocatesOnlyItsHandle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	cliConn, srvConn := net.Pipe()
+	go func() {
+		fr := newFrameReader(srvConn)
+		var frame []byte
+		for {
+			_, payload, err := fr.next()
+			if err != nil {
+				return
+			}
+			r := reader{b: payload}
+			frame = frameRegisterResponse(frame, &RegisterChannelResponse{ID: r.u64(), Handle: 7})
+			if sendFrame(srvConn, frame) != nil {
+				return
+			}
+		}
+	}()
+	client := NewClient(cliConn)
+	defer client.Close()
+	in := testInstance(t, 506, modulation.QPSK, 8)
+	register := func() {
+		if rc, err := client.RegisterChannel(in.Mod, in.H); err != nil || rc.handle != 7 {
+			t.Fatalf("registration: %+v, %v", rc, err)
+		}
+	}
+	register()
+	// A collection mid-measurement would empty the pool and count its
+	// rebuild, so none runs while the registrations are counted.
+	gc := debug.SetGCPercent(-1)
+	allocs := testing.AllocsPerRun(200, register)
+	debug.SetGCPercent(gc)
+	if allocs > 1 {
+		t.Fatalf("a client registration makes %v allocations, want ≤ 1: the RemoteChannel", allocs)
+	}
+}

@@ -71,21 +71,31 @@ type Client struct {
 	closed  error
 
 	names backendNames // the read loop's
+	regs  sync.Pool    // *registration, reused once answered
 }
 
 // call is one in-flight pipelined request: the frame type that may answer
 // it, the storage its answer is decoded into, and the wait group done once
 // the answer — or the connection's terminal error, in err — is there. A
 // solve's call is its answer: the blocking calls return &resp, so a call is
-// never reused, and the served shapes' bits and LLRs fit its own arrays.
+// never reused, and the served shapes' bits and LLRs fit its own arrays. A
+// registration's call is the client's again once its answer is read
+// (registration).
 type call struct {
 	respType uint8
 	done     sync.WaitGroup
 	err      error
 	resp     DecodeResponse // a solve's answer
-	reply    any            // a registration's or stats poll's answer
+	reply    any            // a registration's (decoded into) or stats poll's answer
 	bits     [inlineBits]byte
 	llr8     [inlineBits]int8
+}
+
+// registration is a registration's call and the answer the read loop decodes
+// into it (call.reply points at resp), pooled on the client.
+type registration struct {
+	call
+	resp RegisterChannelResponse
 }
 
 // inlineBits sizes a call's answer arrays for the served shapes: 8×8 QPSK
@@ -165,7 +175,7 @@ func (c *Client) readLoop() {
 		case msgDecodeResponse:
 			err = k.resp.decode(payload, &c.names, k.bits[:0], k.llr8[:0])
 		case msgRegisterResponse:
-			k.reply, err = decodeRegisterResponse(payload)
+			err = k.reply.(*RegisterChannelResponse).decode(payload)
 		default:
 			k.reply, err = decodeStatsResponse(payload)
 		}
@@ -348,18 +358,25 @@ func (rc *RemoteChannel) Mod() modulation.Modulation { return rc.mod }
 // the handle to decode a coherence window's symbols against. The server
 // compiles the channel once — couplings, embedding, prepared physical
 // program — and every DecodeWithChannel call only rewrites the y-dependent
-// biases.
+// biases. The returned handle is all a registration allocates.
 func (c *Client) RegisterChannel(mod modulation.Modulation, h *linalg.Mat) (*RemoteChannel, error) {
-	k := &call{respType: msgRegisterResponse}
-	if err := c.submit(k, func(buf []byte, id uint64) ([]byte, error) {
+	r, ok := c.regs.Get().(*registration)
+	if !ok {
+		r = new(registration)
+		r.reply = &r.resp
+	}
+	r.respType, r.err = msgRegisterResponse, nil
+	if err := c.submit(&r.call, func(buf []byte, id uint64) ([]byte, error) {
 		return frameRegisterChannel(buf, &RegisterChannelRequest{ID: id, Mod: mod, H: h})
 	}); err != nil {
+		return nil, err // r is dropped: a refused submit leaves its wait group counting
+	}
+	err := r.await()
+	resp := r.resp
+	c.regs.Put(r) // answered or drained: nothing touches r any more
+	if err != nil {
 		return nil, err
 	}
-	if err := k.await(); err != nil {
-		return nil, err
-	}
-	resp := k.reply.(*RegisterChannelResponse)
 	if resp.Err != "" {
 		return nil, fmt.Errorf("fronthaul: channel registration failed: %s", resp.Err)
 	}

@@ -74,34 +74,19 @@ func TestWindowFacetsBuildOnce(t *testing.T) {
 
 	// The dispatcher sees every problem: a precode's carries the window of
 	// the VP program it was derived from, one program per depth. A lookup
-	// that waits on its window's compile counts as a store miss too
-	// (core.WindowStore), so a window's first annealer-bound problem (no
-	// deadline, no target) is answered before the rest of its annealer-bound
-	// problems go in: a shard store's misses are then its compiles.
+	// that waits on its window's compile counts as a store hit
+	// (core.WindowStore), so a shard store's misses are its compiles however
+	// a window's symbols reach its annealers.
 	var mu sync.Mutex
 	vpWindows := map[modulation.Modulation]map[*core.Window]bool{}
-	compiled := map[*core.Window]chan struct{}{}
 	srv := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, d time.Duration) (*backend.Result, error) {
-		mu.Lock()
 		if p.Lattice {
+			mu.Lock()
 			if vpWindows[p.Mod] == nil {
 				vpWindows[p.Mod] = map[*core.Window]bool{}
 			}
 			vpWindows[p.Mod][p.Window] = true
-		}
-		var gate chan struct{}
-		first := false
-		if d == 0 && p.TargetBER == 0 {
-			if gate = compiled[p.Window]; gate == nil {
-				gate, first = make(chan struct{}), true
-				compiled[p.Window] = gate
-			}
-		}
-		mu.Unlock()
-		if first {
-			defer close(gate)
-		} else if gate != nil {
-			<-gate
+			mu.Unlock()
 		}
 		return rt.Dispatch(ctx, p, d)
 	}))

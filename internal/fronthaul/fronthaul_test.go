@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -786,8 +787,8 @@ func TestClientDecodeQoSThroughPlanner(t *testing.T) {
 	}
 }
 
-// A registration allocates its H (the matrix and its data) and its window:
-// the request decodes into a value.
+// A registration allocates H's data and the window, which holds H's header:
+// the request decodes into a value, and its matrix header stays on the stack.
 func TestRegistrationAllocatesItsHAndWindow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -799,13 +800,16 @@ func TestRegistrationAllocatesItsHAndWindow(t *testing.T) {
 	}
 	channels := make(map[uint64]registeredChannel, 1)
 	if n := testing.AllocsPerRun(100, func() {
-		req, err := decodeRegisterChannel(payload)
-		if err != nil {
-			t.Fatal(err)
+		id, w, err := registeredWindow(payload)
+		if err != nil || id != 5 {
+			t.Fatal(id, err)
 		}
-		channels[1] = registeredChannel{w: core.NewWindow(req.Mod, req.H)}
-	}); n != 3 {
-		t.Fatalf("a registration makes %v allocations, want 3: H, its data and the window", n)
+		channels[1] = registeredChannel{w: w}
+	}); n != 2 {
+		t.Fatalf("a registration makes %v allocations, want 2: H's data and the window holding its header", n)
+	}
+	if w := channels[1].w; w.Key() != core.FingerprintChannel(modulation.QPSK, h) || !slices.Equal(w.Channel().Data, h.Data) {
+		t.Fatal("the registered window is not the registered channel's")
 	}
 }
 
@@ -820,7 +824,7 @@ func TestRegisterCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeRegisterChannel(payload)
+	back, err := decodeRegisterChannel(payload, new(linalg.Mat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,14 +832,14 @@ func TestRegisterCodecRoundTrip(t *testing.T) {
 		t.Fatalf("register round trip drifted: %+v", back)
 	}
 	for cut := 0; cut < len(payload); cut++ {
-		if _, err := decodeRegisterChannel(payload[:cut]); err == nil {
+		if _, err := decodeRegisterChannel(payload[:cut], new(linalg.Mat)); err == nil {
 			t.Fatalf("register payload truncated to %d of %d bytes accepted", cut, len(payload))
 		}
 	}
-	if _, err := decodeRegisterChannel(append(payload, 0)); err == nil {
+	if _, err := decodeRegisterChannel(append(payload, 0), new(linalg.Mat)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := decodeRegisterChannel(putF64(payload, -8, math.Inf(1))); err == nil {
+	if _, err := decodeRegisterChannel(putF64(payload, -8, math.Inf(1)), new(linalg.Mat)); err == nil {
 		t.Fatal("infinite channel entry accepted")
 	}
 	if _, err := encodeRegisterChannel(&RegisterChannelRequest{ID: 5, Mod: modulation.QAM16}); err == nil {
@@ -918,7 +922,7 @@ func (f dispatcherFunc) Dispatch(ctx context.Context, p *backend.Problem, deadli
 // BEFORE allocation — a 13-byte frame must not provoke a gigabyte matrix.
 func TestChannelShapeBoundedByPayload(t *testing.T) {
 	shape := append([]byte{byte(modulation.QPSK)}, 0xff, 0xff, 0xff, 0xff)
-	if _, err := decodeRegisterChannel(append(appendU64(nil, 1), shape...)); err == nil {
+	if _, err := decodeRegisterChannel(append(appendU64(nil, 1), shape...), new(linalg.Mat)); err == nil {
 		t.Fatal("oversized register-channel shape accepted")
 	}
 	if _, err := decodeRequest(append(append(appendU64(nil, 1), 0), shape...)); err == nil {

@@ -271,7 +271,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("decoding into a call's arrays: %v, fresh storage: %v", inErr, err)
 			}
 		case msgRegisterChannel:
-			if req, err := decodeRegisterChannel(payload); err == nil {
+			if req, err := decodeRegisterChannel(payload, new(linalg.Mat)); err == nil {
 				canonical(encodeRegisterChannel(&req))
 			}
 		case msgRegisterResponse:

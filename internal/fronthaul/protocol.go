@@ -578,13 +578,14 @@ func frameRegisterChannel(buf []byte, req *RegisterChannelRequest) ([]byte, erro
 	return sealFrame(b, msgRegisterChannel), nil
 }
 
-// decodeRegisterChannel parses a RegisterChannelRequest payload into a value:
-// only its H is allocated.
-func decodeRegisterChannel(payload []byte) (RegisterChannelRequest, error) {
+// decodeRegisterChannel parses a RegisterChannelRequest payload into a value
+// whose H is h, read into h's storage: only H's data is allocated, when h has
+// no room for it.
+func decodeRegisterChannel(payload []byte, h *linalg.Mat) (RegisterChannelRequest, error) {
 	r := &reader{b: payload}
 	req := RegisterChannelRequest{ID: r.u64()}
 	var err error
-	if req.Mod, req.H, err = readMat(r, new(linalg.Mat)); err != nil {
+	if req.Mod, req.H, err = readMat(r, h); err != nil {
 		return RegisterChannelRequest{}, err
 	}
 	if r.off != len(payload) {
@@ -610,20 +611,21 @@ func frameRegisterResponse(buf []byte, resp *RegisterChannelResponse) []byte {
 	return sealFrame(b, msgRegisterResponse)
 }
 
-// decodeRegisterResponse parses a RegisterChannelResponse payload.
-func decodeRegisterResponse(payload []byte) (*RegisterChannelResponse, error) {
+// decode parses a RegisterChannelResponse payload into resp, overwriting
+// every field; only an error text is allocated.
+func (resp *RegisterChannelResponse) decode(payload []byte) error {
 	r := &reader{b: payload}
-	resp := &RegisterChannelResponse{ID: r.u64()}
+	*resp = RegisterChannelResponse{ID: r.u64()}
 	errLen := int(r.u16())
 	resp.Err = string(r.bytes(errLen))
 	resp.Handle = r.u64()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(payload) {
-		return nil, errors.New("fronthaul: trailing bytes in register-channel response")
+		return errors.New("fronthaul: trailing bytes in register-channel response")
 	}
-	return resp, nil
+	return nil
 }
 
 // frameResponse serializes a solve response into its frame, in buf's

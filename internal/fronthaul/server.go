@@ -283,8 +283,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 
 		case msgRegisterChannel:
-			var req RegisterChannelRequest
-			if req, err = decodeRegisterChannel(payload); err != nil {
+			var id uint64
+			var w *core.Window
+			if id, w, err = registeredWindow(payload); err != nil {
 				break
 			}
 			// Registration mints the window and nothing more (its sphere
@@ -294,9 +295,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			// MaxChannelsPerConn behind the newest (below capacity that key
 			// does not exist and the delete is a no-op).
 			nextHandle++
-			channels[nextHandle] = registeredChannel{w: core.NewWindow(req.Mod, req.H)}
+			channels[nextHandle] = registeredChannel{w: w}
 			delete(channels, nextHandle-MaxChannelsPerConn)
-			sl.frame = frameRegisterResponse(sl.frame, &RegisterChannelResponse{ID: req.ID, Handle: nextHandle})
+			sl.frame = frameRegisterResponse(sl.frame, &RegisterChannelResponse{ID: id, Handle: nextHandle})
 
 		case msgStatsRequest:
 			var req *StatsRequest
@@ -320,6 +321,18 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		out <- sl
 	}
+}
+
+// registeredWindow parses a registration and mints its window, which holds
+// H's header itself: H's data and the window are all a registration
+// allocates. It returns the request's ID with the window.
+func registeredWindow(payload []byte) (uint64, *core.Window, error) {
+	var h linalg.Mat
+	req, err := decodeRegisterChannel(payload, &h)
+	if err != nil {
+		return 0, nil, err
+	}
+	return req.ID, core.NewWindow(req.Mod, req.H), nil
 }
 
 // resolveChannel resolves the channel the slot's solve request runs against,

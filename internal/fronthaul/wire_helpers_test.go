@@ -42,6 +42,14 @@ func decodeResponse(payload []byte) (*DecodeResponse, error) {
 	return resp, nil
 }
 
+func decodeRegisterResponse(payload []byte) (*RegisterChannelResponse, error) {
+	resp := new(RegisterChannelResponse)
+	if err := resp.decode(payload); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
 func encodeRegisterResponse(resp *RegisterChannelResponse) []byte {
 	return frameRegisterResponse(nil, resp)[frameHeaderLen:]
 }

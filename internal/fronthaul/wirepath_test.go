@@ -652,7 +652,7 @@ func TestDecodedFramesDoNotAliasTheReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("register", reg, func(b []byte) (any, error) { return decodeRegisterChannel(b) })
+	check("register", reg, func(b []byte) (any, error) { return decodeRegisterChannel(b, new(linalg.Mat)) })
 	check("register response", encodeRegisterResponse(&RegisterChannelResponse{ID: 1, Err: "no room"}),
 		func(b []byte) (any, error) { return decodeRegisterResponse(b) })
 	check("response", encodeResponse(&DecodeResponse{ID: 2, Err: "e", Bits: []byte{1, 0, 1}, Backend: "qpu0",

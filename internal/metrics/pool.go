@@ -74,8 +74,10 @@ type PoolStats struct {
 // ChannelCacheStats counts compiled-channel cache traffic (internal/core's
 // LRU of CompiledChannel artifacts, keyed by the channel fingerprint).
 type ChannelCacheStats struct {
-	// Hits counts lookups served from the cache; Misses lookups that had to
-	// compile; Evictions entries displaced by the LRU capacity bound.
+	// Hits counts lookups served from the cache, a lookup that waited on
+	// another's compile of its window included; Misses lookups that compiled
+	// (one per build); Evictions entries displaced by the LRU capacity bound
+	// or by another channel under their key.
 	Hits, Misses, Evictions uint64
 }
 

@@ -12,7 +12,7 @@ import (
 // Precoder runs the VP search on a QuAMax decoder with the same
 // compile/execute economics as uplink decoding: the caller compiles the VP
 // program (channel inversion + couplings) once per coherence window and
-// holds it, the decoder pins the embedded physical program in its
+// holds it, the decoder keeps the embedded physical program in its
 // compiled-channel store under the program's window key, and each symbol
 // vector only pays one matrix–vector product plus the bias rewrite and
 // anneal. Safe for concurrent use.
@@ -74,11 +74,7 @@ type Result struct {
 // bit-identical to PrecodeRecompile on the same (program inputs, random
 // stream) — the property tests assert it.
 func (p *Precoder) Precode(prog *Program, s []complex128, src *rng.Source) (*Result, error) {
-	cc, _, err := p.dec.CompileKeyed(prog.window.Key(), prog.PerturbMod(), prog.VPChannel())
-	if err != nil {
-		return nil, err
-	}
-	out, err := p.dec.Decode(core.Request{CC: cc, Y: prog.Target(s)}, core.Budget{}, src)
+	out, err := p.dec.Decode(core.Request{Window: prog.window, Y: prog.Target(s)}, core.Budget{}, src)
 	if err != nil {
 		return nil, err
 	}

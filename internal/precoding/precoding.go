@@ -116,11 +116,10 @@ type Program struct {
 
 	h    *linalg.Mat // downlink channel, Nu×Nt (referenced, not copied)
 	pinv *linalg.Mat // P = Hᴴ(HHᴴ)⁻¹, Nt×Nu
-	hvp  *linalg.Mat // H′ = −(τ/2)·P, the equivalent uplink channel
 	base complex128  // (τ/2)(1+j), the per-user affine shift of the alphabet
 
 	prog   *reduction.ChannelProgram // couplings of ‖y′ − H′·v_pam‖²
-	window *core.Window              // (perturbMod, hvp)
+	window *core.Window              // (perturbMod, H′ = −(τ/2)·P), the equivalent uplink channel
 }
 
 // Compile builds the VP program for one downlink channel estimate: the
@@ -164,7 +163,6 @@ func Compile(dataMod modulation.Modulation, h *linalg.Mat, bits int) (*Program, 
 		tau:        tau,
 		h:          h,
 		pinv:       pinv,
-		hvp:        hvp,
 		base:       complex(tau/2, tau/2),
 		prog:       reduction.CompileChannel(perturbMod, hvp),
 		window:     core.NewWindow(perturbMod, hvp),
@@ -209,7 +207,7 @@ func (p *Program) Inverse() *linalg.Mat { return p.pinv }
 
 // VPChannel returns the equivalent uplink channel H′ = −(τ/2)P the VP search
 // anneals over (shared, do not mutate).
-func (p *Program) VPChannel() *linalg.Mat { return p.hvp }
+func (p *Program) VPChannel() *linalg.Mat { return p.window.Channel() }
 
 // Window returns the coherence window of the VP problem family, (PerturbMod,
 // VPChannel): the window every Problem derived from this program carries,
@@ -272,7 +270,7 @@ func (p *Program) Problem(s []complex128) *backend.Problem {
 func (p *Program) ProblemInto(dst *backend.Problem, s, target []complex128) {
 	*dst = backend.Problem{
 		Mod:     p.perturbMod,
-		H:       p.hvp,
+		H:       p.window.Channel(),
 		Y:       p.AppendTarget(target[:0], s),
 		Window:  p.window,
 		Lattice: true,

@@ -45,18 +45,22 @@ func NewIsing(n int) *Ising {
 }
 
 // Reset makes p NewIsing(n) in p's own storage where it has room, so one p
-// rebuilt problem after problem allocates only to grow. No problem sharing
-// p's couplings (SharedCouplings) may be in use.
+// rebuilt problem after problem allocates only to grow — fields and
+// couplings in one block when both must. No problem sharing p's couplings
+// (SharedCouplings) may be in use.
 func (p *Ising) Reset(n int) {
 	if n < 0 {
 		panic("qubo: negative size")
 	}
 	pairs := n * (n - 1) / 2
 	h, j := p.H, p.J
-	if cap(h) < n {
+	switch {
+	case cap(h) < n && cap(j) < pairs:
+		block := make([]float64, n+pairs)
+		h, j = block[:n:n], block[n:]
+	case cap(h) < n:
 		h = make([]float64, n)
-	}
-	if cap(j) < pairs {
+	case cap(j) < pairs:
 		j = make([]float64, pairs)
 	}
 	*p = Ising{N: n, H: h[:n], J: j[:pairs], nz: slices.Grow(p.nz[:0], pairs)}
