@@ -1255,7 +1255,7 @@ func BenchmarkHealthGatedServe(b *testing.B) {
 			cfg := sched.Config{Pool: pool, DisableBatch: true, Seed: 1}
 			if mode == "on" {
 				cfg.Health = health.NewTracker(health.Config{})
-				cfg.Burn = health.NewBurnTracker(1, health.SLOConfig{})
+				cfg.Burn = health.NewBurnTracker(1)
 			}
 			s, err := sched.New(cfg)
 			if err != nil {

@@ -13,12 +13,15 @@
 // "pt" run the device simulator's own sweep body) as extra pool workers, the
 // first of which also serves as the deadline fallback; -deadline and
 // -target-ber are the default per-request budget and QoS target when the AP
-// does not send its own. With a "pt" backend present the planner also sizes a
-// replica-exchange budget (sweeps, then ladders) into every classical
-// verdict, so deadline-denied requests run the most PT effort that fits
-// (-pt-rungs/-pt-ladders/-pt-sweeps set the full-effort ceiling). The
-// planner (disable with -planner=false) sizes each request's
-// read budget from a fitted TTS table: -tts-table names a table produced by
+// does not send its own. The annealers run the paper's operating point
+// (quamax.Options: Na = 100, Ta = Tp = 1 µs, pause at 0.35, |J_F| = 4 on the
+// improved range), "sa" runs 100 restarts of 128 sweeps, and "pt" the
+// engine's default ladders. With a "pt" backend present the planner also
+// sizes a replica-exchange budget (sweeps, then ladders, below the engine
+// defaults) into every classical verdict, so deadline-denied requests run the
+// most PT effort that fits. The planner (disable with -planner=false) sizes
+// each request's read budget from a fitted TTS table: -tts-table names a
+// table produced by
 //
 //	quamax-serve -calibrate -tts-table tts.json
 //
@@ -26,11 +29,11 @@
 // exits; without a table the built-in coefficients apply. APs register an
 // estimated channel once per coherence window (fronthaul RegisterChannel)
 // and decode its symbols by handle, so the pool compiles H once and only
-// rewrites annealer biases per symbol. Soft-decode requests
-// (per-bit LLRs from the anneal read ensemble, for soft-decision FEC chains)
-// are served by default; -soft=false rejects them cleanly and -llr-clamp
-// sets the default LLR bound / int8 quantization full scale for requests
-// that carry none. -telemetry-addr starts the live telemetry plane: an HTTP
+// rewrites annealer biases per symbol. Soft-decode requests (per-bit LLRs
+// from the anneal read ensemble, for soft-decision FEC chains) that carry no
+// LLR bound are clamped and quantized at softout.DefaultClamp, and precode
+// requests that carry no perturbation depth search precoding.DefaultPerturbBits
+// per dimension. -telemetry-addr starts the live telemetry plane: an HTTP
 // listener serving Prometheus text metrics at /metrics, the recent-trace ring
 // as JSON at /traces, and the standard net/http/pprof profiling endpoints at
 // /debug/pprof/. The same sample set /metrics renders answers fronthaul
@@ -66,9 +69,10 @@
 // detector scores each backend Healthy/Degraded/Quarantined, the scheduler
 // skips quarantined members and re-admits them through known-ground-state
 // canary probes, and a per-shard SLO burn-rate tracker (deadline-miss and
-// BER budgets, set by -slo-miss-budget/-slo-ber-budget, fast+slow window
-// alerting) folds into the router's shed decision. The health view joins the
-// exported sample set (quamax_backend_health, quamax_slo_burn_rate, ...).
+// BER budgets, health.DefaultMissBudget and health.DefaultBERBudget,
+// fast+slow window alerting) folds into the router's shed decision. The
+// health view joins the exported sample set (quamax_backend_health,
+// quamax_slo_burn_rate, ...).
 package main
 
 import (
@@ -84,7 +88,6 @@ import (
 	"time"
 
 	"quamax"
-	"quamax/internal/anneal"
 	"quamax/internal/backend"
 	"quamax/internal/fronthaul"
 	"quamax/internal/health"
@@ -102,29 +105,10 @@ func main() {
 		backends = flag.String("backends", "sa", "comma-separated classical backends to add (sa, sphere, pt); first doubles as the deadline fallback; empty disables")
 		deadline = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
 		batch    = flag.Bool("batch", true, "batch compatible requests into shared embedding slots")
-		anneals  = flag.Int("anneals", 100, "anneals per decode (Na)")
-		jf       = flag.Float64("jf", 4, "ferromagnetic chain strength |J_F|")
-		ta       = flag.Float64("ta", 1, "anneal time Ta (µs)")
-		tp       = flag.Float64("tp", 1, "pause time Tp (µs, 0 disables)")
-		sp       = flag.Float64("sp", 0.35, "pause position sp")
-		improved = flag.Bool("improved-range", true, "use the improved coupler dynamic range")
-		amortize = flag.Bool("amortize", true, "amortize compute time over parallel embedding slots")
 		seed     = flag.Int64("seed", 1, "solver random seed")
-		saSweeps = flag.Int("sa-sweeps", 128, "classical SA sweeps per restart")
-		saResets = flag.Int("sa-restarts", 100, "classical SA restarts")
-
-		ptRungs   = flag.Int("pt-rungs", 0, "parallel-tempering temperature rungs per ladder (0 = engine default)")
-		ptLadders = flag.Int("pt-ladders", 0, "parallel-tempering independent ladders (0 = engine default)")
-		ptSweeps  = flag.Int("pt-sweeps", 0, "parallel-tempering sweeps per rung (0 = engine default)")
-
-		precodeBits = flag.Int("precode-bits", 0, "default perturbation alphabet depth for downlink precode requests that carry none (0 = 1 bit/dimension)")
-
-		soft     = flag.Bool("soft", true, "serve soft-decode requests (per-bit LLRs from the anneal ensemble)")
-		llrClamp = flag.Float64("llr-clamp", 0, "default LLR magnitude bound / int8 quantization full scale for soft requests that carry none (0 = package default)")
 
 		telemetryAddr = flag.String("telemetry-addr", "", "HTTP listen address for the telemetry plane: /metrics (Prometheus), /traces (JSON ring) and /debug/pprof/ (empty = disabled)")
 		traceOut      = flag.String("trace-out", "", "write a JSON telemetry dump (per-stage summaries + trace ring) here on shutdown")
-		traceRing     = flag.Int("trace-ring", 0, "per-request trace ring capacity (0 = default)")
 
 		shardsN       = flag.Int("shards", 1, "independent scheduler pools behind the channel-affinity router (the full -pool/-backends worker set per shard)")
 		pipeDepth     = flag.Int("pipeline-depth", 0, "per-connection in-flight request window (0 = default)")
@@ -132,16 +116,12 @@ func main() {
 
 		costAware = flag.Bool("cost-aware", false, "divert planner-sized easy requests to the cheapest backend by $/solve (capability descriptors) when QPU reads buy no extra QoS")
 
-		healthOn      = flag.Bool("health", false, "enable the solver-health plane: per-backend anneal-quality drift detection, quarantine gating with canary re-admission probes, and per-shard SLO burn-rate tracking")
-		sloMissBudget = flag.Float64("slo-miss-budget", 0, "per-shard deadline-miss SLO budget the burn rates are normalized against (0 = default)")
-		sloBERBudget  = flag.Float64("slo-ber-budget", 0, "per-shard BER-risk SLO budget the burn rates are normalized against (0 = default)")
+		healthOn = flag.Bool("health", false, "enable the solver-health plane: per-backend anneal-quality drift detection, quarantine gating with canary re-admission probes, and per-shard SLO burn-rate tracking")
 
 		planner   = flag.Bool("planner", true, "plan per-request anneal budgets from the TTS model")
 		targetBER = flag.Float64("target-ber", 0, "default per-request target BER when the AP sends none (0 = none)")
 		ttsTable  = flag.String("tts-table", "", "fitted TTS table (JSON); empty = built-in coefficients")
 		calibrate = flag.Bool("calibrate", false, "fit a TTS table on the local simulator, write it to -tts-table, and exit")
-		calInst   = flag.Int("calibrate-instances", 8, "instances per calibration grid point")
-		calReads  = flag.Int("calibrate-reads", 200, "anneals per calibration measurement run")
 	)
 	flag.Parse()
 
@@ -150,14 +130,10 @@ func main() {
 		if path == "" {
 			path = "tts.json"
 		}
-		log.Printf("quamax-serve: calibrating TTS table (%d instances/point, %d reads/run)",
-			*calInst, *calReads)
 		tab, err := qos.Calibrate(qos.CalibrationConfig{
-			Instances:    *calInst,
-			MeasureReads: *calReads,
-			Reverse:      true,
-			Seed:         *seed,
-			Logf:         log.Printf,
+			Reverse: true,
+			Seed:    *seed,
+			Logf:    log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -169,18 +145,6 @@ func main() {
 		return
 	}
 
-	opts := quamax.Options{
-		JF:            *jf,
-		ImprovedRange: *improved,
-		Params: anneal.Params{
-			AnnealTimeMicros: *ta,
-			PauseTimeMicros:  *tp,
-			PausePosition:    *sp,
-			NumAnneals:       *anneals,
-		},
-		AmortizeParallel: *amortize,
-	}
-
 	if *pool < 1 {
 		fmt.Fprintln(os.Stderr, "quamax-serve: -pool must be at least 1")
 		os.Exit(1)
@@ -190,7 +154,7 @@ func main() {
 	// is asked for.
 	var rec *telemetry.Recorder
 	if *telemetryAddr != "" || *traceOut != "" {
-		rec = telemetry.New(telemetry.Config{RingSize: *traceRing})
+		rec = telemetry.New(telemetry.Config{})
 	}
 	if *shardsN < 1 {
 		fmt.Fprintln(os.Stderr, "quamax-serve: -shards must be at least 1")
@@ -215,13 +179,16 @@ func main() {
 	// one decoder, so a window compiles once per shard whichever annealer
 	// serves its symbols. prefix namespaces the backend names ("" for a
 	// single pool, "sN/" per shard) so per-shard PoolStats merge without
-	// colliding.
+	// colliding. opts keeps the decoders' effective options for the startup
+	// line.
+	var opts quamax.Options
 	buildWorkers := func(prefix string) ([]backend.Backend, backend.Backend) {
-		dec, err := quamax.NewDecoder(opts)
+		dec, err := quamax.NewDecoder(quamax.Options{AmortizeParallel: true})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		opts = dec.Options()
 		if rec != nil {
 			dec.SetTelemetry(rec)
 		}
@@ -235,11 +202,11 @@ func main() {
 				var be backend.Backend
 				switch strings.TrimSpace(name) {
 				case "sa":
-					be = backend.NewClassicalSA(prefix+"sa", *saSweeps, *saResets)
+					be = backend.NewClassicalSA(prefix+"sa", 128, 100)
 				case "sphere":
 					be = backend.NewSphere(prefix+"sphere", 1<<20)
 				case "pt":
-					be = backend.NewParallelTempering(prefix+"pt", *ptRungs, *ptLadders, *ptSweeps)
+					be = backend.NewParallelTempering(prefix+"pt", 0, 0, 0)
 				default:
 					continue
 				}
@@ -275,12 +242,7 @@ func main() {
 		if havePT {
 			// Classical verdicts carry a deadline-sized replica-exchange
 			// budget the pool's PT backend honors (backend.Problem.PT).
-			p.PT = &qos.PTCost{
-				MicrosPerSpinSweep: backend.DefaultPTMicrosPerSpinSweep,
-				Params: anneal.PTParams{
-					Rungs: *ptRungs, Ladders: *ptLadders, Sweeps: *ptSweeps,
-				},
-			}
+			p.PT = &qos.PTCost{MicrosPerSpinSweep: backend.DefaultPTMicrosPerSpinSweep}
 		}
 		budgetPlanner = p
 	}
@@ -292,10 +254,7 @@ func main() {
 	var burn *health.BurnTracker
 	if *healthOn {
 		healthTracker = health.NewTracker(health.Config{})
-		burn = health.NewBurnTracker(*shardsN, health.SLOConfig{
-			MissBudget: *sloMissBudget,
-			BERBudget:  *sloBERBudget,
-		})
+		burn = health.NewBurnTracker(*shardsN)
 	}
 
 	// The shard fleet: one scheduler pool per shard (the planner, with its own
@@ -354,9 +313,6 @@ func main() {
 	srv := fronthaul.NewPoolServer(disp)
 	srv.PipelineDepth = *pipeDepth
 	srv.Logf = log.Printf
-	srv.PrecodeBits = *precodeBits
-	srv.DisableSoft = !*soft
-	srv.LLRClamp = *llrClamp
 	srv.Telemetry = rec
 	// One sample set answers stats polls and /metrics scrapes alike: the
 	// pool (per shard behind a router, with the router's shed counters and
@@ -387,13 +343,8 @@ func main() {
 		}()
 		log.Printf("quamax-serve: telemetry on http://%s/metrics (traces at /traces, pprof at /debug/pprof/)", tl.Addr())
 	}
-	if rt != nil {
-		log.Printf("quamax-serve: %s on %s (Na=%d, |J_F|=%g, Ta=%gµs, Tp=%gµs)",
-			rt, l.Addr(), *anneals, *jf, *ta, *tp)
-	} else {
-		log.Printf("quamax-serve: %s on %s (Na=%d, |J_F|=%g, Ta=%gµs, Tp=%gµs)",
-			schedulers[0], l.Addr(), *anneals, *jf, *ta, *tp)
-	}
+	log.Printf("quamax-serve: %s on %s (Na=%d, |J_F|=%g, Ta=%gµs, Tp=%gµs)",
+		disp, l.Addr(), opts.Params.NumAnneals, opts.JF, opts.Params.AnnealTimeMicros, opts.Params.PauseTimeMicros)
 
 	// Graceful shutdown: stop accepting, drain the pool, report stats.
 	sigs := make(chan os.Signal, 1)

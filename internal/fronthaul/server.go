@@ -39,19 +39,6 @@ type Server struct {
 	// Logf receives diagnostic messages; nil silences them.
 	Logf func(format string, args ...interface{})
 
-	// PrecodeBits is the default perturbation alphabet depth for precode
-	// requests that leave theirs zero (0 = precoding.DefaultPerturbBits).
-	// Set before Serve.
-	PrecodeBits int
-	// DisableSoft rejects soft-decode requests with a clean
-	// error response (quamax-serve -soft=false) — for deployments whose
-	// planner tables were fitted for hard chains only. Set before Serve.
-	DisableSoft bool
-	// LLRClamp is the default LLR magnitude bound / quantization full scale
-	// for soft requests that carry none (0 = softout.DefaultClamp). Set
-	// before Serve.
-	LLRClamp float64
-
 	// Telemetry, when non-nil, receives the server-side wall time of every
 	// request (the wire histogram). Set before Serve; share the same recorder
 	// with the scheduler and planner so `quamax -top` sees one coherent plane.
@@ -399,15 +386,12 @@ func (s *Server) badRequest(sl *slot, payload []byte, err error) bool {
 }
 
 // softClamp resolves the effective LLR clamp of one soft request: the
-// request's own bound, else the server default, else the package default.
-// The resolved value scales both the backend clamping and the response
-// quantization, so the two always agree.
-func (s *Server) softClamp(reqClamp float64) float64 {
+// request's own bound, else softout.DefaultClamp. The resolved value scales
+// both the backend clamping and the response quantization, so the two
+// always agree.
+func softClamp(reqClamp float64) float64 {
 	if reqClamp > 0 {
 		return reqClamp
-	}
-	if s.LLRClamp > 0 {
-		return s.LLRClamp
 	}
 	return softout.DefaultClamp
 }
@@ -426,7 +410,7 @@ func (s *Server) process(ctx context.Context, sl *slot) {
 	req, ch, p := &sl.req, sl.ch, &sl.p
 	switch {
 	case req.Precode:
-		prog, err := ch.program(req.Mod, req.H, cmp.Or(req.PerturbBits, s.PrecodeBits, precoding.DefaultPerturbBits))
+		prog, err := ch.program(req.Mod, req.H, cmp.Or(req.PerturbBits, precoding.DefaultPerturbBits))
 		if err != nil {
 			sl.refuse(err.Error())
 			return
@@ -436,13 +420,10 @@ func (s *Server) process(ctx context.Context, sl *slot) {
 		if ch.w == nil {
 			p.Window = nil // an inline channel is seen once on both links
 		}
-	case req.Soft && s.DisableSoft:
-		sl.refuse("soft decode disabled by server configuration")
-		return
 	default:
 		*p = backend.Problem{Mod: req.Mod, H: req.H, Y: req.Vec, Window: ch.w}
 		if req.Soft {
-			p.Soft, p.NoiseVar, p.LLRClamp = true, req.NoiseVar, s.softClamp(req.LLRClamp)
+			p.Soft, p.NoiseVar, p.LLRClamp = true, req.NoiseVar, softClamp(req.LLRClamp)
 		}
 	}
 	p.TargetBER = req.TargetBER

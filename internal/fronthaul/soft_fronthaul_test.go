@@ -128,26 +128,6 @@ func TestDecodeSoftWithChannelOverPipe(t *testing.T) {
 	}
 }
 
-// TestServerDisableSoft checks -soft=false servers answer cleanly.
-func TestServerDisableSoft(t *testing.T) {
-	server := newDecoderServer(t, testDecoder(t), 1)
-	server.DisableSoft = true
-	cliConn, srvConn := net.Pipe()
-	go server.handleConn(srvConn)
-	client := NewClient(cliConn)
-	defer client.Close()
-
-	in := testInstance(t, 627, modulation.QPSK, 4)
-	_, err := client.DecodeSoft(in.Mod, in.H, in.Y, SoftQoS{})
-	if err == nil || !strings.Contains(err.Error(), "soft decode disabled") {
-		t.Fatalf("disabled soft decode error = %v", err)
-	}
-	// Hard decodes still serve.
-	if _, err := client.Decode(in.Mod, in.H, in.Y); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServerAnswersMalformedSoftRequest: a frame cut off right after its
 // flags byte (soft, by-handle) still carries a salvageable ID and must
 // produce an error response so the caller unblocks.

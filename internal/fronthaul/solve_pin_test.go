@@ -93,7 +93,7 @@ func TestSolveShapesPinned(t *testing.T) {
 		}
 		return prog
 	}
-	vp2, vp0 := vp(2), vp(0)
+	vp2, vpDefault := vp(2), vp(precoding.DefaultPerturbBits)
 	precodeProblem := func(prog *precoding.Program) *backend.Problem {
 		p := prog.Problem(s)
 		p.TargetBER = target
@@ -123,7 +123,8 @@ func TestSolveShapesPinned(t *testing.T) {
 			want: &backend.Problem{Mod: mod, H: h, Y: y, TargetBER: target, Window: win},
 		},
 		{
-			// No request clamp: the server default scales backend and wire alike.
+			// No request clamp: softout.DefaultClamp scales backend and wire
+			// alike.
 			name: "soft_inline",
 			call: func(c *Client, _ *RemoteChannel) (any, error) {
 				return c.DecodeSoft(mod, h, y, SoftQoS{NoiseVar: noiseVar, Deadline: deadline, TargetBER: target})
@@ -141,6 +142,14 @@ func TestSolveShapesPinned(t *testing.T) {
 				Soft: true, NoiseVar: noiseVar, LLRClamp: 8},
 		},
 		{
+			name: "soft_handle_default_clamp",
+			call: func(c *Client, rc *RemoteChannel) (any, error) {
+				return c.DecodeSoftWithChannel(rc, y, SoftQoS{NoiseVar: noiseVar, Deadline: deadline, TargetBER: target})
+			},
+			want: &backend.Problem{Mod: mod, H: h, Y: y, TargetBER: target, Window: win,
+				Soft: true, NoiseVar: noiseVar, LLRClamp: softout.DefaultClamp},
+		},
+		{
 			name: "precode_inline",
 			call: func(c *Client, _ *RemoteChannel) (any, error) {
 				return c.Precode(mod, h, s, 2, deadline, target)
@@ -153,13 +162,25 @@ func TestSolveShapesPinned(t *testing.T) {
 			vp: vp2,
 		},
 		{
-			// Perturbation depth 0 selects the server default alphabet.
+			// Perturbation depth 0 selects precoding.DefaultPerturbBits.
+			name: "precode_inline_default_bits",
+			call: func(c *Client, _ *RemoteChannel) (any, error) {
+				return c.Precode(mod, h, s, 0, deadline, target)
+			},
+			want: func() *backend.Problem {
+				p := precodeProblem(vpDefault)
+				p.Window = nil
+				return p
+			}(),
+			vp: vpDefault,
+		},
+		{
 			name: "precode_handle",
 			call: func(c *Client, rc *RemoteChannel) (any, error) {
 				return c.PrecodeWithChannel(rc, s, 0, deadline, target)
 			},
-			want: precodeProblem(vp0),
-			vp:   vp0,
+			want: precodeProblem(vpDefault),
+			vp:   vpDefault,
 		},
 	}
 

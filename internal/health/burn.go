@@ -6,7 +6,7 @@ import (
 	"quamax/internal/metrics"
 )
 
-// SLO defaults for SLOConfig fields left zero.
+// The SLO budgets and their burn windows.
 const (
 	// DefaultMissBudget is the deadline-miss SLO budget (fraction of
 	// deadline-bearing requests allowed to miss).
@@ -19,53 +19,15 @@ const (
 	// (~20-request) and slow (~200-request) burn windows.
 	DefaultFastAlpha = 0.05
 	DefaultSlowAlpha = 0.005
-	// DefaultBurnThreshold is the burn-rate multiple (rate/budget) both
-	// windows must exceed before the shard alerts.
+	// DefaultBurnThreshold is the burn-rate multiple (rate/budget) at which a
+	// window burns. A shard alerts only when the fast AND slow windows both
+	// burn — the multi-window rule that ignores short blips (fast spikes,
+	// slow calm) and stale incidents (slow elevated, fast recovered).
 	DefaultBurnThreshold = 2.0
 	// DefaultBurnMinSamples suppresses alerting until a shard has seen this
 	// many requests.
 	DefaultBurnMinSamples = 32
 )
-
-// SLOConfig parameterizes a BurnTracker. Zero fields take the defaults.
-type SLOConfig struct {
-	// MissBudget and BERBudget are the per-shard SLO budgets the burn rates
-	// are normalized against.
-	MissBudget, BERBudget float64
-	// FastAlpha and SlowAlpha are the two windows' EWMA weights
-	// (fast > slow).
-	FastAlpha, SlowAlpha float64
-	// BurnThreshold is the rate/budget multiple at which a window burns;
-	// a shard alerts only when the fast AND slow windows both burn — the
-	// multi-window rule that ignores short blips (fast spikes, slow calm)
-	// and stale incidents (slow elevated, fast recovered).
-	BurnThreshold float64
-	// MinSamples suppresses alerting on a cold shard.
-	MinSamples int
-}
-
-// withDefaults resolves zero fields.
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.MissBudget <= 0 {
-		c.MissBudget = DefaultMissBudget
-	}
-	if c.BERBudget <= 0 {
-		c.BERBudget = DefaultBERBudget
-	}
-	if c.FastAlpha <= 0 {
-		c.FastAlpha = DefaultFastAlpha
-	}
-	if c.SlowAlpha <= 0 {
-		c.SlowAlpha = DefaultSlowAlpha
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = DefaultBurnThreshold
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = DefaultBurnMinSamples
-	}
-	return c
-}
 
 // shardBurn is one shard's pair of burn windows.
 type shardBurn struct {
@@ -81,16 +43,15 @@ type shardBurn struct {
 // the router consults Alerting in its shed decision. All methods are safe
 // for concurrent use and safe on a nil receiver.
 type BurnTracker struct {
-	cfg    SLOConfig
 	shards []*shardBurn
 }
 
 // NewBurnTracker builds a tracker over n shards (n ≥ 1).
-func NewBurnTracker(n int, cfg SLOConfig) *BurnTracker {
+func NewBurnTracker(n int) *BurnTracker {
 	if n < 1 {
 		n = 1
 	}
-	t := &BurnTracker{cfg: cfg.withDefaults(), shards: make([]*shardBurn, n)}
+	t := &BurnTracker{shards: make([]*shardBurn, n)}
 	for i := range t.shards {
 		t.shards[i] = &shardBurn{}
 	}
@@ -117,27 +78,25 @@ func (t *BurnTracker) Observe(shard int, deadlineMiss, berMiss bool) {
 		s.fastMiss, s.slowMiss = miss, miss
 		s.fastBER, s.slowBER = ber, ber
 	} else {
-		s.fastMiss += t.cfg.FastAlpha * (miss - s.fastMiss)
-		s.slowMiss += t.cfg.SlowAlpha * (miss - s.slowMiss)
-		s.fastBER += t.cfg.FastAlpha * (ber - s.fastBER)
-		s.slowBER += t.cfg.SlowAlpha * (ber - s.slowBER)
+		s.fastMiss += DefaultFastAlpha * (miss - s.fastMiss)
+		s.slowMiss += DefaultSlowAlpha * (miss - s.slowMiss)
+		s.fastBER += DefaultFastAlpha * (ber - s.fastBER)
+		s.slowBER += DefaultSlowAlpha * (ber - s.slowBER)
 	}
 	s.mu.Unlock()
 }
 
 // alertingLocked evaluates the multi-window rule. Caller holds s.mu.
-func (t *BurnTracker) alertingLocked(s *shardBurn) bool {
-	if s.samples < uint64(t.cfg.MinSamples) {
+func (s *shardBurn) alertingLocked() bool {
+	if s.samples < DefaultBurnMinSamples {
 		return false
 	}
-	th := t.cfg.BurnThreshold
-	missBurn := s.fastMiss >= th*t.cfg.MissBudget && s.slowMiss >= th*t.cfg.MissBudget
-	berBurn := s.fastBER >= th*t.cfg.BERBudget && s.slowBER >= th*t.cfg.BERBudget
-	return missBurn || berBurn
+	const miss, ber = DefaultBurnThreshold * DefaultMissBudget, DefaultBurnThreshold * DefaultBERBudget
+	return s.fastMiss >= miss && s.slowMiss >= miss || s.fastBER >= ber && s.slowBER >= ber
 }
 
 // Alerting reports the shard's multi-window verdict: some budget (miss or
-// BER) is burning faster than BurnThreshold× on both windows.
+// BER) is burning faster than DefaultBurnThreshold× on both windows.
 func (t *BurnTracker) Alerting(shard int) bool {
 	if t == nil || shard < 0 || shard >= len(t.shards) {
 		return false
@@ -145,7 +104,7 @@ func (t *BurnTracker) Alerting(shard int) bool {
 	s := t.shards[shard]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return t.alertingLocked(s)
+	return s.alertingLocked()
 }
 
 // Shards returns the tracked shard count (0 on a nil tracker).
@@ -154,15 +113,6 @@ func (t *BurnTracker) Shards() int {
 		return 0
 	}
 	return len(t.shards)
-}
-
-// Budgets returns the configured miss and BER budgets (the Prometheus
-// exporter normalizes burn gauges against them).
-func (t *BurnTracker) Budgets() (miss, ber float64) {
-	if t == nil {
-		return DefaultMissBudget, DefaultBERBudget
-	}
-	return t.cfg.MissBudget, t.cfg.BERBudget
 }
 
 // Snapshot exports every shard's burn view. Safe on a nil tracker (returns
@@ -180,7 +130,7 @@ func (t *BurnTracker) Snapshot() []metrics.ShardBurn {
 			FastBERRate:  s.fastBER,
 			SlowBERRate:  s.slowBER,
 			Observed:     s.samples,
-			Alerting:     t.alertingLocked(s),
+			Alerting:     s.alertingLocked(),
 		}
 		s.mu.Unlock()
 	}

@@ -35,7 +35,7 @@ import (
 	"quamax/internal/telemetry"
 )
 
-// Defaults for Config fields left zero.
+// The drift detector's and the canary gate's settings.
 const (
 	// DefaultBaselineAlpha is the EWMA weight of the rolling baselines.
 	DefaultBaselineAlpha = 0.05
@@ -70,62 +70,10 @@ const (
 	DefaultCanaryPasses = 3
 )
 
-// Config parameterizes a Tracker. Zero fields take the package defaults.
+// Config parameterizes a Tracker.
 type Config struct {
-	// BaselineAlpha is the EWMA weight for the rolling baselines.
-	BaselineAlpha float64
-	// WindowSize caps the per-class windowed reference; MinWindow is the
-	// fill level at which drift scoring engages.
-	WindowSize, MinWindow int
-	// PHDelta is the per-observation drift allowance; PHDegraded,
-	// PHQuarantine and PHRecover are the state-machine thresholds on the
-	// cumulative-deviation score (Recover < Degraded ≤ Quarantine).
-	PHDelta, PHDegraded, PHQuarantine, PHRecover float64
-	// ChainWeight, EnergyWeight and FailureWeight scale the three deviation
-	// sources' score contributions.
-	ChainWeight, EnergyWeight, FailureWeight float64
-	// CanaryInterval rate-limits probes per quarantined backend;
-	// CanaryPasses is the consecutive-pass streak required for re-admission.
-	CanaryInterval time.Duration
-	CanaryPasses   int
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
-}
-
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&c.BaselineAlpha, DefaultBaselineAlpha)
-	def(&c.PHDelta, DefaultPHDelta)
-	def(&c.PHDegraded, DefaultPHDegraded)
-	def(&c.PHQuarantine, DefaultPHQuarantine)
-	def(&c.PHRecover, DefaultPHRecover)
-	def(&c.ChainWeight, DefaultChainWeight)
-	def(&c.EnergyWeight, DefaultEnergyWeight)
-	def(&c.FailureWeight, DefaultFailureWeight)
-	if c.WindowSize <= 0 {
-		c.WindowSize = DefaultWindowSize
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = DefaultMinWindow
-	}
-	if c.MinWindow > c.WindowSize {
-		c.MinWindow = c.WindowSize
-	}
-	if c.CanaryInterval <= 0 {
-		c.CanaryInterval = DefaultCanaryInterval
-	}
-	if c.CanaryPasses <= 0 {
-		c.CanaryPasses = DefaultCanaryPasses
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // window is a bounded sample ring with summary stats over its contents —
@@ -135,17 +83,15 @@ func (c Config) withDefaults() Config {
 type window struct {
 	buf  []float64
 	next int
-	full bool
 }
 
-func (w *window) push(v float64, cap_ int) {
-	if len(w.buf) < cap_ {
+func (w *window) push(v float64) {
+	if len(w.buf) < DefaultWindowSize {
 		w.buf = append(w.buf, v)
 		return
 	}
 	w.buf[w.next] = v
 	w.next = (w.next + 1) % len(w.buf)
-	w.full = true
 }
 
 func (w *window) n() int { return len(w.buf) }
@@ -202,7 +148,7 @@ type backendState struct {
 // runs the Healthy → Degraded → Quarantined state machine. All methods are
 // safe for concurrent use and safe on a nil receiver (no-ops / Healthy).
 type Tracker struct {
-	cfg Config
+	now func() time.Time
 
 	mu       sync.Mutex
 	backends map[string]*backendState
@@ -210,7 +156,10 @@ type Tracker struct {
 
 // NewTracker builds a Tracker with the given configuration.
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), backends: make(map[string]*backendState)}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
+	return &Tracker{now: cfg.Now, backends: make(map[string]*backendState)}
 }
 
 // get returns (creating if needed) the named backend's state. Caller holds mu.
@@ -223,13 +172,13 @@ func (t *Tracker) get(name string) *backendState {
 	return b
 }
 
-// ewma folds v into the running mean with the tracker's baseline alpha.
-func (t *Tracker) ewma(mean *float64, v float64, n uint64) {
+// ewma folds v into the running mean with the baseline alpha.
+func ewma(mean *float64, v float64, n uint64) {
 	if n <= 1 {
 		*mean = v
 		return
 	}
-	*mean += t.cfg.BaselineAlpha * (v - *mean)
+	*mean += DefaultBaselineAlpha * (v - *mean)
 }
 
 // ObserveQuality feeds one solve's anneal-quality sample with backend
@@ -254,9 +203,9 @@ func (t *Tracker) ObserveQuality(backend, class string, q telemetry.QualityObser
 	defer t.mu.Unlock()
 	b := t.get(backend)
 	b.obs++
-	t.ewma(&b.cbrEWMA, cbr, b.obs)
-	t.ewma(&b.energyEWMA, absE, b.obs)
-	t.ewma(&b.readsEWMA, float64(q.Reads), b.obs)
+	ewma(&b.cbrEWMA, cbr, b.obs)
+	ewma(&b.energyEWMA, absE, b.obs)
+	ewma(&b.readsEWMA, float64(q.Reads), b.obs)
 
 	c, ok := b.classes[class]
 	if !ok {
@@ -264,15 +213,15 @@ func (t *Tracker) ObserveQuality(backend, class string, q telemetry.QualityObser
 		b.classes[class] = c
 	}
 	c.n++
-	t.ewma(&c.cbrEWMA, cbr, c.n)
-	t.ewma(&c.energyEWMA, absE, c.n)
+	ewma(&c.cbrEWMA, cbr, c.n)
+	ewma(&c.energyEWMA, absE, c.n)
 
 	score := 0.0
-	if c.cbrWin.n() >= t.cfg.MinWindow {
+	if c.cbrWin.n() >= DefaultMinWindow {
 		// Chain breaks: only an increase beyond the reference band is drift.
 		mean, spread := c.cbrWin.stats()
 		if dev := cbr - (mean + spread); dev > 0 {
-			score += t.cfg.ChainWeight * dev
+			score += DefaultChainWeight * dev
 		}
 		// Best energy: any shift of |E| beyond the band is suspect — a sick
 		// annealer's best energies collapse toward 0 (less optimal), an
@@ -280,22 +229,22 @@ func (t *Tracker) ObserveQuality(backend, class string, q telemetry.QualityObser
 		// and clamp so one outlier cannot quarantine on its own.
 		mean, spread = c.engyWin.stats()
 		if dev := math.Abs(absE-mean) - spread; dev > 0 && mean > 0 {
-			score += t.cfg.EnergyWeight * math.Min(dev/mean, 4)
+			score += DefaultEnergyWeight * math.Min(dev/mean, 4)
 		}
 	}
 	if b.state == metrics.HealthHealthy {
 		// The reference only learns from a healthy device; freezing it on
 		// degradation keeps the detector anchored to the known-good regime.
-		c.cbrWin.push(cbr, t.cfg.WindowSize)
-		c.engyWin.push(absE, t.cfg.WindowSize)
+		c.cbrWin.push(cbr)
+		c.engyWin.push(absE)
 	}
 	t.score(b, score)
 }
 
 // ObserveOutcome feeds one solve's terminal outcome: failures both move the
-// failure-rate baseline and contribute FailureWeight directly to the drift
-// score, so a crash-looping backend quarantines within a handful of solves
-// even if it never returns a quality sample.
+// failure-rate baseline and contribute DefaultFailureWeight directly to the
+// drift score, so a crash-looping backend quarantines within a handful of
+// solves even if it never returns a quality sample.
 func (t *Tracker) ObserveOutcome(backend string, failed bool) {
 	if t == nil {
 		return
@@ -308,28 +257,29 @@ func (t *Tracker) ObserveOutcome(backend string, failed bool) {
 	if failed {
 		f = 1
 	}
-	t.ewma(&b.failEWMA, f, b.obs)
+	ewma(&b.failEWMA, f, b.obs)
 	if failed {
-		t.score(b, t.cfg.FailureWeight)
+		t.score(b, DefaultFailureWeight)
 	}
 }
 
 // score runs one Page–Hinkley step and the state machine. Caller holds mu.
 func (t *Tracker) score(b *backendState, x float64) {
-	b.cum += x - t.cfg.PHDelta
+	b.cum += x - DefaultPHDelta
 	if b.cum < b.minCum {
 		b.minCum = b.cum
 	}
 	s := b.cum - b.minCum
 	switch {
-	case s >= t.cfg.PHQuarantine && b.state != metrics.HealthQuarantined:
+	case s >= DefaultPHQuarantine && b.state != metrics.HealthQuarantined:
 		b.state = metrics.HealthQuarantined
 		b.canaryStreak = 0
-	case s >= t.cfg.PHDegraded && b.state == metrics.HealthHealthy:
+	case s >= DefaultPHDegraded && b.state == metrics.HealthHealthy:
 		b.state = metrics.HealthDegraded
-	case s <= t.cfg.PHRecover && b.state == metrics.HealthDegraded:
-		// Hysteresis: the score decays by PHDelta per in-control sample, so
-		// recovery needs sustained good behavior, not one lucky solve.
+	case s <= DefaultPHRecover && b.state == metrics.HealthDegraded:
+		// Hysteresis: the score decays by DefaultPHDelta per in-control
+		// sample, so recovery needs sustained good behavior, not one lucky
+		// solve.
 		b.state = metrics.HealthHealthy
 	}
 }
@@ -374,8 +324,8 @@ func (t *Tracker) CanaryDue(backend string) bool {
 	if !ok || b.state != metrics.HealthQuarantined {
 		return false
 	}
-	now := t.cfg.Now()
-	if !b.lastCanary.IsZero() && now.Sub(b.lastCanary) < t.cfg.CanaryInterval {
+	now := t.now()
+	if !b.lastCanary.IsZero() && now.Sub(b.lastCanary) < DefaultCanaryInterval {
 		return false
 	}
 	b.lastCanary = now
@@ -383,8 +333,8 @@ func (t *Tracker) CanaryDue(backend string) bool {
 }
 
 // RecordCanary records one canary-probe outcome against a quarantined
-// backend. CanaryPasses consecutive passes re-admit it: the verdict resets
-// to Healthy and the drift detector restarts from zero (the frozen
+// backend. DefaultCanaryPasses consecutive passes re-admit it: the verdict
+// resets to Healthy and the drift detector restarts from zero (the frozen
 // known-good reference windows are kept — they still describe the healthy
 // regime the canaries just re-confirmed). Returns true when this call
 // re-admitted the backend.
@@ -405,7 +355,7 @@ func (t *Tracker) RecordCanary(backend string, pass bool) bool {
 	}
 	b.canaryPass++
 	b.canaryStreak++
-	if b.canaryStreak < t.cfg.CanaryPasses {
+	if b.canaryStreak < DefaultCanaryPasses {
 		return false
 	}
 	b.state = metrics.HealthHealthy

@@ -19,7 +19,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testTracker(clk *fakeClock) *Tracker {
-	cfg := Config{WindowSize: 8, MinWindow: 4}
+	var cfg Config
 	if clk != nil {
 		cfg.Now = clk.now
 	}
@@ -45,7 +45,7 @@ func feed(tr *Tracker, name string, q telemetry.QualityObservation, n int) {
 // its reference window is established.
 func TestDriftDetectionStateMachine(t *testing.T) {
 	tr := testTracker(nil)
-	feed(tr, "qpu0", good, 8)
+	feed(tr, "qpu0", good, DefaultMinWindow)
 	if got := tr.State("qpu0"); got != metrics.HealthHealthy {
 		t.Fatalf("healthy baseline scored %v", got)
 	}
@@ -82,7 +82,7 @@ func TestDriftDetectionStateMachine(t *testing.T) {
 func TestReferenceFrozenWhileUnhealthy(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	tr := testTracker(clk)
-	feed(tr, "qpu0", good, 8)
+	feed(tr, "qpu0", good, DefaultMinWindow)
 	feed(tr, "qpu0", bad, 50) // drives to Quarantined, then tries to poison the reference
 	if got := tr.State("qpu0"); got != metrics.HealthQuarantined {
 		t.Fatalf("state %v after sustained drift, want Quarantined", got)
@@ -111,11 +111,12 @@ func TestReferenceFrozenWhileUnhealthy(t *testing.T) {
 }
 
 // Hysteresis: a Degraded backend recovers to Healthy only after sustained
-// in-control behavior decays the score below PHRecover — never from one
-// lucky solve.
+// in-control behavior decays the score below DefaultPHRecover — never from
+// one lucky solve. One drifted sample scores ≈ 2.7, inside the
+// [DefaultPHDegraded, DefaultPHQuarantine) band.
 func TestRecoveryHysteresis(t *testing.T) {
-	tr := NewTracker(Config{WindowSize: 8, MinWindow: 4, PHQuarantine: 1000})
-	feed(tr, "qpu0", good, 8)
+	tr := testTracker(nil)
+	feed(tr, "qpu0", good, DefaultMinWindow)
 	tr.ObserveQuality("qpu0", "QPSK/4", bad)
 	if got := tr.State("qpu0"); got != metrics.HealthDegraded {
 		t.Fatalf("state %v after drift burst, want Degraded", got)
@@ -161,7 +162,7 @@ func TestFailureQuarantine(t *testing.T) {
 
 // Canary probing: only quarantined backends are probed, probes are
 // rate-limited and claimed atomically, a failed probe resets the streak, and
-// CanaryPasses consecutive passes re-admit with a reset detector.
+// DefaultCanaryPasses consecutive passes re-admit with a reset detector.
 func TestCanaryReadmission(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	tr := testTracker(clk)
@@ -272,20 +273,20 @@ func TestNilTrackerSafe(t *testing.T) {
 // the alert clears as soon as the fast window recovers even while the slow
 // window is still elevated.
 func TestBurnMultiWindowRule(t *testing.T) {
-	cfg := SLOConfig{MissBudget: 0.05, FastAlpha: 0.5, SlowAlpha: 0.01, MinSamples: 1}
-	bt := NewBurnTracker(1, cfg)
+	const burning = DefaultBurnThreshold * DefaultMissBudget
+	bt := NewBurnTracker(1)
 	for i := 0; i < 50; i++ {
 		bt.Observe(0, false, false)
 	}
 	if bt.Alerting(0) {
 		t.Fatal("calm shard alerting")
 	}
-	// Two misses spike the fast window past 2× budget; the slow window is
-	// still calm, so the multi-window rule holds fire.
+	// Two misses spike the fast window past 2× budget (≈ 0.10); the slow
+	// window (≈ 0.01) is still calm, so the multi-window rule holds fire.
 	bt.Observe(0, true, false)
 	bt.Observe(0, true, false)
 	sn := bt.Snapshot()[0]
-	if sn.FastMissRate < 2*cfg.MissBudget {
+	if sn.FastMissRate < burning {
 		t.Fatalf("fast window %.3f did not spike", sn.FastMissRate)
 	}
 	if bt.Alerting(0) {
@@ -298,25 +299,30 @@ func TestBurnMultiWindowRule(t *testing.T) {
 	if !bt.Alerting(0) {
 		t.Fatal("sustained burn never alerted")
 	}
-	// Recovery: the fast window falls below threshold within a few clean
-	// requests and the alert clears, even though the slow window decays far
-	// more slowly (no stale-incident alerting).
-	for i := 0; i < 8; i++ {
+	// A long incident: the slow window climbs to ≈ 0.25.
+	for i := 0; i < 50; i++ {
+		bt.Observe(0, true, false)
+	}
+	// Recovery: the fast window falls below threshold within ≈ 80 clean
+	// requests and the alert clears, while the slow window, decaying ten
+	// times more slowly, still burns on its own (no stale-incident
+	// alerting).
+	for i := 0; i < 80 && bt.Alerting(0); i++ {
 		bt.Observe(0, false, false)
 	}
 	sn = bt.Snapshot()[0]
 	if bt.Alerting(0) {
 		t.Fatalf("alert stuck after recovery (fast=%.3f slow=%.3f)", sn.FastMissRate, sn.SlowMissRate)
 	}
-	if sn.SlowMissRate <= sn.FastMissRate {
-		t.Fatalf("slow window %.4f decayed faster than fast %.4f", sn.SlowMissRate, sn.FastMissRate)
+	if sn.SlowMissRate <= sn.FastMissRate || sn.SlowMissRate < burning {
+		t.Fatalf("slow window %.4f not still burning over fast %.4f", sn.SlowMissRate, sn.FastMissRate)
 	}
 }
 
 // The BER budget is its own SLO: BER-risk events alone trip the alert with
 // the deadline-miss budget untouched.
 func TestBurnBERBudget(t *testing.T) {
-	bt := NewBurnTracker(2, SLOConfig{BERBudget: 0.05, FastAlpha: 0.5, SlowAlpha: 0.2, MinSamples: 1})
+	bt := NewBurnTracker(2)
 	for i := 0; i < 40 && !bt.Alerting(1); i++ {
 		bt.Observe(1, false, true)
 	}
@@ -332,14 +338,14 @@ func TestBurnBERBudget(t *testing.T) {
 	}
 }
 
-// MinSamples suppresses alerting on a cold shard even when every early
-// request burns (the EWMA seeds at 1.0 on the first miss).
+// DefaultBurnMinSamples suppresses alerting on a cold shard even when every
+// early request burns (the EWMA seeds at 1.0 on the first miss).
 func TestBurnMinSamplesColdStart(t *testing.T) {
-	bt := NewBurnTracker(1, SLOConfig{MinSamples: 16})
-	for i := 0; i < 15; i++ {
+	bt := NewBurnTracker(1)
+	for i := 0; i < DefaultBurnMinSamples-1; i++ {
 		bt.Observe(0, true, true)
 		if bt.Alerting(0) {
-			t.Fatalf("cold shard alerted after %d samples (MinSamples 16)", i+1)
+			t.Fatalf("cold shard alerted after %d samples (min %d)", i+1, DefaultBurnMinSamples)
 		}
 	}
 	bt.Observe(0, true, true)
@@ -354,11 +360,7 @@ func TestBurnNilAndBounds(t *testing.T) {
 	if bt.Alerting(0) || bt.Shards() != 0 || bt.Snapshot() != nil {
 		t.Fatal("nil burn tracker not a no-op")
 	}
-	miss, ber := bt.Budgets()
-	if miss != DefaultMissBudget || ber != DefaultBERBudget {
-		t.Fatal("nil burn tracker budgets not defaults")
-	}
-	real := NewBurnTracker(2, SLOConfig{})
+	real := NewBurnTracker(2)
 	real.Observe(-1, true, true)
 	real.Observe(2, true, true)
 	if real.Alerting(-1) || real.Alerting(2) {

@@ -224,18 +224,15 @@ type Plan struct {
 }
 
 // PTCost configures the planner's parallel-tempering fallback sizing: the
-// full-effort run knobs a deadline scales down from, and the per-spin-sweep
-// wall cost of the engine (backend.DefaultPTMicrosPerSpinSweep is the
-// measured value; the planner cannot import backend, so the caller wires it).
+// per-spin-sweep wall cost of the engine (backend.DefaultPTMicrosPerSpinSweep
+// is the measured value; the planner cannot import backend, so the caller
+// wires it). A deadline scales the engine's full-effort run down.
 type PTCost struct {
 	// MicrosPerSpinSweep is the wall cost of one Metropolis visit of one
 	// spin on one rung — the same constant behind the PT backend's
 	// capability-descriptor latency model, so planned budgets and admission
 	// agree.
 	MicrosPerSpinSweep float64
-	// Params is the full-effort configuration (zero fields take the engine
-	// defaults: 16 rungs, 4 ladders, 100 sweeps).
-	Params anneal.PTParams
 }
 
 // minPTSweeps is the smallest per-ladder sweep count worth dispatching: below
@@ -249,16 +246,8 @@ func (pl *Planner) sizePT(req Request, p *Plan) {
 	if pl.PT == nil {
 		return
 	}
-	pt := pl.PT.Params
-	if pt.Rungs == 0 {
-		pt.Rungs = 16
-	}
-	if pt.Ladders == 0 {
-		pt.Ladders = 4
-	}
-	if pt.Sweeps == 0 {
-		pt.Sweeps = 100
-	}
+	// The full-effort ceiling is the engine defaults (anneal.PTParams).
+	pt := anneal.PTParams{Rungs: 16, Ladders: 4, Sweeps: 100}
 	maxSweeps := pt.Sweeps
 	if req.DeadlineMicros > 0 {
 		n := float64(req.Nt * req.Mod.BitsPerSymbol())

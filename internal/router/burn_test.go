@@ -15,9 +15,7 @@ import (
 // traffic steers around it, and the shed clears on its own once the burn
 // recovers — no operator reset.
 func TestBurnRateShedding(t *testing.T) {
-	burn := health.NewBurnTracker(2, health.SLOConfig{
-		MissBudget: 0.05, FastAlpha: 0.5, SlowAlpha: 0.2, MinSamples: 1,
-	})
+	burn := health.NewBurnTracker(2)
 	s0, s1 := newFakeShard(0), newFakeShard(0)
 	r := newTestRouter(t, []Shard{s0, s1}, Config{Burn: burn})
 

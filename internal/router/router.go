@@ -105,14 +105,10 @@ type Config struct {
 	// the schedulers after the router stops receiving traffic.
 	Shards []Shard
 	// ShedThreshold is the deadline-miss EWMA above which a shard sheds
-	// (0 disables shedding entirely; 1 can never trigger).
+	// (0 disables shedding entirely; 1 can never trigger). The EWMA weighs
+	// each new observation by DefaultShedAlpha and is trusted once a shard
+	// has completed DefaultShedMinSamples deadline-carrying dispatches.
 	ShedThreshold float64
-	// ShedAlpha is the EWMA weight of each new observation
-	// (0 = DefaultShedAlpha).
-	ShedAlpha float64
-	// ShedMinSamples gates the EWMA until a shard has completed this many
-	// deadline-carrying dispatches (0 = DefaultShedMinSamples).
-	ShedMinSamples int
 	// Burn, when set, folds per-shard SLO burn rates into the shed decision:
 	// a shard whose burn tracker is multi-window alerting (fast AND slow
 	// windows burning error budget past threshold) sheds exactly like one
@@ -149,10 +145,8 @@ type Router struct {
 	state  []*shardState
 	ring   []ringPoint
 
-	threshold  float64
-	alpha      float64
-	minSamples int
-	burn       *health.BurnTracker
+	threshold float64
+	burn      *health.BurnTracker
 
 	srcMu sync.Mutex
 	src   *rng.Source
@@ -163,21 +157,11 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("router: no shards")
 	}
-	alpha := cfg.ShedAlpha
-	if alpha <= 0 {
-		alpha = DefaultShedAlpha
-	}
-	minSamples := cfg.ShedMinSamples
-	if minSamples <= 0 {
-		minSamples = DefaultShedMinSamples
-	}
 	r := &Router{
-		shards:     cfg.Shards,
-		threshold:  cfg.ShedThreshold,
-		alpha:      alpha,
-		minSamples: minSamples,
-		burn:       cfg.Burn,
-		src:        rng.New(cfg.Seed),
+		shards:    cfg.Shards,
+		threshold: cfg.ShedThreshold,
+		burn:      cfg.Burn,
+		src:       rng.New(cfg.Seed),
 	}
 	for range cfg.Shards {
 		r.state = append(r.state, &shardState{})
@@ -258,7 +242,7 @@ func (r *Router) shedding(shard int) (float64, bool) {
 		st := r.state[shard]
 		st.mu.Lock()
 		ewma = st.missEWMA
-		over := st.samples >= uint64(r.minSamples) && ewma > r.threshold
+		over := st.samples >= DefaultShedMinSamples && ewma > r.threshold
 		st.mu.Unlock()
 		if over {
 			return ewma, true
@@ -282,7 +266,7 @@ func (r *Router) observe(shard int, missed bool) {
 	}
 	st := r.state[shard]
 	st.mu.Lock()
-	st.missEWMA += r.alpha * (sample - st.missEWMA)
+	st.missEWMA += DefaultShedAlpha * (sample - st.missEWMA)
 	st.samples++
 	st.mu.Unlock()
 }

@@ -169,15 +169,12 @@ func TestPowerOfTwoChoicesBalance(t *testing.T) {
 func TestSheddingTypedError(t *testing.T) {
 	slow := newFakeShard(2 * time.Millisecond)
 	fast := newFakeShard(0)
-	r := newTestRouter(t, []Shard{slow, fast}, Config{
-		ShedThreshold:  0.5,
-		ShedAlpha:      0.5,
-		ShedMinSamples: 4,
-	})
+	r := newTestRouter(t, []Shard{slow, fast}, Config{ShedThreshold: 0.5})
 	// Find windows owned by each shard.
 	slowWin, fastWin := windowOn(r, 0), windowOn(r, 1)
 	// Every dispatch misses its 1µs deadline on the slow shard, pumping the
-	// EWMA toward 1 until the threshold trips.
+	// EWMA toward 1 until the threshold trips: the EWMA passes 0.5 after 14
+	// misses, and the shard sheds once DefaultShedMinSamples have completed.
 	var shedErr error
 	for i := 0; i < 100; i++ {
 		_, err := r.Dispatch(context.Background(), &backend.Problem{Window: slowWin}, time.Microsecond)
@@ -226,7 +223,7 @@ func TestSheddingTypedError(t *testing.T) {
 // shard's pool counters under the same shard label.
 func TestShedSeriesExportWithoutHealthPlane(t *testing.T) {
 	slow := newFakeShard(time.Millisecond)
-	r := newTestRouter(t, []Shard{slow, newFakeShard(0)}, Config{ShedThreshold: 0.5, ShedAlpha: 0.5, ShedMinSamples: 4})
+	r := newTestRouter(t, []Shard{slow, newFakeShard(0)}, Config{ShedThreshold: 0.5})
 	win := windowOn(r, 0)
 	shed := false
 	for i := 0; i < 100 && !shed; i++ {

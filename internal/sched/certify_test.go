@@ -33,7 +33,7 @@ func TestCertifiedRequestsReconcile(t *testing.T) {
 	}
 	rec := telemetry.New(telemetry.Config{})
 	tracker := health.NewTracker(health.Config{})
-	burn := health.NewBurnTracker(1, health.SLOConfig{})
+	burn := health.NewBurnTracker(1)
 	pool := &lifecycleBackend{fakeBackend: fakeBackend{name: "qpu", est: 100}}
 	fb := &lifecycleBackend{fakeBackend: fakeBackend{name: "fb", est: 10}}
 	s, err := New(Config{

@@ -59,11 +59,8 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 		EnergyDrift:    0.5, // −50 → −25 best energy; canary 0 → +0.5 (out of tolerance)
 	})
 	okInner := &healthFake{name: "ok"}
-	tracker := health.NewTracker(health.Config{
-		WindowSize: 8, MinWindow: 4,
-		CanaryInterval: time.Millisecond,
-	})
-	burn := health.NewBurnTracker(1, health.SLOConfig{})
+	tracker := health.NewTracker(health.Config{})
+	burn := health.NewBurnTracker(1)
 	s, err := New(Config{
 		Pool:   []backend.Backend{sick, okInner},
 		Health: tracker,
@@ -99,8 +96,14 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Phase 1 — baseline: both members serve and build reference windows.
-	dispatch(40)
+	// Phase 1 — baseline: both members serve and build reference windows
+	// deep enough for the detector to engage.
+	for i := 0; i < 50 && sickInner.traffic.Load() < health.DefaultMinWindow; i++ {
+		dispatch(2)
+	}
+	if sickInner.traffic.Load() < health.DefaultMinWindow {
+		t.Fatalf("sick member served %d baseline requests, want ≥ %d", sickInner.traffic.Load(), health.DefaultMinWindow)
+	}
 	if got := tracker.State("sick"); got != metrics.HealthHealthy {
 		t.Fatalf("baseline state %v, want Healthy", got)
 	}
@@ -110,7 +113,7 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 	}
 
 	// Phase 2 — detection: arm the faults and keep serving. Detection is
-	// bounded: each drifted solve scores well past PHDelta (the Degraded →
+	// bounded: each drifted solve scores well past DefaultPHDelta (the Degraded →
 	// Quarantined rungs are asserted per-observation in internal/health), so
 	// quarantine lands within a few sick-served solves — 60 dispatches
 	// shared across two workers is generous margin.
@@ -145,8 +148,20 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 	}
 
 	// While armed, canary probes fail (the injected energy lift pushes the
-	// probe result out of tolerance), so the backend stays out.
-	time.Sleep(20 * time.Millisecond)
+	// probe result out of tolerance), so the backend stays out through as
+	// many probes as a passing streak would need, one DefaultCanaryInterval
+	// apart.
+	canaryFails := func() uint64 {
+		for _, b := range tracker.Snapshot() {
+			if b.Name == "sick" {
+				return b.CanaryFail
+			}
+		}
+		return 0
+	}
+	waitFor(t, "armed canary probes", func() bool {
+		return canaryFails() >= health.DefaultCanaryPasses
+	})
 	if got := tracker.State("sick"); got != metrics.HealthQuarantined {
 		t.Fatalf("armed backend re-admitted (state %v)", got)
 	}
@@ -182,7 +197,7 @@ func TestHealthFaultInjectionEndToEnd(t *testing.T) {
 func TestHealthAllQuarantinedStillServes(t *testing.T) {
 	inner := &healthFake{name: "only"}
 	deg := backend.NewDegrader(inner, backend.DegraderFaults{FailEvery: 1})
-	tracker := health.NewTracker(health.Config{WindowSize: 8, MinWindow: 4})
+	tracker := health.NewTracker(health.Config{})
 	s, err := New(Config{Pool: []backend.Backend{deg}, Health: tracker})
 	if err != nil {
 		t.Fatal(err)

@@ -817,7 +817,7 @@ func runLifecycleTable(t *testing.T) *lifecycleRun {
 	r := &lifecycleRun{
 		rec:     telemetry.New(telemetry.Config{}),
 		tracker: health.NewTracker(health.Config{}),
-		burn:    health.NewBurnTracker(1, health.SLOConfig{}),
+		burn:    health.NewBurnTracker(1),
 		pool:    &lifecycleBackend{fakeBackend: fakeBackend{name: "qpu", est: 100, cost: backend.DefaultQPUCostModel}},
 		fb:      &lifecycleBackend{fakeBackend: fakeBackend{name: "fb", est: 10, cost: backend.DefaultClassicalCostModel}},
 	}

@@ -258,7 +258,7 @@ func TestCertifiedSoftAnswersBurnNoBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burn := health.NewBurnTracker(1, health.SLOConfig{})
+	burn := health.NewBurnTracker(1)
 	s, err := New(Config{
 		Pool: []backend.Backend{&fakeBackend{name: "qpu", est: 100}}, Fallback: backend.NewClassicalSA("sa", 16, 4),
 		Planner: pl, Burn: burn, Seed: 1,

@@ -55,8 +55,7 @@ type Dump struct {
 	// Snapshot.Traces counts all spans ever finished).
 	Traces []Trace `json:"traces"`
 	// Exemplars are the pinned worst-slack traces (see exemplar.go), worst
-	// first — the named requests behind the tail, which survive even after
-	// the ring has overwritten them.
+	// first — the named requests behind the tail.
 	Exemplars []Trace `json:"exemplars,omitempty"`
 }
 

@@ -5,8 +5,8 @@ import "sort"
 // Exemplar trace sampling: aggregate histograms say *that* a p99 exists,
 // exemplars say *which requests it was*. The recorder pins the N worst-slack
 // traces of every fixed-size window of completed requests — a bounded set
-// that survives ring wrap-around, so the requests behind a latency or
-// deadline regression can be named long after the ring has overwritten them.
+// that names the requests behind a latency or deadline regression among the
+// thousands of ordinary ones the ring holds beside them.
 // Badness is deadline slack when the request carried a deadline (most
 // negative slack first) and end-to-end latency otherwise (slowest first).
 
@@ -33,20 +33,17 @@ func exemplarScore(t *Trace) float64 {
 // worst-N set and rotates the window on its boundary. Caller holds ringMu
 // and has assigned t.Seq.
 func (r *Recorder) pinExemplarLocked(t Trace) {
-	if r.exCount <= 0 {
-		return
-	}
 	score := exemplarScore(&t)
 	i := sort.Search(len(r.exCur), func(i int) bool { return exemplarScore(&r.exCur[i]) > score })
-	if i < r.exCount {
+	if i < DefaultExemplarCount {
 		r.exCur = append(r.exCur, Trace{})
 		copy(r.exCur[i+1:], r.exCur[i:])
 		r.exCur[i] = t
-		if len(r.exCur) > r.exCount {
-			r.exCur = r.exCur[:r.exCount]
+		if len(r.exCur) > DefaultExemplarCount {
+			r.exCur = r.exCur[:DefaultExemplarCount]
 		}
 	}
-	if t.Seq%uint64(r.exWindow) == 0 {
+	if t.Seq%DefaultExemplarWindow == 0 {
 		r.exPinned = append(r.exPinned[:0], r.exCur...)
 		r.exCur = r.exCur[:0]
 	}

@@ -16,18 +16,18 @@ func finishWithSlack(r *Recorder, class string, slack float64) {
 }
 
 // The recorder pins the worst-slack traces of each window, worst first, and
-// caps the set at the configured count.
+// caps the set at DefaultExemplarCount.
 func TestExemplarsWorstN(t *testing.T) {
-	r := New(Config{RingSize: 8, ExemplarCount: 3, ExemplarWindow: 100, Now: testClock(time.Unix(0, 0))})
-	slacks := []float64{500, -30, 200, -900, 100, -5, 700, 42}
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
+	slacks := []float64{500, -30, 200, -900, 100, -5, 700, 42, -61, 8, -400, 330, 17, -2}
 	for _, s := range slacks {
 		finishWithSlack(r, "QPSK/4", s)
 	}
 	ex := r.Exemplars()
-	if len(ex) != 3 {
-		t.Fatalf("pinned %d exemplars, want 3", len(ex))
+	if len(ex) != DefaultExemplarCount {
+		t.Fatalf("pinned %d exemplars, want %d", len(ex), DefaultExemplarCount)
 	}
-	want := []float64{-900, -30, -5}
+	want := []float64{-900, -400, -61, -30, -5, -2, 8, 17}
 	for i, s := range want {
 		if ex[i].SlackMicros != s {
 			t.Fatalf("exemplar %d has slack %g, want %g (got %+v)", i, ex[i].SlackMicros, s, ex)
@@ -38,13 +38,19 @@ func TestExemplarsWorstN(t *testing.T) {
 // Deadline-free traces rank by end-to-end latency: the slowest requests are
 // the exemplars.
 func TestExemplarsLatencyFallback(t *testing.T) {
-	r := New(Config{RingSize: 8, ExemplarCount: 2, Now: testClock(time.Unix(0, 0))})
-	for _, e2e := range []float64{10, 5000, 40, 900, 120} {
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
+	for _, e2e := range []float64{10, 5000, 40, 900, 120, 7, 3000, 65, 2, 450, 1800, 30} {
 		r.FinishTrace(Trace{Class: "QPSK/4", Stages: [NumStages]float64{StageE2E: e2e}})
 	}
 	ex := r.Exemplars()
-	if len(ex) != 2 || ex[0].Stages[StageE2E] != 5000 || ex[1].Stages[StageE2E] != 900 {
-		t.Fatalf("latency exemplars wrong: %+v", ex)
+	want := []float64{5000, 3000, 1800, 900, 450, 120, 65, 40}
+	if len(ex) != len(want) {
+		t.Fatalf("pinned %d latency exemplars, want %d", len(ex), len(want))
+	}
+	for i, e2e := range want {
+		if ex[i].Stages[StageE2E] != e2e {
+			t.Fatalf("latency exemplars wrong: %+v", ex)
+		}
 	}
 }
 
@@ -52,67 +58,34 @@ func TestExemplarsLatencyFallback(t *testing.T) {
 // window starts; Exemplars reports both, so a regression spotted late in the
 // previous window is still named while the new window fills.
 func TestExemplarWindowRotation(t *testing.T) {
-	r := New(Config{RingSize: 4, ExemplarCount: 2, ExemplarWindow: 4, Now: testClock(time.Unix(0, 0))})
-	for _, s := range []float64{100, -777, 300, 200} { // window 1 (seq 1..4)
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
+	for i := 0; i < DefaultExemplarWindow; i++ { // window 1 (seq 1..DefaultExemplarWindow)
+		s := float64(100 + i)
+		if i == DefaultExemplarWindow-2 {
+			s = -777
+		}
 		finishWithSlack(r, "QPSK/4", s)
 	}
 	for _, s := range []float64{50, -42} { // window 2 in progress
 		finishWithSlack(r, "QPSK/4", s)
 	}
 	ex := r.Exemplars()
-	if len(ex) != 4 {
-		t.Fatalf("%d exemplars across windows, want 2 pinned + 2 current", len(ex))
+	if len(ex) != DefaultExemplarCount+2 {
+		t.Fatalf("%d exemplars across windows, want %d pinned + 2 current", len(ex), DefaultExemplarCount)
 	}
-	if ex[0].SlackMicros != -777 || ex[1].SlackMicros != -42 {
+	if ex[0].SlackMicros != -777 || ex[1].SlackMicros != -42 || ex[2].SlackMicros != 50 {
 		t.Fatalf("worst-first order lost across windows: %+v", ex)
-	}
-}
-
-// The pinned set survives ring wrap-around — that is its purpose: the ring
-// holds the most recent traces, the exemplars hold the worst ones.
-func TestExemplarsSurviveRingWrap(t *testing.T) {
-	r := New(Config{RingSize: 4, ExemplarCount: 1, ExemplarWindow: 1000, Now: testClock(time.Unix(0, 0))})
-	finishWithSlack(r, "QPSK/4", -12345) // the regression
-	for i := 0; i < 20; i++ {            // wraps the 4-slot ring many times over
-		finishWithSlack(r, "QPSK/4", 100)
-	}
-	for _, tr := range r.Traces() {
-		if tr.SlackMicros == -12345 {
-			t.Fatal("setup: ring still holds the regression trace")
-		}
-	}
-	ex := r.Exemplars()
-	if len(ex) != 1 || ex[0].SlackMicros != -12345 {
-		t.Fatalf("regression trace lost after ring wrap: %+v", ex)
-	}
-}
-
-// A negative ExemplarCount disables pinning; zero takes the default; the
-// nil recorder stays safe.
-func TestExemplarConfig(t *testing.T) {
-	off := New(Config{RingSize: 4, ExemplarCount: -1, Now: testClock(time.Unix(0, 0))})
-	finishWithSlack(off, "QPSK/4", -999)
-	if got := off.Exemplars(); len(got) != 0 {
-		t.Fatalf("disabled recorder pinned %d exemplars", len(got))
-	}
-	def := New(Config{RingSize: 4, Now: testClock(time.Unix(0, 0))})
-	if def.exCount != DefaultExemplarCount || def.exWindow != DefaultExemplarWindow {
-		t.Fatalf("defaults not applied: count=%d window=%d", def.exCount, def.exWindow)
-	}
-	var nilRec *Recorder
-	if nilRec.Exemplars() != nil {
-		t.Fatal("nil recorder returned exemplars")
 	}
 }
 
 // The shutdown dump carries the exemplars alongside the ring.
 func TestDumpCarriesExemplars(t *testing.T) {
-	r := New(Config{RingSize: 2, ExemplarCount: 1, ExemplarWindow: 100, Now: testClock(time.Unix(0, 0))})
-	finishWithSlack(r, "QPSK/4", -77)
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
 	finishWithSlack(r, "QPSK/4", 10)
+	finishWithSlack(r, "QPSK/4", -77)
 	finishWithSlack(r, "QPSK/4", 20)
 	d := BuildDump(r, nil)
-	if len(d.Exemplars) != 1 || d.Exemplars[0].SlackMicros != -77 {
+	if len(d.Exemplars) != 3 || d.Exemplars[0].SlackMicros != -77 || d.Exemplars[1].SlackMicros != 10 {
 		t.Fatalf("dump exemplars: %+v", d.Exemplars)
 	}
 }

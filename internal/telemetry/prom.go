@@ -17,7 +17,7 @@ import (
 // -telemetry-addr: Prometheus text exposition at /metrics, the runtime
 // profiler under /debug/pprof/, and the retained trace ring as JSON at
 // /traces (?exemplars=1 returns the pinned worst-slack exemplars instead —
-// the requests behind the p99, which survive ring wrap-around). stats
+// the requests behind the p99). stats
 // supplies the sample set /metrics renders — the same function the fronthaul
 // server answers stats polls from (fronthaul.Server.Stats).
 func Mux(r *Recorder, stats func() []metrics.Sample) *http.ServeMux {

@@ -182,20 +182,12 @@ type qualityCell struct {
 	bestEnergy                 Histogram
 }
 
-// DefaultRingSize is the trace ring capacity when Config.RingSize is zero.
+// DefaultRingSize is the trace ring capacity: older traces are overwritten,
+// histograms and counters never drop.
 const DefaultRingSize = 4096
 
 // Config parameterizes a Recorder.
 type Config struct {
-	// RingSize caps the retained trace ring (DefaultRingSize when 0; older
-	// traces are overwritten, histograms and counters never drop).
-	RingSize int
-	// ExemplarCount is the number of worst-slack traces pinned per exemplar
-	// window (0 = DefaultExemplarCount, negative disables pinning);
-	// ExemplarWindow is the window length in completed traces
-	// (0 = DefaultExemplarWindow). See exemplar.go.
-	ExemplarCount  int
-	ExemplarWindow int
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
 }
@@ -220,39 +212,24 @@ type Recorder struct {
 	qmu     sync.Mutex
 	quality map[string]*qualityCell
 
-	ringMu   sync.Mutex
-	ring     []Trace
-	ringSeq  uint64 // total traces ever finished (next Seq)
-	ringSize int
+	ringMu  sync.Mutex
+	ring    []Trace
+	ringSeq uint64 // total traces ever finished (next Seq)
 
 	// Exemplar pinning (guarded by ringMu; see exemplar.go).
-	exCount  int
-	exWindow int
 	exCur    []Trace // current window's worst-N, score-ascending
 	exPinned []Trace // last completed window's worst-N
 }
 
 // New returns a Recorder with the given configuration.
 func New(cfg Config) *Recorder {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.ExemplarCount == 0 {
-		cfg.ExemplarCount = DefaultExemplarCount
-	}
-	if cfg.ExemplarWindow <= 0 {
-		cfg.ExemplarWindow = DefaultExemplarWindow
-	}
 	return &Recorder{
-		now:      cfg.Now,
-		start:    cfg.Now(),
-		quality:  make(map[string]*qualityCell),
-		ringSize: cfg.RingSize,
-		exCount:  cfg.ExemplarCount,
-		exWindow: cfg.ExemplarWindow,
+		now:     cfg.Now,
+		start:   cfg.Now(),
+		quality: make(map[string]*qualityCell),
 	}
 }
 
@@ -300,10 +277,10 @@ func (r *Recorder) FinishTrace(t Trace) {
 	r.ringMu.Lock()
 	r.ringSeq++
 	t.Seq = r.ringSeq
-	if len(r.ring) < r.ringSize {
+	if len(r.ring) < DefaultRingSize {
 		r.ring = append(r.ring, t)
 	} else {
-		r.ring[(t.Seq-1)%uint64(r.ringSize)] = t
+		r.ring[(t.Seq-1)%DefaultRingSize] = t
 	}
 	r.pinExemplarLocked(t)
 	r.ringMu.Unlock()
@@ -375,7 +352,7 @@ func (r *Recorder) Traces() []Trace {
 	out := make([]Trace, 0, len(r.ring))
 	if r.ringSeq > uint64(len(r.ring)) {
 		// Ring has wrapped: oldest entry sits just past the newest.
-		head := int(r.ringSeq % uint64(r.ringSize))
+		head := int(r.ringSeq % DefaultRingSize)
 		out = append(out, r.ring[head:]...)
 		out = append(out, r.ring[:head]...)
 		return out

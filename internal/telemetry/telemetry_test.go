@@ -162,7 +162,7 @@ func testClock(start time.Time) func() time.Time {
 }
 
 func TestRecorderFinishTraceReconciles(t *testing.T) {
-	r := New(Config{RingSize: 8, Now: testClock(time.Unix(0, 0))})
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
 	for i := 0; i < 5; i++ {
 		tr := Trace{
 			Class:          "qpsk/4",
@@ -203,21 +203,22 @@ func TestRecorderFinishTraceReconciles(t *testing.T) {
 }
 
 func TestRecorderRingWrap(t *testing.T) {
-	r := New(Config{RingSize: 4, Now: testClock(time.Unix(0, 0))})
-	for i := 0; i < 10; i++ {
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
+	const n = DefaultRingSize + 6
+	for i := 0; i < n; i++ {
 		r.FinishTrace(Trace{Class: Class("bpsk", i)})
 	}
 	traces := r.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(traces))
+	if len(traces) != DefaultRingSize {
+		t.Fatalf("ring length = %d, want %d", len(traces), DefaultRingSize)
 	}
 	for i, tr := range traces {
 		if want := uint64(7 + i); tr.Seq != want {
 			t.Fatalf("trace %d seq = %d, want %d (oldest-first order)", i, tr.Seq, want)
 		}
 	}
-	if r.TraceCount() != 10 {
-		t.Fatalf("TraceCount = %d, want 10", r.TraceCount())
+	if r.TraceCount() != n {
+		t.Fatalf("TraceCount = %d, want %d", r.TraceCount(), n)
 	}
 }
 
@@ -257,7 +258,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.ObserveCompile(1, true)
 	r.ObserveWire(1)
 	r.ObserveQuality("x", QualityObservation{})
-	if r.Traces() != nil || r.TraceCount() != 0 || r.Snapshot() != nil || r.Snapshot().Samples() != nil {
+	if r.Traces() != nil || r.Exemplars() != nil || r.TraceCount() != 0 || r.Snapshot() != nil || r.Snapshot().Samples() != nil {
 		t.Fatalf("nil recorder leaked state")
 	}
 }
