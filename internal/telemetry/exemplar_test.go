@@ -78,6 +78,31 @@ func TestExemplarWindowRotation(t *testing.T) {
 	}
 }
 
+// A zero Config pins by default: the set is capped at DefaultExemplarCount
+// and the window turns over after exactly DefaultExemplarWindow traces; the
+// nil recorder stays safe.
+func TestExemplarConfig(t *testing.T) {
+	r := New(Config{Now: testClock(time.Unix(0, 0))})
+	finishWithSlack(r, "QPSK/4", -999)
+	if got := r.Exemplars(); len(got) != 1 || got[0].SlackMicros != -999 {
+		t.Fatalf("default recorder did not pin the miss: %+v", got)
+	}
+	for i := 1; i < DefaultExemplarWindow; i++ {
+		finishWithSlack(r, "QPSK/4", float64(i))
+	}
+	if len(r.exPinned) != DefaultExemplarCount || len(r.exCur) != 0 {
+		t.Fatalf("window of %d traces did not rotate: pinned=%d current=%d",
+			DefaultExemplarWindow, len(r.exPinned), len(r.exCur))
+	}
+	if got := r.Exemplars(); len(got) != DefaultExemplarCount || got[0].SlackMicros != -999 {
+		t.Fatalf("pinned set after rotation: %+v", got)
+	}
+	var nilRec *Recorder
+	if nilRec.Exemplars() != nil {
+		t.Fatal("nil recorder returned exemplars")
+	}
+}
+
 // The shutdown dump carries the exemplars alongside the ring.
 func TestDumpCarriesExemplars(t *testing.T) {
 	r := New(Config{Now: testClock(time.Unix(0, 0))})

@@ -258,7 +258,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.ObserveCompile(1, true)
 	r.ObserveWire(1)
 	r.ObserveQuality("x", QualityObservation{})
-	if r.Traces() != nil || r.Exemplars() != nil || r.TraceCount() != 0 || r.Snapshot() != nil || r.Snapshot().Samples() != nil {
+	if r.Traces() != nil || r.TraceCount() != 0 || r.Snapshot() != nil || r.Snapshot().Samples() != nil {
 		t.Fatalf("nil recorder leaked state")
 	}
 }
