@@ -106,6 +106,16 @@ type Problem struct {
 	// run) and Dispatch copies over once the job is done (Result.Assign). It
 	// does not enter Batchable.
 	Answer *Result
+	// Handoff, when non-nil, is what the caller's goroutine owes others
+	// before it waits: the fronthaul server dispatches on the goroutine that
+	// reads the connection, and Handoff passes reading on. The caller sets
+	// it like Answer. The scheduler calls it exactly once, on Dispatch's own
+	// goroutine and outside its lock, before it awaits a queued job or runs a
+	// fallback solve there; an answer at admission never calls it. A
+	// dispatcher passing the problem on leaves it alone; one that blocks
+	// otherwise calls it first. Backends ignore it, and it does not enter
+	// Batchable.
+	Handoff func()
 }
 
 // Users returns the transmitter count Nt.

@@ -442,6 +442,7 @@ func TestWriteErrorClosesConnection(t *testing.T) {
 	entered := make(chan struct{})
 	cancelled := make(chan struct{})
 	server := NewPoolServer(dispatcherFunc(func(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
+		handOff(p)
 		close(entered)
 		<-ctx.Done()
 		close(cancelled)
@@ -908,6 +909,15 @@ func TestRegisterChannelDecodeWindow(t *testing.T) {
 	}
 	if _, err := client.DecodeWithChannel(rc, in.Y, 0, 0); err != nil {
 		t.Fatalf("connection unusable after handle errors: %v", err)
+	}
+}
+
+// handOff is what a test dispatcher that blocks does first, as the scheduler
+// does before it waits: it passes the connection's reading on
+// (backend.Problem.Handoff), so frames behind the blocked one are read.
+func handOff(p *backend.Problem) {
+	if p.Handoff != nil {
+		p.Handoff()
 	}
 }
 

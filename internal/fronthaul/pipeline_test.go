@@ -25,6 +25,7 @@ type sleepDispatcher struct {
 }
 
 func (d *sleepDispatcher) Dispatch(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
+	handOff(p)
 	n := d.inService.Add(1)
 	for {
 		max := d.maxSeen.Load()
@@ -93,6 +94,7 @@ type gateDispatcher struct {
 }
 
 func (d *gateDispatcher) Dispatch(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error) {
+	handOff(p)
 	d.entered <- struct{}{}
 	select {
 	case <-d.release:

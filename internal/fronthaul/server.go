@@ -10,6 +10,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quamax/internal/backend"
@@ -25,6 +26,11 @@ import (
 // Dispatcher routes one decode problem to a solver. The QPU pool scheduler
 // (internal/sched) is the production implementation; tests may substitute
 // fakes. deadline ≤ 0 means "no deadline / use the dispatcher default".
+//
+// The server dispatches on the goroutine that reads the connection. A
+// Dispatch that must wait calls the problem's Handoff first, outside its
+// locks (backend.Problem.Handoff), so reading goes on elsewhere; one that
+// blocks without calling it stalls its connection until it returns.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, p *backend.Problem, deadline time.Duration) (*backend.Result, error)
 }
@@ -46,10 +52,10 @@ type Server struct {
 
 	// PipelineDepth bounds the in-flight window per connection: the request
 	// slots it owns, so how many requests may be in service (dispatched but
-	// unanswered) at once. With every slot busy the connection's read loop
-	// stops pulling frames, so backpressure lands on the socket instead of
-	// growing server state — a client pipelining faster than the pool drains
-	// simply sees its writes stall. 0 = DefaultPipelineDepth. Set before Serve.
+	// unanswered) at once. With every slot busy the connection stops reading
+	// frames, so backpressure lands on the socket instead of growing server
+	// state — a client pipelining faster than the pool drains simply sees its
+	// writes stall. 0 = DefaultPipelineDepth. Set before Serve.
 	PipelineDepth int
 
 	// Stats supplies the sample set a stats poll is answered with, in
@@ -80,8 +86,9 @@ func (s *Server) logf(format string, args ...interface{}) {
 }
 
 // Serve accepts connections until the listener is closed. Each connection
-// gets a read loop and up to PipelineDepth request slots, so pipelined
-// subcarriers overlap (the §5.5 parallelization opportunity).
+// gets up to PipelineDepth request slots, served by goroutines that take
+// turns at reading, so pipelined subcarriers overlap (the §5.5
+// parallelization opportunity).
 func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -102,27 +109,30 @@ func (s *Server) Serve(l net.Listener) error {
 // channel has neither: it is seen once.
 type registeredChannel struct {
 	w  *core.Window
-	vp *vpPrograms // made by the read loop on the window's first precode
+	vp *vpPrograms // made by the reader on the window's first precode
 }
 
 // vpPrograms are a registered window's VP programs, one per perturbation
-// depth, each compiled once, on first use, on the goroutine of the slot that
-// needs it.
+// depth, each compiled once, on first use.
 type vpPrograms [precoding.MaxPerturbBits]struct {
-	once sync.Once
-	prog *precoding.Program
-	err  error
+	once  sync.Once
+	built atomic.Bool // set once prog and err are
+	prog  *precoding.Program
+	err   error
 }
 
 // program returns the VP program at depth bits of the channel (mod, h): the
 // registered window's, compiled on first use, or for an inline channel (or
 // a depth Compile refuses) one compiled for this request alone.
-func (ch registeredChannel) program(mod modulation.Modulation, h *linalg.Mat, bits int) (*precoding.Program, error) {
+func (ch registeredChannel) program(mod modulation.Modulation, h *linalg.Mat, bits int, handoff func()) (*precoding.Program, error) {
 	if ch.vp == nil || bits < 1 || bits > len(ch.vp) {
 		return precoding.Compile(mod, h, bits)
 	}
 	e := &ch.vp[bits-1]
-	e.once.Do(func() { e.prog, e.err = precoding.Compile(mod, h, bits) })
+	if !e.built.Load() {
+		handoff() // an O(Nu³) inversion, or a wait on the goroutine running it
+		e.once.Do(func() { e.prog, e.err = precoding.Compile(mod, h, bits); e.built.Store(true) })
+	}
 	return e.prog, e.err
 }
 
@@ -139,17 +149,15 @@ const MaxChannelsPerConn = 256
 const writeBuffer = 16 << 10
 
 // slot is one request in service on a connection, which owns at most its
-// pipeline depth of them, each made on first need with a goroutine to run
-// it: the request with its vector and inline H, its channel, the problem
-// dispatched with a precode's target, the answer storage the problem lends
-// (backend.Problem.Answer) and the response frame, all reused. The read loop
-// decodes into an idle slot and hands it to a goroutine on work; that
-// goroutine dispatches and frames the answer; the writer hands the slot back
-// on idle once the frame is buffered. So a slot is reused only after its
-// Dispatch returned on a live connection, and its answer was framed before
-// that: one that returned on cancellation may leave its job queued below,
-// still reading the problem, but the context is cancelled only once the read
-// loop is gone.
+// pipeline depth of them, each made on first need: the request with its
+// vector and inline H, its channel, the problem dispatched with a precode's
+// target, the answer storage the problem lends (backend.Problem.Answer) and
+// the response frame, all reused. The reader decodes a frame into an idle
+// slot and processes it; the writer hands the slot back on idle once its
+// frame is buffered. So a slot is reused only after its Dispatch returned on
+// a live connection, and its answer was framed before that: one that
+// returned on cancellation may leave its job queued below, still reading the
+// problem, but the context is cancelled only once reading has ended.
 type slot struct {
 	req    Request
 	h      linalg.Mat // an inline H's storage
@@ -159,6 +167,9 @@ type slot struct {
 	answer backend.Result
 	llr8   []int8
 	frame  []byte
+	rd     *readRole // the role, while its holder processes the request
+	// handoff, bound once, passes rd on and clears it; a second call is a no-op.
+	handoff func()
 }
 
 // writeLoop is the single goroutine that touches a connection's write side.
@@ -166,9 +177,9 @@ type slot struct {
 // idle once its frame is buffered, and flushes whenever the queue runs empty
 // — never on a timer — so responses that finish together share a segment
 // and a lone response leaves at once. A failed write means no answer can be
-// delivered any more: it closes the connection, which ends the read loop (so
-// no new work is admitted and cancel discards what is queued), and discards
-// the rest of the queue. It returns when out is closed.
+// delivered any more: it closes the connection, which ends reading (so no
+// new work is admitted and cancel discards what is queued), and discards the
+// rest of the queue. It returns when out is closed.
 func (s *Server) writeLoop(conn net.Conn, out <-chan *slot, idle chan<- *slot) {
 	w := bufio.NewWriterSize(conn, writeBuffer)
 	dead := false
@@ -188,85 +199,133 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan *slot, idle chan<- *slot) {
 	}
 }
 
+// conn is what the goroutines serving one connection share. Reading is a
+// role one of them holds at a time (leader/follower): the holder admits what
+// it reads itself, so whatever admission answers is queued to writeLoop
+// with no goroutine hand-off, and a request that must wait passes the role
+// on first (backend.Problem.Handoff).
+type conn struct {
+	s      *Server
+	ctx    context.Context
+	cancel context.CancelFunc
+	depth  int
+	out    chan *slot     // frames for writeLoop
+	idle   chan *slot     // slots writeLoop is through with
+	role   chan *readRole // passes the role on; closed when reading ends
+	wg     sync.WaitGroup
+}
+
+// readRole is the reading role: the connection's frame stream and handle
+// table, and what it has made. It passes between goroutines on conn.role.
+type readRole struct {
+	fr         *frameReader
+	channels   map[uint64]registeredChannel
+	nextHandle uint64
+	slots      int // made so far, at most depth
+	goroutines int // serving the connection, at most depth+1
+}
+
 // handleConn processes one AP connection. The connection's lifetime bounds a
 // context so that queued work from a disconnected AP is discarded instead of
 // burning pool time. Registered channels are connection-scoped: handles die
 // with the connection, exactly like a coherence window dies with its AP
 // association.
 //
-// The connection is fully pipelined and multiplexed: the read loop pulls
-// frames and decodes solve requests into idle slots, at most PipelineDepth
-// of them — with every slot busy the read loop stalls, pushing backpressure
-// onto the socket — and one writer goroutine serializes the out-of-order
-// responses back onto the wire.
-func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
+// The connection is fully pipelined and multiplexed: at most PipelineDepth
+// requests are in service at once — with every slot busy reading stalls,
+// pushing backpressure onto the socket — its goroutines, this one among
+// them, take turns at reading, and one writer goroutine serializes the
+// out-of-order responses back onto the wire.
+func (s *Server) handleConn(nc net.Conn) {
+	defer nc.Close()
 	depth := DefaultPipelineDepth
 	if s.PipelineDepth > 0 {
 		depth = s.PipelineDepth
 	}
-
-	// Every frame leaves from a slot, enqueued on out; the channel closes only
-	// after every slot goroutine is reaped, then the writer drains and exits.
-	// A slot is in at most one of out, idle and work, once, and there are at
-	// most depth slots, so no send on them blocks.
-	out := make(chan *slot, depth)
-	idle := make(chan *slot, depth)
+	// A slot is in at most one of out and idle, once, and there are at most
+	// depth slots, so no send on them blocks.
+	c := &conn{s: s, depth: depth, out: make(chan *slot, depth), idle: make(chan *slot, depth), role: make(chan *readRole)}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	defer c.cancel()
 	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.writeLoop(conn, out, idle)
-	}()
-	defer func() { close(out); <-writerDone }()
+	go func() { s.writeLoop(nc, c.out, c.idle); close(writerDone) }()
 
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	// Deferred after wg.Wait so they run first: a dropped connection cancels
-	// queued dispatches and ends the slot goroutines' work, then they are
-	// reaped, and only then does the writer shut down.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	work := make(chan *slot, depth)
-	defer close(work)
-	// acquire returns an idle slot, first making one (and its goroutine)
-	// while none is idle and the connection owns fewer than depth.
-	made := 0
-	acquire := func() *slot {
-		if len(idle) == 0 && made < depth {
-			made++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for sl := range work {
-					s.process(ctx, sl)
-					out <- sl
-				}
-			}()
-			idle <- &slot{}
+	c.wg.Add(1)
+	c.serve(&readRole{fr: newFrameReader(nc), channels: make(map[uint64]registeredChannel), goroutines: 1})
+	// Reading has ended, which cancelled queued dispatches; once every
+	// goroutine has queued its last frame, the writer drains and exits.
+	c.wg.Wait()
+	close(c.out)
+	<-writerDone
+}
+
+// serve is one of the connection's goroutines: it leads while it holds the
+// role rd (nil: not yet) and waits for it again, until reading ends.
+func (c *conn) serve(rd *readRole) {
+	defer c.wg.Done()
+	for ok := true; ok; rd, ok = <-c.role {
+		if rd != nil && !c.lead(rd) {
+			c.cancel()
+			close(c.role)
+			return
 		}
-		return <-idle
 	}
+}
 
-	channels := make(map[uint64]registeredChannel)
-	var nextHandle uint64
+// pass hands the reading role to a waiting goroutine, or a new one while the
+// connection has at most depth: one reads, and sees a dropped connection,
+// while depth requests are in service.
+func (c *conn) pass(rd *readRole) {
+	select {
+	case c.role <- rd:
+	default:
+		if rd.goroutines <= c.depth {
+			rd.goroutines++
+			c.wg.Add(1)
+			go c.serve(nil)
+		}
+		c.role <- rd
+	}
+}
 
-	fr := newFrameReader(conn)
+// acquire returns an idle slot, first making one while none is idle and the
+// connection owns fewer than depth.
+func (c *conn) acquire(rd *readRole) *slot {
+	if len(c.idle) == 0 && rd.slots < c.depth {
+		rd.slots++
+		sl := new(slot)
+		sl.handoff = func() {
+			if rd := sl.rd; rd != nil {
+				sl.rd = nil
+				c.pass(rd)
+			}
+		}
+		return sl
+	}
+	return <-c.idle
+}
+
+// lead reads frames until a request passes the role on (true), or the
+// connection closes or sends a frame it cannot parse (false).
+func (c *conn) lead(rd *readRole) bool {
 	for {
-		msgType, payload, err := fr.next()
+		msgType, payload, err := rd.fr.next()
 		if err != nil {
-			return // connection closed or corrupt framing
+			return false // connection closed or corrupt framing
 		}
 		// Every frame is answered from a slot: a solve request runs in it,
-		// and the read loop frames its own answers in it.
-		sl := acquire()
+		// and the reader frames its own answers in it.
+		sl := c.acquire(rd)
+		passed := false
 		switch msgType {
 		case msgDecodeRequest:
 			if err = sl.req.decode(payload, &sl.h); err != nil {
 				break
 			}
-			if sl.resolveChannel(channels) {
-				work <- sl
-				continue
+			if sl.resolveChannel(rd.channels) {
+				sl.rd = rd
+				c.s.process(c.ctx, sl)
+				passed = sl.rd == nil // read before the frame hands the slot on
 			}
 
 		case msgRegisterChannel:
@@ -281,10 +340,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			// sequentially, so at capacity the oldest live one is exactly
 			// MaxChannelsPerConn behind the newest (below capacity that key
 			// does not exist and the delete is a no-op).
-			nextHandle++
-			channels[nextHandle] = registeredChannel{w: w}
-			delete(channels, nextHandle-MaxChannelsPerConn)
-			sl.frame = frameRegisterResponse(sl.frame, &RegisterChannelResponse{ID: id, Handle: nextHandle})
+			rd.nextHandle++
+			rd.channels[rd.nextHandle] = registeredChannel{w: w}
+			delete(rd.channels, rd.nextHandle-MaxChannelsPerConn)
+			sl.frame = frameRegisterResponse(sl.frame, &RegisterChannelResponse{ID: id, Handle: rd.nextHandle})
 
 		case msgStatsRequest:
 			var req *StatsRequest
@@ -293,7 +352,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			// Stats are a pure snapshot (no pool dispatch), so answer inline
 			// like channel registration.
-			sl.frame = s.statsFrame(req.ID)
+			sl.frame = c.s.statsFrame(req.ID)
 
 		default:
 			// A peer of another protocol generation: tell it so and hang up,
@@ -301,12 +360,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			err = fmt.Errorf("unknown frame type %d", msgType)
 		}
 		if err != nil {
-			if s.badRequest(sl, payload, err) {
-				out <- sl
+			if c.s.badRequest(sl, payload, err) {
+				c.out <- sl
 			}
-			return
+			return false
 		}
-		out <- sl
+		c.out <- sl
+		if passed {
+			return true
+		}
 	}
 }
 
@@ -400,17 +462,17 @@ func softClamp(reqClamp float64) float64 {
 // through the dispatcher and frames the answer into the slot's response
 // frame, straight from the dispatcher's result. Precoding is the same problem
 // with a different (H, y): the compiled VP program substitutes its equivalent
-// uplink channel and target. Program resolution (O(Nu³) channel inversion on
-// a window's first precode at a depth) runs here, on the slot's goroutine,
-// so it cannot head-of-line-block pipelined frames. The problem lends the
-// slot's answer storage, which the answer lands in on every route (a queued
-// one copied over once its job is done) and is framed from before the slot
-// can be reused.
+// uplink channel and target. It runs on the reading goroutine, so whatever
+// must wait — a queued or fallback solve, a window's first VP program at a
+// depth — calls the slot's handoff first and cannot head-of-line-block
+// pipelined frames. The problem lends the slot's answer storage, which the
+// answer lands in on every route (a queued one copied over once its job is
+// done) and is framed from before the slot can be reused.
 func (s *Server) process(ctx context.Context, sl *slot) {
 	req, ch, p := &sl.req, sl.ch, &sl.p
 	switch {
 	case req.Precode:
-		prog, err := ch.program(req.Mod, req.H, cmp.Or(req.PerturbBits, precoding.DefaultPerturbBits))
+		prog, err := ch.program(req.Mod, req.H, cmp.Or(req.PerturbBits, precoding.DefaultPerturbBits), sl.handoff)
 		if err != nil {
 			sl.refuse(err.Error())
 			return
@@ -427,9 +489,12 @@ func (s *Server) process(ctx context.Context, sl *slot) {
 		}
 	}
 	p.TargetBER = req.TargetBER
-	p.Answer = &sl.answer
+	p.Answer, p.Handoff = &sl.answer, sl.handoff
 
-	start := time.Now()
+	var start time.Time
+	if s.Telemetry != nil {
+		start = time.Now()
+	}
 	res, err := s.disp.Dispatch(ctx, p, time.Duration(req.DeadlineMicros*float64(time.Microsecond)))
 	if s.Telemetry != nil {
 		// The only feeder of the telemetry wire histogram: the server-side

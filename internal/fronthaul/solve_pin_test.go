@@ -50,7 +50,8 @@ func observe(resp any) (a solveAnswer) {
 // deadline the dispatcher receives, and the exact answer the caller gets
 // back. It uses only the public client API, so it holds across any
 // re-framing of the wire underneath. The problem always lends the server's
-// answer storage (backend.Problem.Answer); the pin compares the rest.
+// answer storage (backend.Problem.Answer) and carries its hand-off
+// (backend.Problem.Handoff); the pin compares the rest.
 func TestSolveShapesPinned(t *testing.T) {
 	const (
 		users    = 2
@@ -213,7 +214,10 @@ func TestSolveShapesPinned(t *testing.T) {
 			if disp.p.Answer == nil {
 				t.Error("dispatcher received a problem that lends no answer storage")
 			}
-			disp.p.Answer = nil
+			if disp.p.Handoff == nil {
+				t.Error("dispatcher received a problem that cannot hand reading on")
+			}
+			disp.p.Answer, disp.p.Handoff = nil, nil
 			if !reflect.DeepEqual(disp.p, row.want) {
 				t.Errorf("dispatcher received\n %+v\nwant\n %+v", disp.p, row.want)
 			}

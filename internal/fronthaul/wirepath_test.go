@@ -132,6 +132,7 @@ func TestPipelinedWindowOutOfOrder(t *testing.T) {
 		gates := make(map[int]chan struct{})
 		entered := make(chan int, n)
 		disp := dispatcherFunc(func(_ context.Context, p *backend.Problem, _ time.Duration) (*backend.Result, error) {
+			handOff(p)
 			id := int(real(p.Y[0]))
 			gate := make(chan struct{})
 			mu.Lock()
@@ -268,7 +269,8 @@ func TestWriteLoopFlushesOnIdle(t *testing.T) {
 // leaving them to wait for answers that cannot come.
 func TestServerWriteErrorDrainsClientCalls(t *testing.T) {
 	release := make(chan struct{})
-	disp := dispatcherFunc(func(ctx context.Context, _ *backend.Problem, _ time.Duration) (*backend.Result, error) {
+	disp := dispatcherFunc(func(ctx context.Context, p *backend.Problem, _ time.Duration) (*backend.Result, error) {
+		handOff(p)
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -429,6 +431,7 @@ func TestSlotReuseNeverMovesADispatchedProblem(t *testing.T) {
 				entered := make(chan chan struct{}, depth)
 				teardown := make(chan struct{})
 				disp := dispatcherFunc(func(ctx context.Context, p *backend.Problem, _ time.Duration) (*backend.Result, error) {
+					handOff(p)
 					snapshot := func() []complex128 { return append(slices.Clone(p.Y), p.H.Data...) }
 					want := snapshot()
 					release := make(chan struct{})

@@ -255,11 +255,9 @@ func (r *Router) shedding(shard int) (float64, bool) {
 }
 
 // observe folds one completed dispatch's deadline outcome into the shard's
-// EWMA. Requests without a deadline carry no miss signal and are skipped.
+// EWMA. Dispatch calls it only with shedding enabled and a deadline set: a
+// request without one carries no miss signal.
 func (r *Router) observe(shard int, missed bool) {
-	if r.threshold <= 0 {
-		return
-	}
 	sample := 0.0
 	if missed {
 		sample = 1.0
@@ -327,10 +325,13 @@ func (r *Router) Dispatch(ctx context.Context, p *backend.Problem, deadline time
 	}
 	st := r.state[shard]
 	st.outstanding.Add(1)
-	start := time.Now()
+	var start time.Time
+	if deadline > 0 && r.threshold > 0 {
+		start = time.Now()
+	}
 	res, err := r.shards[shard].Dispatch(ctx, p, deadline)
 	st.outstanding.Add(-1)
-	if deadline > 0 {
+	if !start.IsZero() {
 		r.observe(shard, time.Since(start) > deadline)
 	}
 	return res, err

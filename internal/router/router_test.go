@@ -40,9 +40,18 @@ func (f *fakeShard) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		f.mu.Unlock()
 	}
 	if f.delay > 0 {
+		handOff(p)
 		time.Sleep(f.delay)
 	}
 	return &backend.Result{Backend: "fake"}, nil
+}
+
+// handOff is what a test shard that blocks does first, as the scheduler does
+// before it waits (backend.Problem.Handoff).
+func handOff(p *backend.Problem) {
+	if p.Handoff != nil {
+		p.Handoff()
+	}
 }
 
 func (f *fakeShard) Stats() metrics.PoolStats {

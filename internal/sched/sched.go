@@ -446,6 +446,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		j.admittedAt = s.now()
 		j.tr.Stages[telemetry.StageAdmit] = max(0, micros(j.admittedAt.Sub(entry))-j.tr.Stages[telemetry.StagePlan])
 	}
+	var q *job
 	switch d.route {
 	case routeCertified:
 		// Answered at admission: no queue slot, no backend, no planner call.
@@ -454,21 +455,26 @@ func (s *Scheduler) Dispatch(ctx context.Context, p *backend.Problem, deadline t
 		s.mu.Unlock()
 		return d.proved, nil
 	case routeQueue:
-		q := s.queuedJobLocked(&j)
+		q = s.queuedJobLocked(&j)
 		s.queue = append(s.queue, q)
 		s.queuedMicros += q.est
 		s.cond.Signal()
-		s.mu.Unlock()
+	default:
+		if d.route == routePlannerDenied {
+			s.stats.PlannerClassical++
+		}
+		s.stats.FallbackDispatches++
+		// Registered under mu, before the closed flag can flip: Close waits
+		// for this solve too.
+		s.fbWg.Add(1)
+	}
+	s.mu.Unlock()
+	if p.Handoff != nil {
+		p.Handoff() // this goroutine waits for its job, or solves on the fallback
+	}
+	if q != nil {
 		return s.await(q)
 	}
-	if d.route == routePlannerDenied {
-		s.stats.PlannerClassical++
-	}
-	s.stats.FallbackDispatches++
-	// Registered under mu, before the closed flag can flip: Close waits for
-	// this solve too.
-	s.fbWg.Add(1)
-	s.mu.Unlock()
 	return s.runFallback(&j)
 }
 
@@ -485,7 +491,11 @@ func (s *Scheduler) observeSolve(name string, p *backend.Problem, res *backend.R
 	if failed || res == nil {
 		return
 	}
-	h.ObserveQuality(name, telemetry.Class(p.Mod.String(), p.Users()), telemetry.QualityObservation{
+	mod := p.Mod.String()
+	if p.Lattice {
+		mod = "VP " + mod // a precode shares no reference with uplink decodes
+	}
+	h.ObserveQuality(name, telemetry.Class(mod, p.Users()), telemetry.QualityObservation{
 		BestEnergy:   res.Energy,
 		Reads:        res.Reads,
 		ChainBreaks:  res.BrokenChains,
