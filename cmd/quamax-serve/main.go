@@ -38,10 +38,10 @@
 // as JSON at /traces, and the standard net/http/pprof profiling endpoints at
 // /debug/pprof/. The same sample set /metrics renders answers fronthaul
 // stats polls (`quamax -top addr` / `-watch`), with or without this listener.
-// -trace-out writes a JSON telemetry dump (per-stage latency summaries plus
-// the trace ring, ingestible by tools/benchjson -traces) on shutdown. On
-// SIGINT/SIGTERM the server stops accepting connections, drains queued work,
-// and prints the pool and planner statistics.
+// -trace-out writes a JSON telemetry dump (the sample set plus the trace ring,
+// ingestible by tools/benchjson -traces) on shutdown. On SIGINT/SIGTERM the
+// server stops accepting connections, drains queued work, and prints the
+// sample set as the tables of `quamax -top`.
 //
 // -cost-aware turns on fleet-economics dispatch: every backend publishes a
 // capability descriptor (latency model, $/solve, J/solve — internal/backend
@@ -61,8 +61,8 @@
 // deadline-miss EWMA climbs past it. -pipeline-depth bounds the per-connection
 // in-flight window of the pipelined fronthaul (0 = default).
 // Every pool series is exported per shard (a shard label), with the router's
-// shed counts and miss EWMAs beside them; the shutdown report prints the
-// per-shard PoolStats and their merge.
+// shed counts and miss EWMAs beside them; the shutdown report's shard table
+// prints them per shard and their total.
 //
 // -health arms the solver-health plane (internal/health): every solve feeds
 // per-backend × per-class anneal-quality baselines, a Page–Hinkley drift
@@ -108,7 +108,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "solver random seed")
 
 		telemetryAddr = flag.String("telemetry-addr", "", "HTTP listen address for the telemetry plane: /metrics (Prometheus), /traces (JSON ring) and /debug/pprof/ (empty = disabled)")
-		traceOut      = flag.String("trace-out", "", "write a JSON telemetry dump (per-stage summaries + trace ring) here on shutdown")
+		traceOut      = flag.String("trace-out", "", "write a JSON telemetry dump (sample set + trace ring) here on shutdown")
 
 		shardsN       = flag.Int("shards", 1, "independent scheduler pools behind the channel-affinity router (the full -pool/-backends worker set per shard)")
 		pipeDepth     = flag.Int("pipeline-depth", 0, "per-connection in-flight request window (0 = default)")
@@ -290,9 +290,7 @@ func main() {
 		shards = append(shards, s)
 	}
 	var disp fronthaul.Dispatcher = schedulers[0]
-	statsFn := schedulers[0].Stats
 	poolSamples := func() []metrics.Sample { return schedulers[0].Stats().Samples() }
-	var rt *router.Router
 	if *shardsN > 1 {
 		r, err := router.New(router.Config{
 			Shards:        shards,
@@ -304,9 +302,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		rt = r
 		disp = r
-		statsFn = r.Stats
 		poolSamples = r.Samples
 	}
 
@@ -372,18 +368,12 @@ func main() {
 	case <-time.After(30 * time.Second):
 		log.Printf("quamax-serve: drain timed out")
 	}
-	if rt != nil {
-		for i, st := range rt.ShardStats() {
-			log.Printf("quamax-serve: shard %d stats (sheds=%d)\n%s", i, rt.ShedCount(i), st)
-		}
-	}
-	log.Printf("quamax-serve: final stats\n%s", statsFn())
-	if budgetPlanner != nil {
-		log.Printf("quamax-serve: planner stats\n%s", budgetPlanner.Stats())
-	}
+	final := srv.Stats()
+	var report strings.Builder
+	metrics.Render(&report, "quamax-serve: final stats", final)
+	log.Print(report.String())
 	if *traceOut != "" {
-		st := statsFn()
-		if err := telemetry.BuildDump(rec, &st).WriteFile(*traceOut); err != nil {
+		if err := telemetry.BuildDump(rec, final).WriteFile(*traceOut); err != nil {
 			log.Printf("quamax-serve: writing trace dump: %v", err)
 		} else {
 			log.Printf("quamax-serve: wrote telemetry dump (%d traces) to %s", rec.TraceCount(), *traceOut)

@@ -73,7 +73,7 @@ func fullSet(t *testing.T) []metrics.Sample {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned := qos.Stats{Plans: 42, Quantum: 29, Classical: 13, ReadsPlanned: 541, ByReason: map[string]uint64{
+	planned := qos.Stats{Plans: 42, Quantum: 29, Classical: 13, Reverse: 6, Soft: 11, PT: 4, ReadsPlanned: 541, ByReason: map[string]uint64{
 		qos.ReasonFit: 25, qos.ReasonNoTarget: 4, qos.ReasonDeadlineExceeded: 9, qos.ReasonFloorAboveTarget: 4,
 	}}
 	set := [][]metrics.Sample{rt.Samples(), sn.Samples(), planned.Samples()}
@@ -105,7 +105,7 @@ func bareSet() []metrics.Sample {
 func TestRenderTopGolden(t *testing.T) {
 	for name, set := range map[string][]metrics.Sample{"top_full": fullSet(t), "top_bare": bareSet()} {
 		var got bytes.Buffer
-		renderTop(&got, "127.0.0.1:9370", set)
+		metrics.Render(&got, "quamax pool @ 127.0.0.1:9370", set)
 		path := filepath.Join("testdata", name+".golden")
 		if *update {
 			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
@@ -120,8 +120,8 @@ func TestRenderTopGolden(t *testing.T) {
 			t.Errorf("%s: -top rendering moved (rerun with -update if intended):\n%s", name, got.String())
 		}
 		for _, line := range strings.Split(got.String(), "\n") {
-			if len([]rune(line)) > maxWidth+2 {
-				t.Errorf("%s: line wider than %d columns: %q", name, maxWidth, line)
+			if len([]rune(line)) > metrics.TableWidth+2 {
+				t.Errorf("%s: line wider than %d columns: %q", name, metrics.TableWidth, line)
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/fronthaul"
 	"quamax/internal/linalg"
+	"quamax/internal/metrics"
 	"quamax/internal/rng"
 	"quamax/internal/sched"
 )
@@ -126,7 +128,8 @@ func main() {
 	l.Close()
 	scheduler.Close()
 	st := scheduler.Stats()
-	fmt.Printf("\npool stats:\n%s\n", st)
+	fmt.Println()
+	metrics.Render(os.Stdout, "pool stats", st.Samples())
 	fmt.Printf("\ncompile amortization: %d channel compiles served %d decodes (%.0f%% cache hit)\n",
 		st.ChannelCache.Misses, st.Completed, 100*st.ChannelCache.HitRate())
 }

@@ -21,11 +21,11 @@
 //
 // At 25 dB every request with a target is proved, so the planner, which sizes
 // read budgets for the requests the search cannot finish, sees none (its
-// stats block reads zero). The scheduler runs cost-aware
+// planner series read zero). The scheduler runs cost-aware
 // (sched.Config.CostAware): every backend publishes a capability descriptor
 // with a $/solve and J/solve cost model, easy QoS classes divert to the
-// cheapest solver that still meets their deadline, and the final pool stats
-// price each backend's work in micro-USD and millijoules.
+// cheapest solver that still meets their deadline, and the final report's
+// backend table prices each backend's work in micro-USD and millijoules.
 //
 //	go run ./examples/cran
 package main
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -42,6 +43,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/fronthaul"
 	"quamax/internal/linalg"
+	"quamax/internal/metrics"
 	"quamax/internal/qos"
 	"quamax/internal/rng"
 	"quamax/internal/sched"
@@ -208,6 +210,6 @@ func main() {
 		float64(totalErrs)/float64(totalBits))
 
 	scheduler.Close()
-	fmt.Printf("\ndata center pool stats:\n%s\n", scheduler.Stats())
-	fmt.Printf("\ndata center planner stats:\n%s\n", planner.Stats())
+	fmt.Println()
+	metrics.Render(os.Stdout, "data center", metrics.Collect(scheduler.Stats().Samples(), planner.Stats().Samples()))
 }

@@ -19,6 +19,7 @@ import (
 	"log"
 	"math"
 	"net"
+	"os"
 	"sync"
 
 	"quamax"
@@ -26,6 +27,7 @@ import (
 	"quamax/internal/channel"
 	"quamax/internal/fronthaul"
 	"quamax/internal/linalg"
+	"quamax/internal/metrics"
 	"quamax/internal/precoding"
 	"quamax/internal/rng"
 	"quamax/internal/sched"
@@ -145,7 +147,8 @@ func main() {
 	l.Close()
 	scheduler.Close()
 	st := scheduler.Stats()
-	fmt.Printf("\npool stats:\n%s\n", st)
+	fmt.Println()
+	metrics.Render(os.Stdout, "pool stats", st.Samples())
 	fmt.Printf("\ncompile amortization: %d channel compiles served %d searches (%.0f%% cache hit)\n",
 		st.ChannelCache.Misses, st.Completed, 100*st.ChannelCache.HitRate())
 }

@@ -14,13 +14,14 @@
 // symbols are dispatched carrying the channel's window (core.NewWindow).
 // The pool compiles each channel once (couplings, embedding, prepared
 // physical program), gathers same-window symbols into shared annealer runs,
-// and only rewrites per-symbol biases — the cache hit/miss line in the final
-// pool stats shows the amortization (it reads 0/0 when the certificate
-// answered every request, as it does on the synthetic trace).
+// and only rewrites per-symbol biases — the channel_cache columns of the final
+// report show the amortization (they read 0 when the certificate answered
+// every request, as it does on the synthetic trace).
 //
 // The replay runs fully instrumented: a telemetry recorder traces every
 // request through admit → plan → queue → gather → compile → solve → respond,
-// and the run ends with the live per-stage latency breakdown, the
+// and the run ends with the data center's report (pool and planner counters
+// and the live per-stage latency table, printed by metrics.Render), the
 // deadline-slack histogram, and the trace-to-counter reconciliation the
 // telemetry plane guarantees (submitted == completed + failed == traces).
 // Pass -trace-out to also write the JSON dump tools/benchjson ingests.
@@ -29,8 +30,9 @@
 // Zipf-skewed multi-cell request trace (internal/trace.GenerateMultiUser) is
 // dispatched through the sharded router front tier — N independent scheduler
 // pools, channel-affinity consistent hashing keeping every coherence window's
-// compiled channel sticky to one shard — and the run ends with the per-shard
-// PoolStats breakdown, the merged aggregate, and the affinity/cache evidence.
+// compiled channel sticky to one shard — and the run ends with the fleet's
+// report (its shard table lists each shard's counters and their total) and
+// the affinity evidence.
 //
 //	go run ./examples/tracedriven [-trace-out dump.json] [trace.qmtr]
 //	go run ./examples/tracedriven -multiuser [-shards 4]
@@ -41,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -216,23 +219,13 @@ func main() {
 	}
 
 	scheduler.Close()
-	st := scheduler.Stats()
-	fmt.Printf("\npool stats:\n%s\n", st)
-	fmt.Printf("\nplanner stats:\n%s\n", planner.Stats())
+	st, sn := scheduler.Stats(), rec.Snapshot()
+	set := metrics.Collect(st.Samples(), sn.Samples(), planner.Stats().Samples())
 
-	// The live per-stage breakdown: where each request's wall time went.
-	sn := rec.Snapshot()
-	fmt.Printf("\nper-stage latency (all %d requests):\n", sn.Traces)
-	fmt.Printf("%-8s %8s %10s %10s %10s %10s\n", "stage", "count", "mean", "p50", "p95", "max")
-	for i, name := range telemetry.StageNames() {
-		h := sn.Stages[i]
-		if h.Count == 0 {
-			continue
-		}
-		s := telemetry.Summarize(h)
-		fmt.Printf("%-8s %8d %9.0fµs %9.0fµs %9.0fµs %9.0fµs\n",
-			name, s.Count, s.MeanMicros, s.P50Micros, s.P95Micros, s.MaxMicros)
-	}
+	// The data center's report: pool and planner counters, and the live
+	// per-stage breakdown of where each request's wall time went.
+	fmt.Println()
+	metrics.Render(os.Stdout, "data center", set)
 
 	// Deadline slack: how much of each request's budget was left at respond
 	// time (every dispatch above carried the same deadline).
@@ -246,7 +239,7 @@ func main() {
 		st.Submitted, st.Completed+st.Failed, sn.Traces, sn.CompileHits, sn.CompileHits+sn.CompileMisses)
 
 	if *traceOut != "" {
-		if err := telemetry.BuildDump(rec, &st).WriteFile(*traceOut); err != nil {
+		if err := telemetry.BuildDump(rec, set).WriteFile(*traceOut); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote telemetry dump (%d traces) to %s\n", rec.TraceCount(), *traceOut)
@@ -379,14 +372,11 @@ func runMultiUser(nShards int) {
 		}
 	}
 
-	fmt.Printf("\nper-shard breakdown (affinity keeps each window on one shard):\n")
-	for i, st := range rt.ShardStats() {
-		fmt.Printf("shard %d: submitted=%d completed=%d cache hits=%d misses=%d (hit rate %.0f%%)\n",
-			i, st.Submitted, st.Completed, st.ChannelCache.Hits, st.ChannelCache.Misses,
-			100*st.ChannelCache.HitRate())
-	}
+	// The shard table: affinity keeps each window on one shard, so each
+	// shard's channel cache amortizes its own windows.
+	fmt.Println()
+	metrics.Render(os.Stdout, "shard fleet", rt.Samples())
 	agg := rt.Stats()
-	fmt.Printf("\naggregate (PoolStats.Merge of the breakdown):\n%s\n", agg)
 	fmt.Printf("reconciliation: submitted=%d completed+failed=%d across %d shards\n",
 		agg.Submitted, agg.Completed+agg.Failed, nShards)
 

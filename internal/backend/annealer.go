@@ -73,18 +73,7 @@ func NewAnnealer(name string, opts core.Options) (*Annealer, error) {
 // adjacencies are shared too (the decoder is safe for concurrent use).
 func AnnealerFromDecoder(name string, dec *core.Decoder) *Annealer {
 	a := &Annealer{name: name, dec: dec}
-	slots, err := dec.BatchSlots(2)
-	if err != nil || slots < 1 {
-		slots = 1
-	}
-	a.caps = &Capabilities{
-		Name:          name,
-		Latency:       a.occupancyMicros,
-		Cost:          DefaultQPUCostModel,
-		Qubits:        dec.Options().Graph.NumWorkingQubits(),
-		MaxBatchSlots: slots,
-		Features:      FeatureBatch | FeatureReverse | FeatureSoft | FeatureQuantum,
-	}
+	a.caps = &Capabilities{Name: name, Latency: a.occupancyMicros, Cost: DefaultQPUCostModel}
 	return a
 }
 

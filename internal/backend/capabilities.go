@@ -3,42 +3,19 @@ package backend
 import "math"
 
 // Features is a bitmask of optional solver abilities a backend declares in
-// its Capabilities descriptor. The scheduler and QoS planner consult it
-// instead of type-asserting on concrete backend types.
+// its Capabilities descriptor. No dispatch path reads it: it stays because the
+// serving benchmark's stub backend (bench/stubs.go) declares FeatureSoft.
 type Features uint32
 
-// The feature bits. A backend advertises the union of everything it can do;
-// absence of a bit means requests needing that ability must route elsewhere.
-const (
-	// FeatureBatch marks backends that co-schedule batch-compatible problems
-	// into one device run (they also implement BatchBackend).
-	FeatureBatch Features = 1 << iota
-	// FeatureReverse marks backends that honor Problem.Reverse (reverse
-	// annealing seeded from a linear detector).
-	FeatureReverse
-	// FeatureSoft marks backends that can answer Problem.Soft requests with
-	// per-bit LLRs (possibly saturated, for single-solution solvers).
-	FeatureSoft
-	// FeaturePT marks backends that honor Problem.PT replica-exchange
-	// budgets.
-	FeaturePT
-	// FeatureQuantum marks quantum (or simulated-quantum) hardware whose
-	// reads the QoS planner sizes from its TTS tables; its absence marks a
-	// conventional classical solver.
-	FeatureQuantum
-)
-
-// Has reports whether every bit in q is set in f.
-func (f Features) Has(q Features) bool { return f&q == q }
+// FeatureSoft marks backends that can answer Problem.Soft requests with
+// per-bit LLRs (possibly saturated, for single-solution solvers).
+const FeatureSoft Features = 1
 
 // CostModel prices a backend's compute, the per-solve economics Kasi et al.
 // (arXiv:2109.01465) argue decide annealer viability in NextG data centers.
-// Spend is charged as a fixed per-solve component plus a marginal rate on
-// device occupancy; energy is drawn at a constant device power while solving.
+// Spend is charged as a marginal rate on device occupancy; energy is drawn at
+// a constant device power while solving.
 type CostModel struct {
-	// SolveMicroUSD is the fixed charge per solve (programming overhead,
-	// amortized licensing), in micro-dollars.
-	SolveMicroUSD float64
 	// MicroUSDPerDeviceSecond is the marginal rate on device occupancy, in
 	// micro-dollars per device-second.
 	MicroUSDPerDeviceSecond float64
@@ -81,14 +58,13 @@ type Capabilities struct {
 	Latency func(p *Problem) float64
 	// Cost prices this backend's solves; see CostModel.
 	Cost CostModel
-	// Qubits is the physical qubit count of quantum hardware (0 for
-	// classical backends).
-	Qubits int
-	// MaxBatchSlots bounds how many problems one device run can carry for
-	// the smallest embeddable problem shape (1 = no cross-request batching;
-	// per-shape capacity still comes from BatchBackend.BatchSlots).
+	// MaxBatchSlots bounds how many problems one device run can carry (1 =
+	// no cross-request batching). No dispatch path reads it — per-shape
+	// capacity comes from BatchBackend.BatchSlots — and no backend of this
+	// package sets it: it stays because bench/stubs.go sets it.
 	MaxBatchSlots int
-	// Features declares the solver's optional abilities.
+	// Features declares the solver's optional abilities; like MaxBatchSlots,
+	// only bench/stubs.go sets it.
 	Features Features
 }
 
@@ -101,18 +77,14 @@ func (c *Capabilities) PredictMicros(p *Problem) float64 {
 	return c.Latency(p)
 }
 
-// SpendMicroUSD prices computeMicros of device occupancy on this backend:
-// the fixed per-solve charge plus the marginal occupancy rate. Non-finite or
-// negative occupancy (a failed measurement) charges only the fixed
-// component, so accounting counters never absorb NaN.
+// SpendMicroUSD prices computeMicros of device occupancy on this backend at
+// the marginal occupancy rate. Non-finite or negative occupancy (a failed
+// measurement) charges nothing, so accounting counters never absorb NaN.
 func (c *Capabilities) SpendMicroUSD(computeMicros float64) float64 {
-	if c == nil {
+	if c == nil || math.IsNaN(computeMicros) || math.IsInf(computeMicros, 0) || computeMicros <= 0 {
 		return 0
 	}
-	spend := c.Cost.SolveMicroUSD
-	if !math.IsNaN(computeMicros) && !math.IsInf(computeMicros, 0) && computeMicros > 0 {
-		spend += c.Cost.MicroUSDPerDeviceSecond * computeMicros / 1e6
-	}
+	spend := c.Cost.MicroUSDPerDeviceSecond * computeMicros / 1e6
 	if math.IsNaN(spend) || math.IsInf(spend, 0) || spend < 0 {
 		return 0
 	}

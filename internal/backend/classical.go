@@ -78,11 +78,9 @@ func NewClassicalSA(name string, sweeps, restarts int) *ClassicalSA {
 		MicrosPerSpinSweep: DefaultMicrosPerSpinSweep,
 	}
 	c.caps = &Capabilities{
-		Name:          name,
-		Latency:       c.estimate,
-		Cost:          DefaultClassicalCostModel,
-		MaxBatchSlots: 1,
-		Features:      FeatureSoft,
+		Name:    name,
+		Latency: c.estimate,
+		Cost:    DefaultClassicalCostModel,
 	}
 	return c
 }
@@ -152,11 +150,9 @@ func NewSphere(name string, maxVisitedNodes int) *Sphere {
 		ewma:        make(map[sphereKey]float64),
 	}
 	s.caps = &Capabilities{
-		Name:          name,
-		Latency:       s.estimate,
-		Cost:          DefaultClassicalCostModel,
-		MaxBatchSlots: 1,
-		Features:      FeatureSoft,
+		Name:    name,
+		Latency: s.estimate,
+		Cost:    DefaultClassicalCostModel,
 	}
 	return s
 }

@@ -50,11 +50,9 @@ func NewParallelTempering(name string, rungs, ladders, sweeps int) *ParallelTemp
 		MicrosPerSpinSweep: DefaultPTMicrosPerSpinSweep,
 	}
 	c.caps = &Capabilities{
-		Name:          name,
-		Latency:       c.estimate,
-		Cost:          DefaultClassicalCostModel,
-		MaxBatchSlots: 1,
-		Features:      FeatureSoft | FeaturePT,
+		Name:    name,
+		Latency: c.estimate,
+		Cost:    DefaultClassicalCostModel,
 	}
 	return c
 }

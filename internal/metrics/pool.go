@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"strings"
 )
 
 // PoolStats is a point-in-time snapshot of a QPU pool scheduler
@@ -246,51 +244,6 @@ func (s PoolStats) Merge(o PoolStats) PoolStats {
 		}
 	}
 	return out
-}
-
-// String renders a compact multi-line report suitable for logs.
-func (s PoolStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pool: queue=%d submitted=%d completed=%d failed=%d fallback=%d (planner=%d) miss=%d (%.1f%%)",
-		s.QueueDepth, s.Submitted, s.Completed, s.Failed,
-		s.FallbackDispatches, s.PlannerClassical, s.DeadlineMisses, 100*s.MissRate())
-	if s.UptimeMicros > 0 {
-		fmt.Fprintf(&b, " uptime=%.1fs", s.UptimeMicros/1e6)
-	}
-	if s.Certified > 0 {
-		fmt.Fprintf(&b, "\npool: certified at admission=%d", s.Certified)
-	}
-	if s.BatchRuns > 0 {
-		fmt.Fprintf(&b, "\npool: batched runs=%d problems=%d slot-occupancy=%.0f%%",
-			s.BatchRuns, s.BatchedProblems, 100*s.SlotOccupancy)
-	}
-	if s.SoftSolved > 0 || s.LLRSaturations > 0 {
-		fmt.Fprintf(&b, "\npool: soft decodes=%d llr-saturations=%d", s.SoftSolved, s.LLRSaturations)
-		if s.SoftSolved > 0 {
-			fmt.Fprintf(&b, " (%.1f/decode)", float64(s.LLRSaturations)/float64(s.SoftSolved))
-		}
-	}
-	if s.StoppedEarly > 0 {
-		fmt.Fprintf(&b, "\npool: stopped early=%d", s.StoppedEarly)
-	}
-	for _, class := range slices.Sorted(maps.Keys(s.RadiusMisses)) {
-		fmt.Fprintf(&b, "\npool: radius misses %s=%d", class, s.RadiusMisses[class])
-	}
-	if c := s.ChannelCache; c.Hits+c.Misses+c.Evictions > 0 {
-		fmt.Fprintf(&b, "\npool: channel cache hits=%d misses=%d evictions=%d (%.0f%% hit)",
-			c.Hits, c.Misses, c.Evictions, 100*c.HitRate())
-	}
-	for _, be := range s.Backends {
-		fmt.Fprintf(&b, "\npool: backend %-10s solved=%d errors=%d busy=%.0fµs util=%.1f%%",
-			be.Name, be.Solved, be.Errors, be.BusyMicros, 100*be.Utilization)
-		if spend, energy := finiteOrZero(be.SpendMicroUSD), finiteOrZero(be.EnergyMilliJ); spend > 0 || energy > 0 {
-			fmt.Fprintf(&b, " spend=%.1fµUSD energy=%.1fmJ", spend, energy)
-		}
-		if be.ReadsPlanned > 0 {
-			fmt.Fprintf(&b, " reads=%d/%d planned", be.ReadsRun, be.ReadsPlanned)
-		}
-	}
-	return b.String()
 }
 
 // finiteOrZero treats a non-finite accounting value (a failed measurement)

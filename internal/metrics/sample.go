@@ -35,33 +35,35 @@ func (k Kind) String() string {
 
 // Label is one key=value pair qualifying a Sample.
 type Label struct {
-	Key, Value string
+	Key   string `json:"key"`
+	Value string `json:"value"`
 }
 
 // Sample is one exported series at one instant: the unit every serving plane
 // reports in and every exporter (the fronthaul stats frame, the Prometheus
-// text page, `quamax -top`) consumes. A plane's snapshot type turns itself
+// text page, the Render tables and the trace dump) consumes. A plane's snapshot type turns itself
 // into samples in one method beside its fields; nothing downstream knows the
 // plane.
 //
 // Naming carries the unit, Prometheus style: a name ends in _total for a
 // counter, preceded by _micros, _microusd or _millij when the quantity has
-// that unit; `quamax -top` formats values from those suffixes.
+// that unit; Render formats values from those suffixes.
 type Sample struct {
 	// Name is the series family, e.g. "quamax_pool_submitted_total".
-	Name string
+	Name string `json:"name"`
 	// Labels qualify the series within its family, sorted by key, keys
 	// distinct.
-	Labels []Label
+	Labels []Label `json:"labels,omitempty"`
 	// Kind selects Value (counter, gauge) or Hist (histogram).
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// Value is the counter total or gauge level.
-	Value float64
+	Value float64 `json:"value"`
 	// Hist is the distribution of a KindHistogram sample.
-	Hist Hist
+	Hist Hist `json:"hist,omitzero"`
 	// Help is the one-line description the Prometheus page prints. It stays
-	// in the serving process: the stats frame does not carry it.
-	Help string
+	// in the serving process: neither the stats frame nor the trace dump
+	// carries it.
+	Help string `json:"-"`
 }
 
 func newSample(kind Kind, name, help string, labels []Label) Sample {

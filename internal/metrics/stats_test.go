@@ -2,9 +2,6 @@ package metrics
 
 import (
 	"math"
-	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -86,83 +83,6 @@ func TestBoxNaNAndInf(t *testing.T) {
 	}
 }
 
-// Every PoolStats field must surface in String() when nonzero — the audit
-// that keeps the log line honest as counters are added. The walk below fills
-// each field with a distinct sentinel via reflection, so a newly added field
-// fails this test until both String and (for floats) the rendering table
-// below know about it.
-func TestPoolStatsStringCoversEveryField(t *testing.T) {
-	// Float fields print through format verbs, so their rendered form is
-	// field-specific. New float fields must be added here.
-	floatValue := map[string]float64{
-		"UptimeMicros":  3.21e7, // %.1fs of v/1e6
-		"SlotOccupancy": 0.56,   // %.0f%% of 100·v
-		"BusyMicros":    9876,   // %.0fµs
-		"Utilization":   0.0783, // %.1f%% of 100·v
-		"SpendMicroUSD": 1234.5, // %.1fµUSD
-		"EnergyMilliJ":  42.5,   // %.1fmJ
-	}
-	floatRender := map[string]string{
-		"UptimeMicros":  "32.1s",
-		"SlotOccupancy": "56%",
-		"BusyMicros":    "9876µs",
-		"Utilization":   "7.8%",
-		"SpendMicroUSD": "1234.5µUSD",
-		"EnergyMilliJ":  "42.5mJ",
-	}
-
-	var s PoolStats
-	next := uint64(1001)
-	want := map[string]string{} // field path → substring String() must contain
-	var fill func(v reflect.Value, name, path string)
-	fill = func(v reflect.Value, name, path string) {
-		switch v.Kind() {
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				f := v.Type().Field(i)
-				fill(v.Field(i), f.Name, path+f.Name+".")
-			}
-		case reflect.Slice:
-			elem := reflect.New(v.Type().Elem()).Elem()
-			fill(elem, name, path+"[0].")
-			v.Set(reflect.Append(v, elem))
-		case reflect.Map: // a counter per string key
-			v.Set(reflect.MakeMap(v.Type()))
-			v.SetMapIndex(reflect.ValueOf("class0"), reflect.ValueOf(next))
-			want[path] = "class0=" + strconv.FormatUint(next, 10)
-			next++
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			v.SetInt(int64(next))
-			want[path] = strconv.FormatUint(next, 10)
-			next++
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			v.SetUint(next)
-			want[path] = strconv.FormatUint(next, 10)
-			next++
-		case reflect.Float64:
-			fv, ok := floatValue[name]
-			if !ok {
-				t.Fatalf("float field %s has no sentinel — extend PoolStats.String and this test's rendering table", path)
-			}
-			v.SetFloat(fv)
-			want[path] = floatRender[name]
-		case reflect.String:
-			v.SetString("be0")
-			want[path] = "be0"
-		default:
-			t.Fatalf("field %s has unsupported kind %s — extend this test", path, v.Kind())
-		}
-	}
-	fill(reflect.ValueOf(&s).Elem(), "PoolStats", "")
-
-	out := s.String()
-	for path, sub := range want {
-		if !strings.Contains(out, sub) {
-			t.Errorf("String() omits field %s (expected substring %q):\n%s", path, sub, out)
-		}
-	}
-}
-
 // Spend/energy accounting must treat non-finite addends as missing
 // measurements: one NaN (or ±Inf) sample must never poison the merged
 // aggregate a multi-pool deployment reports upward.
@@ -176,21 +96,5 @@ func TestPoolStatsMergeGuardsNonFiniteEconomics(t *testing.T) {
 	}
 	if got := m.Backends[0].EnergyMilliJ; got != 5 {
 		t.Errorf("merged energy = %g, want 5 (NaN addend dropped)", got)
-	}
-	if out := (PoolStats{Backends: []BackendStats{{Name: "be0", SpendMicroUSD: nan, EnergyMilliJ: inf}}}).String(); strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-		t.Errorf("String renders non-finite economics:\n%s", out)
-	}
-}
-
-// Counter groups must print whenever any member is nonzero, not only when
-// the group's headline counter is.
-func TestPoolStatsStringPartialGroups(t *testing.T) {
-	out := PoolStats{LLRSaturations: 7}.String()
-	if !strings.Contains(out, "llr-saturations=7") {
-		t.Fatalf("saturations without soft decodes omitted:\n%s", out)
-	}
-	out = PoolStats{ChannelCache: ChannelCacheStats{Evictions: 3}}.String()
-	if !strings.Contains(out, "evictions=3") {
-		t.Fatalf("evictions without lookups omitted:\n%s", out)
 	}
 }

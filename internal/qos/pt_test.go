@@ -6,10 +6,11 @@ package qos
 // ladder at the minimum useful sweep count carry no budget at all.
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"quamax/internal/anneal"
+	"quamax/internal/metrics"
 	"quamax/internal/modulation"
 )
 
@@ -102,7 +103,7 @@ func TestPlannerStatsCountPT(t *testing.T) {
 	if st.Classical != 2 || st.PT != 1 {
 		t.Fatalf("stats = %+v, want 2 classical with 1 PT budget", st)
 	}
-	if !strings.Contains(st.String(), "pt=1") {
-		t.Fatalf("stats rendering %q missing pt counter", st.String())
+	if i := slices.IndexFunc(st.Samples(), func(s metrics.Sample) bool { return s.Name == "quamax_planner_pt_total" }); i < 0 || st.Samples()[i].Value != 1 {
+		t.Fatalf("samples %+v do not carry pt = 1", st.Samples())
 	}
 }

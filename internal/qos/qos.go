@@ -35,7 +35,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -729,13 +728,17 @@ func (pl *Planner) Stats() Stats {
 
 // Samples exports the planner's decisions as series: one counter per reason
 // seen, labelled with the verdict that reason implies (a fit or a missing
-// target dispatches to the annealer, every other reason denies it), and the
-// reads planned over quantum verdicts — reads over quantum decisions is the
-// mean planned budget. This is the one place a Stats field becomes an
-// exported metric.
+// target dispatches to the annealer, every other reason denies it), the reads
+// planned over quantum verdicts — reads over quantum decisions is the mean
+// planned budget — and the reverse, soft and PT counts. This is the one place
+// a Stats field becomes an exported metric.
 func (s Stats) Samples() []metrics.Sample {
-	out := []metrics.Sample{metrics.Counter("quamax_planner_reads_planned_total",
-		"Anneal reads planned over quantum verdicts.", float64(s.ReadsPlanned))}
+	out := []metrics.Sample{
+		metrics.Counter("quamax_planner_reads_planned_total", "Anneal reads planned over quantum verdicts.", float64(s.ReadsPlanned)),
+		metrics.Counter("quamax_planner_reverse_total", "Quantum verdicts that chose reverse annealing.", float64(s.Reverse)),
+		metrics.Counter("quamax_planner_soft_total", "Planning questions for soft-output requests.", float64(s.Soft)),
+		metrics.Counter("quamax_planner_pt_total", "Classical verdicts carrying a parallel-tempering budget.", float64(s.PT)),
+	}
 	for reason, n := range s.ByReason {
 		verdict := "classical"
 		if reason == ReasonFit || reason == ReasonNoTarget {
@@ -745,23 +748,4 @@ func (s Stats) Samples() []metrics.Sample {
 			metrics.Label{Key: "verdict", Value: verdict}, metrics.Label{Key: "reason", Value: reason}))
 	}
 	return out
-}
-
-// String renders a compact multi-line report suitable for logs.
-func (s Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "planner: plans=%d quantum=%d (reverse=%d) classical=%d (pt=%d) soft=%d",
-		s.Plans, s.Quantum, s.Reverse, s.Classical, s.PT, s.Soft)
-	if s.Quantum > 0 {
-		fmt.Fprintf(&b, " mean-reads=%.1f", float64(s.ReadsPlanned)/float64(s.Quantum))
-	}
-	reasons := make([]string, 0, len(s.ByReason))
-	for r := range s.ByReason {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(&b, "\nplanner: reason %-22s %d", r, s.ByReason[r])
-	}
-	return b.String()
 }

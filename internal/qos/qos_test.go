@@ -171,13 +171,14 @@ func TestPlannerStats(t *testing.T) {
 	if st.ReadsPlanned != 3 || st.ByReason[ReasonFit] != 1 || st.ByReason[ReasonOversizeNt] != 1 {
 		t.Fatalf("stats detail = %+v", st)
 	}
-	if st.String() == "" {
-		t.Fatal("empty stats rendering")
-	}
 	// The exported series say the same, split by the verdict each reason
 	// implies: per verdict they add up to the Quantum/Classical counters.
-	pl.Plan(Request{Mod: modulation.QPSK, Nt: 4, SNRdB: 30}) // no target: quantum at the default budget
+	pl.Plan(Request{Mod: modulation.QPSK, Nt: 4, SNRdB: 30})                              // no target: quantum at the default budget
+	pl.Plan(Request{Mod: modulation.QPSK, Nt: 4, SNRdB: 30, TargetBER: 1e-4, Soft: true}) // a soft fit
 	st = pl.Stats()
+	if st.Soft != 1 {
+		t.Fatalf("soft count %d, want 1", st.Soft)
+	}
 	got, byVerdict := map[string]float64{}, map[string]uint64{}
 	for _, s := range metrics.Collect(st.Samples()) {
 		verdict, _ := s.Label("verdict")
@@ -186,10 +187,13 @@ func TestPlannerStats(t *testing.T) {
 		byVerdict[verdict] += uint64(s.Value)
 	}
 	want := map[string]float64{
-		"quamax_planner_decisions_total/quantum/" + ReasonFit:          1,
+		"quamax_planner_decisions_total/quantum/" + ReasonFit:          2,
 		"quamax_planner_decisions_total/quantum/" + ReasonNoTarget:     1,
 		"quamax_planner_decisions_total/classical/" + ReasonOversizeNt: 1,
 		"quamax_planner_reads_planned_total//":                         float64(st.ReadsPlanned),
+		"quamax_planner_reverse_total//":                               float64(st.Reverse),
+		"quamax_planner_soft_total//":                                  float64(st.Soft),
+		"quamax_planner_pt_total//":                                    float64(st.PT),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("planner samples %v, want %v", got, want)

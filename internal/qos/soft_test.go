@@ -55,7 +55,7 @@ func TestPlanSoftFloorGuardStillApplies(t *testing.T) {
 	}
 }
 
-// TestPlannerStatsCountSoft checks the Soft counter and its String rendering.
+// TestPlannerStatsCountSoft checks the Soft counter.
 func TestPlannerStatsCountSoft(t *testing.T) {
 	pl := testPlanner(t)
 	pl.Plan(Request{Mod: modulation.QPSK, Nt: 4, SNRdB: 30, TargetBER: 1e-4, Soft: true})

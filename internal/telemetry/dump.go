@@ -8,78 +8,30 @@ import (
 	"quamax/internal/metrics"
 )
 
-// StageSummary is the per-stage latency digest a Dump carries: enough for
-// tools/benchjson to add p50/p95/p99 columns to BENCH rows without shipping
-// raw buckets.
-type StageSummary struct {
-	Count      uint64  `json:"count"`
-	MeanMicros float64 `json:"mean_micros"`
-	P50Micros  float64 `json:"p50_micros"`
-	P95Micros  float64 `json:"p95_micros"`
-	P99Micros  float64 `json:"p99_micros"`
-	MaxMicros  float64 `json:"max_micros"`
-}
-
-// Summarize digests a Hist into a StageSummary.
-func Summarize(h metrics.Hist) StageSummary {
-	if h.Count == 0 {
-		return StageSummary{}
-	}
-	return StageSummary{
-		Count:      h.Count,
-		MeanMicros: h.Mean(),
-		P50Micros:  h.Quantile(50),
-		P95Micros:  h.Quantile(95),
-		P99Micros:  h.Quantile(99),
-		MaxMicros:  h.Max,
-	}
-}
-
-// Dump is the structured JSON trace dump written by -trace-out: the full
-// Snapshot, per-stage digests keyed by stage name, the pool counters they
-// reconcile against, and the retained trace ring.
+// Dump is the structured JSON trace dump written by -trace-out: the
+// deployment's sample set at dump time (the series /metrics renders — stage,
+// wire and slack histograms and the pool counters the traces reconcile
+// against among them), the retained trace ring and the pinned exemplars.
 type Dump struct {
-	// Snapshot is the recorder aggregate at dump time.
-	Snapshot *Snapshot `json:"snapshot"`
-	// Stages digests Snapshot.Stages by stage name; Wire, SlackMet and
-	// SlackMissed digest their histograms.
-	Stages      map[string]StageSummary `json:"stages"`
-	Wire        StageSummary            `json:"wire"`
-	SlackMet    StageSummary            `json:"slack_met"`
-	SlackMissed StageSummary            `json:"slack_missed"`
-	// Pool is the scheduler counter snapshot taken with the dump, when a
-	// pool is attached; Dump readers check Submitted == Completed+Failed ==
-	// Snapshot.Traces.
-	Pool *metrics.PoolStats `json:"pool,omitempty"`
+	// Samples is the sample set in canonical order (metrics.Collect).
+	Samples []metrics.Sample `json:"samples"`
 	// Traces is the retained ring, oldest first (capped at the ring size;
-	// Snapshot.Traces counts all spans ever finished).
+	// the quamax_traces_finished_total samples count all spans ever
+	// finished).
 	Traces []Trace `json:"traces"`
 	// Exemplars are the pinned worst-slack traces (see exemplar.go), worst
 	// first — the named requests behind the tail.
 	Exemplars []Trace `json:"exemplars,omitempty"`
 }
 
-// BuildDump assembles a Dump from a recorder and an optional pool snapshot.
-// Safe on a nil receiver only insofar as it returns nil.
-func BuildDump(r *Recorder, pool *metrics.PoolStats) *Dump {
+// BuildDump assembles a Dump of a deployment's sample set and the recorder's
+// ring and exemplars. The samples should include the recorder's own
+// (Snapshot.Samples); a nil recorder builds no dump.
+func BuildDump(r *Recorder, samples []metrics.Sample) *Dump {
 	if r == nil {
 		return nil
 	}
-	sn := r.Snapshot()
-	d := &Dump{
-		Snapshot:    sn,
-		Stages:      make(map[string]StageSummary, NumStages),
-		Wire:        Summarize(sn.Wire),
-		SlackMet:    Summarize(sn.SlackMet),
-		SlackMissed: Summarize(sn.SlackMissed),
-		Pool:        pool,
-		Traces:      r.Traces(),
-		Exemplars:   r.Exemplars(),
-	}
-	for i := range sn.Stages {
-		d.Stages[Stage(i).String()] = Summarize(sn.Stages[i])
-	}
-	return d
+	return &Dump{Samples: samples, Traces: r.Traces(), Exemplars: r.Exemplars()}
 }
 
 // WriteFile marshals the dump as indented JSON to path.
@@ -106,13 +58,4 @@ func ReadDump(path string) (*Dump, error) {
 		return nil, fmt.Errorf("telemetry: parse dump %s: %w", path, err)
 	}
 	return &d, nil
-}
-
-// StageNames returns the stage names in pipeline order (for stable tables).
-func StageNames() []string {
-	out := make([]string, NumStages)
-	for i := range out {
-		out[i] = Stage(i).String()
-	}
-	return out
 }

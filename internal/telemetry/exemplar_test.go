@@ -109,7 +109,7 @@ func TestDumpCarriesExemplars(t *testing.T) {
 	finishWithSlack(r, "QPSK/4", 10)
 	finishWithSlack(r, "QPSK/4", -77)
 	finishWithSlack(r, "QPSK/4", 20)
-	d := BuildDump(r, nil)
+	d := BuildDump(r, r.Snapshot().Samples())
 	if len(d.Exemplars) != 3 || d.Exemplars[0].SlackMicros != -77 || d.Exemplars[1].SlackMicros != 10 {
 		t.Fatalf("dump exemplars: %+v", d.Exemplars)
 	}

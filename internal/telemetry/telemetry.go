@@ -11,7 +11,8 @@
 // One Recorder instance is shared by sched.Scheduler, core.Decoder,
 // qos.Planner, and fronthaul.Server; it exports three ways — Prometheus text
 // + pprof over HTTP (Mux), a fronthaul stats frame (Snapshot.Samples), and
-// structured JSON trace dumps (BuildDump) that tools/benchjson ingests.
+// structured JSON trace dumps of the sample set and the trace ring
+// (BuildDump) that tools/benchjson ingests.
 //
 // Feeding discipline: every histogram has exactly one feeder so nothing is
 // double-counted. The scheduler finishes each trace exactly once — at the
@@ -150,30 +151,14 @@ type QualityObservation struct {
 type QualityStats struct {
 	// Solves counts quality observations; Reads/ChainBreaks total the
 	// per-solve samples, so ChainBreaks/Reads is the chain-break rate.
-	Solves      uint64 `json:"solves"`
-	Reads       uint64 `json:"reads"`
-	ChainBreaks uint64 `json:"chain_breaks"`
+	Solves      uint64
+	Reads       uint64
+	ChainBreaks uint64
 	// LLRBits/LLRSaturated give the LLR-saturation rate for soft decodes.
-	LLRBits      uint64 `json:"llr_bits"`
-	LLRSaturated uint64 `json:"llr_saturated"`
+	LLRBits      uint64
+	LLRSaturated uint64
 	// BestEnergy is the distribution of |best energy| per solve.
-	BestEnergy metrics.Hist `json:"best_energy"`
-}
-
-// ChainBreakRate returns ChainBreaks/Reads (NaN when no reads).
-func (q QualityStats) ChainBreakRate() float64 {
-	if q.Reads == 0 {
-		return math.NaN()
-	}
-	return float64(q.ChainBreaks) / float64(q.Reads)
-}
-
-// LLRSaturationRate returns LLRSaturated/LLRBits (NaN when no soft bits).
-func (q QualityStats) LLRSaturationRate() float64 {
-	if q.LLRBits == 0 {
-		return math.NaN()
-	}
-	return float64(q.LLRSaturated) / float64(q.LLRBits)
+	BestEnergy metrics.Hist
 }
 
 type qualityCell struct {
@@ -371,30 +356,30 @@ func (r *Recorder) TraceCount() uint64 {
 	return r.ringSeq
 }
 
-// Snapshot is the aggregate view of a Recorder: the in-process API the trace
-// dump and tests read, and (through Samples) what the exporters render.
+// Snapshot is the aggregate view of a Recorder: the in-process API, and
+// (through Samples) what the exporters and the trace dump carry.
 type Snapshot struct {
 	// UptimeMicros is time since the recorder was created.
-	UptimeMicros float64 `json:"uptime_micros"`
+	UptimeMicros float64
 	// Finished and Failed count finished traces by outcome; Traces is their
 	// sum (total spans ever recorded).
-	Finished uint64 `json:"finished"`
-	Failed   uint64 `json:"failed"`
-	Traces   uint64 `json:"traces"`
+	Finished uint64
+	Failed   uint64
+	Traces   uint64
 	// CompileHits/CompileMisses count ObserveCompile outcomes.
-	CompileHits   uint64 `json:"compile_hits"`
-	CompileMisses uint64 `json:"compile_misses"`
+	CompileHits   uint64
+	CompileMisses uint64
 	// Stages holds one latency histogram per pipeline Stage (index = Stage).
-	Stages [NumStages]metrics.Hist `json:"stages"`
+	Stages [NumStages]metrics.Hist
 	// Wire is the fronthaul server-side request wall time.
-	Wire metrics.Hist `json:"wire"`
+	Wire metrics.Hist
 	// SlackMet holds deadline slack for on-time requests; SlackMissed holds
 	// |slack| (lateness) for missed ones. Their counts give the miss rate
 	// over deadline-bearing requests.
-	SlackMet    metrics.Hist `json:"slack_met"`
-	SlackMissed metrics.Hist `json:"slack_missed"`
+	SlackMet    metrics.Hist
+	SlackMissed metrics.Hist
 	// Quality maps class → anneal-quality aggregate.
-	Quality map[string]QualityStats `json:"quality,omitempty"`
+	Quality map[string]QualityStats
 }
 
 // Snapshot captures the recorder's aggregate state. Safe on a nil receiver
@@ -473,14 +458,4 @@ func (s *Snapshot) Samples() []metrics.Sample {
 			metrics.Histogram("quamax_quality_best_energy", "Distribution of |best Ising energy| per solve.", q.BestEnergy, class))
 	}
 	return out
-}
-
-// MissRate returns the deadline miss rate over deadline-bearing requests
-// (NaN when none carried a deadline).
-func (s *Snapshot) MissRate() float64 {
-	total := s.SlackMet.Count + s.SlackMissed.Count
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(s.SlackMissed.Count) / float64(total)
 }

@@ -17,9 +17,9 @@
 //
 // With -traces, benchjson ingests a telemetry trace dump (the JSON written
 // by quamax-serve/examples/tracedriven -trace-out) instead of running
-// benchmarks, and emits one row per pipeline stage with
-// p50/p95/p99/mean/max latency columns, plus one TraceExemplar row per
-// pinned worst-slack trace:
+// benchmarks, and emits one row per stage, wire and deadline-slack histogram
+// of the dump's sample set with p50/p95/p99/mean/max latency columns, plus one
+// TraceExemplar row per pinned worst-slack trace:
 //
 //	go run ./tools/benchjson -traces dump.json -out TRACES.json
 package main
@@ -152,24 +152,44 @@ func parseMetrics(rest string) map[string]float64 {
 	return metrics
 }
 
+// traceRows names the histogram families -traces turns into rows, by the row
+// name's prefix; the sample's label values follow it ("TraceStage/solve",
+// "TraceSlack/met").
+var traceRows = map[string]string{
+	"quamax_stage_latency_micros":  "TraceStage",
+	"quamax_fronthaul_wire_micros": "TraceWire",
+	"quamax_deadline_slack_micros": "TraceSlack",
+}
+
 // ingestTraces converts a telemetry trace dump into report rows: one row per
-// occupied pipeline stage (plus the fronthaul wire and the deadline-slack
-// sides) carrying p50/p95/p99/mean/max latency columns in microseconds. When
-// the dump carries a pool snapshot,
-// the telemetry plane's reconciliation invariant is enforced before
-// anything is written: Submitted == Completed+Failed == trace count.
+// occupied stage, wire and deadline-slack histogram of its sample set,
+// carrying p50/p95/p99/mean/max columns in microseconds, and one row per
+// pinned exemplar. When the set carries pool counters, the telemetry plane's
+// reconciliation invariant is enforced before anything is written:
+// submitted == completed+failed == traces, each summed over shards.
 func ingestTraces(path, out string) error {
 	d, err := telemetry.ReadDump(path)
 	if err != nil {
 		return err
 	}
-	if d.Snapshot == nil {
-		return fmt.Errorf("%s: dump has no snapshot", path)
+	sum := func(family string) (total float64, found bool) {
+		for _, s := range d.Samples {
+			if s.Name == family {
+				total, found = total+s.Value, true
+			}
+		}
+		return total, found
 	}
-	if p := d.Pool; p != nil {
-		if p.Submitted != p.Completed+p.Failed || p.Submitted != d.Snapshot.Traces {
-			return fmt.Errorf("%s: traces do not reconcile with pool counters: submitted=%d completed+failed=%d traces=%d",
-				path, p.Submitted, p.Completed+p.Failed, d.Snapshot.Traces)
+	traces, ok := sum("quamax_traces_finished_total")
+	if !ok {
+		return fmt.Errorf("%s: dump has no trace counters", path)
+	}
+	if submitted, ok := sum("quamax_pool_submitted_total"); ok {
+		completed, _ := sum("quamax_pool_completed_total")
+		failed, _ := sum("quamax_pool_failed_total")
+		if submitted != completed+failed || submitted != traces {
+			return fmt.Errorf("%s: traces do not reconcile with pool counters: submitted=%g completed+failed=%g traces=%g",
+				path, submitted, completed+failed, traces)
 		}
 	}
 
@@ -179,30 +199,28 @@ func ingestTraces(path, out string) error {
 		GoArch:    runtime.GOARCH,
 		Bench:     "traces:" + path,
 	}
-	row := func(name string, s telemetry.StageSummary) {
-		if s.Count == 0 {
-			return
+	for _, s := range d.Samples {
+		name, ok := traceRows[s.Name]
+		if !ok || s.Hist.Count == 0 {
+			continue
+		}
+		for _, l := range s.Labels {
+			name += "/" + l.Value
 		}
 		report.Results = append(report.Results, Result{
 			Name:       name,
-			Iterations: int64(s.Count),
+			Iterations: int64(s.Hist.Count),
 			Metrics: map[string]float64{
-				"p50-µs":  s.P50Micros,
-				"p95-µs":  s.P95Micros,
-				"p99-µs":  s.P99Micros,
-				"mean-µs": s.MeanMicros,
-				"max-µs":  s.MaxMicros,
+				"p50-µs":  s.Hist.Quantile(50),
+				"p95-µs":  s.Hist.Quantile(95),
+				"p99-µs":  s.Hist.Quantile(99),
+				"mean-µs": s.Hist.Mean(),
+				"max-µs":  s.Hist.Max,
 			},
 		})
 	}
-	for _, name := range telemetry.StageNames() {
-		row("TraceStage/"+name, d.Stages[name])
-	}
-	row("TraceWire", d.Wire)
-	row("TraceSlack/met", d.SlackMet)
-	row("TraceSlack/missed", d.SlackMissed)
 	// Exemplar rows name the pinned worst-slack traces individually (worst
-	// first — index 0 is the window's worst request): the per-stage summaries
+	// first — index 0 is the window's worst request): the histogram rows
 	// above say how bad the tail is, these say which requests it was made of.
 	for i, ex := range d.Exemplars {
 		metrics := map[string]float64{
@@ -225,7 +243,6 @@ func ingestTraces(path, out string) error {
 	if err := report.write(out); err != nil {
 		return err
 	}
-	fmt.Printf("benchjson: wrote %d trace rows (%d traces) to %s\n",
-		len(report.Results), d.Snapshot.Traces, out)
+	fmt.Printf("benchjson: wrote %d trace rows (%g traces) to %s\n", len(report.Results), traces, out)
 	return nil
 }
